@@ -94,6 +94,8 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzApplyEdits -fuzztime=$(FUZZTIME) ./internal/genome
 	$(GO) test -run='^$$' -fuzz=FuzzEncodeDecode -fuzztime=$(FUZZTIME) ./internal/encoding
 	$(GO) test -run='^$$' -fuzz=FuzzReadLibrary -fuzztime=$(FUZZTIME) ./internal/core
+	$(GO) test -run='^$$' -fuzz=FuzzReadIndex -fuzztime=$(FUZZTIME) ./internal/cobs
+	$(GO) test -run='^$$' -fuzz=FuzzWireFrame -fuzztime=$(FUZZTIME) ./internal/wire
 
 ## smoke: end-to-end service check — serve a generated library, hit
 ## /healthz, /v1/search, and /metrics, then SIGTERM and assert a clean drain

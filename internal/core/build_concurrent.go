@@ -92,11 +92,14 @@ func (l *Library) encodeRef(job *encodedRef) error {
 	job.offsets = make([]int32, 0, n)
 	job.hvs = make([]*hdc.HV, 0, n)
 	if l.params.Approx {
-		l.enc.SlideApprox(rec.Seq, l.params.Stride, func(start int, acc *hdc.Acc, off int) bool {
+		sc := l.getScratch()
+		defer l.putScratch(sc)
+		for start := 0; start+l.params.Window <= rec.Seq.Len(); start += l.params.Stride {
+			hv := hdc.NewHV(l.params.Dim)
+			l.enc.EncodeWindowApproxInto(hv, sc.acc, rec.Seq, start)
 			job.offsets = append(job.offsets, int32(start))
-			job.hvs = append(job.hvs, l.enc.SealLogical(acc, off))
-			return true
-		})
+			job.hvs = append(job.hvs, hv)
+		}
 	} else {
 		l.enc.SlideExact(rec.Seq, l.params.Stride, func(start int, hv *hdc.HV) bool {
 			job.offsets = append(job.offsets, int32(start))

@@ -41,14 +41,16 @@ const calibrationProbes = 192
 func (l *Library) calibrate(sn *snapshot) Calibration {
 	src := rng.New(l.params.Seed ^ 0xca11b7a7e)
 	w := l.params.Window
+	sc := l.getScratch() // every probe encodes into the one pooled hypervector
+	defer l.putScratch(sc)
 
 	// Noise side: random queries against randomly sampled buckets.
 	var noise stats.Welford
 	for i := 0; i < calibrationProbes; i++ {
 		q := genome.Random(w, src)
-		hv := l.enc.EncodeWindowApprox(q, 0)
+		l.enc.EncodeWindowApproxInto(sc.hv, sc.acc, q, 0)
 		b := src.Intn(sn.numBuckets())
-		noise.Add(sn.score(b, hv, &l.params))
+		noise.Add(sn.score(b, sc.hv, &l.params))
 	}
 
 	// Signal side: member windows re-queried with MutTolerance
@@ -89,8 +91,8 @@ func (l *Library) calibrate(sn *snapshot) Calibration {
 		if l.params.MutTolerance > 0 {
 			window, _ = genome.SubstituteExactly(window, l.params.MutTolerance, src)
 		}
-		hv := l.enc.EncodeWindowApprox(window, 0)
-		signal.Add(sn.score(nonEmpty[j], hv, &l.params))
+		l.enc.EncodeWindowApproxInto(sc.hv, sc.acc, window, 0)
+		signal.Add(sn.score(nonEmpty[j], sc.hv, &l.params))
 	}
 
 	cal := Calibration{

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/genome"
@@ -112,4 +113,50 @@ func TestFreezeEmptyLibraryStaysUnfrozen(t *testing.T) {
 	if lib.Frozen() {
 		t.Fatal("empty library froze")
 	}
+}
+
+// TestCalibrationPinned pins Calibration — and with it Tau and every v3
+// header — for a fixed seeded approximate library against values
+// captured from the counter-based encoder at commit cf1b407. calibrate
+// encodes its probes through the query-side kernel; any bit the encoder
+// changes, or any draw calibrate reorders, moves these floats.
+func TestCalibrationPinned(t *testing.T) {
+	lib := mustLibrary(t, Params{
+		Dim: 4096, Window: 32, Approx: true, Sealed: true, MutTolerance: 2, Seed: 77,
+	})
+	src := rng.New(78)
+	for _, id := range []string{"a", "b", "c"} {
+		if err := lib.Add(genome.Record{ID: id, Seq: genome.Random(300, src)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lib.Freeze()
+	check := func(stage string, want [5]uint64) {
+		t.Helper()
+		cal, ok := lib.Calibration()
+		if !ok {
+			t.Fatalf("%s: no calibration", stage)
+		}
+		got := [5]uint64{
+			math.Float64bits(cal.NoiseMean), math.Float64bits(cal.NoiseStd),
+			math.Float64bits(cal.SignalMean), math.Float64bits(cal.SignalStd),
+			math.Float64bits(cal.Tau),
+		}
+		if got != want {
+			t.Fatalf("%s: calibration moved:\n got %#x\nwant %#x\n(%+v)", stage, got, want, cal)
+		}
+	}
+	check("after Freeze", [5]uint64{
+		0x408419eaaaaaaaac, 0x406a6f501817f6cf, 0x40a91df000000001, 0x40430171bb10bb68, 0x40a280c9de6ef9a6})
+	// Tombstones present: the signal side samples live members only.
+	if err := lib.Remove(1); err != nil {
+		t.Fatal(err)
+	}
+	check("after Remove", [5]uint64{
+		0x408419eaaaaaaaac, 0x406a6f501817f6cf, 0x40a923caaaaaaaa9, 0x4044ad0aa879e741, 0x40a2796473a825ef})
+	if err := lib.Add(genome.Record{ID: "d", Seq: genome.Random(200, src)}); err != nil {
+		t.Fatal(err)
+	}
+	check("after Add", [5]uint64{
+		0x4084c70000000004, 0x406b07b6b83f31b0, 0x40a922f000000002, 0x4044010dc7086c58, 0x40a2b1884be4e907})
 }

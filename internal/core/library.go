@@ -542,10 +542,12 @@ func (l *Library) addLocked(rec genome.Record) error {
 	refIdx := int32(len(l.refs))
 	l.refs = append(l.refs, rec)
 	if l.params.Approx {
-		l.enc.SlideApprox(rec.Seq, l.params.Stride, func(start int, acc *hdc.Acc, off int) bool {
-			l.active.insert(WindowRef{Ref: refIdx, Off: int32(start)}, l.enc.SealLogical(acc, off), &l.params)
-			return true
-		})
+		sc := l.getScratch()
+		defer l.putScratch(sc)
+		for start := 0; start+l.params.Window <= rec.Seq.Len(); start += l.params.Stride {
+			l.enc.EncodeWindowApproxInto(sc.hv, sc.acc, rec.Seq, start)
+			l.active.insert(WindowRef{Ref: refIdx, Off: int32(start)}, sc.hv, &l.params)
+		}
 	} else {
 		l.enc.SlideExact(rec.Seq, l.params.Stride, func(start int, hv *hdc.HV) bool {
 			l.active.insert(WindowRef{Ref: refIdx, Off: int32(start)}, hv, &l.params)

@@ -334,7 +334,7 @@ func (l *Library) verify(sn *snapshot, out []Match, q *genome.Sequence, qOff int
 			}
 			if stats != nil {
 				stats.WindowsVerified++
-				stats.BaseComparisons += minInt(w, w) // full window budgeted
+				stats.BaseComparisons += w // full window budgeted
 			}
 			if dist <= tol {
 				out = append(out, Match{

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/genome"
-	"repro/internal/hdc"
 	"repro/internal/mmapfile"
 )
 
@@ -145,14 +144,15 @@ func (l *Library) rebuildBuilder(old *builder) *builder {
 // reinsert re-encodes the given windows — the same encoding Add used
 // when they were first memorized — and inserts them in order.
 func (l *Library) reinsert(b *builder, windows []WindowRef) {
+	sc := l.getScratch()
+	defer l.putScratch(sc)
 	for _, wr := range windows {
 		seq := l.refs[wr.Ref].Seq
-		var hv *hdc.HV
 		if l.params.Approx {
-			hv = l.enc.EncodeWindowApprox(seq, int(wr.Off))
+			l.enc.EncodeWindowApproxInto(sc.hv, sc.acc, seq, int(wr.Off))
 		} else {
-			hv = l.enc.EncodeWindowExact(seq, int(wr.Off))
+			l.enc.EncodeWindowExactInto(sc.hv, seq, int(wr.Off))
 		}
-		b.insert(wr, hv, &l.params)
+		b.insert(wr, sc.hv, &l.params)
 	}
 }

@@ -18,20 +18,21 @@
 //     number of agreeing positions, so mutated queries remain detectably
 //     similar — graceful degradation, mutation tolerance.
 //
-// Both encodings slide incrementally: advancing the window by one base
-// costs O(D/64) packed-word work for the exact chain and O(D) counter
-// work for the bundle, instead of re-encoding the whole window (O(w·D)).
-// The identities used are
+// The exact chain slides incrementally: advancing the window by one base
+// costs O(D/64) packed-word work instead of re-encoding the whole window,
+// by the identity
 //
 //	E_{p+1} = ρ⁻¹(E_p ⊙ B[s_p]) ⊙ ρ^{w−1}(B[s_{p+w}])
-//	W_{p+1} = ρ⁻¹(W_p − B[s_p]) + ρ^{w−1}(B[s_{p+w}])
 //
-// where the bundle identity is tracked on raw counters with a circular
-// logical offset, so no counter array is ever physically rotated.
+// The bundle is always encoded directly, by a bit-sliced carry-save
+// kernel over packed words (see bundleWindow): at w·D/64 word
+// loads and ≈ 5 word operations per load it costs less than one
+// counter-array slide step did, so there is no incremental bundle.
 package encoding
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/genome"
 	"repro/internal/hdc"
@@ -94,9 +95,15 @@ type Encoder struct {
 	cfg Config
 	im  *hdc.ItemMemory
 	// rot[b][i] is ρ^i(B[b]) for i ∈ [0, Window]; precomputed because
-	// both the direct encoders and the incremental slides consume
+	// both the direct encoders and the incremental slide consume
 	// rotated base vectors constantly.
 	rot [genome.AlphabetSize][]*hdc.HV
+	// rows is the storage behind rot, flat for the approximate kernel:
+	// ρ^i(B[b]) occupies words [(4i+b)·D/64, (4i+b+1)·D/64).
+	rows []uint64
+	// tie packs tieBit for every dimension: bit j of the table is the
+	// value a sealed bundle takes where its counter is exactly zero.
+	tie []uint64
 }
 
 // New constructs an Encoder from cfg.
@@ -104,17 +111,30 @@ func New(cfg Config) (*Encoder, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	nw := cfg.Dim / 64
 	e := &Encoder{
-		cfg: cfg,
-		im:  hdc.NewItemMemory(cfg.Dim, genome.AlphabetSize, cfg.Seed),
+		cfg:  cfg,
+		im:   hdc.NewItemMemory(cfg.Dim, genome.AlphabetSize, cfg.Seed),
+		rows: make([]uint64, (cfg.Window+1)*genome.AlphabetSize*nw),
+		tie:  make([]uint64, nw),
 	}
 	for b := 0; b < genome.AlphabetSize; b++ {
 		e.rot[b] = make([]*hdc.HV, cfg.Window+1)
-		e.rot[b][0] = e.im.Get(b)
-		for i := 1; i <= cfg.Window; i++ {
-			h := hdc.NewHV(cfg.Dim)
-			h.Permute(e.rot[b][i-1], 1)
+		for i := 0; i <= cfg.Window; i++ {
+			r := i*genome.AlphabetSize + b
+			h := hdc.HVFromArenaRow(e.rows[r*nw:(r+1)*nw:(r+1)*nw], cfg.Dim)
+			if i == 0 {
+				h.CopyFrom(e.im.Get(b))
+			} else {
+				h.Permute(e.rot[b][i-1], 1)
+			}
 			e.rot[b][i] = h
+		}
+	}
+	seed := e.tieSeed()
+	for j := 0; j < cfg.Dim; j++ {
+		if tieBit(seed, j) {
+			e.tie[j/64] |= 1 << uint(j%64)
 		}
 	}
 	return e, nil
@@ -158,6 +178,7 @@ func (e *Encoder) EncodeWindowExact(seq *genome.Sequence, start int) *hdc.HV {
 // of seq starting at start into dst, reusing dst's storage — the
 // allocation-free variant for query hot paths. It panics if the window
 // overruns the sequence or dst has the wrong dimension.
+//
 //biohd:hotpath
 func (e *Encoder) EncodeWindowExactInto(dst *hdc.HV, seq *genome.Sequence, start int) {
 	e.checkWindow(seq, start)
@@ -171,24 +192,109 @@ func (e *Encoder) EncodeWindowExactInto(dst *hdc.HV, seq *genome.Sequence, start
 // EncodeWindowApprox returns the sealed positional-bundle encoding of the
 // window of seq starting at start.
 func (e *Encoder) EncodeWindowApprox(seq *genome.Sequence, start int) *hdc.HV {
-	acc := e.AccumulateWindow(seq, start)
-	return e.SealLogical(acc, 0)
+	e.checkWindow(seq, start)
+	out := hdc.NewHV(e.cfg.Dim)
+	e.bundleWindow(out.Words(), make([]int32, e.cfg.Window), seq, start)
+	return out
 }
 
 // EncodeWindowApproxInto stores the sealed positional-bundle encoding of
-// the window at start into dst, using acc as counter scratch (its prior
-// contents are discarded) — the allocation-free variant for query hot
-// paths. It panics if the window overruns the sequence or dst/acc have
-// the wrong dimension.
+// the window at start into dst — the allocation-free variant for query
+// hot paths. acc lends its counter storage as scratch: its prior
+// contents are discarded and what it holds afterwards is unspecified.
+// It panics if the window overruns the sequence or dst/acc have the
+// wrong dimension.
+//
 //biohd:hotpath
 func (e *Encoder) EncodeWindowApproxInto(dst *hdc.HV, acc *hdc.Acc, seq *genome.Sequence, start int) {
 	e.checkWindow(seq, start)
 	e.checkDim(dst)
-	acc.Reset()
-	for i := 0; i < e.cfg.Window; i++ {
-		acc.Add(e.rot[seq.At(start+i)][i])
+	if acc.Dim() != e.cfg.Dim {
+		panic(fmt.Sprintf("encoding: accumulator dimension %d != encoder %d", acc.Dim(), e.cfg.Dim))
 	}
-	e.SealLogicalInto(dst, acc, 0)
+	// Window < Dim, so the Dim counters always hold the Window row indices.
+	e.bundleWindow(dst.Words(), acc.Counts()[:e.cfg.Window], seq, start)
+}
+
+// csa is a carry-save (full) adder over 64 independent bit lanes:
+// a + b + c = sum + 2·carry in every lane.
+func csa(a, b, c uint64) (sum, carry uint64) {
+	u := a ^ b
+	return u ^ c, a&b | u&c
+}
+
+// bundleWindow is the bit-sliced approximate encoder: out = sign of the
+// sum of the window's Window rotated base rows, bit-identical to
+// AccumulateWindow + SealLogical. It never forms the counters. For each
+// word column it counts the one-bits of the Window rows in all 64 lanes
+// at once, holding the count as bits.Len(Window) bit planes (plane k is
+// bit k of the 64 lane counts): rows enter eight at a time through a
+// tree of seven carry-save adders that leaves one carry word of weight
+// 8, and that word ripples into planes 3 and up until no lane carries.
+// A lane's counter is 2·ones − Window, so the sign is the constant
+// compare ones > ⌊Window/2⌋, and a tie (even Window only) is ones ==
+// Window/2, filled from the precomputed tie words. row is Window words
+// of scratch for the row indices.
+//
+//biohd:hotpath
+func (e *Encoder) bundleWindow(out []uint64, row []int32, seq *genome.Sequence, start int) {
+	w, nw := e.cfg.Window, e.cfg.Dim/64
+	for j := range row {
+		row[j] = int32(j*genome.AlphabetSize + int(seq.At(start+j)))
+	}
+	rows := e.rows
+	nPlanes := bits.Len(uint(w))
+	half := uint(w / 2)
+	var tieOn uint64 // odd windows cannot tie: ones == ⌊Window/2⌋ is a counter of −1
+	if w%2 == 0 {
+		tieOn = ^uint64(0)
+	}
+	// Planes 0–2 stay in registers while rows are added and are parked
+	// in planes[:3] for the compare. A count never carries out of plane
+	// nPlanes−1, and 64 planes cover every Window an int can hold.
+	var planes [64]uint64
+	high := planes[3:max(nPlanes, 3)]
+	for c := 0; c < nw; c++ {
+		var p0, p1, p2 uint64
+		clear(high)
+		j := 0
+		for ; j+8 <= w; j += 8 {
+			r := row[j : j+8 : j+8]
+			s0, c0 := csa(p0, rows[int(r[0])*nw+c], rows[int(r[1])*nw+c])
+			s1, c1 := csa(s0, rows[int(r[2])*nw+c], rows[int(r[3])*nw+c])
+			s2, c2 := csa(s1, rows[int(r[4])*nw+c], rows[int(r[5])*nw+c])
+			s3, c3 := csa(s2, rows[int(r[6])*nw+c], rows[int(r[7])*nw+c])
+			t0, d0 := csa(p1, c0, c1)
+			t1, d1 := csa(t0, c2, c3)
+			var carry uint64
+			p0, p1 = s3, t1
+			p2, carry = csa(p2, d0, d1)
+			for k := 0; carry != 0 && k < len(high); k++ {
+				high[k], carry = high[k]^carry, high[k]&carry
+			}
+		}
+		for ; j < w; j++ { // the Window mod 8 rows left over enter one by one
+			carry := rows[int(row[j])*nw+c]
+			p0, carry = p0^carry, p0&carry
+			p1, carry = p1^carry, p1&carry
+			p2, carry = p2^carry, p2&carry
+			for k := 0; carry != 0 && k < len(high); k++ {
+				high[k], carry = high[k]^carry, high[k]&carry
+			}
+		}
+		planes[0], planes[1], planes[2] = p0, p1, p2
+		// ones > half and ones == half, most significant plane first.
+		gt, eq := uint64(0), ^uint64(0)
+		for k := nPlanes - 1; k >= 0; k-- {
+			if half>>uint(k)&1 == 0 {
+				gt |= eq & planes[k]
+				eq &^= planes[k]
+			} else {
+				eq &= planes[k]
+			}
+		}
+		out[c] = gt | eq&e.tie[c]&tieOn
+	}
 }
 
 // DecodeWindowApprox recovers the window content memorized in a sealed
@@ -216,7 +322,9 @@ func (e *Encoder) DecodeWindowApprox(h *hdc.HV) (*genome.Sequence, error) {
 }
 
 // AccumulateWindow returns the raw (unsealed) positional-bundle counters
-// for the window of seq starting at start.
+// for the window of seq starting at start — the counter formulation the
+// bit-sliced kernel is tested against and internal/pim's cost model
+// charges for.
 func (e *Encoder) AccumulateWindow(seq *genome.Sequence, start int) *hdc.Acc {
 	e.checkWindow(seq, start)
 	acc := hdc.NewAcc(e.cfg.Dim)
@@ -275,65 +383,10 @@ func (e *Encoder) SlideExact(seq *genome.Sequence, stride int, fn func(start int
 	}
 }
 
-// SlideApprox calls fn with (start, raw counters, logical offset) for
-// every window of seq at the given stride. The counters are maintained
-// incrementally with a circular logical offset: the logical counter for
-// dimension j lives at raw index (j + off) mod Dim. SealLogical converts
-// the pair to a window hypervector. The accumulator is reused across
-// calls; fn must not retain it. fn returning false stops the slide.
-func (e *Encoder) SlideApprox(seq *genome.Sequence, stride int, fn func(start int, acc *hdc.Acc, off int) bool) {
-	if stride <= 0 {
-		panic(fmt.Sprintf("encoding: stride %d must be positive", stride))
-	}
-	w, d := e.cfg.Window, e.cfg.Dim
-	if seq.Len() < w {
-		return
-	}
-	acc := hdc.NewAcc(d)
-	for i := 0; i < w; i++ {
-		acc.Add(e.rot[seq.At(i)][i])
-	}
-	off := 0
-	rotated := hdc.NewHV(d)
-	pos := 0
-	for {
-		if pos%stride == 0 {
-			if !fn(pos, acc, off) {
-				return
-			}
-		}
-		if pos+w >= seq.Len() {
-			return
-		}
-		// Logical update W_{p+1} = ρ⁻¹(W_p − ρ⁰(B[s_p])) + ρ^{w−1}(B[s_{p+w}]).
-		// On raw counters with logical offset o, adding ρ^k logically is
-		// adding ρ^{k+o} raw, and the ρ⁻¹ becomes o ← o+1.
-		addLogical(acc, e.rot[seq.At(pos)][0], off, rotated, false)
-		off = (off + 1) % d
-		addLogical(acc, e.rot[seq.At(pos+w)][w-1], off, rotated, true)
-		pos++
-	}
-}
-
-// addLogical adds (or subtracts) h at logical offset off into acc, which
-// on raw counters means adding ρ^off(h).
-func addLogical(acc *hdc.Acc, h *hdc.HV, off int, scratch *hdc.HV, add bool) {
-	target := h
-	if off != 0 {
-		scratch.Permute(h, off)
-		target = scratch
-	}
-	if add {
-		acc.Add(target)
-	} else {
-		acc.Sub(target)
-	}
-}
-
-// SealLogical seals raw counters produced by SlideApprox into the window
-// hypervector, undoing the circular offset. Counter ties are broken by a
-// deterministic hash of the *logical* dimension index, so the same window
-// seals identically whether encoded directly or reached by sliding.
+// SealLogical seals raw window counters into the window hypervector: the
+// logical counter for dimension j lives at raw index (j + off) mod Dim.
+// Counter ties are broken by a deterministic hash of the *logical*
+// dimension index (tieBit), so a window seals identically at any offset.
 func (e *Encoder) SealLogical(acc *hdc.Acc, off int) *hdc.HV {
 	out := hdc.NewHV(e.cfg.Dim)
 	e.SealLogicalInto(out, acc, off)
@@ -342,26 +395,28 @@ func (e *Encoder) SealLogical(acc *hdc.Acc, off int) *hdc.HV {
 
 // SealLogicalInto is SealLogical writing into dst instead of
 // allocating. It panics if dst has the wrong dimension.
+//
 //biohd:hotpath
 func (e *Encoder) SealLogicalInto(dst *hdc.HV, acc *hdc.Acc, off int) {
 	d := e.cfg.Dim
 	e.checkDim(dst)
-	words := dst.Bits().Words()
-	seed := e.tieSeed()
+	words := dst.Words()
 	raw := off
 	for j := 0; j < d; j += 64 {
-		var w uint64
+		var pos, zero uint64
 		for b := 0; b < 64; b++ {
-			c := acc.Count(raw)
-			if c > 0 || (c == 0 && tieBit(seed, j+b)) {
-				w |= 1 << uint(b)
+			switch c := acc.Count(raw); {
+			case c > 0:
+				pos |= 1 << uint(b)
+			case c == 0:
+				zero |= 1 << uint(b)
 			}
 			raw++
 			if raw == d {
 				raw = 0
 			}
 		}
-		words[j/64] = w
+		words[j/64] = pos | zero&e.tie[j/64]
 	}
 }
 

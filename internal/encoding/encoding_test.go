@@ -184,21 +184,6 @@ func TestSlideExactMatchesDirect(t *testing.T) {
 	}
 }
 
-func TestSlideApproxMatchesDirect(t *testing.T) {
-	for _, window := range []int{16, 17} { // even (ties possible) and odd
-		e := testEncoder(t, 1024, window)
-		seq := genome.Random(80, rng.New(10))
-		e.SlideApprox(seq, 1, func(start int, acc *hdc.Acc, off int) bool {
-			got := e.SealLogical(acc, off)
-			want := e.EncodeWindowApprox(seq, start)
-			if !got.Equal(want) {
-				t.Fatalf("window=%d: incremental approx encoding diverges at %d", window, start)
-			}
-			return true
-		})
-	}
-}
-
 func TestSlideStride(t *testing.T) {
 	e := testEncoder(t, 1024, 16)
 	seq := genome.Random(100, rng.New(11))
@@ -228,14 +213,6 @@ func TestSlideEarlyStop(t *testing.T) {
 	if count != 3 {
 		t.Fatalf("early stop visited %d windows", count)
 	}
-	count = 0
-	e.SlideApprox(seq, 1, func(start int, acc *hdc.Acc, off int) bool {
-		count++
-		return false
-	})
-	if count != 1 {
-		t.Fatalf("approx early stop visited %d", count)
-	}
 }
 
 func TestSlideShortSequence(t *testing.T) {
@@ -243,7 +220,6 @@ func TestSlideShortSequence(t *testing.T) {
 	seq := genome.Random(10, rng.New(13))
 	called := false
 	e.SlideExact(seq, 1, func(int, *hdc.HV) bool { called = true; return true })
-	e.SlideApprox(seq, 1, func(int, *hdc.Acc, int) bool { called = true; return true })
 	if called {
 		t.Fatal("slide visited windows of a too-short sequence")
 	}
@@ -311,21 +287,6 @@ func BenchmarkSlideExactPerWindow(b *testing.B) {
 	})
 }
 
-func BenchmarkSlideApproxPerWindow(b *testing.B) {
-	e, err := New(Config{Dim: 4096, Window: 64, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	seq := genome.Random(b.N+64, rng.New(1))
-	b.ResetTimer()
-	b.ReportAllocs()
-	count := 0
-	e.SlideApprox(seq, 1, func(int, *hdc.Acc, int) bool {
-		count++
-		return count < b.N
-	})
-}
-
 func BenchmarkEncodeWindowApproxDirect(b *testing.B) {
 	e, err := New(Config{Dim: 4096, Window: 64, Seed: 1})
 	if err != nil {
@@ -353,20 +314,5 @@ func BenchmarkEncodeWindowExactInto(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		e.EncodeWindowExactInto(dst, seq, i%64)
-	}
-}
-
-func BenchmarkEncodeWindowApproxInto(b *testing.B) {
-	e, err := New(Config{Dim: 4096, Window: 64, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	seq := genome.Random(128, rng.New(1))
-	dst := hdc.NewHV(4096)
-	acc := hdc.NewAcc(4096)
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		e.EncodeWindowApproxInto(dst, acc, seq, i%64)
 	}
 }

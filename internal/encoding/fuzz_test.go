@@ -38,14 +38,17 @@ func fuzzSequence(raw []byte, window int) *genome.Sequence {
 	return genome.FromBases(bases)
 }
 
-// FuzzEncodeDecode checks the two round trips the encoder promises, on
-// arbitrary sequence content and stride:
+// FuzzEncodeDecode checks what the encoder promises, on arbitrary
+// sequence content and stride:
 //
 //  1. Memorization recall: every approximate window encoding decodes back
 //     to exactly the window it memorized (DecodeWindowApprox inverts
 //     EncodeWindowApprox).
-//  2. Incremental/direct agreement: the sliding encoders reproduce the
-//     direct per-window encodings bit for bit, for both modes.
+//  2. Incremental/direct agreement: the sliding exact encoder reproduces
+//     the direct per-window encodings bit for bit.
+//  3. Kernel/oracle agreement: at a small (Dim, Window, Seed) derived
+//     from the fuzz bytes, the bit-sliced approximate kernel seals every
+//     window to the counter oracle's bits.
 func FuzzEncodeDecode(f *testing.F) {
 	f.Add([]byte("ACGTACGTACGTACGTACGTACGT"), uint8(1))
 	f.Add([]byte("AAAAAAAAAAAAAAAA"), uint8(2)) // repeated base: rotations of one item vector
@@ -73,7 +76,7 @@ func FuzzEncodeDecode(f *testing.F) {
 			}
 		}
 
-		// Round trip 2a: incremental exact slide == direct exact encoding.
+		// Round trip 2: incremental exact slide == direct exact encoding.
 		enc.SlideExact(seq, stride, func(start int, hv *hdc.HV) bool {
 			if direct := enc.EncodeWindowExact(seq, start); !hv.Equal(direct) {
 				t.Errorf("exact slide diverges from direct encoding at %d", start)
@@ -82,15 +85,27 @@ func FuzzEncodeDecode(f *testing.F) {
 			return true
 		})
 
-		// Round trip 2b: incremental approx slide, sealed, == direct
-		// approx encoding.
-		enc.SlideApprox(seq, stride, func(start int, acc *hdc.Acc, off int) bool {
-			if direct := enc.EncodeWindowApprox(seq, start); !enc.SealLogical(acc, off).Equal(direct) {
-				t.Errorf("approx slide diverges from direct encoding at %d", start)
-				return false
+		// Leg 3: kernel == counter oracle at a fuzz-chosen geometry.
+		var g [3]byte
+		copy(g[:], raw)
+		dim := 64 << (g[0] % 3)                // 64, 128, 256
+		window := 1 + int(g[1])%min(dim-1, 96) // 1 … 96, and < Dim
+		small, err := New(Config{Dim: dim, Window: window, Seed: uint64(g[2])<<8 | uint64(strideByte)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		kseq := fuzzSequence(raw, window)
+		if kseq.Len() > 2*window+8 {
+			kseq = kseq.Slice(0, 2*window+8)
+		}
+		dst, acc := hdc.NewHV(dim), hdc.NewAcc(dim)
+		for start := 0; start+window <= kseq.Len(); start += stride {
+			small.EncodeWindowApproxInto(dst, acc, kseq, start)
+			if want := oracleEncodeApprox(small, kseq, start); !dst.Equal(want) {
+				t.Fatalf("D=%d W=%d: kernel differs from the counter oracle at %d in %d bits",
+					dim, window, start, dst.Hamming(want))
 			}
-			return true
-		})
+		}
 
 		// A wrong-dimension decode must be rejected, not mangled.
 		if _, err := enc.DecodeWindowApprox(hdc.NewHV(64)); err == nil {

@@ -193,8 +193,9 @@ func (a *Acc) AddWeighted(h *HV, weight int32) {
 // Count returns the raw counter at dimension i.
 func (a *Acc) Count(i int) int32 { return a.counts[i] }
 
-// Counts exposes the raw counter slice (shared; read-only). For
-// serialization.
+// Counts exposes the raw counter slice (shared, not copied): read-only
+// for serialization; the approximate window encoder, handed an
+// accumulator as scratch, overwrites it.
 func (a *Acc) Counts() []int32 { return a.counts }
 
 // AccFromCounts reconstructs an accumulator from raw counters and the
@@ -222,9 +223,7 @@ func HVFromWords(words []uint64, d int) *HV {
 
 // Reset clears the accumulator for reuse.
 func (a *Acc) Reset() {
-	for i := range a.counts {
-		a.counts[i] = 0
-	}
+	clear(a.counts)
 	a.n = 0
 }
 
