@@ -48,44 +48,22 @@ lint-json:
 lint-baseline:
 	$(GO) run ./cmd/biohdlint -write-baseline lint-baseline.json $(PKGS)
 
-## bench: run the probe A/B benchmarks and refresh the checked-in
-## records — BENCH_probe.json (arena kernel vs seed scalar scan),
-## BENCH_multiprobe.json (query-blocked scan vs sequential probes at
-## Q ∈ {1,4,8}, single-threaded so the win measured is the blocking
-## itself, not parallelism), BENCH_segments.json (segmented-library
-## scan vs a monolithic build of the same references at S ∈ {1,4,16};
-## the S=1 overhead is the cost of the snapshot indirection itself),
-## BENCH_coalesce.json (closed-loop served throughput and latency,
-## direct path vs cross-request coalescing, at 1..256 concurrent
-## clients), BENCH_mmap.json (mmap-backed probe vs heap-loaded at
-## S ∈ {1,4,16}; page-cache warm, so the overhead is the cost of
-## scanning file-backed pages), and BENCH_wire.json (served QPS and
-## latency through real transports: binary wire protocol vs per-request
-## HTTP/1.1 vs HTTP with coalescing, at 1..256 concurrent clients), and
-## BENCH_backend.json (HDC vs COBS bit-sliced backend on one shared
-## workload: precision/recall vs a naive exact scan, Lookup QPS, and
-## serialized v3 size)
+## bench: run the repository's one benchmark (bench/, declared in
+## BENCHMARK.json) — five named workloads, end-to-end and per-layer
+## metrics, one result object per workload on stdout; see bench/README.md
 bench:
-	$(GO) run ./cmd/benchprobe -out BENCH_probe.json
-	GOMAXPROCS=1 $(GO) run ./cmd/benchprobe -queries-per-block 8 -out BENCH_multiprobe.json
-	GOMAXPROCS=1 $(GO) run ./cmd/benchprobe -segments 1,4,16 -reps 9 -out BENCH_segments.json
-	$(GO) run ./cmd/benchcoalesce -out BENCH_coalesce.json
-	GOMAXPROCS=1 $(GO) run ./cmd/benchprobe -mmap 1,4,16 -reps 9 -out BENCH_mmap.json
-	$(GO) run ./cmd/benchwire -out BENCH_wire.json
-	$(GO) run ./cmd/benchbackend -out BENCH_backend.json
+	bash bench/run.sh --workload all
 
-## benchsmoke: compile and run every micro-benchmark once — catches
-## benchmarks that no longer build or crash, without measuring anything.
-## The second pass re-runs the kernel benchmarks under the purego tag so
-## the scalar fallbacks of the single- and multi-query kernels stay
-## exercised on machines whose first pass dispatches to vector tiers.
+## benchsmoke: compile and run every micro-benchmark once, then the
+## benchmark's smoke pass — catches benchmarks that no longer build or
+## crash, without measuring anything. The second line re-runs the kernel
+## benchmarks under the purego tag so the scalar fallbacks of the
+## single- and multi-query kernels stay exercised on machines whose
+## first pass dispatches to vector tiers.
 benchsmoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./internal/bitvec ./internal/hdc ./internal/encoding ./internal/core .
 	$(GO) test -tags purego -run='^$$' -bench=. -benchtime=1x ./internal/bitvec
-	$(GO) run ./cmd/benchcoalesce -buckets 64 -reps 1 -dur 20ms -conc 1,4 -out /dev/null
-	$(GO) run -tags purego ./cmd/benchcoalesce -buckets 64 -reps 1 -dur 20ms -conc 4 -out /dev/null
-	$(GO) run ./cmd/benchwire -buckets 64 -reps 1 -dur 20ms -conc 1,4 -out /dev/null
-	$(GO) run ./cmd/benchbackend -refs 4 -reflen 500 -present 8 -absent 8 -reps 1 -out /dev/null
+	$(GO) run ./bench -smoke
 
 ## fuzz: run each fuzz target for FUZZTIME (default 30s)
 fuzz:

@@ -5,7 +5,7 @@
 // Bit-Sliced Signature Index").
 //
 // Every reference gets an identically shaped Bloom signature of
-// RowBits bits over its w-mers (the exact hashing scheme of
+// RowBits bits over its w-mers (the hashing scheme of
 // baseline.KmerBloom). Sealing transposes a batch of signatures so bit
 // position b of every signature lands in one contiguous row bitmap:
 // row b, column j says "reference j's signature has bit b set". A
@@ -16,19 +16,20 @@
 // exact: Bloom false positives cost verification work, never wrong
 // answers.
 //
-// The index carries the same segmented lifecycle as the HDC library:
-// an active builder accumulates signatures and seals into immutable
-// bit-sliced segments, mutations publish atomic snapshots, Remove
-// tombstones columns, and Compact rewrites segments to drop them. It
-// serializes into the shared v3 container under its own backend tag,
-// so ReadIndex/OpenLibraryFile round-trip both backends from one file
+// The index is a kernel of core.Engine, which it embeds: the engine
+// supplies the segmented lifecycle (active builder sealing into
+// immutable segments, atomic snapshots, Remove tombstoning columns,
+// Compact rewriting segments), the stats surface and every derived
+// probe; this package supplies the signature builder, the row-AND
+// candidate stage, verification, and the codec that serializes into
+// the shared v3 container under its own backend tag, so
+// ReadIndex/OpenLibraryFile round-trip both backends from one file
 // format.
 package cobs
 
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/baseline"
 	"repro/internal/core"
@@ -93,37 +94,16 @@ func (p Params) Validate() error {
 }
 
 // Index is a bit-sliced signature index over a reference collection.
-// It implements core.Index: lock-free readers scan atomically
-// published snapshots while mutations serialize on an internal lock,
-// exactly the discipline of the HDC library.
+// It implements core.Index: the lifecycle, stats and probe methods are
+// the embedded engine's; lock-free readers scan atomically published
+// views while mutations serialize on the engine's lock, exactly the
+// discipline of the HDC library.
 type Index struct {
+	*core.Engine
+
 	params Params
-
-	snap atomic.Pointer[snapshot]
-
-	mu     sync.Mutex // guards the mutable state below
-	refs   []genome.Record
-	segs   []*segment
-	active *builder
-
-	sealThreshold int
-	autoCompact   float64
-
-	scratch  sync.Pool // *probeScratch
-	ctr      counters
-	closed   atomic.Bool
-	errShort error
-}
-
-// counters is the live atomic form of core.Counters for this backend.
-type counters struct {
-	bucketProbes       atomic.Int64
-	batchCancellations atomic.Int64
-	blockedProbes      atomic.Int64
-	blockedWindows     atomic.Int64
-	segmentSeals       atomic.Int64
-	compactions        atomic.Int64
-	heapScans          atomic.Int64
+	active builder   // the mutable tail; touched only under the engine's lock
+	pool   sync.Pool // *probeScratch
 }
 
 // New creates an empty index.
@@ -132,20 +112,28 @@ func New(p Params) (*Index, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	return &Index{
-		params:        p,
-		active:        &builder{},
-		sealThreshold: defaultSealThreshold,
-		errShort:      fmt.Errorf("cobs: pattern shorter than window %d", p.Window),
-	}, nil
+	x := &Index{params: p}
+	// Stride is 1: every reference w-mer is inserted, so a single query
+	// alignment has full sensitivity.
+	x.Engine = core.NewEngine(core.Kernel{
+		Window:        p.Window,
+		Stride:        1,
+		SealThreshold: defaultSealThreshold,
+		Append:        x.appendRef,
+		Active:        x.activeView,
+		Reset:         x.resetActive,
+		Tombstone:     tombstoneSegment,
+		Rebuild:       rebuildSegment,
+		Annotate:      annotate,
+		Probe:         x.probeBlock,
+	})
+	return x, nil
 }
 
 // Params returns the index's configuration.
 func (x *Index) Params() Params { return x.params }
 
-// Describe identifies the backend and its shared geometry. Stride is 1:
-// every reference w-mer is inserted, so a single query alignment has
-// full sensitivity.
+// Describe identifies the backend and its shared geometry.
 func (x *Index) Describe() core.IndexInfo {
 	return core.IndexInfo{
 		Backend: BackendName,
@@ -159,308 +147,33 @@ func (x *Index) Describe() core.IndexInfo {
 // search is exact after verification.
 func (x *Index) Threshold() float64 { return 1.0 }
 
-// Frozen reports whether Freeze has been called.
-func (x *Index) Frozen() bool { return x.snap.Load() != nil }
-
-// SetSealThreshold sets how many reference columns the active builder
-// accumulates before live ingest seals it (n <= 0 restores the
-// default).
-func (x *Index) SetSealThreshold(n int) {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	if n <= 0 {
-		n = defaultSealThreshold
-	}
-	x.sealThreshold = n
-}
-
-// SetAutoCompact arms automatic compaction: after a Remove pushes a
-// segment's tombstone ratio past ratio, the segment is compacted
-// before Remove returns. ratio <= 0 disables.
-func (x *Index) SetAutoCompact(ratio float64) {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	x.autoCompact = ratio
-}
-
-// Add indexes one reference: its w-mers are inserted into a fresh
-// signature column appended to the active builder. After Freeze, Add
-// keeps working (live ingest) and publishes a new snapshot; the active
-// builder auto-seals at the seal threshold.
-func (x *Index) Add(rec genome.Record) error {
-	if rec.Seq == nil {
-		return fmt.Errorf("cobs: reference %q has no sequence", rec.ID)
-	}
-	bloom, err := baseline.NewKmerBloomFixed(x.params.Window, x.params.RowBits, x.params.Hashes)
-	if err != nil {
-		return err
-	}
-	bloom.AddSequence(rec.Seq)
+// appendRef is Kernel.Append: the reference's w-mers are hashed into a
+// fresh Bloom signature — the probe positions a query derives — which
+// becomes a new column of the active builder.
+func (x *Index) appendRef(ref int32, rec genome.Record) int {
+	sig := make([]uint64, x.params.RowBits/64)
+	var pos [maxHashes]int
 	nWin := rec.Seq.Len() - x.params.Window + 1
-	if nWin < 0 {
-		nWin = 0
+	for off := 0; off < nWin; off++ {
+		for _, p := range x.params.probePositions(rec.Seq, off, pos[:]) {
+			sig[p/64] |= 1 << uint(p%64)
+		}
 	}
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	if x.closed.Load() {
-		return core.ErrClosed
-	}
-	refIdx := int32(len(x.refs))
-	x.refs = append(x.refs, rec)
-	x.active.push(refIdx, bloom.SignatureWords(), int32(nWin))
-	if x.active.numCols() >= x.sealThreshold {
-		x.sealActiveLocked()
-	}
-	if x.Frozen() {
-		x.publishLocked()
-	}
-	return nil
+	x.active.push(ref, sig, int32(nWin))
+	return x.active.numCols()
 }
 
-// sealActiveLocked transposes the active builder into an immutable
-// segment and starts a fresh builder. Callers hold mu.
-func (x *Index) sealActiveLocked() {
+// activeView is Kernel.Active: the builder transposed into a segment of
+// its own, columns of removed references already tombstoned.
+func (x *Index) activeView(refs []genome.Record) core.Segment {
 	if x.active.numCols() == 0 {
-		return
+		return nil
 	}
-	x.segs = append(x.segs, x.active.seal(x.params.RowBits, x.refs))
-	x.active = &builder{}
-	x.ctr.segmentSeals.Add(1)
+	return x.active.seal(x.params.RowBits, refs)
 }
 
-// Freeze publishes the first snapshot, enabling searches. Add, Remove,
-// and Compact keep working after Freeze; each publishes a fresh
-// snapshot.
-func (x *Index) Freeze() {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	x.publishLocked()
-}
-
-// publishLocked assembles and atomically publishes a snapshot of the
-// sealed segments plus an isolated transposed view of the active
-// builder. The snapshot always owns a fresh segment slice: Remove and
-// Compact replace elements of x.segs in place, and lock-free readers
-// iterate published snapshots concurrently — sharing the backing
-// array would be a data race. Callers hold mu.
-func (x *Index) publishLocked() {
-	segs := make([]*segment, len(x.segs), len(x.segs)+1)
-	copy(segs, x.segs)
-	if x.active.numCols() > 0 {
-		segs = append(segs, x.active.seal(x.params.RowBits, x.refs))
-	}
-	x.snap.Store(newSnapshot(segs, x.refs))
-}
-
-// Remove tombstones one reference: its column stops producing
-// candidates, the reference table keeps the identifier with a nil
-// sequence, and the storage is reclaimed by Compact. Sealed segments
-// are never written in place — a fresh header with a copied tombstone
-// bitmap shares the arena.
-func (x *Index) Remove(refIdx int) error {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	if x.closed.Load() {
-		return core.ErrClosed
-	}
-	if x.snap.Load() == nil {
-		return fmt.Errorf("cobs: Remove before Freeze")
-	}
-	if refIdx < 0 || refIdx >= len(x.refs) {
-		return fmt.Errorf("cobs: reference %d out of range [0,%d)", refIdx, len(x.refs))
-	}
-	rec := x.refs[refIdx]
-	if rec.Seq == nil {
-		return fmt.Errorf("cobs: reference %d already removed", refIdx)
-	}
-	// Copy-on-write: published snapshots hold the old table.
-	refs := append([]genome.Record(nil), x.refs...)
-	rec.Seq = nil
-	rec.Description += " (removed)"
-	refs[refIdx] = rec
-	x.refs = refs
-	for i, seg := range x.segs {
-		if col, ok := seg.findColumn(int32(refIdx)); ok {
-			x.segs[i] = seg.withTombstone(col)
-		}
-	}
-	x.active.remove(int32(refIdx))
-	if x.autoCompact > 0 {
-		if x.compactLocked(x.autoCompact) > 0 {
-			return nil // compaction already published
-		}
-	}
-	x.publishLocked()
-	return nil
-}
-
-// Compact rewrites every sealed segment whose tombstone ratio is at
-// least minRatio (minRatio <= 0 rewrites any segment holding
-// tombstones): live columns are re-sliced into a fresh arena and
-// tombstoned columns vanish. The rewrite lands as one snapshot swap.
-// It returns the number of segments rewritten.
-func (x *Index) Compact(minRatio float64) (int, error) {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	if x.closed.Load() {
-		return 0, core.ErrClosed
-	}
-	if x.snap.Load() == nil {
-		return 0, fmt.Errorf("cobs: Compact before Freeze")
-	}
-	return x.compactLocked(minRatio), nil
-}
-
-func (x *Index) compactLocked(minRatio float64) int {
-	rewritten := 0
-	segs := x.segs[:0:0]
-	for _, seg := range x.segs {
-		if seg.nTombs == 0 || seg.tombRatio() < minRatio {
-			segs = append(segs, seg)
-			continue
-		}
-		rewritten++
-		if ns := seg.rebuild(x.params.RowBits); ns != nil {
-			segs = append(segs, ns)
-		}
-	}
-	if rewritten == 0 {
-		return 0
-	}
-	x.segs = segs
-	x.ctr.compactions.Add(int64(rewritten))
-	x.publishLocked()
-	return rewritten
-}
-
-// Close marks the index closed. The storage is heap-resident, so Close
-// releases nothing; it exists to satisfy the Index lifecycle and is
-// idempotent.
-func (x *Index) Close() error {
-	x.closed.Store(true)
-	return nil
-}
-
-// NumRefs returns the number of references ever added (including
-// removed ones, whose slots persist).
-func (x *Index) NumRefs() int {
-	if sn := x.snap.Load(); sn != nil {
-		return len(sn.refs)
-	}
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	return len(x.refs)
-}
-
-// Ref returns reference i's record. Removed references keep their
-// identifier with a nil sequence.
-func (x *Index) Ref(i int) genome.Record {
-	if sn := x.snap.Load(); sn != nil {
-		return sn.refs[i]
-	}
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	return x.refs[i]
-}
-
-// NumWindows returns the live (non-tombstoned) reference windows
-// memorized in signatures.
-func (x *Index) NumWindows() int {
-	if sn := x.snap.Load(); sn != nil {
-		return sn.nWin
-	}
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	n := x.active.numWindows()
-	for _, seg := range x.segs {
-		n += seg.liveWindows()
-	}
-	return n
-}
-
-// NumBuckets returns the total bit-sliced columns — one per indexed
-// reference, the backend's analogue of the HDC bucket count.
-func (x *Index) NumBuckets() int {
-	if sn := x.snap.Load(); sn != nil {
-		return sn.nCols
-	}
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	n := x.active.numCols()
-	for _, seg := range x.segs {
-		n += seg.numCols()
-	}
-	return n
-}
-
-// NumSegments returns the segments in the current snapshot (sealed
-// plus the active view), or the sealed count before Freeze.
-func (x *Index) NumSegments() int {
-	if sn := x.snap.Load(); sn != nil {
-		return len(sn.segs)
-	}
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	n := len(x.segs)
-	if x.active.numCols() > 0 {
-		n++
-	}
-	return n
-}
-
-// TombstoneRatio returns the fraction of memorized windows whose
-// reference has been removed.
-func (x *Index) TombstoneRatio() float64 {
-	sn := x.snap.Load()
-	if sn == nil || sn.total == 0 {
-		return 0
-	}
-	return float64(sn.tombWins) / float64(sn.total)
-}
-
-// MemoryFootprint returns the bytes of bit-sliced arena and tombstone
-// storage in the current snapshot.
-func (x *Index) MemoryFootprint() int64 {
-	sn := x.snap.Load()
-	if sn == nil {
-		x.mu.Lock()
-		defer x.mu.Unlock()
-		var n int64
-		for _, seg := range x.segs {
-			n += seg.memoryBytes()
-		}
-		return n + x.active.memoryBytes()
-	}
-	var n int64
-	for _, seg := range sn.segs {
-		n += seg.memoryBytes()
-	}
-	return n
-}
-
-// Mapped reports false: the bit-sliced backend is heap-resident.
-func (x *Index) Mapped() bool { return false }
-
-// MappedBytes returns 0 (no storage is file-backed).
-func (x *Index) MappedBytes() int64 { return 0 }
-
-// ResidentBytes equals MemoryFootprint: the whole store lives in RAM.
-func (x *Index) ResidentBytes() int64 { return x.MemoryFootprint() }
-
-// Counters returns a snapshot of the cumulative operational counters.
-// EarlyAbandons and MappedScans are always zero for this backend (the
-// AND kernel has no early-exit bound and nothing is mmapped).
-func (x *Index) Counters() core.Counters {
-	return core.Counters{
-		BucketProbes:       x.ctr.bucketProbes.Load(),
-		BatchCancellations: x.ctr.batchCancellations.Load(),
-		BlockedProbes:      x.ctr.blockedProbes.Load(),
-		BlockedWindows:     x.ctr.blockedWindows.Load(),
-		SegmentSeals:       x.ctr.segmentSeals.Load(),
-		Compactions:        x.ctr.compactions.Load(),
-		HeapScans:          x.ctr.heapScans.Load(),
-	}
-}
+// resetActive is Kernel.Reset.
+func (x *Index) resetActive() { x.active = builder{} }
 
 // The bit-sliced index implements the backend contract.
 var _ core.Index = (*Index)(nil)

@@ -50,17 +50,8 @@ func FuzzReadIndex(f *testing.F) {
 	// Zero-segment container with a flipped header tag: no directory
 	// entries exist, so only the meta section's leading tag word stands
 	// between the flip and a foreign decoder.
-	empty, err := New(Params{Window: 8, RowBits: 256, Hashes: 2})
-	if err != nil {
-		f.Fatal(err)
-	}
-	empty.Freeze()
-	var ebuf bytes.Buffer
-	if _, err := empty.WriteToV3(&ebuf); err != nil {
-		f.Fatal(err)
-	}
 	for _, tag := range []byte{0, 99} {
-		mut := append([]byte(nil), ebuf.Bytes()...)
+		mut := emptyContainer(f)
 		mut[60] = tag
 		f.Add(mut)
 	}

@@ -28,18 +28,17 @@ func init() {
 // segment of RowBits rows by colWords words. The index must be frozen.
 // core.ReadIndex and core.OpenLibraryFile round-trip the output.
 func (x *Index) WriteToV3(w io.Writer) (int64, error) {
-	sn := x.snap.Load()
-	if sn == nil {
-		return 0, fmt.Errorf("cobs: WriteToV3 before Freeze")
+	v, err := x.Pin("WriteToV3")
+	if err != nil {
+		return 0, err
 	}
-	if x.closed.Load() {
-		return 0, core.ErrClosed
-	}
+	defer x.Unpin()
+	sn := viewOf(v)
 	segs := make([]core.ContainerSegment, len(sn.segs))
 	for k, seg := range sn.segs {
 		segs[k] = core.ContainerSegment{
 			Words:    seg.arenaWords(),
-			RowWords: uint32(seg.colWordsCount()),
+			RowWords: uint32(seg.colWords),
 			Buckets:  uint32(x.params.RowBits),
 		}
 	}
@@ -47,10 +46,10 @@ func (x *Index) WriteToV3(w io.Writer) (int64, error) {
 		sw.U32(uint32(x.params.Window))
 		sw.U64(uint64(x.params.RowBits))
 		sw.U32(uint32(x.params.Hashes))
-		sw.Refs(sn.refs)
+		sw.Refs(v.Refs)
 		for _, seg := range sn.segs {
-			sw.U32(uint32(seg.numCols()))
-			for j := 0; j < seg.numCols(); j++ {
+			sw.U32(uint32(seg.NumBuckets()))
+			for j := 0; j < seg.NumBuckets(); j++ {
 				ref, wins := seg.column(j)
 				sw.U32(uint32(ref))
 				sw.U32(uint32(wins))
@@ -77,7 +76,7 @@ type cobsMeta struct {
 // heap-resident (the bit-sliced backend has no mmap mode).
 func readIndexV3(br *bufio.Reader, hdr []byte) (core.Index, error) {
 	var meta cobsMeta
-	var segs []*segment
+	var segs []core.Segment
 	err := core.ReadContainerV3(br, hdr, backendTag, func(sr *core.SectionReader, segCount int) error {
 		meta.params.Window = int(sr.U32())
 		meta.params.RowBits = int(sr.U64())
@@ -135,8 +134,6 @@ func readIndexV3(br *bufio.Reader, hdr []byte) (core.Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	x.refs = meta.refs
-	x.segs = segs
-	x.Freeze()
+	x.Restore(meta.refs, segs, annotate)
 	return x, nil
 }

@@ -3,7 +3,6 @@ package cobs
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -110,12 +109,21 @@ func TestWriteToV3RequiresFreeze(t *testing.T) {
 	if _, err := x.WriteToV3(&bytes.Buffer{}); err == nil {
 		t.Fatal("WriteToV3 before Freeze succeeded")
 	}
+	// Freezing an empty index is a no-op that leaves it unfrozen.
+	x.Freeze()
+	if _, err := x.WriteToV3(&bytes.Buffer{}); err == nil {
+		t.Fatal("WriteToV3 of an empty, never-frozen index succeeded")
+	}
+	if err := x.Add(genome.Record{ID: "r", Seq: genome.Random(100, rng.New(1))}); err != nil {
+		t.Fatal(err)
+	}
 	x.Freeze()
 	if err := x.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := x.WriteToV3(&bytes.Buffer{}); !errors.Is(err, core.ErrClosed) {
-		t.Fatalf("closed WriteToV3: %v", err)
+	// A closed heap index keeps serving reads, serialization included.
+	if _, err := x.WriteToV3(&bytes.Buffer{}); err != nil {
+		t.Fatalf("closed heap WriteToV3: %v", err)
 	}
 }
 
@@ -207,22 +215,30 @@ func TestUnknownBackendTag(t *testing.T) {
 	}
 }
 
+// emptyContainer returns a zero-segment cobs container. An empty index
+// never freezes, so no index writes one — but a forger can, and the
+// reader must hold up.
+func emptyContainer(t testing.TB) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if _, err := core.WriteContainerV3(&buf, backendTag, func(sw *core.SectionWriter) {
+		sw.U32(8)   // Window
+		sw.U64(256) // RowBits
+		sw.U32(2)   // Hashes
+		sw.Refs(nil)
+	}, nil); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 // TestHeaderTagFlipOnEmptyContainer pins the CRC-protected meta tag
 // copy: a zero-segment container has no directory entries, so the meta
 // section's leading tag word is the only protected copy — flipping the
 // CRC-exempt header tag must still fail cleanly, in both directions.
 func TestHeaderTagFlipOnEmptyContainer(t *testing.T) {
 	// Empty cobs container, header retagged to hdc.
-	x := mustIndex(t, Params{Window: 8, RowBits: 256, Hashes: 2})
-	x.Freeze()
-	var buf bytes.Buffer
-	if _, err := x.WriteToV3(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if n := binary.LittleEndian.Uint32(buf.Bytes()[12:16]); n != 0 {
-		t.Fatalf("empty index wrote %d segments", n)
-	}
-	mut := append([]byte(nil), buf.Bytes()...)
+	mut := emptyContainer(t)
 	binary.LittleEndian.PutUint32(mut[60:64], 0)
 	_, err := core.ReadIndex(bytes.NewReader(mut))
 	if err == nil {

@@ -1,11 +1,6 @@
 package cobs
 
 import (
-	"context"
-	"fmt"
-	"sync"
-	"sync/atomic"
-
 	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/genome"
@@ -22,29 +17,32 @@ type probeScratch struct {
 	cands []int32
 }
 
-func (x *Index) getScratch(sn *snapshot) *probeScratch {
-	sc, ok := x.scratch.Get().(*probeScratch)
+// getScratch returns pooled probe scratch wide enough for v's segments.
+//
+//biohd:coldstart pool-miss construction and growth on a widened view; steady state reuses pooled scratch
+func (x *Index) getScratch(v *core.View) *probeScratch {
+	sc, ok := x.pool.Get().(*probeScratch)
 	if !ok {
 		sc = &probeScratch{}
 	}
-	if cap(sc.acc) < sn.maxWords {
-		sc.acc = make([]uint64, sn.maxWords)
+	if need := viewOf(v).maxWords; cap(sc.acc) < need {
+		sc.acc = make([]uint64, need)
 	}
 	return sc
 }
 
-func (x *Index) putScratch(sc *probeScratch) { x.scratch.Put(sc) }
+func (x *Index) putScratch(sc *probeScratch) { x.pool.Put(sc) }
 
 // probePositions derives the Hashes probe rows for the w-mer of
 // pattern starting at qoff — baseline.KmerBloom's position scheme
 // exactly, so signatures built by either side agree.
 //
 //biohd:hotpath
-func (x *Index) probePositions(pattern *genome.Sequence, qoff int, pos []int) []int {
-	state := baseline.WindowHash(pattern, qoff, x.params.Window) ^ baseline.PositionSeed
-	pos = pos[:x.params.Hashes]
+func (p *Params) probePositions(pattern *genome.Sequence, qoff int, pos []int) []int {
+	state := baseline.WindowHash(pattern, qoff, p.Window) ^ baseline.PositionSeed
+	pos = pos[:p.Hashes]
 	for i := range pos {
-		pos[i] = int(rng.SplitMix64(&state) % uint64(x.params.RowBits))
+		pos[i] = int(rng.SplitMix64(&state) % uint64(p.RowBits))
 	}
 	return pos
 }
@@ -56,12 +54,13 @@ func (x *Index) probePositions(pattern *genome.Sequence, qoff int, pos []int) []
 // (reset here); stats and counters account the scan work.
 //
 //biohd:hotpath
-func (x *Index) probeWindow(sn *snapshot, pattern *genome.Sequence, qoff int, sc *probeScratch, stats *core.Stats) {
-	pos := x.probePositions(pattern, qoff, sc.pos[:])
+func (x *Index) probeWindow(v *core.View, pattern *genome.Sequence, qoff int, sc *probeScratch, stats *core.Stats) {
+	sn := viewOf(v)
+	pos := x.params.probePositions(pattern, qoff, sc.pos[:])
 	sc.cands = sc.cands[:0]
 	stats.Alignments++
 	for _, seg := range sn.segs {
-		if seg.numCols() == 0 {
+		if seg.NumBuckets() == 0 {
 			continue
 		}
 		acc := seg.probeAnd(pos, sc.acc)
@@ -69,8 +68,7 @@ func (x *Index) probeWindow(sn *snapshot, pattern *genome.Sequence, qoff int, sc
 		stats.BucketProbes += len(pos)
 	}
 	stats.CandidateBuckets += len(sc.cands)
-	x.ctr.bucketProbes.Add(int64(len(pos) * len(sn.segs)))
-	x.ctr.heapScans.Add(int64(len(sn.segs)))
+	x.CountScans(int64(len(pos)*len(sn.segs)), int64(len(sn.segs)))
 }
 
 // verifyWindow scans each candidate reference for exact occurrences of
@@ -82,10 +80,10 @@ func (x *Index) probeWindow(sn *snapshot, pattern *genome.Sequence, qoff int, sc
 // offset order, so the output extends dst already sorted by (Ref, Off).
 //
 //biohd:hotpath
-func (x *Index) verifyWindow(sn *snapshot, dst []core.Match, pattern *genome.Sequence, qoff int, cands []int32, stats *core.Stats) []core.Match {
+func (x *Index) verifyWindow(v *core.View, dst []core.Match, pattern *genome.Sequence, qoff int, cands []int32, stats *core.Stats) []core.Match {
 	w := x.params.Window
 	for _, ref := range cands {
-		seq := sn.refs[ref].Seq
+		seq := v.Refs[ref].Seq
 		if seq == nil {
 			continue // tombstoned after the probed snapshot's seal
 		}
@@ -106,205 +104,17 @@ func (x *Index) verifyWindow(sn *snapshot, dst []core.Match, pattern *genome.Seq
 	return dst
 }
 
-// lookupSnap is Lookup against a pinned snapshot — the batch and block
-// paths reuse it so a whole batch answers from one consistent view.
-func (x *Index) lookupSnap(sn *snapshot, pattern *genome.Sequence, sc *probeScratch) ([]core.Match, core.Stats, error) {
-	var stats core.Stats
-	if pattern == nil || pattern.Len() < x.params.Window {
-		return nil, stats, x.errShort
-	}
-	x.probeWindow(sn, pattern, 0, sc, &stats)
-	var matches []core.Match
-	matches = x.verifyWindow(sn, matches, pattern, 0, sc.cands, &stats)
-	return matches, stats, nil
-}
-
-// Lookup searches for the pattern's leading window and returns every
-// exact occurrence, sorted by (Ref, Off). The backend indexes every
-// reference w-mer (stride 1), so the single alignment at offset 0 has
-// full sensitivity; longer patterns are matched on their first w
-// bases, exactly as an HDC library with Stride 1 would.
-func (x *Index) Lookup(pattern *genome.Sequence) ([]core.Match, core.Stats, error) {
-	sn := x.snap.Load()
-	if sn == nil {
-		return nil, core.Stats{}, fmt.Errorf("cobs: Lookup before Freeze")
-	}
-	if x.closed.Load() {
-		return nil, core.Stats{}, core.ErrClosed
-	}
-	sc := x.getScratch(sn)
+// probeBlock is Kernel.Probe. The candidate stage is a handful of row
+// ANDs per window whatever the block size, so windows are served one
+// after another from one scratch.
+//
+//biohd:hotpath
+func (x *Index) probeBlock(v *core.View, wins []core.Window, out []*core.BatchResult) {
+	sc := x.getScratch(v)
 	defer x.putScratch(sc)
-	return x.lookupSnap(sn, pattern, sc)
-}
-
-// LookupBothStrands searches the pattern and its reverse complement;
-// offsets are always in reference coordinates.
-func (x *Index) LookupBothStrands(pattern *genome.Sequence) ([]core.StrandedMatch, core.Stats, error) {
-	fwd, stats, err := x.Lookup(pattern)
-	if err != nil {
-		return nil, stats, err
+	for j, wn := range wins {
+		r := out[j]
+		x.probeWindow(v, wn.Seq, wn.Off, sc, &r.Stats)
+		r.Matches = x.verifyWindow(v, r.Matches, wn.Seq, wn.Off, sc.cands, &r.Stats)
 	}
-	out := make([]core.StrandedMatch, 0, len(fwd))
-	for _, m := range fwd {
-		out = append(out, core.StrandedMatch{Match: m, Strand: core.Forward})
-	}
-	rev, rstats, err := x.Lookup(pattern.ReverseComplement())
-	stats.Add(rstats)
-	if err != nil {
-		return nil, stats, err
-	}
-	for _, m := range rev {
-		out = append(out, core.StrandedMatch{Match: m, Strand: core.Reverse})
-	}
-	return out, stats, nil
-}
-
-// LookupLong maps a long query: its non-overlapping windows are
-// probed independently and core.RankWindows aggregates the per-window
-// matches with the same diagonal voting the HDC library uses, so the
-// two backends rank long reads identically given the same per-window
-// hits.
-func (x *Index) LookupLong(query *genome.Sequence, minFrac float64) ([]core.RefMatch, core.Stats, error) {
-	var stats core.Stats
-	w := x.params.Window
-	if query == nil || query.Len() < w {
-		return nil, stats, fmt.Errorf("cobs: query shorter than window %d", w)
-	}
-	sn := x.snap.Load()
-	if sn == nil {
-		return nil, stats, fmt.Errorf("cobs: Lookup before Freeze")
-	}
-	if x.closed.Load() {
-		return nil, stats, core.ErrClosed
-	}
-	sc := x.getScratch(sn)
-	defer x.putScratch(sc)
-	var wins [][]core.Match
-	var offs []int
-	for base := 0; base+w <= query.Len(); base += w {
-		x.probeWindow(sn, query, base, sc, &stats)
-		var ms []core.Match
-		ms = x.verifyWindow(sn, ms, query, base, sc.cands, &stats)
-		// RankWindows adds offs[i]+QueryOff to place the window; the
-		// matches carry QueryOff = base already, so the window offset
-		// list stays zero.
-		wins = append(wins, ms)
-		offs = append(offs, 0)
-	}
-	return core.RankWindows(wins, offs, minFrac), stats, nil
-}
-
-// Classify returns the single best-supported reference for a query, or
-// a core.ErrNoSupport-wrapped error if none reaches minFrac support.
-func (x *Index) Classify(query *genome.Sequence, minFrac float64) (core.RefMatch, core.Stats, error) {
-	ranked, stats, err := x.LookupLong(query, minFrac)
-	if err != nil {
-		return core.RefMatch{}, stats, err
-	}
-	if len(ranked) == 0 {
-		return core.RefMatch{}, stats, fmt.Errorf("%w %v", core.ErrNoSupport, minFrac)
-	}
-	return ranked[0], stats, nil
-}
-
-// ClassifyBothStrands classifies the read in both orientations and
-// returns the better-supported result (ties prefer forward).
-func (x *Index) ClassifyBothStrands(read *genome.Sequence, minFrac float64) (core.RefMatch, core.Strand, core.Stats, error) {
-	fwd, stats, errF := x.Classify(read, minFrac)
-	rev, rstats, errR := x.Classify(read.ReverseComplement(), minFrac)
-	stats.Add(rstats)
-	switch {
-	case errF == nil && (errR != nil || fwd.Votes >= rev.Votes):
-		return fwd, core.Forward, stats, nil
-	case errR == nil:
-		return rev, core.Reverse, stats, nil
-	default:
-		return core.RefMatch{}, core.Forward, stats, errF
-	}
-}
-
-// LookupBatchContext runs many lookups against one pinned snapshot
-// with a bounded worker pool. Cancellation marks the unserved results
-// with ctx.Err() and returns what completed; per-pattern errors land
-// in the matching BatchResult.
-func (x *Index) LookupBatchContext(ctx context.Context, patterns []*genome.Sequence, workers int) ([]core.BatchResult, core.Stats, error) {
-	sn := x.snap.Load()
-	if sn == nil {
-		return nil, core.Stats{}, fmt.Errorf("cobs: Lookup before Freeze")
-	}
-	if x.closed.Load() {
-		return nil, core.Stats{}, core.ErrClosed
-	}
-	if workers <= 0 {
-		workers = 1
-	}
-	if workers > len(patterns) {
-		workers = len(patterns)
-	}
-	results := make([]core.BatchResult, len(patterns))
-	statsCh := make([]core.Stats, workers)
-	var next atomic.Int64
-	var canceled atomic.Bool
-	var wg sync.WaitGroup
-	for wk := 0; wk < workers; wk++ {
-		wg.Add(1)
-		go func(wk int) {
-			defer wg.Done()
-			sc := x.getScratch(sn)
-			defer x.putScratch(sc)
-			for {
-				i := int(next.Add(1) - 1)
-				if i >= len(patterns) {
-					return
-				}
-				if err := ctx.Err(); err != nil {
-					results[i].Err = err
-					canceled.Store(true)
-					continue
-				}
-				m, st, err := x.lookupSnap(sn, patterns[i], sc)
-				results[i] = core.BatchResult{Matches: m, Stats: st, Err: err}
-				statsCh[wk].Add(st)
-			}
-		}(wk)
-	}
-	wg.Wait()
-	var agg core.Stats
-	for _, st := range statsCh {
-		agg.Add(st)
-	}
-	if canceled.Load() {
-		x.ctr.batchCancellations.Add(1)
-	}
-	return results, agg, nil
-}
-
-// LookupBlock answers one caller-assembled block of at most
-// core.BlockWidth patterns against a single snapshot — the blocked
-// contract the cross-request coalescer drives. results must have
-// len(patterns) zeroed entries; per-pattern outcomes (matches or an
-// error, e.g. a short pattern) land in the matching slot.
-func (x *Index) LookupBlock(patterns []*genome.Sequence, results []core.BatchResult) error {
-	if len(patterns) == 0 || len(patterns) > core.BlockWidth {
-		return fmt.Errorf("cobs: block of %d patterns outside [1,%d]", len(patterns), core.BlockWidth)
-	}
-	if len(results) != len(patterns) {
-		return fmt.Errorf("cobs: results length %d != patterns length %d", len(results), len(patterns))
-	}
-	sn := x.snap.Load()
-	if sn == nil {
-		return fmt.Errorf("cobs: Lookup before Freeze")
-	}
-	if x.closed.Load() {
-		return core.ErrClosed
-	}
-	sc := x.getScratch(sn)
-	defer x.putScratch(sc)
-	for i, pat := range patterns {
-		m, st, err := x.lookupSnap(sn, pat, sc)
-		results[i] = core.BatchResult{Matches: m, Stats: st, Err: err}
-	}
-	x.ctr.blockedProbes.Add(1)
-	x.ctr.blockedWindows.Add(int64(len(patterns)))
-	return nil
 }

@@ -3,12 +3,13 @@ package cobs
 import (
 	"math/bits"
 
+	"repro/internal/core"
 	"repro/internal/genome"
 )
 
 // builder accumulates per-reference Bloom signature rows until sealing
 // transposes them into a bit-sliced segment. It is only ever touched
-// under the index mutation lock and never published, so plain slices
+// under the engine's mutation lock and never published, so plain slices
 // suffice.
 type builder struct {
 	refIdx []int32    // column -> global reference index
@@ -18,40 +19,11 @@ type builder struct {
 
 func (b *builder) numCols() int { return len(b.refIdx) }
 
-func (b *builder) numWindows() int {
-	n := 0
-	for _, w := range b.wins {
-		n += int(w)
-	}
-	return n
-}
-
-func (b *builder) memoryBytes() int64 {
-	var n int64
-	for _, s := range b.sigs {
-		n += int64(len(s)) * 8
-	}
-	return n
-}
-
 // push appends one reference column.
 func (b *builder) push(refIdx int32, sig []uint64, wins int32) {
 	b.refIdx = append(b.refIdx, refIdx)
 	b.sigs = append(b.sigs, sig)
 	b.wins = append(b.wins, wins)
-}
-
-// remove drops the column of refIdx outright — the builder is still
-// mutable, so unlike a sealed segment it needs no tombstone.
-func (b *builder) remove(refIdx int32) {
-	for i, r := range b.refIdx {
-		if r == refIdx {
-			b.refIdx = append(b.refIdx[:i], b.refIdx[i+1:]...)
-			b.sigs = append(b.sigs[:i], b.sigs[i+1:]...)
-			b.wins = append(b.wins[:i], b.wins[i+1:]...)
-			return
-		}
-	}
 }
 
 // seal transposes the accumulated signature rows into an immutable
@@ -81,17 +53,21 @@ func (b *builder) seal(rowBits int, refs []genome.Record) *segment {
 			}
 		}
 	}
-	for j := range s.refIdx {
+	s.markTombstones(refs)
+	return s
+}
+
+// markTombstones fills the tombstone bitmap and window totals of a
+// freshly assembled segment from the reference table (removed
+// references have nil sequences).
+func (s *segment) markTombstones(refs []genome.Record) {
+	for j, ref := range s.refIdx {
 		s.totalWins += int(s.wins[j])
-		// A compaction rebuild passes refs == nil: every surviving
-		// column is live by construction.
-		if refs != nil && refs[s.refIdx[j]].Seq == nil {
+		if refs[ref].Seq == nil {
 			s.tombs[j/64] |= 1 << uint(j%64)
-			s.nTombs++
 			s.tombWins += int(s.wins[j])
 		}
 	}
-	return s
 }
 
 // segment is one immutable bit-sliced arena: rowBits rows of colWords
@@ -108,49 +84,36 @@ type segment struct {
 	wins     []int32  // column -> windows memorized
 	colWords int
 
-	nTombs    int
 	totalWins int // windows across all columns, tombstoned included
 	tombWins  int // windows in tombstoned columns
 }
 
-func (s *segment) numCols() int { return len(s.refIdx) }
+// NumBuckets, Windows and MemoryBytes make a segment a core.Segment;
+// the backend's bucket is the reference column.
+func (s *segment) NumBuckets() int { return len(s.refIdx) }
 
-func (s *segment) liveWindows() int { return s.totalWins - s.tombWins }
+func (s *segment) Windows() (total, tombstoned int) { return s.totalWins, s.tombWins }
 
-func (s *segment) tombRatio() float64 {
-	if s.totalWins == 0 {
-		return 0
-	}
-	return float64(s.tombWins) / float64(s.totalWins)
-}
-
-func (s *segment) memoryBytes() int64 {
+func (s *segment) MemoryBytes() int64 {
 	return int64(len(s.arena)+len(s.tombs)) * 8
 }
 
-// findColumn locates the column of a global reference index.
-func (s *segment) findColumn(refIdx int32) (int, bool) {
-	for j, r := range s.refIdx {
-		if r == refIdx {
-			return j, true
+// tombstoneSegment is Kernel.Tombstone: a fresh segment header with
+// reference ref's column tombstoned. The arena and column metadata are
+// shared — published views keep reading the old header.
+func tombstoneSegment(seg core.Segment, ref int) core.Segment {
+	s := seg.(*segment)
+	for col, r := range s.refIdx {
+		if int(r) != ref || s.tombs[col/64]&(1<<uint(col%64)) != 0 {
+			continue
 		}
+		ns := *s
+		ns.tombs = append([]uint64(nil), s.tombs...)
+		ns.tombs[col/64] |= 1 << uint(col%64)
+		ns.tombWins += int(s.wins[col])
+		return &ns
 	}
-	return 0, false
-}
-
-// withTombstone returns a fresh segment header with column col
-// tombstoned. The arena and column metadata are shared — published
-// snapshots keep reading the old header.
-func (s *segment) withTombstone(col int) *segment {
-	ns := *s
-	ns.tombs = append([]uint64(nil), s.tombs...)
-	if ns.tombs[col/64]&(1<<uint(col%64)) != 0 {
-		return s // already tombstoned
-	}
-	ns.tombs[col/64] |= 1 << uint(col%64)
-	ns.nTombs++
-	ns.tombWins += int(s.wins[col])
-	return &ns
+	return seg
 }
 
 // signature reconstructs column col's Bloom signature from the
@@ -167,20 +130,21 @@ func (s *segment) signature(col int, rowBits int) []uint64 {
 	return sig
 }
 
-// rebuild re-slices the live columns into a fresh segment, dropping
-// tombstoned ones; nil if nothing lives.
-func (s *segment) rebuild(rowBits int) *segment {
+// rebuildSegment is Kernel.Rebuild: the live columns re-sliced into a
+// fresh segment, tombstoned ones dropped; nil if nothing lives.
+func rebuildSegment(seg core.Segment, refs []genome.Record) core.Segment {
+	s := seg.(*segment)
+	rowBits := len(s.arena) / s.colWords
 	b := &builder{}
 	for j := range s.refIdx {
-		if s.tombs[j/64]&(1<<uint(j%64)) != 0 {
-			continue
+		if s.tombs[j/64]&(1<<uint(j%64)) == 0 {
+			b.push(s.refIdx[j], s.signature(j, rowBits), s.wins[j])
 		}
-		b.push(s.refIdx[j], s.signature(j, rowBits), s.wins[j])
 	}
 	if b.numCols() == 0 {
 		return nil
 	}
-	return b.seal(rowBits, nil)
+	return b.seal(rowBits, refs)
 }
 
 // probeAnd ANDs the probe-position rows into acc (colWords words) and
@@ -227,9 +191,6 @@ func (s *segment) appendCandidates(dst []int32, acc []uint64) []int32 {
 // (read-only; the segment is immutable once published).
 func (s *segment) arenaWords() []uint64 { return s.arena }
 
-// colWordsCount returns the words per bit-sliced row.
-func (s *segment) colWordsCount() int { return s.colWords }
-
 // column returns column j's global reference index and window count.
 func (s *segment) column(j int) (int32, int32) { return s.refIdx[j], s.wins[j] }
 
@@ -244,13 +205,6 @@ func segmentFromArena(arena []uint64, colWords int, refIdx, wins []int32, refs [
 		wins:     wins,
 		colWords: colWords,
 	}
-	for j := range refIdx {
-		s.totalWins += int(wins[j])
-		if refs[refIdx[j]].Seq == nil {
-			s.tombs[j/64] |= 1 << uint(j%64)
-			s.nTombs++
-			s.tombWins += int(wins[j])
-		}
-	}
+	s.markTombstones(refs)
 	return s
 }

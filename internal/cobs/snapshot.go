@@ -1,34 +1,28 @@
 package cobs
 
-import "repro/internal/genome"
+import "repro/internal/core"
 
-// snapshot is one immutable, atomically published view of the index:
-// the bit-sliced segments (sealed ones plus an isolated transposed
-// view of the active builder) and the reference table in force.
-// Readers load the current snapshot once per operation and never take
-// a lock; mutations assemble a fresh snapshot off-line and swap the
-// pointer.
+// snapshot is the kernel's annotation of a published core.View: the
+// view's segments under their concrete type, and the widest one's row
+// length, which sizes probe scratch.
 type snapshot struct {
-	segs []*segment
-	refs []genome.Record // removed refs have Seq == nil
-
-	nCols    int // total reference columns (the backend's NumBuckets)
-	nWin     int // live (non-tombstoned) windows
-	total    int // all windows, tombstoned included
-	tombWins int
-	maxWords int // widest segment's colWords, sizes probe scratch
+	segs     []*segment
+	maxWords int
 }
 
-func newSnapshot(segs []*segment, refs []genome.Record) *snapshot {
-	sn := &snapshot{segs: segs, refs: refs}
-	for _, seg := range segs {
-		sn.nCols += seg.numCols()
-		sn.total += seg.totalWins
-		sn.tombWins += seg.tombWins
+// annotate is Kernel.Annotate.
+func annotate(v *core.View) any {
+	sn := &snapshot{segs: make([]*segment, len(v.Segs))}
+	for k, s := range v.Segs {
+		seg := s.(*segment)
+		sn.segs[k] = seg
 		if seg.colWords > sn.maxWords {
 			sn.maxWords = seg.colWords
 		}
 	}
-	sn.nWin = sn.total - sn.tombWins
 	return sn
 }
+
+// viewOf returns the kernel's annotation of a view this index
+// published.
+func viewOf(v *core.View) *snapshot { return v.Aux.(*snapshot) }

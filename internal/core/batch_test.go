@@ -35,7 +35,7 @@ func TestLookupBatchMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantAgg.add(st)
+		wantAgg.Add(st)
 		if results[i].Err != nil {
 			t.Fatalf("query %d errored: %v", i, results[i].Err)
 		}
@@ -169,7 +169,7 @@ func TestLookupBatchContextCancelMidBatch(t *testing.T) {
 			switch {
 			case r.Err == nil:
 				done++
-				wantAgg.add(r.Stats)
+				wantAgg.Add(r.Stats)
 			case errors.Is(r.Err, context.Canceled):
 			default:
 				t.Fatalf("result %d: unexpected error %v", i, r.Err)

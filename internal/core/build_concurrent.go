@@ -70,14 +70,15 @@ func (l *Library) AddConcurrent(recs []genome.Record, workers int) error {
 		for k := range job.hvs {
 			l.active.insert(WindowRef{Ref: refIdx, Off: job.offsets[k]}, job.hvs[k], &l.params)
 		}
+		l.noteAppendLocked(refIdx, job.rec, l.active.numBuckets())
 		inserted++
 		if frozen {
-			l.maybeSealActiveLocked()
+			l.maybeSealLocked()
 		}
 	}
 	wg.Wait()
 	if frozen && inserted > 0 {
-		l.publishLocked(true)
+		l.publishLocked()
 	}
 	return firstErr
 }
@@ -92,8 +93,8 @@ func (l *Library) encodeRef(job *encodedRef) error {
 	job.offsets = make([]int32, 0, n)
 	job.hvs = make([]*hdc.HV, 0, n)
 	if l.params.Approx {
-		sc := l.getScratch()
-		defer l.putScratch(sc)
+		sc := l.getBlockScratch()
+		defer l.putBlockScratch(sc)
 		for start := 0; start+l.params.Window <= rec.Seq.Len(); start += l.params.Stride {
 			hv := hdc.NewHV(l.params.Dim)
 			l.enc.EncodeWindowApproxInto(hv, sc.acc, rec.Seq, start)

@@ -33,24 +33,25 @@ type Calibration struct {
 // calibrationProbes is the number of noise and signal probes drawn.
 const calibrationProbes = 192
 
-// calibrate measures noise and signal score distributions on a snapshot
+// calibrate measures noise and signal score distributions on a view
 // and derives the operating threshold. Deterministic given the library
-// seed and the snapshot's contents — every mutation recalibrates the
-// snapshot it publishes, and a snapshot with no tombstones calibrates
-// identically to the pre-segmented monolith.
-func (l *Library) calibrate(sn *snapshot) Calibration {
+// seed and the view's contents — every mutation recalibrates the view
+// it publishes, and a view with no tombstones calibrates identically to
+// the pre-segmented monolith.
+func (l *Library) calibrate(sn *hdcView) Calibration {
 	src := rng.New(l.params.Seed ^ 0xca11b7a7e)
 	w := l.params.Window
-	sc := l.getScratch() // every probe encodes into the one pooled hypervector
-	defer l.putScratch(sc)
+	sc := l.getBlockScratch() // every probe encodes into the one pooled hypervector
+	defer l.putBlockScratch(sc)
+	hv := sc.hvs[0]
 
 	// Noise side: random queries against randomly sampled buckets.
 	var noise stats.Welford
 	for i := 0; i < calibrationProbes; i++ {
 		q := genome.Random(w, src)
-		l.enc.EncodeWindowApproxInto(sc.hv, sc.acc, q, 0)
+		l.enc.EncodeWindowApproxInto(hv, sc.acc, q, 0)
 		b := src.Intn(sn.numBuckets())
-		noise.Add(sn.score(b, sc.hv, &l.params))
+		noise.Add(sn.score(b, hv, &l.params))
 	}
 
 	// Signal side: member windows re-queried with MutTolerance
@@ -91,8 +92,8 @@ func (l *Library) calibrate(sn *snapshot) Calibration {
 		if l.params.MutTolerance > 0 {
 			window, _ = genome.SubstituteExactly(window, l.params.MutTolerance, src)
 		}
-		l.enc.EncodeWindowApproxInto(sc.hv, sc.acc, window, 0)
-		signal.Add(sn.score(nonEmpty[j], sc.hv, &l.params))
+		l.enc.EncodeWindowApproxInto(hv, sc.acc, window, 0)
+		signal.Add(sn.score(nonEmpty[j], hv, &l.params))
 	}
 
 	cal := Calibration{
@@ -121,13 +122,13 @@ func (l *Library) calibrate(sn *snapshot) Calibration {
 	return cal
 }
 
-// Calibration returns the calibration of the current snapshot. The
+// Calibration returns the calibration of the current view. The
 // boolean is false for exact-mode libraries (the a-priori model is
 // exact there) and for unfrozen libraries.
 func (l *Library) Calibration() (Calibration, bool) {
-	sn := l.snap.Load()
-	if sn == nil || !l.params.Approx {
+	v := l.snap.Load()
+	if v == nil || !l.params.Approx {
 		return Calibration{}, false
 	}
-	return sn.cal, true
+	return hdcOf(v).cal, true
 }

@@ -44,7 +44,7 @@ type Counters struct {
 	HeapScans int64
 }
 
-// libCounters is the live atomic form embedded in Library. Writers
+// libCounters is the live atomic form embedded in Engine. Writers
 // accumulate locally and publish with one atomic add per probe/range,
 // so the hot kernel loop stays free of synchronization.
 type libCounters struct {
@@ -59,20 +59,20 @@ type libCounters struct {
 	heapScans          atomic.Int64
 }
 
-// Counters returns a snapshot of the library's cumulative operational
+// Counters returns a snapshot of the index's cumulative operational
 // counters. Safe to call concurrently with lookups; the fields are
 // read independently, so a snapshot taken mid-lookup may be slightly
 // torn across fields — each field is itself consistent and monotonic.
-func (l *Library) Counters() Counters {
+func (e *Engine) Counters() Counters {
 	return Counters{
-		BucketProbes:       l.ctr.bucketProbes.Load(),
-		EarlyAbandons:      l.ctr.earlyAbandons.Load(),
-		BatchCancellations: l.ctr.batchCancellations.Load(),
-		BlockedProbes:      l.ctr.blockedProbes.Load(),
-		BlockedWindows:     l.ctr.blockedWindows.Load(),
-		SegmentSeals:       l.ctr.segmentSeals.Load(),
-		Compactions:        l.ctr.compactions.Load(),
-		MappedScans:        l.ctr.mappedScans.Load(),
-		HeapScans:          l.ctr.heapScans.Load(),
+		BucketProbes:       e.ctr.bucketProbes.Load(),
+		EarlyAbandons:      e.ctr.earlyAbandons.Load(),
+		BatchCancellations: e.ctr.batchCancellations.Load(),
+		BlockedProbes:      e.ctr.blockedProbes.Load(),
+		BlockedWindows:     e.ctr.blockedWindows.Load(),
+		SegmentSeals:       e.ctr.segmentSeals.Load(),
+		Compactions:        e.ctr.compactions.Load(),
+		MappedScans:        e.ctr.mappedScans.Load(),
+		HeapScans:          e.ctr.heapScans.Load(),
 	}
 }

@@ -86,14 +86,11 @@ func (cw *crcWriter) words(ws []uint64) {
 // no stable search semantics). It returns the number of payload bytes
 // written.
 func (l *Library) WriteTo(w io.Writer) (int64, error) {
-	sn := l.snap.Load()
-	if sn == nil {
-		return 0, fmt.Errorf("core: cannot save an unfrozen library")
+	sn, err := l.pinForSave()
+	if err != nil {
+		return 0, err
 	}
-	if !l.beginRead() {
-		return 0, ErrClosed
-	}
-	defer l.endRead()
+	defer l.Unpin()
 	bw := bufio.NewWriter(w)
 	cw := &crcWriter{w: bw}
 	cw.write([]byte(libMagic))
@@ -105,8 +102,8 @@ func (l *Library) WriteTo(w io.Writer) (int64, error) {
 
 	cw.u32(uint32(len(sn.segs)))
 	for _, seg := range sn.segs {
-		cw.u32(uint32(seg.numBuckets()))
-		for i := 0; i < seg.numBuckets(); i++ {
+		cw.u32(uint32(seg.NumBuckets()))
+		for i := 0; i < seg.NumBuckets(); i++ {
 			ws := seg.windows(i)
 			cw.u32(uint32(len(ws)))
 			for _, wr := range ws {
@@ -404,7 +401,7 @@ func readLibraryV12(br *bufio.Reader, head []byte, version int) (*Library, error
 	if err != nil {
 		return nil, err
 	}
-	lib.refs = refs
+	var segs []Segment
 
 	// v1 has one flat bucket block; v2 prefixes a segment count.
 	nSegs := uint32(1)
@@ -428,8 +425,8 @@ func readLibraryV12(br *bufio.Reader, head []byte, version int) (*Library, error
 			}
 			for j := uint32(0); j < nWin && cr.err == nil; j++ {
 				wr := WindowRef{Ref: int32(cr.u32()), Off: int32(cr.u32())}
-				if int(wr.Ref) >= len(lib.refs) || wr.Ref < 0 {
-					return nil, fmt.Errorf("core: bucket %d references sequence %d of %d", i, wr.Ref, len(lib.refs))
+				if int(wr.Ref) >= len(refs) || wr.Ref < 0 {
+					return nil, fmt.Errorf("core: bucket %d references sequence %d of %d", i, wr.Ref, len(refs))
 				}
 				b.windows = append(b.windows, wr)
 			}
@@ -476,8 +473,8 @@ func readLibraryV12(br *bufio.Reader, head []byte, version int) (*Library, error
 			continue // v1 wrote no empty bucket blocks; v2 never writes empty segments either
 		}
 		seg := newSegment(bkts, p.Dim)
-		seg.tombs = seg.countTombs(lib.refs)
-		lib.segs = append(lib.segs, seg)
+		seg.tombs = seg.countTombs(refs)
+		segs = append(segs, seg)
 	}
 	if cr.err != nil {
 		return nil, fmt.Errorf("core: reading library: %w", cr.err)
@@ -492,14 +489,31 @@ func readLibraryV12(br *bufio.Reader, head []byte, version int) (*Library, error
 	if err := expectEOF(br); err != nil {
 		return nil, err
 	}
-	lib.cal = cal
 	// v2 files are only ever written by frozen libraries; a v1 file is
-	// frozen iff it holds buckets. Publish the loaded snapshot with the
-	// stored calibration — loading must not re-derive it.
-	if version >= 2 || len(lib.segs) > 0 {
-		lib.mu.Lock()
-		lib.publishLocked(false)
-		lib.mu.Unlock()
+	// frozen iff it holds buckets.
+	if version >= 2 || len(segs) > 0 {
+		lib.restore(refs, segs, cal)
+	} else {
+		lib.refs = refs
 	}
 	return lib, nil
+}
+
+// restore publishes a loaded state with the stored calibration —
+// loading must not re-derive it.
+func (l *Library) restore(refs []genome.Record, segs []Segment, cal Calibration) {
+	l.cal = cal
+	l.Restore(refs, segs, func(v *View) any { return newHDCView(v, cal) })
+}
+
+// pinForSave opens a read section on the current view for the writers.
+func (l *Library) pinForSave() (*hdcView, error) {
+	v := l.snap.Load()
+	if v == nil {
+		return nil, fmt.Errorf("core: cannot save an unfrozen library")
+	}
+	if !l.beginRead() {
+		return nil, ErrClosed
+	}
+	return hdcOf(v), nil
 }

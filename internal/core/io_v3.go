@@ -97,17 +97,14 @@ type v3Meta struct {
 // the arena is the sealed storage v3 maps. It returns the number of
 // bytes written (the v3 file size).
 func (l *Library) WriteToV3(w io.Writer) (int64, error) {
-	sn := l.snap.Load()
-	if sn == nil {
-		return 0, fmt.Errorf("core: cannot save an unfrozen library")
+	sn, err := l.pinForSave()
+	if err != nil {
+		return 0, err
 	}
+	defer l.Unpin()
 	if !l.params.Sealed {
 		return 0, fmt.Errorf("core: format v3 requires a sealed-mode library")
 	}
-	if !l.beginRead() {
-		return 0, ErrClosed
-	}
-	defer l.endRead()
 
 	rw := uint32(l.params.Dim / 64)
 	segs := make([]ContainerSegment, len(sn.segs))
@@ -115,7 +112,7 @@ func (l *Library) WriteToV3(w io.Writer) (int64, error) {
 		segs[k] = ContainerSegment{
 			Words:    seg.arenaWords(),
 			RowWords: rw,
-			Buckets:  uint32(seg.numBuckets()),
+			Buckets:  uint32(seg.NumBuckets()),
 		}
 	}
 	return WriteContainerV3(w, backendTagHDC, func(sw *SectionWriter) {
@@ -123,8 +120,8 @@ func (l *Library) WriteToV3(w io.Writer) (int64, error) {
 		writeCalibration(&sw.cw, &sn.cal)
 		sw.Refs(sn.refs)
 		for _, seg := range sn.segs {
-			sw.U32(uint32(seg.numBuckets()))
-			for i := 0; i < seg.numBuckets(); i++ {
+			sw.U32(uint32(seg.NumBuckets()))
+			for i := 0; i < seg.NumBuckets(); i++ {
 				ws := seg.windows(i)
 				sw.U32(uint32(len(ws)))
 				for _, wr := range ws {
@@ -358,24 +355,17 @@ func validateDirV3(entries []v3DirEntry, m *v3Meta, h v3Header) error {
 // assembleV3 builds the frozen library from parsed v3 pieces. A non-nil
 // mapping marks the library mapped and transfers ownership — Close will
 // unmap it.
-func assembleV3(meta *v3Meta, segs []*segment, mapping *mmapfile.Mapping) (*Library, error) {
+func assembleV3(meta *v3Meta, segs []Segment, mapping *mmapfile.Mapping) (*Library, error) {
 	lib, err := NewLibrary(meta.p)
 	if err != nil {
 		return nil, err
 	}
 	lib.params = meta.p // keep the stored capacity exactly
-	lib.refs = meta.refs
-	lib.segs = segs
-	lib.cal = meta.cal
 	if mapping != nil {
 		lib.mapped = true
 		lib.mapping = mapping
 	}
-	// Publish the loaded snapshot with the stored calibration — loading
-	// must not re-derive it.
-	lib.mu.Lock()
-	lib.publishLocked(false)
-	lib.mu.Unlock()
+	lib.restore(meta.refs, segs, meta.cal)
 	return lib, nil
 }
 
@@ -399,7 +389,7 @@ func readLibraryV3Hdr(br *bufio.Reader, hdr []byte) (*Library, error) {
 		return nil, fmt.Errorf("core: v3 library uses index backend %s; load it with ReadIndex", BackendName(tag))
 	}
 	var meta *v3Meta
-	var segs []*segment
+	var segs []Segment
 	err := ReadContainerV3(br, hdr, backendTagHDC,
 		func(sr *SectionReader, segCount int) error {
 			m, err := parseMetaV3(&sr.cr, segCount)
@@ -583,7 +573,7 @@ func openMappedV3(path string) (lib *Library, handled bool, err error) {
 	// kernel so readahead keeps up. Hints are best-effort.
 	arenaRegion := int(h.fileSize - h.arenaOff)
 	_ = m.Advise(int(h.arenaOff), arenaRegion, mmapfile.AdviseSequential)
-	segs := make([]*segment, 0, len(entries))
+	segs := make([]Segment, 0, len(entries))
 	for k, e := range entries {
 		end := e.off + e.words*8
 		ab := b[e.off:end]

@@ -1,23 +1,13 @@
 package core
 
 import (
-	"errors"
 	"fmt"
-	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/encoding"
 	"repro/internal/genome"
 	"repro/internal/hdc"
-	"repro/internal/mmapfile"
 )
-
-// ErrClosed is returned by operations on a library whose Close has
-// been called (only mmap-backed libraries reject reads after Close —
-// their arenas are unmapped — but mutations fail on any closed
-// library).
-var ErrClosed = errors.New("core: library is closed")
 
 // Params configures a BioHD reference library.
 type Params struct {
@@ -103,214 +93,33 @@ type WindowRef struct {
 const defaultSealThreshold = 4096
 
 // Library is a BioHD reference library: genome references encoded window
-// by window and memorized into superposed hypervector buckets.
-//
-// The library is segmented: immutable sealed segments plus one mutable
-// active segment, with every read path going through an atomically
-// published snapshot. Build with NewLibrary/Add, then Freeze; after
-// Freeze the library keeps accepting Add and Remove concurrently with
-// searches — each mutation assembles the next snapshot off-line under
-// the mutation lock and publishes it with one pointer swap, so readers
-// never lock and never observe a half-applied change. The active
-// segment auto-seals into a new immutable segment once it reaches
-// SetSealThreshold buckets, and Compact rewrites segments whose
-// tombstone fraction (from Remove) crossed a trigger.
+// by window and memorized into superposed hypervector buckets. It is the
+// HDC kernel of the segment Engine it embeds — the engine supplies the
+// lifecycle (Add, Freeze, Remove, Compact, Close), the stats surface and
+// every derived probe; this type supplies the encoder, the bucket
+// builder, the arena scan, calibration, and the file codecs.
 type Library struct {
+	*Engine
+
 	params Params
 	enc    *encoding.Encoder
 
-	// snap is the current read view. Nil until Freeze; every search path
-	// loads it exactly once per operation.
-	snap atomic.Pointer[snapshot]
-
-	// mu serializes mutations (Add, Remove, Compact, Freeze). The master
-	// state below is only touched with mu held.
-	mu     sync.Mutex
-	refs   []genome.Record // master reference table (removed ⇒ Seq nil)
-	segs   []*segment      // sealed segments, in creation order
-	active *builder        // the mutable tail
+	// active is the mutable tail and cal the calibration last derived;
+	// both are only touched with the engine's mutation lock held.
+	active builder
 	cal    Calibration
 
-	sealThreshold int     // active-segment bucket count that triggers auto-seal
-	autoCompact   float64 // tombstone ratio that triggers compaction on Remove; 0 = manual
-
-	// scratch pools per-query lookup state (query hypervector, counter
-	// accumulator, candidate slice) so steady-state Lookup does not
-	// allocate; see lookupScratch.
-	scratch sync.Pool
-
-	// blockPool pools the cross-query scratch plane of the blocked probe
-	// paths — one query block's worth of encodings, kernel state, and
-	// candidate buffers; see blockScratch.
+	// blockPool pools the kernel's probe scratch — one query block's
+	// worth of encodings, kernel state, and candidate buffers; see
+	// blockScratch.
 	blockPool sync.Pool
-
-	// ctr accumulates lifetime operational counters (probe scans, early
-	// abandons, batch cancellations, seals, compactions) for the /metrics
-	// endpoint; see Counters.
-	ctr libCounters
-
-	// errShort is the invalid-pattern error, precomputed so the batch
-	// path reports it without formatting on a hot path.
-	errShort error
-
-	// mapped marks a library whose sealed arenas alias a read-only file
-	// mapping (OpenLibraryFile with MapArena). Immutable after
-	// construction, so the hot read paths branch on it without
-	// synchronization. Heap libraries skip the reader accounting below
-	// entirely — their storage never disappears, so reads cost nothing
-	// extra.
-	mapped bool
-	// mapping is the backing file mapping of a mapped library; guarded
-	// by mu (Close nils it after unmapping).
-	mapping *mmapfile.Mapping
-	// readers counts in-flight read operations of a mapped library;
-	// Close unmaps only after it drains to zero.
-	readers atomic.Int64
-	// closed is set by Close; mapped reads and all mutations fail once
-	// it is observed.
-	closed atomic.Bool
 }
 
-// beginRead opens a read section: every public operation that touches
-// segment arenas brackets itself with beginRead/endRead so Close can
-// drain in-flight readers before unmapping. Heap-backed libraries pay
-// a single predictable branch. A false return means the library is
-// closed and the arenas are (or are about to be) unmapped; the caller
-// must fail with ErrClosed without touching storage.
-//
-//biohd:hotpath
-func (l *Library) beginRead() bool {
-	if !l.mapped {
-		return true
-	}
-	l.readers.Add(1)
-	// Increment before the closed check: Close sets closed first, then
-	// waits for readers to drain, so either it observes our increment
-	// and waits for endRead, or we observe closed and back out.
-	if l.closed.Load() {
-		l.readers.Add(-1)
-		return false
-	}
-	return true
-}
-
-// endRead closes a read section opened by beginRead.
-//
-//biohd:hotpath
-func (l *Library) endRead() {
-	if l.mapped {
-		l.readers.Add(-1)
-	}
-}
-
-// Close shuts the library down. For a mapped library it waits for
-// in-flight reads to drain, then unmaps the backing file — after which
-// any retained arena alias (e.g. a BucketVector result) is invalid.
-// Heap libraries just stop accepting mutations and reads keep working;
-// either way Close is idempotent and further mutations return
-// ErrClosed.
-func (l *Library) Close() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed.Swap(true) {
-		return nil
-	}
-	if l.mapping == nil {
-		return nil
-	}
-	// Drain: new readers observe closed and back out; existing ones
-	// finish their scan and decrement. Scans are short (no blocking
-	// operations inside a read section), so yielding is enough.
-	for l.readers.Load() != 0 {
-		runtime.Gosched()
-	}
-	err := l.mapping.Close()
-	l.mapping = nil
-	return err
-}
-
-// Mapped reports whether the library's sealed arenas alias a read-only
-// file mapping (zero-copy v3 load) rather than heap storage.
-func (l *Library) Mapped() bool { return l.mapped }
-
-// MappedBytes returns the size of the backing file mapping, or 0 for
-// heap-loaded (or closed) libraries. This is address space, not
-// resident memory — the kernel pages the hot subset in and out.
-func (l *Library) MappedBytes() int64 {
-	if !l.mapped {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.mapping == nil {
-		return 0
-	}
-	return int64(l.mapping.Len())
-}
-
-// ResidentBytes estimates the bytes of the library's search store
-// currently resident in RAM. For a mapped library it asks the kernel
-// (mincore over the whole mapping), which is what makes the low-mem
-// tier observable: mapped minus resident is the working-set savings.
-// Where mincore is unavailable it conservatively reports the full
-// mapping, and for heap-loaded libraries the heap footprint — heap
-// pages are not file-backed, so they are resident by construction.
-func (l *Library) ResidentBytes() int64 {
-	if !l.mapped {
-		return l.MemoryFootprint()
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.mapping == nil {
-		return 0
-	}
-	n, err := l.mapping.Resident(0, l.mapping.Len())
-	if err != nil {
-		return int64(l.mapping.Len())
-	}
-	return n
-}
-
-// lookupScratch is the reusable per-query state of the lookup paths.
-// Instances are pooled on the library; a frozen library is probed
-// concurrently (LookupBatch), so scratch must be per-call, not shared.
-type lookupScratch struct {
-	hv    *hdc.HV  // query window encoding
-	acc   *hdc.Acc // counter scratch for approximate encoding; nil in exact mode
-	cands []Candidate
-}
-
-// candidateHint pre-sizes candidate slices: probes that hit at all
-// typically yield a handful of buckets, so this avoids append growth
-// churn without holding meaningful memory.
-const candidateHint = 16
-
-// getScratch returns pooled per-query lookup state, constructing it on
-// a pool miss.
-//
-//biohd:coldstart pool-miss construction; steady state reuses pooled scratch
-func (l *Library) getScratch() *lookupScratch {
-	if s, ok := l.scratch.Get().(*lookupScratch); ok {
-		return s
-	}
-	s := &lookupScratch{
-		hv:    hdc.NewHV(l.params.Dim),
-		cands: make([]Candidate, 0, candidateHint),
-	}
-	if l.params.Approx {
-		s.acc = hdc.NewAcc(l.params.Dim)
-	}
-	return s
-}
-
-func (l *Library) putScratch(s *lookupScratch) { l.scratch.Put(s) }
-
-// blockScratch is the reusable state of the query-blocked probe paths
-// (ProbeMulti, LookupLong, lookupBlock): one block's worth of query
-// window encodings, the multi-kernel's word views, bounds and distance
-// vectors, per-query candidate buffers, and the diagonal-voting state
-// of LookupLong. Pooled per library — batch workers run blocked probes
-// concurrently, so the plane must be per-call, not shared.
+// blockScratch is the reusable state of the probe paths: one block's
+// worth of query window encodings, the multi-kernel's word views,
+// bounds and distance vectors, and per-query candidate buffers. Pooled
+// per library — batch workers probe concurrently, so the plane must be
+// per-call, not shared.
 type blockScratch struct {
 	hvs    []*hdc.HV     // query window encodings, probeBlock of them
 	acc    *hdc.Acc      // counter scratch for approximate encoding; nil in exact mode
@@ -318,17 +127,16 @@ type blockScratch struct {
 	bounds []int         // per-query Hamming bounds
 	dist   []int         // per-query distances (kernel output)
 	cands  [][]Candidate // per-query candidate buffers
-
-	// LookupLong's diagonal voting state, reused across calls so a long
-	// read does not rebuild its maps window by window.
-	matches []Match          // per-window match buffer
-	seen    map[diagKey]bool // per-window diagonal dedup
-	votes   map[diagKey]int  // per-call diagonal votes
-	best    map[int]diagKey  // per-call winning diagonal per reference
+	one    [1]*hdc.HV    // Probe's one-query block
 }
 
-// getBlockScratch returns the pooled cross-query scratch plane,
-// constructing it on a pool miss.
+// candidateHint pre-sizes candidate slices: probes that hit at all
+// typically yield a handful of buckets, so this avoids append growth
+// churn without holding meaningful memory.
+const candidateHint = 16
+
+// getBlockScratch returns the pooled probe scratch, constructing it on
+// a pool miss.
 //
 //biohd:coldstart pool-miss construction; steady state reuses pooled scratch
 func (l *Library) getBlockScratch() *blockScratch {
@@ -341,9 +149,6 @@ func (l *Library) getBlockScratch() *blockScratch {
 		bounds: make([]int, probeBlock),
 		dist:   make([]int, probeBlock),
 		cands:  make([][]Candidate, probeBlock),
-		seen:   make(map[diagKey]bool),
-		votes:  make(map[diagKey]int),
-		best:   make(map[int]diagKey),
 	}
 	for i := range s.hvs {
 		s.hvs[i] = hdc.NewHV(l.params.Dim)
@@ -381,13 +186,20 @@ func NewLibrary(params Params) (*Library, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Library{
-		params:        params,
-		enc:           enc,
-		active:        &builder{},
-		sealThreshold: defaultSealThreshold,
-		errShort:      fmt.Errorf("core: pattern shorter than window %d", params.Window),
-	}, nil
+	l := &Library{params: params, enc: enc}
+	l.Engine = NewEngine(Kernel{
+		Window:        params.Window,
+		Stride:        params.Stride,
+		SealThreshold: defaultSealThreshold,
+		Append:        l.appendRef,
+		Active:        l.activeView,
+		Reset:         l.resetActive,
+		Tombstone:     tombstoneSegment,
+		Rebuild:       l.rebuildSegment,
+		Annotate:      l.annotate,
+		Probe:         l.probeBlock,
+	})
+	return l, nil
 }
 
 // Params returns the library's effective parameters (with derived
@@ -398,112 +210,17 @@ func (l *Library) Params() Params { return l.params }
 // outside Lookup).
 func (l *Library) Encoder() *encoding.Encoder { return l.enc }
 
-// SetSealThreshold sets the active-segment bucket count at which a
-// post-freeze Add seals the active segment into a new immutable one
-// (default 4096; n ≤ 0 restores the default).
-func (l *Library) SetSealThreshold(n int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if n <= 0 {
-		n = defaultSealThreshold
-	}
-	l.sealThreshold = n
-}
-
-// SetAutoCompact sets the tombstone ratio at which Remove triggers an
-// automatic Compact of the affected segments; ratio ≤ 0 (the default)
-// keeps compaction manual.
-func (l *Library) SetAutoCompact(ratio float64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.autoCompact = ratio
-}
-
-// NumBuckets returns the number of library hypervectors.
-func (l *Library) NumBuckets() int {
-	if sn := l.snap.Load(); sn != nil {
-		return sn.numBuckets()
-	}
-	return l.active.numBuckets()
-}
-
-// NumWindows returns the number of live (non-removed) reference windows
-// memorized.
-func (l *Library) NumWindows() int {
-	if sn := l.snap.Load(); sn != nil {
-		return sn.nWin
-	}
-	return l.active.numWindows()
-}
-
-// NumRefs returns the number of reference sequences added, including
-// removed ones (tombstoned slots keep their indices).
-func (l *Library) NumRefs() int {
-	if sn := l.snap.Load(); sn != nil {
-		return len(sn.refs)
-	}
-	return len(l.refs)
-}
-
-// Ref returns the i-th reference record. A removed reference has a nil
-// Seq and a " (removed)" description suffix.
-func (l *Library) Ref(i int) genome.Record {
-	if sn := l.snap.Load(); sn != nil {
-		return sn.refs[i]
-	}
-	return l.refs[i]
-}
-
-// NumSegments returns the number of segments in the current snapshot
-// (sealed segments plus the active view); 0 before Freeze.
-func (l *Library) NumSegments() int {
-	if sn := l.snap.Load(); sn != nil {
-		return sn.numSegments()
-	}
-	return 0
-}
-
-// TombstoneRatio returns the fraction of memorized windows whose
-// reference has been removed but not yet compacted away.
-func (l *Library) TombstoneRatio() float64 {
-	if sn := l.snap.Load(); sn != nil {
-		return sn.tombRatio()
-	}
-	return 0
-}
-
-// SegmentInfo describes one segment of the current snapshot.
-type SegmentInfo struct {
-	Buckets    int // buckets in the segment
-	Windows    int // member windows, including tombstoned ones
-	Tombstones int // member windows whose reference was removed
-}
-
-// Segments describes the current snapshot's segments in scan order.
-func (l *Library) Segments() []SegmentInfo {
-	sn := l.snap.Load()
-	if sn == nil {
-		return nil
-	}
-	out := make([]SegmentInfo, len(sn.segs))
-	for k, seg := range sn.segs {
-		out[k] = SegmentInfo{Buckets: seg.numBuckets(), Windows: seg.total, Tombstones: seg.tombs}
-	}
-	return out
-}
-
 // Model returns the statistical model for this library's geometry. The
 // capacity entering the model is the *effective* one — the largest
 // actual bucket occupancy — so a generously configured capacity over a
 // small reference set does not inflate the predicted noise.
 func (l *Library) Model() Model {
-	c := 0
-	if sn := l.snap.Load(); sn != nil {
-		c = sn.maxOccupancy()
-	} else {
-		c = l.active.maxOccupancy()
+	if v := l.snap.Load(); v != nil {
+		return l.modelWith(hdcOf(v).maxOccupancy())
 	}
-	return l.modelWith(c)
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.modelWith(l.active.maxOccupancy())
 }
 
 func (l *Library) modelWith(c int) Model {
@@ -519,105 +236,82 @@ func (l *Library) modelWith(c int) Model {
 	}
 }
 
-// Add encodes every stride-aligned window of rec and memorizes it.
-// References shorter than one window are rejected. Before Freeze, Add
-// builds the initial segment; after Freeze, Add appends to the active
-// segment and publishes a new snapshot, so the reference becomes
-// searchable immediately and concurrently running lookups are never
-// disturbed. The active segment auto-seals at the SetSealThreshold
-// bucket count.
-func (l *Library) Add(rec genome.Record) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.addLocked(rec)
+// encodeInto encodes the window of seq starting at off under the
+// library's encoding: the positional bundle (approximate search) or the
+// binding chain (exact search only).
+func (l *Library) encodeInto(hv *hdc.HV, acc *hdc.Acc, seq *genome.Sequence, off int) {
+	if l.params.Approx {
+		l.enc.EncodeWindowApproxInto(hv, acc, seq, off)
+	} else {
+		l.enc.EncodeWindowExactInto(hv, seq, off)
+	}
 }
 
-func (l *Library) addLocked(rec genome.Record) error {
-	if l.closed.Load() {
-		return ErrClosed
-	}
-	if rec.Seq == nil || rec.Seq.Len() < l.params.Window {
-		return fmt.Errorf("core: reference %q shorter than window %d", rec.ID, l.params.Window)
-	}
-	refIdx := int32(len(l.refs))
-	l.refs = append(l.refs, rec)
+// appendRef is Kernel.Append: every stride-aligned window of rec is
+// encoded and superposed into the active builder.
+func (l *Library) appendRef(ref int32, rec genome.Record) int {
 	if l.params.Approx {
-		sc := l.getScratch()
-		defer l.putScratch(sc)
+		sc := l.getBlockScratch()
+		defer l.putBlockScratch(sc)
 		for start := 0; start+l.params.Window <= rec.Seq.Len(); start += l.params.Stride {
-			l.enc.EncodeWindowApproxInto(sc.hv, sc.acc, rec.Seq, start)
-			l.active.insert(WindowRef{Ref: refIdx, Off: int32(start)}, sc.hv, &l.params)
+			l.enc.EncodeWindowApproxInto(sc.hvs[0], sc.acc, rec.Seq, start)
+			l.active.insert(WindowRef{Ref: ref, Off: int32(start)}, sc.hvs[0], &l.params)
 		}
 	} else {
 		l.enc.SlideExact(rec.Seq, l.params.Stride, func(start int, hv *hdc.HV) bool {
-			l.active.insert(WindowRef{Ref: refIdx, Off: int32(start)}, hv, &l.params)
+			l.active.insert(WindowRef{Ref: ref, Off: int32(start)}, hv, &l.params)
 			return true
 		})
 	}
-	if l.snap.Load() == nil {
-		return nil // still building; Freeze publishes the first snapshot
-	}
-	l.maybeSealActiveLocked()
-	l.publishLocked(true)
-	return nil
+	return l.active.numBuckets()
 }
 
-// maybeSealActiveLocked seals the active segment into a new immutable
-// one when it has reached the auto-seal threshold. Sealing happens at
-// Add granularity — a reference's windows never straddle a seal that
-// its own Add triggered mid-insert.
-func (l *Library) maybeSealActiveLocked() {
-	if l.active.numBuckets() < l.sealThreshold {
-		return
-	}
-	if seg := l.active.seal(&l.params, l.refs); seg != nil {
-		l.segs = append(l.segs, seg)
-		l.ctr.segmentSeals.Add(1)
-	}
+// activeView is Kernel.Active.
+func (l *Library) activeView(refs []genome.Record) Segment {
+	return l.active.view(&l.params, refs)
 }
 
-// Freeze publishes the first snapshot: the buckets built so far seal
-// into the library's first immutable segment, approximate-mode libraries
-// calibrate their operating threshold (see Calibration), and the library
-// becomes safe for concurrent search — and, unlike the pre-segmented
-// design, keeps accepting Add/Remove/Compact afterwards. Freezing an
-// empty library is a no-op that leaves it unfrozen.
-func (l *Library) Freeze() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed.Load() || l.snap.Load() != nil || l.active.numBuckets() == 0 {
-		return
+// resetActive is Kernel.Reset.
+func (l *Library) resetActive() { l.active = builder{} }
+
+// tombstoneSegment is Kernel.Tombstone. The bucket hypervectors are
+// left untouched — the removed windows keep contributing superposition
+// noise until compaction — which is what makes Remove work on Sealed
+// libraries, whose counters were dropped when their buckets closed.
+func tombstoneSegment(seg Segment, ref int) Segment {
+	s := seg.(*segment)
+	if n := s.countRefWindows(ref); n > 0 {
+		return s.withTombs(s.tombs + n)
 	}
-	if seg := l.active.seal(&l.params, l.refs); seg != nil {
-		l.segs = append(l.segs, seg)
-	}
-	l.publishLocked(true)
+	return seg
 }
 
-// publishLocked assembles a fresh snapshot from the master state — the
-// sealed segments plus an isolated view of the active builder — and
-// publishes it with one atomic pointer swap. recal re-runs threshold
-// calibration (approximate mode only) on the new snapshot before it
-// goes live, so readers never see a snapshot whose calibration lags its
+// rebuildSegment is Kernel.Rebuild: the segment's live windows are
+// re-encoded — the same encoding Add used when they were first
+// memorized — and re-bucketed at full capacity.
+func (l *Library) rebuildSegment(seg Segment, refs []genome.Record) Segment {
+	var b builder
+	sc := l.getBlockScratch()
+	defer l.putBlockScratch(sc)
+	for _, wr := range seg.(*segment).liveWindows(nil, refs) {
+		l.encodeInto(sc.hvs[0], sc.acc, refs[wr.Ref].Seq, int(wr.Off))
+		b.insert(wr, sc.hvs[0], &l.params)
+	}
+	return b.view(&l.params, refs)
+}
+
+// annotate is Kernel.Annotate: approximate-mode libraries recalibrate
+// their operating threshold on every view they publish (see
+// Calibration), so readers never see a view whose calibration lags its
 // contents.
-func (l *Library) publishLocked(recal bool) {
-	segs := make([]*segment, 0, len(l.segs)+1)
-	segs = append(segs, l.segs...)
-	if v := l.active.view(&l.params, l.refs); v != nil {
-		segs = append(segs, v)
-	}
-	refs := l.refs[:len(l.refs):len(l.refs)]
-	sn := newSnapshot(segs, refs, l.cal)
-	if recal && l.params.Approx && sn.numBuckets() > 0 {
+func (l *Library) annotate(v *View) any {
+	sn := newHDCView(v, l.cal)
+	if l.params.Approx && sn.nBkts > 0 {
 		sn.cal = l.calibrate(sn)
 		l.cal = sn.cal
 	}
-	l.snap.Store(sn)
+	return sn
 }
-
-// Frozen reports whether Freeze has been called (the library serves
-// searches). Frozen libraries still accept Add, Remove, and Compact.
-func (l *Library) Frozen() bool { return l.snap.Load() != nil }
 
 // BucketWindows returns the member windows of bucket i (shared slice; do
 // not mutate). Windows of removed references are included; check
@@ -625,13 +319,15 @@ func (l *Library) Frozen() bool { return l.snap.Load() != nil }
 // Candidate.Bucket held across a Compact that shrank the library —
 // returns nil rather than panicking.
 func (l *Library) BucketWindows(i int) []WindowRef {
-	if sn := l.snap.Load(); sn != nil {
-		seg, li, ok := sn.locateOK(i)
+	if v := l.snap.Load(); v != nil {
+		seg, li, ok := hdcOf(v).locateOK(i)
 		if !ok {
 			return nil
 		}
 		return seg.windows(li)
 	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	if i < 0 || i >= l.active.numBuckets() {
 		return nil
 	}
@@ -645,28 +341,17 @@ func (l *Library) BucketWindows(i int) []WindowRef {
 // out-of-range index, like a stale bucket index held across a Compact,
 // returns nil rather than panicking.
 func (l *Library) BucketVector(i int) *hdc.HV {
-	sn := l.snap.Load()
-	if sn == nil {
+	v := l.snap.Load()
+	if v == nil {
 		panic("core: BucketVector before Freeze")
 	}
 	if !l.beginRead() {
 		return nil
 	}
 	defer l.endRead()
-	seg, li, ok := sn.locateOK(i)
+	seg, li, ok := hdcOf(v).locateOK(i)
 	if !ok {
 		return nil
 	}
 	return seg.vector(li)
-}
-
-// MemoryFootprint returns the library's resident search-store size in
-// bytes: the packed probe arenas (sealed mode: D/8 bytes per bucket),
-// any retained raw counters (unsealed mode: D·4 bytes per bucket), and
-// the window metadata (8 bytes per memorized window).
-func (l *Library) MemoryFootprint() int64 {
-	if sn := l.snap.Load(); sn != nil {
-		return sn.footprintBytes(l.params.Dim)
-	}
-	return l.active.footprintBytes(l.params.Dim)
 }

@@ -30,7 +30,7 @@ func seedLookupLong(l *Library, query *genome.Sequence, minFrac float64) ([]RefM
 	for qOff := 0; qOff+w <= query.Len(); qOff += w {
 		window := query.Slice(qOff, qOff+w)
 		matches, s, err := l.Lookup(window)
-		stats.add(s)
+		stats.Add(s)
 		if err != nil {
 			return nil, stats, err
 		}
@@ -314,7 +314,7 @@ func TestLookupBatchBlockedMultiAlignment(t *testing.T) {
 		var wantAgg Stats
 		for i, p := range patterns {
 			want, st, wantErr := lib.Lookup(p)
-			wantAgg.add(st)
+			wantAgg.Add(st)
 			r := results[i]
 			if (wantErr == nil) != (r.Err == nil) {
 				t.Fatalf("workers=%d pattern %d: err %v vs sequential %v", workers, i, r.Err, wantErr)

@@ -95,9 +95,12 @@ func scatterBuckets(l *Library) []*hdc.HV {
 
 var benchSizes = []int{1024, 4096, 16384}
 
-// defaultBenchBuckets is the library size the BENCH_probe.json
-// trajectory tracks (see cmd/benchprobe): 1024 buckets — one PIM
-// crossbar array of rows in the paper's geometry.
+// defaultBenchBuckets is the library size of the historical probe A/B
+// record (EXPERIMENTS.md, "Retired per-PR bench records"): 1024 buckets
+// — one PIM crossbar array of rows in the paper's geometry. The probe is
+// measured end to end by bench/ now: core.probe_us and
+// core.probemulti_us_per_query in the traced pass of scan_exact_wire
+// (arena beyond the L2) and point_small_wire (256 KiB).
 const defaultBenchBuckets = 1024
 
 func BenchmarkProbe(b *testing.B) {

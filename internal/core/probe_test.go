@@ -14,7 +14,7 @@ import (
 // match candidate-for-candidate.
 func seedScalarProbe(l *Library, hv *hdc.HV) []Candidate {
 	tau := l.Threshold()
-	sn := l.snap.Load()
+	sn := hdcOf(l.snap.Load())
 	var out []Candidate
 	for i := 0; i < sn.numBuckets(); i++ {
 		var score float64

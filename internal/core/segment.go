@@ -97,6 +97,9 @@ func (s *segment) setMapRange(off, n int) {
 	s.mapOff, s.mapLen = off, n
 }
 
+// MapRange reports that byte range to the engine; (0, 0) on the heap.
+func (s *segment) MapRange() (off, n int) { return s.mapOff, s.mapLen }
+
 // arenaWords exposes the full packed arena for serialization (shared;
 // callers must not mutate). The v3 writer streams this straight to the
 // file — rows are already contiguous in bucket order.
@@ -111,7 +114,10 @@ func (s *segment) arenaRow(i int) []uint64 {
 	return s.arena[lo:hi:hi]
 }
 
-func (s *segment) numBuckets() int { return len(s.bkts) }
+// NumBuckets, Windows and MemoryBytes make a segment an engine Segment.
+func (s *segment) NumBuckets() int { return len(s.bkts) }
+
+func (s *segment) Windows() (total, tombstoned int) { return s.total, s.tombs }
 
 // windows returns the member windows of local bucket i (shared slice;
 // callers must not mutate).
@@ -136,15 +142,6 @@ func (s *segment) maxOccupancy() int {
 		}
 	}
 	return c
-}
-
-// tombRatio is the fraction of the segment's windows that are
-// tombstoned; Compact rewrites a segment once this crosses the trigger.
-func (s *segment) tombRatio() float64 {
-	if s.total == 0 {
-		return 0
-	}
-	return float64(s.tombs) / float64(s.total)
 }
 
 // countTombs counts member windows whose reference is removed under the
@@ -196,15 +193,16 @@ func (s *segment) liveWindows(dst []WindowRef, refs []genome.Record) []WindowRef
 	return dst
 }
 
-// footprintBytes returns the segment's resident hypervector storage:
-// the packed arena, the window metadata, and any retained raw counters
-// (unsealed mode keeps D int32 counters per bucket).
-func (s *segment) footprintBytes(dim int) int64 {
+// MemoryBytes returns the segment's resident hypervector storage: the
+// packed arena (D/8 bytes per bucket), the window metadata (8 bytes per
+// memorized window), and any retained raw counters (unsealed mode keeps
+// D int32 counters per bucket).
+func (s *segment) MemoryBytes() int64 {
 	bytes := int64(len(s.arena)) * 8
 	for i := range s.bkts {
 		bytes += int64(len(s.bkts[i].windows)) * 8
 		if s.bkts[i].acc != nil {
-			bytes += int64(dim) * 4
+			bytes += int64(s.rowWords) * 64 * 4
 		}
 	}
 	return bytes
@@ -334,7 +332,6 @@ func (s *segment) probeBlockRange(dsts [][]Candidate, hvs []*hdc.HV, qs [][]uint
 // that view publishes into each snapshot.
 type builder struct {
 	bkts []bucket
-	nWin int
 }
 
 // insert memorizes one encoded window, opening a new bucket (and closing
@@ -349,7 +346,6 @@ func (b *builder) insert(ref WindowRef, hv *hdc.HV, p *Params) {
 	bk := &b.bkts[len(b.bkts)-1]
 	bk.acc.Add(hv)
 	bk.windows = append(bk.windows, ref)
-	b.nWin++
 }
 
 // sealBucket binarizes bucket i and, for sealed libraries, releases its
@@ -367,7 +363,6 @@ func (b *builder) sealBucket(i int, p *Params) {
 }
 
 func (b *builder) numBuckets() int { return len(b.bkts) }
-func (b *builder) numWindows() int { return b.nWin }
 
 // windows returns the member windows of builder bucket i (shared slice;
 // callers must not mutate).
@@ -384,73 +379,16 @@ func (b *builder) maxOccupancy() int {
 	return c
 }
 
-// countTombs counts builder windows whose reference is removed.
-func (b *builder) countTombs(refs []genome.Record) int {
-	n := 0
-	for i := range b.bkts {
-		for _, wr := range b.bkts[i].windows {
-			if refs[wr.Ref].Seq == nil {
-				n++
-			}
-		}
-	}
-	return n
-}
-
-// liveWindows appends the builder's non-tombstoned windows to dst.
-func (b *builder) liveWindows(dst []WindowRef, refs []genome.Record) []WindowRef {
-	for i := range b.bkts {
-		for _, wr := range b.bkts[i].windows {
-			if refs[wr.Ref].Seq != nil {
-				dst = append(dst, wr)
-			}
-		}
-	}
-	return dst
-}
-
-// footprintBytes returns the builder's resident hypervector storage.
-func (b *builder) footprintBytes(dim int) int64 {
-	var bytes int64
-	for i := range b.bkts {
-		bytes += int64(len(b.bkts[i].windows)) * 8
-		if b.bkts[i].acc != nil {
-			bytes += int64(dim) * 4
-		}
-		if b.bkts[i].sealed != nil {
-			bytes += int64(dim) / 8
-		}
-	}
-	return bytes
-}
-
-// seal closes every bucket and packs the builder into an immutable
-// segment, or returns nil if the builder is empty. The builder must be
-// discarded (or reset by the caller) afterwards — its buckets are owned
-// by the segment now.
-func (b *builder) seal(p *Params, refs []genome.Record) *segment {
-	if len(b.bkts) == 0 {
-		return nil
-	}
-	for i := range b.bkts {
-		b.sealBucket(i, p)
-	}
-	seg := newSegment(b.bkts, p.Dim)
-	seg.tombs = seg.countTombs(refs)
-	b.bkts = nil
-	b.nWin = 0
-	return seg
-}
-
 // view publishes a read-only copy of the builder as a segment, or nil if
-// the builder is empty. Closed buckets are immutable and shared with the
+// the builder is empty; sealing the builder is taking its view and then
+// discarding it. Closed buckets are immutable and shared with the
 // copy outright; the open bucket — the only one future inserts mutate —
 // is isolated: its window slice is capped at the current length and its
 // vector is freshly sealed (unsealed mode also copies the counters, so
 // DotAcc scoring never races a concurrent Add). The arena is fresh per
 // view, so repointing the copies' sealed views never touches builder
 // state.
-func (b *builder) view(p *Params, refs []genome.Record) *segment {
+func (b *builder) view(p *Params, refs []genome.Record) Segment {
 	if len(b.bkts) == 0 {
 		return nil
 	}

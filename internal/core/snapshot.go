@@ -5,48 +5,49 @@ import (
 	"repro/internal/hdc"
 )
 
-// snapshot is one immutable, atomically published view of a frozen
-// library: the sealed segments (plus an isolated view of the active
-// builder), the reference table, and the calibration in force. Readers
-// load the current snapshot once per operation and never take a lock;
-// mutations assemble a fresh snapshot off-line and swap the pointer.
+// hdcView is the HDC kernel's annotation of a published View: the
+// segments under their concrete type, the global bucket numbering, and
+// the calibration in force. It is immutable once the view is live.
 //
 // Global bucket indices — the ones Candidate.Bucket and the public
 // Bucket* accessors use — run across segments in order: segment k's
 // local bucket i is global bucket offs[k]+i.
-type snapshot struct {
+type hdcView struct {
 	segs []*segment
 	offs []int           // offs[k] = global index of segs[k]'s first bucket
-	refs []genome.Record // length-capped; removed refs have Seq == nil
+	refs []genome.Record // the view's reference table
 	cal  Calibration
 
 	nBkts int
-	nWin  int // live (non-tombstoned) windows
-	total int // all windows, including tombstoned
-	tombs int
 }
 
-func newSnapshot(segs []*segment, refs []genome.Record, cal Calibration) *snapshot {
-	sn := &snapshot{segs: segs, refs: refs, cal: cal, offs: make([]int, len(segs))}
-	for k, seg := range segs {
-		sn.offs[k] = sn.nBkts
-		sn.nBkts += seg.numBuckets()
-		sn.total += seg.total
-		sn.tombs += seg.tombs
+func newHDCView(v *View, cal Calibration) *hdcView {
+	sn := &hdcView{
+		segs: make([]*segment, len(v.Segs)),
+		offs: make([]int, len(v.Segs)),
+		refs: v.Refs,
+		cal:  cal,
 	}
-	sn.nWin = sn.total - sn.tombs
+	for k, seg := range v.Segs {
+		sn.segs[k] = seg.(*segment)
+		sn.offs[k] = sn.nBkts
+		sn.nBkts += seg.NumBuckets()
+	}
 	return sn
 }
 
-func (sn *snapshot) numBuckets() int  { return sn.nBkts }
-func (sn *snapshot) numSegments() int { return len(sn.segs) }
+// hdcOf returns the kernel's annotation of a view this library
+// published.
+func hdcOf(v *View) *hdcView { return v.Aux.(*hdcView) }
+
+func (sn *hdcView) numBuckets() int { return sn.nBkts }
 
 // locate resolves a global bucket index to its segment and local index.
-func (sn *snapshot) locate(g int) (*segment, int) {
-	// Linear walk: snapshots hold a handful of segments, so this beats a
+func (sn *hdcView) locate(g int) (*segment, int) {
+	// Linear walk: views hold a handful of segments, so this beats a
 	// binary search for every realistic segment count.
 	for k, seg := range sn.segs {
-		if g < sn.offs[k]+seg.numBuckets() {
+		if g < sn.offs[k]+seg.NumBuckets() {
 			return seg, g - sn.offs[k]
 		}
 	}
@@ -57,9 +58,9 @@ func (sn *snapshot) locate(g int) (*segment, int) {
 // accessors route through it so a stale global index (e.g. a
 // Candidate.Bucket held across a Compact that shrank the library)
 // reports !ok instead of panicking. Internal probe paths keep using
-// locate: their indices come from the snapshot being scanned, so an
+// locate: their indices come from the view being scanned, so an
 // out-of-range one is a bug worth crashing on.
-func (sn *snapshot) locateOK(g int) (*segment, int, bool) {
+func (sn *hdcView) locateOK(g int) (*segment, int, bool) {
 	if g < 0 || g >= sn.nBkts {
 		return nil, 0, false
 	}
@@ -69,26 +70,26 @@ func (sn *snapshot) locateOK(g int) (*segment, int, bool) {
 
 // windows returns the member windows of global bucket g (shared slice;
 // callers must not mutate). Tombstoned windows are included — verify
-// filters them against the snapshot's reference table.
-func (sn *snapshot) windows(g int) []WindowRef {
+// filters them against the view's reference table.
+func (sn *hdcView) windows(g int) []WindowRef {
 	seg, i := sn.locate(g)
 	return seg.windows(i)
 }
 
 // vector returns the sealed hypervector of global bucket g.
-func (sn *snapshot) vector(g int) *hdc.HV {
+func (sn *hdcView) vector(g int) *hdc.HV {
 	seg, i := sn.locate(g)
 	return seg.vector(i)
 }
 
 // score scores query hv against global bucket g.
-func (sn *snapshot) score(g int, hv *hdc.HV, p *Params) float64 {
+func (sn *hdcView) score(g int, hv *hdc.HV, p *Params) float64 {
 	seg, i := sn.locate(g)
 	return seg.score(i, hv, p)
 }
 
 // maxOccupancy returns the largest bucket occupancy across segments.
-func (sn *snapshot) maxOccupancy() int {
+func (sn *hdcView) maxOccupancy() int {
 	c := 0
 	for _, seg := range sn.segs {
 		if n := seg.maxOccupancy(); n > c {
@@ -96,21 +97,4 @@ func (sn *snapshot) maxOccupancy() int {
 		}
 	}
 	return c
-}
-
-// tombRatio is the tombstoned fraction of all memorized windows.
-func (sn *snapshot) tombRatio() float64 {
-	if sn.total == 0 {
-		return 0
-	}
-	return float64(sn.tombs) / float64(sn.total)
-}
-
-// footprintBytes sums the segments' resident hypervector storage.
-func (sn *snapshot) footprintBytes(dim int) int64 {
-	var bytes int64
-	for _, seg := range sn.segs {
-		bytes += seg.footprintBytes(dim)
-	}
-	return bytes
 }

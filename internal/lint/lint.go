@@ -13,9 +13,10 @@
 //	             do not capture loop variables by reference
 //	dimsafety    bitvec/hdc binary kernels guard operand lengths before
 //	             touching raw storage
-//	snapshotsafety  internal/core touches raw segment storage only in
-//	             segment.go and snapshot.go, so published snapshots are
-//	             provably immutable
+//	snapshotsafety  index backends touch raw segment storage only in
+//	             segment.go and snapshot.go, and the segment engine's
+//	             master list only in engine.go, so published snapshots
+//	             are provably immutable
 //
 // On top of the per-package rules, a static call graph over the whole
 // module (see callgraph.go) powers two whole-program analyzers:

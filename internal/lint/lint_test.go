@@ -135,16 +135,20 @@ func TestSnapshotSafety(t *testing.T) {
 	diags := fixtureDiags(t)
 	requireFinding(t, diags, "snapshotsafety", "library.go", "storage .bkts")
 	requireFinding(t, diags, "snapshotsafety", "library.go", "storage .arena")
-	// RawBuckets and RawArena are the only findings: the accessor-using
-	// functions pass, and Suppressed's access is suppressed with a reason.
-	if got := findingsIn(diags, "snapshotsafety", "library.go"); len(got) != 2 {
-		t.Errorf("library.go: want 2 snapshotsafety findings "+
+	requireFinding(t, diags, "snapshotsafety", "library.go", "storage .sealedSegs outside engine.go")
+	// RawBuckets, RawArena and MasterAlias are the only findings: the
+	// accessor-using functions pass, and Suppressed's access is
+	// suppressed with a reason.
+	if got := findingsIn(diags, "snapshotsafety", "library.go"); len(got) != 3 {
+		t.Errorf("library.go: want 3 snapshotsafety findings "+
 			"(BucketCount, FirstRow, and Suppressed must pass), got %d:\n%s",
 			len(got), formatDiags(got))
 	}
-	// The storage owner itself is exempt wholesale.
-	if got := findingsIn(diags, "snapshotsafety", "segment.go"); len(got) != 0 {
-		t.Errorf("segment.go must be exempt, got:\n%s", formatDiags(got))
+	// The storage owners themselves are exempt wholesale.
+	for _, owner := range []string{"segment.go", "engine.go"} {
+		if got := findingsIn(diags, "snapshotsafety", owner); len(got) != 0 {
+			t.Errorf("%s must be exempt, got:\n%s", owner, formatDiags(got))
+		}
 	}
 }
 

@@ -14,15 +14,18 @@ import (
 // rebuilds) or snapshot.go (the read-side view). Any other file
 // reaching for those fields bypasses the accessor boundary, and a
 // write through such a path would corrupt data that lock-free readers
-// are scanning.
+// are scanning. The same goes for the segment engine's master segment
+// list, whose elements Remove and Compact replace in place: only
+// engine.go — which copies it into every view it publishes — may
+// touch it, so no kernel can hand a reader an alias of it.
 //
 // The check is syntactic — it flags any selector of a scoped field
-// name in the package — because the field names are unique to the
-// segment types within each scoped package, and a syntactic rule keeps
-// working when type information is incomplete. Each backend package
-// declares its own raw-storage fields in snapshotScopes: the HDC
-// library's bucket slice and packed probe arena, and the bit-sliced
-// backend's column arena and tombstone bitmap.
+// name in the package — because the field names are unique within each
+// scoped package, and a syntactic rule keeps working when type
+// information is incomplete. Each package declares its scopes in
+// snapshotScopes: the HDC kernel's bucket slice and packed probe arena
+// and the engine's master list, and the bit-sliced kernel's column
+// arena and tombstone bitmap.
 type SnapshotSafety struct{}
 
 // Name implements Analyzer.
@@ -40,31 +43,41 @@ type snapshotScope struct {
 	files  map[string]bool
 }
 
-// snapshotScopes maps import-path suffixes to their storage scope.
-var snapshotScopes = map[string]snapshotScope{
+// snapshotScopes maps import-path suffixes to their storage scopes.
+var snapshotScopes = map[string][]snapshotScope{
 	"internal/core": {
-		fields: map[string]bool{"bkts": true, "arena": true},
-		files:  map[string]bool{"segment.go": true, "snapshot.go": true},
+		{ // the HDC kernel's segment storage
+			fields: map[string]bool{"bkts": true, "arena": true},
+			files:  map[string]bool{"segment.go": true, "snapshot.go": true},
+		},
+		{ // the segment engine's master list
+			fields: map[string]bool{"sealedSegs": true},
+			files:  map[string]bool{"engine.go": true},
+		},
 	},
-	"internal/cobs": {
+	"internal/cobs": {{
 		fields: map[string]bool{"arena": true, "tombs": true},
 		files:  map[string]bool{"segment.go": true, "snapshot.go": true},
-	},
+	}},
 }
 
 // Run implements Analyzer.
 func (SnapshotSafety) Run(pkg *Package) []Diagnostic {
-	var scope snapshotScope
-	found := false
+	var scopes []snapshotScope
 	for suffix, sc := range snapshotScopes {
 		if strings.HasSuffix(pkg.Path, suffix) {
-			scope, found = sc, true
+			scopes = sc
 			break
 		}
 	}
-	if !found {
-		return nil
+	var diags []Diagnostic
+	for _, scope := range scopes {
+		diags = append(diags, scope.run(pkg)...)
 	}
+	return diags
+}
+
+func (scope snapshotScope) run(pkg *Package) []Diagnostic {
 	allowed := make([]string, 0, len(scope.files))
 	for f := range scope.files {
 		allowed = append(allowed, f)

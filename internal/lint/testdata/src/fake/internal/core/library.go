@@ -3,6 +3,7 @@ package core
 // Library mimics the real one: everything outside segment.go must go
 // through the segment accessors.
 type Library struct {
+	Engine
 	seg *segment
 }
 
@@ -20,6 +21,11 @@ func (l *Library) RawBuckets() int {
 // RawArena reslices the arena directly — flagged.
 func (l *Library) RawArena() []uint64 {
 	return l.seg.arena[:0]
+}
+
+// MasterAlias hands out the engine's master list itself — flagged.
+func (l *Library) MasterAlias() []*segment {
+	return l.sealedSegs
 }
 
 // Suppressed documents a deliberate exception; it must not be reported.
