@@ -6,7 +6,7 @@ GO       ?= go
 FUZZTIME ?= 30s
 PKGS      = ./...
 
-.PHONY: all build test race vet lint lint-json lint-baseline fuzz bench benchsmoke smoke check clean
+.PHONY: all build test test-purego race vet lint lint-json lint-baseline fuzz bench benchsmoke smoke check clean
 
 all: build
 
@@ -17,6 +17,13 @@ build:
 ## test: run the full test suite
 test:
 	$(GO) test $(PKGS)
+
+## test-purego: run the packages with portable fallbacks under the
+## purego tag — the scalar tier of every bitvec kernel, and the packages
+## that scan, map and frame through them — so the code a non-amd64 build
+## runs is tested, not just compiled
+test-purego:
+	$(GO) test -tags purego ./internal/bitvec ./internal/core ./internal/cobs ./internal/mmapfile ./internal/wire
 
 ## race: run the test suite under the race detector
 race:
@@ -54,12 +61,14 @@ lint-baseline:
 bench:
 	bash bench/run.sh --workload all
 
-## benchsmoke: compile and run every micro-benchmark once, then the
-## benchmark's smoke pass — catches benchmarks that no longer build or
-## crash, without measuring anything. The second line re-runs the kernel
-## benchmarks under the purego tag so the scalar fallbacks of the
-## single- and multi-query kernels stay exercised on machines whose
-## first pass dispatches to vector tiers.
+## benchsmoke: compile and run every micro-benchmark once (internal/core
+## includes BenchmarkProbeBlockWidths, the per-query cost of a probe
+## block at widths 1 to 8), then the benchmark's smoke pass — catches
+## benchmarks that no longer build or crash, without measuring anything.
+## The second line re-runs the kernel benchmarks under the purego tag so
+## the scalar fallbacks of the single-query, multi-query and range
+## kernels stay exercised on machines whose first pass dispatches to
+## vector tiers.
 benchsmoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./internal/bitvec ./internal/hdc ./internal/encoding ./internal/core .
 	$(GO) test -tags purego -run='^$$' -bench=. -benchtime=1x ./internal/bitvec
@@ -71,6 +80,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzReadFASTA -fuzztime=$(FUZZTIME) ./internal/genome
 	$(GO) test -run='^$$' -fuzz=FuzzApplyEdits -fuzztime=$(FUZZTIME) ./internal/genome
 	$(GO) test -run='^$$' -fuzz=FuzzEncodeDecode -fuzztime=$(FUZZTIME) ./internal/encoding
+	$(GO) test -run='^$$' -fuzz=FuzzScanPlane -fuzztime=$(FUZZTIME) ./internal/bitvec
 	$(GO) test -run='^$$' -fuzz=FuzzReadLibrary -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzReadIndex -fuzztime=$(FUZZTIME) ./internal/cobs
 	$(GO) test -run='^$$' -fuzz=FuzzWireFrame -fuzztime=$(FUZZTIME) ./internal/wire
@@ -81,8 +91,8 @@ smoke:
 	./scripts/smoke.sh
 
 ## check: the full gate — build, vet, lint, tests under the race
-## detector, then the service smoke test
-check: build vet lint race smoke
+## detector and under the purego tag, then the service smoke test
+check: build vet lint race test-purego smoke
 
 clean:
 	$(GO) clean $(PKGS)

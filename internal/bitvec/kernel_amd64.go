@@ -17,6 +17,12 @@ func hammingMulti4AVX512(row, q0, q1, q2, q3 *uint64, nblocks int, sums *[4]int6
 //go:noescape
 func hammingMulti8Ptrs(row *uint64, qp *[8]*uint64, nblocks int, sums *[8]int64)
 
+//go:noescape
+func scanPlaneAVX2(rows *uint64, nrows, nblocks int, q *uint64, bound, first int, out *int32) int
+
+//go:noescape
+func scanPlaneAVX512(rows *uint64, ngroups, nblocks int, q *uint64, bound, first int, out *int32) int
+
 func cpuid(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax, edx uint32)
 
@@ -111,4 +117,26 @@ func hammingMulti4Blocks(row, q0, q1, q2, q3 []uint64, sums *[4]int64) {
 		return
 	}
 	hammingMulti4AVX2(&row[0], &q0[0], &q1[0], &q2[0], &q3[0], len(row)/kernelBlock, sums)
+}
+
+// planeGroup is how many rows the AVX-512 range kernel takes per step.
+const planeGroup = 8
+
+// scanPlaneBlocks runs the best available range kernel over rows, which
+// holds whole rows of nblocks kernel blocks each, the first of them row
+// index first of its plane. Passing row indices go to out; it returns
+// how many it wrote and how many leading rows it scanned — the AVX-512
+// tier takes whole groups of planeGroup rows and leaves the remainder
+// to the caller. Callers must check useAccel and the operand lengths
+// first.
+func scanPlaneBlocks(rows []uint64, nblocks int, q []uint64, bound, first int, out []int32) (n, done int) {
+	nrows := len(rows) / (nblocks * kernelBlock)
+	if !useAVX512 {
+		return scanPlaneAVX2(&rows[0], nrows, nblocks, &q[0], bound, first, &out[0]), nrows
+	}
+	groups := nrows / planeGroup
+	if groups == 0 {
+		return 0, 0
+	}
+	return scanPlaneAVX512(&rows[0], groups, nblocks, &q[0], bound, first, &out[0]), groups * planeGroup
 }

@@ -523,6 +523,219 @@ z8done:
 	VZEROUPPER
 	RET
 
+// func scanPlaneAVX2(rows *uint64, nrows, nblocks int, q *uint64, bound, first int, out *int32) int
+// Range scan on the AVX2 tier: nrows consecutive rows of nblocks
+// 64-byte blocks each are XNOR-popcounted against the nblocks-block
+// query, one row after another, with the same nibble-LUT popcount and
+// ≤15-block flush cadence as hammingAVX2. The index of every row whose
+// distance is ≤ bound (first for the first row, counting up) is written
+// to out, and the number written is returned. The store is
+// unconditional and the cursor advances only on a pass, so the row loop
+// carries no data-dependent branch; the cursor never exceeds the rows
+// scanned so far, so out needs nrows entries. The caller guarantees
+// nrows·nblocks·8 row words, nblocks·8 query words, nblocks ≥ 1 and
+// bound ≥ 0.
+TEXT ·scanPlaneAVX2(SB), NOSPLIT, $0-64
+	MOVQ rows+0(FP), SI
+	MOVQ nrows+8(FP), R12
+	MOVQ nblocks+16(FP), R8
+	MOVQ q+24(FP), R13
+	MOVQ bound+32(FP), R9
+	MOVQ first+40(FP), R10
+	MOVQ out+48(FP), R11
+
+	XORQ    AX, AX                // AX: rows written to out
+	VPXOR   Y9, Y9, Y9            // Y9: zero, VPSADBW's second operand
+	VMOVDQU popcntLUT<>(SB), Y10  // Y10: nibble popcount table
+	VMOVDQU nibbleMask<>(SB), Y11 // Y11: 0x0f byte mask
+
+	TESTQ R12, R12
+	JZ    sp2done
+
+sp2row:
+	MOVQ  R13, DI                 // query cursor, rewound per row
+	MOVQ  R8, CX                  // blocks left in this row
+	VPXOR Y8, Y8, Y8              // Y8: the row's 64-bit lane totals
+
+sp2outer:
+	// Run at most 15 blocks into the byte accumulator, then flush.
+	MOVQ CX, DX
+	CMPQ DX, $15
+	JLE  sp2haveRun
+	MOVQ $15, DX
+sp2haveRun:
+	SUBQ  DX, CX
+	VPXOR Y7, Y7, Y7              // Y7: per-byte counts for this run
+
+sp2block:
+	VMOVDQU (SI), Y0
+	VPXOR   (DI), Y0, Y0
+	VMOVDQU 32(SI), Y1
+	VPXOR   32(DI), Y1, Y1
+	ADDQ    $64, SI
+	ADDQ    $64, DI
+
+	VPAND   Y0, Y11, Y2
+	VPSRLW  $4, Y0, Y0
+	VPAND   Y0, Y11, Y0
+	VPSHUFB Y2, Y10, Y2
+	VPSHUFB Y0, Y10, Y0
+	VPADDB  Y2, Y7, Y7
+	VPADDB  Y0, Y7, Y7
+
+	VPAND   Y1, Y11, Y3
+	VPSRLW  $4, Y1, Y1
+	VPAND   Y1, Y11, Y1
+	VPSHUFB Y3, Y10, Y3
+	VPSHUFB Y1, Y10, Y1
+	VPADDB  Y3, Y7, Y7
+	VPADDB  Y1, Y7, Y7
+
+	DECQ DX
+	JNZ  sp2block
+
+	VPSADBW Y9, Y7, Y7
+	VPADDQ  Y7, Y8, Y8
+	TESTQ   CX, CX
+	JNZ     sp2outer
+
+	VEXTRACTI128 $1, Y8, X1
+	VPADDQ       X1, X8, X8
+	VPSHUFD      $0xee, X8, X1
+	VPADDQ       X1, X8, X8
+	VMOVQ        X8, DX           // DX: the row's distance
+
+	MOVL  R10, (R11)(AX*4)
+	XORQ  BX, BX
+	CMPQ  DX, R9
+	SETLE BL
+	ADDQ  BX, AX
+
+	INCQ R10
+	DECQ R12
+	JNZ  sp2row
+
+sp2done:
+	VZEROUPPER
+	MOVQ AX, ret+56(FP)
+	RET
+
+// One row's share of a block step in scanPlaneAVX512: XNOR-popcount the
+// row block at addr against the query block in Z16 into acc.
+#define PLANEROW(addr, acc) \
+	VPXORQ   addr, Z16, Z17; \
+	VPOPCNTQ Z17, Z17;       \
+	VPADDQ   Z17, acc, acc
+
+// func scanPlaneAVX512(rows *uint64, ngroups, nblocks int, q *uint64, bound, first int, out *int32) int
+// Range scan on the AVX-512 popcount tier, eight rows per step. Within
+// a group the walk is block-major: each 64-byte query block is loaded
+// into Z16 once and XNOR-popcounted against that block of all eight
+// rows, one 64-bit lane accumulator per row (Z0..Z7), so the query
+// costs one load per eight row blocks. The eight accumulators collapse
+// through the shuffle tree of hammingMulti8Ptrs into one vector of
+// eight row distances, a single VPCMPQ against the broadcast bound
+// gives the group's pass mask, and only a nonzero mask — rare at a
+// selective bound — enters the scalar loop that writes row indices
+// (first for the first row, counting up) to out. Returns the number
+// written. The caller guarantees ngroups·8 rows of nblocks·8 words,
+// nblocks·8 query words, nblocks ≥ 1 and bound ≥ 0.
+TEXT ·scanPlaneAVX512(SB), NOSPLIT, $0-64
+	MOVQ rows+0(FP), SI
+	MOVQ ngroups+8(FP), CX
+	MOVQ nblocks+16(FP), R8
+	MOVQ q+24(FP), DI
+	MOVQ bound+32(FP), R9
+	MOVQ first+40(FP), R10
+	MOVQ out+48(FP), R11
+
+	XORQ         AX, AX           // AX: rows written to out
+	SHLQ         $6, R8           // R8: row stride in bytes
+	LEAQ         (R8)(R8*2), R12  // R12: 3 rows
+	LEAQ         (R8)(R8*4), R13  // R13: 5 rows
+	LEAQ         (R12)(R8*4), R14 // R14: 7 rows
+	VPBROADCASTQ R9, Z18          // Z18: bound in every lane
+
+	TESTQ CX, CX
+	JZ    sp5done
+
+sp5group:
+	VPXORQ Z0, Z0, Z0             // Z0..Z7: per-row 64-bit lane totals
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	VPXORQ Z4, Z4, Z4
+	VPXORQ Z5, Z5, Z5
+	VPXORQ Z6, Z6, Z6
+	VPXORQ Z7, Z7, Z7
+	XORQ   BX, BX                 // BX: byte offset of the block in row and query
+	MOVQ   SI, DX                 // DX: that block of the group's first row
+
+sp5block:
+	VMOVDQU64 (DI)(BX*1), Z16
+	PLANEROW((DX), Z0)
+	PLANEROW((DX)(R8*1), Z1)
+	PLANEROW((DX)(R8*2), Z2)
+	PLANEROW((DX)(R12*1), Z3)
+	PLANEROW((DX)(R8*4), Z4)
+	PLANEROW((DX)(R13*1), Z5)
+	PLANEROW((DX)(R12*2), Z6)
+	PLANEROW((DX)(R14*1), Z7)
+	ADDQ $64, DX
+	ADDQ $64, BX
+	CMPQ BX, R8
+	JNE  sp5block
+
+	// Collapse the eight accumulators into one vector of eight
+	// distances, exactly as hammingMulti8Ptrs does for eight queries.
+	VPUNPCKLQDQ Z1, Z0, Z8
+	VPUNPCKHQDQ Z1, Z0, Z9
+	VPADDQ      Z9, Z8, Z8        // rows 0/1 partials, alternating
+	VPUNPCKLQDQ Z3, Z2, Z9
+	VPUNPCKHQDQ Z3, Z2, Z10
+	VPADDQ      Z10, Z9, Z9       // rows 2/3
+	VPUNPCKLQDQ Z5, Z4, Z10
+	VPUNPCKHQDQ Z5, Z4, Z11
+	VPADDQ      Z11, Z10, Z10     // rows 4/5
+	VPUNPCKLQDQ Z7, Z6, Z11
+	VPUNPCKHQDQ Z7, Z6, Z12
+	VPADDQ      Z12, Z11, Z11     // rows 6/7
+
+	VSHUFI64X2 $0x88, Z9, Z8, Z12
+	VSHUFI64X2 $0xdd, Z9, Z8, Z13
+	VPADDQ     Z13, Z12, Z12      // rows 0..3 partials
+	VSHUFI64X2 $0x88, Z11, Z10, Z13
+	VSHUFI64X2 $0xdd, Z11, Z10, Z14
+	VPADDQ     Z14, Z13, Z13      // rows 4..7 partials
+	VSHUFI64X2 $0x88, Z13, Z12, Z14
+	VSHUFI64X2 $0xdd, Z13, Z12, Z15
+	VPADDQ     Z15, Z14, Z14      // [dist(row 0) .. dist(row 7)]
+
+	VPCMPQ $2, Z18, Z14, K1       // lane i set iff dist(row i) <= bound
+	KMOVW  K1, DX
+	TESTQ  DX, DX
+	JZ     sp5next
+
+sp5emit:
+	BSFQ DX, BX                   // lowest passing row of the group
+	ADDQ R10, BX
+	MOVL BX, (R11)(AX*4)
+	INCQ AX
+	LEAQ -1(DX), BX
+	ANDQ BX, DX                   // clear that bit
+	JNZ  sp5emit
+
+sp5next:
+	LEAQ (SI)(R8*8), SI
+	ADDQ $8, R10
+	DECQ CX
+	JNZ  sp5group
+
+sp5done:
+	VZEROUPPER
+	MOVQ AX, ret+56(FP)
+	RET
+
 // func cpuid(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL  leaf+0(FP), AX

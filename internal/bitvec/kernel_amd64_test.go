@@ -168,3 +168,41 @@ func TestHammingMulti8PtrsMatchesScalar(t *testing.T) {
 		}
 	}
 }
+
+// TestScanPlaneTiersMatchHammingWords pins each range-kernel tier the
+// host supports to HammingWords row by row, through wrappers that
+// finish the rows a tier leaves over exactly as ScanPlane does. The
+// widths cover the AVX2 flush edges (15 and 16 blocks) and the sketch
+// width of the default geometry.
+func TestScanPlaneTiersMatchHammingWords(t *testing.T) {
+	if !useAccel {
+		t.Skip("no AVX2 on this machine")
+	}
+	widths := []int{8, 16, 24, 40, 64, 120, 128, 136, 256}
+	tail := func(plane []uint64, w int, q []uint64, bound, lo, hi, n int, out []int32) int {
+		for i := lo; i < hi; i++ {
+			if HammingWords(plane[i*w:(i+1)*w], q) <= bound {
+				out[n] = int32(i)
+				n++
+			}
+		}
+		return n
+	}
+	checkScanPlane(t, "avx2", widths, func(plane []uint64, w int, q []uint64, bound, lo, hi int, out []int32) int {
+		if bound < 0 || lo == hi {
+			return 0
+		}
+		return scanPlaneAVX2(&plane[lo*w], hi-lo, w/kernelBlock, &q[0], bound, lo, &out[0])
+	})
+	if !useAVX512 {
+		return
+	}
+	checkScanPlane(t, "avx512", widths, func(plane []uint64, w int, q []uint64, bound, lo, hi int, out []int32) int {
+		groups := (hi - lo) / planeGroup
+		if bound < 0 || groups == 0 {
+			return tail(plane, w, q, bound, lo, hi, 0, out)
+		}
+		n := scanPlaneAVX512(&plane[lo*w], groups, w/kernelBlock, &q[0], bound, lo, &out[0])
+		return tail(plane, w, q, bound, lo+groups*planeGroup, hi, n, out)
+	})
+}

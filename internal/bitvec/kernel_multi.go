@@ -107,27 +107,14 @@ func HammingMultiBounded(row []uint64, qs [][]uint64, bounds, dist []int) uint32
 	if nq == 0 {
 		return 0
 	}
-	return hammingMultiBoundedLive(row, qs, bounds, dist, liveSeed(bounds, nq))
-}
-
-// liveSeed is the initial live mask for an nq-query block: every query
-// except those whose (negative) bound can never pass.
-func liveSeed(bounds []int, nq int) uint32 {
+	// Every query starts live except those whose (negative) bound can
+	// never pass.
 	live := uint32(1)<<uint(nq) - 1
 	for i := 0; i < nq; i++ {
+		dist[i] = 0
 		if bounds[i] < 0 {
 			live &^= 1 << uint(i)
 		}
-	}
-	return live
-}
-
-// hammingMultiBoundedLive is HammingMultiBounded after validation and
-// live-mask seeding: it zeroes dist and runs the chunked bounded scan.
-func hammingMultiBoundedLive(row []uint64, qs [][]uint64, bounds, dist []int, live uint32) uint32 {
-	nq := len(qs)
-	for i := 0; i < nq; i++ {
-		dist[i] = 0
 	}
 	n := len(row)
 	pos := 0
@@ -150,101 +137,6 @@ func hammingMultiBoundedLive(row []uint64, qs [][]uint64, bounds, dist []int, li
 			if dist[i] > bounds[i] {
 				live &^= 1 << uint(i)
 			}
-		}
-	}
-	return live
-}
-
-// MultiScanner amortizes the per-row setup of HammingMultiBounded over
-// an arena scan: operand validation, the live-mask seed, and — on the
-// eight-wide AVX-512 path — the query pointer block are all computed
-// once in Init, leaving ScanRow as one fused kernel call plus the
-// per-query bound checks. The zero MultiScanner is invalid; Init must
-// run first. A scanner holds scratch, so it must not be shared between
-// goroutines, but many scanners may scan against the same query block
-// concurrently.
-type MultiScanner struct {
-	qs     [][]uint64
-	bounds []int
-	words  int
-	seed   uint32 // live mask after dropping negative bounds
-	fast   bool   // whole row in one eight-wide fused call
-	nb     int    // kernel blocks per row on the fast path
-	qp     [MaxMultiQueries]*uint64
-	sums   [MaxMultiQueries]int64
-}
-
-// Init validates the query block once for a scan of rowWords-wide rows.
-// It panics exactly where HammingMultiBounded would: an oversized
-// block, short bounds, or a query whose word length differs from the
-// row's.
-//
-//biohd:hotpath
-func (s *MultiScanner) Init(qs [][]uint64, bounds []int, rowWords int) {
-	if len(qs) > MaxMultiQueries {
-		panic(fmt.Sprintf("bitvec: query block %d exceeds MaxMultiQueries %d", len(qs), MaxMultiQueries))
-	}
-	if len(bounds) < len(qs) {
-		panic(fmt.Sprintf("bitvec: bounds (%d) shorter than query block %d", len(bounds), len(qs)))
-	}
-	for i := range qs {
-		if len(qs[i]) != rowWords {
-			panic(fmt.Sprintf("bitvec: query %d word-slice length mismatch %d vs row %d",
-				i, len(qs[i]), rowWords))
-		}
-	}
-	nq := len(qs)
-	s.qs = qs
-	s.bounds = bounds
-	s.words = rowWords
-	s.seed = liveSeed(bounds, nq)
-	// The fast path folds a whole row into one eight-wide kernel call;
-	// it needs the AVX-512 tier, a block too wide for the four-wide
-	// groups, and a row of whole kernel blocks short enough that the
-	// coarser abandonment granularity (one check per row) stays within
-	// the documented multiStride.
-	s.fast = useMulti8 && nq > multiGroup && rowWords > 0 &&
-		rowWords%kernelBlock == 0 && rowWords <= multiStride
-	if s.fast {
-		s.nb = rowWords / kernelBlock
-		for j := range s.qp {
-			if j < nq {
-				s.qp[j] = &qs[j][0]
-			} else {
-				s.qp[j] = s.qp[0] // pad slots rescan query 0, sums ignored
-			}
-		}
-	}
-}
-
-// ScanRow is HammingMultiBounded against one arena row: dist[i] is
-// filled per live query and the returned mask has bit i set iff query
-// i passed its bound (semantics identical to HammingMultiBounded,
-// including witness-only dist values for abandoned queries). It panics
-// if the row's word length differs from Init's rowWords or dist is
-// shorter than the query block.
-//
-//biohd:hotpath
-func (s *MultiScanner) ScanRow(row []uint64, dist []int) uint32 {
-	nq := len(s.qs)
-	if len(row) != s.words || len(dist) < nq {
-		panic(fmt.Sprintf("bitvec: ScanRow row/dist lengths %d/%d vs scanner %d/%d",
-			len(row), len(dist), s.words, nq))
-	}
-	live := s.seed
-	if !s.fast || live == 0 {
-		return hammingMultiBoundedLive(row, s.qs, s.bounds, dist, live)
-	}
-	hammingMulti8Ptrs(&row[0], &s.qp, s.nb, &s.sums)
-	for i := 0; i < nq; i++ {
-		if live&(1<<uint(i)) == 0 {
-			dist[i] = 0
-			continue
-		}
-		d := int(s.sums[i])
-		dist[i] = d
-		if d > s.bounds[i] {
-			live &^= 1 << uint(i)
 		}
 	}
 	return live

@@ -140,86 +140,6 @@ func TestHammingMultiPanics(t *testing.T) {
 	})
 }
 
-// TestMultiScannerMatchesBounded pins MultiScanner.ScanRow — both its
-// eight-wide fast path and its general fallback — to
-// HammingMultiBounded bit for bit: same masks, same distances for
-// passing queries, across row widths that do and do not qualify for
-// the fast path, every block width, and bound mixes including negative
-// and instantly-exceeded bounds.
-func TestMultiScannerMatchesBounded(t *testing.T) {
-	for _, nw := range []int{1, 8, 16, 64, 128, 129, 136, 200} {
-		for nq := 1; nq <= MaxMultiQueries; nq++ {
-			qs := multiQueries(nq, nw, uint64(nw)*101+uint64(nq))
-			full := make([]int, nq)
-			rows := [][]uint64{
-				randWords(nw, uint64(nw)*7+uint64(nq)),
-				randWords(nw, uint64(nw)*19+uint64(nq)*3),
-			}
-			for i := range qs {
-				full[i] = HammingWords(rows[0], qs[i])
-			}
-			for _, boundsCase := range [][]int{nil, {0}, {-1}} {
-				bounds := make([]int, nq)
-				for i := range bounds {
-					switch {
-					case boundsCase == nil:
-						bounds[i] = full[i] + i%3 - 1 // brackets the true distance
-					default:
-						bounds[i] = boundsCase[0]
-					}
-				}
-				var sc MultiScanner
-				sc.Init(qs, bounds, nw)
-				wantDist := make([]int, nq)
-				gotDist := make([]int, nq)
-				for _, row := range rows {
-					want := HammingMultiBounded(row, qs, bounds, wantDist)
-					got := sc.ScanRow(row, gotDist)
-					if got != want {
-						t.Fatalf("nw=%d nq=%d bounds=%v: mask=%#x, want %#x", nw, nq, bounds, got, want)
-					}
-					for i := 0; i < nq; i++ {
-						if want&(1<<uint(i)) != 0 && gotDist[i] != wantDist[i] {
-							t.Fatalf("nw=%d nq=%d query %d: dist=%d, want %d", nw, nq, i, gotDist[i], wantDist[i])
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestMultiScannerPanics: Init rejects what HammingMultiBounded would,
-// and ScanRow rejects rows of the wrong width.
-func TestMultiScannerPanics(t *testing.T) {
-	expectPanic := func(name string, fn func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Fatalf("%s did not panic", name)
-			}
-		}()
-		fn()
-	}
-	var sc MultiScanner
-	expectPanic("oversized block", func() {
-		sc.Init(multiQueries(MaxMultiQueries+1, 16, 5), make([]int, MaxMultiQueries+1), 16)
-	})
-	expectPanic("short bounds", func() {
-		sc.Init(multiQueries(2, 16, 7), make([]int, 1), 16)
-	})
-	expectPanic("query length mismatch", func() {
-		sc.Init(multiQueries(2, 15, 9), make([]int, 2), 16)
-	})
-	sc.Init(multiQueries(8, 16, 11), make([]int, 8), 16)
-	expectPanic("row length mismatch", func() {
-		sc.ScanRow(randWords(15, 13), make([]int, 8))
-	})
-	expectPanic("short dist", func() {
-		sc.ScanRow(randWords(16, 13), make([]int, 7))
-	})
-}
-
 // The multi-kernel benchmarks mirror a probe of one 8192-bit arena row
 // against a full block of eight queries; per-query throughput is the
 // number to compare against BenchmarkHammingWords8192.

@@ -24,6 +24,6 @@ func hammingMulti8Blocks(row []uint64, qs [][]uint64, lo, hi int, sums *[8]int64
 	panic("bitvec: hammingMulti8Blocks without an accelerated kernel")
 }
 
-func hammingMulti8Ptrs(row *uint64, qp *[8]*uint64, nblocks int, sums *[8]int64) {
-	panic("bitvec: hammingMulti8Ptrs without an accelerated kernel")
+func scanPlaneBlocks(rows []uint64, nblocks int, q []uint64, bound, first int, out []int32) (n, done int) {
+	panic("bitvec: scanPlaneBlocks without an accelerated kernel")
 }

@@ -13,9 +13,17 @@ type Counters struct {
 	// BucketProbes counts query-window/bucket probe scans across every
 	// lookup served by this library (each probe scans all buckets).
 	BucketProbes int64
-	// EarlyAbandons counts sealed-arena rows the bounded XNOR-popcount
-	// kernel rejected before completing the full row scan.
+	// EarlyAbandons counts sealed-arena rows a probe scanned that did
+	// not become candidates — dropped by the sketch stage or by the
+	// full-row Hamming bound.
 	EarlyAbandons int64
+	// SketchRows counts rows the cascade's sketch stage scanned, and
+	// SketchSurvivors how many of them it passed on to the full-row
+	// stage; their ratio is the observed counterpart of the model's
+	// predicted survivor ratio (SketchPlan.Survive). Both stay zero for
+	// a library without a sketch stage.
+	SketchRows      int64
+	SketchSurvivors int64
 	// BatchCancellations counts LookupBatchContext calls stopped early
 	// by context cancellation or deadline expiry.
 	BatchCancellations int64
@@ -50,6 +58,8 @@ type Counters struct {
 type libCounters struct {
 	bucketProbes       atomic.Int64
 	earlyAbandons      atomic.Int64
+	sketchRows         atomic.Int64
+	sketchSurvivors    atomic.Int64
 	batchCancellations atomic.Int64
 	blockedProbes      atomic.Int64
 	blockedWindows     atomic.Int64
@@ -67,6 +77,8 @@ func (e *Engine) Counters() Counters {
 	return Counters{
 		BucketProbes:       e.ctr.bucketProbes.Load(),
 		EarlyAbandons:      e.ctr.earlyAbandons.Load(),
+		SketchRows:         e.ctr.sketchRows.Load(),
+		SketchSurvivors:    e.ctr.sketchSurvivors.Load(),
 		BatchCancellations: e.ctr.batchCancellations.Load(),
 		BlockedProbes:      e.ctr.blockedProbes.Load(),
 		BlockedWindows:     e.ctr.blockedWindows.Load(),

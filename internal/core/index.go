@@ -18,8 +18,8 @@ const BackendHDC = "hdc"
 // shares: the window length queried, the stride of reference window
 // starts, and whether (and how far) search tolerates substitutions.
 // Backend-specific parameters (hypervector dimension, Bloom geometry)
-// stay behind the backend's own Params type; Dim and Capacity are zero
-// for backends they do not apply to.
+// stay behind the backend's own Params type; Dim, Capacity and the
+// sketch fields are zero for backends they do not apply to.
 type IndexInfo struct {
 	Backend   string // "hdc", "cobs", ...
 	Dim       int    // hypervector dimension (HDC; 0 otherwise)
@@ -28,6 +28,16 @@ type IndexInfo struct {
 	Capacity  int    // windows bundled per bucket (HDC; 0 otherwise)
 	Approx    bool   // search tolerates substitutions
 	Tolerance int    // per-window substitution tolerance when Approx
+
+	// The probe cascade (HDC): SketchWords is how many words of each
+	// Dim/64-word row the first stage reads — the whole row when the
+	// model offers no prefix — SketchBytes the sketch planes resident
+	// beside the current view's arenas, and SketchSurvivorRatio the
+	// model's predicted share of rows passed on to the full-row stage,
+	// the number Counters.SketchSurvivors / SketchRows should track.
+	SketchWords         int
+	SketchBytes         int64
+	SketchSurvivorRatio float64
 }
 
 // Index is the backend-agnostic contract of a searchable reference
@@ -100,7 +110,7 @@ type Index interface {
 
 // Describe identifies the HDC backend and its geometry.
 func (l *Library) Describe() IndexInfo {
-	return IndexInfo{
+	info := IndexInfo{
 		Backend:   BackendHDC,
 		Dim:       l.params.Dim,
 		Window:    l.params.Window,
@@ -108,7 +118,14 @@ func (l *Library) Describe() IndexInfo {
 		Capacity:  l.params.Capacity,
 		Approx:    l.params.Approx,
 		Tolerance: l.params.MutTolerance,
+
+		SketchWords:         l.sketch.Words,
+		SketchSurvivorRatio: l.sketch.Survive,
 	}
+	if v := l.snap.Load(); v != nil {
+		info.SketchBytes = hdcOf(v).sketchBytes
+	}
+	return info
 }
 
 // The HDC library is the reference implementation of the contract.

@@ -472,7 +472,7 @@ func readLibraryV12(br *bufio.Reader, head []byte, version int) (*Library, error
 		if len(bkts) == 0 {
 			continue // v1 wrote no empty bucket blocks; v2 never writes empty segments either
 		}
-		seg := newSegment(bkts, p.Dim)
+		seg := newSegment(bkts, p.Dim, lib.sketch.Words)
 		seg.tombs = seg.countTombs(refs)
 		segs = append(segs, seg)
 	}
@@ -503,7 +503,11 @@ func readLibraryV12(br *bufio.Reader, head []byte, version int) (*Library, error
 // loading must not re-derive it.
 func (l *Library) restore(refs []genome.Record, segs []Segment, cal Calibration) {
 	l.cal = cal
-	l.Restore(refs, segs, func(v *View) any { return newHDCView(v, cal) })
+	l.Restore(refs, segs, func(v *View) any {
+		sn := newHDCView(v, cal)
+		sn.plan = l.scanPlanFor(sn)
+		return sn
+	})
 }
 
 // pinForSave opens a read section on the current view for the writers.

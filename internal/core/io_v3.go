@@ -352,20 +352,16 @@ func validateDirV3(entries []v3DirEntry, m *v3Meta, h v3Header) error {
 	return nil
 }
 
-// assembleV3 builds the frozen library from parsed v3 pieces. A non-nil
-// mapping marks the library mapped and transfers ownership — Close will
-// unmap it.
-func assembleV3(meta *v3Meta, segs []Segment, mapping *mmapfile.Mapping) (*Library, error) {
+// newLibraryV3 creates the empty library a v3 file's metadata
+// describes. The loaders need it before they build segments: the sketch
+// plane is not in the file, each segment cuts its own to the library's
+// sketch width.
+func newLibraryV3(meta *v3Meta) (*Library, error) {
 	lib, err := NewLibrary(meta.p)
 	if err != nil {
 		return nil, err
 	}
 	lib.params = meta.p // keep the stored capacity exactly
-	if mapping != nil {
-		lib.mapped = true
-		lib.mapping = mapping
-	}
-	lib.restore(meta.refs, segs, meta.cal)
 	return lib, nil
 }
 
@@ -389,6 +385,7 @@ func readLibraryV3Hdr(br *bufio.Reader, hdr []byte) (*Library, error) {
 		return nil, fmt.Errorf("core: v3 library uses index backend %s; load it with ReadIndex", BackendName(tag))
 	}
 	var meta *v3Meta
+	var lib *Library
 	var segs []Segment
 	err := ReadContainerV3(br, hdr, backendTagHDC,
 		func(sr *SectionReader, segCount int) error {
@@ -397,7 +394,8 @@ func readLibraryV3Hdr(br *bufio.Reader, hdr []byte) (*Library, error) {
 				return err
 			}
 			meta = m
-			return nil
+			lib, err = newLibraryV3(m)
+			return err
 		},
 		func(k int, s ContainerSegment) error {
 			if int(s.RowWords) != meta.p.Dim/64 {
@@ -406,7 +404,7 @@ func readLibraryV3Hdr(br *bufio.Reader, hdr []byte) (*Library, error) {
 			if int(s.Buckets) != len(meta.segWins[k]) {
 				return fmt.Errorf("core: v3 segment %d bucket count %d disagrees with metadata (%d)", k, s.Buckets, len(meta.segWins[k]))
 			}
-			seg := segmentFromArena(s.Words, meta.segWins[k], meta.p.Dim, false)
+			seg := segmentFromArena(s.Words, meta.segWins[k], meta.p.Dim, lib.sketch.Words, false)
 			seg.tombs = seg.countTombs(meta.refs)
 			segs = append(segs, seg)
 			return nil
@@ -414,7 +412,8 @@ func readLibraryV3Hdr(br *bufio.Reader, hdr []byte) (*Library, error) {
 	if err != nil {
 		return nil, err
 	}
-	return assembleV3(meta, segs, nil)
+	lib.restore(meta.refs, segs, meta.cal)
+	return lib, nil
 }
 
 // readWordsLE reads n little-endian 64-bit words, returning them along
@@ -568,6 +567,9 @@ func openMappedV3(path string) (lib *Library, handled bool, err error) {
 	if err = zeroRange(b[dirEnd+4 : h.arenaOff]); err != nil {
 		return nil, true, err
 	}
+	if lib, err = newLibraryV3(meta); err != nil {
+		return nil, true, err
+	}
 
 	// The verification pass streams every arena front to back; tell the
 	// kernel so readahead keeps up. Hints are best-effort.
@@ -587,7 +589,7 @@ func openMappedV3(path string) (lib *Library, handled bool, err error) {
 		if werr != nil {
 			return nil, true, werr
 		}
-		seg := segmentFromArena(words, meta.segWins[k], meta.p.Dim, true)
+		seg := segmentFromArena(words, meta.segWins[k], meta.p.Dim, lib.sketch.Words, true)
 		seg.setMapRange(int(e.off), int(e.words*8))
 		seg.tombs = seg.countTombs(meta.refs)
 		segs = append(segs, seg)
@@ -595,6 +597,8 @@ func openMappedV3(path string) (lib *Library, handled bool, err error) {
 	// Everything verified is hot in the page cache now; mark the arena
 	// region wanted so it stays warm for the first probes.
 	_ = m.Advise(int(h.arenaOff), arenaRegion, mmapfile.AdviseWillNeed)
-	lib, err = assembleV3(meta, segs, m)
-	return lib, true, err
+	// The library owns the mapping from here: Close unmaps it.
+	lib.mapped, lib.mapping = true, m
+	lib.restore(meta.refs, segs, meta.cal)
+	return lib, true, nil
 }

@@ -103,6 +103,9 @@ type Library struct {
 
 	params Params
 	enc    *encoding.Encoder
+	// sketch is the cascade geometry the model derives from the
+	// parameters; every segment cuts its sketch plane to sketch.Words.
+	sketch SketchPlan
 
 	// active is the mutable tail and cal the calibration last derived;
 	// both are only touched with the engine's mutation lock held.
@@ -116,18 +119,15 @@ type Library struct {
 }
 
 // blockScratch is the reusable state of the probe paths: one block's
-// worth of query window encodings, the multi-kernel's word views,
-// bounds and distance vectors, and per-query candidate buffers. Pooled
-// per library — batch workers probe concurrently, so the plane must be
-// per-call, not shared.
+// worth of query window encodings, the range kernel's survivor list,
+// and per-query candidate buffers. Pooled per library — batch workers
+// probe concurrently, so the scratch must be per-call, not shared.
 type blockScratch struct {
-	hvs    []*hdc.HV     // query window encodings, probeBlock of them
-	acc    *hdc.Acc      // counter scratch for approximate encoding; nil in exact mode
-	qs     [][]uint64    // word views of the active encodings, for the multi kernel
-	bounds []int         // per-query Hamming bounds
-	dist   []int         // per-query distances (kernel output)
-	cands  [][]Candidate // per-query candidate buffers
-	one    [1]*hdc.HV    // Probe's one-query block
+	hvs   []*hdc.HV     // query window encodings, probeBlock of them
+	acc   *hdc.Acc      // counter scratch for approximate encoding; nil in exact mode
+	surv  []int32       // rows of one tile that survived the sketch stage
+	cands [][]Candidate // per-query candidate buffers
+	one   [1]*hdc.HV    // Probe's one-query block
 }
 
 // candidateHint pre-sizes candidate slices: probes that hit at all
@@ -144,11 +144,9 @@ func (l *Library) getBlockScratch() *blockScratch {
 		return s
 	}
 	s := &blockScratch{
-		hvs:    make([]*hdc.HV, probeBlock),
-		qs:     make([][]uint64, 0, probeBlock),
-		bounds: make([]int, probeBlock),
-		dist:   make([]int, probeBlock),
-		cands:  make([][]Candidate, probeBlock),
+		hvs:   make([]*hdc.HV, probeBlock),
+		surv:  make([]int32, planeTileMax),
+		cands: make([][]Candidate, probeBlock),
 	}
 	for i := range s.hvs {
 		s.hvs[i] = hdc.NewHV(l.params.Dim)
@@ -187,6 +185,7 @@ func NewLibrary(params Params) (*Library, error) {
 		return nil, err
 	}
 	l := &Library{params: params, enc: enc}
+	l.sketch = l.modelWith(params.Capacity).SketchPlan()
 	l.Engine = NewEngine(Kernel{
 		Window:        params.Window,
 		Stride:        params.Stride,
@@ -225,7 +224,9 @@ func (l *Library) Model() Model {
 
 func (l *Library) modelWith(c int) Model {
 	if c == 0 {
-		c = l.params.Capacity
+		// A loaded file may carry capacity 0 around buckets that hold
+		// nothing; the model's geometry starts at one window.
+		c = maxInt(l.params.Capacity, 1)
 	}
 	return Model{
 		D:      l.params.Dim,
@@ -268,7 +269,7 @@ func (l *Library) appendRef(ref int32, rec genome.Record) int {
 
 // activeView is Kernel.Active.
 func (l *Library) activeView(refs []genome.Record) Segment {
-	return l.active.view(&l.params, refs)
+	return l.active.view(&l.params, l.sketch.Words, refs)
 }
 
 // resetActive is Kernel.Reset.
@@ -297,12 +298,13 @@ func (l *Library) rebuildSegment(seg Segment, refs []genome.Record) Segment {
 		l.encodeInto(sc.hvs[0], sc.acc, refs[wr.Ref].Seq, int(wr.Off))
 		b.insert(wr, sc.hvs[0], &l.params)
 	}
-	return b.view(&l.params, refs)
+	return b.view(&l.params, l.sketch.Words, refs)
 }
 
 // annotate is Kernel.Annotate: approximate-mode libraries recalibrate
 // their operating threshold on every view they publish (see
-// Calibration), so readers never see a view whose calibration lags its
+// Calibration), and every view carries the probe plan derived from it,
+// so readers never see a view whose calibration or plan lags its
 // contents.
 func (l *Library) annotate(v *View) any {
 	sn := newHDCView(v, l.cal)
@@ -310,6 +312,7 @@ func (l *Library) annotate(v *View) any {
 		sn.cal = l.calibrate(sn)
 		l.cal = sn.cal
 	}
+	sn.plan = l.scanPlanFor(sn)
 	return sn
 }
 

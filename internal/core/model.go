@@ -7,6 +7,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"repro/internal/stats"
 )
@@ -312,6 +313,74 @@ func MinDimension(w, c int, approx, sealed bool, muts, nBuckets int, alpha, beta
 		}
 	}
 	return 0
+}
+
+// sketchMissTarget is the largest probability the sketch stage may drop
+// a member row with: 1e-15 per row is twelve orders under the default
+// β = 1e-3 it is charged against, so the cascade's false negatives are
+// invisible in any FNR the model reports.
+const sketchMissTarget = 1e-15
+
+// sketchLine is the granularity of sketch widths, in words: one cache
+// line, the unit the range kernel and the memory system both move.
+const sketchLine = 8
+
+// SketchPlan is the geometry of the probe's two-stage cascade for one
+// library: stage 1 tests the first Words words of each row against the
+// same prefix of the query under Bound, stage 2 takes the survivors'
+// full rows under the view's threshold.
+type SketchPlan struct {
+	// Words is the sketch width. It equals the row width, D/64, when
+	// the model cannot pay for a prefix; the probe then has no separate
+	// stage 1 — the plane it scans is the arena itself.
+	Words int
+	// Bound is h₁, the largest prefix Hamming distance stage 1 keeps:
+	// the smallest h with P(member prefix distance > h) ≤ 1e-15 at
+	// capacity C. Unused when Words is the row width.
+	Bound int
+	// Survive is FPR₁, the model's probability that a row not holding
+	// the query survives stage 1; 0 when Words is the row width.
+	Survive float64
+}
+
+// SketchPlan derives the cascade geometry. In exact sealed mode the
+// D dimensions of a query/row pair are independent: against a row that
+// holds the query each differs with probability (1−ρ(C))/2, against any
+// other row with probability ½, so the Hamming distance over the first
+// n bits is Binomial(n, ·) exactly and both stage-1 error rates are
+// binomial tails (at eight sigma the normal approximation is off by
+// about 2×). For each line-aligned prefix the bound is the tightest one
+// that keeps the member miss probability within sketchMissTarget at the
+// worst-case occupancy C, and the width chosen minimises the expected
+// words read per row,
+//
+//	sw + FPR₁(sw)·D/64,
+//
+// a survivor costing a whole row because it is re-read from the arena.
+// No prefix is offered where that model does not hold — approximate
+// mode (bucket composition correlates the dimensions) and raw counters
+// (the scan is not a Hamming scan) — and none is taken unless it beats
+// reading every row in full, which thin margins (a capacity derived
+// from the error targets, small test geometries) never do.
+func (m Model) SketchPlan() SketchPlan {
+	rowWords := m.D / 64
+	best := SketchPlan{Words: rowWords}
+	if m.Approx || !m.Sealed || m.C < 1 {
+		return best
+	}
+	cost := float64(rowWords)
+	pMember := (1 - MajorityCorrelation(m.C)) / 2
+	for sw := sketchLine; sw < rowWords; sw += sketchLine {
+		n := 64 * sw
+		h1 := sort.Search(n, func(h int) bool {
+			return stats.BinomialTail(n, pMember, h+1) <= sketchMissTarget
+		})
+		survive := stats.BinomialCDF(n, 0.5, h1)
+		if c := float64(sw) + survive*float64(rowWords); c < cost {
+			cost, best = c, SketchPlan{Words: sw, Bound: h1, Survive: survive}
+		}
+	}
+	return best
 }
 
 // zUpper is NormalUpperQuantile with the tail probability clamped away

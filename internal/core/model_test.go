@@ -304,3 +304,50 @@ func TestModelMatchesEmpiricalExactMode(t *testing.T) {
 		t.Fatalf("noise sigma %v vs model %v", gotSigma, want)
 	}
 }
+
+// TestSketchPlanDerivation pins the cascade geometry of the libraries
+// bench builds and asserts there is no sketch stage wherever the model
+// cannot pay for one.
+func TestSketchPlanDerivation(t *testing.T) {
+	const rowWords = 8192 / 64
+	plan := func(p Params) SketchPlan {
+		t.Helper()
+		lib, err := NewLibrary(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return lib.sketch
+	}
+	// scan_exact_wire, point_small_wire, churn_http: exact, sealed, C = 16.
+	got := plan(Params{Dim: 8192, Window: 32, Stride: 1, Capacity: 16, Sealed: true, Seed: 42})
+	if got.Words != 40 || got.Bound != 1227 || math.Abs(got.Survive-0.019) > 0.001 {
+		t.Errorf("D=8192 C=16 exact sealed: plan %+v, want 40 words under h1 = 1227 at FPR1 ≈ 0.019", got)
+	}
+	// The bound is the tightest one inside the miss budget.
+	pm := (1 - MajorityCorrelation(16)) / 2
+	if miss := stats.BinomialTail(64*got.Words, pm, got.Bound+1); miss > sketchMissTarget {
+		t.Errorf("P(member prefix > %d) = %g exceeds %g", got.Bound, miss, sketchMissTarget)
+	}
+	if miss := stats.BinomialTail(64*got.Words, pm, got.Bound); miss <= sketchMissTarget {
+		t.Errorf("h1 = %d is not tight: %d already meets the budget (%g)", got.Bound, got.Bound-1, miss)
+	}
+	for name, p := range map[string]Params{
+		"approx_classify_inproc (approximate, derived capacity)": {Dim: 8192, Window: 32, Stride: 1, Approx: true, Sealed: true, MutTolerance: 2, Seed: 42},
+		"approximate at C = 16":                                  {Dim: 8192, Window: 32, Capacity: 16, Approx: true, Sealed: true, MutTolerance: 2},
+		"raw counters":                                           {Dim: 8192, Window: 32, Capacity: 16},
+		"exact at the model-derived capacity":                    {Dim: 8192, Window: 32, Sealed: true},
+		"exact at C = 64":                                        {Dim: 8192, Window: 32, Capacity: 64, Sealed: true},
+	} {
+		if got := plan(p); got != (SketchPlan{Words: rowWords}) {
+			t.Errorf("%s: plan %+v, want no sketch stage (the %d-word row)", name, got, rowWords)
+		}
+	}
+	// The thin-margin geometry the golden probe suites build at.
+	if got := plan(Params{Dim: 2048, Window: 24, Sealed: true}); got != (SketchPlan{Words: 2048 / 64}) {
+		t.Errorf("D=2048 derived capacity: plan %+v, want no sketch stage", got)
+	}
+	// A lighter load buys a narrower sketch; width is whole cache lines.
+	if c8 := plan(Params{Dim: 8192, Window: 32, Capacity: 8, Sealed: true}); c8.Words >= got.Words || c8.Words%sketchLine != 0 {
+		t.Errorf("C = 8 plan %+v against C = 16 plan %+v", c8, got)
+	}
+}

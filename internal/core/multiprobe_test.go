@@ -126,16 +126,16 @@ func TestProbeMultiGoldenEquivalence(t *testing.T) {
 // merge is identical to the serial blocked scan and to sequential
 // probes.
 func TestProbeMultiShardedEquivalence(t *testing.T) {
-	defer func(v int) { probeShardMin = v }(probeShardMin)
+	defer func(v int) { probeShardMinBytes = v }(probeShardMinBytes)
 	for _, sealed := range []bool{true, false} {
 		lib, refs := buildProbeLib(t, sealed, true, 2123)
 		qs := probeQueries(t, lib, refs, 2321)
-		probeShardMin = lib.NumBuckets() + 1 // serial
+		probeShardMinBytes = 1 << 40 // serial
 		serial, err := lib.ProbeMulti(qs, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		probeShardMin = 1 // one bucket per worker: maximal sharding
+		probeShardMinBytes = 1 // a byte per worker: maximal sharding
 		sharded, err := lib.ProbeMulti(qs, nil)
 		if err != nil {
 			t.Fatal(err)

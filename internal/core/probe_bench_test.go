@@ -9,15 +9,17 @@ import (
 	"repro/internal/rng"
 )
 
-// benchLib builds a frozen sealed approximate library with the given
-// bucket count: the default probe-benchmark geometry (D=8192, w=32,
-// capacity 16, the dimensionality the rest of the suite tests at). One
-// reference supplies capacity·nBuckets windows.
-func benchLib(tb testing.TB, nBuckets int) (*Library, []*hdc.HV) {
+// benchLib builds a frozen sealed library, approximate or exact, with
+// the given bucket count: the default probe-benchmark geometry (D=8192,
+// w=32, capacity 16, the dimensionality the rest of the suite tests
+// at). One reference supplies capacity·nBuckets windows.
+func benchLib(tb testing.TB, nBuckets int, approx bool) (*Library, []*hdc.HV) {
 	tb.Helper()
 	const capacity = 16
-	p := Params{Dim: 8192, Window: 32, Stride: 1, Capacity: capacity,
-		Approx: true, Sealed: true, MutTolerance: 2, Seed: 42}
+	p := Params{Dim: 8192, Window: 32, Stride: 1, Capacity: capacity, Sealed: true, Seed: 42}
+	if approx {
+		p.Approx, p.MutTolerance = true, 2
+	}
 	lib, err := NewLibrary(p)
 	if err != nil {
 		tb.Fatal(err)
@@ -42,7 +44,11 @@ func benchLib(tb testing.TB, nBuckets int) (*Library, []*hdc.HV) {
 		} else {
 			q = genome.Random(p.Window, src)
 		}
-		queries = append(queries, lib.Encoder().EncodeWindowApprox(q, 0))
+		if approx {
+			queries = append(queries, lib.Encoder().EncodeWindowApprox(q, 0))
+		} else {
+			queries = append(queries, lib.Encoder().EncodeWindowExact(q, 0))
+		}
 	}
 	return lib, queries
 }
@@ -106,7 +112,7 @@ const defaultBenchBuckets = 1024
 func BenchmarkProbe(b *testing.B) {
 	for _, n := range benchSizes {
 		b.Run(fmt.Sprintf("buckets=%d", n), func(b *testing.B) {
-			lib, queries := benchLib(b, n)
+			lib, queries := benchLib(b, n, true)
 			var stats Stats
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -122,7 +128,7 @@ func BenchmarkProbe(b *testing.B) {
 func BenchmarkProbeSeedScalar(b *testing.B) {
 	for _, n := range benchSizes {
 		b.Run(fmt.Sprintf("buckets=%d", n), func(b *testing.B) {
-			lib, queries := benchLib(b, n)
+			lib, queries := benchLib(b, n, true)
 			scattered := scatterBuckets(lib)
 			var stats Stats
 			b.ResetTimer()
@@ -135,13 +141,43 @@ func BenchmarkProbeSeedScalar(b *testing.B) {
 }
 
 func BenchmarkLookup(b *testing.B) {
-	lib, _ := benchLib(b, defaultBenchBuckets)
+	lib, _ := benchLib(b, defaultBenchBuckets, true)
 	src := rng.New(7)
 	pat := genome.Random(lib.Params().Window, src)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := lib.Lookup(pat); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkProbeBlockWidths times ProbeMulti at block widths 1, 2, 3, 4
+// and 8 on the geometry of bench's scan_exact_wire — 8192 buckets of
+// D = 8192 at capacity 16, exact and sealed, so the sketch cascade is
+// engaged and the plane (2.5 MiB) is what a block streams — and reports
+// µs per query: a wider block must never cost more per query than a
+// narrower one. The sharded variants force the plane across GOMAXPROCS
+// workers, the fan-out probeShardMinBytes withholds at this size.
+func BenchmarkProbeBlockWidths(b *testing.B) {
+	lib, queries := benchLib(b, 8192, false)
+	defer func(v int) { probeShardMinBytes = v }(probeShardMinBytes)
+	for _, shard := range []struct {
+		suffix   string
+		minBytes int
+	}{{"", probeShardMinBytes}, {"/sharded", 1}} {
+		for _, n := range []int{1, 2, 3, 4, 8} {
+			b.Run(fmt.Sprintf("n=%d%s", n, shard.suffix), func(b *testing.B) {
+				probeShardMinBytes = shard.minBytes
+				var stats Stats
+				for i := 0; i < b.N; i++ {
+					at := i * n % (len(queries) - n + 1)
+					if _, err := lib.ProbeMulti(queries[at:at+n], &stats); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*n), "µs/query")
+			})
 		}
 	}
 }

@@ -129,16 +129,16 @@ func TestProbeGoldenEquivalence(t *testing.T) {
 // library and asserts the merged result is identical (same order, same
 // scores) to the serial kernel and the scalar reference.
 func TestProbeShardedEquivalence(t *testing.T) {
-	defer func(v int) { probeShardMin = v }(probeShardMin)
+	defer func(v int) { probeShardMinBytes = v }(probeShardMinBytes)
 	for _, sealed := range []bool{true, false} {
 		lib, refs := buildProbeLib(t, sealed, true, 123)
 		for _, hv := range probeQueries(t, lib, refs, 321) {
-			probeShardMin = lib.NumBuckets() + 1 // serial
+			probeShardMinBytes = 1 << 40 // serial
 			serial, err := lib.Probe(hv, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			probeShardMin = 1 // one bucket per worker: maximal sharding
+			probeShardMinBytes = 1 // a byte per worker: maximal sharding
 			sharded, err := lib.Probe(hv, nil)
 			if err != nil {
 				t.Fatal(err)

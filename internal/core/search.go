@@ -25,51 +25,64 @@ type Candidate struct {
 // threshold for exact libraries (where the model is itself exact).
 func (l *Library) Threshold() float64 {
 	if v := l.snap.Load(); v != nil {
-		return l.thresholdFor(hdcOf(v))
+		return hdcOf(v).plan.tau
 	}
 	return l.Model().DecisionThreshold(
 		l.params.Alpha, l.params.Beta, maxInt(l.NumBuckets(), 1), l.params.MutTolerance)
 }
 
-// thresholdFor returns the decision threshold in force for one view.
-// Probes compute the threshold from the view they scan — not from the
-// library's latest one — so a probe racing a mutation stays internally
-// consistent.
-func (l *Library) thresholdFor(sn *hdcView) float64 {
-	if l.params.Approx {
-		return sn.cal.Tau
+// scanPlanFor derives the probe plan of one view. Probes read it from
+// the view they scan — not from the library's latest one — so a probe
+// racing a mutation stays internally consistent.
+func (l *Library) scanPlanFor(sn *hdcView) scanPlan {
+	tau := sn.cal.Tau
+	if !l.params.Approx {
+		tau = l.modelWith(sn.maxOccupancy()).DecisionThreshold(
+			l.params.Alpha, l.params.Beta, maxInt(sn.numBuckets(), 1), l.params.MutTolerance)
 	}
-	return l.modelWith(sn.maxOccupancy()).DecisionThreshold(
-		l.params.Alpha, l.params.Beta, maxInt(sn.numBuckets(), 1), l.params.MutTolerance)
+	// τ → Hamming bound: an integer dot passes score ≥ τ iff
+	// dot ≥ ⌈τ⌉, and dot = D − 2·hamming, so a sealed row passes iff
+	// hamming ≤ ⌊(D − ⌈τ⌉)/2⌋. The arithmetic shift is a floor division —
+	// Go's / truncates toward zero, which for a negative numerator
+	// (τ > D) would admit distance 0.
+	pl := scanPlan{tau: tau, maxHam: (l.params.Dim - int(math.Ceil(tau))) >> 1}
+	pl.sketchBound = pl.maxHam
+	if l.sketch.Words < l.params.Dim/64 && l.sketch.Bound < pl.maxHam {
+		pl.sketchBound = l.sketch.Bound
+	}
+	return pl
 }
 
 // probeBlock is the internal alias the probe paths were written
 // against; it is the engine's block width.
 const probeBlock = BlockWidth
 
-// probeShardMin is the minimum number of buckets each worker must have
-// before a segment's probe scan fans out across goroutines; below
-// 2·probeShardMin buckets the scan stays serial (goroutine dispatch
-// would cost more than the scan). A variable so tests can force the
-// sharded path on small libraries.
-var probeShardMin = 4096
+// probeShardMinBytes is the least a worker must have to stream — plane
+// bytes per query — before a segment's probe scan fans out across
+// goroutines; a segment whose plane is under twice that stays serial
+// (goroutine dispatch and its allocations would cost more than the
+// scan). Stated in bytes because that is what a scan costs: 4 MiB is
+// 4096 full 1 KiB rows, or 13 107 of the 320-byte sketch rows the same
+// geometry scans instead. A variable so tests can force the sharded
+// path on small libraries.
+var probeShardMinBytes = 4 << 20
 
 // Probe scores an encoded query window against every bucket and returns
 // the candidates above the model threshold. This is the pure HDC search
 // stage — exactly the computation the PIM architecture executes in
 // memory. The library must be frozen. It is the one-query case of the
-// blocked scan, which serves a single query with the sequential kernel.
+// blocked scan.
 //
 // The scan visits segments in order; within each segment, sealed
-// libraries stream the flat arena with the fused XNOR-popcount kernel,
-// converting the threshold τ into a maximum Hamming distance once per
-// probe and abandoning each row as soon as that bound is exceeded, and
-// large segments shard the scan across a bounded worker pool. All of it
-// is exact: the candidates (order, scores, excesses) are identical to a
-// serial full scan, and independent of how the buckets are cut into
-// segments. Stats count the full scan — BucketProbes is the work the
-// PIM hardware would do, not the words the software kernel happened to
-// touch.
+// libraries run the two-stage cascade of the view's plan — the range
+// kernel streams the sketch plane under the stage-1 bound, the few
+// surviving rows are held in full to the threshold's Hamming bound —
+// and large segments shard the scan across a bounded worker pool. The
+// candidates (order, scores, excesses) are those of a serial full-row
+// scan, independent of how the buckets are cut into segments, up to the
+// model's 1e-15 stage-1 miss per member row (SketchPlan). Stats count
+// the full scan — BucketProbes is the work the PIM hardware would do,
+// not the words the software kernel happened to touch.
 //
 //biohd:hotpath
 func (l *Library) Probe(hv *hdc.HV, stats *Stats) ([]Candidate, error) {
@@ -100,9 +113,10 @@ func (l *Library) Probe(hv *hdc.HV, stats *Stats) ([]Candidate, error) {
 }
 
 // ProbeMulti probes a batch of encoded query windows in blocks of up
-// to probeBlock queries: each sealed arena row is streamed once per
-// block and XNOR-popcounted against every query in it, amortizing the
-// memory traffic that dominates a large scan. The result is exactly
+// to probeBlock queries: each tile of the plane is streamed from memory
+// once per block and scanned by every query in it while it is cache
+// resident, amortizing the memory traffic that dominates a large scan.
+// The result is exactly
 // len(hvs) independent probes — out[i] is identical to what
 // Probe(hvs[i], ...) returns (same candidates, order, scores, excesses,
 // nil on a miss) — and stats count the same modeled work: every query
@@ -147,43 +161,35 @@ func (l *Library) ProbeMulti(hvs []*hdc.HV, stats *Stats) ([][]Candidate, error)
 // probeBlockInto fills dsts[j] with the candidates of hvs[j] for one
 // block of at most probeBlock queries, appending to whatever each dst
 // already holds. Candidate content and order are identical to one
-// serial scan per query; the only difference is that each sealed
-// arena row is read once per block instead of once per query. Within
+// serial scan per query; the only difference is that each tile of
+// rows is read from memory once per block instead of once per query. Within
 // each segment, contiguous bucket ranges, one per worker, are merged in
 // shard order, so the tiling is [query block × bucket shard].
 // Callers must have pinned v and validated query dimensions; sc
-// supplies the kernel scratch (word views, bounds, distances).
+// supplies the survivor scratch.
 func (l *Library) probeBlockInto(v *View, dsts [][]Candidate, hvs []*hdc.HV, sc *blockScratch) {
 	sn := hdcOf(v)
 	l.ctr.bucketProbes.Add(int64(len(hvs)) * int64(sn.numBuckets()))
-	tau := l.thresholdFor(sn)
-	// τ → Hamming bound: an integer dot passes score ≥ τ iff
-	// dot ≥ ⌈τ⌉, and dot = D − 2·hamming, so a sealed row passes iff
-	// hamming ≤ ⌊(D − ⌈τ⌉)/2⌋. A row whose partial distance already
-	// exceeds that can never become a candidate. The arithmetic shift
-	// is a floor division — Go's / truncates toward zero, which for a
-	// negative numerator (τ > D) would admit distance 0.
-	maxHam := (l.params.Dim - int(math.Ceil(tau))) >> 1
 	for k, seg := range sn.segs {
-		l.probeBlockSeg(seg, sn.offs[k], dsts, hvs, sc, tau, maxHam)
+		l.probeBlockSeg(seg, sn.offs[k], dsts, hvs, sc, &sn.plan)
 	}
 }
 
 // probeBlockSeg scans one segment against a whole query block, sharding
 // across a bounded worker pool when the segment is large enough.
-func (l *Library) probeBlockSeg(seg *segment, gOff int, dsts [][]Candidate, hvs []*hdc.HV, sc *blockScratch, tau float64, maxHam int) {
+func (l *Library) probeBlockSeg(seg *segment, gOff int, dsts [][]Candidate, hvs []*hdc.HV, sc *blockScratch, pl *scanPlan) {
 	nq := len(hvs)
 	n := seg.NumBuckets()
 	workers := runtime.GOMAXPROCS(0)
-	if w := n / probeShardMin; workers > w {
+	if w := seg.scanBytes() / probeShardMinBytes; workers > w {
 		workers = w
 	}
 	if workers <= 1 {
-		seg.probeBlockRange(dsts, hvs, sc.qs[:0], tau, maxHam, 0, n, gOff, sc.bounds, sc.dist, &l.params, &l.ctr)
+		seg.probeBlockRange(dsts, hvs, pl, 0, n, gOff, sc.surv, &l.params, &l.ctr)
 		return
 	}
 	per := (n + workers - 1) / workers
-	//lint:ignore hotpath shard dispatch runs only on segments of ≥2·probeShardMin buckets; the allocation amortizes over the scan
+	//lint:ignore hotpath shard dispatch runs only on segments of ≥2·probeShardMinBytes; the allocation amortizes over the scan
 	parts := make([][][]Candidate, workers)
 	var wg sync.WaitGroup
 	for s := 0; s < workers; s++ {
@@ -196,10 +202,10 @@ func (l *Library) probeBlockSeg(seg *segment, gOff int, dsts [][]Candidate, hvs 
 		//lint:ignore hotpath worker closure of the sharded scan; amortized like the dispatch slice above
 		go func(s, lo, hi int) {
 			defer wg.Done()
-			//lint:ignore hotpath per-worker result and bound/distance scratch, amortized over ≥probeShardMin buckets
+			//lint:ignore hotpath per-worker result and survivor scratch, amortized over ≥probeShardMinBytes of plane
 			part := make([][]Candidate, nq)
-			//lint:ignore hotpath per-worker result and bound/distance scratch, amortized over ≥probeShardMin buckets
-			seg.probeBlockRange(part, hvs, nil, tau, maxHam, lo, hi, gOff, make([]int, nq), make([]int, nq), &l.params, &l.ctr)
+			//lint:ignore hotpath per-worker result and survivor scratch, amortized over ≥probeShardMinBytes of plane
+			seg.probeBlockRange(part, hvs, pl, lo, hi, gOff, make([]int32, planeTileMax), &l.params, &l.ctr)
 			parts[s] = part
 		}(s, lo, hi)
 	}

@@ -36,6 +36,17 @@ type segment struct {
 	rowWords int
 	total    int // member windows, including tombstoned ones
 	tombs    int // member windows whose reference has been removed
+	maxOcc   int // largest bucket occupancy, tombstoned windows included
+
+	// plane is the sketch plane the probe's first stage streams: the
+	// first planeWords words of every arena row, packed contiguously
+	// (nBuckets × planeWords). It is derived from the arena whenever a
+	// segment is built or opened, never stored in a file, immutable like
+	// the arena, and shared by withTombs copies. A library whose model
+	// offers no prefix has planeWords == rowWords and no copy: the plane
+	// aliases the arena.
+	plane      []uint64
+	planeWords int
 
 	// mapped marks an arena that aliases a read-only file mapping
 	// (format v3 opened with MapArena) instead of heap storage; mapOff
@@ -53,17 +64,43 @@ type segment struct {
 // packed into one contiguous arena and the bucket's sealed view is
 // repointed to alias its row, so vector(i), score, and WriteTo all read
 // the same storage the probe kernel streams. The bucket structs are
-// owned by the segment after this call.
-func newSegment(bkts []bucket, dim int) *segment {
+// owned by the segment after this call. sketchWords is the library's
+// sketch width (SketchPlan.Words).
+func newSegment(bkts []bucket, dim, sketchWords int) *segment {
 	s := &segment{bkts: bkts, rowWords: dim / 64}
 	s.arena = make([]uint64, len(bkts)*s.rowWords)
 	for i := range s.bkts {
 		row := s.arenaRow(i)
 		copy(row, s.bkts[i].sealed.Words())
 		s.bkts[i].sealed = hdc.HVFromArenaRow(row, dim)
-		s.total += len(s.bkts[i].windows)
+		s.countBucket(i)
 	}
+	s.cutPlane(sketchWords)
 	return s
+}
+
+// countBucket adds bucket i's windows to the segment's totals.
+func (s *segment) countBucket(i int) {
+	n := len(s.bkts[i].windows)
+	s.total += n
+	if n > s.maxOcc {
+		s.maxOcc = n
+	}
+}
+
+// cutPlane derives the sketch plane from the arena. It only reads the
+// arena, so it is safe on a read-only mapping; a mapped open pays one
+// pass over each arena's leading words for it.
+func (s *segment) cutPlane(sketchWords int) {
+	s.planeWords = sketchWords
+	if sketchWords == s.rowWords {
+		s.plane = s.arena
+		return
+	}
+	s.plane = make([]uint64, len(s.bkts)*sketchWords)
+	for i := range s.bkts {
+		copy(s.plane[i*sketchWords:(i+1)*sketchWords], s.arenaRow(i))
+	}
 }
 
 // segmentFromArena builds a segment around an existing packed arena —
@@ -74,7 +111,7 @@ func newSegment(bkts []bucket, dim int) *segment {
 // must be len(wins)·dim/64 — the v3 reader validates this against the
 // segment directory before calling. Tombstone counts start at zero;
 // callers run countTombs against their reference table.
-func segmentFromArena(arena []uint64, wins [][]WindowRef, dim int, mapped bool) *segment {
+func segmentFromArena(arena []uint64, wins [][]WindowRef, dim, sketchWords int, mapped bool) *segment {
 	s := &segment{
 		bkts:     make([]bucket, len(wins)),
 		arena:    arena,
@@ -86,8 +123,9 @@ func segmentFromArena(arena []uint64, wins [][]WindowRef, dim int, mapped bool) 
 		// Safe on a read-only mapping: dim is a multiple of 64, so the
 		// HV constructor's tail-masking never writes the arena row.
 		s.bkts[i].sealed = hdc.HVFromArenaRow(s.arenaRow(i), dim)
-		s.total += len(wins[i])
+		s.countBucket(i)
 	}
+	s.cutPlane(sketchWords)
 	return s
 }
 
@@ -134,15 +172,7 @@ func (s *segment) counters(i int) *hdc.Acc { return s.bkts[i].acc }
 // maxOccupancy returns the largest bucket occupancy in the segment,
 // counting tombstoned windows too — they are still superposed in the
 // vectors, so they still contribute noise.
-func (s *segment) maxOccupancy() int {
-	c := 0
-	for i := range s.bkts {
-		if n := len(s.bkts[i].windows); n > c {
-			c = n
-		}
-	}
-	return c
-}
+func (s *segment) maxOccupancy() int { return s.maxOcc }
 
 // countTombs counts member windows whose reference is removed under the
 // given reference table.
@@ -193,12 +223,22 @@ func (s *segment) liveWindows(dst []WindowRef, refs []genome.Record) []WindowRef
 	return dst
 }
 
+// sketchBytes is the size of the sketch plane where it is a copy; 0
+// where it aliases the arena.
+func (s *segment) sketchBytes() int64 {
+	if s.planeWords == s.rowWords {
+		return 0
+	}
+	return int64(len(s.plane)) * 8
+}
+
 // MemoryBytes returns the segment's resident hypervector storage: the
-// packed arena (D/8 bytes per bucket), the window metadata (8 bytes per
-// memorized window), and any retained raw counters (unsealed mode keeps
-// D int32 counters per bucket).
+// packed arena (D/8 bytes per bucket), the sketch plane where the
+// library has one, the window metadata (8 bytes per memorized window),
+// and any retained raw counters (unsealed mode keeps D int32 counters
+// per bucket).
 func (s *segment) MemoryBytes() int64 {
-	bytes := int64(len(s.arena)) * 8
+	bytes := int64(len(s.arena))*8 + s.sketchBytes()
 	for i := range s.bkts {
 		bytes += int64(len(s.bkts[i].windows)) * 8
 		if s.bkts[i].acc != nil {
@@ -218,111 +258,103 @@ func (s *segment) score(i int, hv *hdc.HV, p *Params) float64 {
 	return float64(s.bkts[i].acc.DotAcc(hv))
 }
 
-// probeRange scans local buckets [lo, hi), appending candidates to dst
-// with global bucket indices (local index + gOff). Sealed segments run
-// the early-abandoning fused XNOR-popcount kernel over consecutive
-// arena rows (AVX2 on amd64); raw-count segments keep the exact counter
-// dot product.
+// planeTileBytes sizes the tiles the probe walks a sketch plane in: a
+// tile of plane rows is scanned once per query of a block before the
+// scan moves on, so it has to stay in the L1 data cache beside the
+// block's query prefixes for every query after the first to read it
+// from there. planeTileMax — a tile of the narrowest sketch — caps the
+// rows per tile, which is what sizes the survivor scratch.
+const (
+	planeTileBytes = 32 << 10
+	planeTileMax   = planeTileBytes / (8 * sketchLine)
+)
+
+// scanBytes is what one query's stage-1 scan of the whole segment
+// streams: the sketch plane, or the arena where that is the plane.
+func (s *segment) scanBytes() int { return 8 * len(s.plane) }
+
+// tileRows is the number of rows per probe tile: as many plane rows as
+// fit planeTileBytes, in whole groups of the range kernel's eight.
+func (s *segment) tileRows() int {
+	n := planeTileBytes / (8 * s.planeWords) &^ 7
+	return minInt(maxInt(n, 8), planeTileMax)
+}
+
+// probeRange scans local buckets [lo, hi) — at most len(surv) of them —
+// against one query, appending candidates to dst with global bucket
+// indices (local index + gOff), and reports how many rows survived the
+// sketch stage. Sealed segments run the cascade: the range kernel
+// streams the rows' sketch-plane prefixes under the view's stage-1
+// bound and names the survivors in surv, and each survivor's full arena
+// row is then held to the threshold's Hamming bound. Raw-count segments
+// keep the exact counter dot product.
 //
 //biohd:hotpath
-func (s *segment) probeRange(dst []Candidate, hv *hdc.HV, tau float64, maxHam, lo, hi, gOff int, p *Params, ctr *libCounters) []Candidate {
+func (s *segment) probeRange(dst []Candidate, hv *hdc.HV, pl *scanPlan, lo, hi, gOff int, surv []int32, p *Params) ([]Candidate, int) {
+	if !p.Sealed {
+		for i := lo; i < hi; i++ {
+			if score := s.score(i, hv, p); score >= pl.tau {
+				dst = append(dst, Candidate{Bucket: gOff + i, Score: score, Excess: score - pl.tau})
+			}
+		}
+		return dst, 0
+	}
+	q := hv.Words()
+	if len(q) != s.rowWords {
+		panic(fmt.Sprintf("core: query words %d != row words %d", len(q), s.rowWords))
+	}
+	n := bitvec.ScanPlane(s.plane, s.planeWords, q[:s.planeWords], pl.sketchBound, lo, hi, surv)
+	for _, i := range surv[:n] {
+		if h, ok := bitvec.HammingBounded(s.arenaRow(int(i)), q, pl.maxHam); ok {
+			score := float64(p.Dim - 2*h)
+			dst = append(dst, Candidate{Bucket: gOff + int(i), Score: score, Excess: score - pl.tau})
+		}
+	}
+	return dst, n
+}
+
+// probeBlockRange scans local buckets [lo, hi) against a whole query
+// block, appending each query's candidates (with global bucket indices)
+// to dsts. The range is walked tile by tile and each tile is scanned by
+// every query of the block before the walk moves on, so the plane is
+// read from memory once per block, not once per query; surv, of at
+// least tileRows entries, is the survivor scratch.
+//
+//biohd:hotpath
+func (s *segment) probeBlockRange(dsts [][]Candidate, hvs []*hdc.HV, pl *scanPlan, lo, hi, gOff int, surv []int32, p *Params, ctr *libCounters) {
 	// One storage-tier tally per range scan (not per row) — same
-	// publish cadence as the earlyAbandons counter below.
+	// publish cadence as the counters below.
 	if s.mapped {
 		ctr.mappedScans.Add(1)
 	} else {
 		ctr.heapScans.Add(1)
 	}
-	if p.Sealed {
-		q := hv.Words()
-		rw := s.rowWords
-		if len(q) != rw {
-			panic(fmt.Sprintf("core: query words %d != row words %d", len(q), rw))
-		}
-		arena := s.arena
-		abandoned := int64(0)
-		for i := lo; i < hi; i++ {
-			row := arena[i*rw : i*rw+rw : i*rw+rw]
-			if h, ok := bitvec.HammingBounded(row, q, maxHam); ok {
-				score := float64(p.Dim - 2*h)
-				dst = append(dst, Candidate{Bucket: gOff + i, Score: score, Excess: score - tau})
-			} else {
-				abandoned++
-			}
-		}
-		if abandoned > 0 {
-			// One atomic publish per range keeps the row loop
-			// synchronization-free.
-			ctr.earlyAbandons.Add(abandoned)
-		}
-		return dst
-	}
-	for i := lo; i < hi; i++ {
-		if score := s.score(i, hv, p); score >= tau {
-			dst = append(dst, Candidate{Bucket: gOff + i, Score: score, Excess: score - tau})
-		}
-	}
-	return dst
-}
-
-// probeBlockRange scans local buckets [lo, hi) against a whole query
-// block, appending each query's candidates (with global bucket indices)
-// to dsts. Sealed segments run the fused multi-query XNOR-popcount
-// kernel — one pass over each arena row serves the block, with
-// per-query early abandonment via the kernel's live mask; raw-count
-// segments — and single-query blocks, which the lighter sequential
-// kernel serves faster than the fused pass — fall back to the per-query
-// scan.
-//
-//biohd:hotpath
-func (s *segment) probeBlockRange(dsts [][]Candidate, hvs []*hdc.HV, qs [][]uint64, tau float64, maxHam, lo, hi, gOff int, bounds, dist []int, p *Params, ctr *libCounters) {
-	if p.Sealed && len(hvs) > 1 {
-		// One fused pass over the range serves the whole block: one
-		// storage-tier tally, mirroring probeRange.
-		if s.mapped {
-			ctr.mappedScans.Add(1)
-		} else {
-			ctr.heapScans.Add(1)
-		}
-		d := p.Dim
-		rw := s.rowWords
-		qs = qs[:0]
+	tile := s.tileRows()
+	survivors, cands := 0, 0
+	for t := lo; t < hi; t += tile {
+		te := minInt(t+tile, hi)
 		for j, hv := range hvs {
-			w := hv.Words()
-			if len(w) != rw {
-				panic(fmt.Sprintf("core: query words %d != row words %d", len(w), rw))
-			}
-			qs = append(qs, w)
-			bounds[j] = maxHam
+			before := len(dsts[j])
+			var n int
+			dsts[j], n = s.probeRange(dsts[j], hv, pl, t, te, gOff, surv, p)
+			survivors += n
+			cands += len(dsts[j]) - before
 		}
-		arena := s.arena
-		abandoned := int64(0)
-		// One scanner per range hoists validation, the live-mask seed,
-		// and the fused kernel's query pointer block out of the row loop.
-		var ms bitvec.MultiScanner
-		ms.Init(qs, bounds[:len(qs)], rw)
-		for i := lo; i < hi; i++ {
-			row := arena[i*rw : i*rw+rw : i*rw+rw]
-			mask := ms.ScanRow(row, dist)
-			for j := range qs {
-				if mask&(1<<uint(j)) != 0 {
-					score := float64(d - 2*dist[j])
-					dsts[j] = append(dsts[j], Candidate{Bucket: gOff + i, Score: score, Excess: score - tau})
-				} else {
-					abandoned++
-				}
-			}
-		}
-		if abandoned > 0 {
-			// One atomic publish per range, counting abandoned
-			// (row, query) pairs — the same total Q sequential bounded
-			// scans would report.
-			ctr.earlyAbandons.Add(abandoned)
-		}
+	}
+	if !p.Sealed {
 		return
 	}
-	for j, hv := range hvs {
-		dsts[j] = s.probeRange(dsts[j], hv, tau, maxHam, lo, hi, gOff, p, ctr)
+	// One atomic publish per range keeps the scan synchronization-free.
+	// Abandoned counts (row, query) pairs that did not become candidates,
+	// whichever stage dropped them; the sketch counters only run where
+	// there is a sketch stage to monitor.
+	rows := int64(hi-lo) * int64(len(hvs))
+	if abandoned := rows - int64(cands); abandoned > 0 {
+		ctr.earlyAbandons.Add(abandoned)
+	}
+	if s.planeWords < s.rowWords {
+		ctr.sketchRows.Add(rows)
+		ctr.sketchSurvivors.Add(int64(survivors))
 	}
 }
 
@@ -388,7 +420,7 @@ func (b *builder) maxOccupancy() int {
 // DotAcc scoring never races a concurrent Add). The arena is fresh per
 // view, so repointing the copies' sealed views never touches builder
 // state.
-func (b *builder) view(p *Params, refs []genome.Record) Segment {
+func (b *builder) view(p *Params, sketchWords int, refs []genome.Record) Segment {
 	if len(b.bkts) == 0 {
 		return nil
 	}
@@ -407,7 +439,7 @@ func (b *builder) view(p *Params, refs []genome.Record) Segment {
 			open.sealed = acc.Seal(p.Seed ^ 0x5ea1)
 		}
 	}
-	seg := newSegment(bkts, p.Dim)
+	seg := newSegment(bkts, p.Dim, sketchWords)
 	seg.tombs = seg.countTombs(refs)
 	return seg
 }

@@ -17,8 +17,23 @@ type hdcView struct {
 	offs []int           // offs[k] = global index of segs[k]'s first bucket
 	refs []genome.Record // the view's reference table
 	cal  Calibration
+	plan scanPlan
 
-	nBkts int
+	nBkts       int
+	sketchBytes int64 // the segments' sketch planes, where they are copies
+}
+
+// scanPlan is the per-view half of the probe plan — what depends on the
+// view's bucket count, occupancy and calibration rather than on the
+// library's geometry. It is derived once when the view is annotated, so
+// a probe reads three words instead of walking every bucket header.
+type scanPlan struct {
+	tau    float64 // decision threshold in force
+	maxHam int     // τ as a full-row Hamming bound
+	// sketchBound is the stage-1 bound: h₁, tightened to maxHam should
+	// that be smaller (a prefix distance never exceeds the row's), or
+	// maxHam itself for a library without a sketch stage.
+	sketchBound int
 }
 
 func newHDCView(v *View, cal Calibration) *hdcView {
@@ -32,6 +47,7 @@ func newHDCView(v *View, cal Calibration) *hdcView {
 		sn.segs[k] = seg.(*segment)
 		sn.offs[k] = sn.nBkts
 		sn.nBkts += seg.NumBuckets()
+		sn.sketchBytes += sn.segs[k].sketchBytes()
 	}
 	return sn
 }

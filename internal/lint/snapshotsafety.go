@@ -23,9 +23,9 @@ import (
 // name in the package — because the field names are unique within each
 // scoped package, and a syntactic rule keeps working when type
 // information is incomplete. Each package declares its scopes in
-// snapshotScopes: the HDC kernel's bucket slice and packed probe arena
-// and the engine's master list, and the bit-sliced kernel's column
-// arena and tombstone bitmap.
+// snapshotScopes: the HDC kernel's bucket slice, packed probe arena and
+// sketch plane and the engine's master list, and the bit-sliced
+// kernel's column arena and tombstone bitmap.
 type SnapshotSafety struct{}
 
 // Name implements Analyzer.
@@ -47,7 +47,7 @@ type snapshotScope struct {
 var snapshotScopes = map[string][]snapshotScope{
 	"internal/core": {
 		{ // the HDC kernel's segment storage
-			fields: map[string]bool{"bkts": true, "arena": true},
+			fields: map[string]bool{"bkts": true, "arena": true, "plane": true},
 			files:  map[string]bool{"segment.go": true, "snapshot.go": true},
 		},
 		{ // the segment engine's master list

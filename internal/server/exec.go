@@ -183,5 +183,9 @@ func (s *Server) execStats() StatsResponse {
 		ResidentBytes: s.lib.ResidentBytes(),
 		Segments:      s.lib.NumSegments(),
 		Tombstones:    s.lib.TombstoneRatio(),
+
+		SketchWords:         info.SketchWords,
+		SketchBytes:         info.SketchBytes,
+		SketchSurvivorRatio: info.SketchSurvivorRatio,
 	}
 }

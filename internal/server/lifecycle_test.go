@@ -205,6 +205,9 @@ func TestMetricsEndpoint(t *testing.T) {
 		"# TYPE biohd_http_request_seconds histogram",
 		"# TYPE biohd_core_bucket_probes_total counter",
 		"# TYPE biohd_core_early_abandons_total counter",
+		"# TYPE biohd_core_sketch_rows_total counter",
+		"# TYPE biohd_core_sketch_survivors_total counter",
+		"# TYPE biohd_core_sketch_predicted_survivor_ratio gauge",
 		"# TYPE biohd_core_batch_cancellations_total counter",
 		"# TYPE biohd_core_blocked_probes_total counter",
 		"# TYPE biohd_core_blocked_windows_total counter",
@@ -311,5 +314,84 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	}
 	if done, failed := countBatchErrors(&res.br); failed != 0 || done != 1024 {
 		t.Fatalf("drained batch truncated: done=%d failed=%d", done, failed)
+	}
+}
+
+// TestSketchTelemetry serves a library whose model engages the probe
+// cascade and checks the quality model is monitorable from outside: the
+// plan's width, resident bytes and predicted survivor ratio in
+// /v1/stats and the wire STATS result, and on /metrics the observed
+// sketch counters tracking that prediction.
+func TestSketchTelemetry(t *testing.T) {
+	ref := genome.Random(6000, rng.New(91))
+	lib, err := core.NewLibrary(core.Params{Dim: 8192, Window: 32, Capacity: 16, Sealed: true, Seed: 92})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := lib.Add(genome.Record{ID: "chr1", Seq: ref}); err != nil {
+		t.Fatal(err)
+	}
+	lib.Freeze()
+	s, err := New(lib)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+
+	src := rng.New(93)
+	for i := 0; i < 40; i++ {
+		pat := genome.Random(32, src)
+		if i%2 == 0 {
+			pat = ref.Slice(100*i, 100*i+32)
+		}
+		if resp := postJSON(t, ts.URL+"/v1/search", SearchRequest{Pattern: pat.String()}); resp.StatusCode != http.StatusOK {
+			t.Fatalf("search status %d", resp.StatusCode)
+		}
+	}
+
+	resp, err := http.Get(ts.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stats StatsResponse
+	decodeInto(t, resp, &stats)
+	if stats.SketchWords != 40 || stats.SketchBytes != int64(stats.Buckets)*40*8 ||
+		stats.SketchSurvivorRatio < 0.01 || stats.SketchSurvivorRatio > 0.03 {
+		t.Fatalf("sketch fields of /v1/stats: %+v", stats)
+	}
+	if ws := s.WireBackend().Stats(); ws.SketchWords != stats.SketchWords || ws.SketchBytes != stats.SketchBytes ||
+		ws.SketchSurvivorRatio != stats.SketchSurvivorRatio {
+		t.Fatalf("wire STATS sketch fields %+v differ from /v1/stats %+v", ws, stats)
+	}
+
+	mresp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mresp.Body.Close()
+	raw, err := io.ReadAll(mresp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	series := map[string]float64{}
+	for _, line := range strings.Split(string(raw), "\n") {
+		var name string
+		var v float64
+		if n, _ := fmt.Sscanf(line, "%s %g", &name, &v); n == 2 && strings.HasPrefix(name, "biohd_core_sketch_") {
+			series[name] = v
+		}
+	}
+	rows, surv := series["biohd_core_sketch_rows_total"], series["biohd_core_sketch_survivors_total"]
+	pred := series["biohd_core_sketch_predicted_survivor_ratio"]
+	if pred != stats.SketchSurvivorRatio {
+		t.Fatalf("predicted ratio gauge %g, /v1/stats says %g", pred, stats.SketchSurvivorRatio)
+	}
+	if want := float64(40 * stats.Buckets); rows != want {
+		t.Fatalf("sketch rows %g, want 40 probes x %d buckets = %g", rows, stats.Buckets, want)
+	}
+	if observed := surv / rows; observed < pred/2 || observed > 2*pred {
+		t.Fatalf("observed survivor ratio %g (%g of %g) against predicted %g", observed, surv, rows, pred)
 	}
 }

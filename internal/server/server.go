@@ -164,13 +164,20 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		writeError(w, http.StatusInternalServerError, "rendering metrics: %v", err)
 		return
 	}
+	info := s.lib.Describe()
 	fmt.Fprintf(&buf, "# HELP biohd_index_info Index backend serving this collection (constant 1, backend in the label).\n"+
-		"# TYPE biohd_index_info gauge\nbiohd_index_info{backend=%q} 1\n", s.lib.Describe().Backend)
+		"# TYPE biohd_index_info gauge\nbiohd_index_info{backend=%q} 1\n", info.Backend)
 	c := s.lib.Counters()
 	fmt.Fprintf(&buf, "# HELP biohd_core_bucket_probes_total Query-window bucket probes executed by the library.\n"+
 		"# TYPE biohd_core_bucket_probes_total counter\nbiohd_core_bucket_probes_total %d\n", c.BucketProbes)
-	fmt.Fprintf(&buf, "# HELP biohd_core_early_abandons_total Sealed-arena rows rejected by the bounded probe kernel before a full row scan.\n"+
+	fmt.Fprintf(&buf, "# HELP biohd_core_early_abandons_total Sealed-arena rows scanned that did not become candidates, dropped by the sketch stage or the full-row bound.\n"+
 		"# TYPE biohd_core_early_abandons_total counter\nbiohd_core_early_abandons_total %d\n", c.EarlyAbandons)
+	fmt.Fprintf(&buf, "# HELP biohd_core_sketch_rows_total Rows scanned by the probe cascade's sketch stage.\n"+
+		"# TYPE biohd_core_sketch_rows_total counter\nbiohd_core_sketch_rows_total %d\n", c.SketchRows)
+	fmt.Fprintf(&buf, "# HELP biohd_core_sketch_survivors_total Rows the sketch stage passed on to the full-row stage; over sketch rows this is the observed survivor ratio.\n"+
+		"# TYPE biohd_core_sketch_survivors_total counter\nbiohd_core_sketch_survivors_total %d\n", c.SketchSurvivors)
+	fmt.Fprintf(&buf, "# HELP biohd_core_sketch_predicted_survivor_ratio Survivor ratio the quality model predicts for the sketch stage (0 without one).\n"+
+		"# TYPE biohd_core_sketch_predicted_survivor_ratio gauge\nbiohd_core_sketch_predicted_survivor_ratio %g\n", info.SketchSurvivorRatio)
 	fmt.Fprintf(&buf, "# HELP biohd_core_batch_cancellations_total Batch lookups stopped early by context cancellation.\n"+
 		"# TYPE biohd_core_batch_cancellations_total counter\nbiohd_core_batch_cancellations_total %d\n", c.BatchCancellations)
 	fmt.Fprintf(&buf, "# HELP biohd_core_blocked_probes_total Query-blocked arena scans executed by the fused multi-query kernel.\n"+
@@ -221,6 +228,13 @@ type StatsResponse struct {
 	ResidentBytes int64   `json:"residentBytes"`
 	Segments      int     `json:"segments"`
 	Tombstones    float64 `json:"tombstoneRatio"`
+
+	// The HDC probe cascade: words of each row the sketch stage reads,
+	// bytes of sketch plane resident, and the model's predicted survivor
+	// ratio (compare biohd_core_sketch_survivors_total / _rows_total).
+	SketchWords         int     `json:"sketchWords"`
+	SketchBytes         int64   `json:"sketchBytes"`
+	SketchSurvivorRatio float64 `json:"sketchPredictedSurvivorRatio"`
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {

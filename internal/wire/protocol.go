@@ -11,7 +11,7 @@
 //
 //	header (24 bytes):
 //	  [0:4)   magic      0x31444842 ("BHD1" on the wire)
-//	  [4]     version    1
+//	  [4]     version    3
 //	  [5]     opcode     SEARCH | CLASSIFY | BATCH | STATS | PING | CANCEL | ERR
 //	  [6:8)   flags      bit 0 response, bit 1 error
 //	  [8:16)  requestID  caller-chosen pipelining key
@@ -49,8 +49,9 @@ const (
 	// with any other version is a protocol error: the format has no
 	// negotiation, matching the one-binary deployments it serves — so
 	// any payload layout change must bump this constant. Revision 2
-	// prepended the backend string to the STATS result payload.
-	Version = 2
+	// prepended the backend string to the STATS result payload;
+	// revision 3 appended the three sketch fields to it.
+	Version = 3
 	// HeaderSize is the fixed frame-header length in bytes.
 	HeaderSize = 24
 	// DefaultMaxFrame caps one frame's payload when the caller does
@@ -473,6 +474,10 @@ type StatsResult struct {
 	ResidentBytes int64   `json:"residentBytes"`
 	Segments      int     `json:"segments"`
 	Tombstones    float64 `json:"tombstoneRatio"`
+
+	SketchWords         int     `json:"sketchWords"`
+	SketchBytes         int64   `json:"sketchBytes"`
+	SketchSurvivorRatio float64 `json:"sketchPredictedSurvivorRatio"`
 }
 
 // StatusError is an application-level failure carried in a FlagError
@@ -742,6 +747,9 @@ func AppendStatsResult(buf []byte, res *StatsResult) []byte {
 	buf = appendU64(buf, uint64(res.ResidentBytes))
 	buf = appendU64(buf, uint64(res.Segments))
 	buf = appendF64(buf, res.Tombstones)
+	buf = appendU32(buf, uint32(res.SketchWords))
+	buf = appendU64(buf, uint64(res.SketchBytes))
+	buf = appendF64(buf, res.SketchSurvivorRatio)
 	return buf
 }
 
@@ -814,6 +822,17 @@ func ParseStatsResult(p []byte) (StatsResult, error) {
 	}
 	res.Segments = int(u)
 	if res.Tombstones, off, err = parseF64(p, off); err != nil {
+		return res, err
+	}
+	if w, off, err = parseU32(p, off); err != nil {
+		return res, err
+	}
+	res.SketchWords = int(w)
+	if u, off, err = parseU64(p, off); err != nil {
+		return res, err
+	}
+	res.SketchBytes = int64(u)
+	if res.SketchSurvivorRatio, off, err = parseF64(p, off); err != nil {
 		return res, err
 	}
 	if off != len(p) {

@@ -180,6 +180,7 @@ func TestStatsResultRoundTrip(t *testing.T) {
 		Stride: 1, Capacity: 16, Approx: true, Tolerance: 2, Threshold: 0.3,
 		MemBytes: 1 << 20, MappedBytes: 1 << 19, ResidentBytes: 1 << 18,
 		Segments: 2, Tombstones: 0.125,
+		SketchWords: 40, SketchBytes: 64 * 320, SketchSurvivorRatio: 0.019,
 	}
 	got, err := ParseStatsResult(AppendStatsResult(nil, &want))
 	if err != nil {

@@ -121,6 +121,9 @@ for want in \
     'biohd_core_bucket_probes_total' \
     'biohd_core_blocked_probes_total' \
     'biohd_core_blocked_windows_total' \
+    'biohd_core_sketch_rows_total' \
+    'biohd_core_sketch_survivors_total' \
+    'biohd_core_sketch_predicted_survivor_ratio' \
     'biohd_library_segments' \
     'biohd_library_tombstone_ratio 0' \
     'biohd_core_segment_seals_total' \
