@@ -6,7 +6,7 @@ GO       ?= go
 FUZZTIME ?= 30s
 PKGS      = ./...
 
-.PHONY: all build test test-purego race vet lint lint-json lint-baseline fuzz bench benchsmoke smoke check clean
+.PHONY: all build test test-purego race vet lint lint-json lint-baseline fuzz bench benchsmoke smoke loc check clean
 
 all: build
 
@@ -21,7 +21,9 @@ test:
 ## test-purego: run the packages with portable fallbacks under the
 ## purego tag — the scalar tier of every bitvec kernel, and the packages
 ## that scan, map and frame through them — so the code a non-amd64 build
-## runs is tested, not just compiled
+## runs is tested, not just compiled. A purego build cannot map, so this
+## is also the run in which every open takes the stream source of the
+## one container walk.
 test-purego:
 	$(GO) test -tags purego ./internal/bitvec ./internal/core ./internal/cobs ./internal/mmapfile ./internal/wire
 
@@ -86,9 +88,19 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzWireFrame -fuzztime=$(FUZZTIME) ./internal/wire
 
 ## smoke: end-to-end service check — serve a generated library, hit
-## /healthz, /v1/search, and /metrics, then SIGTERM and assert a clean drain
+## /healthz, /v1/search, and /metrics, then SIGTERM and assert a clean
+## drain; then serve -mmap straight from `build -o` for both backends
 smoke:
 	./scripts/smoke.sh
+
+## loc: non-test Go lines per package and in total, bench/ and testdata
+## excluded — `find … | xargs wc -l`, the count every "less code" claim
+## in CHANGES.md is taken with, so a later claim is checked the same way
+loc:
+	@for d in $$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path '*/testdata/*' | xargs -n1 dirname | sort -u); do \
+		printf '%6d %s\n' "$$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' | xargs wc -l | tail -1 | awk '{print $$1}')" "$$d"; \
+	done
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path '*/testdata/*' | xargs wc -l | tail -1
 
 ## check: the full gate — build, vet, lint, tests under the race
 ## detector and under the purego tag, then the service smoke test

@@ -40,7 +40,7 @@ func cmdServe(args []string, out io.Writer) error {
 	lf := addLibFlags(fs)
 	refFile := fs.String("ref", "", "reference FASTA")
 	libFile := fs.String("lib", "", "saved library file (alternative to -ref)")
-	mmapLib := fs.Bool("mmap", false, "map a v3 -lib file instead of loading it to the heap (falls back to heap when unsupported)")
+	mmapLib := fs.Bool("mmap", false, "map the -lib file instead of loading it to the heap (heap fallback, with the reason printed, for a legacy v1/v2 file or a platform that cannot map)")
 	addr := fs.String("addr", "127.0.0.1:8650", "listen address")
 	wireAddr := fs.String("wire-addr", "", "binary wire-protocol listen address (empty = HTTP only)")
 	wireMaxFrame := fs.Int("wire-max-frame", wire.DefaultMaxFrame, "max wire-protocol frame payload in bytes")
@@ -67,7 +67,7 @@ func cmdServe(args []string, out io.Writer) error {
 	var err error
 	if *mmapLib {
 		if *libFile == "" {
-			return fmt.Errorf("-mmap requires -lib (a saved v3 library file)")
+			return fmt.Errorf("-mmap requires -lib (a saved library file)")
 		}
 		lib, err = core.OpenLibraryFile(*libFile, core.MapArena)
 	} else {
@@ -81,8 +81,13 @@ func cmdServe(args []string, out io.Writer) error {
 	defer lib.Close()
 	if *mmapLib {
 		mode := "mapped"
-		if !lib.Mapped() {
-			mode = "heap fallback (platform cannot map, or the file is not v3)"
+		switch {
+		case lib.Mapped():
+		case core.MapSupported():
+			// The platform maps, so the file is what could not be mapped.
+			mode = "heap fallback (legacy v1/v2 stream; biohd convert rewrites it as mappable v3)"
+		default:
+			mode = "heap fallback (this platform or build cannot map files)"
 		}
 		fmt.Fprintf(out, "library load mode: %s\n", mode)
 	}
@@ -322,12 +327,7 @@ func (lf *libFlags) params() core.Params {
 // worker count.
 func loadOrBuild(refFile, libFile string, lf *libFlags) (core.Index, error) {
 	if libFile != "" {
-		f, err := os.Open(libFile)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return core.ReadIndex(f)
+		return core.OpenLibraryFile(libFile, core.LoadHeap)
 	}
 	if refFile == "" {
 		return nil, fmt.Errorf("either -ref (FASTA) or -lib (saved library) is required")
@@ -430,36 +430,20 @@ func cmdBuild(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
+	if *output != "" {
+		if err := saveIndex(*output, idx, out); err != nil {
+			return err
+		}
+	}
 	lib, isHDC := idx.(*core.Library)
 	if !isHDC {
-		// Non-HDC backends save in the tagged v3 container and report
-		// the shared shape numbers.
-		if *output != "" {
-			err := saveAtomic(*output, func(w io.Writer) error {
-				_, err := idx.WriteToV3(w)
-				return err
-			})
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(out, "saved library to %s\n", *output)
-		}
+		// Other backends report the shared shape numbers.
 		info := idx.Describe()
 		fmt.Fprintf(out, "library: %d refs, %d windows, %d columns (%s backend)\n",
 			idx.NumRefs(), idx.NumWindows(), idx.NumBuckets(), info.Backend)
 		fmt.Fprintf(out, "geometry: window=%d stride=%d mode=exact\n", info.Window, info.Stride)
 		fmt.Fprintf(out, "storage: %.1f KiB of bit-sliced signatures\n", float64(idx.MemoryFootprint())/1024)
 		return nil
-	}
-	if *output != "" {
-		err := saveAtomic(*output, func(w io.Writer) error {
-			_, err := lib.WriteTo(w)
-			return err
-		})
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "saved library to %s\n", *output)
 	}
 	p := lib.Params()
 	m := lib.Model()
@@ -700,12 +684,7 @@ func cmdCompact(args []string, out io.Writer) error {
 	if *minRatio < 0 || *minRatio > 1 {
 		return fmt.Errorf("-min-ratio %v must be in [0, 1]", *minRatio)
 	}
-	f, err := os.Open(*libFile)
-	if err != nil {
-		return err
-	}
-	lib, err := core.ReadIndex(f)
-	_ = f.Close() // read-only; nothing to flush
+	lib, err := core.OpenLibraryFile(*libFile, core.LoadHeap)
 	if err != nil {
 		return err
 	}
@@ -740,17 +719,5 @@ func cmdCompact(args []string, out io.Writer) error {
 	if dst == "" {
 		dst = *libFile
 	}
-	// Save in the format the input arrived in: a v3 library stays
-	// mappable after compaction, a v1/v2 HDC stream stays a stream.
-	save := func(w io.Writer) error { _, err := lib.WriteToV3(w); return err }
-	if hdc, ok := lib.(*core.Library); ok {
-		if ver, err := libFileVersion(*libFile); err == nil && ver < 3 {
-			save = func(w io.Writer) error { _, err := hdc.WriteTo(w); return err }
-		}
-	}
-	if err := saveAtomic(dst, save); err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "saved library to %s\n", dst)
-	return nil
+	return saveIndex(dst, lib, out)
 }

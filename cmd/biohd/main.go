@@ -3,7 +3,7 @@
 // Subcommands:
 //
 //	gen        generate synthetic datasets (FASTA)
-//	build      build a reference library from FASTA and report its shape
+//	build      build a reference library from FASTA, report its shape, save it (v3)
 //	search     search a pattern against FASTA references
 //	classify   classify reads against FASTA references
 //	experiment regenerate a paper table/figure (or "all")
@@ -11,7 +11,7 @@
 //	serve      expose a library over an HTTP JSON API (+ binary wire protocol)
 //	wire       query a serve -wire-addr listener over the binary protocol
 //	compact    rewrite a saved library's tombstoned segments
-//	convert    rewrite a saved library into another format version
+//	convert    rewrite a saved library (any format version) as a mappable v3 file
 //
 // Run "biohd <subcommand> -h" for flags.
 package main
@@ -80,6 +80,6 @@ subcommands:
   serve       expose a library over an HTTP JSON API (+ binary wire protocol via -wire-addr)
   wire        query a serve -wire-addr listener over the binary wire protocol
   compact     rewrite a saved library's tombstoned segments and save it back
-  convert     rewrite a saved library into another format version (v2 stream, v3 mappable)
+  convert     rewrite a saved library (legacy v1/v2 stream, or v3) as a mappable v3 file
 `)
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
@@ -430,7 +431,7 @@ func TestBuildUnknownBackend(t *testing.T) {
 	}
 }
 
-func TestConvertRejectsCOBSToV2(t *testing.T) {
+func TestConvertCOBSStaysCOBS(t *testing.T) {
 	refs := genRefs(t)
 	dir := t.TempDir()
 	libPath := filepath.Join(dir, "lib.cobs")
@@ -438,17 +439,24 @@ func TestConvertRejectsCOBSToV2(t *testing.T) {
 	if err := run([]string{"build", "-ref", refs, "-backend", "cobs", "-o", libPath}, &sb); err != nil {
 		t.Fatal(err)
 	}
-	err := run([]string{"convert", "-lib", libPath, "-o", filepath.Join(dir, "out.bhd"), "-format", "v2"}, &sb)
-	if err == nil || !strings.Contains(err.Error(), "cobs") {
-		t.Fatalf("v2 conversion of a cobs library: %v", err)
-	}
-	// v3 -> v3 round-trips fine.
+	// A cobs container converts to an identical cobs container.
 	out3 := filepath.Join(dir, "out.v3")
 	sb.Reset()
-	if err := run([]string{"convert", "-lib", libPath, "-o", out3, "-format", "v3"}, &sb); err != nil {
+	if err := run([]string{"convert", "-lib", libPath, "-o", out3}, &sb); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(sb.String(), "cobs") {
 		t.Fatalf("convert output does not name the backend:\n%s", sb.String())
+	}
+	a, err := os.ReadFile(libPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(out3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Fatal("converting a v3 cobs container changed its bytes")
 	}
 }

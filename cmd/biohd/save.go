@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/binary"
 	"flag"
 	"fmt"
 	"io"
@@ -28,7 +27,7 @@ func saveAtomic(dst string, write func(io.Writer) error) (err error) {
 	}
 	defer func() {
 		if err != nil {
-			_ = f.Close()     // double Close after success is harmless
+			_ = f.Close()      // double Close after success is harmless
 			_ = os.Remove(tmp) // no-op once the rename happened
 		}
 	}()
@@ -60,73 +59,42 @@ func syncDir(dir string) error {
 	return err
 }
 
-// libFileVersion sniffs the format version of a saved library file
-// without loading it.
-func libFileVersion(path string) (int, error) {
-	f, err := os.Open(path)
+// saveIndex writes idx to dst in the v3 container — the one format the
+// program writes, which every backend serializes into and "serve -mmap"
+// maps in place — and reports what it wrote.
+func saveIndex(dst string, idx core.Index, out io.Writer) error {
+	var size int64
+	err := saveAtomic(dst, func(w io.Writer) (err error) {
+		size, err = idx.WriteToV3(w)
+		return err
+	})
 	if err != nil {
-		return 0, err
+		return err
 	}
-	defer f.Close()
-	var head [12]byte
-	if _, err := io.ReadFull(f, head[:]); err != nil {
-		return 0, fmt.Errorf("%s: not a BioHD library file", path)
-	}
-	if string(head[:8]) != "BIOHDLIB" {
-		return 0, fmt.Errorf("%s: not a BioHD library file", path)
-	}
-	return int(binary.LittleEndian.Uint32(head[8:12])), nil
+	fmt.Fprintf(out, "saved library to %s (format v3, %d bytes)\n", dst, size)
+	return nil
 }
 
-// cmdConvert rewrites a saved library between format versions —
-// principally v1/v2 streams into the mappable v3 layout that
-// "serve -mmap" and OpenLibraryFile(…, MapArena) consume zero-copy.
+// cmdConvert rewrites a saved library — a legacy v1/v2 stream, or a v3
+// container — as a v3 container.
 func cmdConvert(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("convert", flag.ContinueOnError)
 	libFile := fs.String("lib", "", "saved library file to convert (required)")
 	output := fs.String("o", "", "output file (required; may equal -lib to rewrite in place)")
-	format := fs.String("format", "v3", "output format: v3 (mappable) or v2 (stream)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *libFile == "" || *output == "" {
 		return fmt.Errorf("convert requires -lib and -o")
 	}
-	ver, err := libFileVersion(*libFile)
+	idx, err := core.OpenLibraryFile(*libFile, core.LoadHeap)
 	if err != nil {
 		return err
 	}
-	f, err := os.Open(*libFile)
-	if err != nil {
+	if err := saveIndex(*output, idx, out); err != nil {
 		return err
 	}
-	idx, err := core.ReadIndex(f)
-	_ = f.Close() // read-only; nothing to flush
-	if err != nil {
-		return err
-	}
-	lib, isHDC := idx.(*core.Library)
-	var save func(io.Writer) error
-	switch *format {
-	case "v3":
-		save = func(w io.Writer) error { _, err := idx.WriteToV3(w); return err }
-	case "v2":
-		if !isHDC {
-			return fmt.Errorf("-format v2 is the HDC stream format; %s holds a %s library (use v3)",
-				*libFile, idx.Describe().Backend)
-		}
-		save = func(w io.Writer) error { _, err := lib.WriteTo(w); return err }
-	default:
-		return fmt.Errorf("-format %q must be v3 or v2", *format)
-	}
-	if err := saveAtomic(*output, save); err != nil {
-		return err
-	}
-	fi, err := os.Stat(*output)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "converted %s (v%d, %s) -> %s (%s, %d bytes): %d refs, %d segments, %d buckets\n",
-		*libFile, ver, idx.Describe().Backend, *output, *format, fi.Size(), idx.NumRefs(), idx.NumSegments(), idx.NumBuckets())
+	fmt.Fprintf(out, "converted %s (%s): %d refs, %d segments, %d buckets\n",
+		*libFile, idx.Describe().Backend, idx.NumRefs(), idx.NumSegments(), idx.NumBuckets())
 	return nil
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/binary"
 	"errors"
 	"io"
 	"os"
@@ -8,13 +9,27 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/genome"
 	"repro/internal/rng"
 )
 
-// buildSealedLib builds a sealed-mode library file (the v2 stream
-// format) and returns its path.
+// goldenV2 is the checked-in legacy stream the last v2 writer produced
+// (three 400-base references drawn from rng.New(9001), D=2048, window
+// 24, approximate mode) — the input of every convert test now that
+// nothing writes the format.
+const goldenV2 = "../../internal/core/testdata/golden_v2_sealed.lib"
+
+// fileVersion reads a library file's format version word.
+func fileVersion(t *testing.T, path string) uint32 {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil || len(b) < 12 || string(b[:8]) != "BIOHDLIB" {
+		t.Fatalf("%s is not a library file (err %v)", path, err)
+	}
+	return binary.LittleEndian.Uint32(b[8:12])
+}
+
+// buildSealedLib builds a sealed-mode library file and returns its path.
 func buildSealedLib(t *testing.T) string {
 	t.Helper()
 	refs := genRefs(t)
@@ -76,62 +91,45 @@ func TestSaveAtomicErrorLeavesNoTmp(t *testing.T) {
 }
 
 func TestConvertV2ToV3AndSearch(t *testing.T) {
-	libPath := buildSealedLib(t)
+	if v := fileVersion(t, goldenV2); v != 2 {
+		t.Fatalf("golden is version %d", v)
+	}
 	v3Path := filepath.Join(t.TempDir(), "lib.v3")
 	var sb strings.Builder
-	if err := run([]string{"convert", "-lib", libPath, "-o", v3Path, "-format", "v3"}, &sb); err != nil {
+	if err := run([]string{"convert", "-lib", goldenV2, "-o", v3Path}, &sb); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(sb.String(), "converted") {
+	if !strings.Contains(sb.String(), "converted") || !strings.Contains(sb.String(), "format v3") {
 		t.Fatalf("no conversion report: %q", sb.String())
 	}
-	ver, err := libFileVersion(v3Path)
-	if err != nil || ver != 3 {
-		t.Fatalf("converted file version %d, err %v", ver, err)
+	if v := fileVersion(t, v3Path); v != 3 {
+		t.Fatalf("converted file version %d", v)
 	}
 	if _, err := os.Stat(v3Path + ".tmp"); !errors.Is(err, os.ErrNotExist) {
 		t.Fatal("convert left its temporary file behind")
 	}
-	// The converted library must answer searches (via the stream loader).
-	var out strings.Builder
-	if err := run([]string{"search", "-lib", v3Path, "-pattern", strings.Repeat("ACGT", 8)}, &out); err != nil {
+	// The converted library answers exactly as the legacy file does.
+	pat := genome.Random(400, rng.New(9001)).Slice(80, 104).String()
+	var want, got strings.Builder
+	if err := run([]string{"search", "-lib", goldenV2, "-pattern", pat}, &want); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out.String(), "matches") {
-		t.Fatalf("search against converted library: %q", out.String())
-	}
-	// Round-trip back to a v2 stream.
-	v2Path := filepath.Join(t.TempDir(), "back.v2")
-	if err := run([]string{"convert", "-lib", v3Path, "-o", v2Path, "-format", "v2"}, &sb); err != nil {
+	if err := run([]string{"search", "-lib", v3Path, "-pattern", pat}, &got); err != nil {
 		t.Fatal(err)
 	}
-	if ver, err := libFileVersion(v2Path); err != nil || ver != 2 {
-		t.Fatalf("round-tripped file version %d, err %v", ver, err)
+	if !strings.Contains(got.String(), "ref-0:80") || got.String() != want.String() {
+		t.Fatalf("search against converted library:\n%s\nagainst the v2 file:\n%s", got.String(), want.String())
 	}
 }
 
 func TestConvertRejectsUnsealed(t *testing.T) {
-	// The CLI always builds sealed libraries; an unsealed one (raw
-	// counters retained) can only arrive from the core API.
-	lib, err := core.NewLibrary(core.Params{Dim: 1024, Window: 16, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := lib.Add(genome.Record{ID: "r", Seq: genome.Random(300, rng.New(8))}); err != nil {
-		t.Fatal(err)
-	}
-	lib.Freeze()
-	libPath := filepath.Join(t.TempDir(), "lib.bhd")
-	if err := saveAtomic(libPath, func(w io.Writer) error {
-		_, err := lib.WriteTo(w)
-		return err
-	}); err != nil {
-		t.Fatal(err)
-	}
+	// The CLI always builds sealed libraries; a raw-counter one can only
+	// arrive as a legacy file, and v3 does not store raw counters.
 	var sb strings.Builder
 	v3Path := filepath.Join(t.TempDir(), "lib.v3")
-	if err := run([]string{"convert", "-lib", libPath, "-o", v3Path, "-format", "v3"}, &sb); err == nil {
-		t.Fatal("unsealed library converted to v3")
+	err := run([]string{"convert", "-lib", "../../internal/core/testdata/golden_v2_raw.lib", "-o", v3Path}, &sb)
+	if err == nil || !strings.Contains(err.Error(), "sealed") {
+		t.Fatalf("raw-counter library converted to v3: %v", err)
 	}
 	if _, err := os.Stat(v3Path + ".tmp"); !errors.Is(err, os.ErrNotExist) {
 		t.Fatal("failed convert left its temporary file behind")
@@ -146,31 +144,31 @@ func TestConvertFlagValidation(t *testing.T) {
 	if err := run([]string{"convert"}, &sb); err == nil {
 		t.Fatal("convert without flags accepted")
 	}
-	libPath := buildSealedLib(t)
-	if err := run([]string{"convert", "-lib", libPath, "-o", libPath + ".x", "-format", "v9"}, &sb); err == nil {
-		t.Fatal("unknown format accepted")
+	if err := run([]string{"convert", "-lib", goldenV2}, &sb); err == nil {
+		t.Fatal("convert without -o accepted")
+	}
+	// v3 is the only format written: the -format flag is gone.
+	if err := run([]string{"convert", "-lib", goldenV2, "-o", filepath.Join(t.TempDir(), "x"), "-format", "v2"}, &sb); err == nil {
+		t.Fatal("removed -format flag accepted")
 	}
 }
 
+// TestCompactPreservesV3Format: whatever format the input arrived in,
+// compact saves the mappable one.
 func TestCompactPreservesV3Format(t *testing.T) {
 	libPath := buildSealedLib(t)
-	v3Path := filepath.Join(t.TempDir(), "lib.v3")
 	var sb strings.Builder
-	if err := run([]string{"convert", "-lib", libPath, "-o", v3Path}, &sb); err != nil {
-		t.Fatal(err)
-	}
-	// Compacting a v3 library in place must keep it v3 (and mappable).
-	if err := run([]string{"compact", "-lib", v3Path, "-remove", "VAR-0000"}, &sb); err != nil {
-		t.Fatal(err)
-	}
-	if ver, err := libFileVersion(v3Path); err != nil || ver != 3 {
-		t.Fatalf("compacted v3 file became version %d, err %v", ver, err)
-	}
-	// ... and a v2 library stays v2.
 	if err := run([]string{"compact", "-lib", libPath, "-remove", "VAR-0000"}, &sb); err != nil {
 		t.Fatal(err)
 	}
-	if ver, err := libFileVersion(libPath); err != nil || ver != 2 {
-		t.Fatalf("compacted v2 file became version %d, err %v", ver, err)
+	if v := fileVersion(t, libPath); v != 3 {
+		t.Fatalf("compacted v3 file became version %d", v)
+	}
+	out := filepath.Join(t.TempDir(), "compacted.lib")
+	if err := run([]string{"compact", "-lib", goldenV2, "-remove", "ref-1", "-o", out}, &sb); err != nil {
+		t.Fatal(err)
+	}
+	if v := fileVersion(t, out); v != 3 {
+		t.Fatalf("compacting a v2 file wrote version %d", v)
 	}
 }

@@ -21,10 +21,10 @@
 // immutable segments, atomic snapshots, Remove tombstoning columns,
 // Compact rewriting segments), the stats surface and every derived
 // probe; this package supplies the signature builder, the row-AND
-// candidate stage, verification, and the codec that serializes into
-// the shared v3 container under its own backend tag, so
+// candidate stage, verification, and the meta codec that serializes
+// into the shared v3 container under its own backend tag, so
 // ReadIndex/OpenLibraryFile round-trip both backends from one file
-// format.
+// format, on the heap or mapped in place.
 package cobs
 
 import (

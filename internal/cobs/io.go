@@ -1,12 +1,12 @@
 package cobs
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 
 	"repro/internal/core"
 	"repro/internal/genome"
+	"repro/internal/mmapfile"
 )
 
 // BackendName is the registered backend name surfaced in Describe,
@@ -18,7 +18,7 @@ const BackendName = "cobs"
 const backendTag uint32 = 1
 
 func init() {
-	core.RegisterBackend(backendTag, BackendName, readIndexV3)
+	core.RegisterBackend(backendTag, BackendName, parseMeta)
 }
 
 // WriteToV3 serializes the current snapshot into the shared v3
@@ -58,82 +58,88 @@ func (x *Index) WriteToV3(w io.Writer) (int64, error) {
 	}, segs)
 }
 
-// cobsMeta is the decoded meta section of a cobs-tagged container.
-type cobsMeta struct {
+// loader is the decoded meta section of a cobs-tagged container, and
+// the core.ContainerLoader the container walk finishes the open through.
+type loader struct {
 	params Params
 	refs   []genome.Record
 	segRef [][]int32
 	segWin [][]int32
 }
 
-// readIndexV3 deserializes a cobs-tagged v3 container: the registered
-// backend loader behind core.ReadIndex and core.OpenLibraryFile. The
-// container framing (CRCs, canonical layout, directory tags) is
-// enforced by the shared reader; this adds the backend-specific
-// validation — plausible geometry, reference indices in range, arena
-// shape matching the column metadata. Corrupt or implausible input is
-// rejected with an error, never a panic. The result is frozen and
-// heap-resident (the bit-sliced backend has no mmap mode).
-func readIndexV3(br *bufio.Reader, hdr []byte) (core.Index, error) {
-	var meta cobsMeta
-	var segs []core.Segment
-	err := core.ReadContainerV3(br, hdr, backendTag, func(sr *core.SectionReader, segCount int) error {
-		meta.params.Window = int(sr.U32())
-		meta.params.RowBits = int(sr.U64())
-		meta.params.Hashes = int(sr.U32())
-		if err := sr.Err(); err != nil {
-			return fmt.Errorf("cobs: reading v3 geometry: %w", err)
-		}
-		if err := meta.params.Validate(); err != nil {
-			return fmt.Errorf("cobs: implausible v3 geometry: %w", err)
-		}
-		refs, err := sr.Refs()
-		if err != nil {
-			return err
-		}
-		meta.refs = refs
-		for k := 0; k < segCount; k++ {
-			cols := int(sr.U32())
-			if cols < 0 || cols > core.MaxMetaCount {
-				return fmt.Errorf("cobs: v3 segment %d declares %d columns", k, cols)
-			}
-			refIdx := make([]int32, cols)
-			wins := make([]int32, cols)
-			for j := 0; j < cols; j++ {
-				r := sr.U32()
-				wn := sr.U32()
-				if int(r) >= len(refs) {
-					return fmt.Errorf("cobs: v3 segment %d column %d references %d, table has %d", k, j, r, len(refs))
-				}
-				// Bound before the int32 narrowing: an implausible count
-				// must not wrap negative and corrupt the window totals.
-				if wn > core.MaxMetaCount {
-					return fmt.Errorf("cobs: v3 segment %d column %d declares %d windows", k, j, wn)
-				}
-				refIdx[j] = int32(r)
-				wins[j] = int32(wn)
-			}
-			meta.segRef = append(meta.segRef, refIdx)
-			meta.segWin = append(meta.segWin, wins)
-		}
-		return nil
-	}, func(k int, s core.ContainerSegment) error {
-		cols := len(meta.segRef[k])
-		wantWords := (cols + 63) / 64
-		if int(s.RowWords) != wantWords || int(s.Buckets) != meta.params.RowBits {
-			return fmt.Errorf("cobs: v3 segment %d arena is %d×%d, column metadata says %d×%d",
-				k, s.Buckets, s.RowWords, meta.params.RowBits, wantWords)
-		}
-		segs = append(segs, segmentFromArena(s.Words, int(s.RowWords), meta.segRef[k], meta.segWin[k], meta.refs))
-		return nil
-	})
+// parseMeta is the registered meta parser behind core.ReadIndex and
+// core.OpenLibraryFile. The container framing (CRCs, canonical layout,
+// tags) is the shared walk's; this adds the backend-specific validation
+// — plausible geometry, reference indices in range — and Shape lets the
+// walk hold the directory to the column metadata before it reads an
+// arena. Corrupt or implausible input is rejected with an error, never
+// a panic.
+func parseMeta(sr *core.SectionReader, segCount int) (core.ContainerLoader, error) {
+	ld := &loader{}
+	ld.params.Window = int(sr.U32())
+	ld.params.RowBits = int(sr.U64())
+	ld.params.Hashes = int(sr.U32())
+	if err := sr.Err(); err != nil {
+		return nil, fmt.Errorf("cobs: reading v3 geometry: %w", err)
+	}
+	if err := ld.params.Validate(); err != nil {
+		return nil, fmt.Errorf("cobs: implausible v3 geometry: %w", err)
+	}
+	refs, err := sr.Refs()
 	if err != nil {
 		return nil, err
 	}
-	x, err := New(meta.params)
+	ld.refs = refs
+	for k := 0; k < segCount && sr.Err() == nil; k++ {
+		cols := int(sr.U32())
+		if cols < 0 || cols > core.MaxMetaCount {
+			return nil, fmt.Errorf("cobs: v3 segment %d declares %d columns", k, cols)
+		}
+		refIdx := make([]int32, cols)
+		wins := make([]int32, cols)
+		for j := 0; j < cols; j++ {
+			r := sr.U32()
+			wn := sr.U32()
+			if int(r) >= len(refs) {
+				return nil, fmt.Errorf("cobs: v3 segment %d column %d references %d, table has %d", k, j, r, len(refs))
+			}
+			// Bound before the int32 narrowing: an implausible count
+			// must not wrap negative and corrupt the window totals.
+			if wn > core.MaxMetaCount {
+				return nil, fmt.Errorf("cobs: v3 segment %d column %d declares %d windows", k, j, wn)
+			}
+			refIdx[j] = int32(r)
+			wins[j] = int32(wn)
+		}
+		ld.segRef = append(ld.segRef, refIdx)
+		ld.segWin = append(ld.segWin, wins)
+	}
+	if err := sr.Err(); err != nil {
+		return nil, fmt.Errorf("cobs: reading v3 column metadata: %w", err)
+	}
+	return ld, nil
+}
+
+// Shape: RowBits rows of one bit per column.
+func (ld *loader) Shape(k int) (rowWords, buckets uint32) {
+	return uint32((len(ld.segRef[k]) + 63) / 64), uint32(ld.params.RowBits)
+}
+
+// Build assembles the frozen index; the arenas are aliased as given,
+// so with a mapping the index scans the file in place.
+func (ld *loader) Build(arenas []core.ContainerSegment, m *mmapfile.Mapping) (core.Index, error) {
+	x, err := New(ld.params)
 	if err != nil {
 		return nil, err
 	}
-	x.Restore(meta.refs, segs, annotate)
+	segs := make([]core.Segment, len(arenas))
+	for k, a := range arenas {
+		seg := segmentFromArena(a.Words, int(a.RowWords), ld.segRef[k], ld.segWin[k], ld.refs)
+		if m != nil {
+			seg.mapOff, seg.mapLen = int(a.FileOff), len(a.Words)*8
+		}
+		segs[k] = seg
+	}
+	x.Restore(ld.refs, segs, m, annotate)
 	return x, nil
 }

@@ -3,6 +3,7 @@ package cobs
 import (
 	"bytes"
 	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -11,6 +12,51 @@ import (
 	"repro/internal/genome"
 	"repro/internal/rng"
 )
+
+// writeV3 serializes a frozen index.
+func writeV3(t testing.TB, x *Index) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if _, err := x.WriteToV3(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// openTiers runs the loader over data on every storage tier — the
+// stream, and a file opened LoadHeap and MapArena — and returns what
+// each said. The tiers are one walk over different byte sources, so
+// callers hold them to the same verdict.
+func openTiers(t *testing.T, data []byte) map[string]error {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "index.v3")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, serr := core.ReadIndex(bytes.NewReader(data))
+	out := map[string]error{"stream": serr}
+	for name, mode := range map[string]core.LoadMode{"heap file": core.LoadHeap, "mapped": core.MapArena} {
+		idx, err := core.OpenLibraryFile(path, mode)
+		if err == nil {
+			_ = idx.Close()
+		}
+		out[name] = err
+	}
+	return out
+}
+
+// requireRejected asserts every tier rejects data, and returns the
+// stream tier's error for message checks.
+func requireRejected(t *testing.T, data []byte, what string) error {
+	t.Helper()
+	errs := openTiers(t, data)
+	for tier, err := range errs {
+		if err == nil {
+			t.Fatalf("%s: accepted on the %s tier", what, tier)
+		}
+	}
+	return errs["stream"]
+}
 
 // buildSegmentedIndex builds a frozen multi-segment index with one
 // tombstoned reference — the richest state the container has to carry.
@@ -130,14 +176,7 @@ func TestWriteToV3RequiresFreeze(t *testing.T) {
 func TestOpenLibraryFileDispatch(t *testing.T) {
 	x, refs := buildSegmentedIndex(t)
 	path := filepath.Join(t.TempDir(), "cobs.v3")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := x.WriteToV3(f); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
+	if err := os.WriteFile(path, writeV3(t, x), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	for _, mode := range []core.LoadMode{core.LoadHeap, core.MapArena} {
@@ -148,9 +187,8 @@ func TestOpenLibraryFileDispatch(t *testing.T) {
 		if idx.Describe().Backend != BackendName {
 			t.Fatalf("mode %v: backend %q", mode, idx.Describe().Backend)
 		}
-		// MapArena falls back to the heap loader: this backend never maps.
-		if idx.Mapped() {
-			t.Fatalf("mode %v: cobs index claims to be mapped", mode)
+		if want := mode == core.MapArena && core.MapSupported(); idx.Mapped() != want {
+			t.Fatalf("mode %v: Mapped() = %v, want %v", mode, idx.Mapped(), want)
 		}
 		requireSameAnswers(t, x, idx, refs)
 		if err := idx.Close(); err != nil {
@@ -159,10 +197,86 @@ func TestOpenLibraryFileDispatch(t *testing.T) {
 	}
 }
 
+// TestMappedEqualsHeap is the cobs twin of core's TestV3MappedEqualsHeap:
+// the same file opened on both tiers gives the same answers and the
+// same bytes back, the mapping is the whole file, and scans are
+// attributed to the tier that served them — until compaction rewrites
+// a mapped segment onto the heap.
+func TestMappedEqualsHeap(t *testing.T) {
+	x, refs := buildSegmentedIndex(t)
+	data := writeV3(t, x)
+	path := filepath.Join(t.TempDir(), "cobs.v3")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	heap, err := core.OpenLibraryFile(path, core.LoadHeap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer heap.Close()
+	mapped, err := core.OpenLibraryFile(path, core.MapArena)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mapped.Close()
+	requireSameAnswers(t, heap, mapped, refs)
+	if !bytes.Equal(writeV3(t, heap.(*Index)), data) || !bytes.Equal(writeV3(t, mapped.(*Index)), data) {
+		t.Fatal("a reopened index does not write the bytes it was opened from")
+	}
+	if c := heap.Counters(); c.MappedScans != 0 || c.HeapScans == 0 {
+		t.Fatalf("heap index counters: mapped=%d heap=%d", c.MappedScans, c.HeapScans)
+	}
+	if !mapped.Mapped() {
+		if core.MapSupported() {
+			t.Fatal("MapArena fell back to the heap on a platform that maps")
+		}
+		return
+	}
+	if mapped.MappedBytes() != int64(len(data)) {
+		t.Fatalf("MappedBytes %d, file is %d bytes", mapped.MappedBytes(), len(data))
+	}
+	if c := mapped.Counters(); c.MappedScans == 0 || c.HeapScans != 0 {
+		t.Fatalf("mapped index counters: mapped=%d heap=%d", c.MappedScans, c.HeapScans)
+	}
+	// Reference 2 is tombstoned in its segment: compaction rewrites that
+	// segment onto the heap and tells the kernel its file range is cold
+	// (the DONTNEED hint goes through MapRange), so heap scans appear
+	// beside the mapped ones and the answers do not move.
+	var cold int
+	for _, seg := range viewOf(mustPin(t, mapped.(*Index))).segs {
+		if _, n := seg.MapRange(); n > 0 && seg.tombWins > 0 {
+			cold++
+		}
+	}
+	if n, err := mapped.Compact(0); err != nil || n != cold || cold == 0 {
+		t.Fatalf("Compact rewrote %d segments (err %v), %d mapped segments held tombstones", n, err, cold)
+	}
+	if _, err := heap.Compact(0); err != nil {
+		t.Fatal(err)
+	}
+	requireSameAnswers(t, heap, mapped, refs)
+	if c := mapped.Counters(); c.HeapScans == 0 {
+		t.Fatal("post-compact probes still attributed to the mapped tier only")
+	}
+}
+
+// mustPin returns x's current view (the read section is closed at once:
+// the caller only inspects segment headers).
+func mustPin(t *testing.T, x *Index) *core.View {
+	t.Helper()
+	v, err := x.Pin("test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	x.Unpin()
+	return v
+}
+
 // TestCorruptionMatrix flips every single byte of a serialized cobs
 // container (and truncates at a spread of lengths): each mutation must
 // be rejected with an error — the CRCs and the backend tag cover the
-// whole file — and must never panic.
+// whole file — and must never panic, on the stream tier for every byte
+// and on the file tiers (heap and mapped) for a stride of them.
 func TestCorruptionMatrix(t *testing.T) {
 	x := mustIndex(t, Params{Window: 8, RowBits: 256, Hashes: 2})
 	x.SetSealThreshold(2)
@@ -186,11 +300,12 @@ func TestCorruptionMatrix(t *testing.T) {
 		if _, err := core.ReadIndex(bytes.NewReader(mut)); err == nil {
 			t.Fatalf("byte %d flipped, still accepted", i)
 		}
+		if i%7 == 0 || i < 128 {
+			requireRejected(t, mut, "flipped byte")
+		}
 	}
 	for cut := 0; cut < len(valid); cut += 37 {
-		if _, err := core.ReadIndex(bytes.NewReader(valid[:cut])); err == nil {
-			t.Fatalf("truncation at %d accepted", cut)
-		}
+		requireRejected(t, valid[:cut], "truncation")
 	}
 }
 
@@ -206,10 +321,7 @@ func TestUnknownBackendTag(t *testing.T) {
 	}
 	mut := append([]byte(nil), buf.Bytes()...)
 	binary.LittleEndian.PutUint32(mut[60:64], 99)
-	_, err := core.ReadIndex(bytes.NewReader(mut))
-	if err == nil {
-		t.Fatal("unknown backend tag accepted")
-	}
+	err := requireRejected(t, mut, "unknown backend tag")
 	if want := "unknown index backend tag 99"; !bytes.Contains([]byte(err.Error()), []byte(want)) {
 		t.Fatalf("error %q does not name the tag", err)
 	}
@@ -240,10 +352,7 @@ func TestHeaderTagFlipOnEmptyContainer(t *testing.T) {
 	// Empty cobs container, header retagged to hdc.
 	mut := emptyContainer(t)
 	binary.LittleEndian.PutUint32(mut[60:64], 0)
-	_, err := core.ReadIndex(bytes.NewReader(mut))
-	if err == nil {
-		t.Fatal("empty cobs container retagged as hdc accepted")
-	}
+	err := requireRejected(t, mut, "empty cobs container retagged as hdc")
 	if !bytes.Contains([]byte(err.Error()), []byte("meta section tagged")) {
 		t.Fatalf("error %q is not the meta-tag cross-check", err)
 	}
@@ -255,10 +364,7 @@ func TestHeaderTagFlipOnEmptyContainer(t *testing.T) {
 	}
 	mut = append([]byte(nil), hbuf.Bytes()...)
 	binary.LittleEndian.PutUint32(mut[60:64], backendTag)
-	_, err = core.ReadIndex(bytes.NewReader(mut))
-	if err == nil {
-		t.Fatal("empty hdc container retagged as cobs accepted")
-	}
+	err = requireRejected(t, mut, "empty hdc container retagged as cobs")
 	if !bytes.Contains([]byte(err.Error()), []byte("meta section tagged")) {
 		t.Fatalf("error %q is not the meta-tag cross-check", err)
 	}
@@ -291,9 +397,38 @@ func TestRejectsImplausibleWindowCount(t *testing.T) {
 	}
 }
 
-func buildIndexSmall(t *testing.T) *Index {
+// forgeHugeDirectory rewrites a valid container so its first directory
+// entry claims 2^32-1 rows of the same length over the few bytes of
+// arena actually present, re-sealing the word count, the header's file
+// size and both CRCs (core's test of the same name is its twin).
+func forgeHugeDirectory(valid []byte) []byte {
+	b := append([]byte(nil), valid...)
+	le := binary.LittleEndian
+	dirOff, arenaOff := le.Uint64(b[32:40]), le.Uint64(b[40:48])
+	dirEnd := dirOff + uint64(le.Uint32(b[12:16]))*32
+	e := b[dirOff:dirEnd]
+	const rows = 1<<32 - 1
+	words := uint64(rows) * uint64(le.Uint32(e[16:20]))
+	le.PutUint64(e[8:16], words)
+	le.PutUint32(e[20:24], rows)
+	le.PutUint32(b[dirEnd:], crc32.ChecksumIEEE(e))
+	le.PutUint64(b[48:56], (arenaOff+words*8+63)&^63)
+	le.PutUint32(b[56:60], crc32.ChecksumIEEE(b[:56]))
+	return b
+}
+
+// TestForgedDirectoryRejected: no open path may size an arena from a
+// directory the metadata and the bytes present do not back.
+func TestForgedDirectoryRejected(t *testing.T) {
+	requireRejected(t, forgeHugeDirectory(writeV3(t, buildIndexSmall(t))), "forged directory")
+}
+
+func buildIndexSmall(t testing.TB) *Index {
 	t.Helper()
-	x := mustIndex(t, Params{Window: 8, RowBits: 256, Hashes: 2})
+	x, err := New(Params{Window: 8, RowBits: 256, Hashes: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := x.Add(genome.Record{ID: "r", Seq: genome.Random(100, rng.New(5))}); err != nil {
 		t.Fatal(err)
 	}

@@ -68,7 +68,7 @@ func (x *Index) probeWindow(v *core.View, pattern *genome.Sequence, qoff int, sc
 		stats.BucketProbes += len(pos)
 	}
 	stats.CandidateBuckets += len(sc.cands)
-	x.CountScans(int64(len(pos)*len(sn.segs)), int64(len(sn.segs)))
+	x.CountScans(int64(len(pos)*len(sn.segs)), int64(sn.mapped), int64(len(sn.segs)-sn.mapped))
 }
 
 // verifyWindow scans each candidate reference for exact occurrences of

@@ -86,6 +86,12 @@ type segment struct {
 
 	totalWins int // windows across all columns, tombstoned included
 	tombWins  int // windows in tombstoned columns
+
+	// mapOff and mapLen locate an arena that aliases the engine's file
+	// mapping (a v3 container opened with core.MapArena); mapLen is 0 on
+	// the heap. A mapped arena is read-only memory, which the
+	// never-written-after-seal rule above already respects.
+	mapOff, mapLen int
 }
 
 // NumBuckets, Windows and MemoryBytes make a segment a core.Segment;
@@ -97,6 +103,10 @@ func (s *segment) Windows() (total, tombstoned int) { return s.totalWins, s.tomb
 func (s *segment) MemoryBytes() int64 {
 	return int64(len(s.arena)+len(s.tombs)) * 8
 }
+
+// MapRange tells the engine which bytes of its mapping the arena
+// aliases, so compaction can mark them cold; (0, 0) on the heap.
+func (s *segment) MapRange() (off, n int) { return s.mapOff, s.mapLen }
 
 // tombstoneSegment is Kernel.Tombstone: a fresh segment header with
 // reference ref's column tombstoned. The arena and column metadata are
@@ -194,9 +204,10 @@ func (s *segment) arenaWords() []uint64 { return s.arena }
 // column returns column j's global reference index and window count.
 func (s *segment) column(j int) (int32, int32) { return s.refIdx[j], s.wins[j] }
 
-// segmentFromArena reassembles a sealed segment from a deserialized
-// arena and column metadata, rebuilding the tombstone bitmap from the
-// reference table (removed references have nil sequences).
+// segmentFromArena reassembles a sealed segment around a loaded arena
+// (aliased, not copied) and its column metadata, rebuilding the
+// tombstone bitmap from the reference table (removed references have
+// nil sequences).
 func segmentFromArena(arena []uint64, colWords int, refIdx, wins []int32, refs []genome.Record) *segment {
 	s := &segment{
 		arena:    arena,

@@ -14,24 +14,24 @@ import (
 
 // The v3 container carries a backend tag so one file format serves
 // every index backend: the tag appears in the header's trailing word
-// (bytes [60,64), outside the header CRC — a dispatch hint) and,
+// (bytes [60,64), outside the header CRC — it selects the backend) and,
 // authoritatively, as the CRC-covered leading word of the meta section
 // plus the reserved word of every CRC-protected directory entry. The
 // meta copy exists whatever the segment count, so even an empty
-// container has a protected tag. The HDC library is tag 0; alternate
-// backends register a nonzero tag. A reader validates that the meta
-// and directory tags match the backend it dispatched to, so a flipped
-// header tag surfaces as a clean error, never a panic or a
-// misinterpreted arena.
+// container has a protected tag. The walk requires the protected copies
+// to repeat the header's, so a flipped header tag surfaces as a clean
+// error, never a panic or a misinterpreted arena. The HDC library is
+// tag 0 and registers here like any other backend (io_v3.go).
 const backendTagHDC uint32 = 0
 
-// backendEntry is one registered alternate backend.
+// backendEntry is one registered backend.
 type backendEntry struct {
 	name string
-	// load deserializes a v3 container whose 64-byte header (already
-	// consumed from br, structurally unverified beyond the magic and
-	// version) carries the entry's tag.
-	load func(br *bufio.Reader, hdr []byte) (Index, error)
+	// parseMeta decodes the backend's meta payload (the section reader
+	// is positioned after the leading tag word) of a container with
+	// segCount segments, validating what only the backend can, and
+	// returns the loader the container walk finishes the open through.
+	parseMeta func(sr *SectionReader, segCount int) (ContainerLoader, error)
 }
 
 var (
@@ -39,20 +39,16 @@ var (
 	backends  = map[uint32]backendEntry{}
 )
 
-// RegisterBackend registers an alternate index backend for v3 files
-// tagged with tag: ReadIndex and OpenLibraryFile dispatch matching
-// files to load. Tag 0 and the name "hdc" belong to the built-in HDC
-// library. Registration normally happens in a backend package's init;
+// RegisterBackend registers an index backend for v3 files tagged with
+// tag: ReadIndex and OpenLibraryFile hand matching files' metadata to
+// parseMeta. Registration happens in a backend package's init;
 // duplicate tags or names panic — they are wiring bugs, not runtime
 // conditions.
-func RegisterBackend(tag uint32, name string, load func(br *bufio.Reader, hdr []byte) (Index, error)) {
+func RegisterBackend(tag uint32, name string, parseMeta func(sr *SectionReader, segCount int) (ContainerLoader, error)) {
 	backendMu.Lock()
 	defer backendMu.Unlock()
-	if tag == backendTagHDC || name == BackendHDC {
-		panic("core: backend tag 0 / name \"hdc\" are reserved for the built-in library")
-	}
-	if name == "" || load == nil {
-		panic("core: RegisterBackend requires a name and a loader")
+	if name == "" || parseMeta == nil {
+		panic("core: RegisterBackend requires a name and a meta parser")
 	}
 	if prev, ok := backends[tag]; ok {
 		panic(fmt.Sprintf("core: backend tag %d already registered as %q", tag, prev.name))
@@ -62,7 +58,7 @@ func RegisterBackend(tag uint32, name string, load func(br *bufio.Reader, hdr []
 			panic(fmt.Sprintf("core: backend name %q already registered as tag %d", name, t))
 		}
 	}
-	backends[tag] = backendEntry{name: name, load: load}
+	backends[tag] = backendEntry{name: name, parseMeta: parseMeta}
 }
 
 func lookupBackend(tag uint32) (backendEntry, bool) {
@@ -72,21 +68,17 @@ func lookupBackend(tag uint32) (backendEntry, bool) {
 	return e, ok
 }
 
-// BackendName names a v3 backend tag: "hdc" for 0, the registered name
-// for known tags, and a descriptive placeholder otherwise.
+// BackendName names a v3 backend tag: the registered name for known
+// tags, a descriptive placeholder otherwise.
 func BackendName(tag uint32) string {
-	if tag == backendTagHDC {
-		return BackendHDC
-	}
 	if e, ok := lookupBackend(tag); ok {
 		return e.name
 	}
 	return fmt.Sprintf("unknown(tag %d)", tag)
 }
 
-// RegisteredBackends lists the selectable backend names: the built-in
-// "hdc" plus every registered alternate, for CLI flag validation and
-// usage strings.
+// RegisteredBackends lists the selectable backend names in tag order
+// ("hdc" first), for CLI flag validation and usage strings.
 func RegisteredBackends() []string {
 	backendMu.RLock()
 	defer backendMu.RUnlock()
@@ -95,79 +87,88 @@ func RegisteredBackends() []string {
 		tags = append(tags, t)
 	}
 	sort.Slice(tags, func(i, j int) bool { return tags[i] < tags[j] })
-	out := []string{BackendHDC}
-	for _, t := range tags {
-		out = append(out, backends[t].name)
+	out := make([]string, len(tags))
+	for i, t := range tags {
+		out[i] = backends[t].name
 	}
 	return out
 }
 
-// ReadIndex deserializes an index saved in any supported format,
-// dispatching v3 containers on their backend tag: tag 0 loads the HDC
-// library (exactly as ReadLibrary does), registered tags load through
-// their backend, and unknown tags are rejected with an error — never a
-// panic. v1/v2 streams are always HDC.
+// ReadIndex deserializes an index saved in any supported format into
+// the heap, verifying every checksum; the result is frozen and answers
+// exactly as the index that was saved. A v3 container goes through the
+// one container walk to the backend its tag names (unknown tags are an
+// error); the read-only v1/v2 streams are always HDC. Bytes following
+// the format's final checksum are rejected.
 func ReadIndex(r io.Reader) (Index, error) {
+	return readIndex(r, 0)
+}
+
+// readIndex is ReadIndex for an input of which size bytes are known to
+// exist (0 = unknown), so v3 sections within that bound are allocated
+// at once.
+func readIndex(r io.Reader, size uint64) (Index, error) {
 	br := bufio.NewReader(r)
-	var head [12]byte
-	if _, err := io.ReadFull(br, head[:]); err != nil || string(head[:len(libMagic)]) != libMagic {
+	head, err := br.Peek(len(libMagic) + 4)
+	if err != nil || string(head[:len(libMagic)]) != libMagic {
 		return nil, fmt.Errorf("core: not a BioHD library file")
 	}
 	switch version := binary.LittleEndian.Uint32(head[len(libMagic):]); version {
 	case 1, 2:
-		return readLibraryV12(br, head[:], int(version))
+		return readLegacyStream(br, int(version))
 	case libVersionMapped:
-		hdr, err := readV3HeaderBytes(br, head[:])
-		if err != nil {
-			return nil, err
-		}
-		tag := binary.LittleEndian.Uint32(hdr[60:64])
-		if tag == backendTagHDC {
-			return readLibraryV3Hdr(br, hdr)
-		}
-		be, ok := lookupBackend(tag)
-		if !ok {
-			return nil, fmt.Errorf("core: v3 library uses unknown index backend tag %d", tag)
-		}
-		return be.load(br, hdr)
+		return readContainerV3(&streamSource{br: br, avail: size}, nil)
 	default:
 		return nil, fmt.Errorf("core: unsupported library version %d", version)
 	}
 }
 
-// readV3HeaderBytes completes the fixed 64-byte v3 header given the
-// already-consumed magic+version prefix.
-func readV3HeaderBytes(br *bufio.Reader, head []byte) ([]byte, error) {
-	hdr := make([]byte, v3HeaderSize)
-	copy(hdr, head)
-	if _, err := io.ReadFull(br, hdr[len(head):]); err != nil {
-		return nil, fmt.Errorf("core: reading v3 header: %w", err)
-	}
-	return hdr, nil
-}
+// MapSupported reports whether MapArena maps v3 files on this platform
+// and build: the platform can map, and the host is little-endian like
+// the file's words. Where it is false every open is a heap load.
+func MapSupported() bool { return mmapfile.Supported() && mmapfile.HostLittleEndian() }
 
-// OpenLibraryFile loads an index file from disk, whatever its backend:
-// v1/v2 streams and tag-0 v3 containers come back as the HDC library,
-// backend-tagged v3 containers load through their registered backend.
-// With MapArena the arenas of an HDC v3 file alias a read-only mapping
-// — verify with Index.Mapped — and the caller must Close the index to
-// unmap; alternate backends currently load onto the heap under either
-// mode. Close is harmless (and still recommended) for heap-loaded
-// indexes.
+// OpenLibraryFile loads an index file from disk, whatever its format
+// and backend. With MapArena the arenas of a v3 container alias a
+// read-only mapping — verify with Index.Mapped — and the caller must
+// Close the index to unmap; where the platform (or purego build) cannot
+// map, the host is not little-endian (the on-disk word order), or the
+// file is a v1/v2 stream, it loads onto the heap as LoadHeap does.
+// Both tiers run the same walk, so they accept exactly the same files.
+// Close is harmless (and still recommended) for heap-loaded indexes.
 func OpenLibraryFile(path string, mode LoadMode) (Index, error) {
-	if mode == MapArena && mmapfile.Supported() && mmapfile.HostLittleEndian() {
-		lib, handled, err := openMappedV3(path)
-		if handled {
+	if mode == MapArena && MapSupported() {
+		m, err := mmapfile.Open(path)
+		if err != nil {
+			return nil, err
+		}
+		if b := m.Bytes(); len(b) >= len(libMagic)+4 && string(b[:len(libMagic)]) == libMagic &&
+			binary.LittleEndian.Uint32(b[len(libMagic):]) == libVersionMapped {
+			// The walk streams every arena front to back for its CRC; tell
+			// the kernel so readahead keeps up, then mark the file wanted
+			// so what was verified stays warm for the first probes. Hints
+			// are best-effort.
+			_ = m.Advise(0, m.Len(), mmapfile.AdviseSequential)
+			idx, err := readContainerV3(&mappedSource{m: m}, m)
 			if err != nil {
+				_ = m.Close()
 				return nil, err
 			}
-			return lib, nil
+			_ = m.Advise(0, m.Len(), mmapfile.AdviseWillNeed)
+			return idx, nil
 		}
+		// Not a v3 container: the stream path owns the legacy formats
+		// and the not-a-library diagnostics.
+		_ = m.Close()
 	}
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	return ReadIndex(f)
+	var size uint64
+	if fi, err := f.Stat(); err == nil && fi.Mode().IsRegular() {
+		size = uint64(fi.Size())
+	}
+	return readIndex(f, size)
 }

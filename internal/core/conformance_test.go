@@ -60,30 +60,30 @@ func freezeWith(t *testing.T, idx core.Index, initial []genome.Record) {
 	}
 }
 
-var confBackends = []confBackend{
-	{name: "hdc-exact", open: openHDC(core.Params{Dim: 2048, Window: confWindow, Sealed: true, Seed: 11})},
-	{name: "hdc-approx", tol: 1, open: openHDC(core.Params{
-		Dim: 2048, Window: confWindow, Approx: true, MutTolerance: 1, Sealed: true, Seed: 12})},
-	{name: "cobs", open: func(t *testing.T, initial []genome.Record) core.Index {
+func openCOBS(t *testing.T, initial []genome.Record) core.Index {
+	t.Helper()
+	x, err := cobs.New(cobs.Params{Window: confWindow, RowBits: 4096, Hashes: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	freezeWith(t, x, initial)
+	return x
+}
+
+// mapped wraps a backend's opener: the index it builds is saved and
+// reopened with its sealed segments aliasing a file mapping, so live
+// ingest builds heap segments beside the mapped ones, compaction
+// retires mapped segments (the DONTNEED hint, through MapRange), and
+// Close drains the readers and unmaps.
+func mapped(open func(*testing.T, []genome.Record) core.Index) func(*testing.T, []genome.Record) core.Index {
+	return func(t *testing.T, initial []genome.Record) core.Index {
 		t.Helper()
-		x, err := cobs.New(cobs.Params{Window: confWindow, RowBits: 4096, Hashes: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		freezeWith(t, x, initial)
-		return x
-	}},
-	// The same HDC kernel over mmap-backed sealed segments: live ingest
-	// builds heap segments beside the mapped ones, and Close unmaps.
-	{name: "hdc-mapped", open: func(t *testing.T, initial []genome.Record) core.Index {
-		t.Helper()
-		lib := openHDC(core.Params{Dim: 2048, Window: confWindow, Sealed: true, Seed: 13})(t, initial)
-		path := filepath.Join(t.TempDir(), "lib.v3")
+		path := filepath.Join(t.TempDir(), "index.v3")
 		f, err := os.Create(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := lib.WriteToV3(f); err != nil {
+		if _, err := open(t, initial).WriteToV3(f); err != nil {
 			t.Fatal(err)
 		}
 		if err := f.Close(); err != nil {
@@ -98,7 +98,16 @@ var confBackends = []confBackend{
 			t.Skip("this platform or build cannot map library files")
 		}
 		return idx
-	}},
+	}
+}
+
+var confBackends = []confBackend{
+	{name: "hdc-exact", open: openHDC(core.Params{Dim: 2048, Window: confWindow, Sealed: true, Seed: 11})},
+	{name: "hdc-approx", tol: 1, open: openHDC(core.Params{
+		Dim: 2048, Window: confWindow, Approx: true, MutTolerance: 1, Sealed: true, Seed: 12})},
+	{name: "cobs", open: openCOBS},
+	{name: "hdc-mapped", open: mapped(openHDC(core.Params{Dim: 2048, Window: confWindow, Sealed: true, Seed: 13}))},
+	{name: "cobs-mapped", open: mapped(openCOBS)},
 }
 
 // confOp is one step of a mutation schedule.
@@ -444,6 +453,11 @@ func TestEngineConformance(t *testing.T) {
 				c := idx.Counters()
 				if c.SegmentSeals == 0 || c.Compactions == 0 {
 					t.Errorf("policies idle: %d auto-seals, %d compactions", c.SegmentSeals, c.Compactions)
+				}
+				// Ingest and compaction build heap segments beside (and in
+				// place of) the mapped ones a mapped index opened with.
+				if idx.Mapped() && c.HeapScans == 0 {
+					t.Errorf("mapped index scanned %d mapped, %d heap ranges", c.MappedScans, c.HeapScans)
 				}
 			})
 			// auto-seal: live ingest seals the builder at the threshold,

@@ -7,18 +7,21 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math/bits"
 
 	"repro/internal/genome"
+	"repro/internal/mmapfile"
 )
 
-// The generic v3 container codec: the header/meta/directory/arena
-// framing of the mappable file format, factored out of the HDC reader
-// and writer so alternate backends serialize into the same container
-// with their own tag and meta schema. The layout (offsets, alignment,
-// CRCs, canonical zero padding) is identical whatever the backend —
-// only the meta payload and the arena interpretation differ. The HDC
-// WriteToV3/readLibraryV3 pair is itself built on this codec, so there
-// is exactly one acceptance surface to fuzz and corruption-test.
+// The v3 container codec: the header/meta/directory/arena framing of
+// the one file format BioHD writes (layout in io_v3.go), shared by every
+// index backend. Offsets, alignment, CRCs and canonical zero padding are
+// identical whatever the backend — only the meta payload and the arena
+// interpretation differ, and those a backend supplies as a meta writer
+// (WriteContainerV3) and a registered meta parser (RegisterBackend).
+// There is one writer and one reader: readContainerV3 below is the only
+// function that walks a container, for both backends and both storage
+// tiers, so it is the one acceptance surface to fuzz and corruption-test.
 
 // MaxMetaCount caps count fields decoded from untrusted metadata, so a
 // forged length prefix cannot trigger a huge allocation before any
@@ -50,7 +53,7 @@ func (w *SectionWriter) Err() error { return w.cw.err }
 // SectionReader decodes one CRC-covered container section. The read
 // methods latch the first error (including plausibility-limit
 // violations); decoding continues returning zero values after a latch,
-// so parsers check Err (or let ReadContainerV3 check it) once.
+// so parsers check Err (or let the container walk check it) once.
 type SectionReader struct {
 	cr crcReader
 }
@@ -71,23 +74,18 @@ func (r *SectionReader) Refs() ([]genome.Record, error) { return readRefs(&r.cr,
 // Err returns the first read error, if any.
 func (r *SectionReader) Err() error { return r.cr.err }
 
-// Fail latches err as the section's error if none is set — backend
-// parsers report their own validation failures through it.
-func (r *SectionReader) Fail(err error) {
-	if r.cr.err == nil {
-		r.cr.err = err
-	}
-}
-
 // ContainerSegment is one arena in a v3 container: a (Buckets ×
 // RowWords) word matrix stored row-major. For the HDC backend a row is
 // a sealed bucket hypervector; for the bit-sliced backend a row is one
 // Bloom bit position's column bitmap. len(Words) must equal
-// Buckets·RowWords.
+// Buckets·RowWords. FileOff is the arena's byte offset in the container
+// (set by the reader, ignored by the writer): where Words aliases the
+// file mapping when there is one.
 type ContainerSegment struct {
 	Words    []uint64
 	RowWords uint32
 	Buckets  uint32
+	FileOff  uint64
 }
 
 // WriteContainerV3 writes a complete v3 container: the fixed header
@@ -96,7 +94,7 @@ type ContainerSegment struct {
 // appended), the segment directory (each entry tagged with backend
 // inside the directory CRC), and the 64-byte-aligned arenas. Offsets
 // are the minimal aligned positions and all padding is zero — the
-// canonical layout the readers enforce byte for byte. It returns the
+// canonical layout the reader enforces byte for byte. It returns the
 // number of bytes written (the v3 file size).
 //
 // The header's tag word sits outside the header CRC, so the codec
@@ -124,19 +122,13 @@ func WriteContainerV3(w io.Writer, backend uint32, writeMeta func(*SectionWriter
 	arenaOff := v3AlignUp(dirOff + uint64(nSegs*v3DirEntrySize+4))
 
 	encBuf := make([]byte, 64*1024)
-	entries := make([]v3DirEntry, nSegs)
+	offs, crcs := make([]uint64, nSegs), make([]uint32, nSegs)
 	off := arenaOff
 	for k, s := range segs {
 		if uint64(len(s.Words)) != uint64(s.RowWords)*uint64(s.Buckets) {
 			return 0, fmt.Errorf("core: v3 segment %d arena has %d words, geometry says %d×%d", k, len(s.Words), s.Buckets, s.RowWords)
 		}
-		entries[k] = v3DirEntry{
-			off:      off,
-			words:    uint64(len(s.Words)),
-			rowWords: s.RowWords,
-			buckets:  s.Buckets,
-			crc:      crcWordsLE(s.Words, encBuf),
-		}
+		offs[k], crcs[k] = off, crcWordsLE(s.Words, encBuf)
 		off = v3AlignUp(off + uint64(len(s.Words))*8)
 	}
 	fileSize := off
@@ -158,20 +150,20 @@ func WriteContainerV3(w io.Writer, backend uint32, writeMeta func(*SectionWriter
 	out.write(metaBuf.Bytes())
 	out.pad(dirOff)
 	dcw := &crcWriter{w: out}
-	for _, e := range entries {
-		dcw.u64(e.off)
-		dcw.u64(e.words)
-		dcw.u32(e.rowWords)
-		dcw.u32(e.buckets)
-		dcw.u32(e.crc)
+	for k, s := range segs {
+		dcw.u64(offs[k])
+		dcw.u64(uint64(len(s.Words)))
+		dcw.u32(s.RowWords)
+		dcw.u32(s.Buckets)
+		dcw.u32(crcs[k])
 		dcw.u32(backend)
 	}
 	binary.LittleEndian.PutUint32(tail[:], dcw.crc)
 	out.write(tail[:])
 	out.pad(arenaOff)
-	for k := range segs {
-		out.pad(entries[k].off)
-		out.writeWordsLE(segs[k].Words, encBuf)
+	for k, s := range segs {
+		out.pad(offs[k])
+		out.writeWordsLE(s.Words, encBuf)
 	}
 	out.pad(fileSize)
 	if out.err != nil {
@@ -186,114 +178,242 @@ func WriteContainerV3(w io.Writer, backend uint32, writeMeta func(*SectionWriter
 	return out.n, nil
 }
 
-// ReadContainerV3 reads and verifies a v3 container from br given its
-// already-consumed 64-byte header, enforcing the canonical layout: the
-// header CRC and structural offsets, the backend tag (header word, the
-// meta section's leading word, and every directory entry must equal
-// backend), meta CRC with full payload consumption, directory CRC and
-// generic geometry (each arena
-// exactly Buckets·RowWords words at the minimal aligned offset, ending
-// at the header's file size), per-arena CRCs, all-zero padding, and
-// EOF at the recorded size. parseMeta decodes the backend's meta
-// payload; onSeg receives each verified arena in order — both
-// callbacks apply the backend-specific validation the container cannot
-// know about.
-func ReadContainerV3(br *bufio.Reader, hdr []byte, backend uint32, parseMeta func(*SectionReader, int) error, onSeg func(k int, s ContainerSegment) error) error {
+// ContainerLoader is what a backend's meta parser hands back to the
+// walk: the arena geometry its metadata implies — checked against the
+// directory before any arena is read — and the step that assembles the
+// index once every arena has been verified.
+type ContainerLoader interface {
+	// Shape returns the row length and row count the metadata implies
+	// for segment k's arena.
+	Shape(k int) (rowWords, buckets uint32)
+	// Build assembles the frozen index from the verified arenas. A
+	// non-nil m means every segs[k].Words aliases m at FileOff: Build
+	// passes m to Engine.Restore, which owns it from then on.
+	Build(segs []ContainerSegment, m *mmapfile.Mapping) (Index, error)
+}
+
+// source is where the walk's bytes come from. The storage tiers differ
+// in this (and in the mapping the walk passes on) and in nothing the
+// walk accepts.
+type source interface {
+	// take returns the next n bytes of the container, 8-byte aligned and
+	// valid for as long as the index built from them.
+	take(n uint64) ([]byte, error)
+	// end fails unless the container's last byte has been taken.
+	end() error
+}
+
+// mappedSource serves sub-slices of a file mapping.
+type mappedSource struct {
+	m   *mmapfile.Mapping
+	off uint64
+}
+
+func (s *mappedSource) take(n uint64) ([]byte, error) {
+	b := s.m.Bytes()
+	if n > uint64(len(b))-s.off {
+		return nil, io.ErrUnexpectedEOF
+	}
+	b = b[s.off : s.off+n : s.off+n]
+	s.off += n
+	return b, nil
+}
+
+func (s *mappedSource) end() error {
+	if s.off != uint64(s.m.Len()) {
+		return errTrailingData
+	}
+	return nil
+}
+
+// streamChunk is the first allocation of a streamSource take of
+// unvouched length; the buffer doubles from there while bytes keep
+// arriving.
+const streamChunk = 1 << 20
+
+// streamSource reads the container from a stream into fresh heap
+// memory. The memory is word-backed, so an arena taken from it is
+// aliased as []uint64 exactly like a mapped one, and it grows only as
+// bytes actually arrive: a length the file merely claims costs at most
+// twice the bytes present, never the claim.
+type streamSource struct {
+	br *bufio.Reader
+	// avail is how many bytes a regular file's size vouches for beyond
+	// those taken, 0 when the input's length is unknown: a take within
+	// it is allocated once, with no doubling and no copy.
+	avail uint64
+}
+
+func (s *streamSource) take(n uint64) ([]byte, error) {
+	first := max(streamChunk, s.avail)
+	s.avail -= min(n, s.avail)
+	var words []uint64
+	for got := uint64(0); got < n; {
+		want := min(n, max(2*got, first))
+		next := make([]uint64, (want+7)/8)
+		copy(next, words)
+		words = next
+		if _, err := io.ReadFull(s.br, mmapfile.WordBytes(words)[got:want]); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
+		got = want
+	}
+	return mmapfile.WordBytes(words)[:n], nil
+}
+
+func (s *streamSource) end() error { return expectEOF(s.br) }
+
+// takeZeros consumes n padding bytes, requiring each to be zero — the
+// canonical layout leaves no place for stray bytes to hide.
+func takeZeros(src source, n uint64) error {
+	b, err := src.take(n)
+	if err != nil {
+		return fmt.Errorf("core: reading v3 padding: %w", err)
+	}
+	for _, x := range b {
+		if x != 0 {
+			return fmt.Errorf("core: v3 padding byte not zero")
+		}
+	}
+	return nil
+}
+
+// takeSection takes an n-byte section whose last four bytes are the
+// CRC of the rest, verifies it, and returns the rest. The check comes
+// before anything is parsed: the bytes are in hand, and a backend's
+// parser builds from what it decodes.
+func takeSection(src source, n uint64, what string) ([]byte, error) {
+	b, err := src.take(n)
+	if err != nil {
+		return nil, fmt.Errorf("core: reading v3 %s: %w", what, err)
+	}
+	body, stored := b[:n-4], binary.LittleEndian.Uint32(b[n-4:])
+	if got := crc32.ChecksumIEEE(body); got != stored {
+		return nil, fmt.Errorf("core: v3 %s checksum mismatch (file %08x, computed %08x)", what, stored, got)
+	}
+	return body, nil
+}
+
+// readContainerV3 is the one reader of the v3 container: every open of
+// every backend on every storage tier is this walk over a source. In
+// file order it enforces the header CRC and structural offsets; the
+// backend tag (the header word selects the backend, the meta section's
+// leading word and every directory entry must repeat it); the meta CRC
+// with the backend's parser consuming the payload exactly; the
+// directory CRC, the generic geometry (each arena exactly
+// Buckets·RowWords words at the minimal aligned offset, the last ending
+// at the header's file size) and the backend's own shape for every
+// segment — all before any arena is touched; each arena's CRC; all-zero
+// padding; and the end of the input at the recorded size. Nothing is
+// allocated from a length the bytes present have not yet vouched for.
+// m is the mapping src serves, nil for a stream: it is handed to the
+// backend with the verified arenas.
+func readContainerV3(src source, m *mmapfile.Mapping) (Index, error) {
+	hdr, err := src.take(v3HeaderSize)
+	if err != nil {
+		return nil, fmt.Errorf("core: reading v3 header: %w", err)
+	}
 	h, err := parseV3Header(hdr)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if h.backend != backend {
-		return fmt.Errorf("core: v3 container tagged for backend %s, reader expects %s",
-			BackendName(h.backend), BackendName(backend))
+	be, ok := lookupBackend(h.backend)
+	if !ok {
+		return nil, fmt.Errorf("core: v3 library uses unknown index backend tag %d", h.backend)
 	}
-	consumed := uint64(v3HeaderSize)
 
-	// Meta, through a LimitReader so a forged length cannot force a
-	// giant upfront allocation — decoding grows with actual input.
-	lr := &io.LimitedReader{R: br, N: int64(h.metaLen - 4)}
-	sr := &SectionReader{cr: crcReader{r: lr}}
-	// The meta section leads with a CRC-protected copy of the backend
-	// tag — the copy that exists even when segCount == 0 leaves no
-	// directory entries to carry one. The header word (CRC-exempt) may
-	// have been flipped; this copy may not.
-	if tag := sr.U32(); sr.cr.err == nil && tag != backend {
-		return fmt.Errorf("core: v3 meta section tagged for backend %s, header says %s",
-			BackendName(tag), BackendName(backend))
+	meta, err := takeSection(src, h.metaLen, "metadata")
+	if err != nil {
+		return nil, err
 	}
-	if err := parseMeta(sr, h.segCount); err != nil {
-		return err
+	mr := bytes.NewReader(meta)
+	sr := &SectionReader{cr: crcReader{r: mr}}
+	// The header word sits outside the header CRC and may have been
+	// flipped; the copy leading the meta section may not, and exists
+	// even when segCount == 0 leaves no directory entries to carry one.
+	if tag := sr.U32(); sr.cr.err == nil && tag != h.backend {
+		return nil, fmt.Errorf("core: v3 meta section tagged for backend %s, header says %s",
+			BackendName(tag), BackendName(h.backend))
+	}
+	ld, err := be.parseMeta(sr, h.segCount)
+	if err != nil {
+		return nil, err
 	}
 	if sr.cr.err != nil {
-		return fmt.Errorf("core: reading v3 metadata: %w", sr.cr.err)
+		return nil, fmt.Errorf("core: reading v3 metadata: %w", sr.cr.err)
 	}
-	if lr.N != 0 {
-		return fmt.Errorf("core: v3 metadata has %d undecoded bytes", lr.N)
+	if mr.Len() != 0 {
+		return nil, fmt.Errorf("core: v3 metadata has %d undecoded bytes", mr.Len())
 	}
-	var tail [4]byte
-	if _, err := io.ReadFull(br, tail[:]); err != nil {
-		return fmt.Errorf("core: reading v3 metadata checksum: %w", err)
+	if err := takeZeros(src, h.dirOff-(v3HeaderSize+h.metaLen)); err != nil {
+		return nil, err
 	}
-	if got := binary.LittleEndian.Uint32(tail[:]); got != sr.cr.crc {
-		return fmt.Errorf("core: v3 metadata checksum mismatch (file %08x, computed %08x)", got, sr.cr.crc)
-	}
-	consumed += h.metaLen
-	if err := skipZeroPadding(br, h.dirOff-consumed); err != nil {
-		return err
-	}
-	consumed = h.dirOff
 
-	dcr := &crcReader{r: br}
-	entries, err := parseDirV3(dcr, h.segCount, backend)
+	dirLen := uint64(h.segCount)*v3DirEntrySize + 4
+	dir, err := takeSection(src, dirLen, "directory")
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if _, err := io.ReadFull(br, tail[:]); err != nil {
-		return fmt.Errorf("core: reading v3 directory checksum: %w", err)
-	}
-	if got := binary.LittleEndian.Uint32(tail[:]); got != dcr.crc {
-		return fmt.Errorf("core: v3 directory checksum mismatch (file %08x, computed %08x)", got, dcr.crc)
-	}
-	// Generic geometry: the whole directory is validated before any
-	// arena is read.
+	le := binary.LittleEndian
+	segs := make([]ContainerSegment, h.segCount) // the directory's bytes are in hand
+	crcs := make([]uint32, h.segCount)
 	off := h.arenaOff
-	for k, e := range entries {
-		if e.words != uint64(e.rowWords)*uint64(e.buckets) {
-			return fmt.Errorf("core: v3 segment %d arena words %d, geometry says %d×%d", k, e.words, e.buckets, e.rowWords)
+	for k := range segs {
+		e := dir[k*v3DirEntrySize:]
+		s := &segs[k]
+		s.FileOff, s.RowWords, s.Buckets = le.Uint64(e[0:]), le.Uint32(e[16:]), le.Uint32(e[20:])
+		words := le.Uint64(e[8:])
+		crcs[k] = le.Uint32(e[24:])
+		if tag := le.Uint32(e[28:]); tag != h.backend {
+			return nil, fmt.Errorf("core: v3 directory entry %d backend tag %d, want %d", k, tag, h.backend)
 		}
-		if e.off != off {
-			return fmt.Errorf("core: v3 segment %d arena offset %d, want %d", k, e.off, off)
+		if rw, bk := ld.Shape(k); s.RowWords != rw || s.Buckets != bk {
+			return nil, fmt.Errorf("core: v3 segment %d arena is %d×%d, metadata says %d×%d", k, s.Buckets, s.RowWords, bk, rw)
 		}
-		off = v3AlignUp(e.off + e.words*8)
+		if words != uint64(s.RowWords)*uint64(s.Buckets) || words > h.fileSize/8 {
+			return nil, fmt.Errorf("core: v3 segment %d arena words %d, geometry says %d×%d", k, words, s.Buckets, s.RowWords)
+		}
+		if s.FileOff != off {
+			return nil, fmt.Errorf("core: v3 segment %d arena offset %d, want %d", k, s.FileOff, off)
+		}
+		off = v3AlignUp(off + words*8)
 	}
 	if off != h.fileSize {
-		return fmt.Errorf("core: v3 arenas end at %d, header file size is %d", off, h.fileSize)
+		return nil, fmt.Errorf("core: v3 arenas end at %d, header file size is %d", off, h.fileSize)
 	}
-	consumed += uint64(h.segCount*v3DirEntrySize) + 4
-	if err := skipZeroPadding(br, h.arenaOff-consumed); err != nil {
-		return err
+	if err := takeZeros(src, h.arenaOff-(h.dirOff+dirLen)); err != nil {
+		return nil, err
 	}
-	consumed = h.arenaOff
 
-	for k, e := range entries {
-		words, crc, err := readWordsLE(br, e.words)
+	for k := range segs {
+		s := &segs[k]
+		n := uint64(s.RowWords) * uint64(s.Buckets) * 8
+		ab, err := src.take(n)
 		if err != nil {
-			return fmt.Errorf("core: reading v3 segment %d arena: %w", k, err)
+			return nil, fmt.Errorf("core: reading v3 segment %d arena: %w", k, err)
 		}
-		if crc != e.crc {
-			return fmt.Errorf("core: v3 segment %d arena checksum mismatch (file %08x, computed %08x)", k, e.crc, crc)
+		if got := crc32.ChecksumIEEE(ab); got != crcs[k] {
+			return nil, fmt.Errorf("core: v3 segment %d arena checksum mismatch (file %08x, computed %08x)", k, crcs[k], got)
 		}
-		consumed += e.words * 8
-		if err := skipZeroPadding(br, v3AlignUp(consumed)-consumed); err != nil {
-			return err
+		if err := takeZeros(src, v3AlignUp(n)-n); err != nil {
+			return nil, err
 		}
-		consumed = v3AlignUp(consumed)
-		if err := onSeg(k, ContainerSegment{Words: words, RowWords: e.rowWords, Buckets: e.buckets}); err != nil {
-			return err
+		if s.Words, err = mmapfile.AsWords(ab); err != nil {
+			return nil, err
+		}
+		if !mmapfile.HostLittleEndian() {
+			// Only heap memory gets here: OpenLibraryFile does not map
+			// on a big-endian host.
+			for i, w := range s.Words {
+				s.Words[i] = bits.ReverseBytes64(w)
+			}
 		}
 	}
-	if consumed != h.fileSize {
-		return fmt.Errorf("core: v3 layout ends at %d, header file size is %d", consumed, h.fileSize)
+	if err := src.end(); err != nil {
+		return nil, err
 	}
-	return expectEOF(br)
+	return ld.Build(segs, m)
 }

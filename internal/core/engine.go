@@ -154,9 +154,10 @@ type Engine struct {
 	errShort error
 
 	// mapped marks an index whose sealed arenas alias a read-only file
-	// mapping. Immutable after construction, so the read paths branch on
-	// it without synchronization; heap indexes skip the reader
-	// accounting entirely — their storage never disappears.
+	// mapping. Restore sets it before the first view is published and
+	// nothing changes it after, so the read paths branch on it without
+	// synchronization; heap indexes skip the reader accounting entirely
+	// — their storage never disappears.
 	mapped bool
 	// mapping is the backing file mapping; guarded by mu (Close nils it).
 	mapping *mmapfile.Mapping
@@ -180,11 +181,14 @@ func NewEngine(k Kernel) *Engine {
 // Restore installs a deserialized state — the reference table and the
 // sealed segments — and publishes it annotated by the loader's annotate
 // rather than Kernel.Annotate: loading must not re-derive what the file
-// recorded.
-func (e *Engine) Restore(refs []genome.Record, segs []Segment, annotate func(*View) any) {
+// recorded. A non-nil m is the file mapping the segments' arenas alias:
+// the engine owns it from here, reads are counted so Close can drain
+// them, and Close unmaps it.
+func (e *Engine) Restore(refs []genome.Record, segs []Segment, m *mmapfile.Mapping, annotate func(*View) any) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.refs, e.sealedSegs = refs, segs
+	e.mapped, e.mapping = m != nil, m
 	v := e.assembleLocked()
 	v.Aux = annotate(v)
 	e.snap.Store(v)
@@ -640,11 +644,12 @@ func (e *Engine) compactLocked(minRatio float64) int {
 }
 
 // CountScans adds a probe's scan work to the cumulative counters: the
-// bucket (or bit-row) scans it ran and how many heap-resident segment
-// ranges they covered.
+// bucket (or bit-row) scans it ran and how many mapped and
+// heap-resident segment ranges they covered.
 //
 //biohd:hotpath
-func (e *Engine) CountScans(bucketProbes, heapScans int64) {
+func (e *Engine) CountScans(bucketProbes, mappedScans, heapScans int64) {
 	e.ctr.bucketProbes.Add(bucketProbes)
+	e.ctr.mappedScans.Add(mappedScans)
 	e.ctr.heapScans.Add(heapScans)
 }

@@ -62,17 +62,17 @@ func ExampleLibrary_Lookup_approximate() {
 	// Output: found at 700 with 3 substitutions
 }
 
-// ExampleLibrary_WriteTo round-trips a library through its binary format.
-func ExampleLibrary_WriteTo() {
+// ExampleLibrary_WriteToV3 round-trips a library through its file format.
+func ExampleLibrary_WriteToV3() {
 	lib, _ := core.NewLibrary(core.Params{Dim: 1024, Window: 16, Sealed: true, Seed: 4})
 	_ = lib.Add(genome.Record{ID: "r", Seq: genome.Random(200, rng.New(5))})
 	lib.Freeze()
 
 	var buf bytes.Buffer
-	if _, err := lib.WriteTo(&buf); err != nil {
+	if _, err := lib.WriteToV3(&buf); err != nil {
 		panic(err)
 	}
-	back, err := core.ReadLibrary(&buf)
+	back, err := core.ReadIndex(&buf)
 	if err != nil {
 		panic(err)
 	}

@@ -2,17 +2,36 @@ package core
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/genome"
 	"repro/internal/rng"
 )
 
-// FuzzReadLibrary feeds arbitrary bytes to the library loader: it must
-// reject garbage with an error, never a panic, and must keep accepting
-// the canonical serialized form.
+// FuzzReadLibrary feeds arbitrary bytes to the index loader on both
+// storage tiers: it must reject garbage with an error, never a panic or
+// an allocation the input does not back, must keep accepting the
+// canonical serialized forms, and the stream and mapped opens — one
+// walk over two byte sources — must agree on everything.
 func FuzzReadLibrary(f *testing.F) {
-	// Seed with a genuine serialized library plus structured corruptions.
+	// Seed with a genuine legacy stream (the checked-in v2 golden: no
+	// code writes the format any more) plus structured corruptions.
+	valid, err := os.ReadFile(filepath.Join("testdata", "golden_v2_sealed.lib"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)
+	f.Add(valid[:len(valid)/2])
+	f.Add([]byte("BIOHDLIB"))
+	f.Add([]byte{})
+	mut := append([]byte(nil), valid...)
+	mut[20] ^= 0xff
+	f.Add(mut)
+	// The v3 container, plus structured corruptions of its sections:
+	// truncated header, truncated arenas, flipped meta byte.
 	lib, err := NewLibrary(Params{Dim: 1024, Window: 16, Sealed: true, Seed: 1})
 	if err != nil {
 		f.Fatal(err)
@@ -21,25 +40,7 @@ func FuzzReadLibrary(f *testing.F) {
 		f.Fatal(err)
 	}
 	lib.Freeze()
-	var buf bytes.Buffer
-	if _, err := lib.WriteTo(&buf); err != nil {
-		f.Fatal(err)
-	}
-	valid := buf.Bytes()
-	f.Add(valid)
-	f.Add(valid[:len(valid)/2])
-	f.Add([]byte("BIOHDLIB"))
-	f.Add([]byte{})
-	mut := append([]byte(nil), valid...)
-	mut[20] ^= 0xff
-	f.Add(mut)
-	// The mappable v3 layout, plus structured corruptions of its
-	// sections: truncated header, truncated arenas, flipped meta byte.
-	var buf3 bytes.Buffer
-	if _, err := lib.WriteToV3(&buf3); err != nil {
-		f.Fatal(err)
-	}
-	valid3 := buf3.Bytes()
+	valid3 := writeV3Bytes(f, lib)
 	f.Add(valid3)
 	f.Add(valid3[:40])
 	f.Add(valid3[:len(valid3)-32])
@@ -47,9 +48,8 @@ func FuzzReadLibrary(f *testing.F) {
 	mut3[v3HeaderSize+8] ^= 0xff
 	f.Add(mut3)
 	// Backend-tagged variants: the header's trailing word retagged to
-	// another backend (directory entries still carry the HDC tag) and to
-	// an unregistered tag. Both the HDC-only loader and the dispatching
-	// ReadIndex must reject them cleanly.
+	// another backend (the protected copies still carry the HDC tag) and
+	// to an unregistered tag.
 	for _, tag := range []byte{1, 99} {
 		ret := append([]byte(nil), valid3...)
 		ret[60] = tag
@@ -60,31 +60,67 @@ func FuzzReadLibrary(f *testing.F) {
 	metaTag := append([]byte(nil), valid3...)
 	metaTag[v3HeaderSize] ^= 0x01
 	f.Add(metaTag)
+	// A self-consistent directory claiming 2^32-1 buckets over the same
+	// few KiB of arena.
+	f.Add(forgeHugeDirectory(valid3))
 
+	dir := f.TempDir()
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// The backend-dispatching loader must never panic either; its
-		// acceptance is checked through the registered backends' own
-		// loaders, so an error (or a consistent index) is all we require
-		// here.
-		if idx, err := ReadIndex(bytes.NewReader(data)); err == nil {
-			if idx.Describe().Backend == "" {
-				t.Fatal("ReadIndex accepted an index with no backend name")
-			}
+		idx, err := ReadIndex(bytes.NewReader(data))
+		if err == nil {
+			checkAccepted(t, idx)
 		}
-		lib, err := ReadLibrary(bytes.NewReader(data))
+		if !MapSupported() {
+			return
+		}
+		path := filepath.Join(dir, "fuzz.lib")
+		if werr := os.WriteFile(path, data, 0o644); werr != nil {
+			t.Fatal(werr)
+		}
+		mapped, merr := OpenLibraryFile(path, MapArena)
+		if (err == nil) != (merr == nil) {
+			t.Fatalf("tiers disagree: stream %v, mapped %v", err, merr)
+		}
 		if err != nil {
-			return // rejected cleanly
+			return // both rejected cleanly
 		}
-		// Anything accepted must be internally consistent and searchable.
-		if lib.NumBuckets() == 0 {
-			t.Fatal("accepted library with no buckets")
+		defer mapped.Close()
+		checkAccepted(t, mapped)
+		var a, b bytes.Buffer
+		_, aerr := idx.WriteToV3(&a)
+		_, berr := mapped.WriteToV3(&b)
+		if (aerr == nil) != (berr == nil) || !bytes.Equal(a.Bytes(), b.Bytes()) {
+			t.Fatalf("tiers re-serialize differently: %v / %v, %d vs %d bytes", aerr, berr, a.Len(), b.Len())
 		}
-		total := 0
-		for i := 0; i < lib.NumBuckets(); i++ {
-			total += len(lib.BucketWindows(i))
-		}
-		if total != lib.NumWindows() {
-			t.Fatalf("window bookkeeping inconsistent: %d vs %d", total, lib.NumWindows())
+		p := genome.Random(idx.Describe().Window, rng.New(7))
+		m1, s1, e1 := idx.Lookup(p)
+		m2, s2, e2 := mapped.Lookup(p)
+		if (e1 == nil) != (e2 == nil) || s1 != s2 || !reflect.DeepEqual(m1, m2) {
+			t.Fatalf("tiers answer differently: %v %+v %v vs %v %+v %v", m1, s1, e1, m2, s2, e2)
 		}
 	})
+}
+
+// checkAccepted holds anything a loader accepted to internal
+// consistency: named, and for the HDC library non-empty with balanced
+// window bookkeeping.
+func checkAccepted(t *testing.T, idx Index) {
+	t.Helper()
+	if idx.Describe().Backend == "" {
+		t.Fatal("accepted an index with no backend name")
+	}
+	lib, ok := idx.(*Library)
+	if !ok {
+		return
+	}
+	if lib.NumBuckets() == 0 {
+		t.Fatal("accepted library with no buckets")
+	}
+	total := 0
+	for i := 0; i < lib.NumBuckets(); i++ {
+		total += len(lib.BucketWindows(i))
+	}
+	if total != lib.NumWindows() {
+		t.Fatalf("window bookkeeping inconsistent: %d vs %d", total, lib.NumWindows())
+	}
 }

@@ -10,7 +10,7 @@ import (
 // Backend names, as reported by Index.Describe and surfaced in
 // /v1/stats and the backend-labeled /metrics series. BackendHDC is the
 // paper's hyperdimensional library (the zero tag in the v3 container);
-// alternate backends register their own tag and name via
+// every backend, it included, registers its tag and name via
 // RegisterBackend.
 const BackendHDC = "hdc"
 

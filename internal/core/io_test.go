@@ -3,23 +3,27 @@ package core
 import (
 	"bytes"
 	"testing"
-
-	"repro/internal/genome"
-	"repro/internal/rng"
 )
 
-// saveLoad round-trips a library through the binary format.
-func saveLoad(t *testing.T, lib *Library) *Library {
+// readLib loads an HDC library through the backend-dispatching entry
+// point and asserts the concrete type.
+func readLib(t testing.TB, data []byte) *Library {
 	t.Helper()
-	var buf bytes.Buffer
-	if _, err := lib.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadLibrary(&buf)
+	idx, err := ReadIndex(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return back
+	lib, ok := idx.(*Library)
+	if !ok {
+		t.Fatalf("ReadIndex returned %T, want *Library", idx)
+	}
+	return lib
+}
+
+// saveLoad round-trips a library through the file format.
+func saveLoad(t *testing.T, lib *Library) *Library {
+	t.Helper()
+	return readLib(t, writeV3Bytes(t, lib))
 }
 
 func TestSaveLoadSealedExact(t *testing.T) {
@@ -73,78 +77,47 @@ func TestSaveLoadApproxKeepsCalibration(t *testing.T) {
 	}
 }
 
-func TestSaveLoadUnsealed(t *testing.T) {
-	lib := mustLibrary(t, Params{Dim: 1024, Window: 16, Capacity: 8, Seed: 53})
-	ref := genome.Random(500, rng.New(54))
-	if err := lib.Add(genome.Record{ID: "r", Description: "desc text", Seq: ref}); err != nil {
-		t.Fatal(err)
-	}
-	lib.Freeze()
-	back := saveLoad(t, lib)
-	rec := back.Ref(0)
-	if rec.ID != "r" || rec.Description != "desc text" || !rec.Seq.Equal(ref) {
-		t.Fatalf("reference record corrupted: %+v", rec)
-	}
-	pat := ref.Slice(100, 116)
-	m1, _, _ := lib.Lookup(pat)
-	m2, _, _ := back.Lookup(pat)
-	if len(m1) == 0 || len(m1) != len(m2) {
-		t.Fatalf("unsealed lookup diverges: %v vs %v", m1, m2)
-	}
-}
-
 func TestSaveRejectsUnfrozen(t *testing.T) {
 	lib := mustLibrary(t, Params{Dim: 1024, Window: 16, Seed: 55})
 	var buf bytes.Buffer
-	if _, err := lib.WriteTo(&buf); err == nil {
+	if _, err := lib.WriteToV3(&buf); err == nil {
 		t.Fatal("unfrozen library saved")
 	}
 }
 
 func TestLoadRejectsGarbage(t *testing.T) {
-	if _, err := ReadLibrary(bytes.NewReader([]byte("not a library"))); err == nil {
+	if _, err := ReadIndex(bytes.NewReader([]byte("not a library"))); err == nil {
 		t.Fatal("garbage accepted")
 	}
-	if _, err := ReadLibrary(bytes.NewReader(nil)); err == nil {
+	if _, err := ReadIndex(bytes.NewReader(nil)); err == nil {
 		t.Fatal("empty input accepted")
 	}
 }
 
 func TestLoadDetectsCorruption(t *testing.T) {
 	lib, _ := buildExactLib(t, 800, 56)
-	var buf bytes.Buffer
-	if _, err := lib.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
+	data := writeV3Bytes(t, lib)
 	// Flip a bit in the middle of the payload.
 	data[len(data)/2] ^= 0x40
-	if _, err := ReadLibrary(bytes.NewReader(data)); err == nil {
+	if _, err := ReadIndex(bytes.NewReader(data)); err == nil {
 		t.Fatal("corrupted library accepted")
 	}
 }
 
 func TestLoadDetectsTruncation(t *testing.T) {
 	lib, _ := buildExactLib(t, 800, 57)
-	var buf bytes.Buffer
-	if _, err := lib.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()[:buf.Len()*2/3]
-	if _, err := ReadLibrary(bytes.NewReader(data)); err == nil {
+	data := writeV3Bytes(t, lib)
+	data = data[:len(data)*2/3]
+	if _, err := ReadIndex(bytes.NewReader(data)); err == nil {
 		t.Fatal("truncated library accepted")
 	}
 }
 
 func TestLoadRejectsWrongVersion(t *testing.T) {
 	lib, _ := buildExactLib(t, 800, 58)
-	var buf bytes.Buffer
-	if _, err := lib.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
+	data := writeV3Bytes(t, lib)
 	data[len(libMagic)] = 99 // version field
-	if _, err := ReadLibrary(bytes.NewReader(data)); err == nil {
+	if _, err := ReadIndex(bytes.NewReader(data)); err == nil {
 		t.Fatal("future version accepted")
 	}
 }

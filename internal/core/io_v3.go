@@ -2,9 +2,7 @@ package core
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -13,10 +11,11 @@ import (
 	"repro/internal/mmapfile"
 )
 
-// Library file format v3 — the mappable layout (little endian). Unlike
-// the v1/v2 streams, every sealed segment's probe arena is placed at a
-// 64-byte-aligned, header-recorded offset with its own CRC, so the file
-// can be mmapped and the arenas scanned in place:
+// Library file format v3 — the one format written, and the mappable
+// layout (little endian). Unlike the legacy v1/v2 streams, every sealed
+// segment's probe arena is placed at a 64-byte-aligned, header-recorded
+// offset with its own CRC, so the file can be mmapped and the arenas
+// scanned in place:
 //
 //	header (64 bytes, fixed):
 //	  [ 0, 8)  magic "BIOHDLIB"
@@ -40,16 +39,16 @@ import (
 //
 // The backend tag selects the index backend that interprets the meta
 // section and arenas (see RegisterBackend); the header copy sits
-// outside the header CRC and is a dispatch hint, while the copies
+// outside the header CRC and only selects the backend, while the copies
 // leading the meta section and in every directory entry are covered
 // by their section CRCs and are authoritative. The meta copy exists
 // whatever the segment count, so even an empty container's tag cannot
 // be flipped undetected.
 //
 // The layout is canonical: sections are ordered, offsets are the
-// minimal aligned positions, and every padding byte is zero, so the
-// stream reader and the mapped opener enforce identical byte-level
-// acceptance and a file ends exactly at the header's file size. The
+// minimal aligned positions, every padding byte is zero, and a file
+// ends exactly at the header's file size — readContainerV3
+// (container.go) enforces all of it, on every storage tier. The
 // 64-byte arena alignment matches the widest vector kernel (AVX-512)
 // and the common cache line, so a mapped arena row is as aligned as a
 // heap-allocated one.
@@ -74,34 +73,17 @@ type v3Header struct {
 	backend  uint32 // backend tag (trailing header word; 0 = hdc)
 }
 
-// v3DirEntry is one parsed segment-directory entry.
-type v3DirEntry struct {
-	off      uint64 // absolute arena offset, 64-byte aligned
-	words    uint64 // arena length in 64-bit words
-	rowWords uint32
-	buckets  uint32
-	crc      uint32 // crc32 over the arena bytes
-}
-
-// v3Meta is the parsed meta section: everything a library needs except
-// the arenas themselves.
-type v3Meta struct {
-	p       Params
-	cal     Calibration
-	refs    []genome.Record
-	segWins [][][]WindowRef // per segment, per bucket, member windows
-}
-
 // WriteToV3 serializes the library's current snapshot in the mappable
 // v3 format. Only frozen, sealed-mode libraries can be saved this way —
 // the arena is the sealed storage v3 maps. It returns the number of
 // bytes written (the v3 file size).
 func (l *Library) WriteToV3(w io.Writer) (int64, error) {
-	sn, err := l.pinForSave()
+	v, err := l.Pin("WriteToV3")
 	if err != nil {
 		return 0, err
 	}
 	defer l.Unpin()
+	sn := hdcOf(v)
 	if !l.params.Sealed {
 		return 0, fmt.Errorf("core: format v3 requires a sealed-mode library")
 	}
@@ -168,37 +150,30 @@ func (o *countingWriter) pad(to uint64) {
 	}
 }
 
-// writeWordsLE streams words to the file little-endian through buf.
-func (o *countingWriter) writeWordsLE(words []uint64, buf []byte) {
-	for len(words) > 0 && o.err == nil {
-		n := len(buf) / 8
-		if n > len(words) {
-			n = len(words)
+// wordChunksLE serializes words little-endian through buf, a chunk at a
+// time, handing each chunk to emit.
+func wordChunksLE(words []uint64, buf []byte, emit func([]byte)) {
+	for len(words) > 0 {
+		n := min(len(buf)/8, len(words))
+		for i, w := range words[:n] {
+			binary.LittleEndian.PutUint64(buf[i*8:], w)
 		}
-		for i := 0; i < n; i++ {
-			binary.LittleEndian.PutUint64(buf[i*8:], words[i])
-		}
-		o.write(buf[:n*8])
+		emit(buf[:n*8])
 		words = words[n:]
 	}
 }
 
-// crcWordsLE computes the crc32 of words as serialized little-endian,
-// chunking through buf — the v3 writer needs every arena's CRC before
-// the directory (which precedes the arenas) is written.
+// writeWordsLE streams words to the file.
+func (o *countingWriter) writeWordsLE(words []uint64, buf []byte) {
+	wordChunksLE(words, buf, o.write)
+}
+
+// crcWordsLE computes the crc32 of words as serialized — the v3 writer
+// needs every arena's CRC before the directory (which precedes the
+// arenas) is written.
 func crcWordsLE(words []uint64, buf []byte) uint32 {
 	crc := uint32(0)
-	for len(words) > 0 {
-		n := len(buf) / 8
-		if n > len(words) {
-			n = len(words)
-		}
-		for i := 0; i < n; i++ {
-			binary.LittleEndian.PutUint64(buf[i*8:], words[i])
-		}
-		crc = crc32.Update(crc, crc32.IEEETable, buf[:n*8])
-		words = words[n:]
-	}
+	wordChunksLE(words, buf, func(b []byte) { crc = crc32.Update(crc, crc32.IEEETable, b) })
 	return crc
 }
 
@@ -251,24 +226,35 @@ func parseV3Header(hdr []byte) (v3Header, error) {
 	return h, nil
 }
 
-// parseMetaV3 decodes the meta section content (everything before its
-// trailing CRC) from cr.
-func parseMetaV3(cr *crcReader, segCount int) (*v3Meta, error) {
-	m := &v3Meta{}
-	var err error
-	m.p, err = readParamsChecked(cr)
+// hdcLoader is the HDC backend's ContainerLoader: the decoded meta
+// section — everything a library needs except the arenas — and the
+// empty library it describes. The library exists before the segments
+// do because the sketch plane is not in the file: each segment cuts its
+// own to the library's sketch width.
+type hdcLoader struct {
+	lib     *Library
+	cal     Calibration
+	refs    []genome.Record
+	segWins [][][]WindowRef // per segment, per bucket, member windows
+}
+
+func init() { RegisterBackend(backendTagHDC, BackendHDC, parseMetaV3) }
+
+// parseMetaV3 decodes the HDC meta payload. Slices grow as entries are
+// decoded, never from a count the payload has yet to back with bytes.
+func parseMetaV3(sr *SectionReader, segCount int) (ContainerLoader, error) {
+	cr := &sr.cr
+	p, err := readParamsChecked(cr)
 	if err != nil {
 		return nil, err
 	}
-	if !m.p.Sealed {
+	if !p.Sealed {
 		return nil, fmt.Errorf("core: v3 library must be sealed-mode")
 	}
-	m.cal = readCalibration(cr)
-	m.refs, err = readRefs(cr, true)
-	if err != nil {
+	ld := &hdcLoader{cal: readCalibration(cr)}
+	if ld.refs, err = readRefs(cr, true); err != nil {
 		return nil, err
 	}
-	m.segWins = make([][][]WindowRef, 0, segCount)
 	for s := 0; s < segCount && cr.err == nil; s++ {
 		nBuckets := cr.u32()
 		if cr.err == nil && nBuckets > maxCount {
@@ -283,186 +269,41 @@ func parseMetaV3(cr *crcReader, segCount int) (*v3Meta, error) {
 			var ws []WindowRef
 			for j := uint32(0); j < nWin && cr.err == nil; j++ {
 				wr := WindowRef{Ref: int32(cr.u32()), Off: int32(cr.u32())}
-				if wr.Ref < 0 || int(wr.Ref) >= len(m.refs) {
-					return nil, fmt.Errorf("core: bucket %d references sequence %d of %d", i, wr.Ref, len(m.refs))
+				if wr.Ref < 0 || int(wr.Ref) >= len(ld.refs) {
+					return nil, fmt.Errorf("core: bucket %d references sequence %d of %d", i, wr.Ref, len(ld.refs))
 				}
 				ws = append(ws, wr)
 			}
 			wins = append(wins, ws)
 		}
-		m.segWins = append(m.segWins, wins)
+		ld.segWins = append(ld.segWins, wins)
 	}
 	if cr.err != nil {
 		return nil, fmt.Errorf("core: reading v3 metadata: %w", cr.err)
 	}
-	return m, nil
-}
-
-// parseDirV3 decodes the segment directory entries (not the trailing
-// CRC) from cr. Every entry's trailing word must equal wantTag — the
-// directory CRC protects the per-segment tag copies (the meta section
-// leads with the other protected copy), so a reader dispatched on a
-// forged header tag fails before touching any arena.
-func parseDirV3(cr *crcReader, segCount int, wantTag uint32) ([]v3DirEntry, error) {
-	var entries []v3DirEntry
-	for k := 0; k < segCount && cr.err == nil; k++ {
-		e := v3DirEntry{
-			off:      cr.u64(),
-			words:    cr.u64(),
-			rowWords: cr.u32(),
-			buckets:  cr.u32(),
-			crc:      cr.u32(),
-		}
-		if tag := cr.u32(); cr.err == nil && tag != wantTag {
-			return nil, fmt.Errorf("core: v3 directory entry %d backend tag %d, want %d", k, tag, wantTag)
-		}
-		entries = append(entries, e)
-	}
-	if cr.err != nil {
-		return nil, fmt.Errorf("core: reading v3 directory: %w", cr.err)
-	}
-	return entries, nil
-}
-
-// validateDirV3 cross-checks the directory against the (CRC-verified)
-// metadata and the header's layout: geometry per segment, sequential
-// minimally-aligned arena placement, and the file ending exactly where
-// the header says.
-func validateDirV3(entries []v3DirEntry, m *v3Meta, h v3Header) error {
-	rw := uint64(m.p.Dim / 64)
-	off := h.arenaOff
-	for k, e := range entries {
-		if uint64(e.rowWords) != rw {
-			return fmt.Errorf("core: v3 segment %d row words %d, want %d", k, e.rowWords, rw)
-		}
-		if int(e.buckets) != len(m.segWins[k]) {
-			return fmt.Errorf("core: v3 segment %d bucket count %d disagrees with metadata (%d)", k, e.buckets, len(m.segWins[k]))
-		}
-		if e.words != uint64(e.buckets)*rw {
-			return fmt.Errorf("core: v3 segment %d arena words %d, want %d", k, e.words, uint64(e.buckets)*rw)
-		}
-		if e.off != off {
-			return fmt.Errorf("core: v3 segment %d arena offset %d, want %d", k, e.off, off)
-		}
-		off = v3AlignUp(e.off + e.words*8)
-	}
-	if off != h.fileSize {
-		return fmt.Errorf("core: v3 arenas end at %d, header file size is %d", off, h.fileSize)
-	}
-	return nil
-}
-
-// newLibraryV3 creates the empty library a v3 file's metadata
-// describes. The loaders need it before they build segments: the sketch
-// plane is not in the file, each segment cuts its own to the library's
-// sketch width.
-func newLibraryV3(meta *v3Meta) (*Library, error) {
-	lib, err := NewLibrary(meta.p)
-	if err != nil {
+	if ld.lib, err = newLoadedLibrary(p); err != nil {
 		return nil, err
 	}
-	lib.params = meta.p // keep the stored capacity exactly
-	return lib, nil
+	return ld, nil
 }
 
-// readLibraryV3 is the heap-loading stream reader for v3: same
-// byte-level acceptance as the mapped opener, arenas decoded into heap
-// words. head is the already-consumed magic+version prefix.
-func readLibraryV3(br *bufio.Reader, head []byte) (*Library, error) {
-	hdr, err := readV3HeaderBytes(br, head)
-	if err != nil {
-		return nil, err
-	}
-	return readLibraryV3Hdr(br, hdr)
+func (ld *hdcLoader) Shape(k int) (rowWords, buckets uint32) {
+	return uint32(ld.lib.params.Dim / 64), uint32(len(ld.segWins[k]))
 }
 
-// readLibraryV3Hdr decodes a v3 container whose 64-byte header has
-// been consumed, through the generic container reader — HDC-specific
-// validation (dimension geometry, bucket counts against metadata) runs
-// in the callbacks.
-func readLibraryV3Hdr(br *bufio.Reader, hdr []byte) (*Library, error) {
-	if tag := binary.LittleEndian.Uint32(hdr[60:64]); tag != backendTagHDC {
-		return nil, fmt.Errorf("core: v3 library uses index backend %s; load it with ReadIndex", BackendName(tag))
+func (ld *hdcLoader) Build(arenas []ContainerSegment, m *mmapfile.Mapping) (Index, error) {
+	p := &ld.lib.params
+	segs := make([]Segment, len(arenas))
+	for k, a := range arenas {
+		seg := segmentFromArena(a.Words, ld.segWins[k], p.Dim, ld.lib.sketch.Words)
+		if m != nil {
+			seg.mapOff, seg.mapLen = int(a.FileOff), len(a.Words)*8
+		}
+		seg.tombs = seg.countTombs(ld.refs)
+		segs[k] = seg
 	}
-	var meta *v3Meta
-	var lib *Library
-	var segs []Segment
-	err := ReadContainerV3(br, hdr, backendTagHDC,
-		func(sr *SectionReader, segCount int) error {
-			m, err := parseMetaV3(&sr.cr, segCount)
-			if err != nil {
-				return err
-			}
-			meta = m
-			lib, err = newLibraryV3(m)
-			return err
-		},
-		func(k int, s ContainerSegment) error {
-			if int(s.RowWords) != meta.p.Dim/64 {
-				return fmt.Errorf("core: v3 segment %d row words %d, want %d", k, s.RowWords, meta.p.Dim/64)
-			}
-			if int(s.Buckets) != len(meta.segWins[k]) {
-				return fmt.Errorf("core: v3 segment %d bucket count %d disagrees with metadata (%d)", k, s.Buckets, len(meta.segWins[k]))
-			}
-			seg := segmentFromArena(s.Words, meta.segWins[k], meta.p.Dim, lib.sketch.Words, false)
-			seg.tombs = seg.countTombs(meta.refs)
-			segs = append(segs, seg)
-			return nil
-		})
-	if err != nil {
-		return nil, err
-	}
-	lib.restore(meta.refs, segs, meta.cal)
-	return lib, nil
-}
-
-// readWordsLE reads n little-endian 64-bit words, returning them along
-// with the crc32 of their byte stream.
-func readWordsLE(r io.Reader, n uint64) ([]uint64, uint32, error) {
-	words := make([]uint64, n)
-	buf := make([]byte, 64*1024)
-	crc := uint32(0)
-	for i := uint64(0); i < n; {
-		chunk := uint64(len(buf) / 8)
-		if chunk > n-i {
-			chunk = n - i
-		}
-		b := buf[:chunk*8]
-		if _, err := io.ReadFull(r, b); err != nil {
-			return nil, 0, err
-		}
-		crc = crc32.Update(crc, crc32.IEEETable, b)
-		for j := uint64(0); j < chunk; j++ {
-			words[i+j] = binary.LittleEndian.Uint64(b[j*8:])
-		}
-		i += chunk
-	}
-	return words, crc, nil
-}
-
-// skipZeroPadding consumes n padding bytes, requiring each to be zero —
-// the canonical layout leaves no place for stray bytes to hide.
-func skipZeroPadding(br *bufio.Reader, n uint64) error {
-	for i := uint64(0); i < n; i++ {
-		b, err := br.ReadByte()
-		if err != nil {
-			return fmt.Errorf("core: reading v3 padding: %w", err)
-		}
-		if b != 0 {
-			return fmt.Errorf("core: v3 padding byte not zero")
-		}
-	}
-	return nil
-}
-
-// zeroRange requires every byte of a mapped padding range to be zero.
-func zeroRange(b []byte) error {
-	for _, x := range b {
-		if x != 0 {
-			return fmt.Errorf("core: v3 padding byte not zero")
-		}
-	}
-	return nil
+	ld.lib.restore(ld.refs, segs, ld.cal, m)
+	return ld.lib, nil
 }
 
 // LoadMode selects how OpenLibraryFile materializes a library.
@@ -480,125 +321,3 @@ const (
 	// is little-endian), or the file is a v1/v2 stream.
 	MapArena
 )
-
-// openMappedV3 maps path and builds a zero-copy library from it.
-// handled=false means the file is not a mappable HDC v3 library (or
-// mapping is unsupported) and the caller should fall back to the
-// stream reader — backend-tagged containers fall back too, since only
-// the HDC arenas are mapped in place today; with handled=true the
-// outcome — including a corruption error — is final. Every CRC
-// (header, meta, directory, and each segment arena) is verified at
-// open, so a flipped arena byte surfaces here, before any probe could
-// scan it.
-func openMappedV3(path string) (lib *Library, handled bool, err error) {
-	m, merr := mmapfile.Open(path)
-	if merr != nil {
-		if errors.Is(merr, mmapfile.ErrUnsupported) {
-			return nil, false, nil
-		}
-		return nil, true, merr
-	}
-	b := m.Bytes()
-	if len(b) < v3HeaderSize || string(b[0:8]) != libMagic ||
-		binary.LittleEndian.Uint32(b[8:12]) != libVersionMapped {
-		// Not a v3 file: the stream reader owns v1/v2 and the
-		// not-a-library diagnostics.
-		_ = m.Close()
-		return nil, false, nil
-	}
-	defer func() {
-		if err != nil {
-			_ = m.Close()
-		}
-	}()
-	h, err := parseV3Header(b[:v3HeaderSize])
-	if err != nil {
-		return nil, true, err
-	}
-	if h.backend != backendTagHDC {
-		// A backend-tagged container: only HDC arenas map in place
-		// today, so the stream reader dispatches it to its backend
-		// (heap-loaded). A forged tag fails there on the CRC-protected
-		// directory tags.
-		_ = m.Close()
-		return nil, false, nil
-	}
-	if h.fileSize != uint64(len(b)) {
-		// Covers truncation and trailing data in one check — a mapped
-		// file must be exactly the recorded size.
-		return nil, true, fmt.Errorf("core: v3 file is %d bytes, header file size is %d", len(b), h.fileSize)
-	}
-
-	metaEnd := v3HeaderSize + h.metaLen
-	mr := bytes.NewReader(b[v3HeaderSize : metaEnd-4])
-	mcr := &crcReader{r: mr}
-	// Same meta-leading tag check as the stream reader: the
-	// CRC-protected copy that exists even with zero directory entries.
-	if tag := mcr.u32(); mcr.err == nil && tag != backendTagHDC {
-		return nil, true, fmt.Errorf("core: v3 meta section tagged for backend %s, header says %s",
-			BackendName(tag), BackendName(backendTagHDC))
-	}
-	meta, err := parseMetaV3(mcr, h.segCount)
-	if err != nil {
-		return nil, true, err
-	}
-	if mr.Len() != 0 {
-		return nil, true, fmt.Errorf("core: v3 metadata has %d undecoded bytes", mr.Len())
-	}
-	if got := binary.LittleEndian.Uint32(b[metaEnd-4 : metaEnd]); got != mcr.crc {
-		return nil, true, fmt.Errorf("core: v3 metadata checksum mismatch (file %08x, computed %08x)", got, mcr.crc)
-	}
-	if err = zeroRange(b[metaEnd:h.dirOff]); err != nil {
-		return nil, true, err
-	}
-
-	dirEnd := h.dirOff + uint64(h.segCount*v3DirEntrySize)
-	dcr := &crcReader{r: bytes.NewReader(b[h.dirOff:dirEnd])}
-	entries, err := parseDirV3(dcr, h.segCount, backendTagHDC)
-	if err != nil {
-		return nil, true, err
-	}
-	if got := binary.LittleEndian.Uint32(b[dirEnd : dirEnd+4]); got != dcr.crc {
-		return nil, true, fmt.Errorf("core: v3 directory checksum mismatch (file %08x, computed %08x)", got, dcr.crc)
-	}
-	if err = validateDirV3(entries, meta, h); err != nil {
-		return nil, true, err
-	}
-	if err = zeroRange(b[dirEnd+4 : h.arenaOff]); err != nil {
-		return nil, true, err
-	}
-	if lib, err = newLibraryV3(meta); err != nil {
-		return nil, true, err
-	}
-
-	// The verification pass streams every arena front to back; tell the
-	// kernel so readahead keeps up. Hints are best-effort.
-	arenaRegion := int(h.fileSize - h.arenaOff)
-	_ = m.Advise(int(h.arenaOff), arenaRegion, mmapfile.AdviseSequential)
-	segs := make([]Segment, 0, len(entries))
-	for k, e := range entries {
-		end := e.off + e.words*8
-		ab := b[e.off:end]
-		if got := crc32.ChecksumIEEE(ab); got != e.crc {
-			return nil, true, fmt.Errorf("core: v3 segment %d arena checksum mismatch (file %08x, computed %08x)", k, e.crc, got)
-		}
-		if err = zeroRange(b[end:v3AlignUp(end)]); err != nil {
-			return nil, true, err
-		}
-		words, werr := mmapfile.AsWords(ab)
-		if werr != nil {
-			return nil, true, werr
-		}
-		seg := segmentFromArena(words, meta.segWins[k], meta.p.Dim, lib.sketch.Words, true)
-		seg.setMapRange(int(e.off), int(e.words*8))
-		seg.tombs = seg.countTombs(meta.refs)
-		segs = append(segs, seg)
-	}
-	// Everything verified is hot in the page cache now; mark the arena
-	// region wanted so it stays warm for the first probes.
-	_ = m.Advise(int(h.arenaOff), arenaRegion, mmapfile.AdviseWillNeed)
-	// The library owns the mapping from here: Close unmaps it.
-	lib.mapped, lib.mapping = true, m
-	lib.restore(meta.refs, segs, meta.cal)
-	return lib, true, nil
-}

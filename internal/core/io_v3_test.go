@@ -10,12 +10,11 @@ import (
 	"testing"
 
 	"repro/internal/genome"
-	"repro/internal/mmapfile"
 	"repro/internal/rng"
 )
 
 // writeV3Bytes serializes a library in the v3 mappable format.
-func writeV3Bytes(t *testing.T, lib *Library) []byte {
+func writeV3Bytes(t testing.TB, lib *Library) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	n, err := lib.WriteToV3(&buf)
@@ -88,10 +87,7 @@ func requireSameAnswers(t *testing.T, want, got *Library, ref *genome.Sequence, 
 
 func TestV3RoundTripStream(t *testing.T) {
 	lib, ref := buildExactLib(t, 2000, 151)
-	back, err := ReadLibrary(bytes.NewReader(writeV3Bytes(t, lib)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	back := readLib(t, writeV3Bytes(t, lib))
 	if back.Mapped() {
 		t.Fatal("stream-loaded library claims to be mapped")
 	}
@@ -100,10 +96,7 @@ func TestV3RoundTripStream(t *testing.T) {
 
 func TestV3RoundTripApproxKeepsCalibration(t *testing.T) {
 	lib := buildApproxLib(t, 1500, 152)
-	back, err := ReadLibrary(bytes.NewReader(writeV3Bytes(t, lib)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	back := readLib(t, writeV3Bytes(t, lib))
 	c1, ok1 := lib.Calibration()
 	c2, ok2 := back.Calibration()
 	if !ok1 || !ok2 || c1 != c2 {
@@ -140,7 +133,7 @@ func TestV3MappedEqualsHeap(t *testing.T) {
 	}
 	mapped := openLib(t, path, MapArena)
 	defer mapped.Close()
-	if mmapfile.Supported() && mmapfile.HostLittleEndian() {
+	if MapSupported() {
 		if !mapped.Mapped() {
 			t.Fatal("MapArena fell back to heap on a supported platform")
 		}
@@ -165,22 +158,16 @@ func TestV3MappedEqualsHeap(t *testing.T) {
 	}
 }
 
+// TestV3OpenHeapFallbackOnV2: a legacy stream asked for MapArena loads
+// onto the heap, through the same entry point, and answers as the
+// library that wrote it.
 func TestV3OpenHeapFallbackOnV2(t *testing.T) {
-	lib, ref := buildExactLib(t, 1200, 157)
-	var buf bytes.Buffer
-	if _, err := lib.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "lib.v2")
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	back := openLib(t, path, MapArena)
+	back := openLib(t, filepath.Join("testdata", "golden_v2_sealed.lib"), MapArena)
 	defer back.Close()
 	if back.Mapped() {
 		t.Fatal("v2 stream opened as mapped")
 	}
-	requireSameAnswers(t, lib, back, ref, []int{0, 600})
+	assertLibrariesEquivalent(t, goldenSealedFixture(t), back)
 }
 
 // TestV3MappedUnderConcurrentMutation pins mapped ≡ heap while the
@@ -342,13 +329,11 @@ func TestStaleBucketIndexAfterCompact(t *testing.T) {
 }
 
 func TestTrailingDataRejectedV2(t *testing.T) {
-	lib, _ := buildExactLib(t, 800, 166)
-	var buf bytes.Buffer
-	if _, err := lib.WriteTo(&buf); err != nil {
+	data, err := os.ReadFile(filepath.Join("testdata", "golden_v2_sealed.lib"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	data := append(buf.Bytes(), 0x00)
-	if _, err := ReadLibrary(bytes.NewReader(data)); err == nil {
+	if _, err := ReadIndex(bytes.NewReader(append(data, 0x00))); err == nil {
 		t.Fatal("v2 stream with trailing data accepted")
 	}
 }
@@ -356,7 +341,7 @@ func TestTrailingDataRejectedV2(t *testing.T) {
 func TestTrailingDataRejectedV3(t *testing.T) {
 	lib, _ := buildExactLib(t, 800, 167)
 	data := append(writeV3Bytes(t, lib), 0x00)
-	if _, err := ReadLibrary(bytes.NewReader(data)); err == nil {
+	if _, err := ReadIndex(bytes.NewReader(data)); err == nil {
 		t.Fatal("v3 stream with trailing data accepted")
 	}
 	path := filepath.Join(t.TempDir(), "trail.v3")
@@ -365,6 +350,54 @@ func TestTrailingDataRejectedV3(t *testing.T) {
 	}
 	if _, err := OpenLibraryFile(path, MapArena); err == nil {
 		t.Fatal("mapped open accepted trailing data")
+	}
+}
+
+// forgeHugeDirectory rewrites a valid single-segment container so its
+// directory entry claims 2^32-1 rows of the same length — a multi-TiB
+// arena over the few KiB actually present — and re-seals everything a
+// forger can: the entry's word count, the header's file size, and the
+// directory and header CRCs. (The arena CRC cannot match; a reader that
+// gets that far has already trusted the count.)
+func forgeHugeDirectory(valid []byte) []byte {
+	b := append([]byte(nil), valid...)
+	le := binary.LittleEndian
+	dirOff, arenaOff := le.Uint64(b[32:40]), le.Uint64(b[40:48])
+	dirEnd := dirOff + uint64(le.Uint32(b[12:16]))*v3DirEntrySize
+	e := b[dirOff:dirEnd] // the first entry leads
+	const buckets = 1<<32 - 1
+	words := uint64(buckets) * uint64(le.Uint32(e[16:20]))
+	le.PutUint64(e[8:16], words)
+	le.PutUint32(e[20:24], buckets)
+	le.PutUint32(b[dirEnd:], crc32.ChecksumIEEE(e))
+	le.PutUint64(b[48:56], v3AlignUp(arenaOff+words*8))
+	le.PutUint32(b[56:60], crc32.ChecksumIEEE(b[:56]))
+	return b
+}
+
+// TestForgedDirectoryRejected pins the allocation-follows-input rule on
+// every open path, with a 15 296-byte file. Before the one walk, the
+// stream reader sized make([]uint64, words) from this directory — 4 TiB
+// at D=8192 — and the process died with "fatal error: runtime: out of
+// memory" where the mapped opener returned an error.
+func TestForgedDirectoryRejected(t *testing.T) {
+	lib := mustLibrary(t, Params{Dim: 8192, Window: 32, Sealed: true, Seed: 171})
+	if err := lib.Add(genome.Record{ID: "r", Seq: genome.Random(600, rng.New(172))}); err != nil {
+		t.Fatal(err)
+	}
+	lib.Freeze()
+	forged := forgeHugeDirectory(writeV3Bytes(t, lib))
+	if _, err := ReadIndex(bytes.NewReader(forged)); err == nil {
+		t.Fatal("ReadIndex accepted the forged directory")
+	}
+	path := filepath.Join(t.TempDir(), "forged.v3")
+	if err := os.WriteFile(path, forged, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []LoadMode{LoadHeap, MapArena} {
+		if _, err := OpenLibraryFile(path, mode); err == nil {
+			t.Fatalf("OpenLibraryFile(mode %d) accepted the forged directory", mode)
+		}
 	}
 }
 
@@ -424,6 +457,7 @@ func TestV3CorruptionMatrix(t *testing.T) {
 			return b
 		}},
 		{"flipped arena byte", func(b []byte) []byte { b[arenaOff] ^= 0x40; return b }},
+		{"forged bucket count", forgeHugeDirectory},
 		{"file size flip", func(b []byte) []byte {
 			le.PutUint64(b[48:56], le.Uint64(b[48:56])+64)
 			rewriteHeaderCRC(b)
@@ -441,7 +475,7 @@ func TestV3CorruptionMatrix(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			data := tc.mut(append([]byte(nil), valid...))
-			if _, err := ReadLibrary(bytes.NewReader(data)); err == nil {
+			if _, err := ReadIndex(bytes.NewReader(data)); err == nil {
 				t.Fatal("stream reader accepted corrupted v3 file")
 			}
 			path := filepath.Join(dir, "corrupt.v3")

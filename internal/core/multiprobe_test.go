@@ -157,7 +157,7 @@ func TestProbeMultiShardedEquivalence(t *testing.T) {
 }
 
 // TestProbeMultiAfterRoundTrip asserts the blocked probe path over an
-// arena rebuilt by ReadLibrary matches the freeze-time arena.
+// arena loaded by ReadIndex matches the freeze-time arena.
 func TestProbeMultiAfterRoundTrip(t *testing.T) {
 	lib, refs := buildProbeLib(t, true, true, 2007)
 	back := saveLoad(t, lib)

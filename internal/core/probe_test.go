@@ -22,7 +22,7 @@ func seedScalarProbe(l *Library, hv *hdc.HV) []Candidate {
 			score = float64(sn.vector(i).Dot(hv))
 		} else {
 			seg, li := sn.locate(i)
-			score = float64(seg.counters(li).DotAcc(hv))
+			score = float64(seg.bkts[li].acc.DotAcc(hv))
 		}
 		if score >= tau {
 			out = append(out, Candidate{Bucket: i, Score: score, Excess: score - tau})
@@ -153,8 +153,8 @@ func TestProbeShardedEquivalence(t *testing.T) {
 	}
 }
 
-// TestProbeEquivalenceAfterRoundTrip asserts the arena rebuilt by
-// ReadLibrary probes identically to the arena built by Freeze.
+// TestProbeEquivalenceAfterRoundTrip asserts the arena loaded by
+// ReadIndex probes identically to the arena built by Freeze.
 func TestProbeEquivalenceAfterRoundTrip(t *testing.T) {
 	lib, refs := buildProbeLib(t, true, true, 7)
 	back := saveLoad(t, lib)

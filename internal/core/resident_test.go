@@ -2,8 +2,6 @@ package core
 
 import (
 	"testing"
-
-	"repro/internal/mmapfile"
 )
 
 // TestResidentBytesHeap pins the heap-tier fallback: without a
@@ -25,7 +23,7 @@ func TestResidentBytesMapped(t *testing.T) {
 	mapped := openLib(t, path, MapArena)
 	defer mapped.Close()
 	if !mapped.Mapped() {
-		if !mmapfile.Supported() || !mmapfile.HostLittleEndian() {
+		if !MapSupported() {
 			t.Skip("platform cannot map; heap fallback covered elsewhere")
 		}
 		t.Fatal("MapArena fell back to heap on a supported platform")

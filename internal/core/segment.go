@@ -48,14 +48,12 @@ type segment struct {
 	plane      []uint64
 	planeWords int
 
-	// mapped marks an arena that aliases a read-only file mapping
-	// (format v3 opened with MapArena) instead of heap storage; mapOff
-	// and mapLen locate the arena's byte range inside that mapping so
-	// the library lifecycle can madvise it (DONTNEED once compaction
-	// retires the segment). Mapped arenas must never be written — the
-	// pages fault on write — which the immutable-once-published
-	// discipline above already guarantees.
-	mapped bool
+	// mapOff and mapLen locate an arena that aliases a read-only file
+	// mapping (format v3 opened with MapArena) instead of heap storage —
+	// mapLen is 0 on the heap — so the library lifecycle can madvise it
+	// (DONTNEED once compaction retires the segment). Mapped arenas
+	// must never be written — the pages fault on write — which the
+	// immutable-once-published discipline above already guarantees.
 	mapOff int
 	mapLen int
 }
@@ -104,19 +102,19 @@ func (s *segment) cutPlane(sketchWords int) {
 }
 
 // segmentFromArena builds a segment around an existing packed arena —
-// the v3 load path, where the arena words either were decoded from the
-// file into the heap or alias a read-only mapping zero-copy. wins[i]
+// the v3 load path, where the arena words alias either the heap memory
+// the file was read into or a read-only mapping (the loader then marks
+// the segment mapped and records its byte range). wins[i]
 // becomes bucket i's member windows and the bucket's sealed view is
 // pointed at its arena row in place; nothing is copied. len(arena)
 // must be len(wins)·dim/64 — the v3 reader validates this against the
 // segment directory before calling. Tombstone counts start at zero;
 // callers run countTombs against their reference table.
-func segmentFromArena(arena []uint64, wins [][]WindowRef, dim, sketchWords int, mapped bool) *segment {
+func segmentFromArena(arena []uint64, wins [][]WindowRef, dim, sketchWords int) *segment {
 	s := &segment{
 		bkts:     make([]bucket, len(wins)),
 		arena:    arena,
 		rowWords: dim / 64,
-		mapped:   mapped,
 	}
 	for i := range s.bkts {
 		s.bkts[i].windows = wins[i]
@@ -129,13 +127,8 @@ func segmentFromArena(arena []uint64, wins [][]WindowRef, dim, sketchWords int, 
 	return s
 }
 
-// setMapRange records the arena's byte range inside the library's file
-// mapping, for later madvise hints.
-func (s *segment) setMapRange(off, n int) {
-	s.mapOff, s.mapLen = off, n
-}
-
-// MapRange reports that byte range to the engine; (0, 0) on the heap.
+// MapRange reports the arena's byte range inside the library's file
+// mapping to the engine; (0, 0) on the heap.
 func (s *segment) MapRange() (off, n int) { return s.mapOff, s.mapLen }
 
 // arenaWords exposes the full packed arena for serialization (shared;
@@ -164,10 +157,6 @@ func (s *segment) windows(i int) []WindowRef { return s.bkts[i].windows }
 // vector returns the sealed hypervector of local bucket i (aliases the
 // arena row; callers must not mutate).
 func (s *segment) vector(i int) *hdc.HV { return s.bkts[i].sealed }
-
-// counters returns the raw counter accumulator of local bucket i, or nil
-// for sealed-mode segments (counters are dropped at close).
-func (s *segment) counters(i int) *hdc.Acc { return s.bkts[i].acc }
 
 // maxOccupancy returns the largest bucket occupancy in the segment,
 // counting tombstoned windows too — they are still superposed in the
@@ -324,7 +313,7 @@ func (s *segment) probeRange(dst []Candidate, hv *hdc.HV, pl *scanPlan, lo, hi, 
 func (s *segment) probeBlockRange(dsts [][]Candidate, hvs []*hdc.HV, pl *scanPlan, lo, hi, gOff int, surv []int32, p *Params, ctr *libCounters) {
 	// One storage-tier tally per range scan (not per row) — same
 	// publish cadence as the counters below.
-	if s.mapped {
+	if s.mapLen > 0 {
 		ctr.mappedScans.Add(1)
 	} else {
 		ctr.heapScans.Add(1)

@@ -13,16 +13,11 @@ import (
 // loadFixture reads a library file checked in under testdata/.
 func loadFixture(t *testing.T, name string) *Library {
 	t.Helper()
-	f, err := os.Open(filepath.Join("testdata", name))
+	data, err := os.ReadFile(filepath.Join("testdata", name))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	lib, err := ReadLibrary(f)
-	if err != nil {
-		t.Fatalf("loading %s: %v", name, err)
-	}
-	return lib
+	return readLib(t, data)
 }
 
 // goldenSealedFixture rebuilds, live, the exact library that produced
@@ -139,6 +134,33 @@ func TestGoldenV1SealedCompat(t *testing.T) {
 	assertLibrariesEquivalent(t, live, loaded)
 }
 
+// TestGoldenV2SealedCompat and TestGoldenV2RawCompat load the files the
+// last v2 writer (PR 14's Library.WriteTo, since deleted) produced from
+// the same two seeded builds. They are the coverage of the v2 decoder
+// now that nothing writes the format: never regenerate them.
+func TestGoldenV2SealedCompat(t *testing.T) {
+	loaded := loadFixture(t, "golden_v2_sealed.lib")
+	if !loaded.Frozen() || loaded.NumSegments() != 1 {
+		t.Fatalf("v2 fixture: frozen %v, %d segments", loaded.Frozen(), loaded.NumSegments())
+	}
+	assertLibrariesEquivalent(t, goldenSealedFixture(t), loaded)
+}
+
+func TestGoldenV2RawCompat(t *testing.T) {
+	loaded := loadFixture(t, "golden_v2_raw.lib")
+	if loaded.Params().Sealed {
+		t.Fatal("raw-counter fixture loaded as sealed")
+	}
+	live := goldenRawFixture(t)
+	assertLibrariesEquivalent(t, live, loaded)
+	for r := 0; r < live.NumRefs(); r++ {
+		lr, gr := live.Ref(r), loaded.Ref(r)
+		if lr.ID != gr.ID || lr.Description != gr.Description || !lr.Seq.Equal(gr.Seq) {
+			t.Fatalf("ref %d record differs: %+v vs %+v", r, gr, lr)
+		}
+	}
+}
+
 // TestGoldenV1RawCompat is the unsealed-mode (counter-bucket) variant.
 func TestGoldenV1RawCompat(t *testing.T) {
 	loaded := loadFixture(t, "golden_v1_raw.lib")
@@ -187,7 +209,7 @@ func buildSegmentedLib(t *testing.T, nPre, nPost int, seed uint64) (*Library, []
 }
 
 // TestSaveLoadPreservesSegments round-trips a multi-segment library
-// with a tombstoned reference through the v2 format and asserts the
+// with a tombstoned reference through the file format and asserts the
 // segment boundaries, tombstones, and calibration all survive.
 func TestSaveLoadPreservesSegments(t *testing.T) {
 	lib, refs := buildSegmentedLib(t, 2, 2, 601)

@@ -10,6 +10,9 @@
 // one). On platforms without mmap support — or under the purego build
 // tag, which strips every platform-specific fast path in this repo —
 // Open returns ErrUnsupported and callers fall back to a heap load.
+// The two unsafe views live here as well: AsWords (bytes as words) and
+// WordBytes (words as bytes), so a heap load reads into word-backed
+// memory and hands out its arenas exactly as a mapped open does.
 package mmapfile
 
 import (
@@ -108,11 +111,12 @@ func (m *Mapping) Close() error {
 	return unmap(data)
 }
 
-// AsWords reinterprets a mapped byte range as []uint64 without
-// copying. The bytes must be 8-byte aligned and a multiple of 8 long;
-// the words carry the file's little-endian layout, so callers must
-// have checked HostLittleEndian before treating them as host integers.
-// The returned slice aliases b: read-only, invalid after Close.
+// AsWords reinterprets a byte range — of a mapping, or of WordBytes
+// memory — as []uint64 without copying. The bytes must be 8-byte
+// aligned and a multiple of 8 long; the words carry the file's
+// little-endian layout, so callers must have checked HostLittleEndian
+// before treating them as host integers. The returned slice aliases b:
+// for a mapping, read-only and invalid after Close.
 func AsWords(b []byte) ([]uint64, error) {
 	if len(b) == 0 {
 		return nil, nil
@@ -126,10 +130,22 @@ func AsWords(b []byte) ([]uint64, error) {
 	return unsafe.Slice((*uint64)(unsafe.Pointer(&b[0])), len(b)/8), nil
 }
 
+// WordBytes is the inverse view: the bytes of a word slice, without
+// copying. A heap loader reads a file into word-backed memory through
+// it, so the arenas it then hands out via AsWords are aligned and
+// aliased exactly like mapped ones.
+func WordBytes(w []uint64) []byte {
+	if len(w) == 0 {
+		return nil
+	}
+	return unsafe.Slice((*byte)(unsafe.Pointer(&w[0])), len(w)*8)
+}
+
 // HostLittleEndian reports whether the host stores integers
 // little-endian — the on-disk word order of the library format. On a
 // big-endian host a zero-copy arena view would read scrambled words,
-// so mapping callers fall back to the (byte-order-aware) heap loader.
+// so callers do not map there: they heap-load and byte-swap the words
+// in place.
 func HostLittleEndian() bool {
 	x := uint16(1)
 	return *(*byte)(unsafe.Pointer(&x)) == 1

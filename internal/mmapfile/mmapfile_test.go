@@ -115,7 +115,13 @@ func TestAsWords(t *testing.T) {
 	// Back the buffer with a []uint64 so it is 8-byte aligned — a bare
 	// make([]byte, n) only guarantees byte alignment.
 	backing := make([]uint64, 3)
-	buf := unsafe.Slice((*byte)(unsafe.Pointer(&backing[0])), 24)
+	buf := WordBytes(backing)
+	if len(buf) != 24 || unsafe.Pointer(&buf[0]) != unsafe.Pointer(&backing[0]) {
+		t.Fatalf("WordBytes returned %d bytes at %p, want 24 aliasing %p", len(buf), &buf[0], &backing[0])
+	}
+	if WordBytes(nil) != nil {
+		t.Fatal("WordBytes(nil) is not nil")
+	}
 	binary.LittleEndian.PutUint64(buf[0:], 0x0123456789abcdef)
 	binary.LittleEndian.PutUint64(buf[8:], 42)
 	binary.LittleEndian.PutUint64(buf[16:], ^uint64(0))

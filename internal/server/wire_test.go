@@ -4,14 +4,18 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/cobs"
 	"repro/internal/core"
 	"repro/internal/genome"
 	"repro/internal/rng"
@@ -32,7 +36,14 @@ func wirePair(t *testing.T) (*httptest.Server, *wire.Client, *genome.Sequence) {
 		t.Fatal(err)
 	}
 	lib.Freeze()
-	s, err := New(lib)
+	ts, cl := wirePairOver(t, lib)
+	return ts, cl, ref
+}
+
+// wirePairOver is wirePair for an index the caller built (or opened).
+func wirePairOver(t *testing.T, idx core.Index) (*httptest.Server, *wire.Client) {
+	t.Helper()
+	s, err := New(idx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +72,7 @@ func wirePair(t *testing.T) (*httptest.Server, *wire.Client, *genome.Sequence) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { cl.Close() })
-	return ts, cl, ref
+	return ts, cl
 }
 
 // httpBody POSTs (or GETs when body is nil) and returns status plus
@@ -318,6 +329,87 @@ func TestWireMetricsOnSharedRegistry(t *testing.T) {
 		"biohd_wire_frame_seconds_count 1",
 		"biohd_wire_pipeline_depth_count 1",
 		"biohd_library_resident_bytes",
+	} {
+		if !strings.Contains(text, series) {
+			t.Errorf("metrics missing %q", series)
+		}
+	}
+}
+
+// TestMappedCOBSStats serves a cobs container opened MapArena and reads
+// the storage tier back through every stats surface — the same structs
+// and series the HDC library reports through, no field of their own.
+func TestMappedCOBSStats(t *testing.T) {
+	x, err := cobs.New(cobs.Params{Window: 32, RowBits: 4096})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := genome.Random(3000, rng.New(93))
+	if err := x.Add(genome.Record{ID: "chr1", Seq: ref}); err != nil {
+		t.Fatal(err)
+	}
+	x.Freeze()
+	path := filepath.Join(t.TempDir(), "cobs.v3")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	size, err := x.WriteToV3(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	idx, err := core.OpenLibraryFile(path, core.MapArena)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { idx.Close() })
+	if !idx.Mapped() {
+		t.Skip("this platform or build cannot map library files")
+	}
+	ts, cl := wirePairOver(t, idx)
+	pat := ref.Slice(500, 532).String()
+	if res, err := cl.Search(context.Background(), pat, false); err != nil || len(res.Matches) == 0 {
+		t.Fatalf("wire search on the mapped index: %+v, %v", res, err)
+	}
+	if status, _ := httpBody(t, ts.URL+"/v1/search", map[string]string{"pattern": pat}); status != http.StatusOK {
+		t.Fatalf("http search status %d", status)
+	}
+
+	_, body := httpBody(t, ts.URL+"/v1/stats", nil)
+	var stats StatsResponse
+	if err := json.Unmarshal(body, &stats); err != nil {
+		t.Fatal(err)
+	}
+	ws, err := cl.Stats(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for via, got := range map[string][3]int64{
+		"/v1/stats":  {stats.MappedBytes, stats.ResidentBytes, stats.MemBytes},
+		"wire STATS": {ws.MappedBytes, ws.ResidentBytes, ws.MemBytes},
+	} {
+		if got[0] != size {
+			t.Errorf("%s: mappedBytes %d, the file is %d bytes", via, got[0], size)
+		}
+		if got[1] <= 0 || got[1] > size {
+			t.Errorf("%s: residentBytes %d outside (0, %d]", via, got[1], size)
+		}
+		if got[2] <= 0 {
+			t.Errorf("%s: memoryBytes %d", via, got[2])
+		}
+	}
+	if stats.Backend != cobs.BackendName || ws.Backend != cobs.BackendName {
+		t.Errorf("backend %q / %q", stats.Backend, ws.Backend)
+	}
+	_, body = httpBody(t, ts.URL+"/metrics", nil)
+	text := string(body)
+	for _, series := range []string{
+		"biohd_core_mapped_scans_total 2\n", // one segment, two searches
+		"biohd_core_heap_scans_total 0\n",
+		fmt.Sprintf("biohd_library_mapped_bytes %d\n", size),
 	} {
 		if !strings.Contains(text, series) {
 			t.Errorf("metrics missing %q", series)

@@ -4,16 +4,18 @@
 # (ingest, remove, compact), a burst of concurrent searches through the
 # coalescing layer, and /metrics with curl, then SIGTERM the server and
 # assert it drains to a clean exit. A second phase round-trips the
-# mmap-backed tier: build → convert to the v3 mappable format → serve
-# -mmap → search/ingest/remove/compact against the mapped library, and
-# assert the mapped-bytes gauge reports the mapping. A third phase
+# mmap-backed tier: build -o (v3, the only format written) → serve
+# -mmap straight from it → search/ingest/remove/compact against the
+# mapped library, and assert the mapped-bytes gauge reports the mapping;
+# `convert` is exercised on the checked-in legacy v2 file. A third phase
 # serves with -wire-addr and drives the binary wire protocol through
 # the biohd wire client: pipelined searches, classify, stats, ping,
 # then asserts the biohd_wire_* metric series and a clean drain. A
 # fourth phase exercises the COBS bit-sliced backend end to end:
-# build -backend cobs → serve the saved collection with both HTTP and
-# wire listeners → search over each transport, and assert /v1/stats
-# and biohd_index_info name the cobs backend.
+# build -backend cobs → serve the saved collection -mmap with both HTTP
+# and wire listeners → search over each transport, and assert /v1/stats
+# and biohd_index_info name the cobs backend and the scans are
+# attributed to the mapped tier.
 #
 # Run via `make smoke` (CI runs it too). Needs only bash, curl, awk.
 set -euo pipefail
@@ -32,6 +34,15 @@ trap cleanup EXIT
 
 echo "== build"
 go build -o "$workdir/biohd" ./cmd/biohd
+
+# Where the platform maps files, -mmap must map: a heap fallback there
+# is a failure, not a portability allowance.
+must_map=no
+case "$(go env GOOS)/$(go env GOARCH)" in linux/amd64|linux/arm64) must_map=yes ;; esac
+require_mapped() { # $1 = serve log
+    [ "$must_map" = no ] || grep -q 'load mode: mapped' "$1" \
+        || { cat "$1"; echo "FATAL: -mmap did not map on a platform that can"; exit 1; }
+}
 
 echo "== generate references"
 "$workdir/biohd" gen -kind covid -n 4 -len 4000 -o "$workdir/refs.fa"
@@ -146,12 +157,23 @@ fi
 kill "$watchdog_pid" 2>/dev/null || true
 watchdog_pid=""
 
-echo "== convert to v3 (mappable)"
-"$workdir/biohd" build -ref "$workdir/refs.fa" -o "$workdir/lib.bhd" >/dev/null
-"$workdir/biohd" convert -lib "$workdir/lib.bhd" -o "$workdir/lib.v3"
-[ -e "$workdir/lib.v3.tmp" ] && { echo "FATAL: convert left lib.v3.tmp behind"; exit 1; }
+echo "== convert the legacy v2 golden to v3"
+golden=internal/core/testdata/golden_v2_sealed.lib
+"$workdir/biohd" convert -lib "$golden" -o "$workdir/golden.v3"
+[ -e "$workdir/golden.v3.tmp" ] && { echo "FATAL: convert left golden.v3.tmp behind"; exit 1; }
+[ "$(od -An -tu1 -j8 -N1 "$golden" | tr -d ' ')" = 2 ] || { echo "FATAL: golden is not a v2 file"; exit 1; }
+[ "$(od -An -tu1 -j8 -N1 "$workdir/golden.v3" | tr -d ' ')" = 3 ] || { echo "FATAL: convert did not write v3"; exit 1; }
+# Bases 80..103 of the golden's first reference (drawn from a fixed seed).
+gpat=TCCGAGCTTATTATTAGAGGTAGG
+want=$("$workdir/biohd" search -lib "$golden" -pattern "$gpat")
+got=$("$workdir/biohd" search -lib "$workdir/golden.v3" -pattern "$gpat")
+echo "$got" | grep -q 'ref-0:80' || { echo "FATAL: converted golden misses its own window: $got"; exit 1; }
+[ "$got" = "$want" ] || { echo "FATAL: converted library answers differently: $got vs $want"; exit 1; }
 
-echo "== serve -mmap"
+echo "== build -o, serve -mmap"
+hdc_build=$("$workdir/biohd" build -ref "$workdir/refs.fa" -o "$workdir/lib.v3")
+echo "$hdc_build" | grep -q 'format v3' \
+    || { echo "FATAL: build did not report the format it wrote: $hdc_build"; exit 1; }
 "$workdir/biohd" serve -lib "$workdir/lib.v3" -mmap -addr 127.0.0.1:0 -quiet \
     >"$workdir/serve-mmap.log" 2>&1 &
 server_pid=$!
@@ -174,6 +196,8 @@ for _ in $(seq 1 50); do
     curl -sf "$base/healthz" >/dev/null 2>&1 && break
     sleep 0.1
 done
+
+require_mapped "$workdir/serve-mmap.log"
 
 echo "== mapped /v1/search"
 search=$(curl -sf -X POST -H 'Content-Type: application/json' \
@@ -297,8 +321,8 @@ cobs_build=$("$workdir/biohd" build -backend cobs -ref "$workdir/refs.fa" -o "$w
 echo "$cobs_build" | grep -q 'cobs backend' \
     || { echo "FATAL: cobs build did not report its backend: $cobs_build"; exit 1; }
 
-echo "== serve (cobs)"
-"$workdir/biohd" serve -lib "$workdir/lib.cobs" -addr 127.0.0.1:0 \
+echo "== serve -mmap (cobs)"
+"$workdir/biohd" serve -lib "$workdir/lib.cobs" -mmap -addr 127.0.0.1:0 \
     -wire-addr 127.0.0.1:0 -quiet >"$workdir/serve-cobs.log" 2>&1 &
 server_pid=$!
 ( sleep 60; kill -9 "$server_pid" 2>/dev/null ) &
@@ -322,6 +346,8 @@ for _ in $(seq 1 50); do
     sleep 0.1
 done
 
+require_mapped "$workdir/serve-cobs.log"
+
 echo "== cobs /v1/search"
 search=$(curl -sf -X POST -H 'Content-Type: application/json' \
     -d "{\"pattern\":\"$pattern\"}" "$base/v1/search")
@@ -341,6 +367,15 @@ echo "$stats" | grep -q '"backend":"cobs"' \
 metrics=$(curl -sf "$base/metrics")
 echo "$metrics" | grep -qF 'biohd_index_info{backend="cobs"} 1' \
     || { echo "FATAL: /metrics missing cobs biohd_index_info"; exit 1; }
+if grep -q 'load mode: mapped' "$workdir/serve-cobs.log"; then
+    echo "$stats" | grep -q '"mappedBytes":[1-9]' \
+        || { echo "FATAL: mapped cobs /v1/stats reports no mapping: $stats"; exit 1; }
+    mapped_scans=$(echo "$metrics" | awk '/^biohd_core_mapped_scans_total /{print $2}')
+    [ "${mapped_scans:-0}" -gt 0 ] || { echo "FATAL: no cobs scans attributed to the mapped tier"; exit 1; }
+else
+    grep -q 'load mode: heap fallback (this platform' "$workdir/serve-cobs.log" \
+        || { cat "$workdir/serve-cobs.log"; echo "FATAL: cobs -mmap neither mapped nor explained its fallback"; exit 1; }
+fi
 
 echo "== SIGTERM drain (cobs)"
 kill -TERM "$server_pid"
