@@ -27,9 +27,13 @@ test:
 test-purego:
 	$(GO) test -tags purego ./internal/bitvec ./internal/core ./internal/cobs ./internal/mmapfile ./internal/wire
 
-## race: run the test suite under the race detector
+## race: run the test suite under the race detector, then the two
+## packages whose behaviour depends on the scheduler — the coalescer forms
+## its blocks out of whichever callers are runnable together — again at
+## GOMAXPROCS 1, 2 and 4
 race:
 	$(GO) test -race $(PKGS)
+	$(GO) test -race -cpu 1,2,4 ./internal/coalesce ./internal/server
 
 ## vet: run go vet
 vet:

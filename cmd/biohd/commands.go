@@ -51,8 +51,6 @@ func cmdServe(args []string, out io.Writer) error {
 	fs.DurationVar(&cfg.IdleTimeout, "idle-timeout", cfg.IdleTimeout, "keep-alive idle connection timeout")
 	fs.DurationVar(&cfg.RequestTimeout, "request-timeout", cfg.RequestTimeout, "per-request handler deadline (cancels in-flight batches)")
 	coalesceBatch := fs.Int("coalesce-batch", 0, "max queries coalesced into one probe block (0 = block width, 1 = disable coalescing)")
-	coalesceFlush := fs.Duration("coalesce-flush", coalesce.DefaultFlushTick, "max time a partial block absorbs fill while workers are busy (0 = disable coalescing)")
-	coalesceQueue := fs.Int("coalesce-queue", 0, "coalescing queue depth before requests fall back to the direct path (0 = default)")
 	drain := fs.Duration("drain", 15*time.Second, "graceful-shutdown drain deadline after SIGINT/SIGTERM")
 	quiet := fs.Bool("quiet", false, "disable per-request logging")
 	sealThreshold := fs.Int("seal-threshold", 0, "buckets in the active segment before live ingest seals it (0 = default)")
@@ -93,17 +91,7 @@ func cmdServe(args []string, out io.Writer) error {
 	}
 	lib.SetSealThreshold(*sealThreshold)
 	lib.SetAutoCompact(*compactTrigger)
-	cfg.Coalesce = coalesce.Config{
-		BatchSize:  *coalesceBatch,
-		FlushTick:  *coalesceFlush,
-		QueueDepth: *coalesceQueue,
-	}
-	if *coalesceFlush == 0 {
-		// On the flag, zero means "never wait for a block": disable
-		// coalescing (internally, zero selects the default tick and
-		// negative disables).
-		cfg.Coalesce.FlushTick = -1
-	}
+	cfg.Coalesce = coalesce.Config{BatchSize: *coalesceBatch}
 	opts := []server.Option{server.WithConfig(cfg)}
 	if !*quiet {
 		opts = append(opts, server.WithLogger(log.New(out, "", log.LstdFlags)))
@@ -112,7 +100,7 @@ func cmdServe(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	defer srv.Close() // stop the coalescing drain loop after the HTTP drain
+	defer srv.Close()
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		return err

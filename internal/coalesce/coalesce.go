@@ -1,27 +1,25 @@
-// Package coalesce is the admission layer between the HTTP handlers
+// Package coalesce is the admission layer between the request handlers
 // and the core.Index backend: it packs pending single-query probes from
 // concurrent requests into query blocks of up to core.BlockWidth, so
-// independent clients share the arena streaming passes that
-// ProbeMulti amortizes. A bounded submission queue feeds a drain loop
-// that assembles blocks; worker goroutines execute them through
-// Index.LookupBlock and deliver each waiter its own result.
+// independent clients share the streaming passes over the library that
+// LookupBlock amortizes.
 //
-// The drain loop flushes a block when it is full, when a worker is
-// idle (an idle server keeps the uncoalesced p50 — there is nothing
-// to gain by waiting), or when the flush tick expires on a partial
-// block that has been absorbing fill while every worker was busy.
-// Under load the queue backs up exactly when workers are the
-// bottleneck, so blocks fatten toward full width precisely when the
-// amortization pays. A lone request — nothing else in flight, nothing
-// queued — skips the queue entirely and runs on its own goroutine:
-// solo traffic has no one to share a block with, so it keeps the
-// direct path's latency to the cost of one atomic.
+// It is a combining design and starts no goroutines (DESIGN §12). A
+// caller appends its jobs to a mutex-guarded FIFO; if half the other CPUs
+// are executing blocks it yields the processor once, so that every
+// submitter already runnable enqueues first; then — unless someone took
+// its jobs meanwhile — it takes the head of the FIFO, runs that block
+// through Index.LookupBlock on its own goroutine, hands the other
+// callers their results, and repeats until its own jobs have been
+// taken. Blocks form where the backlog is: with the CPUs saturated by
+// lookups the submitters queue in the Go run queue and the first to
+// resume finds them all pending; otherwise a lookup is a block of one.
 //
-// A query whose context dies while queued vacates its slot — at pack
-// time or at dispatch time — without stalling the rest of the block.
-// When the queue is saturated or the coalescer is closed, submission
-// fails and callers fall back to the direct path, preserving bounded
-// memory and graceful degradation.
+// A job whose context has died by the time it is taken is vacated: its
+// caller gets the context error and the query never reaches the
+// library. Every pending job belongs to a caller blocked in LookupEach,
+// at most a block width each — that bounds the FIFO, and nothing needs
+// flushing, because a caller never leaves its own jobs behind.
 package coalesce
 
 import (
@@ -29,7 +27,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -37,107 +34,53 @@ import (
 	"repro/internal/metrics"
 )
 
-// Defaults for Config fields left zero.
-const (
-	DefaultBatchSize  = core.BlockWidth
-	DefaultFlushTick  = 200 * time.Microsecond
-	DefaultQueueDepth = 1024
-)
-
-// Config holds the coalescing knobs, following the batchsize /
-// buffersize / flushtick shape of gofast's batching transport. The
-// zero value of each field selects its default; explicit negatives
-// (or BatchSize 1, which makes blocks pointless) disable coalescing —
-// callers check Enabled before constructing a Coalescer.
+// Config holds the one coalescing knob.
 type Config struct {
-	// BatchSize is the maximum queries packed into one block, clamped
-	// to [2, core.BlockWidth]. 0 selects core.BlockWidth; 1 or a
-	// negative disables coalescing.
+	// BatchSize is the maximum queries packed into one block. 0 (or
+	// anything above it) selects core.BlockWidth; 1 or a negative selects
+	// the direct path instead — callers check Enabled before New.
 	BatchSize int
-	// FlushTick bounds how long a partial block keeps absorbing fill
-	// while every worker is busy before it is committed as-is. 0
-	// selects 200µs; negative disables coalescing.
-	FlushTick time.Duration
-	// QueueDepth bounds the submission queue; beyond it, submissions
-	// fall back to the direct path. 0 selects 1024.
-	QueueDepth int
-	// Workers is the number of block executors. 0 selects GOMAXPROCS.
-	Workers int
 }
 
-// Enabled reports whether this configuration asks for coalescing at
-// all: an explicit negative knob or a batch size of 1 selects the
-// direct path instead.
-func (c Config) Enabled() bool {
-	return c.BatchSize >= 0 && c.BatchSize != 1 && c.FlushTick >= 0 && c.QueueDepth >= 0
-}
+// Enabled reports whether the configuration asks for coalescing at all.
+func (c Config) Enabled() bool { return c.BatchSize == 0 || c.BatchSize > 1 }
 
-// withDefaults resolves zero fields and clamps BatchSize to the probe
-// kernel's block width.
-func (c Config) withDefaults() Config {
-	if c.BatchSize == 0 || c.BatchSize > core.BlockWidth {
-		c.BatchSize = DefaultBatchSize
-	}
-	if c.FlushTick == 0 {
-		c.FlushTick = DefaultFlushTick
-	}
-	if c.QueueDepth == 0 {
-		c.QueueDepth = DefaultQueueDepth
-	}
-	if c.Workers <= 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	return c
-}
-
-// job is one queued lookup: the result is written to *out, then wg is
-// released — the WaitGroup gives the waiter its happens-before edge,
-// and lets a caller await several submissions with one wait.
+// job is one pending lookup, living inside its caller's call. next and
+// taken belong to the FIFO and are guarded by Coalescer.mu. Whoever
+// takes the job writes res and then releases owner.wg — its last touch.
 type job struct {
-	pat *genome.Sequence
-	ctx context.Context
-	enq time.Time
-	out *core.BatchResult
-	wg  *sync.WaitGroup
+	pat   *genome.Sequence
+	ctx   context.Context
+	enq   time.Time
+	res   core.BatchResult
+	owner *call
+	next  *job
+	taken bool
 }
 
-// block is one drain-assembled query block, pooled across dispatches.
-type block struct {
-	jobs []job
-}
-
-// workerScratch is a worker's reusable dispatch state: the pattern
-// block handed to LookupBlock, the result spine, and the job index of
-// each live slot (dead-context slots vacate before dispatch).
-type workerScratch struct {
+// call is one caller's pooled state: its jobs, the WaitGroup their
+// deliveries release, and scratch for the blocks it executes.
+type call struct {
+	jobs    [core.BlockWidth]job
+	wg      sync.WaitGroup
+	blk     [core.BlockWidth]*job
 	pats    [core.BlockWidth]*genome.Sequence
 	results [core.BlockWidth]core.BatchResult
-	idx     [core.BlockWidth]int
 }
 
 // Coalescer packs concurrent single-query lookups into probe blocks.
 type Coalescer struct {
-	lib core.Index
-	cfg Config
-
-	q        chan job      // bounded submission queue
-	dispatch chan *block   // unbuffered handoff to workers
-	stop     chan struct{} // closed by Close; drain sweeps and exits
-	wg       sync.WaitGroup
-
-	mu     sync.Mutex // guards closed against in-flight submissions
-	closed bool
-
-	// inflight counts lookups between admission and delivery; a lone
-	// request (inflight 1, empty queue) has nothing to pack with and
-	// takes the direct path, keeping the idle-server p50.
-	inflight atomic.Int64
-
-	blkPool sync.Pool
-
-	// exec runs one assembled block; tests substitute a gated executor
-	// to pin drain-loop timing deterministically.
+	lib   core.Index
+	width int
+	calls sync.Pool
+	// exec runs one block; tests substitute one that holds or burns the CPU.
 	exec func(patterns []*genome.Sequence, results []core.BatchResult) error
+
+	mu         sync.Mutex
+	head, tail *job // FIFO of pending jobs
+	pending    int  // its length
+	running    int  // blocks executing right now
+	closed     bool
 
 	jobs      *metrics.Counter
 	direct    *metrics.Counter
@@ -147,10 +90,8 @@ type Coalescer struct {
 	wait      *metrics.Histogram
 }
 
-// New starts a coalescer over a frozen index (any backend). The
-// registry receives
-// the coalescing series (block occupancy, queue depth, wait time,
-// admission counters); pass a dedicated registry per server.
+// New returns a coalescer over a frozen index (any backend); it starts
+// nothing. reg receives the coalescing series: pass one per server.
 func New(lib core.Index, cfg Config, reg *metrics.Registry) (*Coalescer, error) {
 	if !cfg.Enabled() {
 		return nil, fmt.Errorf("coalesce: config disables coalescing; use the direct path")
@@ -158,335 +99,197 @@ func New(lib core.Index, cfg Config, reg *metrics.Registry) (*Coalescer, error) 
 	if lib == nil || !lib.Frozen() {
 		return nil, fmt.Errorf("coalesce: library must be frozen")
 	}
-	cfg = cfg.withDefaults()
 	c := &Coalescer{
-		lib:      lib,
-		cfg:      cfg,
-		q:        make(chan job, cfg.QueueDepth),
-		dispatch: make(chan *block),
-		stop:     make(chan struct{}),
-
+		lib:   lib,
+		width: cfg.BatchSize,
+		exec:  lib.LookupBlock,
+		calls: sync.Pool{New: func() any { return new(call) }},
 		jobs: reg.Counter("biohd_coalesce_jobs_total",
-			"Lookups admitted to the coalescing queue."),
+			"Lookups admitted to the coalescer's pending list."),
 		direct: reg.Counter("biohd_coalesce_direct_total",
-			"Lookups served on the direct path (solo traffic, queue saturated, or coalescer closed)."),
+			"Lookups served on the direct path because the coalescer was closed."),
 		vacated: reg.Counter("biohd_coalesce_vacated_total",
-			"Queued lookups whose context died before dispatch; their slots were vacated."),
+			"Pending lookups whose context died before their block ran; their slots were vacated."),
 		occupancy: reg.Histogram("biohd_coalesce_block_occupancy",
-			"Realized queries per dispatched probe block.",
+			"Realized queries per executed probe block.",
 			metrics.LinearBuckets(1, 1, core.BlockWidth)),
 		depth: reg.Gauge("biohd_coalesce_queue_depth",
-			"Submission queue depth sampled at each block commit."),
+			"Lookups still pending, sampled after each block is taken."),
 		wait: reg.Histogram("biohd_coalesce_wait_seconds",
-			"Time from submission to block dispatch.",
+			"Time from submission to the start of the lookup's block.",
 			[]float64{
 				25e-6, 50e-6, 100e-6, 250e-6, 500e-6,
 				1e-3, 2.5e-3, 5e-3, 10e-3, 25e-3, 50e-3, 100e-3,
 			}),
 	}
-	c.blkPool.New = func() any {
-		return &block{jobs: make([]job, 0, cfg.BatchSize)}
+	if c.width == 0 || c.width > core.BlockWidth {
+		c.width = core.BlockWidth
 	}
-	c.exec = lib.LookupBlock
-	c.wg.Add(1)
-	ready := make(chan struct{})
-	go c.run(ready)
-	<-ready // the queue is live once the drain loop is running
 	return c, nil
 }
 
-// run owns the coalescer's goroutines: it starts the workers, runs
-// the drain loop until Close, then joins the workers. Close joins run
-// itself through c.wg.
-func (c *Coalescer) run(ready chan<- struct{}) {
-	defer c.wg.Done()
-	var workers sync.WaitGroup
-	workers.Add(c.cfg.Workers)
-	for i := 0; i < c.cfg.Workers; i++ {
-		go func() {
-			defer workers.Done()
-			c.worker()
-		}()
-	}
-	close(ready)
-	c.drain()
-	workers.Wait()
-}
-
-// Close stops admission, flushes every queued job, and waits for the
-// drain loop and workers to exit. Lookups arriving after Close run
-// directly, so a server can keep answering while shutting down.
+// Close stops admission: later lookups run on the direct path; pending
+// ones complete, their callers being the ones running them. Idempotent.
 func (c *Coalescer) Close() {
 	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return
-	}
 	c.closed = true
 	c.mu.Unlock()
-	close(c.stop)
-	c.wg.Wait()
 }
 
-// Occupancy reports how many blocks have been dispatched so far and
-// their mean realized width — the benchmark harness's view of how
-// well concurrent traffic is packing.
-func (c *Coalescer) Occupancy() (blocks int64, mean float64) {
-	n := c.occupancy.Count()
-	if n == 0 {
-		return 0, 0
-	}
-	return n, c.occupancy.Sum() / float64(n)
-}
-
-// Admissions reports cumulative admission counts — queued jobs,
-// direct-path lookups, and vacated slots — for harnesses that want
-// the split without scraping the registry.
-func (c *Coalescer) Admissions() (jobs, direct, vacated int64) {
-	return c.jobs.Value(), c.direct.Value(), c.vacated.Value()
-}
-
-// Lookup submits one pattern and blocks until its result — or its
-// context's error — is delivered. A lone request — nothing else in
-// flight, nothing queued — has no traffic to pack with, so it runs
-// directly on the calling goroutine and skips the queue round-trip;
-// the same direct degradation applies when the queue is saturated or
-// the coalescer is closed, preserving bounded memory.
+// Lookup runs one pattern through the coalescer and returns its result
+// — or its context's error, if that died before the pattern's block ran.
 func (c *Coalescer) Lookup(ctx context.Context, pattern *genome.Sequence) ([]core.Match, core.Stats, error) {
-	defer c.inflight.Add(-1)
-	if c.inflight.Add(1) == 1 && len(c.q) == 0 {
-		c.direct.Inc()
-		return c.lib.Lookup(pattern)
-	}
-	var r core.BatchResult
-	var wg sync.WaitGroup
-	if !c.submit(ctx, pattern, &r, &wg) {
-		return c.lib.Lookup(pattern)
-	}
-	wg.Wait()
-	return r.Matches, r.Stats, r.Err
+	var res [1]core.BatchResult
+	c.LookupEach(ctx, []*genome.Sequence{pattern}, res[:])
+	return res[0].Matches, res[0].Stats, res[0].Err
 }
 
-// LookupEach submits every pattern and fills results[i] with pattern
-// i's outcome, returning once all are delivered. Patterns the queue
-// cannot admit run directly in submission order. len(results) must be
-// at least len(patterns).
+// LookupEach runs every pattern through the coalescer, a block width at
+// a time, and fills results[i] with pattern i's outcome. len(results)
+// must be at least len(patterns).
+//
+//biohd:hotpath
 func (c *Coalescer) LookupEach(ctx context.Context, patterns []*genome.Sequence, results []core.BatchResult) {
-	c.inflight.Add(int64(len(patterns)))
-	defer c.inflight.Add(int64(-len(patterns)))
-	var wg sync.WaitGroup
-	for i, p := range patterns {
-		if !c.submit(ctx, p, &results[i], &wg) {
-			m, st, err := c.lib.Lookup(p)
-			results[i] = core.BatchResult{Matches: m, Stats: st, Err: err}
+	cl := c.calls.Get().(*call)
+	for len(patterns) > 0 {
+		n := min(len(patterns), core.BlockWidth)
+		procs := runtime.GOMAXPROCS(0)
+		if ok, saturated := c.submit(cl, ctx, patterns[:n], procs); ok {
+			c.combine(cl, n, procs, saturated)
+			for i := range cl.jobs[:n] {
+				results[i] = cl.jobs[i].res
+				cl.jobs[i] = job{} // the call is pooled: drop what it would pin
+			}
+		} else {
+			for i, p := range patterns[:n] {
+				m, st, err := c.lib.Lookup(p)
+				results[i] = core.BatchResult{Matches: m, Stats: st, Err: err}
+			}
 		}
+		patterns, results = patterns[n:], results[n:]
 	}
-	wg.Wait()
+	c.calls.Put(cl)
 }
 
-// submit enqueues one job; false means the caller must run the lookup
-// itself (queue saturated or coalescer closed).
-func (c *Coalescer) submit(ctx context.Context, pat *genome.Sequence, out *core.BatchResult, wg *sync.WaitGroup) bool {
-	wg.Add(1)
-	j := job{pat: pat, ctx: ctx, enq: time.Now(), out: out, wg: wg}
+// submit appends the caller's patterns (at most a block width) to the
+// FIFO as cl.jobs[:len(patterns)]; !ok means the coalescer is closed and
+// the caller must run them itself. saturated: half the other CPUs are
+// executing blocks, so lookups are what the machine is short of.
+func (c *Coalescer) submit(cl *call, ctx context.Context, patterns []*genome.Sequence, procs int) (ok, saturated bool) {
+	n := len(patterns)
+	now := time.Now()
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		wg.Done()
-		c.direct.Inc()
-		return false
+		c.direct.Add(int64(n))
+		return false, false
 	}
-	select {
-	case c.q <- j:
-		c.mu.Unlock()
-		c.jobs.Inc()
-		return true
-	default:
-		c.mu.Unlock()
-		wg.Done()
-		c.direct.Inc()
-		return false
-	}
-}
-
-// getBlock returns an empty pooled block.
-//
-//biohd:coldstart pool-miss construction; steady state reuses pooled blocks
-func (c *Coalescer) getBlock() *block {
-	b := c.blkPool.Get().(*block)
-	b.jobs = b.jobs[:0]
-	return b
-}
-
-// drain is the block-packing loop: it opens a block on the first
-// queued job, absorbs pending fill, and commits on block-full, idle
-// worker, or flush tick. One goroutine owns it, so block assembly
-// needs no locking.
-//
-//biohd:hotpath
-func (c *Coalescer) drain() {
-	tick := time.NewTimer(c.cfg.FlushTick)
-	if !tick.Stop() {
-		<-tick.C
-	}
-	for {
-		select {
-		case j := <-c.q:
-			if !c.admit(&j) {
-				continue
-			}
-			b := c.getBlock()
-			b.jobs = append(b.jobs, j)
-			c.fill(b, tick)
-		case <-c.stop:
-			c.sweep()
-			close(c.dispatch)
-			return
+	saturated = 2*c.running >= procs-1
+	cl.wg.Add(n) // before any job is visible to a taker
+	for i, p := range patterns {
+		j := &cl.jobs[i]
+		j.pat, j.ctx, j.enq, j.owner, j.taken = p, ctx, now, cl, false
+		if c.tail == nil {
+			c.head = j
+		} else {
+			c.tail.next = j
 		}
+		c.tail = j
 	}
+	c.pending += n
+	c.mu.Unlock()
+	c.jobs.Add(int64(n))
+	return true, saturated
 }
 
-// fill tops up an open block and commits it. Queued jobs are absorbed
-// before any handoff — a thin block is never dispatched while fill
-// waits in the queue. A partial block goes to a worker the moment one
-// is free (nothing further to gain by waiting: with the queue empty,
-// fill can only arrive at the uncoalesced rate); if every worker is
-// busy it keeps absorbing new arrivals until the flush tick commits
-// it as-is.
-func (c *Coalescer) fill(b *block, tick *time.Timer) {
-	if !tick.Stop() {
-		select {
-		case <-tick.C:
-		default:
-		}
+// combine is the caller's side of the protocol, entered with
+// cl.jobs[:n] pending: yield once if lookups saturate the machine (else
+// a trip round the run queue buys nothing a block would repay), execute
+// blocks from the head of the FIFO — whoever's they are — until the
+// caller's own jobs are taken, and wait for those to be delivered. The
+// FIFO is taken in order, so a caller's last job is taken last.
+func (c *Coalescer) combine(cl *call, n, procs int, saturated bool) {
+	if saturated {
+		runtime.Gosched()
 	}
-	tick.Reset(c.cfg.FlushTick)
-	for {
-		for len(b.jobs) < c.cfg.BatchSize {
-			select {
-			case j := <-c.q:
-				if c.admit(&j) {
-					b.jobs = append(b.jobs, j)
-				}
-				continue
-			default:
-			}
+	last := &cl.jobs[n-1]
+	for ran := false; ; ran = true {
+		c.mu.Lock()
+		if ran {
+			c.running--
+		}
+		if last.taken {
+			c.mu.Unlock()
 			break
 		}
-		if len(b.jobs) == c.cfg.BatchSize {
-			c.commit(b)
-			return
-		}
-		n := len(b.jobs) // the worker owns b after a successful handoff
-		select {
-		case c.dispatch <- b: // a worker is idle: flush thin, stay latency-lean
-			c.record(n)
-			return
-		case j := <-c.q:
-			if c.admit(&j) {
-				b.jobs = append(b.jobs, j)
-			}
-		case <-tick.C:
-			c.commit(b)
-			return
-		}
+		k := c.takeLocked(&cl.blk, procs)
+		c.mu.Unlock()
+		c.runBlock(cl, k)
 	}
+	cl.wg.Wait()
 }
 
-// commit records the block's realized occupancy and hands it to the
-// next free worker.
-func (c *Coalescer) commit(b *block) {
-	c.record(len(b.jobs))
-	c.dispatch <- b
+// share is the split rule: the jobs a taker claims when idle CPUs (its
+// own included) are executing no block — an even split, so that a burst
+// spreads over the CPUs about to look for work, not convoys onto one.
+func share(pending, idle, width int) int {
+	idle = max(idle, 1)
+	return min(width, (pending+idle-1)/idle)
 }
 
-// record observes a committed block's occupancy and samples the queue
-// depth.
-func (c *Coalescer) record(n int) {
-	c.occupancy.Observe(float64(n))
-	c.depth.Set(int64(len(c.q)))
-}
-
-// admit vacates a job whose context died while queued: the waiter gets
-// the context error and the block slot stays free for a live query.
-func (c *Coalescer) admit(j *job) bool {
-	if err := j.ctx.Err(); err != nil {
-		*j.out = core.BatchResult{Err: err}
-		j.wg.Done()
-		c.vacated.Inc()
-		return false
-	}
-	return true
-}
-
-// sweep runs after Close: every job still queued is packed and
-// dispatched (workers are still draining), so no waiter is stranded.
-func (c *Coalescer) sweep() {
-	b := c.getBlock()
-	for {
-		select {
-		case j := <-c.q:
-			if !c.admit(&j) {
-				continue
-			}
-			b.jobs = append(b.jobs, j)
-			if len(b.jobs) == c.cfg.BatchSize {
-				c.commit(b)
-				b = c.getBlock()
-			}
-		default:
-			if len(b.jobs) > 0 {
-				c.commit(b)
-			} else {
-				c.blkPool.Put(b)
-			}
-			return
-		}
-	}
-}
-
-// worker executes dispatched blocks until the drain loop closes the
-// channel.
-func (c *Coalescer) worker() {
-	var sc workerScratch
-	for b := range c.dispatch {
-		c.runBlock(b, &sc)
-	}
-}
-
-// runBlock vacates dead-context slots, runs the live ones through the
-// query-blocked lookup, and delivers every waiter its result.
-//
-//biohd:hotpath
-func (c *Coalescer) runBlock(b *block, sc *workerScratch) {
+// takeLocked moves the taker's share of the non-empty FIFO's head into
+// blk and counts the block as executing. A share that ends inside one
+// caller's run of jobs extends to the run's end: that caller needs them
+// all to answer, and if it is the taker nobody else may come for the rest.
+func (c *Coalescer) takeLocked(blk *[core.BlockWidth]*job, procs int) int {
+	k := share(c.pending, procs-c.running, c.width)
 	n := 0
-	for i := range b.jobs {
-		j := &b.jobs[i]
-		c.wait.Observe(time.Since(j.enq).Seconds())
-		// Re-check the context at dispatch: it may have died between
-		// packing and a worker freeing up.
-		if !c.admit(j) {
+	for c.head != nil && (n < k || n < c.width && c.head.owner == blk[n-1].owner) {
+		j := c.head
+		c.head, j.next, j.taken = j.next, nil, true
+		blk[n] = j
+		n++
+	}
+	if c.head == nil {
+		c.tail = nil
+	}
+	c.pending -= n
+	c.running++
+	c.depth.Set(int64(c.pending))
+	return n
+}
+
+// runBlock executes the k jobs in cl.blk: dead-context jobs are vacated
+// without stalling the rest, the live ones run as one query block, and
+// every job's caller is released.
+func (c *Coalescer) runBlock(cl *call, k int) {
+	now := time.Now()
+	n := 0
+	for _, j := range cl.blk[:k] {
+		c.wait.Observe(now.Sub(j.enq).Seconds())
+		if err := j.ctx.Err(); err != nil {
+			j.res = core.BatchResult{Err: err}
+			c.vacated.Inc()
+			j.owner.wg.Done()
 			continue
 		}
-		sc.pats[n] = j.pat
-		sc.idx[n] = i
+		cl.blk[n], cl.pats[n] = j, j.pat
 		n++
 	}
 	if n > 0 {
-		if err := c.exec(sc.pats[:n], sc.results[:n]); err != nil {
-			for k := 0; k < n; k++ {
-				sc.results[k] = core.BatchResult{Err: err}
+		c.occupancy.Observe(float64(n))
+		if err := c.exec(cl.pats[:n], cl.results[:n]); err != nil {
+			for i := range cl.results[:n] {
+				cl.results[i] = core.BatchResult{Err: err}
 			}
 		}
+		for i, j := range cl.blk[:n] {
+			j.res = cl.results[i]
+			j.owner.wg.Done()
+		}
 	}
-	for k := 0; k < n; k++ {
-		j := &b.jobs[sc.idx[k]]
-		*j.out = sc.results[k]
-		// Delivered matches belong to the waiter now; drop the scratch
-		// reference so the spine does not pin them past this block.
-		sc.results[k] = core.BatchResult{}
-		j.wg.Done()
-	}
-	b.jobs = b.jobs[:0]
-	c.blkPool.Put(b)
+	// The scratch must not pin delivered matches, patterns or jobs.
+	clear(cl.blk[:k])
+	clear(cl.pats[:n])
+	clear(cl.results[:n])
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -53,19 +54,25 @@ func queries(refs []*genome.Sequence, n int, seed uint64) []*genome.Sequence {
 	return out
 }
 
-func newCoalescer(tb testing.TB, lib *core.Library, cfg Config) (*Coalescer, *metrics.Registry) {
+func newCoalescer(tb testing.TB, lib *core.Library, cfg Config) *Coalescer {
 	tb.Helper()
-	reg := metrics.NewRegistry()
-	c, err := New(lib, cfg, reg)
+	c, err := New(lib, cfg, metrics.NewRegistry())
 	if err != nil {
 		tb.Fatal(err)
 	}
-	tb.Cleanup(c.Close)
-	return c, reg
+	return c
 }
 
-// gate serializes a substituted block executor: each dispatched block
-// announces itself on entered and waits for one release.
+// setProcs runs the rest of the test at GOMAXPROCS n.
+func setProcs(tb testing.TB, n int) {
+	tb.Helper()
+	prev := runtime.GOMAXPROCS(n)
+	tb.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
+// gate holds a substituted block executor: each block announces itself
+// on entered and waits, parked, for one release. A held block counts as
+// executing, which is what the split rule reads.
 type gate struct {
 	entered chan struct{}
 	release chan struct{}
@@ -76,8 +83,7 @@ func newGate() *gate {
 }
 
 // gatedExec wires a gate in front of the real block executor. Set
-// between New and the first submission; the channel handoff to the
-// workers orders the write.
+// before the first submission.
 func gatedExec(c *Coalescer, lib *core.Library, g *gate) {
 	c.exec = func(pats []*genome.Sequence, results []core.BatchResult) error {
 		g.entered <- struct{}{}
@@ -86,29 +92,28 @@ func gatedExec(c *Coalescer, lib *core.Library, g *gate) {
 	}
 }
 
-// queuedLookup submits through the queue unconditionally, bypassing
-// Lookup's solo fast path, so tests can pin drain-loop behavior on a
-// single in-flight request.
-func queuedLookup(c *Coalescer, ctx context.Context, pat *genome.Sequence) ([]core.Match, core.Stats, error) {
-	c.inflight.Add(1)
-	defer c.inflight.Add(-1)
-	var r core.BatchResult
-	var wg sync.WaitGroup
-	if !c.submit(ctx, pat, &r, &wg) {
-		return c.lib.Lookup(pat)
-	}
-	wg.Wait()
-	return r.Matches, r.Stats, r.Err
+// pendingLen reads the FIFO length under the coalescer's lock.
+func pendingLen(c *Coalescer) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.pending
 }
 
-func waitFor(tb testing.TB, what string, cond func() bool) {
+// checkAccounting asserts that every lookup is in exactly one place:
+// a slot of an executed block, a vacated slot, or the direct path.
+func checkAccounting(tb testing.TB, c *Coalescer, lookups int64) {
 	tb.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for !cond() {
-		if time.Now().After(deadline) {
-			tb.Fatalf("timed out waiting for %s", what)
-		}
-		time.Sleep(200 * time.Microsecond)
+	inBlocks := int64(c.occupancy.Sum())
+	if got := inBlocks + c.vacated.Value(); got != c.jobs.Value() {
+		tb.Errorf("block slots %d + vacated %d = %d, want jobs admitted %d",
+			inBlocks, c.vacated.Value(), got, c.jobs.Value())
+	}
+	if got := c.jobs.Value() + c.direct.Value(); got != lookups {
+		tb.Errorf("admitted %d + direct %d = %d, want %d lookups",
+			c.jobs.Value(), c.direct.Value(), got, lookups)
+	}
+	if n := pendingLen(c); n != 0 || c.running != 0 {
+		tb.Errorf("at rest: pending = %d, running = %d; want 0, 0", n, c.running)
 	}
 }
 
@@ -119,7 +124,7 @@ func TestLookupEquivalence(t *testing.T) {
 	lib, refs := buildLib(t, 41)
 	pats := queries(refs, 64, 42)
 	pats = append(pats, nil, genome.Random(5, rng.New(1))) // invalid: nil and too-short
-	c, _ := newCoalescer(t, lib, Config{})
+	c := newCoalescer(t, lib, Config{})
 
 	type want struct {
 		matches []core.Match
@@ -162,14 +167,16 @@ func TestLookupEquivalence(t *testing.T) {
 			t.Errorf("pattern %d: stats %+v, want %+v", i, got[i].stats, wants[i].stats)
 		}
 	}
+	checkAccounting(t, c, int64(len(pats)))
 }
 
 // TestLookupEachEquivalence: the multi-submit path delivers per-slot
-// results identical to direct lookups.
+// results identical to direct lookups, across more than one block
+// width of patterns.
 func TestLookupEachEquivalence(t *testing.T) {
 	lib, refs := buildLib(t, 43)
 	pats := queries(refs, 11, 44)
-	c, _ := newCoalescer(t, lib, Config{})
+	c := newCoalescer(t, lib, Config{})
 	results := make([]core.BatchResult, len(pats))
 	c.LookupEach(context.Background(), pats, results)
 	for i, p := range pats {
@@ -178,127 +185,141 @@ func TestLookupEachEquivalence(t *testing.T) {
 			t.Errorf("pattern %d: coalesced result differs from direct lookup", i)
 		}
 	}
+	// A lone caller packs its own patterns: 11 = one full block + 3.
+	if n, sum := c.occupancy.Count(), c.occupancy.Sum(); n != 2 || sum != 11 {
+		t.Errorf("blocks = %d holding %v lookups, want 2 holding 11", n, sum)
+	}
 }
 
 // TestPreCanceledVacatesAtPack: a job whose context is already dead
-// when the drain loop packs it vacates without dispatching any block.
+// when its block is taken is vacated without any block executing.
 func TestPreCanceledVacatesAtPack(t *testing.T) {
 	lib, refs := buildLib(t, 45)
-	c, _ := newCoalescer(t, lib, Config{})
+	c := newCoalescer(t, lib, Config{})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, err := queuedLookup(c, ctx, queries(refs, 1, 46)[0])
+	_, _, err := c.Lookup(ctx, queries(refs, 1, 46)[0])
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	waitFor(t, "vacated counter", func() bool { return c.vacated.Value() == 1 })
-	if n := c.occupancy.Count(); n != 0 {
-		t.Errorf("occupancy observations = %d, want 0 (no block should dispatch)", n)
-	}
-}
-
-// TestCancelWhileQueuedVacatesAtDispatch: a job packed into a block
-// whose context dies before a worker frees up is vacated by the
-// dispatch-time re-check, without stalling the block.
-func TestCancelWhileQueuedVacatesAtDispatch(t *testing.T) {
-	lib, refs := buildLib(t, 47)
-	g := newGate()
-	c, _ := newCoalescer(t, lib, Config{Workers: 1, FlushTick: time.Hour})
-	gatedExec(c, lib, g)
-	pats := queries(refs, 2, 48)
-
-	// First lookup occupies the only worker inside the gate.
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() { defer wg.Done(); queuedLookup(c, context.Background(), pats[0]) }()
-	<-g.entered
-
-	// Second lookup packs into a block that cannot dispatch; cancel it
-	// while it waits.
-	ctx, cancel := context.WithCancel(context.Background())
-	var err2 error
-	wg.Add(1)
-	go func() { defer wg.Done(); _, _, err2 = queuedLookup(c, ctx, pats[1]) }()
-	waitFor(t, "second job admitted", func() bool { return c.jobs.Value() == 2 })
-	cancel()
-
-	g.release <- struct{}{} // run the first block; worker frees, second block dispatches
-	wg.Wait()
-	if !errors.Is(err2, context.Canceled) {
-		t.Fatalf("queued lookup err = %v, want context.Canceled", err2)
 	}
 	if c.vacated.Value() != 1 {
 		t.Errorf("vacated = %d, want 1", c.vacated.Value())
 	}
+	if n := c.occupancy.Count(); n != 0 {
+		t.Errorf("occupancy observations = %d, want 0 (no block should execute)", n)
+	}
+	checkAccounting(t, c, 1)
 }
 
-// TestTickFlushesPartialBlock: with every worker busy, a partial block
-// stops absorbing fill when the flush tick fires and commits as-is.
-func TestTickFlushesPartialBlock(t *testing.T) {
-	lib, refs := buildLib(t, 49)
+// TestCancelWhileQueuedVacatesAtDispatch: a pending job whose context
+// dies before anyone takes it is vacated by the taker — here another
+// caller — without stalling the taker's own lookup.
+func TestCancelWhileQueuedVacatesAtDispatch(t *testing.T) {
+	setProcs(t, 1)
+	lib, refs := buildLib(t, 47)
 	g := newGate()
-	c, _ := newCoalescer(t, lib, Config{Workers: 1, BatchSize: 4, FlushTick: 10 * time.Millisecond})
+	c := newCoalescer(t, lib, Config{BatchSize: 2})
 	gatedExec(c, lib, g)
-	pats := queries(refs, 3, 50)
+	pats := queries(refs, 4, 48)
 
+	// One caller submits three lookups: it takes the first two (the
+	// block width) and is held in the gate with the third still pending
+	// — nobody else can take it, the caller being its only owner.
 	var wg sync.WaitGroup
 	wg.Add(1)
-	go func() { defer wg.Done(); queuedLookup(c, context.Background(), pats[0]) }()
-	<-g.entered // worker now busy; occupancy has one width-1 observation
-
-	// The gated lookup holds an inflight slot, so these take the queue
-	// path even if they arrive one at a time.
-	for _, p := range pats[1:] {
-		p := p
-		wg.Add(1)
-		go func() { defer wg.Done(); c.Lookup(context.Background(), p) }()
+	ctx, cancel := context.WithCancel(context.Background())
+	res := make([]core.BatchResult, 3)
+	go func() { defer wg.Done(); c.LookupEach(ctx, pats[:3], res) }()
+	<-g.entered
+	if n := pendingLen(c); n != 1 {
+		t.Fatalf("pending = %d while the first block is held, want 1", n)
 	}
-	// The two queued jobs pack into one partial block (batch size 4);
-	// the tick must commit it even though no worker is free yet —
-	// occupancy is recorded at commit, before the handoff.
-	waitFor(t, "tick-committed partial block", func() bool {
-		return c.occupancy.Count() == 2 && c.occupancy.Sum() == 3 // widths 1 + 2
-	})
-	g.release <- struct{}{}
-	g.release <- struct{}{}
+	cancel() // dies while pending
+
+	// A second caller arrives, takes the FIFO head — the dead job and
+	// its own — vacates the one and runs the other.
+	var err2 error
+	wg.Add(1)
+	go func() { defer wg.Done(); _, _, err2 = c.Lookup(context.Background(), pats[3]) }()
+	<-g.entered
+	if v := c.vacated.Value(); v != 1 {
+		t.Errorf("vacated = %d, want 1", v)
+	}
+	close(g.release)
 	wg.Wait()
+	if err2 != nil {
+		t.Errorf("live lookup sharing the dead job's block: %v", err2)
+	}
+	if res[0].Err != nil || res[1].Err != nil || !errors.Is(res[2].Err, context.Canceled) {
+		t.Errorf("errs = %v, %v, %v; want nil, nil, context.Canceled", res[0].Err, res[1].Err, res[2].Err)
+	}
+	checkAccounting(t, c, 4)
 }
 
-// TestSaturationFallsBackDirect: once the worker, the open block, and
-// the bounded queue are all full, further submissions run on the
-// caller's goroutine instead of queueing unboundedly.
-func TestSaturationFallsBackDirect(t *testing.T) {
-	lib, refs := buildLib(t, 51)
-	g := newGate()
-	c, _ := newCoalescer(t, lib, Config{Workers: 1, BatchSize: 2, QueueDepth: 1, FlushTick: time.Hour})
-	gatedExec(c, lib, g)
-	pats := queries(refs, 8, 52)
-
-	var wg sync.WaitGroup
-	for _, p := range pats {
-		p := p
-		wg.Add(1)
-		go func() { defer wg.Done(); queuedLookup(c, context.Background(), p) }()
+// TestBlocksFormUnderSaturation: eight closed-loop submitters against
+// an executor that burns a block's worth of CPU, on one and on two
+// processors. The backlog
+// is then eight goroutines in the Go run queue, and the coalescer must
+// see it: a submitter that finds the other CPU mid-block yields, and
+// the one that resumes first finds the others pending.
+// (The design this replaced measured a mean of 1.00 here — its drain
+// goroutine could only run when a worker was idle, and flushed thin.)
+// The submitters share one budget of lookups so that they stop
+// together: a straggler finishing its rounds alone would be measuring
+// an idle machine.
+func TestBlocksFormUnderSaturation(t *testing.T) {
+	for _, procs := range []int{1, 2} {
+		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+			setProcs(t, procs)
+			lib, refs := buildLib(t, 49)
+			c := newCoalescer(t, lib, Config{})
+			c.exec = func(pats []*genome.Sequence, results []core.BatchResult) error {
+				for t0 := time.Now(); time.Since(t0) < 250*time.Microsecond; {
+				}
+				return lib.LookupBlock(pats, results)
+			}
+			const submitters, budget = 8, 480
+			pats := queries(refs, submitters, 50)
+			var done atomic.Int64
+			var wg sync.WaitGroup
+			for s := 0; s < submitters; s++ {
+				wg.Add(1)
+				go func(p *genome.Sequence) {
+					defer wg.Done()
+					for done.Add(1) <= budget {
+						if _, _, err := c.Lookup(context.Background(), p); err != nil {
+							t.Errorf("lookup: %v", err)
+							return
+						}
+					}
+				}(pats[s])
+			}
+			wg.Wait()
+			mean := c.occupancy.Sum() / float64(c.occupancy.Count())
+			t.Logf("GOMAXPROCS %d: %d blocks, mean occupancy %.2f", procs, c.occupancy.Count(), mean)
+			if mean < 2 {
+				t.Errorf("mean block occupancy %.2f under saturation, want ≥ 2", mean)
+			}
+			checkAccounting(t, c, budget)
+		})
 	}
-	// Capacity while the gate holds: ≤ 2 in the worker's block + ≤ 2
-	// in the committed block + 1 queued = at most 5 admitted, so at
-	// least 3 of the 8 run direct on their own goroutines.
-	waitFor(t, "all submissions resolved", func() bool {
-		return c.jobs.Value()+c.direct.Value() == int64(len(pats))
-	})
-	if d := c.direct.Value(); d < 3 {
-		t.Errorf("direct fallbacks = %d, want ≥ 3", d)
-	}
-	close(g.release) // open the gate for the admitted blocks
-	wg.Wait()
 }
 
-// TestSoloLookupRunsDirect: a lone request with nothing in flight and
-// nothing queued bypasses the queue entirely — no job admitted, no
-// block dispatched — and still returns the direct-path result.
-func TestSoloLookupRunsDirect(t *testing.T) {
+// TestIdleLookupRunsOnCaller: New starts no goroutine, and a lone
+// lookup is a block of one executed by its caller — there is no other
+// goroutine it could run on.
+func TestIdleLookupRunsOnCaller(t *testing.T) {
 	lib, refs := buildLib(t, 59)
-	c, _ := newCoalescer(t, lib, Config{})
+	before := runtime.NumGoroutine()
+	c := newCoalescer(t, lib, Config{})
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("%d goroutines after New, %d before: it must start none", n, before)
+	}
+	during := -1
+	c.exec = func(pats []*genome.Sequence, results []core.BatchResult) error {
+		during = runtime.NumGoroutine() // unsynchronized on purpose: -race flags any hand-off
+		return lib.LookupBlock(pats, results)
+	}
 	p := queries(refs, 1, 60)[0]
 	m, st, err := c.Lookup(context.Background(), p)
 	if err != nil {
@@ -306,24 +327,149 @@ func TestSoloLookupRunsDirect(t *testing.T) {
 	}
 	dm, dst, _ := lib.Lookup(p)
 	if !reflect.DeepEqual(m, dm) || st != dst {
-		t.Error("solo lookup differs from direct path")
+		t.Error("idle lookup differs from direct path")
 	}
-	if c.direct.Value() != 1 || c.jobs.Value() != 0 {
-		t.Errorf("solo lookup: direct = %d, jobs = %d; want 1, 0", c.direct.Value(), c.jobs.Value())
+	if during > before {
+		t.Errorf("%d goroutines while the block ran, %d before New", during, before)
 	}
-	if c.occupancy.Count() != 0 {
-		t.Errorf("solo lookup dispatched %d blocks, want 0", c.occupancy.Count())
+	if c.occupancy.Count() != 1 || c.occupancy.Sum() != 1 || c.direct.Value() != 0 {
+		t.Errorf("idle lookup: %d blocks holding %v, direct = %d; want one block of 1, 0",
+			c.occupancy.Count(), c.occupancy.Sum(), c.direct.Value())
 	}
-	if c.inflight.Load() != 0 {
-		t.Errorf("inflight = %d after delivery, want 0", c.inflight.Load())
+	checkAccounting(t, c, 1)
+}
+
+// TestSplitLeavesWorkForIdleCPUs pins the share rule, then watches it
+// applied to a FIFO: on four processors the first taker of eight
+// single-lookup callers claims two, the next — one block now executing
+// — a third of the rest, and a taker that finds every other processor
+// busy all that is left. One caller's own lookups are never split.
+func TestSplitLeavesWorkForIdleCPUs(t *testing.T) {
+	for _, tc := range []struct{ pending, idle, width, want int }{
+		{8, 4, 8, 2},  // even split
+		{8, 3, 8, 3},  // rounded up: the backlog is always covered
+		{1, 4, 8, 1},  // never zero
+		{8, 1, 8, 8},  // only this CPU is free: a full block
+		{8, 0, 8, 8},  // more blocks executing than CPUs: the same
+		{30, 2, 8, 8}, // capped by the block width
+		{30, 1, 4, 4}, // … whatever it is configured to be
+	} {
+		if got := share(tc.pending, tc.idle, tc.width); got != tc.want {
+			t.Errorf("share(pending %d, idle %d, width %d) = %d, want %d",
+				tc.pending, tc.idle, tc.width, got, tc.want)
+		}
 	}
+
+	lib, refs := buildLib(t, 51)
+	c := newCoalescer(t, lib, Config{})
+	pats := queries(refs, 8, 52)
+	const procs = 4
+	for _, p := range pats {
+		if ok, _ := c.submit(c.calls.Get().(*call), context.Background(), []*genome.Sequence{p}, procs); !ok {
+			t.Fatal("submit refused on an open coalescer")
+		}
+	}
+	var blk [core.BlockWidth]*job
+	c.mu.Lock()
+	first := c.takeLocked(&blk, procs)  // 8 pending over 4 idle CPUs
+	second := c.takeLocked(&blk, procs) // 6 pending over 3
+	c.running = procs                   // every other CPU mid-block
+	third := c.takeLocked(&blk, procs)
+	c.mu.Unlock()
+	if first != 2 || second != 2 || third != 4 {
+		t.Errorf("takes of %d, %d, %d lookups; want 2, 2, 4", first, second, third)
+	}
+
+	// The same eight from one caller, alone on the four processors: one
+	// block, because nobody else is there to take what it would leave.
+	c = newCoalescer(t, lib, Config{})
+	setProcs(t, procs)
+	results := make([]core.BatchResult, len(pats))
+	c.LookupEach(context.Background(), pats, results)
+	if n, sum := c.occupancy.Count(), c.occupancy.Sum(); n != 1 || sum != 8 {
+		t.Errorf("lone caller: %d blocks holding %v lookups, want 1 holding 8", n, sum)
+	}
+}
+
+// TestYieldOnlyWhenLookupsSaturate pins when a submitter gives way to
+// the run queue: only once half the other CPUs are executing blocks. On
+// one CPU there are no others, so always.
+func TestYieldOnlyWhenLookupsSaturate(t *testing.T) {
+	lib, refs := buildLib(t, 65)
+	pat := queries(refs, 1, 66)
+	for _, tc := range []struct {
+		procs, running int
+		want           bool
+	}{
+		{1, 0, true},
+		{2, 0, false}, {2, 1, true},
+		{4, 1, false}, {4, 2, true},
+		{32, 15, false}, {32, 16, true},
+	} {
+		c := newCoalescer(t, lib, Config{})
+		c.running = tc.running
+		if _, got := c.submit(c.calls.Get().(*call), context.Background(), pat, tc.procs); got != tc.want {
+			t.Errorf("GOMAXPROCS %d, %d blocks executing: saturated = %v, want %v", tc.procs, tc.running, got, tc.want)
+		}
+	}
+}
+
+// TestAccountingAfterMixedRun: live, pre-canceled, multi-pattern and
+// post-Close lookups from many goroutines at once — afterwards every
+// lookup is in exactly one block, vacated, or direct, and the FIFO is
+// empty.
+func TestAccountingAfterMixedRun(t *testing.T) {
+	lib, refs := buildLib(t, 61)
+	c := newCoalescer(t, lib, Config{})
+	pats := queries(refs, 12, 62)
+	dead, cancel := context.WithCancel(context.Background())
+	cancel()
+
+	var lookups atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < 6; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				p := pats[(i+w)%len(pats)]
+				switch (i + w) % 3 {
+				case 0:
+					if _, _, err := c.Lookup(context.Background(), p); err != nil {
+						t.Errorf("live lookup: %v", err)
+					}
+					lookups.Add(1)
+				case 1:
+					// Vacated while the coalescer is open; the direct path
+					// after Close does not look at the context.
+					if _, _, err := c.Lookup(dead, p); err != nil && !errors.Is(err, context.Canceled) {
+						t.Errorf("dead-context lookup: err = %v, want context.Canceled or nil", err)
+					}
+					lookups.Add(1)
+				case 2:
+					res := make([]core.BatchResult, 3)
+					c.LookupEach(context.Background(), pats[:3], res)
+					lookups.Add(3)
+				}
+				if w == 0 && i == 40 {
+					c.Close() // the rest of the run, on every goroutine, goes direct
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if c.vacated.Value() == 0 || c.direct.Value() == 0 || c.occupancy.Count() == 0 {
+		t.Errorf("run was not mixed: vacated %d, direct %d, blocks %d",
+			c.vacated.Value(), c.direct.Value(), c.occupancy.Count())
+	}
+	checkAccounting(t, c, lookups.Load())
 }
 
 // TestCloseFallsBackDirect: after Close, lookups still answer via the
 // direct path, and Close is idempotent.
 func TestCloseFallsBackDirect(t *testing.T) {
 	lib, refs := buildLib(t, 53)
-	c, _ := newCoalescer(t, lib, Config{})
+	c := newCoalescer(t, lib, Config{})
 	c.Close()
 	c.Close()
 	p := queries(refs, 1, 54)[0]
@@ -340,13 +486,35 @@ func TestCloseFallsBackDirect(t *testing.T) {
 	}
 }
 
+// TestCoalescedLookupAllocs: the coalescer itself allocates nothing per
+// lookup — jobs, the wait handle and the block scratch are pooled — so
+// a coalesced Lookup costs what the block lookup under it costs.
+func TestCoalescedLookupAllocs(t *testing.T) {
+	lib, refs := buildLib(t, 63)
+	c := newCoalescer(t, lib, Config{})
+	c.exec = func(pats []*genome.Sequence, results []core.BatchResult) error {
+		clear(results[:len(pats)])
+		return nil
+	}
+	p := queries(refs, 1, 64)[0]
+	ctx := context.Background()
+	if a := testing.AllocsPerRun(200, func() { c.Lookup(ctx, p) }); a != 0 {
+		t.Errorf("coalesced Lookup allocates %v times around its block, want 0", a)
+	}
+	pair := []*genome.Sequence{p, p}
+	res := make([]core.BatchResult, 2)
+	if a := testing.AllocsPerRun(200, func() { c.LookupEach(ctx, pair, res) }); a != 0 {
+		t.Errorf("coalesced LookupEach allocates %v times around its block, want 0", a)
+	}
+}
+
 // TestChurnUnderCoalescedTraffic exercises the coalescer against live
 // snapshot churn — concurrent ingest, removal, and compaction — and is
 // most valuable under -race.
 func TestChurnUnderCoalescedTraffic(t *testing.T) {
 	lib, refs := buildLib(t, 55)
 	lib.SetSealThreshold(1)
-	c, _ := newCoalescer(t, lib, Config{})
+	c := newCoalescer(t, lib, Config{})
 	pats := queries(refs, 16, 56)
 
 	var stop atomic.Bool
@@ -388,33 +556,36 @@ func TestChurnUnderCoalescedTraffic(t *testing.T) {
 	wg.Wait()
 }
 
-// TestConfigKnobs pins the enable/disable and defaulting semantics.
+// TestConfigKnobs pins the one knob's enable/disable and clamping.
 func TestConfigKnobs(t *testing.T) {
-	cases := []struct {
-		cfg     Config
-		enabled bool
-	}{
-		{Config{}, true},
-		{Config{BatchSize: 1}, false},
-		{Config{BatchSize: -1}, false},
-		{Config{FlushTick: -1}, false},
-		{Config{QueueDepth: -1}, false},
-		{Config{BatchSize: 4, FlushTick: time.Millisecond}, true},
-	}
-	for i, tc := range cases {
-		if got := tc.cfg.Enabled(); got != tc.enabled {
-			t.Errorf("case %d: Enabled() = %v, want %v", i, got, tc.enabled)
-		}
-	}
-	d := Config{}.withDefaults()
-	if d.BatchSize != core.BlockWidth || d.FlushTick != DefaultFlushTick || d.QueueDepth != DefaultQueueDepth || d.Workers < 1 {
-		t.Errorf("withDefaults = %+v", d)
-	}
-	if c := (Config{BatchSize: 100}).withDefaults(); c.BatchSize != core.BlockWidth {
-		t.Errorf("oversized BatchSize clamps to %d, got %d", core.BlockWidth, c.BatchSize)
-	}
 	lib, _ := buildLib(t, 58)
-	if _, err := New(lib, Config{BatchSize: 1}, metrics.NewRegistry()); err == nil {
-		t.Error("New with disabled config should error")
+	for _, tc := range []struct {
+		batch   int
+		enabled bool
+		width   int
+	}{
+		{0, true, core.BlockWidth},
+		{1, false, 0},
+		{-1, false, 0},
+		{4, true, 4},
+		{100, true, core.BlockWidth},
+	} {
+		cfg := Config{BatchSize: tc.batch}
+		if got := cfg.Enabled(); got != tc.enabled {
+			t.Errorf("BatchSize %d: Enabled() = %v, want %v", tc.batch, got, tc.enabled)
+		}
+		c, err := New(lib, cfg, metrics.NewRegistry())
+		if !tc.enabled {
+			if err == nil {
+				t.Errorf("BatchSize %d: New with a disabled config should error", tc.batch)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.width != tc.width {
+			t.Errorf("BatchSize %d: block width %d, want %d", tc.batch, c.width, tc.width)
+		}
 	}
 }

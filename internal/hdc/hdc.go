@@ -144,7 +144,7 @@ func NewAcc(d int) *Acc {
 // Dim returns the dimensionality D.
 func (a *Acc) Dim() int { return len(a.counts) }
 
-// N returns the number of hypervectors added minus those subtracted.
+// N returns the number of hypervectors added.
 func (a *Acc) N() int { return a.n }
 
 // Add folds h into the accumulator (+1 for bit 1, −1 for bit 0).
@@ -160,21 +160,6 @@ func (a *Acc) Add(h *HV) {
 		}
 	}
 	a.n++
-}
-
-// Sub removes a previously added hypervector from the superposition.
-// BioHD uses this for incremental library updates (deleting a reference
-// sequence without rebuilding the library).
-func (a *Acc) Sub(h *HV) {
-	a.mustMatch(h)
-	words := h.bits.Words()
-	for w, word := range words {
-		c := a.counts[w*64 : w*64+64 : w*64+64]
-		for b := 0; b < 64; b++ {
-			c[b] -= int32(word>>uint(b)&1)<<1 - 1
-		}
-	}
-	a.n--
 }
 
 // AddWeighted folds h in with integer weight w ≥ 1 (w copies at once).

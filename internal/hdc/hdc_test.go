@@ -154,22 +154,6 @@ func TestBundleSimilarToMembers(t *testing.T) {
 	}
 }
 
-func TestAccAddSubRoundTrip(t *testing.T) {
-	src := rng.New(9)
-	acc := NewAcc(testDim)
-	a, b := RandomHV(testDim, src), RandomHV(testDim, src)
-	acc.Add(a)
-	acc.Add(b)
-	acc.Sub(b)
-	if acc.N() != 1 {
-		t.Fatalf("N = %d, want 1", acc.N())
-	}
-	sealed := acc.Seal(0)
-	if !sealed.Equal(a) {
-		t.Fatal("Add/Sub round trip did not recover the single member")
-	}
-}
-
 func TestAccAddWeighted(t *testing.T) {
 	src := rng.New(10)
 	a, b := RandomHV(testDim, src), RandomHV(testDim, src)

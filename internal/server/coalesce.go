@@ -4,7 +4,9 @@ package server
 // library directly, so single-query traffic from concurrent requests
 // shares probe blocks when coalescing is enabled (s.coal != nil) and
 // keeps the exact direct-path behavior — results, errors, and
-// response bytes — when it is not.
+// response bytes — when it is not. The coalescer runs nothing of its
+// own: a helper's lookups execute on the request goroutine that called
+// it, or on that of a concurrent request that took them into its block.
 
 import (
 	"context"
@@ -25,10 +27,10 @@ func (s *Server) lookup(ctx context.Context, pat *genome.Sequence) ([]core.Match
 }
 
 // lookupBothStrands is the coalesced LookupBothStrands: both
-// orientations are submitted together (they usually land in the same
-// block), then combined exactly as the direct path does — a forward
-// error returns before any reverse results are reported, and matches
-// list forward hits before reverse ones.
+// orientations are submitted together (one caller's lookups are never
+// split across blocks), then combined exactly as the direct path does —
+// a forward error returns before any reverse results are reported, and
+// matches list forward hits before reverse ones.
 func (s *Server) lookupBothStrands(ctx context.Context, pat *genome.Sequence) ([]core.StrandedMatch, core.Stats, error) {
 	if s.coal == nil {
 		return s.lib.LookupBothStrands(pat)

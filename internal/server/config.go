@@ -36,12 +36,11 @@ type Config struct {
 	// handler starts, which stops an in-flight batch via
 	// LookupBatchContext (default 30s).
 	RequestTimeout time.Duration
-	// Coalesce holds the cross-request query coalescing knobs (see
+	// Coalesce holds the cross-request query coalescing knob (see
 	// package coalesce): single-query lookups from concurrent requests
 	// are packed into shared probe blocks. The zero value enables
-	// coalescing with the package defaults; setting BatchSize to 1 or
-	// any knob negative disables it, keeping the direct per-request
-	// path.
+	// coalescing at the full block width; BatchSize 1 disables it,
+	// keeping the direct per-request path.
 	Coalesce coalesce.Config
 }
 

@@ -93,10 +93,10 @@ func New(lib core.Index, opts ...Option) (*Server, error) {
 	return s, nil
 }
 
-// Close releases the server's background machinery — the coalescing
-// drain loop and its workers. In-flight coalesced lookups complete;
-// later lookups run on the direct path, so Close is safe to call
-// while the HTTP server drains. Idempotent.
+// Close stops admission to the coalescer: lookups already pending
+// complete, later ones run on the direct path, so Close is safe to call
+// while the HTTP server drains. The server runs nothing in the
+// background, so there is nothing else to release. Idempotent.
 func (s *Server) Close() {
 	if s.coal != nil {
 		s.coal.Close()

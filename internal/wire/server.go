@@ -10,16 +10,17 @@ package wire
 //	            frames in flight blocks until responses drain).
 //	workers   — ConnWorkers goroutines executing requests against the
 //	            Backend concurrently. This is what feeds the
-//	            coalescer: many in-flight requests from ONE connection
-//	            become concurrent coalescer submissions and fill
+//	            coalescer: in-flight requests from ONE connection are
+//	            separate goroutines, so when the CPUs are busy they
+//	            queue up as concurrent coalescer submissions and share
 //	            core.LookupBlock probe blocks without needing many
-//	            clients.
+//	            clients. The blocks run on these goroutines too.
 //	writeLoop — one goroutine serializing responses in completion
 //	            order, flushing whenever the queue runs dry.
 //
-// A CANCEL frame cancels the named request's context; the coalescer's
-// pack- and dispatch-time vacate then drops the query before it burns
-// arena bandwidth. Protocol errors answer with one ERR frame and
+// A CANCEL frame cancels the named request's context; the coalescer
+// vacates a pending query whose context is dead when its block is
+// taken, so it never burns arena bandwidth. Protocol errors answer with one ERR frame and
 // close the connection; application errors travel as FlagError
 // responses and leave it open.
 //
@@ -75,8 +76,9 @@ type ServerConfig struct {
 	// DefaultMaxFrame). Larger frames are a protocol error.
 	MaxFrame int
 	// ConnWorkers is the number of per-connection request executors —
-	// the connection's maximum useful pipelining (default 16, twice
-	// the probe-block width so blocks fill even mid-completion).
+	// the connection's maximum useful pipelining (default 16: two probe
+	// blocks' worth, so one connection can keep a block executing and
+	// the next one's lookups pending behind it).
 	ConnWorkers int
 	// IdleTimeout closes a connection that sends no frame for this
 	// long (default 2m, matching the HTTP keep-alive idle timeout).
@@ -283,7 +285,7 @@ func (s *Server) Serve(ln net.Listener) error {
 // Shutdown stops accepting connections and drains: open connections
 // stop reading new frames, finish their in-flight requests, flush,
 // and close. If ctx expires first the remaining connections are
-// force-closed (their request contexts cancel, which vacates queued
+// force-closed (their request contexts cancel, which vacates pending
 // coalescer submissions) and ctx's error is returned.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.beginShutdown()
@@ -543,7 +545,7 @@ func (c *serverConn) addInflight(id uint64, cancel context.CancelFunc) bool {
 }
 
 // cancelRequest fires the named request's context; the coalescer
-// vacates the query at pack or dispatch time. Unknown ids (already
+// vacates the query if it is still pending. Unknown ids (already
 // completed, or never sent) are ignored.
 func (c *serverConn) cancelRequest(id uint64) {
 	c.mu.Lock()

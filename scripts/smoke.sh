@@ -139,10 +139,25 @@ for want in \
     'biohd_library_tombstone_ratio 0' \
     'biohd_core_segment_seals_total' \
     'biohd_core_compactions_total' \
-    'biohd_coalesce_block_occupancy' \
-    'biohd_coalesce_queue_depth'; do
+    'biohd_coalesce_queue_depth' \
+    'biohd_coalesce_wait_seconds_count'; do
     echo "$metrics" | grep -qF "$want" || { echo "FATAL: /metrics missing: $want"; exit 1; }
 done
+
+# Coalescer accounting: every admitted lookup ran in exactly one probe
+# block or was vacated, so the occupancy histogram's sum (lookups over
+# all executed blocks) plus the vacated count is the admitted count.
+metric() { echo "$metrics" | awk -v m="$1" '$1 == m {print $2}'; }
+cjobs=$(metric biohd_coalesce_jobs_total)
+cvacated=$(metric biohd_coalesce_vacated_total)
+cslots=$(metric biohd_coalesce_block_occupancy_sum)
+cblocks=$(metric biohd_coalesce_block_occupancy_count)
+awk -v j="$cjobs" -v v="$cvacated" -v s="$cslots" -v b="$cblocks" 'BEGIN {
+    if (j == "" || v == "" || s == "" || b == "" || b == 0) { print "FATAL: coalesce series missing or no block ran"; exit 1 }
+    printf "coalescer: %d lookups in %d blocks (mean occupancy %.2f), %d vacated\n", j, b, s / b, v
+    if (j < 11) { printf "FATAL: %d lookups admitted, want at least the 11 searches\n", j; exit 1 }
+    if (s + v != j) { printf "FATAL: %d block slots + %d vacated != %d admitted lookups\n", s, v, j; exit 1 }
+}'
 
 echo "== SIGTERM drain"
 kill -TERM "$server_pid"
