@@ -3,7 +3,9 @@ package core
 import (
 	"math"
 
+	"repro/internal/bitvec"
 	"repro/internal/genome"
+	"repro/internal/hdc"
 	"repro/internal/rng"
 	"repro/internal/stats"
 )
@@ -131,4 +133,78 @@ func (l *Library) Calibration() (Calibration, bool) {
 		return Calibration{}, false
 	}
 	return hdcOf(v).cal, true
+}
+
+// sketchProbes is how many random windows a library encodes once to
+// measure its sketch prefix with; sketchProbeRows is how many rows of a
+// view each of them is then scored against.
+const (
+	sketchProbes    = 128
+	sketchProbeRows = 32
+)
+
+// probePrefix encodes sketchProbes seeded random windows and returns
+// two things about the first sw words of the approximate encoder's
+// output: the windows' own prefixes, packed back to back, which every
+// view scores against its planes (measurePrefixNoise), and the prefix's share
+// of a pair's differing dimensions — its mismatch rate relative to the
+// whole row's. A uniform spread is 1. It is not quite that, because only
+// four item vectors stand behind every dimension: where they happen to
+// agree at the coordinates a dimension draws on, that dimension moves
+// less with the window's content, and such dimensions are not evenly
+// spread over the cache lines (a few per cent a line at D = 8192, the
+// same lines for near pairs as for random ones). The share is a
+// property of the item memory and the width, so it is computed here,
+// once per library and from the encoder alone — over all
+// sketchProbes·(sketchProbes−1)/2 pairs of the windows, whose dimension
+// noise averages out to under 0.1 % — not from the library's rows or the
+// calibration probes: it is the same number for a library that was built
+// and one that was loaded, whose stored calibration is never re-derived.
+func (l *Library) probePrefix(sw int) (prefixes []uint64, share float64) {
+	src := rng.New(l.params.Seed ^ 0x5ea1ed5ca1e)
+	acc := hdc.NewAcc(l.params.Dim)
+	hvs := make([][]uint64, sketchProbes)
+	for i := range hvs {
+		hv := hdc.NewHV(l.params.Dim)
+		l.enc.EncodeWindowApproxInto(hv, acc, genome.Random(l.params.Window, src), 0)
+		hvs[i] = hv.Words()
+		prefixes = append(prefixes, hvs[i][:sw]...)
+	}
+	var prefix, row int
+	for i, a := range hvs {
+		for _, b := range hvs[:i] {
+			prefix += bitvec.HammingWords(a[:sw], b[:sw])
+			row += bitvec.HammingWords(a, b)
+		}
+	}
+	if row == 0 {
+		return prefixes, 1
+	}
+	return prefixes, float64(prefix) / float64(row) * float64(l.params.Dim/64) / float64(sw)
+}
+
+// measurePrefixNoise measures, on a view's own sketch planes, the
+// distance between a query's prefix and the prefix of a row that does
+// not hold it: each of the library's probe prefixes against
+// sketchProbeRows seeded random rows. It is what the view's predicted
+// survivor ratio is fitted to. The calibration's NoiseMean and NoiseStd
+// describe the same rows, but from 192 scores, which leave the standard
+// deviation ±5 % (16 % was seen) — a factor of several in a tail four
+// sigma out — and they are of the whole row; these 4 096 distances of
+// the prefix itself (±1.1 %) cost a view 0.13 ms beside the 3 ms its
+// calibration takes. sigma is 0 for a view without rows.
+func (l *Library) measurePrefixNoise(sn *hdcView) (mean, sigma float64) {
+	if sn.nBkts == 0 {
+		return 0, 0
+	}
+	src := rng.New(l.params.Seed ^ 0x9e0b5e)
+	sw := l.sketchWords
+	var dist stats.Welford
+	for at := 0; at < len(l.sketchPrefixes); at += sw {
+		for r := 0; r < sketchProbeRows; r++ {
+			seg, i := sn.locate(src.Intn(sn.nBkts))
+			dist.Add(float64(bitvec.HammingWords(seg.planeRow(i), l.sketchPrefixes[at:at+sw])))
+		}
+	}
+	return dist.Mean(), dist.StdDev()
 }

@@ -15,18 +15,23 @@ import (
 
 // cascadeParams is the geometry of bench's exact HDC workloads: the
 // model gives it a 40-word sketch, so every scan below runs both stages.
-var cascadeParams = Params{Dim: 8192, Window: 32, Capacity: 16, Sealed: true, Seed: 42}
+// approxCascadeParams is that of its approximate one, a 16-word sketch
+// whose bound every view derives from its own calibrated threshold.
+var (
+	cascadeParams       = Params{Dim: 8192, Window: 32, Capacity: 16, Sealed: true, Seed: 42}
+	approxCascadeParams = Params{Dim: 8192, Window: 32, Approx: true, Sealed: true, MutTolerance: 2, Seed: 42}
+)
 
 // cascadePair builds the same library twice — once as the parameters
-// derive it, once with the sketch plan forced to the full row, which is
+// derive it, once with the sketch width forced to the full row, which is
 // the full-row scan the cascade must reproduce — and applies the same
 // life to both: sixteen references in one segment, or (segmented) in
 // sixteen, one from Freeze and the rest sealed one per Add; then the
 // given references removed; then optionally compacted.
-func cascadePair(t *testing.T, segmented bool, remove []int, compact bool) (lib, full *Library, refs []*genome.Sequence) {
+func cascadePair(t *testing.T, p Params, segmented bool, remove []int, compact bool) (lib, full *Library, refs []*genome.Sequence) {
 	t.Helper()
-	lib, full = mustLibrary(t, cascadeParams), mustLibrary(t, cascadeParams)
-	full.sketch = SketchPlan{Words: cascadeParams.Dim / 64}
+	lib, full = mustLibrary(t, p), mustLibrary(t, p)
+	full.sketchWords = p.Dim / 64
 	src := rng.New(0xca5cade)
 	for i := 0; i < 16; i++ {
 		refs = append(refs, genome.Random(150+i, src))
@@ -56,136 +61,177 @@ func cascadePair(t *testing.T, segmented bool, remove []int, compact bool) (lib,
 	return lib, full, refs
 }
 
+// encodeQuery encodes a window under the library's encoding.
+func encodeQuery(l *Library, window *genome.Sequence) *hdc.HV {
+	hv := hdc.NewHV(l.params.Dim)
+	l.encodeInto(hv, hdc.NewAcc(l.params.Dim), window, 0)
+	return hv
+}
+
 // cascadeQueries mixes windows of every reference (removed ones
-// included — their rows stay in the arena until compaction), windows
-// one substitution away from a member, and random absent windows.
-func cascadeQueries(refs []*genome.Sequence) []*genome.Sequence {
+// included — their rows stay in the arena until compaction), windows a
+// few substitutions away from a member, and random absent windows. An
+// exact library gets one substitution, which already makes the window a
+// stranger; an approximate one gets 1 to 7, across its threshold.
+func cascadeQueries(p Params, refs []*genome.Sequence) []*genome.Sequence {
 	src := rng.New(0x9e7)
-	w := cascadeParams.Window
 	var qs []*genome.Sequence
 	for i, ref := range refs {
-		off := src.Intn(ref.Len() - w)
-		member := ref.Slice(off, off+w)
+		off := src.Intn(ref.Len() - p.Window)
+		member := ref.Slice(off, off+p.Window)
 		qs = append(qs, member)
-		if i%2 == 0 {
-			mut, _ := genome.SubstituteExactly(member, 1, src)
+		if muts := 1 + i%7; p.Approx || i%2 == 0 {
+			if !p.Approx {
+				muts = 1
+			}
+			mut, _ := genome.SubstituteExactly(member, muts, src)
 			qs = append(qs, mut)
 		}
-		qs = append(qs, genome.Random(w, src))
+		qs = append(qs, genome.Random(p.Window, src))
 	}
 	return qs
 }
 
 // TestCascadeMatchesFullRowScan holds the engaged cascade to the
-// full-row scan across the lives a segment can lead and every probe
-// entry point: candidates byte-identical to a naive scan of the bucket
-// vectors, matches and stats identical to the twin library that scans
-// whole rows.
+// full-row scan, in both encodings, across the lives a segment can lead
+// and every probe entry point: candidates byte-identical to a naive scan
+// of the bucket vectors, matches and stats identical to the twin library
+// that scans whole rows.
 func TestCascadeMatchesFullRowScan(t *testing.T) {
-	if p := mustLibrary(t, cascadeParams).sketch; p.Words != 40 {
-		t.Fatalf("sketch plan %+v: the cascade is not engaged at %+v", p, cascadeParams)
-	}
-	for _, tc := range []struct {
-		name      string
-		segmented bool
-		remove    []int
-		compact   bool
-		reopen    bool
-		mode      LoadMode
+	for _, mode := range []struct {
+		prefix string // of the subtest names; exact mode keeps the bare ones
+		params Params
+		words  int
 	}{
-		{name: "one segment"},
-		{name: "16 segments", segmented: true},
-		{name: "tombstoned", segmented: true, remove: []int{2, 9}},
-		{name: "after Compact", segmented: true, remove: []int{2, 9}, compact: true},
-		{name: "v3 heap reopen", segmented: true, remove: []int{5}, reopen: true, mode: LoadHeap},
-		{name: "v3 mmap reopen", segmented: true, remove: []int{5}, reopen: true, mode: MapArena},
+		{"", cascadeParams, 40},
+		{"approximate, ", approxCascadeParams, 16},
 	} {
-		t.Run(tc.name, func(t *testing.T) {
-			lib, full, refs := cascadePair(t, tc.segmented, tc.remove, tc.compact)
-			if tc.reopen {
-				lib = openLib(t, writeV3File(t, lib), tc.mode)
-				defer lib.Close()
-			}
-			if got := lib.NumSegments(); tc.segmented && !tc.compact && got != len(refs) {
-				t.Fatalf("%d segments, want %d", got, len(refs))
-			}
-			nB, nW := int64(lib.NumBuckets()), int64(lib.snap.Load().total) // tombstoned windows keep their metadata
-			if got, want := lib.MemoryFootprint(), nB*(8192/8+40*8)+nW*8; got != want {
-				t.Fatalf("footprint %d, want arena + sketch plane + metadata = %d", got, want)
-			}
+		for _, tc := range []struct {
+			name      string
+			segmented bool
+			remove    []int
+			compact   bool
+			reopen    bool
+			mode      LoadMode
+		}{
+			{name: "one segment"},
+			{name: "16 segments", segmented: true},
+			{name: "tombstoned", segmented: true, remove: []int{2, 9}},
+			{name: "after Compact", segmented: true, remove: []int{2, 9}, compact: true},
+			{name: "v3 heap reopen", segmented: true, remove: []int{5}, reopen: true, mode: LoadHeap},
+			{name: "v3 mmap reopen", segmented: true, remove: []int{5}, reopen: true, mode: MapArena},
+		} {
+			t.Run(mode.prefix+tc.name, func(t *testing.T) {
+				p := mode.params
+				lib, full, refs := cascadePair(t, p, tc.segmented, tc.remove, tc.compact)
+				if tc.reopen {
+					lib = openLib(t, writeV3File(t, lib), tc.mode)
+					defer lib.Close()
+				}
+				if got := lib.NumSegments(); tc.segmented && !tc.compact && got != len(refs) {
+					t.Fatalf("%d segments, want %d", got, len(refs))
+				}
+				if plan := viewSketch(t, lib); plan.Words != mode.words {
+					t.Fatalf("sketch plan %+v: want the cascade engaged at %d words", plan, mode.words)
+				}
+				if hdcOf(full.snap.Load()).plan.sketch {
+					t.Fatal("the full-row twin runs a sketch stage")
+				}
+				nB, nW := int64(lib.NumBuckets()), int64(lib.snap.Load().total) // tombstoned windows keep their metadata
+				if got, want := lib.MemoryFootprint(), nB*int64(p.Dim/8+mode.words*8)+nW*8; got != want {
+					t.Fatalf("footprint %d, want arena + sketch plane + metadata = %d", got, want)
+				}
 
-			pats := cascadeQueries(refs)
-			hvs := make([]*hdc.HV, len(pats))
-			for i, p := range pats {
-				hvs[i] = lib.Encoder().EncodeWindowExact(p, 0)
-			}
-			hits := 0
-			for i, hv := range hvs {
-				want := seedScalarProbe(lib, hv)
-				got, err := lib.Probe(hv, nil)
-				if err != nil {
-					t.Fatal(err)
+				pats := cascadeQueries(p, refs)
+				hvs := make([]*hdc.HV, len(pats))
+				for i, pat := range pats {
+					hvs[i] = encodeQuery(lib, pat)
 				}
-				if !sameCandidates(got, want) {
-					t.Fatalf("query %d: Probe %+v, full-row scan %+v", i, got, want)
-				}
-				hits += len(want)
-			}
-			if hits == 0 {
-				t.Fatal("no query lit a bucket: the comparison is vacuous")
-			}
-			for _, width := range []int{2, 3, 8} {
-				for at := 0; at+width <= len(hvs); at += width {
-					got, err := lib.ProbeMulti(hvs[at:at+width], nil)
+				hits := 0
+				for i, hv := range hvs {
+					want := seedScalarProbe(lib, hv)
+					got, err := lib.Probe(hv, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
-					for j := range got {
-						if want := seedScalarProbe(lib, hvs[at+j]); !sameCandidates(got[j], want) {
-							t.Fatalf("ProbeMulti width %d query %d: %+v, full-row scan %+v", width, at+j, got[j], want)
+					if !sameCandidates(got, want) {
+						t.Fatalf("query %d: Probe %+v, full-row scan %+v", i, got, want)
+					}
+					hits += len(want)
+				}
+				if hits == 0 {
+					t.Fatal("no query lit a bucket: the comparison is vacuous")
+				}
+				for _, width := range []int{2, 3, 8} {
+					for at := 0; at+width <= len(hvs); at += width {
+						got, err := lib.ProbeMulti(hvs[at:at+width], nil)
+						if err != nil {
+							t.Fatal(err)
+						}
+						for j := range got {
+							if want := seedScalarProbe(lib, hvs[at+j]); !sameCandidates(got[j], want) {
+								t.Fatalf("ProbeMulti width %d query %d: %+v, full-row scan %+v", width, at+j, got[j], want)
+							}
 						}
 					}
 				}
-			}
-			for i, p := range pats {
-				gm, gs, gerr := lib.Lookup(p)
-				wm, ws, werr := full.Lookup(p)
-				if gerr != nil || werr != nil {
-					t.Fatal(gerr, werr)
+				matched := 0
+				for i, pat := range pats {
+					gm, gs, gerr := lib.Lookup(pat)
+					wm, ws, werr := full.Lookup(pat)
+					if gerr != nil || werr != nil {
+						t.Fatal(gerr, werr)
+					}
+					if gs != ws || len(gm) != len(wm) || (len(wm) > 0 && !reflect.DeepEqual(gm, wm)) {
+						t.Fatalf("pattern %d: Lookup %v %+v, full-row twin %v %+v", i, gm, gs, wm, ws)
+					}
+					matched += len(wm)
 				}
-				if gs != ws || len(gm) != len(wm) || (len(wm) > 0 && !reflect.DeepEqual(gm, wm)) {
-					t.Fatalf("pattern %d: Lookup %v %+v, full-row twin %v %+v", i, gm, gs, wm, ws)
+				if matched == 0 {
+					t.Fatal("no pattern matched: the comparison is vacuous")
 				}
-			}
-			for at := 0; at < len(pats); at += BlockWidth {
-				block := pats[at:minInt(at+BlockWidth, len(pats))]
-				got, want := make([]BatchResult, len(block)), make([]BatchResult, len(block))
-				if err := lib.LookupBlock(block, got); err != nil {
-					t.Fatal(err)
-				}
-				if err := full.LookupBlock(block, want); err != nil {
-					t.Fatal(err)
-				}
-				for j := range block {
-					if got[j].Stats != want[j].Stats || len(got[j].Matches) != len(want[j].Matches) ||
-						(len(want[j].Matches) > 0 && !reflect.DeepEqual(got[j].Matches, want[j].Matches)) {
-						t.Fatalf("block at %d slot %d: %+v, full-row twin %+v", at, j, got[j], want[j])
+				for at := 0; at < len(pats); at += BlockWidth {
+					block := pats[at:minInt(at+BlockWidth, len(pats))]
+					got, want := make([]BatchResult, len(block)), make([]BatchResult, len(block))
+					if err := lib.LookupBlock(block, got); err != nil {
+						t.Fatal(err)
+					}
+					if err := full.LookupBlock(block, want); err != nil {
+						t.Fatal(err)
+					}
+					for j := range block {
+						if got[j].Stats != want[j].Stats || len(got[j].Matches) != len(want[j].Matches) ||
+							(len(want[j].Matches) > 0 && !reflect.DeepEqual(got[j].Matches, want[j].Matches)) {
+							t.Fatalf("block at %d slot %d: %+v, full-row twin %+v", at, j, got[j], want[j])
+						}
 					}
 				}
-			}
 
-			c, fc := lib.Counters(), full.Counters()
-			if c.SketchRows == 0 || c.SketchSurvivors == 0 || c.SketchSurvivors > c.SketchRows/8 {
-				t.Fatalf("sketch counters %d survivors of %d rows: stage 1 is not selective", c.SketchSurvivors, c.SketchRows)
-			}
-			if fc.SketchRows != 0 || fc.SketchSurvivors != 0 {
-				t.Fatalf("full-row twin counted a sketch stage: %+v", fc)
-			}
-			if c.EarlyAbandons == 0 || fc.EarlyAbandons == 0 {
-				t.Fatalf("early abandons %d (cascade) / %d (full row): rows that were not candidates went uncounted", c.EarlyAbandons, fc.EarlyAbandons)
-			}
-		})
+				c, fc := lib.Counters(), full.Counters()
+				if c.SketchRows == 0 || c.SketchSurvivors == 0 || c.SketchSurvivors > c.SketchRows/8 {
+					t.Fatalf("sketch counters %d survivors of %d rows: stage 1 is not selective", c.SketchSurvivors, c.SketchRows)
+				}
+				if fc.SketchRows != 0 || fc.SketchSurvivors != 0 {
+					t.Fatalf("full-row twin counted a sketch stage: %+v", fc)
+				}
+				if c.EarlyAbandons == 0 || fc.EarlyAbandons == 0 {
+					t.Fatalf("early abandons %d (cascade) / %d (full row): rows that were not candidates went uncounted", c.EarlyAbandons, fc.EarlyAbandons)
+				}
+			})
+		}
 	}
+}
+
+// viewSketch returns the cascade of the library's current view: the
+// library's sketch width with the bound and predicted survivor ratio
+// that view derived, and fails the test if the view scans whole rows.
+func viewSketch(t *testing.T, lib *Library) SketchPlan {
+	t.Helper()
+	pl := hdcOf(lib.snap.Load()).plan
+	if !pl.sketch {
+		t.Fatalf("the view has no sketch stage: plan %+v at width %d", pl, lib.sketchWords)
+	}
+	return SketchPlan{Words: lib.sketchWords, Bound: pl.sketchBound, Survive: pl.survive}
 }
 
 // TestSketchModelHolds checks the binomial model SketchPlan rests on
@@ -200,12 +246,12 @@ func TestSketchModelHolds(t *testing.T) {
 	const members = 100_000
 	p := cascadeParams
 	lib := mustLibrary(t, p)
-	plan := lib.sketch
 	ref := genome.Random(members+p.Window-1, rng.New(0x5ca1e))
 	if err := lib.Add(genome.Record{ID: "r", Seq: ref}); err != nil {
 		t.Fatal(err)
 	}
 	lib.Freeze()
+	plan := viewSketch(t, lib)
 
 	var dist stats.Welford
 	worst := 0
@@ -243,4 +289,142 @@ func TestSketchModelHolds(t *testing.T) {
 	}
 	t.Logf("member prefix %.1f ± %.2f (model %.1f ± %.2f), max %d under h1 %d; survivors %.4f vs FPR1 %.4f",
 		dist.Mean(), dist.StdDev(), mean, sigma, worst, plan.Bound, observed, plan.Survive)
+}
+
+// TestSketchModelHoldsApprox is the approximate twin: the stage-1 bound
+// is conditioned on the row, so it has to hold for every pair the
+// full-row test accepts, whatever the query is. Over 10⁵ (query, row)
+// pairs of a member window carrying 3 to 7 substitutions against its own
+// row — at tolerance 2 these straddle the calibrated maxHam — no pair
+// that passes the full-row test exceeds h₁ in the prefix, the largest
+// prefix distance among them stays three hypergeometric standard
+// deviations under h₁ (h₁ sits 8.3 out; the largest of 10⁵ draws is
+// expected 4.4 out), their differing dimensions fall in the prefix no
+// more often than the bound was sized for, and the share of non-member
+// rows surviving stage 1 is within 2× of the view's prediction.
+func TestSketchModelHoldsApprox(t *testing.T) {
+	if raceEnabled {
+		t.Skip("a statistical check of 10⁵ encodings; the race detector adds nothing and costs a minute")
+	}
+	const pairs = 100_000
+	p := approxCascadeParams
+	lib := mustLibrary(t, p)
+	src := rng.New(0x5ca1e)
+	var refs []*genome.Sequence
+	for i := 0; i < 8; i++ { // bench's approx_classify_inproc: 8 × 288 bases, one window a row
+		refs = append(refs, genome.Random(288, src))
+		if err := lib.Add(genome.Record{ID: fmt.Sprint("r", i), Seq: refs[i]}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lib.Freeze()
+	plan, maxHam := viewSketch(t, lib), hdcOf(lib.snap.Load()).plan.maxHam
+	if lib.params.Capacity != 1 || plan.Words != 16 {
+		t.Fatalf("capacity %d, plan %+v: want one window a row under a 16-word sketch", lib.params.Capacity, plan)
+	}
+
+	hv, acc := hdc.NewHV(p.Dim), hdc.NewAcc(p.Dim)
+	passers, worst, prefixSum, rowSum := 0, 0, 0, 0
+	for i := 0; i < pairs; i++ {
+		b := src.Intn(lib.NumBuckets())
+		wr := lib.BucketWindows(b)[0]
+		member := refs[wr.Ref].Slice(int(wr.Off), int(wr.Off)+p.Window)
+		mut, _ := genome.SubstituteExactly(member, 3+i%5, src)
+		lib.Encoder().EncodeWindowApproxInto(hv, acc, mut, 0)
+		row := lib.BucketVector(b).Words()
+		if full := bitvec.HammingWords(row, hv.Words()); full <= maxHam {
+			pre := bitvec.HammingWords(row[:plan.Words], hv.Words()[:plan.Words])
+			passers++
+			worst = maxInt(worst, pre)
+			prefixSum, rowSum = prefixSum+pre, rowSum+full
+		}
+	}
+	if passers < pairs/10 || passers > pairs*9/10 {
+		t.Fatalf("%d of %d pairs pass the full-row test: the queries do not straddle maxHam = %d", passers, pairs, maxHam)
+	}
+	n, d := float64(64*plan.Words), float64(p.Dim)
+	frac := float64(maxHam) / d
+	sigma := math.Sqrt(n * frac * (1 - frac) * (d - n) / (d - 1))
+	if float64(worst) > float64(plan.Bound)-3*sigma {
+		t.Errorf("a row stage 2 accepts sits at prefix distance %d, within 3σ = %.0f of h1 = %d", worst, 3*sigma, plan.Bound)
+	}
+	share := float64(prefixSum) / float64(rowSum) * d / n
+	if sized := math.Max(lib.sketchShare, 1); share > sized+0.01 {
+		t.Errorf("accepted pairs put %.4f of an even share of their differing dimensions in the prefix; h1 was sized for %.4f", share, sized)
+	}
+
+	for i := 0; i < 512; i++ {
+		lib.Encoder().EncodeWindowApproxInto(hv, acc, genome.Random(p.Window, src), 0)
+		if _, err := lib.Probe(hv, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c := lib.Counters()
+	observed := float64(c.SketchSurvivors) / float64(c.SketchRows)
+	if observed < plan.Survive/2 || observed > 2*plan.Survive {
+		t.Errorf("stage 1 passed %.2e of %d non-member rows, the view predicts %.2e", observed, c.SketchRows, plan.Survive)
+	}
+	t.Logf("%d of %d pairs within maxHam %d: prefix max %d under h1 %d (σ %.1f), share %.4f (encoder %.4f); survivors %.2e (%d) vs predicted %.2e",
+		passers, pairs, maxHam, worst, plan.Bound, sigma, share, lib.sketchShare, observed, c.SketchSurvivors, plan.Survive)
+}
+
+// TestCascadeDeclinedByView builds the approximate library whose
+// calibration leaves the prefix nothing to reject: one bucket, tolerance
+// W/2, so the threshold is the false-positive bound three sigma over the
+// noise and a row at maxHam is a noise row. The planes are cut (the
+// width is the library's) but the view scans the arena, and answers as
+// the full-row twin does.
+func TestCascadeDeclinedByView(t *testing.T) {
+	p := approxCascadeParams
+	p.MutTolerance = p.Window / 2
+	lib, full := mustLibrary(t, p), mustLibrary(t, p)
+	full.sketchWords = p.Dim / 64
+	member := genome.Random(p.Window, rng.New(0xdec11e))
+	for _, l := range []*Library{lib, full} {
+		if err := l.Add(genome.Record{ID: "one", Seq: member}); err != nil {
+			t.Fatal(err)
+		}
+		l.Freeze()
+	}
+	sn := hdcOf(lib.snap.Load())
+	if lib.sketchWords >= p.Dim/64 || sn.sketchBytes == 0 {
+		t.Fatalf("sketch width %d, %d plane bytes: the library has no plane to decline", lib.sketchWords, sn.sketchBytes)
+	}
+	if pl := sn.plan; pl.sketch || pl.sketchBound != pl.maxHam || pl.survive != 0 {
+		t.Fatalf("plan %+v: want the arena scanned under maxHam", pl)
+	}
+	if info := lib.Describe(); info.SketchWords != lib.sketchWords || info.SketchSurvivorRatio != 0 {
+		t.Fatalf("Describe %+v: want the plane's width and no predicted survivor ratio", info)
+	}
+	src := rng.New(0xa7e9a)
+	matched := 0
+	for i := 0; i < 64; i++ {
+		pat := genome.Random(p.Window, src)
+		if i%2 == 0 {
+			pat, _ = genome.SubstituteExactly(member, i/2, src)
+		}
+		hv := encodeQuery(lib, pat)
+		got, err := lib.Probe(hv, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := seedScalarProbe(lib, hv); !sameCandidates(got, want) {
+			t.Fatalf("pattern %d: Probe %+v, full-row scan %+v", i, got, want)
+		}
+		gm, gs, gerr := lib.Lookup(pat)
+		wm, ws, werr := full.Lookup(pat)
+		if gerr != nil || werr != nil {
+			t.Fatal(gerr, werr)
+		}
+		if gs != ws || len(gm) != len(wm) || (len(wm) > 0 && !reflect.DeepEqual(gm, wm)) {
+			t.Fatalf("pattern %d: Lookup %v %+v, full-row twin %v %+v", i, gm, gs, wm, ws)
+		}
+		matched += len(wm)
+	}
+	if matched == 0 {
+		t.Fatal("no pattern matched: the comparison is vacuous")
+	}
+	if c := lib.Counters(); c.SketchRows != 0 || c.SketchSurvivors != 0 {
+		t.Fatalf("a view without a sketch stage counted one: %+v", c)
+	}
 }

@@ -20,8 +20,8 @@ type Counters struct {
 	// SketchRows counts rows the cascade's sketch stage scanned, and
 	// SketchSurvivors how many of them it passed on to the full-row
 	// stage; their ratio is the observed counterpart of the model's
-	// predicted survivor ratio (SketchPlan.Survive). Both stay zero for
-	// a library without a sketch stage.
+	// predicted survivor ratio (IndexInfo.SketchSurvivorRatio). Both stay
+	// zero while no view has a sketch stage.
 	SketchRows      int64
 	SketchSurvivors int64
 	// BatchCancellations counts LookupBatchContext calls stopped early

@@ -33,8 +33,10 @@ type IndexInfo struct {
 	// Dim/64-word row the first stage reads — the whole row when the
 	// model offers no prefix — SketchBytes the sketch planes resident
 	// beside the current view's arenas, and SketchSurvivorRatio the
-	// model's predicted share of rows passed on to the full-row stage,
-	// the number Counters.SketchSurvivors / SketchRows should track.
+	// share of rows the model predicts the current view's first stage
+	// passes on to the full-row stage (it follows the view's threshold;
+	// 0 before Freeze and for a view that scans whole rows), the number
+	// Counters.SketchSurvivors / SketchRows should track.
 	SketchWords         int
 	SketchBytes         int64
 	SketchSurvivorRatio float64
@@ -119,11 +121,12 @@ func (l *Library) Describe() IndexInfo {
 		Approx:    l.params.Approx,
 		Tolerance: l.params.MutTolerance,
 
-		SketchWords:         l.sketch.Words,
-		SketchSurvivorRatio: l.sketch.Survive,
+		SketchWords: l.sketchWords,
 	}
 	if v := l.snap.Load(); v != nil {
-		info.SketchBytes = hdcOf(v).sketchBytes
+		sn := hdcOf(v)
+		info.SketchBytes = sn.sketchBytes
+		info.SketchSurvivorRatio = sn.plan.survive
 	}
 	return info
 }

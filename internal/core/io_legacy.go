@@ -134,7 +134,7 @@ func readLegacyStream(br *bufio.Reader, version int) (*Library, error) {
 	}
 	segs := make([]Segment, len(segBkts))
 	for k, bkts := range segBkts {
-		seg := newSegment(bkts, p.Dim, lib.sketch.Words)
+		seg := newSegment(bkts, p.Dim, lib.sketchWords)
 		seg.tombs = seg.countTombs(refs)
 		segs[k] = seg
 	}

@@ -295,7 +295,7 @@ func (ld *hdcLoader) Build(arenas []ContainerSegment, m *mmapfile.Mapping) (Inde
 	p := &ld.lib.params
 	segs := make([]Segment, len(arenas))
 	for k, a := range arenas {
-		seg := segmentFromArena(a.Words, ld.segWins[k], p.Dim, ld.lib.sketch.Words)
+		seg := segmentFromArena(a.Words, ld.segWins[k], p.Dim, ld.lib.sketchWords)
 		if m != nil {
 			seg.mapOff, seg.mapLen = int(a.FileOff), len(a.Words)*8
 		}

@@ -103,9 +103,15 @@ type Library struct {
 
 	params Params
 	enc    *encoding.Encoder
-	// sketch is the cascade geometry the model derives from the
-	// parameters; every segment cuts its sketch plane to sketch.Words.
-	sketch SketchPlan
+	// sketchWords is the cascade's sketch width, which the model derives
+	// from the parameters (Model.SketchPlan): every segment cuts its
+	// sketch plane to it. An approximate library with a plane also keeps
+	// what probePrefix measured of that prefix on its encoder: the probe
+	// windows' prefixes and the prefix's share of a pair's differing
+	// dimensions. The stage-1 bound is per view: scanPlanFor.
+	sketchWords    int
+	sketchPrefixes []uint64
+	sketchShare    float64
 
 	// active is the mutable tail and cal the calibration last derived;
 	// both are only touched with the engine's mutation lock held.
@@ -162,6 +168,13 @@ func (l *Library) getBlockScratch() *blockScratch {
 
 func (l *Library) putBlockScratch(s *blockScratch) { l.blockPool.Put(s) }
 
+// planningBuckets is the library size assumed where a size is needed
+// before there is a library — the Bonferroni term of capacity planning
+// and of the threshold the sketch width is sized against: generous, so
+// the plans hold as a library grows. The threshold at search time uses
+// the real bucket count.
+const planningBuckets = 1 << 20
+
 // NewLibrary creates an empty library with the given parameters.
 // If params.Capacity is 0 it is derived from the statistical model.
 func NewLibrary(params Params) (*Library, error) {
@@ -170,11 +183,8 @@ func NewLibrary(params Params) (*Library, error) {
 		return nil, err
 	}
 	if params.Capacity == 0 {
-		// Capacity planning assumes a generously sized library (1<<20
-		// buckets) for the Bonferroni term; the threshold at search time
-		// uses the real bucket count.
 		params.Capacity = MaxCapacity(params.Dim, params.Window, params.Approx,
-			params.Sealed, params.MutTolerance, 1<<20, params.Alpha, params.Beta)
+			params.Sealed, params.MutTolerance, planningBuckets, params.Alpha, params.Beta)
 	}
 	enc, err := encoding.New(encoding.Config{
 		Dim:    params.Dim,
@@ -185,7 +195,15 @@ func NewLibrary(params Params) (*Library, error) {
 		return nil, err
 	}
 	l := &Library{params: params, enc: enc}
-	l.sketch = l.modelWith(params.Capacity).SketchPlan()
+	// The width is sized against the threshold the model expects at the
+	// library size capacity planning assumes; views re-derive the bound
+	// from the threshold they are actually searched at.
+	m := l.modelWith(params.Capacity)
+	tau := m.DecisionThreshold(params.Alpha, params.Beta, planningBuckets, params.MutTolerance)
+	l.sketchWords = m.SketchPlan(hammingBound(params.Dim, tau)).Words
+	if params.Approx && l.sketchWords < params.Dim/64 {
+		l.sketchPrefixes, l.sketchShare = l.probePrefix(l.sketchWords)
+	}
 	l.Engine = NewEngine(Kernel{
 		Window:        params.Window,
 		Stride:        params.Stride,
@@ -269,7 +287,7 @@ func (l *Library) appendRef(ref int32, rec genome.Record) int {
 
 // activeView is Kernel.Active.
 func (l *Library) activeView(refs []genome.Record) Segment {
-	return l.active.view(&l.params, l.sketch.Words, refs)
+	return l.active.view(&l.params, l.sketchWords, refs)
 }
 
 // resetActive is Kernel.Reset.
@@ -298,7 +316,7 @@ func (l *Library) rebuildSegment(seg Segment, refs []genome.Record) Segment {
 		l.encodeInto(sc.hvs[0], sc.acc, refs[wr.Ref].Seq, int(wr.Off))
 		b.insert(wr, sc.hvs[0], &l.params)
 	}
-	return b.view(&l.params, l.sketch.Words, refs)
+	return b.view(&l.params, l.sketchWords, refs)
 }
 
 // annotate is Kernel.Annotate: approximate-mode libraries recalibrate

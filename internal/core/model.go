@@ -325,62 +325,174 @@ const sketchMissTarget = 1e-15
 // line, the unit the range kernel and the memory system both move.
 const sketchLine = 8
 
-// SketchPlan is the geometry of the probe's two-stage cascade for one
-// library: stage 1 tests the first Words words of each row against the
-// same prefix of the query under Bound, stage 2 takes the survivors'
-// full rows under the view's threshold.
+// SketchPlan is the geometry of the probe's two-stage cascade under one
+// full-row Hamming bound: stage 1 tests the first Words words of each
+// row against the same prefix of the query under Bound, stage 2 takes
+// the survivors' full rows under the bound itself.
 type SketchPlan struct {
 	// Words is the sketch width. It equals the row width, D/64, when
 	// the model cannot pay for a prefix; the probe then has no separate
 	// stage 1 — the plane it scans is the arena itself.
 	Words int
-	// Bound is h₁, the largest prefix Hamming distance stage 1 keeps:
-	// the smallest h with P(member prefix distance > h) ≤ 1e-15 at
-	// capacity C. Unused when Words is the row width.
+	// Bound is h₁, the largest prefix Hamming distance stage 1 keeps
+	// (see sketchStage). Unused when Words is the row width.
 	Bound int
 	// Survive is FPR₁, the model's probability that a row not holding
 	// the query survives stage 1; 0 when Words is the row width.
 	Survive float64
 }
 
-// SketchPlan derives the cascade geometry. In exact sealed mode the
-// D dimensions of a query/row pair are independent: against a row that
-// holds the query each differs with probability (1−ρ(C))/2, against any
-// other row with probability ½, so the Hamming distance over the first
-// n bits is Binomial(n, ·) exactly and both stage-1 error rates are
-// binomial tails (at eight sigma the normal approximation is off by
-// about 2×). For each line-aligned prefix the bound is the tightest one
-// that keeps the member miss probability within sketchMissTarget at the
-// worst-case occupancy C, and the width chosen minimises the expected
-// words read per row,
+// SketchPlan picks the cascade's sketch width for a library whose rows
+// will be held to about maxHam: of the line-aligned prefixes, the one
+// that minimises the expected words read per row,
 //
 //	sw + FPR₁(sw)·D/64,
 //
-// a survivor costing a whole row because it is re-read from the arena.
-// No prefix is offered where that model does not hold — approximate
-// mode (bucket composition correlates the dimensions) and raw counters
-// (the scan is not a Hamming scan) — and none is taken unless it beats
-// reading every row in full, which thin margins (a capacity derived
-// from the error targets, small test geometries) never do.
-func (m Model) SketchPlan() SketchPlan {
+// a survivor costing a whole row because it is re-read from the arena,
+// with the bound and FPR₁ of each width from sketchStage under the
+// model's own noise distribution and an average prefix. None is taken
+// unless it beats reading every row in full — thin margins (an exact
+// capacity derived from the error targets, small test geometries) never
+// do — and none is offered for raw counters, whose scan is not a Hamming
+// scan. The width is a property of the library (every segment cuts its
+// plane to it); the bound is re-derived for every view, from the
+// threshold in force there.
+func (m Model) SketchPlan(maxHam int) SketchPlan {
 	rowWords := m.D / 64
 	best := SketchPlan{Words: rowWords}
-	if m.Approx || !m.Sealed || m.C < 1 {
+	if !m.Sealed || m.C < 1 {
 		return best
 	}
 	cost := float64(rowWords)
-	pMember := (1 - MajorityCorrelation(m.C)) / 2
 	for sw := sketchLine; sw < rowWords; sw += sketchLine {
-		n := 64 * sw
-		h1 := sort.Search(n, func(h int) bool {
-			return stats.BinomialTail(n, pMember, h+1) <= sketchMissTarget
-		})
-		survive := stats.BinomialCDF(n, 0.5, h1)
-		if c := float64(sw) + survive*float64(rowWords); c < cost {
+		mean, sigma := m.prefixNoise(64 * sw)
+		h1, survive := m.sketchStage(sw, maxHam, 1, mean, sigma)
+		if c := sketchCost(sw, survive, rowWords); c < cost {
 			cost, best = c, SketchPlan{Words: sw, Bound: h1, Survive: survive}
 		}
 	}
 	return best
+}
+
+// sketchCost is the cascade's objective: the expected words read per
+// row by a stage 1 of sw words that passes a share survive of the rows
+// on to a full-row test.
+func sketchCost(sw int, survive float64, rowWords int) float64 {
+	return float64(sw) + survive*float64(rowWords)
+}
+
+// prefixNoise returns the model's a-priori mean and standard deviation
+// of the Hamming distance, over the first n dimensions, between a query
+// and a sealed row that does not hold it: the baseline shrinks with
+// n/D, and of NoiseSigma's two terms the per-dimension one (each of the
+// n dimensions differs independently at the baseline's rate) shrinks
+// with √(n/D) while the rest — bucket composition, which moves every
+// dimension together — shrinks with n/D.
+func (m Model) prefixNoise(n int) (mean, sigma float64) {
+	d, frac := float64(m.D), float64(n)/float64(m.D)
+	differ := (1 - m.Baseline()/d) / 2
+	dimension := d * differ * (1 - differ)
+	composition := math.Max(m.NoiseSigma()*m.NoiseSigma()/4-dimension, 0)
+	return float64(n) * differ, math.Sqrt(frac*frac*composition + frac*dimension)
+}
+
+// sketchStage sizes stage 1 of the cascade for a prefix of sw words of
+// rows that stage 2 holds to maxHam: the prefix bound h₁ and FPR₁, the
+// probability that a row not holding the query survives it. It is the
+// one derivation of the stage-1 bound, for both encodings.
+//
+// In exact sealed mode the D dimensions of a query/row pair are
+// independent: against a row that holds the query each differs with
+// probability (1−ρ(C))/2, against any other row with probability ½, so
+// the Hamming distance over the first n bits is Binomial(n, ·) exactly
+// and both stage-1 error rates are binomial tails (at eight sigma the
+// normal approximation is off by about 2×). h₁ is the tightest bound
+// that keeps the member miss probability within sketchMissTarget at the
+// worst-case occupancy C, tightened to maxHam should that be smaller (a
+// prefix distance never exceeds the row's). The remaining arguments are
+// not used.
+//
+// In approximate mode the dimensions are not independent — how many
+// positions the query happens to share with a bucket's windows moves
+// all of them together — and what a member scores depends on the
+// mutations it carries, so there is no member distribution to take a
+// tail of. The bound conditions on the row instead: given that a pair's
+// full-row distance is H, which H of the D dimensions differ is
+// (nearly) a uniform draw, so the prefix holds a Hypergeometric(D, H,
+// n) share of them whatever moved H, and that law is stochastically
+// largest at H = maxHam. h₁ is the smallest h with P(prefix > h | row =
+// maxHam) ≤ sketchMissTarget: every row stage 2 would accept survives
+// stage 1, not only members within the tolerance. "Nearly", because the
+// four-symbol item memory makes some 512-dimension lines mismatch a few
+// per cent more often than others, the same lines for every pair; share
+// is the prefix's mismatch rate over the row's as the library measured
+// it on its own encoder (Library.probePrefix), and where it exceeds 1
+// the draw is sized as if the row differed in share·maxHam dimensions.
+// (Near pairs show the bias of random pairs slightly damped, so a prefix
+// of quiet lines is sized as an average one rather than trusted to be
+// quiet.) FPR₁ is noisePrefixCDF at h₁, for a prefix whose distance to
+// rows that do not hold the query has the given mean and standard
+// deviation — the model's a priori (prefixNoise), or what a view
+// measured on its own planes.
+func (m Model) sketchStage(sw, maxHam int, share, noiseMean, noiseSigma float64) (h1 int, survive float64) {
+	n := 64 * sw
+	if !m.Approx {
+		pMember := (1 - MajorityCorrelation(m.C)) / 2
+		h1 = sort.Search(n, func(h int) bool {
+			return stats.BinomialTail(n, pMember, h+1) <= sketchMissTarget
+		})
+		h1 = min(h1, maxHam)
+		return h1, stats.BinomialCDF(n, 0.5, h1)
+	}
+	if maxHam < 0 || !(noiseSigma > 0) {
+		return maxHam, 1 // nothing passes stage 2, or there are no rows to measure
+	}
+	differing := min(int(math.Ceil(math.Max(share, 1)*float64(maxHam))), m.D)
+	h1 = sort.Search(min(n, maxHam), func(h int) bool {
+		return stats.HypergeometricTail(m.D, differing, n, h+1) <= sketchMissTarget
+	})
+	return h1, m.noisePrefixCDF(n, h1, noiseMean, noiseSigma)
+}
+
+// noisePrefixCDF returns P(distance over the first n dimensions ≤ h)
+// for an approximate-mode query against a sealed row that does not hold
+// it, given that distance's mean and standard deviation. The spread has
+// two sources. The query shares a ~ Binomial(C·W, ¼) positions with the
+// bucket's windows by chance, which sets the correlation of the pair and
+// moves all dimensions together; around it each dimension differs
+// independently. So the distance is a mixture over a of binomials —
+// normals here, n being hundreds — and its lower tail, which is what
+// survives stage 1, is the binomial's skew toward high agreement seen
+// through the score curve: one normal of the right variance puts 2.5×
+// too little there at sixteen words. The model supplies the curve's
+// shape (latent correlation → arcsine law); where it sits and how far
+// it spreads are fitted to mean and to what sigma leaves after the
+// per-dimension term.
+func (m Model) noisePrefixCDF(n, h int, mean, sigma float64) float64 {
+	c, trials := float64(m.C), m.C*m.W
+	pmf := make([]float64, trials+1)
+	curve := make([]float64, trials+1)
+	var curveMean, curveVar float64
+	for a := range pmf {
+		pmf[a] = stats.BinomialPMF(trials, chanceAgreement, a)
+		curve[a] = ArcsineCosine(float64(a) / float64(m.W) / math.Sqrt(c*(1+(c-1)*chanceAgreement)))
+		curveMean += pmf[a] * curve[a]
+	}
+	for a := range pmf {
+		curveVar += pmf[a] * (curve[a] - curveMean) * (curve[a] - curveMean)
+	}
+	differ := mean / float64(n)
+	composition := math.Sqrt(math.Max(sigma*sigma-float64(n)*differ*(1-differ), 0) / curveVar)
+	p := 0.0
+	for a := range pmf {
+		// More agreement than average, less distance. A spread of 0 (the
+		// clamp, at agreements the binomial never reaches) divides to
+		// ±Inf, which NormalCDF takes to 0 or 1.
+		differ := math.Max(0, math.Min(1, (mean-composition*(curve[a]-curveMean))/float64(n)))
+		spread := math.Sqrt(float64(n) * differ * (1 - differ))
+		p += pmf[a] * stats.NormalCDF((float64(h)+0.5-float64(n)*differ)/spread)
+	}
+	return p
 }
 
 // zUpper is NormalUpperQuantile with the tail probability clamped away

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -306,20 +307,27 @@ func TestModelMatchesEmpiricalExactMode(t *testing.T) {
 }
 
 // TestSketchPlanDerivation pins the cascade geometry of the libraries
-// bench builds and asserts there is no sketch stage wherever the model
-// cannot pay for one.
+// bench builds — the width the model cuts the planes to and the bound a
+// view derives at its threshold, for both encodings — and asserts there
+// is no sketch stage wherever the model cannot pay for one.
 func TestSketchPlanDerivation(t *testing.T) {
 	const rowWords = 8192 / 64
+	// plan is the model's plan at the threshold NewLibrary sizes the
+	// width against, checked against the width the library took.
 	plan := func(p Params) SketchPlan {
 		t.Helper()
-		lib, err := NewLibrary(p)
-		if err != nil {
-			t.Fatal(err)
+		lib := mustLibrary(t, p)
+		m := lib.modelWith(lib.params.Capacity)
+		tau := m.DecisionThreshold(lib.params.Alpha, lib.params.Beta, planningBuckets, lib.params.MutTolerance)
+		got := m.SketchPlan(hammingBound(p.Dim, tau))
+		if got.Words != lib.sketchWords {
+			t.Fatalf("library cut to %d words, the model's plan is %+v", lib.sketchWords, got)
 		}
-		return lib.sketch
+		return got
 	}
 	// scan_exact_wire, point_small_wire, churn_http: exact, sealed, C = 16.
-	got := plan(Params{Dim: 8192, Window: 32, Stride: 1, Capacity: 16, Sealed: true, Seed: 42})
+	exact := Params{Dim: 8192, Window: 32, Stride: 1, Capacity: 16, Sealed: true, Seed: 42}
+	got := plan(exact)
 	if got.Words != 40 || got.Bound != 1227 || math.Abs(got.Survive-0.019) > 0.001 {
 		t.Errorf("D=8192 C=16 exact sealed: plan %+v, want 40 words under h1 = 1227 at FPR1 ≈ 0.019", got)
 	}
@@ -331,20 +339,70 @@ func TestSketchPlanDerivation(t *testing.T) {
 	if miss := stats.BinomialTail(64*got.Words, pm, got.Bound); miss <= sketchMissTarget {
 		t.Errorf("h1 = %d is not tight: %d already meets the budget (%g)", got.Bound, got.Bound-1, miss)
 	}
+	// Every view of such a library scans under that same plan, however
+	// full it is: in exact mode the bound does not follow the threshold.
+	lib := mustLibrary(t, exact)
+	src := rng.New(0xe8ac7)
+	for _, n := range []int{40, 4000} {
+		if err := lib.Add(genome.Record{ID: fmt.Sprint("r", n), Seq: genome.Random(n, src)}); err != nil {
+			t.Fatal(err)
+		}
+		lib.Freeze()
+		if view := viewSketch(t, lib); view != got {
+			t.Errorf("exact view of %d buckets scans under %+v, the library's plan is %+v", lib.NumBuckets(), view, got)
+		}
+	}
+
+	// approx_classify_inproc: approximate, tolerance 2, derived capacity 1.
+	approx := Params{Dim: 8192, Window: 32, Stride: 1, Approx: true, Sealed: true, MutTolerance: 2, Seed: 42}
+	if got := plan(approx); got.Words != 16 || got.Survive <= 0 || got.Survive > 0.01 {
+		t.Errorf("approx_classify_inproc: plan %+v, want a 16-word sketch passing under 1 %% of the rows", got)
+	}
+	// The bound of a view is the hypergeometric one at the view's
+	// threshold; bench's library calibrates to τ = 4929.6, maxHam 1631.
+	m := Model{D: 8192, W: 32, C: 1, Approx: true, Sealed: true}
+	for _, tc := range []struct{ sw, h1 int }{{8, 176}, {16, 303}, {24, 421}, {32, 535}} {
+		mean, sigma := m.prefixNoise(64 * tc.sw)
+		h1, survive := m.sketchStage(tc.sw, 1631, 1, mean, sigma)
+		if h1 != tc.h1 || survive <= 0 || survive >= 0.1 {
+			t.Errorf("approximate, %d words under maxHam 1631: h1 = %d at FPR1 %g, want %d", tc.sw, h1, survive, tc.h1)
+		}
+		if miss := stats.HypergeometricTail(8192, 1631, 64*tc.sw, h1+1); miss > sketchMissTarget {
+			t.Errorf("P(prefix > %d | row = 1631) = %g exceeds %g", h1, miss, sketchMissTarget)
+		}
+		if miss := stats.HypergeometricTail(8192, 1631, 64*tc.sw, h1); miss <= sketchMissTarget {
+			t.Errorf("h1 = %d is not tight: %d already meets the budget (%g)", h1, h1-1, miss)
+		}
+		// A prefix of lines that mismatch 3 % more than the row's average
+		// is sized for it; one of quiet lines is not trusted to be quiet.
+		if biased, _ := m.sketchStage(tc.sw, 1631, 1.03, mean, sigma); biased <= h1 {
+			t.Errorf("%d words at share 1.03: h1 = %d, no looser than the unbiased %d", tc.sw, biased, h1)
+		}
+		if quiet, _ := m.sketchStage(tc.sw, 1631, 0.97, mean, sigma); quiet != h1 {
+			t.Errorf("%d words at share 0.97: h1 = %d, want the unbiased %d", tc.sw, quiet, h1)
+		}
+	}
+	if got := plan(Params{Dim: 8192, Window: 32, Capacity: 16, Approx: true, Sealed: true, MutTolerance: 2}); got.Words != 40 {
+		t.Errorf("approximate at C = 16: plan %+v, want a 40-word sketch", got)
+	}
+
 	for name, p := range map[string]Params{
-		"approx_classify_inproc (approximate, derived capacity)": {Dim: 8192, Window: 32, Stride: 1, Approx: true, Sealed: true, MutTolerance: 2, Seed: 42},
-		"approximate at C = 16":                                  {Dim: 8192, Window: 32, Capacity: 16, Approx: true, Sealed: true, MutTolerance: 2},
-		"raw counters":                                           {Dim: 8192, Window: 32, Capacity: 16},
-		"exact at the model-derived capacity":                    {Dim: 8192, Window: 32, Sealed: true},
-		"exact at C = 64":                                        {Dim: 8192, Window: 32, Capacity: 64, Sealed: true},
+		"raw counters":                        {Dim: 8192, Window: 32, Capacity: 16},
+		"approximate raw counters":            {Dim: 8192, Window: 32, Approx: true, MutTolerance: 2},
+		"exact at the model-derived capacity": {Dim: 8192, Window: 32, Sealed: true},
+		"exact at C = 64":                     {Dim: 8192, Window: 32, Capacity: 64, Sealed: true},
 	} {
 		if got := plan(p); got != (SketchPlan{Words: rowWords}) {
 			t.Errorf("%s: plan %+v, want no sketch stage (the %d-word row)", name, got, rowWords)
 		}
 	}
-	// The thin-margin geometry the golden probe suites build at.
+	// The thin-margin geometry the golden probe suites build at, and an
+	// approximate row of one cache line, which has no narrower prefix.
 	if got := plan(Params{Dim: 2048, Window: 24, Sealed: true}); got != (SketchPlan{Words: 2048 / 64}) {
 		t.Errorf("D=2048 derived capacity: plan %+v, want no sketch stage", got)
+	}
+	if got := plan(Params{Dim: 512, Window: 16, Approx: true, Sealed: true, MutTolerance: 2}); got != (SketchPlan{Words: 512 / 64}) {
+		t.Errorf("D=512 approximate: plan %+v, want no sketch stage", got)
 	}
 	// A lighter load buys a narrower sketch; width is whole cache lines.
 	if c8 := plan(Params{Dim: 8192, Window: 32, Capacity: 8, Sealed: true}); c8.Words >= got.Words || c8.Words%sketchLine != 0 {

@@ -152,27 +152,96 @@ func BenchmarkLookup(b *testing.B) {
 	}
 }
 
+// benchApproxLib builds the library of bench's approx_classify_inproc:
+// 8 references of 288 bases at D = 8192, tolerance 2, which the model
+// gives one window a row (2056 rows, 2 MiB) under a 16-word sketch.
+func benchApproxLib(tb testing.TB) (*Library, []*genome.Sequence) {
+	tb.Helper()
+	lib, err := NewLibrary(Params{Dim: 8192, Window: 32, Stride: 1, Approx: true, Sealed: true, MutTolerance: 2, Seed: 42})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	src := rng.New(4242)
+	refs := make([]*genome.Sequence, 8)
+	for i := range refs {
+		refs[i] = genome.Random(288, src)
+		if err := lib.Add(genome.Record{ID: fmt.Sprint("ref", i), Seq: refs[i]}); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	lib.Freeze()
+	return lib, refs
+}
+
+// BenchmarkClassifyApprox is the read path of approx_classify_inproc
+// without the harness: 150-base reads cut from the references with 3 %
+// substitutions, one in four random instead, classified at support 0.5
+// — four windows encoded, one blocked scan of the sketch plane, the
+// survivors' rows, verification and the vote.
+func BenchmarkClassifyApprox(b *testing.B) {
+	lib, refs := benchApproxLib(b)
+	src := rng.New(7)
+	reads := make([]*genome.Sequence, 64)
+	for i := range reads {
+		if i%4 == 3 {
+			reads[i] = genome.Random(150, src)
+			continue
+		}
+		ref := refs[src.Intn(len(refs))]
+		off := src.Intn(ref.Len() - 150 + 1)
+		reads[i] = ref.Slice(off, off+150)
+		for j := 0; j < 150; j++ {
+			if src.Float64() < 0.03 {
+				reads[i].Set(j, genome.Base((int(reads[i].At(j))+1+src.Intn(genome.AlphabetSize-1))%genome.AlphabetSize))
+			}
+		}
+	}
+	found := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := lib.Classify(reads[i%len(reads)], 0.5); err == nil {
+			found++
+		}
+	}
+	if b.N >= len(reads) && found == 0 {
+		b.Fatal("no read was classified")
+	}
+}
+
 // BenchmarkProbeBlockWidths times ProbeMulti at block widths 1, 2, 3, 4
-// and 8 on the geometry of bench's scan_exact_wire — 8192 buckets of
-// D = 8192 at capacity 16, exact and sealed, so the sketch cascade is
-// engaged and the plane (2.5 MiB) is what a block streams — and reports
-// µs per query: a wider block must never cost more per query than a
-// narrower one. The sharded variants force the plane across GOMAXPROCS
-// workers, the fan-out probeShardMinBytes withholds at this size.
+// and 8 and reports µs per query: a wider block must never cost more
+// per query than a narrower one. The exact rows are the geometry of
+// bench's scan_exact_wire — 8192 buckets of D = 8192 at capacity 16,
+// sealed, so the sketch cascade is engaged and the 40-word plane (2.5
+// MiB) is what a block streams; the sharded variants force that plane
+// across GOMAXPROCS workers, the fan-out probeShardMinBytes withholds at
+// this size. The approx rows are approx_classify_inproc's library, 2056
+// rows under a 16-word plane (257 KiB).
 func BenchmarkProbeBlockWidths(b *testing.B) {
 	lib, queries := benchLib(b, 8192, false)
+	alib, arefs := benchApproxLib(b)
+	aqueries := make([]*hdc.HV, len(queries))
+	for i := range aqueries { // every fourth a member window, like benchLib's mix
+		q := genome.Random(32, rng.New(uint64(i)))
+		if i%4 == 0 {
+			q = arefs[i%len(arefs)].Slice(3*i, 3*i+32)
+		}
+		aqueries[i] = alib.Encoder().EncodeWindowApprox(q, 0)
+	}
 	defer func(v int) { probeShardMinBytes = v }(probeShardMinBytes)
-	for _, shard := range []struct {
+	for _, row := range []struct {
 		suffix   string
+		lib      *Library
+		queries  []*hdc.HV
 		minBytes int
-	}{{"", probeShardMinBytes}, {"/sharded", 1}} {
+	}{{"", lib, queries, probeShardMinBytes}, {"/sharded", lib, queries, 1}, {"/approx", alib, aqueries, probeShardMinBytes}} {
 		for _, n := range []int{1, 2, 3, 4, 8} {
-			b.Run(fmt.Sprintf("n=%d%s", n, shard.suffix), func(b *testing.B) {
-				probeShardMinBytes = shard.minBytes
+			b.Run(fmt.Sprintf("n=%d%s", n, row.suffix), func(b *testing.B) {
+				probeShardMinBytes = row.minBytes
 				var stats Stats
 				for i := 0; i < b.N; i++ {
-					at := i * n % (len(queries) - n + 1)
-					if _, err := lib.ProbeMulti(queries[at:at+n], &stats); err != nil {
+					at := i * n % (len(row.queries) - n + 1)
+					if _, err := row.lib.ProbeMulti(row.queries[at:at+n], &stats); err != nil {
 						b.Fatal(err)
 					}
 				}

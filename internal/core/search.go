@@ -40,17 +40,31 @@ func (l *Library) scanPlanFor(sn *hdcView) scanPlan {
 		tau = l.modelWith(sn.maxOccupancy()).DecisionThreshold(
 			l.params.Alpha, l.params.Beta, maxInt(sn.numBuckets(), 1), l.params.MutTolerance)
 	}
-	// τ → Hamming bound: an integer dot passes score ≥ τ iff
-	// dot ≥ ⌈τ⌉, and dot = D − 2·hamming, so a sealed row passes iff
-	// hamming ≤ ⌊(D − ⌈τ⌉)/2⌋. The arithmetic shift is a floor division —
-	// Go's / truncates toward zero, which for a negative numerator
-	// (τ > D) would admit distance 0.
-	pl := scanPlan{tau: tau, maxHam: (l.params.Dim - int(math.Ceil(tau))) >> 1}
+	pl := scanPlan{tau: tau, maxHam: hammingBound(l.params.Dim, tau)}
 	pl.sketchBound = pl.maxHam
-	if l.sketch.Words < l.params.Dim/64 && l.sketch.Bound < pl.maxHam {
-		pl.sketchBound = l.sketch.Bound
+	// The stage-1 bound follows the threshold, and in approximate mode
+	// the threshold is calibrated per view; whether the plane is worth
+	// streaming at that bound is the same cost expression that sized it.
+	if sw, rowWords := l.sketchWords, l.params.Dim/64; sw < rowWords {
+		var noiseMean, noiseSigma float64
+		if l.params.Approx {
+			noiseMean, noiseSigma = l.measurePrefixNoise(sn)
+		}
+		h1, survive := l.modelWith(l.params.Capacity).sketchStage(sw, pl.maxHam, l.sketchShare, noiseMean, noiseSigma)
+		if sketchCost(sw, survive, rowWords) < float64(rowWords) {
+			pl.sketch, pl.sketchBound, pl.survive = true, h1, survive
+		}
 	}
 	return pl
+}
+
+// hammingBound turns a score threshold into a full-row Hamming bound: an
+// integer dot passes score ≥ τ iff dot ≥ ⌈τ⌉, and dot = D − 2·hamming,
+// so a sealed row passes iff hamming ≤ ⌊(D − ⌈τ⌉)/2⌋. The arithmetic
+// shift is a floor division — Go's / truncates toward zero, which for a
+// negative numerator (τ > D) would admit distance 0.
+func hammingBound(dim int, tau float64) int {
+	return (dim - int(math.Ceil(tau))) >> 1
 }
 
 // probeBlock is the internal alias the probe paths were written
@@ -80,7 +94,7 @@ var probeShardMinBytes = 4 << 20
 // and large segments shard the scan across a bounded worker pool. The
 // candidates (order, scores, excesses) are those of a serial full-row
 // scan, independent of how the buckets are cut into segments, up to the
-// model's 1e-15 stage-1 miss per member row (SketchPlan). Stats count
+// model's 1e-15 stage-1 miss per accepted row (Model.sketchStage). Stats count
 // the full scan — BucketProbes is the work the PIM hardware would do,
 // not the words the software kernel happened to touch.
 //
@@ -181,7 +195,7 @@ func (l *Library) probeBlockSeg(seg *segment, gOff int, dsts [][]Candidate, hvs 
 	nq := len(hvs)
 	n := seg.NumBuckets()
 	workers := runtime.GOMAXPROCS(0)
-	if w := seg.scanBytes() / probeShardMinBytes; workers > w {
+	if w := seg.scanBytes(pl) / probeShardMinBytes; workers > w {
 		workers = w
 	}
 	if workers <= 1 {

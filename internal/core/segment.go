@@ -44,7 +44,8 @@ type segment struct {
 	// segment is built or opened, never stored in a file, immutable like
 	// the arena, and shared by withTombs copies. A library whose model
 	// offers no prefix has planeWords == rowWords and no copy: the plane
-	// aliases the arena.
+	// aliases the arena. Whether a probe streams it is the view's call
+	// (scanPlan.sketch).
 	plane      []uint64
 	planeWords int
 
@@ -63,7 +64,7 @@ type segment struct {
 // repointed to alias its row, so vector(i), score, and WriteTo all read
 // the same storage the probe kernel streams. The bucket structs are
 // owned by the segment after this call. sketchWords is the library's
-// sketch width (SketchPlan.Words).
+// sketch width (Library.sketchWords).
 func newSegment(bkts []bucket, dim, sketchWords int) *segment {
 	s := &segment{bkts: bkts, rowWords: dim / 64}
 	s.arena = make([]uint64, len(bkts)*s.rowWords)
@@ -143,6 +144,11 @@ func (s *segment) arenaRow(i int) []uint64 {
 	lo := i * s.rowWords
 	hi := lo + s.rowWords
 	return s.arena[lo:hi:hi]
+}
+
+// planeRow returns bucket i's words in the sketch plane.
+func (s *segment) planeRow(i int) []uint64 {
+	return s.plane[i*s.planeWords : (i+1)*s.planeWords]
 }
 
 // NumBuckets, Windows and MemoryBytes make a segment an engine Segment.
@@ -258,14 +264,28 @@ const (
 	planeTileMax   = planeTileBytes / (8 * sketchLine)
 )
 
-// scanBytes is what one query's stage-1 scan of the whole segment
-// streams: the sketch plane, or the arena where that is the plane.
-func (s *segment) scanBytes() int { return 8 * len(s.plane) }
+// scanned is what the first stage of a probe under pl streams: the
+// sketch plane and its row width, or the arena where the plan (or the
+// library) has no sketch stage.
+func (s *segment) scanned(pl *scanPlan) (plane []uint64, words int) {
+	if pl.sketch {
+		return s.plane, s.planeWords
+	}
+	return s.arena, s.rowWords
+}
 
-// tileRows is the number of rows per probe tile: as many plane rows as
-// fit planeTileBytes, in whole groups of the range kernel's eight.
-func (s *segment) tileRows() int {
-	n := planeTileBytes / (8 * s.planeWords) &^ 7
+// scanBytes is what one query's first-stage scan of the whole segment
+// streams.
+func (s *segment) scanBytes(pl *scanPlan) int {
+	plane, _ := s.scanned(pl)
+	return 8 * len(plane)
+}
+
+// tileRows is the number of rows per probe tile: as many rows of the
+// given width as fit planeTileBytes, in whole groups of the range
+// kernel's eight.
+func tileRows(words int) int {
+	n := planeTileBytes / (8 * words) &^ 7
 	return minInt(maxInt(n, 8), planeTileMax)
 }
 
@@ -274,9 +294,10 @@ func (s *segment) tileRows() int {
 // indices (local index + gOff), and reports how many rows survived the
 // sketch stage. Sealed segments run the cascade: the range kernel
 // streams the rows' sketch-plane prefixes under the view's stage-1
-// bound and names the survivors in surv, and each survivor's full arena
-// row is then held to the threshold's Hamming bound. Raw-count segments
-// keep the exact counter dot product.
+// bound — or, under a plan without a sketch stage, the rows themselves —
+// and names the survivors in surv, and each survivor's full arena row is
+// then held to the threshold's Hamming bound. Raw-count segments keep
+// the exact counter dot product.
 //
 //biohd:hotpath
 func (s *segment) probeRange(dst []Candidate, hv *hdc.HV, pl *scanPlan, lo, hi, gOff int, surv []int32, p *Params) ([]Candidate, int) {
@@ -292,7 +313,8 @@ func (s *segment) probeRange(dst []Candidate, hv *hdc.HV, pl *scanPlan, lo, hi, 
 	if len(q) != s.rowWords {
 		panic(fmt.Sprintf("core: query words %d != row words %d", len(q), s.rowWords))
 	}
-	n := bitvec.ScanPlane(s.plane, s.planeWords, q[:s.planeWords], pl.sketchBound, lo, hi, surv)
+	plane, w := s.scanned(pl)
+	n := bitvec.ScanPlane(plane, w, q[:w], pl.sketchBound, lo, hi, surv)
 	for _, i := range surv[:n] {
 		if h, ok := bitvec.HammingBounded(s.arenaRow(int(i)), q, pl.maxHam); ok {
 			score := float64(p.Dim - 2*h)
@@ -318,7 +340,8 @@ func (s *segment) probeBlockRange(dsts [][]Candidate, hvs []*hdc.HV, pl *scanPla
 	} else {
 		ctr.heapScans.Add(1)
 	}
-	tile := s.tileRows()
+	_, w := s.scanned(pl)
+	tile := tileRows(w)
 	survivors, cands := 0, 0
 	for t := lo; t < hi; t += tile {
 		te := minInt(t+tile, hi)
@@ -341,7 +364,7 @@ func (s *segment) probeBlockRange(dsts [][]Candidate, hvs []*hdc.HV, pl *scanPla
 	if abandoned := rows - int64(cands); abandoned > 0 {
 		ctr.earlyAbandons.Add(abandoned)
 	}
-	if s.planeWords < s.rowWords {
+	if pl.sketch {
 		ctr.sketchRows.Add(rows)
 		ctr.sketchSurvivors.Add(int64(survivors))
 	}

@@ -26,14 +26,19 @@ type hdcView struct {
 // scanPlan is the per-view half of the probe plan — what depends on the
 // view's bucket count, occupancy and calibration rather than on the
 // library's geometry. It is derived once when the view is annotated, so
-// a probe reads three words instead of walking every bucket header.
+// a probe reads a few words instead of walking every bucket header.
 type scanPlan struct {
 	tau    float64 // decision threshold in force
 	maxHam int     // τ as a full-row Hamming bound
-	// sketchBound is the stage-1 bound: h₁, tightened to maxHam should
-	// that be smaller (a prefix distance never exceeds the row's), or
-	// maxHam itself for a library without a sketch stage.
+	// sketch says stage 1 streams the segments' sketch planes under
+	// sketchBound (h₁ of Model.sketchStage at this view's maxHam) and
+	// survive is the share of rows the model expects it to pass on.
+	// Where the library has no plane, or this view's threshold leaves
+	// the prefix costing more than it saves, sketch is false: the scan
+	// streams the arena rows themselves and sketchBound is maxHam.
+	sketch      bool
 	sketchBound int
+	survive     float64
 }
 
 func newHDCView(v *View, cal Calibration) *hdcView {

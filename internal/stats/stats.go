@@ -145,6 +145,50 @@ func BinomialCDF(n int, p float64, k int) float64 {
 	return 1 - BinomialTail(n, p, k+1)
 }
 
+// HypergeometricTail returns P(X ≥ k) for X the number of marked items
+// among draws taken without replacement from a population of pop items
+// of which marked are marked. The sum runs away from the mode — upward
+// from k above it, downward from k−1 (as the complement) below it — so
+// its terms only shrink: the first comes from log-binomial coefficients,
+// the rest from the ratio of consecutive terms, and a tail far below
+// float64's smallest value is 0 instead of garbage. It panics unless
+// 0 ≤ marked, draws ≤ pop.
+func HypergeometricTail(pop, marked, draws, k int) float64 {
+	if marked < 0 || draws < 0 || marked > pop || draws > pop {
+		panic(fmt.Sprintf("stats: HypergeometricTail(%d, %d, %d, %d) out of domain", pop, marked, draws, k))
+	}
+	lo, hi := max(0, draws-(pop-marked)), min(draws, marked)
+	if k <= lo {
+		return 1
+	}
+	if k > hi {
+		return 0
+	}
+	pmf := func(x int) float64 {
+		return math.Exp(LogBinomialCoeff(marked, x) + LogBinomialCoeff(pop-marked, draws-x) - LogBinomialCoeff(pop, draws))
+	}
+	// P(X = x+1) / P(X = x).
+	up := func(x int) float64 {
+		return float64(marked-x) * float64(draws-x) / (float64(x+1) * float64(pop-marked-draws+x+1))
+	}
+	if mode := int(float64(draws+1) * float64(marked+1) / float64(pop+2)); k <= mode {
+		term := pmf(k - 1)
+		sum := term
+		for x := k - 1; x > lo && term > sum*1e-18; x-- {
+			term /= up(x - 1)
+			sum += term
+		}
+		return math.Max(1-sum, 0)
+	}
+	term := pmf(k)
+	sum := term
+	for x := k; x < hi && term > sum*1e-18; x++ {
+		term *= up(x)
+		sum += term
+	}
+	return math.Min(sum, 1)
+}
+
 // RegIncBeta returns the regularized incomplete beta function I_x(a, b)
 // using the Lentz continued-fraction expansion. It panics outside the
 // domain a, b > 0 and 0 ≤ x ≤ 1.

@@ -308,3 +308,52 @@ func TestRegIncBetaReflectedBranch(t *testing.T) {
 		t.Fatalf("I_0.9(2.5,7.5) = %v implausibly small", lhs)
 	}
 }
+
+func TestHypergeometricTailAgainstDirectSum(t *testing.T) {
+	for _, tc := range []struct{ pop, marked, draws int }{{20, 7, 5}, {50, 30, 40}, {12, 12, 4}, {9, 0, 3}, {64, 20, 64}} {
+		norm := LogBinomialCoeff(tc.pop, tc.draws)
+		for k := -1; k <= tc.draws+1; k++ {
+			direct := 0.0
+			for x := max(k, 0, tc.draws-(tc.pop-tc.marked)); x <= min(tc.draws, tc.marked); x++ {
+				direct += math.Exp(LogBinomialCoeff(tc.marked, x) + LogBinomialCoeff(tc.pop-tc.marked, tc.draws-x) - norm)
+			}
+			approx(t, HypergeometricTail(tc.pop, tc.marked, tc.draws, k), direct, 1e-10, "tail vs direct sum")
+		}
+	}
+}
+
+// The regime the sketch stage sizes its bound in: eight sigma out in a
+// population of thousands, where the tail is far below what a complement
+// could resolve and the normal approximation is an order of magnitude low.
+func TestHypergeometricTailFar(t *testing.T) {
+	const pop, marked, draws = 8192, 1631, 1024
+	mean := float64(draws) * marked / pop
+	sigma := math.Sqrt(mean * (1 - float64(marked)/pop) * float64(pop-draws) / (pop - 1))
+	prev := 1.0
+	for z := 0.0; z <= 8; z++ {
+		got := HypergeometricTail(pop, marked, draws, int(math.Ceil(mean+z*sigma)))
+		if got <= 0 || got > prev {
+			t.Fatalf("tail at %v sigma = %g after %g: not positive and decreasing", z, got, prev)
+		}
+		if normal := NormalTail(z); got < normal/2 || got > normal*32 {
+			t.Fatalf("tail at %v sigma = %g, normal %g", z, got, normal)
+		}
+		prev = got
+	}
+	if got := HypergeometricTail(pop, marked, draws, 40); got != 1 {
+		t.Fatalf("tail twelve sigma under the mean = %v, want 1", got)
+	}
+}
+
+func TestHypergeometricTailPanics(t *testing.T) {
+	for _, a := range [][3]int{{10, 11, 3}, {10, 3, 11}, {10, -1, 3}, {10, 3, -1}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("HypergeometricTail%v did not panic", a)
+				}
+			}()
+			HypergeometricTail(a[0], a[1], a[2], 1)
+		}()
+	}
+}
