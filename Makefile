@@ -19,13 +19,16 @@ test:
 	$(GO) test $(PKGS)
 
 ## test-purego: run the packages with portable fallbacks under the
-## purego tag — the scalar tier of every bitvec kernel, and the packages
-## that scan, map and frame through them — so the code a non-amd64 build
+## purego tag — the scalar tier of every bitvec kernel, the packages
+## that encode through the row-fold kernels (whose oracle, golden and
+## pim bit-identity suites were written against the portable majority
+## and would otherwise reach it only through internal/core), and the
+## packages that scan, map and frame — so the code a non-amd64 build
 ## runs is tested, not just compiled. A purego build cannot map, so this
 ## is also the run in which every open takes the stream source of the
 ## one container walk.
 test-purego:
-	$(GO) test -tags purego ./internal/bitvec ./internal/core ./internal/cobs ./internal/mmapfile ./internal/wire
+	$(GO) test -tags purego ./internal/bitvec ./internal/encoding ./internal/hdc ./internal/pim ./internal/core ./internal/cobs ./internal/mmapfile ./internal/wire
 
 ## race: run the test suite under the race detector, then the two
 ## packages whose behaviour depends on the scheduler — the coalescer forms
@@ -71,13 +74,13 @@ bench:
 ## includes BenchmarkProbeBlockWidths, the per-query cost of a probe
 ## block at widths 1 to 8), then the benchmark's smoke pass — catches
 ## benchmarks that no longer build or crash, without measuring anything.
-## The second line re-runs the kernel benchmarks under the purego tag so
-## the scalar fallbacks of the single-query, multi-query and range
-## kernels stay exercised on machines whose first pass dispatches to
-## vector tiers.
+## The second line re-runs the kernel and encoder benchmarks under the
+## purego tag so the scalar fallbacks of the single-query, multi-query,
+## range and row-fold kernels stay exercised on machines whose first
+## pass dispatches to vector tiers.
 benchsmoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./internal/bitvec ./internal/hdc ./internal/encoding ./internal/core .
-	$(GO) test -tags purego -run='^$$' -bench=. -benchtime=1x ./internal/bitvec
+	$(GO) test -tags purego -run='^$$' -bench=. -benchtime=1x ./internal/bitvec ./internal/encoding
 	$(GO) run ./bench -smoke
 
 ## fuzz: run each fuzz target for FUZZTIME (default 30s)
@@ -87,6 +90,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzApplyEdits -fuzztime=$(FUZZTIME) ./internal/genome
 	$(GO) test -run='^$$' -fuzz=FuzzEncodeDecode -fuzztime=$(FUZZTIME) ./internal/encoding
 	$(GO) test -run='^$$' -fuzz=FuzzScanPlane -fuzztime=$(FUZZTIME) ./internal/bitvec
+	$(GO) test -run='^$$' -fuzz=FuzzFoldRows -fuzztime=$(FUZZTIME) ./internal/bitvec
 	$(GO) test -run='^$$' -fuzz=FuzzReadLibrary -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzReadIndex -fuzztime=$(FUZZTIME) ./internal/cobs
 	$(GO) test -run='^$$' -fuzz=FuzzWireFrame -fuzztime=$(FUZZTIME) ./internal/wire

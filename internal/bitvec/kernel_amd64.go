@@ -23,6 +23,15 @@ func scanPlaneAVX2(rows *uint64, nrows, nblocks int, q *uint64, bound, first int
 //go:noescape
 func scanPlaneAVX512(rows *uint64, ngroups, nblocks int, q *uint64, bound, first int, out *int32) int
 
+//go:noescape
+func majorityRowsAVX2(out, table *uint64, idx *int32, n, nblocks int, tie *uint64, tieMask uint64, seed *[8]uint64)
+
+//go:noescape
+func majorityRowsAVX512(out, table *uint64, idx *int32, n, nblocks int, tie *uint64, tieMask uint64, seed *[8]uint64)
+
+//go:noescape
+func xorRowsAVX512(out, table *uint64, idx *int32, n, nblocks int)
+
 func cpuid(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax, edx uint32)
 
@@ -139,4 +148,29 @@ func scanPlaneBlocks(rows []uint64, nblocks int, q []uint64, bound, first int, o
 		return 0, 0
 	}
 	return scanPlaneAVX512(&rows[0], groups, nblocks, &q[0], bound, first, &out[0]), groups * planeGroup
+}
+
+// majorityRowsBlocks runs the best available vector majority fold; see
+// MajorityRows for the operands and kernel_amd64.s for the seeded
+// planes. Callers must check useAccel, that rowWords is a whole number
+// of kernel blocks, len(idx) ≤ foldMaxRows and every index first.
+func majorityRowsBlocks(out, table []uint64, idx []int32, rowWords int, tie []uint64, tieMask uint64, seed *[8]uint64) {
+	if useAVX512 {
+		majorityRowsAVX512(&out[0], &table[0], &idx[0], len(idx), rowWords/kernelBlock, &tie[0], tieMask, seed)
+		return
+	}
+	majorityRowsAVX2(&out[0], &table[0], &idx[0], len(idx), rowWords/kernelBlock, &tie[0], tieMask, seed)
+}
+
+// xorRowsBlocks runs the vector parity fold, under the same
+// preconditions as majorityRowsBlocks (any number of rows). There is no
+// AVX2 parity tier — it measured 1.95× the portable tier at D = 8192,
+// W = 32, under the 2× a tier has to earn (DESIGN.md §16) — so a host
+// without AVX-512 folds through the portable tier here.
+func xorRowsBlocks(out, table []uint64, idx []int32, rowWords int) {
+	if !useAVX512 {
+		xorRowsGeneric(out, table, idx, rowWords)
+		return
+	}
+	xorRowsAVX512(&out[0], &table[0], &idx[0], len(idx), rowWords/kernelBlock)
 }

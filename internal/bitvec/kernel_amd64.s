@@ -736,6 +736,309 @@ sp5done:
 	MOVQ AX, ret+56(FP)
 	RET
 
+// The row-fold kernels (kernel_fold.go). Both walk the output one
+// 64-byte column block at a time and, inside a block, the rows named by
+// idx: row i of the table starts i·nblocks·64 bytes in, so a row's block
+// is at SI + idx[j]·stride with SI already advanced to the column.
+
+// FOLDROW puts the byte offset of row idx[BX + k/4] into reg.
+#define FOLDROW(k, reg) \
+	MOVLQSX k(R8)(BX*4), reg; \
+	IMULQ   R12, reg
+
+// CSA512 is a carry-save adder over 512 one-bit lanes: p + b + c =
+// p' + 2·k. VPTERNLOGQ 0x96 is the three-way XOR, 0xE8 the majority.
+#define CSA512(p, b, c, k) \
+	VMOVDQA64  p, k;          \
+	VPTERNLOGQ $0x96, c, b, p; \
+	VPTERNLOGQ $0xE8, c, b, k
+
+// HALF512 is a half adder: p + c = p' + 2·k.
+#define HALF512(p, c, k) \
+	VPANDQ c, p, k; \
+	VPXORQ c, p, p
+
+// func majorityRowsAVX512(out, table *uint64, idx *int32, n, nblocks int, tie *uint64, tieMask uint64, seed *[8]uint64)
+// Lane-wise majority of n ≤ 255 table rows on the AVX-512 tier. Z0..Z7
+// hold bit planes 0..7 of the 512 lane counts of the current column
+// block, each seeded with seed[k] in every lane (the bits of
+// 127 − ⌊n/2⌋), so after the rows are added "ones > ⌊n/2⌋" is plane 7
+// and "ones == ⌊n/2⌋" is planes 0..6 all set: the block's result is
+// Z7 | (Z0 & … & Z6 & tie & tieMask), with no compare pass. Rows enter
+// eight at a time through seven carry-save adders — four fold the rows
+// into plane 0, two fold their carries into plane 1, one folds those
+// into plane 2 — and the one weight-8 carry left ripples through planes
+// 3..7 with half adders; the n mod 8 rows left over ripple in one at a
+// time from plane 0. The biased count never exceeds 255, so nothing
+// carries out of plane 7. The caller guarantees n ≥ 1, every idx[j] a
+// row of the nblocks-block table, and nblocks blocks of out and tie.
+TEXT ·majorityRowsAVX512(SB), NOSPLIT, $0-64
+	MOVQ out+0(FP), DI
+	MOVQ table+8(FP), SI
+	MOVQ idx+16(FP), R8
+	MOVQ n+24(FP), R9
+	MOVQ nblocks+32(FP), CX
+	MOVQ tie+40(FP), R10
+	MOVQ seed+56(FP), R11
+
+	VPBROADCASTQ tieMask+48(FP), Z24
+	VPBROADCASTQ 0(R11), Z16      // Z16..Z23: the planes' seeds
+	VPBROADCASTQ 8(R11), Z17
+	VPBROADCASTQ 16(R11), Z18
+	VPBROADCASTQ 24(R11), Z19
+	VPBROADCASTQ 32(R11), Z20
+	VPBROADCASTQ 40(R11), Z21
+	VPBROADCASTQ 48(R11), Z22
+	VPBROADCASTQ 56(R11), Z23
+
+	MOVQ CX, R12
+	SHLQ $6, R12                  // R12: row stride in bytes
+	MOVQ R9, R13
+	ANDQ $-8, R13                 // R13: rows that enter in whole groups
+
+mj5block:
+	VMOVDQA64 Z16, Z0
+	VMOVDQA64 Z17, Z1
+	VMOVDQA64 Z18, Z2
+	VMOVDQA64 Z19, Z3
+	VMOVDQA64 Z20, Z4
+	VMOVDQA64 Z21, Z5
+	VMOVDQA64 Z22, Z6
+	VMOVDQA64 Z23, Z7
+	XORQ      BX, BX              // BX: rows folded into this block
+	CMPQ      BX, R13
+	JGE       mj5single
+
+mj5group:
+	FOLDROW(0, AX)
+	FOLDROW(4, DX)
+	VMOVDQU64 (SI)(AX*1), Z8
+	VMOVDQU64 (SI)(DX*1), Z9
+	CSA512(Z0, Z8, Z9, Z10)
+	FOLDROW(8, AX)
+	FOLDROW(12, DX)
+	VMOVDQU64 (SI)(AX*1), Z8
+	VMOVDQU64 (SI)(DX*1), Z9
+	CSA512(Z0, Z8, Z9, Z11)
+	FOLDROW(16, AX)
+	FOLDROW(20, DX)
+	VMOVDQU64 (SI)(AX*1), Z8
+	VMOVDQU64 (SI)(DX*1), Z9
+	CSA512(Z0, Z8, Z9, Z12)
+	FOLDROW(24, AX)
+	FOLDROW(28, DX)
+	VMOVDQU64 (SI)(AX*1), Z8
+	VMOVDQU64 (SI)(DX*1), Z9
+	CSA512(Z0, Z8, Z9, Z13)       // Z10..Z13: four carries of weight 2
+	CSA512(Z1, Z10, Z11, Z14)
+	CSA512(Z1, Z12, Z13, Z15)     // Z14, Z15: two carries of weight 4
+	CSA512(Z2, Z14, Z15, Z8)      // Z8: one carry of weight 8
+	HALF512(Z3, Z8, Z9)
+	HALF512(Z4, Z9, Z8)
+	HALF512(Z5, Z8, Z9)
+	HALF512(Z6, Z9, Z8)
+	VPXORQ Z8, Z7, Z7
+	ADDQ   $8, BX
+	CMPQ   BX, R13
+	JLT    mj5group
+
+mj5single:
+	CMPQ BX, R9
+	JGE  mj5seal
+	FOLDROW(0, AX)
+	VMOVDQU64 (SI)(AX*1), Z8
+	HALF512(Z0, Z8, Z9)
+	HALF512(Z1, Z9, Z8)
+	HALF512(Z2, Z8, Z9)
+	HALF512(Z3, Z9, Z8)
+	HALF512(Z4, Z8, Z9)
+	HALF512(Z5, Z9, Z8)
+	HALF512(Z6, Z8, Z9)
+	VPXORQ Z9, Z7, Z7
+	INCQ   BX
+	JMP    mj5single
+
+mj5seal:
+	VMOVDQA64  Z0, Z8
+	VPTERNLOGQ $0x80, Z2, Z1, Z8  // 0x80: three-way AND
+	VPTERNLOGQ $0x80, Z4, Z3, Z8
+	VPTERNLOGQ $0x80, Z6, Z5, Z8
+	VPTERNLOGQ $0x80, (R10), Z24, Z8
+	VPORQ      Z7, Z8, Z8
+	VMOVDQU64  Z8, (DI)
+	ADDQ       $64, DI
+	ADDQ       $64, SI
+	ADDQ       $64, R10
+	DECQ       CX
+	JNZ        mj5block
+
+	VZEROUPPER
+	RET
+
+// func xorRowsAVX512(out, table *uint64, idx *int32, n, nblocks int)
+// XORs n table rows into out on the AVX-512 tier, one 64-byte column
+// block at a time, two rows per three-way XOR. The caller guarantees
+// n ≥ 1, every idx[j] a row of the nblocks-block table, and nblocks
+// blocks of out.
+TEXT ·xorRowsAVX512(SB), NOSPLIT, $0-40
+	MOVQ out+0(FP), DI
+	MOVQ table+8(FP), SI
+	MOVQ idx+16(FP), R8
+	MOVQ n+24(FP), R9
+	MOVQ nblocks+32(FP), CX
+
+	MOVQ CX, R12
+	SHLQ $6, R12                  // R12: row stride in bytes
+	MOVQ R9, R13
+	ANDQ $-2, R13                 // R13: rows that enter in pairs
+
+xr5block:
+	VMOVDQU64 (DI), Z0
+	XORQ      BX, BX              // BX: rows folded into this block
+	CMPQ      BX, R13
+	JGE       xr5single
+
+xr5pair:
+	FOLDROW(0, AX)
+	FOLDROW(4, DX)
+	VMOVDQU64  (SI)(AX*1), Z1
+	VPTERNLOGQ $0x96, (SI)(DX*1), Z1, Z0
+	ADDQ       $2, BX
+	CMPQ       BX, R13
+	JLT        xr5pair
+
+xr5single:
+	CMPQ BX, R9
+	JGE  xr5store
+	FOLDROW(0, AX)
+	VPXORQ (SI)(AX*1), Z0, Z0
+
+xr5store:
+	VMOVDQU64 Z0, (DI)
+	ADDQ      $64, DI
+	ADDQ      $64, SI
+	DECQ      CX
+	JNZ       xr5block
+
+	VZEROUPPER
+	RET
+
+// CSA256 and HALF256 are CSA512 and HALF512 over 256 lanes without
+// VPTERNLOGQ: five plain operations per adder and a scratch register u.
+#define CSA256(p, b, c, k, u) \
+	VPXOR b, p, u; \
+	VPAND b, p, k; \
+	VPXOR c, u, p; \
+	VPAND c, u, u; \
+	VPOR  u, k, k
+
+#define HALF256(p, c, k) \
+	VPAND c, p, k; \
+	VPXOR c, p, p
+
+// func majorityRowsAVX2(out, table *uint64, idx *int32, n, nblocks int, tie *uint64, tieMask uint64, seed *[8]uint64)
+// majorityRowsAVX512 on the AVX2 tier: the same seeded planes, adder
+// tree and seal over 32-byte half blocks, planes in Y0..Y7, the seeds
+// re-broadcast from memory per half block because sixteen registers
+// cannot also hold them.
+TEXT ·majorityRowsAVX2(SB), NOSPLIT, $0-64
+	MOVQ out+0(FP), DI
+	MOVQ table+8(FP), SI
+	MOVQ idx+16(FP), R8
+	MOVQ n+24(FP), R9
+	MOVQ nblocks+32(FP), CX
+	MOVQ tie+40(FP), R10
+	MOVQ seed+56(FP), R11
+
+	VPBROADCASTQ tieMask+48(FP), Y15
+	MOVQ CX, R12
+	SHLQ $6, R12                  // R12: row stride in bytes
+	ADDQ CX, CX                   // CX: half blocks left
+	MOVQ R9, R13
+	ANDQ $-8, R13                 // R13: rows that enter in whole groups
+
+mj2block:
+	VPBROADCASTQ 0(R11), Y0
+	VPBROADCASTQ 8(R11), Y1
+	VPBROADCASTQ 16(R11), Y2
+	VPBROADCASTQ 24(R11), Y3
+	VPBROADCASTQ 32(R11), Y4
+	VPBROADCASTQ 40(R11), Y5
+	VPBROADCASTQ 48(R11), Y6
+	VPBROADCASTQ 56(R11), Y7
+	XORQ         BX, BX           // BX: rows folded into this half block
+	CMPQ         BX, R13
+	JGE          mj2single
+
+mj2group:
+	FOLDROW(0, AX)
+	FOLDROW(4, DX)
+	VMOVDQU (SI)(AX*1), Y12
+	VMOVDQU (SI)(DX*1), Y13
+	CSA256(Y0, Y12, Y13, Y8, Y14)
+	FOLDROW(8, AX)
+	FOLDROW(12, DX)
+	VMOVDQU (SI)(AX*1), Y12
+	VMOVDQU (SI)(DX*1), Y13
+	CSA256(Y0, Y12, Y13, Y9, Y14)
+	FOLDROW(16, AX)
+	FOLDROW(20, DX)
+	VMOVDQU (SI)(AX*1), Y12
+	VMOVDQU (SI)(DX*1), Y13
+	CSA256(Y0, Y12, Y13, Y10, Y14)
+	FOLDROW(24, AX)
+	FOLDROW(28, DX)
+	VMOVDQU (SI)(AX*1), Y12
+	VMOVDQU (SI)(DX*1), Y13
+	CSA256(Y0, Y12, Y13, Y11, Y14) // Y8..Y11: four carries of weight 2
+	CSA256(Y1, Y8, Y9, Y12, Y14)
+	CSA256(Y1, Y10, Y11, Y13, Y14) // Y12, Y13: two carries of weight 4
+	CSA256(Y2, Y12, Y13, Y8, Y14)  // Y8: one carry of weight 8
+	HALF256(Y3, Y8, Y9)
+	HALF256(Y4, Y9, Y8)
+	HALF256(Y5, Y8, Y9)
+	HALF256(Y6, Y9, Y8)
+	VPXOR Y8, Y7, Y7
+	ADDQ  $8, BX
+	CMPQ  BX, R13
+	JLT   mj2group
+
+mj2single:
+	CMPQ BX, R9
+	JGE  mj2seal
+	FOLDROW(0, AX)
+	VMOVDQU (SI)(AX*1), Y8
+	HALF256(Y0, Y8, Y9)
+	HALF256(Y1, Y9, Y8)
+	HALF256(Y2, Y8, Y9)
+	HALF256(Y3, Y9, Y8)
+	HALF256(Y4, Y8, Y9)
+	HALF256(Y5, Y9, Y8)
+	HALF256(Y6, Y8, Y9)
+	VPXOR Y9, Y7, Y7
+	INCQ  BX
+	JMP   mj2single
+
+mj2seal:
+	VPAND   Y1, Y0, Y8
+	VPAND   Y2, Y8, Y8
+	VPAND   Y3, Y8, Y8
+	VPAND   Y4, Y8, Y8
+	VPAND   Y5, Y8, Y8
+	VPAND   Y6, Y8, Y8
+	VPAND   (R10), Y8, Y8
+	VPAND   Y15, Y8, Y8
+	VPOR    Y7, Y8, Y8
+	VMOVDQU Y8, (DI)
+	ADDQ    $32, DI
+	ADDQ    $32, SI
+	ADDQ    $32, R10
+	DECQ    CX
+	JNZ     mj2block
+
+	VZEROUPPER
+	RET
+
 // func cpuid(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL  leaf+0(FP), AX

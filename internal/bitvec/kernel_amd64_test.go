@@ -2,7 +2,10 @@
 
 package bitvec
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // The dispatch wrappers (hammingBlocks, hammingMulti4Blocks) pick the
 // fastest tier the host supports, so on an AVX-512 machine the AVX2
@@ -205,4 +208,87 @@ func TestScanPlaneTiersMatchHammingWords(t *testing.T) {
 		n := scanPlaneAVX512(&plane[lo*w], groups, w/kernelBlock, &q[0], bound, lo, &out[0])
 		return tail(plane, w, q, bound, lo+groups*planeGroup, hi, n, out)
 	})
+}
+
+// foldTier is one vector tier of the row-fold kernels: its assembly
+// behind the argument set-up MajorityRows and XorRows do. parity is nil
+// on the AVX2 tier, which has no parity kernel.
+type foldTier struct {
+	major  majorityFold
+	parity parityFold
+}
+
+// foldTiers returns the row-fold tiers the host supports, by name.
+func foldTiers() map[string]foldTier {
+	wrap := func(major func(out, table *uint64, idx *int32, n, nblocks int, tie *uint64, tieMask uint64, seed *[8]uint64)) majorityFold {
+		return func(out, table []uint64, idx []int32, w int, tie []uint64, tieOn bool) {
+			seed := foldSeed(len(idx))
+			major(&out[0], &table[0], &idx[0], len(idx), w/kernelBlock, &tie[0], foldTieMask(len(idx), tieOn), &seed)
+		}
+	}
+	tiers := map[string]foldTier{}
+	if useAccel {
+		tiers["avx2"] = foldTier{major: wrap(majorityRowsAVX2)}
+	}
+	if useAVX512 {
+		tiers["avx512"] = foldTier{wrap(majorityRowsAVX512), func(out, table []uint64, idx []int32, w int) {
+			xorRowsAVX512(&out[0], &table[0], &idx[0], len(idx), w/kernelBlock)
+		}}
+	}
+	return tiers
+}
+
+// TestFoldRowsTiersMatchPortable calls each row-fold tier's assembly
+// directly and holds it to the portable tier, bit for bit: over one to
+// seventeen column blocks, and over row counts on every adder-tree
+// remainder, either side of each plane-count boundary and up to the
+// 255 rows eight seeded planes can count. Repeated indices drive every
+// lane to 0 or n (the biased count's extremes, 127 − ⌊n/2⌋ and 127 +
+// ⌈n/2⌉), complementary rows put every lane on the tie or beside it,
+// and all-ones / all-zero tables saturate the adder tree.
+func TestFoldRowsTiersMatchPortable(t *testing.T) {
+	tiers := foldTiers()
+	if len(tiers) == 0 {
+		t.Skip("no vector kernels on this machine")
+	}
+	for name, tier := range tiers {
+		for _, w := range []int{8, 16, 64, 128, 136} {
+			for _, n := range []int{1, 2, 7, 8, 9, 31, 32, 33, 48, 63, 64, 127, 254, 255} {
+				for _, kind := range foldKinds {
+					table, idx, tie := foldCase(kind, w, n, uint64(w)*257+uint64(n))
+					for _, tieOn := range []bool{false, true} {
+						got, want := randWords(w, 3), make([]uint64, w)
+						tier.major(got, table, idx, w, tie, tieOn)
+						portableMajority(want, table, idx, w, tie, tieOn)
+						if !slices.Equal(got, want) {
+							t.Fatalf("%s majority w=%d n=%d %s tieOn=%v: differs from the portable tier in %d bits",
+								name, w, n, kind, tieOn, HammingWords(got, want))
+						}
+					}
+					if tier.parity == nil {
+						continue
+					}
+					got, want := randWords(w, 4), randWords(w, 4)
+					tier.parity(got, table, idx, w)
+					xorRowsGeneric(want, table, idx, w)
+					if !slices.Equal(got, want) {
+						t.Fatalf("%s parity w=%d n=%d %s: differs from the portable tier in %d bits",
+							name, w, n, kind, HammingWords(got, want))
+					}
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkFoldRowsTiers times every vector tier the binary carries at
+// the benchmark geometry, beside BenchmarkFoldRows' portable line — the
+// numbers behind keeping or leaving out a tier (DESIGN.md §16).
+func BenchmarkFoldRowsTiers(b *testing.B) {
+	tiers := foldTiers()
+	for _, name := range []string{"avx2", "avx512"} {
+		if tier, ok := tiers[name]; ok {
+			benchFolds(b, name, tier.major, tier.parity)
+		}
+	}
 }

@@ -1,0 +1,199 @@
+package bitvec
+
+import (
+	"fmt"
+	"math/bits"
+)
+
+// This file holds the row-fold kernels: a lane-wise reduction over rows
+// picked by index out of one flat table (row i at words [i·rowWords,
+// (i+1)·rowWords)). BioHD's two window encoders are folds of the same
+// Window rows of the encoder's rotated-base table — the approximate
+// bundle is their majority, the exact binding chain their parity — so
+// both live here beside the scan kernels, behind the same tier dispatch.
+//
+// The portable majority tier counts the one-bits of every lane as
+// bits.Len(len(idx)) bit planes, one 64-bit word column at a time. On
+// amd64 the vector tiers (AVX-512 for both folds, AVX2 for the majority
+// only) take a column block of eight words per step; the majority holds
+// eight planes in registers, seeded with 127 − ⌊n/2⌋ so that the
+// threshold compare falls out of the adder: "ones > ⌊n/2⌋" is plane 7
+// and a tie is planes 0–6 all set. Eight planes count to 255, hence the
+// n ≤ foldMaxRows gate; wider folds and row widths that are not whole
+// blocks stay on the portable tier. All tiers write the same bits —
+// kernel_fold_test.go and kernel_amd64_test.go pin them together.
+
+// foldMaxRows is the most rows the vector majority tiers fold: the
+// biased count ones + 127 − ⌊n/2⌋ must fit eight bit planes.
+const foldMaxRows = 255
+
+// foldExtent returns the smallest and largest row index in idx, which
+// must not be empty.
+func foldExtent(idx []int32) (lo, hi int32) {
+	lo, hi = idx[0], idx[0]
+	for _, i := range idx[1:] {
+		lo, hi = min(lo, i), max(hi, i)
+	}
+	return lo, hi
+}
+
+// MajorityRows stores into out the lane-wise majority of the rows of
+// table named by idx: bit j of out is set where more than ⌊len(idx)/2⌋
+// of the rows have bit j set. Where exactly half do — possible only
+// for an even number of rows — the bit is taken from tie if tieOn and
+// is zero otherwise. A row may be named more than once.
+//
+// It panics if rowWords is not positive, out or tie is not rowWords
+// long, idx is empty, or an index does not name a whole row of table.
+//
+//biohd:hotpath
+func MajorityRows(out, table []uint64, idx []int32, rowWords int, tie []uint64, tieOn bool) {
+	if rowWords <= 0 || len(out) != rowWords || len(tie) != rowWords || len(idx) == 0 {
+		panic(fmt.Sprintf("bitvec: MajorityRows of %d rows, %d-word rows, out %d words, tie %d words",
+			len(idx), rowWords, len(out), len(tie)))
+	}
+	if lo, hi := foldExtent(idx); lo < 0 || int(hi) >= len(table)/rowWords {
+		panic(fmt.Sprintf("bitvec: MajorityRows row indices [%d,%d] outside a table of %d %d-word rows",
+			lo, hi, len(table)/rowWords, rowWords))
+	}
+	tieMask := foldTieMask(len(idx), tieOn)
+	if useAccel && rowWords%kernelBlock == 0 && len(idx) <= foldMaxRows {
+		seed := foldSeed(len(idx))
+		majorityRowsBlocks(out, table, idx, rowWords, tie, tieMask, &seed)
+		return
+	}
+	majorityRowsGeneric(out, table, idx, rowWords, tie, tieMask)
+}
+
+// foldTieMask is all-ones where a fold of n rows takes tied lanes from
+// the tie row and zero where it clears them. An odd fold cannot tie:
+// ones == ⌊n/2⌋ is a minority there, whatever tieOn says.
+func foldTieMask(n int, tieOn bool) uint64 {
+	if tieOn && n%2 == 0 {
+		return ^uint64(0)
+	}
+	return 0
+}
+
+// foldSeed returns what the vector majority tiers start their eight
+// planes from for a fold of n ≤ foldMaxRows rows: plane k of every lane
+// is bit k of the bias 127 − ⌊n/2⌋, as an all-ones or all-zero word.
+func foldSeed(n int) (seed [8]uint64) {
+	bias := uint64(127 - n/2)
+	for k := range seed {
+		seed[k] = -(bias >> uint(k) & 1)
+	}
+	return seed
+}
+
+// XorRows XORs the rows of table named by idx into out, lane by lane:
+// out ^= table[idx[0]] ^ table[idx[1]] ^ … — the parity fold, seeded by
+// whatever out holds, so a long fold can be fed in chunks of indices.
+//
+// It panics if rowWords is not positive, out is not rowWords long, idx
+// is empty, or an index does not name a whole row of table.
+//
+//biohd:hotpath
+func XorRows(out, table []uint64, idx []int32, rowWords int) {
+	if rowWords <= 0 || len(out) != rowWords || len(idx) == 0 {
+		panic(fmt.Sprintf("bitvec: XorRows of %d rows, %d-word rows, out %d words", len(idx), rowWords, len(out)))
+	}
+	if lo, hi := foldExtent(idx); lo < 0 || int(hi) >= len(table)/rowWords {
+		panic(fmt.Sprintf("bitvec: XorRows row indices [%d,%d] outside a table of %d %d-word rows",
+			lo, hi, len(table)/rowWords, rowWords))
+	}
+	if useAccel && rowWords%kernelBlock == 0 {
+		xorRowsBlocks(out, table, idx, rowWords)
+		return
+	}
+	xorRowsGeneric(out, table, idx, rowWords)
+}
+
+// csa is a carry-save (full) adder over 64 independent bit lanes:
+// a + b + c = sum + 2·carry in every lane.
+func csa(a, b, c uint64) (sum, carry uint64) {
+	u := a ^ b
+	return u ^ c, a&b | u&c
+}
+
+// majorityRowsGeneric is the portable majority tier. It never forms
+// per-lane counters: for each word column it counts the one-bits of the
+// n rows in all 64 lanes at once, holding the count as bits.Len(n) bit
+// planes (plane k is bit k of the 64 lane counts). Rows enter eight at
+// a time through a tree of seven carry-save adders that leaves one carry
+// word of weight 8, and that word ripples into planes 3 and up until no
+// lane carries. The result is the constant compare ones > ⌊n/2⌋; lanes
+// with ones == ⌊n/2⌋ take their bit from tie under tieMask, which the
+// caller has cleared for odd n.
+func majorityRowsGeneric(out, table []uint64, idx []int32, nw int, tie []uint64, tieMask uint64) {
+	n := len(idx)
+	nPlanes := bits.Len(uint(n))
+	half := uint(n / 2)
+	// Planes 0–2 stay in registers while rows are added and are parked
+	// in planes[:3] for the compare. A count never carries out of plane
+	// nPlanes−1, and 64 planes cover every n an int can hold.
+	var planes [64]uint64
+	high := planes[3:max(nPlanes, 3)]
+	for c := 0; c < nw; c++ {
+		var p0, p1, p2 uint64
+		clear(high)
+		j := 0
+		for ; j+8 <= n; j += 8 {
+			r := idx[j : j+8 : j+8]
+			s0, c0 := csa(p0, table[int(r[0])*nw+c], table[int(r[1])*nw+c])
+			s1, c1 := csa(s0, table[int(r[2])*nw+c], table[int(r[3])*nw+c])
+			s2, c2 := csa(s1, table[int(r[4])*nw+c], table[int(r[5])*nw+c])
+			s3, c3 := csa(s2, table[int(r[6])*nw+c], table[int(r[7])*nw+c])
+			t0, d0 := csa(p1, c0, c1)
+			t1, d1 := csa(t0, c2, c3)
+			var carry uint64
+			p0, p1 = s3, t1
+			p2, carry = csa(p2, d0, d1)
+			for k := 0; carry != 0 && k < len(high); k++ {
+				high[k], carry = high[k]^carry, high[k]&carry
+			}
+		}
+		for ; j < n; j++ { // the n mod 8 rows left over enter one by one
+			carry := table[int(idx[j])*nw+c]
+			p0, carry = p0^carry, p0&carry
+			p1, carry = p1^carry, p1&carry
+			p2, carry = p2^carry, p2&carry
+			for k := 0; carry != 0 && k < len(high); k++ {
+				high[k], carry = high[k]^carry, high[k]&carry
+			}
+		}
+		planes[0], planes[1], planes[2] = p0, p1, p2
+		// ones > half and ones == half, most significant plane first.
+		gt, eq := uint64(0), ^uint64(0)
+		for k := nPlanes - 1; k >= 0; k-- {
+			if half>>uint(k)&1 == 0 {
+				gt |= eq & planes[k]
+				eq &^= planes[k]
+			} else {
+				eq &= planes[k]
+			}
+		}
+		out[c] = gt | eq&tie[c]&tieMask
+	}
+}
+
+// xorRowsGeneric is the portable parity tier: rows enter four at a
+// time, so out is read and written once per four row words.
+func xorRowsGeneric(out, table []uint64, idx []int32, nw int) {
+	j := 0
+	for ; j+4 <= len(idx); j += 4 {
+		r0 := table[int(idx[j])*nw:][:nw]
+		r1 := table[int(idx[j+1])*nw:][:nw]
+		r2 := table[int(idx[j+2])*nw:][:nw]
+		r3 := table[int(idx[j+3])*nw:][:nw]
+		for c := range out {
+			out[c] ^= r0[c] ^ r1[c] ^ r2[c] ^ r3[c]
+		}
+	}
+	for ; j < len(idx); j++ {
+		r := table[int(idx[j])*nw:][:nw]
+		for c := range out {
+			out[c] ^= r[c]
+		}
+	}
+}

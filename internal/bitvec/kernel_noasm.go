@@ -27,3 +27,11 @@ func hammingMulti8Blocks(row []uint64, qs [][]uint64, lo, hi int, sums *[8]int64
 func scanPlaneBlocks(rows []uint64, nblocks int, q []uint64, bound, first int, out []int32) (n, done int) {
 	panic("bitvec: scanPlaneBlocks without an accelerated kernel")
 }
+
+func majorityRowsBlocks(out, table []uint64, idx []int32, rowWords int, tie []uint64, tieMask uint64, seed *[8]uint64) {
+	panic("bitvec: majorityRowsBlocks without an accelerated kernel")
+}
+
+func xorRowsBlocks(out, table []uint64, idx []int32, rowWords int) {
+	panic("bitvec: xorRowsBlocks without an accelerated kernel")
+}

@@ -119,16 +119,23 @@ func TestApproxGolden(t *testing.T) {
 // TestApproxKernelMatchesOracle is the differential test: the kernel
 // against the counter oracle over every window length whose plane count,
 // parity or adder-tree remainder differs, including windows far past
-// one word of planes, on sequences that force ties.
+// one word of planes, on sequences that force ties. Dimensions that are
+// multiples of 512 with Window ≤ 255 reach bitvec's vector majority
+// tiers where the host has them (64, 128 and every Window past 255 stay
+// on the portable tier), so both sides of that gate are held to the
+// oracle here, not only inside internal/bitvec.
 func TestApproxKernelMatchesOracle(t *testing.T) {
 	type shape struct{ dim, maxWindow int }
-	for _, sh := range []shape{{64, 63}, {128, 127}, {1024, 70}} {
+	for _, sh := range []shape{{64, 63}, {128, 127}, {512, 127}, {1024, 70}} {
 		for w := 1; w <= sh.maxWindow; w++ {
 			checkKernelAgainstOracle(t, sh.dim, w, uint64(w)*31+uint64(sh.dim))
 		}
 	}
 	for _, w := range []int{255, 256, 257, 1000, 2047} { // 8–11 planes
 		checkKernelAgainstOracle(t, 2048, w, 5)
+	}
+	for _, w := range []int{128, 200, 254, 255} { // the vector tiers' last plane
+		checkKernelAgainstOracle(t, 4096, w, 9)
 	}
 }
 

@@ -24,16 +24,23 @@
 //
 //	E_{p+1} = ρ⁻¹(E_p ⊙ B[s_p]) ⊙ ρ^{w−1}(B[s_{p+w}])
 //
-// The bundle is always encoded directly, by a bit-sliced carry-save
-// kernel over packed words (see bundleWindow): at w·D/64 word
-// loads and ≈ 5 word operations per load it costs less than one
-// counter-array slide step did, so there is no incremental bundle.
+// # One table, two folds
+//
+// Both direct encoders are a lane-wise fold over the same w rows of one
+// flat table of pre-rotated base vectors (Encoder.rows, row 4i + s_i for
+// position i): the bundle is the rows' majority and the binding chain
+// their parity — w − 1 XNORs are the XOR of the rows, complemented when
+// w is even. The folds are internal/bitvec's MajorityRows and XorRows
+// (bit-sliced carry-save planes; AVX-512, AVX2 and portable tiers); an
+// encoder here writes the w row indices and makes one call. The bundle
+// is always encoded directly: the fold costs less than one counter-array
+// slide step did, so there is no incremental bundle.
 package encoding
 
 import (
 	"fmt"
-	"math/bits"
 
+	"repro/internal/bitvec"
 	"repro/internal/genome"
 	"repro/internal/hdc"
 	"repro/internal/rng"
@@ -94,12 +101,13 @@ func (c Config) Validate() error {
 type Encoder struct {
 	cfg Config
 	im  *hdc.ItemMemory
-	// rot[b][i] is ρ^i(B[b]) for i ∈ [0, Window]; precomputed because
-	// both the direct encoders and the incremental slide consume
-	// rotated base vectors constantly.
+	// rot[b][i] is ρ^i(B[b]) for i ∈ [0, Window], as hypervector views
+	// of rows: what the incremental slide, the associative decode and the
+	// counter oracle consume. The direct encoders read rows.
 	rot [genome.AlphabetSize][]*hdc.HV
-	// rows is the storage behind rot, flat for the approximate kernel:
-	// ρ^i(B[b]) occupies words [(4i+b)·D/64, (4i+b+1)·D/64).
+	// rows is the storage behind rot, flat for the row-fold kernels both
+	// direct encoders call: ρ^i(B[b]) occupies words [(4i+b)·D/64,
+	// (4i+b+1)·D/64).
 	rows []uint64
 	// tie packs tieBit for every dimension: bit j of the table is the
 	// value a sealed bundle takes where its counter is exactly zero.
@@ -166,6 +174,24 @@ func (e *Encoder) checkDim(dst *hdc.HV) {
 	}
 }
 
+// exactChunk is how many row indices the exact encoder hands
+// bitvec.XorRows per call, and approxStackRows the largest Window whose
+// indices the allocating EncodeWindowApprox keeps on its stack.
+const (
+	exactChunk      = 64
+	approxStackRows = 256
+)
+
+// rowIndices writes the table rows of window positions from,
+// from+1, … of the window at start into idx: position j holding base s
+// is row 4j + s.
+func rowIndices(idx []int32, seq *genome.Sequence, start, from int) {
+	for k := range idx {
+		j := from + k
+		idx[k] = int32(j*genome.AlphabetSize + int(seq.At(start+j)))
+	}
+}
+
 // EncodeWindowExact returns the binding-chain encoding of the window of
 // seq starting at start. It panics if the window overruns the sequence.
 func (e *Encoder) EncodeWindowExact(seq *genome.Sequence, start int) *hdc.HV {
@@ -179,22 +205,45 @@ func (e *Encoder) EncodeWindowExact(seq *genome.Sequence, start int) *hdc.HV {
 // allocation-free variant for query hot paths. It panics if the window
 // overruns the sequence or dst has the wrong dimension.
 //
+// The chain ⊙_i ρ^i(B[s_i]) is Window − 1 XNORs, that is the XOR of the
+// Window rows complemented once per XNOR: dst starts as all-ones for an
+// even Window (an odd number of complements) and as zero otherwise, and
+// the rows are folded in by bitvec.XorRows, exactChunk indices at a time
+// so that no Window needs scratch from the caller.
+//
 //biohd:hotpath
 func (e *Encoder) EncodeWindowExactInto(dst *hdc.HV, seq *genome.Sequence, start int) {
 	e.checkWindow(seq, start)
 	e.checkDim(dst)
-	dst.CopyFrom(e.rot[seq.At(start)][0])
-	for i := 1; i < e.cfg.Window; i++ {
-		dst.Bind(dst, e.rot[seq.At(start+i)][i])
+	w := e.cfg.Window
+	words := dst.Words()
+	var fill uint64
+	if w%2 == 0 {
+		fill = ^uint64(0)
+	}
+	for c := range words {
+		words[c] = fill
+	}
+	var row [exactChunk]int32
+	for from := 0; from < w; from += exactChunk {
+		idx := row[:min(exactChunk, w-from)]
+		rowIndices(idx, seq, start, from)
+		bitvec.XorRows(words, e.rows, idx, len(words))
 	}
 }
 
 // EncodeWindowApprox returns the sealed positional-bundle encoding of the
-// window of seq starting at start.
+// window of seq starting at start. Only the result is allocated, for
+// every Window up to approxStackRows.
 func (e *Encoder) EncodeWindowApprox(seq *genome.Sequence, start int) *hdc.HV {
 	e.checkWindow(seq, start)
 	out := hdc.NewHV(e.cfg.Dim)
-	e.bundleWindow(out.Words(), make([]int32, e.cfg.Window), seq, start)
+	var buf [approxStackRows]int32
+	row := buf[:]
+	if e.cfg.Window > len(row) {
+		row = make([]int32, e.cfg.Window)
+	}
+	e.bundleWindow(out.Words(), row[:e.cfg.Window], seq, start)
 	return out
 }
 
@@ -216,85 +265,17 @@ func (e *Encoder) EncodeWindowApproxInto(dst *hdc.HV, acc *hdc.Acc, seq *genome.
 	e.bundleWindow(dst.Words(), acc.Counts()[:e.cfg.Window], seq, start)
 }
 
-// csa is a carry-save (full) adder over 64 independent bit lanes:
-// a + b + c = sum + 2·carry in every lane.
-func csa(a, b, c uint64) (sum, carry uint64) {
-	u := a ^ b
-	return u ^ c, a&b | u&c
-}
-
-// bundleWindow is the bit-sliced approximate encoder: out = sign of the
-// sum of the window's Window rotated base rows, bit-identical to
-// AccumulateWindow + SealLogical. It never forms the counters. For each
-// word column it counts the one-bits of the Window rows in all 64 lanes
-// at once, holding the count as bits.Len(Window) bit planes (plane k is
-// bit k of the 64 lane counts): rows enter eight at a time through a
-// tree of seven carry-save adders that leaves one carry word of weight
-// 8, and that word ripples into planes 3 and up until no lane carries.
-// A lane's counter is 2·ones − Window, so the sign is the constant
-// compare ones > ⌊Window/2⌋, and a tie (even Window only) is ones ==
-// Window/2, filled from the precomputed tie words. row is Window words
-// of scratch for the row indices.
+// bundleWindow is the approximate encoder: out = sign of the sum of the
+// window's Window rotated base rows, bit-identical to AccumulateWindow +
+// SealLogical. A lane's counter is 2·ones − Window, so the sign is the
+// rows' majority and a zero counter (even Window only) is a tie, filled
+// from the precomputed tie words — bitvec.MajorityRows, which never
+// forms the counters. row is Window words of scratch for the row indices.
 //
 //biohd:hotpath
 func (e *Encoder) bundleWindow(out []uint64, row []int32, seq *genome.Sequence, start int) {
-	w, nw := e.cfg.Window, e.cfg.Dim/64
-	for j := range row {
-		row[j] = int32(j*genome.AlphabetSize + int(seq.At(start+j)))
-	}
-	rows := e.rows
-	nPlanes := bits.Len(uint(w))
-	half := uint(w / 2)
-	var tieOn uint64 // odd windows cannot tie: ones == ⌊Window/2⌋ is a counter of −1
-	if w%2 == 0 {
-		tieOn = ^uint64(0)
-	}
-	// Planes 0–2 stay in registers while rows are added and are parked
-	// in planes[:3] for the compare. A count never carries out of plane
-	// nPlanes−1, and 64 planes cover every Window an int can hold.
-	var planes [64]uint64
-	high := planes[3:max(nPlanes, 3)]
-	for c := 0; c < nw; c++ {
-		var p0, p1, p2 uint64
-		clear(high)
-		j := 0
-		for ; j+8 <= w; j += 8 {
-			r := row[j : j+8 : j+8]
-			s0, c0 := csa(p0, rows[int(r[0])*nw+c], rows[int(r[1])*nw+c])
-			s1, c1 := csa(s0, rows[int(r[2])*nw+c], rows[int(r[3])*nw+c])
-			s2, c2 := csa(s1, rows[int(r[4])*nw+c], rows[int(r[5])*nw+c])
-			s3, c3 := csa(s2, rows[int(r[6])*nw+c], rows[int(r[7])*nw+c])
-			t0, d0 := csa(p1, c0, c1)
-			t1, d1 := csa(t0, c2, c3)
-			var carry uint64
-			p0, p1 = s3, t1
-			p2, carry = csa(p2, d0, d1)
-			for k := 0; carry != 0 && k < len(high); k++ {
-				high[k], carry = high[k]^carry, high[k]&carry
-			}
-		}
-		for ; j < w; j++ { // the Window mod 8 rows left over enter one by one
-			carry := rows[int(row[j])*nw+c]
-			p0, carry = p0^carry, p0&carry
-			p1, carry = p1^carry, p1&carry
-			p2, carry = p2^carry, p2&carry
-			for k := 0; carry != 0 && k < len(high); k++ {
-				high[k], carry = high[k]^carry, high[k]&carry
-			}
-		}
-		planes[0], planes[1], planes[2] = p0, p1, p2
-		// ones > half and ones == half, most significant plane first.
-		gt, eq := uint64(0), ^uint64(0)
-		for k := nPlanes - 1; k >= 0; k-- {
-			if half>>uint(k)&1 == 0 {
-				gt |= eq & planes[k]
-				eq &^= planes[k]
-			} else {
-				eq &= planes[k]
-			}
-		}
-		out[c] = gt | eq&e.tie[c]&tieOn
-	}
+	rowIndices(row, seq, start, 0)
+	bitvec.MajorityRows(out, e.rows, row, len(out), e.tie, true)
 }
 
 // DecodeWindowApprox recovers the window content memorized in a sealed

@@ -1,6 +1,7 @@
 package encoding
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -184,6 +185,80 @@ func TestSlideExactMatchesDirect(t *testing.T) {
 	}
 }
 
+// chainEncodeExact is the binding chain as the definition writes it —
+// Window − 1 Binds of rotated item vectors — and shares nothing with the
+// parity fold but the rotation table.
+func chainEncodeExact(e *Encoder, seq *genome.Sequence, start int) *hdc.HV {
+	out := e.rot[seq.At(start)][0].Clone()
+	for i := 1; i < e.Window(); i++ {
+		out.Bind(out, e.rot[seq.At(start+i)][i])
+	}
+	return out
+}
+
+// TestExactKernelMatchesChain is the exact twin of
+// TestApproxKernelMatchesOracle: the direct encoder (a parity fold of
+// table rows, complemented for even Window) against the Bind chain and
+// against SlideExact, at odd and even Window, at Windows past one
+// exactChunk of indices, and at dimensions on and off the vector tiers'
+// 512-bit column block.
+func TestExactKernelMatchesChain(t *testing.T) {
+	type shape struct{ dim, window int }
+	shapes := []shape{{64, 1}, {64, 2}, {64, 63}, {2048, exactChunk}, {2048, exactChunk + 1}, {4096, 3*exactChunk + 7}, {4096, 4 * exactChunk}}
+	for w := 1; w <= 70; w++ {
+		shapes = append(shapes, shape{512, w}, shape{1024 + 64, w})
+	}
+	for _, sh := range shapes {
+		e, err := New(Config{Dim: sh.dim, Window: sh.window, Seed: uint64(sh.dim + sh.window)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, seq := range []*genome.Sequence{
+			genome.Random(sh.window+5, rng.New(uint64(sh.window))),
+			genome.NewSequence(sh.window + 5), // all A: every row a rotation of one item vector
+		} {
+			dst := hdc.NewHV(sh.dim)
+			for start := 0; start+sh.window <= seq.Len(); start++ {
+				e.EncodeWindowExactInto(dst, seq, start)
+				if want := chainEncodeExact(e, seq, start); !dst.Equal(want) {
+					t.Fatalf("D=%d W=%d start=%d: direct encoding differs from the Bind chain in %d bits",
+						sh.dim, sh.window, start, dst.Hamming(want))
+				}
+			}
+			e.SlideExact(seq, 1, func(start int, hv *hdc.HV) bool {
+				if want := chainEncodeExact(e, seq, start); !hv.Equal(want) {
+					t.Fatalf("D=%d W=%d start=%d: slide differs from the Bind chain", sh.dim, sh.window, start)
+				}
+				return true
+			})
+		}
+	}
+}
+
+// TestEncodeIntoAllocs pins both hot-path encoders at zero allocations
+// per window through the bitvec fold calls — the dynamic twin of the
+// hot-path prover's static proof.
+func TestEncodeIntoAllocs(t *testing.T) {
+	for _, sh := range []struct{ dim, window int }{{8192, 32}, {1024 + 64, 33}, {4096, 3 * exactChunk}} {
+		e := testEncoder(t, sh.dim, sh.window)
+		seq := genome.Random(2*sh.window, rng.New(3))
+		dst, acc := hdc.NewHV(sh.dim), hdc.NewAcc(sh.dim)
+		start := 0
+		if n := testing.AllocsPerRun(50, func() {
+			e.EncodeWindowApproxInto(dst, acc, seq, start)
+			start = (start + 1) % sh.window
+		}); n != 0 {
+			t.Errorf("D=%d W=%d: EncodeWindowApproxInto allocates %v times per window", sh.dim, sh.window, n)
+		}
+		if n := testing.AllocsPerRun(50, func() {
+			e.EncodeWindowExactInto(dst, seq, start)
+			start = (start + 1) % sh.window
+		}); n != 0 {
+			t.Errorf("D=%d W=%d: EncodeWindowExactInto allocates %v times per window", sh.dim, sh.window, n)
+		}
+	}
+}
+
 func TestSlideStride(t *testing.T) {
 	e := testEncoder(t, 1024, 16)
 	seq := genome.Random(100, rng.New(11))
@@ -304,15 +379,48 @@ func BenchmarkEncodeWindowApproxDirect(b *testing.B) {
 // encoding must not allocate at all (allocs/op = 0 in the report).
 
 func BenchmarkEncodeWindowExactInto(b *testing.B) {
-	e, err := New(Config{Dim: 4096, Window: 64, Seed: 1})
+	// D8192W32 is every benchmark workload's geometry, so that line is
+	// comparable with bench's encoding.exact_us_per_window.
+	for _, g := range []struct{ dim, window int }{{4096, 64}, {8192, 32}} {
+		b.Run(fmt.Sprintf("D%dW%d", g.dim, g.window), func(b *testing.B) {
+			e, err := New(Config{Dim: g.dim, Window: g.window, Seed: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			seq := genome.Random(2*g.window, rng.New(1))
+			dst := hdc.NewHV(g.dim)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.EncodeWindowExactInto(dst, seq, i%g.window)
+			}
+		})
+	}
+}
+
+// BenchmarkSlideVsDirectExact puts the two ways to encode every window
+// of a reference side by side at D = 8192, Window 32, per window: one
+// incremental slide step against one direct parity fold.
+func BenchmarkSlideVsDirectExact(b *testing.B) {
+	e, err := New(Config{Dim: 8192, Window: 32, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
-	seq := genome.Random(128, rng.New(1))
-	dst := hdc.NewHV(4096)
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		e.EncodeWindowExactInto(dst, seq, i%64)
-	}
+	b.Run("slide", func(b *testing.B) {
+		seq := genome.Random(b.N+32, rng.New(1))
+		b.ResetTimer()
+		count := 0
+		e.SlideExact(seq, 1, func(int, *hdc.HV) bool {
+			count++
+			return count < b.N
+		})
+	})
+	b.Run("direct", func(b *testing.B) {
+		seq := genome.Random(4096+32, rng.New(1))
+		dst := hdc.NewHV(8192)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			e.EncodeWindowExactInto(dst, seq, i%4096)
+		}
+	})
 }

@@ -47,8 +47,10 @@ func fuzzSequence(raw []byte, window int) *genome.Sequence {
 //  2. Incremental/direct agreement: the sliding exact encoder reproduces
 //     the direct per-window encodings bit for bit.
 //  3. Kernel/oracle agreement: at a small (Dim, Window, Seed) derived
-//     from the fuzz bytes, the bit-sliced approximate kernel seals every
-//     window to the counter oracle's bits.
+//     from the fuzz bytes — one time in four a multiple of 512, the
+//     shape bitvec's vector fold tiers take — the approximate encoder
+//     seals every window to the counter oracle's bits and the exact
+//     encoder equals the Bind chain.
 func FuzzEncodeDecode(f *testing.F) {
 	f.Add([]byte("ACGTACGTACGTACGTACGTACGT"), uint8(1))
 	f.Add([]byte("AAAAAAAAAAAAAAAA"), uint8(2)) // repeated base: rotations of one item vector
@@ -88,7 +90,7 @@ func FuzzEncodeDecode(f *testing.F) {
 		// Leg 3: kernel == counter oracle at a fuzz-chosen geometry.
 		var g [3]byte
 		copy(g[:], raw)
-		dim := 64 << (g[0] % 3)                // 64, 128, 256
+		dim := 64 << (g[0] % 4)                // 64, 128, 256, 512
 		window := 1 + int(g[1])%min(dim-1, 96) // 1 … 96, and < Dim
 		small, err := New(Config{Dim: dim, Window: window, Seed: uint64(g[2])<<8 | uint64(strideByte)})
 		if err != nil {
@@ -103,6 +105,11 @@ func FuzzEncodeDecode(f *testing.F) {
 			small.EncodeWindowApproxInto(dst, acc, kseq, start)
 			if want := oracleEncodeApprox(small, kseq, start); !dst.Equal(want) {
 				t.Fatalf("D=%d W=%d: kernel differs from the counter oracle at %d in %d bits",
+					dim, window, start, dst.Hamming(want))
+			}
+			small.EncodeWindowExactInto(dst, kseq, start)
+			if want := chainEncodeExact(small, kseq, start); !dst.Equal(want) {
+				t.Fatalf("D=%d W=%d: exact encoding differs from the Bind chain at %d in %d bits",
 					dim, window, start, dst.Hamming(want))
 			}
 		}

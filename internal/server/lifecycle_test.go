@@ -256,6 +256,10 @@ func TestMetricsEndpoint(t *testing.T) {
 // with a full (un-canceled) 200 response before Shutdown returns, and
 // the serve loop must exit with ErrServerClosed.
 func TestGracefulShutdownDrains(t *testing.T) {
+	// Large enough to stay in flight across several of the 1 ms polls
+	// below: 1024 patterns took 9 ms until the exact encoder became a
+	// vector parity fold and 4 ms after, which a loaded host could miss.
+	const slowBatch = 4096
 	s, ref := denseServer(t)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -273,7 +277,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	resc := make(chan result, 1)
 	go func() {
 		resp, err := http.Post("http://"+ln.Addr().String()+"/v1/batch",
-			"application/json", bytes.NewReader(batchBody(t, ref, 1024)))
+			"application/json", bytes.NewReader(batchBody(t, ref, slowBatch)))
 		if err != nil {
 			resc <- result{err: err}
 			return
@@ -312,7 +316,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	if res.status != http.StatusOK || res.br.Canceled {
 		t.Fatalf("drained request: status=%d canceled=%v, want clean 200", res.status, res.br.Canceled)
 	}
-	if done, failed := countBatchErrors(&res.br); failed != 0 || done != 1024 {
+	if done, failed := countBatchErrors(&res.br); failed != 0 || done != slowBatch {
 		t.Fatalf("drained batch truncated: done=%d failed=%d", done, failed)
 	}
 }
