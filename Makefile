@@ -6,7 +6,7 @@ GO       ?= go
 FUZZTIME ?= 30s
 PKGS      = ./...
 
-.PHONY: all build test test-purego race vet lint lint-json lint-baseline fuzz bench benchsmoke smoke loc check clean
+.PHONY: all build test test-purego race vet lint lint-json fuzz bench benchsmoke smoke loc check clean
 
 all: build
 
@@ -56,14 +56,6 @@ lint-json:
 	$(GO) run ./cmd/biohdlint -json $(PKGS) > biohdlint.json; \
 	status=$$?; cat biohdlint.json; exit $$status
 
-## lint-baseline: freeze the current findings into lint-baseline.json —
-## the adopt-then-ratchet workflow for landing a new analyzer before its
-## debt is paid down. Run biohdlint with -baseline lint-baseline.json to
-## subtract it; re-run this target as findings are fixed so the file
-## only ever shrinks.
-lint-baseline:
-	$(GO) run ./cmd/biohdlint -write-baseline lint-baseline.json $(PKGS)
-
 ## bench: run the repository's one benchmark (bench/, declared in
 ## BENCHMARK.json) — five named workloads, end-to-end and per-layer
 ## metrics, one result object per workload on stdout; see bench/README.md
@@ -104,11 +96,13 @@ smoke:
 ## loc: non-test Go lines per package and in total, bench/ and testdata
 ## excluded — `find … | xargs wc -l`, the count every "less code" claim
 ## in CHANGES.md is taken with, so a later claim is checked the same way
+## — then the assembly (*.s) lines, which that total leaves out
 loc:
 	@for d in $$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path '*/testdata/*' | xargs -n1 dirname | sort -u); do \
 		printf '%6d %s\n' "$$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' | xargs wc -l | tail -1 | awk '{print $$1}')" "$$d"; \
 	done
 	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path '*/testdata/*' | xargs wc -l | tail -1
+	@printf '%6d assembly (*.s)\n' "$$(find . -name '*.s' ! -path './bench/*' | xargs cat | wc -l)"
 
 ## check: the full gate — build, vet, lint, tests under the race
 ## detector and under the purego tag, then the service smoke test

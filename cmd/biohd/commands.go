@@ -269,7 +269,6 @@ type libFlags struct {
 	approx                             bool
 	seed                               uint64
 	mask                               string
-	workers                            int
 	backend                            string
 }
 
@@ -283,7 +282,6 @@ func addLibFlags(fs *flag.FlagSet) *libFlags {
 	fs.BoolVar(&lf.approx, "approx", false, "use the approximate (bundle) encoding")
 	fs.Uint64Var(&lf.seed, "seed", 1, "item memory seed")
 	fs.StringVar(&lf.mask, "mask", "reject", "ambiguity-code policy for FASTA input: reject | substitute | skip")
-	fs.IntVar(&lf.workers, "workers", 1, "parallel encoding workers for library builds")
 	fs.StringVar(&lf.backend, "backend", core.BackendHDC, "index backend built from -ref: hdc (hyperdimensional) | cobs (bit-sliced signatures)")
 	return &lf
 }
@@ -311,8 +309,7 @@ func (lf *libFlags) params() core.Params {
 
 // loadOrBuild returns a frozen index: loaded from libFile when given
 // (whatever backend the file is tagged for), else built as an HDC
-// library from the FASTA at refFile with the flags' mask policy and
-// worker count.
+// library from the FASTA at refFile with the flags' mask policy.
 func loadOrBuild(refFile, libFile string, lf *libFlags) (core.Index, error) {
 	if libFile != "" {
 		return core.OpenLibraryFile(libFile, core.LoadHeap)
@@ -330,66 +327,37 @@ func buildIndexFromFASTA(path string, lf *libFlags) (core.Index, error) {
 	if err != nil {
 		return nil, err
 	}
+	var idx core.Index
 	switch lf.backend {
 	case "", core.BackendHDC:
-		return buildFromFASTA(path, lf.params(), policy, lf.workers)
+		idx, err = core.NewLibrary(lf.params())
 	case cobs.BackendName:
-		return buildCOBSFromFASTA(path, cobs.Params{Window: lf.window}, policy)
+		idx, err = cobs.New(cobs.Params{Window: lf.window})
 	default:
-		return nil, fmt.Errorf("unknown backend %q (registered: %s)", lf.backend, strings.Join(core.RegisteredBackends(), ", "))
+		err = fmt.Errorf("unknown backend %q (registered: %s)", lf.backend, strings.Join(core.RegisteredBackends(), ", "))
 	}
-}
-
-// buildCOBSFromFASTA builds a frozen bit-sliced signature index.
-func buildCOBSFromFASTA(path string, params cobs.Params, policy genome.MaskPolicy) (*cobs.Index, error) {
+	if err != nil {
+		return nil, err
+	}
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
 	masked, err := genome.ReadFASTAWith(f, policy)
-	if err != nil {
-		return nil, err
-	}
-	x, err := cobs.New(params)
 	if err != nil {
 		return nil, err
 	}
 	for _, m := range masked {
-		if err := x.Add(m.Record); err != nil {
+		if err := idx.Add(m.Record); err != nil {
 			return nil, err
 		}
 	}
-	x.Freeze()
-	return x, nil
-}
-
-func buildFromFASTA(path string, params core.Params, policy genome.MaskPolicy, workers int) (*core.Library, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
+	idx.Freeze()
+	if !idx.Frozen() {
+		return nil, fmt.Errorf("no references long enough for window %d", lf.window)
 	}
-	defer f.Close()
-	masked, err := genome.ReadFASTAWith(f, policy)
-	if err != nil {
-		return nil, err
-	}
-	lib, err := core.NewLibrary(params)
-	if err != nil {
-		return nil, err
-	}
-	recs := make([]genome.Record, len(masked))
-	for i, m := range masked {
-		recs[i] = m.Record
-	}
-	if err := lib.AddConcurrent(recs, workers); err != nil {
-		return nil, err
-	}
-	lib.Freeze()
-	if !lib.Frozen() {
-		return nil, fmt.Errorf("no references long enough for window %d", params.Window)
-	}
-	return lib, nil
+	return idx, nil
 }
 
 func readFASTAFile(path string) ([]genome.Record, error) {

@@ -17,10 +17,7 @@
 // -json switches the report to a machine-readable JSON array (one
 // object per finding, repo-relative paths) for CI artifacts. -tags
 // analyzes the module under additional build tags (e.g. -tags purego
-// checks the portable kernel fallbacks). -baseline subtracts a recorded
-// finding set so a new rule can be adopted before its debt is paid
-// down, and -write-baseline records the current findings as that set;
-// see internal/lint/baseline.go for the ratchet workflow.
+// checks the portable kernel fallbacks).
 package main
 
 import (
@@ -29,6 +26,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"strings"
 
 	"repro/internal/lint"
@@ -46,8 +44,6 @@ func run(args []string, out, errOut io.Writer) int {
 	list := fs.Bool("list", false, "list the available rules and exit")
 	jsonOut := fs.Bool("json", false, "report findings as a JSON array")
 	tags := fs.String("tags", "", "comma-separated build tags to analyze under (e.g. purego)")
-	baselinePath := fs.String("baseline", "", "baseline file of tolerated findings to subtract")
-	writeBaseline := fs.String("write-baseline", "", "record the current findings to this baseline file and exit")
 	fs.Usage = func() {
 		fmt.Fprintln(errOut, "usage: biohdlint [flags] [./...]")
 		fs.PrintDefaults()
@@ -96,27 +92,6 @@ func run(args []string, out, errOut io.Writer) int {
 	}
 	diags := lint.Run(pkgs, analyzers)
 
-	if *writeBaseline != "" {
-		if err := lint.WriteBaseline(*writeBaseline, root, diags); err != nil {
-			fmt.Fprintln(errOut, "biohdlint:", err)
-			return 2
-		}
-		fmt.Fprintf(errOut, "biohdlint: wrote %d finding(s) to %s\n", len(diags), *writeBaseline)
-		return 0
-	}
-	if *baselinePath != "" {
-		base, err := lint.LoadBaseline(*baselinePath)
-		if err != nil {
-			fmt.Fprintln(errOut, "biohdlint:", err)
-			return 2
-		}
-		var absorbed int
-		diags, absorbed = base.Filter(root, diags)
-		if absorbed > 0 {
-			fmt.Fprintf(errOut, "biohdlint: baseline absorbed %d finding(s)\n", absorbed)
-		}
-	}
-
 	if *jsonOut {
 		if err := writeJSON(out, root, diags); err != nil {
 			fmt.Fprintln(errOut, "biohdlint:", err)
@@ -149,9 +124,14 @@ type jsonFinding struct {
 func writeJSON(out io.Writer, root string, diags []lint.Diagnostic) error {
 	findings := make([]jsonFinding, 0, len(diags))
 	for _, d := range diags {
-		e := lint.RelEntry(root, d)
+		// Root-relative slash paths, so the artifact is stable across
+		// checkouts; a file outside root keeps its absolute path.
+		file := d.Pos.Filename
+		if rel, err := filepath.Rel(root, file); err == nil && filepath.IsLocal(rel) {
+			file = rel
+		}
 		findings = append(findings, jsonFinding{
-			File: e.File, Line: d.Pos.Line, Rule: d.Rule, Message: d.Message,
+			File: filepath.ToSlash(file), Line: d.Pos.Line, Rule: d.Rule, Message: d.Message,
 		})
 	}
 	enc := json.NewEncoder(out)

@@ -99,23 +99,3 @@ func TestJSONOutput(t *testing.T) {
 		t.Fatal("want snapshotatomic findings in JSON output")
 	}
 }
-
-// TestBaselineRatchet records the current findings, then re-runs with
-// the baseline: everything is absorbed and the run goes green.
-func TestBaselineRatchet(t *testing.T) {
-	if testing.Short() {
-		t.Skip("skipping fixture lint in -short mode")
-	}
-	bl := filepath.Join(t.TempDir(), "baseline.json")
-	code, _, errOut := runCLI(t, "-write-baseline", bl, fixtureDir)
-	if code != 0 {
-		t.Fatalf("-write-baseline exit = %d, want 0; stderr: %s", code, errOut)
-	}
-	code, out, errOut := runCLI(t, "-baseline", bl, fixtureDir)
-	if code != 0 {
-		t.Fatalf("baselined run exit = %d, want 0; stdout:\n%s", code, out)
-	}
-	if !strings.Contains(errOut, "baseline absorbed") {
-		t.Fatalf("stderr missing absorption note: %s", errOut)
-	}
-}

@@ -48,12 +48,12 @@ func (g *WholeRefHDC) Add(seq *genome.Sequence) error {
 		return fmt.Errorf("baseline: sequence shorter than window %d", g.enc.Window())
 	}
 	acc := hdc.NewAcc(g.enc.Dim())
-	n := 0
-	g.enc.SlideExact(seq, 1, func(start int, hv *hdc.HV) bool {
+	hv := hdc.NewHV(g.enc.Dim())
+	n := g.enc.NumWindows(seq.Len(), 1)
+	for start := 0; start < n; start++ {
+		g.enc.EncodeWindowExactInto(hv, seq, start)
 		acc.Add(hv)
-		n++
-		return true
-	})
+	}
 	g.accs = append(g.accs, acc)
 	g.wins = append(g.wins, n)
 	return nil

@@ -47,6 +47,8 @@ func FuzzReadIndex(f *testing.F) {
 		mut[off] ^= 0xff
 		f.Add(mut)
 	}
+	// A column count the metadata bytes present cannot back.
+	f.Add(forgedColumnCount(f))
 	// Zero-segment container with a flipped header tag: no directory
 	// entries exist, so only the meta section's leading tag word stands
 	// between the flip and a foreign decoder.

@@ -92,7 +92,9 @@ func parseMeta(sr *core.SectionReader, segCount int) (core.ContainerLoader, erro
 	ld.refs = refs
 	for k := 0; k < segCount && sr.Err() == nil; k++ {
 		cols := int(sr.U32())
-		if cols < 0 || cols > core.MaxMetaCount {
+		// Two words a column: a count the section's remaining bytes cannot
+		// back is refused before the tables are sized from it.
+		if cols < 0 || cols > core.MaxMetaCount || cols > sr.Remaining()/8 {
 			return nil, fmt.Errorf("cobs: v3 segment %d declares %d columns", k, cols)
 		}
 		refIdx := make([]int32, cols)

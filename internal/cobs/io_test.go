@@ -6,6 +6,8 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -394,6 +396,43 @@ func TestRejectsImplausibleWindowCount(t *testing.T) {
 	}
 	if !bytes.Contains([]byte(err.Error()), []byte("windows")) {
 		t.Fatalf("error %q does not name the window count", err)
+	}
+}
+
+// forgedColumnCount is a CRC-consistent container whose one segment
+// declares the largest column count the limits allow over the bytes of a
+// single column.
+func forgedColumnCount(t testing.TB) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if _, err := core.WriteContainerV3(&buf, backendTag, func(sw *core.SectionWriter) {
+		sw.U32(8)   // Window
+		sw.U64(256) // RowBits
+		sw.U32(2)   // Hashes
+		sw.Refs([]genome.Record{{ID: "r", Seq: genome.Random(64, rng.New(11))}})
+		sw.U32(core.MaxMetaCount) // columns declared
+		sw.U32(0)                 // the one column present: record 0,
+		sw.U32(57)                // 57 windows
+	}, []core.ContainerSegment{{Words: make([]uint64, 256), RowWords: 1, Buckets: 256}}); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestForgedColumnCountRejected: the column tables are sized from a
+// declared count, so the count is held to the metadata bytes present
+// before anything is allocated from it (2 × 64 MiB at the limit).
+func TestForgedColumnCountRejected(t *testing.T) {
+	data := forgedColumnCount(t)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := requireRejected(t, data, "forged column count")
+	runtime.ReadMemStats(&after)
+	if !strings.Contains(err.Error(), "declares 16777216 columns") {
+		t.Fatalf("error %q does not name the column count", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("rejecting a %d-byte file allocated %d bytes", len(data), grew)
 	}
 }
 

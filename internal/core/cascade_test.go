@@ -255,14 +255,15 @@ func TestSketchModelHolds(t *testing.T) {
 
 	var dist stats.Welford
 	worst := 0
-	lib.Encoder().SlideExact(ref, 1, func(start int, hv *hdc.HV) bool {
+	hv := hdc.NewHV(p.Dim)
+	for start := 0; start < members; start++ {
 		// Stride 1 from one reference at capacity C: window k is in bucket k/C.
+		lib.Encoder().EncodeWindowExactInto(hv, ref, start)
 		row := lib.BucketVector(start / p.Capacity).Words()
 		d := bitvec.HammingWords(row[:plan.Words], hv.Words()[:plan.Words])
 		dist.Add(float64(d))
 		worst = maxInt(worst, d)
-		return true
-	})
+	}
 	if dist.N() != members {
 		t.Fatalf("%d member pairs, want %d", dist.N(), members)
 	}

@@ -552,6 +552,12 @@ func TestEngineConformance(t *testing.T) {
 				if _, err := idx.Compact(0); !errors.Is(err, core.ErrClosed) {
 					t.Errorf("Compact after Close: %v", err)
 				}
+				if lib, ok := idx.(*core.Library); ok {
+					refs := lib.NumRefs()
+					if err := lib.AddConcurrent(m.records(0, 1), 2); !errors.Is(err, core.ErrClosed) || lib.NumRefs() != refs {
+						t.Errorf("AddConcurrent after Close: %v, NumRefs %d -> %d", err, refs, lib.NumRefs())
+					}
+				}
 				got, _, err := idx.Lookup(patterns[0])
 				if idx.Mapped() {
 					if !errors.Is(err, core.ErrClosed) {

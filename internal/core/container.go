@@ -55,7 +55,8 @@ func (w *SectionWriter) Err() error { return w.cw.err }
 // violations); decoding continues returning zero values after a latch,
 // so parsers check Err (or let the container walk check it) once.
 type SectionReader struct {
-	cr crcReader
+	cr  crcReader
+	sec *bytes.Reader // the section's bytes, already in memory; cr reads them
 }
 
 func (r *SectionReader) U32() uint32  { return r.cr.u32() }
@@ -73,6 +74,11 @@ func (r *SectionReader) Refs() ([]genome.Record, error) { return readRefs(&r.cr,
 
 // Err returns the first read error, if any.
 func (r *SectionReader) Err() error { return r.cr.err }
+
+// Remaining returns how many bytes of the section are still undecoded,
+// so a parser can hold a declared count to the bytes that could back it
+// before it sizes a table from it.
+func (r *SectionReader) Remaining() int { return r.sec.Len() }
 
 // ContainerSegment is one arena in a v3 container: a (Buckets ×
 // RowWords) word matrix stored row-major. For the HDC backend a row is
@@ -330,7 +336,7 @@ func readContainerV3(src source, m *mmapfile.Mapping) (Index, error) {
 		return nil, err
 	}
 	mr := bytes.NewReader(meta)
-	sr := &SectionReader{cr: crcReader{r: mr}}
+	sr := &SectionReader{cr: crcReader{r: mr}, sec: mr}
 	// The header word sits outside the header CRC and may have been
 	// flipped; the copy leading the meta section may not, and exists
 	// even when segCount == 0 leaves no directory entries to carry one.

@@ -266,21 +266,21 @@ func (l *Library) encodeInto(hv *hdc.HV, acc *hdc.Acc, seq *genome.Sequence, off
 	}
 }
 
+// memorize encodes the window wr of seq as a query for it would be
+// encoded and superposes it into b: the one way a window reaches a
+// bucket, at ingest and at compaction.
+func (l *Library) memorize(b *builder, sc *blockScratch, wr WindowRef, seq *genome.Sequence) {
+	l.encodeInto(sc.hvs[0], sc.acc, seq, int(wr.Off))
+	b.insert(wr, sc.hvs[0], &l.params)
+}
+
 // appendRef is Kernel.Append: every stride-aligned window of rec is
-// encoded and superposed into the active builder.
+// memorized into the active builder.
 func (l *Library) appendRef(ref int32, rec genome.Record) int {
-	if l.params.Approx {
-		sc := l.getBlockScratch()
-		defer l.putBlockScratch(sc)
-		for start := 0; start+l.params.Window <= rec.Seq.Len(); start += l.params.Stride {
-			l.enc.EncodeWindowApproxInto(sc.hvs[0], sc.acc, rec.Seq, start)
-			l.active.insert(WindowRef{Ref: ref, Off: int32(start)}, sc.hvs[0], &l.params)
-		}
-	} else {
-		l.enc.SlideExact(rec.Seq, l.params.Stride, func(start int, hv *hdc.HV) bool {
-			l.active.insert(WindowRef{Ref: ref, Off: int32(start)}, hv, &l.params)
-			return true
-		})
+	sc := l.getBlockScratch()
+	defer l.putBlockScratch(sc)
+	for start := 0; start+l.params.Window <= rec.Seq.Len(); start += l.params.Stride {
+		l.memorize(&l.active, sc, WindowRef{Ref: ref, Off: int32(start)}, rec.Seq)
 	}
 	return l.active.numBuckets()
 }
@@ -313,8 +313,7 @@ func (l *Library) rebuildSegment(seg Segment, refs []genome.Record) Segment {
 	sc := l.getBlockScratch()
 	defer l.putBlockScratch(sc)
 	for _, wr := range seg.(*segment).liveWindows(nil, refs) {
-		l.encodeInto(sc.hvs[0], sc.acc, refs[wr.Ref].Seq, int(wr.Off))
-		b.insert(wr, sc.hvs[0], &l.params)
+		l.memorize(&b, sc, wr, refs[wr.Ref].Seq)
 	}
 	return b.view(&l.params, l.sketchWords, refs)
 }

@@ -22,6 +22,7 @@ func TestParamsValidate(t *testing.T) {
 		"zero window":    {Dim: 1024, Window: 0},
 		"window too big": {Dim: 64, Window: 64},
 		"negative cap":   {Dim: 1024, Window: 16, Capacity: -1},
+		"bad stride":     {Dim: 1024, Window: 16, Stride: -1},
 		"bad tolerance":  {Dim: 1024, Window: 16, MutTolerance: 17, Approx: true},
 		"exact with tol": {Dim: 1024, Window: 16, MutTolerance: 2},
 		"bad alpha":      {Dim: 1024, Window: 16, Alpha: 2},
@@ -162,6 +163,46 @@ func TestStrideReducesWindows(t *testing.T) {
 		want := (200-16)/stride + 1
 		if lib.NumWindows() != want {
 			t.Fatalf("stride %d: %d windows, want %d", stride, lib.NumWindows(), want)
+		}
+	}
+}
+
+// TestStrideMemorizesAlignedWindows pins which windows a build
+// memorizes: per reference exactly the offsets 0, s, 2s, … ≤ len − W, in
+// that order, as many as Encoder.NumWindows counts, and nothing of a
+// reference shorter than one window.
+func TestStrideMemorizesAlignedWindows(t *testing.T) {
+	const window = 16
+	lens := []int{100, window, 57}
+	for _, stride := range []int{1, 4, 7} {
+		lib := mustLibrary(t, Params{Dim: 1024, Window: window, Stride: stride, Capacity: 5, Sealed: true, Seed: 5})
+		want := 0
+		for i, n := range lens {
+			if err := lib.Add(genome.Record{ID: "r", Seq: genome.Random(n, rng.New(uint64(6+i)))}); err != nil {
+				t.Fatal(err)
+			}
+			want += lib.Encoder().NumWindows(n, stride)
+		}
+		if err := lib.Add(genome.Record{ID: "short", Seq: genome.Random(window-1, rng.New(9))}); err == nil {
+			t.Fatalf("stride %d: reference shorter than one window accepted", stride)
+		}
+		lib.Freeze()
+		if lib.NumWindows() != want || lib.NumRefs() != len(lens) {
+			t.Fatalf("stride %d: %d windows of %d refs, want %d of %d", stride, lib.NumWindows(), lib.NumRefs(), want, len(lens))
+		}
+		next := make([]int, len(lens))
+		for b := 0; b < lib.NumBuckets(); b++ {
+			for _, wr := range lib.BucketWindows(b) {
+				if int(wr.Off) != next[wr.Ref] {
+					t.Fatalf("stride %d: ref %d memorized offset %d, want %d", stride, wr.Ref, wr.Off, next[wr.Ref])
+				}
+				next[wr.Ref] += stride
+			}
+		}
+		for i, n := range lens {
+			if last := next[i] - stride; last > n-window || last+stride <= n-window {
+				t.Fatalf("stride %d: ref %d (length %d) stops at offset %d", stride, i, n, last)
+			}
 		}
 	}
 }

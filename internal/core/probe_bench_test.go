@@ -250,3 +250,40 @@ func BenchmarkProbeBlockWidths(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkBuild is the ingest path without the harness — Add (encode
+// one window, bundle it into its bucket) then Freeze — at the two build
+// geometries of bench: scan_exact_wire's exact rows at capacity 16, and
+// approx_classify_inproc's, where the model gives one window a row.
+// NewLibrary and the calibration an approximate Freeze runs are inside
+// the timer, as they are inside bench's setup_s.
+func BenchmarkBuild(b *testing.B) {
+	const windows = 2048
+	for _, g := range []struct {
+		name string
+		p    Params
+	}{
+		{"exact-C16", Params{Dim: 8192, Window: 32, Stride: 1, Capacity: 16, Sealed: true, Seed: 42}},
+		{"approx-C1", Params{Dim: 8192, Window: 32, Stride: 1, Capacity: 1, Approx: true, Sealed: true, MutTolerance: 2, Seed: 42}},
+	} {
+		b.Run(g.name, func(b *testing.B) {
+			rec := genome.Record{ID: "bench", Seq: genome.Random(windows+g.p.Window-1, rng.New(4242))}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				lib, err := NewLibrary(g.p)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := lib.Add(rec); err != nil {
+					b.Fatal(err)
+				}
+				lib.Freeze()
+				if lib.NumWindows() != windows {
+					b.Fatalf("built %d windows, want %d", lib.NumWindows(), windows)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*windows), "ns/window")
+		})
+	}
+}

@@ -18,23 +18,17 @@
 //     number of agreeing positions, so mutated queries remain detectably
 //     similar — graceful degradation, mutation tolerance.
 //
-// The exact chain slides incrementally: advancing the window by one base
-// costs O(D/64) packed-word work instead of re-encoding the whole window,
-// by the identity
-//
-//	E_{p+1} = ρ⁻¹(E_p ⊙ B[s_p]) ⊙ ρ^{w−1}(B[s_{p+w}])
-//
 // # One table, two folds
 //
-// Both direct encoders are a lane-wise fold over the same w rows of one
+// Both encoders are a lane-wise fold over the same w rows of one
 // flat table of pre-rotated base vectors (Encoder.rows, row 4i + s_i for
 // position i): the bundle is the rows' majority and the binding chain
 // their parity — w − 1 XNORs are the XOR of the rows, complemented when
 // w is even. The folds are internal/bitvec's MajorityRows and XorRows
 // (bit-sliced carry-save planes; AVX-512, AVX2 and portable tiers); an
-// encoder here writes the w row indices and makes one call. The bundle
-// is always encoded directly: the fold costs less than one counter-array
-// slide step did, so there is no incremental bundle.
+// encoder here writes the w row indices and makes one call. Every window
+// is encoded directly: a fold costs less than one step of either
+// encoding's incremental slide did (DESIGN §16), so there is none.
 package encoding
 
 import (
@@ -102,11 +96,11 @@ type Encoder struct {
 	cfg Config
 	im  *hdc.ItemMemory
 	// rot[b][i] is ρ^i(B[b]) for i ∈ [0, Window], as hypervector views
-	// of rows: what the incremental slide, the associative decode and the
-	// counter oracle consume. The direct encoders read rows.
+	// of rows: what the associative decode and the counter oracle
+	// consume. The encoders read rows.
 	rot [genome.AlphabetSize][]*hdc.HV
 	// rows is the storage behind rot, flat for the row-fold kernels both
-	// direct encoders call: ρ^i(B[b]) occupies words [(4i+b)·D/64,
+	// encoders call: ρ^i(B[b]) occupies words [(4i+b)·D/64,
 	// (4i+b+1)·D/64).
 	rows []uint64
 	// tie packs tieBit for every dimension: bit j of the table is the
@@ -328,39 +322,6 @@ func (e *Encoder) Encode(seq *genome.Sequence, start int, mode Mode) *hdc.HV {
 		return e.EncodeWindowApprox(seq, start)
 	default:
 		panic(fmt.Sprintf("encoding: unknown mode %d", int(mode)))
-	}
-}
-
-// SlideExact calls fn with (start, encoding) for every window of seq at
-// the given stride, reusing an incrementally maintained binding chain.
-// The hypervector passed to fn is reused across calls; fn must Clone it
-// to retain it. fn returning false stops the slide.
-func (e *Encoder) SlideExact(seq *genome.Sequence, stride int, fn func(start int, hv *hdc.HV) bool) {
-	if stride <= 0 {
-		panic(fmt.Sprintf("encoding: stride %d must be positive", stride))
-	}
-	w := e.cfg.Window
-	if seq.Len() < w {
-		return
-	}
-	cur := e.EncodeWindowExact(seq, 0)
-	scratch := hdc.NewHV(e.cfg.Dim)
-	pos := 0
-	for {
-		if pos%stride == 0 {
-			if !fn(pos, cur) {
-				return
-			}
-		}
-		if pos+w >= seq.Len() {
-			return
-		}
-		// E_{p+1} = ρ⁻¹(E_p ⊙ B[s_p]) ⊙ ρ^{w−1}(B[s_{p+w}])
-		cur.Bind(cur, e.rot[seq.At(pos)][0])
-		scratch.Permute(cur, -1)
-		cur, scratch = scratch, cur
-		cur.Bind(cur, e.rot[seq.At(pos+w)][w-1])
-		pos++
 	}
 }
 

@@ -168,23 +168,6 @@ func TestWindowOverrunPanics(t *testing.T) {
 	}
 }
 
-func TestSlideExactMatchesDirect(t *testing.T) {
-	e := testEncoder(t, 1024, 16)
-	seq := genome.Random(100, rng.New(9))
-	count := 0
-	e.SlideExact(seq, 1, func(start int, hv *hdc.HV) bool {
-		want := e.EncodeWindowExact(seq, start)
-		if !hv.Equal(want) {
-			t.Fatalf("incremental exact encoding diverges at window %d", start)
-		}
-		count++
-		return true
-	})
-	if want := e.NumWindows(100, 1); count != want {
-		t.Fatalf("visited %d windows, want %d", count, want)
-	}
-}
-
 // chainEncodeExact is the binding chain as the definition writes it —
 // Window − 1 Binds of rotated item vectors — and shares nothing with the
 // parity fold but the rotation table.
@@ -198,10 +181,9 @@ func chainEncodeExact(e *Encoder, seq *genome.Sequence, start int) *hdc.HV {
 
 // TestExactKernelMatchesChain is the exact twin of
 // TestApproxKernelMatchesOracle: the direct encoder (a parity fold of
-// table rows, complemented for even Window) against the Bind chain and
-// against SlideExact, at odd and even Window, at Windows past one
-// exactChunk of indices, and at dimensions on and off the vector tiers'
-// 512-bit column block.
+// table rows, complemented for even Window) against the Bind chain, at
+// odd and even Window, at Windows past one exactChunk of indices, and at
+// dimensions on and off the vector tiers' 512-bit column block.
 func TestExactKernelMatchesChain(t *testing.T) {
 	type shape struct{ dim, window int }
 	shapes := []shape{{64, 1}, {64, 2}, {64, 63}, {2048, exactChunk}, {2048, exactChunk + 1}, {4096, 3*exactChunk + 7}, {4096, 4 * exactChunk}}
@@ -225,12 +207,6 @@ func TestExactKernelMatchesChain(t *testing.T) {
 						sh.dim, sh.window, start, dst.Hamming(want))
 				}
 			}
-			e.SlideExact(seq, 1, func(start int, hv *hdc.HV) bool {
-				if want := chainEncodeExact(e, seq, start); !hv.Equal(want) {
-					t.Fatalf("D=%d W=%d start=%d: slide differs from the Bind chain", sh.dim, sh.window, start)
-				}
-				return true
-			})
 		}
 	}
 }
@@ -257,61 +233,6 @@ func TestEncodeIntoAllocs(t *testing.T) {
 			t.Errorf("D=%d W=%d: EncodeWindowExactInto allocates %v times per window", sh.dim, sh.window, n)
 		}
 	}
-}
-
-func TestSlideStride(t *testing.T) {
-	e := testEncoder(t, 1024, 16)
-	seq := genome.Random(100, rng.New(11))
-	var starts []int
-	e.SlideExact(seq, 7, func(start int, hv *hdc.HV) bool {
-		starts = append(starts, start)
-		return true
-	})
-	for i, s := range starts {
-		if s != i*7 {
-			t.Fatalf("stride walk visited %v", starts)
-		}
-	}
-	if len(starts) != e.NumWindows(100, 7) {
-		t.Fatalf("visited %d, NumWindows says %d", len(starts), e.NumWindows(100, 7))
-	}
-}
-
-func TestSlideEarlyStop(t *testing.T) {
-	e := testEncoder(t, 1024, 16)
-	seq := genome.Random(100, rng.New(12))
-	count := 0
-	e.SlideExact(seq, 1, func(start int, hv *hdc.HV) bool {
-		count++
-		return count < 3
-	})
-	if count != 3 {
-		t.Fatalf("early stop visited %d windows", count)
-	}
-}
-
-func TestSlideShortSequence(t *testing.T) {
-	e := testEncoder(t, 1024, 16)
-	seq := genome.Random(10, rng.New(13))
-	called := false
-	e.SlideExact(seq, 1, func(int, *hdc.HV) bool { called = true; return true })
-	if called {
-		t.Fatal("slide visited windows of a too-short sequence")
-	}
-	if e.NumWindows(10, 1) != 0 {
-		t.Fatal("NumWindows nonzero for short sequence")
-	}
-}
-
-func TestSlideStridePanics(t *testing.T) {
-	e := testEncoder(t, 1024, 16)
-	seq := genome.Random(50, rng.New(14))
-	defer func() {
-		if recover() == nil {
-			t.Fatal("stride 0 did not panic")
-		}
-	}()
-	e.SlideExact(seq, 0, func(int, *hdc.HV) bool { return true })
 }
 
 func TestNumWindows(t *testing.T) {
@@ -345,21 +266,6 @@ func TestAccumulateWindowCounts(t *testing.T) {
 	if acc.N() != 5 {
 		t.Fatalf("accumulated %d vectors, want 5", acc.N())
 	}
-}
-
-func BenchmarkSlideExactPerWindow(b *testing.B) {
-	e, err := New(Config{Dim: 4096, Window: 64, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	seq := genome.Random(b.N+64, rng.New(1))
-	b.ResetTimer()
-	b.ReportAllocs()
-	count := 0
-	e.SlideExact(seq, 1, func(int, *hdc.HV) bool {
-		count++
-		return count < b.N
-	})
 }
 
 func BenchmarkEncodeWindowApproxDirect(b *testing.B) {
@@ -396,31 +302,4 @@ func BenchmarkEncodeWindowExactInto(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkSlideVsDirectExact puts the two ways to encode every window
-// of a reference side by side at D = 8192, Window 32, per window: one
-// incremental slide step against one direct parity fold.
-func BenchmarkSlideVsDirectExact(b *testing.B) {
-	e, err := New(Config{Dim: 8192, Window: 32, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("slide", func(b *testing.B) {
-		seq := genome.Random(b.N+32, rng.New(1))
-		b.ResetTimer()
-		count := 0
-		e.SlideExact(seq, 1, func(int, *hdc.HV) bool {
-			count++
-			return count < b.N
-		})
-	})
-	b.Run("direct", func(b *testing.B) {
-		seq := genome.Random(4096+32, rng.New(1))
-		dst := hdc.NewHV(8192)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			e.EncodeWindowExactInto(dst, seq, i%4096)
-		}
-	})
 }

@@ -69,7 +69,7 @@ func (e *Engine) EncodeInMemory(seq *genome.Sequence, start int) (*hdc.HV, Cost,
 // logical rotation is a counter-pointer shift, and the final majority
 // seal writes the result rows. Bit-identical to the software encoder.
 //
-// The iteration mirrors the software slide's Horner form: starting from
+// The iteration is in Horner form: starting from
 // the last base, the counters are shifted by one and the next base's
 // rows accumulated, so only single-step shifts occur.
 func (e *Engine) EncodeApproxInMemory(seq *genome.Sequence, start int) (*hdc.HV, Cost, error) {
