@@ -459,6 +459,13 @@ func TestEngineConformance(t *testing.T) {
 				if idx.Mapped() && c.HeapScans == 0 {
 					t.Errorf("mapped index scanned %d mapped, %d heap ranges", c.MappedScans, c.HeapScans)
 				}
+				// Whatever the schedule left — buckets closed by ingest,
+				// open ones isolated by a publish, segments rebuilt by
+				// compaction, rows read from a file — is the counter bundle
+				// of its members.
+				if lib, ok := idx.(*core.Library); ok {
+					core.CheckRowsAreBundles(t, lib, m.seqs, "after churn")
+				}
 			})
 			// auto-seal: live ingest seals the builder at the threshold,
 			// every reference is searchable as soon as its Add returns

@@ -101,7 +101,7 @@ func readLegacyStream(br *bufio.Reader, version int) (*Library, error) {
 				n := int(cr.u32())
 				acc := hdc.AccFromCounts(counts, n)
 				b.acc = acc
-				b.sealed = acc.Seal(p.Seed ^ 0x5ea1)
+				b.sealed = acc.Seal(p.Seed ^ tieSeedMix)
 			}
 			bkts = append(bkts, b)
 		}

@@ -113,6 +113,10 @@ type Library struct {
 	sketchPrefixes []uint64
 	sketchShare    float64
 
+	// ties is the packed tie-break stream every sealed bucket is bundled
+	// under (hdc.Rows); nil in raw-counter mode, which seals from counters.
+	ties *hdc.Ties
+
 	// active is the mutable tail and cal the calibration last derived;
 	// both are only touched with the engine's mutation lock held.
 	active builder
@@ -195,6 +199,9 @@ func NewLibrary(params Params) (*Library, error) {
 		return nil, err
 	}
 	l := &Library{params: params, enc: enc}
+	if params.Sealed {
+		l.ties = hdc.NewTies(params.Dim, params.Seed^tieSeedMix)
+	}
 	// The width is sized against the threshold the model expects at the
 	// library size capacity planning assumes; views re-derive the bound
 	// from the threshold they are actually searched at.
@@ -271,7 +278,7 @@ func (l *Library) encodeInto(hv *hdc.HV, acc *hdc.Acc, seq *genome.Sequence, off
 // bucket, at ingest and at compaction.
 func (l *Library) memorize(b *builder, sc *blockScratch, wr WindowRef, seq *genome.Sequence) {
 	l.encodeInto(sc.hvs[0], sc.acc, seq, int(wr.Off))
-	b.insert(wr, sc.hvs[0], &l.params)
+	b.insert(wr, sc.hvs[0], &l.params, l.ties)
 }
 
 // appendRef is Kernel.Append: every stride-aligned window of rec is
@@ -296,7 +303,7 @@ func (l *Library) resetActive() { l.active = builder{} }
 // tombstoneSegment is Kernel.Tombstone. The bucket hypervectors are
 // left untouched — the removed windows keep contributing superposition
 // noise until compaction — which is what makes Remove work on Sealed
-// libraries, whose counters were dropped when their buckets closed.
+// libraries, which have no counters to subtract from.
 func tombstoneSegment(seg Segment, ref int) Segment {
 	s := seg.(*segment)
 	if n := s.countRefWindows(ref); n > 0 {
@@ -312,7 +319,8 @@ func (l *Library) rebuildSegment(seg Segment, refs []genome.Record) Segment {
 	var b builder
 	sc := l.getBlockScratch()
 	defer l.putBlockScratch(sc)
-	for _, wr := range seg.(*segment).liveWindows(nil, refs) {
+	s := seg.(*segment)
+	for _, wr := range s.liveWindows(make([]WindowRef, 0, s.total-s.tombs), refs) {
 		l.memorize(&b, sc, wr, refs[wr.Ref].Seq)
 	}
 	return b.view(&l.params, l.sketchWords, refs)

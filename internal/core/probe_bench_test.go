@@ -251,6 +251,14 @@ func BenchmarkProbeBlockWidths(b *testing.B) {
 	}
 }
 
+var buildBenchGeometries = []struct {
+	name string
+	p    Params
+}{
+	{"exact-C16", Params{Dim: 8192, Window: 32, Stride: 1, Capacity: 16, Sealed: true, Seed: 42}},
+	{"approx-C1", Params{Dim: 8192, Window: 32, Stride: 1, Capacity: 1, Approx: true, Sealed: true, MutTolerance: 2, Seed: 42}},
+}
+
 // BenchmarkBuild is the ingest path without the harness — Add (encode
 // one window, bundle it into its bucket) then Freeze — at the two build
 // geometries of bench: scan_exact_wire's exact rows at capacity 16, and
@@ -259,13 +267,7 @@ func BenchmarkProbeBlockWidths(b *testing.B) {
 // the timer, as they are inside bench's setup_s.
 func BenchmarkBuild(b *testing.B) {
 	const windows = 2048
-	for _, g := range []struct {
-		name string
-		p    Params
-	}{
-		{"exact-C16", Params{Dim: 8192, Window: 32, Stride: 1, Capacity: 16, Sealed: true, Seed: 42}},
-		{"approx-C1", Params{Dim: 8192, Window: 32, Stride: 1, Capacity: 1, Approx: true, Sealed: true, MutTolerance: 2, Seed: 42}},
-	} {
+	for _, g := range buildBenchGeometries {
 		b.Run(g.name, func(b *testing.B) {
 			rec := genome.Record{ID: "bench", Seq: genome.Random(windows+g.p.Window-1, rng.New(4242))}
 			b.ReportAllocs()

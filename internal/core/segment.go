@@ -15,11 +15,11 @@ import (
 // snapshotsafety analyzer enforces the boundary.
 
 // bucket is one library hypervector plus the windows superposed in it.
-// Sealed libraries drop a bucket's counters as soon as it closes (the
-// binary view is all search needs — 32× less memory); unsealed libraries
-// keep the counters, which DotAcc scoring reads directly.
+// Sealed libraries never count (the binary view is all search needs —
+// 32× less memory — and the builder takes it from the members' rows);
+// unsealed libraries keep counters, which DotAcc scoring reads directly.
 type bucket struct {
-	acc     *hdc.Acc    // raw counters; nil once sealed-and-dropped
+	acc     *hdc.Acc    // raw counters; nil in a sealed library
 	sealed  *hdc.HV     // binarized view; nil until sealed
 	windows []WindowRef // members, in insertion order
 }
@@ -370,39 +370,57 @@ func (s *segment) probeBlockRange(dsts [][]Candidate, hvs []*hdc.HV, pl *scanPla
 	}
 }
 
+// tieSeedMix derives the seed of a library's tie-break stream from its
+// Params.Seed; the stream restarts for every bucket.
+const tieSeedMix = 0x5ea1
+
 // builder is the mutable active segment: the tail of the library that
 // is still accepting windows. It is only ever touched under the
 // library's mutation lock; readers see it through the isolated copy
 // that view publishes into each snapshot.
+//
+// A sealed library bundles by row fold: the open bucket's encodings wait
+// in rows — one buffer, reused bucket after bucket — and their majority
+// is taken when the bucket closes or a view is published. Only a
+// raw-counter library, which scores against counters, creates an hdc.Acc.
 type builder struct {
 	bkts []bucket
+	rows *hdc.Rows // the open bucket's members; nil in raw-counter mode
 }
 
 // insert memorizes one encoded window, opening a new bucket (and closing
 // the previous one) whenever the open bucket reaches capacity.
-func (b *builder) insert(ref WindowRef, hv *hdc.HV, p *Params) {
+func (b *builder) insert(ref WindowRef, hv *hdc.HV, p *Params, ties *hdc.Ties) {
 	if n := len(b.bkts); n == 0 || len(b.bkts[n-1].windows) >= p.Capacity {
 		if n > 0 {
 			b.sealBucket(n-1, p)
 		}
-		b.bkts = append(b.bkts, bucket{acc: hdc.NewAcc(p.Dim)})
+		b.bkts = append(b.bkts, bucket{})
+		if !p.Sealed {
+			b.bkts[n].acc = hdc.NewAcc(p.Dim)
+		} else if b.rows == nil {
+			b.rows = hdc.NewRows(ties)
+		}
 	}
 	bk := &b.bkts[len(b.bkts)-1]
-	bk.acc.Add(hv)
+	if p.Sealed {
+		b.rows.Add(hv)
+	} else {
+		bk.acc.Add(hv)
+	}
 	bk.windows = append(bk.windows, ref)
 }
 
-// sealBucket binarizes bucket i and, for sealed libraries, releases its
-// counters. Closed buckets are immutable from here on, which is what
-// lets view share them with published snapshots.
+// sealBucket binarizes the open bucket i. Closed buckets are immutable
+// from here on, which is what lets view share them with published
+// snapshots.
 func (b *builder) sealBucket(i int, p *Params) {
 	bk := &b.bkts[i]
-	if bk.acc == nil {
-		return
-	}
-	bk.sealed = bk.acc.Seal(p.Seed ^ 0x5ea1)
 	if p.Sealed {
-		bk.acc = nil
+		bk.sealed = b.rows.Seal()
+		b.rows.Reset()
+	} else {
+		bk.sealed = bk.acc.Seal(p.Seed ^ tieSeedMix)
 	}
 }
 
@@ -428,8 +446,9 @@ func (b *builder) maxOccupancy() int {
 // discarding it. Closed buckets are immutable and shared with the
 // copy outright; the open bucket — the only one future inserts mutate —
 // is isolated: its window slice is capped at the current length and its
-// vector is freshly sealed (unsealed mode also copies the counters, so
-// DotAcc scoring never races a concurrent Add). The arena is fresh per
+// vector is freshly sealed — a fold of the waiting rows, which stay for
+// the next insert (unsealed mode copies the counters instead, so DotAcc
+// scoring never races a concurrent Add). The arena is fresh per
 // view, so repointing the copies' sealed views never touches builder
 // state.
 func (b *builder) view(p *Params, sketchWords int, refs []genome.Record) Segment {
@@ -439,17 +458,13 @@ func (b *builder) view(p *Params, sketchWords int, refs []genome.Record) Segment
 	bkts := make([]bucket, len(b.bkts))
 	copy(bkts, b.bkts)
 	last := len(bkts) - 1
-	if open := &bkts[last]; open.acc != nil && open.sealed == nil {
-		open.windows = open.windows[:len(open.windows):len(open.windows)]
-		src := b.bkts[last].acc
-		if p.Sealed {
-			open.acc = nil
-			open.sealed = src.Seal(p.Seed ^ 0x5ea1)
-		} else {
-			acc := hdc.AccFromCounts(append([]int32(nil), src.Counts()...), src.N())
-			open.acc = acc
-			open.sealed = acc.Seal(p.Seed ^ 0x5ea1)
-		}
+	open := &bkts[last] // insert closes a bucket only by opening the next
+	open.windows = open.windows[:len(open.windows):len(open.windows)]
+	if p.Sealed {
+		open.sealed = b.rows.Seal()
+	} else {
+		open.acc = hdc.AccFromCounts(open.acc.Counts(), open.acc.N())
+		open.sealed = open.acc.Seal(p.Seed ^ tieSeedMix)
 	}
 	seg := newSegment(bkts, p.Dim, sketchWords)
 	seg.tombs = seg.countTombs(refs)

@@ -19,12 +19,26 @@
 //     bijection that preserves pairwise similarity while making ρ^i(x)
 //     quasi-orthogonal to ρ^j(x) for i ≠ j.
 //   - Bundle (majority): superposes a set of hypervectors into one that
-//     is similar to every member. Bundling happens in an Acc (counter
-//     accumulator) and is finalized by Seal.
+//     is similar to every member.
+//
+// # Bundling
+//
+// There are two bundlers, and they seal to the same bits. An Acc keeps a
+// signed counter per dimension: what a raw-counter library scores against
+// (DotAcc), what the k-mer encoder and the v1/v2 file loader seal from,
+// and the definition of the majority and its tie rule (Acc.Seal: the
+// k-th tied dimension takes the k-th bit of a seeded stream). A Rows
+// keeps the members themselves and takes their lane-wise majority in one
+// row fold (bitvec.MajorityRows) under a Ties, the same stream packed
+// once: how every bucket of a sealed library is bundled, at a fraction
+// of a microsecond a member instead of D counter updates. The tie rule
+// lives here, beside both, and TestRowsMatchAcc / FuzzBundleRows hold the
+// fold to the counters bit for bit.
 package hdc
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/bitvec"
 	"repro/internal/rng"
@@ -220,21 +234,125 @@ func (a *Acc) mustMatch(h *HV) {
 
 // Seal binarizes the accumulator by element-wise sign: positive counters
 // become +1, negative −1, and exact ties are broken by a deterministic
-// pseudo-random stream derived from tieSeed, so sealing is reproducible.
-// The accumulator is left intact (Seal may be called repeatedly, e.g.
-// after incremental updates).
+// pseudo-random stream derived from tieSeed — the k-th tied dimension,
+// in dimension order, takes the low bit of the k-th draw of
+// rng.New(tieSeed) — so sealing is reproducible. The accumulator is left
+// intact (Seal may be called repeatedly, e.g. after incremental updates).
 func (a *Acc) Seal(tieSeed uint64) *HV {
 	h := NewHV(len(a.counts))
 	tie := rng.New(tieSeed)
-	for i, c := range a.counts {
-		switch {
-		case c > 0:
-			h.bits.Set(i)
-		case c == 0:
-			if tie.Bool() {
-				h.bits.Set(i)
-			}
+	for w, words := 0, h.bits.Words(); w < len(words); w++ {
+		// One output word is assembled in registers: the c > 0 and c < 0
+		// lanes of its 64 counters as masks, ties drawn for what is left.
+		var pos, neg uint64
+		for _, c := range a.counts[w*64 : w*64+64 : w*64+64] {
+			// Sign bits enter at the top and have moved down to their
+			// lane after the 64th counter.
+			pos = pos>>1 | uint64(-int64(c))&(1<<63)
+			neg = neg>>1 | uint64(int64(c))&(1<<63)
 		}
+		for m := ^(pos | neg); m != 0; m &= m - 1 {
+			pos |= m & -m & -(tie.Uint64() & 1)
+		}
+		words[w] = pos
+	}
+	return h
+}
+
+// Ties is the tie-break stream of one seed, packed: bit k is the low bit
+// of the k-th draw of rng.New(seed), the bit Seal(seed) gives the k-th
+// tied dimension. A vector ties at most D times, so D bits serve any
+// seal. Immutable once built; share it.
+type Ties struct {
+	bits []uint64
+	ones []uint64 // the all-ones tie row: turns MajorityRows into "ones ≥ n/2"
+}
+
+// NewTies packs the first d draws of the tie-break stream of tieSeed
+// (same dimension rules as NewHV).
+func NewTies(d int, tieSeed uint64) *Ties {
+	t := &Ties{bits: NewHV(d).Words(), ones: make([]uint64, d/64)}
+	src := rng.New(tieSeed)
+	for k := 0; k < d; k++ {
+		t.bits[k/64] |= src.Uint64() & 1 << uint(k%64)
+	}
+	for i := range t.ones {
+		t.ones[i] = ^uint64(0)
+	}
+	return t
+}
+
+// take returns stream bits [k, k+n), n ≤ 64, in the low bits of the
+// result; what lies above them is not cleared.
+func (t *Ties) take(k, n int) uint64 {
+	w, s := k/64, uint(k%64)
+	v := t.bits[w] >> s
+	if int(s)+n > 64 {
+		v |= t.bits[w+1] << (64 - s)
+	}
+	return v
+}
+
+// Rows is the bundling accumulator of sealed libraries, where nothing
+// reads a counter: it keeps the packed hypervectors added to it and
+// seals them by one row fold. Add × n then Seal gives, bit for bit, what
+// Acc.Add × n then Seal(seed) gives under the Ties of that seed. The row
+// buffer is reused across Reset.
+type Rows struct {
+	ties  *Ties
+	words []uint64 // the members' packed words back to back, in Add order
+	idx   []int32  // 0 … n−1: MajorityRows folds rows named by index
+	ge    []uint64 // scratch of Seal: the lanes with ones ≥ n/2
+}
+
+// NewRows returns an empty row accumulator of the dimension of ties.
+func NewRows(ties *Ties) *Rows {
+	return &Rows{ties: ties, ge: make([]uint64, len(ties.ones))}
+}
+
+// Add appends h to the rows to be bundled.
+func (r *Rows) Add(h *HV) {
+	if h.Dim() != 64*len(r.ge) {
+		panic(fmt.Sprintf("hdc: dimension mismatch %d vs %d", h.Dim(), 64*len(r.ge)))
+	}
+	r.idx = append(r.idx, int32(len(r.idx)))
+	r.words = append(r.words, h.Words()...)
+}
+
+// Reset empties the accumulator for reuse.
+func (r *Rows) Reset() { r.words, r.idx = r.words[:0], r.idx[:0] }
+
+// Seal returns the bundle of the added hypervectors and leaves the
+// accumulator intact. One member is its own bundle and an odd number
+// cannot tie. An even fold runs twice — ones > n/2, then ones ≥ n/2 under
+// the all-ones tie row — and the lanes on which the two differ are the
+// ties; they take the stream's bits in dimension order, which is
+// Acc.Seal's rule and not the positional tie row MajorityRows offers. It
+// panics if nothing was added.
+func (r *Rows) Seal() *HV {
+	nw, ones := len(r.ge), r.ties.ones
+	h := NewHV(64 * nw)
+	out := h.Words()
+	if len(r.idx) == 1 {
+		copy(out, r.words)
+		return h
+	}
+	bitvec.MajorityRows(out, r.words, r.idx, nw, ones, false)
+	if len(r.idx)%2 != 0 {
+		return h
+	}
+	bitvec.MajorityRows(r.ge, r.words, r.idx, nw, ones, true)
+	k := 0
+	for c, gt := range out {
+		m := gt ^ r.ge[c]
+		n := bits.OnesCount64(m)
+		v := r.ties.take(k, n)
+		k += n
+		for ; m != 0; m &= m - 1 {
+			gt |= m & -m & -(v & 1)
+			v >>= 1
+		}
+		out[c] = gt
 	}
 	return h
 }

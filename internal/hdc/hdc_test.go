@@ -380,6 +380,30 @@ func BenchmarkAccAdd4096(b *testing.B) {
 	}
 }
 
+func BenchmarkAccSeal8192(b *testing.B) {
+	src := rng.New(4)
+	acc := NewAcc(8192)
+	for i := 0; i < 16; i++ { // an even fold: ≈ 1 600 lanes tie
+		acc.Add(RandomHV(8192, src))
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		_ = acc.Seal(5)
+	}
+}
+
+func BenchmarkRowsSeal8192(b *testing.B) {
+	src := rng.New(4)
+	rows := NewRows(NewTies(8192, 5))
+	for i := 0; i < 16; i++ {
+		rows.Add(RandomHV(8192, src))
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		_ = rows.Seal()
+	}
+}
+
 func BenchmarkDot8192(b *testing.B) {
 	src := rng.New(3)
 	x, y := RandomHV(8192, src), RandomHV(8192, src)
