@@ -303,7 +303,7 @@ func (lf *libFlags) params() core.Params {
 	approx := lf.approx || lf.tol > 0
 	return core.Params{
 		Dim: lf.dim, Window: lf.window, Stride: lf.stride, Capacity: lf.capacity,
-		Approx: approx, Sealed: true, MutTolerance: lf.tol, Seed: lf.seed,
+		Approx: approx, MutTolerance: lf.tol, Seed: lf.seed,
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/genome"
 	"repro/internal/rng"
 )
@@ -29,7 +30,8 @@ func fileVersion(t *testing.T, path string) uint32 {
 	return binary.LittleEndian.Uint32(b[8:12])
 }
 
-// buildSealedLib builds a sealed-mode library file and returns its path.
+// buildSealedLib builds a library file from generated references and
+// returns its path.
 func buildSealedLib(t *testing.T) string {
 	t.Helper()
 	refs := genRefs(t)
@@ -122,14 +124,23 @@ func TestConvertV2ToV3AndSearch(t *testing.T) {
 	}
 }
 
+// TestConvertRejectsUnsealed: a raw-counter library can only arrive as
+// a legacy file, and no command opens one any more — each fails with the
+// core's typed error and writes nothing.
 func TestConvertRejectsUnsealed(t *testing.T) {
-	// The CLI always builds sealed libraries; a raw-counter one can only
-	// arrive as a legacy file, and v3 does not store raw counters.
-	var sb strings.Builder
+	const raw = "../../internal/core/testdata/golden_v2_raw.lib"
 	v3Path := filepath.Join(t.TempDir(), "lib.v3")
-	err := run([]string{"convert", "-lib", "../../internal/core/testdata/golden_v2_raw.lib", "-o", v3Path}, &sb)
-	if err == nil || !strings.Contains(err.Error(), "sealed") {
-		t.Fatalf("raw-counter library converted to v3: %v", err)
+	pat := genome.Random(24, rng.New(1)).String()
+	for _, args := range [][]string{
+		{"convert", "-lib", raw, "-o", v3Path},
+		{"search", "-lib", raw, "-pattern", pat},
+		{"serve", "-lib", raw, "-addr", "127.0.0.1:0"},
+		{"serve", "-lib", "../../internal/core/testdata/golden_v1_raw.lib", "-mmap", "-addr", "127.0.0.1:0"},
+	} {
+		var sb strings.Builder
+		if err := run(args, &sb); !errors.Is(err, core.ErrRawCounters) {
+			t.Errorf("%s: %v, want core.ErrRawCounters", strings.Join(args, " "), err)
+		}
 	}
 	if _, err := os.Stat(v3Path + ".tmp"); !errors.Is(err, os.ErrNotExist) {
 		t.Fatal("failed convert left its temporary file behind")

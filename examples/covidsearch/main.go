@@ -44,7 +44,7 @@ func main() {
 
 	// 3. BioHD library over all variants.
 	lib, err := core.NewLibrary(core.Params{
-		Dim: 8192, Window: 32, Sealed: true, Seed: 5,
+		Dim: 8192, Window: 32, Seed: 5,
 	})
 	if err != nil {
 		log.Fatal(err)

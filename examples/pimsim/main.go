@@ -25,7 +25,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	lib, err := core.NewLibrary(core.Params{Dim: 8192, Window: 32, Sealed: true, Seed: 22})
+	lib, err := core.NewLibrary(core.Params{Dim: 8192, Window: 32, Seed: 22})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -24,7 +24,6 @@ func main() {
 	exact, err := core.NewLibrary(core.Params{
 		Dim:    8192, // hypervector dimension
 		Window: 32,   // pattern length
-		Sealed: true, // binary buckets (the PIM-compatible layout)
 		Seed:   7,
 	})
 	if err != nil {
@@ -52,7 +51,7 @@ func main() {
 	// 4. Approximate-mode library: positional bundles tolerate
 	//    substitutions up to the configured budget.
 	approx, err := core.NewLibrary(core.Params{
-		Dim: 8192, Window: 48, Sealed: true,
+		Dim: 8192, Window: 48,
 		Approx: true, Capacity: 2, MutTolerance: 5, Seed: 7,
 	})
 	if err != nil {

@@ -20,7 +20,7 @@ func main() {
 	src := rng.New(11)
 	var refs []*genome.Sequence
 	lib, err := core.NewLibrary(core.Params{
-		Dim: 8192, Window: 48, Sealed: true,
+		Dim: 8192, Window: 48,
 		Approx: true, Capacity: 2, MutTolerance: 5, Seed: 12,
 	})
 	if err != nil {

@@ -30,7 +30,7 @@ func main() {
 	// 1. Library over two synthetic chromosomes.
 	src := rng.New(41)
 	chr1, chr2 := genome.Random(8_000, src), genome.Random(8_000, src)
-	lib, err := core.NewLibrary(core.Params{Dim: 8192, Window: 32, Sealed: true, Seed: 42})
+	lib, err := core.NewLibrary(core.Params{Dim: 8192, Window: 32, Seed: 42})
 	if err != nil {
 		log.Fatal(err)
 	}

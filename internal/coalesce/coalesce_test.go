@@ -20,7 +20,7 @@ import (
 // buildLib builds a small frozen sealed library.
 func buildLib(tb testing.TB, seed uint64) (*core.Library, []*genome.Sequence) {
 	tb.Helper()
-	lib, err := core.NewLibrary(core.Params{Dim: 2048, Window: 24, Sealed: true, Seed: seed})
+	lib, err := core.NewLibrary(core.Params{Dim: 2048, Window: 24, Seed: seed})
 	if err != nil {
 		tb.Fatal(err)
 	}

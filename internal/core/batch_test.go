@@ -124,7 +124,7 @@ func TestLookupBatchContextCancelMidBatch(t *testing.T) {
 	// before the cancel is observed.
 	src := rng.New(72)
 	ref := genome.Random(3000, src)
-	lib := mustLibrary(t, Params{Dim: 8192, Window: 32, Sealed: true, Capacity: 4, Seed: 73})
+	lib := mustLibrary(t, Params{Dim: 8192, Window: 32, Capacity: 4, Seed: 73})
 	if err := lib.Add(genome.Record{ID: "ref", Seq: ref}); err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestLookupBothStrands(t *testing.T) {
 		Append(genome.Random(400, src)).
 		Append(motif.ReverseComplement()).
 		Append(genome.Random(400, src))
-	lib := mustLibrary(t, Params{Dim: 8192, Window: 32, Sealed: true, Seed: 68})
+	lib := mustLibrary(t, Params{Dim: 8192, Window: 32, Seed: 68})
 	if err := lib.Add(genome.Record{ID: "r", Seq: ref}); err != nil {
 		t.Fatal(err)
 	}
@@ -239,53 +239,14 @@ func TestStrandString(t *testing.T) {
 	}
 }
 
-func TestRemoveFromUnsealedLibrary(t *testing.T) {
-	src := rng.New(69)
-	refs := []*genome.Sequence{genome.Random(600, src), genome.Random(600, src)}
-	lib := mustLibrary(t, Params{Dim: 8192, Window: 32, Capacity: 16, Seed: 70})
-	for i, r := range refs {
-		if err := lib.Add(genome.Record{ID: string(rune('a' + i)), Seq: r}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	lib.Freeze()
-	// Before removal both references are findable.
-	for i, r := range refs {
-		if ok, _, _ := lib.Contains(r.Slice(100, 132)); !ok {
-			t.Fatalf("ref %d not findable before removal", i)
-		}
-	}
-	windowsBefore := lib.NumWindows()
-	if err := lib.Remove(0); err != nil {
-		t.Fatal(err)
-	}
-	if lib.NumWindows() >= windowsBefore {
-		t.Fatal("window count did not drop")
-	}
-	// Removed reference no longer matches; the other still does.
-	if matches, _, _ := lib.Lookup(refs[0].Slice(100, 132)); len(matches) != 0 {
-		t.Fatalf("removed reference still matches: %+v", matches)
-	}
-	if ok, _, _ := lib.Contains(refs[1].Slice(100, 132)); !ok {
-		t.Fatal("surviving reference lost")
-	}
-	// Tombstone semantics.
-	if lib.Ref(0).Seq != nil {
-		t.Fatal("tombstone retains sequence")
-	}
-	if err := lib.Remove(0); err == nil {
-		t.Fatal("double removal accepted")
-	}
-}
-
 func TestRemoveOnSealedLibrary(t *testing.T) {
-	// Sealed libraries drop their counters at Freeze and cannot subtract;
-	// the tombstone path makes Remove work anyway: the windows stay
+	// Buckets keep no counters and cannot subtract; the tombstone path
+	// makes Remove work anyway: the windows stay
 	// superposed (noise) but can never verify, so the reference is gone
 	// from every result.
 	src := rng.New(71)
 	refs := []*genome.Sequence{genome.Random(500, src), genome.Random(500, src)}
-	lib := mustLibrary(t, Params{Dim: 8192, Window: 32, Sealed: true, Seed: 71})
+	lib := mustLibrary(t, Params{Dim: 8192, Window: 32, Seed: 71})
 	for i, r := range refs {
 		if err := lib.Add(genome.Record{ID: string(rune('a' + i)), Seq: r}); err != nil {
 			t.Fatal(err)
@@ -307,6 +268,12 @@ func TestRemoveOnSealedLibrary(t *testing.T) {
 	}
 	if ok, _, _ := lib.Contains(refs[1].Slice(100, 132)); !ok {
 		t.Fatal("surviving reference lost")
+	}
+	if lib.Ref(0).Seq != nil {
+		t.Fatal("tombstone retains sequence")
+	}
+	if err := lib.Remove(0); err == nil {
+		t.Fatal("double removal accepted")
 	}
 	// Compaction rewrites the tombstoned segment and clears the ratio.
 	n, err := lib.Compact(0)
@@ -344,9 +311,9 @@ func TestRemoveThenCompactIsClean(t *testing.T) {
 	// live windows, so ref 0's superposition contribution is fully gone.
 	src := rng.New(74)
 	r0, r1 := genome.Random(300, src), genome.Random(300, src)
-	// One shared bucket (capacity ≫ windows); D sized so the ~540-window
-	// occupancy stays separable in unsealed mode.
-	both := mustLibrary(t, Params{Dim: 8192, Window: 32, Capacity: 1 << 20, Seed: 75})
+	// At a capacity that stays separable, the bucket r0's 269 windows end
+	// in also takes r1's first three, so r0 lingers there until compaction.
+	both := mustLibrary(t, Params{Dim: 8192, Window: 32, Capacity: 16, Seed: 75})
 	if err := both.Add(genome.Record{ID: "r0", Seq: r0}); err != nil {
 		t.Fatal(err)
 	}
@@ -363,7 +330,7 @@ func TestRemoveThenCompactIsClean(t *testing.T) {
 	if _, err := both.Compact(0); err != nil {
 		t.Fatal(err)
 	}
-	// Every counter now equals the contribution of r1's windows alone.
+	// Every bucket now bundles r1's windows alone.
 	m, _, err := both.Lookup(q)
 	if err != nil {
 		t.Fatal(err)
@@ -378,9 +345,9 @@ func TestRemoveThenCompactIsClean(t *testing.T) {
 		t.Fatalf("r1 window lost after remove+compact: %+v", m)
 	}
 	// The compacted library scores r1's windows exactly like a fresh
-	// library built from r1 alone with the same seed: same counters,
-	// modulo bucket packing. Compare probe scores for the same query.
-	solo := mustLibrary(t, Params{Dim: 8192, Window: 32, Capacity: 1 << 20, Seed: 75})
+	// library built from r1 alone with the same seed: same buckets, same
+	// rows. Compare probe scores for the same query.
+	solo := mustLibrary(t, Params{Dim: 8192, Window: 32, Capacity: 16, Seed: 75})
 	if err := solo.Add(genome.Record{ID: "r1", Seq: r1}); err != nil {
 		t.Fatal(err)
 	}
@@ -402,7 +369,7 @@ func TestRemoveThenCompactIsClean(t *testing.T) {
 func TestClassifyBothStrands(t *testing.T) {
 	src := rng.New(76)
 	refs := []*genome.Sequence{genome.Random(2000, src), genome.Random(2000, src)}
-	lib := mustLibrary(t, Params{Dim: 8192, Window: 32, Sealed: true, Seed: 77})
+	lib := mustLibrary(t, Params{Dim: 8192, Window: 32, Seed: 77})
 	for i, r := range refs {
 		if err := lib.Add(genome.Record{ID: string(rune('a' + i)), Seq: r}); err != nil {
 			t.Fatal(err)

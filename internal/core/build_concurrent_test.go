@@ -13,7 +13,7 @@ func TestAddConcurrentMatchesSequential(t *testing.T) {
 	for i := range recs {
 		recs[i] = genome.Record{ID: string(rune('a' + i)), Seq: genome.Random(800, src)}
 	}
-	params := Params{Dim: 4096, Window: 32, Sealed: true, Seed: 202}
+	params := Params{Dim: 4096, Window: 32, Seed: 202}
 
 	seq := mustLibrary(t, params)
 	for _, rec := range recs {
@@ -53,7 +53,7 @@ func TestAddConcurrentApproxMatchesSequential(t *testing.T) {
 		{ID: "a", Seq: genome.Random(400, src)},
 		{ID: "b", Seq: genome.Random(400, src)},
 	}
-	params := Params{Dim: 2048, Window: 24, Sealed: true, Approx: true,
+	params := Params{Dim: 2048, Window: 24, Approx: true,
 		Capacity: 4, MutTolerance: 3, Seed: 204}
 	seq := mustLibrary(t, params)
 	for _, rec := range recs {
@@ -81,7 +81,7 @@ func TestAddConcurrentApproxMatchesSequential(t *testing.T) {
 }
 
 func TestAddConcurrentErrors(t *testing.T) {
-	params := Params{Dim: 1024, Window: 32, Sealed: true, Seed: 205}
+	params := Params{Dim: 1024, Window: 32, Seed: 205}
 	lib := mustLibrary(t, params)
 	recs := []genome.Record{
 		{ID: "ok", Seq: genome.Random(100, rng.New(206))},

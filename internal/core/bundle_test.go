@@ -43,8 +43,8 @@ var bundleGeometries = []struct {
 	name string
 	p    Params
 }{
-	{"exact-C16", Params{Dim: 1024, Window: 16, Capacity: 16, Sealed: true, Seed: 21}},
-	{"approx-C5", Params{Dim: 1024, Window: 16, Capacity: 5, Approx: true, MutTolerance: 1, Sealed: true, Seed: 22}},
+	{"exact-C16", Params{Dim: 1024, Window: 16, Capacity: 16, Seed: 21}},
+	{"approx-C5", Params{Dim: 1024, Window: 16, Capacity: 5, Approx: true, MutTolerance: 1, Seed: 22}},
 }
 
 // TestLiveIngestRowsAreBundles adds references to a frozen library so

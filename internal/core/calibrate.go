@@ -53,7 +53,7 @@ func (l *Library) calibrate(sn *hdcView) Calibration {
 		q := genome.Random(w, src)
 		l.enc.EncodeWindowApproxInto(hv, sc.acc, q, 0)
 		b := src.Intn(sn.numBuckets())
-		noise.Add(sn.score(b, hv, &l.params))
+		noise.Add(sn.score(b, hv))
 	}
 
 	// Signal side: member windows re-queried with MutTolerance
@@ -95,7 +95,7 @@ func (l *Library) calibrate(sn *hdcView) Calibration {
 			window, _ = genome.SubstituteExactly(window, l.params.MutTolerance, src)
 		}
 		l.enc.EncodeWindowApproxInto(hv, sc.acc, window, 0)
-		signal.Add(sn.score(nonEmpty[j], hv, &l.params))
+		signal.Add(sn.score(nonEmpty[j], hv))
 	}
 
 	cal := Calibration{

@@ -12,7 +12,7 @@ func buildApproxLib(t *testing.T, refLen int, seed uint64) *Library {
 	t.Helper()
 	ref := genome.Random(refLen, rng.New(seed))
 	lib := mustLibrary(t, Params{
-		Dim: 8192, Window: 48, Approx: true, Sealed: true,
+		Dim: 8192, Window: 48, Approx: true,
 		Capacity: 4, MutTolerance: 6, Seed: seed + 1,
 	})
 	if err := lib.Add(genome.Record{ID: "ref", Seq: ref}); err != nil {
@@ -53,7 +53,7 @@ func TestCalibrationAbsentForExact(t *testing.T) {
 
 func TestCalibrationAbsentBeforeFreeze(t *testing.T) {
 	lib := mustLibrary(t, Params{
-		Dim: 1024, Window: 16, Approx: true, Sealed: true, Capacity: 4, Seed: 3,
+		Dim: 1024, Window: 16, Approx: true, Capacity: 4, Seed: 3,
 	})
 	if err := lib.Add(genome.Record{ID: "r", Seq: genome.Random(100, rng.New(4))}); err != nil {
 		t.Fatal(err)
@@ -79,7 +79,7 @@ func TestCalibratedRecallAtTolerance(t *testing.T) {
 	// ≥ 95% of 6-substitution queries.
 	ref := genome.Random(3000, rng.New(6))
 	lib := mustLibrary(t, Params{
-		Dim: 8192, Window: 48, Approx: true, Sealed: true,
+		Dim: 8192, Window: 48, Approx: true,
 		Capacity: 2, MutTolerance: 6, Seed: 7,
 	})
 	if err := lib.Add(genome.Record{ID: "ref", Seq: ref}); err != nil {
@@ -108,7 +108,7 @@ func TestCalibratedRecallAtTolerance(t *testing.T) {
 }
 
 func TestFreezeEmptyLibraryStaysUnfrozen(t *testing.T) {
-	lib := mustLibrary(t, Params{Dim: 1024, Window: 16, Approx: true, Sealed: true, Capacity: 2, Seed: 9})
+	lib := mustLibrary(t, Params{Dim: 1024, Window: 16, Approx: true, Capacity: 2, Seed: 9})
 	lib.Freeze()
 	if lib.Frozen() {
 		t.Fatal("empty library froze")
@@ -122,7 +122,7 @@ func TestFreezeEmptyLibraryStaysUnfrozen(t *testing.T) {
 // changes, or any draw calibrate reorders, moves these floats.
 func TestCalibrationPinned(t *testing.T) {
 	lib := mustLibrary(t, Params{
-		Dim: 4096, Window: 32, Approx: true, Sealed: true, MutTolerance: 2, Seed: 77,
+		Dim: 4096, Window: 32, Approx: true, MutTolerance: 2, Seed: 77,
 	})
 	src := rng.New(78)
 	for _, id := range []string{"a", "b", "c"} {

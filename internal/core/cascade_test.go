@@ -18,8 +18,8 @@ import (
 // approxCascadeParams is that of its approximate one, a 16-word sketch
 // whose bound every view derives from its own calibrated threshold.
 var (
-	cascadeParams       = Params{Dim: 8192, Window: 32, Capacity: 16, Sealed: true, Seed: 42}
-	approxCascadeParams = Params{Dim: 8192, Window: 32, Approx: true, Sealed: true, MutTolerance: 2, Seed: 42}
+	cascadeParams       = Params{Dim: 8192, Window: 32, Capacity: 16, Seed: 42}
+	approxCascadeParams = Params{Dim: 8192, Window: 32, Approx: true, MutTolerance: 2, Seed: 42}
 )
 
 // cascadePair builds the same library twice — once as the parameters

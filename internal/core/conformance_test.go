@@ -102,11 +102,11 @@ func mapped(open func(*testing.T, []genome.Record) core.Index) func(*testing.T, 
 }
 
 var confBackends = []confBackend{
-	{name: "hdc-exact", open: openHDC(core.Params{Dim: 2048, Window: confWindow, Sealed: true, Seed: 11})},
+	{name: "hdc-exact", open: openHDC(core.Params{Dim: 2048, Window: confWindow, Seed: 11})},
 	{name: "hdc-approx", tol: 1, open: openHDC(core.Params{
-		Dim: 2048, Window: confWindow, Approx: true, MutTolerance: 1, Sealed: true, Seed: 12})},
+		Dim: 2048, Window: confWindow, Approx: true, MutTolerance: 1, Seed: 12})},
 	{name: "cobs", open: openCOBS},
-	{name: "hdc-mapped", open: mapped(openHDC(core.Params{Dim: 2048, Window: confWindow, Sealed: true, Seed: 13}))},
+	{name: "hdc-mapped", open: mapped(openHDC(core.Params{Dim: 2048, Window: confWindow, Seed: 13}))},
 	{name: "cobs-mapped", open: mapped(openCOBS)},
 }
 

@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"crypto/sha256"
-	"encoding/binary"
 	"fmt"
 	"testing"
 
@@ -12,10 +11,7 @@ import (
 )
 
 // buildSerialized constructs a library over recs with the given params
-// and worker count (0 = sequential Add) and returns the bytes that pin
-// it: the v3 file of a sealed library; for a raw-counter one, which no
-// file format stores, the calibration and every bucket's member
-// windows, counters and sealed vector.
+// and worker count (0 = sequential Add) and returns its v3 file.
 func buildSerialized(t *testing.T, p Params, recs []genome.Record, workers int) []byte {
 	t.Helper()
 	lib, err := NewLibrary(p)
@@ -32,27 +28,7 @@ func buildSerialized(t *testing.T, p Params, recs []genome.Record, workers int) 
 		t.Fatal(err)
 	}
 	lib.Freeze()
-	if p.Sealed {
-		return writeV3Bytes(t, lib)
-	}
-	var buf bytes.Buffer
-	put := func(v any) {
-		if err := binary.Write(&buf, binary.LittleEndian, v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	sn := hdcOf(lib.snap.Load())
-	put(sn.cal.Tau)
-	put(sn.cal.NoiseMean)
-	put(sn.cal.SignalMean)
-	for i := 0; i < sn.numBuckets(); i++ {
-		seg, li := sn.locate(i)
-		put(seg.windows(li))
-		put(seg.bkts[li].acc.Counts())
-		put(int64(seg.bkts[li].acc.N()))
-		put(seg.vector(li).Bits().Words())
-	}
-	return buf.Bytes()
+	return writeV3Bytes(t, lib)
 }
 
 // TestBuildDeterminism is the regression guard behind biohdlint's
@@ -60,10 +36,11 @@ func buildSerialized(t *testing.T, p Params, recs []genome.Record, workers int) 
 // produce byte-identical libraries — across repeated runs and across
 // sequential vs concurrent construction — in both encoding modes. A
 // stray global-rand call or map-iteration-order dependence anywhere in
-// the build path shows up here as a byte diff. The sealed geometries
-// also pin the SHA-256 of the v3 file PR 14 (the last commit with a
-// second writer) wrote for them, so a change to the one writer that
-// alters a byte of the format fails here.
+// the build path shows up here as a byte diff. Each geometry also pins
+// the SHA-256 of the v3 file PR 14 (the last commit with a second
+// writer) wrote for it, so a change to the one writer that alters a byte
+// of the format fails here. Params.Sealed is ignored: asking for raw
+// counters builds the same sealed library, byte for byte.
 func TestBuildDeterminism(t *testing.T) {
 	src := rng.New(99)
 	recs := []genome.Record{
@@ -76,15 +53,16 @@ func TestBuildDeterminism(t *testing.T) {
 		p      Params
 		sha256 string
 	}{
-		{"exact-sealed", Params{Dim: 1024, Window: 16, Sealed: true, Seed: 5},
+		{"exact-sealed", Params{Dim: 1024, Window: 16, Seed: 5},
 			"a0d085aa56bd4d45ce86278bea0ef137d572c561147a86f12cd5c3495ed9e7fa"},
-		{"approx-sealed", Params{Dim: 1024, Window: 16, Approx: true, Sealed: true, MutTolerance: 2, Seed: 5},
+		{"approx-sealed", Params{Dim: 1024, Window: 16, Approx: true, MutTolerance: 2, Seed: 5},
 			"aa24675ee3aef0071047572d1c59887f707dd2e9844232bc1c1f4edbb59f9bcd"},
-		{"approx-raw", Params{Dim: 1024, Window: 16, Approx: true, MutTolerance: 2, Seed: 5}, ""},
+		{"exact-sealed-false-ignored", Params{Dim: 1024, Window: 16, Sealed: false, Seed: 5},
+			"a0d085aa56bd4d45ce86278bea0ef137d572c561147a86f12cd5c3495ed9e7fa"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			first := buildSerialized(t, tc.p, recs, 0)
-			if got := fmt.Sprintf("%x", sha256.Sum256(first)); tc.sha256 != "" && got != tc.sha256 {
+			if got := fmt.Sprintf("%x", sha256.Sum256(first)); got != tc.sha256 {
 				t.Errorf("v3 bytes hash to %s, the parent wrote %s", got, tc.sha256)
 			}
 			if again := buildSerialized(t, tc.p, recs, 0); !bytes.Equal(first, again) {

@@ -13,7 +13,7 @@ import (
 func Example() {
 	ref := genome.Random(5_000, rng.New(1))
 	lib, err := core.NewLibrary(core.Params{
-		Dim: 8192, Window: 32, Sealed: true, Seed: 7,
+		Dim: 8192, Window: 32, Seed: 7,
 	})
 	if err != nil {
 		panic(err)
@@ -40,7 +40,7 @@ func Example() {
 func ExampleLibrary_Lookup_approximate() {
 	ref := genome.Random(3_000, rng.New(2))
 	lib, err := core.NewLibrary(core.Params{
-		Dim: 8192, Window: 48, Sealed: true,
+		Dim: 8192, Window: 48,
 		Approx: true, Capacity: 2, MutTolerance: 5, Seed: 9,
 	})
 	if err != nil {
@@ -64,7 +64,7 @@ func ExampleLibrary_Lookup_approximate() {
 
 // ExampleLibrary_WriteToV3 round-trips a library through its file format.
 func ExampleLibrary_WriteToV3() {
-	lib, _ := core.NewLibrary(core.Params{Dim: 1024, Window: 16, Sealed: true, Seed: 4})
+	lib, _ := core.NewLibrary(core.Params{Dim: 1024, Window: 16, Seed: 4})
 	_ = lib.Add(genome.Record{ID: "r", Seq: genome.Random(200, rng.New(5))})
 	lib.Freeze()
 
@@ -83,8 +83,8 @@ func ExampleLibrary_WriteToV3() {
 // ExampleModel shows the statistical quality model sizing a library:
 // given a dimension, how many windows can one bucket hold?
 func ExampleModel() {
-	c := core.MaxCapacity(8192, 32, false, true, 0, 1000, 1e-3, 1e-3)
-	m := core.Model{D: 8192, W: 32, C: c, Sealed: true}
+	c := core.MaxCapacity(8192, 32, false, 0, 1000, 1e-3, 1e-3)
+	m := core.Model{D: 8192, W: 32, C: c}
 	fmt.Printf("capacity=%d separable=%v\n", c,
 		m.SignalMean(0) > m.Threshold(1e-3, 1000))
 	// Output: capacity=85 separable=true

@@ -32,7 +32,7 @@ func FuzzReadLibrary(f *testing.F) {
 	f.Add(mut)
 	// The v3 container, plus structured corruptions of its sections:
 	// truncated header, truncated arenas, flipped meta byte.
-	lib, err := NewLibrary(Params{Dim: 1024, Window: 16, Sealed: true, Seed: 1})
+	lib, err := NewLibrary(Params{Dim: 1024, Window: 16, Seed: 1})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -63,6 +63,8 @@ func FuzzReadLibrary(f *testing.F) {
 	// A self-consistent directory claiming 2^32-1 buckets over the same
 	// few KiB of arena.
 	f.Add(forgeHugeDirectory(valid3))
+	// Every checksum intact, but the parameters claim raw counters.
+	f.Add(rawCounterV3(valid3))
 
 	dir := f.TempDir()
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -70,7 +70,7 @@ func writeParams(cw *crcWriter, p *Params) {
 	cw.u32(uint32(p.Stride))
 	cw.u32(uint32(p.Capacity))
 	cw.u32(boolU32(p.Approx))
-	cw.u32(boolU32(p.Sealed))
+	cw.u32(1) // sealed: the only storage mode
 	cw.u32(uint32(p.MutTolerance))
 	cw.f64(p.Alpha)
 	cw.f64(p.Beta)
@@ -192,6 +192,14 @@ const (
 
 var errTrailingData = errors.New("core: trailing data after library checksum")
 
+// ErrRawCounters rejects a library file whose parameter block says its
+// buckets are raw counters (a stored Sealed of 0) — a storage mode only
+// the legacy v1/v2 streams could hold, and no longer read. Such a file
+// is not converted: its calibration is in counter units, so sealing it
+// would also mean re-calibrating it.
+var ErrRawCounters = errors.New("core: raw-counter library files are no longer read " +
+	"(the last commit that reads them is b03c77f); rebuild the library from its references")
+
 // expectEOF asserts the stream is exhausted — every format ends at its
 // final checksum, so a readable byte here means trailing garbage (or a
 // concatenated second file) that must not silently pass.
@@ -218,7 +226,7 @@ func readParamsChecked(cr *crcReader) (Params, error) {
 	p.Stride = int(cr.u32())
 	p.Capacity = int(cr.u32())
 	p.Approx = cr.u32() == 1
-	p.Sealed = cr.u32() == 1
+	sealed := cr.u32() == 1
 	p.MutTolerance = int(cr.u32())
 	p.Alpha = cr.f64()
 	p.Beta = cr.f64()
@@ -226,6 +234,10 @@ func readParamsChecked(cr *crcReader) (Params, error) {
 	if cr.err != nil {
 		return p, fmt.Errorf("core: reading library header: %w", cr.err)
 	}
+	if !sealed {
+		return p, ErrRawCounters
+	}
+	p.Sealed = true
 	if err := p.Validate(); err != nil {
 		return p, fmt.Errorf("core: loaded parameters invalid: %w", err)
 	}

@@ -24,7 +24,8 @@ import (
 // pre-segmented monolith — had no removed flag and one flat bucket
 // block; v1 files load as a single segment and answer queries
 // identically to the library that saved them. Either may hold raw
-// counter buckets (Sealed false), which v3 does not store.
+// counter buckets instead of sealed words (Sealed false in the parameter
+// block); readParamsChecked rejects those files with ErrRawCounters.
 
 // readLegacyStream deserializes a v1 or v2 stream from its first byte
 // (ReadIndex has peeked at the magic and version, not consumed them).
@@ -69,40 +70,17 @@ func readLegacyStream(br *bufio.Reader, version int) (*Library, error) {
 				}
 				b.windows = append(b.windows, wr)
 			}
-			sealed := cr.u32() == 1
-			if sealed != p.Sealed {
-				if cr.err == nil {
-					return nil, fmt.Errorf("core: bucket %d storage mode disagrees with parameters", i)
-				}
+			if cr.u32() != 1 && cr.err == nil {
+				return nil, fmt.Errorf("core: bucket %d storage mode disagrees with parameters", i)
+			}
+			words := cr.words(maxSeqWords)
+			if cr.err != nil {
 				break
 			}
-			if sealed {
-				words := cr.words(maxSeqWords)
-				if cr.err != nil {
-					break
-				}
-				if len(words)*64 != p.Dim {
-					return nil, fmt.Errorf("core: bucket %d has %d words for dimension %d", i, len(words), p.Dim)
-				}
-				b.sealed = hdc.HVFromWords(words, p.Dim)
-			} else {
-				nc := cr.u32()
-				if cr.err == nil && int(nc) != p.Dim {
-					return nil, fmt.Errorf("core: bucket %d has %d counters for dimension %d", i, nc, p.Dim)
-				}
-				buf := cr.read(int(nc) * 4)
-				if buf == nil {
-					break
-				}
-				counts := make([]int32, nc)
-				for j := range counts {
-					counts[j] = int32(binary.LittleEndian.Uint32(buf[j*4:]))
-				}
-				n := int(cr.u32())
-				acc := hdc.AccFromCounts(counts, n)
-				b.acc = acc
-				b.sealed = acc.Seal(p.Seed ^ tieSeedMix)
+			if len(words)*64 != p.Dim {
+				return nil, fmt.Errorf("core: bucket %d has %d words for dimension %d", i, len(words), p.Dim)
 			}
+			b.sealed = hdc.HVFromWords(words, p.Dim)
 			bkts = append(bkts, b)
 		}
 		if cr.err != nil {

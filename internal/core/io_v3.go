@@ -74,9 +74,9 @@ type v3Header struct {
 }
 
 // WriteToV3 serializes the library's current snapshot in the mappable
-// v3 format. Only frozen, sealed-mode libraries can be saved this way —
-// the arena is the sealed storage v3 maps. It returns the number of
-// bytes written (the v3 file size).
+// v3 format. Only frozen libraries can be saved this way — the arena is
+// the storage v3 maps. It returns the number of bytes written (the v3
+// file size).
 func (l *Library) WriteToV3(w io.Writer) (int64, error) {
 	v, err := l.Pin("WriteToV3")
 	if err != nil {
@@ -84,9 +84,6 @@ func (l *Library) WriteToV3(w io.Writer) (int64, error) {
 	}
 	defer l.Unpin()
 	sn := hdcOf(v)
-	if !l.params.Sealed {
-		return 0, fmt.Errorf("core: format v3 requires a sealed-mode library")
-	}
 
 	rw := uint32(l.params.Dim / 64)
 	segs := make([]ContainerSegment, len(sn.segs))
@@ -247,9 +244,6 @@ func parseMetaV3(sr *SectionReader, segCount int) (ContainerLoader, error) {
 	p, err := readParamsChecked(cr)
 	if err != nil {
 		return nil, err
-	}
-	if !p.Sealed {
-		return nil, fmt.Errorf("core: v3 library must be sealed-mode")
 	}
 	ld := &hdcLoader{cal: readCalibration(cr)}
 	if ld.refs, err = readRefs(cr, true); err != nil {

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -107,20 +108,31 @@ func TestV3RoundTripApproxKeepsCalibration(t *testing.T) {
 	}
 }
 
+// TestV3RejectsUnsealedAndUnfrozen: an unfrozen library is not saved,
+// and a file whose parameters claim raw counters is not opened.
 func TestV3RejectsUnsealedAndUnfrozen(t *testing.T) {
 	var buf bytes.Buffer
-	unfrozen := mustLibrary(t, Params{Dim: 1024, Window: 16, Sealed: true, Seed: 153})
+	unfrozen := mustLibrary(t, Params{Dim: 1024, Window: 16, Seed: 153})
 	if _, err := unfrozen.WriteToV3(&buf); err == nil {
 		t.Fatal("unfrozen library saved as v3")
 	}
-	unsealed := mustLibrary(t, Params{Dim: 1024, Window: 16, Seed: 154})
-	if err := unsealed.Add(genome.Record{ID: "r", Seq: genome.Random(300, rng.New(155))}); err != nil {
-		t.Fatal(err)
+	lib, _ := buildExactLib(t, 300, 155)
+	if _, err := ReadIndex(bytes.NewReader(rawCounterV3(writeV3Bytes(t, lib)))); !errors.Is(err, ErrRawCounters) {
+		t.Fatalf("v3 file claiming raw counters: %v, want ErrRawCounters", err)
 	}
-	unsealed.Freeze()
-	if _, err := unsealed.WriteToV3(&buf); err == nil {
-		t.Fatal("unsealed library saved as v3")
-	}
+}
+
+// rawCounterV3 returns a copy of a v3 file with its parameter block's
+// Sealed word set to 0 and the metadata CRC recomputed over the change:
+// the one way a raw-counter library can reach the v3 reader.
+func rawCounterV3(valid []byte) []byte {
+	raw := append([]byte(nil), valid...)
+	metaLen := binary.LittleEndian.Uint64(raw[24:32])
+	meta := raw[v3HeaderSize : v3HeaderSize+metaLen]
+	// The backend tag, then Dim, Window, Stride, Capacity, Approx, Sealed.
+	binary.LittleEndian.PutUint32(meta[4+5*4:], 0)
+	binary.LittleEndian.PutUint32(meta[metaLen-4:], crc32.ChecksumIEEE(meta[:metaLen-4]))
+	return raw
 }
 
 func TestV3MappedEqualsHeap(t *testing.T) {
@@ -273,7 +285,7 @@ func TestV3CloseDrainsReaders(t *testing.T) {
 // Compact that shrank the library: the stale global indices must come
 // back empty from the public accessors, never panic.
 func TestStaleBucketIndexAfterCompact(t *testing.T) {
-	lib := mustLibrary(t, Params{Dim: 8192, Window: 32, Sealed: true, Seed: 161})
+	lib := mustLibrary(t, Params{Dim: 8192, Window: 32, Seed: 161})
 	for i, n := range []int{900, 900} {
 		seq := genome.Random(n, rng.New(uint64(162+i)))
 		if err := lib.Add(genome.Record{ID: string(rune('a' + i)), Seq: seq}); err != nil {
@@ -381,7 +393,7 @@ func forgeHugeDirectory(valid []byte) []byte {
 // at D=8192 — and the process died with "fatal error: runtime: out of
 // memory" where the mapped opener returned an error.
 func TestForgedDirectoryRejected(t *testing.T) {
-	lib := mustLibrary(t, Params{Dim: 8192, Window: 32, Sealed: true, Seed: 171})
+	lib := mustLibrary(t, Params{Dim: 8192, Window: 32, Seed: 171})
 	if err := lib.Add(genome.Record{ID: "r", Seq: genome.Random(600, rng.New(172))}); err != nil {
 		t.Fatal(err)
 	}

@@ -26,10 +26,10 @@ type Params struct {
 	// Approx selects the positional-bundle encoding (approximate search);
 	// false selects the binding-chain encoding (exact search only).
 	Approx bool
-	// Sealed stores buckets as binarized hypervectors; false keeps raw
-	// counters (more precise scores, W·log₂ storage overhead). The PIM
-	// architecture stores sealed buckets; raw counters model a
-	// digital-PIM variant.
+	// Sealed is always true: every bucket is stored as its binary
+	// majority, the layout the PIM crossbar searches.
+	//
+	// Deprecated: ignored; NewLibrary sets it.
 	Sealed bool
 	// MutTolerance is the number of per-window substitutions approximate
 	// search must withstand; used for auto capacity and thresholds.
@@ -44,6 +44,7 @@ type Params struct {
 }
 
 func (p *Params) applyDefaults() {
+	p.Sealed = true
 	if p.Stride == 0 {
 		p.Stride = 1
 	}
@@ -113,8 +114,8 @@ type Library struct {
 	sketchPrefixes []uint64
 	sketchShare    float64
 
-	// ties is the packed tie-break stream every sealed bucket is bundled
-	// under (hdc.Rows); nil in raw-counter mode, which seals from counters.
+	// ties is the packed tie-break stream every bucket is bundled under
+	// (hdc.Rows).
 	ties *hdc.Ties
 
 	// active is the mutable tail and cal the calibration last derived;
@@ -134,7 +135,7 @@ type Library struct {
 // probe concurrently, so the scratch must be per-call, not shared.
 type blockScratch struct {
 	hvs   []*hdc.HV     // query window encodings, probeBlock of them
-	acc   *hdc.Acc      // counter scratch for approximate encoding; nil in exact mode
+	acc   *hdc.Acc      // the approximate encoder's row-index scratch; nil in exact mode
 	surv  []int32       // rows of one tile that survived the sketch stage
 	cands [][]Candidate // per-query candidate buffers
 	one   [1]*hdc.HV    // Probe's one-query block
@@ -188,7 +189,7 @@ func NewLibrary(params Params) (*Library, error) {
 	}
 	if params.Capacity == 0 {
 		params.Capacity = MaxCapacity(params.Dim, params.Window, params.Approx,
-			params.Sealed, params.MutTolerance, planningBuckets, params.Alpha, params.Beta)
+			params.MutTolerance, planningBuckets, params.Alpha, params.Beta)
 	}
 	enc, err := encoding.New(encoding.Config{
 		Dim:    params.Dim,
@@ -198,10 +199,7 @@ func NewLibrary(params Params) (*Library, error) {
 	if err != nil {
 		return nil, err
 	}
-	l := &Library{params: params, enc: enc}
-	if params.Sealed {
-		l.ties = hdc.NewTies(params.Dim, params.Seed^tieSeedMix)
-	}
+	l := &Library{params: params, enc: enc, ties: hdc.NewTies(params.Dim, params.Seed^tieSeedMix)}
 	// The width is sized against the threshold the model expects at the
 	// library size capacity planning assumes; views re-derive the bound
 	// from the threshold they are actually searched at.
@@ -258,7 +256,6 @@ func (l *Library) modelWith(c int) Model {
 		W:      l.params.Window,
 		C:      c,
 		Approx: l.params.Approx,
-		Sealed: l.params.Sealed,
 	}
 }
 
@@ -302,8 +299,8 @@ func (l *Library) resetActive() { l.active = builder{} }
 
 // tombstoneSegment is Kernel.Tombstone. The bucket hypervectors are
 // left untouched — the removed windows keep contributing superposition
-// noise until compaction — which is what makes Remove work on Sealed
-// libraries, which have no counters to subtract from.
+// noise until compaction — which is what makes Remove work on buckets
+// that keep no counters to subtract from.
 func tombstoneSegment(seg Segment, ref int) Segment {
 	s := seg.(*segment)
 	if n := s.countRefWindows(ref); n > 0 {

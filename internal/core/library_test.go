@@ -34,7 +34,7 @@ func TestParamsValidate(t *testing.T) {
 }
 
 func TestNewLibraryDefaults(t *testing.T) {
-	lib := mustLibrary(t, Params{Dim: 4096, Window: 32, Sealed: true, Seed: 1})
+	lib := mustLibrary(t, Params{Dim: 4096, Window: 32, Seed: 1})
 	p := lib.Params()
 	if p.Stride != 1 || p.Alpha != 1e-3 || p.Beta != 1e-3 {
 		t.Fatalf("defaults not applied: %+v", p)
@@ -59,7 +59,7 @@ func TestAddRejectsShort(t *testing.T) {
 }
 
 func TestAddAfterFreeze(t *testing.T) {
-	lib := mustLibrary(t, Params{Dim: 2048, Window: 24, Sealed: true, Approx: true, MutTolerance: 2, Seed: 2})
+	lib := mustLibrary(t, Params{Dim: 2048, Window: 24, Approx: true, MutTolerance: 2, Seed: 2})
 	first := genome.Random(200, rng.New(20))
 	if err := lib.Add(genome.Record{ID: "first", Seq: first}); err != nil {
 		t.Fatal(err)
@@ -92,7 +92,7 @@ func TestAddAfterFreeze(t *testing.T) {
 }
 
 func TestAutoSealThreshold(t *testing.T) {
-	lib := mustLibrary(t, Params{Dim: 1024, Window: 16, Capacity: 8, Sealed: true, Seed: 22})
+	lib := mustLibrary(t, Params{Dim: 1024, Window: 16, Capacity: 8, Seed: 22})
 	if err := lib.Add(genome.Record{ID: "r0", Seq: genome.Random(100, rng.New(23))}); err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestStrideMemorizesAlignedWindows(t *testing.T) {
 	const window = 16
 	lens := []int{100, window, 57}
 	for _, stride := range []int{1, 4, 7} {
-		lib := mustLibrary(t, Params{Dim: 1024, Window: window, Stride: stride, Capacity: 5, Sealed: true, Seed: 5})
+		lib := mustLibrary(t, Params{Dim: 1024, Window: window, Stride: stride, Capacity: 5, Seed: 5})
 		want := 0
 		for i, n := range lens {
 			if err := lib.Add(genome.Record{ID: "r", Seq: genome.Random(n, rng.New(uint64(6+i)))}); err != nil {
@@ -224,29 +224,17 @@ func TestFreezeIdempotent(t *testing.T) {
 
 func TestMemoryFootprint(t *testing.T) {
 	const dim = 1024
-	sealedLib := mustLibrary(t, Params{Dim: dim, Window: 16, Capacity: 8, Sealed: true, Seed: 9})
-	rawLib := mustLibrary(t, Params{Dim: dim, Window: 16, Capacity: 8, Seed: 9})
-	seq := genome.Random(100, rng.New(10))
-	if err := sealedLib.Add(genome.Record{ID: "r", Seq: seq}); err != nil {
+	lib := mustLibrary(t, Params{Dim: dim, Window: 16, Capacity: 8, Seed: 9})
+	if err := lib.Add(genome.Record{ID: "r", Seq: genome.Random(100, rng.New(10))}); err != nil {
 		t.Fatal(err)
 	}
-	if err := rawLib.Add(genome.Record{ID: "r", Seq: seq}); err != nil {
-		t.Fatal(err)
-	}
-	sealedLib.Freeze()
-	rawLib.Freeze()
-	// Frozen footprints count everything resident on the search path:
-	// the packed probe arena (D/8 bytes per bucket), the window metadata
-	// (8 bytes per WindowRef), and — unsealed mode only — the retained
-	// raw counters (D·4 bytes per bucket).
-	nB, nW := int64(sealedLib.NumBuckets()), int64(sealedLib.NumWindows())
-	wantSealed := nB*dim/8 + nW*8
-	if got := sealedLib.MemoryFootprint(); got != wantSealed {
-		t.Fatalf("sealed footprint %d, want arena+metadata %d", got, wantSealed)
-	}
-	wantRaw := wantSealed + nB*dim*4
-	if got := rawLib.MemoryFootprint(); got != wantRaw {
-		t.Fatalf("raw footprint %d, want arena+metadata+counters %d", got, wantRaw)
+	lib.Freeze()
+	// A frozen footprint counts everything resident on the search path:
+	// the packed probe arena (D/8 bytes per bucket) and the window
+	// metadata (8 bytes per WindowRef).
+	nB, nW := int64(lib.NumBuckets()), int64(lib.NumWindows())
+	if got, want := lib.MemoryFootprint(), nB*dim/8+nW*8; got != want {
+		t.Fatalf("footprint %d, want arena+metadata %d", got, want)
 	}
 }
 

@@ -14,20 +14,18 @@ import (
 
 // Model is BioHD's statistical alignment-quality model. It predicts the
 // distribution of query/bucket similarity scores from the geometry
-// (dimension D, window length W, bucket capacity C, encoding mode,
-// sealed or raw counters) and converts target error rates into decision
-// thresholds and admissible capacities.
+// (dimension D, window length W, bucket capacity C, encoding mode) of a
+// library of sealed binary buckets and converts target error rates into
+// decision thresholds and admissible capacities.
 //
 // # Exact mode
 //
 // Window encodings are binding chains: distinct window contents encode to
 // independent random hypervectors. For a bucket holding C windows,
 //
-//   - absent query, sealed bucket:  score ~ N(0, D)
-//   - absent query, raw counters:   score ~ N(0, C·D)
-//   - present query, sealed bucket: score ~ N(D·ρ(C), D·(1−ρ(C)²)) where
-//     ρ(C) is the exact majority correlation (≈ √(2/πC)),
-//   - present query, raw counters:  score ~ N(D, (C−1)·D).
+//   - absent query:  score ~ N(0, D)
+//   - present query: score ~ N(D·ρ(C), D·(1−ρ(C)²)) where ρ(C) is the
+//     exact majority correlation (≈ √(2/πC)).
 //
 // # Approximate mode
 //
@@ -45,8 +43,7 @@ import (
 //
 // with the baseline μ(f₀) and a per-bucket composition noise from the
 // binomial spread of chance matches (std √(f₀(1−f₀)/W) per window),
-// plus the binarization noise √D. Raw-counter buckets score linearly:
-// μ = D·(c(f₁) + (C−1)·c(f₀)).
+// plus the binarization noise √D.
 //
 // All predictions here are validated empirically by experiment F2.
 type Model struct {
@@ -54,7 +51,6 @@ type Model struct {
 	W      int  // window length (bases)
 	C      int  // bucket capacity (windows per library vector)
 	Approx bool // approximate (bundle) encoding vs exact (bind chain)
-	Sealed bool // sealed binary bucket vs raw counters
 }
 
 // Validate checks the model geometry.
@@ -118,15 +114,6 @@ func (m Model) memberAgreement(muts int) float64 {
 	return float64(m.W-muts) / float64(m.W)
 }
 
-// rho returns the bundle attenuation for this model's capacity in the
-// sealed case, or 1 for raw counters (no binarization loss).
-func (m Model) rho() float64 {
-	if m.Sealed {
-		return MajorityCorrelation(m.C)
-	}
-	return 1
-}
-
 // latentCorr returns the Gaussian-surrogate correlation between a query
 // and a sealed bucket when the query agrees with one member window on a
 // fraction f1 of positions and with everything else at chance: modelling
@@ -147,11 +134,7 @@ func (m Model) Baseline() float64 {
 	if !m.Approx {
 		return 0
 	}
-	d := float64(m.D)
-	if m.Sealed {
-		return d * ArcsineCosine(m.latentCorr(chanceAgreement))
-	}
-	return d * float64(m.C) * ArcsineCosine(chanceAgreement)
+	return float64(m.D) * ArcsineCosine(m.latentCorr(chanceAgreement))
 }
 
 // NoiseSigma returns the standard deviation of the score of a query
@@ -159,30 +142,19 @@ func (m Model) Baseline() float64 {
 func (m Model) NoiseSigma() float64 {
 	d, c := float64(m.D), float64(m.C)
 	if !m.Approx {
-		if m.Sealed {
-			return math.Sqrt(d)
-		}
-		return math.Sqrt(c * d)
+		return math.Sqrt(d)
 	}
 	// Approximate mode: composition noise plus residual dimension noise.
 	// Each window's chance-agreement fraction has std √(f₀(1−f₀)/W);
 	// propagating through the score curve gives the composition term.
 	f0 := chanceAgreement
 	fStd := math.Sqrt(f0 * (1 - f0) / float64(m.W))
-	var composition, dimension float64
-	if m.Sealed {
-		corr0 := m.latentCorr(f0)
-		slope := 2 / math.Pi / math.Sqrt(1-corr0*corr0) // d/dcorr of (2/π)asin
-		// Each of the C windows moves corr by 1/√(C(1+(C−1)f₀)) per unit
-		// agreement; C independent windows add in quadrature.
-		composition = d * slope * fStd / math.Sqrt(1+(c-1)*f0)
-		dimension = math.Sqrt(d)
-	} else {
-		slope := 2 / math.Pi / math.Sqrt(1-f0*f0)
-		composition = d * slope * fStd * math.Sqrt(c)
-		dimension = math.Sqrt(c * d)
-	}
-	return math.Hypot(composition, dimension)
+	corr0 := m.latentCorr(f0)
+	slope := 2 / math.Pi / math.Sqrt(1-corr0*corr0) // d/dcorr of (2/π)asin
+	// Each of the C windows moves corr by 1/√(C(1+(C−1)f₀)) per unit
+	// agreement; C independent windows add in quadrature.
+	composition := d * slope * fStd / math.Sqrt(1+(c-1)*f0)
+	return math.Hypot(composition, math.Sqrt(d))
 }
 
 // SignalMean returns the expected score of a query that matches one
@@ -196,14 +168,9 @@ func (m Model) SignalMean(muts int) float64 {
 			// mutated query behaves like an absent one.
 			return 0
 		}
-		return d * m.rho()
+		return d * MajorityCorrelation(m.C)
 	}
-	if m.Sealed {
-		return d * ArcsineCosine(m.latentCorr(m.memberAgreement(muts)))
-	}
-	cMember := ArcsineCosine(m.memberAgreement(muts))
-	cChance := ArcsineCosine(chanceAgreement)
-	return m.Baseline() + d*(cMember-cChance)
+	return d * ArcsineCosine(m.latentCorr(m.memberAgreement(muts)))
 }
 
 // SignalSigma returns the score standard deviation for a matching query.
@@ -261,11 +228,11 @@ func (m Model) FNR(tau float64, muts int) float64 {
 // with muts substitutions is still separable at the given error targets:
 // signal − noise gap of at least z(1−alpha) + z(1−beta) noise sigmas,
 // probing nBuckets buckets. Returns at least 1.
-func MaxCapacity(d, w int, approx, sealed bool, muts, nBuckets int, alpha, beta float64) int {
+func MaxCapacity(d, w int, approx bool, muts, nBuckets int, alpha, beta float64) int {
 	zGap := zUpper(alpha/float64(maxInt(nBuckets, 1))) + zUpper(beta)
 	best := 1
 	for c := 1; c <= d; c *= 2 {
-		m := Model{D: d, W: w, C: c, Approx: approx, Sealed: sealed}
+		m := Model{D: d, W: w, C: c, Approx: approx}
 		if m.separable(muts, zGap) {
 			best = c
 		} else {
@@ -276,7 +243,7 @@ func MaxCapacity(d, w int, approx, sealed bool, muts, nBuckets int, alpha, beta 
 	lo, hi := best, best*2
 	for lo+1 < hi {
 		mid := (lo + hi) / 2
-		m := Model{D: d, W: w, C: mid, Approx: approx, Sealed: sealed}
+		m := Model{D: d, W: w, C: mid, Approx: approx}
 		if m.separable(muts, zGap) {
 			lo = mid
 		} else {
@@ -293,16 +260,16 @@ func (m Model) separable(muts int, zGap float64) bool {
 // MinDimension returns the smallest word-aligned dimension D at which a
 // query with muts substitutions is separable for the given geometry and
 // error targets. It returns 0 if no D up to maxD suffices.
-func MinDimension(w, c int, approx, sealed bool, muts, nBuckets int, alpha, beta, maxD float64) int {
+func MinDimension(w, c int, approx bool, muts, nBuckets int, alpha, beta, maxD float64) int {
 	zGap := zUpper(alpha/float64(maxInt(nBuckets, 1))) + zUpper(beta)
 	for d := 64; float64(d) <= maxD; d *= 2 {
-		m := Model{D: d, W: w, C: c, Approx: approx, Sealed: sealed}
+		m := Model{D: d, W: w, C: c, Approx: approx}
 		if m.separable(muts, zGap) {
 			// Binary search down within [d/2, d] at 64 granularity.
 			lo, hi := d/2, d
 			for lo+64 < hi {
 				mid := (lo + hi) / 2 / 64 * 64
-				mm := Model{D: mid, W: w, C: c, Approx: approx, Sealed: sealed}
+				mm := Model{D: mid, W: w, C: c, Approx: approx}
 				if mm.separable(muts, zGap) {
 					hi = mid
 				} else {
@@ -353,14 +320,13 @@ type SketchPlan struct {
 // model's own noise distribution and an average prefix. None is taken
 // unless it beats reading every row in full — thin margins (an exact
 // capacity derived from the error targets, small test geometries) never
-// do — and none is offered for raw counters, whose scan is not a Hamming
-// scan. The width is a property of the library (every segment cuts its
+// do. The width is a property of the library (every segment cuts its
 // plane to it); the bound is re-derived for every view, from the
 // threshold in force there.
 func (m Model) SketchPlan(maxHam int) SketchPlan {
 	rowWords := m.D / 64
 	best := SketchPlan{Words: rowWords}
-	if !m.Sealed || m.C < 1 {
+	if m.C < 1 {
 		return best
 	}
 	cost := float64(rowWords)
@@ -401,7 +367,7 @@ func (m Model) prefixNoise(n int) (mean, sigma float64) {
 // probability that a row not holding the query survives it. It is the
 // one derivation of the stage-1 bound, for both encodings.
 //
-// In exact sealed mode the D dimensions of a query/row pair are
+// In exact mode the D dimensions of a query/row pair are
 // independent: against a row that holds the query each differs with
 // probability (1−ρ(C))/2, against any other row with probability ½, so
 // the Hamming distance over the first n bits is Binomial(n, ·) exactly

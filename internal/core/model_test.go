@@ -111,13 +111,9 @@ func TestArcsineCosineEmpirical(t *testing.T) {
 }
 
 func TestModelExactNoiseSigma(t *testing.T) {
-	m := Model{D: 4096, W: 32, C: 16, Sealed: true}
+	m := Model{D: 4096, W: 32, C: 16}
 	if got := m.NoiseSigma(); math.Abs(got-64) > 1e-9 {
-		t.Fatalf("sealed exact noise sigma = %v, want 64", got)
-	}
-	m.Sealed = false
-	if got := m.NoiseSigma(); math.Abs(got-256) > 1e-9 {
-		t.Fatalf("raw exact noise sigma = %v, want 256", got)
+		t.Fatalf("exact noise sigma = %v, want 64", got)
 	}
 	if m.Baseline() != 0 {
 		t.Fatal("exact mode has nonzero baseline")
@@ -125,22 +121,18 @@ func TestModelExactNoiseSigma(t *testing.T) {
 }
 
 func TestModelExactSignal(t *testing.T) {
-	m := Model{D: 4096, W: 32, C: 16, Sealed: true}
+	m := Model{D: 4096, W: 32, C: 16}
 	want := 4096 * MajorityCorrelation(16)
 	if got := m.SignalMean(0); math.Abs(got-want) > 1e-9 {
-		t.Fatalf("sealed signal = %v, want %v", got, want)
+		t.Fatalf("exact signal = %v, want %v", got, want)
 	}
 	if got := m.SignalMean(1); got != 0 {
 		t.Fatalf("mutated exact signal = %v, want 0 (chain decorrelates)", got)
 	}
-	m.Sealed = false
-	if got := m.SignalMean(0); got != 4096 {
-		t.Fatalf("raw signal = %v, want D", got)
-	}
 }
 
 func TestModelThresholdSeparates(t *testing.T) {
-	m := Model{D: 8192, W: 32, C: 64, Sealed: true}
+	m := Model{D: 8192, W: 32, C: 64}
 	tau := m.Threshold(1e-3, 100)
 	if tau <= 0 {
 		t.Fatalf("threshold %v not positive", tau)
@@ -173,7 +165,7 @@ func TestModelThresholdPanics(t *testing.T) {
 }
 
 func TestModelApproxBaselinePositive(t *testing.T) {
-	m := Model{D: 8192, W: 48, C: 8, Approx: true, Sealed: true}
+	m := Model{D: 8192, W: 48, C: 8, Approx: true}
 	if b := m.Baseline(); b <= 0 {
 		t.Fatalf("approx baseline %v not positive", b)
 	}
@@ -214,7 +206,7 @@ func TestMaxCapacityExact(t *testing.T) {
 	// Larger D must admit (weakly) larger capacity.
 	prev := 0
 	for _, d := range []int{1024, 4096, 16384} {
-		c := MaxCapacity(d, 32, false, true, 0, 1000, 1e-3, 1e-3)
+		c := MaxCapacity(d, 32, false, 0, 1000, 1e-3, 1e-3)
 		if c < prev {
 			t.Fatalf("capacity decreased with dimension: D=%d -> C=%d (prev %d)", d, c, prev)
 		}
@@ -225,7 +217,7 @@ func TestMaxCapacityExact(t *testing.T) {
 	}
 	// The sealed capacity at D=8192 should be in the tens–hundreds: the
 	// asymptotic bound D·√(2/πC) > zGap·√D gives C ≈ 2D/(π·zGap²).
-	c := MaxCapacity(8192, 32, false, true, 0, 1000, 1e-3, 1e-3)
+	c := MaxCapacity(8192, 32, false, 0, 1000, 1e-3, 1e-3)
 	if c < 20 || c > 500 {
 		t.Fatalf("sealed capacity at D=8192 = %d, outside plausible band", c)
 	}
@@ -234,27 +226,27 @@ func TestMaxCapacityExact(t *testing.T) {
 func TestMaxCapacityBoundary(t *testing.T) {
 	// The returned capacity must be separable and capacity+1 must not.
 	d, w := 4096, 32
-	c := MaxCapacity(d, w, false, true, 0, 100, 1e-3, 1e-3)
+	c := MaxCapacity(d, w, false, 0, 100, 1e-3, 1e-3)
 	zGap := stats.NormalQuantile(1-1e-3/100) + stats.NormalQuantile(1-1e-3)
-	if !(Model{D: d, W: w, C: c, Sealed: true}).separable(0, zGap) {
+	if !(Model{D: d, W: w, C: c}).separable(0, zGap) {
 		t.Fatalf("returned capacity %d not separable", c)
 	}
-	if (Model{D: d, W: w, C: c + 1, Sealed: true}).separable(0, zGap) {
+	if (Model{D: d, W: w, C: c + 1}).separable(0, zGap) {
 		t.Fatalf("capacity %d+1 still separable; not maximal", c)
 	}
 }
 
 func TestMinDimension(t *testing.T) {
-	d := MinDimension(32, 16, false, true, 0, 100, 1e-3, 1e-3, 1<<20)
+	d := MinDimension(32, 16, false, 0, 100, 1e-3, 1e-3, 1<<20)
 	if d <= 0 || d%64 != 0 {
 		t.Fatalf("MinDimension = %d", d)
 	}
 	// The found dimension must be separable, d−64 must not.
 	zGap := stats.NormalQuantile(1-1e-3/100) + stats.NormalQuantile(1-1e-3)
-	if !(Model{D: d, W: 32, C: 16, Sealed: true}).separable(0, zGap) {
+	if !(Model{D: d, W: 32, C: 16}).separable(0, zGap) {
 		t.Fatalf("MinDimension %d not separable", d)
 	}
-	if d > 64 && (Model{D: d - 64, W: 32, C: 16, Sealed: true}).separable(0, zGap) {
+	if d > 64 && (Model{D: d - 64, W: 32, C: 16}).separable(0, zGap) {
 		t.Fatalf("%d−64 still separable; not minimal", d)
 	}
 }
@@ -262,7 +254,7 @@ func TestMinDimension(t *testing.T) {
 func TestMinDimensionImpossible(t *testing.T) {
 	// In approx mode composition noise scales with D, so absurd error
 	// targets cannot be met by raising D; MinDimension reports 0.
-	if d := MinDimension(16, 1024, true, true, 8, 1<<20, 1e-12, 1e-12, 1<<16); d != 0 {
+	if d := MinDimension(16, 1024, true, 8, 1<<20, 1e-12, 1e-12, 1<<16); d != 0 {
 		t.Fatalf("impossible geometry returned D=%d", d)
 	}
 }
@@ -285,7 +277,7 @@ func TestModelMatchesEmpiricalExactMode(t *testing.T) {
 		acc.Add(hv)
 	}
 	sealed := acc.Seal(9)
-	m := Model{D: d, W: w, C: c, Sealed: true}
+	m := Model{D: d, W: w, C: c}
 
 	var memberScores, noiseScores stats.Welford
 	for _, mem := range members {
@@ -326,7 +318,7 @@ func TestSketchPlanDerivation(t *testing.T) {
 		return got
 	}
 	// scan_exact_wire, point_small_wire, churn_http: exact, sealed, C = 16.
-	exact := Params{Dim: 8192, Window: 32, Stride: 1, Capacity: 16, Sealed: true, Seed: 42}
+	exact := Params{Dim: 8192, Window: 32, Stride: 1, Capacity: 16, Seed: 42}
 	got := plan(exact)
 	if got.Words != 40 || got.Bound != 1227 || math.Abs(got.Survive-0.019) > 0.001 {
 		t.Errorf("D=8192 C=16 exact sealed: plan %+v, want 40 words under h1 = 1227 at FPR1 ≈ 0.019", got)
@@ -354,13 +346,13 @@ func TestSketchPlanDerivation(t *testing.T) {
 	}
 
 	// approx_classify_inproc: approximate, tolerance 2, derived capacity 1.
-	approx := Params{Dim: 8192, Window: 32, Stride: 1, Approx: true, Sealed: true, MutTolerance: 2, Seed: 42}
+	approx := Params{Dim: 8192, Window: 32, Stride: 1, Approx: true, MutTolerance: 2, Seed: 42}
 	if got := plan(approx); got.Words != 16 || got.Survive <= 0 || got.Survive > 0.01 {
 		t.Errorf("approx_classify_inproc: plan %+v, want a 16-word sketch passing under 1 %% of the rows", got)
 	}
 	// The bound of a view is the hypergeometric one at the view's
 	// threshold; bench's library calibrates to τ = 4929.6, maxHam 1631.
-	m := Model{D: 8192, W: 32, C: 1, Approx: true, Sealed: true}
+	m := Model{D: 8192, W: 32, C: 1, Approx: true}
 	for _, tc := range []struct{ sw, h1 int }{{8, 176}, {16, 303}, {24, 421}, {32, 535}} {
 		mean, sigma := m.prefixNoise(64 * tc.sw)
 		h1, survive := m.sketchStage(tc.sw, 1631, 1, mean, sigma)
@@ -382,15 +374,13 @@ func TestSketchPlanDerivation(t *testing.T) {
 			t.Errorf("%d words at share 0.97: h1 = %d, want the unbiased %d", tc.sw, quiet, h1)
 		}
 	}
-	if got := plan(Params{Dim: 8192, Window: 32, Capacity: 16, Approx: true, Sealed: true, MutTolerance: 2}); got.Words != 40 {
+	if got := plan(Params{Dim: 8192, Window: 32, Capacity: 16, Approx: true, MutTolerance: 2}); got.Words != 40 {
 		t.Errorf("approximate at C = 16: plan %+v, want a 40-word sketch", got)
 	}
 
 	for name, p := range map[string]Params{
-		"raw counters":                        {Dim: 8192, Window: 32, Capacity: 16},
-		"approximate raw counters":            {Dim: 8192, Window: 32, Approx: true, MutTolerance: 2},
-		"exact at the model-derived capacity": {Dim: 8192, Window: 32, Sealed: true},
-		"exact at C = 64":                     {Dim: 8192, Window: 32, Capacity: 64, Sealed: true},
+		"exact at the model-derived capacity": {Dim: 8192, Window: 32},
+		"exact at C = 64":                     {Dim: 8192, Window: 32, Capacity: 64},
 	} {
 		if got := plan(p); got != (SketchPlan{Words: rowWords}) {
 			t.Errorf("%s: plan %+v, want no sketch stage (the %d-word row)", name, got, rowWords)
@@ -398,14 +388,14 @@ func TestSketchPlanDerivation(t *testing.T) {
 	}
 	// The thin-margin geometry the golden probe suites build at, and an
 	// approximate row of one cache line, which has no narrower prefix.
-	if got := plan(Params{Dim: 2048, Window: 24, Sealed: true}); got != (SketchPlan{Words: 2048 / 64}) {
+	if got := plan(Params{Dim: 2048, Window: 24}); got != (SketchPlan{Words: 2048 / 64}) {
 		t.Errorf("D=2048 derived capacity: plan %+v, want no sketch stage", got)
 	}
-	if got := plan(Params{Dim: 512, Window: 16, Approx: true, Sealed: true, MutTolerance: 2}); got != (SketchPlan{Words: 512 / 64}) {
+	if got := plan(Params{Dim: 512, Window: 16, Approx: true, MutTolerance: 2}); got != (SketchPlan{Words: 512 / 64}) {
 		t.Errorf("D=512 approximate: plan %+v, want no sketch stage", got)
 	}
 	// A lighter load buys a narrower sketch; width is whole cache lines.
-	if c8 := plan(Params{Dim: 8192, Window: 32, Capacity: 8, Sealed: true}); c8.Words >= got.Words || c8.Words%sketchLine != 0 {
+	if c8 := plan(Params{Dim: 8192, Window: 32, Capacity: 8}); c8.Words >= got.Words || c8.Words%sketchLine != 0 {
 		t.Errorf("C = 8 plan %+v against C = 16 plan %+v", c8, got)
 	}
 }

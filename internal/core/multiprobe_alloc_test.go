@@ -16,7 +16,7 @@ import (
 // (allocation-free) scan path.
 func buildSegmentedProbeLib(tb testing.TB, segs int, seed uint64) (*Library, []*genome.Sequence) {
 	tb.Helper()
-	lib, err := NewLibrary(Params{Dim: 2048, Window: 24, Sealed: true, Seed: seed})
+	lib, err := NewLibrary(Params{Dim: 2048, Window: 24, Seed: seed})
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -75,20 +75,18 @@ func seedLookupLong(l *Library, query *genome.Sequence, minFrac float64) ([]RefM
 
 // TestProbeMultiGoldenEquivalence asserts ProbeMulti returns, per
 // query, exactly what Q sequential Probe calls return — candidates,
-// order, scores, excesses, and nil on a miss — across every storage ×
-// encoding mode, with stats modeling the full Q × buckets scan.
+// order, scores, excesses, and nil on a miss — in both encodings, with
+// stats modeling the full Q × buckets scan.
 func TestProbeMultiGoldenEquivalence(t *testing.T) {
 	for _, tc := range []struct {
-		name           string
-		sealed, approx bool
+		name   string
+		approx bool
 	}{
-		{"sealed-exact", true, false},
-		{"sealed-approx", true, true},
-		{"raw-exact", false, false},
-		{"raw-approx", false, true},
+		{"sealed-exact", false},
+		{"sealed-approx", true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			lib, refs := buildProbeLib(t, tc.sealed, tc.approx, 2077)
+			lib, refs := buildProbeLib(t, tc.approx, 2077)
 			qs := probeQueries(t, lib, refs, 2099) // 36 queries → 4 full blocks + a partial
 			var multiStats Stats
 			got, err := lib.ProbeMulti(qs, &multiStats)
@@ -127,31 +125,28 @@ func TestProbeMultiGoldenEquivalence(t *testing.T) {
 // probes.
 func TestProbeMultiShardedEquivalence(t *testing.T) {
 	defer func(v int) { probeShardMinBytes = v }(probeShardMinBytes)
-	for _, sealed := range []bool{true, false} {
-		lib, refs := buildProbeLib(t, sealed, true, 2123)
-		qs := probeQueries(t, lib, refs, 2321)
-		probeShardMinBytes = 1 << 40 // serial
-		serial, err := lib.ProbeMulti(qs, nil)
+	lib, refs := buildProbeLib(t, true, 2123)
+	qs := probeQueries(t, lib, refs, 2321)
+	probeShardMinBytes = 1 << 40 // serial
+	serial, err := lib.ProbeMulti(qs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	probeShardMinBytes = 1 // a byte per worker: maximal sharding
+	sharded, err := lib.ProbeMulti(qs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range qs {
+		if !sameCandidates(serial[i], sharded[i]) {
+			t.Fatalf("query %d: sharded blocked probe diverges:\n got %+v\nwant %+v", i, sharded[i], serial[i])
+		}
+		want, err := lib.Probe(qs[i], nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		probeShardMinBytes = 1 // a byte per worker: maximal sharding
-		sharded, err := lib.ProbeMulti(qs, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range qs {
-			if !sameCandidates(serial[i], sharded[i]) {
-				t.Fatalf("sealed=%v query %d: sharded blocked probe diverges:\n got %+v\nwant %+v",
-					sealed, i, sharded[i], serial[i])
-			}
-			want, err := lib.Probe(qs[i], nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !sameCandidates(sharded[i], want) {
-				t.Fatalf("sealed=%v query %d: sharded blocked probe diverges from Probe", sealed, i)
-			}
+		if !sameCandidates(sharded[i], want) {
+			t.Fatalf("query %d: sharded blocked probe diverges from Probe", i)
 		}
 	}
 }
@@ -159,7 +154,7 @@ func TestProbeMultiShardedEquivalence(t *testing.T) {
 // TestProbeMultiAfterRoundTrip asserts the blocked probe path over an
 // arena loaded by ReadIndex matches the freeze-time arena.
 func TestProbeMultiAfterRoundTrip(t *testing.T) {
-	lib, refs := buildProbeLib(t, true, true, 2007)
+	lib, refs := buildProbeLib(t, true, 2007)
 	back := saveLoad(t, lib)
 	qs := probeQueries(t, lib, refs, 2008)
 	want, err := lib.ProbeMulti(qs, nil)
@@ -179,8 +174,8 @@ func TestProbeMultiAfterRoundTrip(t *testing.T) {
 }
 
 func TestProbeMultiValidation(t *testing.T) {
-	lib, refs := buildProbeLib(t, true, false, 2055)
-	unfrozen := mustLibrary(t, Params{Dim: 2048, Window: 24, Sealed: true, Seed: 2056})
+	lib, refs := buildProbeLib(t, false, 2055)
+	unfrozen := mustLibrary(t, Params{Dim: 2048, Window: 24, Seed: 2056})
 	if _, err := unfrozen.ProbeMulti(nil, nil); err == nil {
 		t.Fatal("unfrozen ProbeMulti accepted")
 	}
@@ -198,7 +193,7 @@ func TestProbeMultiValidation(t *testing.T) {
 // counters: one block per probeBlock-sized group of queries, one
 // blocked window per query.
 func TestBlockedProbeCounters(t *testing.T) {
-	lib, refs := buildProbeLib(t, true, false, 2066)
+	lib, refs := buildProbeLib(t, false, 2066)
 	qs := probeQueries(t, lib, refs, 2067)[:probeBlock+2] // one full block + one partial
 	before := lib.Counters()
 	if _, err := lib.ProbeMulti(qs, nil); err != nil {
@@ -222,7 +217,7 @@ func TestBlockedProbeCounters(t *testing.T) {
 // exact block multiples, mutated reads, misses, and invalid input.
 func TestLookupLongBlockedEquivalence(t *testing.T) {
 	for _, approx := range []bool{false, true} {
-		lib, refs := buildProbeLib(t, true, approx, 3001)
+		lib, refs := buildProbeLib(t, approx, 3001)
 		w := lib.Params().Window
 		src := rng.New(3003)
 		var reads []*genome.Sequence
@@ -270,7 +265,7 @@ func TestLookupLongBlockedEquivalence(t *testing.T) {
 // unfrozen library with the same error the sequential path surfaced
 // from its first Lookup.
 func TestLookupLongBlockedUnfrozen(t *testing.T) {
-	lib := mustLibrary(t, Params{Dim: 1024, Window: 16, Sealed: true, Seed: 3010})
+	lib := mustLibrary(t, Params{Dim: 1024, Window: 16, Seed: 3010})
 	if err := lib.Add(genome.Record{ID: "r", Seq: genome.Random(200, rng.New(3011))}); err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +283,7 @@ func TestLookupLongBlockedUnfrozen(t *testing.T) {
 func TestLookupBatchBlockedMultiAlignment(t *testing.T) {
 	src := rng.New(3100)
 	ref := genome.Random(4000, src)
-	lib := mustLibrary(t, Params{Dim: 8192, Window: 32, Stride: 3, Sealed: true, Capacity: 16, Seed: 3101})
+	lib := mustLibrary(t, Params{Dim: 8192, Window: 32, Stride: 3, Capacity: 16, Seed: 3101})
 	if err := lib.Add(genome.Record{ID: "ref", Seq: ref}); err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +341,7 @@ func TestLookupLongAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation perturbs sync.Pool allocation counts")
 	}
-	lib, refs := buildProbeLib(t, true, false, 3200)
+	lib, refs := buildProbeLib(t, false, 3200)
 	w := lib.Params().Window
 	miss := genome.Random((probeBlock+2)*w, rng.New(3201))
 	hit := refs[0].Slice(0, (probeBlock+2)*w)

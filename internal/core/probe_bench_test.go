@@ -16,7 +16,7 @@ import (
 func benchLib(tb testing.TB, nBuckets int, approx bool) (*Library, []*hdc.HV) {
 	tb.Helper()
 	const capacity = 16
-	p := Params{Dim: 8192, Window: 32, Stride: 1, Capacity: capacity, Sealed: true, Seed: 42}
+	p := Params{Dim: 8192, Window: 32, Stride: 1, Capacity: capacity, Seed: 42}
 	if approx {
 		p.Approx, p.MutTolerance = true, 2
 	}
@@ -157,7 +157,7 @@ func BenchmarkLookup(b *testing.B) {
 // gives one window a row (2056 rows, 2 MiB) under a 16-word sketch.
 func benchApproxLib(tb testing.TB) (*Library, []*genome.Sequence) {
 	tb.Helper()
-	lib, err := NewLibrary(Params{Dim: 8192, Window: 32, Stride: 1, Approx: true, Sealed: true, MutTolerance: 2, Seed: 42})
+	lib, err := NewLibrary(Params{Dim: 8192, Window: 32, Stride: 1, Approx: true, MutTolerance: 2, Seed: 42})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -255,8 +255,8 @@ var buildBenchGeometries = []struct {
 	name string
 	p    Params
 }{
-	{"exact-C16", Params{Dim: 8192, Window: 32, Stride: 1, Capacity: 16, Sealed: true, Seed: 42}},
-	{"approx-C1", Params{Dim: 8192, Window: 32, Stride: 1, Capacity: 1, Approx: true, Sealed: true, MutTolerance: 2, Seed: 42}},
+	{"exact-C16", Params{Dim: 8192, Window: 32, Stride: 1, Capacity: 16, Seed: 42}},
+	{"approx-C1", Params{Dim: 8192, Window: 32, Stride: 1, Capacity: 1, Approx: true, MutTolerance: 2, Seed: 42}},
 }
 
 // BenchmarkBuild is the ingest path without the harness — Add (encode

@@ -17,14 +17,7 @@ func seedScalarProbe(l *Library, hv *hdc.HV) []Candidate {
 	sn := hdcOf(l.snap.Load())
 	var out []Candidate
 	for i := 0; i < sn.numBuckets(); i++ {
-		var score float64
-		if l.params.Sealed {
-			score = float64(sn.vector(i).Dot(hv))
-		} else {
-			seg, li := sn.locate(i)
-			score = float64(seg.bkts[li].acc.DotAcc(hv))
-		}
-		if score >= tau {
+		if score := float64(sn.vector(i).Dot(hv)); score >= tau {
 			out = append(out, Candidate{Bucket: i, Score: score, Excess: score - tau})
 		}
 	}
@@ -44,10 +37,10 @@ func sameCandidates(a, b []Candidate) bool {
 }
 
 // buildProbeLib builds a frozen library over a few random references in
-// the given mode.
-func buildProbeLib(t *testing.T, sealed, approx bool, seed uint64) (*Library, []*genome.Sequence) {
+// the given encoding.
+func buildProbeLib(t *testing.T, approx bool, seed uint64) (*Library, []*genome.Sequence) {
 	t.Helper()
-	p := Params{Dim: 2048, Window: 24, Sealed: sealed, Approx: approx, Seed: seed}
+	p := Params{Dim: 2048, Window: 24, Approx: approx, Seed: seed}
 	if approx {
 		p.MutTolerance = 2
 	}
@@ -93,19 +86,17 @@ func probeQueries(t *testing.T, lib *Library, refs []*genome.Sequence, seed uint
 
 // TestProbeGoldenEquivalence asserts the arena + early-abandon +
 // sharded probe returns byte-identical candidates to the seed scalar
-// scan across every storage × encoding mode.
+// scan in both encodings.
 func TestProbeGoldenEquivalence(t *testing.T) {
 	for _, tc := range []struct {
-		name           string
-		sealed, approx bool
+		name   string
+		approx bool
 	}{
-		{"sealed-exact", true, false},
-		{"sealed-approx", true, true},
-		{"raw-exact", false, false},
-		{"raw-approx", false, true},
+		{"sealed-exact", false},
+		{"sealed-approx", true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			lib, refs := buildProbeLib(t, tc.sealed, tc.approx, 77)
+			lib, refs := buildProbeLib(t, tc.approx, 77)
 			for qi, hv := range probeQueries(t, lib, refs, 99) {
 				want := seedScalarProbe(lib, hv)
 				var stats Stats
@@ -130,25 +121,23 @@ func TestProbeGoldenEquivalence(t *testing.T) {
 // scores) to the serial kernel and the scalar reference.
 func TestProbeShardedEquivalence(t *testing.T) {
 	defer func(v int) { probeShardMinBytes = v }(probeShardMinBytes)
-	for _, sealed := range []bool{true, false} {
-		lib, refs := buildProbeLib(t, sealed, true, 123)
-		for _, hv := range probeQueries(t, lib, refs, 321) {
-			probeShardMinBytes = 1 << 40 // serial
-			serial, err := lib.Probe(hv, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			probeShardMinBytes = 1 // a byte per worker: maximal sharding
-			sharded, err := lib.Probe(hv, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !sameCandidates(serial, sharded) {
-				t.Fatalf("sealed=%v: sharded probe diverges:\n got %+v\nwant %+v", sealed, sharded, serial)
-			}
-			if want := seedScalarProbe(lib, hv); !sameCandidates(sharded, want) {
-				t.Fatalf("sealed=%v: sharded probe diverges from scalar scan", sealed)
-			}
+	lib, refs := buildProbeLib(t, true, 123)
+	for _, hv := range probeQueries(t, lib, refs, 321) {
+		probeShardMinBytes = 1 << 40 // serial
+		serial, err := lib.Probe(hv, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		probeShardMinBytes = 1 // a byte per worker: maximal sharding
+		sharded, err := lib.Probe(hv, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameCandidates(serial, sharded) {
+			t.Fatalf("sharded probe diverges:\n got %+v\nwant %+v", sharded, serial)
+		}
+		if want := seedScalarProbe(lib, hv); !sameCandidates(sharded, want) {
+			t.Fatal("sharded probe diverges from scalar scan")
 		}
 	}
 }
@@ -156,7 +145,7 @@ func TestProbeShardedEquivalence(t *testing.T) {
 // TestProbeEquivalenceAfterRoundTrip asserts the arena loaded by
 // ReadIndex probes identically to the arena built by Freeze.
 func TestProbeEquivalenceAfterRoundTrip(t *testing.T) {
-	lib, refs := buildProbeLib(t, true, true, 7)
+	lib, refs := buildProbeLib(t, true, 7)
 	back := saveLoad(t, lib)
 	for _, hv := range probeQueries(t, lib, refs, 8) {
 		want, err := lib.Probe(hv, nil)
@@ -181,7 +170,7 @@ func TestLookupAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation perturbs sync.Pool allocation counts")
 	}
-	lib, refs := buildProbeLib(t, true, false, 55)
+	lib, refs := buildProbeLib(t, false, 55)
 	w := lib.Params().Window
 	miss := genome.Random(w, rng.New(9001))
 	hit := refs[0].Slice(100, 100+w)

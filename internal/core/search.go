@@ -199,7 +199,7 @@ func (l *Library) probeBlockSeg(seg *segment, gOff int, dsts [][]Candidate, hvs 
 		workers = w
 	}
 	if workers <= 1 {
-		seg.probeBlockRange(dsts, hvs, pl, 0, n, gOff, sc.surv, &l.params, &l.ctr)
+		seg.probeBlockRange(dsts, hvs, pl, 0, n, gOff, sc.surv, &l.ctr)
 		return
 	}
 	per := (n + workers - 1) / workers
@@ -219,7 +219,7 @@ func (l *Library) probeBlockSeg(seg *segment, gOff int, dsts [][]Candidate, hvs 
 			//lint:ignore hotpath per-worker result and survivor scratch, amortized over ≥probeShardMinBytes of plane
 			part := make([][]Candidate, nq)
 			//lint:ignore hotpath per-worker result and survivor scratch, amortized over ≥probeShardMinBytes of plane
-			seg.probeBlockRange(part, hvs, pl, lo, hi, gOff, make([]int32, planeTileMax), &l.params, &l.ctr)
+			seg.probeBlockRange(part, hvs, pl, lo, hi, gOff, make([]int32, planeTileMax), &l.ctr)
 			parts[s] = part
 		}(s, lo, hi)
 	}

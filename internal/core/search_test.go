@@ -12,7 +12,7 @@ import (
 func buildExactLib(t *testing.T, refLen int, seed uint64) (*Library, *genome.Sequence) {
 	t.Helper()
 	ref := genome.Random(refLen, rng.New(seed))
-	lib := mustLibrary(t, Params{Dim: 8192, Window: 32, Sealed: true, Seed: seed + 1})
+	lib := mustLibrary(t, Params{Dim: 8192, Window: 32, Seed: seed + 1})
 	if err := lib.Add(genome.Record{ID: "ref", Seq: ref}); err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestContains(t *testing.T) {
 func TestLookupApproxToleratesMutations(t *testing.T) {
 	ref := genome.Random(1500, rng.New(10))
 	lib := mustLibrary(t, Params{
-		Dim: 8192, Window: 48, Approx: true, Sealed: true,
+		Dim: 8192, Window: 48, Approx: true,
 		Capacity: 4, MutTolerance: 6, Seed: 11,
 	})
 	if err := lib.Add(genome.Record{ID: "ref", Seq: ref}); err != nil {
@@ -170,7 +170,7 @@ func TestLookupStrideWithCompensation(t *testing.T) {
 	// Stride-4 library: a pattern of length Window+Stride−1 must be found
 	// regardless of its offset alignment.
 	ref := genome.Random(2000, rng.New(12))
-	lib := mustLibrary(t, Params{Dim: 8192, Window: 32, Stride: 4, Sealed: true, Seed: 13})
+	lib := mustLibrary(t, Params{Dim: 8192, Window: 32, Stride: 4, Seed: 13})
 	if err := lib.Add(genome.Record{ID: "ref", Seq: ref}); err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestLookupLongMapsRead(t *testing.T) {
 	refs := []*genome.Sequence{
 		genome.Random(3000, src), genome.Random(3000, src), genome.Random(3000, src),
 	}
-	lib := mustLibrary(t, Params{Dim: 8192, Window: 32, Sealed: true, Seed: 15})
+	lib := mustLibrary(t, Params{Dim: 8192, Window: 32, Seed: 15})
 	for i, r := range refs {
 		if err := lib.Add(genome.Record{ID: string(rune('a' + i)), Seq: r}); err != nil {
 			t.Fatal(err)
@@ -225,7 +225,7 @@ func TestLookupLongMapsRead(t *testing.T) {
 func TestClassify(t *testing.T) {
 	src := rng.New(16)
 	refs := []*genome.Sequence{genome.Random(2000, src), genome.Random(2000, src)}
-	lib := mustLibrary(t, Params{Dim: 8192, Window: 32, Sealed: true, Seed: 17})
+	lib := mustLibrary(t, Params{Dim: 8192, Window: 32, Seed: 17})
 	for i, r := range refs {
 		if err := lib.Add(genome.Record{ID: string(rune('A' + i)), Seq: r}); err != nil {
 			t.Fatal(err)
@@ -269,7 +269,7 @@ func TestMultipleOccurrences(t *testing.T) {
 		Append(motif).Append(genome.Random(500, src)).
 		Append(motif).Append(genome.Random(500, src)).
 		Append(motif)
-	lib := mustLibrary(t, Params{Dim: 8192, Window: 32, Sealed: true, Seed: 25})
+	lib := mustLibrary(t, Params{Dim: 8192, Window: 32, Seed: 25})
 	if err := lib.Add(genome.Record{ID: "ref", Seq: ref}); err != nil {
 		t.Fatal(err)
 	}

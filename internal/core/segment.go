@@ -15,11 +15,9 @@ import (
 // snapshotsafety analyzer enforces the boundary.
 
 // bucket is one library hypervector plus the windows superposed in it.
-// Sealed libraries never count (the binary view is all search needs —
-// 32× less memory — and the builder takes it from the members' rows);
-// unsealed libraries keep counters, which DotAcc scoring reads directly.
+// Buckets never count: the binary majority is all search needs, and the
+// builder takes it from the members' rows.
 type bucket struct {
-	acc     *hdc.Acc    // raw counters; nil in a sealed library
 	sealed  *hdc.HV     // binarized view; nil until sealed
 	windows []WindowRef // members, in insertion order
 }
@@ -229,28 +227,16 @@ func (s *segment) sketchBytes() int64 {
 
 // MemoryBytes returns the segment's resident hypervector storage: the
 // packed arena (D/8 bytes per bucket), the sketch plane where the
-// library has one, the window metadata (8 bytes per memorized window),
-// and any retained raw counters (unsealed mode keeps D int32 counters
-// per bucket).
+// library has one, and the window metadata (8 bytes per memorized
+// window).
 func (s *segment) MemoryBytes() int64 {
-	bytes := int64(len(s.arena))*8 + s.sketchBytes()
-	for i := range s.bkts {
-		bytes += int64(len(s.bkts[i].windows)) * 8
-		if s.bkts[i].acc != nil {
-			bytes += int64(s.rowWords) * 64 * 4
-		}
-	}
-	return bytes
+	return int64(len(s.arena))*8 + s.sketchBytes() + int64(s.total)*8
 }
 
-// score returns the similarity score of query hv against local bucket i
-// under the library's storage mode. Sealed scores read the flat arena;
-// raw-count mode keeps the exact counter dot product.
-func (s *segment) score(i int, hv *hdc.HV, p *Params) float64 {
-	if p.Sealed {
-		return float64(bitvec.DotWords(s.arenaRow(i), hv.Words(), p.Dim))
-	}
-	return float64(s.bkts[i].acc.DotAcc(hv))
+// score returns the similarity score of query hv against local bucket i,
+// read from the flat arena.
+func (s *segment) score(i int, hv *hdc.HV) float64 {
+	return float64(bitvec.DotWords(s.arenaRow(i), hv.Words(), 64*s.rowWords))
 }
 
 // planeTileBytes sizes the tiles the probe walks a sketch plane in: a
@@ -292,23 +278,14 @@ func tileRows(words int) int {
 // probeRange scans local buckets [lo, hi) — at most len(surv) of them —
 // against one query, appending candidates to dst with global bucket
 // indices (local index + gOff), and reports how many rows survived the
-// sketch stage. Sealed segments run the cascade: the range kernel
-// streams the rows' sketch-plane prefixes under the view's stage-1
-// bound — or, under a plan without a sketch stage, the rows themselves —
-// and names the survivors in surv, and each survivor's full arena row is
-// then held to the threshold's Hamming bound. Raw-count segments keep
-// the exact counter dot product.
+// sketch stage. The probe is a cascade: the range kernel streams the
+// rows' sketch-plane prefixes under the view's stage-1 bound — or, under
+// a plan without a sketch stage, the rows themselves — and names the
+// survivors in surv, and each survivor's full arena row is then held to
+// the threshold's Hamming bound.
 //
 //biohd:hotpath
-func (s *segment) probeRange(dst []Candidate, hv *hdc.HV, pl *scanPlan, lo, hi, gOff int, surv []int32, p *Params) ([]Candidate, int) {
-	if !p.Sealed {
-		for i := lo; i < hi; i++ {
-			if score := s.score(i, hv, p); score >= pl.tau {
-				dst = append(dst, Candidate{Bucket: gOff + i, Score: score, Excess: score - pl.tau})
-			}
-		}
-		return dst, 0
-	}
+func (s *segment) probeRange(dst []Candidate, hv *hdc.HV, pl *scanPlan, lo, hi, gOff int, surv []int32) ([]Candidate, int) {
 	q := hv.Words()
 	if len(q) != s.rowWords {
 		panic(fmt.Sprintf("core: query words %d != row words %d", len(q), s.rowWords))
@@ -317,7 +294,7 @@ func (s *segment) probeRange(dst []Candidate, hv *hdc.HV, pl *scanPlan, lo, hi, 
 	n := bitvec.ScanPlane(plane, w, q[:w], pl.sketchBound, lo, hi, surv)
 	for _, i := range surv[:n] {
 		if h, ok := bitvec.HammingBounded(s.arenaRow(int(i)), q, pl.maxHam); ok {
-			score := float64(p.Dim - 2*h)
+			score := float64(64*s.rowWords - 2*h)
 			dst = append(dst, Candidate{Bucket: gOff + int(i), Score: score, Excess: score - pl.tau})
 		}
 	}
@@ -332,7 +309,7 @@ func (s *segment) probeRange(dst []Candidate, hv *hdc.HV, pl *scanPlan, lo, hi, 
 // least tileRows entries, is the survivor scratch.
 //
 //biohd:hotpath
-func (s *segment) probeBlockRange(dsts [][]Candidate, hvs []*hdc.HV, pl *scanPlan, lo, hi, gOff int, surv []int32, p *Params, ctr *libCounters) {
+func (s *segment) probeBlockRange(dsts [][]Candidate, hvs []*hdc.HV, pl *scanPlan, lo, hi, gOff int, surv []int32, ctr *libCounters) {
 	// One storage-tier tally per range scan (not per row) — same
 	// publish cadence as the counters below.
 	if s.mapLen > 0 {
@@ -348,13 +325,10 @@ func (s *segment) probeBlockRange(dsts [][]Candidate, hvs []*hdc.HV, pl *scanPla
 		for j, hv := range hvs {
 			before := len(dsts[j])
 			var n int
-			dsts[j], n = s.probeRange(dsts[j], hv, pl, t, te, gOff, surv, p)
+			dsts[j], n = s.probeRange(dsts[j], hv, pl, t, te, gOff, surv)
 			survivors += n
 			cands += len(dsts[j]) - before
 		}
-	}
-	if !p.Sealed {
-		return
 	}
 	// One atomic publish per range keeps the scan synchronization-free.
 	// Abandoned counts (row, query) pairs that did not become candidates,
@@ -379,13 +353,12 @@ const tieSeedMix = 0x5ea1
 // library's mutation lock; readers see it through the isolated copy
 // that view publishes into each snapshot.
 //
-// A sealed library bundles by row fold: the open bucket's encodings wait
-// in rows — one buffer, reused bucket after bucket — and their majority
-// is taken when the bucket closes or a view is published. Only a
-// raw-counter library, which scores against counters, creates an hdc.Acc.
+// It bundles by row fold: the open bucket's encodings wait in rows — one
+// buffer, reused bucket after bucket — and their majority is taken when
+// the bucket closes or a view is published.
 type builder struct {
 	bkts []bucket
-	rows *hdc.Rows // the open bucket's members; nil in raw-counter mode
+	rows *hdc.Rows // the open bucket's members
 }
 
 // insert memorizes one encoded window, opening a new bucket (and closing
@@ -393,35 +366,24 @@ type builder struct {
 func (b *builder) insert(ref WindowRef, hv *hdc.HV, p *Params, ties *hdc.Ties) {
 	if n := len(b.bkts); n == 0 || len(b.bkts[n-1].windows) >= p.Capacity {
 		if n > 0 {
-			b.sealBucket(n-1, p)
+			b.sealBucket(n - 1)
 		}
 		b.bkts = append(b.bkts, bucket{})
-		if !p.Sealed {
-			b.bkts[n].acc = hdc.NewAcc(p.Dim)
-		} else if b.rows == nil {
+		if b.rows == nil {
 			b.rows = hdc.NewRows(ties)
 		}
 	}
+	b.rows.Add(hv)
 	bk := &b.bkts[len(b.bkts)-1]
-	if p.Sealed {
-		b.rows.Add(hv)
-	} else {
-		bk.acc.Add(hv)
-	}
 	bk.windows = append(bk.windows, ref)
 }
 
 // sealBucket binarizes the open bucket i. Closed buckets are immutable
 // from here on, which is what lets view share them with published
 // snapshots.
-func (b *builder) sealBucket(i int, p *Params) {
-	bk := &b.bkts[i]
-	if p.Sealed {
-		bk.sealed = b.rows.Seal()
-		b.rows.Reset()
-	} else {
-		bk.sealed = bk.acc.Seal(p.Seed ^ tieSeedMix)
-	}
+func (b *builder) sealBucket(i int) {
+	b.bkts[i].sealed = b.rows.Seal()
+	b.rows.Reset()
 }
 
 func (b *builder) numBuckets() int { return len(b.bkts) }
@@ -447,10 +409,8 @@ func (b *builder) maxOccupancy() int {
 // copy outright; the open bucket — the only one future inserts mutate —
 // is isolated: its window slice is capped at the current length and its
 // vector is freshly sealed — a fold of the waiting rows, which stay for
-// the next insert (unsealed mode copies the counters instead, so DotAcc
-// scoring never races a concurrent Add). The arena is fresh per
-// view, so repointing the copies' sealed views never touches builder
-// state.
+// the next insert. The arena is fresh per view, so repointing the
+// copies' sealed views never touches builder state.
 func (b *builder) view(p *Params, sketchWords int, refs []genome.Record) Segment {
 	if len(b.bkts) == 0 {
 		return nil
@@ -460,12 +420,7 @@ func (b *builder) view(p *Params, sketchWords int, refs []genome.Record) Segment
 	last := len(bkts) - 1
 	open := &bkts[last] // insert closes a bucket only by opening the next
 	open.windows = open.windows[:len(open.windows):len(open.windows)]
-	if p.Sealed {
-		open.sealed = b.rows.Seal()
-	} else {
-		open.acc = hdc.AccFromCounts(open.acc.Counts(), open.acc.N())
-		open.sealed = open.acc.Seal(p.Seed ^ tieSeedMix)
-	}
+	open.sealed = b.rows.Seal()
 	seg := newSegment(bkts, p.Dim, sketchWords)
 	seg.tombs = seg.countTombs(refs)
 	return seg

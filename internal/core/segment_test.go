@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"sync"
@@ -27,32 +29,13 @@ func loadFixture(t *testing.T, name string) *Library {
 func goldenSealedFixture(t *testing.T) *Library {
 	t.Helper()
 	lib := mustLibrary(t, Params{Dim: 2048, Window: 24, Stride: 1, Capacity: 12,
-		Approx: true, Sealed: true, MutTolerance: 2, Seed: 9002})
+		Approx: true, MutTolerance: 2, Seed: 9002})
 	src := rng.New(9001)
 	for i := 0; i < 3; i++ {
 		rec := genome.Record{
 			ID:          "ref-" + string(rune('0'+i)),
 			Description: "fixture ref " + string(rune('0'+i)),
 			Seq:         genome.Random(400, src),
-		}
-		if err := lib.Add(rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	lib.Freeze()
-	return lib
-}
-
-// goldenRawFixture rebuilds the library behind testdata/golden_v1_raw.lib.
-func goldenRawFixture(t *testing.T) *Library {
-	t.Helper()
-	lib := mustLibrary(t, Params{Dim: 1024, Window: 16, Stride: 1, Capacity: 8, Seed: 9004})
-	src := rng.New(9003)
-	for i := 0; i < 2; i++ {
-		rec := genome.Record{
-			ID:          "raw-" + string(rune('0'+i)),
-			Description: "raw fixture " + string(rune('0'+i)),
-			Seq:         genome.Random(300, src),
 		}
 		if err := lib.Add(rec); err != nil {
 			t.Fatal(err)
@@ -134,10 +117,10 @@ func TestGoldenV1SealedCompat(t *testing.T) {
 	assertLibrariesEquivalent(t, live, loaded)
 }
 
-// TestGoldenV2SealedCompat and TestGoldenV2RawCompat load the files the
-// last v2 writer (PR 14's Library.WriteTo, since deleted) produced from
-// the same two seeded builds. They are the coverage of the v2 decoder
-// now that nothing writes the format: never regenerate them.
+// TestGoldenV2SealedCompat loads the file the last v2 writer (PR 14's
+// Library.WriteTo, since deleted) produced from the same seeded build.
+// It is the coverage of the v2 decoder now that nothing writes the
+// format: never regenerate it.
 func TestGoldenV2SealedCompat(t *testing.T) {
 	loaded := loadFixture(t, "golden_v2_sealed.lib")
 	if !loaded.Frozen() || loaded.NumSegments() != 1 {
@@ -146,35 +129,41 @@ func TestGoldenV2SealedCompat(t *testing.T) {
 	assertLibrariesEquivalent(t, goldenSealedFixture(t), loaded)
 }
 
-func TestGoldenV2RawCompat(t *testing.T) {
-	loaded := loadFixture(t, "golden_v2_raw.lib")
-	if loaded.Params().Sealed {
-		t.Fatal("raw-counter fixture loaded as sealed")
+// TestRawCounterFilesRejected: no open path reads a raw-counter library
+// any more. The v1 and v2 raw goldens (the last writers' output, kept as
+// inputs: never regenerate them) and a v3 file patched to say Sealed = 0
+// must each fail ReadIndex and both OpenLibraryFile tiers with
+// ErrRawCounters, as an error rather than a panic. A mapped open of a
+// legacy stream takes the heap fallback, so it reaches the same check.
+func TestRawCounterFilesRejected(t *testing.T) {
+	lib, _ := buildExactLib(t, 300, 154)
+	patched := filepath.Join(t.TempDir(), "raw.v3")
+	if err := os.WriteFile(patched, rawCounterV3(writeV3Bytes(t, lib)), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	live := goldenRawFixture(t)
-	assertLibrariesEquivalent(t, live, loaded)
-	for r := 0; r < live.NumRefs(); r++ {
-		lr, gr := live.Ref(r), loaded.Ref(r)
-		if lr.ID != gr.ID || lr.Description != gr.Description || !lr.Seq.Equal(gr.Seq) {
-			t.Fatalf("ref %d record differs: %+v vs %+v", r, gr, lr)
-		}
-	}
-}
-
-// TestGoldenV1RawCompat is the unsealed-mode (counter-bucket) variant.
-func TestGoldenV1RawCompat(t *testing.T) {
-	loaded := loadFixture(t, "golden_v1_raw.lib")
-	if n := loaded.NumSegments(); n != 1 {
-		t.Fatalf("v1 fixture loaded as %d segments, want 1", n)
-	}
-	live := goldenRawFixture(t)
-	assertLibrariesEquivalent(t, live, loaded)
-	// The v1 reader must preserve the reference records verbatim.
-	for r := 0; r < live.NumRefs(); r++ {
-		lr, gr := live.Ref(r), loaded.Ref(r)
-		if lr.ID != gr.ID || lr.Description != gr.Description || !lr.Seq.Equal(gr.Seq) {
-			t.Fatalf("ref %d record differs: %+v vs %+v", r, gr, lr)
-		}
+	for _, tc := range []struct{ name, path string }{
+		{"v1-golden", filepath.Join("testdata", "golden_v1_raw.lib")},
+		{"v2-golden", filepath.Join("testdata", "golden_v2_raw.lib")},
+		{"v3-patched", patched},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			data, err := os.ReadFile(tc.path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ReadIndex(bytes.NewReader(data)); !errors.Is(err, ErrRawCounters) {
+				t.Errorf("ReadIndex: %v, want ErrRawCounters", err)
+			}
+			for _, mode := range []LoadMode{LoadHeap, MapArena} {
+				idx, err := OpenLibraryFile(tc.path, mode)
+				if err == nil {
+					idx.Close()
+				}
+				if !errors.Is(err, ErrRawCounters) {
+					t.Errorf("OpenLibraryFile(mode %d): %v, want ErrRawCounters", mode, err)
+				}
+			}
+		})
 	}
 }
 
@@ -187,7 +176,7 @@ func buildSegmentedLib(t *testing.T, nPre, nPost int, seed uint64) (*Library, []
 	// supports tiny occupancies, and an over-stuffed bucket would push
 	// the calibrated threshold above every member score.
 	lib := mustLibrary(t, Params{Dim: 2048, Window: 24,
-		Sealed: true, Approx: true, MutTolerance: 2, Seed: seed})
+		Approx: true, MutTolerance: 2, Seed: seed})
 	src := rng.New(seed ^ 0x5e9)
 	var refs []*genome.Sequence
 	add := func(i int) {
@@ -283,7 +272,7 @@ func matchKeys(ms []Match) map[Match]bool {
 // verified match set must not.
 func TestSegmentBoundaryIndependence(t *testing.T) {
 	const seed = 811
-	params := Params{Dim: 4096, Window: 24, Capacity: 8, Sealed: true, Seed: seed}
+	params := Params{Dim: 4096, Window: 24, Capacity: 8, Seed: seed}
 	src := rng.New(seed ^ 0xbead)
 	var refs []*genome.Sequence
 	for i := 0; i < 4; i++ {
@@ -367,7 +356,7 @@ func TestSegmentBoundaryIndependence(t *testing.T) {
 // snapshots it must be silent.
 func TestConcurrentSearchDuringMutation(t *testing.T) {
 	lib := mustLibrary(t, Params{Dim: 2048, Window: 24,
-		Sealed: true, Approx: true, MutTolerance: 2, Seed: 901})
+		Approx: true, MutTolerance: 2, Seed: 901})
 	base := genome.Random(600, rng.New(902))
 	if err := lib.Add(genome.Record{ID: "base", Seq: base}); err != nil {
 		t.Fatal(err)

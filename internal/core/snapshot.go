@@ -104,9 +104,9 @@ func (sn *hdcView) vector(g int) *hdc.HV {
 }
 
 // score scores query hv against global bucket g.
-func (sn *hdcView) score(g int, hv *hdc.HV, p *Params) float64 {
+func (sn *hdcView) score(g int, hv *hdc.HV) float64 {
 	seg, i := sn.locate(g)
-	return seg.score(i, hv, p)
+	return seg.score(i, hv)
 }
 
 // maxOccupancy returns the largest bucket occupancy across segments.

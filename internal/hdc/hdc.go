@@ -24,16 +24,18 @@
 // # Bundling
 //
 // There are two bundlers, and they seal to the same bits. An Acc keeps a
-// signed counter per dimension: what a raw-counter library scores against
-// (DotAcc), what the k-mer encoder and the v1/v2 file loader seal from,
-// and the definition of the majority and its tie rule (Acc.Seal: the
-// k-th tied dimension takes the k-th bit of a seeded stream). A Rows
-// keeps the members themselves and takes their lane-wise majority in one
-// row fold (bitvec.MajorityRows) under a Ties, the same stream packed
-// once: how every bucket of a sealed library is bundled, at a fraction
-// of a microsecond a member instead of D counter updates. The tie rule
-// lives here, beside both, and TestRowsMatchAcc / FuzzBundleRows hold the
-// fold to the counters bit for bit.
+// signed counter per dimension. It is the definition of the majority and
+// its tie rule (Acc.Seal: the k-th tied dimension takes the k-th bit of a
+// seeded stream), and so the oracle the fold is tested against; the
+// k-mer encoder's bundler; the PIM periphery model's counters; and the
+// whole-reference baseline, which scores a query against a reference's
+// counters (DotAcc). No library scores against counters. A Rows keeps
+// the members themselves and takes their lane-wise majority in one row
+// fold (bitvec.MajorityRows) under a Ties, the same stream packed once:
+// it bundles every bucket of every library, at a fraction of a
+// microsecond a member instead of D counter updates. The tie rule lives
+// here, beside both, and TestRowsMatchAcc / FuzzBundleRows hold the fold
+// to the counters bit for bit.
 package hdc
 
 import (
@@ -176,25 +178,12 @@ func (a *Acc) Add(h *HV) {
 	a.n++
 }
 
-// AddWeighted folds h in with integer weight w ≥ 1 (w copies at once).
-func (a *Acc) AddWeighted(h *HV, weight int32) {
-	a.mustMatch(h)
-	words := h.bits.Words()
-	for w, word := range words {
-		c := a.counts[w*64 : w*64+64 : w*64+64]
-		for b := 0; b < 64; b++ {
-			c[b] += (int32(word>>uint(b)&1)<<1 - 1) * weight
-		}
-	}
-	a.n += int(weight)
-}
-
 // Count returns the raw counter at dimension i.
 func (a *Acc) Count(i int) int32 { return a.counts[i] }
 
-// Counts exposes the raw counter slice (shared, not copied): read-only
-// for serialization; the approximate window encoder, handed an
-// accumulator as scratch, overwrites it.
+// Counts exposes the raw counter slice (shared, not copied); the
+// approximate window encoder, handed an accumulator as scratch,
+// overwrites it.
 func (a *Acc) Counts() []int32 { return a.counts }
 
 // AccFromCounts reconstructs an accumulator from raw counters and the
@@ -293,7 +282,7 @@ func (t *Ties) take(k, n int) uint64 {
 	return v
 }
 
-// Rows is the bundling accumulator of sealed libraries, where nothing
+// Rows is the bundling accumulator of library buckets, where nothing
 // reads a counter: it keeps the packed hypervectors added to it and
 // seals them by one row fold. Add × n then Seal gives, bit for bit, what
 // Acc.Add × n then Seal(seed) gives under the Ties of that seed. The row
@@ -358,9 +347,9 @@ func (r *Rows) Seal() *HV {
 }
 
 // DotAcc returns the dot product of the raw (unsealed) accumulator with a
-// bipolar hypervector: Σ_i counts[i] · h_i. BioHD's exact-match mode
-// checks queries against unsealed counters, which removes the
-// binarization noise term from the statistical model.
+// bipolar hypervector: Σ_i counts[i] · h_i — a score free of the
+// binarization noise a sealed vector carries, which the whole-reference
+// baseline uses.
 func (a *Acc) DotAcc(h *HV) int64 {
 	a.mustMatch(h)
 	var dot int64

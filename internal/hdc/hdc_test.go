@@ -154,26 +154,6 @@ func TestBundleSimilarToMembers(t *testing.T) {
 	}
 }
 
-func TestAccAddWeighted(t *testing.T) {
-	src := rng.New(10)
-	a, b := RandomHV(testDim, src), RandomHV(testDim, src)
-	acc1, acc2 := NewAcc(testDim), NewAcc(testDim)
-	acc1.AddWeighted(a, 3)
-	acc1.Add(b)
-	for i := 0; i < 3; i++ {
-		acc2.Add(a)
-	}
-	acc2.Add(b)
-	if acc1.N() != acc2.N() {
-		t.Fatalf("N mismatch %d vs %d", acc1.N(), acc2.N())
-	}
-	for i := 0; i < testDim; i++ {
-		if acc1.Count(i) != acc2.Count(i) {
-			t.Fatalf("counter %d mismatch", i)
-		}
-	}
-}
-
 func TestAccReset(t *testing.T) {
 	acc := NewAcc(128)
 	acc.Add(RandomHV(128, rng.New(11)))

@@ -77,7 +77,7 @@ func TestEncodeInMemoryValidation(t *testing.T) {
 	}
 	// Approximate libraries are rejected.
 	alib, err := core.NewLibrary(core.Params{
-		Dim: 1024, Window: 16, Sealed: true, Approx: true, Capacity: 2,
+		Dim: 1024, Window: 16, Approx: true, Capacity: 2,
 		MutTolerance: 2, Seed: 95,
 	})
 	if err != nil {
@@ -158,7 +158,7 @@ func TestSearchBatchEmpty(t *testing.T) {
 
 func TestEncodeApproxInMemoryMatchesSoftware(t *testing.T) {
 	alib, err := core.NewLibrary(core.Params{
-		Dim: 2048, Window: 17, Sealed: true, Approx: true, Capacity: 2,
+		Dim: 2048, Window: 17, Approx: true, Capacity: 2,
 		MutTolerance: 2, Seed: 101,
 	})
 	if err != nil {
@@ -208,7 +208,7 @@ func TestEncodeApproxInMemoryMatchesSoftware(t *testing.T) {
 
 func TestEncodeApproxInMemoryThenSearch(t *testing.T) {
 	alib, err := core.NewLibrary(core.Params{
-		Dim: 8192, Window: 48, Sealed: true, Approx: true, Capacity: 2,
+		Dim: 8192, Window: 48, Approx: true, Capacity: 2,
 		MutTolerance: 4, Seed: 105,
 	})
 	if err != nil {

@@ -83,16 +83,13 @@ type Engine struct {
 
 // NewEngine maps lib onto a chip with the given configuration and
 // programs the arrays (charging the build cost). The library must be
-// frozen, sealed, and fit on the chip.
+// frozen and fit on the chip.
 func NewEngine(cfg ChipConfig, lib *core.Library) (*Engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if !lib.Frozen() {
 		return nil, fmt.Errorf("pim: library must be frozen before mapping")
-	}
-	if !lib.Params().Sealed {
-		return nil, fmt.Errorf("pim: crossbar arrays store binary buckets; build the library with Sealed")
 	}
 	d := lib.Params().Dim
 	rowsPer := (d + cfg.ArrayCols - 1) / cfg.ArrayCols

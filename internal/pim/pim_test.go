@@ -150,7 +150,7 @@ func TestArrayShiftRowBuf(t *testing.T) {
 // buildLib returns a frozen sealed library over nRefs random references.
 func buildLib(t *testing.T, dim, window, nRefs, refLen int, seed uint64) *core.Library {
 	t.Helper()
-	lib, err := core.NewLibrary(core.Params{Dim: dim, Window: window, Sealed: true, Seed: seed})
+	lib, err := core.NewLibrary(core.Params{Dim: dim, Window: window, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,25 +166,12 @@ func buildLib(t *testing.T, dim, window, nRefs, refLen int, seed uint64) *core.L
 
 func TestEngineRejectsBadLibraries(t *testing.T) {
 	cfg := DefaultChipConfig()
-	// Unfrozen.
-	lib, err := core.NewLibrary(core.Params{Dim: 1024, Window: 32, Sealed: true, Seed: 1})
+	lib, err := core.NewLibrary(core.Params{Dim: 1024, Window: 32, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := NewEngine(cfg, lib); err == nil {
 		t.Fatal("unfrozen library accepted")
-	}
-	// Unsealed.
-	raw, err := core.NewLibrary(core.Params{Dim: 1024, Window: 32, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := raw.Add(genome.Record{ID: "r", Seq: genome.Random(100, rng.New(3))}); err != nil {
-		t.Fatal(err)
-	}
-	raw.Freeze()
-	if _, err := NewEngine(cfg, raw); err == nil {
-		t.Fatal("unsealed library accepted")
 	}
 }
 

@@ -30,7 +30,7 @@ func TestCanceledBatchCarriesMarker(t *testing.T) {
 	rec := genome.Record{ID: "chr1", Seq: ref}
 	backends := map[string]func() (core.Index, error){
 		"hdc": func() (core.Index, error) {
-			return core.NewLibrary(core.Params{Dim: 4096, Window: 32, Sealed: true, Seed: 92})
+			return core.NewLibrary(core.Params{Dim: 4096, Window: 32, Seed: 92})
 		},
 		"cobs": func() (core.Index, error) { return cobs.New(cobs.Params{Window: 32, RowBits: 4096}) },
 	}

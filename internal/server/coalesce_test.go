@@ -21,7 +21,7 @@ import (
 func coalescePair(t *testing.T) (on, off *httptest.Server, ref *genome.Sequence) {
 	t.Helper()
 	ref = genome.Random(3000, rng.New(91))
-	lib, err := core.NewLibrary(core.Params{Dim: 8192, Window: 32, Sealed: true, Seed: 92})
+	lib, err := core.NewLibrary(core.Params{Dim: 8192, Window: 32, Seed: 92})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestDisabledCoalescingAllocParity(t *testing.T) {
 		t.Skip("race instrumentation perturbs allocation counts")
 	}
 	ref := genome.Random(3000, rng.New(94))
-	lib, err := core.NewLibrary(core.Params{Dim: 8192, Window: 32, Sealed: true, Seed: 95})
+	lib, err := core.NewLibrary(core.Params{Dim: 8192, Window: 32, Seed: 95})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,7 +27,7 @@ const goldenWorkers = 32
 // touched.
 func goldenLibrary(t *testing.T) (*core.Library, []*genome.Sequence) {
 	t.Helper()
-	lib, err := core.NewLibrary(core.Params{Dim: 8192, Window: 32, Sealed: true, Seed: 7001})
+	lib, err := core.NewLibrary(core.Params{Dim: 8192, Window: 32, Seed: 7001})
 	if err != nil {
 		t.Fatal(err)
 	}

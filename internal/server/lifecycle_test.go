@@ -25,7 +25,7 @@ func denseServer(t *testing.T, opts ...Option) (*Server, *genome.Sequence) {
 	t.Helper()
 	ref := genome.Random(3000, rng.New(91))
 	lib, err := core.NewLibrary(core.Params{
-		Dim: 8192, Window: 32, Sealed: true, Capacity: 4, Seed: 92,
+		Dim: 8192, Window: 32, Capacity: 4, Seed: 92,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -340,8 +340,8 @@ func TestSketchTelemetry(t *testing.T) {
 		words          int
 		predLo, predHi float64
 	}{
-		{"exact", core.Params{Dim: 8192, Window: 32, Capacity: 16, Sealed: true, Seed: 92}, 6000, 40, 2, 40, 0.01, 0.03},
-		{"approximate", core.Params{Dim: 8192, Window: 32, Approx: true, Sealed: true, MutTolerance: 2, Seed: 42}, 2087, 400, 20, 16, 5e-5, 1e-3},
+		{"exact", core.Params{Dim: 8192, Window: 32, Capacity: 16, Seed: 92}, 6000, 40, 2, 40, 0.01, 0.03},
+		{"approximate", core.Params{Dim: 8192, Window: 32, Approx: true, MutTolerance: 2, Seed: 42}, 2087, 400, 20, 16, 5e-5, 1e-3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ref := genome.Random(tc.refLen, rng.New(91))

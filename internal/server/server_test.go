@@ -19,7 +19,7 @@ import (
 func testServer(t *testing.T) (*httptest.Server, *genome.Sequence) {
 	t.Helper()
 	ref := genome.Random(3000, rng.New(81))
-	lib, err := core.NewLibrary(core.Params{Dim: 8192, Window: 32, Sealed: true, Seed: 82})
+	lib, err := core.NewLibrary(core.Params{Dim: 8192, Window: 32, Seed: 82})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +355,7 @@ func TestBatchErrorCellsHaveBadBaseMessage(t *testing.T) {
 
 func ExampleServer() {
 	// Construct a library, freeze it, and serve it.
-	lib, _ := core.NewLibrary(core.Params{Dim: 1024, Window: 16, Sealed: true, Seed: 1})
+	lib, _ := core.NewLibrary(core.Params{Dim: 1024, Window: 16, Seed: 1})
 	_ = lib.Add(genome.Record{ID: "demo", Seq: genome.Random(100, rng.New(1))})
 	lib.Freeze()
 	s, _ := New(lib)

@@ -28,7 +28,7 @@ import (
 func wirePair(t *testing.T) (*httptest.Server, *wire.Client, *genome.Sequence) {
 	t.Helper()
 	ref := genome.Random(3000, rng.New(91))
-	lib, err := core.NewLibrary(core.Params{Dim: 8192, Window: 32, Sealed: true, Seed: 92})
+	lib, err := core.NewLibrary(core.Params{Dim: 8192, Window: 32, Seed: 92})
 	if err != nil {
 		t.Fatal(err)
 	}

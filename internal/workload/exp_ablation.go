@@ -2,12 +2,14 @@ package workload
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/core"
 	"repro/internal/genome"
 	"repro/internal/hdc"
 	"repro/internal/pim"
 	"repro/internal/rng"
+	"repro/internal/stats"
 )
 
 func init() {
@@ -18,8 +20,11 @@ func init() {
 // runF11 quantifies the sealed/raw-counter design choice (DESIGN.md §6
 // item 1): binarized buckets are 32× smaller and crossbar-native but
 // lose the ρ(C) attenuation, so their admissible capacity is smaller.
+// Libraries store only sealed buckets, so the raw row is the model's
+// closed form over the same reference (rawCounterRow).
 func runF11(cfg Config) (*Result, error) {
 	cfg = cfg.normalized()
+	const dim, window = 8192, 32
 	refLen := cfg.scaled(40_000, 4_000)
 	probes := cfg.scaled(150, 30)
 	ref := genome.Random(refLen, rng.New(cfg.Seed+101))
@@ -31,35 +36,43 @@ func runF11(cfg Config) (*Result, error) {
 		Notes: []string{
 			"auto-capacity from the statistical model at D=8192, exact mode",
 			"raw counters score with full precision but need 32 bits/dim and cannot map onto binary crossbars",
+			"raw row: the model in closed form (no library stores raw counters); memory is the counters alone",
 		},
 	}
-	for _, sealed := range []bool{true, false} {
-		lib, err := buildLibrary(core.Params{
-			Dim: 8192, Window: 32, Sealed: sealed, Seed: cfg.Seed + 102,
-		}, Dataset{Name: "rand", Recs: []genome.Record{{ID: "r", Seq: ref}}})
-		if err != nil {
-			return nil, err
-		}
-		src := rng.New(cfg.Seed + 103)
-		recall, fpr := filterRates(lib, ref, 32, probes, src)
-		t.AddRow(storageName(sealed), lib.Params().Capacity, lib.NumBuckets(),
-			float64(lib.MemoryFootprint())/1024, recall, fpr, pimNative(sealed))
+	lib, err := buildLibrary(core.Params{Dim: dim, Window: window, Seed: cfg.Seed + 102},
+		Dataset{Name: "rand", Recs: []genome.Record{{ID: "r", Seq: ref}}})
+	if err != nil {
+		return nil, err
 	}
+	p := lib.Params()
+	recall, fpr := filterRates(lib, ref, window, probes, rng.New(cfg.Seed+103))
+	t.AddRow("sealed", p.Capacity, lib.NumBuckets(),
+		float64(lib.MemoryFootprint())/1024, recall, fpr, "yes")
+	c, buckets, recall, fpr := rawCounterRow(dim, lib.NumWindows(), p.Alpha, p.Beta)
+	t.AddRow("raw-counters (model)", c, buckets, float64(buckets*dim*4)/1024,
+		recall, fpr, "no (digital PIM)")
 	return &Result{Tables: []*Table{t}}, nil
 }
 
-func storageName(sealed bool) string {
-	if sealed {
-		return "sealed"
+// rawCounterRow is F11's raw-counter row in closed form, for windows
+// exact-mode windows at dimension d. A raw bucket of C windows scores a
+// member N(D, (C−1)·D) and anything else N(0, C·D), so the largest C
+// whose gap holds zGap = z(α/2²⁰) + z(β) noise sigmas — the Bonferroni
+// term core's capacity planning assumes — is ⌊D/zGap²⌋. The windows fill
+// ⌈windows/C⌉ buckets, searched at the threshold core's model places
+// between the two targets over that many buckets; recall and the
+// per-bucket false-positive rate are the two distributions' tails there.
+func rawCounterRow(d, windows int, alpha, beta float64) (c, buckets int, recall, fpr float64) {
+	zGap := stats.NormalUpperQuantile(alpha/(1<<20)) + stats.NormalUpperQuantile(beta)
+	c = max(int(float64(d)/(zGap*zGap)), 1)
+	buckets = (windows + c - 1) / c
+	noise := math.Sqrt(float64(c * d))
+	tau := stats.NormalUpperQuantile(alpha/float64(buckets)) * noise
+	if tauFN := float64(d) - stats.NormalUpperQuantile(beta)*noise; tauFN >= tau {
+		tau = (tau + tauFN) / 2
 	}
-	return "raw-counters"
-}
-
-func pimNative(sealed bool) string {
-	if sealed {
-		return "yes"
-	}
-	return "no (digital PIM)"
+	member := math.Sqrt(float64((c - 1) * d))
+	return c, buckets, stats.NormalTail((tau - float64(d)) / member), stats.NormalTail(tau / noise)
 }
 
 // runF12 measures the pipelined-broadcast optimization and the fully

@@ -62,7 +62,7 @@ func runF1(cfg Config) (*Result, error) {
 	}
 	for _, d := range []int{1024, 2048, 4096, 8192, 16384} {
 		lib, err := buildLibrary(core.Params{
-			Dim: d, Window: window, Sealed: true, Seed: cfg.Seed + uint64(d),
+			Dim: d, Window: window, Seed: cfg.Seed + uint64(d),
 		}, Dataset{Name: "rand", Recs: []genome.Record{{ID: "r", Seq: ref}}})
 		if err != nil {
 			return nil, err
@@ -142,7 +142,7 @@ func runF2(cfg Config) (*Result, error) {
 	} {
 		ref := genome.Random(refLen, rng.New(cfg.Seed+uint64(tc.cap)))
 		lib, err := buildLibrary(core.Params{
-			Dim: 8192, Window: window, Sealed: true, Approx: tc.approx,
+			Dim: 8192, Window: window, Approx: tc.approx,
 			Capacity: tc.cap, MutTolerance: boolMut(tc.approx, 6),
 			Seed: cfg.Seed + uint64(tc.cap) + 13,
 		}, Dataset{Name: "rand", Recs: []genome.Record{{ID: "r", Seq: ref}}})
@@ -184,7 +184,7 @@ func runF3(cfg Config) (*Result, error) {
 	ref := genome.Random(refLen, rng.New(cfg.Seed+3))
 	tol := 7 // ≈15% of the window
 	lib, err := buildLibrary(core.Params{
-		Dim: 8192, Window: window, Sealed: true, Approx: true,
+		Dim: 8192, Window: window, Approx: true,
 		Capacity: 2, MutTolerance: tol, Seed: cfg.Seed + 4,
 	}, Dataset{Name: "rand", Recs: []genome.Record{{ID: "r", Seq: ref}}})
 	if err != nil {
@@ -259,7 +259,7 @@ func runF4(cfg Config) (*Result, error) {
 		for _, stride := range []int{1, 2, 4} {
 			tol := (window + 19) / 20 // ≈5%
 			lib, err := buildLibrary(core.Params{
-				Dim: 8192, Window: window, Stride: stride, Sealed: true,
+				Dim: 8192, Window: window, Stride: stride,
 				Approx: true, Capacity: 2, MutTolerance: tol,
 				Seed: cfg.Seed + uint64(window*10+stride),
 			}, Dataset{Name: "rand", Recs: []genome.Record{{ID: "r", Seq: ref}}})

@@ -35,7 +35,7 @@ func runF14(cfg Config) (*Result, error) {
 	}
 
 	// BioHD library.
-	lib, err := core.NewLibrary(core.Params{Dim: 8192, Window: window, Sealed: true, Seed: cfg.Seed + 142})
+	lib, err := core.NewLibrary(core.Params{Dim: 8192, Window: window, Seed: cfg.Seed + 142})
 	if err != nil {
 		return nil, err
 	}

@@ -36,7 +36,7 @@ func runT2(cfg Config) (*Result, error) {
 	trials := cfg.scaled(50, 10)
 	ref := genome.Random(refLen, rng.New(cfg.Seed+11))
 	lib, err := buildLibrary(core.Params{
-		Dim: 8192, Window: window, Sealed: true, Seed: cfg.Seed + 12,
+		Dim: 8192, Window: window, Seed: cfg.Seed + 12,
 	}, Dataset{Name: "rand", Recs: []genome.Record{{ID: "r", Seq: ref}}})
 	if err != nil {
 		return nil, err
@@ -99,7 +99,7 @@ func runF5(cfg Config) (*Result, error) {
 	queries := cfg.scaled(200, 30)
 	ref := genome.Random(refLen, rng.New(cfg.Seed+21))
 	lib, err := buildLibrary(core.Params{
-		Dim: 8192, Window: window, Sealed: true, Seed: cfg.Seed + 22,
+		Dim: 8192, Window: window, Seed: cfg.Seed + 22,
 	}, Dataset{Name: "rand", Recs: []genome.Record{{ID: "r", Seq: ref}}})
 	if err != nil {
 		return nil, err
@@ -163,7 +163,7 @@ func runF9(cfg Config) (*Result, error) {
 			ds.Recs = append(ds.Recs, genome.Record{ID: "r", Seq: genome.Random(refLen, src)})
 		}
 		lib, err := buildLibrary(core.Params{
-			Dim: 8192, Window: window, Sealed: true, Seed: cfg.Seed + uint64(nRefs) + 31,
+			Dim: 8192, Window: window, Seed: cfg.Seed + uint64(nRefs) + 31,
 		}, ds)
 		if err != nil {
 			return nil, err

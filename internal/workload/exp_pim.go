@@ -22,7 +22,7 @@ func init() {
 // pimSetup builds a frozen exact library over ds and maps it on a chip.
 func pimSetup(cfg Config, ds Dataset, chip pim.ChipConfig) (*core.Library, *pim.Engine, error) {
 	lib, err := buildLibrary(core.Params{
-		Dim: 8192, Window: 32, Sealed: true, Seed: cfg.Seed + 41,
+		Dim: 8192, Window: 32, Seed: cfg.Seed + 41,
 	}, ds)
 	if err != nil {
 		return nil, nil, err

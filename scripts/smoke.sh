@@ -7,7 +7,8 @@
 # mmap-backed tier: build -o (v3, the only format written) → serve
 # -mmap straight from it → search/ingest/remove/compact against the
 # mapped library, and assert the mapped-bytes gauge reports the mapping;
-# `convert` is exercised on the checked-in legacy v2 file. A third phase
+# `convert` is exercised on the checked-in legacy v2 file, and the
+# checked-in raw-counter files must be refused. A third phase
 # serves with -wire-addr and drives the binary wire protocol through
 # the biohd wire client: pipelined searches, classify, stats, ping,
 # then asserts the biohd_wire_* metric series and a clean drain. A
@@ -184,6 +185,22 @@ want=$("$workdir/biohd" search -lib "$golden" -pattern "$gpat")
 got=$("$workdir/biohd" search -lib "$workdir/golden.v3" -pattern "$gpat")
 echo "$got" | grep -q 'ref-0:80' || { echo "FATAL: converted golden misses its own window: $got"; exit 1; }
 [ "$got" = "$want" ] || { echo "FATAL: converted library answers differently: $got vs $want"; exit 1; }
+
+echo "== raw-counter legacy files are refused"
+# No command reads raw-counter buckets any more: each must exit non-zero
+# with the core's typed message (timeout guards a serve that would
+# otherwise start listening), and a refused convert writes nothing.
+raw_v1=internal/core/testdata/golden_v1_raw.lib
+raw_v2=internal/core/testdata/golden_v2_raw.lib
+for args in "convert -lib $raw_v2 -o $workdir/raw.v3" "serve -lib $raw_v1 -addr 127.0.0.1:0 -quiet"; do
+    # shellcheck disable=SC2086 # args is a word list on purpose
+    if timeout 20 "$workdir/biohd" $args >"$workdir/raw.log" 2>&1; then
+        cat "$workdir/raw.log"; echo "FATAL: biohd $args accepted a raw-counter file"; exit 1
+    fi
+    grep -q 'raw-counter library files are no longer read' "$workdir/raw.log" \
+        || { cat "$workdir/raw.log"; echo "FATAL: biohd $args did not print the raw-counter error"; exit 1; }
+done
+[ ! -e "$workdir/raw.v3" ] || { echo "FATAL: a refused convert wrote its output"; exit 1; }
 
 echo "== build -o, serve -mmap"
 hdc_build=$("$workdir/biohd" build -ref "$workdir/refs.fa" -o "$workdir/lib.v3")
