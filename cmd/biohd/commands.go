@@ -80,7 +80,7 @@ func cmdServe(args []string, out io.Writer) error {
 	if *mmapLib {
 		mode := "mapped"
 		switch {
-		case lib.Mapped():
+		case lib.Describe().Mapped:
 		case core.MapSupported():
 			// The platform maps, so the file is what could not be mapped.
 			mode = "heap fallback (legacy v1/v2 stream; biohd convert rewrites it as mappable v3)"
@@ -122,8 +122,9 @@ func cmdServe(args []string, out io.Writer) error {
 			return err
 		}
 	}
+	info := lib.Describe()
 	fmt.Fprintf(out, "serving %d references (%d buckets) on http://%s (drain %s)\n",
-		lib.NumRefs(), lib.NumBuckets(), ln.Addr(), *drain)
+		info.References, info.Buckets, ln.Addr(), *drain)
 	if ws != nil {
 		fmt.Fprintf(out, "wire protocol on %s\n", wln.Addr())
 	}
@@ -354,7 +355,7 @@ func buildIndexFromFASTA(path string, lf *libFlags) (core.Index, error) {
 		}
 	}
 	idx.Freeze()
-	if !idx.Frozen() {
+	if !idx.Describe().Frozen {
 		return nil, fmt.Errorf("no references long enough for window %d", lf.window)
 	}
 	return idx, nil
@@ -391,25 +392,25 @@ func cmdBuild(args []string, out io.Writer) error {
 			return err
 		}
 	}
+	info := idx.Describe()
 	lib, isHDC := idx.(*core.Library)
 	if !isHDC {
 		// Other backends report the shared shape numbers.
-		info := idx.Describe()
 		fmt.Fprintf(out, "library: %d refs, %d windows, %d columns (%s backend)\n",
-			idx.NumRefs(), idx.NumWindows(), idx.NumBuckets(), info.Backend)
+			info.References, info.Windows, info.Buckets, info.Backend)
 		fmt.Fprintf(out, "geometry: window=%d stride=%d mode=exact\n", info.Window, info.Stride)
-		fmt.Fprintf(out, "storage: %.1f KiB of bit-sliced signatures\n", float64(idx.MemoryFootprint())/1024)
+		fmt.Fprintf(out, "storage: %.1f KiB of bit-sliced signatures\n", float64(info.MemoryBytes)/1024)
 		return nil
 	}
 	p := lib.Params()
 	m := lib.Model()
 	fmt.Fprintf(out, "library: %d refs, %d windows, %d buckets (capacity %d)\n",
-		lib.NumRefs(), lib.NumWindows(), lib.NumBuckets(), p.Capacity)
+		info.References, info.Windows, info.Buckets, p.Capacity)
 	fmt.Fprintf(out, "geometry: D=%d window=%d stride=%d mode=%s\n",
 		p.Dim, p.Window, p.Stride, map[bool]string{true: "approx", false: "exact"}[p.Approx])
-	fmt.Fprintf(out, "storage: %.1f KiB of hypervectors\n", float64(lib.MemoryFootprint())/1024)
+	fmt.Fprintf(out, "storage: %.1f KiB of hypervectors\n", float64(info.MemoryBytes)/1024)
 	fmt.Fprintf(out, "model: threshold=%.1f noise-sigma=%.1f signal(tol)=%.1f\n",
-		lib.Threshold(), m.NoiseSigma(), m.SignalMean(p.MutTolerance))
+		info.Threshold, m.NoiseSigma(), m.SignalMean(p.MutTolerance))
 	if cal, ok := lib.Calibration(); ok {
 		fmt.Fprintf(out, "calibration: noise %.1f±%.1f signal %.1f±%.1f tau %.1f\n",
 			cal.NoiseMean, cal.NoiseStd, cal.SignalMean, cal.SignalStd, cal.Tau)
@@ -593,8 +594,9 @@ func cmdPIM(args []string, out io.Writer) error {
 	if lib.Params().Approx {
 		mode = encoding.ModeApprox
 	}
+	nRefs := lib.Describe().References
 	for i := 0; i < *queries; i++ {
-		ri := src.Intn(lib.NumRefs())
+		ri := src.Intn(nRefs)
 		ref := lib.Ref(ri).Seq
 		off := src.Intn(ref.Len() - lib.Params().Window + 1)
 		hv := lib.Encoder().Encode(ref, off, mode)
@@ -648,7 +650,7 @@ func cmdCompact(args []string, out io.Writer) error {
 		for _, id := range strings.Split(*remove, ",") {
 			id = strings.TrimSpace(id)
 			idx := -1
-			for i := 0; i < lib.NumRefs(); i++ {
+			for i, n := 0, lib.Describe().References; i < n; i++ {
 				if rec := lib.Ref(i); rec.ID == id && rec.Seq != nil {
 					idx = i
 					break
@@ -663,14 +665,14 @@ func cmdCompact(args []string, out io.Writer) error {
 			fmt.Fprintf(out, "removed %s\n", id)
 		}
 	}
-	before := lib.NumSegments()
-	ratio := lib.TombstoneRatio()
+	before := lib.Describe()
 	rewritten, err := lib.Compact(*minRatio)
 	if err != nil {
 		return err
 	}
+	after := lib.Describe()
 	fmt.Fprintf(out, "compacted: %d of %d segments rewritten (tombstone ratio %.3f -> %.3f), %d segments remain\n",
-		rewritten, before, ratio, lib.TombstoneRatio(), lib.NumSegments())
+		rewritten, before.Segments, before.TombstoneRatio, after.TombstoneRatio, after.Segments)
 	dst := *output
 	if dst == "" {
 		dst = *libFile

@@ -94,7 +94,8 @@ func cmdConvert(args []string, out io.Writer) error {
 	if err := saveIndex(*output, idx, out); err != nil {
 		return err
 	}
+	info := idx.Describe()
 	fmt.Fprintf(out, "converted %s (%s): %d refs, %d segments, %d buckets\n",
-		*libFile, idx.Describe().Backend, idx.NumRefs(), idx.NumSegments(), idx.NumBuckets())
+		*libFile, info.Backend, info.References, info.Segments, info.Buckets)
 	return nil
 }

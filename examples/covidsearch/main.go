@@ -56,8 +56,9 @@ func main() {
 		}
 	}
 	lib.Freeze()
+	info := lib.Describe()
 	fmt.Printf("BioHD library: %d windows → %d buckets in %v\n",
-		lib.NumWindows(), lib.NumBuckets(), time.Since(start).Round(time.Millisecond))
+		info.Windows, info.Buckets, time.Since(start).Round(time.Millisecond))
 
 	// 4. Classical comparator: seed-and-extend index (k=15 seeds).
 	seedIdx, err := baseline.NewSeedIndex(15)

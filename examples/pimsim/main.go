@@ -36,7 +36,7 @@ func main() {
 	}
 	lib.Freeze()
 	fmt.Printf("library: %d buckets of %d-bit hypervectors\n",
-		lib.NumBuckets(), lib.Params().Dim)
+		lib.Describe().Buckets, lib.Params().Dim)
 
 	// 2. Map onto the reference chip and verify PIM results bit-exactly
 	//    against the software engine.

@@ -33,8 +33,9 @@ func main() {
 		log.Fatal(err)
 	}
 	exact.Freeze()
+	info := exact.Describe()
 	fmt.Printf("exact library: %d windows in %d buckets (capacity %d)\n",
-		exact.NumWindows(), exact.NumBuckets(), exact.Params().Capacity)
+		info.Windows, info.Buckets, exact.Params().Capacity)
 
 	// 3. Search a pattern that occurs at offset 12345.
 	pattern := ref.Slice(12345, 12345+32)

@@ -34,8 +34,9 @@ func main() {
 		}
 	}
 	lib.Freeze()
+	info := lib.Describe()
 	fmt.Printf("library: 3 chromosomes, %d windows, %d buckets\n",
-		lib.NumWindows(), lib.NumBuckets())
+		info.Windows, info.Buckets)
 
 	// 2. 30 reads of 240 bases, each carrying substitution mutations
 	//    (~2% divergence, like a diverged strain).

@@ -96,7 +96,7 @@ func New(lib core.Index, cfg Config, reg *metrics.Registry) (*Coalescer, error) 
 	if !cfg.Enabled() {
 		return nil, fmt.Errorf("coalesce: config disables coalescing; use the direct path")
 	}
-	if lib == nil || !lib.Frozen() {
+	if lib == nil || !lib.Describe().Frozen {
 		return nil, fmt.Errorf("coalesce: library must be frozen")
 	}
 	c := &Coalescer{

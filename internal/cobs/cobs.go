@@ -124,6 +124,7 @@ func New(p Params) (*Index, error) {
 		Reset:         x.resetActive,
 		Tombstone:     tombstoneSegment,
 		Rebuild:       rebuildSegment,
+		Describe:      x.describe,
 		Annotate:      annotate,
 		Probe:         x.probeBlock,
 	})
@@ -133,19 +134,14 @@ func New(p Params) (*Index, error) {
 // Params returns the index's configuration.
 func (x *Index) Params() Params { return x.params }
 
-// Describe identifies the backend and its shared geometry.
-func (x *Index) Describe() core.IndexInfo {
-	return core.IndexInfo{
-		Backend: BackendName,
-		Window:  x.params.Window,
-		Stride:  1,
-	}
+// describe is Kernel.Describe: the shared geometry, and the
+// candidate-stage threshold — the fraction of probe rows that must hit.
+// The AND of all Hashes rows means 1.0; search is exact after
+// verification.
+func (x *Index) describe(_ *core.View, info *core.IndexInfo) {
+	info.Backend, info.Window, info.Stride = BackendName, x.params.Window, 1
+	info.Threshold = 1.0
 }
-
-// Threshold is the candidate-stage decision threshold: the fraction of
-// probe rows that must hit. The AND of all Hashes rows means 1.0 —
-// search is exact after verification.
-func (x *Index) Threshold() float64 { return 1.0 }
 
 // appendRef is Kernel.Append: the reference's w-mers are hashed into a
 // fresh Bloom signature — the probe positions a query derives — which

@@ -241,8 +241,8 @@ func TestRemoveTombstonesAndCompactReclaims(t *testing.T) {
 	// The tombstoned column is physically gone from the rewritten
 	// segment (arena width shrinks only at 64-column boundaries, so the
 	// observable reclaim here is the column count).
-	if x.NumBuckets() != 1 {
-		t.Fatalf("NumBuckets = %d after Compact, want 1", x.NumBuckets())
+	if x.Describe().Buckets != 1 {
+		t.Fatalf("NumBuckets = %d after Compact, want 1", x.Describe().Buckets)
 	}
 	if x.Counters().Compactions != 1 {
 		t.Fatalf("compactions counter = %d", x.Counters().Compactions)
@@ -376,14 +376,14 @@ func TestDescribeAndIndexContract(t *testing.T) {
 	if info.Approx {
 		t.Fatal("cobs search is exact; Approx must be false")
 	}
-	if x.Threshold() != 1.0 {
-		t.Fatalf("Threshold = %v", x.Threshold())
+	if info.Threshold != 1.0 {
+		t.Fatalf("Threshold = %v", info.Threshold)
 	}
-	if x.Mapped() || x.MappedBytes() != 0 {
+	if info.Mapped || info.MappedBytes != 0 {
 		t.Fatal("heap backend reports mapped storage")
 	}
-	if x.ResidentBytes() != x.MemoryFootprint() {
-		t.Fatal("ResidentBytes != MemoryFootprint")
+	if info.ResidentBytes != info.MemoryBytes {
+		t.Fatal("ResidentBytes != MemoryBytes")
 	}
 	var idx core.Index = x
 	if idx.Describe().Backend != BackendName {

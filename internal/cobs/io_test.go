@@ -129,10 +129,10 @@ func TestWriteToV3Roundtrip(t *testing.T) {
 	if y.Params() != x.Params() {
 		t.Fatalf("params: %+v vs %+v", y.Params(), x.Params())
 	}
-	if y.NumRefs() != x.NumRefs() || y.NumBuckets() != x.NumBuckets() ||
+	if y.NumRefs() != x.NumRefs() || y.Describe().Buckets != x.Describe().Buckets ||
 		y.NumWindows() != x.NumWindows() || y.NumSegments() != x.NumSegments() {
 		t.Fatalf("shape drifted: refs %d/%d buckets %d/%d windows %d/%d segments %d/%d",
-			y.NumRefs(), x.NumRefs(), y.NumBuckets(), x.NumBuckets(),
+			y.NumRefs(), x.NumRefs(), y.Describe().Buckets, x.Describe().Buckets,
 			y.NumWindows(), x.NumWindows(), y.NumSegments(), x.NumSegments())
 	}
 	if y.TombstoneRatio() != x.TombstoneRatio() {
@@ -234,8 +234,8 @@ func TestMappedEqualsHeap(t *testing.T) {
 		}
 		return
 	}
-	if mapped.MappedBytes() != int64(len(data)) {
-		t.Fatalf("MappedBytes %d, file is %d bytes", mapped.MappedBytes(), len(data))
+	if mapped.Describe().MappedBytes != int64(len(data)) {
+		t.Fatalf("MappedBytes %d, file is %d bytes", mapped.Describe().MappedBytes, len(data))
 	}
 	if c := mapped.Counters(); c.MappedScans == 0 || c.HeapScans != 0 {
 		t.Fatalf("mapped index counters: mapped=%d heap=%d", c.MappedScans, c.HeapScans)

@@ -29,11 +29,11 @@ func TestAddConcurrentMatchesSequential(t *testing.T) {
 			t.Fatal(err)
 		}
 		conc.Freeze()
-		if conc.NumBuckets() != seq.NumBuckets() || conc.NumWindows() != seq.NumWindows() {
+		if conc.Describe().Buckets != seq.Describe().Buckets || conc.NumWindows() != seq.NumWindows() {
 			t.Fatalf("workers=%d: shape %d/%d vs %d/%d", workers,
-				conc.NumBuckets(), conc.NumWindows(), seq.NumBuckets(), seq.NumWindows())
+				conc.Describe().Buckets, conc.NumWindows(), seq.Describe().Buckets, seq.NumWindows())
 		}
-		for b := 0; b < seq.NumBuckets(); b++ {
+		for b := 0; b < seq.Describe().Buckets; b++ {
 			if !conc.BucketVector(b).Equal(seq.BucketVector(b)) {
 				t.Fatalf("workers=%d: bucket %d differs from sequential build", workers, b)
 			}
@@ -67,7 +67,7 @@ func TestAddConcurrentApproxMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	conc.Freeze()
-	for b := 0; b < seq.NumBuckets(); b++ {
+	for b := 0; b < seq.Describe().Buckets; b++ {
 		if !conc.BucketVector(b).Equal(seq.BucketVector(b)) {
 			t.Fatalf("approx bucket %d differs", b)
 		}

@@ -23,7 +23,7 @@ import (
 func CheckRowsAreBundles(t *testing.T, lib *Library, seqs []*genome.Sequence, when string) {
 	t.Helper()
 	p := lib.Params()
-	for i := 0; i < lib.NumBuckets(); i++ {
+	for i := 0; i < lib.Describe().Buckets; i++ {
 		var members []*hdc.HV
 		for _, wr := range lib.BucketWindows(i) {
 			if p.Approx {
@@ -34,7 +34,7 @@ func CheckRowsAreBundles(t *testing.T, lib *Library, seqs []*genome.Sequence, wh
 		}
 		if want := hdc.Bundle(p.Dim, p.Seed^tieSeedMix, members...); !lib.BucketVector(i).Equal(want) {
 			t.Fatalf("%s: bucket %d of %d (occupancy %d) differs from the counter bundle in %d bits",
-				when, i, lib.NumBuckets(), len(members), lib.BucketVector(i).Hamming(want))
+				when, i, lib.Describe().Buckets, len(members), lib.BucketVector(i).Hamming(want))
 		}
 	}
 }
@@ -80,7 +80,7 @@ func TestLiveIngestRowsAreBundles(t *testing.T) {
 				add(1)
 				CheckRowsAreBundles(t, lib, seqs, fmt.Sprintf("one-window Add %d", i))
 			}
-			lib.SetSealThreshold(lib.NumBuckets() - 1) // the next Add seals the builder, open bucket and all
+			lib.SetSealThreshold(lib.Describe().Buckets - 1) // the next Add seals the builder, open bucket and all
 			for i, windows := range []int{2, c - 1, c + 1, 2*c + 3, 1} {
 				add(windows)
 				CheckRowsAreBundles(t, lib, seqs, fmt.Sprintf("%d-window Add %d", windows, i))
@@ -166,11 +166,11 @@ func TestCompactRowsEqualFreshBuild(t *testing.T) {
 
 			fresh, _ := build(func(id string) bool { return !removed[id] })
 			defer fresh.Close()
-			if lib.NumBuckets() != fresh.NumBuckets() || lib.NumWindows() != fresh.NumWindows() {
+			if lib.Describe().Buckets != fresh.Describe().Buckets || lib.NumWindows() != fresh.NumWindows() {
 				t.Fatalf("compacted: %d buckets, %d windows; fresh build of the survivors: %d, %d",
-					lib.NumBuckets(), lib.NumWindows(), fresh.NumBuckets(), fresh.NumWindows())
+					lib.Describe().Buckets, lib.NumWindows(), fresh.Describe().Buckets, fresh.NumWindows())
 			}
-			for i := 0; i < lib.NumBuckets(); i++ {
+			for i := 0; i < lib.Describe().Buckets; i++ {
 				got, want := lib.BucketWindows(i), fresh.BucketWindows(i)
 				if len(got) != len(want) {
 					t.Fatalf("bucket %d holds %d windows, fresh build %d", i, len(got), len(want))

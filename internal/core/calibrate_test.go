@@ -39,7 +39,7 @@ func TestCalibrationPresent(t *testing.T) {
 		t.Fatalf("tau %v not between noise %v and signal %v",
 			cal.Tau, cal.NoiseMean, cal.SignalMean)
 	}
-	if lib.Threshold() != cal.Tau {
+	if lib.Describe().Threshold != cal.Tau {
 		t.Fatal("Threshold() does not return calibrated tau")
 	}
 }
@@ -110,7 +110,7 @@ func TestCalibratedRecallAtTolerance(t *testing.T) {
 func TestFreezeEmptyLibraryStaysUnfrozen(t *testing.T) {
 	lib := mustLibrary(t, Params{Dim: 1024, Window: 16, Approx: true, Capacity: 2, Seed: 9})
 	lib.Freeze()
-	if lib.Frozen() {
+	if lib.Describe().Frozen {
 		t.Fatal("empty library froze")
 	}
 }

@@ -137,7 +137,7 @@ func TestCascadeMatchesFullRowScan(t *testing.T) {
 				if hdcOf(full.snap.Load()).plan.sketch {
 					t.Fatal("the full-row twin runs a sketch stage")
 				}
-				nB, nW := int64(lib.NumBuckets()), int64(lib.snap.Load().total) // tombstoned windows keep their metadata
+				nB, nW := int64(lib.Describe().Buckets), int64(lib.snap.Load().total) // tombstoned windows keep their metadata
 				if got, want := lib.MemoryFootprint(), nB*int64(p.Dim/8+mode.words*8)+nW*8; got != want {
 					t.Fatalf("footprint %d, want arena + sketch plane + metadata = %d", got, want)
 				}
@@ -327,7 +327,7 @@ func TestSketchModelHoldsApprox(t *testing.T) {
 	hv, acc := hdc.NewHV(p.Dim), hdc.NewAcc(p.Dim)
 	passers, worst, prefixSum, rowSum := 0, 0, 0, 0
 	for i := 0; i < pairs; i++ {
-		b := src.Intn(lib.NumBuckets())
+		b := src.Intn(lib.Describe().Buckets)
 		wr := lib.BucketWindows(b)[0]
 		member := refs[wr.Ref].Slice(int(wr.Off), int(wr.Off)+p.Window)
 		mut, _ := genome.SubstituteExactly(member, 3+i%5, src)

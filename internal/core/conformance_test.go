@@ -55,7 +55,7 @@ func freezeWith(t *testing.T, idx core.Index, initial []genome.Record) {
 		}
 	}
 	idx.Freeze()
-	if !idx.Frozen() {
+	if !idx.Describe().Frozen {
 		t.Fatal("Freeze left a non-empty index unfrozen")
 	}
 }
@@ -626,7 +626,7 @@ func TestFreezeEmptyIsNoOp(t *testing.T) {
 	}
 	for _, idx := range []core.Index{lib, x} {
 		idx.Freeze()
-		if idx.Frozen() {
+		if idx.Describe().Frozen {
 			t.Errorf("%s: an empty index froze", idx.Describe().Backend)
 		}
 		if _, _, err := idx.Lookup(genome.Random(16, rng.New(2))); err == nil {

@@ -70,6 +70,11 @@ type Kernel struct {
 	// Rebuild returns a segment holding only seg's live windows, or nil
 	// if none live.
 	Rebuild func(seg Segment, refs []genome.Record) Segment
+	// Describe fills the backend's IndexInfo fields — geometry,
+	// Threshold, the sketch fields — from v, the view the engine filled
+	// the rest from; info.Frozen says whether v is published (annotated)
+	// or the unannotated view Freeze would publish.
+	Describe func(v *View, info *IndexInfo)
 	// Annotate, if set, derives the kernel's per-view state (typed
 	// segment list, calibration) from a fully assembled view; the engine
 	// stores the result in View.Aux before the view goes live.
@@ -269,47 +274,6 @@ func (e *Engine) Close() error {
 	return err
 }
 
-// Mapped reports whether the sealed arenas alias a read-only file
-// mapping (zero-copy v3 load) rather than heap storage.
-func (e *Engine) Mapped() bool { return e.mapped }
-
-// MappedBytes returns the size of the backing file mapping, or 0 for
-// heap-loaded (or closed) indexes. This is address space, not resident
-// memory — the kernel pages the hot subset in and out.
-func (e *Engine) MappedBytes() int64 {
-	if !e.mapped {
-		return 0
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.mapping == nil {
-		return 0
-	}
-	return int64(e.mapping.Len())
-}
-
-// ResidentBytes estimates the bytes of the search store currently
-// resident in RAM. For a mapped index it asks the kernel (mincore over
-// the whole mapping): mapped minus resident is the working-set saving.
-// Where mincore is unavailable it conservatively reports the full
-// mapping, and for heap indexes the heap footprint — heap pages are
-// not file-backed, so they are resident by construction.
-func (e *Engine) ResidentBytes() int64 {
-	if !e.mapped {
-		return e.MemoryFootprint()
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.mapping == nil {
-		return 0
-	}
-	n, err := e.mapping.Resident(0, e.mapping.Len())
-	if err != nil {
-		return int64(e.mapping.Len())
-	}
-	return n
-}
-
 // SetSealThreshold sets the active-builder bucket count at which a
 // post-freeze Add seals the builder into a new immutable segment
 // (n ≤ 0 restores the backend's default).
@@ -331,45 +295,71 @@ func (e *Engine) SetAutoCompact(ratio float64) {
 	e.autoCompact = ratio
 }
 
-// Frozen reports whether Freeze has been called (the index serves
-// searches). Frozen indexes still accept Add, Remove, and Compact.
-func (e *Engine) Frozen() bool { return e.snap.Load() != nil }
-
-// current returns the published view or, before Freeze, the view Freeze
-// would publish (unannotated) — so the stats read one way either side
-// of Freeze.
-func (e *Engine) current() *View {
-	if v := e.snap.Load(); v != nil {
-		return v
+// Describe is the one stats read: every field comes from a single load
+// of the current view — or, before Freeze, from the view Freeze would
+// publish — so the counts in one reply always belong together. The
+// kernel's Describe hook fills the backend's fields from that same view.
+// ResidentBytes is the one field that costs a system call (mincore over
+// the mapping of a mapped index).
+func (e *Engine) Describe() IndexInfo {
+	info := e.describeView()
+	info.ResidentBytes = info.MemoryBytes
+	if e.mapped {
+		info.MappedBytes, info.ResidentBytes = e.mappingBytes()
 	}
+	return info
+}
+
+// describeView is Describe without the mapping's sizes. It is the only
+// function that loads the view for a stats read.
+func (e *Engine) describeView() IndexInfo {
+	v := e.snap.Load()
+	frozen := v != nil
+	if !frozen {
+		e.mu.Lock()
+		v = e.assembleLocked()
+		e.mu.Unlock()
+	}
+	info := IndexInfo{
+		Frozen: frozen, References: len(v.Refs), Windows: v.total - v.tombs, Buckets: v.nBkts,
+		TombstoneRatio: tombRatio(v.total, v.tombs), MemoryBytes: v.bytes, Mapped: e.mapped,
+	}
+	if frozen {
+		info.Segments = len(v.Segs)
+	}
+	e.k.Describe(v, &info)
+	return info
+}
+
+// mappingBytes returns the size of the backing file mapping and how much
+// of it is resident — mincore; where that is unavailable, conservatively
+// the whole mapping — or zeros once Close has unmapped it.
+func (e *Engine) mappingBytes() (mapped, resident int64) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.assembleLocked()
-}
-
-// NumBuckets returns the number of buckets probed per query window.
-func (e *Engine) NumBuckets() int { return e.current().nBkts }
-
-// NumWindows returns the number of live (non-removed) reference windows
-// memorized.
-func (e *Engine) NumWindows() int {
-	v := e.current()
-	return v.total - v.tombs
-}
-
-// MemoryFootprint returns the resident search-store size in bytes.
-func (e *Engine) MemoryFootprint() int64 { return e.current().bytes }
-
-// NumRefs returns the number of reference sequences added, including
-// removed ones (tombstoned slots keep their indices).
-func (e *Engine) NumRefs() int {
-	if v := e.snap.Load(); v != nil {
-		return len(v.Refs)
+	if e.mapping == nil {
+		return 0, 0
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return len(e.refs)
+	mapped = int64(e.mapping.Len())
+	n, err := e.mapping.Resident(0, e.mapping.Len())
+	if err != nil {
+		return mapped, mapped
+	}
+	return mapped, n
 }
+
+// NumRefs, NumWindows, NumSegments, TombstoneRatio, MemoryFootprint,
+// Mapped, MappedBytes and ResidentBytes are single IndexInfo fields, kept
+// for the benchmark harness; everything else reads Describe, except a
+// mutation's ID lookup, which reads NumRefs to skip the mincore.
+func (e *Engine) NumRefs() int            { return e.describeView().References }
+func (e *Engine) NumWindows() int         { return e.describeView().Windows }
+func (e *Engine) NumSegments() int        { return e.describeView().Segments }
+func (e *Engine) TombstoneRatio() float64 { return e.describeView().TombstoneRatio }
+func (e *Engine) MemoryFootprint() int64  { return e.describeView().MemoryBytes }
+func (e *Engine) Mapped() bool            { return e.mapped }
+func (e *Engine) MappedBytes() int64      { return e.Describe().MappedBytes }
+func (e *Engine) ResidentBytes() int64    { return e.Describe().ResidentBytes }
 
 // Ref returns the i-th reference record. A removed reference has a nil
 // Seq and a " (removed)" description suffix.
@@ -380,24 +370,6 @@ func (e *Engine) Ref(i int) genome.Record {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.refs[i]
-}
-
-// NumSegments returns the number of segments in the current view
-// (sealed segments plus the active view); 0 before Freeze.
-func (e *Engine) NumSegments() int {
-	if v := e.snap.Load(); v != nil {
-		return len(v.Segs)
-	}
-	return 0
-}
-
-// TombstoneRatio returns the fraction of memorized windows whose
-// reference has been removed but not yet compacted away.
-func (e *Engine) TombstoneRatio() float64 {
-	if v := e.snap.Load(); v != nil {
-		return tombRatio(v.total, v.tombs)
-	}
-	return 0
 }
 
 func tombRatio(total, tombs int) float64 {

@@ -115,11 +115,11 @@ func checkAccepted(t *testing.T, idx Index) {
 	if !ok {
 		return
 	}
-	if lib.NumBuckets() == 0 {
+	if lib.Describe().Buckets == 0 {
 		t.Fatal("accepted library with no buckets")
 	}
 	total := 0
-	for i := 0; i < lib.NumBuckets(); i++ {
+	for i := 0; i < lib.Describe().Buckets; i++ {
 		total += len(lib.BucketWindows(i))
 	}
 	if total != lib.NumWindows() {

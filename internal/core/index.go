@@ -14,12 +14,12 @@ import (
 // RegisterBackend.
 const BackendHDC = "hdc"
 
-// IndexInfo identifies an index backend and the geometry every backend
-// shares: the window length queried, the stride of reference window
-// starts, and whether (and how far) search tolerates substitutions.
-// Backend-specific parameters (hypervector dimension, Bloom geometry)
-// stay behind the backend's own Params type; Dim, Capacity and the
-// sketch fields are zero for backends they do not apply to.
+// IndexInfo is one stats read of an index: backend and geometry, the
+// shape and storage of the view in force, and the model's numbers for
+// that view. Engine.Describe fills the shape and storage fields and the
+// backend's Kernel.Describe the rest, all from one load of the view, so
+// no IndexInfo mixes two generations. Dim, Capacity and the sketch
+// fields are zero for backends they do not apply to.
 type IndexInfo struct {
 	Backend   string // "hdc", "cobs", ...
 	Dim       int    // hypervector dimension (HDC; 0 otherwise)
@@ -29,13 +29,36 @@ type IndexInfo struct {
 	Approx    bool   // search tolerates substitutions
 	Tolerance int    // per-window substitution tolerance when Approx
 
+	// Frozen says Freeze has been called. References counts reference
+	// slots, removed ones included; Windows the live memorized windows;
+	// Buckets the units a probe scans (HDC buckets, bit-sliced columns);
+	// Segments the view's segments, active builder included, 0 before
+	// Freeze.
+	Frozen                                 bool
+	References, Windows, Buckets, Segments int
+	// TombstoneRatio is the share of memorized windows whose reference
+	// was removed but not yet compacted away.
+	TombstoneRatio float64
+	// MemoryBytes is the search store's size. Mapped says the sealed
+	// arenas alias a file mapping of MappedBytes bytes (0 on the heap or
+	// once closed); ResidentBytes is the store in RAM — mincore over the
+	// mapping, or MemoryBytes on the heap.
+	MemoryBytes   int64
+	Mapped        bool
+	MappedBytes   int64
+	ResidentBytes int64
+
+	// Threshold is the candidate stage's decision threshold in backend
+	// units: HDC's calibrated (approximate) or model (exact) threshold of
+	// the view, a-priori before Freeze; cobs' share of rows that must hit.
+	Threshold float64
 	// The probe cascade (HDC): SketchWords is how many words of each
 	// Dim/64-word row the first stage reads — the whole row when the
 	// model offers no prefix — SketchBytes the sketch planes resident
-	// beside the current view's arenas, and SketchSurvivorRatio the
-	// share of rows the model predicts the current view's first stage
-	// passes on to the full-row stage (it follows the view's threshold;
-	// 0 before Freeze and for a view that scans whole rows), the number
+	// beside the view's arenas, and SketchSurvivorRatio the share of
+	// rows the model predicts the view's first stage passes on to the
+	// full-row stage (it follows the view's threshold; 0 before Freeze
+	// and for a view that scans whole rows), the number
 	// Counters.SketchSurvivors / SketchRows should track.
 	SketchWords         int
 	SketchBytes         int64
@@ -43,13 +66,11 @@ type IndexInfo struct {
 }
 
 // Index is the backend-agnostic contract of a searchable reference
-// collection: the probe paths (single lookup, blocked lookup, long-read
-// mapping, classification, batch), the build/seal/compact lifecycle,
-// the stats surface the server exports, and v3 serialization. The HDC
-// segmented Library implements it unchanged; alternate backends (the
-// COBS-style bit-sliced signature index in internal/cobs) implement the
-// same semantics over their own storage. Every layer above internal/core
-// — the coalescer, the transport-neutral exec layer, the HTTP and wire
+// collection: one stats read, the probe paths, the build/seal/compact
+// lifecycle, and v3 serialization. The HDC Library and the COBS-style
+// bit-sliced index in internal/cobs implement it by embedding Engine,
+// which supplies everything but the kernel. Every layer above
+// internal/core — the coalescer, the exec layer, the HTTP and wire
 // handlers, and the CLI — talks only to this interface.
 //
 // Concurrency contract: Frozen indexes serve all read methods
@@ -58,25 +79,17 @@ type IndexInfo struct {
 // serialized internally. Close drains in-flight readers before
 // releasing storage.
 type Index interface {
-	// Describe identifies the backend and its shared geometry.
+	// Describe is the stats read (IndexInfo); /v1/stats, the wire STATS
+	// frame, /metrics and the mutation responses are built from it. The
+	// six getters after it are single fields of it, kept for the
+	// benchmark harness (NumRefs also for ID lookups, without mincore).
 	Describe() IndexInfo
-	// Frozen reports whether Freeze has been called (the index serves
-	// searches). Frozen indexes still accept Add, Remove, and Compact.
-	Frozen() bool
-	// Threshold returns the operating decision threshold of the
-	// backend's candidate stage, in backend-specific units.
-	Threshold() float64
-
-	// Stats surface (the /v1/stats and /metrics contract).
 	NumRefs() int
 	NumWindows() int
-	NumBuckets() int
 	NumSegments() int
 	TombstoneRatio() float64
 	MemoryFootprint() int64
 	Mapped() bool
-	MappedBytes() int64
-	ResidentBytes() int64
 	Ref(i int) genome.Record
 	Counters() Counters
 
@@ -110,25 +123,24 @@ type Index interface {
 	WriteToV3(w io.Writer) (int64, error)
 }
 
-// Describe identifies the HDC backend and its geometry.
-func (l *Library) Describe() IndexInfo {
-	info := IndexInfo{
-		Backend:   BackendHDC,
-		Dim:       l.params.Dim,
-		Window:    l.params.Window,
-		Stride:    l.params.Stride,
-		Capacity:  l.params.Capacity,
-		Approx:    l.params.Approx,
-		Tolerance: l.params.MutTolerance,
-
-		SketchWords: l.sketchWords,
+// describe is Kernel.Describe: the HDC geometry, and the threshold and
+// sketch numbers of v — its probe plan once published, the a-priori
+// model at the builder's occupancy before Freeze.
+func (l *Library) describe(v *View, info *IndexInfo) {
+	info.Backend = BackendHDC
+	info.Dim, info.Window, info.Stride = l.params.Dim, l.params.Window, l.params.Stride
+	info.Capacity, info.Approx, info.Tolerance = l.params.Capacity, l.params.Approx, l.params.MutTolerance
+	info.SketchWords = l.sketchWords
+	if !info.Frozen {
+		occ := newHDCView(v, Calibration{}).maxOccupancy()
+		info.Threshold = l.modelWith(occ).DecisionThreshold(
+			l.params.Alpha, l.params.Beta, maxInt(v.nBkts, 1), l.params.MutTolerance)
+		return
 	}
-	if v := l.snap.Load(); v != nil {
-		sn := hdcOf(v)
-		info.SketchBytes = sn.sketchBytes
-		info.SketchSurvivorRatio = sn.plan.survive
-	}
-	return info
+	sn := hdcOf(v)
+	info.Threshold = sn.plan.tau
+	info.SketchBytes = sn.sketchBytes
+	info.SketchSurvivorRatio = sn.plan.survive
 }
 
 // The HDC library is the reference implementation of the contract.

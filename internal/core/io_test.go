@@ -29,11 +29,11 @@ func saveLoad(t *testing.T, lib *Library) *Library {
 func TestSaveLoadSealedExact(t *testing.T) {
 	lib, ref := buildExactLib(t, 2000, 51)
 	back := saveLoad(t, lib)
-	if back.NumBuckets() != lib.NumBuckets() || back.NumWindows() != lib.NumWindows() {
+	if back.Describe().Buckets != lib.Describe().Buckets || back.NumWindows() != lib.NumWindows() {
 		t.Fatalf("shape changed: %d/%d vs %d/%d",
-			back.NumBuckets(), back.NumWindows(), lib.NumBuckets(), lib.NumWindows())
+			back.Describe().Buckets, back.NumWindows(), lib.Describe().Buckets, lib.NumWindows())
 	}
-	if !back.Frozen() {
+	if !back.Describe().Frozen {
 		t.Fatal("loaded library not frozen")
 	}
 	// Identical query answers, including stats.
@@ -57,7 +57,7 @@ func TestSaveLoadSealedExact(t *testing.T) {
 		}
 	}
 	// Bucket vectors bit-identical.
-	for i := 0; i < lib.NumBuckets(); i++ {
+	for i := 0; i < lib.Describe().Buckets; i++ {
 		if !lib.BucketVector(i).Equal(back.BucketVector(i)) {
 			t.Fatalf("bucket %d vector differs", i)
 		}
@@ -72,7 +72,7 @@ func TestSaveLoadApproxKeepsCalibration(t *testing.T) {
 	if !ok1 || !ok2 || c1 != c2 {
 		t.Fatalf("calibration lost: %+v vs %+v", c1, c2)
 	}
-	if lib.Threshold() != back.Threshold() {
+	if lib.Describe().Threshold != back.Describe().Threshold {
 		t.Fatal("operating thresholds differ")
 	}
 }

@@ -58,11 +58,11 @@ func openLib(t *testing.T, path string, mode LoadMode) *Library {
 // vectors and identical lookup results for windows of ref.
 func requireSameAnswers(t *testing.T, want, got *Library, ref *genome.Sequence, offs []int) {
 	t.Helper()
-	if got.NumBuckets() != want.NumBuckets() || got.NumWindows() != want.NumWindows() {
+	if got.Describe().Buckets != want.Describe().Buckets || got.NumWindows() != want.NumWindows() {
 		t.Fatalf("shape changed: %d/%d vs %d/%d",
-			got.NumBuckets(), got.NumWindows(), want.NumBuckets(), want.NumWindows())
+			got.Describe().Buckets, got.NumWindows(), want.Describe().Buckets, want.NumWindows())
 	}
-	for i := 0; i < want.NumBuckets(); i++ {
+	for i := 0; i < want.Describe().Buckets; i++ {
 		if !want.BucketVector(i).Equal(got.BucketVector(i)) {
 			t.Fatalf("bucket %d vector differs", i)
 		}
@@ -103,7 +103,7 @@ func TestV3RoundTripApproxKeepsCalibration(t *testing.T) {
 	if !ok1 || !ok2 || c1 != c2 {
 		t.Fatalf("calibration lost: %+v vs %+v", c1, c2)
 	}
-	if lib.Threshold() != back.Threshold() {
+	if lib.Describe().Threshold != back.Describe().Threshold {
 		t.Fatal("operating thresholds differ")
 	}
 }
@@ -153,8 +153,8 @@ func TestV3MappedEqualsHeap(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if mapped.MappedBytes() != fi.Size() {
-			t.Fatalf("MappedBytes %d, file is %d bytes", mapped.MappedBytes(), fi.Size())
+		if mapped.Describe().MappedBytes != fi.Size() {
+			t.Fatalf("MappedBytes %d, file is %d bytes", mapped.Describe().MappedBytes, fi.Size())
 		}
 	}
 	requireSameAnswers(t, heap, mapped, ref, []int{0, 777, 1500, 2000 - 32})
@@ -303,26 +303,26 @@ func TestStaleBucketIndexAfterCompact(t *testing.T) {
 	if len(cands) == 0 {
 		t.Fatal("probe found no candidates")
 	}
-	before := lib.NumBuckets()
+	before := lib.Describe().Buckets
 	if err := lib.Remove(0); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := lib.Compact(0); err != nil {
 		t.Fatal(err)
 	}
-	if lib.NumBuckets() >= before {
-		t.Fatalf("compact did not shrink the library (%d -> %d buckets)", before, lib.NumBuckets())
+	if lib.Describe().Buckets >= before {
+		t.Fatalf("compact did not shrink the library (%d -> %d buckets)", before, lib.Describe().Buckets)
 	}
 	// Replay every stale candidate plus the extremes; out-of-range must
 	// return zero values, in-range must answer normally.
-	idxs := []int{-1, before - 1, before, lib.NumBuckets(), 1 << 30}
+	idxs := []int{-1, before - 1, before, lib.Describe().Buckets, 1 << 30}
 	for _, c := range cands {
 		idxs = append(idxs, c.Bucket)
 	}
 	for _, i := range idxs {
 		wins := lib.BucketWindows(i)
 		vec := lib.BucketVector(i)
-		if i < 0 || i >= lib.NumBuckets() {
+		if i < 0 || i >= lib.Describe().Buckets {
 			if wins != nil || vec != nil {
 				t.Fatalf("stale index %d returned data", i)
 			}

@@ -218,6 +218,7 @@ func NewLibrary(params Params) (*Library, error) {
 		Reset:         l.resetActive,
 		Tombstone:     tombstoneSegment,
 		Rebuild:       l.rebuildSegment,
+		Describe:      l.describe,
 		Annotate:      l.annotate,
 		Probe:         l.probeBlock,
 	})

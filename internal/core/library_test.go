@@ -138,11 +138,11 @@ func TestLibraryBookkeeping(t *testing.T) {
 	if lib.NumRefs() != 3 {
 		t.Fatalf("NumRefs = %d", lib.NumRefs())
 	}
-	if lib.NumBuckets() != 12 {
-		t.Fatalf("NumBuckets = %d, want 120/10", lib.NumBuckets())
+	if lib.Describe().Buckets != 12 {
+		t.Fatalf("NumBuckets = %d, want 120/10", lib.Describe().Buckets)
 	}
 	total := 0
-	for i := 0; i < lib.NumBuckets(); i++ {
+	for i := 0; i < lib.Describe().Buckets; i++ {
 		ws := lib.BucketWindows(i)
 		if len(ws) > 10 {
 			t.Fatalf("bucket %d has %d windows > capacity", i, len(ws))
@@ -191,7 +191,7 @@ func TestStrideMemorizesAlignedWindows(t *testing.T) {
 			t.Fatalf("stride %d: %d windows of %d refs, want %d of %d", stride, lib.NumWindows(), lib.NumRefs(), want, len(lens))
 		}
 		next := make([]int, len(lens))
-		for b := 0; b < lib.NumBuckets(); b++ {
+		for b := 0; b < lib.Describe().Buckets; b++ {
 			for _, wr := range lib.BucketWindows(b) {
 				if int(wr.Off) != next[wr.Ref] {
 					t.Fatalf("stride %d: ref %d memorized offset %d, want %d", stride, wr.Ref, wr.Off, next[wr.Ref])
@@ -213,11 +213,11 @@ func TestFreezeIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 	lib.Freeze()
-	if !lib.Frozen() {
+	if !lib.Describe().Frozen {
 		t.Fatal("not frozen")
 	}
 	lib.Freeze() // second call is a no-op
-	if !lib.Frozen() {
+	if !lib.Describe().Frozen {
 		t.Fatal("freeze undone")
 	}
 }
@@ -232,7 +232,7 @@ func TestMemoryFootprint(t *testing.T) {
 	// A frozen footprint counts everything resident on the search path:
 	// the packed probe arena (D/8 bytes per bucket) and the window
 	// metadata (8 bytes per WindowRef).
-	nB, nW := int64(lib.NumBuckets()), int64(lib.NumWindows())
+	nB, nW := int64(lib.Describe().Buckets), int64(lib.NumWindows())
 	if got, want := lib.MemoryFootprint(), nB*dim/8+nW*8; got != want {
 		t.Fatalf("footprint %d, want arena+metadata %d", got, want)
 	}

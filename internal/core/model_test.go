@@ -341,7 +341,7 @@ func TestSketchPlanDerivation(t *testing.T) {
 		}
 		lib.Freeze()
 		if view := viewSketch(t, lib); view != got {
-			t.Errorf("exact view of %d buckets scans under %+v, the library's plan is %+v", lib.NumBuckets(), view, got)
+			t.Errorf("exact view of %d buckets scans under %+v, the library's plan is %+v", lib.Describe().Buckets, view, got)
 		}
 	}
 

@@ -111,9 +111,9 @@ func TestProbeMultiGoldenEquivalence(t *testing.T) {
 				}
 				total += len(want)
 			}
-			if multiStats.BucketProbes != len(qs)*lib.NumBuckets() || multiStats.CandidateBuckets != total {
+			if multiStats.BucketProbes != len(qs)*lib.Describe().Buckets || multiStats.CandidateBuckets != total {
 				t.Fatalf("stats %+v inconsistent with %d queries × %d buckets / %d candidates",
-					multiStats, len(qs), lib.NumBuckets(), total)
+					multiStats, len(qs), lib.Describe().Buckets, total)
 			}
 		})
 	}
@@ -206,8 +206,8 @@ func TestBlockedProbeCounters(t *testing.T) {
 	if got := after.BlockedWindows - before.BlockedWindows; got != int64(len(qs)) {
 		t.Fatalf("BlockedWindows advanced by %d, want %d", got, len(qs))
 	}
-	if got := after.BucketProbes - before.BucketProbes; got != int64(len(qs)*lib.NumBuckets()) {
-		t.Fatalf("BucketProbes advanced by %d, want %d", got, len(qs)*lib.NumBuckets())
+	if got := after.BucketProbes - before.BucketProbes; got != int64(len(qs)*lib.Describe().Buckets) {
+		t.Fatalf("BucketProbes advanced by %d, want %d", got, len(qs)*lib.Describe().Buckets)
 	}
 }
 

@@ -30,8 +30,8 @@ func benchLib(tb testing.TB, nBuckets int, approx bool) (*Library, []*hdc.HV) {
 		tb.Fatal(err)
 	}
 	lib.Freeze()
-	if lib.NumBuckets() != nBuckets {
-		tb.Fatalf("built %d buckets, want %d", lib.NumBuckets(), nBuckets)
+	if lib.Describe().Buckets != nBuckets {
+		tb.Fatalf("built %d buckets, want %d", lib.Describe().Buckets, nBuckets)
 	}
 	// Query mix, 3:1 absent to present — most probes miss everywhere,
 	// some light up a bucket, like a read-mapping workload.
@@ -59,7 +59,7 @@ func benchLib(tb testing.TB, nBuckets int, approx bool) (*Library, []*hdc.HV) {
 // per-iteration stats branches, and an un-presized append. It is the
 // baseline BenchmarkProbe's speedup is measured against.
 func seedProbeBaseline(l *Library, scattered []*hdc.HV, hv *hdc.HV, stats *Stats) []Candidate {
-	tau := l.Threshold()
+	tau := l.Describe().Threshold
 	var out []Candidate
 	for i := range scattered {
 		score := float64(scattered[i].Dot(hv))
@@ -85,7 +85,7 @@ func seedProbeBaseline(l *Library, scattered []*hdc.HV, hv *hdc.HV, stats *Stats
 // after the build, exactly as sealing released them, but Go's
 // non-moving collector leaves the rows where they were born).
 func scatterBuckets(l *Library) []*hdc.HV {
-	n := l.NumBuckets()
+	n := l.Describe().Buckets
 	d := l.Params().Dim
 	out := make([]*hdc.HV, n)
 	accs := make([][]int32, n)

@@ -13,7 +13,7 @@ import (
 // early abandonment — as the golden reference the arena kernel must
 // match candidate-for-candidate.
 func seedScalarProbe(l *Library, hv *hdc.HV) []Candidate {
-	tau := l.Threshold()
+	tau := l.Describe().Threshold
 	sn := hdcOf(l.snap.Load())
 	var out []Candidate
 	for i := 0; i < sn.numBuckets(); i++ {
@@ -107,9 +107,9 @@ func TestProbeGoldenEquivalence(t *testing.T) {
 				if !sameCandidates(got, want) {
 					t.Fatalf("query %d: kernel probe diverges from scalar scan:\n got %+v\nwant %+v", qi, got, want)
 				}
-				if stats.BucketProbes != lib.NumBuckets() || stats.CandidateBuckets != len(want) {
+				if stats.BucketProbes != lib.Describe().Buckets || stats.CandidateBuckets != len(want) {
 					t.Fatalf("query %d: stats %+v inconsistent with %d buckets / %d candidates",
-						qi, stats, lib.NumBuckets(), len(want))
+						qi, stats, lib.Describe().Buckets, len(want))
 				}
 			}
 		})

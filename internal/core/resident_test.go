@@ -8,7 +8,7 @@ import (
 // mapping, the resident gauge is the heap footprint itself.
 func TestResidentBytesHeap(t *testing.T) {
 	lib, _ := buildExactLib(t, 2000, 411)
-	if got, want := lib.ResidentBytes(), lib.MemoryFootprint(); got != want {
+	if got, want := lib.Describe().ResidentBytes, lib.MemoryFootprint(); got != want {
 		t.Fatalf("heap resident %d != footprint %d", got, want)
 	}
 }
@@ -33,11 +33,11 @@ func TestResidentBytesMapped(t *testing.T) {
 	if _, _, err := mapped.Lookup(ref.Slice(100, 100+w)); err != nil {
 		t.Fatal(err)
 	}
-	got := mapped.ResidentBytes()
+	got := mapped.Describe().ResidentBytes
 	if got <= 0 {
 		t.Fatalf("mapped resident bytes %d, want > 0", got)
 	}
-	if mb := mapped.MappedBytes(); got > mb {
+	if mb := mapped.Describe().MappedBytes; got > mb {
 		t.Fatalf("resident %d exceeds mapped %d", got, mb)
 	}
 }

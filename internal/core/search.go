@@ -20,17 +20,6 @@ type Candidate struct {
 	Excess float64 // score minus the model threshold
 }
 
-// Threshold returns the operating decision threshold: the calibrated
-// threshold for frozen approximate libraries, or the a-priori model
-// threshold for exact libraries (where the model is itself exact).
-func (l *Library) Threshold() float64 {
-	if v := l.snap.Load(); v != nil {
-		return hdcOf(v).plan.tau
-	}
-	return l.Model().DecisionThreshold(
-		l.params.Alpha, l.params.Beta, maxInt(l.NumBuckets(), 1), l.params.MutTolerance)
-}
-
 // scanPlanFor derives the probe plan of one view. Probes read it from
 // the view they scan — not from the library's latest one — so a probe
 // racing a mutation stays internally consistent.

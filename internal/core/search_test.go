@@ -102,8 +102,8 @@ func TestLookupStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.BucketProbes != lib.NumBuckets() {
-		t.Fatalf("probes %d != buckets %d", stats.BucketProbes, lib.NumBuckets())
+	if stats.BucketProbes != lib.Describe().Buckets {
+		t.Fatalf("probes %d != buckets %d", stats.BucketProbes, lib.Describe().Buckets)
 	}
 	if stats.Alignments != 1 || stats.CandidateBuckets < 1 || stats.WindowsVerified < 1 {
 		t.Fatalf("stats implausible: %+v", stats)

@@ -50,21 +50,21 @@ func goldenSealedFixture(t *testing.T) *Library {
 // Lookup results (matches and stats) for every member window probed.
 func assertLibrariesEquivalent(t *testing.T, want, got *Library) {
 	t.Helper()
-	if got.NumBuckets() != want.NumBuckets() || got.NumWindows() != want.NumWindows() ||
+	if got.Describe().Buckets != want.Describe().Buckets || got.NumWindows() != want.NumWindows() ||
 		got.NumRefs() != want.NumRefs() {
 		t.Fatalf("shape differs: %d/%d/%d vs %d/%d/%d",
-			got.NumBuckets(), got.NumWindows(), got.NumRefs(),
-			want.NumBuckets(), want.NumWindows(), want.NumRefs())
+			got.Describe().Buckets, got.NumWindows(), got.NumRefs(),
+			want.Describe().Buckets, want.NumWindows(), want.NumRefs())
 	}
-	if got.Threshold() != want.Threshold() {
-		t.Fatalf("thresholds differ: %v vs %v", got.Threshold(), want.Threshold())
+	if got.Describe().Threshold != want.Describe().Threshold {
+		t.Fatalf("thresholds differ: %v vs %v", got.Describe().Threshold, want.Describe().Threshold)
 	}
 	cw, okw := want.Calibration()
 	cg, okg := got.Calibration()
 	if okw != okg || cw != cg {
 		t.Fatalf("calibration differs: %+v/%v vs %+v/%v", cg, okg, cw, okw)
 	}
-	for b := 0; b < want.NumBuckets(); b++ {
+	for b := 0; b < want.Describe().Buckets; b++ {
 		if !got.BucketVector(b).Equal(want.BucketVector(b)) {
 			t.Fatalf("bucket %d vector differs", b)
 		}
@@ -104,7 +104,7 @@ func assertLibrariesEquivalent(t *testing.T, want, got *Library) {
 // single-segment library indistinguishable from a live rebuild.
 func TestGoldenV1SealedCompat(t *testing.T) {
 	loaded := loadFixture(t, "golden_v1_sealed.lib")
-	if !loaded.Frozen() {
+	if !loaded.Describe().Frozen {
 		t.Fatal("v1 fixture not frozen after load")
 	}
 	if n := loaded.NumSegments(); n != 1 {
@@ -123,8 +123,8 @@ func TestGoldenV1SealedCompat(t *testing.T) {
 // format: never regenerate it.
 func TestGoldenV2SealedCompat(t *testing.T) {
 	loaded := loadFixture(t, "golden_v2_sealed.lib")
-	if !loaded.Frozen() || loaded.NumSegments() != 1 {
-		t.Fatalf("v2 fixture: frozen %v, %d segments", loaded.Frozen(), loaded.NumSegments())
+	if !loaded.Describe().Frozen || loaded.NumSegments() != 1 {
+		t.Fatalf("v2 fixture: frozen %v, %d segments", loaded.Describe().Frozen, loaded.NumSegments())
 	}
 	assertLibrariesEquivalent(t, goldenSealedFixture(t), loaded)
 }

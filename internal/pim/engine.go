@@ -73,6 +73,8 @@ func (c ChipConfig) MemoryBits() int64 {
 type Engine struct {
 	cfg           ChipConfig
 	lib           *core.Library
+	buckets       int     // buckets programmed into the arrays
+	tau           float64 // the library's threshold when they were programmed
 	arrays        []*Array
 	rowsPerBucket int
 	bucketsPerArr int
@@ -88,7 +90,8 @@ func NewEngine(cfg ChipConfig, lib *core.Library) (*Engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if !lib.Frozen() {
+	info := lib.Describe()
+	if !info.Frozen {
 		return nil, fmt.Errorf("pim: library must be frozen before mapping")
 	}
 	d := lib.Params().Dim
@@ -97,13 +100,15 @@ func NewEngine(cfg ChipConfig, lib *core.Library) (*Engine, error) {
 		return nil, fmt.Errorf("pim: one bucket needs %d rows, array has %d", rowsPer, cfg.ArrayRows)
 	}
 	perArr := cfg.ArrayRows / rowsPer
-	used := (lib.NumBuckets() + perArr - 1) / perArr
+	used := (info.Buckets + perArr - 1) / perArr
 	if used > cfg.NumArrays {
 		return nil, fmt.Errorf("pim: library needs %d arrays, chip has %d", used, cfg.NumArrays)
 	}
 	e := &Engine{
 		cfg:           cfg,
 		lib:           lib,
+		buckets:       info.Buckets,
+		tau:           info.Threshold,
 		rowsPerBucket: rowsPer,
 		bucketsPerArr: perArr,
 		arraysUsed:    used,
@@ -125,7 +130,7 @@ func NewEngine(cfg ChipConfig, lib *core.Library) (*Engine, error) {
 func (e *Engine) program() Cost {
 	before := e.snapshot()
 	wordsPerRow := e.cfg.ArrayCols / 64
-	for b := 0; b < e.lib.NumBuckets(); b++ {
+	for b := 0; b < e.buckets; b++ {
 		arr := e.arrays[b/e.bucketsPerArr]
 		slot := b % e.bucketsPerArr
 		words := e.lib.BucketVector(b).Bits().Words()
@@ -179,7 +184,7 @@ type MappingReport struct {
 
 // Report returns the mapping summary for diagnostics and the CLI.
 func (e *Engine) Report() MappingReport {
-	usedRows := int64(e.lib.NumBuckets()) * int64(e.rowsPerBucket)
+	usedRows := int64(e.buckets) * int64(e.rowsPerBucket)
 	used := usedRows * int64(e.cfg.ArrayCols)
 	chip := e.cfg.MemoryBits()
 	var rowOcc float64
@@ -239,14 +244,14 @@ func (e *Engine) Search(hv *hdc.HV) ([]core.Candidate, Cost, error) {
 			hv.Dim(), e.lib.Params().Dim)
 	}
 	before := e.snapshot()
-	tau := e.lib.Threshold()
+	tau := e.tau
 	wordsPerRow := e.cfg.ArrayCols / 64
 	queryWords := hv.Bits().Words()
 
 	var cands []core.Candidate
 	for ai, arr := range e.arrays {
 		firstBucket := ai * e.bucketsPerArr
-		nBuckets := minInt(e.bucketsPerArr, e.lib.NumBuckets()-firstBucket)
+		nBuckets := minInt(e.bucketsPerArr, e.buckets-firstBucket)
 		scores := make([]int, nBuckets)
 		// One pass per query row chunk: broadcast once, fuse over all
 		// buckets resident in this array.

@@ -243,7 +243,7 @@ func TestEngineCostsPlausible(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Build cost: every bucket row written once plus its broadcast.
-	rows := int64(lib.NumBuckets() * eng.RowsPerBucket())
+	rows := int64(lib.Describe().Buckets * eng.RowsPerBucket())
 	if got := eng.BuildCost().Counts[OpRowWrite]; got != rows {
 		t.Fatalf("build row writes %d, want %d", got, rows)
 	}
@@ -257,15 +257,15 @@ func TestEngineCostsPlausible(t *testing.T) {
 		t.Fatalf("search xnor/popcount = %d/%d, want %d",
 			cost.Counts[OpXnor], cost.Counts[OpPopcount], rows)
 	}
-	if cost.Counts[OpCompare] != int64(lib.NumBuckets()) {
-		t.Fatalf("compares %d, want %d", cost.Counts[OpCompare], lib.NumBuckets())
+	if cost.Counts[OpCompare] != int64(lib.Describe().Buckets) {
+		t.Fatalf("compares %d, want %d", cost.Counts[OpCompare], lib.Describe().Buckets)
 	}
 	if cost.LatencyNs <= 0 || cost.EnergyPj <= 0 {
 		t.Fatal("zero cost")
 	}
 	// Latency must reflect per-array parallelism: far below the serial sum.
 	serialNs := float64(rows)*(cfg.Device.XnorNs+cfg.Device.PopcountNs) +
-		float64(lib.NumBuckets())*cfg.Device.CompareNs
+		float64(lib.Describe().Buckets)*cfg.Device.CompareNs
 	if eng.ArraysUsed() > 1 && cost.LatencyNs >= serialNs {
 		t.Fatalf("latency %v not parallel (serial would be %v)", cost.LatencyNs, serialNs)
 	}
@@ -395,7 +395,7 @@ func TestMappingReport(t *testing.T) {
 	if rep.ArraysUsed != eng.ArraysUsed() || rep.RowsPerBucket != eng.RowsPerBucket() {
 		t.Fatalf("report disagrees with engine: %+v", rep)
 	}
-	wantBits := int64(lib.NumBuckets()) * int64(rep.RowsPerBucket) * 1024
+	wantBits := int64(lib.Describe().Buckets) * int64(rep.RowsPerBucket) * 1024
 	if rep.UsedBits != wantBits {
 		t.Fatalf("used bits %d, want %d", rep.UsedBits, wantBits)
 	}

@@ -63,7 +63,7 @@ func (s *Server) lookupBothStrands(ctx context.Context, pat *genome.Sequence) ([
 // whole blocks by themselves, so cross-request packing has nothing to
 // add.
 func (s *Server) classify(ctx context.Context, read *genome.Sequence, minFrac float64) (core.RefMatch, error) {
-	w := s.lib.Describe().Window
+	w := s.window
 	nWin := 0
 	if read.Len() >= w {
 		nWin = read.Len() / w

@@ -163,26 +163,27 @@ func (s *Server) execBatch(ctx context.Context, patterns []string, workers int) 
 	return resp, nil
 }
 
-// execStats snapshots the index shape and storage gauges.
+// execStats reports the index's shape and storage gauges, all from one
+// Describe: one view, so the counts in a reply belong together.
 func (s *Server) execStats() StatsResponse {
 	info := s.lib.Describe()
 	return StatsResponse{
 		Backend:       info.Backend,
-		References:    s.lib.NumRefs(),
-		Windows:       s.lib.NumWindows(),
-		Buckets:       s.lib.NumBuckets(),
+		References:    info.References,
+		Windows:       info.Windows,
+		Buckets:       info.Buckets,
 		Dim:           info.Dim,
 		Window:        info.Window,
 		Stride:        info.Stride,
 		Capacity:      info.Capacity,
 		Approx:        info.Approx,
 		Tolerance:     info.Tolerance,
-		Threshold:     s.lib.Threshold(),
-		MemBytes:      s.lib.MemoryFootprint(),
-		MappedBytes:   s.lib.MappedBytes(),
-		ResidentBytes: s.lib.ResidentBytes(),
-		Segments:      s.lib.NumSegments(),
-		Tombstones:    s.lib.TombstoneRatio(),
+		Threshold:     info.Threshold,
+		MemBytes:      info.MemoryBytes,
+		MappedBytes:   info.MappedBytes,
+		ResidentBytes: info.ResidentBytes,
+		Segments:      info.Segments,
+		Tombstones:    info.TombstoneRatio,
 
 		SketchWords:         info.SketchWords,
 		SketchBytes:         info.SketchBytes,

@@ -28,9 +28,11 @@ type AddRefResponse struct {
 }
 
 // resolveLiveRef finds the index of the live (non-removed) reference
-// with the given ID, or -1.
+// with the given ID, or -1. The reference count is read once: slots are
+// only ever appended, so a concurrent Add cannot move a live ID.
 func (s *Server) resolveLiveRef(id string) int {
-	for i := 0; i < s.lib.NumRefs(); i++ {
+	n := s.lib.NumRefs()
+	for i := 0; i < n; i++ {
 		rec := s.lib.Ref(i)
 		if rec.ID == id && rec.Seq != nil {
 			return i
@@ -66,10 +68,11 @@ func (s *Server) handleAddRef(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusUnprocessableEntity, "%v", err)
 		return
 	}
+	info := s.lib.Describe()
 	writeJSON(w, http.StatusCreated, AddRefResponse{
 		ID:         req.ID,
-		References: s.lib.NumRefs(),
-		Segments:   s.lib.NumSegments(),
+		References: info.References,
+		Segments:   info.Segments,
 	})
 }
 
@@ -95,7 +98,7 @@ func (s *Server) handleRemoveRef(w http.ResponseWriter, r *http.Request) {
 	}
 	writeJSON(w, http.StatusOK, RemoveRefResponse{
 		ID:             id,
-		TombstoneRatio: s.lib.TombstoneRatio(),
+		TombstoneRatio: s.lib.Describe().TombstoneRatio,
 	})
 }
 
@@ -127,9 +130,10 @@ func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusUnprocessableEntity, "%v", err)
 		return
 	}
+	info := s.lib.Describe()
 	writeJSON(w, http.StatusOK, CompactResponse{
 		Rewritten:      n,
-		Segments:       s.lib.NumSegments(),
-		TombstoneRatio: s.lib.TombstoneRatio(),
+		Segments:       info.Segments,
+		TombstoneRatio: info.TombstoneRatio,
 	})
 }

@@ -49,6 +49,7 @@ const maxBodyBytes = 16 << 20
 // its backend — it talks only to the core.Index contract.
 type Server struct {
 	lib      core.Index
+	window   int // the index's window length, fixed for its lifetime
 	cfg      Config
 	reg      *metrics.Registry
 	inflight *metrics.Gauge
@@ -74,10 +75,14 @@ func WithLogger(l *log.Logger) Option {
 // New creates a Server over any index backend. The index must be
 // frozen.
 func New(lib core.Index, opts ...Option) (*Server, error) {
-	if lib == nil || !lib.Frozen() {
+	var info core.IndexInfo
+	if lib != nil {
+		info = lib.Describe()
+	}
+	if !info.Frozen {
 		return nil, fmt.Errorf("server: library must be frozen")
 	}
-	s := &Server{lib: lib, cfg: DefaultConfig(), reg: metrics.NewRegistry()}
+	s := &Server{lib: lib, window: info.Window, cfg: DefaultConfig(), reg: metrics.NewRegistry()}
 	for _, opt := range opts {
 		opt(s)
 	}
@@ -193,15 +198,15 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintf(&buf, "# HELP biohd_core_heap_scans_total Arena range scans served from heap-resident segments.\n"+
 		"# TYPE biohd_core_heap_scans_total counter\nbiohd_core_heap_scans_total %d\n", c.HeapScans)
 	fmt.Fprintf(&buf, "# HELP biohd_library_segments Segments in the library's current snapshot.\n"+
-		"# TYPE biohd_library_segments gauge\nbiohd_library_segments %d\n", s.lib.NumSegments())
+		"# TYPE biohd_library_segments gauge\nbiohd_library_segments %d\n", info.Segments)
 	fmt.Fprintf(&buf, "# HELP biohd_library_tombstone_ratio Fraction of memorized windows whose reference has been removed.\n"+
-		"# TYPE biohd_library_tombstone_ratio gauge\nbiohd_library_tombstone_ratio %g\n", s.lib.TombstoneRatio())
+		"# TYPE biohd_library_tombstone_ratio gauge\nbiohd_library_tombstone_ratio %g\n", info.TombstoneRatio)
 	fmt.Fprintf(&buf, "# HELP biohd_library_memory_bytes Resident bytes of the library's hypervector storage.\n"+
-		"# TYPE biohd_library_memory_bytes gauge\nbiohd_library_memory_bytes %d\n", s.lib.MemoryFootprint())
+		"# TYPE biohd_library_memory_bytes gauge\nbiohd_library_memory_bytes %d\n", info.MemoryBytes)
 	fmt.Fprintf(&buf, "# HELP biohd_library_mapped_bytes Bytes of the library file mmapped into the process (0 for heap-loaded libraries).\n"+
-		"# TYPE biohd_library_mapped_bytes gauge\nbiohd_library_mapped_bytes %d\n", s.lib.MappedBytes())
+		"# TYPE biohd_library_mapped_bytes gauge\nbiohd_library_mapped_bytes %d\n", info.MappedBytes)
 	fmt.Fprintf(&buf, "# HELP biohd_library_resident_bytes Bytes of the library's search store resident in RAM: mincore over the mapped arenas for the mmap tier, the heap footprint otherwise.\n"+
-		"# TYPE biohd_library_resident_bytes gauge\nbiohd_library_resident_bytes %d\n", s.lib.ResidentBytes())
+		"# TYPE biohd_library_resident_bytes gauge\nbiohd_library_resident_bytes %d\n", info.ResidentBytes)
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	w.WriteHeader(http.StatusOK)
 	//lint:ignore errcheck a failed response write means the client is gone

@@ -97,7 +97,7 @@ func buildLibrary(params core.Params, ds Dataset) (*core.Library, error) {
 		}
 	}
 	lib.Freeze()
-	if !lib.Frozen() {
+	if !lib.Describe().Frozen {
 		return nil, fmt.Errorf("workload: dataset %q produced an empty library", ds.Name)
 	}
 	return lib, nil

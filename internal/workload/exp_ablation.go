@@ -46,9 +46,10 @@ func runF11(cfg Config) (*Result, error) {
 	}
 	p := lib.Params()
 	recall, fpr := filterRates(lib, ref, window, probes, rng.New(cfg.Seed+103))
-	t.AddRow("sealed", p.Capacity, lib.NumBuckets(),
-		float64(lib.MemoryFootprint())/1024, recall, fpr, "yes")
-	c, buckets, recall, fpr := rawCounterRow(dim, lib.NumWindows(), p.Alpha, p.Beta)
+	info := lib.Describe()
+	t.AddRow("sealed", p.Capacity, info.Buckets,
+		float64(info.MemoryBytes)/1024, recall, fpr, "yes")
+	c, buckets, recall, fpr := rawCounterRow(dim, info.Windows, p.Alpha, p.Beta)
 	t.AddRow("raw-counters (model)", c, buckets, float64(buckets*dim*4)/1024,
 		recall, fpr, "no (digital PIM)")
 	return &Result{Tables: []*Table{t}}, nil

@@ -70,9 +70,9 @@ func runF1(cfg Config) (*Result, error) {
 		src := rng.New(cfg.Seed + uint64(d) + 7)
 		recall, fpr := filterRates(lib, ref, window, probes, src)
 		m := lib.Model()
-		tau := lib.Threshold()
-		t.AddRow(d, lib.Params().Capacity, lib.NumBuckets(), recall, fpr,
-			m.FNR(tau, 0), m.FPR(tau))
+		info := lib.Describe()
+		t.AddRow(d, lib.Params().Capacity, info.Buckets, recall, fpr,
+			m.FNR(info.Threshold, 0), m.FPR(info.Threshold))
 	}
 	return &Result{Tables: []*Table{t}}, nil
 }
@@ -99,6 +99,7 @@ func filterRates(lib *core.Library, ref *genome.Sequence, window, probes int, sr
 	}
 	recall = float64(found) / float64(probes)
 	fpHits, fpPairs := 0, 0
+	buckets := lib.Describe().Buckets
 	for i := 0; i < probes; i++ {
 		q := genome.Random(window, src)
 		if ref.Index(q, 0) >= 0 {
@@ -107,7 +108,7 @@ func filterRates(lib *core.Library, ref *genome.Sequence, window, probes int, sr
 		hv := lib.Encoder().Encode(q, 0, modeOf(lib))
 		cands, _ := lib.Probe(hv, nil)
 		fpHits += len(cands)
-		fpPairs += lib.NumBuckets()
+		fpPairs += buckets
 	}
 	if fpPairs > 0 {
 		fpr = float64(fpHits) / float64(fpPairs)
@@ -285,8 +286,9 @@ func runF4(cfg Config) (*Result, error) {
 					}
 				}
 			}
-			t.AddRow(window, stride, lib.NumBuckets(),
-				float64(lib.MemoryFootprint())/1024,
+			info := lib.Describe()
+			t.AddRow(window, stride, info.Buckets,
+				float64(info.MemoryBytes)/1024,
 				float64(found)/float64(trials),
 				float64(probes)/float64(trials))
 		}
@@ -331,7 +333,7 @@ func modeOf(lib *core.Library) encoding.Mode {
 
 // bucketOfWindow returns the bucket holding reference 0's window at off.
 func bucketOfWindow(lib *core.Library, off int) (int, bool) {
-	for b := 0; b < lib.NumBuckets(); b++ {
+	for b, n := 0, lib.Describe().Buckets; b < n; b++ {
 		if bucketHasWindow(lib, b, off) {
 			return b, true
 		}

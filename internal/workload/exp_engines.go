@@ -163,7 +163,7 @@ func runF14(cfg Config) (*Result, error) {
 	}
 	r1, f1 := rate(bio)
 	t.AddRow("biohd", r1, f1, float64(bio.ops)/float64(probes),
-		float64(lib.MemoryFootprint())/1024, "yes", "yes (approx mode)")
+		float64(lib.Describe().MemoryBytes)/1024, "yes", "yes (approx mode)")
 	r2, f2 := rate(fm)
 	var fmMem int64
 	for _, f := range fms {

@@ -208,7 +208,7 @@ func runF9(cfg Config) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		t.AddRow(ds.TotalBases(), lib.NumBuckets(),
+		t.AddRow(ds.TotalBases(), lib.Describe().Buckets,
 			float64(probeOps)/float64(trials),
 			float64(scanOps)/float64(trials),
 			pimCost.LatencyNs/float64(trials)/1000,

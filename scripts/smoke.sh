@@ -16,9 +16,10 @@
 # build -backend cobs → serve the saved collection -mmap with both HTTP
 # and wire listeners → search over each transport, and assert /v1/stats
 # and biohd_index_info name the cobs backend and the scans are
-# attributed to the mapped tier.
+# attributed to the mapped tier. On both wire-enabled servers the body
+# of `biohd wire -stats` must equal /v1/stats, residentBytes aside.
 #
-# Run via `make smoke` (CI runs it too). Needs only bash, curl, awk.
+# Run via `make smoke` (CI runs it too). Needs only bash, curl, awk, sed.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -43,6 +44,17 @@ case "$(go env GOOS)/$(go env GOARCH)" in linux/amd64|linux/arm64) must_map=yes 
 require_mapped() { # $1 = serve log
     [ "$must_map" = no ] || grep -q 'load mode: mapped' "$1" \
         || { cat "$1"; echo "FATAL: -mmap did not map on a platform that can"; exit 1; }
+}
+
+# same_stats asserts the wire STATS frame and /v1/stats report the same
+# body: both are one stats read of the index. residentBytes is dropped —
+# it is a mincore count that may move between the two reads.
+same_stats() { # $1 = http base, $2 = wire addr
+    local h w
+    h=$(curl -sf "$1/v1/stats" | sed -E 's/"residentBytes":[0-9]+,//')
+    w=$("$workdir/biohd" wire -addr "$2" -stats | sed -E 's/"residentBytes":[0-9]+,//')
+    [ -n "$h" ] && [ "$h" = "$w" ] \
+        || { echo "FATAL: wire -stats differs from /v1/stats:"; echo "  http $h"; echo "  wire $w"; exit 1; }
 }
 
 echo "== generate references"
@@ -320,6 +332,7 @@ echo "== wire stats"
 wstats=$("$workdir/biohd" wire -addr "$wire_addr" -stats)
 echo "$wstats" | grep -q '"references":4' \
     || { echo "FATAL: wire stats failed: $wstats"; exit 1; }
+same_stats "$base" "$wire_addr"
 
 echo "== wire /metrics"
 metrics=$(curl -sf "$base/metrics")
@@ -399,6 +412,7 @@ echo "$stats" | grep -q '"backend":"cobs"' \
 metrics=$(curl -sf "$base/metrics")
 echo "$metrics" | grep -qF 'biohd_index_info{backend="cobs"} 1' \
     || { echo "FATAL: /metrics missing cobs biohd_index_info"; exit 1; }
+same_stats "$base" "$wire_addr"
 if grep -q 'load mode: mapped' "$workdir/serve-cobs.log"; then
     echo "$stats" | grep -q '"mappedBytes":[1-9]' \
         || { echo "FATAL: mapped cobs /v1/stats reports no mapping: $stats"; exit 1; }
