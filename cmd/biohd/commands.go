@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"repro/internal/accel"
-	"repro/internal/coalesce"
 	"repro/internal/cobs"
 	"repro/internal/core"
 	"repro/internal/encoding"
@@ -50,7 +49,6 @@ func cmdServe(args []string, out io.Writer) error {
 	fs.DurationVar(&cfg.WriteTimeout, "write-timeout", cfg.WriteTimeout, "response write timeout")
 	fs.DurationVar(&cfg.IdleTimeout, "idle-timeout", cfg.IdleTimeout, "keep-alive idle connection timeout")
 	fs.DurationVar(&cfg.RequestTimeout, "request-timeout", cfg.RequestTimeout, "per-request handler deadline (cancels in-flight batches)")
-	coalesceBatch := fs.Int("coalesce-batch", 0, "max queries coalesced into one probe block (0 = block width, 1 = disable coalescing)")
 	drain := fs.Duration("drain", 15*time.Second, "graceful-shutdown drain deadline after SIGINT/SIGTERM")
 	quiet := fs.Bool("quiet", false, "disable per-request logging")
 	sealThreshold := fs.Int("seal-threshold", 0, "buckets in the active segment before live ingest seals it (0 = default)")
@@ -91,7 +89,6 @@ func cmdServe(args []string, out io.Writer) error {
 	}
 	lib.SetSealThreshold(*sealThreshold)
 	lib.SetAutoCompact(*compactTrigger)
-	cfg.Coalesce = coalesce.Config{BatchSize: *coalesceBatch}
 	opts := []server.Option{server.WithConfig(cfg)}
 	if !*quiet {
 		opts = append(opts, server.WithLogger(log.New(out, "", log.LstdFlags)))

@@ -5,21 +5,21 @@
 // LookupBlock amortizes.
 //
 // It is a combining design and starts no goroutines (DESIGN §12). A
-// caller appends its jobs to a mutex-guarded FIFO; if half the other CPUs
-// are executing blocks it yields the processor once, so that every
+// caller appends its one job to a mutex-guarded FIFO; if half the other
+// CPUs are executing blocks it yields the processor once, so that every
 // submitter already runnable enqueues first; then — unless someone took
-// its jobs meanwhile — it takes the head of the FIFO, runs that block
+// its job meanwhile — it takes the head of the FIFO, runs that block
 // through Index.LookupBlock on its own goroutine, hands the other
-// callers their results, and repeats until its own jobs have been
-// taken. Blocks form where the backlog is: with the CPUs saturated by
-// lookups the submitters queue in the Go run queue and the first to
-// resume finds them all pending; otherwise a lookup is a block of one.
+// callers their results, and repeats until its own job has been taken.
+// Blocks form where the backlog is: with the CPUs saturated by lookups
+// the submitters queue in the Go run queue and the first to resume finds
+// them all pending; otherwise a lookup is a block of one.
 //
 // A job whose context has died by the time it is taken is vacated: its
 // caller gets the context error and the query never reaches the
-// library. Every pending job belongs to a caller blocked in LookupEach,
-// at most a block width each — that bounds the FIFO, and nothing needs
-// flushing, because a caller never leaves its own jobs behind.
+// library. Every pending job belongs to a caller blocked in Lookup —
+// that bounds the FIFO, and nothing needs flushing, because a caller
+// never leaves its own job behind.
 package coalesce
 
 import (
@@ -34,17 +34,6 @@ import (
 	"repro/internal/metrics"
 )
 
-// Config holds the one coalescing knob.
-type Config struct {
-	// BatchSize is the maximum queries packed into one block. 0 (or
-	// anything above it) selects core.BlockWidth; 1 or a negative selects
-	// the direct path instead — callers check Enabled before New.
-	BatchSize int
-}
-
-// Enabled reports whether the configuration asks for coalescing at all.
-func (c Config) Enabled() bool { return c.BatchSize == 0 || c.BatchSize > 1 }
-
 // job is one pending lookup, living inside its caller's call. next and
 // taken belong to the FIFO and are guarded by Coalescer.mu. Whoever
 // takes the job writes res and then releases owner.wg — its last touch.
@@ -58,10 +47,10 @@ type job struct {
 	taken bool
 }
 
-// call is one caller's pooled state: its jobs, the WaitGroup their
-// deliveries release, and scratch for the blocks it executes.
+// call is one caller's pooled state: its job, the WaitGroup its
+// delivery releases, and scratch for the blocks it executes.
 type call struct {
-	jobs    [core.BlockWidth]job
+	job     job
 	wg      sync.WaitGroup
 	blk     [core.BlockWidth]*job
 	pats    [core.BlockWidth]*genome.Sequence
@@ -71,7 +60,6 @@ type call struct {
 // Coalescer packs concurrent single-query lookups into probe blocks.
 type Coalescer struct {
 	lib   core.Index
-	width int
 	calls sync.Pool
 	// exec runs one block; tests substitute one that holds or burns the CPU.
 	exec func(patterns []*genome.Sequence, results []core.BatchResult) error
@@ -92,16 +80,12 @@ type Coalescer struct {
 
 // New returns a coalescer over a frozen index (any backend); it starts
 // nothing. reg receives the coalescing series: pass one per server.
-func New(lib core.Index, cfg Config, reg *metrics.Registry) (*Coalescer, error) {
-	if !cfg.Enabled() {
-		return nil, fmt.Errorf("coalesce: config disables coalescing; use the direct path")
-	}
+func New(lib core.Index, reg *metrics.Registry) (*Coalescer, error) {
 	if lib == nil || !lib.Describe().Frozen {
 		return nil, fmt.Errorf("coalesce: library must be frozen")
 	}
 	c := &Coalescer{
 		lib:   lib,
-		width: cfg.BatchSize,
 		exec:  lib.LookupBlock,
 		calls: sync.Pool{New: func() any { return new(call) }},
 		jobs: reg.Counter("biohd_coalesce_jobs_total",
@@ -122,9 +106,6 @@ func New(lib core.Index, cfg Config, reg *metrics.Registry) (*Coalescer, error) 
 				1e-3, 2.5e-3, 5e-3, 10e-3, 25e-3, 50e-3, 100e-3,
 			}),
 	}
-	if c.width == 0 || c.width > core.BlockWidth {
-		c.width = core.BlockWidth
-	}
 	return c, nil
 }
 
@@ -138,87 +119,65 @@ func (c *Coalescer) Close() {
 
 // Lookup runs one pattern through the coalescer and returns its result
 // — or its context's error, if that died before the pattern's block ran.
-func (c *Coalescer) Lookup(ctx context.Context, pattern *genome.Sequence) ([]core.Match, core.Stats, error) {
-	var res [1]core.BatchResult
-	c.LookupEach(ctx, []*genome.Sequence{pattern}, res[:])
-	return res[0].Matches, res[0].Stats, res[0].Err
-}
-
-// LookupEach runs every pattern through the coalescer, a block width at
-// a time, and fills results[i] with pattern i's outcome. len(results)
-// must be at least len(patterns).
 //
 //biohd:hotpath
-func (c *Coalescer) LookupEach(ctx context.Context, patterns []*genome.Sequence, results []core.BatchResult) {
+func (c *Coalescer) Lookup(ctx context.Context, pattern *genome.Sequence) ([]core.Match, core.Stats, error) {
+	procs := runtime.GOMAXPROCS(0)
 	cl := c.calls.Get().(*call)
-	for len(patterns) > 0 {
-		n := min(len(patterns), core.BlockWidth)
-		procs := runtime.GOMAXPROCS(0)
-		if ok, saturated := c.submit(cl, ctx, patterns[:n], procs); ok {
-			c.combine(cl, n, procs, saturated)
-			for i := range cl.jobs[:n] {
-				results[i] = cl.jobs[i].res
-				cl.jobs[i] = job{} // the call is pooled: drop what it would pin
-			}
-		} else {
-			for i, p := range patterns[:n] {
-				m, st, err := c.lib.Lookup(p)
-				results[i] = core.BatchResult{Matches: m, Stats: st, Err: err}
-			}
-		}
-		patterns, results = patterns[n:], results[n:]
+	defer c.calls.Put(cl)
+	ok, saturated := c.submit(cl, ctx, pattern, procs)
+	if !ok {
+		return c.lib.Lookup(pattern)
 	}
-	c.calls.Put(cl)
+	c.combine(cl, procs, saturated)
+	res := cl.job.res
+	cl.job = job{} // the call is pooled: drop what it would pin
+	return res.Matches, res.Stats, res.Err
 }
 
-// submit appends the caller's patterns (at most a block width) to the
-// FIFO as cl.jobs[:len(patterns)]; !ok means the coalescer is closed and
-// the caller must run them itself. saturated: half the other CPUs are
-// executing blocks, so lookups are what the machine is short of.
-func (c *Coalescer) submit(cl *call, ctx context.Context, patterns []*genome.Sequence, procs int) (ok, saturated bool) {
-	n := len(patterns)
+// submit appends the caller's pattern to the FIFO as cl.job; !ok means
+// the coalescer is closed and the caller must run it itself. saturated:
+// half the other CPUs are executing blocks, so lookups are what the
+// machine is short of.
+func (c *Coalescer) submit(cl *call, ctx context.Context, pattern *genome.Sequence, procs int) (ok, saturated bool) {
 	now := time.Now()
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		c.direct.Add(int64(n))
+		c.direct.Inc()
 		return false, false
 	}
 	saturated = 2*c.running >= procs-1
-	cl.wg.Add(n) // before any job is visible to a taker
-	for i, p := range patterns {
-		j := &cl.jobs[i]
-		j.pat, j.ctx, j.enq, j.owner, j.taken = p, ctx, now, cl, false
-		if c.tail == nil {
-			c.head = j
-		} else {
-			c.tail.next = j
-		}
-		c.tail = j
+	cl.wg.Add(1) // before the job is visible to a taker
+	j := &cl.job
+	j.pat, j.ctx, j.enq, j.owner, j.taken = pattern, ctx, now, cl, false
+	if c.tail == nil {
+		c.head = j
+	} else {
+		c.tail.next = j
 	}
-	c.pending += n
+	c.tail = j
+	c.pending++
 	c.mu.Unlock()
-	c.jobs.Add(int64(n))
+	c.jobs.Inc()
 	return true, saturated
 }
 
-// combine is the caller's side of the protocol, entered with
-// cl.jobs[:n] pending: yield once if lookups saturate the machine (else
-// a trip round the run queue buys nothing a block would repay), execute
-// blocks from the head of the FIFO — whoever's they are — until the
-// caller's own jobs are taken, and wait for those to be delivered. The
-// FIFO is taken in order, so a caller's last job is taken last.
-func (c *Coalescer) combine(cl *call, n, procs int, saturated bool) {
+// combine is the caller's side of the protocol, entered with cl.job
+// pending: yield once if lookups saturate the machine (else a trip round
+// the run queue buys nothing a block would repay), execute blocks from
+// the head of the FIFO — whoever's they are — until the caller's own job
+// is taken, and wait for it to be delivered.
+func (c *Coalescer) combine(cl *call, procs int, saturated bool) {
 	if saturated {
 		runtime.Gosched()
 	}
-	last := &cl.jobs[n-1]
 	for ran := false; ; ran = true {
 		c.mu.Lock()
 		if ran {
 			c.running--
 		}
-		if last.taken {
+		if cl.job.taken {
 			c.mu.Unlock()
 			break
 		}
@@ -232,19 +191,17 @@ func (c *Coalescer) combine(cl *call, n, procs int, saturated bool) {
 // share is the split rule: the jobs a taker claims when idle CPUs (its
 // own included) are executing no block — an even split, so that a burst
 // spreads over the CPUs about to look for work, not convoys onto one.
-func share(pending, idle, width int) int {
+func share(pending, idle int) int {
 	idle = max(idle, 1)
-	return min(width, (pending+idle-1)/idle)
+	return min(core.BlockWidth, (pending+idle-1)/idle)
 }
 
 // takeLocked moves the taker's share of the non-empty FIFO's head into
-// blk and counts the block as executing. A share that ends inside one
-// caller's run of jobs extends to the run's end: that caller needs them
-// all to answer, and if it is the taker nobody else may come for the rest.
+// blk and counts the block as executing.
 func (c *Coalescer) takeLocked(blk *[core.BlockWidth]*job, procs int) int {
-	k := share(c.pending, procs-c.running, c.width)
+	k := share(c.pending, procs-c.running)
 	n := 0
-	for c.head != nil && (n < k || n < c.width && c.head.owner == blk[n-1].owner) {
+	for c.head != nil && n < k {
 		j := c.head
 		c.head, j.next, j.taken = j.next, nil, true
 		blk[n] = j

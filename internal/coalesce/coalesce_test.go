@@ -54,9 +54,9 @@ func queries(refs []*genome.Sequence, n int, seed uint64) []*genome.Sequence {
 	return out
 }
 
-func newCoalescer(tb testing.TB, lib *core.Library, cfg Config) *Coalescer {
+func newCoalescer(tb testing.TB, lib *core.Library) *Coalescer {
 	tb.Helper()
-	c, err := New(lib, cfg, metrics.NewRegistry())
+	c, err := New(lib, metrics.NewRegistry())
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -99,6 +99,22 @@ func pendingLen(c *Coalescer) int {
 	return c.pending
 }
 
+// pendingCaller submits pattern as a caller that is then preempted
+// before it reaches combine: its job sits in the FIFO for a taker, and
+// finish runs the rest of its Lookup.
+func pendingCaller(tb testing.TB, c *Coalescer, ctx context.Context, pattern *genome.Sequence, procs int) (finish func() core.BatchResult) {
+	tb.Helper()
+	cl := new(call)
+	ok, saturated := c.submit(cl, ctx, pattern, procs)
+	if !ok {
+		tb.Fatal("submit refused on an open coalescer")
+	}
+	return func() core.BatchResult {
+		c.combine(cl, procs, saturated)
+		return cl.job.res
+	}
+}
+
 // checkAccounting asserts that every lookup is in exactly one place:
 // a slot of an executed block, a vacated slot, or the direct path.
 func checkAccounting(tb testing.TB, c *Coalescer, lookups int64) {
@@ -124,7 +140,7 @@ func TestLookupEquivalence(t *testing.T) {
 	lib, refs := buildLib(t, 41)
 	pats := queries(refs, 64, 42)
 	pats = append(pats, nil, genome.Random(5, rng.New(1))) // invalid: nil and too-short
-	c := newCoalescer(t, lib, Config{})
+	c := newCoalescer(t, lib)
 
 	type want struct {
 		matches []core.Match
@@ -170,32 +186,35 @@ func TestLookupEquivalence(t *testing.T) {
 	checkAccounting(t, c, int64(len(pats)))
 }
 
-// TestLookupEachEquivalence: the multi-submit path delivers per-slot
-// results identical to direct lookups, across more than one block
-// width of patterns.
-func TestLookupEachEquivalence(t *testing.T) {
+// TestBurstEquivalence: eleven callers all pending before any of them
+// takes a block are served in two blocks — a full one and the three
+// left — and each gets the result a direct lookup gives.
+func TestBurstEquivalence(t *testing.T) {
 	lib, refs := buildLib(t, 43)
 	pats := queries(refs, 11, 44)
-	c := newCoalescer(t, lib, Config{})
-	results := make([]core.BatchResult, len(pats))
-	c.LookupEach(context.Background(), pats, results)
+	c := newCoalescer(t, lib)
+	finish := make([]func() core.BatchResult, len(pats))
 	for i, p := range pats {
+		finish[i] = pendingCaller(t, c, context.Background(), p, 1)
+	}
+	for i, p := range pats {
+		got := finish[i]()
 		m, st, err := lib.Lookup(p)
-		if !reflect.DeepEqual(results[i].Matches, m) || results[i].Stats != st || !errors.Is(results[i].Err, err) {
+		if !reflect.DeepEqual(got.Matches, m) || got.Stats != st || !errors.Is(got.Err, err) {
 			t.Errorf("pattern %d: coalesced result differs from direct lookup", i)
 		}
 	}
-	// A lone caller packs its own patterns: 11 = one full block + 3.
 	if n, sum := c.occupancy.Count(), c.occupancy.Sum(); n != 2 || sum != 11 {
 		t.Errorf("blocks = %d holding %v lookups, want 2 holding 11", n, sum)
 	}
+	checkAccounting(t, c, int64(len(pats)))
 }
 
 // TestPreCanceledVacatesAtPack: a job whose context is already dead
 // when its block is taken is vacated without any block executing.
 func TestPreCanceledVacatesAtPack(t *testing.T) {
 	lib, refs := buildLib(t, 45)
-	c := newCoalescer(t, lib, Config{})
+	c := newCoalescer(t, lib)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	_, _, err := c.Lookup(ctx, queries(refs, 1, 46)[0])
@@ -218,42 +237,38 @@ func TestCancelWhileQueuedVacatesAtDispatch(t *testing.T) {
 	setProcs(t, 1)
 	lib, refs := buildLib(t, 47)
 	g := newGate()
-	c := newCoalescer(t, lib, Config{BatchSize: 2})
+	c := newCoalescer(t, lib)
 	gatedExec(c, lib, g)
-	pats := queries(refs, 4, 48)
+	pats := queries(refs, 2, 48)
 
-	// One caller submits three lookups: it takes the first two (the
-	// block width) and is held in the gate with the third still pending
-	// — nobody else can take it, the caller being its only owner.
-	var wg sync.WaitGroup
-	wg.Add(1)
+	// The first caller is preempted between submit and combine, and its
+	// context dies while its job is pending.
 	ctx, cancel := context.WithCancel(context.Background())
-	res := make([]core.BatchResult, 3)
-	go func() { defer wg.Done(); c.LookupEach(ctx, pats[:3], res) }()
-	<-g.entered
-	if n := pendingLen(c); n != 1 {
-		t.Fatalf("pending = %d while the first block is held, want 1", n)
-	}
-	cancel() // dies while pending
+	first := pendingCaller(t, c, ctx, pats[0], 1)
+	cancel()
 
 	// A second caller arrives, takes the FIFO head — the dead job and
 	// its own — vacates the one and runs the other.
 	var err2 error
-	wg.Add(1)
-	go func() { defer wg.Done(); _, _, err2 = c.Lookup(context.Background(), pats[3]) }()
+	done := make(chan struct{})
+	go func() { defer close(done); _, _, err2 = c.Lookup(context.Background(), pats[1]) }()
 	<-g.entered
 	if v := c.vacated.Value(); v != 1 {
 		t.Errorf("vacated = %d, want 1", v)
 	}
+	if n := c.occupancy.Count(); n != 1 || c.occupancy.Sum() != 1 {
+		t.Errorf("%d blocks holding %v lookups, want one block of 1", n, c.occupancy.Sum())
+	}
 	close(g.release)
-	wg.Wait()
+	<-done
 	if err2 != nil {
 		t.Errorf("live lookup sharing the dead job's block: %v", err2)
 	}
-	if res[0].Err != nil || res[1].Err != nil || !errors.Is(res[2].Err, context.Canceled) {
-		t.Errorf("errs = %v, %v, %v; want nil, nil, context.Canceled", res[0].Err, res[1].Err, res[2].Err)
+	// The first caller resumes to find its job taken and answered.
+	if res := first(); !errors.Is(res.Err, context.Canceled) {
+		t.Errorf("err = %v, want context.Canceled", res.Err)
 	}
-	checkAccounting(t, c, 4)
+	checkAccounting(t, c, 2)
 }
 
 // TestBlocksFormUnderSaturation: eight closed-loop submitters against
@@ -272,7 +287,7 @@ func TestBlocksFormUnderSaturation(t *testing.T) {
 		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
 			setProcs(t, procs)
 			lib, refs := buildLib(t, 49)
-			c := newCoalescer(t, lib, Config{})
+			c := newCoalescer(t, lib)
 			c.exec = func(pats []*genome.Sequence, results []core.BatchResult) error {
 				for t0 := time.Now(); time.Since(t0) < 250*time.Microsecond; {
 				}
@@ -311,7 +326,7 @@ func TestBlocksFormUnderSaturation(t *testing.T) {
 func TestIdleLookupRunsOnCaller(t *testing.T) {
 	lib, refs := buildLib(t, 59)
 	before := runtime.NumGoroutine()
-	c := newCoalescer(t, lib, Config{})
+	c := newCoalescer(t, lib)
 	if n := runtime.NumGoroutine(); n > before {
 		t.Fatalf("%d goroutines after New, %d before: it must start none", n, before)
 	}
@@ -341,33 +356,30 @@ func TestIdleLookupRunsOnCaller(t *testing.T) {
 
 // TestSplitLeavesWorkForIdleCPUs pins the share rule, then watches it
 // applied to a FIFO: on four processors the first taker of eight
-// single-lookup callers claims two, the next — one block now executing
-// — a third of the rest, and a taker that finds every other processor
-// busy all that is left. One caller's own lookups are never split.
+// callers claims two, the next — one block now executing — a third of
+// the rest, and a taker that finds every other processor busy all that
+// is left.
 func TestSplitLeavesWorkForIdleCPUs(t *testing.T) {
-	for _, tc := range []struct{ pending, idle, width, want int }{
-		{8, 4, 8, 2},  // even split
-		{8, 3, 8, 3},  // rounded up: the backlog is always covered
-		{1, 4, 8, 1},  // never zero
-		{8, 1, 8, 8},  // only this CPU is free: a full block
-		{8, 0, 8, 8},  // more blocks executing than CPUs: the same
-		{30, 2, 8, 8}, // capped by the block width
-		{30, 1, 4, 4}, // … whatever it is configured to be
+	for _, tc := range []struct{ pending, idle, want int }{
+		{8, 4, 2},  // even split
+		{8, 3, 3},  // rounded up: the backlog is always covered
+		{1, 4, 1},  // never zero
+		{8, 1, 8},  // only this CPU is free: a full block
+		{8, 0, 8},  // more blocks executing than CPUs: the same
+		{30, 2, 8}, // capped by the block width
 	} {
-		if got := share(tc.pending, tc.idle, tc.width); got != tc.want {
-			t.Errorf("share(pending %d, idle %d, width %d) = %d, want %d",
-				tc.pending, tc.idle, tc.width, got, tc.want)
+		if got := share(tc.pending, tc.idle); got != tc.want {
+			t.Errorf("share(pending %d, idle %d) = %d, want %d",
+				tc.pending, tc.idle, got, tc.want)
 		}
 	}
 
 	lib, refs := buildLib(t, 51)
-	c := newCoalescer(t, lib, Config{})
+	c := newCoalescer(t, lib)
 	pats := queries(refs, 8, 52)
 	const procs = 4
 	for _, p := range pats {
-		if ok, _ := c.submit(c.calls.Get().(*call), context.Background(), []*genome.Sequence{p}, procs); !ok {
-			t.Fatal("submit refused on an open coalescer")
-		}
+		pendingCaller(t, c, context.Background(), p, procs)
 	}
 	var blk [core.BlockWidth]*job
 	c.mu.Lock()
@@ -380,15 +392,26 @@ func TestSplitLeavesWorkForIdleCPUs(t *testing.T) {
 		t.Errorf("takes of %d, %d, %d lookups; want 2, 2, 4", first, second, third)
 	}
 
-	// The same eight from one caller, alone on the four processors: one
-	// block, because nobody else is there to take what it would leave.
-	c = newCoalescer(t, lib, Config{})
-	setProcs(t, procs)
-	results := make([]core.BatchResult, len(pats))
-	c.LookupEach(context.Background(), pats, results)
-	if n, sum := c.occupancy.Count(), c.occupancy.Sum(); n != 1 || sum != 8 {
-		t.Errorf("lone caller: %d blocks holding %v lookups, want 1 holding 8", n, sum)
+	// The same eight callers, alone on the four processors, with the
+	// last in the FIFO the first to resume: it runs block after block
+	// from the head, whoever's the jobs are, until its own is taken, and
+	// nobody else being there to take what it leaves, it takes it all —
+	// 2, 2, then single jobs as the backlog falls under the CPU count.
+	c = newCoalescer(t, lib)
+	finish := make([]func() core.BatchResult, len(pats))
+	for i, p := range pats {
+		finish[i] = pendingCaller(t, c, context.Background(), p, procs)
 	}
+	for i := len(pats) - 1; i >= 0; i-- {
+		got := finish[i]()
+		if m, _, _ := lib.Lookup(pats[i]); !reflect.DeepEqual(got.Matches, m) || got.Err != nil {
+			t.Errorf("caller %d: result differs from direct lookup", i)
+		}
+	}
+	if n, sum := c.occupancy.Count(), c.occupancy.Sum(); n != 6 || sum != 8 {
+		t.Errorf("%d blocks holding %v lookups, want 6 holding 8", n, sum)
+	}
+	checkAccounting(t, c, int64(len(pats)))
 }
 
 // TestYieldOnlyWhenLookupsSaturate pins when a submitter gives way to
@@ -396,7 +419,7 @@ func TestSplitLeavesWorkForIdleCPUs(t *testing.T) {
 // one CPU there are no others, so always.
 func TestYieldOnlyWhenLookupsSaturate(t *testing.T) {
 	lib, refs := buildLib(t, 65)
-	pat := queries(refs, 1, 66)
+	pat := queries(refs, 1, 66)[0]
 	for _, tc := range []struct {
 		procs, running int
 		want           bool
@@ -406,21 +429,21 @@ func TestYieldOnlyWhenLookupsSaturate(t *testing.T) {
 		{4, 1, false}, {4, 2, true},
 		{32, 15, false}, {32, 16, true},
 	} {
-		c := newCoalescer(t, lib, Config{})
+		c := newCoalescer(t, lib)
 		c.running = tc.running
-		if _, got := c.submit(c.calls.Get().(*call), context.Background(), pat, tc.procs); got != tc.want {
+		if _, got := c.submit(new(call), context.Background(), pat, tc.procs); got != tc.want {
 			t.Errorf("GOMAXPROCS %d, %d blocks executing: saturated = %v, want %v", tc.procs, tc.running, got, tc.want)
 		}
 	}
 }
 
-// TestAccountingAfterMixedRun: live, pre-canceled, multi-pattern and
+// TestAccountingAfterMixedRun: live, pre-canceled, bursty and
 // post-Close lookups from many goroutines at once — afterwards every
 // lookup is in exactly one block, vacated, or direct, and the FIFO is
 // empty.
 func TestAccountingAfterMixedRun(t *testing.T) {
 	lib, refs := buildLib(t, 61)
-	c := newCoalescer(t, lib, Config{})
+	c := newCoalescer(t, lib)
 	pats := queries(refs, 12, 62)
 	dead, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -447,8 +470,18 @@ func TestAccountingAfterMixedRun(t *testing.T) {
 					}
 					lookups.Add(1)
 				case 2:
-					res := make([]core.BatchResult, 3)
-					c.LookupEach(context.Background(), pats[:3], res)
+					// A burst: three callers at once, each with one job.
+					var burst sync.WaitGroup
+					for _, p := range pats[:3] {
+						burst.Add(1)
+						go func() {
+							defer burst.Done()
+							if _, _, err := c.Lookup(context.Background(), p); err != nil {
+								t.Errorf("burst lookup: %v", err)
+							}
+						}()
+					}
+					burst.Wait()
 					lookups.Add(3)
 				}
 				if w == 0 && i == 40 {
@@ -469,7 +502,7 @@ func TestAccountingAfterMixedRun(t *testing.T) {
 // direct path, and Close is idempotent.
 func TestCloseFallsBackDirect(t *testing.T) {
 	lib, refs := buildLib(t, 53)
-	c := newCoalescer(t, lib, Config{})
+	c := newCoalescer(t, lib)
 	c.Close()
 	c.Close()
 	p := queries(refs, 1, 54)[0]
@@ -491,7 +524,7 @@ func TestCloseFallsBackDirect(t *testing.T) {
 // a coalesced Lookup costs what the block lookup under it costs.
 func TestCoalescedLookupAllocs(t *testing.T) {
 	lib, refs := buildLib(t, 63)
-	c := newCoalescer(t, lib, Config{})
+	c := newCoalescer(t, lib)
 	c.exec = func(pats []*genome.Sequence, results []core.BatchResult) error {
 		clear(results[:len(pats)])
 		return nil
@@ -501,11 +534,6 @@ func TestCoalescedLookupAllocs(t *testing.T) {
 	if a := testing.AllocsPerRun(200, func() { c.Lookup(ctx, p) }); a != 0 {
 		t.Errorf("coalesced Lookup allocates %v times around its block, want 0", a)
 	}
-	pair := []*genome.Sequence{p, p}
-	res := make([]core.BatchResult, 2)
-	if a := testing.AllocsPerRun(200, func() { c.LookupEach(ctx, pair, res) }); a != 0 {
-		t.Errorf("coalesced LookupEach allocates %v times around its block, want 0", a)
-	}
 }
 
 // TestChurnUnderCoalescedTraffic exercises the coalescer against live
@@ -514,7 +542,7 @@ func TestCoalescedLookupAllocs(t *testing.T) {
 func TestChurnUnderCoalescedTraffic(t *testing.T) {
 	lib, refs := buildLib(t, 55)
 	lib.SetSealThreshold(1)
-	c := newCoalescer(t, lib, Config{})
+	c := newCoalescer(t, lib)
 	pats := queries(refs, 16, 56)
 
 	var stop atomic.Bool
@@ -554,38 +582,4 @@ func TestChurnUnderCoalescedTraffic(t *testing.T) {
 	}
 	stop.Store(true)
 	wg.Wait()
-}
-
-// TestConfigKnobs pins the one knob's enable/disable and clamping.
-func TestConfigKnobs(t *testing.T) {
-	lib, _ := buildLib(t, 58)
-	for _, tc := range []struct {
-		batch   int
-		enabled bool
-		width   int
-	}{
-		{0, true, core.BlockWidth},
-		{1, false, 0},
-		{-1, false, 0},
-		{4, true, 4},
-		{100, true, core.BlockWidth},
-	} {
-		cfg := Config{BatchSize: tc.batch}
-		if got := cfg.Enabled(); got != tc.enabled {
-			t.Errorf("BatchSize %d: Enabled() = %v, want %v", tc.batch, got, tc.enabled)
-		}
-		c, err := New(lib, cfg, metrics.NewRegistry())
-		if !tc.enabled {
-			if err == nil {
-				t.Errorf("BatchSize %d: New with a disabled config should error", tc.batch)
-			}
-			continue
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if c.width != tc.width {
-			t.Errorf("BatchSize %d: block width %d, want %d", tc.batch, c.width, tc.width)
-		}
-	}
 }

@@ -587,6 +587,31 @@ func TestEngineConformance(t *testing.T) {
 					t.Errorf("empty LookupBlock: %v", err)
 				}
 				patterns, _ := confQueries(m, seed+11)
+				// Both strands: the forward Lookup's matches, then the
+				// reverse complement's, with the stats of the two; a
+				// pattern Lookup refuses is refused with its error.
+				for _, p := range append(patterns, short, nil) {
+					got, gotStats, err := idx.LookupBothStrands(p)
+					fwd, wantStats, ferr := idx.Lookup(p)
+					if ferr != nil {
+						if err == nil || err.Error() != ferr.Error() || got != nil || gotStats != wantStats {
+							t.Errorf("LookupBothStrands of a refused pattern = %v, %+v, %v; Lookup says %v", got, gotStats, err, ferr)
+						}
+						continue
+					}
+					rev, revStats, _ := idx.Lookup(p.ReverseComplement())
+					wantStats.Add(revStats)
+					var want []core.StrandedMatch
+					for _, m := range fwd {
+						want = append(want, core.StrandedMatch{Match: m, Strand: core.Forward})
+					}
+					for _, m := range rev {
+						want = append(want, core.StrandedMatch{Match: m, Strand: core.Reverse})
+					}
+					if err != nil || gotStats != wantStats || len(got) != len(want) || (len(got) > 0 && !reflect.DeepEqual(got, want)) {
+						t.Errorf("LookupBothStrands = %v, %+v, %v; two Lookups say %v, %+v", got, gotStats, err, want, wantStats)
+					}
+				}
 				ctx, cancel := context.WithCancel(context.Background())
 				cancel()
 				for _, n := range []int{core.BlockWidth, core.BlockWidth + 1} {

@@ -76,8 +76,8 @@ type probeScratch struct {
 	wins [BlockWidth]Window
 	out  [BlockWidth]*BatchResult
 	res  [BlockWidth]BatchResult // LookupLong's per-window accumulators, match buffers reused
-	pat  [1]*genome.Sequence     // Lookup's one-pattern block
-	one  [1]BatchResult          // and its result
+	pat  [2]*genome.Sequence     // Lookup's one-pattern block, LookupBothStrands' two
+	one  [1]BatchResult          // Lookup's result
 
 	seen  map[diagKey]bool // per-window diagonal dedup
 	votes map[diagKey]int  // per-call diagonal votes
@@ -102,7 +102,7 @@ func (e *Engine) getScratch() *probeScratch {
 func (e *Engine) putScratch(sc *probeScratch) {
 	clear(sc.wins[:])
 	clear(sc.out[:])
-	sc.pat[0] = nil
+	clear(sc.pat[:])
 	e.pool.Put(sc)
 }
 
@@ -138,7 +138,7 @@ func (e *Engine) Lookup(pattern *genome.Sequence) ([]Match, Stats, error) {
 	sc := e.getScratch()
 	defer e.putScratch(sc)
 	sc.pat[0] = pattern
-	e.lookupBlock(v, sc.pat[:], sc.one[:], sc, false)
+	e.lookupBlock(v, sc.pat[:1], sc.one[:], sc, false)
 	r := sc.one[0]
 	sc.one[0] = BatchResult{} // the matches are the caller's now
 	return r.Matches, r.Stats, nil
@@ -338,25 +338,35 @@ type StrandedMatch struct {
 
 // LookupBothStrands searches the pattern and its reverse complement —
 // DNA fragments arrive with unknown orientation, so genomic search must
-// check both strands. Matches report which orientation hit; offsets are
-// always in reference coordinates.
+// check both strands. Matches report which orientation hit, forward
+// ones first; offsets are always in reference coordinates. The two
+// orientations are one two-pattern block, so they share the kernel's
+// passes; each strand's matches and stats are those of its own Lookup.
 func (e *Engine) LookupBothStrands(pattern *genome.Sequence) ([]StrandedMatch, Stats, error) {
-	fwd, stats, err := e.Lookup(pattern)
+	if pattern == nil || pattern.Len() < e.k.Window {
+		return nil, Stats{}, e.errShort
+	}
+	v, err := e.Pin("Lookup")
 	if err != nil {
-		return nil, stats, err
+		return nil, Stats{}, err
 	}
-	out := make([]StrandedMatch, 0, len(fwd))
-	for _, m := range fwd {
-		out = append(out, StrandedMatch{Match: m, Strand: Forward})
+	defer e.Unpin()
+	sc := e.getScratch()
+	defer e.putScratch(sc)
+	sc.pat[0], sc.pat[1] = pattern, pattern.ReverseComplement()
+	res := sc.res[:2] // the matches are copied out, so the buffers are reused
+	for i := range res {
+		res[i] = BatchResult{Matches: res[i].Matches[:0]}
 	}
-	rev, rstats, err := e.Lookup(pattern.ReverseComplement())
-	stats.Add(rstats)
-	if err != nil {
-		return nil, stats, err
+	e.lookupBlock(v, sc.pat[:], res, sc, true)
+	out := make([]StrandedMatch, 0, len(res[0].Matches)+len(res[1].Matches))
+	for i, strand := range [2]Strand{Forward, Reverse} {
+		for _, m := range res[i].Matches {
+			out = append(out, StrandedMatch{Match: m, Strand: strand})
+		}
 	}
-	for _, m := range rev {
-		out = append(out, StrandedMatch{Match: m, Strand: Reverse})
-	}
+	stats := res[0].Stats
+	stats.Add(res[1].Stats)
 	return out, stats, nil
 }
 
@@ -451,29 +461,6 @@ func rankVotes(votes map[diagKey]int, best map[int]diagKey, nWindows int, minFra
 	}
 	sortRefMatches(out)
 	return out
-}
-
-// RankWindows runs LookupLong's diagonal-voting epilogue over window
-// match lists produced elsewhere: wins[i] holds the matches of the
-// query window starting at absolute query offset offs[i] (as returned
-// by Lookup on the window sub-slice, so QueryOff is window-relative).
-// Votes, tie-breaks, filtering, and ordering are identical to
-// LookupLong over the same windows — callers that fan window lookups
-// out (e.g. through the coalescing layer) rank them equivalently.
-func RankWindows(wins [][]Match, offs []int, minFrac float64) []RefMatch {
-	votes := make(map[diagKey]int)
-	seen := make(map[diagKey]bool)
-	for i, ms := range wins {
-		clear(seen) // one vote per diagonal per query window
-		for _, m := range ms {
-			d := diagKey{ref: m.Ref, diff: m.Off - (offs[i] + m.QueryOff)}
-			if !seen[d] {
-				seen[d] = true
-				votes[d]++
-			}
-		}
-	}
-	return rankVotes(votes, make(map[int]diagKey), len(wins), minFrac)
 }
 
 // sortRefMatches orders ranked references by decreasing Votes, ties by

@@ -11,9 +11,7 @@ import (
 
 // buildSegmentedProbeLib builds a frozen sealed library split across
 // exactly segs segments: one from the initial Freeze, the rest sealed
-// one per post-freeze Add. Each reference is short enough that every
-// segment stays well under probeShardMinBytes, pinning the serial
-// (allocation-free) scan path.
+// one per post-freeze Add.
 func buildSegmentedProbeLib(tb testing.TB, segs int, seed uint64) (*Library, []*genome.Sequence) {
 	tb.Helper()
 	lib, err := NewLibrary(Params{Dim: 2048, Window: 24, Seed: seed})

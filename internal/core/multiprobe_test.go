@@ -119,38 +119,6 @@ func TestProbeMultiGoldenEquivalence(t *testing.T) {
 	}
 }
 
-// TestProbeMultiShardedEquivalence forces the sharded [query block ×
-// bucket shard] tiling on a small library and asserts the ordered
-// merge is identical to the serial blocked scan and to sequential
-// probes.
-func TestProbeMultiShardedEquivalence(t *testing.T) {
-	defer func(v int) { probeShardMinBytes = v }(probeShardMinBytes)
-	lib, refs := buildProbeLib(t, true, 2123)
-	qs := probeQueries(t, lib, refs, 2321)
-	probeShardMinBytes = 1 << 40 // serial
-	serial, err := lib.ProbeMulti(qs, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	probeShardMinBytes = 1 // a byte per worker: maximal sharding
-	sharded, err := lib.ProbeMulti(qs, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range qs {
-		if !sameCandidates(serial[i], sharded[i]) {
-			t.Fatalf("query %d: sharded blocked probe diverges:\n got %+v\nwant %+v", i, sharded[i], serial[i])
-		}
-		want, err := lib.Probe(qs[i], nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sameCandidates(sharded[i], want) {
-			t.Fatalf("query %d: sharded blocked probe diverges from Probe", i)
-		}
-	}
-}
-
 // TestProbeMultiAfterRoundTrip asserts the blocked probe path over an
 // arena loaded by ReadIndex matches the freeze-time arena.
 func TestProbeMultiAfterRoundTrip(t *testing.T) {

@@ -213,10 +213,9 @@ func BenchmarkClassifyApprox(b *testing.B) {
 // per query than a narrower one. The exact rows are the geometry of
 // bench's scan_exact_wire — 8192 buckets of D = 8192 at capacity 16,
 // sealed, so the sketch cascade is engaged and the 40-word plane (2.5
-// MiB) is what a block streams; the sharded variants force that plane
-// across GOMAXPROCS workers, the fan-out probeShardMinBytes withholds at
-// this size. The approx rows are approx_classify_inproc's library, 2056
-// rows under a 16-word plane (257 KiB).
+// MiB) is what a block streams. The approx rows are
+// approx_classify_inproc's library, 2056 rows under a 16-word plane
+// (257 KiB).
 func BenchmarkProbeBlockWidths(b *testing.B) {
 	lib, queries := benchLib(b, 8192, false)
 	alib, arefs := benchApproxLib(b)
@@ -228,16 +227,13 @@ func BenchmarkProbeBlockWidths(b *testing.B) {
 		}
 		aqueries[i] = alib.Encoder().EncodeWindowApprox(q, 0)
 	}
-	defer func(v int) { probeShardMinBytes = v }(probeShardMinBytes)
 	for _, row := range []struct {
-		suffix   string
-		lib      *Library
-		queries  []*hdc.HV
-		minBytes int
-	}{{"", lib, queries, probeShardMinBytes}, {"/sharded", lib, queries, 1}, {"/approx", alib, aqueries, probeShardMinBytes}} {
+		suffix  string
+		lib     *Library
+		queries []*hdc.HV
+	}{{"", lib, queries}, {"/approx", alib, aqueries}} {
 		for _, n := range []int{1, 2, 3, 4, 8} {
 			b.Run(fmt.Sprintf("n=%d%s", n, row.suffix), func(b *testing.B) {
-				probeShardMinBytes = row.minBytes
 				var stats Stats
 				for i := 0; i < b.N; i++ {
 					at := i * n % (len(row.queries) - n + 1)

@@ -84,8 +84,8 @@ func probeQueries(t *testing.T, lib *Library, refs []*genome.Sequence, seed uint
 	return qs
 }
 
-// TestProbeGoldenEquivalence asserts the arena + early-abandon +
-// sharded probe returns byte-identical candidates to the seed scalar
+// TestProbeGoldenEquivalence asserts the arena + early-abandon
+// probe returns byte-identical candidates to the seed scalar
 // scan in both encodings.
 func TestProbeGoldenEquivalence(t *testing.T) {
 	for _, tc := range []struct {
@@ -113,32 +113,6 @@ func TestProbeGoldenEquivalence(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestProbeShardedEquivalence forces the sharded scan on a small
-// library and asserts the merged result is identical (same order, same
-// scores) to the serial kernel and the scalar reference.
-func TestProbeShardedEquivalence(t *testing.T) {
-	defer func(v int) { probeShardMinBytes = v }(probeShardMinBytes)
-	lib, refs := buildProbeLib(t, true, 123)
-	for _, hv := range probeQueries(t, lib, refs, 321) {
-		probeShardMinBytes = 1 << 40 // serial
-		serial, err := lib.Probe(hv, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		probeShardMinBytes = 1 // a byte per worker: maximal sharding
-		sharded, err := lib.Probe(hv, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sameCandidates(serial, sharded) {
-			t.Fatalf("sharded probe diverges:\n got %+v\nwant %+v", sharded, serial)
-		}
-		if want := seedScalarProbe(lib, hv); !sameCandidates(sharded, want) {
-			t.Fatal("sharded probe diverges from scalar scan")
-		}
 	}
 }
 

@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 
 	"repro/internal/genome"
 	"repro/internal/hdc"
@@ -60,16 +58,6 @@ func hammingBound(dim int, tau float64) int {
 // against; it is the engine's block width.
 const probeBlock = BlockWidth
 
-// probeShardMinBytes is the least a worker must have to stream — plane
-// bytes per query — before a segment's probe scan fans out across
-// goroutines; a segment whose plane is under twice that stays serial
-// (goroutine dispatch and its allocations would cost more than the
-// scan). Stated in bytes because that is what a scan costs: 4 MiB is
-// 4096 full 1 KiB rows, or 13 107 of the 320-byte sketch rows the same
-// geometry scans instead. A variable so tests can force the sharded
-// path on small libraries.
-var probeShardMinBytes = 4 << 20
-
 // Probe scores an encoded query window against every bucket and returns
 // the candidates above the model threshold. This is the pure HDC search
 // stage — exactly the computation the PIM architecture executes in
@@ -79,8 +67,7 @@ var probeShardMinBytes = 4 << 20
 // The scan visits segments in order; within each segment, sealed
 // libraries run the two-stage cascade of the view's plan — the range
 // kernel streams the sketch plane under the stage-1 bound, the few
-// surviving rows are held in full to the threshold's Hamming bound —
-// and large segments shard the scan across a bounded worker pool. The
+// surviving rows are held in full to the threshold's Hamming bound. The
 // candidates (order, scores, excesses) are those of a serial full-row
 // scan, independent of how the buckets are cut into segments, up to the
 // model's 1e-15 stage-1 miss per accepted row (Model.sketchStage). Stats count
@@ -165,58 +152,15 @@ func (l *Library) ProbeMulti(hvs []*hdc.HV, stats *Stats) ([][]Candidate, error)
 // block of at most probeBlock queries, appending to whatever each dst
 // already holds. Candidate content and order are identical to one
 // serial scan per query; the only difference is that each tile of
-// rows is read from memory once per block instead of once per query. Within
-// each segment, contiguous bucket ranges, one per worker, are merged in
-// shard order, so the tiling is [query block × bucket shard].
+// rows is read from memory once per block instead of once per query.
+// Segments are scanned in order, each whole, on the caller's goroutine.
 // Callers must have pinned v and validated query dimensions; sc
 // supplies the survivor scratch.
 func (l *Library) probeBlockInto(v *View, dsts [][]Candidate, hvs []*hdc.HV, sc *blockScratch) {
 	sn := hdcOf(v)
 	l.ctr.bucketProbes.Add(int64(len(hvs)) * int64(sn.numBuckets()))
 	for k, seg := range sn.segs {
-		l.probeBlockSeg(seg, sn.offs[k], dsts, hvs, sc, &sn.plan)
-	}
-}
-
-// probeBlockSeg scans one segment against a whole query block, sharding
-// across a bounded worker pool when the segment is large enough.
-func (l *Library) probeBlockSeg(seg *segment, gOff int, dsts [][]Candidate, hvs []*hdc.HV, sc *blockScratch, pl *scanPlan) {
-	nq := len(hvs)
-	n := seg.NumBuckets()
-	workers := runtime.GOMAXPROCS(0)
-	if w := seg.scanBytes(pl) / probeShardMinBytes; workers > w {
-		workers = w
-	}
-	if workers <= 1 {
-		seg.probeBlockRange(dsts, hvs, pl, 0, n, gOff, sc.surv, &l.ctr)
-		return
-	}
-	per := (n + workers - 1) / workers
-	//lint:ignore hotpath shard dispatch runs only on segments of ≥2·probeShardMinBytes; the allocation amortizes over the scan
-	parts := make([][][]Candidate, workers)
-	var wg sync.WaitGroup
-	for s := 0; s < workers; s++ {
-		lo := s * per
-		hi := minInt(lo+per, n)
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		//lint:ignore hotpath worker closure of the sharded scan; amortized like the dispatch slice above
-		go func(s, lo, hi int) {
-			defer wg.Done()
-			//lint:ignore hotpath per-worker result and survivor scratch, amortized over ≥probeShardMinBytes of plane
-			part := make([][]Candidate, nq)
-			//lint:ignore hotpath per-worker result and survivor scratch, amortized over ≥probeShardMinBytes of plane
-			seg.probeBlockRange(part, hvs, pl, lo, hi, gOff, make([]int32, planeTileMax), &l.ctr)
-			parts[s] = part
-		}(s, lo, hi)
-	}
-	wg.Wait()
-	for _, part := range parts {
-		for j, p := range part {
-			dsts[j] = append(dsts[j], p...)
-		}
+		seg.probeBlockRange(dsts, hvs, &sn.plan, 0, seg.NumBuckets(), sn.offs[k], sc.surv, &l.ctr)
 	}
 }
 

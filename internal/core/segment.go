@@ -260,13 +260,6 @@ func (s *segment) scanned(pl *scanPlan) (plane []uint64, words int) {
 	return s.arena, s.rowWords
 }
 
-// scanBytes is what one query's first-stage scan of the whole segment
-// streams.
-func (s *segment) scanBytes(pl *scanPlan) int {
-	plane, _ := s.scanned(pl)
-	return 8 * len(plane)
-}
-
 // tileRows is the number of rows per probe tile: as many rows of the
 // given width as fit planeTileBytes, in whole groups of the range
 // kernel's eight.

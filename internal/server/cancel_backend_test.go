@@ -21,10 +21,9 @@ import (
 // TestCanceledBatchCarriesMarker pins the cancellation contract through
 // both transports on every backend: a batch whose context is already
 // dead comes back as a partial response marked canceled — whether it is
-// a whole number of query blocks (8, served by LookupBatchContext
-// alone) or not (9, whose remainder goes through the coalescer). The
-// bit-sliced backend used to return nil from a canceled
-// LookupBatchContext, so its block-multiple batches lost the marker.
+// a whole number of query blocks (8) or not (9). The bit-sliced backend
+// used to return nil from a canceled LookupBatchContext, so its
+// block-multiple batches lost the marker.
 func TestCanceledBatchCarriesMarker(t *testing.T) {
 	ref := genome.Random(3000, rng.New(91))
 	rec := genome.Record{ID: "chr1", Seq: ref}
@@ -49,9 +48,6 @@ func TestCanceledBatchCarriesMarker(t *testing.T) {
 				t.Fatal(err)
 			}
 			t.Cleanup(s.Close)
-			if s.coal == nil {
-				t.Fatal("coalescing is off; the remainder path would not be exercised")
-			}
 			// Every wire request's context expires as it is created.
 			ws := wire.NewServer(s.WireBackend(), s.Registry(), wire.ServerConfig{RequestTimeout: time.Nanosecond})
 			ln, err := net.Listen("tcp", "127.0.0.1:0")

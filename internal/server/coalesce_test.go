@@ -1,7 +1,11 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -9,18 +13,48 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/coalesce"
 	"repro/internal/core"
 	"repro/internal/genome"
 	"repro/internal/rng"
 )
 
-// coalescePair builds two servers over the same frozen library: one
-// with coalescing enabled (defaults), one with it disabled, so tests
-// can compare response bytes across the two paths.
-func coalescePair(t *testing.T) (on, off *httptest.Server, ref *genome.Sequence) {
+// answerCase is one search-side request and the response the service
+// must send for it: the status and body rendered from the index's own
+// in-process answer.
+type answerCase struct {
+	name, path, body string
+	status           int
+	want             string
+}
+
+// rendered is the body the handlers write for v: one JSON value and a
+// newline.
+func rendered(t *testing.T, v any) string {
 	t.Helper()
-	ref = genome.Random(3000, rng.New(91))
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(v); err != nil {
+		t.Fatal(err)
+	}
+	return buf.String()
+}
+
+// matchesJSON renders matches found on one strand.
+func matchesJSON(lib core.Index, ms []core.Match, strand core.Strand) []MatchJSON {
+	out := []MatchJSON{}
+	for _, m := range ms {
+		out = append(out, MatchJSON{Ref: lib.Ref(m.Ref).ID, Offset: m.Off, Distance: m.Distance, Strand: strand.String()})
+	}
+	return out
+}
+
+// answerServer serves a frozen library with the default configuration
+// and returns every search-side case — forward, both strands, miss,
+// short pattern, short read, long read, no-support read, and a batch
+// with a malformed item and nine patterns — each with the answer the
+// library gives in process, rendered.
+func answerServer(t *testing.T) (*httptest.Server, []answerCase) {
+	t.Helper()
+	ref := genome.Random(3000, rng.New(91))
 	lib, err := core.NewLibrary(core.Params{Dim: 8192, Window: 32, Seed: 92})
 	if err != nil {
 		t.Fatal(err)
@@ -29,189 +63,243 @@ func coalescePair(t *testing.T) (on, off *httptest.Server, ref *genome.Sequence)
 		t.Fatal(err)
 	}
 	lib.Freeze()
-	mk := func(cfg Config) *httptest.Server {
-		s, err := New(lib, WithConfig(cfg))
+	s, err := New(lib)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+
+	window := ref.Slice(100, 132)
+	miss := genome.Random(32, rng.New(93))
+	read := ref.Slice(400, 496) // 3 windows
+	long := ref.Slice(0, 2999)  // more windows than a probe block
+
+	search := func(name string, pat *genome.Sequence, strands string) answerCase {
+		body := fmt.Sprintf(`{"pattern":%q,"strands":%q}`, pat, strands)
+		var resp SearchResponse
+		var err error
+		if strands == "both" {
+			var sm []core.StrandedMatch
+			var st core.Stats
+			sm, st, err = lib.LookupBothStrands(pat)
+			resp = SearchResponse{Matches: []MatchJSON{}, Probes: st.BucketProbes}
+			for _, m := range sm {
+				resp.Matches = append(resp.Matches, matchesJSON(lib, []core.Match{m.Match}, m.Strand)...)
+			}
+		} else {
+			var ms []core.Match
+			var st core.Stats
+			ms, st, err = lib.Lookup(pat)
+			resp = SearchResponse{Matches: matchesJSON(lib, ms, core.Forward), Probes: st.BucketProbes}
+		}
+		if err != nil {
+			return answerCase{name, "/v1/search", body, http.StatusUnprocessableEntity, rendered(t, errorBody{err.Error()})}
+		}
+		return answerCase{name, "/v1/search", body, http.StatusOK, rendered(t, resp)}
+	}
+	classify := func(name string, rd *genome.Sequence) answerCase {
+		body := fmt.Sprintf(`{"read":%q}`, rd)
+		best, _, err := lib.Classify(rd, 0.5)
+		if errors.Is(err, core.ErrNoSupport) {
+			return answerCase{name, "/v1/classify", body, http.StatusNotFound, rendered(t, errorBody{err.Error()})}
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		return answerCase{name, "/v1/classify", body, http.StatusOK, rendered(t, ClassifyResponse{
+			Ref: lib.Ref(best.Ref).ID, Offset: best.Offset, Votes: best.Votes, Windows: best.Windows, Fraction: best.Fraction,
+		})}
+	}
+	batch := func(name string) answerCase {
+		// Nine patterns — a full block and a tail of one — every third a
+		// miss, with a malformed item among them.
+		var seqs []*genome.Sequence
+		for i := 0; i < 9; i++ {
+			p := ref.Slice(200*i, 200*i+32)
+			if i%3 == 1 {
+				p = genome.Random(32, rng.New(uint64(94+i)))
+			}
+			seqs = append(seqs, p)
+		}
+		results, agg, err := lib.LookupBatchContext(context.Background(), seqs, defaultBatchWorkers)
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(s.Close)
-		ts := httptest.NewServer(s.Handler())
-		t.Cleanup(ts.Close)
-		return ts
+		const bad = 4
+		_, perr := genome.FromString("NOT-DNA")
+		var texts []string
+		resp := BatchResponse{Probes: agg.BucketProbes}
+		for i, r := range results {
+			if i == bad {
+				texts = append(texts, "not-dna")
+				resp.Results = append(resp.Results, BatchItem{Matches: []MatchJSON{}, Error: perr.Error()})
+			}
+			texts = append(texts, seqs[i].String())
+			resp.Results = append(resp.Results, BatchItem{Matches: matchesJSON(lib, r.Matches, core.Forward)})
+		}
+		body, err := json.Marshal(BatchRequest{Patterns: texts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return answerCase{name, "/v1/batch", string(body), http.StatusOK, rendered(t, resp)}
 	}
-	on = mk(Config{})
-	off = mk(Config{Coalesce: coalesce.Config{BatchSize: 1}})
-	return on, off, ref
+	cases := []answerCase{
+		search("search-hit", window, "forward"),
+		search("search-miss", miss, "forward"),
+		search("search-both", window, "both"),
+		search("search-short", window.Slice(0, 4), "forward"),
+		classify("classify-short-read", read),
+		classify("classify-long-read", long),
+		classify("classify-no-support", miss),
+		batch("batch-remainder"),
+	}
+	// The hits must hit, or comparing against them proves little.
+	for _, i := range []int{0, 2, 4, 5, 7} {
+		if !strings.Contains(cases[i].want, `"ref":"chr1"`) {
+			t.Fatalf("%s: the index finds nothing: %s", cases[i].name, cases[i].want)
+		}
+	}
+	return ts, cases
 }
 
-// TestCoalescedResponsesByteIdentical: for every search-side endpoint,
-// the coalesced server's response — status and body bytes — matches
-// the direct path's, including error and not-found outcomes.
-func TestCoalescedResponsesByteIdentical(t *testing.T) {
-	on, off, ref := coalescePair(t)
-	window := ref.Slice(100, 132).String()
-	read := ref.Slice(400, 496).String() // 3 windows: coalesced classify path
-	long := ref.Slice(0, 2999).String()  // > BlockWidth windows: LookupLong path
-	miss := strings.Repeat("ACGT", 8)
-
-	cases := []struct {
-		name, path, body string
-	}{
-		{"search-hit", "/v1/search", `{"pattern":"` + window + `"}`},
-		{"search-miss", "/v1/search", `{"pattern":"` + miss + `"}`},
-		{"search-both", "/v1/search", `{"pattern":"` + window + `","strands":"both"}`},
-		{"search-short", "/v1/search", `{"pattern":"ACGT"}`},
-		{"classify-short-read", "/v1/classify", `{"read":"` + read + `"}`},
-		{"classify-long-read", "/v1/classify", `{"read":"` + long + `"}`},
-		{"classify-no-support", "/v1/classify", `{"read":"` + miss + `"}`},
-		{"batch-remainder", "/v1/batch",
-			`{"patterns":["` + window + `","` + miss + `","not-dna","` + window + `"]}`},
+// post sends one case and returns the status and body it got.
+func post(ts *httptest.Server, c answerCase) (int, string, error) {
+	resp, err := http.Post(ts.URL+c.path, "application/json", strings.NewReader(c.body))
+	if err != nil {
+		return 0, "", err
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			get := func(ts *httptest.Server) (int, string) {
-				resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer resp.Body.Close()
-				b, err := io.ReadAll(resp.Body)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return resp.StatusCode, string(b)
+	defer resp.Body.Close()
+	b, err := io.ReadAll(resp.Body)
+	return resp.StatusCode, string(b), err
+}
+
+// TestCoalescedResponsesByteIdentical: for every search-side case the
+// service answers, one request at a time, with the bytes rendered from
+// the index's own in-process answer — whether the request went through
+// the coalescer (forward search) or straight to the index.
+func TestCoalescedResponsesByteIdentical(t *testing.T) {
+	ts, cases := answerServer(t)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			status, body, err := post(ts, c)
+			if err != nil {
+				t.Fatal(err)
 			}
-			onStatus, onBody := get(on)
-			offStatus, offBody := get(off)
-			if onStatus != offStatus || onBody != offBody {
-				t.Errorf("coalesced response differs:\n on: %d %s\noff: %d %s",
-					onStatus, onBody, offStatus, offBody)
+			if status != c.status || body != c.want {
+				t.Errorf("response differs from the index's answer:\n got: %d %s\nwant: %d %s", status, body, c.status, c.want)
 			}
 		})
 	}
 }
 
-// TestCoalescedConcurrentSearchesByteIdentical packs genuinely
-// concurrent requests into shared blocks and checks every response
-// still matches its sequential equivalent byte for byte.
+// TestCoalescedConcurrentSearchesByteIdentical sends the same cases from
+// 32 concurrent clients, so forward searches share coalesced blocks
+// beside requests that go straight to the index, and checks every
+// response against the in-process answer byte for byte.
 func TestCoalescedConcurrentSearchesByteIdentical(t *testing.T) {
-	on, off, ref := coalescePair(t)
-	src := rng.New(93)
-	bodies := make([]string, 32)
-	want := make([]string, len(bodies))
-	for i := range bodies {
-		var pat string
-		if i%2 == 0 {
-			o := src.Intn(ref.Len() - 32)
-			pat = ref.Slice(o, o+32).String()
-		} else {
-			pat = genome.Random(32, src).String()
-		}
-		bodies[i] = `{"pattern":"` + pat + `"}`
-		resp, err := http.Post(off.URL+"/v1/search", "application/json", strings.NewReader(bodies[i]))
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		want[i] = string(b)
-	}
+	ts, cases := answerServer(t)
+	const clients = 32
 	var wg sync.WaitGroup
-	got := make([]string, len(bodies))
-	errs := make([]error, len(bodies))
-	for i := range bodies {
+	for i := 0; i < clients; i++ {
 		wg.Add(1)
-		go func(i int) {
+		go func(c answerCase) {
 			defer wg.Done()
-			resp, err := http.Post(on.URL+"/v1/search", "application/json", strings.NewReader(bodies[i]))
+			status, body, err := post(ts, c)
 			if err != nil {
-				errs[i] = err
+				t.Error(err)
 				return
 			}
-			defer resp.Body.Close()
-			b, err := io.ReadAll(resp.Body)
-			errs[i] = err
-			got[i] = string(b)
-		}(i)
+			if status != c.status || body != c.want {
+				t.Errorf("%s: concurrent response %d %s, want %d %s", c.name, status, body, c.status, c.want)
+			}
+		}(cases[i%len(cases)])
 	}
 	wg.Wait()
-	for i := range bodies {
-		if errs[i] != nil {
-			t.Fatal(errs[i])
-		}
-		if got[i] != want[i] {
-			t.Errorf("request %d: concurrent coalesced body %q, want %q", i, got[i], want[i])
-		}
-	}
 }
 
-// TestDisabledCoalescingAllocParity guards the fast path: with
-// coalescing disabled, the handler-side lookup helper must add zero
-// allocations over a bare Library.Lookup — the admission layer
-// vanishes completely.
-func TestDisabledCoalescingAllocParity(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation perturbs allocation counts")
+// metricValue reads one unlabeled sample from Prometheus text.
+func metricValue(t *testing.T, text, name string) float64 {
+	t.Helper()
+	for _, line := range strings.Split(text, "\n") {
+		var v float64
+		if rest, ok := strings.CutPrefix(line, name+" "); ok {
+			if _, err := fmt.Sscanf(rest, "%g", &v); err != nil {
+				t.Fatalf("unparsable sample %q: %v", line, err)
+			}
+			return v
+		}
 	}
-	ref := genome.Random(3000, rng.New(94))
-	lib, err := core.NewLibrary(core.Params{Dim: 8192, Window: 32, Seed: 95})
+	t.Fatalf("metrics missing %s", name)
+	return 0
+}
+
+// metricsText fetches /metrics.
+func metricsText(t *testing.T, ts *httptest.Server) string {
+	t.Helper()
+	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := lib.Add(genome.Record{ID: "chr1", Seq: ref}); err != nil {
-		t.Fatal(err)
-	}
-	lib.Freeze()
-	s, err := New(lib, WithConfig(Config{Coalesce: coalesce.Config{BatchSize: 1}}))
+	defer resp.Body.Close()
+	b, err := io.ReadAll(resp.Body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(s.Close)
-	if s.coal != nil {
-		t.Fatal("BatchSize 1 must disable the coalescer")
+	return string(b)
+}
+
+// TestCoalescerTakesOnlyForwardSearches mixes forward searches with
+// both-strand, classify and batch requests from concurrent clients: the
+// coalescer admits exactly the forward searches, and every admitted job
+// sits in an executed block or was vacated.
+func TestCoalescerTakesOnlyForwardSearches(t *testing.T) {
+	ts, cases := answerServer(t)
+	const rounds = 4
+	forward := 0
+	var wg sync.WaitGroup
+	for r := 0; r < rounds; r++ {
+		for _, c := range cases {
+			if c.path == "/v1/search" && !strings.Contains(c.body, `"both"`) {
+				forward++
+			}
+			wg.Add(1)
+			go func(c answerCase) {
+				defer wg.Done()
+				if _, _, err := post(ts, c); err != nil {
+					t.Error(err)
+				}
+			}(c)
+		}
 	}
-	pat := genome.Random(32, rng.New(96)) // miss: the alloc-free steady state
-	ctx := context.Background()
-	if _, _, err := s.lookup(ctx, pat); err != nil {
-		t.Fatal(err)
+	wg.Wait()
+	text := metricsText(t, ts)
+	jobs := metricValue(t, text, "biohd_coalesce_jobs_total")
+	inBlocks := metricValue(t, text, "biohd_coalesce_block_occupancy_sum")
+	vacated := metricValue(t, text, "biohd_coalesce_vacated_total")
+	if jobs != float64(forward) {
+		t.Errorf("coalescer admitted %v jobs, want the %d forward searches", jobs, forward)
 	}
-	direct := testing.AllocsPerRun(50, func() { lib.Lookup(pat) })
-	routed := testing.AllocsPerRun(50, func() { s.lookup(ctx, pat) })
-	if routed > direct {
-		t.Errorf("disabled-path lookup allocates %.1f/op, direct %.1f/op; want parity", routed, direct)
+	if inBlocks+vacated != jobs {
+		t.Errorf("block slots %v + vacated %v != jobs %v", inBlocks, vacated, jobs)
 	}
 }
 
-// TestCoalesceMetricsExposure: the coalescing series appear on
-// /metrics when enabled and not when disabled.
+// TestCoalesceMetricsExposure: the coalescing series appear on /metrics.
 func TestCoalesceMetricsExposure(t *testing.T) {
-	on, off, ref := coalescePair(t)
-	for _, ts := range []*httptest.Server{on, off} {
-		resp := postJSON(t, ts.URL+"/v1/search", map[string]string{"pattern": ref.Slice(0, 32).String()})
-		resp.Body.Close()
+	ts, cases := answerServer(t)
+	if _, _, err := post(ts, cases[0]); err != nil {
+		t.Fatal(err)
 	}
-	series := []string{
+	text := metricsText(t, ts)
+	for _, name := range []string{
 		"biohd_coalesce_block_occupancy",
 		"biohd_coalesce_queue_depth",
 		"biohd_coalesce_wait_seconds",
 		"biohd_coalesce_jobs_total",
-	}
-	fetch := func(ts *httptest.Server) string {
-		resp, err := http.Get(ts.URL + "/metrics")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		b, _ := io.ReadAll(resp.Body)
-		return string(b)
-	}
-	onText, offText := fetch(on), fetch(off)
-	for _, name := range series {
-		if !strings.Contains(onText, name) {
-			t.Errorf("enabled server missing %s", name)
-		}
-		if strings.Contains(offText, name) {
-			t.Errorf("disabled server unexpectedly exposes %s", name)
+	} {
+		if !strings.Contains(text, name) {
+			t.Errorf("metrics missing %s", name)
 		}
 	}
 }

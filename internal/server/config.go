@@ -3,8 +3,6 @@ package server
 import (
 	"net/http"
 	"time"
-
-	"repro/internal/coalesce"
 )
 
 // Config shapes the request lifecycle of the HTTP service. The zero
@@ -36,12 +34,6 @@ type Config struct {
 	// handler starts, which stops an in-flight batch via
 	// LookupBatchContext (default 30s).
 	RequestTimeout time.Duration
-	// Coalesce holds the cross-request query coalescing knob (see
-	// package coalesce): single-query lookups from concurrent requests
-	// are packed into shared probe blocks. The zero value enables
-	// coalescing at the full block width; BatchSize 1 disables it,
-	// keeping the direct per-request path.
-	Coalesce coalesce.Config
 }
 
 // DefaultConfig returns the default lifecycle configuration.

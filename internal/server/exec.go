@@ -2,8 +2,8 @@ package server
 
 // The shared request-execution layer: handler bodies factored out of
 // the HTTP layer so the binary wire protocol (internal/wire) and the
-// JSON API run the exact same code — same parsing, same routing
-// through the coalescer, same error taxonomy. Byte-identical answers
+// JSON API run the exact same code — same parsing, same calls into the
+// index, same error taxonomy. Byte-identical answers
 // across the two transports fall out by construction; the
 // golden-equivalence tests in wire_test.go pin it.
 
@@ -39,8 +39,10 @@ func parsePattern(text string) (*genome.Sequence, *apiError) {
 	return seq, nil
 }
 
-// execSearch runs one search request: parse, route through the
-// coalescer (or direct path), convert matches to the response shape.
+// execSearch runs one search request: parse, look the pattern up —
+// a forward search through the coalescer, so concurrent requests share
+// probe blocks; both strands as the index's own two-pattern block —
+// and convert matches to the response shape.
 func (s *Server) execSearch(ctx context.Context, pattern, strands string) (SearchResponse, *apiError) {
 	resp := SearchResponse{Matches: []MatchJSON{}}
 	pat, aerr := parsePattern(pattern)
@@ -49,7 +51,7 @@ func (s *Server) execSearch(ctx context.Context, pattern, strands string) (Searc
 	}
 	switch strands {
 	case "", "forward":
-		matches, stats, err := s.lookup(ctx, pat)
+		matches, stats, err := s.coal.Lookup(ctx, pat)
 		if err != nil {
 			return resp, &apiError{http.StatusUnprocessableEntity, err.Error()}
 		}
@@ -60,7 +62,7 @@ func (s *Server) execSearch(ctx context.Context, pattern, strands string) (Searc
 			})
 		}
 	case "both":
-		matches, stats, err := s.lookupBothStrands(ctx, pat)
+		matches, stats, err := s.lib.LookupBothStrands(pat)
 		if err != nil {
 			return resp, &apiError{http.StatusUnprocessableEntity, err.Error()}
 		}
@@ -78,7 +80,7 @@ func (s *Server) execSearch(ctx context.Context, pattern, strands string) (Searc
 }
 
 // execClassify runs one classify request.
-func (s *Server) execClassify(ctx context.Context, readText string, minFraction float64) (ClassifyResponse, *apiError) {
+func (s *Server) execClassify(readText string, minFraction float64) (ClassifyResponse, *apiError) {
 	read, aerr := parsePattern(readText)
 	if aerr != nil {
 		return ClassifyResponse{}, aerr
@@ -93,7 +95,7 @@ func (s *Server) execClassify(ctx context.Context, readText string, minFraction 
 	if minFrac <= 0 {
 		minFrac = 0.5
 	}
-	best, err := s.classify(ctx, read, minFrac)
+	best, _, err := s.lib.Classify(read, minFrac)
 	switch {
 	case errors.Is(err, core.ErrNoSupport):
 		// Valid read, no reference reaches the support threshold.
@@ -141,7 +143,7 @@ func (s *Server) execBatch(ctx context.Context, patterns []string, workers int) 
 		idx = append(idx, i)
 	}
 	if len(seqs) > 0 {
-		results, agg, err := s.lookupBatch(ctx, seqs, clampWorkers(workers))
+		results, agg, err := s.lib.LookupBatchContext(ctx, seqs, clampWorkers(workers))
 		if err != nil && !isContextErr(err) {
 			return BatchResponse{}, &apiError{http.StatusUnprocessableEntity, err.Error()}
 		}

@@ -49,11 +49,10 @@ const maxBodyBytes = 16 << 20
 // its backend — it talks only to the core.Index contract.
 type Server struct {
 	lib      core.Index
-	window   int // the index's window length, fixed for its lifetime
 	cfg      Config
 	reg      *metrics.Registry
 	inflight *metrics.Gauge
-	coal     *coalesce.Coalescer // nil: coalescing disabled, direct path
+	coal     *coalesce.Coalescer // forward searches; every other route calls lib
 	logger   *log.Logger         // nil: no per-request logging
 }
 
@@ -75,26 +74,20 @@ func WithLogger(l *log.Logger) Option {
 // New creates a Server over any index backend. The index must be
 // frozen.
 func New(lib core.Index, opts ...Option) (*Server, error) {
-	var info core.IndexInfo
-	if lib != nil {
-		info = lib.Describe()
-	}
-	if !info.Frozen {
+	if lib == nil || !lib.Describe().Frozen {
 		return nil, fmt.Errorf("server: library must be frozen")
 	}
-	s := &Server{lib: lib, window: info.Window, cfg: DefaultConfig(), reg: metrics.NewRegistry()}
+	s := &Server{lib: lib, cfg: DefaultConfig(), reg: metrics.NewRegistry()}
 	for _, opt := range opts {
 		opt(s)
 	}
 	s.cfg = s.cfg.withDefaults()
 	s.inflight = s.reg.Gauge(metricInFlight, helpInFlight)
-	if s.cfg.Coalesce.Enabled() {
-		c, err := coalesce.New(lib, s.cfg.Coalesce, s.reg)
-		if err != nil {
-			return nil, err
-		}
-		s.coal = c
+	c, err := coalesce.New(lib, s.reg)
+	if err != nil {
+		return nil, err
 	}
+	s.coal = c
 	return s, nil
 }
 
@@ -103,9 +96,7 @@ func New(lib core.Index, opts ...Option) (*Server, error) {
 // while the HTTP server drains. The server runs nothing in the
 // background, so there is nothing else to release. Idempotent.
 func (s *Server) Close() {
-	if s.coal != nil {
-		s.coal.Close()
-	}
+	s.coal.Close()
 }
 
 // Registry exposes the server's metrics registry, e.g. for registering
@@ -300,7 +291,7 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	resp, aerr := s.execClassify(r.Context(), req.Read, req.MinFraction)
+	resp, aerr := s.execClassify(req.Read, req.MinFraction)
 	if aerr != nil {
 		writeError(w, aerr.status, "%s", aerr.msg)
 		return

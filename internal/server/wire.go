@@ -49,8 +49,8 @@ func (b wireBackend) Search(ctx context.Context, pattern []byte, both bool) (wir
 	return wire.SearchResult{Matches: toWireMatches(resp.Matches), Probes: resp.Probes}, nil
 }
 
-func (b wireBackend) Classify(ctx context.Context, read []byte, minFraction float64) (wire.ClassifyResult, error) {
-	resp, aerr := b.s.execClassify(ctx, string(read), minFraction)
+func (b wireBackend) Classify(_ context.Context, read []byte, minFraction float64) (wire.ClassifyResult, error) {
+	resp, aerr := b.s.execClassify(string(read), minFraction)
 	if aerr != nil {
 		return wire.ClassifyResult{}, statusErr(aerr)
 	}
