@@ -150,20 +150,3 @@ func BenchmarkF11SealedVsRaw(b *testing.B) {
 	b.ReportMetric(rawCap/sealedCap, "raw-capacity-advantage")
 	b.ReportMetric(metric(b, res, 1, 3)/metric(b, res, 0, 3), "raw-memory-cost")
 }
-
-func BenchmarkF12Pipelining(b *testing.B) {
-	res := runExperiment(b, "F12")
-	last := len(res.Tables[0].Rows) - 1
-	b.ReportMetric(metric(b, res, last, 3), "pipeline-saved-%")
-}
-
-func BenchmarkF13Granularity(b *testing.B) {
-	res := runExperiment(b, "F13")
-	b.ReportMetric(metric(b, res, 0, 1)/metric(b, res, 2, 1), "k5-baseline-reduction")
-}
-
-func BenchmarkF14EngineComparison(b *testing.B) {
-	res := runExperiment(b, "F14")
-	b.ReportMetric(metric(b, res, 0, 1), "biohd-recall")
-	b.ReportMetric(metric(b, res, 3, 1), "wholeref-recall")
-}

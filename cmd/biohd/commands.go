@@ -525,7 +525,7 @@ func cmdExperiment(args []string, out io.Writer) error {
 	if id == "" && fs.NArg() == 1 {
 		id = fs.Arg(0)
 	} else if id == "" || fs.NArg() > 0 {
-		return fmt.Errorf("experiment requires exactly one ID (T1..T3, F1..F10, all)")
+		return fmt.Errorf("experiment requires exactly one ID (T1..T3, F1..F11, all)")
 	}
 	cfg := workload.Config{Scale: *scale, Seed: *seed}
 	emit := func(res *workload.Result) error {

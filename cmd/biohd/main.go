@@ -75,7 +75,7 @@ subcommands:
   build       build a reference library from FASTA and report its shape
   search      search a pattern against FASTA references
   classify    classify reads (FASTA) against references (FASTA)
-  experiment  regenerate a paper table/figure by ID (T1..T3, F1..F10, all)
+  experiment  regenerate a paper table/figure by ID (T1..T3, F1..F11, all)
   pim         simulate a search batch on the crossbar PIM architecture
   serve       expose a library over an HTTP JSON API (+ binary wire protocol via -wire-addr)
   wire        query a serve -wire-addr listener over the binary wire protocol

@@ -14,16 +14,6 @@ type ApproxOccurrence struct {
 	Dist int // edit (or substitution) distance of the best match ending here
 }
 
-// ApproxMatcher is a classical approximate pattern-matching algorithm.
-type ApproxMatcher interface {
-	// Name identifies the algorithm in experiment output.
-	Name() string
-	// Find returns all approximate occurrences of pattern in text within
-	// distance k, plus the number of elementary operations (DP cells or
-	// word updates) spent.
-	Find(text, pattern *genome.Sequence, k int) ([]ApproxOccurrence, int)
-}
-
 // --- Myers bit-parallel ---------------------------------------------------
 
 // Myers is Myers' bit-parallel approximate matcher: computes the
@@ -32,11 +22,9 @@ type ApproxMatcher interface {
 // patterns and the software baseline the paper's GPU numbers represent.
 type Myers struct{}
 
-// Name implements ApproxMatcher.
-func (Myers) Name() string { return "myers" }
-
-// Find implements ApproxMatcher. It panics if the pattern exceeds 64
-// bases.
+// Find returns all approximate occurrences of pattern in text within
+// edit distance k, plus the number of word updates spent. It panics if
+// the pattern exceeds 64 bases.
 func (Myers) Find(text, pattern *genome.Sequence, k int) ([]ApproxOccurrence, int) {
 	m, n := pattern.Len(), text.Len()
 	if m == 0 || n == 0 {
@@ -83,7 +71,7 @@ func (Myers) Find(text, pattern *genome.Sequence, k int) ([]ApproxOccurrence, in
 	return out, ops
 }
 
-// --- Banded Smith–Waterman sliding matcher ---------------------------------
+// --- Sellers' dynamic programming -----------------------------------------
 
 // SellersDP is the classical dynamic-programming approximate matcher
 // (Sellers' algorithm): the full O(m·n) edit-distance table against the
@@ -91,10 +79,8 @@ func (Myers) Find(text, pattern *genome.Sequence, k int) ([]ApproxOccurrence, in
 // canonical alignment-quality ground truth.
 type SellersDP struct{}
 
-// Name implements ApproxMatcher.
-func (SellersDP) Name() string { return "sellers-dp" }
-
-// Find implements ApproxMatcher.
+// Find returns all approximate occurrences of pattern in text within
+// edit distance k, plus the number of DP cells evaluated.
 func (SellersDP) Find(text, pattern *genome.Sequence, k int) ([]ApproxOccurrence, int) {
 	m, n := pattern.Len(), text.Len()
 	if m == 0 || n == 0 {
@@ -138,38 +124,12 @@ func minInt3(a, b, c int) int {
 	return a
 }
 
-// --- Global alignment -----------------------------------------------------
+// --- Local alignment ------------------------------------------------------
 
 // AlignmentResult is the outcome of a pairwise alignment.
 type AlignmentResult struct {
-	Score int // alignment score (NW) or best local score (SW)
+	Score int // best local alignment score
 	Ops   int // DP cells evaluated
-}
-
-// NeedlemanWunsch computes the global alignment score of a and b with
-// match/mismatch/gap scores. It is the exact global comparator used for
-// variant-distance ground truth.
-func NeedlemanWunsch(a, b *genome.Sequence, match, mismatch, gap int) AlignmentResult {
-	n, m := a.Len(), b.Len()
-	prev := make([]int, m+1)
-	cur := make([]int, m+1)
-	for j := 0; j <= m; j++ {
-		prev[j] = j * gap
-	}
-	ops := 0
-	for i := 1; i <= n; i++ {
-		cur[0] = i * gap
-		for j := 1; j <= m; j++ {
-			s := mismatch
-			if a.At(i-1) == b.At(j-1) {
-				s = match
-			}
-			cur[j] = maxInt3(prev[j-1]+s, prev[j]+gap, cur[j-1]+gap)
-			ops++
-		}
-		prev, cur = cur, prev
-	}
-	return AlignmentResult{Score: prev[m], Ops: ops}
 }
 
 // SmithWaterman computes the best local alignment score of a and b.
@@ -198,31 +158,6 @@ func SmithWaterman(a, b *genome.Sequence, match, mismatch, gap int) AlignmentRes
 		cur[0] = 0
 	}
 	return AlignmentResult{Score: best, Ops: ops}
-}
-
-// EditDistance returns the Levenshtein distance between a and b and the
-// DP cells evaluated. Ground truth for mutation-tolerance experiments.
-func EditDistance(a, b *genome.Sequence) (int, int) {
-	n, m := a.Len(), b.Len()
-	prev := make([]int, m+1)
-	cur := make([]int, m+1)
-	for j := 0; j <= m; j++ {
-		prev[j] = j
-	}
-	ops := 0
-	for i := 1; i <= n; i++ {
-		cur[0] = i
-		for j := 1; j <= m; j++ {
-			cost := 1
-			if a.At(i-1) == b.At(j-1) {
-				cost = 0
-			}
-			cur[j] = minInt3(prev[j]+1, cur[j-1]+1, prev[j-1]+cost)
-			ops++
-		}
-		prev, cur = cur, prev
-	}
-	return prev[m], ops
 }
 
 func maxInt3(a, b, c int) int {

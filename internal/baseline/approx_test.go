@@ -111,76 +111,6 @@ func TestMyersPanics(t *testing.T) {
 	}()
 }
 
-func TestEditDistanceKnown(t *testing.T) {
-	for _, tc := range []struct {
-		a, b string
-		want int
-	}{
-		{"ACGT", "ACGT", 0},
-		{"ACGT", "ACGA", 1},
-		{"ACGT", "AGT", 1},
-		{"ACGT", "TACGT", 1},
-		{"AAAA", "TTTT", 4},
-		{"", "ACG", 3},
-	} {
-		a, b := genome.MustFromString(tc.a), genome.MustFromString(tc.b)
-		if got, _ := EditDistance(a, b); got != tc.want {
-			t.Fatalf("EditDistance(%q,%q) = %d, want %d", tc.a, tc.b, got, tc.want)
-		}
-	}
-}
-
-// Property: edit distance is a metric.
-func TestQuickEditDistanceMetric(t *testing.T) {
-	f := func(seed uint64) bool {
-		src := rng.New(seed)
-		a := genome.Random(int(src.Intn(40)), src)
-		b := genome.Random(int(src.Intn(40)), src)
-		c := genome.Random(int(src.Intn(40)), src)
-		ab, _ := EditDistance(a, b)
-		ba, _ := EditDistance(b, a)
-		ac, _ := EditDistance(a, c)
-		cb, _ := EditDistance(c, b)
-		aa, _ := EditDistance(a, a)
-		return ab == ba && aa == 0 && ab <= ac+cb
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestEditDistanceBoundsSubstitutions(t *testing.T) {
-	src := rng.New(6)
-	seq := genome.Random(100, src)
-	for _, k := range []int{1, 5, 20} {
-		mut, _ := genome.SubstituteExactly(seq, k, src)
-		d, _ := EditDistance(seq, mut)
-		if d > k || d <= 0 {
-			t.Fatalf("edit distance %d after %d substitutions", d, k)
-		}
-	}
-}
-
-func TestNeedlemanWunsch(t *testing.T) {
-	a := genome.MustFromString("ACGT")
-	res := NeedlemanWunsch(a, a, 1, -1, -2)
-	if res.Score != 4 {
-		t.Fatalf("self alignment score %d", res.Score)
-	}
-	b := genome.MustFromString("ACCT")
-	res = NeedlemanWunsch(a, b, 1, -1, -2)
-	if res.Score != 2 { // 3 matches − 1 mismatch
-		t.Fatalf("one-mismatch score %d", res.Score)
-	}
-	res = NeedlemanWunsch(a, genome.MustFromString("ACG"), 1, -1, -2)
-	if res.Score != 1 { // 3 matches, one gap −2
-		t.Fatalf("one-gap score %d", res.Score)
-	}
-	if res.Ops != 4*3 {
-		t.Fatalf("op count %d", res.Ops)
-	}
-}
-
 func TestSmithWaterman(t *testing.T) {
 	// Local alignment finds the embedded common substring.
 	a := genome.MustFromString("TTTTACGTACGTTTTT")

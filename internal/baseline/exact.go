@@ -1,13 +1,13 @@
 // Package baseline implements the classical sequence-search algorithms
-// BioHD is compared against: exact pattern matching (Knuth–Morris–Pratt,
-// Boyer–Moore–Horspool, Shift-Or), approximate matching (Myers
-// bit-parallel edit distance, banded Smith–Waterman, Needleman–Wunsch),
-// and a seed-and-extend aligner in the BLAST tradition.
+// BioHD is compared against: exact pattern matching (naive,
+// Knuth–Morris–Pratt, Boyer–Moore–Horspool, Shift-Or), approximate
+// matching (Myers bit-parallel edit distance, Sellers' DP), Smith–Waterman
+// local alignment, and a seed-and-extend aligner in the BLAST tradition.
 //
 // Every matcher reports an operation count alongside its results so the
-// experiment harness can compare algorithmic work (experiment T2) and
-// the accelerator cost models can convert work into simulated GPU/PIM
-// latency and energy (experiments F6/F7).
+// experiment harness can compare algorithmic work (T2) and measured
+// throughput (F5); Myers is F3's ground truth and the seed index F10's
+// comparator. The examples call SmithWaterman and the seed index.
 package baseline
 
 import (

@@ -48,12 +48,6 @@ func NewSeedIndex(k int) (*SeedIndex, error) {
 	return &SeedIndex{k: k, seeds: make(map[uint64][]seedLoc)}, nil
 }
 
-// K returns the seed length.
-func (si *SeedIndex) K() int { return si.k }
-
-// NumRefs returns the number of indexed references.
-func (si *SeedIndex) NumRefs() int { return len(si.refs) }
-
 // Add indexes every k-mer of seq. Sequences shorter than k are rejected.
 func (si *SeedIndex) Add(seq *genome.Sequence) error {
 	if seq.Len() < si.k {

@@ -5,8 +5,8 @@
 // Bit-Sliced Signature Index").
 //
 // Every reference gets an identically shaped Bloom signature of
-// RowBits bits over its w-mers (the hashing scheme of
-// baseline.KmerBloom). Sealing transposes a batch of signatures so bit
+// RowBits bits over its w-mers (WindowHash, probed from PositionSeed).
+// Sealing transposes a batch of signatures so bit
 // position b of every signature lands in one contiguous row bitmap:
 // row b, column j says "reference j's signature has bit b set". A
 // query w-mer derives its Hashes probe positions and ANDs those rows —
@@ -28,10 +28,10 @@
 package cobs
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
-	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/genome"
 )
@@ -42,8 +42,8 @@ import (
 // lower than the HDC library's bucket threshold.
 const defaultSealThreshold = 1024
 
-// maxHashes mirrors baseline.KmerBloom's probe-count cap; probe
-// scratch sizes position arrays to it statically.
+// maxHashes caps the probe positions per w-mer; probe scratch sizes
+// position arrays to it statically.
 const maxHashes = 16
 
 // maxRowBits caps the signature length (8 MiB of bits per reference) —
@@ -76,19 +76,25 @@ func (p *Params) applyDefaults() {
 	}
 }
 
+// ErrSizing marks rejected signature sizing parameters (out-of-range
+// w-mer length, signature length or hash count). Callers branch on it
+// with errors.Is; the wrapped message names the offending parameter.
+var ErrSizing = errors.New("invalid Bloom sizing")
+
 // Validate rejects out-of-range parameters with errors wrapping
-// baseline.ErrSizing — the sizing rules of baseline.NewKmerBloomFixed
-// plus a RowBits plausibility cap. It allocates nothing: the v3 loader
-// runs it on unverified metadata before any checksum has been seen.
+// ErrSizing — a w-mer length in [1,1024], a signature length that is a
+// positive multiple of 64 under a plausibility cap, and 1..maxHashes
+// probes. It allocates nothing: the v3 loader runs it on unverified
+// metadata before any checksum has been seen.
 func (p Params) Validate() error {
 	if p.Window <= 0 || p.Window > 1024 {
-		return fmt.Errorf("cobs: w-mer length %d out of [1,1024]: %w", p.Window, baseline.ErrSizing)
+		return fmt.Errorf("cobs: w-mer length %d out of [1,1024]: %w", p.Window, ErrSizing)
 	}
 	if p.RowBits <= 0 || p.RowBits%64 != 0 || p.RowBits > maxRowBits {
-		return fmt.Errorf("cobs: signature length %d must be a positive multiple of 64 up to %d: %w", p.RowBits, maxRowBits, baseline.ErrSizing)
+		return fmt.Errorf("cobs: signature length %d must be a positive multiple of 64 up to %d: %w", p.RowBits, maxRowBits, ErrSizing)
 	}
 	if p.Hashes < 1 || p.Hashes > maxHashes {
-		return fmt.Errorf("cobs: hash count %d out of [1,%d]: %w", p.Hashes, maxHashes, baseline.ErrSizing)
+		return fmt.Errorf("cobs: hash count %d out of [1,%d]: %w", p.Hashes, maxHashes, ErrSizing)
 	}
 	return nil
 }

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/genome"
 	"repro/internal/rng"
@@ -356,7 +355,7 @@ func TestParamsValidation(t *testing.T) {
 		{Hashes: -1},   //
 	}
 	for _, p := range bad {
-		if _, err := New(p); !errors.Is(err, baseline.ErrSizing) {
+		if _, err := New(p); !errors.Is(err, ErrSizing) {
 			t.Fatalf("New(%+v) = %v, want ErrSizing", p, err)
 		}
 	}
@@ -423,11 +422,11 @@ func TestProbeZeroAlloc(t *testing.T) {
 // TestSignatureMatchesBaselineBloom holds the kernel's signature
 // builder to the reference Bloom filter it shares a hashing scheme
 // with: the column sealed for a reference is bit for bit the filter
-// baseline.KmerBloom builds over the same w-mers.
+// KmerBloom (bloom_test.go) builds over the same w-mers.
 func TestSignatureMatchesBaselineBloom(t *testing.T) {
 	ref := genome.Random(700, rng.New(301))
 	x := buildIndex(t, ref)
-	bloom, err := baseline.NewKmerBloomFixed(testParams.Window, testParams.RowBits, testParams.Hashes)
+	bloom, err := NewKmerBloomFixed(testParams.Window, testParams.RowBits, testParams.Hashes)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package cobs
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -149,6 +150,39 @@ func TestWriteToV3Roundtrip(t *testing.T) {
 	}
 	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
 		t.Fatal("re-serialization is not byte-identical")
+	}
+}
+
+var errDiskFull = errors.New("disk full")
+
+// failAfter accepts left bytes, then fails every write.
+type failAfter struct{ left int }
+
+func (w *failAfter) Write(p []byte) (int, error) {
+	if len(p) <= w.left {
+		w.left -= len(p)
+		return len(p), nil
+	}
+	n := w.left
+	w.left = 0
+	return n, errDiskFull
+}
+
+// TestWriteToV3FailingWriter: a failed write is the save's error,
+// wherever it surfaces. The index is small enough that the writer's
+// buffer holds the whole file, so a writer that refuses only the last
+// byte fails in the final flush and nowhere else.
+func TestWriteToV3FailingWriter(t *testing.T) {
+	x := mustIndex(t, Params{Window: 16, RowBits: 256, Hashes: 2})
+	if err := x.Add(genome.Record{ID: "r", Seq: genome.Random(200, rng.New(157))}); err != nil {
+		t.Fatal(err)
+	}
+	x.Freeze()
+	size := len(writeV3(t, x))
+	for _, left := range []int{0, size / 2, size - 1} {
+		if _, err := x.WriteToV3(&failAfter{left: left}); !errors.Is(err, errDiskFull) {
+			t.Fatalf("writer failing after %d of %d bytes: WriteToV3 returned %v", left, size, err)
+		}
 	}
 }
 

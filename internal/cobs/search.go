@@ -1,7 +1,6 @@
 package cobs
 
 import (
-	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/genome"
 	"repro/internal/rng"
@@ -33,13 +32,33 @@ func (x *Index) getScratch(v *core.View) *probeScratch {
 
 func (x *Index) putScratch(sc *probeScratch) { x.pool.Put(sc) }
 
+// PositionSeed is the probe-position hash seed: a w-mer's positions are
+// successive SplitMix64 draws from state WindowHash(...)^PositionSeed,
+// each reduced modulo the signature length. The reference Bloom filter
+// the tests hold the signature builder to derives positions the same
+// way, so its filter and a column built from the same sequence set the
+// same bits.
+const PositionSeed uint64 = 0xb100f11e
+
+// WindowHash folds the w bases starting at off into a 64-bit mixing
+// hash (an FNV-style fold), supporting windows longer than the 31-base
+// packed-k-mer limit.
+func WindowHash(seq *genome.Sequence, off, w int) uint64 {
+	h := uint64(0xcbf29ce484222325)
+	for i := 0; i < w; i++ {
+		h ^= uint64(seq.At(off + i))
+		h *= 0x100000001b3
+	}
+	return h
+}
+
 // probePositions derives the Hashes probe rows for the w-mer of
-// pattern starting at qoff — baseline.KmerBloom's position scheme
-// exactly, so signatures built by either side agree.
+// pattern starting at qoff: successive SplitMix64 draws from
+// WindowHash ^ PositionSeed, each reduced modulo RowBits.
 //
 //biohd:hotpath
 func (p *Params) probePositions(pattern *genome.Sequence, qoff int, pos []int) []int {
-	state := baseline.WindowHash(pattern, qoff, p.Window) ^ baseline.PositionSeed
+	state := WindowHash(pattern, qoff, p.Window) ^ PositionSeed
 	pos = pos[:p.Hashes]
 	for i := range pos {
 		pos[i] = int(rng.SplitMix64(&state) % uint64(p.RowBits))

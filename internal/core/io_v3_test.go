@@ -108,6 +108,39 @@ func TestV3RoundTripApproxKeepsCalibration(t *testing.T) {
 	}
 }
 
+var errDiskFull = errors.New("disk full")
+
+// failAfter accepts left bytes, then fails every write.
+type failAfter struct{ left int }
+
+func (w *failAfter) Write(p []byte) (int, error) {
+	if len(p) <= w.left {
+		w.left -= len(p)
+		return len(p), nil
+	}
+	n := w.left
+	w.left = 0
+	return n, errDiskFull
+}
+
+// TestWriteToV3FailingWriter: a failed write is the save's error,
+// wherever it surfaces. The library is small enough that the writer's
+// buffer holds the whole file, so a writer that refuses only the last
+// byte fails in the final flush and nowhere else.
+func TestWriteToV3FailingWriter(t *testing.T) {
+	lib := mustLibrary(t, Params{Dim: 512, Window: 32, Seed: 155})
+	if err := lib.Add(genome.Record{ID: "r", Seq: genome.Random(100, rng.New(156))}); err != nil {
+		t.Fatal(err)
+	}
+	lib.Freeze()
+	size := len(writeV3Bytes(t, lib))
+	for _, left := range []int{0, size / 2, size - 1} {
+		if _, err := lib.WriteToV3(&failAfter{left: left}); !errors.Is(err, errDiskFull) {
+			t.Fatalf("writer failing after %d of %d bytes: WriteToV3 returned %v", left, size, err)
+		}
+	}
+}
+
 // TestV3RejectsUnsealedAndUnfrozen: an unfrozen library is not saved,
 // and a file whose parameters claim raw counters is not opened.
 func TestV3RejectsUnsealedAndUnfrozen(t *testing.T) {

@@ -338,3 +338,38 @@ func TestLookupLongAllocs(t *testing.T) {
 		t.Errorf("hit LookupLong allocates %.1f times per op, want ≤ 8", avg)
 	}
 }
+
+// TestRankVotesDeterministic pins rankVotes' order against map
+// iteration: references tie on votes (ordered by Ref) and each
+// reference's winning vote count is held by several diagonals (the
+// smallest diff is its Offset). Go randomizes every map range, so an
+// unsorted result or a first-seen tie-break shows up as a differing
+// answer across calls.
+func TestRankVotesDeterministic(t *testing.T) {
+	const nWindows = 10
+	votes := map[diagKey]int{}
+	var want []RefMatch
+	for ref := 11; ref >= 0; ref-- {
+		top := 3 + ref%3 // four references at each of 3, 4 and 5 votes
+		for _, diff := range []int{40, -7, 12, 90} {
+			votes[diagKey{ref: ref, diff: diff + ref}] = top
+		}
+		votes[diagKey{ref: ref, diff: -100}] = top - 1 // a losing diagonal
+		want = append(want, RefMatch{
+			Ref: ref, Votes: top, Windows: nWindows, Offset: -7 + ref,
+			Fraction: float64(top) / nWindows,
+		})
+	}
+	sort.Slice(want, func(i, j int) bool {
+		if want[i].Votes != want[j].Votes {
+			return want[i].Votes > want[j].Votes
+		}
+		return want[i].Ref < want[j].Ref
+	})
+	for call := 0; call < 200; call++ {
+		got := rankVotes(votes, map[int]diagKey{}, nWindows, 0.2)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("call %d: rankVotes =\n%+v\nwant\n%+v", call, got, want)
+		}
+	}
+}

@@ -20,9 +20,9 @@ import (
 // dimension. It shares no code with the kernel or its tie-word table.
 func oracleEncodeApprox(e *Encoder, seq *genome.Sequence, start int) *hdc.HV {
 	acc := e.AccumulateWindow(seq, start)
-	out := hdc.NewHV(e.Dim())
+	out := hdc.NewHV(e.cfg.Dim)
 	words := out.Words()
-	for j := 0; j < e.Dim(); j++ {
+	for j := 0; j < e.cfg.Dim; j++ {
 		state := e.tieSeed() + uint64(j)*0x9e3779b97f4a7c15
 		if c := acc.Count(j); c > 0 || (c == 0 && rng.SplitMix64(&state)&1 == 1) {
 			words[j/64] |= 1 << uint(j%64)

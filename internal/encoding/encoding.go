@@ -142,15 +142,6 @@ func New(cfg Config) (*Encoder, error) {
 	return e, nil
 }
 
-// Config returns the encoder's configuration.
-func (e *Encoder) Config() Config { return e.cfg }
-
-// Dim returns the hypervector dimensionality.
-func (e *Encoder) Dim() int { return e.cfg.Dim }
-
-// Window returns the window length in bases.
-func (e *Encoder) Window() int { return e.cfg.Window }
-
 // BaseHV returns the item-memory hypervector for base b (shared; do not
 // mutate).
 func (e *Encoder) BaseHV(b genome.Base) *hdc.HV { return e.im.Get(int(b)) }

@@ -173,7 +173,7 @@ func TestWindowOverrunPanics(t *testing.T) {
 // parity fold but the rotation table.
 func chainEncodeExact(e *Encoder, seq *genome.Sequence, start int) *hdc.HV {
 	out := e.rot[seq.At(start)][0].Clone()
-	for i := 1; i < e.Window(); i++ {
+	for i := 1; i < e.cfg.Window; i++ {
 		out.Bind(out, e.rot[seq.At(start+i)][i])
 	}
 	return out

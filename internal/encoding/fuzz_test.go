@@ -57,7 +57,7 @@ func FuzzEncodeDecode(f *testing.F) {
 	f.Add([]byte{0xff, 0x00, 0xa5, 0x5a, 0x13, 0x37, 0xfe, 0xed, 0xbe, 0xef, 0x01, 0x02, 0x03}, uint8(7))
 	f.Fuzz(func(t *testing.T, raw []byte, strideByte uint8) {
 		enc := fuzzEnc
-		w := enc.Window()
+		w := enc.cfg.Window
 		seq := fuzzSequence(raw, w)
 		if seq.Len() > 4*w {
 			seq = seq.Slice(0, 4*w) // bound per-iteration work

@@ -26,16 +26,14 @@
 // There are two bundlers, and they seal to the same bits. An Acc keeps a
 // signed counter per dimension. It is the definition of the majority and
 // its tie rule (Acc.Seal: the k-th tied dimension takes the k-th bit of a
-// seeded stream), and so the oracle the fold is tested against; the
-// k-mer encoder's bundler; the PIM periphery model's counters; and the
-// whole-reference baseline, which scores a query against a reference's
-// counters (DotAcc). No library scores against counters. A Rows keeps
-// the members themselves and takes their lane-wise majority in one row
-// fold (bitvec.MajorityRows) under a Ties, the same stream packed once:
-// it bundles every bucket of every library, at a fraction of a
-// microsecond a member instead of D counter updates. The tie rule lives
-// here, beside both, and TestRowsMatchAcc / FuzzBundleRows hold the fold
-// to the counters bit for bit.
+// seeded stream), and so the oracle the fold is tested against, and the
+// PIM periphery model's counters. Nothing scores against counters. A
+// Rows keeps the members themselves and takes their lane-wise majority
+// in one row fold (bitvec.MajorityRows) under a Ties, the same stream
+// packed once: it bundles every bucket of every library, at a fraction
+// of a microsecond a member instead of D counter updates. The tie rule
+// lives here, beside both, and TestRowsMatchAcc / FuzzBundleRows hold the
+// fold to the counters bit for bit.
 package hdc
 
 import (
@@ -344,23 +342,6 @@ func (r *Rows) Seal() *HV {
 		out[c] = gt
 	}
 	return h
-}
-
-// DotAcc returns the dot product of the raw (unsealed) accumulator with a
-// bipolar hypervector: Σ_i counts[i] · h_i — a score free of the
-// binarization noise a sealed vector carries, which the whole-reference
-// baseline uses.
-func (a *Acc) DotAcc(h *HV) int64 {
-	a.mustMatch(h)
-	var dot int64
-	words := h.bits.Words()
-	for w, word := range words {
-		c := a.counts[w*64 : w*64+64 : w*64+64]
-		for b := 0; b < 64; b++ {
-			dot += int64(c[b]) * (int64(word>>uint(b)&1)<<1 - 1)
-		}
-	}
-	return dot
 }
 
 // Bundle is a convenience that accumulates hs and seals in one step.

@@ -199,50 +199,6 @@ func TestSealLeavesAccIntact(t *testing.T) {
 	}
 }
 
-func TestDotAccMatchesSealedForOddCounts(t *testing.T) {
-	// With an odd number of members no counter ties, and
-	// sign(counts) == sealed bits; DotAcc with the sealed vector must be
-	// Σ|counts|.
-	src := rng.New(13)
-	acc := NewAcc(testDim)
-	for i := 0; i < 5; i++ {
-		acc.Add(RandomHV(testDim, src))
-	}
-	sealed := acc.Seal(0)
-	var sumAbs int64
-	for i := 0; i < testDim; i++ {
-		c := int64(acc.Count(i))
-		if c < 0 {
-			c = -c
-		}
-		sumAbs += c
-	}
-	if got := acc.DotAcc(sealed); got != sumAbs {
-		t.Fatalf("DotAcc(sealed) = %d, want Σ|counts| = %d", got, sumAbs)
-	}
-}
-
-func TestDotAccMemberSignal(t *testing.T) {
-	// DotAcc of a member with the raw accumulator = D + cross-noise;
-	// for an outsider it is pure noise. The gap must be ≈ D.
-	src := rng.New(14)
-	acc := NewAcc(testDim)
-	members := make([]*HV, 7)
-	for i := range members {
-		members[i] = RandomHV(testDim, src)
-		acc.Add(members[i])
-	}
-	outsider := RandomHV(testDim, src)
-	memberDot := acc.DotAcc(members[3])
-	outsiderDot := acc.DotAcc(outsider)
-	if memberDot < int64(testDim)/2 {
-		t.Fatalf("member DotAcc = %d, want ≈ %d", memberDot, testDim)
-	}
-	if outsiderDot > int64(testDim)/2 {
-		t.Fatalf("outsider DotAcc = %d, want ≈ 0", outsiderDot)
-	}
-}
-
 func TestAccDimensionMismatchPanics(t *testing.T) {
 	acc := NewAcc(128)
 	defer func() {

@@ -9,8 +9,8 @@
 //	purity       no prints/exits in library code; error paths return
 //	             errors instead of panicking
 //	errcheck     no silently discarded error return values
-//	concurrency  goroutines join in the function that launches them and
-//	             do not capture loop variables by reference
+//	concurrency  goroutines join in the function that launches them;
+//	             http.Server literals set ReadHeaderTimeout
 //	dimsafety    bitvec/hdc binary kernels guard operand lengths before
 //	             touching raw storage
 //	snapshotsafety  index backends touch raw segment storage only in

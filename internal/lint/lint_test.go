@@ -111,10 +111,9 @@ func TestErrcheck(t *testing.T) {
 func TestConcurrency(t *testing.T) {
 	diags := fixtureDiags(t)
 	requireFinding(t, diags, "concurrency", "conc.go", "no join in Detached")
-	requireFinding(t, diags, "concurrency", "conc.go", "captures loop variable it")
 	requireFinding(t, diags, "concurrency", "conc.go", "without ReadHeaderTimeout")
-	if got := findingsIn(diags, "concurrency", "conc.go"); len(got) != 3 {
-		t.Errorf("conc.go: want 3 concurrency findings "+
+	if got := findingsIn(diags, "concurrency", "conc.go"); len(got) != 2 {
+		t.Errorf("conc.go: want 2 concurrency findings "+
 			"(Joined, ChannelJoined, and GuardedServer must pass), got %d:\n%s",
 			len(got), formatDiags(got))
 	}

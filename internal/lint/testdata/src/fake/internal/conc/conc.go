@@ -25,19 +25,6 @@ func Joined(items []int, f func(int)) {
 	wg.Wait()
 }
 
-// Captures references the loop variable inside the goroutine.
-func Captures(items []int, f func(int)) {
-	var wg sync.WaitGroup
-	for _, it := range items {
-		wg.Add(1)
-		go func() { // flagged: captures it
-			defer wg.Done()
-			f(it)
-		}()
-	}
-	wg.Wait()
-}
-
 // ChannelJoined drains a result channel instead of a WaitGroup.
 func ChannelJoined(n int, f func() int) int {
 	ch := make(chan int, n)

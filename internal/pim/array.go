@@ -3,21 +3,19 @@ package pim
 import (
 	"fmt"
 	"math/bits"
-
-	"repro/internal/bitvec"
 )
 
 // Array is one crossbar memory array of Rows × Cols bits with a
-// minimally modified periphery: a row buffer, a row-parallel XNOR unit,
-// a popcount accumulator, and a circular shifter on the row buffer.
-// All operations are functional (bits really move) and charged to the
-// array's ledger.
+// minimally modified periphery: a row buffer, a row-parallel XNOR unit
+// and a popcount accumulator (the row-buffer shifter the encoders use is
+// modelled by EncodeInMemory). All operations are functional (bits
+// really move) and charged to the array's ledger.
 type Array struct {
-	rows, cols int
-	wordsPer   int // 64-bit words per row
-	data       []uint64
-	rowBuf     []uint64
-	ledger     *Ledger
+	rows     int
+	wordsPer int // 64-bit words per row
+	data     []uint64
+	rowBuf   []uint64
+	ledger   *Ledger
 }
 
 // NewArray creates a zeroed array. Cols must be a positive multiple of
@@ -33,19 +31,12 @@ func NewArray(rows, cols int, params DeviceParams) (*Array, error) {
 	wp := cols / 64
 	return &Array{
 		rows:     rows,
-		cols:     cols,
 		wordsPer: wp,
 		data:     make([]uint64, rows*wp),
 		rowBuf:   make([]uint64, wp),
 		ledger:   NewLedger(params),
 	}, nil
 }
-
-// Rows returns the row count.
-func (a *Array) Rows() int { return a.rows }
-
-// Cols returns the column count.
-func (a *Array) Cols() int { return a.cols }
 
 // Ledger exposes the array's cost ledger.
 func (a *Array) Ledger() *Ledger { return a.ledger }
@@ -67,23 +58,10 @@ func (a *Array) LoadRowBuf(words []uint64) {
 	a.ledger.Charge(OpBroadcast, 1)
 }
 
-// RowBuf returns a copy of the current row buffer contents.
-func (a *Array) RowBuf() []uint64 {
-	out := make([]uint64, a.wordsPer)
-	copy(out, a.rowBuf)
-	return out
-}
-
 // WriteRow programs row r from the row buffer.
 func (a *Array) WriteRow(r int) {
 	copy(a.rowSlice(r), a.rowBuf)
 	a.ledger.Charge(OpRowWrite, 1)
-}
-
-// ReadRow senses row r into the row buffer.
-func (a *Array) ReadRow(r int) {
-	copy(a.rowBuf, a.rowSlice(r))
-	a.ledger.Charge(OpRowRead, 1)
 }
 
 // XnorPopcount performs the fused BioHD search primitive on row r: the
@@ -99,16 +77,6 @@ func (a *Array) XnorPopcount(r int) int {
 	a.ledger.Charge(OpXnor, 1)
 	a.ledger.Charge(OpPopcount, 1)
 	return pc
-}
-
-// ShiftRowBuf circularly shifts the row buffer left by one bit — the
-// in-memory implementation of the HDC permutation ρ.
-func (a *Array) ShiftRowBuf() {
-	v := bitvec.FromWords(append([]uint64(nil), a.rowBuf...), a.cols)
-	out := bitvec.New(a.cols)
-	out.RotateLeft(v, 1)
-	copy(a.rowBuf, out.Words())
-	a.ledger.Charge(OpShift, 1)
 }
 
 // Compare charges one threshold comparison (done in the periphery after

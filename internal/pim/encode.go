@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/bitvec"
-	"repro/internal/core"
 	"repro/internal/genome"
 	"repro/internal/hdc"
 )
@@ -53,13 +52,7 @@ func (e *Engine) EncodeInMemory(seq *genome.Sequence, start int) (*hdc.HV, Cost,
 		work.Xnor(work, base)
 		ledger.Charge(OpXnor, e.rowsPerBucket)
 	}
-	var c Cost
-	c.LatencyNs = ledger.BusyNs()
-	c.EnergyPj = ledger.EnergyPj()
-	for k := 0; k < int(numOpKinds); k++ {
-		c.Counts[k] = ledger.Count(OpKind(k))
-	}
-	return hdc.HVFromWords(work.Words(), d), c, nil
+	return hdc.HVFromWords(work.Words(), d), ledger.Cost(), nil
 }
 
 // EncodeApproxInMemory executes the approximate (positional-bundle)
@@ -105,53 +98,5 @@ func (e *Engine) EncodeApproxInMemory(seq *genome.Sequence, start int) (*hdc.HV,
 	}
 	out := enc.SealLogical(acc, 0)
 	ledger.Charge(OpRowWrite, e.rowsPerBucket) // write the sealed rows
-	var c Cost
-	c.LatencyNs = ledger.BusyNs()
-	c.EnergyPj = ledger.EnergyPj()
-	for k := 0; k < int(numOpKinds); k++ {
-		c.Counts[k] = ledger.Count(OpKind(k))
-	}
-	return out, c, nil
-}
-
-// BatchCost is the cost of a pipelined batch of searches.
-type BatchCost struct {
-	Serial    Cost    // latencies summed query after query
-	Pipelined float64 // ns with broadcast of query i+1 overlapped with compute of query i
-}
-
-// SearchBatch runs every query through the in-memory search and returns
-// per-query candidates plus the batch cost. Functionally each query is
-// identical to Search; the pipelined latency models the double-buffered
-// row buffer BioHD's periphery provides: while the arrays compute on
-// query i, the bus broadcasts query i+1, so the batch takes
-// broadcast₁ + Σᵢ max(computeᵢ, broadcastᵢ₊₁) instead of the serial sum.
-func (e *Engine) SearchBatch(hvs []*hdc.HV) ([][]core.Candidate, BatchCost, error) {
-	var out [][]core.Candidate
-	var bc BatchCost
-	dev := e.cfg.Device
-	for i, hv := range hvs {
-		cands, cost, err := e.Search(hv)
-		if err != nil {
-			return nil, bc, fmt.Errorf("pim: batch query %d: %w", i, err)
-		}
-		out = append(out, cands)
-		bc.Serial.Add(cost)
-		// Per-array broadcast time for one query.
-		broadcast := float64(e.rowsPerBucket) * dev.BroadcastNs
-		compute := cost.LatencyNs - broadcast
-		if i == 0 {
-			bc.Pipelined += broadcast + compute
-		} else {
-			bc.Pipelined += maxF(compute, broadcast)
-		}
-	}
-	return out, bc, nil
-}
-
-func maxF(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
+	return out, ledger.Cost(), nil
 }

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/genome"
-	"repro/internal/hdc"
 	"repro/internal/rng"
 )
 
@@ -27,14 +26,9 @@ func TestEncodeInMemoryMatchesSoftware(t *testing.T) {
 		if !got.Equal(want) {
 			t.Fatalf("start=%d: in-memory encoding differs from software", start)
 		}
-		if cost.Counts[OpXnor] != int64((24-1)*eng.RowsPerBucket()) {
-			t.Fatalf("xnor count %d", cost.Counts[OpXnor])
-		}
-		if cost.Counts[OpShift] != int64((24-1)*eng.RowsPerBucket()) {
-			t.Fatalf("shift count %d", cost.Counts[OpShift])
-		}
-		if cost.Counts[OpRowRead] != int64(24*eng.RowsPerBucket()) {
-			t.Fatalf("row-read count %d", cost.Counts[OpRowRead])
+		// The op sequence run here is the one EncodeCost charges F7 and T3.
+		if want := eng.EncodeCost(false, 24).Counts; cost.Counts != want {
+			t.Fatalf("in-memory op counts %v, EncodeCost charges %v", cost.Counts, want)
 		}
 	}
 }
@@ -96,66 +90,6 @@ func TestEncodeInMemoryValidation(t *testing.T) {
 	}
 }
 
-func TestSearchBatchPipelining(t *testing.T) {
-	lib := buildLib(t, 8192, 32, 1, 3000, 97)
-	eng, err := NewEngine(DefaultChipConfig(), lib)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := lib.Ref(0).Seq
-	src := rng.New(98)
-	var hvs []*hdc.HV
-	for i := 0; i < 8; i++ {
-		off := src.Intn(ref.Len() - 32)
-		hvs = append(hvs, lib.Encoder().EncodeWindowExact(ref, off))
-	}
-	results, bc, err := eng.SearchBatch(hvs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != len(hvs) {
-		t.Fatalf("%d results", len(results))
-	}
-	// Every planted query yields at least one candidate, identical to a
-	// standalone search.
-	for i, hv := range hvs {
-		want, _, err := eng.Search(hv)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(results[i]) != len(want) {
-			t.Fatalf("query %d: batch %d candidates vs solo %d",
-				i, len(results[i]), len(want))
-		}
-	}
-	// Pipelining must beat serial but not be impossibly fast: it can
-	// only hide the broadcast phases after the first query.
-	if bc.Pipelined >= bc.Serial.LatencyNs {
-		t.Fatalf("pipelined %v not below serial %v", bc.Pipelined, bc.Serial.LatencyNs)
-	}
-	maxHidden := float64(len(hvs)-1) * float64(eng.RowsPerBucket()) *
-		eng.Config().Device.BroadcastNs
-	if bc.Serial.LatencyNs-bc.Pipelined > maxHidden+1e-6 {
-		t.Fatalf("pipelining hid %v ns, more than the %v ns of broadcasts",
-			bc.Serial.LatencyNs-bc.Pipelined, maxHidden)
-	}
-}
-
-func TestSearchBatchEmpty(t *testing.T) {
-	lib := buildLib(t, 1024, 16, 1, 200, 99)
-	eng, err := NewEngine(DefaultChipConfig(), lib)
-	if err != nil {
-		t.Fatal(err)
-	}
-	results, bc, err := eng.SearchBatch(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 0 || bc.Pipelined != 0 {
-		t.Fatal("empty batch produced work")
-	}
-}
-
 func TestEncodeApproxInMemoryMatchesSoftware(t *testing.T) {
 	alib, err := core.NewLibrary(core.Params{
 		Dim: 2048, Window: 17, Approx: true, Capacity: 2,
@@ -184,11 +118,8 @@ func TestEncodeApproxInMemoryMatchesSoftware(t *testing.T) {
 		if !got.Equal(want) {
 			t.Fatalf("start=%d: in-memory approx encoding differs", start)
 		}
-		if cost.Counts[OpPopcount] != int64(17*eng.RowsPerBucket()) {
-			t.Fatalf("accumulate count %d", cost.Counts[OpPopcount])
-		}
-		if cost.Counts[OpRowWrite] != int64(eng.RowsPerBucket()) {
-			t.Fatalf("seal writes %d", cost.Counts[OpRowWrite])
+		if want := eng.EncodeCost(true, 17).Counts; cost.Counts != want {
+			t.Fatalf("in-memory op counts %v, EncodeCost charges %v", cost.Counts, want)
 		}
 	}
 	// Exact libraries are rejected.

@@ -157,9 +157,6 @@ func sliceClamp(s []uint64, off, n int) []uint64 {
 	return s[off:end]
 }
 
-// Config returns the chip configuration.
-func (e *Engine) Config() ChipConfig { return e.cfg }
-
 // ArraysUsed returns how many arrays the mapping occupies.
 func (e *Engine) ArraysUsed() int { return e.arraysUsed }
 
@@ -321,13 +318,7 @@ func (e *Engine) EncodeCost(approx bool, w int) Cost {
 	} else {
 		l.Charge(OpXnor, (w-1)*perRow)
 	}
-	var c Cost
-	c.LatencyNs = l.BusyNs()
-	c.EnergyPj = l.EnergyPj()
-	for k := 0; k < int(numOpKinds); k++ {
-		c.Counts[k] = l.Count(OpKind(k))
-	}
-	return c
+	return l.Cost()
 }
 
 func minInt(a, b int) int {

@@ -170,11 +170,10 @@ func (l *Ledger) BusyNs() float64 { return l.busyNs }
 // EnergyPj returns the accumulated energy in picojoules.
 func (l *Ledger) EnergyPj() float64 { return l.pj }
 
-// Reset zeroes the ledger.
-func (l *Ledger) Reset() {
-	l.counts = [numOpKinds]int64{}
-	l.busyNs = 0
-	l.pj = 0
+// Cost returns what the ledger has recorded as a Cost: its busy time,
+// energy and per-op counts.
+func (l *Ledger) Cost() Cost {
+	return Cost{LatencyNs: l.busyNs, EnergyPj: l.pj, Counts: l.counts}
 }
 
 // Cost is an aggregated latency/energy result with a per-op breakdown.

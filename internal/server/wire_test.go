@@ -313,21 +313,26 @@ func TestWireGoldenEquivalenceConcurrent(t *testing.T) {
 // the HTTP /metrics endpoint, alongside the resident-bytes gauge.
 func TestWireMetricsOnSharedRegistry(t *testing.T) {
 	ts, cl, ref := wirePair(t)
-	if _, err := cl.Search(context.Background(), ref.Slice(500, 532).String(), false); err != nil {
-		t.Fatal(err)
+	// The default client pool holds two connections and deals requests
+	// round-robin, so two searches send one down each. A connection is
+	// registered before its first frame is read, and a request's frame,
+	// latency and depth samples are taken before its response is queued,
+	// so once both answers are back every series below is final.
+	for i := 0; i < 2; i++ {
+		if _, err := cl.Search(context.Background(), ref.Slice(500, 532).String(), false); err != nil {
+			t.Fatal(err)
+		}
 	}
 	status, body := httpBody(t, ts.URL+"/metrics", nil)
 	if status != http.StatusOK {
 		t.Fatalf("metrics status %d", status)
 	}
 	text := string(body)
-	// The default client pool holds two connections: slot 0 dials
-	// eagerly, slot 1 on the first request.
 	for _, series := range []string{
 		"biohd_wire_connections 2",
-		`biohd_wire_frames_total{opcode="search"} 1`,
-		"biohd_wire_frame_seconds_count 1",
-		"biohd_wire_pipeline_depth_count 1",
+		`biohd_wire_frames_total{opcode="search"} 2`,
+		"biohd_wire_frame_seconds_count 2",
+		"biohd_wire_pipeline_depth_count 2",
 		"biohd_library_resident_bytes",
 	} {
 		if !strings.Contains(text, series) {

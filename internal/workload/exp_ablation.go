@@ -1,20 +1,16 @@
 package workload
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/core"
 	"repro/internal/genome"
-	"repro/internal/hdc"
-	"repro/internal/pim"
 	"repro/internal/rng"
 	"repro/internal/stats"
 )
 
 func init() {
 	register(Experiment{ID: "F11", Title: "Ablation: sealed vs raw-counter buckets", Run: runF11})
-	register(Experiment{ID: "F12", Title: "Ablation: batched search pipelining", Run: runF12})
 }
 
 // runF11 quantifies the sealed/raw-counter design choice (DESIGN.md §6
@@ -74,52 +70,4 @@ func rawCounterRow(d, windows int, alpha, beta float64) (c, buckets int, recall,
 	}
 	member := math.Sqrt(float64((c - 1) * d))
 	return c, buckets, stats.NormalTail((tau - float64(d)) / member), stats.NormalTail(tau / noise)
-}
-
-// runF12 measures the pipelined-broadcast optimization and the fully
-// in-memory encode+search pipeline against the serial baseline.
-func runF12(cfg Config) (*Result, error) {
-	cfg = cfg.normalized()
-	covid, err := covidDataset(cfg)
-	if err != nil {
-		return nil, err
-	}
-	lib, eng, err := pimSetup(cfg, covid, pim.DefaultChipConfig())
-	if err != nil {
-		return nil, err
-	}
-	src := rng.New(cfg.Seed + 104)
-	t := &Table{
-		ID:    "F12",
-		Title: "Batched search: serial vs pipelined broadcast",
-		Columns: []string{"batch", "serial-µs", "pipelined-µs", "saved%",
-			"inmem-encode-µs/query"},
-		Notes: []string{
-			"pipelining overlaps the next query's broadcast with the current compute",
-			"in-memory encode runs the Horner binding chain on array primitives (bit-exact)",
-		},
-	}
-	w := lib.Params().Window
-	for _, batch := range []int{1, 4, 16, 64} {
-		var hvs []*hdc.HV
-		var encNs float64
-		for i := 0; i < batch; i++ {
-			wr := sampleWindows(covid, w, 1, src)[0]
-			seq := covid.Recs[wr.Ref].Seq
-			hv, encCost, err := eng.EncodeInMemory(seq, int(wr.Off))
-			if err != nil {
-				return nil, err
-			}
-			encNs += encCost.LatencyNs
-			hvs = append(hvs, hv)
-		}
-		_, bc, err := eng.SearchBatch(hvs)
-		if err != nil {
-			return nil, err
-		}
-		saved := 100 * (bc.Serial.LatencyNs - bc.Pipelined) / bc.Serial.LatencyNs
-		t.AddRow(batch, bc.Serial.LatencyNs/1000, bc.Pipelined/1000,
-			fmt.Sprintf("%.2f", saved), encNs/float64(batch)/1000)
-	}
-	return &Result{Tables: []*Table{t}}, nil
 }

@@ -3,7 +3,7 @@
 // experiment index) as printable tables, at a configurable scale.
 //
 // Each experiment is registered under its DESIGN.md identifier (T1–T3,
-// F1–F10). Running one returns structured tables, so the CLI prints
+// F1–F11). Running one returns structured tables, so the CLI prints
 // them, tests assert on their cells, and EXPERIMENTS.md records them.
 package workload
 
@@ -24,9 +24,6 @@ type Config struct {
 	// Seed drives all synthetic data.
 	Seed uint64
 }
-
-// DefaultConfig returns the reference configuration.
-func DefaultConfig() Config { return Config{Scale: 1.0, Seed: 42} }
 
 func (c Config) normalized() Config {
 	if c.Scale < 0.02 {

@@ -35,7 +35,7 @@ func cellFloat(t *testing.T, tab *Table, row, col int) float64 {
 }
 
 func TestRegistryComplete(t *testing.T) {
-	want := []string{"T1", "T2", "T3", "F1", "F2", "F3", "F4", "F5", "F6", "F7", "F8", "F9", "F10", "F11", "F12", "F13", "F14"}
+	want := []string{"T1", "T2", "T3", "F1", "F2", "F3", "F4", "F5", "F6", "F7", "F8", "F9", "F10", "F11"}
 	for _, id := range want {
 		if _, ok := Get(id); !ok {
 			t.Fatalf("experiment %s missing", id)
@@ -51,7 +51,7 @@ func TestAllOrdering(t *testing.T) {
 	for _, e := range All() {
 		ids = append(ids, e.ID)
 	}
-	want := "T1 T2 T3 F1 F2 F3 F4 F5 F6 F7 F8 F9 F10 F11 F12 F13 F14"
+	want := "T1 T2 T3 F1 F2 F3 F4 F5 F6 F7 F8 F9 F10 F11"
 	if got := strings.Join(ids, " "); got != want {
 		t.Fatalf("ordering %q, want %q", got, want)
 	}
@@ -326,65 +326,6 @@ func TestF11SealedSmallerButLowerCapacity(t *testing.T) {
 		if r := cellFloat(t, tab, i, 4); r < 0.98 {
 			t.Fatalf("row %d recall %v", i, r)
 		}
-	}
-}
-
-func TestF12PipeliningSaves(t *testing.T) {
-	res := runExp(t, "F12")
-	tab := res.Tables[0]
-	last := len(tab.Rows) - 1
-	if saved := cellFloat(t, tab, last, 3); saved <= 0 {
-		t.Fatalf("pipelining saved %v%%", saved)
-	}
-	// Larger batches amortize better than batch=1.
-	if cellFloat(t, tab, 0, 3) > cellFloat(t, tab, last, 3) {
-		t.Fatal("batch=1 saved more than the largest batch")
-	}
-}
-
-func TestF13GranularityTrade(t *testing.T) {
-	res := runExp(t, "F13")
-	tab := res.Tables[0]
-	if len(tab.Rows) != 4 {
-		t.Fatalf("%d rows", len(tab.Rows))
-	}
-	baseChance := cellFloat(t, tab, 0, 1)
-	k5Chance := cellFloat(t, tab, 2, 1)
-	if k5Chance >= baseChance/2 {
-		t.Fatalf("k=5 chance %v not well below base %v", k5Chance, baseChance)
-	}
-	// Mutation sensitivity steeper at larger k.
-	if cellFloat(t, tab, 2, 2) >= cellFloat(t, tab, 0, 2) {
-		t.Fatal("k-mer cos@1mut not below base-level")
-	}
-}
-
-func TestF14EngineComparison(t *testing.T) {
-	res := runExp(t, "F14")
-	tab := res.Tables[0]
-	if len(tab.Rows) != 4 {
-		t.Fatalf("%d engines", len(tab.Rows))
-	}
-	rows := map[string]int{}
-	for i, row := range tab.Rows {
-		rows[row[0]] = i
-	}
-	// Exact engines must be perfect on this workload.
-	for _, name := range []string{"biohd", "fm-index"} {
-		if r := cellFloat(t, tab, rows[name], 1); r != 1 {
-			t.Fatalf("%s recall %v", name, r)
-		}
-		if f := cellFloat(t, tab, rows[name], 2); f != 0 {
-			t.Fatalf("%s FPR %v", name, f)
-		}
-	}
-	// Bloom has no false negatives by construction.
-	if r := cellFloat(t, tab, rows["bloom"], 1); r != 1 {
-		t.Fatalf("bloom recall %v", r)
-	}
-	// Whole-reference HDC breaks down at this scale (windows ≫ D/z²).
-	if r := cellFloat(t, tab, rows["wholeref-hdc"], 1); r > 0.5 {
-		t.Fatalf("whole-ref recall %v — expected breakdown", r)
 	}
 }
 
