@@ -80,7 +80,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzFromString -fuzztime=$(FUZZTIME) ./internal/genome
 	$(GO) test -run='^$$' -fuzz=FuzzReadFASTA -fuzztime=$(FUZZTIME) ./internal/genome
 	$(GO) test -run='^$$' -fuzz=FuzzApplyEdits -fuzztime=$(FUZZTIME) ./internal/genome
-	$(GO) test -run='^$$' -fuzz=FuzzEncodeDecode -fuzztime=$(FUZZTIME) ./internal/encoding
+	$(GO) test -run='^$$' -fuzz=FuzzEncode -fuzztime=$(FUZZTIME) ./internal/encoding
 	$(GO) test -run='^$$' -fuzz=FuzzScanPlane -fuzztime=$(FUZZTIME) ./internal/bitvec
 	$(GO) test -run='^$$' -fuzz=FuzzFoldRows -fuzztime=$(FUZZTIME) ./internal/bitvec
 	$(GO) test -run='^$$' -fuzz=FuzzBundleRows -fuzztime=$(FUZZTIME) ./internal/hdc

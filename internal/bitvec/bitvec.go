@@ -1,7 +1,10 @@
 // Package bitvec implements fixed-length bit vectors packed into 64-bit
-// words. It is the storage substrate for binary hypervectors: the hot
-// BioHD kernels (XNOR similarity, popcount, rotation permutation) are all
-// word-parallel operations on these vectors.
+// words, the storage substrate of binary hypervectors (Vector: XNOR,
+// rotation, Hamming distance), and the word-slice kernels BioHD runs on
+// packed rows: the two scan stages of a probe — ScanPlane over the
+// sketch plane (kernel_plane.go), then HammingBounded on the survivors
+// (kernel.go) — and the encoders' row folds MajorityRows and XorRows
+// (kernel_fold.go), each with AVX-512, AVX2 and portable tiers.
 //
 // All binary operations require operands of identical length and panic
 // otherwise; length mismatches are programming errors, not runtime
@@ -21,7 +24,7 @@ const wordBits = 64
 //
 // Bits beyond Len() inside the final word are kept zero (the "tail
 // invariant"); every mutating operation re-normalizes the tail so that
-// PopCount and Equal never see garbage.
+// HammingDistance and Equal never see garbage.
 type Vector struct {
 	words []uint64
 	n     int
@@ -36,17 +39,6 @@ func New(n int) *Vector {
 }
 
 func wordsFor(n int) int { return (n + wordBits - 1) / wordBits }
-
-// FromBools builds a vector whose i-th bit is 1 iff b[i] is true.
-func FromBools(b []bool) *Vector {
-	v := New(len(b))
-	for i, x := range b {
-		if x {
-			v.Set(i)
-		}
-	}
-	return v
-}
 
 // FromWords builds an n-bit vector that takes ownership of words. It
 // panics if words is too short for n bits. Tail bits are cleared.
@@ -78,27 +70,6 @@ func (v *Vector) Set(i int) {
 	v.words[i/wordBits] |= 1 << (uint(i) % wordBits)
 }
 
-// Clear sets bit i to 0. It panics if i is out of range.
-func (v *Vector) Clear(i int) {
-	v.check(i)
-	v.words[i/wordBits] &^= 1 << (uint(i) % wordBits)
-}
-
-// SetBool sets bit i to b. It panics if i is out of range.
-func (v *Vector) SetBool(i int, b bool) {
-	if b {
-		v.Set(i)
-	} else {
-		v.Clear(i)
-	}
-}
-
-// Flip inverts bit i. It panics if i is out of range.
-func (v *Vector) Flip(i int) {
-	v.check(i)
-	v.words[i/wordBits] ^= 1 << (uint(i) % wordBits)
-}
-
 func (v *Vector) check(i int) {
 	if i < 0 || i >= v.n {
 		panic(fmt.Sprintf("bitvec: index %d out of range [0,%d)", i, v.n))
@@ -118,21 +89,6 @@ func (v *Vector) CopyFrom(src *Vector) {
 	copy(v.words, src.words)
 }
 
-// Zero clears every bit.
-func (v *Vector) Zero() {
-	for i := range v.words {
-		v.words[i] = 0
-	}
-}
-
-// Fill sets every bit to 1.
-func (v *Vector) Fill() {
-	for i := range v.words {
-		v.words[i] = ^uint64(0)
-	}
-	v.clearTail()
-}
-
 func (v *Vector) clearTail() {
 	if r := uint(v.n % wordBits); r != 0 && len(v.words) > 0 {
 		v.words[len(v.words)-1] &= (1 << r) - 1
@@ -145,15 +101,6 @@ func (v *Vector) mustMatch(o *Vector) {
 	}
 }
 
-// Xor stores a XOR b into v (v may alias a or b). Lengths must match.
-func (v *Vector) Xor(a, b *Vector) {
-	a.mustMatch(b)
-	v.mustMatch(a)
-	for i := range v.words {
-		v.words[i] = a.words[i] ^ b.words[i]
-	}
-}
-
 // Xnor stores the bitwise XNOR of a and b into v. Lengths must match.
 // XNOR is the bipolar-domain multiplication: agreeing bits produce 1.
 func (v *Vector) Xnor(a, b *Vector) {
@@ -163,42 +110,6 @@ func (v *Vector) Xnor(a, b *Vector) {
 		v.words[i] = ^(a.words[i] ^ b.words[i])
 	}
 	v.clearTail()
-}
-
-// And stores a AND b into v. Lengths must match.
-func (v *Vector) And(a, b *Vector) {
-	a.mustMatch(b)
-	v.mustMatch(a)
-	for i := range v.words {
-		v.words[i] = a.words[i] & b.words[i]
-	}
-}
-
-// Or stores a OR b into v. Lengths must match.
-func (v *Vector) Or(a, b *Vector) {
-	a.mustMatch(b)
-	v.mustMatch(a)
-	for i := range v.words {
-		v.words[i] = a.words[i] | b.words[i]
-	}
-}
-
-// Not stores the complement of a into v. Lengths must match.
-func (v *Vector) Not(a *Vector) {
-	v.mustMatch(a)
-	for i := range v.words {
-		v.words[i] = ^a.words[i]
-	}
-	v.clearTail()
-}
-
-// PopCount returns the number of set bits.
-func (v *Vector) PopCount() int {
-	c := 0
-	for _, w := range v.words {
-		c += bits.OnesCount64(w)
-	}
-	return c
 }
 
 // HammingDistance returns the number of positions where v and o differ.
@@ -284,7 +195,7 @@ func (v *Vector) rotateAligned(a *Vector, k int) {
 
 // rotateGeneric handles arbitrary lengths bit-by-bit on word chunks.
 func (v *Vector) rotateGeneric(a *Vector, k int) {
-	v.Zero()
+	clear(v.words)
 	for i := 0; i < v.n; i++ {
 		if a.Get(i) {
 			j := i + k

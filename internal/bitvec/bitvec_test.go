@@ -1,7 +1,9 @@
 package bitvec
 
 import (
+	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -15,14 +17,34 @@ func randomVector(r *rand.Rand, n int) *Vector {
 	return v
 }
 
+// ones counts v's set bits.
+func ones(v *Vector) int {
+	c := 0
+	for _, w := range v.words {
+		c += bits.OnesCount64(w)
+	}
+	return c
+}
+
+// fromBits builds a vector whose i-th bit is set iff s[i] == '1'.
+func fromBits(s string) *Vector {
+	v := New(len(s))
+	for i := range s {
+		if s[i] == '1' {
+			v.Set(i)
+		}
+	}
+	return v
+}
+
 func TestNewZeroed(t *testing.T) {
 	for _, n := range []int{0, 1, 63, 64, 65, 1000, 4096} {
 		v := New(n)
 		if v.Len() != n {
 			t.Fatalf("Len = %d, want %d", v.Len(), n)
 		}
-		if v.PopCount() != 0 {
-			t.Fatalf("new vector of %d bits has popcount %d", n, v.PopCount())
+		if ones(v) != 0 {
+			t.Fatalf("new vector of %d bits has popcount %d", n, ones(v))
 		}
 	}
 }
@@ -38,47 +60,22 @@ func TestNewNegativePanics(t *testing.T) {
 
 func TestSetGetClear(t *testing.T) {
 	v := New(130)
-	for _, i := range []int{0, 1, 63, 64, 65, 127, 128, 129} {
+	for n, i := range []int{0, 1, 63, 64, 65, 127, 128, 129} {
 		if v.Get(i) {
-			t.Fatalf("bit %d set in zero vector", i)
+			t.Fatalf("bit %d not clear before Set", i)
 		}
 		v.Set(i)
-		if !v.Get(i) {
-			t.Fatalf("bit %d not set after Set", i)
+		if !v.Get(i) || ones(v) != n+1 {
+			t.Fatalf("bit %d: Get=%v, %d bits set after Set, want true, %d", i, v.Get(i), ones(v), n+1)
 		}
-		v.Clear(i)
-		if v.Get(i) {
-			t.Fatalf("bit %d set after Clear", i)
-		}
-	}
-}
-
-func TestSetBoolFlip(t *testing.T) {
-	v := New(70)
-	v.SetBool(69, true)
-	if !v.Get(69) {
-		t.Fatal("SetBool(true) did not set")
-	}
-	v.SetBool(69, false)
-	if v.Get(69) {
-		t.Fatal("SetBool(false) did not clear")
-	}
-	v.Flip(69)
-	if !v.Get(69) {
-		t.Fatal("Flip did not set")
-	}
-	v.Flip(69)
-	if v.Get(69) {
-		t.Fatal("Flip did not clear")
 	}
 }
 
 func TestOutOfRangePanics(t *testing.T) {
 	v := New(10)
 	for name, f := range map[string]func(){
-		"Get":  func() { v.Get(10) },
-		"Set":  func() { v.Set(-1) },
-		"Flip": func() { v.Flip(11) },
+		"Get": func() { v.Get(10) },
+		"Set": func() { v.Set(-1) },
 	} {
 		func() {
 			defer func() {
@@ -91,22 +88,9 @@ func TestOutOfRangePanics(t *testing.T) {
 	}
 }
 
-func TestFromBools(t *testing.T) {
-	b := []bool{true, false, true, true, false}
-	v := FromBools(b)
-	if v.Len() != 5 {
-		t.Fatalf("Len = %d", v.Len())
-	}
-	for i, want := range b {
-		if v.Get(i) != want {
-			t.Fatalf("bit %d = %v, want %v", i, v.Get(i), want)
-		}
-	}
-}
-
 func TestFromWordsClearsTail(t *testing.T) {
 	v := FromWords([]uint64{^uint64(0)}, 10)
-	if got := v.PopCount(); got != 10 {
+	if got := ones(v); got != 10 {
 		t.Fatalf("popcount = %d, want 10 (tail not cleared)", got)
 	}
 }
@@ -120,61 +104,53 @@ func TestFromWordsTooShortPanics(t *testing.T) {
 	FromWords([]uint64{0}, 65)
 }
 
+// TestFillRespectsTail: a XNOR a sets every bit and leaves the tail
+// clear.
 func TestFillRespectsTail(t *testing.T) {
-	v := New(100)
-	v.Fill()
-	if got := v.PopCount(); got != 100 {
-		t.Fatalf("popcount after Fill = %d, want 100", got)
-	}
-	v.Zero()
-	if v.PopCount() != 0 {
-		t.Fatal("Zero did not clear")
-	}
-}
-
-func TestXorXnorComplement(t *testing.T) {
-	r := rand.New(rand.NewSource(1))
+	r := rand.New(rand.NewSource(10))
 	for _, n := range []int{1, 64, 100, 4096} {
-		a, b := randomVector(r, n), randomVector(r, n)
-		x, xn := New(n), New(n)
-		x.Xor(a, b)
-		xn.Xnor(a, b)
-		if x.PopCount()+xn.PopCount() != n {
-			t.Fatalf("n=%d: xor+xnor popcounts = %d+%d, want %d",
-				n, x.PopCount(), xn.PopCount(), n)
+		a, v := randomVector(r, n), New(n)
+		v.Xnor(a, a)
+		if ones(v) != n {
+			t.Fatalf("n=%d: a XNOR a has %d ones, want %d", n, ones(v), n)
 		}
 	}
 }
 
+// TestXorXnorComplement: popcount(a XNOR b) and popcount(a XOR b) — the
+// Hamming distance — add up to n.
+func TestXorXnorComplement(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	for _, n := range []int{1, 64, 100, 4096} {
+		a, b := randomVector(r, n), randomVector(r, n)
+		xn := New(n)
+		xn.Xnor(a, b)
+		if ones(xn)+a.HammingDistance(b) != n {
+			t.Fatalf("n=%d: xnor popcount + hamming = %d+%d, want %d",
+				n, ones(xn), a.HammingDistance(b), n)
+		}
+	}
+}
+
+// TestBooleanIdentities: XNOR commutes and is its own inverse.
 func TestBooleanIdentities(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	n := 777
 	a, b := randomVector(r, n), randomVector(r, n)
-	// De Morgan: NOT(a AND b) == NOT a OR NOT b
-	lhs, rhs, na, nb, tmp := New(n), New(n), New(n), New(n), New(n)
-	tmp.And(a, b)
-	lhs.Not(tmp)
-	na.Not(a)
-	nb.Not(b)
-	rhs.Or(na, nb)
-	if !lhs.Equal(rhs) {
-		t.Fatal("De Morgan identity violated")
+	ab, ba, back := New(n), New(n), New(n)
+	ab.Xnor(a, b)
+	ba.Xnor(b, a)
+	if !ab.Equal(ba) {
+		t.Fatal("a XNOR b != b XNOR a")
 	}
-	// a XOR a == 0
-	tmp.Xor(a, a)
-	if tmp.PopCount() != 0 {
-		t.Fatal("a XOR a != 0")
-	}
-	// a XNOR a == all ones
-	tmp.Xnor(a, a)
-	if tmp.PopCount() != n {
-		t.Fatal("a XNOR a != ones")
+	back.Xnor(ab, b)
+	if !back.Equal(a) {
+		t.Fatal("(a XNOR b) XNOR b != a")
 	}
 }
 
 func TestHammingAndDot(t *testing.T) {
-	a := FromBools([]bool{true, true, false, false})
-	b := FromBools([]bool{true, false, true, false})
+	a, b := fromBits("1100"), fromBits("1010")
 	if d := a.HammingDistance(b); d != 2 {
 		t.Fatalf("hamming = %d, want 2", d)
 	}
@@ -184,9 +160,7 @@ func TestHammingAndDot(t *testing.T) {
 	if dot := a.Dot(a); dot != 4 {
 		t.Fatalf("self dot = %d, want 4", dot)
 	}
-	c := New(4)
-	c.Not(a)
-	if dot := a.Dot(c); dot != -4 {
+	if dot := a.Dot(fromBits("0011")); dot != -4 {
 		t.Fatalf("dot with complement = %d, want -4", dot)
 	}
 }
@@ -202,21 +176,21 @@ func TestLengthMismatchPanics(t *testing.T) {
 }
 
 func TestRotateSmall(t *testing.T) {
-	v := FromBools([]bool{true, false, false, false, false})
+	v := fromBits("10000")
 	out := New(5)
 	out.RotateLeft(v, 2)
-	if !out.Get(2) || out.PopCount() != 1 {
-		t.Fatalf("rotate by 2: got %s", out)
+	if !out.Equal(fromBits("00100")) {
+		t.Fatalf("rotate by 2: got %b", out.Words())
 	}
 	out2 := New(5)
 	out2.RotateLeft(out, 3) // total 5 ≡ 0
 	if !out2.Equal(v) {
-		t.Fatalf("rotate full circle: got %s want %s", out2, v)
+		t.Fatalf("rotate full circle: got %b want %b", out2.Words(), v.Words())
 	}
 	neg := New(5)
 	neg.RotateLeft(v, -1)
-	if !neg.Get(4) || neg.PopCount() != 1 {
-		t.Fatalf("rotate by -1: got %s", neg)
+	if !neg.Equal(fromBits("00001")) {
+		t.Fatalf("rotate by -1: got %b", neg.Words())
 	}
 }
 
@@ -241,8 +215,8 @@ func TestRotatePreservesPopcount(t *testing.T) {
 		out := New(n)
 		for _, k := range []int{1, n / 2, n - 1, n, 3*n + 5} {
 			out.RotateLeft(a, k)
-			if out.PopCount() != a.PopCount() {
-				t.Fatalf("n=%d k=%d: popcount %d -> %d", n, k, a.PopCount(), out.PopCount())
+			if ones(out) != ones(a) {
+				t.Fatalf("n=%d k=%d: popcount %d -> %d", n, k, ones(a), ones(out))
 			}
 		}
 	}
@@ -339,23 +313,23 @@ func TestQuickHammingMetric(t *testing.T) {
 	}
 }
 
-// Property: XOR is associative and self-inverse.
+// Property: the parity fold is a group operation — XorRows gives the same
+// words for any order of the indices, and a row named twice cancels.
 func TestQuickXorGroup(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := 200
-		a, b, c := randomVector(r, n), randomVector(r, n), randomVector(r, n)
-		l, rr, t1, t2 := New(n), New(n), New(n), New(n)
-		t1.Xor(a, b)
-		l.Xor(t1, c)
-		t2.Xor(b, c)
-		rr.Xor(a, t2)
-		if !l.Equal(rr) {
-			return false
+	f := func(seed uint64, perm uint8) bool {
+		const w, rows = 5, 6
+		table := randWords(rows*w, seed)
+		idx := []int32{0, 1, 2, 3, 4, 5}
+		shuffled := slices.Clone(idx)
+		for i := len(shuffled) - 1; i > 0; i-- {
+			j := int(perm) % (i + 1)
+			shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
 		}
-		t1.Xor(a, b)
-		t2.Xor(t1, b)
-		return t2.Equal(a)
+		a, b, c := make([]uint64, w), make([]uint64, w), make([]uint64, w)
+		XorRows(a, table, idx, w)
+		XorRows(b, table, shuffled, w)
+		XorRows(c, table, append(shuffled, 3, 3), w)
+		return slices.Equal(a, b) && slices.Equal(a, c)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -375,14 +349,13 @@ func TestQuickDotHammingRelation(t *testing.T) {
 	}
 }
 
-func BenchmarkXnorPopcount4096(b *testing.B) {
+func BenchmarkXnor4096(b *testing.B) {
 	r := rand.New(rand.NewSource(7))
 	x, y := randomVector(r, 4096), randomVector(r, 4096)
 	out := New(4096)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		out.Xnor(x, y)
-		_ = out.PopCount()
 	}
 }
 

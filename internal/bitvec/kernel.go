@@ -5,19 +5,18 @@ import (
 	"math/bits"
 )
 
-// This file holds the flat probe kernels: word-slice distance routines
-// that scan rows of a contiguous arena (nRows × wordsPerRow packed
-// words) without going through *Vector. The associative probe of a
-// frozen BioHD library is a fused XNOR+popcount over every bucket row;
-// storing the rows back-to-back turns the scan into a pure streaming
-// read that the hardware prefetcher can keep ahead of, and phrasing
-// the similarity test as a Hamming bound lets a row be abandoned the
-// moment it can no longer pass.
+// This file holds the single-row kernels: word-slice distance routines
+// over packed rows, without going through *Vector. The associative probe
+// of a BioHD library is a fused XNOR+popcount per bucket row, phrased as
+// a Hamming bound so that a row is abandoned the moment it can no longer
+// pass. The probe runs two kernels: ScanPlane (kernel_plane.go) over the
+// sketch plane, then HammingBounded over the full rows of the survivors.
 //
-// On amd64 with AVX2 the bulk of each row runs through a vectorized
-// nibble-LUT popcount (kernel_amd64.s); everywhere else, and for
-// tails, a scalar 8-word unrolled loop over math/bits.OnesCount64.
-// Both produce identical results — kernel_test.go pins them together.
+// On amd64 the bulk of a row runs through the AVX-512 hardware popcount
+// or, without it, the AVX2 nibble-LUT popcount (kernel_amd64.s);
+// everywhere else, and for tails, a scalar 8-word unrolled loop over
+// math/bits.OnesCount64. All tiers give identical results —
+// kernel_test.go and kernel_amd64_test.go pin them together.
 //
 // The kernels operate on raw []uint64 and assume the caller guarantees
 // equal lengths and clean tails (library rows are always whole words:
@@ -118,15 +117,6 @@ func HammingBounded(a, b []uint64, bound int) (int, bool) {
 		return d, false
 	}
 	return d, true
-}
-
-// AccelAvailable reports whether the distance kernels run through the
-// platform's vectorized implementation (AVX2 or AVX-512 on amd64)
-// rather than the portable scalar loop. Results are identical either
-// way; benchmark reports record it so numbers from different hosts
-// compare fairly.
-func AccelAvailable() bool {
-	return useAccel
 }
 
 // Kernel names the dispatched kernel tier ("avx512-vpopcnt",

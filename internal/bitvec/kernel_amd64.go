@@ -9,15 +9,6 @@ func hammingAVX2(a, b *uint64, nblocks int) int
 func hammingPopcntAVX512(a, b *uint64, nblocks int) int
 
 //go:noescape
-func hammingMulti4AVX2(row, q0, q1, q2, q3 *uint64, nblocks int, sums *[4]int64)
-
-//go:noescape
-func hammingMulti4AVX512(row, q0, q1, q2, q3 *uint64, nblocks int, sums *[4]int64)
-
-//go:noescape
-func hammingMulti8Ptrs(row *uint64, qp *[8]*uint64, nblocks int, sums *[8]int64)
-
-//go:noescape
 func scanPlaneAVX2(rows *uint64, nrows, nblocks int, q *uint64, bound, first int, out *int32) int
 
 //go:noescape
@@ -89,43 +80,6 @@ func hammingBlocks(a, b []uint64) int {
 		return hammingPopcntAVX512(&a[0], &b[0], len(a)/kernelBlock)
 	}
 	return hammingAVX2(&a[0], &b[0], len(a)/kernelBlock)
-}
-
-// useMulti8 is true when the eight-wide fused kernel is available: it
-// needs the AVX-512 tier, whose thirty-two vector registers hold eight
-// query accumulators alongside the row and scratch (the sixteen-register
-// AVX2 tier tops out at four).
-var useMulti8 = useAVX512
-
-// hammingMulti8Blocks computes sums[j] = Hamming(row[lo:hi], qs[j][lo:hi])
-// for up to eight query slices in one fused pass over the row chunk,
-// whose word count must be a positive multiple of kernelBlock. Slots
-// past len(qs) repeat query 0 and their sums are garbage the caller
-// ignores. Callers must check useMulti8 and equal lengths first.
-func hammingMulti8Blocks(row []uint64, qs [][]uint64, lo, hi int, sums *[8]int64) {
-	var p [8]*uint64
-	for j := range p {
-		if j < len(qs) {
-			p[j] = &qs[j][lo]
-		} else {
-			p[j] = p[0]
-		}
-	}
-	hammingMulti8Ptrs(&row[lo], &p, (hi-lo)/kernelBlock, sums)
-}
-
-// hammingMulti4Blocks computes sums[j] = Hamming(row, qj) for four
-// query slices in one fused pass over row, whose length must be a
-// positive multiple of kernelBlock shared by every operand. The vector
-// kernels load each 64-byte row block once and XNOR-popcount it
-// against all four query streams. Callers must check useAccel and
-// equal lengths first.
-func hammingMulti4Blocks(row, q0, q1, q2, q3 []uint64, sums *[4]int64) {
-	if useAVX512 {
-		hammingMulti4AVX512(&row[0], &q0[0], &q1[0], &q2[0], &q3[0], len(row)/kernelBlock, sums)
-		return
-	}
-	hammingMulti4AVX2(&row[0], &q0[0], &q1[0], &q2[0], &q3[0], len(row)/kernelBlock, sums)
 }
 
 // planeGroup is how many rows the AVX-512 range kernel takes per step.

@@ -92,176 +92,6 @@ done:
 	MOVQ         AX, ret+24(FP)
 	RET
 
-// func hammingMulti4AVX2(row, q0, q1, q2, q3 *uint64, nblocks int, sums *[4]int64)
-// Fused four-query Hamming distance: every 64-byte block of row is
-// loaded ONCE into vector registers and XNOR-popcounted against the
-// matching blocks of all four query streams, so a block of queries
-// shares one pass over the row. Per query the popcount is the same
-// nibble-LUT scheme as hammingAVX2, with a dedicated byte accumulator
-// (Y4..Y7) and 64-bit lane total (Y8..Y11) per stream; the byte
-// accumulators are flushed with VPSADBW on the same ≤15-block cadence
-// (each block adds at most 16 per byte lane, 15·16 = 240 < 256).
-// The caller guarantees all five operands hold 8·nblocks words.
-TEXT ·hammingMulti4AVX2(SB), NOSPLIT, $0-56
-	MOVQ row+0(FP), SI
-	MOVQ q0+8(FP), R8
-	MOVQ q1+16(FP), R9
-	MOVQ q2+24(FP), R10
-	MOVQ q3+32(FP), R11
-	MOVQ nblocks+40(FP), CX
-
-	VPXOR   Y8, Y8, Y8                // Y8..Y11: per-query 64-bit lane totals
-	VPXOR   Y9, Y9, Y9
-	VPXOR   Y10, Y10, Y10
-	VPXOR   Y11, Y11, Y11
-	VPXOR   Y13, Y13, Y13             // Y13: zero, VPSADBW's second operand
-	VMOVDQU popcntLUT<>(SB), Y15      // Y15: nibble popcount table
-	VMOVDQU nibbleMask<>(SB), Y14     // Y14: 0x0f byte mask
-
-m4outer:
-	TESTQ CX, CX
-	JZ    m4done
-	// Run at most 15 blocks into the byte accumulators, then flush.
-	MOVQ CX, DX
-	CMPQ DX, $15
-	JLE  m4haveRun
-	MOVQ $15, DX
-m4haveRun:
-	SUBQ  DX, CX
-	VPXOR Y4, Y4, Y4                  // Y4..Y7: per-query byte counts for this run
-	VPXOR Y5, Y5, Y5
-	VPXOR Y6, Y6, Y6
-	VPXOR Y7, Y7, Y7
-
-m4blockloop:
-	VMOVDQU (SI), Y0                  // row block, both 32-byte halves
-	VMOVDQU 32(SI), Y1
-	ADDQ    $64, SI
-
-	// query 0 (R8 → Y4)
-	VPXOR   (R8), Y0, Y2
-	VPAND   Y2, Y14, Y3
-	VPSRLW  $4, Y2, Y2
-	VPAND   Y2, Y14, Y2
-	VPSHUFB Y3, Y15, Y3
-	VPSHUFB Y2, Y15, Y2
-	VPADDB  Y3, Y4, Y4
-	VPADDB  Y2, Y4, Y4
-	VPXOR   32(R8), Y1, Y2
-	VPAND   Y2, Y14, Y3
-	VPSRLW  $4, Y2, Y2
-	VPAND   Y2, Y14, Y2
-	VPSHUFB Y3, Y15, Y3
-	VPSHUFB Y2, Y15, Y2
-	VPADDB  Y3, Y4, Y4
-	VPADDB  Y2, Y4, Y4
-	ADDQ    $64, R8
-
-	// query 1 (R9 → Y5)
-	VPXOR   (R9), Y0, Y2
-	VPAND   Y2, Y14, Y3
-	VPSRLW  $4, Y2, Y2
-	VPAND   Y2, Y14, Y2
-	VPSHUFB Y3, Y15, Y3
-	VPSHUFB Y2, Y15, Y2
-	VPADDB  Y3, Y5, Y5
-	VPADDB  Y2, Y5, Y5
-	VPXOR   32(R9), Y1, Y2
-	VPAND   Y2, Y14, Y3
-	VPSRLW  $4, Y2, Y2
-	VPAND   Y2, Y14, Y2
-	VPSHUFB Y3, Y15, Y3
-	VPSHUFB Y2, Y15, Y2
-	VPADDB  Y3, Y5, Y5
-	VPADDB  Y2, Y5, Y5
-	ADDQ    $64, R9
-
-	// query 2 (R10 → Y6)
-	VPXOR   (R10), Y0, Y2
-	VPAND   Y2, Y14, Y3
-	VPSRLW  $4, Y2, Y2
-	VPAND   Y2, Y14, Y2
-	VPSHUFB Y3, Y15, Y3
-	VPSHUFB Y2, Y15, Y2
-	VPADDB  Y3, Y6, Y6
-	VPADDB  Y2, Y6, Y6
-	VPXOR   32(R10), Y1, Y2
-	VPAND   Y2, Y14, Y3
-	VPSRLW  $4, Y2, Y2
-	VPAND   Y2, Y14, Y2
-	VPSHUFB Y3, Y15, Y3
-	VPSHUFB Y2, Y15, Y2
-	VPADDB  Y3, Y6, Y6
-	VPADDB  Y2, Y6, Y6
-	ADDQ    $64, R10
-
-	// query 3 (R11 → Y7)
-	VPXOR   (R11), Y0, Y2
-	VPAND   Y2, Y14, Y3
-	VPSRLW  $4, Y2, Y2
-	VPAND   Y2, Y14, Y2
-	VPSHUFB Y3, Y15, Y3
-	VPSHUFB Y2, Y15, Y2
-	VPADDB  Y3, Y7, Y7
-	VPADDB  Y2, Y7, Y7
-	VPXOR   32(R11), Y1, Y2
-	VPAND   Y2, Y14, Y3
-	VPSRLW  $4, Y2, Y2
-	VPAND   Y2, Y14, Y2
-	VPSHUFB Y3, Y15, Y3
-	VPSHUFB Y2, Y15, Y2
-	VPADDB  Y3, Y7, Y7
-	VPADDB  Y2, Y7, Y7
-	ADDQ    $64, R11
-
-	DECQ DX
-	JNZ  m4blockloop
-
-	VPSADBW Y13, Y4, Y4               // horizontal byte sums per 64-bit lane
-	VPADDQ  Y4, Y8, Y8
-	VPSADBW Y13, Y5, Y5
-	VPADDQ  Y5, Y9, Y9
-	VPSADBW Y13, Y6, Y6
-	VPADDQ  Y6, Y10, Y10
-	VPSADBW Y13, Y7, Y7
-	VPADDQ  Y7, Y11, Y11
-	JMP     m4outer
-
-m4done:
-	// Reduce each query's four 64-bit lane totals to one scalar.
-	MOVQ sums+48(FP), DI
-
-	VEXTRACTI128 $1, Y8, X0
-	VPADDQ       X0, X8, X8
-	VPSHUFD      $0xee, X8, X0
-	VPADDQ       X0, X8, X8
-	VMOVQ        X8, AX
-	MOVQ         AX, (DI)
-
-	VEXTRACTI128 $1, Y9, X0
-	VPADDQ       X0, X9, X9
-	VPSHUFD      $0xee, X9, X0
-	VPADDQ       X0, X9, X9
-	VMOVQ        X9, AX
-	MOVQ         AX, 8(DI)
-
-	VEXTRACTI128 $1, Y10, X0
-	VPADDQ       X0, X10, X10
-	VPSHUFD      $0xee, X10, X0
-	VPADDQ       X0, X10, X10
-	VMOVQ        X10, AX
-	MOVQ         AX, 16(DI)
-
-	VEXTRACTI128 $1, Y11, X0
-	VPADDQ       X0, X11, X11
-	VPSHUFD      $0xee, X11, X0
-	VPADDQ       X0, X11, X11
-	VMOVQ        X11, AX
-	MOVQ         AX, 24(DI)
-
-	VZEROUPPER
-	RET
-
 // func hammingPopcntAVX512(a, b *uint64, nblocks int) int
 // Hamming distance over nblocks consecutive 64-byte blocks of a and b
 // using the AVX-512 hardware popcount: one VPXORQ + VPOPCNTQ + VPADDQ
@@ -314,213 +144,6 @@ preduce:
 	VMOVQ         X8, AX
 	VZEROUPPER
 	MOVQ          AX, ret+24(FP)
-	RET
-
-// func hammingMulti4AVX512(row, q0, q1, q2, q3 *uint64, nblocks int, sums *[4]int64)
-// Fused four-query Hamming distance on the AVX-512 popcount tier:
-// every 64-byte block of row is loaded ONCE into Z0 and XNOR-
-// popcounted against the matching block of all four query streams —
-// three instructions per query per block, with a dedicated 64-bit lane
-// accumulator per stream (Z8..Z11) and no flush cadence. The caller
-// guarantees all five operands hold 8·nblocks words.
-TEXT ·hammingMulti4AVX512(SB), NOSPLIT, $0-56
-	MOVQ row+0(FP), SI
-	MOVQ q0+8(FP), R8
-	MOVQ q1+16(FP), R9
-	MOVQ q2+24(FP), R10
-	MOVQ q3+32(FP), R11
-	MOVQ nblocks+40(FP), CX
-
-	VPXORQ Z8, Z8, Z8 // Z8..Z11: per-query 64-bit lane totals
-	VPXORQ Z9, Z9, Z9
-	VPXORQ Z10, Z10, Z10
-	VPXORQ Z11, Z11, Z11
-
-	TESTQ CX, CX
-	JZ    z4done
-
-z4loop:
-	VMOVDQU64 (SI), Z0
-
-	VPXORQ   (R8), Z0, Z1
-	VPOPCNTQ Z1, Z1
-	VPADDQ   Z1, Z8, Z8
-
-	VPXORQ   (R9), Z0, Z2
-	VPOPCNTQ Z2, Z2
-	VPADDQ   Z2, Z9, Z9
-
-	VPXORQ   (R10), Z0, Z3
-	VPOPCNTQ Z3, Z3
-	VPADDQ   Z3, Z10, Z10
-
-	VPXORQ   (R11), Z0, Z4
-	VPOPCNTQ Z4, Z4
-	VPADDQ   Z4, Z11, Z11
-
-	ADDQ $64, SI
-	ADDQ $64, R8
-	ADDQ $64, R9
-	ADDQ $64, R10
-	ADDQ $64, R11
-	DECQ CX
-	JNZ  z4loop
-
-z4done:
-	// Reduce each query's eight 64-bit lane totals to one scalar.
-	MOVQ sums+48(FP), DI
-
-	VEXTRACTI64X4 $1, Z8, Y0
-	VPADDQ        Y0, Y8, Y8
-	VEXTRACTI128  $1, Y8, X0
-	VPADDQ        X0, X8, X8
-	VPSHUFD       $0xee, X8, X0
-	VPADDQ        X0, X8, X8
-	VMOVQ         X8, AX
-	MOVQ          AX, (DI)
-
-	VEXTRACTI64X4 $1, Z9, Y0
-	VPADDQ        Y0, Y9, Y9
-	VEXTRACTI128  $1, Y9, X0
-	VPADDQ        X0, X9, X9
-	VPSHUFD       $0xee, X9, X0
-	VPADDQ        X0, X9, X9
-	VMOVQ         X9, AX
-	MOVQ          AX, 8(DI)
-
-	VEXTRACTI64X4 $1, Z10, Y0
-	VPADDQ        Y0, Y10, Y10
-	VEXTRACTI128  $1, Y10, X0
-	VPADDQ        X0, X10, X10
-	VPSHUFD       $0xee, X10, X0
-	VPADDQ        X0, X10, X10
-	VMOVQ         X10, AX
-	MOVQ          AX, 16(DI)
-
-	VEXTRACTI64X4 $1, Z11, Y0
-	VPADDQ        Y0, Y11, Y11
-	VEXTRACTI128  $1, Y11, X0
-	VPADDQ        X0, X11, X11
-	VPSHUFD       $0xee, X11, X0
-	VPADDQ        X0, X11, X11
-	VMOVQ         X11, AX
-	MOVQ          AX, 24(DI)
-
-	VZEROUPPER
-	RET
-
-// func hammingMulti8Ptrs(row *uint64, qp *[8]*uint64, nblocks int, sums *[8]int64)
-// Fused eight-query Hamming distance on the AVX-512 popcount tier.
-// The eight query stream pointers arrive as one array so a caller
-// scanning many rows against a fixed query block passes the same
-// pointer block every call. One shared offset register (BX) indexes
-// the row and all eight query streams, so the whole 64-byte block —
-// one row load plus eight XNOR-popcount-accumulate triples into
-// Z8..Z15 — costs only three scalar bookkeeping instructions. The
-// per-query lane totals collapse through a log-depth shuffle tree
-// (pairs via qword unpack, then 128-bit lane shuffles) into a single
-// vector holding all eight sums, stored with one write. The caller
-// guarantees the row and every query stream hold 8·nblocks words.
-TEXT ·hammingMulti8Ptrs(SB), NOSPLIT, $0-32
-	MOVQ row+0(FP), SI
-	MOVQ qp+8(FP), DI
-	MOVQ (DI), R8
-	MOVQ 8(DI), R9
-	MOVQ 16(DI), R10
-	MOVQ 24(DI), R11
-	MOVQ 32(DI), R12
-	MOVQ 40(DI), R13
-	MOVQ 48(DI), AX
-	MOVQ 56(DI), DX
-	MOVQ nblocks+16(FP), CX
-
-	VPXORQ Z8, Z8, Z8 // Z8..Z15: per-query 64-bit lane totals
-	VPXORQ Z9, Z9, Z9
-	VPXORQ Z10, Z10, Z10
-	VPXORQ Z11, Z11, Z11
-	VPXORQ Z12, Z12, Z12
-	VPXORQ Z13, Z13, Z13
-	VPXORQ Z14, Z14, Z14
-	VPXORQ Z15, Z15, Z15
-
-	XORQ  BX, BX
-	TESTQ CX, CX
-	JZ    z8done
-
-z8loop:
-	VMOVDQU64 (SI)(BX*1), Z0
-
-	VPXORQ   (R8)(BX*1), Z0, Z1
-	VPOPCNTQ Z1, Z1
-	VPADDQ   Z1, Z8, Z8
-
-	VPXORQ   (R9)(BX*1), Z0, Z2
-	VPOPCNTQ Z2, Z2
-	VPADDQ   Z2, Z9, Z9
-
-	VPXORQ   (R10)(BX*1), Z0, Z3
-	VPOPCNTQ Z3, Z3
-	VPADDQ   Z3, Z10, Z10
-
-	VPXORQ   (R11)(BX*1), Z0, Z4
-	VPOPCNTQ Z4, Z4
-	VPADDQ   Z4, Z11, Z11
-
-	VPXORQ   (R12)(BX*1), Z0, Z5
-	VPOPCNTQ Z5, Z5
-	VPADDQ   Z5, Z12, Z12
-
-	VPXORQ   (R13)(BX*1), Z0, Z6
-	VPOPCNTQ Z6, Z6
-	VPADDQ   Z6, Z13, Z13
-
-	VPXORQ   (AX)(BX*1), Z0, Z7
-	VPOPCNTQ Z7, Z7
-	VPADDQ   Z7, Z14, Z14
-
-	VPXORQ   (DX)(BX*1), Z0, Z1
-	VPOPCNTQ Z1, Z1
-	VPADDQ   Z1, Z15, Z15
-
-	ADDQ $64, BX
-	DECQ CX
-	JNZ  z8loop
-
-z8done:
-	// Collapse the eight accumulators into one vector of eight sums.
-	// Level 1 pairs queries: unpack-low/high interleaves two streams'
-	// qwords, and their sum halves each stream's lane count while
-	// keeping the streams in alternating qword slots.
-	MOVQ sums+24(FP), DI
-
-	VPUNPCKLQDQ Z9, Z8, Z0
-	VPUNPCKHQDQ Z9, Z8, Z1
-	VPADDQ      Z1, Z0, Z0 // q0/q1 partials, alternating
-	VPUNPCKLQDQ Z11, Z10, Z1
-	VPUNPCKHQDQ Z11, Z10, Z2
-	VPADDQ      Z2, Z1, Z1 // q2/q3 partials
-	VPUNPCKLQDQ Z13, Z12, Z2
-	VPUNPCKHQDQ Z13, Z12, Z3
-	VPADDQ      Z3, Z2, Z2 // q4/q5 partials
-	VPUNPCKLQDQ Z15, Z14, Z3
-	VPUNPCKHQDQ Z15, Z14, Z4
-	VPADDQ      Z4, Z3, Z3 // q6/q7 partials
-
-	// Levels 2 and 3 pair 128-bit lanes: even/odd lane selections of
-	// two vectors sum to a vector covering twice the queries with half
-	// the lanes per query, ending with all eight totals in qword order.
-	VSHUFI64X2 $0x88, Z1, Z0, Z4
-	VSHUFI64X2 $0xdd, Z1, Z0, Z5
-	VPADDQ     Z5, Z4, Z4 // q0..q3 partials
-	VSHUFI64X2 $0x88, Z3, Z2, Z5
-	VSHUFI64X2 $0xdd, Z3, Z2, Z6
-	VPADDQ     Z6, Z5, Z5 // q4..q7 partials
-	VSHUFI64X2 $0x88, Z5, Z4, Z6
-	VSHUFI64X2 $0xdd, Z5, Z4, Z7
-	VPADDQ     Z7, Z6, Z6 // [sum(q0) .. sum(q7)]
-
-	VMOVDQU64  Z6, (DI)
-	VZEROUPPER
 	RET
 
 // func scanPlaneAVX2(rows *uint64, nrows, nblocks int, q *uint64, bound, first int, out *int32) int
@@ -633,8 +256,8 @@ sp2done:
 // into Z16 once and XNOR-popcounted against that block of all eight
 // rows, one 64-bit lane accumulator per row (Z0..Z7), so the query
 // costs one load per eight row blocks. The eight accumulators collapse
-// through the shuffle tree of hammingMulti8Ptrs into one vector of
-// eight row distances, a single VPCMPQ against the broadcast bound
+// through a log-depth shuffle tree into one vector of eight row
+// distances, a single VPCMPQ against the broadcast bound
 // gives the group's pass mask, and only a nonzero mask — rare at a
 // selective bound — enters the scalar loop that writes row indices
 // (first for the first row, counting up) to out. Returns the number
@@ -687,7 +310,8 @@ sp5block:
 	JNE  sp5block
 
 	// Collapse the eight accumulators into one vector of eight
-	// distances, exactly as hammingMulti8Ptrs does for eight queries.
+	// distances. Level 1 pairs rows: unpack-low/high interleave two
+	// rows' qwords, and their sum keeps the rows in alternating slots.
 	VPUNPCKLQDQ Z1, Z0, Z8
 	VPUNPCKHQDQ Z1, Z0, Z9
 	VPADDQ      Z9, Z8, Z8        // rows 0/1 partials, alternating
@@ -701,6 +325,8 @@ sp5block:
 	VPUNPCKHQDQ Z7, Z6, Z12
 	VPADDQ      Z12, Z11, Z11     // rows 6/7
 
+	// Levels 2 and 3 pair 128-bit lanes: the even and odd lane picks of
+	// two vectors sum to twice the rows at half the lanes a row.
 	VSHUFI64X2 $0x88, Z9, Z8, Z12
 	VSHUFI64X2 $0xdd, Z9, Z8, Z13
 	VPADDQ     Z13, Z12, Z12      // rows 0..3 partials

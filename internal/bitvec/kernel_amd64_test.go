@@ -7,7 +7,7 @@ import (
 	"testing"
 )
 
-// The dispatch wrappers (hammingBlocks, hammingMulti4Blocks) pick the
+// The dispatch wrappers (hammingBlocks, scanPlaneBlocks, …) pick the
 // fastest tier the host supports, so on an AVX-512 machine the AVX2
 // kernels would never run under test. These pins call each tier's
 // assembly directly, gated on its own feature bit, so every kernel the
@@ -72,116 +72,10 @@ func TestHammingPopcntAVX512MatchesScalar(t *testing.T) {
 	}
 }
 
-// multi4Tiers returns the four-query kernels the host supports, by
-// name, each wrapped to a common signature.
-func multi4Tiers() map[string]func(row, q0, q1, q2, q3 []uint64, sums *[4]int64) {
-	tiers := map[string]func(row, q0, q1, q2, q3 []uint64, sums *[4]int64){}
-	if useAccel {
-		tiers["avx2"] = func(row, q0, q1, q2, q3 []uint64, sums *[4]int64) {
-			hammingMulti4AVX2(&row[0], &q0[0], &q1[0], &q2[0], &q3[0], len(row)/kernelBlock, sums)
-		}
-	}
-	if useAVX512 {
-		tiers["avx512"] = func(row, q0, q1, q2, q3 []uint64, sums *[4]int64) {
-			hammingMulti4AVX512(&row[0], &q0[0], &q1[0], &q2[0], &q3[0], len(row)/kernelBlock, sums)
-		}
-	}
-	return tiers
-}
-
-// TestHammingMulti4MatchesScalar pins every fused four-query tier to
-// the portable scalar loop, per query stream, on the AVX2 kernel's
-// flush-cadence edges (15 blocks, one past it) plus all-ones operands
-// that drive every accumulator to its per-block maximum simultaneously.
-func TestHammingMulti4MatchesScalar(t *testing.T) {
-	tiers := multi4Tiers()
-	if len(tiers) == 0 {
-		t.Skip("no vector kernels on this machine")
-	}
-	for name, kern := range tiers {
-		var sums [4]int64
-		for _, nw := range []int{8, 16, 64, 112, 120, 128, 136, 1024} {
-			row := randWords(nw, uint64(nw)+5)
-			q := multiQueries(4, nw, uint64(nw)*7+3)
-			kern(row, q[0], q[1], q[2], q[3], &sums)
-			for j := 0; j < 4; j++ {
-				if want := int64(hammingScalar(row, q[j])); sums[j] != want {
-					t.Errorf("%s nw=%d query %d: got %d, scalar %d", name, nw, j, sums[j], want)
-				}
-			}
-		}
-		for _, nw := range []int{120, 128} { // worst-case accumulator density
-			ones := make([]uint64, nw)
-			for i := range ones {
-				ones[i] = ^uint64(0)
-			}
-			zeros := make([]uint64, nw)
-			kern(ones, zeros, ones, zeros, ones, &sums)
-			want := [4]int64{int64(nw) * 64, 0, int64(nw) * 64, 0}
-			if sums != want {
-				t.Errorf("%s nw=%d dense: got %v, want %v", name, nw, sums, want)
-			}
-		}
-	}
-}
-
-// TestHammingMulti8PtrsMatchesScalar pins the eight-wide AVX-512
-// kernel — including its log-depth shuffle-tree reduction, whose lane
-// bookkeeping is the easiest part to get wrong — against the scalar
-// loop per query stream, plus an all-ones pattern that makes every
-// sum distinct per query slot.
-func TestHammingMulti8PtrsMatchesScalar(t *testing.T) {
-	if !useMulti8 {
-		t.Skip("no eight-wide kernel on this machine")
-	}
-	for _, nw := range []int{8, 16, 24, 64, 128, 136, 1024} {
-		row := randWords(nw, uint64(nw)+11)
-		q := multiQueries(8, nw, uint64(nw)*13+7)
-		var qp [8]*uint64
-		for j := range qp {
-			qp[j] = &q[j][0]
-		}
-		var sums [8]int64
-		hammingMulti8Ptrs(&row[0], &qp, nw/kernelBlock, &sums)
-		for j := 0; j < 8; j++ {
-			if want := int64(hammingScalar(row, q[j])); sums[j] != want {
-				t.Errorf("nw=%d query %d: got %d, scalar %d", nw, j, sums[j], want)
-			}
-		}
-	}
-	// Distinct per-slot totals: query j is all-ones in its first j+1
-	// blocks, zero elsewhere, so a slot mix-up in the reduction tree
-	// changes some sum.
-	const nw = 64
-	row := make([]uint64, nw) // all zeros
-	var qp [8]*uint64
-	qs := make([][]uint64, 8)
-	for j := range qs {
-		qs[j] = make([]uint64, nw)
-		for w := 0; w < (j+1)*kernelBlock; w++ {
-			qs[j][w] = ^uint64(0)
-		}
-		qp[j] = &qs[j][0]
-	}
-	var sums [8]int64
-	hammingMulti8Ptrs(&row[0], &qp, nw/kernelBlock, &sums)
-	for j := 0; j < 8; j++ {
-		if want := int64((j + 1) * kernelBlock * 64); sums[j] != want {
-			t.Errorf("slot %d: got %d, want %d", j, sums[j], want)
-		}
-	}
-}
-
-// TestScanPlaneTiersMatchHammingWords pins each range-kernel tier the
-// host supports to HammingWords row by row, through wrappers that
-// finish the rows a tier leaves over exactly as ScanPlane does. The
-// widths cover the AVX2 flush edges (15 and 16 blocks) and the sketch
-// width of the default geometry.
-func TestScanPlaneTiersMatchHammingWords(t *testing.T) {
-	if !useAccel {
-		t.Skip("no AVX2 on this machine")
-	}
-	widths := []int{8, 16, 24, 40, 64, 120, 128, 136, 256}
+// scanTiers returns the range-kernel tiers the host supports, by name,
+// each behind a wrapper that finishes the rows a tier leaves over
+// exactly as ScanPlane does.
+func scanTiers() map[string]planeScan {
 	tail := func(plane []uint64, w int, q []uint64, bound, lo, hi, n int, out []int32) int {
 		for i := lo; i < hi; i++ {
 			if HammingWords(plane[i*w:(i+1)*w], q) <= bound {
@@ -191,23 +85,41 @@ func TestScanPlaneTiersMatchHammingWords(t *testing.T) {
 		}
 		return n
 	}
-	checkScanPlane(t, "avx2", widths, func(plane []uint64, w int, q []uint64, bound, lo, hi int, out []int32) int {
-		if bound < 0 || lo == hi {
-			return 0
+	tiers := map[string]planeScan{}
+	if useAccel {
+		tiers["avx2"] = func(plane []uint64, w int, q []uint64, bound, lo, hi int, out []int32) int {
+			if bound < 0 || lo == hi {
+				return 0
+			}
+			return scanPlaneAVX2(&plane[lo*w], hi-lo, w/kernelBlock, &q[0], bound, lo, &out[0])
 		}
-		return scanPlaneAVX2(&plane[lo*w], hi-lo, w/kernelBlock, &q[0], bound, lo, &out[0])
-	})
-	if !useAVX512 {
-		return
 	}
-	checkScanPlane(t, "avx512", widths, func(plane []uint64, w int, q []uint64, bound, lo, hi int, out []int32) int {
-		groups := (hi - lo) / planeGroup
-		if bound < 0 || groups == 0 {
-			return tail(plane, w, q, bound, lo, hi, 0, out)
+	if useAVX512 {
+		tiers["avx512"] = func(plane []uint64, w int, q []uint64, bound, lo, hi int, out []int32) int {
+			groups := (hi - lo) / planeGroup
+			if bound < 0 || groups == 0 {
+				return tail(plane, w, q, bound, lo, hi, 0, out)
+			}
+			n := scanPlaneAVX512(&plane[lo*w], groups, w/kernelBlock, &q[0], bound, lo, &out[0])
+			return tail(plane, w, q, bound, lo+groups*planeGroup, hi, n, out)
 		}
-		n := scanPlaneAVX512(&plane[lo*w], groups, w/kernelBlock, &q[0], bound, lo, &out[0])
-		return tail(plane, w, q, bound, lo+groups*planeGroup, hi, n, out)
-	})
+	}
+	return tiers
+}
+
+// TestScanPlaneTiersMatchHammingWords pins each range-kernel tier the
+// host supports to HammingWords row by row. The widths cover the AVX2
+// flush edges (15 and 16 blocks) and the sketch width of the default
+// geometry; checkScanPlane's slot-order case pins the AVX-512 tier's
+// shuffle tree.
+func TestScanPlaneTiersMatchHammingWords(t *testing.T) {
+	tiers := scanTiers()
+	if len(tiers) == 0 {
+		t.Skip("no vector kernels on this machine")
+	}
+	for name, scan := range tiers {
+		checkScanPlane(t, name, []int{8, 16, 24, 40, 64, 120, 128, 136, 256}, scan)
+	}
 }
 
 // foldTier is one vector tier of the row-fold kernels: its assembly

@@ -8,20 +8,8 @@ const useAccel = false
 
 const kernelName = "scalar"
 
-// useMulti8 mirrors kernel_amd64.go; without an assembly kernel there
-// is no eight-wide fused pass.
-const useMulti8 = false
-
 func hammingBlocks(a, b []uint64) int {
 	panic("bitvec: hammingBlocks without an accelerated kernel")
-}
-
-func hammingMulti4Blocks(row, q0, q1, q2, q3 []uint64, sums *[4]int64) {
-	panic("bitvec: hammingMulti4Blocks without an accelerated kernel")
-}
-
-func hammingMulti8Blocks(row []uint64, qs [][]uint64, lo, hi int, sums *[8]int64) {
-	panic("bitvec: hammingMulti8Blocks without an accelerated kernel")
 }
 
 func scanPlaneBlocks(rows []uint64, nblocks int, q []uint64, bound, first int, out []int32) (n, done int) {

@@ -14,8 +14,8 @@ import "fmt"
 // On amd64 with AVX-512 VPOPCNTDQ rows are taken eight at a time: each
 // 64-byte query block is loaded into a register once per group and
 // XNOR-popcounted against the matching block of all eight rows, the
-// eight accumulators collapse through the same shuffle tree the
-// eight-query kernel uses, and one vector compare yields the group's
+// eight accumulators collapse through a log-depth shuffle tree into one
+// vector of eight distances, and one vector compare yields the group's
 // pass mask — no per-row reduction and no per-row branch. The AVX2 tier
 // loops rows with the nibble-LUT popcount. Everywhere else, for widths
 // that are not whole kernel blocks, and for the rows left over after

@@ -73,6 +73,36 @@ func checkScanPlane(t *testing.T, name string, widths []int, scan planeScan) {
 		if n := scan(plane, w, zero, 64*w-1, 0, rows, out); n != 0 {
 			t.Fatalf("%s w=%d all-ones: %d rows within %d, want none", name, w, n, 64*w-1)
 		}
+		checkSlotOrder(t, name, w, scan)
+	}
+}
+
+// checkSlotOrder scans one group of eight rows whose distances are
+// eight distinct multiples of 8·w, in unsorted order, under every bound
+// that admits the k nearest of them. The admitted sets form a chain
+// that tells every row apart, so a reduction that swaps any two rows'
+// slots reports a wrong set at some bound.
+func checkSlotOrder(t *testing.T, name string, w int, scan planeScan) {
+	t.Helper()
+	rank := [8]int{5, 1, 7, 3, 0, 6, 2, 4} // row r is at distance 8·w·rank[r]
+	group, zero := make([]uint64, 8*w), make([]uint64, w)
+	for r, k := range rank {
+		for b := 0; b < 8*w*k; b++ { // the row's first 8·w·k bits, across its blocks
+			group[r*w+b/64] |= 1 << uint(b%64)
+		}
+	}
+	out := make([]int32, 8)
+	for k := range rank {
+		var want []int32
+		for r, rk := range rank {
+			if rk <= k {
+				want = append(want, int32(r))
+			}
+		}
+		n := scan(group, w, zero, 8*w*k, 0, 8, out)
+		if fmt.Sprint(out[:n]) != fmt.Sprint(want) {
+			t.Fatalf("%s w=%d slot order, bound %d: survivors %v, want %v", name, w, 8*w*k, out[:n], want)
+		}
 	}
 }
 

@@ -94,10 +94,9 @@ func (c Config) Validate() error {
 // concurrent use once constructed (all state is read-only).
 type Encoder struct {
 	cfg Config
-	im  *hdc.ItemMemory
 	// rot[b][i] is ρ^i(B[b]) for i ∈ [0, Window], as hypervector views
-	// of rows: what the associative decode and the counter oracle
-	// consume. The encoders read rows.
+	// of rows: what BaseHV hands out and the counter oracle adds up. The
+	// encoders read rows.
 	rot [genome.AlphabetSize][]*hdc.HV
 	// rows is the storage behind rot, flat for the row-fold kernels both
 	// encoders call: ρ^i(B[b]) occupies words [(4i+b)·D/64,
@@ -116,17 +115,19 @@ func New(cfg Config) (*Encoder, error) {
 	nw := cfg.Dim / 64
 	e := &Encoder{
 		cfg:  cfg,
-		im:   hdc.NewItemMemory(cfg.Dim, genome.AlphabetSize, cfg.Seed),
 		rows: make([]uint64, (cfg.Window+1)*genome.AlphabetSize*nw),
 		tie:  make([]uint64, nw),
 	}
+	// The base vectors B[0..3] are drawn from one stream seeded by Seed,
+	// one base after another.
+	src := rng.New(cfg.Seed)
 	for b := 0; b < genome.AlphabetSize; b++ {
 		e.rot[b] = make([]*hdc.HV, cfg.Window+1)
 		for i := 0; i <= cfg.Window; i++ {
 			r := i*genome.AlphabetSize + b
 			h := hdc.HVFromArenaRow(e.rows[r*nw:(r+1)*nw:(r+1)*nw], cfg.Dim)
 			if i == 0 {
-				h.CopyFrom(e.im.Get(b))
+				copy(h.Words(), hdc.RandomHV(cfg.Dim, src).Words())
 			} else {
 				h.Permute(e.rot[b][i-1], 1)
 			}
@@ -142,9 +143,9 @@ func New(cfg Config) (*Encoder, error) {
 	return e, nil
 }
 
-// BaseHV returns the item-memory hypervector for base b (shared; do not
+// BaseHV returns the random base hypervector B[b] (shared; do not
 // mutate).
-func (e *Encoder) BaseHV(b genome.Base) *hdc.HV { return e.im.Get(int(b)) }
+func (e *Encoder) BaseHV(b genome.Base) *hdc.HV { return e.rot[b][0] }
 
 func (e *Encoder) checkWindow(seq *genome.Sequence, start int) {
 	if start < 0 || start+e.cfg.Window > seq.Len() {
@@ -263,30 +264,6 @@ func (e *Encoder) bundleWindow(out []uint64, row []int32, seq *genome.Sequence, 
 	bitvec.MajorityRows(out, e.rows, row, len(out), e.tie, true)
 }
 
-// DecodeWindowApprox recovers the window content memorized in a sealed
-// positional-bundle encoding by associative recall: position i decodes to
-// the base whose rotated item vector ρ^i(B[b]) correlates most strongly
-// with the bundle. The superposed other positions act as near-orthogonal
-// noise, so with the dimensionalities BioHD operates at (D ≫ Window) the
-// reconstruction is exact with overwhelming probability. Ties decode to
-// the smallest base so the result is deterministic.
-func (e *Encoder) DecodeWindowApprox(h *hdc.HV) (*genome.Sequence, error) {
-	if h.Dim() != e.cfg.Dim {
-		return nil, fmt.Errorf("encoding: decode dimension %d != encoder %d", h.Dim(), e.cfg.Dim)
-	}
-	out := genome.NewSequence(e.cfg.Window)
-	for i := 0; i < e.cfg.Window; i++ {
-		best, bestDot := genome.Base(0), h.Dot(e.rot[0][i])
-		for b := 1; b < genome.AlphabetSize; b++ {
-			if d := h.Dot(e.rot[b][i]); d > bestDot {
-				best, bestDot = genome.Base(b), d
-			}
-		}
-		out.Set(i, best)
-	}
-	return out, nil
-}
-
 // AccumulateWindow returns the raw (unsealed) positional-bundle counters
 // for the window of seq starting at start — the counter formulation the
 // bit-sliced kernel is tested against and internal/pim's cost model
@@ -321,19 +298,9 @@ func (e *Encoder) Encode(seq *genome.Sequence, start int, mode Mode) *hdc.HV {
 // Counter ties are broken by a deterministic hash of the *logical*
 // dimension index (tieBit), so a window seals identically at any offset.
 func (e *Encoder) SealLogical(acc *hdc.Acc, off int) *hdc.HV {
-	out := hdc.NewHV(e.cfg.Dim)
-	e.SealLogicalInto(out, acc, off)
-	return out
-}
-
-// SealLogicalInto is SealLogical writing into dst instead of
-// allocating. It panics if dst has the wrong dimension.
-//
-//biohd:hotpath
-func (e *Encoder) SealLogicalInto(dst *hdc.HV, acc *hdc.Acc, off int) {
 	d := e.cfg.Dim
-	e.checkDim(dst)
-	words := dst.Words()
+	out := hdc.NewHV(d)
+	words := out.Words()
 	raw := off
 	for j := 0; j < d; j += 64 {
 		var pos, zero uint64
@@ -351,6 +318,7 @@ func (e *Encoder) SealLogicalInto(dst *hdc.HV, acc *hdc.Acc, off int) {
 		}
 		words[j/64] = pos | zero&e.tie[j/64]
 	}
+	return out
 }
 
 // tieBit is a deterministic balanced bit derived from (seed, logical

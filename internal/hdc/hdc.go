@@ -86,10 +86,6 @@ func (h *HV) Words() []uint64 { return h.bits.Words() }
 // Clone returns an independent copy.
 func (h *HV) Clone() *HV { return &HV{bits: h.bits.Clone()} }
 
-// CopyFrom overwrites h with the contents of o, reusing h's storage.
-// Dimensions must match.
-func (h *HV) CopyFrom(o *HV) { h.bits.CopyFrom(o.bits) }
-
 // HVFromArenaRow wraps an arena row (exactly d/64 packed words) as a
 // hypervector WITHOUT copying: the returned HV aliases words, so
 // mutating either afterwards corrupts the other. It panics on a
@@ -351,51 +347,4 @@ func Bundle(d int, tieSeed uint64, hs ...*HV) *HV {
 		acc.Add(h)
 	}
 	return acc.Seal(tieSeed)
-}
-
-// ItemMemory maps small integer symbols (e.g. DNA bases 0..3) to fixed
-// random hypervectors. The mapping is fully determined by (dimension,
-// seed), so encoders on different machines agree bit-for-bit.
-type ItemMemory struct {
-	d     int
-	items []*HV
-}
-
-// NewItemMemory creates an item memory with n symbols of dimension d,
-// seeded deterministically from seed.
-func NewItemMemory(d, n int, seed uint64) *ItemMemory {
-	src := rng.New(seed)
-	im := &ItemMemory{d: d, items: make([]*HV, n)}
-	for i := range im.items {
-		im.items[i] = RandomHV(d, src)
-	}
-	return im
-}
-
-// Dim returns the hypervector dimensionality.
-func (im *ItemMemory) Dim() int { return im.d }
-
-// Size returns the number of symbols.
-func (im *ItemMemory) Size() int { return len(im.items) }
-
-// Get returns the hypervector for symbol s. The returned vector is shared
-// and must not be mutated. It panics if s is out of range.
-func (im *ItemMemory) Get(s int) *HV {
-	if s < 0 || s >= len(im.items) {
-		panic(fmt.Sprintf("hdc: symbol %d out of range [0,%d)", s, len(im.items)))
-	}
-	return im.items[s]
-}
-
-// Nearest returns the symbol whose hypervector has the highest dot
-// product with h, together with that dot product — associative recall
-// from the item memory.
-func (im *ItemMemory) Nearest(h *HV) (symbol, dot int) {
-	best, bestDot := -1, -h.Dim()-1
-	for s, item := range im.items {
-		if d := item.Dot(h); d > bestDot {
-			best, bestDot = s, d
-		}
-	}
-	return best, bestDot
 }

@@ -2,6 +2,7 @@ package hdc
 
 import (
 	"math"
+	"math/bits"
 	"testing"
 	"testing/quick"
 
@@ -179,7 +180,10 @@ func TestSealTieBreakDeterministic(t *testing.T) {
 		t.Fatal("distinct tie seeds produced identical seal of all-ties")
 	}
 	// Tie-broken bits should be roughly balanced.
-	pc := a.Bits().PopCount()
+	pc := 0
+	for _, w := range a.Words() {
+		pc += bits.OnesCount64(w)
+	}
 	if pc < 64 || pc > 192 {
 		t.Fatalf("tie-broken popcount %d far from balanced", pc)
 	}
@@ -207,48 +211,6 @@ func TestAccDimensionMismatchPanics(t *testing.T) {
 		}
 	}()
 	acc.Add(NewHV(64))
-}
-
-func TestItemMemory(t *testing.T) {
-	im := NewItemMemory(testDim, 4, 123)
-	if im.Size() != 4 || im.Dim() != testDim {
-		t.Fatalf("Size=%d Dim=%d", im.Size(), im.Dim())
-	}
-	// Symbols are mutually quasi-orthogonal.
-	limit := int(6 * math.Sqrt(testDim))
-	for i := 0; i < 4; i++ {
-		for j := i + 1; j < 4; j++ {
-			if d := im.Get(i).Dot(im.Get(j)); d > limit || d < -limit {
-				t.Fatalf("symbols %d,%d not quasi-orthogonal: %d", i, j, d)
-			}
-		}
-	}
-	// Nearest recovers the exact symbol.
-	for s := 0; s < 4; s++ {
-		if got, dot := im.Nearest(im.Get(s)); got != s || dot != testDim {
-			t.Fatalf("Nearest(%d) = %d (dot %d)", s, got, dot)
-		}
-	}
-}
-
-func TestItemMemoryDeterministic(t *testing.T) {
-	a := NewItemMemory(256, 4, 5)
-	b := NewItemMemory(256, 4, 5)
-	for s := 0; s < 4; s++ {
-		if !a.Get(s).Equal(b.Get(s)) {
-			t.Fatal("item memories with equal seeds differ")
-		}
-	}
-}
-
-func TestItemMemoryOutOfRangePanics(t *testing.T) {
-	im := NewItemMemory(64, 4, 1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Get(4) did not panic")
-		}
-	}()
-	im.Get(4)
 }
 
 // Property: binding commutes and is associative.
@@ -356,7 +318,7 @@ func TestHVCloneAndAccessors(t *testing.T) {
 	if !a.Equal(b) {
 		t.Fatal("clone differs")
 	}
-	b.Bits().Flip(0)
+	b.Words()[0] ^= 1
 	if a.Equal(b) {
 		t.Fatal("clone shares storage")
 	}
@@ -416,7 +378,7 @@ func TestHVFromWordsRoundTrip(t *testing.T) {
 	if !a.Equal(b) {
 		t.Fatal("HVFromWords differs")
 	}
-	b.Bits().Flip(3)
+	b.Words()[0] ^= 1 << 3
 	if a.Equal(b) {
 		t.Fatal("HVFromWords shares storage")
 	}

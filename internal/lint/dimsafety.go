@@ -23,9 +23,8 @@ import (
 // the raw access.
 //
 // Accepted guards, which must precede the first combining access:
-//   - a call to a checker helper (mustMatch / check / sameLen /
-//     checkMultiOperands) with a vector operand as receiver or
-//     argument
+//   - a call to a checker helper (mustMatch / check / sameLen) with a
+//     vector operand as receiver or argument
 //   - an if statement whose condition mentions two distinct operands
 //     (the length-comparison idiom, e.g. "if v.n != o.n")
 //
@@ -53,10 +52,9 @@ var rawMethods = map[string]bool{"Words": true, "Counts": true, "Count": true}
 
 // guardNames are checker-helper method names accepted as guards.
 var guardNames = map[string]bool{
-	"mustMatch":          true,
-	"check":              true,
-	"sameLen":            true,
-	"checkMultiOperands": true,
+	"mustMatch": true,
+	"check":     true,
+	"sameLen":   true,
 }
 
 // Run implements Analyzer.

@@ -48,9 +48,9 @@ func (v *Vector) Both(a, b *Vector) {
 	v.And(a, b)
 }
 
-// checkMultiOperands validates a query block against a row, mirroring
-// the flat multi-query kernels' checker helper.
-func checkMultiOperands(row []uint64, qs [][]uint64) {
+// check validates a query block against a row, a checker helper in the
+// shape the flat kernels use.
+func check(row []uint64, qs [][]uint64) {
 	for i := range qs {
 		if len(qs[i]) != len(row) {
 			panic("bitvec: length mismatch")
@@ -73,7 +73,7 @@ func ScanRows(row []uint64, qs [][]uint64) int {
 // ScanRowsGuarded runs the checker helper before touching either
 // operand's words.
 func ScanRowsGuarded(row []uint64, qs [][]uint64) int {
-	checkMultiOperands(row, qs)
+	check(row, qs)
 	d := 0
 	for i := range qs {
 		for w := range row {

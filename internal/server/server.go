@@ -176,7 +176,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		"# TYPE biohd_core_sketch_predicted_survivor_ratio gauge\nbiohd_core_sketch_predicted_survivor_ratio %g\n", info.SketchSurvivorRatio)
 	fmt.Fprintf(&buf, "# HELP biohd_core_batch_cancellations_total Batch lookups stopped early by context cancellation.\n"+
 		"# TYPE biohd_core_batch_cancellations_total counter\nbiohd_core_batch_cancellations_total %d\n", c.BatchCancellations)
-	fmt.Fprintf(&buf, "# HELP biohd_core_blocked_probes_total Query-blocked arena scans executed by the fused multi-query kernel.\n"+
+	fmt.Fprintf(&buf, "# HELP biohd_core_blocked_probes_total Query-blocked arena scans: each tile of the plane scanned by every query of a block.\n"+
 		"# TYPE biohd_core_blocked_probes_total counter\nbiohd_core_blocked_probes_total %d\n", c.BlockedProbes)
 	fmt.Fprintf(&buf, "# HELP biohd_core_blocked_windows_total Query windows served by blocked scans; divided by blocked probes this is the realized block occupancy.\n"+
 		"# TYPE biohd_core_blocked_windows_total counter\nbiohd_core_blocked_windows_total %d\n", c.BlockedWindows)

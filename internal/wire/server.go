@@ -8,7 +8,7 @@ package wire
 //	            requestID. Decoded requests flow into a bounded work
 //	            channel (backpressure: a client with pipelineDepth
 //	            frames in flight blocks until responses drain).
-//	workers   — ConnWorkers goroutines executing requests against the
+//	workers   — connWorkers goroutines executing requests against the
 //	            Backend concurrently. This is what feeds the
 //	            coalescer: in-flight requests from ONE connection are
 //	            separate goroutines, so when the CPUs are busy they
@@ -68,6 +68,16 @@ var errConnClosing = errors.New("wire: connection closing after protocol error")
 // backpressure reaches the client.
 const pipelineDepth = 64
 
+// connWorkers is the number of per-connection request executors — the
+// connection's maximum useful pipelining: two probe blocks' worth, so
+// one connection can keep a block executing and the next one's lookups
+// pending behind it.
+const connWorkers = 16
+
+// keepAlivePeriod is the TCP keepalive probe interval of a wire
+// connection.
+const keepAlivePeriod = 30 * time.Second
+
 // ServerConfig shapes the wire listener's connection lifecycle. Zero
 // fields take the defaults below; negative durations disable the
 // timeout.
@@ -75,31 +85,20 @@ type ServerConfig struct {
 	// MaxFrame caps one frame's payload in bytes (default
 	// DefaultMaxFrame). Larger frames are a protocol error.
 	MaxFrame int
-	// ConnWorkers is the number of per-connection request executors —
-	// the connection's maximum useful pipelining (default 16: two probe
-	// blocks' worth, so one connection can keep a block executing and
-	// the next one's lookups pending behind it).
-	ConnWorkers int
 	// IdleTimeout closes a connection that sends no frame for this
 	// long (default 2m, matching the HTTP keep-alive idle timeout).
 	IdleTimeout time.Duration
 	// RequestTimeout bounds each request's context (default 30s,
 	// matching the HTTP per-request deadline).
 	RequestTimeout time.Duration
-	// KeepAlivePeriod configures TCP keepalive probes (default 30s).
-	KeepAlivePeriod time.Duration
 }
 
 func (c ServerConfig) withDefaults() ServerConfig {
 	if c.MaxFrame <= 0 {
 		c.MaxFrame = DefaultMaxFrame
 	}
-	if c.ConnWorkers <= 0 {
-		c.ConnWorkers = 16
-	}
 	c.IdleTimeout = resolveDur(c.IdleTimeout, 2*time.Minute)
 	c.RequestTimeout = resolveDur(c.RequestTimeout, 30*time.Second)
-	c.KeepAlivePeriod = resolveDur(c.KeepAlivePeriod, 30*time.Second)
 	return c
 }
 
@@ -388,10 +387,8 @@ func (s *Server) handleConn(nc net.Conn) {
 	defer nc.Close()
 	if tc, ok := nc.(*net.TCPConn); ok {
 		_ = tc.SetNoDelay(true)
-		if s.cfg.KeepAlivePeriod > 0 {
-			_ = tc.SetKeepAlive(true)
-			_ = tc.SetKeepAlivePeriod(s.cfg.KeepAlivePeriod)
-		}
+		_ = tc.SetKeepAlive(true)
+		_ = tc.SetKeepAlivePeriod(keepAlivePeriod)
 	}
 	c := &serverConn{
 		srv:      s,
@@ -413,7 +410,7 @@ func (s *Server) handleConn(nc net.Conn) {
 		//lint:ignore errcheck the writer's error only ever ends its own connection
 		c.writeLoop()
 	}()
-	for i := 0; i < s.cfg.ConnWorkers; i++ {
+	for i := 0; i < connWorkers; i++ {
 		workerWg.Add(1)
 		go func() {
 			defer workerWg.Done()

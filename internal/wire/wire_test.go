@@ -181,11 +181,12 @@ func TestApplicationErrorKeepsConnection(t *testing.T) {
 
 // TestPipelining proves concurrent requests on ONE connection execute
 // concurrently server-side: all in-flight searches block in the
-// backend simultaneously before any response is written.
+// backend simultaneously before any response is written. depth is at
+// most connWorkers.
 func TestPipelining(t *testing.T) {
 	const depth = 8
 	fb := &fakeBackend{block: make(chan struct{})}
-	_, addr := startServer(t, fb, ServerConfig{ConnWorkers: depth})
+	_, addr := startServer(t, fb, ServerConfig{})
 	cl := dialClient(t, addr, ClientConfig{Conns: 1})
 	ctx := context.Background()
 
