@@ -6,7 +6,7 @@ GO       ?= go
 FUZZTIME ?= 30s
 PKGS      = ./...
 
-.PHONY: all build test test-purego race vet lint lint-json fuzz bench benchsmoke smoke loc check clean
+.PHONY: all build test test-purego race vet lint inline lint-json fuzz bench benchsmoke smoke loc check clean
 
 all: build
 
@@ -45,10 +45,23 @@ vet:
 ## lint: run the repo-specific static analyzers (see internal/lint/README.md)
 ## twice — once for the default build, once under the purego tag so the
 ## portable kernel fallbacks are held to the same hot-path rules as the
-## assembly dispatch stubs they replace
-lint:
+## assembly dispatch stubs they replace — after the inline gate
+lint: inline
 	$(GO) run ./cmd/biohdlint $(PKGS)
 	$(GO) run ./cmd/biohdlint -tags purego $(PKGS)
+
+## inline: fail unless the compiler can inline genome.Sequence's per-base
+## accessors At and Set; every encoder, hash and test oracle calls them
+## once per base, and a call that is not inlined costs more than the
+## base it reads (a panic message formatted in place is enough to push
+## either over the budget)
+inline:
+	@out=$$($(GO) build -gcflags=-m ./internal/genome 2>&1); \
+	for f in At Set; do \
+		printf '%s\n' "$$out" | grep -q "can inline (\*Sequence)\.$$f$$" || \
+			{ echo "inline: (*Sequence).$$f is not inlinable" >&2; exit 1; }; \
+	done; \
+	echo "inline: (*Sequence).At and (*Sequence).Set are inlinable"
 
 ## lint-json: the lint gate with a machine-readable artifact (CI uploads
 ## it so findings are diffable across runs)
@@ -64,14 +77,15 @@ bench:
 
 ## benchsmoke: compile and run every micro-benchmark once (internal/core
 ## includes BenchmarkProbeBlockWidths, the per-query cost of a probe
-## block at widths 1 to 8), then the benchmark's smoke pass — catches
+## block at widths 1 to 8; internal/cobs BenchmarkLookup, a lookup at the
+## cobs workload's shape), then the benchmark's smoke pass — catches
 ## benchmarks that no longer build or crash, without measuring anything.
 ## The second line re-runs the kernel and encoder benchmarks under the
 ## purego tag so the scalar fallbacks of the single-query, multi-query,
 ## range and row-fold kernels stay exercised on machines whose first
 ## pass dispatches to vector tiers.
 benchsmoke:
-	$(GO) test -run='^$$' -bench=. -benchtime=1x ./internal/bitvec ./internal/hdc ./internal/encoding ./internal/core .
+	$(GO) test -run='^$$' -bench=. -benchtime=1x ./internal/bitvec ./internal/hdc ./internal/encoding ./internal/core ./internal/cobs .
 	$(GO) test -tags purego -run='^$$' -bench=. -benchtime=1x ./internal/bitvec ./internal/encoding
 	$(GO) run ./bench -smoke
 
@@ -80,6 +94,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzFromString -fuzztime=$(FUZZTIME) ./internal/genome
 	$(GO) test -run='^$$' -fuzz=FuzzReadFASTA -fuzztime=$(FUZZTIME) ./internal/genome
 	$(GO) test -run='^$$' -fuzz=FuzzApplyEdits -fuzztime=$(FUZZTIME) ./internal/genome
+	$(GO) test -run='^$$' -fuzz=FuzzFindAll -fuzztime=$(FUZZTIME) ./internal/genome
 	$(GO) test -run='^$$' -fuzz=FuzzEncode -fuzztime=$(FUZZTIME) ./internal/encoding
 	$(GO) test -run='^$$' -fuzz=FuzzScanPlane -fuzztime=$(FUZZTIME) ./internal/bitvec
 	$(GO) test -run='^$$' -fuzz=FuzzFoldRows -fuzztime=$(FUZZTIME) ./internal/bitvec

@@ -8,12 +8,20 @@ import (
 
 // probeScratch is the pooled per-lookup working set: the probe
 // positions of the queried w-mer, the row-AND accumulator, and the
-// candidate list. Sized for the widest segment of the snapshot that
+// candidates. Sized for the widest segment of the snapshot that
 // allocated it; probe paths grow it only on a snapshot that widened.
 type probeScratch struct {
 	pos   [maxHashes]int
 	acc   []uint64
-	cands []int32
+	cands *candidates
+}
+
+// candidates is one query window's candidate set: the global indices of
+// the references whose columns survive the row AND, ascending, and the
+// buffer verification collects one candidate's occurrence offsets in.
+type candidates struct {
+	refs []int32
+	offs []int
 }
 
 // getScratch returns pooled probe scratch wide enough for v's segments.
@@ -22,7 +30,7 @@ type probeScratch struct {
 func (x *Index) getScratch(v *core.View) *probeScratch {
 	sc, ok := x.pool.Get().(*probeScratch)
 	if !ok {
-		sc = &probeScratch{}
+		sc = &probeScratch{cands: &candidates{}}
 	}
 	if need := viewOf(v).maxWords; cap(sc.acc) < need {
 		sc.acc = make([]uint64, need)
@@ -69,54 +77,52 @@ func (p *Params) probePositions(pattern *genome.Sequence, qoff int, pos []int) [
 // probeWindow runs the candidate stage for one query window across
 // every segment of the snapshot: AND the probe rows, mask tombstones,
 // and decode the surviving columns into global reference indices
-// (ascending per segment, segments in order). Results land in sc.cands
-// (reset here); stats and counters account the scan work.
+// (ascending per segment, segments in order). Results land in
+// sc.cands.refs (reset here); stats and counters account the scan work.
 //
 //biohd:hotpath
 func (x *Index) probeWindow(v *core.View, pattern *genome.Sequence, qoff int, sc *probeScratch, stats *core.Stats) {
 	sn := viewOf(v)
 	pos := x.params.probePositions(pattern, qoff, sc.pos[:])
-	sc.cands = sc.cands[:0]
+	cands := sc.cands
+	cands.refs = cands.refs[:0]
 	stats.Alignments++
 	for _, seg := range sn.segs {
 		if seg.NumBuckets() == 0 {
 			continue
 		}
 		acc := seg.probeAnd(pos, sc.acc)
-		sc.cands = seg.appendCandidates(sc.cands, acc)
+		cands.refs = seg.appendCandidates(cands.refs, acc)
 		stats.BucketProbes += len(pos)
 	}
-	stats.CandidateBuckets += len(sc.cands)
+	stats.CandidateBuckets += len(cands.refs)
 	x.CountScans(int64(len(pos)*len(sn.segs)), int64(sn.mapped), int64(len(sn.segs)-sn.mapped))
 }
 
-// verifyWindow scans each candidate reference for exact occurrences of
-// the query window [qoff, qoff+w) and appends a Match per occurrence:
-// Off is the occurrence offset in the reference, QueryOff the window's
-// offset in the query, Distance 0 (candidates that fail verification —
-// Bloom false positives — are dropped, so search is exact). Candidates
-// arrive in ascending reference order and occurrences in ascending
-// offset order, so the output extends dst already sorted by (Ref, Off).
+// verifyWindow finds the exact occurrences of the query window
+// [qoff, qoff+w) in each candidate reference, one rolling pass over the
+// packed reference apiece (genome.FindAll), and appends a Match per
+// occurrence: Off is the occurrence offset in the reference, QueryOff the
+// window's offset in the query, Distance 0 (candidates that fail
+// verification — Bloom false positives — are dropped, so search is
+// exact). Candidates arrive in ascending reference order and occurrences
+// in ascending offset order, so the output extends dst already sorted by
+// (Ref, Off). BaseComparisons counts what a naive left-to-right compare
+// at every offset would make.
 //
 //biohd:hotpath
-func (x *Index) verifyWindow(v *core.View, dst []core.Match, pattern *genome.Sequence, qoff int, cands []int32, stats *core.Stats) []core.Match {
+func (x *Index) verifyWindow(v *core.View, dst []core.Match, pattern *genome.Sequence, qoff int, cands *candidates, stats *core.Stats) []core.Match {
 	w := x.params.Window
-	for _, ref := range cands {
+	for _, ref := range cands.refs {
 		seq := v.Refs[ref].Seq
 		if seq == nil {
 			continue // tombstoned after the probed snapshot's seal
 		}
 		stats.WindowsVerified++
-		for off := 0; off+w <= seq.Len(); off++ {
-			j := 0
-			for j < w && seq.At(off+j) == pattern.At(qoff+j) {
-				j++
-			}
-			stats.BaseComparisons += j
-			if j < w {
-				stats.BaseComparisons++
-				continue
-			}
+		var cmps int
+		cands.offs, cmps = genome.FindAll(cands.offs[:0], seq, pattern, qoff, w)
+		stats.BaseComparisons += cmps
+		for _, off := range cands.offs {
 			dst = append(dst, core.Match{Ref: int(ref), Off: off, QueryOff: qoff, Distance: 0})
 		}
 	}

@@ -165,12 +165,13 @@ func (l *Library) probeBlockInto(v *View, dsts [][]Candidate, hvs []*hdc.HV, sc 
 }
 
 // verify refines candidates into matches by direct comparison of the
-// query window against each member window of each candidate bucket,
-// accepting distance ≤ tol. Windows whose reference has been removed
-// (tombstones) are skipped — their contribution to the bucket vector
-// lingers until Compact, but they can never match. Matches are appended
-// to out, which is returned (append-style, so Lookup accumulates across
-// alignments without an intermediate slice).
+// query window against each member window of each candidate bucket, 32
+// packed bases at a time (genome.Mismatches), accepting distance ≤ tol.
+// Windows whose reference has been removed (tombstones) are skipped —
+// their contribution to the bucket vector lingers until Compact, but they
+// can never match. Matches are appended to out, which is returned
+// (append-style, so Lookup accumulates across alignments without an
+// intermediate slice).
 func (l *Library) verify(sn *hdcView, out []Match, q *genome.Sequence, qOff int, cands []Candidate, tol int, stats *Stats) []Match {
 	w := l.params.Window
 	for _, c := range cands {
@@ -179,15 +180,7 @@ func (l *Library) verify(sn *hdcView, out []Match, q *genome.Sequence, qOff int,
 			if ref == nil {
 				continue // tombstoned
 			}
-			dist := 0
-			for i := 0; i < w; i++ {
-				if ref.At(int(wr.Off)+i) != q.At(qOff+i) {
-					dist++
-					if dist > tol {
-						break
-					}
-				}
-			}
+			dist := genome.Mismatches(ref, int(wr.Off), q, qOff, w, tol)
 			if stats != nil {
 				stats.WindowsVerified++
 				stats.BaseComparisons += w // full window budgeted

@@ -111,10 +111,19 @@ func FromBases(bs []Base) *Sequence {
 // Len returns the number of bases.
 func (s *Sequence) Len() int { return s.n }
 
+// rangeError is the panic value of an out-of-range At or Set. It
+// formats only when printed, which keeps both accessors under the
+// compiler's inlining budget (`make inline` checks that they are).
+type rangeError struct{ i, n int }
+
+func (e rangeError) Error() string {
+	return fmt.Sprintf("genome: index %d out of range [0,%d)", e.i, e.n)
+}
+
 // At returns the base at position i. It panics if i is out of range.
 func (s *Sequence) At(i int) Base {
 	if i < 0 || i >= s.n {
-		panic(fmt.Sprintf("genome: index %d out of range [0,%d)", i, s.n))
+		panic(rangeError{i, s.n})
 	}
 	return Base(s.words[i/basesPerWord] >> (uint(i%basesPerWord) * 2) & 3)
 }
@@ -122,7 +131,7 @@ func (s *Sequence) At(i int) Base {
 // Set writes base b at position i. It panics if i is out of range.
 func (s *Sequence) Set(i int, b Base) {
 	if i < 0 || i >= s.n {
-		panic(fmt.Sprintf("genome: index %d out of range [0,%d)", i, s.n))
+		panic(rangeError{i, s.n})
 	}
 	shift := uint(i%basesPerWord) * 2
 	w := &s.words[i/basesPerWord]
