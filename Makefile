@@ -78,14 +78,16 @@ bench:
 ## benchsmoke: compile and run every micro-benchmark once (internal/core
 ## includes BenchmarkProbeBlockWidths, the per-query cost of a probe
 ## block at widths 1 to 8; internal/cobs BenchmarkLookup, a lookup at the
-## cobs workload's shape), then the benchmark's smoke pass — catches
-## benchmarks that no longer build or crash, without measuring anything.
+## cobs workload's shape; internal/genome BenchmarkFindAll, one verify
+## pass over a cobs-sized reference), then the benchmark's smoke pass —
+## catches benchmarks that no longer build or crash, without measuring
+## anything.
 ## The second line re-runs the kernel and encoder benchmarks under the
 ## purego tag so the scalar fallbacks of the single-query, multi-query,
 ## range and row-fold kernels stay exercised on machines whose first
 ## pass dispatches to vector tiers.
 benchsmoke:
-	$(GO) test -run='^$$' -bench=. -benchtime=1x ./internal/bitvec ./internal/hdc ./internal/encoding ./internal/core ./internal/cobs .
+	$(GO) test -run='^$$' -bench=. -benchtime=1x ./internal/bitvec ./internal/hdc ./internal/encoding ./internal/genome ./internal/core ./internal/cobs .
 	$(GO) test -tags purego -run='^$$' -bench=. -benchtime=1x ./internal/bitvec ./internal/encoding
 	$(GO) run ./bench -smoke
 

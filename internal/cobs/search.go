@@ -49,13 +49,19 @@ func (x *Index) putScratch(sc *probeScratch) { x.pool.Put(sc) }
 const PositionSeed uint64 = 0xb100f11e
 
 // WindowHash folds the w bases starting at off into a 64-bit mixing
-// hash (an FNV-style fold), supporting windows longer than the 31-base
-// packed-k-mer limit.
+// hash (an FNV-style fold, one base at a time), supporting windows longer
+// than the 31-base packed-k-mer limit. It reads the bases 32 to a packed
+// word, and panics if any of the w bases lies outside seq.
 func WindowHash(seq *genome.Sequence, off, w int) uint64 {
 	h := uint64(0xcbf29ce484222325)
-	for i := 0; i < w; i++ {
-		h ^= uint64(seq.At(off + i))
-		h *= 0x100000001b3
+	for c := 0; c < w; c += 32 {
+		k := min(w-c, 32)
+		v := seq.Word(off+c, k)
+		for range k {
+			h ^= v & 3
+			h *= 0x100000001b3
+			v >>= 2
+		}
 	}
 	return h
 }
@@ -100,11 +106,11 @@ func (x *Index) probeWindow(v *core.View, pattern *genome.Sequence, qoff int, sc
 }
 
 // verifyWindow finds the exact occurrences of the query window
-// [qoff, qoff+w) in each candidate reference, one rolling pass over the
-// packed reference apiece (genome.FindAll), and appends a Match per
-// occurrence: Off is the occurrence offset in the reference, QueryOff the
-// window's offset in the query, Distance 0 (candidates that fail
-// verification — Bloom false positives — are dropped, so search is
+// [qoff, qoff+w) in each candidate reference, one lane-parallel pass
+// over the packed reference apiece (genome.FindAll), and appends a
+// Match per occurrence: Off is the occurrence offset in the reference,
+// QueryOff the window's offset in the query, Distance 0 (candidates that
+// fail verification — Bloom false positives — are dropped, so search is
 // exact). Candidates arrive in ascending reference order and occurrences
 // in ascending offset order, so the output extends dst already sorted by
 // (Ref, Off). BaseComparisons counts what a naive left-to-right compare

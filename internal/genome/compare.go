@@ -30,6 +30,17 @@ func (s *Sequence) word32(i int) uint64 {
 	return v
 }
 
+// Word returns the k bases of s starting at i in one word, base i in the
+// low two bits and the bits above base k clear, for k in [1, 32]. It
+// panics unless [i, i+k) is a window of s.
+func (s *Sequence) Word(i, k int) uint64 {
+	if k > basesPerWord {
+		panic(windowError{i, k, s.n})
+	}
+	checkWindow(s, i, k)
+	return s.word32(i) & baseMask(k)
+}
+
 // windowError is the panic value of a window outside its sequence,
 // formatted only when printed so that checkWindow inlines.
 type windowError struct{ off, w, n int }
@@ -52,10 +63,20 @@ func checkWindow(s *Sequence, off, w int) {
 // at an occurrence). A text shorter than w has no offsets and costs
 // nothing. It panics unless [poff, poff+w) is a non-empty window of pat.
 //
-// The first min(w, 32) bases of the pattern are one key word; the text
-// window rolls in one base a step and is compared with one XOR, whose
-// trailing zeros give the matched prefix. Bases past the first 32 are
-// compared only where the first 32 agree.
+// Offsets are tested 32 at a time, offset b+i in the 2-bit lane i of one
+// word: step j compares text[b+j+i] in every lane with the one pattern
+// base pat[poff+j] broadcast to all lanes, and clears the lanes that
+// differ from the live mask m (bit 2i for lane i). A block ends once no
+// lane is live, which on random text is after about four steps, or after
+// min(w, 32) steps; a lane live then has matched the first 32 bases and
+// compares the rest a word at a time (tailPrefix).
+//
+// The count needs no per-offset work. With mⱼ the live mask after step
+// j, a lane is in mⱼ exactly when its matched prefix is longer than j,
+// so Σⱼ popcount(mⱼ) is the sum of the matched prefixes (each capped at
+// 32; tailPrefix adds the rest). The naive scan makes prefix+1
+// comparisons at an offset but only w = prefix at an occurrence, so it
+// makes offsets + Σⱼ popcount(mⱼ) − occurrences.
 func FindAll(dst []int, text, pat *Sequence, poff, w int) ([]int, int) {
 	checkWindow(pat, poff, w)
 	last := text.n - w
@@ -63,36 +84,62 @@ func FindAll(dst []int, text, pat *Sequence, poff, w int) ([]int, int) {
 		return dst, 0
 	}
 	k := min(w, basesPerWord)
-	mask := baseMask(k)
-	top := 2 * uint(k-1)
-	key := pat.word32(poff) & mask
-	win := text.word32(0) & mask
-	// nw holds text[next] and the rest of its word, lowest bits first:
-	// the next base to roll in at the window's top.
-	next := uint(k)
-	var nw uint64
-	if next < uint(text.n) {
-		nw = text.words[next/basesPerWord] >> (next % basesPerWord * 2)
-	}
-	cmps := 0
-	for off := 0; ; off++ {
-		if x := win ^ key; x != 0 {
-			cmps += bits.TrailingZeros64(x)/2 + 1
-		} else if n := tailPrefix(text, off, pat, poff, w); n < w {
-			cmps += n + 1
-		} else {
-			cmps += w
+	key := pat.word32(poff)
+	// bcj is pattern base j broadcast to every lane; later steps
+	// broadcast theirs in the loop.
+	bc0, bc1, bc2, bc3 := key&3*lowBits, key>>2&3*lowBits, key>>4&3*lowBits, key>>6&3*lowBits
+	words := text.words
+	cmps := last + 1
+	for q := 0; q*basesPerWord <= last; q++ {
+		b := q * basesPerWord
+		// The last block's lanes past last would read the text's end and
+		// the padding beyond it.
+		m := lowBits & baseMask(min(last-b+1, basesPerWord))
+		// Step j reads text[b+j:] as lo>>2j | hi<<(64−2j): lane i holds
+		// text[b+j+i] for every j < 32.
+		lo := words[q]
+		var hi uint64
+		if q+1 < len(words) {
+			hi = words[q+1]
+		}
+		j := 0
+		if k >= 4 {
+			// The first four steps, without a branch: on random text a
+			// block has no live lane only after about four.
+			x0 := lo ^ bc0
+			x1 := (lo>>2 | hi<<62) ^ bc1
+			x2 := (lo>>4 | hi<<60) ^ bc2
+			x3 := (lo>>6 | hi<<58) ^ bc3
+			m &^= x0 | x0>>1
+			c := bits.OnesCount64(m)
+			m &^= x1 | x1>>1
+			c += bits.OnesCount64(m)
+			m &^= x2 | x2>>1
+			c += bits.OnesCount64(m)
+			m &^= x3 | x3>>1
+			cmps += c + bits.OnesCount64(m)
+			j = 4
+		}
+		for ; m != 0 && j < k; j++ {
+			s := 2 * uint(j)
+			x := (lo>>s | hi<<(64-s)) ^ key>>s&3*lowBits
+			m &^= x | x>>1
+			cmps += bits.OnesCount64(m)
+		}
+		// A lane live now has matched the first min(w, 32) bases.
+		for ; m != 0; m &= m - 1 {
+			off := b + bits.TrailingZeros64(m)/2
+			if w > basesPerWord {
+				n := tailPrefix(text, off, pat, poff, w)
+				if cmps += n - basesPerWord; n < w {
+					continue
+				}
+			}
+			cmps--
 			dst = append(dst, off)
 		}
-		if off == last {
-			return dst, cmps
-		}
-		win = win>>2 | (nw&3)<<top
-		nw >>= 2
-		if next++; next%basesPerWord == 0 && next < uint(text.n) {
-			nw = text.words[next/basesPerWord]
-		}
 	}
+	return dst, cmps
 }
 
 // tailPrefix returns how many of the w bases at text[toff:] and

@@ -70,10 +70,23 @@ func periodic(unit string, n int) *Sequence {
 	return MustFromString(strings.Repeat(unit, n/len(unit)+1)[:n])
 }
 
+// findAllWidths are the window widths the FindAll tests cover: below, at
+// and above the four branch-free steps, and either side of one and two
+// words.
+var findAllWidths = []int{1, 2, 3, 4, 5, 31, 32, 33, 64, 65, 1024}
+
+// blockEdgeOffsets are offset counts either side of one and two full
+// blocks of 32 lanes.
+var blockEdgeOffsets = []int{31, 32, 33, 63, 64, 65}
+
 func TestFindAllMatchesNaive(t *testing.T) {
 	src := rng.New(41)
-	for _, w := range []int{1, 31, 32, 33, 64, 65, 1024} {
-		for _, n := range []int{w - 1, w, w + 1, 2*w + 37, 3000} {
+	for _, w := range findAllWidths {
+		ns := []int{w - 1, w, w + 1, 2*w + 37, 3000}
+		for _, c := range blockEdgeOffsets {
+			ns = append(ns, w-1+c)
+		}
+		for _, n := range ns {
 			texts := map[string]*Sequence{
 				"random":   Random(n, src),
 				"all-A":    NewSequence(n),
@@ -101,10 +114,13 @@ func TestFindAllMatchesNaive(t *testing.T) {
 }
 
 // TestFindAllEnds plants occurrences at offset 0 and at n−w of an
-// otherwise random text, and checks a text shorter than the window.
+// otherwise random text, and at the edges of FindAll's blocks of 32
+// offsets: the last lane of one block and the first lane of the next,
+// and near-occurrences that agree on the first 32 bases and differ at
+// one base past them. It also checks a text shorter than the window.
 func TestFindAllEnds(t *testing.T) {
 	src := rng.New(42)
-	for _, w := range []int{1, 31, 32, 33, 64, 65, 1024} {
+	for _, w := range findAllWidths {
 		pat := Random(w, src)
 		text := pat.Append(Random(w+13, src)).Append(pat)
 		n := text.Len()
@@ -116,6 +132,37 @@ func TestFindAllEnds(t *testing.T) {
 		short := pat.Slice(0, w-1)
 		if offs, cmps := FindAll(nil, short, pat, 0, w); len(offs) != 0 || cmps != 0 {
 			t.Fatalf("w=%d: text shorter than the window gave %v, %d comparisons", w, offs, cmps)
+		}
+
+		for _, at := range []int{31, 32, 63, 64} {
+			text := Random(at, src).Append(pat).Append(Random(40, src))
+			name := fmt.Sprintf("w=%d planted at %d", w, at)
+			if offs, _ := FindAll(nil, text, pat, 0, w); !slices.Contains(offs, at) {
+				t.Fatalf("%s: occurrences %v", name, offs)
+			}
+			checkFindAll(t, name, text, pat, 0, w, 1)
+		}
+		// Lanes 31 and 32 both occur where the pattern has period one.
+		as := NewSequence(w)
+		text = Random(31, src).Append(NewSequence(w + 1)).Append(Random(40, src))
+		if offs, _ := FindAll(nil, text, as, 0, w); !slices.Contains(offs, 31) || !slices.Contains(offs, 32) {
+			t.Fatalf("w=%d: all-A occurrences %v, want 31 and 32", w, offs)
+		}
+		checkFindAll(t, fmt.Sprintf("w=%d all-A at 31 and 32", w), text, as, 0, w, 1)
+		// Lanes that survive the 32 lane steps and fail at base p past
+		// them: one planted lane in random text, and every lane of every
+		// block in all-A text.
+		for _, p := range []int{32, 33, 63, 64, w / 2, w - 1} {
+			if p < basesPerWord || p >= w {
+				continue
+			}
+			near := pat.Clone()
+			near.Set(p, near.At(p).Complement())
+			text := Random(31, src).Append(near).Append(Random(40, src))
+			checkFindAll(t, fmt.Sprintf("w=%d planted mismatch at base %d", w, p), text, pat, 0, w, 1)
+			near = NewSequence(w)
+			near.Set(p, C)
+			checkFindAll(t, fmt.Sprintf("w=%d all-A mismatch at base %d", w, p), NewSequence(w+100), near, 0, w, 1)
 		}
 	}
 }
@@ -144,6 +191,36 @@ func TestFindAllIgnoresPadding(t *testing.T) {
 				checkFindAll(t, fmt.Sprintf("w=%d n=%d padded pattern", w, n), base, text, n-w, w, 3)
 			}
 		}
+	}
+}
+
+// TestWordMatchesAt holds Word to its bases at every k and at offsets on
+// and off a word boundary, and checks that it panics outside the
+// sequence or above 32 bases.
+func TestWordMatchesAt(t *testing.T) {
+	seq := Random(100, rng.New(47))
+	for _, i := range []int{0, 1, 31, 32, 33, 63, 68} {
+		for k := 1; k <= basesPerWord && i+k <= seq.Len(); k++ {
+			v := seq.Word(i, k)
+			for j := 0; j < k; j++ {
+				if Base(v>>(2*j)&3) != seq.At(i+j) {
+					t.Fatalf("Word(%d, %d) base %d = %v, At = %v", i, k, j, Base(v>>(2*j)&3), seq.At(i+j))
+				}
+			}
+			if v>>(2*k-1)>>1 != 0 {
+				t.Fatalf("Word(%d, %d) = %#x has bits above base %d", i, k, v, k)
+			}
+		}
+	}
+	for _, c := range [][2]int{{-1, 1}, {99, 2}, {100, 1}, {0, 0}, {0, 33}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("Word(%d, %d) did not panic", c[0], c[1])
+				}
+			}()
+			seq.Word(c[0], c[1])
+		}()
 	}
 }
 
@@ -192,6 +269,31 @@ func FuzzFindAll(f *testing.F) {
 	f.Add([]byte(strings.Repeat("A", 100)), []byte(strings.Repeat("A", 40)), uint16(3), uint16(32), uint8(0))
 	f.Add([]byte(strings.Repeat("AC", 80)), []byte(strings.Repeat("CA", 40)), uint16(1), uint16(63), uint8(2))
 	f.Add([]byte("ACG"), []byte("ACGTA"), uint16(0), uint16(4), uint8(0))
+	// The lane and block edges of TestFindAllEnds; the inputs hold
+	// base values, 0 to 3, as bytes.
+	src := rng.New(45)
+	randomBases := func(n int) []byte {
+		bs := make([]byte, n)
+		for i := range bs {
+			bs[i] = byte(src.Intn(AlphabetSize))
+		}
+		return bs
+	}
+	text := randomBases(60)
+	for w := 2; w <= 5; w++ {
+		f.Add(text, text, uint16(7), uint16(w-1), uint8(1))
+	}
+	for _, c := range blockEdgeOffsets {
+		f.Add(make([]byte, 32+c), make([]byte, 33), uint16(0), uint16(32), uint8(0))
+	}
+	pat := randomBases(40)
+	for _, at := range []int{31, 32, 63, 64} {
+		planted := slices.Concat(randomBases(at), pat, randomBases(40))
+		f.Add(planted, pat, uint16(0), uint16(39), uint8(1))
+	}
+	near := make([]byte, 48)
+	near[40] = byte(C)
+	f.Add(make([]byte, 100), near, uint16(0), uint16(47), uint8(1))
 	f.Fuzz(func(t *testing.T, textB, patB []byte, poffRaw, wRaw uint16, limit uint8) {
 		if len(patB) == 0 || len(textB) > 4096 || len(patB) > 4096 {
 			return
@@ -208,4 +310,39 @@ func FuzzFindAll(f *testing.F) {
 		poff := int(poffRaw) % (pat.Len() - w + 1)
 		checkFindAll(t, "fuzz", text, pat, poff, w, int(limit))
 	})
+}
+
+// BenchmarkFindAll times one FindAll over a text of 2 048 + w bases, the
+// shape of a cobs candidate reference, for windows of 32, 64 and 1 024
+// bases. Half the patterns are windows of the text and half are random.
+// On random text most blocks of offsets are settled in a few steps; the
+// all-A text keeps every lane of every block live for all 32 steps, and
+// a present pattern occurs at every offset.
+func BenchmarkFindAll(b *testing.B) {
+	for _, w := range []int{32, 64, 1024} {
+		for _, kind := range []string{"random", "all-A"} {
+			b.Run(fmt.Sprintf("w=%d/%s", w, kind), func(b *testing.B) {
+				src := rng.New(uint64(w))
+				n := 2048 + w
+				text := NewSequence(n)
+				if kind == "random" {
+					text = Random(n, src)
+				}
+				pats := make([]*Sequence, 16)
+				for i := range pats {
+					if i%2 == 0 {
+						off := src.Intn(n - w + 1)
+						pats[i] = text.Slice(off, off+w)
+					} else {
+						pats[i] = Random(w, src)
+					}
+				}
+				var dst []int
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					dst, _ = FindAll(dst[:0], text, pats[i%len(pats)], 0, w)
+				}
+			})
+		}
+	}
 }
