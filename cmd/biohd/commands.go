@@ -39,7 +39,7 @@ func cmdServe(args []string, out io.Writer) error {
 	lf := addLibFlags(fs)
 	refFile := fs.String("ref", "", "reference FASTA")
 	libFile := fs.String("lib", "", "saved library file (alternative to -ref)")
-	mmapLib := fs.Bool("mmap", false, "map the -lib file instead of loading it to the heap (heap fallback, with the reason printed, for a legacy v1/v2 file or a platform that cannot map)")
+	mmapLib := fs.Bool("mmap", false, "map the -lib file instead of loading it to the heap (heap fallback, with the reason printed, on a platform that cannot map)")
 	addr := fs.String("addr", "127.0.0.1:8650", "listen address")
 	wireAddr := fs.String("wire-addr", "", "binary wire-protocol listen address (empty = HTTP only)")
 	wireMaxFrame := fs.Int("wire-max-frame", wire.DefaultMaxFrame, "max wire-protocol frame payload in bytes")
@@ -77,12 +77,7 @@ func cmdServe(args []string, out io.Writer) error {
 	defer lib.Close()
 	if *mmapLib {
 		mode := "mapped"
-		switch {
-		case lib.Describe().Mapped:
-		case core.MapSupported():
-			// The platform maps, so the file is what could not be mapped.
-			mode = "heap fallback (legacy v1/v2 stream; biohd convert rewrites it as mappable v3)"
-		default:
+		if !lib.Describe().Mapped {
 			mode = "heap fallback (this platform or build cannot map files)"
 		}
 		fmt.Fprintf(out, "library load mode: %s\n", mode)

@@ -11,7 +11,6 @@
 //	serve      expose a library over an HTTP JSON API (+ binary wire protocol)
 //	wire       query a serve -wire-addr listener over the binary protocol
 //	compact    rewrite a saved library's tombstoned segments
-//	convert    rewrite a saved library (any format version) as a mappable v3 file
 //
 // Run "biohd <subcommand> -h" for flags.
 package main
@@ -54,8 +53,6 @@ func run(args []string, out io.Writer) error {
 		return cmdPIM(args[1:], out)
 	case "compact":
 		return cmdCompact(args[1:], out)
-	case "convert":
-		return cmdConvert(args[1:], out)
 	case "help", "-h", "--help":
 		usage(out)
 		return nil
@@ -80,6 +77,5 @@ subcommands:
   serve       expose a library over an HTTP JSON API (+ binary wire protocol via -wire-addr)
   wire        query a serve -wire-addr listener over the binary wire protocol
   compact     rewrite a saved library's tombstoned segments and save it back
-  convert     rewrite a saved library (legacy v1/v2 stream, or v3) as a mappable v3 file
 `)
 }

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
@@ -429,35 +428,5 @@ func TestBuildUnknownBackend(t *testing.T) {
 	err := run([]string{"build", "-ref", refs, "-backend", "btree"}, &sb)
 	if err == nil || !strings.Contains(err.Error(), "registered: hdc, cobs") {
 		t.Fatalf("unknown backend: %v", err)
-	}
-}
-
-func TestConvertCOBSStaysCOBS(t *testing.T) {
-	refs := genRefs(t)
-	dir := t.TempDir()
-	libPath := filepath.Join(dir, "lib.cobs")
-	var sb strings.Builder
-	if err := run([]string{"build", "-ref", refs, "-backend", "cobs", "-o", libPath}, &sb); err != nil {
-		t.Fatal(err)
-	}
-	// A cobs container converts to an identical cobs container.
-	out3 := filepath.Join(dir, "out.v3")
-	sb.Reset()
-	if err := run([]string{"convert", "-lib", libPath, "-o", out3}, &sb); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "cobs") {
-		t.Fatalf("convert output does not name the backend:\n%s", sb.String())
-	}
-	a, err := os.ReadFile(libPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := os.ReadFile(out3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a, b) {
-		t.Fatal("converting a v3 cobs container changed its bytes")
 	}
 }

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -72,30 +71,5 @@ func saveIndex(dst string, idx core.Index, out io.Writer) error {
 		return err
 	}
 	fmt.Fprintf(out, "saved library to %s (format v3, %d bytes)\n", dst, size)
-	return nil
-}
-
-// cmdConvert rewrites a saved library — a legacy v1/v2 stream, or a v3
-// container — as a v3 container.
-func cmdConvert(args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("convert", flag.ContinueOnError)
-	libFile := fs.String("lib", "", "saved library file to convert (required)")
-	output := fs.String("o", "", "output file (required; may equal -lib to rewrite in place)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *libFile == "" || *output == "" {
-		return fmt.Errorf("convert requires -lib and -o")
-	}
-	idx, err := core.OpenLibraryFile(*libFile, core.LoadHeap)
-	if err != nil {
-		return err
-	}
-	if err := saveIndex(*output, idx, out); err != nil {
-		return err
-	}
-	info := idx.Describe()
-	fmt.Fprintf(out, "converted %s (%s): %d refs, %d segments, %d buckets\n",
-		*libFile, info.Backend, info.References, info.Segments, info.Buckets)
 	return nil
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -13,12 +14,6 @@ import (
 	"repro/internal/genome"
 	"repro/internal/rng"
 )
-
-// goldenV2 is the checked-in legacy stream the last v2 writer produced
-// (three 400-base references drawn from rng.New(9001), D=2048, window
-// 24, approximate mode) — the input of every convert test now that
-// nothing writes the format.
-const goldenV2 = "../../internal/core/testdata/golden_v2_sealed.lib"
 
 // fileVersion reads a library file's format version word.
 func fileVersion(t *testing.T, path string) uint32 {
@@ -92,80 +87,38 @@ func TestSaveAtomicErrorLeavesNoTmp(t *testing.T) {
 	}
 }
 
-func TestConvertV2ToV3AndSearch(t *testing.T) {
-	if v := fileVersion(t, goldenV2); v != 2 {
-		t.Fatalf("golden is version %d", v)
-	}
-	v3Path := filepath.Join(t.TempDir(), "lib.v3")
-	var sb strings.Builder
-	if err := run([]string{"convert", "-lib", goldenV2, "-o", v3Path}, &sb); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "converted") || !strings.Contains(sb.String(), "format v3") {
-		t.Fatalf("no conversion report: %q", sb.String())
-	}
-	if v := fileVersion(t, v3Path); v != 3 {
-		t.Fatalf("converted file version %d", v)
-	}
-	if _, err := os.Stat(v3Path + ".tmp"); !errors.Is(err, os.ErrNotExist) {
-		t.Fatal("convert left its temporary file behind")
-	}
-	// The converted library answers exactly as the legacy file does.
-	pat := genome.Random(400, rng.New(9001)).Slice(80, 104).String()
-	var want, got strings.Builder
-	if err := run([]string{"search", "-lib", goldenV2, "-pattern", pat}, &want); err != nil {
-		t.Fatal(err)
-	}
-	if err := run([]string{"search", "-lib", v3Path, "-pattern", pat}, &got); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(got.String(), "ref-0:80") || got.String() != want.String() {
-		t.Fatalf("search against converted library:\n%s\nagainst the v2 file:\n%s", got.String(), want.String())
-	}
-}
-
-// TestConvertRejectsUnsealed: a raw-counter library can only arrive as
-// a legacy file, and no command opens one any more — each fails with the
-// core's typed error and writes nothing.
-func TestConvertRejectsUnsealed(t *testing.T) {
-	const raw = "../../internal/core/testdata/golden_v2_raw.lib"
-	v3Path := filepath.Join(t.TempDir(), "lib.v3")
-	pat := genome.Random(24, rng.New(1)).String()
-	for _, args := range [][]string{
-		{"convert", "-lib", raw, "-o", v3Path},
-		{"search", "-lib", raw, "-pattern", pat},
-		{"serve", "-lib", raw, "-addr", "127.0.0.1:0"},
-		{"serve", "-lib", "../../internal/core/testdata/golden_v1_raw.lib", "-mmap", "-addr", "127.0.0.1:0"},
-	} {
-		var sb strings.Builder
-		if err := run(args, &sb); !errors.Is(err, core.ErrRawCounters) {
-			t.Errorf("%s: %v, want core.ErrRawCounters", strings.Join(args, " "), err)
+// TestLegacyFormatRejected: a v1 or v2 stream, alone or followed by
+// junk, makes search, serve and serve -mmap fail with the core's typed
+// error before anything listens.
+func TestLegacyFormatRejected(t *testing.T) {
+	dir := t.TempDir()
+	pat := genome.Random(32, rng.New(1)).String()
+	for _, version := range []uint32{1, 2} {
+		head := binary.LittleEndian.AppendUint32([]byte("BIOHDLIB"), version)
+		for i, data := range [][]byte{head, append(head, make([]byte, 4096)...)} {
+			path := filepath.Join(dir, fmt.Sprintf("v%d-%d.lib", version, i))
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			for _, args := range [][]string{
+				{"search", "-lib", path, "-pattern", pat},
+				{"serve", "-lib", path, "-addr", "127.0.0.1:0"},
+				{"serve", "-lib", path, "-mmap", "-addr", "127.0.0.1:0"},
+			} {
+				var sb strings.Builder
+				if err := run(args, &sb); !errors.Is(err, core.ErrLegacyFormat) {
+					t.Errorf("%s: %v, want core.ErrLegacyFormat", strings.Join(args, " "), err)
+				}
+				if strings.Contains(sb.String(), "serving ") {
+					t.Errorf("%s: started listening:\n%s", strings.Join(args, " "), sb.String())
+				}
+			}
 		}
 	}
-	if _, err := os.Stat(v3Path + ".tmp"); !errors.Is(err, os.ErrNotExist) {
-		t.Fatal("failed convert left its temporary file behind")
-	}
-	if _, err := os.Stat(v3Path); !errors.Is(err, os.ErrNotExist) {
-		t.Fatal("failed convert created the output file")
-	}
 }
 
-func TestConvertFlagValidation(t *testing.T) {
-	var sb strings.Builder
-	if err := run([]string{"convert"}, &sb); err == nil {
-		t.Fatal("convert without flags accepted")
-	}
-	if err := run([]string{"convert", "-lib", goldenV2}, &sb); err == nil {
-		t.Fatal("convert without -o accepted")
-	}
-	// v3 is the only format written: the -format flag is gone.
-	if err := run([]string{"convert", "-lib", goldenV2, "-o", filepath.Join(t.TempDir(), "x"), "-format", "v2"}, &sb); err == nil {
-		t.Fatal("removed -format flag accepted")
-	}
-}
-
-// TestCompactPreservesV3Format: whatever format the input arrived in,
-// compact saves the mappable one.
+// TestCompactPreservesV3Format: compact saves the mappable format, in
+// place or to -o.
 func TestCompactPreservesV3Format(t *testing.T) {
 	libPath := buildSealedLib(t)
 	var sb strings.Builder
@@ -176,10 +129,10 @@ func TestCompactPreservesV3Format(t *testing.T) {
 		t.Fatalf("compacted v3 file became version %d", v)
 	}
 	out := filepath.Join(t.TempDir(), "compacted.lib")
-	if err := run([]string{"compact", "-lib", goldenV2, "-remove", "ref-1", "-o", out}, &sb); err != nil {
+	if err := run([]string{"compact", "-lib", libPath, "-remove", "VAR-0001", "-o", out}, &sb); err != nil {
 		t.Fatal(err)
 	}
 	if v := fileVersion(t, out); v != 3 {
-		t.Fatalf("compacting a v2 file wrote version %d", v)
+		t.Fatalf("compacting to -o wrote version %d", v)
 	}
 }

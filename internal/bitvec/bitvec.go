@@ -14,7 +14,6 @@ package bitvec
 import (
 	"fmt"
 	"math/bits"
-	"strings"
 )
 
 const wordBits = 64
@@ -205,27 +204,4 @@ func (v *Vector) rotateGeneric(a *Vector, k int) {
 			v.Set(j)
 		}
 	}
-}
-
-// String renders the vector as a 0/1 string, bit 0 first. Vectors longer
-// than 256 bits are truncated with an ellipsis.
-func (v *Vector) String() string {
-	var sb strings.Builder
-	n := v.n
-	trunc := false
-	if n > 256 {
-		n, trunc = 256, true
-	}
-	sb.Grow(n + 16)
-	for i := 0; i < n; i++ {
-		if v.Get(i) {
-			sb.WriteByte('1')
-		} else {
-			sb.WriteByte('0')
-		}
-	}
-	if trunc {
-		fmt.Fprintf(&sb, "...(%d bits)", v.n)
-	}
-	return sb.String()
 }

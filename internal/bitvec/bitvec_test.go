@@ -268,19 +268,6 @@ func TestCopyFrom(t *testing.T) {
 	}
 }
 
-func TestStringTruncates(t *testing.T) {
-	v := New(3)
-	v.Set(0)
-	v.Set(2)
-	if got := v.String(); got != "101" {
-		t.Fatalf("String = %q", got)
-	}
-	long := New(1000)
-	if s := long.String(); len(s) < 256 {
-		t.Fatalf("long String unexpectedly short: %d", len(s))
-	}
-}
-
 // Property: rotate is a bijection that composes additively.
 func TestQuickRotateComposes(t *testing.T) {
 	f := func(seed int64, k1, k2 uint8) bool {

@@ -2,7 +2,9 @@ package core
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -94,32 +96,51 @@ func RegisteredBackends() []string {
 	return out
 }
 
-// ReadIndex deserializes an index saved in any supported format into
-// the heap, verifying every checksum; the result is frozen and answers
-// exactly as the index that was saved. A v3 container goes through the
-// one container walk to the backend its tag names (unknown tags are an
-// error); the read-only v1/v2 streams are always HDC. Bytes following
-// the format's final checksum are rejected.
+// ReadIndex deserializes an index saved as a v3 container into the
+// heap, verifying every checksum; the result is frozen and answers
+// exactly as the index that was saved. The container's backend tag
+// selects the backend (unknown tags are an error); a v1/v2 stream is
+// refused with ErrLegacyFormat. Bytes following the container's
+// recorded end are rejected.
 func ReadIndex(r io.Reader) (Index, error) {
 	return readIndex(r, 0)
 }
 
 // readIndex is ReadIndex for an input of which size bytes are known to
 // exist (0 = unknown), so v3 sections within that bound are allocated
-// at once.
+// at once. It reads the magic and version first, and no further
+// unless checkHead passes them.
 func readIndex(r io.Reader, size uint64) (Index, error) {
-	br := bufio.NewReader(r)
-	head, err := br.Peek(len(libMagic) + 4)
-	if err != nil || string(head[:len(libMagic)]) != libMagic {
-		return nil, fmt.Errorf("core: not a BioHD library file")
+	var head [libHeadLen]byte
+	if _, err := io.ReadFull(r, head[:]); err != nil {
+		return nil, errNotLibrary
+	}
+	if err := checkHead(head[:]); err != nil {
+		return nil, err
+	}
+	br := bufio.NewReader(io.MultiReader(bytes.NewReader(head[:]), r))
+	return readContainerV3(&streamSource{br: br, avail: size}, nil)
+}
+
+// libHeadLen is the length of the magic and version word every BioHD
+// library file starts with.
+const libHeadLen = len(libMagic) + 4
+
+var errNotLibrary = errors.New("core: not a BioHD library file")
+
+// checkHead is the format check both storage tiers make before the
+// container walk: head must start with the magic and version 3.
+func checkHead(head []byte) error {
+	if len(head) < libHeadLen || string(head[:len(libMagic)]) != libMagic {
+		return errNotLibrary
 	}
 	switch version := binary.LittleEndian.Uint32(head[len(libMagic):]); version {
-	case 1, 2:
-		return readLegacyStream(br, int(version))
 	case libVersionMapped:
-		return readContainerV3(&streamSource{br: br, avail: size}, nil)
+		return nil
+	case 1, 2:
+		return ErrLegacyFormat
 	default:
-		return nil, fmt.Errorf("core: unsupported library version %d", version)
+		return fmt.Errorf("core: unsupported library version %d", version)
 	}
 }
 
@@ -128,38 +149,36 @@ func readIndex(r io.Reader, size uint64) (Index, error) {
 // the file's words. Where it is false every open is a heap load.
 func MapSupported() bool { return mmapfile.Supported() && mmapfile.HostLittleEndian() }
 
-// OpenLibraryFile loads an index file from disk, whatever its format
-// and backend. With MapArena the arenas of a v3 container alias a
-// read-only mapping — verify with Index.Mapped — and the caller must
-// Close the index to unmap; where the platform (or purego build) cannot
-// map, the host is not little-endian (the on-disk word order), or the
-// file is a v1/v2 stream, it loads onto the heap as LoadHeap does.
-// Both tiers run the same walk, so they accept exactly the same files.
-// Close is harmless (and still recommended) for heap-loaded indexes.
+// OpenLibraryFile loads an index file from disk, whatever its backend.
+// With MapArena the arenas alias a read-only mapping — verify with
+// Index.Mapped — and the caller must Close the index to unmap; where
+// the platform (or purego build) cannot map or the host is not
+// little-endian (the on-disk word order), it loads onto the heap as
+// LoadHeap does. Both tiers make the same header check and run the
+// same walk, so they accept exactly the same files. Close is harmless
+// (and still recommended) for heap-loaded indexes.
 func OpenLibraryFile(path string, mode LoadMode) (Index, error) {
 	if mode == MapArena && MapSupported() {
 		m, err := mmapfile.Open(path)
 		if err != nil {
 			return nil, err
 		}
-		if b := m.Bytes(); len(b) >= len(libMagic)+4 && string(b[:len(libMagic)]) == libMagic &&
-			binary.LittleEndian.Uint32(b[len(libMagic):]) == libVersionMapped {
-			// The walk streams every arena front to back for its CRC; tell
-			// the kernel so readahead keeps up, then mark the file wanted
-			// so what was verified stays warm for the first probes. Hints
-			// are best-effort.
-			_ = m.Advise(0, m.Len(), mmapfile.AdviseSequential)
-			idx, err := readContainerV3(&mappedSource{m: m}, m)
-			if err != nil {
-				_ = m.Close()
-				return nil, err
-			}
-			_ = m.Advise(0, m.Len(), mmapfile.AdviseWillNeed)
-			return idx, nil
+		if err := checkHead(m.Bytes()); err != nil {
+			_ = m.Close()
+			return nil, err
 		}
-		// Not a v3 container: the stream path owns the legacy formats
-		// and the not-a-library diagnostics.
-		_ = m.Close()
+		// The walk streams every arena front to back for its CRC; tell
+		// the kernel so readahead keeps up, then mark the file wanted so
+		// what was verified stays warm for the first probes. Hints are
+		// best-effort.
+		_ = m.Advise(0, m.Len(), mmapfile.AdviseSequential)
+		idx, err := readContainerV3(&mappedSource{m: m}, m)
+		if err != nil {
+			_ = m.Close()
+			return nil, err
+		}
+		_ = m.Advise(0, m.Len(), mmapfile.AdviseWillNeed)
+		return idx, nil
 	}
 	f, err := os.Open(path)
 	if err != nil {

@@ -22,7 +22,7 @@ func TestLookupBatchMatchesSequential(t *testing.T) {
 			patterns[i] = genome.Random(32, src)
 		}
 	}
-	results, agg, err := lib.LookupBatch(patterns, 4)
+	results, agg, err := lib.LookupBatchContext(context.Background(), patterns, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestLookupBatchWorkerCounts(t *testing.T) {
 	lib, ref := buildExactLib(t, 1000, 63)
 	patterns := []*genome.Sequence{ref.Slice(0, 32), ref.Slice(100, 132)}
 	for _, workers := range []int{0, 1, 2, 16} {
-		results, _, err := lib.LookupBatch(patterns, workers)
+		results, _, err := lib.LookupBatchContext(context.Background(), patterns, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -69,7 +69,7 @@ func TestLookupBatchWorkerCounts(t *testing.T) {
 
 func TestLookupBatchPropagatesQueryErrors(t *testing.T) {
 	lib, ref := buildExactLib(t, 1000, 64)
-	results, _, err := lib.LookupBatch([]*genome.Sequence{
+	results, _, err := lib.LookupBatchContext(context.Background(), []*genome.Sequence{
 		ref.Slice(0, 32),
 		genome.Random(5, rng.New(65)), // too short
 	}, 2)
@@ -137,7 +137,7 @@ func TestLookupBatchContextCancelMidBatch(t *testing.T) {
 	}
 	// Measure what the full batch costs, then rerun it with a context
 	// canceled as soon as the probe counter first advances.
-	_, fullAgg, err := lib.LookupBatch(patterns, 2)
+	_, fullAgg, err := lib.LookupBatchContext(context.Background(), patterns, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func countCanceled(results []BatchResult) int {
 
 func TestLookupBatchRequiresFreeze(t *testing.T) {
 	lib := mustLibrary(t, Params{Dim: 1024, Window: 16, Seed: 66})
-	if _, _, err := lib.LookupBatch(nil, 2); err == nil {
+	if _, _, err := lib.LookupBatchContext(context.Background(), nil, 2); err == nil {
 		t.Fatal("unfrozen batch accepted")
 	}
 }
@@ -266,7 +266,7 @@ func TestRemoveOnSealedLibrary(t *testing.T) {
 	if matches, _, _ := lib.Lookup(refs[0].Slice(100, 132)); len(matches) != 0 {
 		t.Fatalf("removed reference still matches: %+v", matches)
 	}
-	if ok, _, _ := lib.Contains(refs[1].Slice(100, 132)); !ok {
+	if m, _, _ := lib.Lookup(refs[1].Slice(100, 132)); len(m) == 0 {
 		t.Fatal("surviving reference lost")
 	}
 	if lib.Ref(0).Seq != nil {
@@ -286,7 +286,7 @@ func TestRemoveOnSealedLibrary(t *testing.T) {
 	if got := lib.Counters().Compactions; got != int64(n) {
 		t.Fatalf("Compactions counter %d, want %d", got, n)
 	}
-	if ok, _, _ := lib.Contains(refs[1].Slice(100, 132)); !ok {
+	if m, _, _ := lib.Lookup(refs[1].Slice(100, 132)); len(m) == 0 {
 		t.Fatal("surviving reference lost after Compact")
 	}
 }

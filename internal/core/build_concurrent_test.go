@@ -105,7 +105,7 @@ func TestAddConcurrentErrors(t *testing.T) {
 	if frozen.NumRefs() != refsBefore+1 {
 		t.Fatalf("NumRefs = %d, want %d", frozen.NumRefs(), refsBefore+1)
 	}
-	if ok, _, _ := frozen.Contains(recs[0].Seq.Slice(0, 32)); !ok {
+	if m, _, _ := frozen.Lookup(recs[0].Seq.Slice(0, 32)); len(m) == 0 {
 		t.Fatal("bulk-ingested reference not searchable")
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"math/bits"
 
 	"repro/internal/genome"
@@ -50,35 +51,87 @@ func (w *SectionWriter) Refs(refs []genome.Record) { writeRefs(&w.cw, refs) }
 // Err returns the first write error, if any.
 func (w *SectionWriter) Err() error { return w.cw.err }
 
-// SectionReader decodes one CRC-covered container section. The read
-// methods latch the first error (including plausibility-limit
-// violations); decoding continues returning zero values after a latch,
-// so parsers check Err (or let the container walk check it) once.
+// SectionReader decodes little-endian fields from one container
+// section, whose CRC the walk has checked before the first read. The
+// read methods latch the first error — a field running past the
+// section's end, or a length over its plausibility cap — after which
+// every read returns a zero value, so parsers check Err (or let the
+// container walk check it) once.
 type SectionReader struct {
-	cr  crcReader
-	sec *bytes.Reader // the section's bytes, already in memory; cr reads them
+	b   []byte // the section's undecoded rest
+	err error
 }
 
-func (r *SectionReader) U32() uint32  { return r.cr.u32() }
-func (r *SectionReader) U64() uint64  { return r.cr.u64() }
-func (r *SectionReader) F64() float64 { return r.cr.f64() }
+// read returns the next n bytes of the section.
+func (r *SectionReader) read(n int) []byte {
+	if r.err != nil {
+		return nil
+	}
+	if n > len(r.b) {
+		r.err = io.ErrUnexpectedEOF
+		return nil
+	}
+	b := r.b[:n]
+	r.b = r.b[n:]
+	return b
+}
+
+func (r *SectionReader) U32() uint32 {
+	b := r.read(4)
+	if b == nil {
+		return 0
+	}
+	return binary.LittleEndian.Uint32(b)
+}
+
+func (r *SectionReader) U64() uint64 {
+	b := r.read(8)
+	if b == nil {
+		return 0
+	}
+	return binary.LittleEndian.Uint64(b)
+}
+
+func (r *SectionReader) F64() float64 { return math.Float64frombits(r.U64()) }
 
 // Str reads a string, capped at the container's string limit.
-func (r *SectionReader) Str() string { return r.cr.str(maxStrLen) }
+func (r *SectionReader) Str() string {
+	n := r.U32()
+	if r.err == nil && n > maxStrLen {
+		r.err = fmt.Errorf("string length %d exceeds limit %d", n, maxStrLen)
+		return ""
+	}
+	return string(r.read(int(n)))
+}
 
 // Words reads a count-prefixed word slice, capped at limit words.
-func (r *SectionReader) Words(limit uint32) []uint64 { return r.cr.words(limit) }
+func (r *SectionReader) Words(limit uint32) []uint64 {
+	n := r.U32()
+	if r.err == nil && n > limit {
+		r.err = fmt.Errorf("word count %d exceeds limit %d", n, limit)
+		return nil
+	}
+	buf := r.read(int(n) * 8)
+	if buf == nil {
+		return nil
+	}
+	out := make([]uint64, n)
+	for i := range out {
+		out[i] = binary.LittleEndian.Uint64(buf[i*8:])
+	}
+	return out
+}
 
 // Refs reads the shared reference-table encoding.
-func (r *SectionReader) Refs() ([]genome.Record, error) { return readRefs(&r.cr, true) }
+func (r *SectionReader) Refs() ([]genome.Record, error) { return readRefs(r) }
 
 // Err returns the first read error, if any.
-func (r *SectionReader) Err() error { return r.cr.err }
+func (r *SectionReader) Err() error { return r.err }
 
 // Remaining returns how many bytes of the section are still undecoded,
 // so a parser can hold a declared count to the bytes that could back it
 // before it sizes a table from it.
-func (r *SectionReader) Remaining() int { return r.sec.Len() }
+func (r *SectionReader) Remaining() int { return len(r.b) }
 
 // ContainerSegment is one arena in a v3 container: a (Buckets ×
 // RowWords) word matrix stored row-major. For the HDC backend a row is
@@ -335,12 +388,11 @@ func readContainerV3(src source, m *mmapfile.Mapping) (Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	mr := bytes.NewReader(meta)
-	sr := &SectionReader{cr: crcReader{r: mr}, sec: mr}
+	sr := &SectionReader{b: meta}
 	// The header word sits outside the header CRC and may have been
 	// flipped; the copy leading the meta section may not, and exists
 	// even when segCount == 0 leaves no directory entries to carry one.
-	if tag := sr.U32(); sr.cr.err == nil && tag != h.backend {
+	if tag := sr.U32(); sr.err == nil && tag != h.backend {
 		return nil, fmt.Errorf("core: v3 meta section tagged for backend %s, header says %s",
 			BackendName(tag), BackendName(h.backend))
 	}
@@ -348,11 +400,11 @@ func readContainerV3(src source, m *mmapfile.Mapping) (Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	if sr.cr.err != nil {
-		return nil, fmt.Errorf("core: reading v3 metadata: %w", sr.cr.err)
+	if sr.err != nil {
+		return nil, fmt.Errorf("core: reading v3 metadata: %w", sr.err)
 	}
-	if mr.Len() != 0 {
-		return nil, fmt.Errorf("core: v3 metadata has %d undecoded bytes", mr.Len())
+	if n := sr.Remaining(); n != 0 {
+		return nil, fmt.Errorf("core: v3 metadata has %d undecoded bytes", n)
 	}
 	if err := takeZeros(src, h.dirOff-(v3HeaderSize+h.metaLen)); err != nil {
 		return nil, err

@@ -17,9 +17,10 @@ import (
 // canonical serialized forms, and the stream and mapped opens — one
 // walk over two byte sources — must agree on everything.
 func FuzzReadLibrary(f *testing.F) {
-	// Seed with a genuine legacy stream (the checked-in v2 golden: no
-	// code writes the format any more) plus structured corruptions.
-	valid, err := os.ReadFile(filepath.Join("testdata", "golden_v2_sealed.lib"))
+	// Seed with the checked-in v3 golden (written by an earlier commit)
+	// plus structured corruptions, and the 12-byte headers of the v1/v2
+	// streams the loader refuses.
+	valid, err := os.ReadFile(filepath.Join("testdata", "golden_v3_sealed.lib"))
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -30,6 +31,8 @@ func FuzzReadLibrary(f *testing.F) {
 	mut := append([]byte(nil), valid...)
 	mut[20] ^= 0xff
 	f.Add(mut)
+	f.Add(legacyHeader(1))
+	f.Add(legacyHeader(2))
 	// The v3 container, plus structured corruptions of its sections:
 	// truncated header, truncated arenas, flipped meta byte.
 	lib, err := NewLibrary(Params{Dim: 1024, Window: 16, Seed: 1})

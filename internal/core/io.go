@@ -13,11 +13,10 @@ import (
 	"repro/internal/mmapfile"
 )
 
-// The codecs the file formats share: CRC-teeing field writers and
-// readers, the parameter / calibration / reference-table blocks, and
-// the plausibility limits applied to untrusted counts. The one format
-// written is the v3 container (io_v3.go, container.go); the v1/v2
-// streams are read-only (io_legacy.go).
+// The field codecs of the v3 container's sections (io_v3.go,
+// container.go): a CRC-teeing field writer, the parameter / calibration
+// / reference-table blocks, and the plausibility limits applied to
+// untrusted counts. SectionReader (container.go) reads the fields.
 const libMagic = "BIOHDLIB"
 
 // crcWriter tees writes into a running CRC.
@@ -110,80 +109,10 @@ func boolU32(b bool) uint32 {
 	return 0
 }
 
-// crcReader tees reads into a running CRC.
-type crcReader struct {
-	r   io.Reader
-	crc uint32
-	err error
-	buf []byte // read's scratch, reused so a field costs no allocation
-}
-
-// read returns the next n bytes, valid until the next read (every
-// caller decodes or copies them at once).
-func (cr *crcReader) read(n int) []byte {
-	if cr.err != nil {
-		return nil
-	}
-	if cr.buf == nil || cap(cr.buf) < n {
-		cr.buf = make([]byte, max(n, 8))
-	}
-	buf := cr.buf[:n]
-	if _, err := io.ReadFull(cr.r, buf); err != nil {
-		cr.err = err
-		return nil
-	}
-	cr.crc = crc32.Update(cr.crc, crc32.IEEETable, buf)
-	return buf
-}
-
-func (cr *crcReader) u32() uint32 {
-	b := cr.read(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-func (cr *crcReader) u64() uint64 {
-	b := cr.read(8)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
-}
-
-func (cr *crcReader) f64() float64 { return math.Float64frombits(cr.u64()) }
-
-func (cr *crcReader) str(limit uint32) string {
-	n := cr.u32()
-	if cr.err == nil && n > limit {
-		cr.err = fmt.Errorf("string length %d exceeds limit %d", n, limit)
-		return ""
-	}
-	return string(cr.read(int(n)))
-}
-
-func (cr *crcReader) words(limit uint32) []uint64 {
-	n := cr.u32()
-	if cr.err == nil && n > limit {
-		cr.err = fmt.Errorf("word count %d exceeds limit %d", n, limit)
-		return nil
-	}
-	buf := cr.read(int(n) * 8)
-	if buf == nil {
-		return nil
-	}
-	out := make([]uint64, n)
-	for i := range out {
-		out[i] = binary.LittleEndian.Uint64(buf[i*8:])
-	}
-	return out
-}
-
 // sanity limits for untrusted input: large enough for any realistic
 // genome library (a human chromosome is ~8 M packed words), small enough
-// that a forged length prefix cannot trigger a multi-gigabyte
-// allocation before the checksum is verified.
+// that a forged length prefix — in a section whose CRC the forger
+// recomputed — cannot trigger a multi-gigabyte allocation.
 const (
 	maxStrLen   = 1 << 20
 	maxSeqWords = 1 << 23 // 268 Mbases per sequence
@@ -194,14 +123,20 @@ var errTrailingData = errors.New("core: trailing data after library checksum")
 
 // ErrRawCounters rejects a library file whose parameter block says its
 // buckets are raw counters (a stored Sealed of 0) — a storage mode only
-// the legacy v1/v2 streams could hold, and no longer read. Such a file
-// is not converted: its calibration is in counter units, so sealing it
-// would also mean re-calibrating it.
+// the v1/v2 streams could hold. Such a file is not converted: its
+// calibration is in counter units, so sealing it would also mean
+// re-calibrating it.
 var ErrRawCounters = errors.New("core: raw-counter library files are no longer read " +
 	"(the last commit that reads them is b03c77f); rebuild the library from its references")
 
-// expectEOF asserts the stream is exhausted — every format ends at its
-// final checksum, so a readable byte here means trailing garbage (or a
+// ErrLegacyFormat rejects a v1 or v2 library stream, the formats written
+// before the v3 container. Its header is enough to refuse it; nothing
+// past the version word is read.
+var ErrLegacyFormat = errors.New("core: v1/v2 library files are no longer read " +
+	"(the last commit that reads them is 562a5cc); run `biohd convert -lib FILE -o FILE.v3` there to rewrite one as v3")
+
+// expectEOF asserts the stream is exhausted — a container ends at its
+// recorded size, so a readable byte here means trailing garbage (or a
 // concatenated second file) that must not silently pass.
 func expectEOF(br *bufio.Reader) error {
 	switch _, err := br.ReadByte(); err {
@@ -219,20 +154,20 @@ func expectEOF(br *bufio.Reader) error {
 // constructor precompute gigabyte rotation tables before any checksum
 // is checked. The encoder's table is 4·(Window+1) hypervectors of Dim
 // bits.
-func readParamsChecked(cr *crcReader) (Params, error) {
+func readParamsChecked(sr *SectionReader) (Params, error) {
 	var p Params
-	p.Dim = int(cr.u32())
-	p.Window = int(cr.u32())
-	p.Stride = int(cr.u32())
-	p.Capacity = int(cr.u32())
-	p.Approx = cr.u32() == 1
-	sealed := cr.u32() == 1
-	p.MutTolerance = int(cr.u32())
-	p.Alpha = cr.f64()
-	p.Beta = cr.f64()
-	p.Seed = cr.u64()
-	if cr.err != nil {
-		return p, fmt.Errorf("core: reading library header: %w", cr.err)
+	p.Dim = int(sr.U32())
+	p.Window = int(sr.U32())
+	p.Stride = int(sr.U32())
+	p.Capacity = int(sr.U32())
+	p.Approx = sr.U32() == 1
+	sealed := sr.U32() == 1
+	p.MutTolerance = int(sr.U32())
+	p.Alpha = sr.F64()
+	p.Beta = sr.F64()
+	p.Seed = sr.U64()
+	if sr.err != nil {
+		return p, fmt.Errorf("core: reading library header: %w", sr.err)
 	}
 	if !sealed {
 		return p, ErrRawCounters
@@ -254,37 +189,36 @@ func readParamsChecked(cr *crcReader) (Params, error) {
 }
 
 // readCalibration deserializes the calibration block.
-func readCalibration(cr *crcReader) Calibration {
+func readCalibration(sr *SectionReader) Calibration {
 	var cal Calibration
-	cal.NoiseMean = cr.f64()
-	cal.NoiseStd = cr.f64()
-	cal.SignalMean = cr.f64()
-	cal.SignalStd = cr.f64()
-	cal.Tau = cr.f64()
-	cal.Samples = int(cr.u32())
+	cal.NoiseMean = sr.F64()
+	cal.NoiseStd = sr.F64()
+	cal.SignalMean = sr.F64()
+	cal.SignalStd = sr.F64()
+	cal.Tau = sr.F64()
+	cal.Samples = int(sr.U32())
 	return cal
 }
 
-// readRefs deserializes the reference table. removedFlag selects the
-// v2+ encoding, where a flag marks tombstoned references whose
-// sequence is omitted.
-func readRefs(cr *crcReader, removedFlag bool) ([]genome.Record, error) {
-	nRefs := cr.u32()
-	if cr.err == nil && nRefs > maxCount {
+// readRefs deserializes the reference table, where a flag marks
+// tombstoned references whose sequence is omitted.
+func readRefs(sr *SectionReader) ([]genome.Record, error) {
+	nRefs := sr.U32()
+	if sr.err == nil && nRefs > maxCount {
 		return nil, fmt.Errorf("core: implausible reference count %d", nRefs)
 	}
 	var refs []genome.Record
-	for i := uint32(0); i < nRefs && cr.err == nil; i++ {
-		id := cr.str(maxStrLen)
-		desc := cr.str(maxStrLen)
-		if removedFlag && cr.u32() == 1 {
+	for i := uint32(0); i < nRefs && sr.err == nil; i++ {
+		id := sr.Str()
+		desc := sr.Str()
+		if sr.U32() == 1 {
 			// Removed reference: the slot keeps its index, no sequence.
 			refs = append(refs, genome.Record{ID: id, Description: desc})
 			continue
 		}
-		n := cr.u64()
-		words := cr.words(maxSeqWords)
-		if cr.err != nil {
+		n := sr.U64()
+		words := sr.Words(maxSeqWords)
+		if sr.err != nil {
 			break
 		}
 		if uint64(len(words))*32 < n {
@@ -296,17 +230,6 @@ func readRefs(cr *crcReader, removedFlag bool) ([]genome.Record, error) {
 		})
 	}
 	return refs, nil
-}
-
-// newLoadedLibrary creates the empty library a file's parameter block
-// describes, keeping the stored capacity exactly.
-func newLoadedLibrary(p Params) (*Library, error) {
-	lib, err := NewLibrary(p)
-	if err != nil {
-		return nil, err
-	}
-	lib.params = p
-	return lib, nil
 }
 
 // restore publishes a loaded state with the stored calibration —

@@ -12,10 +12,9 @@ import (
 )
 
 // Library file format v3 — the one format written, and the mappable
-// layout (little endian). Unlike the legacy v1/v2 streams, every sealed
-// segment's probe arena is placed at a 64-byte-aligned, header-recorded
-// offset with its own CRC, so the file can be mmapped and the arenas
-// scanned in place:
+// layout (little endian). Every sealed segment's probe arena is placed
+// at a 64-byte-aligned, header-recorded offset with its own CRC, so the
+// file can be mmapped and the arenas scanned in place:
 //
 //	header (64 bytes, fixed):
 //	  [ 0, 8)  magic "BIOHDLIB"
@@ -178,14 +177,11 @@ func crcWordsLE(words []uint64, buf []byte) uint32 {
 // CRC) and the structural invariants tying the section offsets
 // together: each section starts at the minimal aligned offset after its
 // predecessor, so there is exactly one valid header for given section
-// lengths.
+// lengths. Its magic and version have passed checkHead.
 func parseV3Header(hdr []byte) (v3Header, error) {
 	var h v3Header
 	if len(hdr) < v3HeaderSize {
 		return h, fmt.Errorf("core: v3 header truncated")
-	}
-	if string(hdr[0:8]) != libMagic || binary.LittleEndian.Uint32(hdr[8:12]) != libVersionMapped {
-		return h, fmt.Errorf("core: not a v3 library header")
 	}
 	if got, want := binary.LittleEndian.Uint32(hdr[56:60]), crc32.ChecksumIEEE(hdr[:56]); got != want {
 		return h, fmt.Errorf("core: v3 header checksum mismatch (file %08x, computed %08x)", got, want)
@@ -240,29 +236,28 @@ func init() { RegisterBackend(backendTagHDC, BackendHDC, parseMetaV3) }
 // parseMetaV3 decodes the HDC meta payload. Slices grow as entries are
 // decoded, never from a count the payload has yet to back with bytes.
 func parseMetaV3(sr *SectionReader, segCount int) (ContainerLoader, error) {
-	cr := &sr.cr
-	p, err := readParamsChecked(cr)
+	p, err := readParamsChecked(sr)
 	if err != nil {
 		return nil, err
 	}
-	ld := &hdcLoader{cal: readCalibration(cr)}
-	if ld.refs, err = readRefs(cr, true); err != nil {
+	ld := &hdcLoader{cal: readCalibration(sr)}
+	if ld.refs, err = readRefs(sr); err != nil {
 		return nil, err
 	}
-	for s := 0; s < segCount && cr.err == nil; s++ {
-		nBuckets := cr.u32()
-		if cr.err == nil && nBuckets > maxCount {
+	for s := 0; s < segCount && sr.err == nil; s++ {
+		nBuckets := sr.U32()
+		if sr.err == nil && nBuckets > maxCount {
 			return nil, fmt.Errorf("core: implausible bucket count %d", nBuckets)
 		}
 		var wins [][]WindowRef
-		for i := uint32(0); i < nBuckets && cr.err == nil; i++ {
-			nWin := cr.u32()
-			if cr.err == nil && nWin > maxCount {
+		for i := uint32(0); i < nBuckets && sr.err == nil; i++ {
+			nWin := sr.U32()
+			if sr.err == nil && nWin > maxCount {
 				return nil, fmt.Errorf("core: implausible window count %d", nWin)
 			}
 			var ws []WindowRef
-			for j := uint32(0); j < nWin && cr.err == nil; j++ {
-				wr := WindowRef{Ref: int32(cr.u32()), Off: int32(cr.u32())}
+			for j := uint32(0); j < nWin && sr.err == nil; j++ {
+				wr := WindowRef{Ref: int32(sr.U32()), Off: int32(sr.U32())}
 				if wr.Ref < 0 || int(wr.Ref) >= len(ld.refs) {
 					return nil, fmt.Errorf("core: bucket %d references sequence %d of %d", i, wr.Ref, len(ld.refs))
 				}
@@ -272,12 +267,15 @@ func parseMetaV3(sr *SectionReader, segCount int) (ContainerLoader, error) {
 		}
 		ld.segWins = append(ld.segWins, wins)
 	}
-	if cr.err != nil {
-		return nil, fmt.Errorf("core: reading v3 metadata: %w", cr.err)
+	if sr.err != nil {
+		return nil, fmt.Errorf("core: reading v3 metadata: %w", sr.err)
 	}
-	if ld.lib, err = newLoadedLibrary(p); err != nil {
+	// The empty library the parameter block describes, keeping the
+	// stored capacity exactly.
+	if ld.lib, err = NewLibrary(p); err != nil {
 		return nil, err
 	}
+	ld.lib.params = p
 	return ld, nil
 }
 
@@ -304,14 +302,14 @@ func (ld *hdcLoader) Build(arenas []ContainerSegment, m *mmapfile.Mapping) (Inde
 type LoadMode int
 
 const (
-	// LoadHeap reads the file into the heap (any format version) —
-	// the default tier: fastest scans, footprint equal to library size.
+	// LoadHeap reads the file into the heap — the default tier:
+	// fastest scans, footprint equal to library size.
 	LoadHeap LoadMode = iota
-	// MapArena memory-maps a v3 file and aliases the sealed arenas
+	// MapArena memory-maps the file and aliases the sealed arenas
 	// zero-copy: O(1) startup and a resident footprint proportional to
 	// the hot set, with the kernel paging cold segments in and out.
 	// Falls back to heap loading when the platform (or purego build)
-	// cannot map, the host is not little-endian (the on-disk word order
-	// is little-endian), or the file is a v1/v2 stream.
+	// cannot map or the host is not little-endian (the on-disk word
+	// order is little-endian).
 	MapArena
 )

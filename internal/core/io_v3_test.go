@@ -203,18 +203,6 @@ func TestV3MappedEqualsHeap(t *testing.T) {
 	}
 }
 
-// TestV3OpenHeapFallbackOnV2: a legacy stream asked for MapArena loads
-// onto the heap, through the same entry point, and answers as the
-// library that wrote it.
-func TestV3OpenHeapFallbackOnV2(t *testing.T) {
-	back := openLib(t, filepath.Join("testdata", "golden_v2_sealed.lib"), MapArena)
-	defer back.Close()
-	if back.Mapped() {
-		t.Fatal("v2 stream opened as mapped")
-	}
-	assertLibrariesEquivalent(t, goldenSealedFixture(t), back)
-}
-
 // TestV3MappedUnderConcurrentMutation pins mapped ≡ heap while the
 // library changes underneath the readers: live ingest, Remove, and
 // Compact land as snapshot swaps on both libraries while goroutines
@@ -370,16 +358,6 @@ func TestStaleBucketIndexAfterCompact(t *testing.T) {
 	}
 	if wins := fresh.BucketWindows(1 << 20); wins != nil {
 		t.Fatal("unfrozen out-of-range BucketWindows returned data")
-	}
-}
-
-func TestTrailingDataRejectedV2(t *testing.T) {
-	data, err := os.ReadFile(filepath.Join("testdata", "golden_v2_sealed.lib"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadIndex(bytes.NewReader(append(data, 0x00))); err == nil {
-		t.Fatal("v2 stream with trailing data accepted")
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"sort"
@@ -270,7 +271,7 @@ func TestLookupBatchBlockedMultiAlignment(t *testing.T) {
 		}
 	}
 	for _, workers := range []int{1, 3} {
-		results, agg, err := lib.LookupBatch(patterns, workers)
+		results, agg, err := lib.LookupBatchContext(context.Background(), patterns, workers)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"math"
 
@@ -223,16 +222,4 @@ func (l *Library) probeBlock(v *View, wins []Window, out []*BatchResult) {
 		r.Stats.CandidateBuckets += len(dsts[j])
 		r.Matches = l.verify(sn, r.Matches, wn.Seq, wn.Off, dsts[j], tol, &r.Stats)
 	}
-}
-
-// Contains reports whether the pattern occurs in the references (within
-// MutTolerance for approximate libraries) — the pure membership query.
-func (l *Library) Contains(pattern *genome.Sequence) (bool, Stats, error) {
-	matches, stats, err := l.Lookup(pattern)
-	return len(matches) > 0, stats, err
-}
-
-// LookupBatch is LookupBatchContext without cancellation.
-func (l *Library) LookupBatch(patterns []*genome.Sequence, workers int) ([]BatchResult, Stats, error) {
-	return l.LookupBatchContext(context.Background(), patterns, workers)
 }

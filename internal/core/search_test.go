@@ -110,21 +110,6 @@ func TestLookupStats(t *testing.T) {
 	}
 }
 
-func TestContains(t *testing.T) {
-	lib, ref := buildExactLib(t, 1500, 8)
-	ok, _, err := lib.Contains(ref.Slice(321, 353))
-	if err != nil || !ok {
-		t.Fatalf("present pattern not contained (err %v)", err)
-	}
-	absent := genome.Random(32, rng.New(9))
-	if ref.Index(absent, 0) < 0 {
-		ok, _, err = lib.Contains(absent)
-		if err != nil || ok {
-			t.Fatalf("absent pattern contained (err %v)", err)
-		}
-	}
-}
-
 func TestLookupApproxToleratesMutations(t *testing.T) {
 	ref := genome.Random(1500, rng.New(10))
 	lib := mustLibrary(t, Params{

@@ -2,9 +2,12 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -23,9 +26,8 @@ func loadFixture(t *testing.T, name string) *Library {
 }
 
 // goldenSealedFixture rebuilds, live, the exact library that produced
-// testdata/golden_v1_sealed.lib (written by the v1 format before the
-// segmented refactor). The generator used rng.New(9001) for all three
-// reference draws.
+// testdata/golden_v3_sealed.lib. The generator used rng.New(9001) for
+// all three reference draws.
 func goldenSealedFixture(t *testing.T) *Library {
 	t.Helper()
 	lib := mustLibrary(t, Params{Dim: 2048, Window: 24, Stride: 1, Capacity: 12,
@@ -99,71 +101,112 @@ func assertLibrariesEquivalent(t *testing.T, want, got *Library) {
 	}
 }
 
-// TestGoldenV1SealedCompat loads a library file written by the v1
-// (pre-segment) format and asserts the v2 reader reconstructs it as a
-// single-segment library indistinguishable from a live rebuild.
-func TestGoldenV1SealedCompat(t *testing.T) {
-	loaded := loadFixture(t, "golden_v1_sealed.lib")
-	if !loaded.Describe().Frozen {
-		t.Fatal("v1 fixture not frozen after load")
-	}
-	if n := loaded.NumSegments(); n != 1 {
-		t.Fatalf("v1 fixture loaded as %d segments, want 1", n)
-	}
-	if r := loaded.TombstoneRatio(); r != 0 {
-		t.Fatalf("v1 fixture has tombstone ratio %v, want 0", r)
-	}
-	live := goldenSealedFixture(t)
-	assertLibrariesEquivalent(t, live, loaded)
-}
-
-// TestGoldenV2SealedCompat loads the file the last v2 writer (PR 14's
-// Library.WriteTo, since deleted) produced from the same seeded build.
-// It is the coverage of the v2 decoder now that nothing writes the
-// format: never regenerate it.
-func TestGoldenV2SealedCompat(t *testing.T) {
-	loaded := loadFixture(t, "golden_v2_sealed.lib")
-	if !loaded.Describe().Frozen || loaded.NumSegments() != 1 {
-		t.Fatalf("v2 fixture: frozen %v, %d segments", loaded.Describe().Frozen, loaded.NumSegments())
+// TestGoldenV3SealedCompat decodes a v3 file written by an earlier
+// commit: the output of `biohd convert` at 562a5cc over the last v1 and
+// v2 sealed goldens (both gave these 34 432 bytes). It pins the encoder
+// bits and the container format at once, so never regenerate it. The
+// decoded library must be indistinguishable from a live rebuild.
+func TestGoldenV3SealedCompat(t *testing.T) {
+	loaded := loadFixture(t, "golden_v3_sealed.lib")
+	if !loaded.Describe().Frozen || loaded.NumSegments() != 1 || loaded.TombstoneRatio() != 0 {
+		t.Fatalf("frozen %v, %d segments, tombstone ratio %v",
+			loaded.Describe().Frozen, loaded.NumSegments(), loaded.TombstoneRatio())
 	}
 	assertLibrariesEquivalent(t, goldenSealedFixture(t), loaded)
 }
 
+// TestGoldenV3SealedCompatTiers opens the same golden through both
+// OpenLibraryFile tiers: each must give a library indistinguishable
+// from a live rebuild, and MapArena must map where the platform can.
+func TestGoldenV3SealedCompatTiers(t *testing.T) {
+	path := filepath.Join("testdata", "golden_v3_sealed.lib")
+	want := goldenSealedFixture(t)
+	for _, mode := range []LoadMode{LoadHeap, MapArena} {
+		lib := openLib(t, path, mode)
+		if !lib.Describe().Frozen || lib.NumSegments() != 1 || lib.TombstoneRatio() != 0 {
+			t.Fatalf("mode %d: frozen %v, %d segments, tombstone ratio %v",
+				mode, lib.Describe().Frozen, lib.NumSegments(), lib.TombstoneRatio())
+		}
+		if mode == MapArena && MapSupported() && !lib.Mapped() {
+			t.Fatal("MapArena loaded the golden onto the heap on a platform that maps")
+		}
+		assertLibrariesEquivalent(t, want, lib)
+		lib.Close()
+	}
+}
+
 // TestRawCounterFilesRejected: no open path reads a raw-counter library
-// any more. The v1 and v2 raw goldens (the last writers' output, kept as
-// inputs: never regenerate them) and a v3 file patched to say Sealed = 0
-// must each fail ReadIndex and both OpenLibraryFile tiers with
-// ErrRawCounters, as an error rather than a panic. A mapped open of a
-// legacy stream takes the heap fallback, so it reaches the same check.
+// any more. A v3 file patched to say Sealed = 0 must fail ReadIndex and
+// both OpenLibraryFile tiers with ErrRawCounters, as an error rather
+// than a panic.
 func TestRawCounterFilesRejected(t *testing.T) {
 	lib, _ := buildExactLib(t, 300, 154)
 	patched := filepath.Join(t.TempDir(), "raw.v3")
 	if err := os.WriteFile(patched, rawCounterV3(writeV3Bytes(t, lib)), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for _, tc := range []struct{ name, path string }{
-		{"v1-golden", filepath.Join("testdata", "golden_v1_raw.lib")},
-		{"v2-golden", filepath.Join("testdata", "golden_v2_raw.lib")},
-		{"v3-patched", patched},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			data, err := os.ReadFile(tc.path)
-			if err != nil {
-				t.Fatal(err)
+	t.Run("v3-patched", func(t *testing.T) {
+		data, err := os.ReadFile(patched)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadIndex(bytes.NewReader(data)); !errors.Is(err, ErrRawCounters) {
+			t.Errorf("ReadIndex: %v, want ErrRawCounters", err)
+		}
+		for _, mode := range []LoadMode{LoadHeap, MapArena} {
+			idx, err := OpenLibraryFile(patched, mode)
+			if err == nil {
+				idx.Close()
 			}
-			if _, err := ReadIndex(bytes.NewReader(data)); !errors.Is(err, ErrRawCounters) {
-				t.Errorf("ReadIndex: %v, want ErrRawCounters", err)
+			if !errors.Is(err, ErrRawCounters) {
+				t.Errorf("OpenLibraryFile(mode %d): %v, want ErrRawCounters", mode, err)
 			}
-			for _, mode := range []LoadMode{LoadHeap, MapArena} {
-				idx, err := OpenLibraryFile(tc.path, mode)
-				if err == nil {
-					idx.Close()
+		}
+	})
+}
+
+// legacyHeader is the 12 bytes a v1 or v2 library stream starts with.
+func legacyHeader(version uint32) []byte {
+	return binary.LittleEndian.AppendUint32([]byte(libMagic), version)
+}
+
+// TestLegacyFormatRejected: a v1 or v2 stream, alone or followed by
+// anything, fails ReadIndex and both OpenLibraryFile tiers with
+// ErrLegacyFormat, whose text names the last commit that reads the
+// format and the command that converts it there. The decision is taken
+// from the header: ReadIndex reads nothing past the version word.
+func TestLegacyFormatRejected(t *testing.T) {
+	if msg := ErrLegacyFormat.Error(); !strings.Contains(msg, "562a5cc") || !strings.Contains(msg, "biohd convert") {
+		t.Fatalf("ErrLegacyFormat does not name the commit and the command: %q", msg)
+	}
+	dir := t.TempDir()
+	for _, version := range []uint32{1, 2} {
+		junk := append(legacyHeader(version), bytes.Repeat([]byte{0xA5}, 4096)...)
+		for _, data := range [][]byte{legacyHeader(version), junk} {
+			name := fmt.Sprintf("v%d-%dB", version, len(data))
+			t.Run(name, func(t *testing.T) {
+				r := bytes.NewReader(data)
+				if _, err := ReadIndex(r); !errors.Is(err, ErrLegacyFormat) {
+					t.Errorf("ReadIndex: %v, want ErrLegacyFormat", err)
 				}
-				if !errors.Is(err, ErrRawCounters) {
-					t.Errorf("OpenLibraryFile(mode %d): %v, want ErrRawCounters", mode, err)
+				if n := len(data) - r.Len(); n != len(libMagic)+4 {
+					t.Errorf("ReadIndex read %d bytes, want the %d of magic and version", n, len(libMagic)+4)
 				}
-			}
-		})
+				path := filepath.Join(dir, name+".lib")
+				if err := os.WriteFile(path, data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				for _, mode := range []LoadMode{LoadHeap, MapArena} {
+					idx, err := OpenLibraryFile(path, mode)
+					if err == nil {
+						idx.Close()
+					}
+					if !errors.Is(err, ErrLegacyFormat) {
+						t.Errorf("OpenLibraryFile(mode %d): %v, want ErrLegacyFormat", mode, err)
+					}
+				}
+			})
+		}
 	}
 }
 
@@ -391,7 +434,7 @@ func TestConcurrentSearchDuringMutation(t *testing.T) {
 						return
 					}
 				default:
-					if _, _, err := lib.Contains(genome.Random(w, src)); err != nil {
+					if _, _, err := lib.Lookup(genome.Random(w, src)); err != nil {
 						t.Error(err)
 						return
 					}

@@ -52,18 +52,6 @@ const (
 	ModeApprox
 )
 
-// String names the mode.
-func (m Mode) String() string {
-	switch m {
-	case ModeExact:
-		return "exact"
-	case ModeApprox:
-		return "approx"
-	default:
-		return fmt.Sprintf("Mode(%d)", int(m))
-	}
-}
-
 // Config parameterizes an Encoder.
 type Config struct {
 	// Dim is the hypervector dimensionality; a positive multiple of 64.

@@ -35,15 +35,6 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
-func TestModeString(t *testing.T) {
-	if ModeExact.String() != "exact" || ModeApprox.String() != "approx" {
-		t.Fatal("mode names wrong")
-	}
-	if Mode(7).String() == "" {
-		t.Fatal("unknown mode empty")
-	}
-}
-
 func TestEncoderDeterministic(t *testing.T) {
 	a := testEncoder(t, 1024, 16)
 	b := testEncoder(t, 1024, 16)

@@ -102,14 +102,6 @@ func HVFromArenaRow(words []uint64, d int) *HV {
 // Equal reports whether h and o are identical hypervectors.
 func (h *HV) Equal(o *HV) bool { return h.bits.Equal(o.bits) }
 
-// Bit returns the bipolar component at index i: +1 or −1.
-func (h *HV) Bit(i int) int {
-	if h.bits.Get(i) {
-		return 1
-	}
-	return -1
-}
-
 // Bind stores the bipolar product a ⊙ b (packed XNOR) into h.
 // Bind is self-inverse: Bind(Bind(a,b), b) == a.
 func (h *HV) Bind(a, b *HV) { h.bits.Xnor(a.bits, b.bits) }
@@ -201,12 +193,6 @@ func HVFromWords(words []uint64, d int) *HV {
 	w := make([]uint64, d/64)
 	copy(w, words[:d/64])
 	return &HV{bits: bitvec.FromWords(w, d)}
-}
-
-// Reset clears the accumulator for reuse.
-func (a *Acc) Reset() {
-	clear(a.counts)
-	a.n = 0
 }
 
 func (a *Acc) mustMatch(h *HV) {

@@ -51,17 +51,6 @@ func TestRandomHVDeterministic(t *testing.T) {
 	}
 }
 
-func TestBit(t *testing.T) {
-	h := NewHV(64)
-	if h.Bit(0) != -1 {
-		t.Fatal("zero vector bit should read -1")
-	}
-	h.Bits().Set(5)
-	if h.Bit(5) != 1 {
-		t.Fatal("set bit should read +1")
-	}
-}
-
 func TestBindSelfInverse(t *testing.T) {
 	src := rng.New(2)
 	a, b := RandomHV(testDim, src), RandomHV(testDim, src)
@@ -152,20 +141,6 @@ func TestBundleSimilarToMembers(t *testing.T) {
 	outsider := RandomHV(testDim, src)
 	if d := bundle.Dot(outsider); d > 150 {
 		t.Fatalf("outsider dot with bundle = %d, too high", d)
-	}
-}
-
-func TestAccReset(t *testing.T) {
-	acc := NewAcc(128)
-	acc.Add(RandomHV(128, rng.New(11)))
-	acc.Reset()
-	if acc.N() != 0 {
-		t.Fatal("Reset did not zero N")
-	}
-	for i := 0; i < 128; i++ {
-		if acc.Count(i) != 0 {
-			t.Fatal("Reset left nonzero counters")
-		}
 	}
 }
 

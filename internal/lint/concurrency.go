@@ -8,7 +8,7 @@ import (
 
 // Concurrency enforces two local hygiene rules on goroutine launches
 // and server construction, the invariants that keep the batch engine
-// (LookupBatch) and the HTTP front end race-free and unstallable as
+// (LookupBatchContext) and the HTTP front end race-free and unstallable as
 // they grow:
 //
 //  1. A function that launches goroutines must also join them: a

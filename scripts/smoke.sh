@@ -7,8 +7,8 @@
 # mmap-backed tier: build -o (v3, the only format written) → serve
 # -mmap straight from it → search/ingest/remove/compact against the
 # mapped library, and assert the mapped-bytes gauge reports the mapping;
-# `convert` is exercised on the checked-in legacy v2 file, and the
-# checked-in raw-counter files must be refused. A third phase
+# a v1 and a v2 stream header must be refused by search, serve and
+# serve -mmap with the legacy-format error. A third phase
 # serves with -wire-addr and drives the binary wire protocol through
 # the biohd wire client: pipelined searches, classify, stats, ping,
 # then asserts the biohd_wire_* metric series and a clean drain. A
@@ -185,34 +185,25 @@ fi
 kill "$watchdog_pid" 2>/dev/null || true
 watchdog_pid=""
 
-echo "== convert the legacy v2 golden to v3"
-golden=internal/core/testdata/golden_v2_sealed.lib
-"$workdir/biohd" convert -lib "$golden" -o "$workdir/golden.v3"
-[ -e "$workdir/golden.v3.tmp" ] && { echo "FATAL: convert left golden.v3.tmp behind"; exit 1; }
-[ "$(od -An -tu1 -j8 -N1 "$golden" | tr -d ' ')" = 2 ] || { echo "FATAL: golden is not a v2 file"; exit 1; }
-[ "$(od -An -tu1 -j8 -N1 "$workdir/golden.v3" | tr -d ' ')" = 3 ] || { echo "FATAL: convert did not write v3"; exit 1; }
-# Bases 80..103 of the golden's first reference (drawn from a fixed seed).
-gpat=TCCGAGCTTATTATTAGAGGTAGG
-want=$("$workdir/biohd" search -lib "$golden" -pattern "$gpat")
-got=$("$workdir/biohd" search -lib "$workdir/golden.v3" -pattern "$gpat")
-echo "$got" | grep -q 'ref-0:80' || { echo "FATAL: converted golden misses its own window: $got"; exit 1; }
-[ "$got" = "$want" ] || { echo "FATAL: converted library answers differently: $got vs $want"; exit 1; }
-
-echo "== raw-counter legacy files are refused"
-# No command reads raw-counter buckets any more: each must exit non-zero
-# with the core's typed message (timeout guards a serve that would
-# otherwise start listening), and a refused convert writes nothing.
-raw_v1=internal/core/testdata/golden_v1_raw.lib
-raw_v2=internal/core/testdata/golden_v2_raw.lib
-for args in "convert -lib $raw_v2 -o $workdir/raw.v3" "serve -lib $raw_v1 -addr 127.0.0.1:0 -quiet"; do
-    # shellcheck disable=SC2086 # args is a word list on purpose
-    if timeout 20 "$workdir/biohd" $args >"$workdir/raw.log" 2>&1; then
-        cat "$workdir/raw.log"; echo "FATAL: biohd $args accepted a raw-counter file"; exit 1
-    fi
-    grep -q 'raw-counter library files are no longer read' "$workdir/raw.log" \
-        || { cat "$workdir/raw.log"; echo "FATAL: biohd $args did not print the raw-counter error"; exit 1; }
+echo "== v1/v2 library files are refused"
+# Only the v3 container is read: a v1 or v2 stream header makes every
+# open path exit non-zero with the core's typed message (timeout guards
+# a serve that would otherwise start listening) before anything listens.
+for version in 1 2; do
+    legacy="$workdir/legacy-v$version.lib"
+    printf "BIOHDLIB\\00${version}\\000\\000\\000" >"$legacy"   # magic, version u32 LE
+    for args in "search -lib $legacy -pattern ACGTACGTACGTACGTACGTACGTACGTACGT" \
+        "serve -lib $legacy -addr 127.0.0.1:0" "serve -lib $legacy -mmap -addr 127.0.0.1:0"; do
+        # shellcheck disable=SC2086 # args is a word list on purpose
+        if timeout 20 "$workdir/biohd" $args >"$workdir/legacy.log" 2>&1; then
+            cat "$workdir/legacy.log"; echo "FATAL: biohd $args accepted a v$version file"; exit 1
+        fi
+        grep -q 'v1/v2 library files are no longer read' "$workdir/legacy.log" \
+            || { cat "$workdir/legacy.log"; echo "FATAL: biohd $args did not print the legacy-format error"; exit 1; }
+        ! grep -q '^serving ' "$workdir/legacy.log" \
+            || { cat "$workdir/legacy.log"; echo "FATAL: biohd $args started listening"; exit 1; }
+    done
 done
-[ ! -e "$workdir/raw.v3" ] || { echo "FATAL: a refused convert wrote its output"; exit 1; }
 
 echo "== build -o, serve -mmap"
 hdc_build=$("$workdir/biohd" build -ref "$workdir/refs.fa" -o "$workdir/lib.v3")
