@@ -6,7 +6,7 @@ GO       ?= go
 FUZZTIME ?= 30s
 PKGS      = ./...
 
-.PHONY: all build test test-purego race vet lint inline lint-json fuzz bench benchsmoke smoke loc check clean
+.PHONY: all build test test-purego race vet lint inline deadcode lint-json fuzz bench benchsmoke smoke loc check clean
 
 all: build
 
@@ -62,6 +62,15 @@ inline:
 			{ echo "inline: (*Sequence).$$f is not inlinable" >&2; exit 1; }; \
 	done; \
 	echo "inline: (*Sequence).At and (*Sequence).Set are inlinable"
+
+## deadcode: fail on a function no program links — build every main
+## package with inlining off, under the default and purego tags, and
+## compare `go tool nm` against the functions the source declares; the
+## only exceptions are testdata/deadcode.allow's entries, each with its
+## reason, and an entry that is linked again fails too
+## (deadcode_test.go, behind the deadcode build tag so tier 1 skips it)
+deadcode:
+	$(GO) test -tags deadcode -run TestEveryFunctionLinked .
 
 ## lint-json: the lint gate with a machine-readable artifact (CI uploads
 ## it so findings are diffable across runs)
@@ -122,9 +131,10 @@ loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path '*/testdata/*' | xargs wc -l | tail -1
 	@printf '%6d assembly (*.s)\n' "$$(find . -name '*.s' ! -path './bench/*' | xargs cat | wc -l)"
 
-## check: the full gate — build, vet, lint, tests under the race
-## detector and under the purego tag, then the service smoke test
-check: build vet lint race test-purego smoke
+## check: the full gate — build, vet, lint, the linked-function gate,
+## tests under the race detector and under the purego tag, then the
+## service smoke test
+check: build vet lint deadcode race test-purego smoke
 
 clean:
 	$(GO) clean $(PKGS)

@@ -40,7 +40,7 @@ func runExperiment(b *testing.B, id string) *workload.Result {
 // metric parses a (possibly "12.3x"-suffixed) numeric cell.
 func metric(b *testing.B, res *workload.Result, row, col int) float64 {
 	b.Helper()
-	cell := strings.TrimSuffix(res.Tables[0].Cell(row, col), "x")
+	cell := strings.TrimSuffix(res.Tables[0].Rows[row][col], "x")
 	v, err := strconv.ParseFloat(cell, 64)
 	if err != nil {
 		b.Fatalf("cell (%d,%d) = %q: %v", row, col, cell, err)

@@ -42,23 +42,12 @@ type Estimate struct {
 	EnergyPj  float64
 }
 
-// PerQueryLatencyNs returns the average latency per query.
-func (e Estimate) PerQueryLatencyNs(queries int) float64 {
-	return e.LatencyNs / float64(queries)
-}
-
 // ThroughputQPS returns queries per second for the batch.
 func (e Estimate) ThroughputQPS(queries int) float64 {
 	if e.LatencyNs == 0 {
 		return 0
 	}
 	return float64(queries) / (e.LatencyNs * 1e-9)
-}
-
-// Model is a comparator cost model.
-type Model interface {
-	Name() string
-	Evaluate(w Workload) (Estimate, error)
 }
 
 // GPUModel is a throughput/roofline model of a discrete GPU running the
@@ -86,10 +75,7 @@ func RTX3060Ti() GPUModel {
 	}
 }
 
-// Name implements Model.
-func (g GPUModel) Name() string { return g.ModelName }
-
-// Evaluate implements Model.
+// Evaluate returns the GPU's modelled cost of w.
 func (g GPUModel) Evaluate(w Workload) (Estimate, error) {
 	if err := w.Validate(); err != nil {
 		return Estimate{}, err
@@ -137,10 +123,7 @@ func SOTAPIM() PIMBaselineModel {
 	}
 }
 
-// Name implements Model.
-func (p PIMBaselineModel) Name() string { return p.ModelName }
-
-// Evaluate implements Model.
+// Evaluate returns the PIM baseline's modelled cost of w.
 func (p PIMBaselineModel) Evaluate(w Workload) (Estimate, error) {
 	if err := w.Validate(); err != nil {
 		return Estimate{}, err

@@ -82,12 +82,6 @@ func (v *Vector) Clone() *Vector {
 	return &Vector{words: w, n: v.n}
 }
 
-// CopyFrom overwrites v with the contents of src. Lengths must match.
-func (v *Vector) CopyFrom(src *Vector) {
-	v.mustMatch(src)
-	copy(v.words, src.words)
-}
-
 func (v *Vector) clearTail() {
 	if r := uint(v.n % wordBits); r != 0 && len(v.words) > 0 {
 		v.words[len(v.words)-1] &= (1 << r) - 1

@@ -259,15 +259,6 @@ func TestCloneIndependent(t *testing.T) {
 	}
 }
 
-func TestCopyFrom(t *testing.T) {
-	r := rand.New(rand.NewSource(6))
-	a, b := randomVector(r, 100), New(100)
-	b.CopyFrom(a)
-	if !a.Equal(b) {
-		t.Fatal("CopyFrom mismatch")
-	}
-}
-
 // Property: rotate is a bijection that composes additively.
 func TestQuickRotateComposes(t *testing.T) {
 	f := func(seed int64, k1, k2 uint8) bool {

@@ -137,9 +137,6 @@ func New(p Params) (*Index, error) {
 	return x, nil
 }
 
-// Params returns the index's configuration.
-func (x *Index) Params() Params { return x.params }
-
 // describe is Kernel.Describe: the shared geometry, and the
 // candidate-stage threshold — the fraction of probe rows that must hit.
 // The AND of all Hashes rows means 1.0; search is exact after

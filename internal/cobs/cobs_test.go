@@ -360,7 +360,7 @@ func TestParamsValidation(t *testing.T) {
 		}
 	}
 	x := mustIndex(t, Params{})
-	p := x.Params()
+	p := x.params
 	if p.Window != 32 || p.RowBits != 1<<16 || p.Hashes != 4 {
 		t.Fatalf("defaults: %+v", p)
 	}

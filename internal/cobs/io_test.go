@@ -127,8 +127,8 @@ func TestWriteToV3Roundtrip(t *testing.T) {
 	if !ok {
 		t.Fatalf("ReadIndex returned %T", idx)
 	}
-	if y.Params() != x.Params() {
-		t.Fatalf("params: %+v vs %+v", y.Params(), x.Params())
+	if y.params != x.params {
+		t.Fatalf("params: %+v vs %+v", y.params, x.params)
 	}
 	if y.NumRefs() != x.NumRefs() || y.Describe().Buckets != x.Describe().Buckets ||
 		y.NumWindows() != x.NumWindows() || y.NumSegments() != x.NumSegments() {

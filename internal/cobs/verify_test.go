@@ -152,7 +152,7 @@ func BenchmarkLookup(b *testing.B) {
 		}
 	}
 	x.Freeze()
-	w := x.Params().Window
+	w := x.params.Window
 	queries := make([]*genome.Sequence, 256)
 	for i := range queries {
 		if i%2 == 0 {

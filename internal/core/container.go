@@ -31,25 +31,17 @@ import (
 const MaxMetaCount = maxCount
 
 // SectionWriter serializes one CRC-covered container section. The
-// write methods latch the first error; check Err once at the end.
+// write methods latch the first error, which WriteContainerV3 returns.
 type SectionWriter struct {
 	cw crcWriter
 }
 
-func (w *SectionWriter) U32(v uint32)  { w.cw.u32(v) }
-func (w *SectionWriter) U64(v uint64)  { w.cw.u64(v) }
-func (w *SectionWriter) F64(v float64) { w.cw.f64(v) }
-func (w *SectionWriter) Str(s string)  { w.cw.str(s) }
-
-// Words writes a count-prefixed little-endian word slice.
-func (w *SectionWriter) Words(ws []uint64) { w.cw.words(ws) }
+func (w *SectionWriter) U32(v uint32) { w.cw.u32(v) }
+func (w *SectionWriter) U64(v uint64) { w.cw.u64(v) }
 
 // Refs writes the shared reference-table encoding (ids, descriptions,
 // tombstone flags, packed sequences) every backend stores.
 func (w *SectionWriter) Refs(refs []genome.Record) { writeRefs(&w.cw, refs) }
-
-// Err returns the first write error, if any.
-func (w *SectionWriter) Err() error { return w.cw.err }
 
 // SectionReader decodes little-endian fields from one container
 // section, whose CRC the walk has checked before the first read. The

@@ -28,8 +28,9 @@ type Counters struct {
 	// by context cancellation or deadline expiry.
 	BatchCancellations int64
 	// BlockedProbes counts multi-query probe blocks executed — arena
-	// passes that served a whole query block at once (ProbeMulti and the
-	// blocked LookupLong/LookupBatch paths).
+	// passes that served a whole query block at once (ProbeMulti,
+	// LookupBlock, LookupBatchContext, the both-strands lookup and
+	// LookupLong).
 	BlockedProbes int64
 	// BlockedWindows counts query windows served through those blocks;
 	// BlockedWindows / BlockedProbes is the realized mean block

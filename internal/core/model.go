@@ -53,14 +53,6 @@ type Model struct {
 	Approx bool // approximate (bundle) encoding vs exact (bind chain)
 }
 
-// Validate checks the model geometry.
-func (m Model) Validate() error {
-	if m.D <= 0 || m.W <= 0 || m.C <= 0 {
-		return fmt.Errorf("core: model %+v has non-positive geometry", m)
-	}
-	return nil
-}
-
 // MajorityCorrelation returns ρ(c) = E[x·sign(x + S)] where x is one of
 // c iid ±1 components and S the sum of the other c−1, with ties broken
 // at random. This is the exact attenuation a bundled member suffers,

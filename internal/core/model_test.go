@@ -193,15 +193,6 @@ func TestModelApproxBaselinePositive(t *testing.T) {
 	}
 }
 
-func TestModelValidate(t *testing.T) {
-	if err := (Model{D: 0, W: 1, C: 1}).Validate(); err == nil {
-		t.Fatal("zero D accepted")
-	}
-	if err := (Model{D: 64, W: 8, C: 2}).Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestMaxCapacityExact(t *testing.T) {
 	// Larger D must admit (weakly) larger capacity.
 	prev := 0

@@ -14,10 +14,9 @@ import (
 // match candidate-for-candidate.
 func seedScalarProbe(l *Library, hv *hdc.HV) []Candidate {
 	tau := l.Describe().Threshold
-	sn := hdcOf(l.snap.Load())
 	var out []Candidate
-	for i := 0; i < sn.numBuckets(); i++ {
-		if score := float64(sn.vector(i).Dot(hv)); score >= tau {
+	for i, n := 0, l.Describe().Buckets; i < n; i++ {
+		if score := float64(l.BucketVector(i).Dot(hv)); score >= tau {
 			out = append(out, Candidate{Bucket: i, Score: score, Excess: score - tau})
 		}
 	}

@@ -97,12 +97,6 @@ func (sn *hdcView) windows(g int) []WindowRef {
 	return seg.windows(i)
 }
 
-// vector returns the sealed hypervector of global bucket g.
-func (sn *hdcView) vector(g int) *hdc.HV {
-	seg, i := sn.locate(g)
-	return seg.vector(i)
-}
-
 // score scores query hv against global bucket g.
 func (sn *hdcView) score(g int, hv *hdc.HV) float64 {
 	seg, i := sn.locate(g)

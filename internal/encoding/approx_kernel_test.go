@@ -22,9 +22,9 @@ func oracleEncodeApprox(e *Encoder, seq *genome.Sequence, start int) *hdc.HV {
 	acc := e.AccumulateWindow(seq, start)
 	out := hdc.NewHV(e.cfg.Dim)
 	words := out.Words()
-	for j := 0; j < e.cfg.Dim; j++ {
+	for j, c := range acc.Counts() {
 		state := e.tieSeed() + uint64(j)*0x9e3779b97f4a7c15
-		if c := acc.Count(j); c > 0 || (c == 0 && rng.SplitMix64(&state)&1 == 1) {
+		if c > 0 || (c == 0 && rng.SplitMix64(&state)&1 == 1) {
 			words[j/64] |= 1 << uint(j%64)
 		}
 	}
@@ -179,11 +179,11 @@ func TestSealLogicalOffset(t *testing.T) {
 	acc := e.AccumulateWindow(seq, 0)
 	want := e.SealLogical(acc, 0)
 	for _, off := range []int{1, 63, 64, 100, 255} {
-		rotated := make([]int32, 256)
+		rotated := hdc.NewAcc(256)
 		for j, c := range acc.Counts() {
-			rotated[(j+off)%256] = c
+			rotated.Counts()[(j+off)%256] = c
 		}
-		if got := e.SealLogical(hdc.AccFromCounts(rotated, acc.N()), off); !got.Equal(want) {
+		if got := e.SealLogical(rotated, off); !got.Equal(want) {
 			t.Fatalf("off=%d: sealed bundle depends on the raw offset", off)
 		}
 	}
@@ -226,4 +226,16 @@ func BenchmarkEncodeWindowApproxInto(b *testing.B) {
 			}
 		})
 	}
+}
+
+// AccumulateWindow returns the raw (unsealed) positional-bundle counters
+// for the window of seq starting at start: the counter formulation the
+// row-fold kernel and SealLogical are tested against.
+func (e *Encoder) AccumulateWindow(seq *genome.Sequence, start int) *hdc.Acc {
+	e.checkWindow(seq, start)
+	acc := hdc.NewAcc(e.cfg.Dim)
+	for i := 0; i < e.cfg.Window; i++ {
+		acc.Add(e.rot[seq.At(start+i)][i])
+	}
+	return acc
 }

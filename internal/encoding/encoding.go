@@ -240,8 +240,9 @@ func (e *Encoder) EncodeWindowApproxInto(dst *hdc.HV, acc *hdc.Acc, seq *genome.
 }
 
 // bundleWindow is the approximate encoder: out = sign of the sum of the
-// window's Window rotated base rows, bit-identical to AccumulateWindow +
-// SealLogical. A lane's counter is 2·ones − Window, so the sign is the
+// window's Window rotated base rows, bit-identical to adding the rows
+// into an hdc.Acc and sealing it with SealLogical, the counter oracle the
+// tests hold it to. A lane's counter is 2·ones − Window, so the sign is the
 // rows' majority and a zero counter (even Window only) is a tie, filled
 // from the precomputed tie words — bitvec.MajorityRows, which never
 // forms the counters. row is Window words of scratch for the row indices.
@@ -250,19 +251,6 @@ func (e *Encoder) EncodeWindowApproxInto(dst *hdc.HV, acc *hdc.Acc, seq *genome.
 func (e *Encoder) bundleWindow(out []uint64, row []int32, seq *genome.Sequence, start int) {
 	rowIndices(row, seq, start, 0)
 	bitvec.MajorityRows(out, e.rows, row, len(out), e.tie, true)
-}
-
-// AccumulateWindow returns the raw (unsealed) positional-bundle counters
-// for the window of seq starting at start — the counter formulation the
-// bit-sliced kernel is tested against and internal/pim's cost model
-// charges for.
-func (e *Encoder) AccumulateWindow(seq *genome.Sequence, start int) *hdc.Acc {
-	e.checkWindow(seq, start)
-	acc := hdc.NewAcc(e.cfg.Dim)
-	for i := 0; i < e.cfg.Window; i++ {
-		acc.Add(e.rot[seq.At(start+i)][i])
-	}
-	return acc
 }
 
 // tieSeed derives the deterministic tie-break seed for sealed bundles
@@ -288,12 +276,12 @@ func (e *Encoder) Encode(seq *genome.Sequence, start int, mode Mode) *hdc.HV {
 func (e *Encoder) SealLogical(acc *hdc.Acc, off int) *hdc.HV {
 	d := e.cfg.Dim
 	out := hdc.NewHV(d)
-	words := out.Words()
+	words, counts := out.Words(), acc.Counts()
 	raw := off
 	for j := 0; j < d; j += 64 {
 		var pos, zero uint64
 		for b := 0; b < 64; b++ {
-			switch c := acc.Count(raw); {
+			switch c := counts[raw]; {
 			case c > 0:
 				pos |= 1 << uint(b)
 			case c == 0:
@@ -314,13 +302,4 @@ func (e *Encoder) SealLogical(acc *hdc.Acc, off int) *hdc.HV {
 func tieBit(seed uint64, j int) bool {
 	state := seed + uint64(j)*0x9e3779b97f4a7c15
 	return rng.SplitMix64(&state)&1 == 1
-}
-
-// NumWindows returns how many stride-aligned windows fit in a sequence of
-// length n: zero if n < Window, else ⌈(n−Window+1)/stride⌉.
-func (e *Encoder) NumWindows(n, stride int) int {
-	if n < e.cfg.Window {
-		return 0
-	}
-	return (n-e.cfg.Window)/stride + 1
 }

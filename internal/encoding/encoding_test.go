@@ -226,18 +226,6 @@ func TestEncodeIntoAllocs(t *testing.T) {
 	}
 }
 
-func TestNumWindows(t *testing.T) {
-	e := testEncoder(t, 1024, 10)
-	for _, tc := range []struct{ n, stride, want int }{
-		{9, 1, 0}, {10, 1, 1}, {11, 1, 2}, {20, 1, 11},
-		{20, 5, 3}, {20, 11, 1}, {21, 11, 2},
-	} {
-		if got := e.NumWindows(tc.n, tc.stride); got != tc.want {
-			t.Fatalf("NumWindows(%d, %d) = %d, want %d", tc.n, tc.stride, got, tc.want)
-		}
-	}
-}
-
 func TestBaseHVOrthogonal(t *testing.T) {
 	e := testEncoder(t, 2048, 8)
 	limit := int(6 * math.Sqrt(2048))
@@ -254,8 +242,17 @@ func TestAccumulateWindowCounts(t *testing.T) {
 	e := testEncoder(t, 1024, 5)
 	seq := genome.Random(10, rng.New(15))
 	acc := e.AccumulateWindow(seq, 2)
-	if acc.N() != 5 {
-		t.Fatalf("accumulated %d vectors, want 5", acc.N())
+	// A sum of 5 bipolar rows is odd, at most 5 in magnitude, and over
+	// 1024 lanes reaches ±5 somewhere.
+	most := int32(0)
+	for j, c := range acc.Counts() {
+		if c%2 == 0 || c > 5 || c < -5 {
+			t.Fatalf("counter %d = %d is not a sum of 5 bipolar rows", j, c)
+		}
+		most = max(most, c, -c)
+	}
+	if most != 5 {
+		t.Fatalf("largest counter %d, want 5", most)
 	}
 }
 

@@ -60,9 +60,6 @@ func (m MutationModel) Validate() error {
 	return nil
 }
 
-// Total returns the combined per-base mutation probability.
-func (m MutationModel) Total() float64 { return m.SubRate + m.InsRate + m.DelRate }
-
 // Mutate applies the model to seq using src and returns the mutated
 // sequence together with the ground-truth edit list (original
 // coordinates, in increasing position order).

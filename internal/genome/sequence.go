@@ -34,9 +34,6 @@ func (b Base) Byte() byte {
 	return "ACGT"[b&3]
 }
 
-// String returns the one-letter name of b.
-func (b Base) String() string { return string(b.Byte()) }
-
 // ParseBase converts an ASCII nucleotide (either case) to a Base.
 // Ambiguity codes (N, R, Y, ...) are rejected: BioHD's encoder operates
 // on the concrete 4-letter alphabet, and the synthetic generators never
@@ -156,15 +153,6 @@ func FromPackedWords(words []uint64, n int) *Sequence {
 	return seq
 }
 
-// Bases returns the sequence as a fresh base slice.
-func (s *Sequence) Bases() []Base {
-	out := make([]Base, s.n)
-	for i := range out {
-		out[i] = s.At(i)
-	}
-	return out
-}
-
 // String renders the sequence as ASCII nucleotides.
 func (s *Sequence) String() string {
 	var sb strings.Builder
@@ -263,21 +251,6 @@ func (s *Sequence) GCContent() float64 {
 	}
 	c := s.BaseCounts()
 	return float64(c[G]+c[C]) / float64(s.n)
-}
-
-// HammingDistance returns the number of mismatching positions between two
-// equal-length sequences. It panics on a length mismatch.
-func (s *Sequence) HammingDistance(o *Sequence) int {
-	if s.n != o.n {
-		panic(fmt.Sprintf("genome: length mismatch %d vs %d", s.n, o.n))
-	}
-	d := 0
-	for i := 0; i < s.n; i++ {
-		if s.At(i) != o.At(i) {
-			d++
-		}
-	}
-	return d
 }
 
 // Index returns the offset of the first exact occurrence of pattern in s

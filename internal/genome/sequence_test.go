@@ -1,6 +1,7 @@
 package genome
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -359,4 +360,19 @@ func TestReadFASTAWithRejectsJunkEverywhere(t *testing.T) {
 	if _, err := ReadFASTAWith(strings.NewReader(""), MaskPolicy(9)); err == nil {
 		t.Fatal("unknown policy accepted")
 	}
+}
+
+// HammingDistance returns the number of mismatching positions between two
+// equal-length sequences. It panics on a length mismatch.
+func (s *Sequence) HammingDistance(o *Sequence) int {
+	if s.n != o.n {
+		panic(fmt.Sprintf("genome: length mismatch %d vs %d", s.n, o.n))
+	}
+	d := 0
+	for i := 0; i < s.n; i++ {
+		if s.At(i) != o.At(i) {
+			d++
+		}
+	}
+	return d
 }

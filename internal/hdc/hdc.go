@@ -131,7 +131,6 @@ func (h *HV) Hamming(o *HV) int { return h.bits.HammingDistance(o.bits) }
 // reference-library vector while it is being built.
 type Acc struct {
 	counts []int32
-	n      int
 }
 
 // NewAcc returns an empty accumulator of dimension d (same dimension
@@ -146,9 +145,6 @@ func NewAcc(d int) *Acc {
 // Dim returns the dimensionality D.
 func (a *Acc) Dim() int { return len(a.counts) }
 
-// N returns the number of hypervectors added.
-func (a *Acc) N() int { return a.n }
-
 // Add folds h into the accumulator (+1 for bit 1, −1 for bit 0).
 func (a *Acc) Add(h *HV) {
 	a.mustMatch(h)
@@ -161,28 +157,12 @@ func (a *Acc) Add(h *HV) {
 			c[b] += int32(word>>uint(b)&1)<<1 - 1
 		}
 	}
-	a.n++
 }
-
-// Count returns the raw counter at dimension i.
-func (a *Acc) Count(i int) int32 { return a.counts[i] }
 
 // Counts exposes the raw counter slice (shared, not copied); the
 // approximate window encoder, handed an accumulator as scratch,
 // overwrites it.
 func (a *Acc) Counts() []int32 { return a.counts }
-
-// AccFromCounts reconstructs an accumulator from raw counters and the
-// recorded member count n (the counters are copied). It panics on a
-// misaligned dimension.
-func AccFromCounts(counts []int32, n int) *Acc {
-	if len(counts) == 0 || len(counts)%64 != 0 {
-		panic(fmt.Sprintf("hdc: counter length %d must be a positive multiple of 64", len(counts)))
-	}
-	c := make([]int32, len(counts))
-	copy(c, counts)
-	return &Acc{counts: c, n: n}
-}
 
 // HVFromWords reconstructs a hypervector of dimension d from packed
 // words (copied). It panics if the words cannot hold d bits.

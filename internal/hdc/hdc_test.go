@@ -3,6 +3,7 @@ package hdc
 import (
 	"math"
 	"math/bits"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -169,8 +170,9 @@ func TestSealLeavesAccIntact(t *testing.T) {
 	acc := NewAcc(testDim)
 	a := RandomHV(testDim, src)
 	acc.Add(a)
+	before := slices.Clone(acc.Counts())
 	_ = acc.Seal(1)
-	if acc.N() != 1 {
+	if !slices.Equal(acc.Counts(), before) {
 		t.Fatal("Seal mutated accumulator")
 	}
 	if !acc.Seal(1).Equal(a) {
@@ -314,36 +316,6 @@ func TestNewAccBadDimensionPanics(t *testing.T) {
 			NewAcc(d)
 		}()
 	}
-}
-
-func TestAccCountsRoundTrip(t *testing.T) {
-	src := rng.New(31)
-	acc := NewAcc(128)
-	for i := 0; i < 5; i++ {
-		acc.Add(RandomHV(128, src))
-	}
-	back := AccFromCounts(acc.Counts(), acc.N())
-	if back.N() != acc.N() {
-		t.Fatalf("N %d vs %d", back.N(), acc.N())
-	}
-	for i := 0; i < 128; i++ {
-		if back.Count(i) != acc.Count(i) {
-			t.Fatalf("counter %d differs", i)
-		}
-	}
-	// The copy is independent.
-	back.Add(RandomHV(128, src))
-	if back.N() == acc.N() {
-		t.Fatal("AccFromCounts shares state")
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("misaligned counters accepted")
-			}
-		}()
-		AccFromCounts(make([]int32, 100), 1)
-	}()
 }
 
 func TestHVFromWordsRoundTrip(t *testing.T) {

@@ -25,13 +25,13 @@ func TestSealMatchesBitwiseDefinition(t *testing.T) {
 	src := rng.New(40)
 	for _, d := range []int{64, 1024, 8192} {
 		for _, spread := range []int{1, 3, 40} { // ties on ≈ 1/1, 1/5, 1/79 of the lanes
-			counts := make([]int32, d)
+			acc := NewAcc(d)
+			counts := acc.Counts()
 			for i := range counts {
 				counts[i] = int32(src.Intn(2*spread-1) - spread + 1)
 			}
 			// The extremes a sign trick could get wrong.
 			counts[0], counts[d-1] = -1<<31, 1<<31-1
-			acc := AccFromCounts(counts, spread)
 			if got, want := acc.Seal(uint64(d)), sealBitwise(acc, uint64(d)); !got.Equal(want) {
 				t.Errorf("D=%d spread=%d: word-wise Seal differs from the definition in %d bits", d, spread, got.Hamming(want))
 			}

@@ -131,21 +131,6 @@ func (g *CallGraph) addCaller(callee *types.Func, caller *FuncNode) {
 	g.callers[callee] = append(g.callers[callee], caller)
 }
 
-// Node returns the graph node for a function object, or nil.
-func (g *CallGraph) Node(fn *types.Func) *FuncNode { return g.nodes[fn] }
-
-// NodeByName returns the node whose fully qualified name matches, or
-// nil. Names follow types.Func.FullName: "path/to/pkg.Fn" for
-// functions, "(path/to/pkg.T).M" or "(*path/to/pkg.T).M" for methods.
-func (g *CallGraph) NodeByName(name string) *FuncNode {
-	for _, n := range g.order {
-		if n.Name() == name {
-			return n
-		}
-	}
-	return nil
-}
-
 // Nodes returns every node in deterministic (name) order.
 func (g *CallGraph) Nodes() []*FuncNode { return g.order }
 

@@ -130,3 +130,15 @@ func TestCallGraphCallers(t *testing.T) {
 		t.Fatalf("Callers(fill) = %v, want [Probe]", callers)
 	}
 }
+
+// NodeByName returns the node whose fully qualified name matches, or
+// nil. Names follow types.Func.FullName: "path/to/pkg.Fn" for
+// functions, "(path/to/pkg.T).M" or "(*path/to/pkg.T).M" for methods.
+func (g *CallGraph) NodeByName(name string) *FuncNode {
+	for _, n := range g.order {
+		if n.Name() == name {
+			return n
+		}
+	}
+	return nil
+}

@@ -10,7 +10,7 @@ import (
 // fixture loads testdata/src/fake once; the packages are shared by all
 // tests in this file (analyzers never mutate them).
 var fixture = sync.OnceValues(func() ([]*Package, error) {
-	return Load(filepath.Join("testdata", "src", "fake"))
+	return LoadWithTags(filepath.Join("testdata", "src", "fake"), nil)
 })
 
 // fixtureDiags runs the full analyzer set over the fixture module.

@@ -47,25 +47,21 @@ func modulePathFrom(data []byte) string {
 	return ""
 }
 
-// Load parses and type-checks every non-test package under the module
-// rooted at root. Test files (_test.go) are excluded: the analyzers'
-// rules exempt test code, and excluding it keeps loading self-contained
-// (external test packages need no special casing).
+// LoadWithTags parses and type-checks every non-test package under the
+// module rooted at root, with the given build tags in force beside the
+// default ones, so the module can be analyzed as an alternative build
+// sees it — e.g. tags ["purego"] selects the portable kernel fallbacks
+// instead of the assembly dispatch stubs. File selection (//go:build
+// lines and filename suffixes) honors the tags. Test files (_test.go)
+// are excluded: the analyzers' rules exempt test code, and excluding it
+// keeps loading self-contained (external test packages need no special
+// casing).
 //
 // Packages are type-checked in dependency order so intra-module imports
 // resolve against already-checked packages; standard-library imports are
 // type-checked from source via go/importer. A package with parse or
 // type errors is still returned (with TypeErr set) so syntactic rules
 // can run; only unreadable directories abort the load.
-func Load(root string) ([]*Package, error) {
-	return LoadWithTags(root, nil)
-}
-
-// LoadWithTags is Load with additional build tags in force, so the
-// module can be analyzed as an alternative build sees it — e.g. tags
-// ["purego"] selects the portable kernel fallbacks instead of the
-// assembly dispatch stubs. File selection (//go:build lines and
-// filename suffixes) honors the tags; everything else matches Load.
 func LoadWithTags(root string, tags []string) ([]*Package, error) {
 	root, modPath, err := FindModuleRoot(root)
 	if err != nil {

@@ -10,7 +10,7 @@ func TestRepoIsLintClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping whole-repo lint in -short mode")
 	}
-	pkgs, err := Load(".")
+	pkgs, err := LoadWithTags(".", nil)
 	if err != nil {
 		t.Fatalf("loading module: %v", err)
 	}

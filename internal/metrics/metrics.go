@@ -38,13 +38,6 @@ type Counter struct {
 // Inc adds one.
 func (c *Counter) Inc() { c.v.Add(1) }
 
-// Add adds n; negative deltas are ignored (counters are monotonic).
-func (c *Counter) Add(n int64) {
-	if n > 0 {
-		c.v.Add(n)
-	}
-}
-
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 

@@ -41,7 +41,7 @@ func (e *Engine) EncodeInMemory(seq *genome.Sequence, start int) (*hdc.HV, Cost,
 		// Fetch the base hypervector rows from the item-memory region.
 		ledger.Charge(OpRowRead, e.rowsPerBucket)
 		if i == w-1 {
-			work.CopyFrom(base)
+			copy(work.Words(), base.Words())
 			continue
 		}
 		// Shift the working vector by one (cross-row carry in the

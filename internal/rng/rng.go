@@ -9,10 +9,7 @@
 // weak user seeds before they reach the xoshiro state.
 package rng
 
-import (
-	"math"
-	"math/bits"
-)
+import "math/bits"
 
 // SplitMix64 advances a SplitMix64 state and returns the next output.
 // It is used both as a seed expander and as a cheap standalone stream.
@@ -26,9 +23,7 @@ func SplitMix64(state *uint64) uint64 {
 
 // Source is a xoshiro256** generator. The zero value is invalid; use New.
 type Source struct {
-	s         [4]uint64
-	spare     float64
-	haveSpare bool
+	s [4]uint64
 }
 
 // New returns a Source seeded from seed via SplitMix64 expansion.
@@ -85,28 +80,6 @@ func (s *Source) Float64() float64 {
 // Bool returns a uniformly random boolean.
 func (s *Source) Bool() bool { return s.Uint64()&1 == 1 }
 
-// NormFloat64 returns a standard normal variate (Box–Muller; the spare
-// value is cached so consecutive calls cost one transform per pair).
-func (s *Source) NormFloat64() float64 {
-	if s.haveSpare {
-		s.haveSpare = false
-		return s.spare
-	}
-	var u, v, r2 float64
-	for {
-		u = 2*s.Float64() - 1
-		v = 2*s.Float64() - 1
-		r2 = u*u + v*v
-		if r2 > 0 && r2 < 1 {
-			break
-		}
-	}
-	f := math.Sqrt(-2 * math.Log(r2) / r2)
-	s.spare = v * f
-	s.haveSpare = true
-	return u * f
-}
-
 // Perm returns a uniformly random permutation of [0, n) (Fisher–Yates).
 func (s *Source) Perm(n int) []int {
 	p := make([]int, n)
@@ -118,13 +91,6 @@ func (s *Source) Perm(n int) []int {
 		p[i], p[j] = p[j], p[i]
 	}
 	return p
-}
-
-// Shuffle permutes the first n elements using swap (Fisher–Yates).
-func (s *Source) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		swap(i, s.Intn(i+1))
-	}
 }
 
 // Fork derives an independent child stream. Streams derived with distinct

@@ -103,25 +103,6 @@ func TestFloat64Range(t *testing.T) {
 	}
 }
 
-func TestNormFloat64Moments(t *testing.T) {
-	s := New(17)
-	const trials = 200000
-	var sum, sumSq float64
-	for i := 0; i < trials; i++ {
-		x := s.NormFloat64()
-		sum += x
-		sumSq += x * x
-	}
-	mean := sum / trials
-	variance := sumSq/trials - mean*mean
-	if math.Abs(mean) > 0.02 {
-		t.Fatalf("normal mean = %v, want ≈0", mean)
-	}
-	if math.Abs(variance-1) > 0.03 {
-		t.Fatalf("normal variance = %v, want ≈1", variance)
-	}
-}
-
 func TestBoolBalance(t *testing.T) {
 	s := New(19)
 	trues := 0
@@ -150,20 +131,6 @@ func TestPermIsPermutation(t *testing.T) {
 			}
 			seen[v] = true
 		}
-	}
-}
-
-func TestShuffle(t *testing.T) {
-	s := New(29)
-	xs := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	orig := append([]int(nil), xs...)
-	s.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	sum := 0
-	for _, v := range xs {
-		sum += v
-	}
-	if sum != 28 {
-		t.Fatalf("shuffle lost elements: %v (was %v)", xs, orig)
 	}
 }
 

@@ -437,3 +437,6 @@ func TestSketchTelemetry(t *testing.T) {
 		})
 	}
 }
+
+// InFlight returns the number of requests currently being served.
+func (s *Server) InFlight() int64 { return s.inflight.Value() }

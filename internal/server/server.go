@@ -103,9 +103,6 @@ func (s *Server) Close() {
 // additional series or asserting on counters in tests.
 func (s *Server) Registry() *metrics.Registry { return s.reg }
 
-// InFlight returns the number of requests currently being served.
-func (s *Server) InFlight() int64 { return s.inflight.Value() }
-
 // Handler returns the HTTP handler with all routes mounted and the
 // middleware chain applied (observability outermost, then the
 // per-request deadline).

@@ -266,21 +266,6 @@ func betaCF(a, b, x float64) float64 {
 	return h // converged enough for our tolerances
 }
 
-// DotTail returns P(S ≥ s) where S is the bipolar dot product of two
-// independent uniform random D-dimensional binary hypervectors.
-// S = 2X − D with X ~ Binomial(D, 1/2), so P(S ≥ s) = P(X ≥ ⌈(s+D)/2⌉).
-func DotTail(d int, s int) float64 {
-	k := (s + d + 1) / 2 // ceil((s+d)/2)
-	return BinomialTail(d, 0.5, k)
-}
-
-// DotTailNormal is the normal approximation to DotTail: S has mean 0 and
-// variance D, so P(S ≥ s) ≈ Q(s/√D). Used when D is large and exact
-// binomial evaluation is unnecessary.
-func DotTailNormal(d int, s float64) float64 {
-	return NormalTail(s / math.Sqrt(float64(d)))
-}
-
 // Welford is a streaming mean/variance accumulator (Welford's algorithm),
 // numerically stable for long experiment runs.
 type Welford struct {
@@ -297,9 +282,6 @@ func (w *Welford) Add(x float64) {
 	w.m2 += delta * (x - w.mean)
 }
 
-// N returns the number of samples folded in.
-func (w *Welford) N() int { return w.n }
-
 // Mean returns the running mean (0 for an empty accumulator).
 func (w *Welford) Mean() float64 { return w.mean }
 
@@ -313,38 +295,3 @@ func (w *Welford) Variance() float64 {
 
 // StdDev returns the sample standard deviation.
 func (w *Welford) StdDev() float64 { return math.Sqrt(w.Variance()) }
-
-// StdErr returns the standard error of the mean.
-func (w *Welford) StdErr() float64 {
-	if w.n == 0 {
-		return 0
-	}
-	return w.StdDev() / math.Sqrt(float64(w.n))
-}
-
-// WilsonInterval returns the Wilson score interval for a binomial
-// proportion with successes k out of n at confidence level (1−alpha).
-// It is well behaved for small n and proportions near 0 or 1, which is
-// exactly the regime of false-positive-rate measurements.
-func WilsonInterval(k, n int, alpha float64) (lo, hi float64) {
-	if n == 0 {
-		return 0, 1
-	}
-	if alpha <= 0 || alpha >= 1 {
-		panic(fmt.Sprintf("stats: WilsonInterval alpha=%v out of (0,1)", alpha))
-	}
-	z := NormalQuantile(1 - alpha/2)
-	nf := float64(n)
-	phat := float64(k) / nf
-	denom := 1 + z*z/nf
-	center := (phat + z*z/(2*nf)) / denom
-	half := z * math.Sqrt(phat*(1-phat)/nf+z*z/(4*nf*nf)) / denom
-	lo, hi = center-half, center+half
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > 1 {
-		hi = 1
-	}
-	return lo, hi
-}

@@ -141,35 +141,14 @@ func TestRegIncBetaDomainPanics(t *testing.T) {
 	}
 }
 
-func TestDotTailExactSmall(t *testing.T) {
-	// D = 2: S ∈ {−2, 0, 2} with probabilities 1/4, 1/2, 1/4.
-	approx(t, DotTail(2, 2), 0.25, 1e-12, "P(S≥2)")
-	approx(t, DotTail(2, 1), 0.25, 1e-12, "P(S≥1) = P(S≥2) since S even")
-	approx(t, DotTail(2, 0), 0.75, 1e-12, "P(S≥0)")
-	approx(t, DotTail(2, -2), 1, 1e-12, "P(S≥−2)")
-	approx(t, DotTail(2, 3), 0, 1e-12, "P(S≥3)")
-}
-
-func TestDotTailMatchesNormalApprox(t *testing.T) {
-	d := 10000
-	for _, sigma := range []float64{0.5, 1, 2, 3} {
-		s := sigma * math.Sqrt(float64(d))
-		exact := DotTail(d, int(s))
-		appr := DotTailNormal(d, s)
-		if math.Abs(exact-appr) > 0.01 {
-			t.Fatalf("sigma=%v: exact %v vs normal %v", sigma, exact, appr)
-		}
-	}
-}
-
 func TestWelford(t *testing.T) {
 	var w Welford
 	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
 	for _, x := range xs {
 		w.Add(x)
 	}
-	if w.N() != len(xs) {
-		t.Fatalf("N = %d", w.N())
+	if w.n != len(xs) {
+		t.Fatalf("n = %d", w.n)
 	}
 	approx(t, w.Mean(), 5, 1e-12, "mean")
 	approx(t, w.Variance(), 32.0/7.0, 1e-12, "variance")
@@ -178,31 +157,12 @@ func TestWelford(t *testing.T) {
 
 func TestWelfordEmpty(t *testing.T) {
 	var w Welford
-	if w.Mean() != 0 || w.Variance() != 0 || w.StdErr() != 0 {
+	if w.Mean() != 0 || w.Variance() != 0 || w.StdDev() != 0 {
 		t.Fatal("empty accumulator not zeroed")
 	}
 	w.Add(3)
 	if w.Variance() != 0 {
 		t.Fatal("single-sample variance not 0")
-	}
-}
-
-func TestWilsonInterval(t *testing.T) {
-	lo, hi := WilsonInterval(0, 100, 0.05)
-	if lo != 0 || hi <= 0 || hi > 0.05 {
-		t.Fatalf("Wilson(0/100) = [%v, %v]", lo, hi)
-	}
-	lo, hi = WilsonInterval(50, 100, 0.05)
-	if lo >= 0.5 || hi <= 0.5 {
-		t.Fatalf("Wilson(50/100) = [%v, %v] does not cover 0.5", lo, hi)
-	}
-	lo, hi = WilsonInterval(100, 100, 0.05)
-	if hi != 1 || lo >= 1 {
-		t.Fatalf("Wilson(100/100) = [%v, %v]", lo, hi)
-	}
-	lo, hi = WilsonInterval(0, 0, 0.05)
-	if lo != 0 || hi != 1 {
-		t.Fatalf("Wilson(0/0) = [%v, %v]", lo, hi)
 	}
 }
 
@@ -272,28 +232,6 @@ func TestBinomialDegenerateP(t *testing.T) {
 	}
 	if BinomialTail(5, 1, 3) != 1 {
 		t.Fatal("tail at p=1 not 1")
-	}
-}
-
-func TestWelfordStdErr(t *testing.T) {
-	var w Welford
-	for _, x := range []float64{1, 2, 3, 4} {
-		w.Add(x)
-	}
-	want := w.StdDev() / 2 // √4 samples
-	approx(t, w.StdErr(), want, 1e-12, "stderr")
-}
-
-func TestWilsonIntervalPanics(t *testing.T) {
-	for _, alpha := range []float64{0, 1, -0.1} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("alpha=%v did not panic", alpha)
-				}
-			}()
-			WilsonInterval(1, 10, alpha)
-		}()
 	}
 }
 

@@ -82,9 +82,6 @@ func formatFloat(x float64) string {
 	}
 }
 
-// Cell returns the cell at (row, col), for test assertions.
-func (t *Table) Cell(row, col int) string { return t.Rows[row][col] }
-
 // Fprint renders the table with aligned columns.
 func (t *Table) Fprint(w io.Writer) {
 	fmt.Fprintf(w, "== %s: %s ==\n", t.ID, t.Title)
@@ -222,16 +219,4 @@ func expKey(id string) int {
 		return n
 	}
 	return 100 + n
-}
-
-// RunAll executes every experiment and streams tables to w.
-func RunAll(w io.Writer, cfg Config) error {
-	for _, e := range All() {
-		res, err := e.Run(cfg)
-		if err != nil {
-			return fmt.Errorf("workload: experiment %s: %w", e.ID, err)
-		}
-		res.Fprint(w)
-	}
-	return nil
 }

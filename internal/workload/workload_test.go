@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"fmt"
+	"io"
 	"strconv"
 	"strings"
 	"testing"
@@ -26,10 +28,10 @@ func runExp(t *testing.T, id string) *Result {
 
 func cellFloat(t *testing.T, tab *Table, row, col int) float64 {
 	t.Helper()
-	s := strings.TrimSuffix(tab.Cell(row, col), "x")
+	s := strings.TrimSuffix(tab.Rows[row][col], "x")
 	v, err := strconv.ParseFloat(s, 64)
 	if err != nil {
-		t.Fatalf("cell (%d,%d) = %q not numeric: %v", row, col, tab.Cell(row, col), err)
+		t.Fatalf("cell (%d,%d) = %q not numeric: %v", row, col, tab.Rows[row][col], err)
 	}
 	return v
 }
@@ -377,4 +379,17 @@ func TestResultWriteCSV(t *testing.T) {
 	if !strings.Contains(sb.String(), "x\n1\n\ny\n2\n") {
 		t.Fatalf("multi-table CSV wrong:\n%q", sb.String())
 	}
+}
+
+// RunAll executes every experiment and streams tables to w, as
+// `biohd experiment all` prints them.
+func RunAll(w io.Writer, cfg Config) error {
+	for _, e := range All() {
+		res, err := e.Run(cfg)
+		if err != nil {
+			return fmt.Errorf("workload: experiment %s: %w", e.ID, err)
+		}
+		res.Fprint(w)
+	}
+	return nil
 }
