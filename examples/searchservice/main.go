@@ -24,6 +24,7 @@ import (
 	"repro/internal/genome"
 	"repro/internal/rng"
 	"repro/internal/server"
+	"repro/internal/wire"
 )
 
 func main() {
@@ -57,13 +58,13 @@ func main() {
 	fmt.Println("serving on", base)
 
 	// 3. Stats.
-	var stats server.StatsResponse
+	var stats wire.StatsResult
 	getJSON(base+"/v1/stats", &stats)
 	fmt.Printf("stats: %d refs, %d buckets, D=%d, %.0f KiB\n",
 		stats.References, stats.Buckets, stats.Dim, float64(stats.MemBytes)/1024)
 
 	// 4. Single search for a planted pattern.
-	var sr server.SearchResponse
+	var sr wire.SearchResult
 	postJSON(base+"/v1/search", server.SearchRequest{
 		Pattern: chr2.Slice(4000, 4032).String(),
 	}, &sr)
@@ -73,7 +74,7 @@ func main() {
 	}
 
 	// 5. Both strands: query the reverse complement.
-	var sr2 server.SearchResponse
+	var sr2 wire.SearchResult
 	postJSON(base+"/v1/search", server.SearchRequest{
 		Pattern: chr1.Slice(100, 132).ReverseComplement().String(),
 		Strands: "both",
@@ -83,14 +84,14 @@ func main() {
 	}
 
 	// 6. Classify a 320-base read.
-	var cr server.ClassifyResponse
+	var cr wire.ClassifyResult
 	postJSON(base+"/v1/classify", server.ClassifyRequest{
 		Read: chr1.Slice(2000, 2320).String(),
 	}, &cr)
 	fmt.Printf("classify: %s offset=%d support=%.0f%%\n", cr.Ref, cr.Offset, 100*cr.Fraction)
 
 	// 7. Batch of three patterns.
-	var br server.BatchResponse
+	var br wire.BatchResult
 	postJSON(base+"/v1/batch", server.BatchRequest{Patterns: []string{
 		chr1.Slice(50, 82).String(),
 		chr2.Slice(50, 82).String(),

@@ -77,7 +77,7 @@ func TestCanceledBatchCarriesMarker(t *testing.T) {
 				cancel()
 				w := httptest.NewRecorder()
 				s.Handler().ServeHTTP(w, httptest.NewRequest("POST", "/v1/batch", bytes.NewReader(body)).WithContext(ctx))
-				var br BatchResponse
+				var br wire.BatchResult
 				if w.Code != http.StatusOK {
 					t.Fatalf("http/%d: status %d, want 200 with partial results", n, w.Code)
 				}

@@ -16,6 +16,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/genome"
 	"repro/internal/rng"
+	"repro/internal/wire"
 )
 
 // answerCase is one search-side request and the response the service
@@ -39,10 +40,10 @@ func rendered(t *testing.T, v any) string {
 }
 
 // matchesJSON renders matches found on one strand.
-func matchesJSON(lib core.Index, ms []core.Match, strand core.Strand) []MatchJSON {
-	out := []MatchJSON{}
+func matchesJSON(lib core.Index, ms []core.Match, strand core.Strand) []wire.Match {
+	out := []wire.Match{}
 	for _, m := range ms {
-		out = append(out, MatchJSON{Ref: lib.Ref(m.Ref).ID, Offset: m.Off, Distance: m.Distance, Strand: strand.String()})
+		out = append(out, wire.Match{Ref: lib.Ref(m.Ref).ID, Offset: m.Off, Distance: m.Distance, Strand: strand.String()})
 	}
 	return out
 }
@@ -78,13 +79,13 @@ func answerServer(t *testing.T) (*httptest.Server, []answerCase) {
 
 	search := func(name string, pat *genome.Sequence, strands string) answerCase {
 		body := fmt.Sprintf(`{"pattern":%q,"strands":%q}`, pat, strands)
-		var resp SearchResponse
+		var resp wire.SearchResult
 		var err error
 		if strands == "both" {
 			var sm []core.StrandedMatch
 			var st core.Stats
 			sm, st, err = lib.LookupBothStrands(pat)
-			resp = SearchResponse{Matches: []MatchJSON{}, Probes: st.BucketProbes}
+			resp = wire.SearchResult{Matches: []wire.Match{}, Probes: st.BucketProbes}
 			for _, m := range sm {
 				resp.Matches = append(resp.Matches, matchesJSON(lib, []core.Match{m.Match}, m.Strand)...)
 			}
@@ -92,7 +93,7 @@ func answerServer(t *testing.T) (*httptest.Server, []answerCase) {
 			var ms []core.Match
 			var st core.Stats
 			ms, st, err = lib.Lookup(pat)
-			resp = SearchResponse{Matches: matchesJSON(lib, ms, core.Forward), Probes: st.BucketProbes}
+			resp = wire.SearchResult{Matches: matchesJSON(lib, ms, core.Forward), Probes: st.BucketProbes}
 		}
 		if err != nil {
 			return answerCase{name, "/v1/search", body, http.StatusUnprocessableEntity, rendered(t, errorBody{err.Error()})}
@@ -107,7 +108,7 @@ func answerServer(t *testing.T) (*httptest.Server, []answerCase) {
 		} else if err != nil {
 			t.Fatal(err)
 		}
-		return answerCase{name, "/v1/classify", body, http.StatusOK, rendered(t, ClassifyResponse{
+		return answerCase{name, "/v1/classify", body, http.StatusOK, rendered(t, wire.ClassifyResult{
 			Ref: lib.Ref(best.Ref).ID, Offset: best.Offset, Votes: best.Votes, Windows: best.Windows, Fraction: best.Fraction,
 		})}
 	}
@@ -129,14 +130,14 @@ func answerServer(t *testing.T) (*httptest.Server, []answerCase) {
 		const bad = 4
 		_, perr := genome.FromString("NOT-DNA")
 		var texts []string
-		resp := BatchResponse{Probes: agg.BucketProbes}
+		resp := wire.BatchResult{Probes: agg.BucketProbes}
 		for i, r := range results {
 			if i == bad {
 				texts = append(texts, "not-dna")
-				resp.Results = append(resp.Results, BatchItem{Matches: []MatchJSON{}, Error: perr.Error()})
+				resp.Results = append(resp.Results, wire.BatchItem{Matches: []wire.Match{}, Error: perr.Error()})
 			}
 			texts = append(texts, seqs[i].String())
-			resp.Results = append(resp.Results, BatchItem{Matches: matchesJSON(lib, r.Matches, core.Forward)})
+			resp.Results = append(resp.Results, wire.BatchItem{Matches: matchesJSON(lib, r.Matches, core.Forward)})
 		}
 		body, err := json.Marshal(BatchRequest{Patterns: texts})
 		if err != nil {

@@ -3,38 +3,35 @@ package server
 // The shared request-execution layer: handler bodies factored out of
 // the HTTP layer so the binary wire protocol (internal/wire) and the
 // JSON API run the exact same code — same parsing, same calls into the
-// index, same error taxonomy. Byte-identical answers
-// across the two transports fall out by construction; the
+// index, same error taxonomy, same wire result types. Byte-identical
+// answers across the two transports fall out by construction; the
 // golden-equivalence tests in wire_test.go pin it.
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"strings"
 
 	"repro/internal/core"
 	"repro/internal/genome"
+	"repro/internal/wire"
 )
 
-// apiError is a transport-neutral request failure: the HTTP handlers
-// render it as a JSON error body with the status code, the wire
-// backend as a FlagError response frame carrying the same code and
-// message.
-type apiError struct {
-	status int
-	msg    string
-}
+// A failed request is a *wire.StatusError: the HTTP handlers render it
+// as a JSON error body with its code as the status, the wire backend
+// as a FlagError response frame carrying the same code and message.
 
 // parsePattern validates and decodes one pattern/read field.
-func parsePattern(text string) (*genome.Sequence, *apiError) {
+func parsePattern(text string) (*genome.Sequence, *wire.StatusError) {
 	if text == "" {
-		return nil, &apiError{http.StatusBadRequest, "pattern is required"}
+		return nil, &wire.StatusError{Code: http.StatusBadRequest, Msg: "pattern is required"}
 	}
 	seq, err := genome.FromString(strings.ToUpper(text))
 	if err != nil {
-		return nil, &apiError{http.StatusBadRequest, err.Error()}
+		return nil, &wire.StatusError{Code: http.StatusBadRequest, Msg: err.Error()}
 	}
 	return seq, nil
 }
@@ -43,53 +40,51 @@ func parsePattern(text string) (*genome.Sequence, *apiError) {
 // a forward search through the coalescer, so concurrent requests share
 // probe blocks; both strands as the index's own two-pattern block —
 // and convert matches to the response shape.
-func (s *Server) execSearch(ctx context.Context, pattern, strands string) (SearchResponse, *apiError) {
-	resp := SearchResponse{Matches: []MatchJSON{}}
-	pat, aerr := parsePattern(pattern)
-	if aerr != nil {
-		return resp, aerr
+func (s *Server) execSearch(ctx context.Context, pattern string, both bool) (wire.SearchResult, *wire.StatusError) {
+	pat, serr := parsePattern(pattern)
+	if serr != nil {
+		return wire.SearchResult{}, serr
 	}
-	switch strands {
-	case "", "forward":
+	res := wire.SearchResult{Matches: []wire.Match{}}
+	if !both {
 		matches, stats, err := s.coal.Lookup(ctx, pat)
 		if err != nil {
-			return resp, &apiError{http.StatusUnprocessableEntity, err.Error()}
+			return wire.SearchResult{}, &wire.StatusError{Code: http.StatusUnprocessableEntity, Msg: err.Error()}
 		}
-		resp.Probes = stats.BucketProbes
+		res.Probes = stats.BucketProbes
 		for _, m := range matches {
-			resp.Matches = append(resp.Matches, MatchJSON{
+			res.Matches = append(res.Matches, wire.Match{
 				Ref: s.lib.Ref(m.Ref).ID, Offset: m.Off, Distance: m.Distance, Strand: "+",
 			})
 		}
-	case "both":
-		matches, stats, err := s.lib.LookupBothStrands(pat)
-		if err != nil {
-			return resp, &apiError{http.StatusUnprocessableEntity, err.Error()}
-		}
-		resp.Probes = stats.BucketProbes
-		for _, m := range matches {
-			resp.Matches = append(resp.Matches, MatchJSON{
-				Ref: s.lib.Ref(m.Ref).ID, Offset: m.Off, Distance: m.Distance,
-				Strand: m.Strand.String(),
-			})
-		}
-	default:
-		return resp, &apiError{http.StatusBadRequest, `strands must be "forward" or "both"`}
+		return res, nil
 	}
-	return resp, nil
+	matches, stats, err := s.lib.LookupBothStrands(pat)
+	if err != nil {
+		return wire.SearchResult{}, &wire.StatusError{Code: http.StatusUnprocessableEntity, Msg: err.Error()}
+	}
+	res.Probes = stats.BucketProbes
+	for _, m := range matches {
+		res.Matches = append(res.Matches, wire.Match{
+			Ref: s.lib.Ref(m.Ref).ID, Offset: m.Off, Distance: m.Distance,
+			Strand: m.Strand.String(),
+		})
+	}
+	return res, nil
 }
 
 // execClassify runs one classify request.
-func (s *Server) execClassify(readText string, minFraction float64) (ClassifyResponse, *apiError) {
-	read, aerr := parsePattern(readText)
-	if aerr != nil {
-		return ClassifyResponse{}, aerr
+func (s *Server) execClassify(readText string, minFraction float64) (wire.ClassifyResult, *wire.StatusError) {
+	read, serr := parsePattern(readText)
+	if serr != nil {
+		return wire.ClassifyResult{}, serr
 	}
-	if minFraction > 1 {
-		// A fraction above 1 can never be satisfied; classifying with it
+	if minFraction > 1 || math.IsNaN(minFraction) || math.IsInf(minFraction, 0) {
+		// A fraction above 1 can never be satisfied, and NaN compares
+		// false against every bound below; classifying with either
 		// would silently return 404 for every read.
-		return ClassifyResponse{}, &apiError{http.StatusBadRequest,
-			fmt.Sprintf("minFraction %v must be in (0, 1]", minFraction)}
+		return wire.ClassifyResult{}, &wire.StatusError{Code: http.StatusBadRequest,
+			Msg: fmt.Sprintf("minFraction %v must be in (0, 1]", minFraction)}
 	}
 	minFrac := minFraction
 	if minFrac <= 0 {
@@ -99,12 +94,12 @@ func (s *Server) execClassify(readText string, minFraction float64) (ClassifyRes
 	switch {
 	case errors.Is(err, core.ErrNoSupport):
 		// Valid read, no reference reaches the support threshold.
-		return ClassifyResponse{}, &apiError{http.StatusNotFound, err.Error()}
+		return wire.ClassifyResult{}, &wire.StatusError{Code: http.StatusNotFound, Msg: err.Error()}
 	case err != nil:
 		// Invalid input, e.g. a read shorter than the window.
-		return ClassifyResponse{}, &apiError{http.StatusUnprocessableEntity, err.Error()}
+		return wire.ClassifyResult{}, &wire.StatusError{Code: http.StatusUnprocessableEntity, Msg: err.Error()}
 	}
-	return ClassifyResponse{
+	return wire.ClassifyResult{
 		Ref:      s.lib.Ref(best.Ref).ID,
 		Offset:   best.Offset,
 		Votes:    best.Votes,
@@ -117,23 +112,23 @@ func (s *Server) execClassify(readText string, minFraction float64) (ClassifyRes
 // errors without burning a worker slot; a canceled context yields the
 // partial results with the Canceled marker, matching the HTTP 200 +
 // "canceled" contract.
-func (s *Server) execBatch(ctx context.Context, patterns []string, workers int) (BatchResponse, *apiError) {
+func (s *Server) execBatch(ctx context.Context, patterns []string, workers int) (wire.BatchResult, *wire.StatusError) {
 	if len(patterns) == 0 {
-		return BatchResponse{}, &apiError{http.StatusBadRequest, "patterns are required"}
+		return wire.BatchResult{}, &wire.StatusError{Code: http.StatusBadRequest, Msg: "patterns are required"}
 	}
 	if len(patterns) > maxBatchPatterns {
-		return BatchResponse{}, &apiError{http.StatusRequestEntityTooLarge,
-			fmt.Sprintf("batch of %d exceeds limit %d", len(patterns), maxBatchPatterns)}
+		return wire.BatchResult{}, &wire.StatusError{Code: http.StatusRequestEntityTooLarge,
+			Msg: fmt.Sprintf("batch of %d exceeds limit %d", len(patterns), maxBatchPatterns)}
 	}
 	// Parse up front and dispatch only the patterns that parsed: a
 	// malformed pattern gets its per-item error without entering the
 	// lookup pipeline at all. idx maps each dispatched sequence back
 	// to its request slot.
-	resp := BatchResponse{Results: make([]BatchItem, len(patterns))}
+	resp := wire.BatchResult{Results: make([]wire.BatchItem, len(patterns))}
 	seqs := make([]*genome.Sequence, 0, len(patterns))
 	idx := make([]int, 0, len(patterns))
 	for i, p := range patterns {
-		resp.Results[i] = BatchItem{Matches: []MatchJSON{}}
+		resp.Results[i] = wire.BatchItem{Matches: []wire.Match{}}
 		seq, err := genome.FromString(strings.ToUpper(p))
 		if err != nil {
 			resp.Results[i].Error = err.Error()
@@ -145,7 +140,7 @@ func (s *Server) execBatch(ctx context.Context, patterns []string, workers int) 
 	if len(seqs) > 0 {
 		results, agg, err := s.lib.LookupBatchContext(ctx, seqs, clampWorkers(workers))
 		if err != nil && !isContextErr(err) {
-			return BatchResponse{}, &apiError{http.StatusUnprocessableEntity, err.Error()}
+			return wire.BatchResult{}, &wire.StatusError{Code: http.StatusUnprocessableEntity, Msg: err.Error()}
 		}
 		resp.Canceled = err != nil
 		resp.Probes = agg.BucketProbes
@@ -156,7 +151,7 @@ func (s *Server) execBatch(ctx context.Context, patterns []string, workers int) 
 				continue
 			}
 			for _, m := range res.Matches {
-				item.Matches = append(item.Matches, MatchJSON{
+				item.Matches = append(item.Matches, wire.Match{
 					Ref: s.lib.Ref(m.Ref).ID, Offset: m.Off, Distance: m.Distance, Strand: "+",
 				})
 			}
@@ -167,9 +162,9 @@ func (s *Server) execBatch(ctx context.Context, patterns []string, workers int) 
 
 // execStats reports the index's shape and storage gauges, all from one
 // Describe: one view, so the counts in a reply belong together.
-func (s *Server) execStats() StatsResponse {
+func (s *Server) execStats() wire.StatsResult {
 	info := s.lib.Describe()
-	return StatsResponse{
+	return wire.StatsResult{
 		Backend:       info.Backend,
 		References:    info.References,
 		Windows:       info.Windows,

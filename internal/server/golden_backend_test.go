@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/genome"
 	"repro/internal/rng"
+	"repro/internal/wire"
 )
 
 // The golden equivalence suite pins the backend-interface refactor:
@@ -181,7 +182,7 @@ func TestGoldenV1ResponsesThroughInterface(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var stats StatsResponse
+	var stats wire.StatsResult
 	decodeInto(t, resp, &stats)
 	if stats.Backend != core.BackendHDC {
 		t.Fatalf("stats backend %q, want %q", stats.Backend, core.BackendHDC)

@@ -16,6 +16,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/genome"
 	"repro/internal/rng"
+	"repro/internal/wire"
 )
 
 // denseServer builds a server over a deliberately over-sharded library
@@ -55,7 +56,7 @@ func batchBody(t *testing.T, ref *genome.Sequence, n int) []byte {
 	return data
 }
 
-func countBatchErrors(br *BatchResponse) (done, failed int) {
+func countBatchErrors(br *wire.BatchResult) (done, failed int) {
 	for _, r := range br.Results {
 		if r.Error == "" {
 			done++
@@ -81,7 +82,7 @@ func TestBatchDeadlineCancels(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d, want 200 with partial results", rec.Code)
 	}
-	var br BatchResponse
+	var br wire.BatchResult
 	if err := json.Unmarshal(rec.Body.Bytes(), &br); err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +117,7 @@ func TestBatchClientCancelPartial(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d, want 200 with partial results", rec.Code)
 	}
-	var br BatchResponse
+	var br wire.BatchResult
 	if err := json.Unmarshal(rec.Body.Bytes(), &br); err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +287,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 
 	type result struct {
 		status int
-		br     BatchResponse
+		br     wire.BatchResult
 		err    error
 	}
 	resc := make(chan result, 1)
@@ -298,7 +299,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 			return
 		}
 		defer resp.Body.Close()
-		var br BatchResponse
+		var br wire.BatchResult
 		if err := json.NewDecoder(resp.Body).Decode(&br); err != nil {
 			resc <- result{err: err}
 			return
@@ -394,7 +395,7 @@ func TestSketchTelemetry(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var stats StatsResponse
+			var stats wire.StatsResult
 			decodeInto(t, resp, &stats)
 			if stats.SketchWords != tc.words || stats.SketchBytes != int64(stats.Buckets*tc.words*8) ||
 				stats.SketchSurvivorRatio < tc.predLo || stats.SketchSurvivorRatio > tc.predHi {

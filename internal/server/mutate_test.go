@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/genome"
 	"repro/internal/rng"
+	"repro/internal/wire"
 )
 
 // doRequest issues a method+path request with an optional JSON body.
@@ -37,7 +38,7 @@ func searchIDs(t *testing.T, url, pattern string) map[string]bool {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("search status %d", resp.StatusCode)
 	}
-	var sr SearchResponse
+	var sr wire.SearchResult
 	decodeInto(t, resp, &sr)
 	ids := map[string]bool{}
 	for _, m := range sr.Matches {
@@ -111,7 +112,7 @@ func TestIngestRemoveCompactLifecycle(t *testing.T) {
 
 	// The original reference still serves.
 	statsResp := doRequest(t, http.MethodGet, ts.URL+"/v1/stats", "")
-	var st StatsResponse
+	var st wire.StatsResult
 	decodeInto(t, statsResp, &st)
 	if st.References != 2 || st.Segments == 0 || st.Tombstones != 0 {
 		t.Fatalf("stats after lifecycle implausible: %+v", st)

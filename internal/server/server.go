@@ -39,6 +39,7 @@ import (
 	"repro/internal/coalesce"
 	"repro/internal/core"
 	"repro/internal/metrics"
+	"repro/internal/wire"
 )
 
 // maxBodyBytes bounds request bodies (patterns are short; reads are a
@@ -135,6 +136,16 @@ func writeError(w http.ResponseWriter, status int, format string, args ...interf
 	writeJSON(w, status, errorBody{Error: fmt.Sprintf(format, args...)})
 }
 
+// writeResult writes an exec answer: res with status 200, or the
+// request's failure as an error body.
+func writeResult(w http.ResponseWriter, res any, serr *wire.StatusError) {
+	if serr != nil {
+		writeError(w, serr.Code, "%s", serr.Msg)
+		return
+	}
+	writeJSON(w, http.StatusOK, res)
+}
+
 func decodeBody(w http.ResponseWriter, r *http.Request, v interface{}) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
@@ -201,35 +212,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Write(buf.Bytes())
 }
 
-// StatsResponse is the /v1/stats payload. Backend names the index
-// backend serving the collection ("hdc", "cobs", ...); Dim and
-// Capacity are zero for backends they do not apply to.
-type StatsResponse struct {
-	Backend       string  `json:"backend"`
-	References    int     `json:"references"`
-	Windows       int     `json:"windows"`
-	Buckets       int     `json:"buckets"`
-	Dim           int     `json:"dim"`
-	Window        int     `json:"window"`
-	Stride        int     `json:"stride"`
-	Capacity      int     `json:"capacity"`
-	Approx        bool    `json:"approx"`
-	Tolerance     int     `json:"tolerance"`
-	Threshold     float64 `json:"threshold"`
-	MemBytes      int64   `json:"memoryBytes"`
-	MappedBytes   int64   `json:"mappedBytes"`
-	ResidentBytes int64   `json:"residentBytes"`
-	Segments      int     `json:"segments"`
-	Tombstones    float64 `json:"tombstoneRatio"`
-
-	// The HDC probe cascade: words of each row the sketch stage reads,
-	// bytes of sketch plane resident, and the model's predicted survivor
-	// ratio (compare biohd_core_sketch_survivors_total / _rows_total).
-	SketchWords         int     `json:"sketchWords"`
-	SketchBytes         int64   `json:"sketchBytes"`
-	SketchSurvivorRatio float64 `json:"sketchPredictedSurvivorRatio"`
-}
-
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, s.execStats())
 }
@@ -241,31 +223,26 @@ type SearchRequest struct {
 	Strands string `json:"strands,omitempty"`
 }
 
-// MatchJSON is one verified match.
-type MatchJSON struct {
-	Ref      string `json:"ref"`
-	Offset   int    `json:"offset"`
-	Distance int    `json:"distance"`
-	Strand   string `json:"strand"`
-}
-
-// SearchResponse is the /v1/search result.
-type SearchResponse struct {
-	Matches []MatchJSON `json:"matches"`
-	Probes  int         `json:"bucketProbes"`
-}
+// SearchResponse is the /v1/search result, kept as a name for callers
+// that decode into it; every route answers with a wire result type.
+type SearchResponse = wire.SearchResult
 
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	var req SearchRequest
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	resp, aerr := s.execSearch(r.Context(), req.Pattern, req.Strands)
-	if aerr != nil {
-		writeError(w, aerr.status, "%s", aerr.msg)
+	var both bool
+	switch req.Strands {
+	case "", "forward":
+	case "both":
+		both = true
+	default:
+		writeError(w, http.StatusBadRequest, `strands must be "forward" or "both"`)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	res, serr := s.execSearch(r.Context(), req.Pattern, both)
+	writeResult(w, res, serr)
 }
 
 // ClassifyRequest is the /v1/classify payload.
@@ -274,48 +251,19 @@ type ClassifyRequest struct {
 	MinFraction float64 `json:"minFraction,omitempty"`
 }
 
-// ClassifyResponse is the /v1/classify result.
-type ClassifyResponse struct {
-	Ref      string  `json:"ref"`
-	Offset   int     `json:"offset"`
-	Votes    int     `json:"votes"`
-	Windows  int     `json:"windows"`
-	Fraction float64 `json:"fraction"`
-}
-
 func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	var req ClassifyRequest
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	resp, aerr := s.execClassify(req.Read, req.MinFraction)
-	if aerr != nil {
-		writeError(w, aerr.status, "%s", aerr.msg)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
+	res, serr := s.execClassify(req.Read, req.MinFraction)
+	writeResult(w, res, serr)
 }
 
 // BatchRequest is the /v1/batch payload.
 type BatchRequest struct {
 	Patterns []string `json:"patterns"`
 	Workers  int      `json:"workers,omitempty"`
-}
-
-// BatchItem is one pattern's result in a batch response.
-type BatchItem struct {
-	Matches []MatchJSON `json:"matches"`
-	Error   string      `json:"error,omitempty"`
-}
-
-// BatchResponse is the /v1/batch result. Canceled reports that the
-// request context was canceled (client disconnect or deadline) before
-// every pattern was searched: the per-pattern results are partial, and
-// unsearched patterns carry a context error in their Error field.
-type BatchResponse struct {
-	Results  []BatchItem `json:"results"`
-	Probes   int         `json:"bucketProbes"`
-	Canceled bool        `json:"canceled,omitempty"`
 }
 
 // maxBatchPatterns bounds one batch request.
@@ -347,12 +295,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	resp, aerr := s.execBatch(r.Context(), req.Patterns, req.Workers)
-	if aerr != nil {
-		writeError(w, aerr.status, "%s", aerr.msg)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
+	res, serr := s.execBatch(r.Context(), req.Patterns, req.Workers)
+	writeResult(w, res, serr)
 }
 
 // isContextErr reports whether err is a cancellation/deadline outcome

@@ -12,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/genome"
 	"repro/internal/rng"
+	"repro/internal/wire"
 )
 
 // testServer builds a server over one random reference and returns it
@@ -90,7 +91,7 @@ func TestStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var stats StatsResponse
+	var stats wire.StatsResult
 	decodeInto(t, resp, &stats)
 	if stats.References != 1 || stats.Dim != 8192 || stats.Buckets == 0 {
 		t.Fatalf("stats implausible: %+v", stats)
@@ -104,7 +105,7 @@ func TestSearchForward(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
-	var sr SearchResponse
+	var sr wire.SearchResult
 	decodeInto(t, resp, &sr)
 	found := false
 	for _, m := range sr.Matches {
@@ -124,7 +125,7 @@ func TestSearchBothStrands(t *testing.T) {
 	ts, ref := testServer(t)
 	rc := ref.Slice(700, 732).ReverseComplement()
 	resp := postJSON(t, ts.URL+"/v1/search", SearchRequest{Pattern: rc.String(), Strands: "both"})
-	var sr SearchResponse
+	var sr wire.SearchResult
 	decodeInto(t, resp, &sr)
 	found := false
 	for _, m := range sr.Matches {
@@ -176,7 +177,7 @@ func TestClassify(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
-	var cr ClassifyResponse
+	var cr wire.ClassifyResult
 	decodeInto(t, resp, &cr)
 	if cr.Ref != "chr1" || cr.Offset != 1000 {
 		t.Fatalf("classification wrong: %+v", cr)
@@ -240,7 +241,7 @@ func TestBatchOversizedWorkerCountClamps(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
-	var br BatchResponse
+	var br wire.BatchResult
 	decodeInto(t, resp, &br)
 	if len(br.Results) != 1 || len(br.Results[0].Matches) == 0 {
 		t.Fatalf("clamped batch lost its result: %+v", br)
@@ -254,7 +255,7 @@ func TestBatchSkipsUnparsablePatterns(t *testing.T) {
 	resp := postJSON(t, ts.URL+"/v1/batch", BatchRequest{
 		Patterns: []string{good1, "NOT-DNA-AT-ALL", good2},
 	})
-	var br BatchResponse
+	var br wire.BatchResult
 	decodeInto(t, resp, &br)
 	if len(br.Results) != 3 {
 		t.Fatalf("%d results", len(br.Results))
@@ -270,7 +271,7 @@ func TestBatchSkipsUnparsablePatterns(t *testing.T) {
 	}
 	// Unparsable patterns must not enter the lookup pipeline: aggregate
 	// probes equal exactly the two real lookups' probes.
-	var s1, s2 SearchResponse
+	var s1, s2 wire.SearchResult
 	decodeInto(t, postJSON(t, ts.URL+"/v1/search", SearchRequest{Pattern: good1}), &s1)
 	decodeInto(t, postJSON(t, ts.URL+"/v1/search", SearchRequest{Pattern: good2}), &s2)
 	if br.Probes != s1.Probes+s2.Probes {
@@ -299,7 +300,7 @@ func TestBatch(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
-	var br BatchResponse
+	var br wire.BatchResult
 	decodeInto(t, resp, &br)
 	if len(br.Results) != 3 {
 		t.Fatalf("%d results", len(br.Results))
@@ -343,7 +344,7 @@ func TestMethodNotAllowed(t *testing.T) {
 func TestBatchErrorCellsHaveBadBaseMessage(t *testing.T) {
 	ts, _ := testServer(t)
 	resp := postJSON(t, ts.URL+"/v1/batch", BatchRequest{Patterns: []string{"NNNN" + strings.Repeat("A", 28)}})
-	var br BatchResponse
+	var br wire.BatchResult
 	decodeInto(t, resp, &br)
 	if br.Results[0].Error == "" {
 		t.Fatal("invalid base not reported")

@@ -5,6 +5,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"os"
+	"path/filepath"
+	"regexp"
 	"sort"
 	"strings"
 	"sync"
@@ -15,6 +18,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/genome"
 	"repro/internal/rng"
+	"repro/internal/wire"
 )
 
 // Geometry of the consistency test: every reference has refLen bases,
@@ -58,7 +62,7 @@ func TestStatsOneViewUnderIngest(t *testing.T) {
 							t.Error(err)
 							return
 						}
-						var st StatsResponse
+						var st wire.StatsResult
 						err = json.NewDecoder(resp.Body).Decode(&st)
 						resp.Body.Close()
 						if err != nil {
@@ -145,15 +149,13 @@ var indexSeries = []string{
 
 // TestStatsNamesPinned holds /v1/stats, the wire STATS frame and the
 // index gauges of /metrics to their published names: dashboards and
-// clients key on them.
+// clients key on them. The wire keys are read from the frame's raw
+// payload, so a key no client struct knows is seen too.
 func TestStatsNamesPinned(t *testing.T) {
-	ts, cl, _ := wirePair(t)
+	lib, _ := chr1Library(t, core.Params{Dim: 8192, Window: 32, Seed: 92})
+	ts, addr := wireServers(t, lib)
 	_, body := httpBody(t, ts.URL+"/v1/stats", nil)
-	ws, err := cl.Stats(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for via, data := range map[string][]byte{"/v1/stats": body, "wire STATS": marshal(t, ws)} {
+	for via, data := range map[string][]byte{"/v1/stats": body, "wire STATS": rawStats(t, addr)} {
 		var obj map[string]any
 		if err := json.Unmarshal(data, &obj); err != nil {
 			t.Fatal(err)
@@ -170,11 +172,7 @@ func TestStatsNamesPinned(t *testing.T) {
 
 	_, body = httpBody(t, ts.URL+"/metrics", nil)
 	seen := map[string]bool{}
-	for _, line := range strings.Split(string(body), "\n") {
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		name := line[:strings.IndexAny(line, "{ ")]
+	for name := range seriesNames(body) {
 		if name == "biohd_index_info" || name == "biohd_core_sketch_predicted_survivor_ratio" ||
 			strings.HasPrefix(name, "biohd_library_") {
 			seen[name] = true
@@ -187,5 +185,44 @@ func TestStatsNamesPinned(t *testing.T) {
 	sort.Strings(names)
 	if got, want := strings.Join(names, " "), strings.Join(indexSeries, " "); got != want {
 		t.Errorf("index series:\n got %s\nwant %s", got, want)
+	}
+}
+
+// seriesNames is the set of sample names in a rendered /metrics body:
+// each line's name, up to its labels or value.
+func seriesNames(body []byte) map[string]bool {
+	names := map[string]bool{}
+	for _, line := range strings.Split(string(body), "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		names[line[:strings.IndexAny(line, "{ ")]] = true
+	}
+	return names
+}
+
+// TestReadmeMetricsServed holds README to /metrics: every biohd_ name
+// it mentions must be a series that a server with a wire listener on
+// its registry renders — a histogram by its _count sample — so a
+// renamed or dropped metric cannot leave the docs behind.
+func TestReadmeMetricsServed(t *testing.T) {
+	readme, err := os.ReadFile(filepath.Join("..", "..", "README.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts, _, _ := wirePair(t)
+	_, body := httpBody(t, ts.URL+"/metrics", nil)
+	served := seriesNames(body)
+	named := map[string]bool{}
+	for _, name := range regexp.MustCompile(`biohd_[a-z0-9_]+`).FindAllString(string(readme), -1) {
+		named[name] = true
+	}
+	if len(named) == 0 {
+		t.Fatal("README names no biohd_ metric")
+	}
+	for name := range named {
+		if !served[name] && !served[name+"_count"] {
+			t.Errorf("README names %s, which /metrics does not serve", name)
+		}
 	}
 }

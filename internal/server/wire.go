@@ -1,10 +1,10 @@
 package server
 
 // The wire.Backend adapter: binds the binary wire protocol to the
-// same exec layer the HTTP handlers use. Every conversion below is a
-// straight struct copy between twin types with identical field sets,
-// so the two transports cannot drift apart — byte-identical JSON
-// marshals of both sides are pinned by the golden-equivalence tests.
+// same exec layer the HTTP handlers use. The exec layer returns the
+// wire package's result types, so each method hands its answer through
+// unchanged; the golden-equivalence tests pin the two transports to
+// identical bytes.
 
 import (
 	"context"
@@ -21,40 +21,27 @@ type wireBackend struct {
 	s *Server
 }
 
-// statusErr converts the transport-neutral apiError into the wire's
-// application-error form.
-func statusErr(aerr *apiError) error {
-	return &wire.StatusError{Code: aerr.status, Msg: aerr.msg}
+// wireErr returns an exec failure as a wire.Backend error. A nil
+// *StatusError must become a nil error, not a non-nil error holding a
+// nil pointer.
+func wireErr(serr *wire.StatusError) error {
+	if serr == nil {
+		return nil
+	}
+	return serr
 }
 
-func toWireMatches(in []MatchJSON) []wire.Match {
-	out := make([]wire.Match, 0, len(in))
-	for _, m := range in {
-		out = append(out, wire.Match(m))
-	}
-	return out
-}
+// The patterns and reads are copied into strings: the exec layer must
+// not retain the frame buffer the slices alias.
 
 func (b wireBackend) Search(ctx context.Context, pattern []byte, both bool) (wire.SearchResult, error) {
-	strands := "forward"
-	if both {
-		strands = "both"
-	}
-	// string(pattern) copies: the exec layer must not retain the frame
-	// buffer the slice aliases.
-	resp, aerr := b.s.execSearch(ctx, string(pattern), strands)
-	if aerr != nil {
-		return wire.SearchResult{}, statusErr(aerr)
-	}
-	return wire.SearchResult{Matches: toWireMatches(resp.Matches), Probes: resp.Probes}, nil
+	res, serr := b.s.execSearch(ctx, string(pattern), both)
+	return res, wireErr(serr)
 }
 
 func (b wireBackend) Classify(_ context.Context, read []byte, minFraction float64) (wire.ClassifyResult, error) {
-	resp, aerr := b.s.execClassify(string(read), minFraction)
-	if aerr != nil {
-		return wire.ClassifyResult{}, statusErr(aerr)
-	}
-	return wire.ClassifyResult(resp), nil
+	res, serr := b.s.execClassify(string(read), minFraction)
+	return res, wireErr(serr)
 }
 
 func (b wireBackend) Batch(ctx context.Context, patterns [][]byte, workers int) (wire.BatchResult, error) {
@@ -62,21 +49,8 @@ func (b wireBackend) Batch(ctx context.Context, patterns [][]byte, workers int) 
 	for i, p := range patterns {
 		texts[i] = string(p)
 	}
-	resp, aerr := b.s.execBatch(ctx, texts, workers)
-	if aerr != nil {
-		return wire.BatchResult{}, statusErr(aerr)
-	}
-	out := wire.BatchResult{
-		Results:  make([]wire.BatchItem, len(resp.Results)),
-		Probes:   resp.Probes,
-		Canceled: resp.Canceled,
-	}
-	for i, item := range resp.Results {
-		out.Results[i] = wire.BatchItem{Matches: toWireMatches(item.Matches), Error: item.Error}
-	}
-	return out, nil
+	res, serr := b.s.execBatch(ctx, texts, workers)
+	return res, wireErr(serr)
 }
 
-func (b wireBackend) Stats() wire.StatsResult {
-	return wire.StatsResult(b.s.execStats())
-}
+func (b wireBackend) Stats() wire.StatsResult { return b.s.execStats() }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -14,6 +15,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/cobs"
 	"repro/internal/core"
@@ -27,8 +29,17 @@ import (
 // layer and the metrics registry.
 func wirePair(t *testing.T) (*httptest.Server, *wire.Client, *genome.Sequence) {
 	t.Helper()
+	lib, ref := chr1Library(t, core.Params{Dim: 8192, Window: 32, Seed: 92})
+	ts, cl := wirePairOver(t, lib)
+	return ts, cl, ref
+}
+
+// chr1Library builds a frozen HDC library over one 3000-base
+// reference, "chr1".
+func chr1Library(t *testing.T, p core.Params) (*core.Library, *genome.Sequence) {
+	t.Helper()
 	ref := genome.Random(3000, rng.New(91))
-	lib, err := core.NewLibrary(core.Params{Dim: 8192, Window: 32, Seed: 92})
+	lib, err := core.NewLibrary(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,12 +47,24 @@ func wirePair(t *testing.T) (*httptest.Server, *wire.Client, *genome.Sequence) {
 		t.Fatal(err)
 	}
 	lib.Freeze()
-	ts, cl := wirePairOver(t, lib)
-	return ts, cl, ref
+	return lib, ref
 }
 
 // wirePairOver is wirePair for an index the caller built (or opened).
 func wirePairOver(t *testing.T, idx core.Index) (*httptest.Server, *wire.Client) {
+	t.Helper()
+	ts, addr := wireServers(t, idx)
+	cl, err := wire.Dial(addr, wire.ClientConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cl.Close() })
+	return ts, cl
+}
+
+// wireServers serves idx over HTTP and over the wire protocol, and
+// returns the HTTP server and the wire listener's address.
+func wireServers(t *testing.T, idx core.Index) (*httptest.Server, string) {
 	t.Helper()
 	s, err := New(idx)
 	if err != nil {
@@ -67,12 +90,43 @@ func wirePairOver(t *testing.T, idx core.Index) (*httptest.Server, *wire.Client)
 		ws.Close()
 		<-done
 	})
-	cl, err := wire.Dial(ln.Addr().String(), wire.ClientConfig{})
+	return ts, ln.Addr().String()
+}
+
+// rawStats sends one STATS frame over a bare connection and returns
+// the response payload as the server wrote it, with no client struct
+// in between.
+func rawStats(t *testing.T, addr string) []byte {
+	t.Helper()
+	conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { cl.Close() })
-	return ts, cl
+	defer conn.Close()
+	if err := conn.SetDeadline(time.Now().Add(10 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	frame, off := wire.BeginFrame(nil)
+	wire.FinishFrame(frame, off, wire.OpStats, 0, 1)
+	if _, err := conn.Write(frame); err != nil {
+		t.Fatal(err)
+	}
+	var hdr [wire.HeaderSize]byte
+	if _, err := io.ReadFull(conn, hdr[:]); err != nil {
+		t.Fatal(err)
+	}
+	h, err := wire.ParseHeader(hdr[:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.Opcode != wire.OpStats || h.Flags != wire.FlagResponse || h.RequestID != 1 {
+		t.Fatalf("STATS answered with %+v", h)
+	}
+	payload := make([]byte, h.PayloadLen)
+	if _, err := io.ReadFull(conn, payload); err != nil {
+		t.Fatal(err)
+	}
+	return payload
 }
 
 // httpBody POSTs (or GETs when body is nil) and returns status plus
@@ -345,35 +399,7 @@ func TestWireMetricsOnSharedRegistry(t *testing.T) {
 // the storage tier back through every stats surface — the same structs
 // and series the HDC library reports through, no field of their own.
 func TestMappedCOBSStats(t *testing.T) {
-	x, err := cobs.New(cobs.Params{Window: 32, RowBits: 4096})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := genome.Random(3000, rng.New(93))
-	if err := x.Add(genome.Record{ID: "chr1", Seq: ref}); err != nil {
-		t.Fatal(err)
-	}
-	x.Freeze()
-	path := filepath.Join(t.TempDir(), "cobs.v3")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	size, err := x.WriteToV3(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	idx, err := core.OpenLibraryFile(path, core.MapArena)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { idx.Close() })
-	if !idx.Mapped() {
-		t.Skip("this platform or build cannot map library files")
-	}
+	idx, ref, size := mappedCOBS(t)
 	ts, cl := wirePairOver(t, idx)
 	pat := ref.Slice(500, 532).String()
 	if res, err := cl.Search(context.Background(), pat, false); err != nil || len(res.Matches) == 0 {
@@ -384,7 +410,7 @@ func TestMappedCOBSStats(t *testing.T) {
 	}
 
 	_, body := httpBody(t, ts.URL+"/v1/stats", nil)
-	var stats StatsResponse
+	var stats wire.StatsResult
 	if err := json.Unmarshal(body, &stats); err != nil {
 		t.Fatal(err)
 	}
@@ -422,6 +448,111 @@ func TestMappedCOBSStats(t *testing.T) {
 	}
 }
 
+// TestStatsFrameIsStatsBody reads a STATS frame's payload as raw
+// bytes and requires it to be the /v1/stats body, on both backends and
+// both storage tiers: one encoding of the stats record, whatever keys
+// it has.
+func TestStatsFrameIsStatsBody(t *testing.T) {
+	indexes := map[string]func(t *testing.T) core.Index{
+		"hdc exact": func(t *testing.T) core.Index {
+			lib, _ := chr1Library(t, core.Params{Dim: 8192, Window: 32, Seed: 92})
+			return lib
+		},
+		"hdc approximate": func(t *testing.T) core.Index {
+			lib, _ := chr1Library(t, core.Params{Dim: 1024, Window: 32, Approx: true, MutTolerance: 2, Seed: 92})
+			return lib
+		},
+		"cobs heap": func(t *testing.T) core.Index {
+			x, err := cobs.New(cobs.Params{Window: 32, RowBits: 4096})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := x.Add(genome.Record{ID: "chr1", Seq: genome.Random(3000, rng.New(93))}); err != nil {
+				t.Fatal(err)
+			}
+			x.Freeze()
+			return x
+		},
+		"cobs mapped": func(t *testing.T) core.Index {
+			idx, _, _ := mappedCOBS(t)
+			return idx
+		},
+	}
+	for name, build := range indexes {
+		t.Run(name, func(t *testing.T) {
+			ts, addr := wireServers(t, build(t))
+			payload := rawStats(t, addr)
+			status, body := httpBody(t, ts.URL+"/v1/stats", nil)
+			if status != http.StatusOK {
+				t.Fatalf("http status %d", status)
+			}
+			if string(payload) != string(body) {
+				t.Fatalf("STATS payload is not the /v1/stats body:\nwire %q\nhttp %q", payload, body)
+			}
+		})
+	}
+}
+
+// TestWireClassifyNonFiniteFraction sends minFraction values HTTP's
+// JSON cannot carry. A read that classifies at the default must get a
+// 400 naming the value, not a 404 from a support test NaN never passes.
+func TestWireClassifyNonFiniteFraction(t *testing.T) {
+	_, cl, ref := wirePair(t)
+	ctx := context.Background()
+	read := ref.Slice(1000, 1300).String()
+	if res, err := cl.Classify(ctx, read, 0); err != nil || res.Fraction != 1 {
+		t.Fatalf("read at the default fraction: %+v, %v", res, err)
+	}
+	for _, frac := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		_, err := cl.Classify(ctx, read, frac)
+		var se *wire.StatusError
+		if !errors.As(err, &se) {
+			t.Fatalf("minFraction %v: %v, want a StatusError", frac, err)
+		}
+		if want := fmt.Sprintf("minFraction %v must be in (0, 1]", frac); se.Code != http.StatusBadRequest || se.Msg != want {
+			t.Errorf("minFraction %v: %d %q, want 400 %q", frac, se.Code, se.Msg, want)
+		}
+	}
+}
+
+// mappedCOBS writes a frozen cobs index over one 3000-base reference,
+// "chr1", to a v3 file and opens it MapArena. It returns the index,
+// the reference and the file's size, and skips the test where the
+// platform or build cannot map library files.
+func mappedCOBS(t *testing.T) (core.Index, *genome.Sequence, int64) {
+	t.Helper()
+	x, err := cobs.New(cobs.Params{Window: 32, RowBits: 4096})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := genome.Random(3000, rng.New(93))
+	if err := x.Add(genome.Record{ID: "chr1", Seq: ref}); err != nil {
+		t.Fatal(err)
+	}
+	x.Freeze()
+	path := filepath.Join(t.TempDir(), "cobs.v3")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	size, err := x.WriteToV3(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	idx, err := core.OpenLibraryFile(path, core.MapArena)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { idx.Close() })
+	if !idx.Mapped() {
+		t.Skip("this platform or build cannot map library files")
+	}
+	return idx, ref, size
+}
+
 // TestStatsResidentBytes pins the residentBytes stats field: a heap
 // library reports its footprint.
 func TestStatsResidentBytes(t *testing.T) {
@@ -430,7 +561,7 @@ func TestStatsResidentBytes(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("status %d", status)
 	}
-	var stats StatsResponse
+	var stats wire.StatsResult
 	if err := json.Unmarshal(body, &stats); err != nil {
 		t.Fatal(err)
 	}

@@ -15,6 +15,7 @@ package wire
 import (
 	"bufio"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -368,7 +369,8 @@ func (c *Client) Batch(ctx context.Context, patterns []string, workers int) (Bat
 	return ParseBatchResult(resp.payload)
 }
 
-// Stats fetches the server's library statistics.
+// Stats fetches the server's library statistics. Keys the payload
+// carries that StatsResult does not know are ignored.
 func (c *Client) Stats(ctx context.Context) (StatsResult, error) {
 	resp, err := c.do(ctx, OpStats, nil)
 	if err != nil {
@@ -377,7 +379,11 @@ func (c *Client) Stats(ctx context.Context) (StatsResult, error) {
 	if err := respError(resp); err != nil {
 		return StatsResult{}, err
 	}
-	return ParseStatsResult(resp.payload)
+	var st StatsResult
+	if err := json.Unmarshal(resp.payload, &st); err != nil {
+		return StatsResult{}, fmt.Errorf("wire: stats payload: %w", err)
+	}
+	return st, nil
 }
 
 // Ping round-trips an empty frame, verifying liveness and protocol

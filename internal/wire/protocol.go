@@ -11,13 +11,17 @@
 //
 //	header (24 bytes):
 //	  [0:4)   magic      0x31444842 ("BHD1" on the wire)
-//	  [4]     version    3
+//	  [4]     version    4
 //	  [5]     opcode     SEARCH | CLASSIFY | BATCH | STATS | PING | CANCEL | ERR
 //	  [6:8)   flags      bit 0 response, bit 1 error
 //	  [8:16)  requestID  caller-chosen pipelining key
 //	  [16:20) payloadLen bytes of payload following the header
 //	  [20:24) headerCRC  CRC-32C (Castagnoli) of header bytes [0:20)
 //	payload (payloadLen bytes): opcode-specific, see Append*/Parse*.
+//
+// A STATS response payload is the /v1/stats JSON body without its
+// trailing newline, so a new stats key is one struct field, not a new
+// binary layout.
 //
 // Requests and responses carry the same requestID; responses are
 // written in completion order, not submission order, which is what
@@ -48,10 +52,11 @@ const (
 	// Version is the protocol revision this package speaks. A frame
 	// with any other version is a protocol error: the format has no
 	// negotiation, matching the one-binary deployments it serves — so
-	// any payload layout change must bump this constant. Revision 2
-	// prepended the backend string to the STATS result payload;
-	// revision 3 appended the three sketch fields to it.
-	Version = 3
+	// any payload layout change must bump this constant. Revisions 2
+	// and 3 each grew the binary STATS record; revision 4 made the
+	// STATS payload the /v1/stats JSON object, so adding a stats key
+	// no longer changes the layout.
+	Version = 4
 	// HeaderSize is the fixed frame-header length in bytes.
 	HeaderSize = 24
 	// DefaultMaxFrame caps one frame's payload when the caller does
@@ -410,12 +415,12 @@ func ParseBatchRequest(p []byte, dst [][]byte) (patterns [][]byte, workers int, 
 	return patterns, int(w), nil
 }
 
-// Result types. Field sets and JSON tags mirror the HTTP API's
-// response structs exactly — the golden-equivalence tests marshal
-// both and compare bytes, which is what pins the two transports to
-// identical answers.
+// Result types: the one schema of each reply. The HTTP API answers
+// with these values JSON-encoded and the wire protocol frames the same
+// values, so the two transports cannot drift apart; the
+// golden-equivalence tests marshal both answers and compare bytes.
 
-// Match is one verified match, the wire twin of the HTTP MatchJSON.
+// Match is one verified match.
 type Match struct {
 	Ref      string `json:"ref"`
 	Offset   int    `json:"offset"`
@@ -423,15 +428,13 @@ type Match struct {
 	Strand   string `json:"strand"`
 }
 
-// SearchResult is a SEARCH response, the wire twin of the HTTP
-// SearchResponse.
+// SearchResult is a SEARCH response and the /v1/search body.
 type SearchResult struct {
 	Matches []Match `json:"matches"`
 	Probes  int     `json:"bucketProbes"`
 }
 
-// ClassifyResult is a CLASSIFY response, the wire twin of the HTTP
-// ClassifyResponse.
+// ClassifyResult is a CLASSIFY response and the /v1/classify body.
 type ClassifyResult struct {
 	Ref      string  `json:"ref"`
 	Offset   int     `json:"offset"`
@@ -446,17 +449,21 @@ type BatchItem struct {
 	Error   string  `json:"error,omitempty"`
 }
 
-// BatchResult is a BATCH response, the wire twin of the HTTP
-// BatchResponse.
+// BatchResult is a BATCH response and the /v1/batch body. Canceled
+// reports that the request context was canceled (client disconnect or
+// deadline) before every pattern was searched: the per-pattern results
+// are partial, and unsearched patterns carry a context error in their
+// Error field.
 type BatchResult struct {
 	Results  []BatchItem `json:"results"`
 	Probes   int         `json:"bucketProbes"`
 	Canceled bool        `json:"canceled,omitempty"`
 }
 
-// StatsResult is a STATS response, the wire twin of the HTTP
-// StatsResponse (field-for-field, so the adapter converts between
-// them directly).
+// StatsResult is the /v1/stats body and, JSON-encoded, the STATS
+// response payload. Backend names the index backend serving the
+// collection ("hdc", "cobs", ...); Dim and Capacity are zero for
+// backends they do not apply to.
 type StatsResult struct {
 	Backend       string  `json:"backend"`
 	References    int     `json:"references"`
@@ -475,6 +482,9 @@ type StatsResult struct {
 	Segments      int     `json:"segments"`
 	Tombstones    float64 `json:"tombstoneRatio"`
 
+	// The HDC probe cascade: words of each row the sketch stage reads,
+	// bytes of sketch plane resident, and the model's predicted survivor
+	// ratio (compare biohd_core_sketch_survivors_total / _rows_total).
 	SketchWords         int     `json:"sketchWords"`
 	SketchBytes         int64   `json:"sketchBytes"`
 	SketchSurvivorRatio float64 `json:"sketchPredictedSurvivorRatio"`
@@ -715,125 +725,6 @@ func ParseBatchResult(p []byte) (BatchResult, error) {
 			item.Matches = append(item.Matches, m)
 		}
 		res.Results = append(res.Results, item)
-	}
-	if off != len(p) {
-		return res, ErrTrailingData
-	}
-	return res, nil
-}
-
-// AppendStatsResult encodes a STATS response payload.
-//
-//biohd:hotpath
-func AppendStatsResult(buf []byte, res *StatsResult) []byte {
-	buf = appendU32(buf, uint32(len(res.Backend)))
-	buf = append(buf, res.Backend...)
-	buf = appendU64(buf, uint64(res.References))
-	buf = appendU64(buf, uint64(res.Windows))
-	buf = appendU64(buf, uint64(res.Buckets))
-	buf = appendU32(buf, uint32(res.Dim))
-	buf = appendU32(buf, uint32(res.Window))
-	buf = appendU32(buf, uint32(res.Stride))
-	buf = appendU32(buf, uint32(res.Capacity))
-	var a uint8
-	if res.Approx {
-		a = 1
-	}
-	buf = appendU8(buf, a)
-	buf = appendU64(buf, uint64(res.Tolerance))
-	buf = appendF64(buf, res.Threshold)
-	buf = appendU64(buf, uint64(res.MemBytes))
-	buf = appendU64(buf, uint64(res.MappedBytes))
-	buf = appendU64(buf, uint64(res.ResidentBytes))
-	buf = appendU64(buf, uint64(res.Segments))
-	buf = appendF64(buf, res.Tombstones)
-	buf = appendU32(buf, uint32(res.SketchWords))
-	buf = appendU64(buf, uint64(res.SketchBytes))
-	buf = appendF64(buf, res.SketchSurvivorRatio)
-	return buf
-}
-
-// ParseStatsResult decodes a STATS response payload.
-func ParseStatsResult(p []byte) (StatsResult, error) {
-	var res StatsResult
-	var err error
-	var off int
-	var u uint64
-	var w uint32
-	var b uint8
-	backend, off, err := parseBytes(p, off)
-	if err != nil {
-		return res, err
-	}
-	res.Backend = string(backend)
-	if u, off, err = parseU64(p, off); err != nil {
-		return res, err
-	}
-	res.References = int(u)
-	if u, off, err = parseU64(p, off); err != nil {
-		return res, err
-	}
-	res.Windows = int(u)
-	if u, off, err = parseU64(p, off); err != nil {
-		return res, err
-	}
-	res.Buckets = int(u)
-	if w, off, err = parseU32(p, off); err != nil {
-		return res, err
-	}
-	res.Dim = int(w)
-	if w, off, err = parseU32(p, off); err != nil {
-		return res, err
-	}
-	res.Window = int(w)
-	if w, off, err = parseU32(p, off); err != nil {
-		return res, err
-	}
-	res.Stride = int(w)
-	if w, off, err = parseU32(p, off); err != nil {
-		return res, err
-	}
-	res.Capacity = int(w)
-	if b, off, err = parseU8(p, off); err != nil {
-		return res, err
-	}
-	res.Approx = b != 0
-	if u, off, err = parseU64(p, off); err != nil {
-		return res, err
-	}
-	res.Tolerance = int(u)
-	if res.Threshold, off, err = parseF64(p, off); err != nil {
-		return res, err
-	}
-	if u, off, err = parseU64(p, off); err != nil {
-		return res, err
-	}
-	res.MemBytes = int64(u)
-	if u, off, err = parseU64(p, off); err != nil {
-		return res, err
-	}
-	res.MappedBytes = int64(u)
-	if u, off, err = parseU64(p, off); err != nil {
-		return res, err
-	}
-	res.ResidentBytes = int64(u)
-	if u, off, err = parseU64(p, off); err != nil {
-		return res, err
-	}
-	res.Segments = int(u)
-	if res.Tombstones, off, err = parseF64(p, off); err != nil {
-		return res, err
-	}
-	if w, off, err = parseU32(p, off); err != nil {
-		return res, err
-	}
-	res.SketchWords = int(w)
-	if u, off, err = parseU64(p, off); err != nil {
-		return res, err
-	}
-	res.SketchBytes = int64(u)
-	if res.SketchSurvivorRatio, off, err = parseF64(p, off); err != nil {
-		return res, err
 	}
 	if off != len(p) {
 		return res, ErrTrailingData

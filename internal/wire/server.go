@@ -32,6 +32,7 @@ package wire
 import (
 	"bufio"
 	"context"
+	"encoding/json"
 	"errors"
 	"io"
 	"net"
@@ -586,7 +587,11 @@ func (c *serverConn) serve(req *request) {
 		// Empty response payload.
 	case OpStats:
 		st := c.srv.backend.Stats()
-		frame = AppendStatsResult(frame, &st)
+		if b, err := json.Marshal(&st); err != nil {
+			appErr = err
+		} else {
+			frame = append(frame, b...)
+		}
 	case OpSearch:
 		pattern, both, perr := ParseSearchRequest(req.payload.b)
 		if perr != nil {

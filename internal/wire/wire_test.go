@@ -548,3 +548,69 @@ func TestConcurrentMixedTraffic(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// statsPeer serves one connection that answers every request frame
+// with a response of the same opcode carrying payload, and returns its
+// address: a server whose STATS record this client has not seen.
+func statsPeer(t *testing.T, payload []byte) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		var hdr [HeaderSize]byte
+		for {
+			if _, err := io.ReadFull(conn, hdr[:]); err != nil {
+				return
+			}
+			h, err := ParseHeader(hdr[:])
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if _, err := io.CopyN(io.Discard, conn, int64(h.PayloadLen)); err != nil {
+				return
+			}
+			frame, off := BeginFrame(nil)
+			frame = append(frame, payload...)
+			FinishFrame(frame, off, h.Opcode, FlagResponse, h.RequestID)
+			if _, err := conn.Write(frame); err != nil {
+				return
+			}
+		}
+	}()
+	t.Cleanup(func() {
+		ln.Close()
+		<-done
+	})
+	return ln.Addr().String()
+}
+
+// TestClientStatsPayload feeds Client.Stats payloads it did not
+// produce: a key it does not know is ignored and the known fields come
+// back; a payload that is not a JSON stats object is an error, never a
+// panic.
+func TestClientStatsPayload(t *testing.T) {
+	ctx := context.Background()
+	cl := dialClient(t, statsPeer(t, []byte(`{"backend":"hdc","references":3,"generation":7,"dim":8192}`)), ClientConfig{Conns: 1})
+	st, err := cl.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertJSONEqual(t, st, StatsResult{Backend: "hdc", References: 3, Dim: 8192})
+
+	for _, bad := range []string{"", "\x00\x01\x02", `{"references":`, `[1,2]`, `{"references":"three"}`} {
+		cl := dialClient(t, statsPeer(t, []byte(bad)), ClientConfig{Conns: 1})
+		if st, err := cl.Stats(ctx); err == nil {
+			t.Errorf("payload %q: no error, got %+v", bad, st)
+		}
+	}
+}
