@@ -30,13 +30,14 @@ test:
 test-purego:
 	$(GO) test -tags purego ./internal/bitvec ./internal/encoding ./internal/hdc ./internal/pim ./internal/core ./internal/cobs ./internal/mmapfile ./internal/wire
 
-## race: run the test suite under the race detector, then the two
+## race: run the test suite under the race detector, then the three
 ## packages whose behaviour depends on the scheduler — the coalescer forms
-## its blocks out of whichever callers are runnable together — again at
-## GOMAXPROCS 1, 2 and 4
+## its blocks out of whichever callers are runnable together, and the
+## wire connections combine into one socket write whichever responses
+## and requests finish together — again at GOMAXPROCS 1, 2 and 4
 race:
 	$(GO) test -race $(PKGS)
-	$(GO) test -race -cpu 1,2,4 ./internal/coalesce ./internal/server
+	$(GO) test -race -cpu 1,2,4 ./internal/coalesce ./internal/server ./internal/wire
 
 ## vet: run go vet
 vet:

@@ -8,6 +8,10 @@ package wire
 // therefore share connections and naturally pipeline, which is
 // exactly the traffic shape the server's coalescer wants.
 //
+// Request frames combine as the server's responses do: each is
+// encoded into the connection's pending bytes, and frames queued
+// together go out in one socket write (writeFrame).
+//
 // Context cancellation abandons the waiter and fires a best-effort
 // CANCEL frame so the server vacates the request from the coalescer;
 // a response that arrives anyway is dropped on the floor.
@@ -20,6 +24,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -63,8 +68,6 @@ type Client struct {
 	ids  atomic.Uint64 // requestID source, shared across connections
 	next atomic.Uint64 // round-robin cursor
 
-	bufPool sync.Pool // *buffer, frame-encode scratch
-
 	mu     sync.Mutex
 	conns  []*clientConn
 	closed bool
@@ -74,7 +77,6 @@ type Client struct {
 // connection so configuration errors surface immediately.
 func Dial(addr string, cfg ClientConfig) (*Client, error) {
 	c := &Client{addr: addr, cfg: cfg.withDefaults()}
-	c.bufPool.New = func() interface{} { return &buffer{b: make([]byte, 0, 4096)} }
 	c.conns = make([]*clientConn, c.cfg.Conns)
 	cc, err := c.dial()
 	if err != nil {
@@ -117,6 +119,11 @@ func (c *Client) dial() (*clientConn, error) {
 		_ = tc.SetNoDelay(true)
 		_ = tc.SetKeepAlive(true)
 	}
+	return c.open(nc), nil
+}
+
+// open wraps an established connection and starts its reader.
+func (c *Client) open(nc net.Conn) *clientConn {
 	cc := &clientConn{
 		cl:         c,
 		nc:         nc,
@@ -131,7 +138,7 @@ func (c *Client) dial() (*clientConn, error) {
 		cc.readLoop()
 	}()
 	<-started
-	return cc, nil
+	return cc
 }
 
 // conn picks a pooled connection round-robin, redialing dead or
@@ -163,15 +170,18 @@ type clientResp struct {
 	err     error
 }
 
-// clientConn is one pooled connection: a write mutex serializing
-// frame writes, and a reader goroutine fanning responses out to
-// waiters.
+// clientConn is one pooled connection: pending bytes that concurrent
+// requests' frames combine into, and a reader goroutine fanning
+// responses out to waiters.
 type clientConn struct {
 	cl *Client
 	nc net.Conn
 	br *bufio.Reader
 
-	wmu sync.Mutex // serializes whole-frame writes
+	wmu     sync.Mutex // guards pending, spare and writing
+	pending []byte     // encoded frames awaiting the socket
+	spare   []byte     // the other buffer: the one being written, then reused
+	writing bool       // a caller owns the socket's write side
 
 	mu      sync.Mutex
 	waiters map[uint64]chan clientResp
@@ -257,20 +267,46 @@ func (cc *clientConn) readLoop() {
 	}
 }
 
-// writeFrame encodes and writes one whole frame under the write
-// mutex, using pooled scratch.
+// writeFrame encodes one frame into the connection's pending bytes.
+// A caller that finds a write under way returns nil at once. Otherwise
+// it becomes the writer: it yields once, so concurrent callers' frames
+// join the buffer, then writes everything pending in one socket write
+// and repeats until nothing is left. A write error drops what is
+// pending and fails the connection, which fails every waiter: do
+// registers a request's waiter before queuing its frame.
 func (cc *clientConn) writeFrame(op Opcode, id uint64, appendPayload func([]byte) []byte) error {
-	out := cc.cl.bufPool.Get().(*buffer)
-	frame, off := BeginFrame(out.b[:0])
+	cc.wmu.Lock()
+	frame, off := BeginFrame(cc.pending)
 	if appendPayload != nil {
 		frame = appendPayload(frame)
 	}
 	FinishFrame(frame, off, op, 0, id)
-	out.b = frame
-	cc.wmu.Lock()
-	_, err := cc.nc.Write(frame)
+	cc.pending = frame
+	if cc.writing {
+		cc.wmu.Unlock()
+		return nil
+	}
+	cc.writing = true
 	cc.wmu.Unlock()
-	cc.cl.bufPool.Put(out)
+	runtime.Gosched()
+	cc.wmu.Lock()
+	var err error
+	for err == nil && len(cc.pending) > 0 {
+		out := cc.pending
+		cc.pending, cc.spare = cc.spare[:0], nil
+		cc.wmu.Unlock()
+		_, err = cc.nc.Write(out)
+		cc.wmu.Lock()
+		cc.spare = out[:0]
+	}
+	if err != nil {
+		cc.pending = cc.pending[:0]
+	}
+	cc.writing = false
+	cc.wmu.Unlock()
+	if err != nil {
+		cc.fail(err)
+	}
 	return err
 }
 
@@ -293,7 +329,6 @@ func (c *Client) do(ctx context.Context, op Opcode, appendPayload func([]byte) [
 	cc.waiters[id] = ch
 	cc.mu.Unlock()
 	if err := cc.writeFrame(op, id, appendPayload); err != nil {
-		cc.fail(err)
 		return clientResp{}, err
 	}
 	select {

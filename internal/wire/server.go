@@ -15,8 +15,17 @@ package wire
 //	            queue up as concurrent coalescer submissions and share
 //	            core.LookupBlock probe blocks without needing many
 //	            clients. The blocks run on these goroutines too.
-//	writeLoop — one goroutine serializing responses in completion
-//	            order, flushing whenever the queue runs dry.
+//
+// There is no writer goroutine. A frame is written by whoever finishes
+// it: serve appends its encoded response to the connection's pending
+// bytes, and the appender that finds no write under way becomes the
+// writer — it yields once, so responses finishing beside it join the
+// buffer, then writes everything pending in one socket write and
+// repeats until nothing is left. Frames therefore go out in completion
+// order, a burst of responses shares one write, and a response costs
+// no goroutine wake-up. At pipelineDepth pending frames an appender
+// waits for the writer (backpressure: a client that stops reading
+// stalls the workers, then the reader, then TCP).
 //
 // A CANCEL frame cancels the named request's context; the coalescer
 // vacates a pending query whose context is dead when its block is
@@ -25,9 +34,10 @@ package wire
 // responses and leave it open.
 //
 // The steady-state frame path is allocation-free: header bytes live
-// in the connection, payload and response buffers are pooled, and the
-// encoders append in place. The //biohd:hotpath annotations on
-// readLoop and writeLoop root the lint proof.
+// in the connection, payload and response buffers are pooled, the
+// pending bytes are reused, and the encoders append in place. The
+// //biohd:hotpath annotations on readLoop and send root the lint
+// proof.
 
 import (
 	"bufio"
@@ -36,7 +46,9 @@ import (
 	"errors"
 	"io"
 	"net"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/metrics"
@@ -61,12 +73,10 @@ type Backend interface {
 // ErrServerClosed is returned by Serve after Shutdown or Close.
 var ErrServerClosed = errors.New("wire: server closed")
 
-// errConnClosing stops the writer after a protocol ERR frame.
-var errConnClosing = errors.New("wire: connection closing after protocol error")
-
 // pipelineDepth bounds the decoded-but-unanswered requests per
-// connection; beyond it the reader stops draining the socket and TCP
-// backpressure reaches the client.
+// connection, and the finished frames pending on its socket; beyond
+// them the reader stops draining the socket and TCP backpressure
+// reaches the client.
 const pipelineDepth = 64
 
 // connWorkers is the number of per-connection request executors — the
@@ -128,13 +138,6 @@ type request struct {
 	cancel  context.CancelFunc
 }
 
-// response is one encoded frame awaiting the writer. close marks the
-// connection for teardown after this frame (protocol errors).
-type response struct {
-	buf   *buffer
-	close bool
-}
-
 // Server serves the wire protocol over TCP listeners.
 type Server struct {
 	backend Backend
@@ -144,15 +147,15 @@ type Server struct {
 	base     context.Context // parent of every request context
 	baseStop context.CancelFunc
 
-	connGauge  *metrics.Gauge
-	frames     [8]*metrics.Counter // request frames received, by opcode
-	protoCount *metrics.Counter
-	frameSecs  *metrics.Histogram
-	depth      *metrics.Histogram
+	connGauge   *metrics.Gauge
+	frames      [8]*metrics.Counter // request frames received, by opcode
+	protoCount  *metrics.Counter
+	frameSecs   *metrics.Histogram
+	depth       *metrics.Histogram
+	writeFrames *metrics.Histogram
 
-	bufPool  sync.Pool
-	reqPool  sync.Pool
-	respPool sync.Pool
+	bufPool sync.Pool
+	reqPool sync.Pool
 
 	mu        sync.Mutex
 	listeners map[net.Listener]struct{}
@@ -171,16 +174,18 @@ const (
 	metricProtoErrors = "biohd_wire_protocol_errors_total"
 	metricFrameSecs   = "biohd_wire_frame_seconds"
 	metricDepth       = "biohd_wire_pipeline_depth"
+	metricWriteFrames = "biohd_wire_write_frames"
 
 	helpConnections = "Wire-protocol connections currently open."
 	helpFramesTotal = "Wire-protocol request frames received, by opcode."
 	helpProtoErrors = "Wire-protocol violations answered with an ERR frame and a connection close."
 	helpFrameSecs   = "Wire-protocol request handling latency in seconds, decode to response enqueue."
 	helpDepth       = "In-flight requests on a connection, sampled at each request admission."
+	helpWriteFrames = "Response frames per socket write."
 )
 
-// depthBuckets bound the pipeline-depth histogram: powers of two up
-// to the per-connection pipeline cap.
+// depthBuckets bound the pipeline-depth and frames-per-write
+// histograms: powers of two up to the per-connection pipeline cap.
 var depthBuckets = []float64{1, 2, 4, 8, 16, 32, 64}
 
 // NewServer creates a wire server executing requests on b. Metrics
@@ -207,9 +212,9 @@ func NewServer(b Backend, reg *metrics.Registry, cfg ServerConfig) *Server {
 	s.protoCount = reg.Counter(metricProtoErrors, helpProtoErrors)
 	s.frameSecs = reg.Histogram(metricFrameSecs, helpFrameSecs, metrics.DefBuckets)
 	s.depth = reg.Histogram(metricDepth, helpDepth, depthBuckets)
+	s.writeFrames = reg.Histogram(metricWriteFrames, helpWriteFrames, depthBuckets)
 	s.bufPool.New = func() interface{} { return &buffer{b: make([]byte, 0, 4096)} }
 	s.reqPool.New = func() interface{} { return new(request) }
-	s.respPool.New = func() interface{} { return new(response) }
 	return s
 }
 
@@ -227,12 +232,6 @@ func (s *Server) putBuffer(b *buffer) {
 
 func (s *Server) getRequest() *request  { return s.reqPool.Get().(*request) }
 func (s *Server) putRequest(r *request) { s.reqPool.Put(r) }
-
-func (s *Server) getResponse() *response { return s.respPool.Get().(*response) }
-func (s *Server) putResponse(r *response) {
-	r.buf, r.close = nil, false
-	s.respPool.Put(r)
-}
 
 // grow resizes a pooled buffer to n bytes, reallocating only past the
 // buffer's high-water mark.
@@ -368,19 +367,31 @@ type serverConn struct {
 	srv *Server
 	nc  net.Conn
 	br  *bufio.Reader
-	bw  *bufio.Writer
 
 	work chan *request
-	outc chan *response
+
+	// draining stops the reader before its next frame: shutdown began,
+	// or serve met a malformed payload.
+	draining atomic.Bool
 
 	mu       sync.Mutex
 	inflight map[uint64]context.CancelFunc
+
+	// The combined write (send). wmu guards the rest of the block; room
+	// wakes appenders waiting for the writer to take pending.
+	wmu      sync.Mutex
+	room     sync.Cond
+	pending  []byte // finished frames awaiting the socket, in completion order
+	npending int    // frames in pending
+	spare    []byte // the other buffer: the one being written, then reused
+	writing  bool   // a goroutine owns the socket's write side
+	closed   bool   // the closing frame is queued or a write failed: drop the rest
 
 	hdr [HeaderSize]byte
 }
 
 // handleConn runs one connection's lifecycle: socket options, the
-// reader/workers/writer goroutines, protocol-error reporting, and
+// reader and worker goroutines, protocol-error reporting, and
 // teardown. Pool misses and goroutine starts here are the reviewed
 // connection-setup cost; the steady state loops they feed are the
 // hotpath roots.
@@ -395,22 +406,15 @@ func (s *Server) handleConn(nc net.Conn) {
 		srv:      s,
 		nc:       nc,
 		br:       bufio.NewReaderSize(nc, 64<<10),
-		bw:       bufio.NewWriterSize(nc, 64<<10),
 		work:     make(chan *request, pipelineDepth),
-		outc:     make(chan *response, pipelineDepth),
 		inflight: make(map[uint64]context.CancelFunc),
 	}
+	c.room.L = &c.wmu
 	if !s.addConn(c) {
 		return
 	}
 	defer s.removeConn(c)
-	var writerWg, workerWg sync.WaitGroup
-	writerWg.Add(1)
-	go func() {
-		defer writerWg.Done()
-		//lint:ignore errcheck the writer's error only ever ends its own connection
-		c.writeLoop()
-	}()
+	var workerWg sync.WaitGroup
 	for i := 0; i < connWorkers; i++ {
 		workerWg.Add(1)
 		go func() {
@@ -420,19 +424,23 @@ func (s *Server) handleConn(nc net.Conn) {
 	}
 	rerr := c.readLoop()
 	close(c.work)
+	// Every writer is a worker, and a writer returns only once nothing
+	// is pending: after the join, the socket is idle and the ERR frame
+	// below is written by this goroutine.
 	workerWg.Wait()
 	if isProtocolErr(rerr) {
 		s.protoCount.Inc()
 		c.enqueueErrFrame(0, rerr)
 	}
-	close(c.outc)
-	writerWg.Wait()
 	c.cancelAll()
 }
 
-// closeRead knocks the reader off its blocking read so the connection
-// starts draining; in-flight requests still complete.
+// closeRead stops the reader so the connection starts draining;
+// in-flight requests still complete. The flag stops a reader that is
+// not on the socket (one blocked handing a request to the workers);
+// the past deadline knocks one that is off its blocking read.
 func (c *serverConn) closeRead() {
+	c.draining.Store(true)
 	//lint:ignore errcheck a dead connection is already what we want here
 	c.nc.SetReadDeadline(time.Unix(0, 1))
 }
@@ -467,9 +475,9 @@ func isProtocolErr(err error) bool {
 }
 
 // readLoop decodes request frames until the connection errors, a
-// protocol violation occurs, or shutdown nudges the read deadline.
-// It returns the terminal error; handleConn reports protocol
-// violations with an ERR frame.
+// protocol violation occurs, or closeRead stops it (nil). It returns
+// the terminal error; handleConn reports protocol violations with an
+// ERR frame.
 //
 //biohd:hotpath
 func (c *serverConn) readLoop() error {
@@ -478,6 +486,11 @@ func (c *serverConn) readLoop() error {
 			if err := c.nc.SetReadDeadline(time.Now().Add(c.srv.cfg.IdleTimeout)); err != nil {
 				return err
 			}
+		}
+		// Checked after the re-arm: a closeRead that raced it set its
+		// flag first, or its past deadline lands after the re-arm.
+		if c.draining.Load() {
+			return nil
 		}
 		if _, err := io.ReadFull(c.br, c.hdr[:]); err != nil {
 			return err
@@ -637,15 +650,13 @@ func (c *serverConn) serve(req *request) {
 	out.b = frame
 	c.finish(req)
 	c.srv.frameSecs.Observe(time.Since(start).Seconds())
-	resp := c.srv.getResponse()
-	resp.buf = out
-	resp.close = protoErr != nil
-	c.outc <- resp
 	if protoErr != nil {
-		// Stop decoding further frames; the writer closes after the
-		// ERR frame and handleConn tears the connection down.
+		// Stop decoding further frames; the ERR frame is the last one
+		// written and handleConn tears the connection down.
 		c.closeRead()
 	}
+	c.send(out.b, protoErr != nil)
+	c.srv.putBuffer(out)
 }
 
 // errorCode maps a Backend error to the wire error payload: a
@@ -678,37 +689,66 @@ func (c *serverConn) enqueueErrFrame(id uint64, err error) {
 	frame = AppendErrorPayload(frame, 400, err.Error())
 	FinishFrame(frame, off, OpErr, FlagResponse|FlagError, id)
 	out.b = frame
-	resp := c.srv.getResponse()
-	resp.buf = out
-	resp.close = true
-	c.outc <- resp
+	c.send(out.b, true)
+	c.srv.putBuffer(out)
 }
 
-// writeLoop drains encoded responses to the socket in completion
-// order, flushing whenever the queue runs dry, until the channel
-// closes. After a write error — or the frame that ends the
-// connection — it keeps draining so workers never block, recycling
-// buffers without writing.
+// send queues one finished frame behind those finished before it and,
+// if no goroutine is writing, makes the caller the writer (see the file
+// comment). last marks the frame that ends the connection (a protocol
+// ERR frame); a frame queued after it, or after a write error, is
+// dropped. At pipelineDepth pending frames the caller waits for the
+// writer to take them.
 //
 //biohd:hotpath
-func (c *serverConn) writeLoop() error {
-	var werr error
-	for resp := range c.outc {
-		if werr == nil {
-			_, err := c.bw.Write(resp.buf.b)
-			if err == nil && (resp.close || len(c.outc) == 0) {
-				err = c.bw.Flush()
-			}
-			if err == nil && resp.close {
-				err = errConnClosing
-			}
-			werr = err
+func (c *serverConn) send(frame []byte, last bool) {
+	c.wmu.Lock()
+	for c.npending >= pipelineDepth && !c.closed {
+		c.room.Wait()
+	}
+	if c.closed {
+		c.wmu.Unlock()
+		return
+	}
+	if cap(c.pending)-len(c.pending) < len(frame) {
+		c.pending = growPending(c.pending, len(frame))
+	}
+	c.pending = append(c.pending, frame...)
+	c.npending++
+	c.closed = last
+	if c.writing {
+		c.wmu.Unlock()
+		return
+	}
+	c.writing = true
+	c.wmu.Unlock()
+	runtime.Gosched()
+	c.wmu.Lock()
+	for c.npending > 0 {
+		out, n := c.pending, c.npending
+		c.pending, c.spare, c.npending = c.spare[:0], nil, 0
+		c.room.Broadcast()
+		c.wmu.Unlock()
+		c.srv.writeFrames.Observe(float64(n))
+		_, err := c.nc.Write(out)
+		c.wmu.Lock()
+		c.spare = out[:0]
+		if err != nil {
+			c.closed = true
+			c.pending, c.npending = c.pending[:0], 0
+			c.room.Broadcast()
 		}
-		c.srv.putBuffer(resp.buf)
-		c.srv.putResponse(resp)
 	}
-	if werr != nil {
-		return werr
-	}
-	return c.bw.Flush()
+	c.writing = false
+	c.wmu.Unlock()
+}
+
+// growPending makes room for n more bytes in the pending buffer,
+// doubling it so a burst settles on one backing array.
+//
+//biohd:coldstart the first burst past the connection's high-water pending bytes; steady state appends in place
+func growPending(b []byte, n int) []byte {
+	nb := make([]byte, len(b), 2*cap(b)+n)
+	copy(nb, b)
+	return nb
 }

@@ -11,7 +11,8 @@
 # serve -mmap with the legacy-format error. A third phase
 # serves with -wire-addr and drives the binary wire protocol through
 # the biohd wire client: pipelined searches, classify, stats, ping,
-# then asserts the biohd_wire_* metric series and a clean drain. A
+# then asserts the biohd_wire_* metric series — the frames-per-write
+# histogram must sum to the responses sent — and a clean drain. A
 # fourth phase exercises the COBS bit-sliced backend end to end:
 # build -backend cobs → serve the saved collection -mmap with both HTTP
 # and wire listeners → search over each transport, and assert /v1/stats
@@ -333,9 +334,21 @@ for want in \
     'biohd_wire_frames_total{opcode="stats"}' \
     'biohd_wire_frame_seconds_bucket' \
     'biohd_wire_pipeline_depth_bucket' \
+    'biohd_wire_write_frames_bucket' \
     'biohd_wire_connections'; do
     echo "$metrics" | grep -qF "$want" || { echo "FATAL: /metrics missing: $want"; exit 1; }
 done
+# Every response frame goes out in exactly one socket write, so the
+# frames-per-write sum is the number of responses: one per request
+# frame but CANCEL, which is never answered.
+wresponses=$(echo "$metrics" | awk '$1 ~ /^biohd_wire_frames_total[{]/ && $1 !~ /opcode="cancel"/ {s += $2} END {print s + 0}')
+wframes=$(metric biohd_wire_write_frames_sum)
+wwrites=$(metric biohd_wire_write_frames_count)
+awk -v r="$wresponses" -v f="$wframes" -v w="$wwrites" 'BEGIN {
+    if (f == "" || w == "" || w == 0) { print "FATAL: biohd_wire_write_frames missing or no write observed"; exit 1 }
+    printf "wire: %d response frames in %d socket writes (mean %.2f frames per write)\n", f, w, f / w
+    if (f != r) { printf "FATAL: %d frames written != %d response frames sent\n", f, r; exit 1 }
+}'
 
 echo "== SIGTERM drain (wire)"
 kill -TERM "$server_pid"
