@@ -283,7 +283,7 @@ func TestLookupBatchContext(t *testing.T) {
 		off := (i * 47) % (ref.Len() - w)
 		pats = append(pats, ref.Slice(off, off+w))
 	}
-	res, _, err := x.LookupBatchContext(context.Background(), pats, 8)
+	res, _, err := x.LookupBatchContext(context.Background(), pats)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +300,7 @@ func TestLookupBatchContext(t *testing.T) {
 	// and bumps the counter.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, _, err = x.LookupBatchContext(ctx, pats, 4)
+	res, _, err = x.LookupBatchContext(ctx, pats)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled batch returned %v, want context.Canceled", err)
 	}

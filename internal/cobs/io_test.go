@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -468,32 +467,6 @@ func TestForgedColumnCountRejected(t *testing.T) {
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
 		t.Fatalf("rejecting a %d-byte file allocated %d bytes", len(data), grew)
 	}
-}
-
-// forgeHugeDirectory rewrites a valid container so its first directory
-// entry claims 2^32-1 rows of the same length over the few bytes of
-// arena actually present, re-sealing the word count, the header's file
-// size and both CRCs (core's test of the same name is its twin).
-func forgeHugeDirectory(valid []byte) []byte {
-	b := append([]byte(nil), valid...)
-	le := binary.LittleEndian
-	dirOff, arenaOff := le.Uint64(b[32:40]), le.Uint64(b[40:48])
-	dirEnd := dirOff + uint64(le.Uint32(b[12:16]))*32
-	e := b[dirOff:dirEnd]
-	const rows = 1<<32 - 1
-	words := uint64(rows) * uint64(le.Uint32(e[16:20]))
-	le.PutUint64(e[8:16], words)
-	le.PutUint32(e[20:24], rows)
-	le.PutUint32(b[dirEnd:], crc32.ChecksumIEEE(e))
-	le.PutUint64(b[48:56], (arenaOff+words*8+63)&^63)
-	le.PutUint32(b[56:60], crc32.ChecksumIEEE(b[:56]))
-	return b
-}
-
-// TestForgedDirectoryRejected: no open path may size an arena from a
-// directory the metadata and the bytes present do not back.
-func TestForgedDirectoryRejected(t *testing.T) {
-	requireRejected(t, forgeHugeDirectory(writeV3(t, buildIndexSmall(t))), "forged directory")
 }
 
 func buildIndexSmall(t testing.TB) *Index {

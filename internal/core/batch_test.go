@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"errors"
+	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -22,7 +24,7 @@ func TestLookupBatchMatchesSequential(t *testing.T) {
 			patterns[i] = genome.Random(32, src)
 		}
 	}
-	results, agg, err := lib.LookupBatchContext(context.Background(), patterns, 4)
+	results, agg, err := lib.LookupBatchContext(context.Background(), patterns)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,16 +55,34 @@ func TestLookupBatchMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestLookupBatchWorkerCounts runs one batch at several GOMAXPROCS
+// settings, so the self-sized pool runs with one worker, a few, and
+// more workers than a full block needs; every pool size must answer as
+// sequential Lookup does.
 func TestLookupBatchWorkerCounts(t *testing.T) {
 	lib, ref := buildExactLib(t, 1000, 63)
-	patterns := []*genome.Sequence{ref.Slice(0, 32), ref.Slice(100, 132)}
-	for _, workers := range []int{0, 1, 2, 16} {
-		results, _, err := lib.LookupBatchContext(context.Background(), patterns, workers)
+	patterns := make([]*genome.Sequence, 20)
+	for i := range patterns {
+		patterns[i] = ref.Slice(i*40, i*40+32)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 3, 16} {
+		runtime.GOMAXPROCS(procs)
+		results, _, err := lib.LookupBatchContext(context.Background(), patterns)
 		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
 		}
-		if len(results) != 2 {
-			t.Fatalf("workers=%d: %d results", workers, len(results))
+		if len(results) != len(patterns) {
+			t.Fatalf("GOMAXPROCS=%d: %d results", procs, len(results))
+		}
+		for i, p := range patterns {
+			want, _, err := lib.Lookup(p)
+			if err != nil || results[i].Err != nil {
+				t.Fatalf("GOMAXPROCS=%d pattern %d: %v, %v", procs, i, err, results[i].Err)
+			}
+			if !reflect.DeepEqual(results[i].Matches, want) {
+				t.Fatalf("GOMAXPROCS=%d pattern %d: %v, sequential %v", procs, i, results[i].Matches, want)
+			}
 		}
 	}
 }
@@ -72,7 +92,7 @@ func TestLookupBatchPropagatesQueryErrors(t *testing.T) {
 	results, _, err := lib.LookupBatchContext(context.Background(), []*genome.Sequence{
 		ref.Slice(0, 32),
 		genome.Random(5, rng.New(65)), // too short
-	}, 2)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +110,7 @@ func TestLookupBatchContextPreCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	before := lib.Counters()
-	results, agg, err := lib.LookupBatchContext(ctx, patterns, 2)
+	results, agg, err := lib.LookupBatchContext(ctx, patterns)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -137,7 +157,7 @@ func TestLookupBatchContextCancelMidBatch(t *testing.T) {
 	}
 	// Measure what the full batch costs, then rerun it with a context
 	// canceled as soon as the probe counter first advances.
-	_, fullAgg, err := lib.LookupBatchContext(context.Background(), patterns, 2)
+	_, fullAgg, err := lib.LookupBatchContext(context.Background(), patterns)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +171,7 @@ func TestLookupBatchContextCancelMidBatch(t *testing.T) {
 			cancel()
 		}()
 		before := lib.Counters()
-		results, agg, err := lib.LookupBatchContext(ctx, patterns, 2)
+		results, agg, err := lib.LookupBatchContext(ctx, patterns)
 		cancel()
 		if !errors.Is(err, context.Canceled) || countCanceled(results) == 0 {
 			if attempt < 5 {
@@ -197,7 +217,7 @@ func countCanceled(results []BatchResult) int {
 
 func TestLookupBatchRequiresFreeze(t *testing.T) {
 	lib := mustLibrary(t, Params{Dim: 1024, Window: 16, Seed: 66})
-	if _, _, err := lib.LookupBatchContext(context.Background(), nil, 2); err == nil {
+	if _, _, err := lib.LookupBatchContext(context.Background(), nil); err == nil {
 		t.Fatal("unfrozen batch accepted")
 	}
 }

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -362,7 +363,7 @@ func runSchedule(t *testing.T, idx core.Index, m *confModel, ops []confOp, from 
 		return true
 	}
 	reader(func(i, lo int) (int, bool, string) {
-		res, _, err := idx.LookupBatchContext(context.Background(), patterns, 3)
+		res, _, err := idx.LookupBatchContext(context.Background(), patterns)
 		hi := int(started.Load())
 		ok := err == nil && observed(lo, hi, func(k int) bool { return sameAll(res, patterns, k) })
 		return hi, ok, fmt.Sprintf("LookupBatchContext %d [%d,%d], err %v", i, lo, hi, err)
@@ -620,7 +621,7 @@ func TestEngineConformance(t *testing.T) {
 					for len(ps) < n {
 						ps = append(ps, patterns[len(ps)%len(patterns)])
 					}
-					res, _, err := idx.LookupBatchContext(ctx, ps, 2)
+					res, _, err := idx.LookupBatchContext(ctx, ps)
 					if !errors.Is(err, context.Canceled) {
 						t.Errorf("canceled batch of %d returned %v", n, err)
 					}
@@ -634,6 +635,42 @@ func TestEngineConformance(t *testing.T) {
 					}
 				}
 			})
+		})
+	}
+}
+
+// TestForgedDirectoryRejected pins the allocation-follows-input rule on
+// every backend and every open path: a self-consistent directory whose
+// first entry claims 2^32-1 rows over the few KiB present is refused by
+// the stream, heap and mmap tiers alike. Before the one walk, the
+// stream reader sized make([]uint64, words) from such a directory — 4
+// TiB at D=8192 — and the process died with "fatal error: runtime: out
+// of memory" where the mapped opener returned an error.
+func TestForgedDirectoryRejected(t *testing.T) {
+	rec := genome.Record{ID: "r", Seq: genome.Random(600, rng.New(172))}
+	for _, b := range []confBackend{
+		{name: "hdc", open: openHDC(core.Params{Dim: 8192, Window: 32, Seed: 171})},
+		{name: "cobs", open: openCOBS},
+	} {
+		t.Run(b.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			if _, err := b.open(t, []genome.Record{rec}).WriteToV3(&buf); err != nil {
+				t.Fatal(err)
+			}
+			forged := core.ForgeHugeDirectory(buf.Bytes())
+			if _, err := core.ReadIndex(bytes.NewReader(forged)); err == nil {
+				t.Fatal("ReadIndex accepted the forged directory")
+			}
+			path := filepath.Join(t.TempDir(), "forged.v3")
+			if err := os.WriteFile(path, forged, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			for _, mode := range []core.LoadMode{core.LoadHeap, core.MapArena} {
+				if idx, err := core.OpenLibraryFile(path, mode); err == nil {
+					_ = idx.Close()
+					t.Fatalf("OpenLibraryFile(mode %d) accepted the forged directory", mode)
+				}
+			}
 		})
 	}
 }

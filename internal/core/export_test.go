@@ -23,3 +23,7 @@ func RankWindows(wins [][]Match, offs []int, minFrac float64) []RefMatch {
 	}
 	return rankVotes(votes, make(map[int]diagKey), len(wins), minFrac)
 }
+
+// ForgeHugeDirectory is forgeHugeDirectory, for the conformance suite's
+// TestForgedDirectoryRejected on every backend.
+var ForgeHugeDirectory = forgeHugeDirectory

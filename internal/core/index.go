@@ -102,7 +102,7 @@ type Index interface {
 	LookupLong(query *genome.Sequence, minFrac float64) ([]RefMatch, Stats, error)
 	Classify(query *genome.Sequence, minFrac float64) (RefMatch, Stats, error)
 	ClassifyBothStrands(read *genome.Sequence, minFrac float64) (RefMatch, Strand, Stats, error)
-	LookupBatchContext(ctx context.Context, patterns []*genome.Sequence, workers int) ([]BatchResult, Stats, error)
+	LookupBatchContext(ctx context.Context, patterns []*genome.Sequence) ([]BatchResult, Stats, error)
 	// LookupBlock is the blocked-probe contract: one caller-assembled
 	// block of at most BlockWidth patterns, per-pattern identical to
 	// Lookup. It is the executor the cross-request coalescer drives.

@@ -376,12 +376,13 @@ func TestTrailingDataRejectedV3(t *testing.T) {
 	}
 }
 
-// forgeHugeDirectory rewrites a valid single-segment container so its
-// directory entry claims 2^32-1 rows of the same length — a multi-TiB
-// arena over the few KiB actually present — and re-seals everything a
-// forger can: the entry's word count, the header's file size, and the
-// directory and header CRCs. (The arena CRC cannot match; a reader that
-// gets that far has already trusted the count.)
+// forgeHugeDirectory rewrites a valid single-segment container, of any
+// backend, so its directory entry claims 2^32-1 rows of the same length
+// — a multi-TiB arena over the few KiB actually present — and re-seals
+// everything a forger can: the entry's word count, the header's file
+// size, and the directory and header CRCs. (The arena CRC cannot match;
+// a reader that gets that far has already trusted the count.) The
+// conformance suite reaches it as ForgeHugeDirectory.
 func forgeHugeDirectory(valid []byte) []byte {
 	b := append([]byte(nil), valid...)
 	le := binary.LittleEndian
@@ -396,32 +397,6 @@ func forgeHugeDirectory(valid []byte) []byte {
 	le.PutUint64(b[48:56], v3AlignUp(arenaOff+words*8))
 	le.PutUint32(b[56:60], crc32.ChecksumIEEE(b[:56]))
 	return b
-}
-
-// TestForgedDirectoryRejected pins the allocation-follows-input rule on
-// every open path, with a 15 296-byte file. Before the one walk, the
-// stream reader sized make([]uint64, words) from this directory — 4 TiB
-// at D=8192 — and the process died with "fatal error: runtime: out of
-// memory" where the mapped opener returned an error.
-func TestForgedDirectoryRejected(t *testing.T) {
-	lib := mustLibrary(t, Params{Dim: 8192, Window: 32, Seed: 171})
-	if err := lib.Add(genome.Record{ID: "r", Seq: genome.Random(600, rng.New(172))}); err != nil {
-		t.Fatal(err)
-	}
-	lib.Freeze()
-	forged := forgeHugeDirectory(writeV3Bytes(t, lib))
-	if _, err := ReadIndex(bytes.NewReader(forged)); err == nil {
-		t.Fatal("ReadIndex accepted the forged directory")
-	}
-	path := filepath.Join(t.TempDir(), "forged.v3")
-	if err := os.WriteFile(path, forged, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	for _, mode := range []LoadMode{LoadHeap, MapArena} {
-		if _, err := OpenLibraryFile(path, mode); err == nil {
-			t.Fatalf("OpenLibraryFile(mode %d) accepted the forged directory", mode)
-		}
-	}
 }
 
 // TestV3CorruptionMatrix drives both v3 readers (stream and mapped)

@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/bitvec"
 	"repro/internal/genome"
@@ -231,20 +233,22 @@ func (e *Engine) LookupBlock(patterns []*genome.Sequence, results []BatchResult)
 	return nil
 }
 
-// LookupBatchContext runs Lookup for every pattern over a worker pool
-// (workers ≤ 0 selects one) against a single view, with cancellation:
-// once ctx is canceled, workers stop dequeuing work and undispatched
-// patterns are marked with ctx's error instead of being searched. The
-// call still returns the partial results — every slot is filled,
-// either with its lookup outcome or with Err set to ctx.Err() — plus
-// the aggregate Stats of the lookups that did run, and ctx's error so
-// callers can tell a complete batch (nil) from a truncated one. Work
-// already in flight when ctx fires runs to completion.
+// LookupBatchContext runs Lookup for every pattern against a single
+// view, with cancellation: a block claimed after ctx is canceled is
+// marked with ctx's error instead of being searched. The call still
+// returns the partial results — every slot is filled, either with its
+// lookup outcome or with Err set to ctx.Err() — plus the aggregate
+// Stats of the lookups that did run, and ctx's error so callers can
+// tell a complete batch (nil) from a truncated one. Work already in
+// flight when ctx fires runs to completion.
 //
-// Workers dequeue patterns in index blocks of up to BlockWidth and run
-// each through the block pipeline. Per pattern, the matches, stats, and
-// errors are identical to an individual Lookup call.
-func (e *Engine) LookupBatchContext(ctx context.Context, patterns []*genome.Sequence, workers int) ([]BatchResult, Stats, error) {
+// The pool sizes itself: min(GOMAXPROCS, blocks) workers, the calling
+// goroutine one of them, claim index blocks of up to BlockWidth
+// patterns from one cursor and run each through the block pipeline. A
+// small batch shrinks the block so every worker gets one. Per pattern,
+// the matches, stats, and errors are identical to an individual Lookup
+// call.
+func (e *Engine) LookupBatchContext(ctx context.Context, patterns []*genome.Sequence) ([]BatchResult, Stats, error) {
 	// One read section brackets the whole batch — Close drains after
 	// every worker below has finished scanning.
 	v, err := e.Pin("LookupBatch")
@@ -252,54 +256,40 @@ func (e *Engine) LookupBatchContext(ctx context.Context, patterns []*genome.Sequ
 		return nil, Stats{}, err
 	}
 	defer e.Unpin()
-	if workers <= 0 {
-		workers = 1
+	n := len(patterns)
+	workers := minInt(runtime.GOMAXPROCS(0), maxInt(n, 1))
+	blk := minInt(BlockWidth, maxInt((n+workers-1)/workers, 1))
+	workers = minInt(workers, maxInt((n+blk-1)/blk, 1))
+	results := make([]BatchResult, n)
+	var cursor atomic.Int64
+	work := func() {
+		sc := e.getScratch()
+		defer e.putScratch(sc)
+		for {
+			hi := int(cursor.Add(int64(blk)))
+			lo := hi - blk
+			if lo >= n {
+				return
+			}
+			hi = minInt(hi, n)
+			if err := ctx.Err(); err != nil {
+				for i := lo; i < hi; i++ {
+					results[i] = BatchResult{Err: err}
+				}
+				continue
+			}
+			e.lookupBlock(v, patterns[lo:hi], results[lo:hi], sc, true)
+		}
 	}
-	if workers > len(patterns) {
-		workers = maxInt(len(patterns), 1)
-	}
-	// Block width: a full block when there is enough work, shrunk on
-	// small batches so every worker still gets at least one block.
-	blk := BlockWidth
-	if per := (len(patterns) + workers - 1) / workers; blk > per {
-		blk = maxInt(per, 1)
-	}
-	results := make([]BatchResult, len(patterns))
 	var wg sync.WaitGroup
-	next := make(chan [2]int)
-	done := ctx.Done()
-	for w := 0; w < workers; w++ {
+	for w := 1; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sc := e.getScratch()
-			defer e.putScratch(sc)
-			for r := range next {
-				// A block may have been queued just before ctx fired;
-				// re-check so at most workers·blk lookups start after
-				// cancellation.
-				if err := ctx.Err(); err != nil {
-					for i := r[0]; i < r[1]; i++ {
-						results[i] = BatchResult{Err: err}
-					}
-					continue
-				}
-				e.lookupBlock(v, patterns[r[0]:r[1]], results[r[0]:r[1]], sc, true)
-			}
+			work()
 		}()
 	}
-feed:
-	for lo := 0; lo < len(patterns); lo += blk {
-		select {
-		case next <- [2]int{lo, minInt(lo+blk, len(patterns))}:
-		case <-done:
-			for j := lo; j < len(patterns); j++ {
-				results[j] = BatchResult{Err: ctx.Err()}
-			}
-			break feed
-		}
-	}
-	close(next)
+	work()
 	wg.Wait()
 	var agg Stats
 	for _, r := range results {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -270,8 +271,10 @@ func TestLookupBatchBlockedMultiAlignment(t *testing.T) {
 			patterns = append(patterns, ref.Slice(off, off+32+i%7))
 		}
 	}
-	for _, workers := range []int{1, 3} {
-		results, agg, err := lib.LookupBatchContext(context.Background(), patterns, workers)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 3} {
+		runtime.GOMAXPROCS(procs) // the pool sizes itself from GOMAXPROCS
+		results, agg, err := lib.LookupBatchContext(context.Background(), patterns)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -281,24 +284,24 @@ func TestLookupBatchBlockedMultiAlignment(t *testing.T) {
 			wantAgg.Add(st)
 			r := results[i]
 			if (wantErr == nil) != (r.Err == nil) {
-				t.Fatalf("workers=%d pattern %d: err %v vs sequential %v", workers, i, r.Err, wantErr)
+				t.Fatalf("GOMAXPROCS=%d pattern %d: err %v vs sequential %v", procs, i, r.Err, wantErr)
 			}
 			if wantErr != nil {
 				if r.Err.Error() != wantErr.Error() {
-					t.Fatalf("workers=%d pattern %d: err %q vs sequential %q", workers, i, r.Err, wantErr)
+					t.Fatalf("GOMAXPROCS=%d pattern %d: err %q vs sequential %q", procs, i, r.Err, wantErr)
 				}
 				continue
 			}
 			if !reflect.DeepEqual(r.Matches, want) {
-				t.Fatalf("workers=%d pattern %d: matches diverge:\n got %+v\nwant %+v",
-					workers, i, r.Matches, want)
+				t.Fatalf("GOMAXPROCS=%d pattern %d: matches diverge:\n got %+v\nwant %+v",
+					procs, i, r.Matches, want)
 			}
 			if r.Stats != st {
-				t.Fatalf("workers=%d pattern %d: stats %+v != sequential %+v", workers, i, r.Stats, st)
+				t.Fatalf("GOMAXPROCS=%d pattern %d: stats %+v != sequential %+v", procs, i, r.Stats, st)
 			}
 		}
 		if agg != wantAgg {
-			t.Fatalf("workers=%d: aggregate %+v != sequential %+v", workers, agg, wantAgg)
+			t.Fatalf("GOMAXPROCS=%d: aggregate %+v != sequential %+v", procs, agg, wantAgg)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -149,6 +150,34 @@ func BenchmarkLookup(b *testing.B) {
 		if _, _, err := lib.Lookup(pat); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkLookupBatch times LookupBatchContext on the exact
+// defaultBenchBuckets library at three batch sizes: a block and one
+// pattern, eight blocks, and thirty-two. One pattern in four is cut
+// from the reference, the rest are random.
+func BenchmarkLookupBatch(b *testing.B) {
+	lib, _ := benchLib(b, defaultBenchBuckets, false)
+	ref := lib.Ref(0).Seq
+	src := rng.New(8)
+	for _, n := range []int{9, 64, 256} {
+		pats := make([]*genome.Sequence, n)
+		for i := range pats {
+			if i%4 == 0 {
+				off := src.Intn(ref.Len() - 32)
+				pats[i] = ref.Slice(off, off+32)
+			} else {
+				pats[i] = genome.Random(32, src)
+			}
+		}
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, _, err := lib.LookupBatchContext(context.Background(), pats); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -4,12 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"testing"
-	"time"
 
 	"repro/internal/cobs"
 	"repro/internal/core"
@@ -18,10 +15,10 @@ import (
 	"repro/internal/wire"
 )
 
-// TestCanceledBatchCarriesMarker pins the cancellation contract through
-// both transports on every backend: a batch whose context is already
-// dead comes back as a partial response marked canceled — whether it is
-// a whole number of query blocks (8) or not (9). The bit-sliced backend
+// TestCanceledBatchCarriesMarker pins the cancellation contract of
+// /v1/batch on every backend: a batch whose context is already dead
+// comes back as a partial response marked canceled — whether it is a
+// whole number of query blocks (8) or not (9). The bit-sliced backend
 // used to return nil from a canceled LookupBatchContext, so its
 // block-multiple batches lost the marker.
 func TestCanceledBatchCarriesMarker(t *testing.T) {
@@ -48,28 +45,6 @@ func TestCanceledBatchCarriesMarker(t *testing.T) {
 				t.Fatal(err)
 			}
 			t.Cleanup(s.Close)
-			// Every wire request's context expires as it is created.
-			ws := wire.NewServer(s.WireBackend(), s.Registry(), wire.ServerConfig{RequestTimeout: time.Nanosecond})
-			ln, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			served := make(chan struct{})
-			go func() {
-				defer close(served)
-				if err := ws.Serve(ln); !errors.Is(err, wire.ErrServerClosed) {
-					t.Errorf("wire serve: %v", err)
-				}
-			}()
-			t.Cleanup(func() {
-				ws.Close()
-				<-served
-			})
-			cl, err := wire.Dial(ln.Addr().String(), wire.ClientConfig{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { cl.Close() })
 
 			for _, n := range []int{core.BlockWidth, core.BlockWidth + 1} {
 				body := batchBody(t, ref, n)
@@ -87,19 +62,6 @@ func TestCanceledBatchCarriesMarker(t *testing.T) {
 				if done, failed := countBatchErrors(&br); !br.Canceled || done != 0 || failed != n {
 					t.Errorf("http/%d: canceled=%v done=%d failed=%d, want every item canceled and the marker set",
 						n, br.Canceled, done, failed)
-				}
-
-				var req BatchRequest
-				if err := json.Unmarshal(body, &req); err != nil {
-					t.Fatal(err)
-				}
-				res, err := cl.Batch(context.Background(), req.Patterns, 1)
-				if err != nil {
-					t.Fatalf("wire/%d: %v", n, err)
-				}
-				if !res.Canceled || len(res.Results) != n {
-					t.Errorf("wire/%d: canceled=%v with %d results, want the marker and %d results",
-						n, res.Canceled, len(res.Results), n)
 				}
 			}
 		})

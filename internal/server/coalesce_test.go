@@ -123,7 +123,7 @@ func answerServer(t *testing.T) (*httptest.Server, []answerCase) {
 			}
 			seqs = append(seqs, p)
 		}
-		results, agg, err := lib.LookupBatchContext(context.Background(), seqs, defaultBatchWorkers)
+		results, agg, err := lib.LookupBatchContext(context.Background(), seqs)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -27,8 +27,6 @@ type Config struct {
 	// IdleTimeout bounds how long a keep-alive connection may sit idle
 	// between requests (default 2m).
 	IdleTimeout time.Duration
-	// MaxHeaderBytes caps request header size (default 1 MiB).
-	MaxHeaderBytes int
 	// RequestTimeout is the per-request handler deadline applied by
 	// middleware: the request context is canceled this long after the
 	// handler starts, which stops an in-flight batch via
@@ -43,7 +41,6 @@ func DefaultConfig() Config {
 		ReadTimeout:       30 * time.Second,
 		WriteTimeout:      60 * time.Second,
 		IdleTimeout:       2 * time.Minute,
-		MaxHeaderBytes:    1 << 20,
 		RequestTimeout:    30 * time.Second,
 	}
 }
@@ -57,13 +54,11 @@ func (c Config) withDefaults() Config {
 	c.WriteTimeout = resolve(c.WriteTimeout, d.WriteTimeout)
 	c.IdleTimeout = resolve(c.IdleTimeout, d.IdleTimeout)
 	c.RequestTimeout = resolve(c.RequestTimeout, d.RequestTimeout)
-	if c.MaxHeaderBytes == 0 {
-		c.MaxHeaderBytes = d.MaxHeaderBytes
-	} else if c.MaxHeaderBytes < 0 {
-		c.MaxHeaderBytes = 0
-	}
 	return c
 }
+
+// maxHeaderBytes caps request header size.
+const maxHeaderBytes = 1 << 20
 
 func resolve(v, def time.Duration) time.Duration {
 	if v == 0 {
@@ -88,6 +83,6 @@ func (s *Server) HTTPServer(addr string) *http.Server {
 		ReadTimeout:       s.cfg.ReadTimeout,
 		WriteTimeout:      s.cfg.WriteTimeout,
 		IdleTimeout:       s.cfg.IdleTimeout,
-		MaxHeaderBytes:    s.cfg.MaxHeaderBytes,
+		MaxHeaderBytes:    maxHeaderBytes,
 	}
 }

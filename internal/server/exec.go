@@ -108,11 +108,12 @@ func (s *Server) execClassify(readText string, minFraction float64) (wire.Classi
 	}, nil
 }
 
-// execBatch runs one batch request. Malformed patterns get per-item
-// errors without burning a worker slot; a canceled context yields the
-// partial results with the Canceled marker, matching the HTTP 200 +
-// "canceled" contract.
-func (s *Server) execBatch(ctx context.Context, patterns []string, workers int) (wire.BatchResult, *wire.StatusError) {
+// execBatch runs one /v1/batch request (a wire client pipelines SEARCH
+// frames instead). Malformed patterns get per-item errors without
+// entering the lookup; a canceled context yields the partial results
+// with the Canceled marker, matching the HTTP 200 + "canceled"
+// contract.
+func (s *Server) execBatch(ctx context.Context, patterns []string) (wire.BatchResult, *wire.StatusError) {
 	if len(patterns) == 0 {
 		return wire.BatchResult{}, &wire.StatusError{Code: http.StatusBadRequest, Msg: "patterns are required"}
 	}
@@ -138,7 +139,7 @@ func (s *Server) execBatch(ctx context.Context, patterns []string, workers int) 
 		idx = append(idx, i)
 	}
 	if len(seqs) > 0 {
-		results, agg, err := s.lib.LookupBatchContext(ctx, seqs, clampWorkers(workers))
+		results, agg, err := s.lib.LookupBatchContext(ctx, seqs)
 		if err != nil && !isContextErr(err) {
 			return wire.BatchResult{}, &wire.StatusError{Code: http.StatusUnprocessableEntity, Msg: err.Error()}
 		}

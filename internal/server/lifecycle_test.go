@@ -44,7 +44,7 @@ func denseServer(t *testing.T, opts ...Option) (*Server, *genome.Sequence) {
 
 func batchBody(t *testing.T, ref *genome.Sequence, n int) []byte {
 	t.Helper()
-	req := BatchRequest{Workers: 1}
+	var req BatchRequest
 	for i := 0; i < n; i++ {
 		off := (i * 7) % (ref.Len() - 32)
 		req.Patterns = append(req.Patterns, ref.Slice(off, off+32).String())
@@ -155,8 +155,8 @@ type cancelOnProbe struct {
 	cancel context.CancelFunc
 }
 
-func (c cancelOnProbe) LookupBatchContext(ctx context.Context, patterns []*genome.Sequence, workers int) ([]core.BatchResult, core.Stats, error) {
-	return c.Index.LookupBatchContext(probeCtx{ctx, c, c.Counters().BucketProbes}, patterns, workers)
+func (c cancelOnProbe) LookupBatchContext(ctx context.Context, patterns []*genome.Sequence) ([]core.BatchResult, core.Stats, error) {
+	return c.Index.LookupBatchContext(probeCtx{ctx, c, c.Counters().BucketProbes}, patterns)
 }
 
 // probeCtx is the request context as cancelOnProbe hands it on.

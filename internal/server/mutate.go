@@ -28,8 +28,8 @@ type AddRefResponse struct {
 }
 
 // resolveLiveRef finds the index of the live (non-removed) reference
-// with the given ID, or -1. The reference count is read once: slots are
-// only ever appended, so a concurrent Add cannot move a live ID.
+// with the given ID, or -1. Callers hold refMu, so no Add or Remove by
+// ID runs between the answer and its use.
 func (s *Server) resolveLiveRef(id string) int {
 	n := s.lib.NumRefs()
 	for i := 0; i < n; i++ {
@@ -59,12 +59,15 @@ func (s *Server) handleAddRef(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
+	s.refMu.Lock()
 	if s.resolveLiveRef(req.ID) >= 0 {
+		s.refMu.Unlock()
 		writeError(w, http.StatusConflict, "reference %q already exists", req.ID)
 		return
 	}
-	rec := genome.Record{ID: req.ID, Description: req.Description, Seq: seq}
-	if err := s.lib.Add(rec); err != nil {
+	err = s.lib.Add(genome.Record{ID: req.ID, Description: req.Description, Seq: seq})
+	s.refMu.Unlock()
+	if err != nil {
 		writeError(w, http.StatusUnprocessableEntity, "%v", err)
 		return
 	}
@@ -84,16 +87,17 @@ type RemoveRefResponse struct {
 
 func (s *Server) handleRemoveRef(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
+	s.refMu.Lock()
 	idx := s.resolveLiveRef(id)
 	if idx < 0 {
+		s.refMu.Unlock()
 		writeError(w, http.StatusNotFound, "no live reference %q", id)
 		return
 	}
-	if err := s.lib.Remove(idx); err != nil {
-		// A concurrent DELETE of the same ID can win the race between
-		// resolve and Remove; the library's "already removed" error is a
-		// conflict, not a server fault.
-		writeError(w, http.StatusConflict, "%v", err)
+	err := s.lib.Remove(idx)
+	s.refMu.Unlock()
+	if err != nil {
+		writeError(w, http.StatusUnprocessableEntity, "%v", err)
 		return
 	}
 	writeJSON(w, http.StatusOK, RemoveRefResponse{

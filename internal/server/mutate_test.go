@@ -4,9 +4,12 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/core"
 	"repro/internal/genome"
 	"repro/internal/rng"
 	"repro/internal/wire"
@@ -207,4 +210,64 @@ func TestSearchDuringIngest(t *testing.T) {
 		}
 	}
 	<-done
+}
+
+// gatedAdd signals each Add on entry and holds it there until release
+// is closed.
+type gatedAdd struct {
+	core.Index
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (g gatedAdd) Add(rec genome.Record) error {
+	g.entered <- struct{}{}
+	<-g.release
+	return g.Index.Add(rec)
+}
+
+// TestConcurrentAddSameID posts one reference ID a second time while
+// the first ingest is still inside Add: the second may not reach Add,
+// and once the first lands it is a conflict. Checking the ID and
+// adding without one lock across both let the two in, leaving two live
+// references with one ID, of which a DELETE removed only the first.
+func TestConcurrentAddSameID(t *testing.T) {
+	lib, err := core.NewLibrary(core.Params{Dim: 1024, Window: 32, Seed: 87})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := lib.Add(genome.Record{ID: "chr1", Seq: genome.Random(500, rng.New(88))}); err != nil {
+		t.Fatal(err)
+	}
+	lib.Freeze()
+	g := gatedAdd{Index: lib, entered: make(chan struct{}, 2), release: make(chan struct{})}
+	s, err := New(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	body := `{"id":"dup","sequence":"` + genome.Random(200, rng.New(89)).String() + `"}`
+	codes := make(chan int, 2)
+	post := func() {
+		w := httptest.NewRecorder()
+		s.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/refs", strings.NewReader(body)))
+		codes <- w.Code
+	}
+	go post()
+	<-g.entered
+	go post()
+	select {
+	case <-g.entered:
+		close(g.release)
+		t.Fatalf("a second Add of %q started while the first was running (statuses %d, %d)", "dup", <-codes, <-codes)
+	case <-time.After(200 * time.Millisecond):
+		// Ample for the second POST to reach Add if it could. On a
+		// correct server its outcome does not depend on this wait: it
+		// is a 409 however late it runs.
+	}
+	close(g.release)
+	a, b := <-codes, <-codes
+	if min(a, b) != http.StatusCreated || max(a, b) != http.StatusConflict {
+		t.Fatalf("statuses %d and %d, want one 201 and one 409", a, b)
+	}
 }

@@ -20,11 +20,11 @@
 // Request lifecycle: the handler chain applies a per-request deadline
 // (Config.RequestTimeout) and records per-endpoint request counts and
 // latency histograms. Batch requests observe the request context —
-// when the client disconnects or the deadline fires, workers stop
-// dequeuing patterns and the response carries the partial results with
-// a "canceled" marker. Run the service through HTTPServer to get the
-// connection-level timeouts; see cmd/biohd's serve for the full
-// SIGTERM-drains-then-exits lifecycle.
+// when the client disconnects or the deadline fires, the batch stops
+// searching the patterns it has not reached and the response carries
+// the partial results with a "canceled" marker. Run the service
+// through HTTPServer to get the connection-level timeouts; see
+// cmd/biohd's serve for the full SIGTERM-drains-then-exits lifecycle.
 package server
 
 import (
@@ -35,6 +35,7 @@ import (
 	"fmt"
 	"log"
 	"net/http"
+	"sync"
 
 	"repro/internal/coalesce"
 	"repro/internal/core"
@@ -55,6 +56,10 @@ type Server struct {
 	inflight *metrics.Gauge
 	coal     *coalesce.Coalescer // forward searches; every other route calls lib
 	logger   *log.Logger         // nil: no per-request logging
+
+	// refMu is held across a reference-ID check and the Add or Remove
+	// it guards, so two requests naming one ID cannot both pass it.
+	refMu sync.Mutex
 }
 
 // Option customizes a Server.
@@ -260,42 +265,21 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	writeResult(w, res, serr)
 }
 
-// BatchRequest is the /v1/batch payload.
+// BatchRequest is the /v1/batch payload. The index sizes the batch's
+// worker pool itself; a body that names any other field is a 400.
 type BatchRequest struct {
 	Patterns []string `json:"patterns"`
-	Workers  int      `json:"workers,omitempty"`
 }
 
 // maxBatchPatterns bounds one batch request.
 const maxBatchPatterns = 10_000
-
-// Batch worker bounds: requests may ask for up to maxBatchWorkers;
-// out-of-range values clamp (≤ 0 falls back to the default).
-const (
-	defaultBatchWorkers = 4
-	maxBatchWorkers     = 64
-)
-
-// clampWorkers resolves a requested worker count: non-positive selects
-// the default, oversized requests clamp to the cap instead of silently
-// resetting to the default.
-func clampWorkers(requested int) int {
-	switch {
-	case requested <= 0:
-		return defaultBatchWorkers
-	case requested > maxBatchWorkers:
-		return maxBatchWorkers
-	default:
-		return requested
-	}
-}
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req BatchRequest
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	res, serr := s.execBatch(r.Context(), req.Patterns, req.Workers)
+	res, serr := s.execBatch(r.Context(), req.Patterns)
 	writeResult(w, res, serr)
 }
 

@@ -216,38 +216,6 @@ func TestClassifyRejectsImpossibleMinFraction(t *testing.T) {
 	}
 }
 
-func TestClampWorkers(t *testing.T) {
-	for _, tc := range []struct{ in, want int }{
-		{0, defaultBatchWorkers},
-		{-3, defaultBatchWorkers},
-		{1, 1},
-		{10, 10},
-		{maxBatchWorkers, maxBatchWorkers},
-		{maxBatchWorkers + 1, maxBatchWorkers}, // clamp, not reset to default
-		{1 << 20, maxBatchWorkers},
-	} {
-		if got := clampWorkers(tc.in); got != tc.want {
-			t.Errorf("clampWorkers(%d) = %d, want %d", tc.in, got, tc.want)
-		}
-	}
-}
-
-func TestBatchOversizedWorkerCountClamps(t *testing.T) {
-	ts, ref := testServer(t)
-	resp := postJSON(t, ts.URL+"/v1/batch", BatchRequest{
-		Patterns: []string{ref.Slice(10, 42).String()},
-		Workers:  maxBatchWorkers + 1,
-	})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d", resp.StatusCode)
-	}
-	var br wire.BatchResult
-	decodeInto(t, resp, &br)
-	if len(br.Results) != 1 || len(br.Results[0].Matches) == 0 {
-		t.Fatalf("clamped batch lost its result: %+v", br)
-	}
-}
-
 func TestBatchSkipsUnparsablePatterns(t *testing.T) {
 	ts, ref := testServer(t)
 	good1 := ref.Slice(10, 42).String()

@@ -31,7 +31,7 @@ func wireErr(serr *wire.StatusError) error {
 	return serr
 }
 
-// The patterns and reads are copied into strings: the exec layer must
+// The pattern and read are copied into strings: the exec layer must
 // not retain the frame buffer the slices alias.
 
 func (b wireBackend) Search(ctx context.Context, pattern []byte, both bool) (wire.SearchResult, error) {
@@ -41,15 +41,6 @@ func (b wireBackend) Search(ctx context.Context, pattern []byte, both bool) (wir
 
 func (b wireBackend) Classify(_ context.Context, read []byte, minFraction float64) (wire.ClassifyResult, error) {
 	res, serr := b.s.execClassify(string(read), minFraction)
-	return res, wireErr(serr)
-}
-
-func (b wireBackend) Batch(ctx context.Context, patterns [][]byte, workers int) (wire.BatchResult, error) {
-	texts := make([]string, len(patterns))
-	for i, p := range patterns {
-		texts[i] = string(p)
-	}
-	res, serr := b.s.execBatch(ctx, texts, workers)
 	return res, wireErr(serr)
 }
 

@@ -241,15 +241,37 @@ func TestWireGoldenEquivalence(t *testing.T) {
 		if status != http.StatusOK {
 			t.Fatalf("http status %d", status)
 		}
-		wr, err := cl.Batch(ctx, pats, 0)
-		if err != nil {
+		var hr wire.BatchResult
+		if err := json.Unmarshal(hb, &hr); err != nil {
 			t.Fatal(err)
 		}
-		if wb := marshal(t, wr); string(wb) != string(hb) {
-			t.Fatalf("transports differ:\nhttp %s\nwire %s", hb, wb)
+		if len(hr.Results) != len(pats) {
+			t.Fatalf("http answered %d items for %d patterns", len(hr.Results), len(pats))
 		}
-		if wr.Results[1].Error == "" {
-			t.Fatal("malformed pattern produced no per-item error")
+		// The wire protocol sends many patterns as pipelined SEARCH
+		// frames: each batch item must be its pattern's SEARCH answer.
+		for i, pat := range pats {
+			item := hr.Results[i]
+			wr, err := cl.Search(ctx, pat, false)
+			var se *wire.StatusError
+			switch {
+			case errors.As(err, &se):
+				if item.Error != se.Msg {
+					t.Fatalf("item %d: http error %q, wire error %q", i, item.Error, se.Msg)
+				}
+			case err != nil:
+				t.Fatal(err)
+			default:
+				if item.Error != "" {
+					t.Fatalf("item %d: http error %q, wire answered", i, item.Error)
+				}
+				if hm, wm := marshal(t, item.Matches), marshal(t, wr.Matches); string(hm) != string(wm) {
+					t.Fatalf("item %d differs:\nhttp %s\nwire %s", i, hm, wm)
+				}
+			}
+		}
+		if hr.Results[1].Error == "" || len(hr.Results[0].Matches) == 0 {
+			t.Fatalf("want the malformed item's error and the planted pattern's match: %s", hb)
 		}
 	})
 
@@ -289,12 +311,18 @@ func TestWireGoldenEquivalence(t *testing.T) {
 				_, err := cl.Classify(ctx, strings.Repeat("ACGT", 20), 1.5)
 				return err
 			}},
+			// The pool sizes itself: a batch body naming workers is an
+			// unknown field. The wire protocol has no batch to compare.
+			{"batch names workers", map[string]any{"patterns": []string{strings.Repeat("ACGT", 8)}, "workers": 2}, nil},
 		}
 		for _, tc := range cases {
 			t.Run(tc.name, func(t *testing.T) {
 				url := ts.URL + "/v1/search"
-				if _, ok := tc.body.(ClassifyRequest); ok {
+				switch tc.body.(type) {
+				case ClassifyRequest:
 					url = ts.URL + "/v1/classify"
+				case map[string]any:
+					url = ts.URL + "/v1/batch"
 				}
 				status, hb := httpBody(t, url, tc.body)
 				if status == http.StatusOK {
@@ -303,6 +331,12 @@ func TestWireGoldenEquivalence(t *testing.T) {
 				var eb errorBody
 				if err := json.Unmarshal(hb, &eb); err != nil {
 					t.Fatal(err)
+				}
+				if tc.do == nil {
+					if status != http.StatusBadRequest {
+						t.Fatalf("http status %d, want 400: %s", status, eb.Error)
+					}
+					return
 				}
 				err := tc.do()
 				var se *wire.StatusError

@@ -39,25 +39,18 @@ type ClientConfig struct {
 	// throughput — the protocol pipelines — but a second hides
 	// head-of-line blocking on very large responses.
 	Conns int
-	// MaxFrame caps acceptable response payloads (default
-	// DefaultMaxFrame).
-	MaxFrame int
-	// DialTimeout bounds connection establishment (default 5s).
-	DialTimeout time.Duration
 }
 
 func (c ClientConfig) withDefaults() ClientConfig {
 	if c.Conns <= 0 {
 		c.Conns = 2
 	}
-	if c.MaxFrame <= 0 {
-		c.MaxFrame = DefaultMaxFrame
-	}
-	if c.DialTimeout <= 0 {
-		c.DialTimeout = 5 * time.Second
-	}
 	return c
 }
+
+// dialTimeout bounds connection establishment. (A response payload
+// larger than DefaultMaxFrame fails the connection: see readLoop.)
+const dialTimeout = 5 * time.Second
 
 // Client issues wire-protocol requests over a pool of pipelined
 // connections. Safe for concurrent use.
@@ -111,7 +104,7 @@ func (c *Client) Close() error {
 
 // dial establishes one connection and starts its reader.
 func (c *Client) dial() (*clientConn, error) {
-	nc, err := net.DialTimeout("tcp", c.addr, c.cfg.DialTimeout)
+	nc, err := net.DialTimeout("tcp", c.addr, dialTimeout)
 	if err != nil {
 		return nil, err
 	}
@@ -235,7 +228,7 @@ func (cc *clientConn) readLoop() {
 			cc.fail(ErrBadFlags)
 			return
 		}
-		if h.PayloadLen > uint32(cc.cl.cfg.MaxFrame) {
+		if h.PayloadLen > DefaultMaxFrame {
 			cc.fail(ErrFrameTooBig)
 			return
 		}
@@ -387,21 +380,6 @@ func (c *Client) Classify(ctx context.Context, read string, minFraction float64)
 		return ClassifyResult{}, err
 	}
 	return ParseClassifyResult(resp.payload)
-}
-
-// Batch runs a multi-pattern search. workers ≤ 0 takes the server
-// default.
-func (c *Client) Batch(ctx context.Context, patterns []string, workers int) (BatchResult, error) {
-	resp, err := c.do(ctx, OpBatch, func(b []byte) []byte {
-		return AppendBatchRequest(b, patterns, workers)
-	})
-	if err != nil {
-		return BatchResult{}, err
-	}
-	if err := respError(resp); err != nil {
-		return BatchResult{}, err
-	}
-	return ParseBatchResult(resp.payload)
 }
 
 // Stats fetches the server's library statistics. Keys the payload

@@ -11,8 +11,9 @@
 //
 //	header (24 bytes):
 //	  [0:4)   magic      0x31444842 ("BHD1" on the wire)
-//	  [4]     version    4
-//	  [5]     opcode     SEARCH | CLASSIFY | BATCH | STATS | PING | CANCEL | ERR
+//	  [4]     version    5
+//	  [5]     opcode     SEARCH 1 | CLASSIFY 2 | STATS 4 | PING 5 | CANCEL 6 | ERR 7
+//	                     (3, once BATCH, is retired and never reused)
 //	  [6:8)   flags      bit 0 response, bit 1 error
 //	  [8:16)  requestID  caller-chosen pipelining key
 //	  [16:20) payloadLen bytes of payload following the header
@@ -30,8 +31,9 @@
 // frame whose payload is {code u16, msgLen u32, msg} and leaves the
 // connection open. A protocol-level failure — bad magic, bad CRC,
 // oversized payload, duplicate in-flight requestID, a truncated or
-// over-long payload — is answered with an OpErr frame and the
-// connection closes; malformed input must error, never panic.
+// over-long payload, an unknown or retired opcode — is answered with
+// an OpErr frame and the connection closes; malformed input must
+// error, never panic.
 //
 // The encode/decode layer is allocation-free in steady state: all
 // encoders are self-append (buf = Append*(buf, …)) into caller-owned
@@ -55,8 +57,9 @@ const (
 	// any payload layout change must bump this constant. Revisions 2
 	// and 3 each grew the binary STATS record; revision 4 made the
 	// STATS payload the /v1/stats JSON object, so adding a stats key
-	// no longer changes the layout.
-	Version = 4
+	// no longer changes the layout; revision 5 retired the BATCH
+	// opcode.
+	Version = 5
 	// HeaderSize is the fixed frame-header length in bytes.
 	HeaderSize = 24
 	// DefaultMaxFrame caps one frame's payload when the caller does
@@ -70,11 +73,11 @@ type Opcode uint8
 
 // Frame opcodes. OpErr only ever appears on a response: it reports a
 // protocol-level failure and the server closes the connection after
-// writing it.
+// writing it. Opcode 3 carried BATCH until revision 5; it is retired,
+// never reused, and a frame that carries it is ErrBadOpcode.
 const (
 	OpSearch   Opcode = 1
 	OpClassify Opcode = 2
-	OpBatch    Opcode = 3
 	OpStats    Opcode = 4
 	OpPing     Opcode = 5
 	OpCancel   Opcode = 6
@@ -88,8 +91,6 @@ func (op Opcode) String() string {
 		return "search"
 	case OpClassify:
 		return "classify"
-	case OpBatch:
-		return "batch"
 	case OpStats:
 		return "stats"
 	case OpPing:
@@ -367,54 +368,6 @@ func ParseClassifyRequest(p []byte) (read []byte, minFraction float64, err error
 	return read, minFraction, nil
 }
 
-// BATCH request payload: {workers u32, count u32, count×(patLen u32,
-// pattern)}.
-
-// AppendBatchRequest encodes a BATCH request payload.
-func AppendBatchRequest(buf []byte, patterns []string, workers int) []byte {
-	buf = appendU32(buf, uint32(workers))
-	buf = appendU32(buf, uint32(len(patterns)))
-	for _, p := range patterns {
-		buf = appendU32(buf, uint32(len(p)))
-		buf = append(buf, p...)
-	}
-	return buf
-}
-
-// ParseBatchRequest decodes a BATCH request payload, appending each
-// pattern (a subslice of p) to dst. Unlike the single-query parsers
-// it allocates when dst needs to grow — batch payloads are inherently
-// O(count) — so it is not a hotpath root.
-func ParseBatchRequest(p []byte, dst [][]byte) (patterns [][]byte, workers int, err error) {
-	w, off, err := parseU32(p, 0)
-	if err != nil {
-		return nil, 0, err
-	}
-	count, off, err := parseU32(p, off)
-	if err != nil {
-		return nil, 0, err
-	}
-	// A count that cannot possibly fit the remaining payload (every
-	// pattern needs at least its length prefix) is malformed; checking
-	// here keeps a hostile count from sizing anything.
-	if uint64(count)*4 > uint64(len(p)-off) {
-		return nil, 0, ErrShortPayload
-	}
-	patterns = dst[:0]
-	for i := uint32(0); i < count; i++ {
-		var pat []byte
-		pat, off, err = parseBytes(p, off)
-		if err != nil {
-			return nil, 0, err
-		}
-		patterns = append(patterns, pat)
-	}
-	if off != len(p) {
-		return nil, 0, ErrTrailingData
-	}
-	return patterns, int(w), nil
-}
-
 // Result types: the one schema of each reply. The HTTP API answers
 // with these values JSON-encoded and the wire protocol frames the same
 // values, so the two transports cannot drift apart; the
@@ -443,13 +396,14 @@ type ClassifyResult struct {
 	Fraction float64 `json:"fraction"`
 }
 
-// BatchItem is one pattern's result in a BATCH response.
+// BatchItem is one pattern's result in a /v1/batch body.
 type BatchItem struct {
 	Matches []Match `json:"matches"`
 	Error   string  `json:"error,omitempty"`
 }
 
-// BatchResult is a BATCH response and the /v1/batch body. Canceled
+// BatchResult is the /v1/batch body. The wire protocol has no batch
+// frame: a wire client pipelines SEARCH frames instead. Canceled
 // reports that the request context was canceled (client disconnect or
 // deadline) before every pattern was searched: the per-pattern results
 // are partial, and unsearched patterns carry a context error in their
@@ -654,84 +608,6 @@ func ParseClassifyResult(p []byte) (ClassifyResult, error) {
 	return res, nil
 }
 
-// AppendBatchResult encodes a BATCH response payload: {probes u64,
-// canceled u8, count u32, count×(errLen u32, err, nMatches u32,
-// matches)}.
-//
-//biohd:hotpath
-func AppendBatchResult(buf []byte, res *BatchResult) []byte {
-	buf = appendU64(buf, uint64(res.Probes))
-	var c uint8
-	if res.Canceled {
-		c = 1
-	}
-	buf = appendU8(buf, c)
-	buf = appendU32(buf, uint32(len(res.Results)))
-	for i := range res.Results {
-		item := &res.Results[i]
-		buf = appendU32(buf, uint32(len(item.Error)))
-		buf = append(buf, item.Error...)
-		buf = appendU32(buf, uint32(len(item.Matches)))
-		for j := range item.Matches {
-			buf = appendMatch(buf, &item.Matches[j])
-		}
-	}
-	return buf
-}
-
-// ParseBatchResult decodes a BATCH response payload.
-func ParseBatchResult(p []byte) (BatchResult, error) {
-	var res BatchResult
-	probes, off, err := parseU64(p, 0)
-	if err != nil {
-		return res, err
-	}
-	c, off, err := parseU8(p, off)
-	if err != nil {
-		return res, err
-	}
-	count, off, err := parseU32(p, off)
-	if err != nil {
-		return res, err
-	}
-	res.Probes = int(probes)
-	res.Canceled = c != 0
-	// Every item needs ≥ 8 bytes of length prefixes.
-	maxItems := (len(p) - off) / 8
-	if int(count) < maxItems {
-		maxItems = int(count)
-	}
-	res.Results = make([]BatchItem, 0, maxItems)
-	for i := uint32(0); i < count; i++ {
-		var item BatchItem
-		var msg []byte
-		msg, off, err = parseBytes(p, off)
-		if err != nil {
-			return res, err
-		}
-		item.Error = string(msg)
-		var n uint32
-		n, off, err = parseU32(p, off)
-		if err != nil {
-			return res, err
-		}
-		item.Matches = make([]Match, 0, minCap(n, p, off))
-		for j := uint32(0); j < n; j++ {
-			var m Match
-			m, off, err = parseMatch(p, off)
-			if err != nil {
-				return res, err
-			}
-			item.Matches = append(item.Matches, m)
-		}
-		res.Results = append(res.Results, item)
-	}
-	if off != len(p) {
-		return res, ErrTrailingData
-	}
-	return res, nil
-}
-
 // AppendErrorPayload encodes the FlagError / OpErr payload: {code
 // u16, msgLen u32, msg}.
 //
@@ -765,7 +641,7 @@ func ParseErrorPayload(p []byte) (*StatusError, error) {
 //biohd:hotpath
 func validRequestOp(op Opcode) bool {
 	switch op {
-	case OpSearch, OpClassify, OpBatch, OpStats, OpPing, OpCancel:
+	case OpSearch, OpClassify, OpStats, OpPing, OpCancel:
 		return true
 	}
 	return false

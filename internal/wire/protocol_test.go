@@ -100,30 +100,6 @@ func TestClassifyRequestRoundTrip(t *testing.T) {
 	}
 }
 
-func TestBatchRequestRoundTrip(t *testing.T) {
-	pats := []string{"ACGT", "", "TTTTGGGG"}
-	buf := AppendBatchRequest(nil, pats, 3)
-	got, workers, err := ParseBatchRequest(buf, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if workers != 3 || len(got) != len(pats) {
-		t.Fatalf("round trip: %d workers, %d patterns", workers, len(got))
-	}
-	for i := range pats {
-		if string(got[i]) != pats[i] {
-			t.Fatalf("pattern %d: %q", i, got[i])
-		}
-	}
-	// A hostile count that promises more patterns than the payload
-	// could hold must fail fast, not allocate.
-	hostile := AppendBatchRequest(nil, nil, 1)
-	binary.LittleEndian.PutUint32(hostile[4:8], 1<<30)
-	if _, _, err := ParseBatchRequest(hostile, nil); !errors.Is(err, ErrShortPayload) {
-		t.Fatalf("hostile count: got %v", err)
-	}
-}
-
 func TestSearchResultRoundTrip(t *testing.T) {
 	want := SearchResult{
 		Matches: []Match{
@@ -158,22 +134,6 @@ func TestClassifyResultRoundTrip(t *testing.T) {
 	assertJSONEqual(t, got, want)
 }
 
-func TestBatchResultRoundTrip(t *testing.T) {
-	want := BatchResult{
-		Results: []BatchItem{
-			{Matches: []Match{{Ref: "chr1", Offset: 9, Strand: "+"}}},
-			{Matches: []Match{}, Error: "bad base 'X'"},
-		},
-		Probes:   9,
-		Canceled: true,
-	}
-	got, err := ParseBatchResult(AppendBatchResult(nil, &want))
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertJSONEqual(t, got, want)
-}
-
 func TestErrorPayloadRoundTrip(t *testing.T) {
 	buf := AppendErrorPayload(nil, 422, "pattern shorter than window")
 	se, err := ParseErrorPayload(buf)
@@ -191,7 +151,8 @@ func TestErrorPayloadRoundTrip(t *testing.T) {
 func FuzzWireFrame(f *testing.F) {
 	f.Add(encodeFrame(OpSearch, 0, 1, AppendSearchRequest(nil, []byte("ACGT"), true)))
 	f.Add(encodeFrame(OpClassify, 0, 2, AppendClassifyRequest(nil, []byte("ACGTACGT"), 0.5)))
-	f.Add(encodeFrame(OpBatch, 0, 3, AppendBatchRequest(nil, []string{"ACGT", "TTTT"}, 2)))
+	f.Add(encodeFrame(OpClassify, FlagResponse, 3,
+		AppendClassifyResult(nil, &ClassifyResult{Ref: "chr1", Votes: 3, Windows: 4, Fraction: 0.75})))
 	f.Add(encodeFrame(OpStats, FlagResponse, 4, []byte(`{"references":1}`)))
 	f.Add(encodeFrame(OpErr, FlagResponse|FlagError, 5, AppendErrorPayload(nil, 400, "boom")))
 	f.Add(encodeFrame(OpSearch, FlagResponse, 6,
@@ -209,10 +170,8 @@ func FuzzWireFrame(f *testing.F) {
 		for _, p := range [][]byte{data, payload} {
 			_, _, _ = ParseSearchRequest(p)
 			_, _, _ = ParseClassifyRequest(p)
-			_, _, _ = ParseBatchRequest(p, nil)
 			_, _ = ParseSearchResult(p)
 			_, _ = ParseClassifyResult(p)
-			_, _ = ParseBatchResult(p)
 			var st StatsResult
 			_ = json.Unmarshal(p, &st)
 			_, _ = ParseErrorPayload(p)

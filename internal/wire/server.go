@@ -54,9 +54,10 @@ import (
 	"repro/internal/metrics"
 )
 
-// Backend executes decoded wire requests. Implementations must treat
-// the pattern/read/patterns slices as borrowed: they alias the frame
-// buffer and are reused after the call returns. internal/server's
+// Backend executes decoded wire requests: one method per request
+// opcode that reaches it (PING and CANCEL never do). Implementations
+// must treat the pattern and read slices as borrowed: they alias the
+// frame buffer and are reused after the call returns. internal/server's
 // WireBackend adapts the HTTP service's shared execution layer, which
 // is what guarantees byte-identical answers across transports.
 //
@@ -66,7 +67,6 @@ import (
 type Backend interface {
 	Search(ctx context.Context, pattern []byte, both bool) (SearchResult, error)
 	Classify(ctx context.Context, read []byte, minFraction float64) (ClassifyResult, error)
-	Batch(ctx context.Context, patterns [][]byte, workers int) (BatchResult, error)
 	Stats() StatsResult
 }
 
@@ -205,7 +205,7 @@ func NewServer(b Backend, reg *metrics.Registry, cfg ServerConfig) *Server {
 	}
 	s.base, s.baseStop = context.WithCancel(context.Background())
 	s.connGauge = reg.Gauge(metricConnections, helpConnections)
-	for _, op := range []Opcode{OpSearch, OpClassify, OpBatch, OpStats, OpPing, OpCancel} {
+	for _, op := range []Opcode{OpSearch, OpClassify, OpStats, OpPing, OpCancel} {
 		s.frames[op] = reg.Counter(metricFramesTotal, helpFramesTotal,
 			metrics.Label{Key: "opcode", Value: op.String()})
 	}
@@ -585,10 +585,11 @@ func (c *serverConn) workerLoop() {
 	}
 }
 
-// serve executes one request and enqueues its encoded response. A
-// malformed payload inside a well-formed frame is a protocol error:
-// the ERR frame carries the request's id and the connection tears
-// down.
+// serve executes one request — PING, STATS, SEARCH or CLASSIFY; the
+// reader answered CANCEL itself and refused any other opcode — and
+// enqueues its encoded response. A malformed payload inside a
+// well-formed frame is a protocol error: the ERR frame carries the
+// request's id and the connection tears down.
 func (c *serverConn) serve(req *request) {
 	start := time.Now()
 	out := c.srv.getBuffer()
@@ -622,15 +623,6 @@ func (c *serverConn) serve(req *request) {
 			appErr = err
 		} else {
 			frame = AppendClassifyResult(frame, &res)
-		}
-	case OpBatch:
-		pats, workers, perr := ParseBatchRequest(req.payload.b, nil)
-		if perr != nil {
-			protoErr = perr
-		} else if res, err := c.srv.backend.Batch(req.ctx, pats, workers); err != nil {
-			appErr = err
-		} else {
-			frame = AppendBatchResult(frame, &res)
 		}
 	}
 	switch {

@@ -9,6 +9,7 @@ import (
 	"io"
 	"net"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -79,14 +80,6 @@ func (f *fakeBackend) Classify(ctx context.Context, read []byte, minFraction flo
 	return ClassifyResult{Ref: string(read), Fraction: minFraction, Votes: 1, Windows: 2}, nil
 }
 
-func (f *fakeBackend) Batch(ctx context.Context, patterns [][]byte, workers int) (BatchResult, error) {
-	res := BatchResult{Results: make([]BatchItem, len(patterns)), Probes: len(patterns)}
-	for i, p := range patterns {
-		res.Results[i] = BatchItem{Matches: []Match{{Ref: string(p), Strand: "+"}}}
-	}
-	return res, nil
-}
-
 func (f *fakeBackend) Stats() StatsResult {
 	return StatsResult{Backend: "hdc", References: 1, Dim: 8192, Window: 32}
 }
@@ -146,13 +139,6 @@ func TestRoundTrips(t *testing.T) {
 	}
 	if cr.Ref != "READ" || cr.Fraction != 0.75 {
 		t.Fatalf("classify: %+v", cr)
-	}
-	br, err := cl.Batch(ctx, []string{"AA", "CC"}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(br.Results) != 2 || br.Results[1].Matches[0].Ref != "CC" {
-		t.Fatalf("batch: %+v", br)
 	}
 	st, err := cl.Stats(ctx)
 	if err != nil {
@@ -322,6 +308,9 @@ func TestCorruptionMatrix(t *testing.T) {
 		}, true},
 		{"bad opcode", func() []byte {
 			return goodHeader(Opcode(200), 1, 0)
+		}, true},
+		{"retired batch opcode", func() []byte {
+			return goodHeader(Opcode(3), 1, 0)
 		}, true},
 		{"response flags on request", func() []byte {
 			b := make([]byte, HeaderSize)
@@ -596,8 +585,8 @@ func statsPeer(t *testing.T, payload []byte) string {
 
 // TestClientStatsPayload feeds Client.Stats payloads it did not
 // produce: a key it does not know is ignored and the known fields come
-// back; a payload that is not a JSON stats object is an error, never a
-// panic.
+// back; a payload that is not a JSON stats object, or is larger than
+// DefaultMaxFrame, is an error, never a panic.
 func TestClientStatsPayload(t *testing.T) {
 	ctx := context.Background()
 	cl := dialClient(t, statsPeer(t, []byte(`{"backend":"hdc","references":3,"generation":7,"dim":8192}`)), ClientConfig{Conns: 1})
@@ -607,10 +596,13 @@ func TestClientStatsPayload(t *testing.T) {
 	}
 	assertJSONEqual(t, st, StatsResult{Backend: "hdc", References: 3, Dim: 8192})
 
-	for _, bad := range []string{"", "\x00\x01\x02", `{"references":`, `[1,2]`, `{"references":"three"}`} {
+	// The last payload is a valid stats object one byte past the
+	// response frame cap, so only the cap refuses it.
+	oversized := `{"references":3}` + strings.Repeat(" ", DefaultMaxFrame+1-len(`{"references":3}`))
+	for _, bad := range []string{"", "\x00\x01\x02", `{"references":`, `[1,2]`, `{"references":"three"}`, oversized} {
 		cl := dialClient(t, statsPeer(t, []byte(bad)), ClientConfig{Conns: 1})
 		if st, err := cl.Stats(ctx); err == nil {
-			t.Errorf("payload %q: no error, got %+v", bad, st)
+			t.Errorf("payload %.40q: no error, got %+v", bad, st)
 		}
 	}
 }
