@@ -433,25 +433,25 @@ func cmdSearch(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
+	var a core.Answer
+	if err := lib.Search(context.Background(), core.Query{Patterns: []*genome.Sequence{pat}, Long: *long, MinFrac: *minFrac}, &a); err != nil {
+		return err
+	}
 	if *long {
-		ranked, stats, err := lib.LookupLong(pat, *minFrac)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "%d candidate references (probes=%d)\n", len(ranked), stats.BucketProbes)
-		for _, r := range ranked {
+		fmt.Fprintf(out, "%d candidate references (probes=%d)\n", len(a.Ranked), a.Stats.BucketProbes)
+		for _, r := range a.Ranked {
 			fmt.Fprintf(out, "  %s offset=%d votes=%d/%d (%.0f%%)\n",
 				lib.Ref(r.Ref).ID, r.Offset, r.Votes, r.Windows, 100*r.Fraction)
 		}
 		return nil
 	}
-	matches, stats, err := lib.Lookup(pat)
-	if err != nil {
-		return err
+	r := a.Results[0]
+	if r.Err != nil {
+		return r.Err
 	}
 	fmt.Fprintf(out, "%d matches (probes=%d candidates=%d verified=%d)\n",
-		len(matches), stats.BucketProbes, stats.CandidateBuckets, stats.WindowsVerified)
-	for _, m := range matches {
+		len(r.Matches), r.Stats.BucketProbes, r.Stats.CandidateBuckets, r.Stats.WindowsVerified)
+	for _, m := range r.Matches {
 		fmt.Fprintf(out, "  %s:%d distance=%d\n", lib.Ref(m.Ref).ID, m.Off, m.Distance)
 	}
 	return nil
@@ -481,23 +481,19 @@ func cmdClassify(args []string, out io.Writer) error {
 		return err
 	}
 	classified := 0
+	q := core.Query{Patterns: make([]*genome.Sequence, 1), Both: *bothStrands, Long: true, MinFrac: *minFrac}
+	var a core.Answer
 	for _, r := range reads {
-		var best core.RefMatch
-		strand := "+"
-		if *bothStrands {
-			var st core.Strand
-			best, st, _, err = lib.ClassifyBothStrands(r.Seq, *minFrac)
-			strand = st.String()
-		} else {
-			best, _, err = lib.Classify(r.Seq, *minFrac)
-		}
-		if err != nil {
+		q.Patterns[0] = r.Seq
+		err := lib.Search(context.Background(), q, &a)
+		best, berr := a.Best()
+		if err != nil || berr != nil {
 			fmt.Fprintf(out, "%s\tunclassified\n", r.ID)
 			continue
 		}
 		classified++
 		fmt.Fprintf(out, "%s\t%s\tstrand=%s\toffset=%d\tsupport=%.0f%%\n",
-			r.ID, lib.Ref(best.Ref).ID, strand, best.Offset, 100*best.Fraction)
+			r.ID, lib.Ref(best.Ref).ID, a.Strand, best.Offset, 100*best.Fraction)
 	}
 	fmt.Fprintf(out, "# classified %d/%d reads\n", classified, len(reads))
 	return nil

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -56,12 +57,13 @@ func main() {
 	// 3. Map each read; validate against a local alignment of the read
 	//    at the reported locus.
 	correct, validated := 0, 0
+	var a core.Answer
 	for i, read := range reads {
-		ranked, _, err := lib.LookupLong(read, 0.4)
-		if err != nil || len(ranked) == 0 {
+		q := core.Query{Patterns: []*genome.Sequence{read}, Long: true, MinFrac: 0.4}
+		if err := lib.Search(context.Background(), q, &a); err != nil || len(a.Ranked) == 0 {
 			continue
 		}
-		best := ranked[0]
+		best := a.Ranked[0]
 		if best.Ref == truths[i].chr && best.Offset == truths[i].off {
 			correct++
 		}

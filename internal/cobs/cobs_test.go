@@ -140,18 +140,18 @@ func TestLookupBothStrands(t *testing.T) {
 	ref := genome.Random(2000, rng.New(7))
 	x := buildIndex(t, ref)
 	pat := ref.Slice(400, 400+w).ReverseComplement()
-	sms, _, err := x.LookupBothStrands(pat)
-	if err != nil {
+	var a core.Answer
+	if err := x.Search(context.Background(), core.Query{Patterns: []*genome.Sequence{pat}, Both: true}, &a); err != nil {
 		t.Fatal(err)
 	}
 	found := false
-	for _, sm := range sms {
-		if sm.Strand == core.Reverse && sm.Off == 400 {
+	for _, m := range a.Results[core.Reverse].Matches {
+		if m.Off == 400 {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("reverse-strand occurrence at 400 missed: %v", sms)
+		t.Fatalf("reverse-strand occurrence at 400 missed: %v", a.Results)
 	}
 }
 
@@ -162,12 +162,13 @@ func TestLookupLongAndClassify(t *testing.T) {
 	}
 	x := buildIndex(t, refs...)
 	query := refs[1].Slice(1000, 1000+200)
-	ranked, _, err := x.LookupLong(query, 0.5)
-	if err != nil {
+	long := core.Query{Patterns: []*genome.Sequence{query}, Long: true, MinFrac: 0.5}
+	var a core.Answer
+	if err := x.Search(context.Background(), long, &a); err != nil {
 		t.Fatal(err)
 	}
-	if len(ranked) == 0 || ranked[0].Ref != 1 {
-		t.Fatalf("LookupLong ranked %v, want ref 1 first", ranked)
+	if len(a.Ranked) == 0 || a.Ranked[0].Ref != 1 {
+		t.Fatalf("Long Search ranked %v, want ref 1 first", a.Ranked)
 	}
 	best, _, err := x.Classify(query, 0.5)
 	if err != nil {
@@ -182,12 +183,16 @@ func TestLookupLongAndClassify(t *testing.T) {
 	}
 	// Both strands: the reverse-complemented read classifies to the
 	// same reference on the reverse strand.
-	got, strand, _, err := x.ClassifyBothStrands(query.ReverseComplement(), 0.5)
+	long.Patterns[0], long.Both = query.ReverseComplement(), true
+	if err := x.Search(context.Background(), long, &a); err != nil {
+		t.Fatal(err)
+	}
+	got, err := a.Best()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Ref != 1 || strand != core.Reverse {
-		t.Fatalf("ClassifyBothStrands: ref %d strand %v", got.Ref, strand)
+	if got.Ref != 1 || a.Strand != core.Reverse {
+		t.Fatalf("both-strand Long Search: ref %d strand %v", got.Ref, a.Strand)
 	}
 }
 
@@ -283,11 +288,11 @@ func TestLookupBatchContext(t *testing.T) {
 		off := (i * 47) % (ref.Len() - w)
 		pats = append(pats, ref.Slice(off, off+w))
 	}
-	res, _, err := x.LookupBatchContext(context.Background(), pats)
-	if err != nil {
+	var a core.Answer
+	if err := x.Search(context.Background(), core.Query{Patterns: pats}, &a); err != nil {
 		t.Fatal(err)
 	}
-	for i, r := range res {
+	for i, r := range a.Results {
 		if r.Err != nil {
 			t.Fatal(r.Err)
 		}
@@ -300,11 +305,10 @@ func TestLookupBatchContext(t *testing.T) {
 	// and bumps the counter.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, _, err = x.LookupBatchContext(ctx, pats)
-	if !errors.Is(err, context.Canceled) {
+	if err := x.Search(ctx, core.Query{Patterns: pats}, &a); !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled batch returned %v, want context.Canceled", err)
 	}
-	for i, r := range res {
+	for i, r := range a.Results {
 		if !errors.Is(r.Err, context.Canceled) {
 			t.Fatalf("result %d not marked canceled: %v", i, r.Err)
 		}

@@ -24,7 +24,7 @@ func TestLookupBatchMatchesSequential(t *testing.T) {
 			patterns[i] = genome.Random(32, src)
 		}
 	}
-	results, agg, err := lib.LookupBatchContext(context.Background(), patterns)
+	results, agg, err := SearchBatch(context.Background(), lib, patterns)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestLookupBatchWorkerCounts(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 2, 3, 16} {
 		runtime.GOMAXPROCS(procs)
-		results, _, err := lib.LookupBatchContext(context.Background(), patterns)
+		results, _, err := SearchBatch(context.Background(), lib, patterns)
 		if err != nil {
 			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
 		}
@@ -89,7 +89,7 @@ func TestLookupBatchWorkerCounts(t *testing.T) {
 
 func TestLookupBatchPropagatesQueryErrors(t *testing.T) {
 	lib, ref := buildExactLib(t, 1000, 64)
-	results, _, err := lib.LookupBatchContext(context.Background(), []*genome.Sequence{
+	results, _, err := SearchBatch(context.Background(), lib, []*genome.Sequence{
 		ref.Slice(0, 32),
 		genome.Random(5, rng.New(65)), // too short
 	})
@@ -110,7 +110,7 @@ func TestLookupBatchContextPreCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	before := lib.Counters()
-	results, agg, err := lib.LookupBatchContext(ctx, patterns)
+	results, agg, err := SearchBatch(ctx, lib, patterns)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -157,7 +157,7 @@ func TestLookupBatchContextCancelMidBatch(t *testing.T) {
 	}
 	// Measure what the full batch costs, then rerun it with a context
 	// canceled as soon as the probe counter first advances.
-	_, fullAgg, err := lib.LookupBatchContext(context.Background(), patterns)
+	_, fullAgg, err := SearchBatch(context.Background(), lib, patterns)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestLookupBatchContextCancelMidBatch(t *testing.T) {
 			cancel()
 		}()
 		before := lib.Counters()
-		results, agg, err := lib.LookupBatchContext(ctx, patterns)
+		results, agg, err := SearchBatch(ctx, lib, patterns)
 		cancel()
 		if !errors.Is(err, context.Canceled) || countCanceled(results) == 0 {
 			if attempt < 5 {
@@ -217,7 +217,7 @@ func countCanceled(results []BatchResult) int {
 
 func TestLookupBatchRequiresFreeze(t *testing.T) {
 	lib := mustLibrary(t, Params{Dim: 1024, Window: 16, Seed: 66})
-	if _, _, err := lib.LookupBatchContext(context.Background(), nil); err == nil {
+	if _, _, err := SearchBatch(context.Background(), lib, []*genome.Sequence{genome.Random(16, rng.New(66))}); err == nil {
 		t.Fatal("unfrozen batch accepted")
 	}
 }
@@ -235,21 +235,23 @@ func TestLookupBothStrands(t *testing.T) {
 		t.Fatal(err)
 	}
 	lib.Freeze()
-	matches, _, err := lib.LookupBothStrands(motif)
-	if err != nil {
+	var a Answer
+	if err := lib.Search(context.Background(), Query{Patterns: []*genome.Sequence{motif}, Both: true}, &a); err != nil {
 		t.Fatal(err)
 	}
 	var fwd, rev bool
-	for _, m := range matches {
-		if m.Off == 400 && m.Strand == Forward {
-			fwd = true
-		}
-		if m.Off == 832 && m.Strand == Reverse {
-			rev = true
+	for strand, r := range a.Results {
+		for _, m := range r.Matches {
+			if m.Off == 400 && Strand(strand) == Forward {
+				fwd = true
+			}
+			if m.Off == 832 && Strand(strand) == Reverse {
+				rev = true
+			}
 		}
 	}
 	if !fwd || !rev {
-		t.Fatalf("strand matches missing (fwd=%v rev=%v): %+v", fwd, rev, matches)
+		t.Fatalf("strand matches missing (fwd=%v rev=%v): %+v", fwd, rev, a.Results)
 	}
 }
 
@@ -396,15 +398,24 @@ func TestClassifyBothStrands(t *testing.T) {
 		}
 	}
 	lib.Freeze()
+	classify := func(read *genome.Sequence) (RefMatch, Strand, error) {
+		var a Answer
+		err := lib.Search(context.Background(), Query{Patterns: []*genome.Sequence{read}, Both: true, Long: true, MinFrac: 0.5}, &a)
+		if err != nil {
+			return RefMatch{}, a.Strand, err
+		}
+		best, err := a.Best()
+		return best, a.Strand, err
+	}
 	// A forward read from ref 1.
 	fwd := refs[1].Slice(500, 820)
-	best, strand, _, err := lib.ClassifyBothStrands(fwd, 0.5)
+	best, strand, err := classify(fwd)
 	if err != nil || best.Ref != 1 || strand != Forward {
 		t.Fatalf("forward read: ref=%d strand=%v err=%v", best.Ref, strand, err)
 	}
 	// The same read delivered reverse-complemented.
 	rc := fwd.ReverseComplement()
-	best, strand, _, err = lib.ClassifyBothStrands(rc, 0.5)
+	best, strand, err = classify(rc)
 	if err != nil || best.Ref != 1 || strand != Reverse {
 		t.Fatalf("reverse read: ref=%d strand=%v err=%v", best.Ref, strand, err)
 	}
@@ -412,7 +423,7 @@ func TestClassifyBothStrands(t *testing.T) {
 		t.Fatalf("reverse read offset %d, want 500", best.Offset)
 	}
 	// Unrelated read fails on both strands.
-	if _, _, _, err := lib.ClassifyBothStrands(genome.Random(320, src), 0.5); err == nil {
+	if _, _, err := classify(genome.Random(320, src)); err == nil {
 		t.Fatal("unrelated read classified")
 	}
 }

@@ -21,11 +21,17 @@ import (
 
 // The engine conformance suite: every backend is a kernel under one
 // segment engine, so one seeded schedule of mutations, run concurrently
-// with every probe kind, must produce — on every backend — exactly the
+// with every Search shape, must produce — on every backend — exactly the
 // answers a naive scan gives over the references live in the view each
 // probe observed. It runs under -race in CI, where it also holds the
 // engine to its publishing discipline (a view never shares its segment
 // slice with the master list).
+//
+// The backends are HDC exact and approximate (one substitution), cobs,
+// and HDC and cobs opened from mapped files; the references are random
+// and 120 to 319 bases long. "Byte-identical to a naive scan" holds for
+// that shape of library: on a large one exact HDC misses an occurrence
+// with probability β (README, accuracy notes), and cobs misses none.
 
 const confWindow = 24
 
@@ -344,13 +350,13 @@ func runSchedule(t *testing.T, idx core.Index, m *confModel, ops []confOp, from 
 	})
 	reader(func(i, lo int) (int, bool, string) {
 		q := reads[i%len(reads)]
-		got, _, err := idx.LookupLong(q, 0.5)
+		got, _, err := core.SearchLong(idx, q, 0.5)
 		hi := int(started.Load())
 		ok := err == nil && observed(lo, hi, func(k int) bool {
 			want := m.lookupLong(k, q, 0.5)
 			return len(got) == len(want) && (len(got) == 0 || reflect.DeepEqual(got, want))
 		})
-		return hi, ok, fmt.Sprintf("LookupLong %d [%d,%d] = %v, %v", i, lo, hi, got, err)
+		return hi, ok, fmt.Sprintf("Long Search %d [%d,%d] = %v, %v", i, lo, hi, got, err)
 	})
 	// Batch and block answer every pattern from one view: a single
 	// version must explain all of them.
@@ -363,10 +369,19 @@ func runSchedule(t *testing.T, idx core.Index, m *confModel, ops []confOp, from 
 		return true
 	}
 	reader(func(i, lo int) (int, bool, string) {
-		res, _, err := idx.LookupBatchContext(context.Background(), patterns)
+		ps := []*genome.Sequence{patterns[i%len(patterns)], nil}
+		ps[1] = ps[0].ReverseComplement()
+		var a core.Answer
+		err := idx.Search(context.Background(), core.Query{Patterns: ps[:1], Both: true}, &a)
+		hi := int(started.Load())
+		ok := err == nil && observed(lo, hi, func(k int) bool { return sameAll(a.Results, ps, k) })
+		return hi, ok, fmt.Sprintf("both-strand Search %d [%d,%d], err %v", i, lo, hi, err)
+	})
+	reader(func(i, lo int) (int, bool, string) {
+		res, _, err := core.SearchBatch(context.Background(), idx, patterns)
 		hi := int(started.Load())
 		ok := err == nil && observed(lo, hi, func(k int) bool { return sameAll(res, patterns, k) })
-		return hi, ok, fmt.Sprintf("LookupBatchContext %d [%d,%d], err %v", i, lo, hi, err)
+		return hi, ok, fmt.Sprintf("batch Search %d [%d,%d], err %v", i, lo, hi, err)
 	})
 	reader(func(i, lo int) (int, bool, string) {
 		at := i % (len(patterns) - core.BlockWidth + 1)
@@ -418,9 +433,9 @@ func runSchedule(t *testing.T, idx core.Index, m *confModel, ops []confOp, from 
 		}
 	}
 	for _, q := range reads {
-		got, _, err := idx.LookupLong(q, 0.5)
+		got, _, err := core.SearchLong(idx, q, 0.5)
 		if want := m.lookupLong(last, q, 0.5); err != nil || len(got) != len(want) || (len(got) > 0 && !reflect.DeepEqual(got, want)) {
-			t.Errorf("final LookupLong = %v, %v; naive scan says %v", got, err, want)
+			t.Errorf("final Long Search = %v, %v; naive scan says %v", got, err, want)
 		}
 	}
 	wantRefs, wantWins := 0, 0
@@ -441,8 +456,8 @@ func TestEngineConformance(t *testing.T) {
 	for bi, be := range confBackends {
 		be, seed := be, uint64(1000*(bi+1))
 		t.Run(be.name, func(t *testing.T) {
-			// churn: Add, Remove and Compact in seeded order under all four
-			// probe kinds, with the seal threshold and the auto-compact
+			// churn: Add, Remove and Compact in seeded order under every
+			// Search shape, with the seal threshold and the auto-compact
 			// trigger low enough that both policies fire on their own.
 			t.Run("churn", func(t *testing.T) {
 				m, ops := newSchedule(seed+1, be.tol, 4, 22)
@@ -588,40 +603,54 @@ func TestEngineConformance(t *testing.T) {
 					t.Errorf("empty LookupBlock: %v", err)
 				}
 				patterns, _ := confQueries(m, seed+11)
-				// Both strands: the forward Lookup's matches, then the
-				// reverse complement's, with the stats of the two; a
-				// pattern Lookup refuses is refused with its error.
+				// Both strands: the forward Lookup's entry, then the reverse
+				// complement's, with the stats of the two; a pattern Lookup
+				// refuses is refused in both entries with its error. A
+				// canceled context does not stop a both-strand or a Long
+				// Search: only a lookup of patterns observes it.
+				ctx, cancel := context.WithCancel(context.Background())
+				cancel()
 				for _, p := range append(patterns, short, nil) {
-					got, gotStats, err := idx.LookupBothStrands(p)
+					var a core.Answer
+					err := idx.Search(ctx, core.Query{Patterns: []*genome.Sequence{p}, Both: true}, &a)
 					fwd, wantStats, ferr := idx.Lookup(p)
+					if err != nil || len(a.Results) != 2 {
+						t.Errorf("both-strand Search = %v with %d entries", err, len(a.Results))
+						continue
+					}
 					if ferr != nil {
-						if err == nil || err.Error() != ferr.Error() || got != nil || gotStats != wantStats {
-							t.Errorf("LookupBothStrands of a refused pattern = %v, %+v, %v; Lookup says %v", got, gotStats, err, ferr)
+						for _, r := range a.Results {
+							if r.Err == nil || r.Err.Error() != ferr.Error() || r.Matches != nil || a.Stats != wantStats {
+								t.Errorf("both-strand Search of a refused pattern = %+v, %+v; Lookup says %v", r, a.Stats, ferr)
+							}
 						}
 						continue
 					}
 					rev, revStats, _ := idx.Lookup(p.ReverseComplement())
+					fwdStats := wantStats
 					wantStats.Add(revStats)
-					var want []core.StrandedMatch
-					for _, m := range fwd {
-						want = append(want, core.StrandedMatch{Match: m, Strand: core.Forward})
-					}
-					for _, m := range rev {
-						want = append(want, core.StrandedMatch{Match: m, Strand: core.Reverse})
-					}
-					if err != nil || gotStats != wantStats || len(got) != len(want) || (len(got) > 0 && !reflect.DeepEqual(got, want)) {
-						t.Errorf("LookupBothStrands = %v, %+v, %v; two Lookups say %v, %+v", got, gotStats, err, want, wantStats)
+					if a.Results[0].Err != nil || a.Results[1].Err != nil || a.Stats != wantStats ||
+						a.Results[0].Stats != fwdStats || a.Results[1].Stats != revStats ||
+						!sameMatches(a.Results[0].Matches, fwd) || !sameMatches(a.Results[1].Matches, rev) {
+						t.Errorf("both-strand Search = %+v, %+v; two Lookups say %v, %v, %+v", a.Results, a.Stats, fwd, rev, wantStats)
 					}
 				}
-				ctx, cancel := context.WithCancel(context.Background())
-				cancel()
+				_, reads := confQueries(m, seed+11)
+				for _, q := range reads {
+					want, wantStats, _ := core.SearchLong(idx, q, 0.5)
+					var a core.Answer
+					err := idx.Search(ctx, core.Query{Patterns: []*genome.Sequence{q}, Long: true, MinFrac: 0.5}, &a)
+					if err != nil || a.Stats != wantStats || len(a.Ranked) != len(want) || (len(want) > 0 && !reflect.DeepEqual(a.Ranked, want)) {
+						t.Errorf("canceled Long Search = %v, %+v, %v; uncanceled %v, %+v", a.Ranked, a.Stats, err, want, wantStats)
+					}
+				}
 				for _, n := range []int{core.BlockWidth, core.BlockWidth + 1} {
 					before := idx.Counters().BatchCancellations
 					var ps []*genome.Sequence
 					for len(ps) < n {
 						ps = append(ps, patterns[len(ps)%len(patterns)])
 					}
-					res, _, err := idx.LookupBatchContext(ctx, ps)
+					res, _, err := core.SearchBatch(ctx, idx, ps)
 					if !errors.Is(err, context.Canceled) {
 						t.Errorf("canceled batch of %d returned %v", n, err)
 					}

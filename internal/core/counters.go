@@ -24,13 +24,12 @@ type Counters struct {
 	// zero while no view has a sketch stage.
 	SketchRows      int64
 	SketchSurvivors int64
-	// BatchCancellations counts LookupBatchContext calls stopped early
-	// by context cancellation or deadline expiry.
+	// BatchCancellations counts lookups through Search cut short by
+	// context cancellation or deadline expiry.
 	BatchCancellations int64
 	// BlockedProbes counts multi-query probe blocks executed — arena
 	// passes that served a whole query block at once (ProbeMulti,
-	// LookupBlock, LookupBatchContext, the both-strands lookup and
-	// LookupLong).
+	// LookupBlock and every Search).
 	BlockedProbes int64
 	// BlockedWindows counts query windows served through those blocks;
 	// BlockedWindows / BlockedProbes is the realized mean block

@@ -93,20 +93,15 @@ type Index interface {
 	Ref(i int) genome.Record
 	Counters() Counters
 
-	// Probe paths. Per-method semantics (alignments tried, match order,
-	// vote aggregation) are documented on the Library methods; every
-	// backend matches them so transports can switch backends without
-	// changing response shapes.
-	Lookup(pattern *genome.Sequence) ([]Match, Stats, error)
-	LookupBothStrands(pattern *genome.Sequence) ([]StrandedMatch, Stats, error)
-	LookupLong(query *genome.Sequence, minFrac float64) ([]RefMatch, Stats, error)
-	Classify(query *genome.Sequence, minFrac float64) (RefMatch, Stats, error)
-	ClassifyBothStrands(read *genome.Sequence, minFrac float64) (RefMatch, Strand, Stats, error)
-	LookupBatchContext(ctx context.Context, patterns []*genome.Sequence) ([]BatchResult, Stats, error)
-	// LookupBlock is the blocked-probe contract: one caller-assembled
-	// block of at most BlockWidth patterns, per-pattern identical to
-	// Lookup. It is the executor the cross-request coalescer drives.
+	// Search is the probe: every query shape, from one view, with the
+	// same answers on every backend. LookupBlock is the coalescer's
+	// executor: one caller-assembled block of at most BlockWidth
+	// patterns, per pattern identical to Lookup. Lookup and Classify
+	// (a forward Long Search's Best) stay for the benchmark harness.
+	Search(ctx context.Context, q Query, a *Answer) error
 	LookupBlock(patterns []*genome.Sequence, results []BatchResult) error
+	Lookup(pattern *genome.Sequence) ([]Match, Stats, error)
+	Classify(query *genome.Sequence, minFrac float64) (RefMatch, Stats, error)
 
 	// Build / seal / compact lifecycle.
 	Add(rec genome.Record) error

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -13,9 +14,9 @@ import (
 )
 
 // The derived probes: every search an index offers, written once over
-// the kernel's read primitive (Kernel.Probe). Each pins one view for its
-// whole duration, so an answer is internally consistent even if
-// mutations land while it runs.
+// the kernel's read primitive (Kernel.Probe). Search is the entry point;
+// it pins one view for the whole query, so an answer is internally
+// consistent even if mutations land while it runs.
 
 // Match is one verified occurrence of a query window in the references.
 type Match struct {
@@ -70,16 +71,19 @@ type diagKey struct {
 }
 
 // probeScratch is the engine's pooled per-operation state: the window
-// block handed to the kernel and LookupLong's diagonal-voting maps,
+// block handed to the kernel and the long query's diagonal-voting maps,
 // reused so steady-state probes do not allocate. The arrays live here
 // rather than on the stack because the kernel is called through a
 // function value, which would make them escape.
 type probeScratch struct {
-	wins [BlockWidth]Window
-	out  [BlockWidth]*BatchResult
-	res  [BlockWidth]BatchResult // LookupLong's per-window accumulators, match buffers reused
-	pat  [2]*genome.Sequence     // Lookup's one-pattern block, LookupBothStrands' two
-	one  [1]BatchResult          // Lookup's result
+	wins   [BlockWidth]Window
+	out    [BlockWidth]*BatchResult
+	res    [BlockWidth]BatchResult // a long query's per-window accumulators, match buffers reused
+	pat    [2]*genome.Sequence     // Lookup's one-pattern block, a both-strand search's two
+	one    [1]BatchResult          // Lookup's result
+	ans    Answer                  // Classify's
+	cursor atomic.Int64            // a lookup's next block to claim
+	wg     sync.WaitGroup          // a lookup's other workers
 
 	seen  map[diagKey]bool // per-window diagonal dedup
 	votes map[diagKey]int  // per-call diagonal votes
@@ -119,13 +123,115 @@ func (e *Engine) probe(v *View, sc *probeScratch, n int, blocked bool) {
 	e.k.Probe(v, sc.wins[:n], sc.out[:n])
 }
 
+// Query is one search, in one of four shapes (any other is an error): a
+// lookup of one or more window patterns; one pattern with Both, also
+// searched as its reverse complement; one long query (a read, a gene)
+// with Long, whose windows vote per reference along alignment
+// diagonals; one read with Long and Both, answered by the orientation
+// whose best reference has more votes (forward on a tie).
+type Query struct {
+	Patterns []*genome.Sequence
+	Both     bool    // also search each pattern's reverse complement
+	Long     bool    // rank references by window votes
+	MinFrac  float64 // Long: the vote fraction a reference must reach
+}
+
+// Answer is a Search's outcome, caller-owned and reusable: Search
+// resets it and reuses its slices, match lists included, so a forward
+// query allocates nothing on a miss (Both builds a reverse complement).
+type Answer struct {
+	// Results holds one entry per pattern, then one per reverse
+	// complement with Both: a lookup's matches ordered by (Ref, Off),
+	// stats and error (a pattern shorter than the window is refused
+	// here); a Long query's stats.
+	Results []BatchResult
+	Ranked  []RefMatch // Long: references by decreasing votes
+	Strand  Strand     // Long: the orientation Ranked belongs to
+	Stats   Stats      // the whole query's work
+	minFrac float64    // for Best's error
+}
+
+// Best is a Long query's classification: its top-ranked reference, or
+// ErrNoSupport when none reached MinFrac.
+func (a *Answer) Best() (RefMatch, error) {
+	if len(a.Ranked) == 0 {
+		return RefMatch{}, fmt.Errorf("%w %v", ErrNoSupport, a.minFrac)
+	}
+	return a.Ranked[0], nil
+}
+
+// Search answers q into a from one pinned view, so an answer belongs to
+// one generation even while mutations land. Per pattern it answers as
+// Lookup; a Long query ranks as looking each window up alone would.
+// Every backend answers alike — the conformance suite holds HDC exact
+// and approximate and cobs, heap and mapped, to a naive scan on random
+// references of at most 320 bases; on larger libraries exact HDC misses
+// an occurrence with probability β. It fails for a shape Query does not
+// list, a Long query shorter than the window, an index not frozen or
+// closed, and — returning ctx.Err() itself — a lookup ctx cut short:
+// only a lookup observes ctx, between blocks, which run on up to
+// GOMAXPROCS goroutines.
+func (e *Engine) Search(ctx context.Context, q Query, a *Answer) error {
+	pats, n := q.Patterns, len(q.Patterns)
+	entries := n
+	if q.Both {
+		entries *= 2
+	}
+	a.Results = slices.Grow(a.Results[:0], entries)[:entries] // reset, keeping the match buffers
+	for i := range a.Results {
+		a.Results[i] = BatchResult{Matches: a.Results[i].Matches[:0]}
+	}
+	a.Ranked, a.Strand, a.Stats, a.minFrac = a.Ranked[:0], Forward, Stats{}, q.MinFrac
+	if n == 0 || (n > 1 && (q.Both || q.Long)) {
+		return fmt.Errorf("core: unsupported query: %d patterns, both %v, long %v", n, q.Both, q.Long)
+	}
+	if q.Long && (pats[0] == nil || pats[0].Len() < e.k.Window) {
+		return fmt.Errorf("core: query shorter than window %d", e.k.Window)
+	}
+	v, err := e.Pin("Lookup")
+	if err != nil {
+		return err
+	}
+	defer e.Unpin()
+	sc := e.getScratch()
+	defer e.putScratch(sc)
+	if q.Both {
+		sc.pat[0], sc.pat[1] = pats[0], nil
+		if pats[0] != nil {
+			sc.pat[1] = pats[0].ReverseComplement()
+		}
+		pats = sc.pat[:]
+	}
+	switch {
+	case q.Long: // rank each orientation; keep the better-supported one's ranking
+		a.Ranked, a.Results[0].Stats = e.rankLong(v, sc, pats[0], q.MinFrac, a.Ranked)
+		if nf := len(a.Ranked); q.Both {
+			a.Ranked, a.Results[1].Stats = e.rankLong(v, sc, pats[1], q.MinFrac, a.Ranked)
+			if nf < len(a.Ranked) && (nf == 0 || a.Ranked[nf].Votes > a.Ranked[0].Votes) {
+				a.Ranked, a.Strand = a.Ranked[:copy(a.Ranked, a.Ranked[nf:])], Reverse
+			} else {
+				a.Ranked = a.Ranked[:nf]
+			}
+		}
+	case q.Both: // the two orientations share the kernel's passes as one block
+		e.lookupBlock(v, pats, a.Results, sc, true)
+	default:
+		err = e.lookupBatch(ctx, v, pats, a.Results, sc)
+	}
+	for i := range a.Results {
+		a.Stats.Add(a.Results[i].Stats)
+	}
+	return err
+}
+
 // Lookup searches for a window-length pattern and returns the verified
 // matches ordered by (Ref, Off). The pattern must be at least Window
 // bases long; when the stride exceeds 1, the first
 // min(stride, len−Window+1) alignments of the pattern are tried so that
 // one of them can line up with a stride-aligned reference window
 // (supply a pattern of length ≥ Window+Stride−1 for full sensitivity).
-// It is the one-pattern case of the block pipeline.
+// It stays beside Search for the benchmark harness and, unlike a
+// one-pattern Search, is not counted as a blocked probe.
 //
 //biohd:hotpath
 func (e *Engine) Lookup(pattern *genome.Sequence) ([]Match, Stats, error) {
@@ -233,73 +339,47 @@ func (e *Engine) LookupBlock(patterns []*genome.Sequence, results []BatchResult)
 	return nil
 }
 
-// LookupBatchContext runs Lookup for every pattern against a single
-// view, with cancellation: a block claimed after ctx is canceled is
-// marked with ctx's error instead of being searched. The call still
-// returns the partial results — every slot is filled, either with its
-// lookup outcome or with Err set to ctx.Err() — plus the aggregate
-// Stats of the lookups that did run, and ctx's error so callers can
-// tell a complete batch (nil) from a truncated one. Work already in
-// flight when ctx fires runs to completion.
-//
-// The pool sizes itself: min(GOMAXPROCS, blocks) workers, the calling
-// goroutine one of them, claim index blocks of up to BlockWidth
-// patterns from one cursor and run each through the block pipeline. A
-// small batch shrinks the block so every worker gets one. Per pattern,
-// the matches, stats, and errors are identical to an individual Lookup
-// call.
-func (e *Engine) LookupBatchContext(ctx context.Context, patterns []*genome.Sequence) ([]BatchResult, Stats, error) {
-	// One read section brackets the whole batch — Close drains after
-	// every worker below has finished scanning.
-	v, err := e.Pin("LookupBatch")
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	defer e.Unpin()
+// lookupBatch is Search's lookup: min(GOMAXPROCS, blocks) workers, the
+// caller one of them, claim blocks of up to BlockWidth patterns (fewer
+// when that gives every worker one) from the pooled scratch's cursor,
+// so a lone worker allocates nothing. It returns ctx's error.
+func (e *Engine) lookupBatch(ctx context.Context, v *View, patterns []*genome.Sequence, results []BatchResult, sc *probeScratch) error {
 	n := len(patterns)
-	workers := minInt(runtime.GOMAXPROCS(0), maxInt(n, 1))
-	blk := minInt(BlockWidth, maxInt((n+workers-1)/workers, 1))
-	workers = minInt(workers, maxInt((n+blk-1)/blk, 1))
-	results := make([]BatchResult, n)
-	var cursor atomic.Int64
-	work := func() {
-		sc := e.getScratch()
-		defer e.putScratch(sc)
-		for {
-			hi := int(cursor.Add(int64(blk)))
-			lo := hi - blk
-			if lo >= n {
-				return
-			}
-			hi = minInt(hi, n)
-			if err := ctx.Err(); err != nil {
-				for i := lo; i < hi; i++ {
-					results[i] = BatchResult{Err: err}
-				}
-				continue
-			}
-			e.lookupBlock(v, patterns[lo:hi], results[lo:hi], sc, true)
-		}
-	}
-	var wg sync.WaitGroup
+	workers := minInt(runtime.GOMAXPROCS(0), n)
+	blk := minInt(BlockWidth, (n+workers-1)/workers)
+	workers = minInt(workers, (n+blk-1)/blk)
+	sc.cursor.Store(0)
 	for w := 1; w < workers; w++ {
-		wg.Add(1)
+		sc.wg.Add(1)
 		go func() {
-			defer wg.Done()
-			work()
+			defer sc.wg.Done()
+			wsc := e.getScratch()
+			defer e.putScratch(wsc)
+			e.lookupClaims(ctx, v, patterns, results, blk, &sc.cursor, wsc)
 		}()
 	}
-	work()
-	wg.Wait()
-	var agg Stats
-	for _, r := range results {
-		agg.Add(r.Stats)
-	}
-	err = ctx.Err()
+	e.lookupClaims(ctx, v, patterns, results, blk, &sc.cursor, sc)
+	sc.wg.Wait() // before Search unpins: Close drains only after every worker
+	err := ctx.Err()
 	if err != nil {
 		e.ctr.batchCancellations.Add(1)
 	}
-	return results, agg, err
+	return err
+}
+
+// lookupClaims answers blocks of blk patterns claimed from cursor until
+// none is left — or, once ctx is done, marks their entries with its error.
+func (e *Engine) lookupClaims(ctx context.Context, v *View, patterns []*genome.Sequence, results []BatchResult, blk int, cursor *atomic.Int64, sc *probeScratch) {
+	for lo := int(cursor.Add(int64(blk))) - blk; lo < len(patterns); lo = int(cursor.Add(int64(blk))) - blk {
+		hi := minInt(lo+blk, len(patterns))
+		if err := ctx.Err(); err != nil {
+			for i := lo; i < hi; i++ {
+				results[i] = BatchResult{Err: err}
+			}
+			continue
+		}
+		e.lookupBlock(v, patterns[lo:hi], results[lo:hi], sc, true)
+	}
 }
 
 // Strand identifies which DNA strand a match was found on.
@@ -319,48 +399,7 @@ func (s Strand) String() string {
 	return "+"
 }
 
-// StrandedMatch is a Match annotated with the strand of the query that
-// produced it.
-type StrandedMatch struct {
-	Match
-	Strand Strand
-}
-
-// LookupBothStrands searches the pattern and its reverse complement —
-// DNA fragments arrive with unknown orientation, so genomic search must
-// check both strands. Matches report which orientation hit, forward
-// ones first; offsets are always in reference coordinates. The two
-// orientations are one two-pattern block, so they share the kernel's
-// passes; each strand's matches and stats are those of its own Lookup.
-func (e *Engine) LookupBothStrands(pattern *genome.Sequence) ([]StrandedMatch, Stats, error) {
-	if pattern == nil || pattern.Len() < e.k.Window {
-		return nil, Stats{}, e.errShort
-	}
-	v, err := e.Pin("Lookup")
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	defer e.Unpin()
-	sc := e.getScratch()
-	defer e.putScratch(sc)
-	sc.pat[0], sc.pat[1] = pattern, pattern.ReverseComplement()
-	res := sc.res[:2] // the matches are copied out, so the buffers are reused
-	for i := range res {
-		res[i] = BatchResult{Matches: res[i].Matches[:0]}
-	}
-	e.lookupBlock(v, sc.pat[:], res, sc, true)
-	out := make([]StrandedMatch, 0, len(res[0].Matches)+len(res[1].Matches))
-	for i, strand := range [2]Strand{Forward, Reverse} {
-		for _, m := range res[i].Matches {
-			out = append(out, StrandedMatch{Match: m, Strand: strand})
-		}
-	}
-	stats := res[0].Stats
-	stats.Add(res[1].Stats)
-	return out, stats, nil
-}
-
-// RefMatch aggregates LookupLong evidence for one reference.
+// RefMatch aggregates a long query's evidence for one reference.
 type RefMatch struct {
 	Ref      int     // reference index
 	Votes    int     // query windows supporting this reference on the best diagonal
@@ -369,29 +408,16 @@ type RefMatch struct {
 	Fraction float64 // Votes / Windows
 }
 
-// LookupLong maps a long query (e.g. a sequencing read or a gene) against
-// the references: the query is cut into non-overlapping windows, the
-// windows are probed in blocks of up to BlockWidth, and per-reference
-// votes are accumulated along alignment diagonals (matches whose
-// reference offset minus query offset agree). References are returned
-// in decreasing vote order, filtered to vote fraction ≥ minFrac.
-// Matches, votes, and stats are identical to looking each window up
-// individually.
+// rankLong maps a query of at least a window against v: its
+// non-overlapping windows are probed in blocks of up to BlockWidth, and
+// votes accumulate along alignment diagonals (matches whose reference
+// offset minus query offset agree). The references reaching vote
+// fraction minFrac are appended to dst in decreasing vote order.
 //
 //biohd:hotpath
-func (e *Engine) LookupLong(query *genome.Sequence, minFrac float64) ([]RefMatch, Stats, error) {
+func (e *Engine) rankLong(v *View, sc *probeScratch, query *genome.Sequence, minFrac float64, dst []RefMatch) ([]RefMatch, Stats) {
 	var stats Stats
 	w := e.k.Window
-	if query == nil || query.Len() < w {
-		return nil, stats, fmt.Errorf("core: query shorter than window %d", w)
-	}
-	v, err := e.Pin("Lookup")
-	if err != nil {
-		return nil, stats, err
-	}
-	defer e.Unpin()
-	sc := e.getScratch()
-	defer e.putScratch(sc)
 	clear(sc.votes)
 	nWindows := 0
 	for base := 0; base+w <= query.Len(); {
@@ -419,15 +445,16 @@ func (e *Engine) LookupLong(query *genome.Sequence, minFrac float64) ([]RefMatch
 		}
 	}
 	clear(sc.best)
-	return rankVotes(sc.votes, sc.best, nWindows, minFrac), stats, nil
+	return rankVotes(sc.votes, sc.best, nWindows, minFrac, dst), stats
 }
 
-// rankVotes turns accumulated diagonal votes into the ranked RefMatch
-// list: the winning diagonal per reference, filtered to vote fraction
-// ≥ minFrac, ordered by sortRefMatches. Equal-vote ties are broken by
-// the smaller diagonal so the reported Offset does not depend on map
-// iteration order. best must arrive empty; it is caller-owned scratch.
-func rankVotes(votes map[diagKey]int, best map[int]diagKey, nWindows int, minFrac float64) []RefMatch {
+// rankVotes appends the ranked RefMatch list of accumulated diagonal
+// votes to dst: the winning diagonal per reference, filtered to vote
+// fraction ≥ minFrac, ordered by sortRefMatches. Equal-vote ties are
+// broken by the smaller diagonal so the reported Offset does not depend
+// on map iteration order. best must arrive empty; it is caller-owned
+// scratch.
+func rankVotes(votes map[diagKey]int, best map[int]diagKey, nWindows int, minFrac float64, dst []RefMatch) []RefMatch {
 	//lint:ignore hotpath diagonal-vote aggregation is the per-call epilogue; the result is order-independent by the tie-break below
 	for d, v := range votes {
 		cur, ok := best[d.ref]
@@ -438,29 +465,29 @@ func rankVotes(votes map[diagKey]int, best map[int]diagKey, nWindows int, minFra
 			best[d.ref] = d
 		}
 	}
-	var out []RefMatch
+	from := len(dst)
 	//lint:ignore hotpath per-call epilogue over the winning diagonals; the final sort fixes the order
 	for ref, d := range best {
 		v := votes[d]
 		frac := float64(v) / float64(nWindows)
 		if frac >= minFrac {
-			out = append(out, RefMatch{
+			dst = append(dst, RefMatch{
 				Ref: ref, Votes: v, Windows: nWindows, Offset: d.diff, Fraction: frac,
 			})
 		}
 	}
-	sortRefMatches(out)
-	return out
+	sortRefMatches(dst, from)
+	return dst
 }
 
-// sortRefMatches orders ranked references by decreasing Votes, ties by
-// increasing Ref — allocation-free like sortMatches; the list is at
-// most one entry per matched reference.
-func sortRefMatches(out []RefMatch) {
-	for i := 1; i < len(out); i++ {
+// sortRefMatches orders the ranked references out[from:] by decreasing
+// Votes, ties by increasing Ref — allocation-free like sortMatches; the
+// list is at most one entry per matched reference.
+func sortRefMatches(out []RefMatch, from int) {
+	for i := from + 1; i < len(out); i++ {
 		m := out[i]
 		j := i - 1
-		for j >= 0 && (out[j].Votes < m.Votes ||
+		for j >= from && (out[j].Votes < m.Votes ||
 			(out[j].Votes == m.Votes && out[j].Ref > m.Ref)) {
 			out[j+1] = out[j]
 			j--
@@ -469,42 +496,24 @@ func sortRefMatches(out []RefMatch) {
 	}
 }
 
-// ErrNoSupport is returned (wrapped) by Classify when the query is
-// valid but no reference reaches the requested window-vote support —
-// a not-found outcome, distinct from invalid-input errors such as a
-// query shorter than the window. Test with errors.Is.
+// ErrNoSupport is returned (wrapped) by Answer.Best and Classify when
+// the query is valid but no reference reaches the requested window-vote
+// support — a not-found outcome, distinct from invalid-input errors
+// such as a query shorter than the window. Test with errors.Is.
 var ErrNoSupport = errors.New("core: no reference reaches support")
 
-// Classify returns the single best-supported reference for a query, or
-// an error if no reference reaches minFrac support. It is the variant-
-// classification entry point used by the COVID-19 case study.
+// Classify is a forward Long Search's Best, kept beside Search for the
+// benchmark harness; its Query and Answer live in the pooled scratch.
 func (e *Engine) Classify(query *genome.Sequence, minFrac float64) (RefMatch, Stats, error) {
-	ranked, stats, err := e.LookupLong(query, minFrac)
-	if err != nil {
-		return RefMatch{}, stats, err
+	sc := e.getScratch()
+	defer e.putScratch(sc)
+	sc.pat[0] = query
+	a := &sc.ans
+	if err := e.Search(context.Background(), Query{Patterns: sc.pat[:1], Long: true, MinFrac: minFrac}, a); err != nil {
+		return RefMatch{}, a.Stats, err
 	}
-	if len(ranked) == 0 {
-		return RefMatch{}, stats, fmt.Errorf("%w %v", ErrNoSupport, minFrac)
-	}
-	return ranked[0], stats, nil
-}
-
-// ClassifyBothStrands classifies a read whose strand is unknown: both
-// orientations are mapped and the better-supported one wins. The
-// returned strand says which orientation of the read aligned; Offset is
-// the alignment offset of that orientation in the reference.
-func (e *Engine) ClassifyBothStrands(read *genome.Sequence, minFrac float64) (RefMatch, Strand, Stats, error) {
-	fwd, stats, errF := e.Classify(read, minFrac)
-	rev, rstats, errR := e.Classify(read.ReverseComplement(), minFrac)
-	stats.Add(rstats)
-	switch {
-	case errF == nil && (errR != nil || fwd.Votes >= rev.Votes):
-		return fwd, Forward, stats, nil
-	case errR == nil:
-		return rev, Reverse, stats, nil
-	default:
-		return RefMatch{}, Forward, stats, errF
-	}
+	best, err := a.Best()
+	return best, a.Stats, err
 }
 
 func minInt(a, b int) int {

@@ -74,7 +74,7 @@ func TestLookupBlockValidation(t *testing.T) {
 
 // TestRankWindowsMatchesLookupLong: decomposing a read into
 // non-overlapping windows, looking each up individually, and ranking
-// with RankWindows reproduces LookupLong's output exactly.
+// with RankWindows reproduces a Long Search's output exactly.
 func TestRankWindowsMatchesLookupLong(t *testing.T) {
 	lib, refs := buildSegmentedProbeLib(t, 2, 8300)
 	w := lib.Params().Window
@@ -84,7 +84,7 @@ func TestRankWindowsMatchesLookupLong(t *testing.T) {
 			ref := refs[trial%len(refs)]
 			start := src.Intn(ref.Len() - 5*w)
 			read := ref.Slice(start, start+4*w+w/2) // partial last window is dropped by both paths
-			want, _, err := lib.LookupLong(read, minFrac)
+			want, _, err := SearchLong(lib, read, minFrac)
 			if err != nil {
 				t.Fatal(err)
 			}

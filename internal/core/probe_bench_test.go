@@ -153,7 +153,7 @@ func BenchmarkLookup(b *testing.B) {
 	}
 }
 
-// BenchmarkLookupBatch times LookupBatchContext on the exact
+// BenchmarkLookupBatch times a batch Search on the exact
 // defaultBenchBuckets library at three batch sizes: a block and one
 // pattern, eight blocks, and thirty-two. One pattern in four is cut
 // from the reference, the rest are random.
@@ -172,8 +172,9 @@ func BenchmarkLookupBatch(b *testing.B) {
 			}
 		}
 		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			var a Answer
 			for i := 0; i < b.N; i++ {
-				if _, _, err := lib.LookupBatchContext(context.Background(), pats); err != nil {
+				if err := lib.Search(context.Background(), Query{Patterns: pats}, &a); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/genome"
@@ -170,5 +171,25 @@ func TestLookupAllocs(t *testing.T) {
 		}
 	}); avg > 8 {
 		t.Errorf("hit Lookup allocates %.1f times per op, want ≤ 8", avg)
+	}
+	// The same gates through Search with a reused Answer, whose match
+	// buffers the next Search refills.
+	ctx := context.Background()
+	q := Query{Patterns: []*genome.Sequence{miss}}
+	var a Answer
+	search := func(p *genome.Sequence) {
+		q.Patterns[0] = p
+		if err := lib.Search(ctx, q, &a); err != nil || a.Results[0].Err != nil {
+			t.Fatal(err, a.Results[0].Err)
+		}
+	}
+	if search(hit); len(a.Results[0].Matches) == 0 {
+		t.Fatal("warmup hit Search found nothing")
+	}
+	if avg := testing.AllocsPerRun(50, func() { search(miss) }); avg > 0 {
+		t.Errorf("miss Search allocates %.1f times per op, want 0", avg)
+	}
+	if avg := testing.AllocsPerRun(50, func() { search(hit) }); avg > 8 {
+		t.Errorf("hit Search allocates %.1f times per op, want ≤ 8", avg)
 	}
 }

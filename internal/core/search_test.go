@@ -192,7 +192,7 @@ func TestLookupLongMapsRead(t *testing.T) {
 	lib.Freeze()
 	// A 320-base read from reference 1 at offset 1234.
 	read := refs[1].Slice(1234, 1234+320)
-	ranked, _, err := lib.LookupLong(read, 0.5)
+	ranked, _, err := SearchLong(lib, read, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestClassify(t *testing.T) {
 
 func TestLookupLongQueryTooShort(t *testing.T) {
 	lib, _ := buildExactLib(t, 1000, 19)
-	if _, _, err := lib.LookupLong(genome.Random(10, rng.New(20)), 0.5); err == nil {
+	if _, _, err := SearchLong(lib, genome.Random(10, rng.New(20)), 0.5); err == nil {
 		t.Fatal("short query accepted")
 	}
 }

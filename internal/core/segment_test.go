@@ -310,7 +310,7 @@ func matchKeys(ms []Match) map[Match]bool {
 
 // TestSegmentBoundaryIndependence ingests the same references once as a
 // single frozen segment and once split across per-reference segments,
-// and asserts Lookup and LookupLong report the same matches. Scores and
+// and asserts Lookup and a Long Search report the same matches. Scores and
 // bucket indices may differ (different superposition groupings); the
 // verified match set must not.
 func TestSegmentBoundaryIndependence(t *testing.T) {
@@ -375,11 +375,11 @@ func TestSegmentBoundaryIndependence(t *testing.T) {
 		}
 		// Long-read mapping agrees on the winning reference and offset.
 		long := ref.Slice(20, 260)
-		r1, _, err := mono.LookupLong(long, 0.5)
+		r1, _, err := SearchLong(mono, long, 0.5)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r2, _, err := multi.LookupLong(long, 0.5)
+		r2, _, err := SearchLong(multi, long, 0.5)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -429,7 +429,7 @@ func TestConcurrentSearchDuringMutation(t *testing.T) {
 						return
 					}
 				case 1:
-					if _, _, err := lib.LookupLong(base.Slice(0, 240), 0.2); err != nil {
+					if _, _, err := SearchLong(lib, base.Slice(0, 240), 0.2); err != nil {
 						t.Error(err)
 						return
 					}

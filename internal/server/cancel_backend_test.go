@@ -19,7 +19,7 @@ import (
 // /v1/batch on every backend: a batch whose context is already dead
 // comes back as a partial response marked canceled — whether it is a
 // whole number of query blocks (8) or not (9). The bit-sliced backend
-// used to return nil from a canceled LookupBatchContext, so its
+// used to return nil from a canceled batch lookup, so its
 // block-multiple batches lost the marker.
 func TestCanceledBatchCarriesMarker(t *testing.T) {
 	ref := genome.Random(3000, rng.New(91))

@@ -82,12 +82,14 @@ func answerServer(t *testing.T) (*httptest.Server, []answerCase) {
 		var resp wire.SearchResult
 		var err error
 		if strands == "both" {
-			var sm []core.StrandedMatch
-			var st core.Stats
-			sm, st, err = lib.LookupBothStrands(pat)
-			resp = wire.SearchResult{Matches: []wire.Match{}, Probes: st.BucketProbes}
-			for _, m := range sm {
-				resp.Matches = append(resp.Matches, matchesJSON(lib, []core.Match{m.Match}, m.Strand)...)
+			var a core.Answer
+			err = lib.Search(context.Background(), core.Query{Patterns: []*genome.Sequence{pat}, Both: true}, &a)
+			if err == nil {
+				err = a.Results[0].Err
+			}
+			resp = wire.SearchResult{Matches: []wire.Match{}, Probes: a.Stats.BucketProbes}
+			for strand, r := range a.Results {
+				resp.Matches = append(resp.Matches, matchesJSON(lib, r.Matches, core.Strand(strand))...)
 			}
 		} else {
 			var ms []core.Match
@@ -123,15 +125,15 @@ func answerServer(t *testing.T) (*httptest.Server, []answerCase) {
 			}
 			seqs = append(seqs, p)
 		}
-		results, agg, err := lib.LookupBatchContext(context.Background(), seqs)
-		if err != nil {
+		var a core.Answer
+		if err := lib.Search(context.Background(), core.Query{Patterns: seqs}, &a); err != nil {
 			t.Fatal(err)
 		}
 		const bad = 4
 		_, perr := genome.FromString("NOT-DNA")
 		var texts []string
-		resp := wire.BatchResult{Probes: agg.BucketProbes}
-		for i, r := range results {
+		resp := wire.BatchResult{Probes: a.Stats.BucketProbes}
+		for i, r := range a.Results {
 			if i == bad {
 				texts = append(texts, "not-dna")
 				resp.Results = append(resp.Results, wire.BatchItem{Matches: []wire.Match{}, Error: perr.Error()})

@@ -29,8 +29,9 @@ type Config struct {
 	IdleTimeout time.Duration
 	// RequestTimeout is the per-request handler deadline applied by
 	// middleware: the request context is canceled this long after the
-	// handler starts, which stops an in-flight batch via
-	// LookupBatchContext (default 30s).
+	// handler starts, which stops an in-flight /v1/batch between probe
+	// blocks — the one Search shape that observes its context
+	// (default 30s).
 	RequestTimeout time.Duration
 }
 

@@ -38,8 +38,8 @@ func parsePattern(text string) (*genome.Sequence, *wire.StatusError) {
 
 // execSearch runs one search request: parse, look the pattern up —
 // a forward search through the coalescer, so concurrent requests share
-// probe blocks; both strands as the index's own two-pattern block —
-// and convert matches to the response shape.
+// probe blocks; both strands as one Search, a two-pattern block — and
+// convert matches to the response shape.
 func (s *Server) execSearch(ctx context.Context, pattern string, both bool) (wire.SearchResult, *wire.StatusError) {
 	pat, serr := parsePattern(pattern)
 	if serr != nil {
@@ -52,29 +52,33 @@ func (s *Server) execSearch(ctx context.Context, pattern string, both bool) (wir
 			return wire.SearchResult{}, &wire.StatusError{Code: http.StatusUnprocessableEntity, Msg: err.Error()}
 		}
 		res.Probes = stats.BucketProbes
-		for _, m := range matches {
-			res.Matches = append(res.Matches, wire.Match{
-				Ref: s.lib.Ref(m.Ref).ID, Offset: m.Off, Distance: m.Distance, Strand: "+",
-			})
-		}
+		res.Matches = s.appendMatches(res.Matches, matches, core.Forward)
 		return res, nil
 	}
-	matches, stats, err := s.lib.LookupBothStrands(pat)
-	if err != nil {
+	var a core.Answer
+	err := s.lib.Search(ctx, core.Query{Patterns: []*genome.Sequence{pat}, Both: true}, &a)
+	if err = errors.Join(err, a.Results[0].Err); err != nil { // a refused pattern is refused on both strands
 		return wire.SearchResult{}, &wire.StatusError{Code: http.StatusUnprocessableEntity, Msg: err.Error()}
 	}
-	res.Probes = stats.BucketProbes
-	for _, m := range matches {
-		res.Matches = append(res.Matches, wire.Match{
-			Ref: s.lib.Ref(m.Ref).ID, Offset: m.Off, Distance: m.Distance,
-			Strand: m.Strand.String(),
-		})
+	res.Probes = a.Stats.BucketProbes
+	for strand, r := range a.Results {
+		res.Matches = s.appendMatches(res.Matches, r.Matches, core.Strand(strand))
 	}
 	return res, nil
 }
 
-// execClassify runs one classify request.
-func (s *Server) execClassify(readText string, minFraction float64) (wire.ClassifyResult, *wire.StatusError) {
+// appendMatches converts matches found on strand to the response shape.
+func (s *Server) appendMatches(dst []wire.Match, matches []core.Match, strand core.Strand) []wire.Match {
+	for _, m := range matches {
+		dst = append(dst, wire.Match{
+			Ref: s.lib.Ref(m.Ref).ID, Offset: m.Off, Distance: m.Distance, Strand: strand.String(),
+		})
+	}
+	return dst
+}
+
+// execClassify runs one classify request: a forward Long Search.
+func (s *Server) execClassify(ctx context.Context, readText string, minFraction float64) (wire.ClassifyResult, *wire.StatusError) {
 	read, serr := parsePattern(readText)
 	if serr != nil {
 		return wire.ClassifyResult{}, serr
@@ -90,14 +94,16 @@ func (s *Server) execClassify(readText string, minFraction float64) (wire.Classi
 	if minFrac <= 0 {
 		minFrac = 0.5
 	}
-	best, _, err := s.lib.Classify(read, minFrac)
-	switch {
-	case errors.Is(err, core.ErrNoSupport):
-		// Valid read, no reference reaches the support threshold.
-		return wire.ClassifyResult{}, &wire.StatusError{Code: http.StatusNotFound, Msg: err.Error()}
-	case err != nil:
+	var a core.Answer
+	err := s.lib.Search(ctx, core.Query{Patterns: []*genome.Sequence{read}, Long: true, MinFrac: minFrac}, &a)
+	if err != nil {
 		// Invalid input, e.g. a read shorter than the window.
 		return wire.ClassifyResult{}, &wire.StatusError{Code: http.StatusUnprocessableEntity, Msg: err.Error()}
+	}
+	best, err := a.Best()
+	if err != nil {
+		// Valid read, no reference reaches the support threshold.
+		return wire.ClassifyResult{}, &wire.StatusError{Code: http.StatusNotFound, Msg: err.Error()}
 	}
 	return wire.ClassifyResult{
 		Ref:      s.lib.Ref(best.Ref).ID,
@@ -139,23 +145,20 @@ func (s *Server) execBatch(ctx context.Context, patterns []string) (wire.BatchRe
 		idx = append(idx, i)
 	}
 	if len(seqs) > 0 {
-		results, agg, err := s.lib.LookupBatchContext(ctx, seqs)
-		if err != nil && !isContextErr(err) {
+		var a core.Answer
+		err := s.lib.Search(ctx, core.Query{Patterns: seqs}, &a)
+		if err != nil && err != ctx.Err() { // a lookup fails with ctx's error when ctx cut it short
 			return wire.BatchResult{}, &wire.StatusError{Code: http.StatusUnprocessableEntity, Msg: err.Error()}
 		}
 		resp.Canceled = err != nil
-		resp.Probes = agg.BucketProbes
-		for k, res := range results {
+		resp.Probes = a.Stats.BucketProbes
+		for k, res := range a.Results {
 			item := &resp.Results[idx[k]]
 			if res.Err != nil {
 				item.Error = res.Err.Error()
 				continue
 			}
-			for _, m := range res.Matches {
-				item.Matches = append(item.Matches, wire.Match{
-					Ref: s.lib.Ref(m.Ref).ID, Offset: m.Off, Distance: m.Distance, Strand: "+",
-				})
-			}
+			item.Matches = s.appendMatches(item.Matches, res.Matches, core.Forward)
 		}
 	}
 	return resp, nil

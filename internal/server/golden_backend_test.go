@@ -1,7 +1,9 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -78,6 +80,29 @@ func encodeAnswer(t *testing.T, matches interface{}, stats core.Stats, err error
 	return b
 }
 
+func bothQuery(q *genome.Sequence) core.Query {
+	return core.Query{Patterns: []*genome.Sequence{q}, Both: true}
+}
+
+func longQuery(q *genome.Sequence) core.Query {
+	return core.Query{Patterns: []*genome.Sequence{q}, Long: true, MinFrac: 0.5}
+}
+
+// searchAnswer runs q through search — a concrete or an interface
+// method value — and canonicalizes the whole Answer: every entry's
+// matches, stats and error text, the ranking and its strand, the
+// aggregate stats and Search's error.
+func searchAnswer(t *testing.T, search func(context.Context, core.Query, *core.Answer) error, q core.Query) []byte {
+	t.Helper()
+	var a core.Answer
+	err := search(context.Background(), q, &a)
+	entries := make([]interface{}, len(a.Results))
+	for i, r := range a.Results {
+		entries[i] = []interface{}{r.Matches, r.Stats, fmt.Sprint(r.Err)}
+	}
+	return encodeAnswer(t, []interface{}{entries, a.Ranked, a.Strand}, a.Stats, err)
+}
+
 func TestGoldenHDCThroughInterface(t *testing.T) {
 	lib, refs := goldenLibrary(t)
 	queries := goldenQueries(refs)
@@ -89,10 +114,8 @@ func TestGoldenHDCThroughInterface(t *testing.T) {
 	for i, q := range queries {
 		m, st, err := lib.Lookup(q)
 		golden[i] = encodeAnswer(t, m, st, err)
-		sm, sst, serr := lib.LookupBothStrands(q)
-		goldenBoth[i] = encodeAnswer(t, sm, sst, serr)
-		rm, rst, rerr := lib.LookupLong(q, 0.5)
-		goldenLong[i] = encodeAnswer(t, rm, rst, rerr)
+		goldenBoth[i] = searchAnswer(t, lib.Search, bothQuery(q))
+		goldenLong[i] = searchAnswer(t, lib.Search, longQuery(q))
 	}
 
 	var idx core.Index = lib
@@ -103,14 +126,12 @@ func TestGoldenHDCThroughInterface(t *testing.T) {
 				t.Errorf("query %d: interface Lookup diverged\n got %s\nwant %s", i, got, golden[i])
 				return
 			}
-			sm, sst, serr := idx.LookupBothStrands(q)
-			if got := encodeAnswer(t, sm, sst, serr); string(got) != string(goldenBoth[i]) {
-				t.Errorf("query %d: interface LookupBothStrands diverged", i)
+			if got := searchAnswer(t, idx.Search, bothQuery(q)); string(got) != string(goldenBoth[i]) {
+				t.Errorf("query %d: interface both-strand Search diverged", i)
 				return
 			}
-			rm, rst, rerr := idx.LookupLong(q, 0.5)
-			if got := encodeAnswer(t, rm, rst, rerr); string(got) != string(goldenLong[i]) {
-				t.Errorf("query %d: interface LookupLong diverged", i)
+			if got := searchAnswer(t, idx.Search, longQuery(q)); string(got) != string(goldenLong[i]) {
+				t.Errorf("query %d: interface Long Search diverged", i)
 				return
 			}
 		}

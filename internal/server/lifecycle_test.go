@@ -155,8 +155,8 @@ type cancelOnProbe struct {
 	cancel context.CancelFunc
 }
 
-func (c cancelOnProbe) LookupBatchContext(ctx context.Context, patterns []*genome.Sequence) ([]core.BatchResult, core.Stats, error) {
-	return c.Index.LookupBatchContext(probeCtx{ctx, c, c.Counters().BucketProbes}, patterns)
+func (c cancelOnProbe) Search(ctx context.Context, q core.Query, a *core.Answer) error {
+	return c.Index.Search(probeCtx{ctx, c, c.Counters().BucketProbes}, q, a)
 }
 
 // probeCtx is the request context as cancelOnProbe hands it on.

@@ -29,9 +29,7 @@ package server
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"log"
 	"net/http"
@@ -261,7 +259,7 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	res, serr := s.execClassify(req.Read, req.MinFraction)
+	res, serr := s.execClassify(r.Context(), req.Read, req.MinFraction)
 	writeResult(w, res, serr)
 }
 
@@ -281,10 +279,4 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	res, serr := s.execBatch(r.Context(), req.Patterns)
 	writeResult(w, res, serr)
-}
-
-// isContextErr reports whether err is a cancellation/deadline outcome
-// rather than a request-level failure.
-func isContextErr(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }

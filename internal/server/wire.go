@@ -39,8 +39,8 @@ func (b wireBackend) Search(ctx context.Context, pattern []byte, both bool) (wir
 	return res, wireErr(serr)
 }
 
-func (b wireBackend) Classify(_ context.Context, read []byte, minFraction float64) (wire.ClassifyResult, error) {
-	res, serr := b.s.execClassify(string(read), minFraction)
+func (b wireBackend) Classify(ctx context.Context, read []byte, minFraction float64) (wire.ClassifyResult, error) {
+	res, serr := b.s.execClassify(ctx, string(read), minFraction)
 	return res, wireErr(serr)
 }
 

@@ -2,7 +2,8 @@
 # Service smoke test: build the CLI, serve a generated library on an
 # ephemeral port, exercise /healthz, /v1/search, the mutation lifecycle
 # (ingest, remove, compact), a burst of concurrent searches through the
-# coalescing layer, and /metrics with curl, then SIGTERM the server and
+# coalescing layer, /metrics, and the strands=both, /v1/batch and
+# /v1/classify routes with curl, then SIGTERM the server and
 # assert it drains to a clean exit. A second phase round-trips the
 # mmap-backed tier: build -o (v3, the only format written) → serve
 # -mmap straight from it → search/ingest/remove/compact against the
@@ -17,7 +18,8 @@
 # build -backend cobs → serve the saved collection -mmap with both HTTP
 # and wire listeners → search over each transport, and assert /v1/stats
 # and biohd_index_info name the cobs backend and the scans are
-# attributed to the mapped tier. On both wire-enabled servers the body
+# attributed to the mapped tier, and drive strands=both, /v1/batch and
+# /v1/classify there too. On both wire-enabled servers the body
 # of `biohd wire -stats` must equal /v1/stats, residentBytes aside.
 #
 # Run via `make smoke` (CI runs it too). Needs only bash, curl, awk, sed.
@@ -65,6 +67,31 @@ echo "== generate references"
 # header, concatenate the sequence lines, take bases 100..131.
 pattern=$(awk '/^>/{n++; next} n==1{printf "%s", $0}' "$workdir/refs.fa" | cut -c101-132)
 [ ${#pattern} -eq 32 ] || { echo "FATAL: pattern extraction failed: '$pattern'"; exit 1; }
+# Its reverse complement, which only a both-strand search finds, and a
+# 300-base read of the same reference for classify.
+pattern_rc=$(printf '%s' "$pattern" | tr ACGT TGCA | awk '{for (i = length($0); i > 0; i--) printf "%s", substr($0, i, 1)}')
+read_seq=$(awk '/^>/{n++; next} n==1{printf "%s", $0}' "$workdir/refs.fa" | cut -c201-500)
+
+# search_routes drives the routes that reach the index as one Search
+# each rather than through the coalescer: a strands=both search of the
+# reverse-complemented pattern must match on the "-" strand, a
+# /v1/batch of two patterns must answer two items, and /v1/classify of
+# the read must report its votes. $1 = http base, $2 = label.
+search_routes() {
+    local both batch items classify
+    both=$(curl -sf -X POST -H 'Content-Type: application/json' \
+        -d "{\"pattern\":\"$pattern_rc\",\"strands\":\"both\"}" "$1/v1/search")
+    echo "$both" | grep -q '"strand":"-"' \
+        || { echo "FATAL: $2 strands=both found no reverse-strand match: $both"; exit 1; }
+    batch=$(curl -sf -X POST -H 'Content-Type: application/json' \
+        -d "{\"patterns\":[\"$pattern\",\"$pattern_rc\"]}" "$1/v1/batch")
+    items=$(echo "$batch" | grep -o '"matches":' | wc -l)
+    [ "$((items))" -eq 2 ] || { echo "FATAL: $2 /v1/batch of 2 patterns answered $((items)) items: $batch"; exit 1; }
+    classify=$(curl -sf -X POST -H 'Content-Type: application/json' \
+        -d "{\"read\":\"$read_seq\"}" "$1/v1/classify")
+    echo "$classify" | grep -q '"votes"' \
+        || { echo "FATAL: $2 /v1/classify failed: $classify"; exit 1; }
+}
 
 echo "== serve"
 "$workdir/biohd" serve -ref "$workdir/refs.fa" -addr 127.0.0.1:0 -quiet \
@@ -155,7 +182,7 @@ for want in \
     'biohd_core_compactions_total' \
     'biohd_coalesce_queue_depth' \
     'biohd_coalesce_wait_seconds_count'; do
-    echo "$metrics" | grep -qF "$want" || { echo "FATAL: /metrics missing: $want"; exit 1; }
+    grep -qF -- "$want" <<<"$metrics" || { echo "FATAL: /metrics missing: $want"; exit 1; }
 done
 
 # Coalescer accounting: every admitted lookup ran in exactly one probe
@@ -172,6 +199,9 @@ awk -v j="$cjobs" -v v="$cvacated" -v s="$cslots" -v b="$cblocks" 'BEGIN {
     if (j < 11) { printf "FATAL: %d lookups admitted, want at least the 11 searches\n", j; exit 1 }
     if (s + v != j) { printf "FATAL: %d block slots + %d vacated != %d admitted lookups\n", s, v, j; exit 1 }
 }'
+
+echo "== strands=both, /v1/batch, /v1/classify"
+search_routes "$base" "heap"
 
 echo "== SIGTERM drain"
 kill -TERM "$server_pid"
@@ -251,9 +281,9 @@ echo "$compacted" | grep -q '"tombstoneRatio":0' || { echo "FATAL: mapped compac
 
 echo "== mapped /metrics"
 metrics=$(curl -sf "$base/metrics")
-echo "$metrics" | grep -qF 'biohd_library_mapped_bytes' \
+grep -qF -- 'biohd_library_mapped_bytes' <<<"$metrics" \
     || { echo "FATAL: /metrics missing biohd_library_mapped_bytes"; exit 1; }
-echo "$metrics" | grep -qF 'biohd_core_mapped_scans_total' \
+grep -qF -- 'biohd_core_mapped_scans_total' <<<"$metrics" \
     || { echo "FATAL: /metrics missing biohd_core_mapped_scans_total"; exit 1; }
 if grep -q 'load mode: mapped' "$workdir/serve-mmap.log"; then
     mapped_bytes=$(echo "$metrics" | awk '/^biohd_library_mapped_bytes /{print $2}')
@@ -315,7 +345,6 @@ echo "$wsearch" | grep -q '"matches":\[{' \
     || { echo "FATAL: no match over wire: $wsearch"; exit 1; }
 
 echo "== wire classify"
-read_seq=$(awk '/^>/{n++; next} n==1{printf "%s", $0}' "$workdir/refs.fa" | cut -c201-500)
 wclassify=$("$workdir/biohd" wire -addr "$wire_addr" -classify "$read_seq")
 echo "$wclassify" | grep -q '"votes"' \
     || { echo "FATAL: wire classify failed: $wclassify"; exit 1; }
@@ -336,7 +365,7 @@ for want in \
     'biohd_wire_pipeline_depth_bucket' \
     'biohd_wire_write_frames_bucket' \
     'biohd_wire_connections'; do
-    echo "$metrics" | grep -qF "$want" || { echo "FATAL: /metrics missing: $want"; exit 1; }
+    grep -qF -- "$want" <<<"$metrics" || { echo "FATAL: /metrics missing: $want"; exit 1; }
 done
 # Every response frame goes out in exactly one socket write, so the
 # frames-per-write sum is the number of responses: one per request
@@ -402,6 +431,9 @@ search=$(curl -sf -X POST -H 'Content-Type: application/json' \
     -d "{\"pattern\":\"$pattern\"}" "$base/v1/search")
 echo "$search" | grep -q '"matches":\[{' || { echo "FATAL: no match from cobs library: $search"; exit 1; }
 
+echo "== cobs strands=both, /v1/batch, /v1/classify"
+search_routes "$base" "cobs"
+
 echo "== cobs wire search"
 wsearch=$("$workdir/biohd" wire -addr "$wire_addr" -pattern "$pattern" -n 4)
 echo "$wsearch" | grep -q '4 pipelined responses identical' \
@@ -414,7 +446,7 @@ stats=$(curl -sf "$base/v1/stats")
 echo "$stats" | grep -q '"backend":"cobs"' \
     || { echo "FATAL: /v1/stats backend wrong: $stats"; exit 1; }
 metrics=$(curl -sf "$base/metrics")
-echo "$metrics" | grep -qF 'biohd_index_info{backend="cobs"} 1' \
+grep -qF -- 'biohd_index_info{backend="cobs"} 1' <<<"$metrics" \
     || { echo "FATAL: /metrics missing cobs biohd_index_info"; exit 1; }
 same_stats "$base" "$wire_addr"
 if grep -q 'load mode: mapped' "$workdir/serve-cobs.log"; then
