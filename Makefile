@@ -34,10 +34,13 @@ test-purego:
 ## packages whose behaviour depends on the scheduler — the coalescer forms
 ## its blocks out of whichever callers are runnable together, and the
 ## wire connections combine into one socket write whichever responses
-## and requests finish together — again at GOMAXPROCS 1, 2 and 4
+## and requests finish together — again at GOMAXPROCS 1, 2 and 4, and
+## so are internal/core's batch and Search tests, because a lookup's
+## worker pool is sized by GOMAXPROCS
 race:
 	$(GO) test -race $(PKGS)
 	$(GO) test -race -cpu 1,2,4 ./internal/coalesce ./internal/server ./internal/wire
+	$(GO) test -race -cpu 1,2,4 -run 'Batch|Search' ./internal/core
 
 ## vet: run go vet
 vet:

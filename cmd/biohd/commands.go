@@ -92,7 +92,6 @@ func cmdServe(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	defer srv.Close()
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		return err

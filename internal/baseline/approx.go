@@ -123,49 +123,3 @@ func minInt3(a, b, c int) int {
 	}
 	return a
 }
-
-// --- Local alignment ------------------------------------------------------
-
-// AlignmentResult is the outcome of a pairwise alignment.
-type AlignmentResult struct {
-	Score int // best local alignment score
-	Ops   int // DP cells evaluated
-}
-
-// SmithWaterman computes the best local alignment score of a and b.
-func SmithWaterman(a, b *genome.Sequence, match, mismatch, gap int) AlignmentResult {
-	n, m := a.Len(), b.Len()
-	prev := make([]int, m+1)
-	cur := make([]int, m+1)
-	best, ops := 0, 0
-	for i := 1; i <= n; i++ {
-		for j := 1; j <= m; j++ {
-			s := mismatch
-			if a.At(i-1) == b.At(j-1) {
-				s = match
-			}
-			v := maxInt3(prev[j-1]+s, prev[j]+gap, cur[j-1]+gap)
-			if v < 0 {
-				v = 0
-			}
-			cur[j] = v
-			if v > best {
-				best = v
-			}
-			ops++
-		}
-		prev, cur = cur, prev
-		cur[0] = 0
-	}
-	return AlignmentResult{Score: best, Ops: ops}
-}
-
-func maxInt3(a, b, c int) int {
-	if b > a {
-		a = b
-	}
-	if c > a {
-		a = c
-	}
-	return a
-}

@@ -111,21 +111,6 @@ func TestMyersPanics(t *testing.T) {
 	}()
 }
 
-func TestSmithWaterman(t *testing.T) {
-	// Local alignment finds the embedded common substring.
-	a := genome.MustFromString("TTTTACGTACGTTTTT")
-	b := genome.MustFromString("GGGACGTACGGGG")
-	res := SmithWaterman(a, b, 2, -3, -4)
-	if res.Score < 14 { // ≥ 7 matching bases × 2
-		t.Fatalf("local score %d too low", res.Score)
-	}
-	// Unrelated short sequences score near zero.
-	res = SmithWaterman(genome.MustFromString("AAAA"), genome.MustFromString("TTTT"), 2, -3, -4)
-	if res.Score != 0 {
-		t.Fatalf("unrelated local score %d", res.Score)
-	}
-}
-
 func TestSellersDPNegativeKPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -1,13 +1,13 @@
 // Package baseline implements the classical sequence-search algorithms
 // BioHD is compared against: exact pattern matching (naive,
 // Knuth–Morris–Pratt, Boyer–Moore–Horspool, Shift-Or), approximate
-// matching (Myers bit-parallel edit distance, Sellers' DP), Smith–Waterman
-// local alignment, and a seed-and-extend aligner in the BLAST tradition.
+// matching (Myers bit-parallel edit distance, Sellers' DP), and a
+// seed-and-extend aligner in the BLAST tradition.
 //
 // Every matcher reports an operation count alongside its results so the
 // experiment harness can compare algorithmic work (T2) and measured
 // throughput (F5); Myers is F3's ground truth and the seed index F10's
-// comparator. The examples call SmithWaterman and the seed index.
+// comparator.
 package baseline
 
 import (

@@ -59,7 +59,6 @@ type call struct {
 
 // Coalescer packs concurrent single-query lookups into probe blocks.
 type Coalescer struct {
-	lib   core.Index
 	calls sync.Pool
 	// exec runs one block; tests substitute one that holds or burns the CPU.
 	exec func(patterns []*genome.Sequence, results []core.BatchResult) error
@@ -68,10 +67,8 @@ type Coalescer struct {
 	head, tail *job // FIFO of pending jobs
 	pending    int  // its length
 	running    int  // blocks executing right now
-	closed     bool
 
 	jobs      *metrics.Counter
-	direct    *metrics.Counter
 	vacated   *metrics.Counter
 	occupancy *metrics.Histogram
 	depth     *metrics.Gauge
@@ -85,13 +82,10 @@ func New(lib core.Index, reg *metrics.Registry) (*Coalescer, error) {
 		return nil, fmt.Errorf("coalesce: library must be frozen")
 	}
 	c := &Coalescer{
-		lib:   lib,
 		exec:  lib.LookupBlock,
 		calls: sync.Pool{New: func() any { return new(call) }},
 		jobs: reg.Counter("biohd_coalesce_jobs_total",
 			"Lookups admitted to the coalescer's pending list."),
-		direct: reg.Counter("biohd_coalesce_direct_total",
-			"Lookups served on the direct path because the coalescer was closed."),
 		vacated: reg.Counter("biohd_coalesce_vacated_total",
 			"Pending lookups whose context died before their block ran; their slots were vacated."),
 		occupancy: reg.Histogram("biohd_coalesce_block_occupancy",
@@ -109,14 +103,6 @@ func New(lib core.Index, reg *metrics.Registry) (*Coalescer, error) {
 	return c, nil
 }
 
-// Close stops admission: later lookups run on the direct path; pending
-// ones complete, their callers being the ones running them. Idempotent.
-func (c *Coalescer) Close() {
-	c.mu.Lock()
-	c.closed = true
-	c.mu.Unlock()
-}
-
 // Lookup runs one pattern through the coalescer and returns its result
 // — or its context's error, if that died before the pattern's block ran.
 //
@@ -125,28 +111,18 @@ func (c *Coalescer) Lookup(ctx context.Context, pattern *genome.Sequence) ([]cor
 	procs := runtime.GOMAXPROCS(0)
 	cl := c.calls.Get().(*call)
 	defer c.calls.Put(cl)
-	ok, saturated := c.submit(cl, ctx, pattern, procs)
-	if !ok {
-		return c.lib.Lookup(pattern)
-	}
-	c.combine(cl, procs, saturated)
+	c.combine(cl, procs, c.submit(cl, ctx, pattern, procs))
 	res := cl.job.res
 	cl.job = job{} // the call is pooled: drop what it would pin
 	return res.Matches, res.Stats, res.Err
 }
 
-// submit appends the caller's pattern to the FIFO as cl.job; !ok means
-// the coalescer is closed and the caller must run it itself. saturated:
-// half the other CPUs are executing blocks, so lookups are what the
-// machine is short of.
-func (c *Coalescer) submit(cl *call, ctx context.Context, pattern *genome.Sequence, procs int) (ok, saturated bool) {
+// submit appends the caller's pattern to the FIFO as cl.job and reports
+// whether half the other CPUs are executing blocks, so that lookups are
+// what the machine is short of.
+func (c *Coalescer) submit(cl *call, ctx context.Context, pattern *genome.Sequence, procs int) (saturated bool) {
 	now := time.Now()
 	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		c.direct.Inc()
-		return false, false
-	}
 	saturated = 2*c.running >= procs-1
 	cl.wg.Add(1) // before the job is visible to a taker
 	j := &cl.job
@@ -160,7 +136,7 @@ func (c *Coalescer) submit(cl *call, ctx context.Context, pattern *genome.Sequen
 	c.pending++
 	c.mu.Unlock()
 	c.jobs.Inc()
-	return true, saturated
+	return saturated
 }
 
 // combine is the caller's side of the protocol, entered with cl.job

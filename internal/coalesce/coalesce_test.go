@@ -105,10 +105,7 @@ func pendingLen(c *Coalescer) int {
 func pendingCaller(tb testing.TB, c *Coalescer, ctx context.Context, pattern *genome.Sequence, procs int) (finish func() core.BatchResult) {
 	tb.Helper()
 	cl := new(call)
-	ok, saturated := c.submit(cl, ctx, pattern, procs)
-	if !ok {
-		tb.Fatal("submit refused on an open coalescer")
-	}
+	saturated := c.submit(cl, ctx, pattern, procs)
 	return func() core.BatchResult {
 		c.combine(cl, procs, saturated)
 		return cl.job.res
@@ -116,7 +113,7 @@ func pendingCaller(tb testing.TB, c *Coalescer, ctx context.Context, pattern *ge
 }
 
 // checkAccounting asserts that every lookup is in exactly one place:
-// a slot of an executed block, a vacated slot, or the direct path.
+// a slot of an executed block or a vacated slot.
 func checkAccounting(tb testing.TB, c *Coalescer, lookups int64) {
 	tb.Helper()
 	inBlocks := int64(c.occupancy.Sum())
@@ -124,9 +121,8 @@ func checkAccounting(tb testing.TB, c *Coalescer, lookups int64) {
 		tb.Errorf("block slots %d + vacated %d = %d, want jobs admitted %d",
 			inBlocks, c.vacated.Value(), got, c.jobs.Value())
 	}
-	if got := c.jobs.Value() + c.direct.Value(); got != lookups {
-		tb.Errorf("admitted %d + direct %d = %d, want %d lookups",
-			c.jobs.Value(), c.direct.Value(), got, lookups)
+	if c.jobs.Value() != lookups {
+		tb.Errorf("admitted %d, want %d lookups", c.jobs.Value(), lookups)
 	}
 	if n := pendingLen(c); n != 0 || c.running != 0 {
 		tb.Errorf("at rest: pending = %d, running = %d; want 0, 0", n, c.running)
@@ -347,9 +343,9 @@ func TestIdleLookupRunsOnCaller(t *testing.T) {
 	if during > before {
 		t.Errorf("%d goroutines while the block ran, %d before New", during, before)
 	}
-	if c.occupancy.Count() != 1 || c.occupancy.Sum() != 1 || c.direct.Value() != 0 {
-		t.Errorf("idle lookup: %d blocks holding %v, direct = %d; want one block of 1, 0",
-			c.occupancy.Count(), c.occupancy.Sum(), c.direct.Value())
+	if c.occupancy.Count() != 1 || c.occupancy.Sum() != 1 {
+		t.Errorf("idle lookup: %d blocks holding %v; want one block of 1",
+			c.occupancy.Count(), c.occupancy.Sum())
 	}
 	checkAccounting(t, c, 1)
 }
@@ -431,16 +427,15 @@ func TestYieldOnlyWhenLookupsSaturate(t *testing.T) {
 	} {
 		c := newCoalescer(t, lib)
 		c.running = tc.running
-		if _, got := c.submit(new(call), context.Background(), pat, tc.procs); got != tc.want {
+		if got := c.submit(new(call), context.Background(), pat, tc.procs); got != tc.want {
 			t.Errorf("GOMAXPROCS %d, %d blocks executing: saturated = %v, want %v", tc.procs, tc.running, got, tc.want)
 		}
 	}
 }
 
-// TestAccountingAfterMixedRun: live, pre-canceled, bursty and
-// post-Close lookups from many goroutines at once — afterwards every
-// lookup is in exactly one block, vacated, or direct, and the FIFO is
-// empty.
+// TestAccountingAfterMixedRun: live, pre-canceled and bursty lookups
+// from many goroutines at once — afterwards every lookup is in exactly
+// one block or vacated, and the FIFO is empty.
 func TestAccountingAfterMixedRun(t *testing.T) {
 	lib, refs := buildLib(t, 61)
 	c := newCoalescer(t, lib)
@@ -463,10 +458,8 @@ func TestAccountingAfterMixedRun(t *testing.T) {
 					}
 					lookups.Add(1)
 				case 1:
-					// Vacated while the coalescer is open; the direct path
-					// after Close does not look at the context.
-					if _, _, err := c.Lookup(dead, p); err != nil && !errors.Is(err, context.Canceled) {
-						t.Errorf("dead-context lookup: err = %v, want context.Canceled or nil", err)
+					if _, _, err := c.Lookup(dead, p); !errors.Is(err, context.Canceled) {
+						t.Errorf("dead-context lookup: err = %v, want context.Canceled", err)
 					}
 					lookups.Add(1)
 				case 2:
@@ -484,39 +477,15 @@ func TestAccountingAfterMixedRun(t *testing.T) {
 					burst.Wait()
 					lookups.Add(3)
 				}
-				if w == 0 && i == 40 {
-					c.Close() // the rest of the run, on every goroutine, goes direct
-				}
 			}
 		}(w)
 	}
 	wg.Wait()
-	if c.vacated.Value() == 0 || c.direct.Value() == 0 || c.occupancy.Count() == 0 {
-		t.Errorf("run was not mixed: vacated %d, direct %d, blocks %d",
-			c.vacated.Value(), c.direct.Value(), c.occupancy.Count())
+	if c.vacated.Value() == 0 || c.occupancy.Count() == 0 {
+		t.Errorf("run was not mixed: vacated %d, blocks %d",
+			c.vacated.Value(), c.occupancy.Count())
 	}
 	checkAccounting(t, c, lookups.Load())
-}
-
-// TestCloseFallsBackDirect: after Close, lookups still answer via the
-// direct path, and Close is idempotent.
-func TestCloseFallsBackDirect(t *testing.T) {
-	lib, refs := buildLib(t, 53)
-	c := newCoalescer(t, lib)
-	c.Close()
-	c.Close()
-	p := queries(refs, 1, 54)[0]
-	m, _, err := c.Lookup(context.Background(), p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dm, _, _ := lib.Lookup(p)
-	if !reflect.DeepEqual(m, dm) {
-		t.Error("post-Close lookup differs from direct path")
-	}
-	if c.direct.Value() != 1 {
-		t.Errorf("direct = %d, want 1", c.direct.Value())
-	}
 }
 
 // TestCoalescedLookupAllocs: the coalescer itself allocates nothing per

@@ -5,8 +5,10 @@ import (
 	"errors"
 	"reflect"
 	"runtime"
+	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/genome"
 	"repro/internal/rng"
@@ -136,12 +138,20 @@ func TestLookupBatchContextPreCanceled(t *testing.T) {
 	}
 }
 
+// cancelInProbe wraps lib's kernel probe so that cancel runs, once,
+// inside the first probe of a block that when(wins) selects.
+func cancelInProbe(lib *Library, cancel func(), when func(wins []Window) bool) {
+	probe := lib.k.Probe
+	var once sync.Once
+	lib.k.Probe = func(v *View, wins []Window, out []*BatchResult) {
+		if when(wins) {
+			once.Do(cancel)
+		}
+		probe(v, wins, out)
+	}
+}
+
 func TestLookupBatchContextCancelMidBatch(t *testing.T) {
-	// A dense library (capacity 4 → hundreds of buckets per probe)
-	// keeps individual lookups slow enough that a cancel fired right
-	// after the first probe lands mid-batch. The outer loop retries
-	// the rare scheduling fluke where the whole batch still finishes
-	// before the cancel is observed.
 	src := rng.New(72)
 	ref := genome.Random(3000, src)
 	lib := mustLibrary(t, Params{Dim: 8192, Window: 32, Capacity: 4, Seed: 73})
@@ -156,52 +166,98 @@ func TestLookupBatchContextCancelMidBatch(t *testing.T) {
 		patterns[i] = ref.Slice(off, off+32)
 	}
 	// Measure what the full batch costs, then rerun it with a context
-	// canceled as soon as the probe counter first advances.
+	// canceled inside the first probe: the blocks already claimed finish,
+	// every later claim is refused.
 	_, fullAgg, err := SearchBatch(context.Background(), lib, patterns)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for attempt := 0; ; attempt++ {
-		ctx, cancel := context.WithCancel(context.Background())
-		start := lib.Counters().BucketProbes
-		go func() {
-			for lib.Counters().BucketProbes == start {
-				time.Sleep(20 * time.Microsecond)
-			}
-			cancel()
-		}()
-		before := lib.Counters()
-		results, agg, err := SearchBatch(ctx, lib, patterns)
-		cancel()
-		if !errors.Is(err, context.Canceled) || countCanceled(results) == 0 {
-			if attempt < 5 {
-				continue // batch outran the cancel; try again
-			}
-			t.Fatalf("batch of %d finished before cancel on every attempt (err=%v)", n, err)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cancelInProbe(lib, cancel, func([]Window) bool { return true })
+	before := lib.Counters()
+	results, agg, err := SearchBatch(ctx, lib, patterns)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if got := lib.Counters().BatchCancellations - before.BatchCancellations; got != 1 {
+		t.Errorf("batch cancellations counted %d, want 1", got)
+	}
+	delta := lib.Counters().BucketProbes - before.BucketProbes
+	if delta >= int64(fullAgg.BucketProbes) {
+		t.Fatalf("canceled batch probed as much as a full batch (%d probes)", delta)
+	}
+	done := 0
+	var wantAgg Stats
+	for i, r := range results {
+		switch {
+		case r.Err == nil:
+			done++
+			wantAgg.Add(r.Stats)
+		case errors.Is(r.Err, context.Canceled):
+		default:
+			t.Fatalf("result %d: unexpected error %v", i, r.Err)
 		}
-		delta := lib.Counters().BucketProbes - before.BucketProbes
-		if delta >= int64(fullAgg.BucketProbes) {
-			t.Fatalf("canceled batch probed as much as a full batch (%d probes)", delta)
+	}
+	if done == 0 {
+		t.Fatal("no pattern completed before the cancel")
+	}
+	if countCanceled(results) == 0 {
+		t.Fatal("no pattern was canceled")
+	}
+	if agg != wantAgg {
+		t.Fatalf("aggregate %+v != sum of completed results %+v", agg, wantAgg)
+	}
+}
+
+// TestLookupBatchCancelAfterLastClaim: a context that dies while the
+// last block runs refuses nothing, so the batch is complete — no error,
+// no canceled entry, no counted cancellation.
+func TestLookupBatchCancelAfterLastClaim(t *testing.T) {
+	lib, ref := buildExactLib(t, 3000, 74)
+	const n = 5*BlockWidth + 3
+	patterns := make([]*genome.Sequence, n)
+	for i := range patterns {
+		off := (i * 53) % (ref.Len() - 32)
+		patterns[i] = ref.Slice(off, off+32)
+	}
+	want, _, err := SearchBatch(context.Background(), lib, patterns)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Each block is one probe of its patterns. The last block's probe
+	// waits until every other block is in its probe — past its claim's
+	// context check — and then cancels.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var probed atomic.Int64
+	last := patterns[n-1]
+	cancelInProbe(lib, cancel, func(wins []Window) bool {
+		probed.Add(int64(len(wins)))
+		if !slices.ContainsFunc(wins, func(w Window) bool { return w.Seq == last }) {
+			return false
 		}
-		done := 0
-		var wantAgg Stats
-		for i, r := range results {
-			switch {
-			case r.Err == nil:
-				done++
-				wantAgg.Add(r.Stats)
-			case errors.Is(r.Err, context.Canceled):
-			default:
-				t.Fatalf("result %d: unexpected error %v", i, r.Err)
-			}
+		for probed.Load() < n {
+			runtime.Gosched()
 		}
-		if done == 0 {
-			t.Fatal("no pattern completed before the cancel")
-		}
-		if agg != wantAgg {
-			t.Fatalf("aggregate %+v != sum of completed results %+v", agg, wantAgg)
-		}
-		return
+		return true
+	})
+	before := lib.Counters().BatchCancellations
+	results, _, err := SearchBatch(ctx, lib, patterns)
+	if ctx.Err() == nil {
+		t.Fatal("the last block's probe did not cancel")
+	}
+	if err != nil {
+		t.Errorf("err = %v, want nil: every block ran", err)
+	}
+	if c := countCanceled(results); c != 0 {
+		t.Errorf("%d canceled entries, want 0", c)
+	}
+	if got := lib.Counters().BatchCancellations - before; got != 0 {
+		t.Errorf("batch cancellations counted %d, want 0", got)
+	}
+	if !reflect.DeepEqual(results, want) {
+		t.Error("results differ from an uncanceled batch")
 	}
 }
 

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 
 	"repro/internal/core"
@@ -23,21 +24,21 @@ func Example() {
 	}
 	lib.Freeze()
 
-	pattern := ref.Slice(1234, 1234+32)
-	matches, _, err := lib.Lookup(pattern)
-	if err != nil {
+	var a core.Answer
+	q := core.Query{Patterns: []*genome.Sequence{ref.Slice(1234, 1234+32)}}
+	if err := lib.Search(context.Background(), q, &a); err != nil {
 		panic(err)
 	}
-	for _, m := range matches {
+	for _, m := range a.Results[0].Matches {
 		fmt.Printf("%s:%d distance=%d\n", lib.Ref(m.Ref).ID, m.Off, m.Distance)
 	}
 	// Output: chr1:1234 distance=0
 }
 
-// ExampleLibrary_Lookup_approximate demonstrates mutation-tolerant
+// ExampleLibrary_Search_approximate demonstrates mutation-tolerant
 // search: the approximate encoding finds a pattern carrying three
 // substitutions.
-func ExampleLibrary_Lookup_approximate() {
+func ExampleLibrary_Search_approximate() {
 	ref := genome.Random(3_000, rng.New(2))
 	lib, err := core.NewLibrary(core.Params{
 		Dim: 8192, Window: 48,
@@ -52,11 +53,11 @@ func ExampleLibrary_Lookup_approximate() {
 	lib.Freeze()
 
 	mutated, _ := genome.SubstituteExactly(ref.Slice(700, 748), 3, rng.New(3))
-	matches, _, err := lib.Lookup(mutated)
-	if err != nil {
+	var a core.Answer
+	if err := lib.Search(context.Background(), core.Query{Patterns: []*genome.Sequence{mutated}}, &a); err != nil {
 		panic(err)
 	}
-	for _, m := range matches {
+	for _, m := range a.Results[0].Matches {
 		fmt.Printf("found at %d with %d substitutions\n", m.Off, m.Distance)
 	}
 	// Output: found at 700 with 3 substitutions

@@ -179,7 +179,7 @@ func TestRandomUniform(t *testing.T) {
 
 func TestRandomGC(t *testing.T) {
 	seq := RandomGC(40000, 0.7, rng.New(15))
-	if gc := seq.GCContent(); math.Abs(gc-0.7) > 0.02 {
+	if gc := gcContent(seq); math.Abs(gc-0.7) > 0.02 {
 		t.Fatalf("GC content %v, want ≈0.7", gc)
 	}
 	func() {

@@ -244,15 +244,6 @@ func (s *Sequence) BaseCounts() [AlphabetSize]int {
 	return c
 }
 
-// GCContent returns the fraction of G and C bases (0 for empty).
-func (s *Sequence) GCContent() float64 {
-	if s.n == 0 {
-		return 0
-	}
-	c := s.BaseCounts()
-	return float64(c[G]+c[C]) / float64(s.n)
-}
-
 // Index returns the offset of the first exact occurrence of pattern in s
 // at or after position from, or −1 if there is none. Naive scan; this is
 // a correctness oracle for tests, not a search algorithm (those live in

@@ -192,8 +192,5 @@ func (c *Cost) Add(o Cost) {
 	}
 }
 
-// EnergyUj returns the energy in microjoules.
-func (c Cost) EnergyUj() float64 { return c.EnergyPj * 1e-6 }
-
 // LatencyMs returns the latency in milliseconds.
 func (c Cost) LatencyMs() float64 { return c.LatencyNs * 1e-6 }

@@ -95,13 +95,10 @@ func New(lib core.Index, opts ...Option) (*Server, error) {
 	return s, nil
 }
 
-// Close stops admission to the coalescer: lookups already pending
-// complete, later ones run on the direct path, so Close is safe to call
-// while the HTTP server drains. The server runs nothing in the
-// background, so there is nothing else to release. Idempotent.
-func (s *Server) Close() {
-	s.coal.Close()
-}
+// Close does nothing: the server and its coalescer run nothing in the
+// background, so there is nothing to release. It is kept for the
+// benchmark harness, which calls it.
+func (s *Server) Close() {}
 
 // Registry exposes the server's metrics registry, e.g. for registering
 // additional series or asserting on counters in tests.

@@ -322,12 +322,29 @@ func TestBatchErrorCellsHaveBadBaseMessage(t *testing.T) {
 	}
 }
 
+// ExampleServer serves a frozen library and searches it over HTTP for
+// a pattern planted at offset 40.
 func ExampleServer() {
-	// Construct a library, freeze it, and serve it.
+	ref := genome.Random(100, rng.New(1))
 	lib, _ := core.NewLibrary(core.Params{Dim: 1024, Window: 16, Seed: 1})
-	_ = lib.Add(genome.Record{ID: "demo", Seq: genome.Random(100, rng.New(1))})
+	_ = lib.Add(genome.Record{ID: "demo", Seq: ref})
 	lib.Freeze()
 	s, _ := New(lib)
-	fmt.Println(s != nil)
-	// Output: true
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	body := fmt.Sprintf(`{"pattern":%q}`, ref.Slice(40, 56).String())
+	resp, err := http.Post(ts.URL+"/v1/search", "application/json", strings.NewReader(body))
+	if err != nil {
+		panic(err)
+	}
+	defer resp.Body.Close()
+	var res wire.SearchResult
+	if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
+		panic(err)
+	}
+	for _, m := range res.Matches {
+		fmt.Printf("%s:%d distance=%d strand=%s\n", m.Ref, m.Offset, m.Distance, m.Strand)
+	}
+	// Output: demo:40 distance=0 strand=+
 }
