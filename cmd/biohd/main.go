@@ -16,6 +16,8 @@
 package main
 
 import (
+	"errors"
+	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -34,25 +36,26 @@ func run(args []string, out io.Writer) error {
 		usage(out)
 		return fmt.Errorf("missing subcommand")
 	}
+	var cmd func([]string, io.Writer) error
 	switch args[0] {
 	case "gen":
-		return cmdGen(args[1:], out)
+		cmd = cmdGen
 	case "build":
-		return cmdBuild(args[1:], out)
+		cmd = cmdBuild
 	case "search":
-		return cmdSearch(args[1:], out)
+		cmd = cmdSearch
 	case "classify":
-		return cmdClassify(args[1:], out)
+		cmd = cmdClassify
 	case "experiment":
-		return cmdExperiment(args[1:], out)
+		cmd = cmdExperiment
 	case "serve":
-		return cmdServe(args[1:], out)
+		cmd = cmdServe
 	case "wire":
-		return cmdWire(args[1:], out)
+		cmd = cmdWire
 	case "pim":
-		return cmdPIM(args[1:], out)
+		cmd = cmdPIM
 	case "compact":
-		return cmdCompact(args[1:], out)
+		cmd = cmdCompact
 	case "help", "-h", "--help":
 		usage(out)
 		return nil
@@ -60,6 +63,10 @@ func run(args []string, out io.Writer) error {
 		usage(out)
 		return fmt.Errorf("unknown subcommand %q", args[0])
 	}
+	if err := cmd(args[1:], out); !errors.Is(err, flag.ErrHelp) {
+		return err
+	}
+	return nil // "<subcommand> -h": its FlagSet has printed the flags
 }
 
 func usage(out io.Writer) {

@@ -1,8 +1,6 @@
 package main
 
 import (
-	"errors"
-	"flag"
 	"io"
 	"os"
 	"strings"
@@ -14,6 +12,14 @@ import (
 // subcommand.
 func subcommandFlags(t *testing.T, sub string) map[string]bool {
 	t.Helper()
+	flags, _ := subcommandHelp(t, sub)
+	return flags
+}
+
+// subcommandHelp runs "biohd sub -h" and returns the flags its usage
+// lists with run's error.
+func subcommandHelp(t *testing.T, sub string) (map[string]bool, error) {
+	t.Helper()
 	f, err := os.CreateTemp(t.TempDir(), "usage")
 	if err != nil {
 		t.Fatal(err)
@@ -21,10 +27,10 @@ func subcommandFlags(t *testing.T, sub string) map[string]bool {
 	defer f.Close()
 	stderr := os.Stderr
 	os.Stderr = f
-	err = run([]string{sub, "-h"}, io.Discard)
+	runErr := run([]string{sub, "-h"}, io.Discard)
 	os.Stderr = stderr
-	if !errors.Is(err, flag.ErrHelp) {
-		return nil
+	if runErr != nil {
+		return nil, runErr
 	}
 	usage, err := os.ReadFile(f.Name())
 	if err != nil {
@@ -36,7 +42,20 @@ func subcommandFlags(t *testing.T, sub string) map[string]bool {
 			flags[strings.Fields(name)[0]] = true
 		}
 	}
-	return flags
+	return flags, nil
+}
+
+// TestSubcommandHelpSucceeds: "biohd <sub> -h" prints the subcommand's
+// flags and succeeds (exit 0) for every subcommand run dispatches.
+func TestSubcommandHelpSucceeds(t *testing.T) {
+	for _, sub := range []string{"gen", "build", "search", "classify", "experiment", "serve", "wire", "pim", "compact"} {
+		flags, err := subcommandHelp(t, sub)
+		if err != nil {
+			t.Errorf("%s -h: %v, want nil", sub, err)
+		} else if len(flags) == 0 {
+			t.Errorf("%s -h printed no flags", sub)
+		}
+	}
 }
 
 // undefinedFlags returns every "sub -flag" that a "biohd sub ..." line

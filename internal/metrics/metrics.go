@@ -10,8 +10,12 @@
 // and reads never block writers.
 //
 // Series identity follows Prometheus: a metric name plus a sorted label
-// set. Getting an existing series is a mutex-guarded map lookup;
-// callers on hot paths may keep the returned pointer instead.
+// set. Getting a series takes the registry's one mutex and renders its
+// label set, so request paths do not look series up per request: they
+// keep the returned pointer — resolved once at construction, or on a
+// series' first use where creating it eagerly would render a
+// zero-valued series nobody asked for (internal/server's per-route
+// table).
 package metrics
 
 import (
@@ -176,17 +180,16 @@ func labelString(labels []Label) string {
 		}
 		sb.WriteString(l.Key)
 		sb.WriteString(`="`)
-		sb.WriteString(escapeLabel(l.Value))
+		sb.WriteString(labelEscaper.Replace(l.Value))
 		sb.WriteByte('"')
 	}
 	return sb.String()
 }
 
-// escapeLabel escapes a label value per the text exposition format.
-func escapeLabel(v string) string {
-	r := strings.NewReplacer(`\`, `\\`, "\n", `\n`, `"`, `\"`)
-	return r.Replace(v)
-}
+// labelEscaper escapes a label value per the text exposition format. It
+// is built once: a Replacer is safe for concurrent use, and building one
+// costs more than the replacement.
+var labelEscaper = strings.NewReplacer(`\`, `\\`, "\n", `\n`, `"`, `\"`)
 
 // getFamily returns the family for name, creating it with the given
 // kind and help on first use. A name reused with a different kind
@@ -259,21 +262,20 @@ func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Labe
 
 // WritePrometheus renders every family in the text exposition format,
 // families sorted by name and series by label set, so successive
-// scrapes of an unchanged registry are byte-identical.
+// scrapes of an unchanged registry are byte-identical. It holds the
+// registry's mutex while it renders, because it walks the series maps a
+// first use adds to; observing an existing series takes no lock and is
+// never blocked by it.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	names := make([]string, 0, len(r.families))
 	for name := range r.families {
 		names = append(names, name)
 	}
-	fams := make([]*family, 0, len(names))
 	sort.Strings(names)
 	for _, name := range names {
-		fams = append(fams, r.families[name])
-	}
-	r.mu.Unlock()
-	for _, f := range fams {
-		if err := f.write(w); err != nil {
+		if err := r.families[name].write(w); err != nil {
 			return err
 		}
 	}

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -135,4 +136,31 @@ func TestConcurrentObservations(t *testing.T) {
 	if r.Gauge("g", "h").Value() != 0 {
 		t.Fatal("gauge should return to 0")
 	}
+}
+
+// TestWritePrometheusWhileSeriesAreAdded renders while other goroutines
+// create series in the families being rendered; under -race an
+// unguarded walk of a family's series map is reported.
+func TestWritePrometheusWhileSeriesAreAdded(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("reqs_total", "requests", Label{Key: "path", Value: "/0"})
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				v := strconv.Itoa(i)
+				r.Counter("reqs_total", "requests", Label{Key: "path", Value: "/" + v}).Inc()
+				r.Histogram("req_seconds", "latency", DefBuckets, Label{Key: "path", Value: "/" + v}).Observe(0.001)
+			}
+		}()
+	}
+	for i := 0; i < 50; i++ {
+		var sb strings.Builder
+		if err := r.WritePrometheus(&sb); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wg.Wait()
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"net/http"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/metrics"
@@ -22,43 +23,94 @@ const (
 	helpInFlight      = "HTTP requests currently being served."
 )
 
-// knownPaths are the mounted routes; everything else is labeled
-// "other" so a path-scanning client cannot mint unbounded series.
-var knownPaths = map[string]bool{
-	"/healthz":     true,
-	"/metrics":     true,
-	"/v1/stats":    true,
-	"/v1/search":   true,
-	"/v1/classify": true,
-	"/v1/batch":    true,
-	"/v1/refs":     true,
-	"/v1/compact":  true,
+// routes are the mounted route paths, in the order of the server's
+// series table; every other path is labeled "other" (the last slot) so
+// a path-scanning client cannot mint unbounded series.
+var routes = [...]string{
+	"/healthz",
+	"/metrics",
+	"/v1/stats",
+	"/v1/search",
+	"/v1/classify",
+	"/v1/batch",
+	"/v1/refs",
+	"/v1/compact",
+	"other",
 }
 
-func normalizePath(p string) string {
+const routeOther = len(routes) - 1
+
+// statusClasses are the status-class labels, indexed by statusClass.
+var statusClasses = [...]string{"2xx", "3xx", "4xx", "5xx"}
+
+// routeOf returns the series-table index of a request path.
+func routeOf(p string) int {
 	if strings.HasPrefix(p, "/v1/refs/") {
 		// DELETE /v1/refs/{id}: collapse the id so reference names
 		// cannot mint unbounded series.
-		return "/v1/refs"
+		p = "/v1/refs"
 	}
-	if knownPaths[p] {
-		return p
+	for i, r := range routes[:routeOther] {
+		if p == r {
+			return i
+		}
 	}
-	return "other"
+	return routeOther
 }
 
-// statusClass buckets an HTTP status into "2xx".."5xx".
-func statusClass(code int) string {
+// statusClass returns the index in statusClasses of an HTTP status.
+func statusClass(code int) int {
 	switch {
 	case code >= 500:
-		return "5xx"
+		return 3
 	case code >= 400:
-		return "4xx"
+		return 2
 	case code >= 300:
-		return "3xx"
+		return 1
 	default:
-		return "2xx"
+		return 0
 	}
+}
+
+// httpSeries holds the per-request series: a request counter for each
+// route and status class and a latency histogram for each route. A slot
+// is filled through the registry on its first use and read with one
+// atomic load after that, so a slot no request has used is no series —
+// /metrics renders only the series traffic has touched — and observing
+// a request takes no lock and renders no label.
+type httpSeries struct {
+	requests [len(routes)][len(statusClasses)]atomic.Pointer[metrics.Counter]
+	seconds  [len(routes)]atomic.Pointer[metrics.Histogram]
+}
+
+// observe records one served request.
+//
+//biohd:hotpath
+func (s *Server) observe(path string, status int, elapsed time.Duration) {
+	route, class := routeOf(path), statusClass(status)
+	c := s.series.requests[route][class].Load()
+	if c == nil {
+		c = s.resolveSeries(route, class)
+	}
+	c.Inc()
+	s.series.seconds[route].Load().Observe(elapsed.Seconds())
+}
+
+// resolveSeries fills the request counter slot of route and class, and
+// the route's histogram slot first if it is empty, so a loaded counter
+// implies a loaded histogram. Requests racing here get the registry's
+// one series for each slot and store the same pointer.
+//
+//biohd:coldstart the first request on a route and status class registers its series; later requests load the slot
+func (s *Server) resolveSeries(route, class int) *metrics.Counter {
+	path := metrics.Label{Key: "path", Value: routes[route]}
+	if s.series.seconds[route].Load() == nil {
+		s.series.seconds[route].Store(s.reg.Histogram(metricRequestSecs, helpRequestSecs, metrics.DefBuckets, path))
+	}
+	c := s.reg.Counter(metricRequestsTotal, helpRequestsTotal,
+		path, metrics.Label{Key: "status", Value: statusClasses[class]})
+	s.series.requests[route][class].Store(c)
+	return c
 }
 
 // statusWriter records the status code a handler wrote. Handlers in
@@ -96,13 +148,8 @@ func (s *Server) withObservability(next http.Handler) http.Handler {
 		if status == 0 {
 			status = http.StatusOK
 		}
-		path := normalizePath(r.URL.Path)
 		elapsed := time.Since(start)
-		s.reg.Counter(metricRequestsTotal, helpRequestsTotal,
-			metrics.Label{Key: "path", Value: path},
-			metrics.Label{Key: "status", Value: statusClass(status)}).Inc()
-		s.reg.Histogram(metricRequestSecs, helpRequestSecs, metrics.DefBuckets,
-			metrics.Label{Key: "path", Value: path}).Observe(elapsed.Seconds())
+		s.observe(r.URL.Path, status, elapsed)
 		if s.logger != nil {
 			s.logger.Printf("%s %s %d %s", r.Method, r.URL.Path, status, elapsed)
 		}

@@ -52,6 +52,7 @@ type Server struct {
 	cfg      Config
 	reg      *metrics.Registry
 	inflight *metrics.Gauge
+	series   httpSeries
 	coal     *coalesce.Coalescer // forward searches; every other route calls lib
 	logger   *log.Logger         // nil: no per-request logging
 

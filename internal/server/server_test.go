@@ -15,9 +15,19 @@ import (
 	"repro/internal/wire"
 )
 
-// testServer builds a server over one random reference and returns it
-// with the reference for planting queries.
+// testServer serves newServer's server over HTTP and returns it with
+// the reference for planting queries.
 func testServer(t *testing.T) (*httptest.Server, *genome.Sequence) {
+	t.Helper()
+	s, ref := newServer(t)
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	return ts, ref
+}
+
+// newServer builds a server over one random reference and returns it
+// with the reference.
+func newServer(t *testing.T) (*Server, *genome.Sequence) {
 	t.Helper()
 	ref := genome.Random(3000, rng.New(81))
 	lib, err := core.NewLibrary(core.Params{Dim: 8192, Window: 32, Seed: 82})
@@ -33,9 +43,7 @@ func testServer(t *testing.T) (*httptest.Server, *genome.Sequence) {
 		t.Fatal(err)
 	}
 	t.Cleanup(s.Close)
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(ts.Close)
-	return ts, ref
+	return s, ref
 }
 
 func postJSON(t *testing.T, url string, body interface{}) *http.Response {
