@@ -22,13 +22,15 @@ test:
 ## purego tag — the scalar tier of every bitvec kernel, the packages
 ## that encode through the row-fold kernels (whose oracle, golden and
 ## pim bit-identity suites were written against the portable majority
-## and would otherwise reach it only through internal/core), and the
+## and would otherwise reach it only through internal/core), internal/genome
+## (whose FindAll oracle and fuzz seeds then run every block through the
+## scalar lane steps the lane-match kernel takes over on AVX-512), and the
 ## packages that scan, map and frame — so the code a non-amd64 build
 ## runs is tested, not just compiled. A purego build cannot map, so this
 ## is also the run in which every open takes the stream source of the
 ## one container walk.
 test-purego:
-	$(GO) test -tags purego ./internal/bitvec ./internal/encoding ./internal/hdc ./internal/pim ./internal/core ./internal/cobs ./internal/mmapfile ./internal/wire
+	$(GO) test -tags purego ./internal/bitvec ./internal/genome ./internal/encoding ./internal/hdc ./internal/pim ./internal/core ./internal/cobs ./internal/mmapfile ./internal/wire
 
 ## race: run the test suite under the race detector, then the three
 ## packages whose behaviour depends on the scheduler — the coalescer forms
@@ -95,13 +97,13 @@ bench:
 ## pass over a cobs-sized reference), then the benchmark's smoke pass —
 ## catches benchmarks that no longer build or crash, without measuring
 ## anything.
-## The second line re-runs the kernel and encoder benchmarks under the
-## purego tag so the scalar fallbacks of the single-query, multi-query,
-## range and row-fold kernels stay exercised on machines whose first
-## pass dispatches to vector tiers.
+## The second line re-runs the kernel, encoder and FindAll benchmarks
+## under the purego tag so the scalar fallbacks of the single-query,
+## multi-query, range, row-fold and lane-match kernels stay exercised on
+## machines whose first pass dispatches to vector tiers.
 benchsmoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./internal/bitvec ./internal/hdc ./internal/encoding ./internal/genome ./internal/core ./internal/cobs .
-	$(GO) test -tags purego -run='^$$' -bench=. -benchtime=1x ./internal/bitvec ./internal/encoding
+	$(GO) test -tags purego -run='^$$' -bench=. -benchtime=1x ./internal/bitvec ./internal/encoding ./internal/genome
 	$(GO) run ./bench -smoke
 
 ## fuzz: run each fuzz target for FUZZTIME (default 30s)

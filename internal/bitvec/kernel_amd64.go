@@ -23,6 +23,9 @@ func majorityRowsAVX512(out, table *uint64, idx *int32, n, nblocks int, tie *uin
 //go:noescape
 func xorRowsAVX512(out, table *uint64, idx *int32, n, nblocks int)
 
+//go:noescape
+func laneMatchAVX512(words *uint64, ngroups int, key uint64, blocks *int32, masks *uint64, room int) (groups, n, cmps int)
+
 func cpuid(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax, edx uint32)
 
@@ -127,4 +130,16 @@ func xorRowsBlocks(out, table []uint64, idx []int32, rowWords int) {
 		return
 	}
 	xorRowsAVX512(&out[0], &table[0], &idx[0], len(idx), rowWords/kernelBlock)
+}
+
+// laneMatchBlocks runs the AVX-512 lane-match kernel over ngroups
+// groups; see LaneMatch. There is no AVX2 tier, so a host without
+// AVX-512 scans nothing here. Callers must check useAccel, that words
+// holds ngroups·LaneGroup + 1 words, ngroups ≥ 1, and room for
+// LaneGroup survivors.
+func laneMatchBlocks(words []uint64, ngroups int, key uint64, blocks []int32, masks []uint64) (groups, n, cmps int) {
+	if !useAVX512 {
+		return 0, 0, 0
+	}
+	return laneMatchAVX512(&words[0], ngroups, key, &blocks[0], &masks[0], min(len(blocks), len(masks)))
 }

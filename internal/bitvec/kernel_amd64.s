@@ -665,6 +665,132 @@ mj2seal:
 	VZEROUPPER
 	RET
 
+// The lane-match kernel (kernel_lanes.go).
+
+// Block indices 0..7 of a group, one dword each; VPCOMPRESSD reads the
+// low eight of the sixteen.
+DATA laneBlocks<>+0(SB)/8, $0x0000000100000000
+DATA laneBlocks<>+8(SB)/8, $0x0000000300000002
+DATA laneBlocks<>+16(SB)/8, $0x0000000500000004
+DATA laneBlocks<>+24(SB)/8, $0x0000000700000006
+DATA laneBlocks<>+32(SB)/8, $0
+DATA laneBlocks<>+40(SB)/8, $0
+DATA laneBlocks<>+48(SB)/8, $0
+DATA laneBlocks<>+56(SB)/8, $0
+GLOBL laneBlocks<>(SB), RODATA|NOPTR, $64
+
+// LANEBASE broadcasts the low base of R13, times 0x5555… (R12), to
+// every lane of reg and moves R13 on to the next base.
+#define LANEBASE(reg) \
+	MOVQ         R13, AX; \
+	ANDQ         $3, AX;  \
+	IMULQ        R12, AX; \
+	VPBROADCASTQ AX, reg; \
+	SHRQ         $2, R13
+
+// LANESTEP is step j of the group (s = 2j, t = 64 − 2j): x = (lo>>s |
+// hi<<t) ^ bc (VPTERNLOGQ 0x56 is (A | B) ^ C), then m &^= x | x>>1
+// (0x10 is A &^ (B | C)), and the popcount of m joins the count.
+#define LANESTEP(s, t, bc) \
+	VPSRLQ     $s, Z0, Z2;        \
+	VPSLLQ     $t, Z1, Z3;        \
+	VPTERNLOGQ $0x56, bc, Z3, Z2; \
+	VPSRLQ     $1, Z2, Z3;        \
+	VPTERNLOGQ $0x10, Z3, Z2, Z5; \
+	VPOPCNTQ   Z5, Z4;            \
+	VPADDQ     Z4, Z6, Z6
+
+// func laneMatchAVX512(words *uint64, ngroups int, key uint64, blocks *int32, masks *uint64, room int) (groups, n, cmps int)
+// The first eight lane steps over groups of eight blocks, block q being
+// words[q] with words[q+1] above it. Z0 holds the group's eight words,
+// Z1 the eight after each (one word further on), Z8..Z15 the pattern
+// bases 0..7 of key broadcast, Z5 the eight live masks. After the
+// eighth step VPTESTMQ marks the blocks with a live lane; the
+// VPCOMPRESSQ/VPCOMPRESSD pair stores their masks and group-relative
+// block indices (Z16) at the cursor AX, in ascending order, writing
+// exactly as many entries as survive. A group adds at most eight, so
+// the loop stops before the group that could overflow room. Returns
+// the groups scanned, the survivors written and Σ popcount of the
+// masks after every step. The caller guarantees ngroups·8 + 1 words,
+// ngroups ≥ 1 and room ≥ 8.
+TEXT ·laneMatchAVX512(SB), NOSPLIT, $0-72
+	MOVQ words+0(FP), SI
+	MOVQ ngroups+8(FP), CX
+	MOVQ key+16(FP), R13
+	MOVQ blocks+24(FP), DI
+	MOVQ masks+32(FP), R8
+	MOVQ room+40(FP), R9
+
+	MOVQ         $0x5555555555555555, R12
+	VPBROADCASTQ R12, Z7          // Z7: every lane live
+	LANEBASE(Z8)
+	LANEBASE(Z9)
+	LANEBASE(Z10)
+	LANEBASE(Z11)
+	LANEBASE(Z12)
+	LANEBASE(Z13)
+	LANEBASE(Z14)
+	LANEBASE(Z15)
+	VMOVDQU32    laneBlocks<>(SB), Z16
+	MOVL         $8, AX
+	VPBROADCASTD AX, Z17          // Z17: eight blocks, the index step
+	VPXORQ       Z6, Z6, Z6       // Z6: comparison count per block slot
+	XORQ         AX, AX           // AX: survivors written
+	XORQ         BX, BX           // BX: groups scanned
+	SUBQ         $8, R9           // R9: the cursor a group may start at
+
+lmgroup:
+	CMPQ BX, CX
+	JGE  lmdone
+	CMPQ AX, R9
+	JGT  lmdone
+	VMOVDQU64 (SI), Z0
+	VMOVDQU64 8(SI), Z1
+
+	// Step 0 reads the words as they are.
+	VPXORQ     Z8, Z0, Z2
+	VPSRLQ     $1, Z2, Z3
+	VMOVDQA64  Z7, Z5
+	VPTERNLOGQ $0x10, Z3, Z2, Z5
+	VPOPCNTQ   Z5, Z4
+	VPADDQ     Z4, Z6, Z6
+	LANESTEP(2, 62, Z9)
+	LANESTEP(4, 60, Z10)
+	LANESTEP(6, 58, Z11)
+	LANESTEP(8, 56, Z12)
+	LANESTEP(10, 54, Z13)
+	LANESTEP(12, 52, Z14)
+	LANESTEP(14, 50, Z15)
+
+	VPTESTMQ Z5, Z5, K1           // blocks with a live lane
+	KORTESTW K1, K1
+	JZ       lmnext
+	VPCOMPRESSQ Z5, K1, (R8)(AX*8)
+	VPCOMPRESSD Z16, K1, (DI)(AX*4)
+	KMOVW    K1, DX
+	POPCNTL  DX, DX
+	ADDQ     DX, AX
+
+lmnext:
+	VPADDD Z17, Z16, Z16
+	ADDQ   $64, SI
+	INCQ   BX
+	JMP    lmgroup
+
+lmdone:
+	VEXTRACTI64X4 $1, Z6, Y1
+	VPADDQ        Y1, Y6, Y6
+	VEXTRACTI128  $1, Y6, X1
+	VPADDQ        X1, X6, X6
+	VPSHUFD       $0xee, X6, X1
+	VPADDQ        X1, X6, X6
+	VMOVQ         X6, DX
+	VZEROUPPER
+	MOVQ          BX, groups+48(FP)
+	MOVQ          AX, n+56(FP)
+	MOVQ          DX, cmps+64(FP)
+	RET
+
 // func cpuid(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL  leaf+0(FP), AX

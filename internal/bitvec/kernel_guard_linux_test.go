@@ -3,6 +3,7 @@
 package bitvec
 
 import (
+	"fmt"
 	"slices"
 	"syscall"
 	"testing"
@@ -41,9 +42,9 @@ func guardedCopy[T uint64 | int32](t *testing.T, src []T) []T {
 	return g
 }
 
-// TestKernelsStopAtGuardPage runs the distance kernels, the range kernel
-// and the row folds, through their dispatch and through every tier the
-// host has, on operands that end at a guard page.
+// TestKernelsStopAtGuardPage runs the distance kernels, the range kernel,
+// the row folds and the lane-match kernel, through their dispatch and
+// through every tier the host has, on operands that end at a guard page.
 func TestKernelsStopAtGuardPage(t *testing.T) {
 	for _, nw := range []int{8, 15, 64, 72, 136, 512} {
 		a, b := guardedCopy(t, randWords(nw, uint64(nw))), guardedCopy(t, randWords(nw, uint64(nw)+1))
@@ -108,6 +109,21 @@ func TestKernelsStopAtGuardPage(t *testing.T) {
 				if tier.parity(out, table, idx, w); !slices.Equal(out, parity) {
 					t.Errorf("%s parity w=%d n=%d differs from the portable tier", name, w, n)
 				}
+			}
+		}
+	}
+
+	// The lane-match kernel reads words[8g] as the last block's upper
+	// word, and on all-A text every block survives, so the survivor
+	// stores reach the end of a room of 8g entries; a room of one group
+	// ends the stores of every call at the page.
+	for _, g := range []int{1, 2, 9} {
+		for _, kind := range []string{"all-A", "random"} {
+			src, key := laneText(kind, g, uint64(g))
+			words := guardedCopy(t, src)
+			for _, room := range []int{LaneGroup, g * LaneGroup} {
+				name := fmt.Sprintf("lane match %s g=%d room=%d", kind, g, room)
+				checkLaneMatch(t, name, words, key, guarded[int32](t, room), guarded[uint64](t, room))
 			}
 		}
 	}

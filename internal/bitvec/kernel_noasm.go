@@ -23,3 +23,7 @@ func majorityRowsBlocks(out, table []uint64, idx []int32, rowWords int, tie []ui
 func xorRowsBlocks(out, table []uint64, idx []int32, rowWords int) {
 	panic("bitvec: xorRowsBlocks without an accelerated kernel")
 }
+
+func laneMatchBlocks(words []uint64, ngroups int, key uint64, blocks []int32, masks []uint64) (groups, n, cmps int) {
+	panic("bitvec: laneMatchBlocks without an accelerated kernel")
+}

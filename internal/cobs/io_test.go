@@ -2,6 +2,7 @@ package cobs
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"os"
@@ -292,6 +293,45 @@ func TestMappedEqualsHeap(t *testing.T) {
 	requireSameAnswers(t, heap, mapped, refs)
 	if c := mapped.Counters(); c.HeapScans == 0 {
 		t.Fatal("post-compact probes still attributed to the mapped tier only")
+	}
+}
+
+// TestScanCountersPerWindow pins what a search adds to the scan
+// counters on both tiers: Hashes rows of every segment per query
+// window, and one mapped or one heap range per segment per window.
+func TestScanCountersPerWindow(t *testing.T) {
+	x, refs := buildSegmentedIndex(t)
+	path := filepath.Join(t.TempDir(), "cobs.v3")
+	if err := os.WriteFile(path, writeV3(t, x), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	w := testParams.Window
+	pats := []*genome.Sequence{refs[0].Slice(0, w), refs[1].Slice(10, 10+w), genome.Random(w, rng.New(9))}
+	for _, mode := range []core.LoadMode{core.LoadHeap, core.MapArena} {
+		idx, err := core.OpenLibraryFile(path, mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer idx.Close()
+		segs, mapped := int64(idx.NumSegments()), int64(0)
+		if idx.Mapped() {
+			mapped = segs
+		}
+		before := idx.Counters()
+		var a core.Answer
+		if err := idx.Search(context.Background(), core.Query{Patterns: pats}, &a); err != nil {
+			t.Fatal(err)
+		}
+		after, n := idx.Counters(), int64(len(pats))
+		if got, want := after.BucketProbes-before.BucketProbes, n*int64(testParams.Hashes)*segs; got != want {
+			t.Errorf("mapped=%v: BucketProbes advanced by %d, want %d", idx.Mapped(), got, want)
+		}
+		if got := after.MappedScans - before.MappedScans; got != n*mapped {
+			t.Errorf("mapped=%v: MappedScans advanced by %d, want %d", idx.Mapped(), got, n*mapped)
+		}
+		if got := after.HeapScans - before.HeapScans; got != n*(segs-mapped) {
+			t.Errorf("mapped=%v: HeapScans advanced by %d, want %d", idx.Mapped(), got, n*(segs-mapped))
+		}
 	}
 }
 

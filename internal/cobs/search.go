@@ -84,7 +84,8 @@ func (p *Params) probePositions(pattern *genome.Sequence, qoff int, pos []int) [
 // every segment of the snapshot: AND the probe rows, mask tombstones,
 // and decode the surviving columns into global reference indices
 // (ascending per segment, segments in order). Results land in
-// sc.cands.refs (reset here); stats and counters account the scan work.
+// sc.cands.refs (reset here); stats account the scan work, and the
+// caller adds it to the engine's counters (probeBlock, once a block).
 //
 //biohd:hotpath
 func (x *Index) probeWindow(v *core.View, pattern *genome.Sequence, qoff int, sc *probeScratch, stats *core.Stats) {
@@ -102,7 +103,6 @@ func (x *Index) probeWindow(v *core.View, pattern *genome.Sequence, qoff int, sc
 		stats.BucketProbes += len(pos)
 	}
 	stats.CandidateBuckets += len(cands.refs)
-	x.CountScans(int64(len(pos)*len(sn.segs)), int64(sn.mapped), int64(len(sn.segs)-sn.mapped))
 }
 
 // verifyWindow finds the exact occurrences of the query window
@@ -137,7 +137,9 @@ func (x *Index) verifyWindow(v *core.View, dst []core.Match, pattern *genome.Seq
 
 // probeBlock is Kernel.Probe. The candidate stage is a handful of row
 // ANDs per window whatever the block size, so windows are served one
-// after another from one scratch.
+// after another from one scratch. Each window probes Hashes rows of
+// every segment; the block's scans reach the shared counters in one
+// CountScans.
 //
 //biohd:hotpath
 func (x *Index) probeBlock(v *core.View, wins []core.Window, out []*core.BatchResult) {
@@ -148,4 +150,6 @@ func (x *Index) probeBlock(v *core.View, wins []core.Window, out []*core.BatchRe
 		x.probeWindow(v, wn.Seq, wn.Off, sc, &r.Stats)
 		r.Matches = x.verifyWindow(v, r.Matches, wn.Seq, wn.Off, sc.cands, &r.Stats)
 	}
+	sn, n := viewOf(v), int64(len(wins))
+	x.CountScans(n*int64(x.params.Hashes*len(sn.segs)), n*int64(sn.mapped), n*int64(len(sn.segs)-sn.mapped))
 }

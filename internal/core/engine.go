@@ -617,11 +617,20 @@ func (e *Engine) compactLocked(minRatio float64) int {
 
 // CountScans adds a probe's scan work to the cumulative counters: the
 // bucket (or bit-row) scans it ran and how many mapped and
-// heap-resident segment ranges they covered.
+// heap-resident segment ranges they covered. A zero delta is skipped:
+// every add is a locked read-modify-write on a line all lookup
+// goroutines write, and an index whose segments all sit on one tier
+// adds 0 to the other's count.
 //
 //biohd:hotpath
 func (e *Engine) CountScans(bucketProbes, mappedScans, heapScans int64) {
-	e.ctr.bucketProbes.Add(bucketProbes)
-	e.ctr.mappedScans.Add(mappedScans)
-	e.ctr.heapScans.Add(heapScans)
+	if bucketProbes != 0 {
+		e.ctr.bucketProbes.Add(bucketProbes)
+	}
+	if mappedScans != 0 {
+		e.ctr.mappedScans.Add(mappedScans)
+	}
+	if heapScans != 0 {
+		e.ctr.heapScans.Add(heapScans)
+	}
 }

@@ -3,6 +3,8 @@ package genome
 import (
 	"fmt"
 	"math/bits"
+
+	"repro/internal/bitvec"
 )
 
 // Word-parallel comparison on the packed representation, 32 bases per
@@ -71,6 +73,14 @@ func checkWindow(s *Sequence, off, w int) {
 // min(w, 32) steps; a lane live then has matched the first 32 bases and
 // compares the rest a word at a time (tailPrefix).
 //
+// With w ≥ 8 the blocks whose 32 lanes are all offsets go through
+// bitvec.LaneMatch first, eight blocks (256 offsets) per step on
+// AVX-512: it runs steps 0–7 and hands back only the blocks with a lane
+// still live, which finish here from step 8. The rest — the blocks after
+// the last whole group, the last (partial) block, every block of a
+// shorter window, and every block where the kernel scans nothing — run
+// the scalar steps from step 0.
+//
 // The count needs no per-offset work. With mⱼ the live mask after step
 // j, a lane is in mⱼ exactly when its matched prefix is longer than j,
 // so Σⱼ popcount(mⱼ) is the sum of the matched prefixes (each capped at
@@ -83,29 +93,41 @@ func FindAll(dst []int, text, pat *Sequence, poff, w int) ([]int, int) {
 	if last < 0 {
 		return dst, 0
 	}
-	k := min(w, basesPerWord)
-	key := pat.word32(poff)
-	// bcj is pattern base j broadcast to every lane; later steps
-	// broadcast theirs in the loop.
-	bc0, bc1, bc2, bc3 := key&3*lowBits, key>>2&3*lowBits, key>>4&3*lowBits, key>>6&3*lowBits
-	words := text.words
+	f := laneScan{text: text, pat: pat, poff: poff, w: w, k: min(w, basesPerWord), key: pat.word32(poff)}
 	cmps := last + 1
-	for q := 0; q*basesPerWord <= last; q++ {
+	q := 0
+	if f.k >= bitvec.LaneSteps {
+		// Block full−1 is the last whose lanes are all offsets; its
+		// second word, full, exists because w ≥ 8.
+		full := (last + 1) / basesPerWord
+		var blocks [laneRoom]int32
+		var masks [laneRoom]uint64
+		for q+bitvec.LaneGroup <= full {
+			g, n, c := bitvec.LaneMatch(text.words[q:full+1], f.key, blocks[:], masks[:])
+			if g == 0 {
+				break
+			}
+			cmps += c
+			for i, blk := range blocks[:n] {
+				dst, cmps = f.finish(dst, cmps, q+int(blk), masks[i], bitvec.LaneSteps)
+			}
+			q += g * bitvec.LaneGroup
+		}
+	}
+	// bcj is pattern base j broadcast to every lane; later steps
+	// broadcast theirs in finish.
+	key := f.key
+	bc0, bc1, bc2, bc3 := key&3*lowBits, key>>2&3*lowBits, key>>4&3*lowBits, key>>6&3*lowBits
+	for ; q*basesPerWord <= last; q++ {
 		b := q * basesPerWord
 		// The last block's lanes past last would read the text's end and
 		// the padding beyond it.
 		m := lowBits & baseMask(min(last-b+1, basesPerWord))
-		// Step j reads text[b+j:] as lo>>2j | hi<<(64−2j): lane i holds
-		// text[b+j+i] for every j < 32.
-		lo := words[q]
-		var hi uint64
-		if q+1 < len(words) {
-			hi = words[q+1]
-		}
 		j := 0
-		if k >= 4 {
+		if f.k >= 4 {
 			// The first four steps, without a branch: on random text a
 			// block has no live lane only after about four.
+			lo, hi := f.blockWords(q)
 			x0 := lo ^ bc0
 			x1 := (lo>>2 | hi<<62) ^ bc1
 			x2 := (lo>>4 | hi<<60) ^ bc2
@@ -120,24 +142,62 @@ func FindAll(dst []int, text, pat *Sequence, poff, w int) ([]int, int) {
 			cmps += c + bits.OnesCount64(m)
 			j = 4
 		}
-		for ; m != 0 && j < k; j++ {
-			s := 2 * uint(j)
-			x := (lo>>s | hi<<(64-s)) ^ key>>s&3*lowBits
-			m &^= x | x>>1
-			cmps += bits.OnesCount64(m)
+		if m != 0 {
+			dst, cmps = f.finish(dst, cmps, q, m, j)
 		}
-		// A lane live now has matched the first min(w, 32) bases.
-		for ; m != 0; m &= m - 1 {
-			off := b + bits.TrailingZeros64(m)/2
-			if w > basesPerWord {
-				n := tailPrefix(text, off, pat, poff, w)
-				if cmps += n - basesPerWord; n < w {
-					continue
-				}
+	}
+	return dst, cmps
+}
+
+// laneRoom is how many surviving blocks FindAll takes back from one
+// bitvec.LaneMatch call, in scratch on its stack: eight groups of
+// all-live blocks, while on random text one call covers the text.
+const laneRoom = 64
+
+// laneScan is one FindAll: the text, the pattern window, the lane steps
+// a block runs (k = min(w, 32)) and the window's first 32 bases.
+type laneScan struct {
+	text, pat *Sequence
+	poff, w   int
+	k         int
+	key       uint64
+}
+
+// blockWords returns the two words block q's lanes read: step j reads
+// text[32q+j:] as lo>>2j | hi<<(64−2j), so lane i holds text[32q+j+i]
+// for every j < 32.
+func (f *laneScan) blockWords(q int) (lo, hi uint64) {
+	words := f.text.words
+	lo = words[q]
+	if q+1 < len(words) {
+		hi = words[q+1]
+	}
+	return lo, hi
+}
+
+// finish runs block q's lane steps from j on, starting from the live
+// mask m, and appends the offsets of the lanes live after k steps that
+// match the whole window, adding each step's popcount to cmps.
+func (f *laneScan) finish(dst []int, cmps, q int, m uint64, j int) ([]int, int) {
+	lo, hi := f.blockWords(q)
+	for ; m != 0 && j < f.k; j++ {
+		s := 2 * uint(j)
+		x := (lo>>s | hi<<(64-s)) ^ f.key>>s&3*lowBits
+		m &^= x | x>>1
+		cmps += bits.OnesCount64(m)
+	}
+	// A lane live now has matched the first min(w, 32) bases.
+	b := q * basesPerWord
+	for ; m != 0; m &= m - 1 {
+		off := b + bits.TrailingZeros64(m)/2
+		if f.w > basesPerWord {
+			n := tailPrefix(f.text, off, f.pat, f.poff, f.w)
+			if cmps += n - basesPerWord; n < f.w {
+				continue
 			}
-			cmps--
-			dst = append(dst, off)
 		}
+		cmps--
+		dst = append(dst, off)
 	}
 	return dst, cmps
 }

@@ -71,13 +71,15 @@ func periodic(unit string, n int) *Sequence {
 }
 
 // findAllWidths are the window widths the FindAll tests cover: below, at
-// and above the four branch-free steps, and either side of one and two
-// words.
-var findAllWidths = []int{1, 2, 3, 4, 5, 31, 32, 33, 64, 65, 1024}
+// and above the four branch-free steps and the lane kernel's eight, and
+// either side of one and two words.
+var findAllWidths = []int{1, 2, 3, 4, 5, 7, 8, 9, 31, 32, 33, 64, 65, 1024}
 
 // blockEdgeOffsets are offset counts either side of one and two full
-// blocks of 32 lanes.
-var blockEdgeOffsets = []int{31, 32, 33, 63, 64, 65}
+// blocks of 32 lanes, of one and two groups of eight blocks (the lane
+// kernel's step), and of the 64 blocks FindAll's survivor scratch holds
+// when every block survives the kernel.
+var blockEdgeOffsets = []int{31, 32, 33, 63, 64, 65, 255, 256, 257, 511, 512, 513, 2047, 2048, 2049}
 
 func TestFindAllMatchesNaive(t *testing.T) {
 	src := rng.New(41)
@@ -116,8 +118,13 @@ func TestFindAllMatchesNaive(t *testing.T) {
 // TestFindAllEnds plants occurrences at offset 0 and at n−w of an
 // otherwise random text, and at the edges of FindAll's blocks of 32
 // offsets: the last lane of one block and the first lane of the next,
-// and near-occurrences that agree on the first 32 bases and differ at
-// one base past them. It also checks a text shorter than the window.
+// also across the first edge of the lane kernel's groups of eight
+// blocks (lane 31 of block 7, lane 0 of block 8); and near-occurrences
+// that agree on the first p bases and differ at base p: at p = 8 or 9 a
+// block survives the kernel's eight steps and finishes in the scalar
+// ones, p = 31 fails at the last lane step, and at p ≥ 32 the lane
+// passes all 32 and fails in tailPrefix. It also checks a text shorter
+// than the window.
 func TestFindAllEnds(t *testing.T) {
 	src := rng.New(42)
 	for _, w := range findAllWidths {
@@ -134,8 +141,8 @@ func TestFindAllEnds(t *testing.T) {
 			t.Fatalf("w=%d: text shorter than the window gave %v, %d comparisons", w, offs, cmps)
 		}
 
-		for _, at := range []int{31, 32, 63, 64} {
-			text := Random(at, src).Append(pat).Append(Random(40, src))
+		for _, at := range []int{31, 32, 63, 64, 7*basesPerWord + 31, 8 * basesPerWord} {
+			text := Random(at, src).Append(pat).Append(Random(300, src))
 			name := fmt.Sprintf("w=%d planted at %d", w, at)
 			if offs, _ := FindAll(nil, text, pat, 0, w); !slices.Contains(offs, at) {
 				t.Fatalf("%s: occurrences %v", name, offs)
@@ -149,20 +156,22 @@ func TestFindAllEnds(t *testing.T) {
 			t.Fatalf("w=%d: all-A occurrences %v, want 31 and 32", w, offs)
 		}
 		checkFindAll(t, fmt.Sprintf("w=%d all-A at 31 and 32", w), text, as, 0, w, 1)
-		// Lanes that survive the 32 lane steps and fail at base p past
-		// them: one planted lane in random text, and every lane of every
-		// block in all-A text.
-		for _, p := range []int{32, 33, 63, 64, w / 2, w - 1} {
-			if p < basesPerWord || p >= w {
+		// Lanes that agree on p bases and fail at base p: one planted
+		// lane in random text, in the first block and in the kernel's
+		// first group, and every lane of every block in all-A text.
+		for _, p := range []int{8, 9, 31, 32, 33, 63, 64, w / 2, w - 1} {
+			if p >= w {
 				continue
 			}
 			near := pat.Clone()
 			near.Set(p, near.At(p).Complement())
-			text := Random(31, src).Append(near).Append(Random(40, src))
-			checkFindAll(t, fmt.Sprintf("w=%d planted mismatch at base %d", w, p), text, pat, 0, w, 1)
+			for _, at := range []int{31, 7*basesPerWord + 31} {
+				text := Random(at, src).Append(near).Append(Random(300, src))
+				checkFindAll(t, fmt.Sprintf("w=%d planted mismatch at base %d at %d", w, p, at), text, pat, 0, w, 1)
+			}
 			near = NewSequence(w)
 			near.Set(p, C)
-			checkFindAll(t, fmt.Sprintf("w=%d all-A mismatch at base %d", w, p), NewSequence(w+100), near, 0, w, 1)
+			checkFindAll(t, fmt.Sprintf("w=%d all-A mismatch at base %d", w, p), NewSequence(w+300), near, 0, w, 1)
 		}
 	}
 }
@@ -286,14 +295,19 @@ func FuzzFindAll(f *testing.F) {
 	for _, c := range blockEdgeOffsets {
 		f.Add(make([]byte, 32+c), make([]byte, 33), uint16(0), uint16(32), uint8(0))
 	}
+	// The planted texts at 255 and 256 and the all-A seeds of at least
+	// 255 offsets hold nine blocks or more, so the lane kernel runs.
 	pat := randomBases(40)
-	for _, at := range []int{31, 32, 63, 64} {
+	for _, at := range []int{31, 32, 63, 64, 7*32 + 31, 8 * 32} {
 		planted := slices.Concat(randomBases(at), pat, randomBases(40))
 		f.Add(planted, pat, uint16(0), uint16(39), uint8(1))
 	}
 	near := make([]byte, 48)
 	near[40] = byte(C)
 	f.Add(make([]byte, 100), near, uint16(0), uint16(47), uint8(1))
+	near = make([]byte, 40)
+	near[9] = byte(C)
+	f.Add(make([]byte, 700), near, uint16(0), uint16(39), uint8(1))
 	f.Fuzz(func(t *testing.T, textB, patB []byte, poffRaw, wRaw uint16, limit uint8) {
 		if len(patB) == 0 || len(textB) > 4096 || len(patB) > 4096 {
 			return
