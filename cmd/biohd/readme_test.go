@@ -3,8 +3,12 @@ package main
 import (
 	"io"
 	"os"
+	"regexp"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
+	"unicode"
 )
 
 // subcommandFlags returns the flags "biohd sub -h" lists, read from the
@@ -45,10 +49,13 @@ func subcommandHelp(t *testing.T, sub string) (map[string]bool, error) {
 	return flags, nil
 }
 
+// subcommands lists every subcommand run dispatches.
+var subcommands = []string{"gen", "build", "search", "classify", "experiment", "serve", "wire", "pim", "compact"}
+
 // TestSubcommandHelpSucceeds: "biohd <sub> -h" prints the subcommand's
 // flags and succeeds (exit 0) for every subcommand run dispatches.
 func TestSubcommandHelpSucceeds(t *testing.T) {
-	for _, sub := range []string{"gen", "build", "search", "classify", "experiment", "serve", "wire", "pim", "compact"} {
+	for _, sub := range subcommands {
 		flags, err := subcommandHelp(t, sub)
 		if err != nil {
 			t.Errorf("%s -h: %v, want nil", sub, err)
@@ -58,36 +65,122 @@ func TestSubcommandHelpSucceeds(t *testing.T) {
 	}
 }
 
-// undefinedFlags returns every "sub -flag" that a "biohd sub ..." line
-// of readme's Quickstart block passes and that flagsOf(sub) lacks.
-func undefinedFlags(readme string, flagsOf func(sub string) map[string]bool) []string {
-	_, block, _ := strings.Cut(readme, "## Quickstart\n\n```sh\n")
-	block, _, _ = strings.Cut(block, "```")
-	var bad []string
-	for _, line := range strings.Split(block, "\n") {
-		tok := strings.Fields(line)
-		if len(tok) < 2 || tok[0] != "biohd" {
-			continue
+var (
+	fenced   = regexp.MustCompile("(?ms)^```[^\n]*\n(.*?)^```")
+	codeSpan = regexp.MustCompile("`([^`]+)`")
+)
+
+// readmeFlags returns the flags readme documents for each subcommand:
+// those that follow "biohd <sub>" in a code block or code span, up to
+// the end of the command, and those of its flag table, a row whose
+// first cell names subcommands in code spans and whose second names
+// their flags.
+func readmeFlags(readme string) map[string]map[string]bool {
+	doc := map[string]map[string]bool{}
+	add := func(sub, flag string) {
+		if doc[sub] == nil {
+			doc[sub] = map[string]bool{}
 		}
-		flags := flagsOf(tok[1])
-		for _, a := range tok[2:] {
-			name, ok := strings.CutPrefix(a, "-")
-			if !ok {
-				continue
-			}
-			name, _, _ = strings.Cut(strings.TrimPrefix(name, "-"), "=")
-			if !flags[name] {
-				bad = append(bad, tok[1]+" -"+name)
+		doc[sub][flag] = true
+	}
+	var snippets []string
+	for _, m := range fenced.FindAllStringSubmatch(readme, -1) {
+		for _, line := range strings.Split(m[1], "\n") {
+			line, _, _ = strings.Cut(line, " #") // a shell comment
+			snippets = append(snippets, line)
+		}
+	}
+	prose := fenced.ReplaceAllString(readme, "")
+	for _, m := range codeSpan.FindAllStringSubmatch(prose, -1) {
+		snippets = append(snippets, m[1])
+	}
+	for _, s := range snippets {
+		tok, sub := strings.Fields(s), ""
+		for i, a := range tok {
+			switch {
+			case a == "biohd" && i+1 < len(tok) && slices.Contains(subcommands, tok[i+1]):
+				sub = tok[i+1]
+			case a == "&&" || a == ";" || a == "&" || strings.HasPrefix(a, ">") ||
+				a == "|" && (i+1 == len(tok) || !strings.HasPrefix(tok[i+1], "-")):
+				sub = "" // the command ends; "|" between flags is a usage alternative
+			case sub != "":
+				if name, ok := flagName(a); ok {
+					add(sub, name)
+				}
 			}
 		}
 	}
-	return bad
+	for _, line := range strings.Split(prose, "\n") {
+		cells := strings.Split(line, "|")
+		if !strings.HasPrefix(line, "|") || len(cells) < 3 {
+			continue
+		}
+		subs := codeSpan.FindAllStringSubmatch(cells[1], -1)
+		for _, sub := range subs {
+			if !slices.Contains(subcommands, sub[1]) {
+				subs = nil
+				break
+			}
+		}
+		for _, sub := range subs {
+			for _, f := range codeSpan.FindAllStringSubmatch(cells[2], -1) {
+				if name, ok := flagName(f[1]); ok {
+					add(sub[1], name)
+				}
+			}
+		}
+	}
+	return doc
 }
 
-// TestReadmeQuickstartFlagsDefined: every flag README's Quickstart
-// passes to a subcommand is one that subcommand defines, so a renamed
-// or deleted flag cannot leave the documented commands broken.
-func TestReadmeQuickstartFlagsDefined(t *testing.T) {
+// flagName returns the flag a command-line token passes: "-name",
+// "--name" or "-name=value", in usage brackets or not.
+func flagName(tok string) (string, bool) {
+	tok = strings.Trim(tok, "[](),")
+	name, ok := strings.CutPrefix(tok, "-")
+	name, _, _ = strings.Cut(strings.TrimPrefix(name, "-"), "=")
+	if !ok || name == "" || !unicode.IsLetter(rune(name[0])) {
+		return "", false
+	}
+	return name, true
+}
+
+// flagDrift compares what readme documents with what flagsOf(sub)
+// defines: undefined lists each "sub -flag" readme names that sub
+// lacks, undocumented each one sub defines that readme never names.
+func flagDrift(readme string, flagsOf func(sub string) map[string]bool) (undefined, undocumented []string) {
+	doc := readmeFlags(readme)
+	for _, sub := range subcommands {
+		defined := flagsOf(sub)
+		for _, f := range sortedKeys(doc[sub]) {
+			if !defined[f] {
+				undefined = append(undefined, sub+" -"+f)
+			}
+		}
+		for _, f := range sortedKeys(defined) {
+			if !doc[sub][f] {
+				undocumented = append(undocumented, sub+" -"+f)
+			}
+		}
+	}
+	return undefined, undocumented
+}
+
+func sortedKeys(m map[string]bool) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// TestReadmeFlagsDefined holds README to the CLI in both directions:
+// every flag it passes to a subcommand ("biohd <sub> … -flag" anywhere
+// in it, or its flag table) is one that subcommand defines, so a renamed
+// or deleted flag cannot leave a documented command broken; and every
+// flag "biohd <sub> -h" lists is documented there.
+func TestReadmeFlagsDefined(t *testing.T) {
 	readme, err := os.ReadFile("../../README.md")
 	if err != nil {
 		t.Fatal(err)
@@ -99,15 +192,20 @@ func TestReadmeQuickstartFlagsDefined(t *testing.T) {
 		}
 		return cache[sub]
 	}
-	if bad := undefinedFlags(string(readme), flagsOf); len(bad) > 0 {
-		t.Errorf("README Quickstart passes flags its subcommands do not define: %v", bad)
+	undefined, undocumented := flagDrift(string(readme), flagsOf)
+	if len(undefined) > 0 {
+		t.Errorf("README passes flags its subcommands do not define: %v", undefined)
 	}
-	if len(cache) < 8 {
-		t.Errorf("Quickstart block yielded %d subcommands; the README parse is broken", len(cache))
+	if len(undocumented) > 0 {
+		t.Errorf("README does not document these flags: %v", undocumented)
 	}
-	// The check itself: a seeded unknown flag is reported.
-	seeded := "## Quickstart\n\n```sh\nbiohd search -lib x -bogus 1\n```\n"
-	if bad := undefinedFlags(seeded, flagsOf); len(bad) != 1 || bad[0] != "search -bogus" {
-		t.Errorf("seeded unknown flag: got %v, want [search -bogus]", bad)
+	// The check itself: an unknown flag and an undocumented one are
+	// reported; a usage alternative, a pipe and a table row are read as
+	// such.
+	seeded := "`biohd search -lib x [-bogus 1] | -long`, `biohd experiment all | grep -v x`\n\n| `pim` | `-rows` |\n"
+	fake := map[string]map[string]bool{"search": {"lib": true, "long": true}, "pim": {"rows": true, "undocumented": true}}
+	undefined, undocumented = flagDrift(seeded, func(sub string) map[string]bool { return fake[sub] })
+	if strings.Join(undefined, ",") != "search -bogus" || strings.Join(undocumented, ",") != "pim -undocumented" {
+		t.Errorf("seeded drift: got undefined %v, undocumented %v; want [search -bogus], [pim -undocumented]", undefined, undocumented)
 	}
 }

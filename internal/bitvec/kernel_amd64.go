@@ -122,7 +122,7 @@ func majorityRowsBlocks(out, table []uint64, idx []int32, rowWords int, tie []ui
 // xorRowsBlocks runs the vector parity fold, under the same
 // preconditions as majorityRowsBlocks (any number of rows). There is no
 // AVX2 parity tier — it measured 1.95× the portable tier at D = 8192,
-// W = 32, under the 2× a tier has to earn (DESIGN.md §16) — so a host
+// W = 32, under the 2× a tier has to earn (DESIGN.md §8.2) — so a host
 // without AVX-512 folds through the portable tier here.
 func xorRowsBlocks(out, table []uint64, idx []int32, rowWords int) {
 	if !useAVX512 {

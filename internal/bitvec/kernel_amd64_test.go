@@ -195,7 +195,7 @@ func TestFoldRowsTiersMatchPortable(t *testing.T) {
 
 // BenchmarkFoldRowsTiers times every vector tier the binary carries at
 // the benchmark geometry, beside BenchmarkFoldRows' portable line — the
-// numbers behind keeping or leaving out a tier (DESIGN.md §16).
+// numbers behind keeping or leaving out a tier (DESIGN.md §8.2).
 func BenchmarkFoldRowsTiers(b *testing.B) {
 	tiers := foldTiers()
 	for _, name := range []string{"avx2", "avx512"} {

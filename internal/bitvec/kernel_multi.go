@@ -4,11 +4,11 @@ package bitvec
 // blocks by, and HammingMulti, which scores one row against such a
 // block. A probe block runs no kernel of its own: it scans the plane
 // with ScanPlane once per query of the block, tile by tile, while each
-// tile is hot in cache (DESIGN.md §9).
+// tile is hot in cache (DESIGN.md §7.5).
 
 // MaxMultiQueries is the widest query block a probe scans together
 // (core.BlockWidth). Per query, a block of eight costs about half a
-// solo probe on the scan_exact_wire geometry (DESIGN.md §18).
+// solo probe on the scan_exact_wire geometry (DESIGN.md §7.5).
 const MaxMultiQueries = 8
 
 // HammingMulti computes dist[i] = HammingWords(row, qs[i]) for every

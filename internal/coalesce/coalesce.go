@@ -4,7 +4,7 @@
 // independent clients share the streaming passes over the library that
 // LookupBlock amortizes.
 //
-// It is a combining design and starts no goroutines (DESIGN §12). A
+// It is a combining design and starts no goroutines (DESIGN §7.3). A
 // caller appends its one job to a mutex-guarded FIFO; if half the other
 // CPUs are executing blocks it yields the processor once, so that every
 // submitter already runnable enqueues first; then — unless someone took

@@ -28,7 +28,7 @@
 // (bit-sliced carry-save planes; AVX-512, AVX2 and portable tiers); an
 // encoder here writes the w row indices and makes one call. Every window
 // is encoded directly: a fold costs less than one step of either
-// encoding's incremental slide did (DESIGN §16), so there is none.
+// encoding's incremental slide did (DESIGN §8.1), so there is none.
 package encoding
 
 import (

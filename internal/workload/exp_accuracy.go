@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"context"
+	"errors"
 	"math"
 
 	"repro/internal/baseline"
@@ -205,13 +207,15 @@ func runF3(cfg Config) (*Result, error) {
 		muts := int(math.Round(rate * window))
 		src := rng.New(cfg.Seed + uint64(rate*1000) + 5)
 		found, oracleFound, badMatches := 0, 0, 0
+		var a core.Answer
 		for i := 0; i < trials; i++ {
 			off := src.Intn(ref.Len() - window + 1)
 			q, _ := genome.SubstituteExactly(ref.Slice(off, off+window), muts, src)
-			matches, _, err := lib.Lookup(q)
-			if err != nil {
+			err := lib.Search(context.Background(), core.Query{Patterns: []*genome.Sequence{q}}, &a)
+			if err = errors.Join(err, a.Results[0].Err); err != nil {
 				return nil, err
 			}
+			matches := a.Results[0].Matches
 			for _, m := range matches {
 				if m.Off == off {
 					found++
@@ -270,16 +274,17 @@ func runF4(cfg Config) (*Result, error) {
 			src := rng.New(cfg.Seed + uint64(window*100+stride))
 			found := 0
 			var probes int
+			var a core.Answer
 			for i := 0; i < trials; i++ {
 				qLen := window + stride - 1
 				off := src.Intn(ref.Len() - qLen + 1)
 				q, _ := genome.SubstituteExactly(ref.Slice(off, off+qLen), tol, src)
-				matches, st, err := lib.Lookup(q)
-				if err != nil {
+				err := lib.Search(context.Background(), core.Query{Patterns: []*genome.Sequence{q}}, &a)
+				if err = errors.Join(err, a.Results[0].Err); err != nil {
 					return nil, err
 				}
-				probes += st.BucketProbes
-				for _, m := range matches {
+				probes += a.Stats.BucketProbes
+				for _, m := range a.Results[0].Matches {
 					if m.Off == off+m.QueryOff {
 						found++
 						break

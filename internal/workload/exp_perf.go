@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"context"
+	"errors"
 	"time"
 
 	"repro/internal/accel"
@@ -43,15 +45,16 @@ func runT2(cfg Config) (*Result, error) {
 	}
 	src := rng.New(cfg.Seed + 13)
 	var bio core.Stats
+	var a core.Answer
 	counts := map[string]int{}
 	for i := 0; i < trials; i++ {
 		off := src.Intn(ref.Len() - window + 1)
 		q := ref.Slice(off, off+window)
-		_, st, err := lib.Lookup(q)
-		if err != nil {
+		err := lib.Search(context.Background(), core.Query{Patterns: []*genome.Sequence{q}}, &a)
+		if err = errors.Join(err, a.Results[0].Err); err != nil {
 			return nil, err
 		}
-		bioAdd(&bio, st)
+		bioAdd(&bio, a.Stats)
 		for _, m := range []baseline.ExactMatcher{
 			baseline.Naive{}, baseline.KMP{}, baseline.BMH{}, baseline.ShiftOr{},
 		} {
@@ -129,7 +132,12 @@ func runF5(cfg Config) (*Result, error) {
 		perQ := el.Seconds() / float64(len(qs))
 		t.AddRow(name, 1/perQ, perQ*1e6)
 	}
-	timeIt("biohd", func(q *genome.Sequence) { _, _, _ = lib.Lookup(q) })
+	var a core.Answer
+	one := []*genome.Sequence{nil}
+	timeIt("biohd", func(q *genome.Sequence) {
+		one[0] = q
+		_ = lib.Search(context.Background(), core.Query{Patterns: one}, &a)
+	})
 	timeIt("shift-or", func(q *genome.Sequence) { baseline.ShiftOr{}.Find(ref, q) })
 	timeIt("bmh", func(q *genome.Sequence) { baseline.BMH{}.Find(ref, q) })
 	timeIt("kmp", func(q *genome.Sequence) { baseline.KMP{}.Find(ref, q) })
@@ -173,18 +181,19 @@ func runF9(cfg Config) (*Result, error) {
 			return nil, err
 		}
 		var pimCost pim.Cost
+		var a core.Answer
 		found, probeOps, scanOps := 0, 0, 0
 		for i := 0; i < trials; i++ {
 			ri := src.Intn(nRefs)
 			ref := ds.Recs[ri].Seq
 			off := src.Intn(ref.Len() - window + 1)
 			q := ref.Slice(off, off+window)
-			matches, st, err := lib.Lookup(q)
-			if err != nil {
+			err := lib.Search(context.Background(), core.Query{Patterns: []*genome.Sequence{q}}, &a)
+			if err = errors.Join(err, a.Results[0].Err); err != nil {
 				return nil, err
 			}
-			probeOps += st.BucketProbes
-			for _, m := range matches {
+			probeOps += a.Stats.BucketProbes
+			for _, m := range a.Results[0].Matches {
 				if m.Ref == ri && m.Off == off {
 					found++
 					break

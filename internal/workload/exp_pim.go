@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/accel"
@@ -287,12 +288,14 @@ func runF10(cfg Config) (*Result, error) {
 
 	bioCorrect, seedCorrect := 0, 0
 	var searchCost pim.Cost
+	var a core.Answer
 	for _, r := range reads {
 		// Variants share ancestry, so several references may legitimately
 		// contain the read; score correctness as "best hit is the true
 		// source or matches it exactly at the implied offset".
-		if best, _, err := lib.Classify(r.Seq, 0.5); err == nil {
-			if classificationOK(best.Ref, r, seqs) {
+		q := core.Query{Patterns: []*genome.Sequence{r.Seq}, Long: true, MinFrac: 0.5}
+		if err := lib.Search(context.Background(), q, &a); err == nil {
+			if best, err := a.Best(); err == nil && classificationOK(best.Ref, r, seqs) {
 				bioCorrect++
 			}
 		}

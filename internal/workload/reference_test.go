@@ -60,3 +60,55 @@ func blockID(block string) string {
 	id, _, _ := strings.Cut(strings.TrimPrefix(block, "== "), ":")
 	return id
 }
+
+// gateHeading is the EXPERIMENTS.md heading whose one fenced block is
+// the reference output, so the document and the gate are one file.
+const gateHeading = "## The gate's tables"
+
+// embeddedTables returns the one fenced block of doc's gateHeading
+// section, and how many fenced blocks that section holds.
+func embeddedTables(doc string) (string, int) {
+	_, sec, ok := strings.Cut(doc, "\n"+gateHeading)
+	if !ok {
+		return "", 0
+	}
+	sec, _, _ = strings.Cut(sec, "\n## ")
+	parts := strings.Split(sec, "\n```")
+	if len(parts) < 3 {
+		return "", 0
+	}
+	_, block, _ := strings.Cut(parts[1], "\n") // drop the info string
+	return block + "\n", (len(parts) - 1) / 2
+}
+
+// TestReferenceTablesEmbedded: EXPERIMENTS.md carries the gate's
+// reference output byte for byte, in the one fenced block under
+// gateHeading.
+func TestReferenceTablesEmbedded(t *testing.T) {
+	ref, err := os.ReadFile("testdata/reference.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, err := os.ReadFile("../../EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	block, n := embeddedTables(string(doc))
+	if n != 1 {
+		t.Fatalf("EXPERIMENTS.md %q section holds %d fenced blocks, want 1", gateHeading, n)
+	}
+	if block != string(ref) {
+		t.Errorf("EXPERIMENTS.md %q differs from testdata/reference.txt; copy the file into the block", gateHeading)
+	}
+	// The check itself: a section holding the file passes, and one
+	// holding the file with one byte changed fails.
+	for _, c := range []struct {
+		body string
+		same bool
+	}{{string(ref), true}, {strings.Replace(string(ref), "== T1:", "== T1;", 1), false}} {
+		b, _ := embeddedTables("# doc\n\n" + gateHeading + "\n\n```text\n" + c.body + "```\n\n## Next\n")
+		if (b == string(ref)) != c.same {
+			t.Errorf("seeded section, one byte changed %v: equal to the file %v, want %v", !c.same, !c.same, c.same)
+		}
+	}
+}

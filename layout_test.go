@@ -125,3 +125,37 @@ func internalImports(t *testing.T, dir string) []string {
 	}
 	return deps
 }
+
+// TestReadmePackageGuideMatchesTree holds README's "## Package guide"
+// table to the module: a row names every directory under internal/,
+// and no row names one that is gone.
+func TestReadmePackageGuideMatchesTree(t *testing.T) {
+	doc, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, sec, ok := strings.Cut(string(doc), "## Package guide\n")
+	if !ok {
+		t.Fatal("README.md has no Package guide")
+	}
+	sec, _, _ = strings.Cut(sec, "\n## ")
+	named := map[string]bool{}
+	for _, line := range strings.Split(sec, "\n") {
+		if cells := strings.Split(line, "|"); len(cells) > 2 {
+			for _, f := range strings.FieldsFunc(cells[1], func(r rune) bool { return r == '`' || r == ',' || r == ' ' }) {
+				if d, ok := strings.CutPrefix(f, "internal/"); ok {
+					named[d] = true
+				}
+			}
+		}
+	}
+	for _, d := range subdirs(t, "internal") {
+		if !named[d] {
+			t.Errorf("README.md Package guide has no row for internal/%s", d)
+		}
+		delete(named, d)
+	}
+	for d := range named {
+		t.Errorf("README.md Package guide names internal/%s, which does not exist", d)
+	}
+}
