@@ -92,7 +92,9 @@ bench:
 
 ## benchsmoke: compile and run every micro-benchmark once (internal/core
 ## includes BenchmarkProbeBlockWidths, the per-query cost of a probe
-## block at widths 1 to 8; internal/cobs BenchmarkLookup, a lookup at the
+## block at widths 1 to 8, and BenchmarkApproxVariantDB, the bytes and
+## lookup time of 8 approximate variants, built once per process;
+## internal/cobs BenchmarkLookup, a lookup at the
 ## cobs workload's shape; internal/genome BenchmarkFindAll, one verify
 ## pass over a cobs-sized reference), then the benchmark's smoke pass —
 ## catches benchmarks that no longer build or crash, without measuring

@@ -399,9 +399,10 @@ func cmdBuild(args []string, out io.Writer) error {
 		info.References, info.Windows, info.Buckets, p.Capacity)
 	fmt.Fprintf(out, "geometry: D=%d window=%d stride=%d mode=%s\n",
 		p.Dim, p.Window, p.Stride, map[bool]string{true: "approx", false: "exact"}[p.Approx])
-	fmt.Fprintf(out, "storage: %.1f KiB of hypervectors\n", float64(info.MemoryBytes)/1024)
-	fmt.Fprintf(out, "model: threshold=%.1f noise-sigma=%.1f signal(tol)=%.1f\n",
-		info.Threshold, m.NoiseSigma(), m.SignalMean(p.MutTolerance))
+	fmt.Fprintf(out, "storage: %.1f KiB of hypervectors (rows of %d words, sketch %d words)\n",
+		float64(info.MemoryBytes)/1024, info.RowWords, info.SketchWords)
+	fmt.Fprintf(out, "model: threshold=%.1f noise-sigma=%.1f signal(tol)=%.1f alpha=%g beta=%g\n",
+		info.Threshold, m.NoiseSigma(), m.SignalMean(p.MutTolerance), p.Alpha, p.Beta)
 	if cal, ok := lib.Calibration(); ok {
 		fmt.Fprintf(out, "calibration: noise %.1f±%.1f signal %.1f±%.1f tau %.1f\n",
 			cal.NoiseMean, cal.NoiseStd, cal.SignalMean, cal.SignalStd, cal.Tau)

@@ -96,6 +96,29 @@ func TestBuildApproxShowsCalibration(t *testing.T) {
 	}
 }
 
+// TestBuildShowsStoredLayout: build names the width a row is stored at
+// beside the sketch width, and the error targets beside the threshold.
+// At the default geometry and tolerance 2 a row holds one window and is
+// stored as its 16-word sketch; at capacity 16 an exact row is whole.
+func TestBuildShowsStoredLayout(t *testing.T) {
+	refs := genRefs(t)
+	for _, tc := range []struct {
+		args []string
+		rows string
+	}{
+		{[]string{"-tol", "2"}, "rows of 16 words, sketch 16 words"},
+		{[]string{"-capacity", "16"}, "rows of 128 words, sketch 40 words"},
+	} {
+		var sb strings.Builder
+		if err := run(append([]string{"build", "-ref", refs}, tc.args...), &sb); err != nil {
+			t.Fatal(err)
+		}
+		if out := sb.String(); !strings.Contains(out, tc.rows) || !strings.Contains(out, "alpha=0.001 beta=0.001") {
+			t.Fatalf("build %v: want %q and the error targets in:\n%s", tc.args, tc.rows, out)
+		}
+	}
+}
+
 func TestBuildMissingRef(t *testing.T) {
 	var sb strings.Builder
 	if err := run([]string{"build"}, &sb); err == nil {

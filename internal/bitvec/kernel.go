@@ -124,12 +124,3 @@ func HammingBounded(a, b []uint64, bound int) (int, bool) {
 func Kernel() string {
 	return kernelName
 }
-
-// DotWords returns the bipolar dot product of two n-bit vectors given
-// as equal-length packed word slices: n − 2·HammingWords(a, b). n must
-// be the bit length shared by both operands (n ≤ 64·len(a)).
-//
-//biohd:hotpath
-func DotWords(a, b []uint64, n int) int {
-	return n - 2*HammingWords(a, b)
-}

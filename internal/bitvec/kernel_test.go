@@ -26,9 +26,6 @@ func TestHammingWordsMatchesVector(t *testing.T) {
 		if got, want := HammingWords(a, b), va.HammingDistance(vb); got != want {
 			t.Fatalf("nw=%d: HammingWords=%d, Vector=%d", nw, got, want)
 		}
-		if got, want := DotWords(a, b, nw*64), va.Dot(vb); got != want {
-			t.Fatalf("nw=%d: DotWords=%d, Vector=%d", nw, got, want)
-		}
 	}
 }
 

@@ -123,7 +123,7 @@ func parseMeta(sr *core.SectionReader, segCount int) (core.ContainerLoader, erro
 }
 
 // Shape: RowBits rows of one bit per column.
-func (ld *loader) Shape(k int) (rowWords, buckets uint32) {
+func (ld *loader) Shape(k int, _ uint32) (rowWords, buckets uint32) {
 	return uint32((len(ld.segRef[k]) + 63) / 64), uint32(ld.params.RowBits)
 }
 

@@ -46,14 +46,24 @@ func (l *Library) calibrate(sn *hdcView) Calibration {
 	sc := l.getBlockScratch() // every probe encodes into the one pooled hypervector
 	defer l.putBlockScratch(sc)
 	hv := sc.hvs[0]
+	// A bucket's score is against its whole row (wholeRow); one whose
+	// row is a sketch of a removed window has none and is not scored.
+	score := func(g int) (float64, bool) {
+		row := l.wholeRow(sn, g, sc.hvs[1], sc.acc)
+		if row == nil {
+			return 0, false
+		}
+		return float64(row.Dot(hv)), true
+	}
 
 	// Noise side: random queries against randomly sampled buckets.
 	var noise stats.Welford
 	for i := 0; i < calibrationProbes; i++ {
 		q := genome.Random(w, src)
 		l.enc.EncodeWindowApproxInto(hv, sc.acc, q, 0)
-		b := src.Intn(sn.numBuckets())
-		noise.Add(sn.score(b, hv))
+		if s, ok := score(src.Intn(sn.numBuckets())); ok {
+			noise.Add(s)
+		}
 	}
 
 	// Signal side: member windows re-queried with MutTolerance
@@ -95,7 +105,8 @@ func (l *Library) calibrate(sn *hdcView) Calibration {
 			window, _ = genome.SubstituteExactly(window, l.params.MutTolerance, src)
 		}
 		l.enc.EncodeWindowApproxInto(hv, sc.acc, window, 0)
-		signal.Add(sn.score(nonEmpty[j], hv))
+		s, _ := score(nonEmpty[j]) // the bucket has a live member
+		signal.Add(s)
 	}
 
 	cal := Calibration{

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -148,15 +149,76 @@ func TestCalibrationPinned(t *testing.T) {
 	}
 	check("after Freeze", [5]uint64{
 		0x408419eaaaaaaaac, 0x406a6f501817f6cf, 0x40a91df000000001, 0x40430171bb10bb68, 0x40a280c9de6ef9a6})
-	// Tombstones present: the signal side samples live members only.
+	// Tombstones present: the signal side samples live members only, and
+	// so — one window a row, stored as its sketch, with nothing left to
+	// re-encode a removed window from — does the noise side (the values
+	// from cf1b407 were 0x408419eaaaaaaaac, 0x406a6f501817f6cf for the
+	// noise, 0x40a2796473a825ef for Tau).
 	if err := lib.Remove(1); err != nil {
 		t.Fatal(err)
 	}
 	check("after Remove", [5]uint64{
-		0x408419eaaaaaaaac, 0x406a6f501817f6cf, 0x40a923caaaaaaaa9, 0x4044ad0aa879e741, 0x40a2796473a825ef})
+		0x4084d2a5c1619c8a, 0x406b72cd616f1f15, 0x40a923caaaaaaaa9, 0x4044ad0aa879e741, 0x40a2b6ad33e09c29})
 	if err := lib.Add(genome.Record{ID: "d", Seq: genome.Random(200, src)}); err != nil {
 		t.Fatal(err)
 	}
-	check("after Add", [5]uint64{
-		0x4084c70000000004, 0x406b07b6b83f31b0, 0x40a922f000000002, 0x4044010dc7086c58, 0x40a2b1884be4e907})
+	check("after Add", [5]uint64{ // the tombstones stay: noise and Tau moved as above (cf1b407: 0x4084c70000000004, 0x406b07b6b83f31b0, 0x40a2b1884be4e907)
+		0x4084becb65b2d96c, 0x406a778ad12a164c, 0x40a922f000000002, 0x4044010dc7086c58, 0x40a29b1ceb740831})
+}
+
+// TestSketchRowsCalibrateAsWholeRows: a library whose rows are their
+// sketches re-encodes each calibration probe's row, and so calibrates —
+// and plans its views — bit for bit as the same library storing whole
+// rows does, as long as no window is tombstoned: after Freeze, after
+// sealed Adds, and after a Remove has been compacted away.
+func TestSketchRowsCalibrateAsWholeRows(t *testing.T) {
+	p := approxCascadeParams
+	lib, whole := mustLibrary(t, p), mustLibrary(t, p)
+	whole.rowWords, whole.prefix = p.Dim/64, nil
+	if lib.rowWords != lib.sketchWords || lib.rowWords == whole.rowWords {
+		t.Fatalf("rows of %d and %d words: want sketches against whole rows", lib.rowWords, whole.rowWords)
+	}
+	check := func(stage string) {
+		t.Helper()
+		a, b := hdcOf(lib.snap.Load()), hdcOf(whole.snap.Load())
+		if a.cal != b.cal {
+			t.Fatalf("%s: calibration %+v, whole rows %+v", stage, a.cal, b.cal)
+		}
+		pa, pb := a.plan, b.plan
+		if pa.tau != pb.tau || pa.maxHam != pb.maxHam || pa.sketchBound != pb.sketchBound || pa.survive != pb.survive || !pa.oneStage {
+			t.Fatalf("%s: plan %+v, whole rows %+v", stage, pa, pb)
+		}
+	}
+	src := rng.New(0xca11)
+	var recs []genome.Record
+	for i := 0; i < 6; i++ {
+		recs = append(recs, genome.Record{ID: fmt.Sprint("r", i), Seq: genome.Random(120+40*i, src)})
+	}
+	for _, l := range []*Library{lib, whole} {
+		for _, rec := range recs[:3] {
+			if err := l.Add(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		l.Freeze()
+	}
+	check("after Freeze")
+	for _, l := range []*Library{lib, whole} {
+		l.SetSealThreshold(1)
+		for _, rec := range recs[3:] {
+			if err := l.Add(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	check("after sealed Adds")
+	for _, l := range []*Library{lib, whole} {
+		if err := l.Remove(1); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := l.Compact(0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("after Remove and Compact")
 }

@@ -15,8 +15,10 @@ import (
 
 // cascadeParams is the geometry of bench's exact HDC workloads: the
 // model gives it a 40-word sketch, so every scan below runs both stages.
-// approxCascadeParams is that of its approximate one, a 16-word sketch
-// whose bound every view derives from its own calibrated threshold.
+// approxCascadeParams is that of its approximate one, one window a row
+// under a 16-word sketch whose bound every view derives from its own
+// calibrated threshold: the rows are stored as their sketches, and the
+// scan is stage 1 alone.
 var (
 	cascadeParams       = Params{Dim: 8192, Window: 32, Capacity: 16, Seed: 42}
 	approxCascadeParams = Params{Dim: 8192, Window: 32, Approx: true, MutTolerance: 2, Seed: 42}
@@ -24,14 +26,14 @@ var (
 
 // cascadePair builds the same library twice — once as the parameters
 // derive it, once with the sketch width forced to the full row, which is
-// the full-row scan the cascade must reproduce — and applies the same
+// the full-row scan the cascade must reproduce (or, where the rows are
+// sketches, contain) — and applies the same
 // life to both: sixteen references in one segment, or (segmented) in
 // sixteen, one from Freeze and the rest sealed one per Add; then the
 // given references removed; then optionally compacted.
 func cascadePair(t *testing.T, p Params, segmented bool, remove []int, compact bool) (lib, full *Library, refs []*genome.Sequence) {
 	t.Helper()
-	lib, full = mustLibrary(t, p), mustLibrary(t, p)
-	full.sketchWords = p.Dim / 64
+	lib, full = mustLibrary(t, p), fullRowTwin(t, p)
 	src := rng.New(0xca5cade)
 	for i := 0; i < 16; i++ {
 		refs = append(refs, genome.Random(150+i, src))
@@ -61,11 +63,42 @@ func cascadePair(t *testing.T, p Params, segmented bool, remove []int, compact b
 	return lib, full, refs
 }
 
-// encodeQuery encodes a window under the library's encoding.
+// fullRowTwin builds the library of p as the parameters derived it
+// before rows were cut to their sketches and with no sketch stage: whole
+// rows, every one of them scanned and held to the threshold.
+func fullRowTwin(t *testing.T, p Params) *Library {
+	l := mustLibrary(t, p)
+	l.sketchWords, l.rowWords, l.prefix = p.Dim/64, p.Dim/64, nil
+	return l
+}
+
+// encodeQuery encodes a window under the library's encoding, whole.
 func encodeQuery(l *Library, window *genome.Sequence) *hdc.HV {
-	hv := hdc.NewHV(l.params.Dim)
-	l.encodeInto(hv, hdc.NewAcc(l.params.Dim), window, 0)
-	return hv
+	if l.params.Approx {
+		return l.enc.EncodeWindowApprox(window, 0)
+	}
+	return l.enc.EncodeWindowExact(window, 0)
+}
+
+// containsAnswer checks a one-stage library's matches against its
+// full-row twin's: every match the twin returns is returned, and every
+// other one is a window within the tolerance — verify is exact, so the
+// candidates stage 2 used to reject can only add true matches.
+func containsAnswer(t *testing.T, lib *Library, pat *genome.Sequence, got, want []Match) (extra int) {
+	t.Helper()
+	seen := make(map[Match]bool, len(got))
+	for _, m := range got {
+		seen[m] = true
+		if d := genome.Mismatches(lib.Ref(m.Ref).Seq, m.Off, pat, m.QueryOff, lib.params.Window, lib.params.Window); d != m.Distance || d > lib.params.MutTolerance {
+			t.Fatalf("match %+v is %d substitutions away, tolerance %d", m, d, lib.params.MutTolerance)
+		}
+	}
+	for _, m := range want {
+		if !seen[m] {
+			t.Fatalf("the full-row twin's match %+v is missing from %+v", m, got)
+		}
+	}
+	return len(got) - len(want)
 }
 
 // cascadeQueries mixes windows of every reference (removed ones
@@ -95,16 +128,20 @@ func cascadeQueries(p Params, refs []*genome.Sequence) []*genome.Sequence {
 // TestCascadeMatchesFullRowScan holds the engaged cascade to the
 // full-row scan, in both encodings, across the lives a segment can lead
 // and every probe entry point: candidates byte-identical to a naive scan
-// of the bucket vectors, matches and stats identical to the twin library
-// that scans whole rows.
+// of the stored rows (seedScalarProbe), matches and stats identical to
+// the twin library that scans whole rows. In approximate mode the rows
+// are their sketches and there is no full-row stage, so the answers
+// contain the twin's instead: every candidate and match of the twin's is
+// returned, and every further match is within the tolerance.
 func TestCascadeMatchesFullRowScan(t *testing.T) {
 	for _, mode := range []struct {
-		prefix string // of the subtest names; exact mode keeps the bare ones
-		params Params
-		words  int
+		prefix   string // of the subtest names; exact mode keeps the bare ones
+		params   Params
+		words    int
+		rowWords int
 	}{
-		{"", cascadeParams, 40},
-		{"approximate, ", approxCascadeParams, 16},
+		{"", cascadeParams, 40, 128},
+		{"approximate, ", approxCascadeParams, 16, 16},
 	} {
 		for _, tc := range []struct {
 			name      string
@@ -134,11 +171,19 @@ func TestCascadeMatchesFullRowScan(t *testing.T) {
 				if plan := viewSketch(t, lib); plan.Words != mode.words {
 					t.Fatalf("sketch plan %+v: want the cascade engaged at %d words", plan, mode.words)
 				}
+				oneStage := hdcOf(lib.snap.Load()).plan.oneStage
+				if oneStage != p.Approx || lib.Describe().RowWords != mode.rowWords {
+					t.Fatalf("one stage %v at %d-word rows, want %v at %d", oneStage, lib.Describe().RowWords, p.Approx, mode.rowWords)
+				}
 				if hdcOf(full.snap.Load()).plan.sketch {
 					t.Fatal("the full-row twin runs a sketch stage")
 				}
 				nB, nW := int64(lib.Describe().Buckets), int64(lib.snap.Load().total) // tombstoned windows keep their metadata
-				if got, want := lib.MemoryFootprint(), nB*int64(p.Dim/8+mode.words*8)+nW*8; got != want {
+				plane := int64(mode.words * 8)
+				if mode.words == mode.rowWords {
+					plane = 0 // the plane is the arena
+				}
+				if got, want := lib.MemoryFootprint(), nB*(int64(mode.rowWords*8)+plane)+nW*8; got != want {
 					t.Fatalf("footprint %d, want arena + sketch plane + metadata = %d", got, want)
 				}
 
@@ -156,6 +201,21 @@ func TestCascadeMatchesFullRowScan(t *testing.T) {
 					}
 					if !sameCandidates(got, want) {
 						t.Fatalf("query %d: Probe %+v, full-row scan %+v", i, got, want)
+					}
+					if oneStage {
+						twin, err := full.Probe(hv, nil)
+						if err != nil {
+							t.Fatal(err)
+						}
+						kept := map[int]bool{}
+						for _, c := range got {
+							kept[c.Bucket] = true
+						}
+						for _, c := range twin {
+							if !kept[c.Bucket] {
+								t.Fatalf("query %d: the full-row twin's candidate %+v is not among %+v", i, c, got)
+							}
+						}
 					}
 					hits += len(want)
 				}
@@ -175,14 +235,16 @@ func TestCascadeMatchesFullRowScan(t *testing.T) {
 						}
 					}
 				}
-				matched := 0
+				matched, extra := 0, 0
 				for i, pat := range pats {
 					gm, gs, gerr := lib.Lookup(pat)
 					wm, ws, werr := full.Lookup(pat)
 					if gerr != nil || werr != nil {
 						t.Fatal(gerr, werr)
 					}
-					if gs != ws || len(gm) != len(wm) || (len(wm) > 0 && !reflect.DeepEqual(gm, wm)) {
+					if oneStage {
+						extra += containsAnswer(t, lib, pat, gm, wm)
+					} else if gs != ws || len(gm) != len(wm) || (len(wm) > 0 && !reflect.DeepEqual(gm, wm)) {
 						t.Fatalf("pattern %d: Lookup %v %+v, full-row twin %v %+v", i, gm, gs, wm, ws)
 					}
 					matched += len(wm)
@@ -190,6 +252,7 @@ func TestCascadeMatchesFullRowScan(t *testing.T) {
 				if matched == 0 {
 					t.Fatal("no pattern matched: the comparison is vacuous")
 				}
+				t.Logf("%d matches of the full-row twin's, %d more within the tolerance", matched, extra)
 				for at := 0; at < len(pats); at += BlockWidth {
 					block := pats[at:minInt(at+BlockWidth, len(pats))]
 					got, want := make([]BatchResult, len(block)), make([]BatchResult, len(block))
@@ -200,6 +263,10 @@ func TestCascadeMatchesFullRowScan(t *testing.T) {
 						t.Fatal(err)
 					}
 					for j := range block {
+						if oneStage {
+							containsAnswer(t, lib, block[j], got[j].Matches, want[j].Matches)
+							continue
+						}
 						if got[j].Stats != want[j].Stats || len(got[j].Matches) != len(want[j].Matches) ||
 							(len(want[j].Matches) > 0 && !reflect.DeepEqual(got[j].Matches, want[j].Matches)) {
 							t.Fatalf("block at %d slot %d: %+v, full-row twin %+v", at, j, got[j], want[j])
@@ -371,13 +438,14 @@ func TestSketchModelHoldsApprox(t *testing.T) {
 // W/2, so the threshold is the false-positive bound three sigma over the
 // noise and a row at maxHam is a noise row. The planes are cut (the
 // width is the library's) but the view scans the arena, and answers as
-// the full-row twin does.
+// the full-row twin does. The bucket holds two windows of capacity 2:
+// at one window a row the rows are their sketches and there is no arena
+// to decline to.
 func TestCascadeDeclinedByView(t *testing.T) {
 	p := approxCascadeParams
-	p.MutTolerance = p.Window / 2
-	lib, full := mustLibrary(t, p), mustLibrary(t, p)
-	full.sketchWords = p.Dim / 64
-	member := genome.Random(p.Window, rng.New(0xdec11e))
+	p.MutTolerance, p.Capacity = p.Window/2, 2
+	lib, full := mustLibrary(t, p), fullRowTwin(t, p)
+	member := genome.Random(p.Window+1, rng.New(0xdec11e))
 	for _, l := range []*Library{lib, full} {
 		if err := l.Add(genome.Record{ID: "one", Seq: member}); err != nil {
 			t.Fatal(err)

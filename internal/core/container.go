@@ -234,9 +234,9 @@ func WriteContainerV3(w io.Writer, backend uint32, writeMeta func(*SectionWriter
 // directory before any arena is read — and the step that assembles the
 // index once every arena has been verified.
 type ContainerLoader interface {
-	// Shape returns the row length and row count the metadata implies
-	// for segment k's arena.
-	Shape(k int) (rowWords, buckets uint32)
+	// Shape returns the row length (dirRowWords, if the backend accepts
+	// the directory's) and row count the metadata implies for segment k.
+	Shape(k int, dirRowWords uint32) (rowWords, buckets uint32)
 	// Build assembles the frozen index from the verified arenas. A
 	// non-nil m means every segs[k].Words aliases m at FileOff: Build
 	// passes m to Engine.Restore, which owns it from then on.
@@ -420,7 +420,7 @@ func readContainerV3(src source, m *mmapfile.Mapping) (Index, error) {
 		if tag := le.Uint32(e[28:]); tag != h.backend {
 			return nil, fmt.Errorf("core: v3 directory entry %d backend tag %d, want %d", k, tag, h.backend)
 		}
-		if rw, bk := ld.Shape(k); s.RowWords != rw || s.Buckets != bk {
+		if rw, bk := ld.Shape(k, s.RowWords); s.RowWords != rw || s.Buckets != bk {
 			return nil, fmt.Errorf("core: v3 segment %d arena is %d×%d, metadata says %d×%d", k, s.Buckets, s.RowWords, bk, rw)
 		}
 		if words != uint64(s.RowWords)*uint64(s.Buckets) || words > h.fileSize/8 {

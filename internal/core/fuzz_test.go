@@ -26,6 +26,14 @@ func FuzzReadLibrary(f *testing.F) {
 	}
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
+	// The one-window-a-row golden, whose rows the file stores whole, and
+	// the same file claiming rows of neither width a segment can have.
+	c1, err := os.ReadFile(filepath.Join("testdata", "golden_v3_c1.lib"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(c1)
+	f.Add(forgeRowWidth(c1, 32))
 	f.Add([]byte("BIOHDLIB"))
 	f.Add([]byte{})
 	mut := append([]byte(nil), valid...)

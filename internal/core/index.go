@@ -52,14 +52,15 @@ type IndexInfo struct {
 	// units: HDC's calibrated (approximate) or model (exact) threshold of
 	// the view, a-priori before Freeze; cobs' share of rows that must hit.
 	Threshold float64
-	// The probe cascade (HDC): SketchWords is how many words of each
-	// Dim/64-word row the first stage reads — the whole row when the
-	// model offers no prefix — SketchBytes the sketch planes resident
-	// beside the view's arenas, and SketchSurvivorRatio the share of
-	// rows the model predicts the view's first stage passes on to the
-	// full-row stage (it follows the view's threshold; 0 before Freeze
-	// and for a view that scans whole rows), the number
-	// Counters.SketchSurvivors / SketchRows should track.
+	// The probe cascade (HDC): RowWords is the stored row width (Dim/64,
+	// or at one window a row the sketch's), SketchWords how many words
+	// of each row the first stage reads — the whole row when the model
+	// offers no prefix — SketchBytes the sketch planes resident beside
+	// the view's arenas, and SketchSurvivorRatio the share of rows the
+	// model predicts the view's first stage passes on (it follows the
+	// view's threshold; 0 before Freeze and for a view that scans whole
+	// rows), the number Counters.SketchSurvivors / SketchRows should track.
+	RowWords            int
 	SketchWords         int
 	SketchBytes         int64
 	SketchSurvivorRatio float64
@@ -125,7 +126,7 @@ func (l *Library) describe(v *View, info *IndexInfo) {
 	info.Backend = BackendHDC
 	info.Dim, info.Window, info.Stride = l.params.Dim, l.params.Window, l.params.Stride
 	info.Capacity, info.Approx, info.Tolerance = l.params.Capacity, l.params.Approx, l.params.MutTolerance
-	info.SketchWords = l.sketchWords
+	info.RowWords, info.SketchWords = l.rowWords, l.sketchWords
 	if !info.Frozen {
 		occ := newHDCView(v, Calibration{}).maxOccupancy()
 		info.Threshold = l.modelWith(occ).DecisionThreshold(
@@ -134,6 +135,7 @@ func (l *Library) describe(v *View, info *IndexInfo) {
 	}
 	sn := hdcOf(v)
 	info.Threshold = sn.plan.tau
+	info.RowWords = max(info.RowWords, sn.rowWords)
 	info.SketchBytes = sn.sketchBytes
 	info.SketchSurvivorRatio = sn.plan.survive
 }

@@ -84,12 +84,11 @@ func (l *Library) WriteToV3(w io.Writer) (int64, error) {
 	defer l.Unpin()
 	sn := hdcOf(v)
 
-	rw := uint32(l.params.Dim / 64)
 	segs := make([]ContainerSegment, len(sn.segs))
 	for k, seg := range sn.segs {
 		segs[k] = ContainerSegment{
 			Words:    seg.arenaWords(),
-			RowWords: rw,
+			RowWords: uint32(seg.rowWords),
 			Buckets:  uint32(seg.NumBuckets()),
 		}
 	}
@@ -279,15 +278,20 @@ func parseMetaV3(sr *SectionReader, segCount int) (ContainerLoader, error) {
 	return ld, nil
 }
 
-func (ld *hdcLoader) Shape(k int) (rowWords, buckets uint32) {
-	return uint32(ld.lib.params.Dim / 64), uint32(len(ld.segWins[k]))
+// Shape accepts whole rows — which a one-window-a-row file written
+// before rows were cut to sketches holds — or the library's own width.
+func (ld *hdcLoader) Shape(k int, dirRowWords uint32) (rowWords, buckets uint32) {
+	rowWords = uint32(ld.lib.rowWords)
+	if dirRowWords == uint32(ld.lib.params.Dim/64) {
+		rowWords = dirRowWords
+	}
+	return rowWords, uint32(len(ld.segWins[k]))
 }
 
 func (ld *hdcLoader) Build(arenas []ContainerSegment, m *mmapfile.Mapping) (Index, error) {
-	p := &ld.lib.params
 	segs := make([]Segment, len(arenas))
 	for k, a := range arenas {
-		seg := segmentFromArena(a.Words, ld.segWins[k], p.Dim, ld.lib.sketchWords)
+		seg := segmentFromArena(a.Words, ld.segWins[k], int(a.RowWords), ld.lib.sketchWords)
 		if m != nil {
 			seg.mapOff, seg.mapLen = int(a.FileOff), len(a.Words)*8
 		}

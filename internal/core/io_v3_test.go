@@ -399,6 +399,19 @@ func forgeHugeDirectory(valid []byte) []byte {
 	return b
 }
 
+// forgeRowWidth returns valid with its first directory entry's row width
+// set to rowWords and the directory's checksum made to match: every CRC
+// holds, and only the width is wrong.
+func forgeRowWidth(valid []byte, rowWords uint32) []byte {
+	b := append([]byte(nil), valid...)
+	le := binary.LittleEndian
+	dirOff := le.Uint64(b[32:40])
+	dirEnd := dirOff + uint64(le.Uint32(b[12:16]))*v3DirEntrySize
+	le.PutUint32(b[dirOff+16:], rowWords)
+	le.PutUint32(b[dirEnd:], crc32.ChecksumIEEE(b[dirOff:dirEnd]))
+	return b
+}
+
 // TestV3CorruptionMatrix drives both v3 readers (stream and mapped)
 // through a matrix of corrupted files: every case must come back as an
 // error — never a panic, never a silently accepted library.

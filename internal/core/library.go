@@ -114,6 +114,12 @@ type Library struct {
 	sketchPrefixes []uint64
 	sketchShare    float64
 
+	// rowWords is the width a row is stored at: D/64, or at one window
+	// a row with a plane the sketch width (DESIGN §7.5), prefix then
+	// folding just those words of every encoding.
+	rowWords int
+	prefix   *encoding.ApproxPrefix
+
 	// ties is the packed tie-break stream every bucket is bundled under
 	// (hdc.Rows).
 	ties *hdc.Ties
@@ -206,8 +212,12 @@ func NewLibrary(params Params) (*Library, error) {
 	m := l.modelWith(params.Capacity)
 	tau := m.DecisionThreshold(params.Alpha, params.Beta, planningBuckets, params.MutTolerance)
 	l.sketchWords = m.SketchPlan(hammingBound(params.Dim, tau)).Words
-	if params.Approx && l.sketchWords < params.Dim/64 {
+	l.rowWords = params.Dim / 64
+	if params.Approx && l.sketchWords < l.rowWords {
 		l.sketchPrefixes, l.sketchShare = l.probePrefix(l.sketchWords)
+		if params.Capacity == 1 {
+			l.rowWords, l.prefix = l.sketchWords, enc.ApproxPrefix(l.sketchWords)
+		}
 	}
 	l.Engine = NewEngine(Kernel{
 		Window:        params.Window,
@@ -262,11 +272,15 @@ func (l *Library) modelWith(c int) Model {
 
 // encodeInto encodes the window of seq starting at off under the
 // library's encoding: the positional bundle (approximate search) or the
-// binding chain (exact search only).
+// binding chain (exact search only) — only the first rowWords words of
+// hv, all a row stores and a probe reads.
 func (l *Library) encodeInto(hv *hdc.HV, acc *hdc.Acc, seq *genome.Sequence, off int) {
-	if l.params.Approx {
+	switch {
+	case l.prefix != nil:
+		l.prefix.EncodeInto(hv.Words()[:l.rowWords], acc, seq, off)
+	case l.params.Approx:
 		l.enc.EncodeWindowApproxInto(hv, acc, seq, off)
-	} else {
+	default:
 		l.enc.EncodeWindowExactInto(hv, seq, off)
 	}
 }
@@ -276,7 +290,7 @@ func (l *Library) encodeInto(hv *hdc.HV, acc *hdc.Acc, seq *genome.Sequence, off
 // bucket, at ingest and at compaction.
 func (l *Library) memorize(b *builder, sc *blockScratch, wr WindowRef, seq *genome.Sequence) {
 	l.encodeInto(sc.hvs[0], sc.acc, seq, int(wr.Off))
-	b.insert(wr, sc.hvs[0], &l.params, l.ties)
+	b.insert(wr, sc.hvs[0], l.rowWords, &l.params, l.ties)
 }
 
 // appendRef is Kernel.Append: every stride-aligned window of rec is
@@ -292,7 +306,7 @@ func (l *Library) appendRef(ref int32, rec genome.Record) int {
 
 // activeView is Kernel.Active.
 func (l *Library) activeView(refs []genome.Record) Segment {
-	return l.active.view(&l.params, l.sketchWords, refs)
+	return l.active.view(l.rowWords, l.sketchWords, refs)
 }
 
 // resetActive is Kernel.Reset.
@@ -321,7 +335,7 @@ func (l *Library) rebuildSegment(seg Segment, refs []genome.Record) Segment {
 	for _, wr := range s.liveWindows(make([]WindowRef, 0, s.total-s.tombs), refs) {
 		l.memorize(&b, sc, wr, refs[wr.Ref].Seq)
 	}
-	return b.view(&l.params, l.sketchWords, refs)
+	return b.view(l.rowWords, l.sketchWords, refs)
 }
 
 // annotate is Kernel.Annotate: approximate-mode libraries recalibrate
@@ -366,6 +380,8 @@ func (l *Library) BucketWindows(i int) []WindowRef {
 // frozen — the sealed view only exists after Freeze — but an
 // out-of-range index, like a stale bucket index held across a Compact,
 // returns nil rather than panicking.
+// Where rows are sketches the vector is encoded afresh (wholeRow), and
+// nil for a bucket whose window's reference was removed.
 func (l *Library) BucketVector(i int) *hdc.HV {
 	v := l.snap.Load()
 	if v == nil {
@@ -375,9 +391,31 @@ func (l *Library) BucketVector(i int) *hdc.HV {
 		return nil
 	}
 	defer l.endRead()
-	seg, li, ok := hdcOf(v).locateOK(i)
-	if !ok {
+	sn := hdcOf(v)
+	if _, _, ok := sn.locateOK(i); !ok {
 		return nil
 	}
-	return seg.vector(li)
+	return l.wholeRow(sn, i, nil, nil)
+}
+
+// wholeRow returns global bucket g's row at full width: the arena row,
+// or where rows are sketches the row the sketch was cut from — the
+// encoding of the bucket's one window, encoded again into dst (a new
+// vector if dst is nil) — and nil if that window's reference was
+// removed.
+func (l *Library) wholeRow(sn *hdcView, g int, dst *hdc.HV, acc *hdc.Acc) *hdc.HV {
+	seg, i := sn.locate(g)
+	if seg.rowWords == l.params.Dim/64 {
+		return seg.vector(i)
+	}
+	wr := seg.windows(i)[0]
+	switch ref := sn.refs[wr.Ref].Seq; {
+	case ref == nil:
+		return nil
+	case dst == nil:
+		return l.enc.EncodeWindowApprox(ref, int(wr.Off))
+	default:
+		l.enc.EncodeWindowApproxInto(dst, acc, ref, int(wr.Off))
+		return dst
+	}
 }

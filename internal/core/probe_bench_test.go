@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"fmt"
+	"io"
+	"sync"
 	"testing"
 
 	"repro/internal/genome"
@@ -206,8 +208,8 @@ func benchApproxLib(tb testing.TB) (*Library, []*genome.Sequence) {
 // BenchmarkClassifyApprox is the read path of approx_classify_inproc
 // without the harness: 150-base reads cut from the references with 3 %
 // substitutions, one in four random instead, classified at support 0.5
-// — four windows encoded, one blocked scan of the sketch plane, the
-// survivors' rows, verification and the vote.
+// — four windows encoded (the sketch's words only: one window a row),
+// one blocked scan of the rows, the survivors verified, and the vote.
 func BenchmarkClassifyApprox(b *testing.B) {
 	lib, refs := benchApproxLib(b)
 	src := rng.New(7)
@@ -314,4 +316,72 @@ func BenchmarkBuild(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*windows), "ns/window")
 		})
 	}
+}
+
+// variantDB is the paper's search shape, built once per test process so
+// a smoke pass stays short: the 8 first variants of
+// genome.GenerateVariantDB's COVID-like defaults in an approximate
+// library at tolerance 2 and the CLI's geometry, where the model gives
+// one window a row, with its v3 size and the 32-base lookups
+// BenchmarkApproxVariantDB times — windows of the variants two
+// substitutions off.
+var variantDB struct {
+	once sync.Once
+	lib  *Library
+	v3   int64
+	pats []*genome.Sequence
+	err  error
+}
+
+func buildVariantDB() {
+	vdb := &variantDB
+	cfg := genome.DefaultVariantDBConfig()
+	cfg.NumVariants = 8
+	db, err := genome.GenerateVariantDB(cfg)
+	if err != nil {
+		vdb.err = err
+		return
+	}
+	if vdb.lib, vdb.err = NewLibrary(Params{Dim: 8192, Window: 32, Approx: true, MutTolerance: 2, Seed: 1}); vdb.err != nil {
+		return
+	}
+	src := rng.New(0x7a1db)
+	for _, v := range db.Variants {
+		if vdb.err = vdb.lib.Add(v.Record); vdb.err != nil {
+			return
+		}
+		for i := 0; i < 64; i++ {
+			off := src.Intn(v.Seq.Len() - 32 + 1)
+			pat, _ := genome.SubstituteExactly(v.Seq.Slice(off, off+32), 2, src)
+			vdb.pats = append(vdb.pats, pat)
+		}
+	}
+	vdb.lib.Freeze()
+	vdb.v3, vdb.err = vdb.lib.WriteToV3(io.Discard)
+}
+
+// BenchmarkApproxVariantDB reports what the variant library costs to
+// hold — heap-B (MemoryFootprint) and v3-B (its file) — and µs per
+// 32-base Lookup.
+func BenchmarkApproxVariantDB(b *testing.B) {
+	variantDB.once.Do(buildVariantDB)
+	lib, pats := variantDB.lib, variantDB.pats
+	if variantDB.err != nil {
+		b.Fatal(variantDB.err)
+	}
+	found := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m, _, err := lib.Lookup(pats[i%len(pats)])
+		if err != nil {
+			b.Fatal(err)
+		}
+		found += min(len(m), 1)
+	}
+	if b.N >= len(pats) && found < len(pats) {
+		b.Fatalf("%d of %d lookups found their window", found, b.N)
+	}
+	b.ReportMetric(float64(lib.MemoryFootprint()), "heap-B")
+	b.ReportMetric(float64(variantDB.v3), "v3-B")
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "us/lookup")
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/bitvec"
 	"repro/internal/genome"
 	"repro/internal/hdc"
 	"repro/internal/rng"
@@ -12,13 +13,34 @@ import (
 // seedScalarProbe replicates the seed implementation of Probe — a
 // serial full scan through per-bucket hypervector objects with no
 // early abandonment — as the golden reference the arena kernel must
-// match candidate-for-candidate.
+// match candidate-for-candidate — or, under a one-stage plan, the
+// naive prefix scan of scalarSketchProbe.
 func seedScalarProbe(l *Library, hv *hdc.HV) []Candidate {
+	if sn := hdcOf(l.snap.Load()); sn.plan.oneStage {
+		return scalarSketchProbe(sn, hv)
+	}
 	tau := l.Describe().Threshold
 	var out []Candidate
 	for i, n := 0, l.Describe().Buckets; i < n; i++ {
 		if score := float64(l.BucketVector(i).Dot(hv)); score >= tau {
 			out = append(out, Candidate{Bucket: i, Score: score, Excess: score - tau})
+		}
+	}
+	return out
+}
+
+// scalarSketchProbe is seedScalarProbe where the rows are their
+// sketches: every stored row's distance to the query's prefix against
+// the view's stage-1 bound, scored over the prefix. Tombstoned rows are
+// scanned as well — they stay in the arena until compaction.
+func scalarSketchProbe(sn *hdcView, hv *hdc.HV) []Candidate {
+	var out []Candidate
+	for g := 0; g < sn.nBkts; g++ {
+		seg, i := sn.locate(g)
+		w := seg.planeWords
+		if h := bitvec.HammingWords(seg.planeRow(i), hv.Words()[:w]); h <= sn.plan.sketchBound {
+			score := float64(64*w - 2*h)
+			out = append(out, Candidate{Bucket: g, Score: score, Excess: score - float64(64*w-2*sn.plan.sketchBound)})
 		}
 	}
 	return out

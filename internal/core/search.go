@@ -30,14 +30,16 @@ func (l *Library) scanPlanFor(sn *hdcView) scanPlan {
 	pl.sketchBound = pl.maxHam
 	// The stage-1 bound follows the threshold, and in approximate mode
 	// the threshold is calibrated per view; whether the plane is worth
-	// streaming at that bound is the same cost expression that sized it.
+	// streaming at that bound is the same cost expression that sized it,
+	// where there is an arena to decline to.
 	if sw, rowWords := l.sketchWords, l.params.Dim/64; sw < rowWords {
 		var noiseMean, noiseSigma float64
 		if l.params.Approx {
 			noiseMean, noiseSigma = l.measurePrefixNoise(sn)
 		}
 		h1, survive := l.modelWith(l.params.Capacity).sketchStage(sw, pl.maxHam, l.sketchShare, noiseMean, noiseSigma)
-		if sketchCost(sw, survive, rowWords) < float64(rowWords) {
+		pl.oneStage = l.rowWords == sw
+		if pl.oneStage || sketchCost(sw, survive, rowWords) < float64(rowWords) {
 			pl.sketch, pl.sketchBound, pl.survive = true, h1, survive
 		}
 	}
@@ -69,7 +71,8 @@ const probeBlock = BlockWidth
 // surviving rows are held in full to the threshold's Hamming bound. The
 // candidates (order, scores, excesses) are those of a serial full-row
 // scan, independent of how the buckets are cut into segments, up to the
-// model's 1e-15 stage-1 miss per accepted row (Model.sketchStage). Stats count
+// model's 1e-15 stage-1 miss per accepted row (Model.sketchStage); at
+// one window a row, a superset of them (DESIGN §7.5). Stats count
 // the full scan — BucketProbes is the work the PIM hardware would do,
 // not the words the software kernel happened to touch.
 //

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/bitvec"
 	"repro/internal/genome"
@@ -18,7 +19,7 @@ import (
 // Buckets never count: the binary majority is all search needs, and the
 // builder takes it from the members' rows.
 type bucket struct {
-	sealed  *hdc.HV     // binarized view; nil until sealed
+	row     []uint64    // the sealed words in the builder; nil until sealed, and in a segment, whose arena holds them
 	windows []WindowRef // members, in insertion order
 }
 
@@ -31,18 +32,19 @@ type bucket struct {
 type segment struct {
 	bkts     []bucket
 	arena    []uint64 // nBuckets × rowWords sealed words, contiguous
-	rowWords int
-	total    int // member windows, including tombstoned ones
-	tombs    int // member windows whose reference has been removed
-	maxOcc   int // largest bucket occupancy, tombstoned windows included
+	rowWords int      // D/64, or the sketch width where a row is its sketch (Library.rowWords)
+	total    int      // member windows, including tombstoned ones
+	tombs    int      // member windows whose reference has been removed
+	maxOcc   int      // largest bucket occupancy, tombstoned windows included
 
 	// plane is the sketch plane the probe's first stage streams: the
 	// first planeWords words of every arena row, packed contiguously
 	// (nBuckets × planeWords). It is derived from the arena whenever a
 	// segment is built or opened, never stored in a file, immutable like
-	// the arena, and shared by withTombs copies. A library whose model
-	// offers no prefix has planeWords == rowWords and no copy: the plane
-	// aliases the arena. Whether a probe streams it is the view's call
+	// the arena, and shared by withTombs copies. Where the rows are as
+	// wide as the plane — a library whose model offers no prefix, or one
+	// whose rows are their sketches — there is no copy: the plane aliases
+	// the arena. Whether a probe streams it is the view's call
 	// (scanPlan.sketch).
 	plane      []uint64
 	planeWords int
@@ -57,19 +59,16 @@ type segment struct {
 	mapLen int
 }
 
-// newSegment seals a bucket slice into a segment: every sealed vector is
-// packed into one contiguous arena and the bucket's sealed view is
-// repointed to alias its row, so vector(i), score, and WriteTo all read
-// the same storage the probe kernel streams. The bucket structs are
-// owned by the segment after this call. sketchWords is the library's
-// sketch width (Library.sketchWords).
-func newSegment(bkts []bucket, dim, sketchWords int) *segment {
-	s := &segment{bkts: bkts, rowWords: dim / 64}
+// newSegment seals a bucket slice into a segment: every sealed row is
+// packed into one contiguous arena, which vector(i), WriteToV3 and the
+// probe kernel all read, and the bucket keeps only its windows. The
+// bucket structs are owned by the segment after this call.
+func newSegment(bkts []bucket, rowWords, sketchWords int) *segment {
+	s := &segment{bkts: bkts, rowWords: rowWords}
 	s.arena = make([]uint64, len(bkts)*s.rowWords)
 	for i := range s.bkts {
-		row := s.arenaRow(i)
-		copy(row, s.bkts[i].sealed.Words())
-		s.bkts[i].sealed = hdc.HVFromArenaRow(row, dim)
+		copy(s.arenaRow(i), s.bkts[i].row)
+		s.bkts[i].row = nil
 		s.countBucket(i)
 	}
 	s.cutPlane(sketchWords)
@@ -103,23 +102,19 @@ func (s *segment) cutPlane(sketchWords int) {
 // segmentFromArena builds a segment around an existing packed arena —
 // the v3 load path, where the arena words alias either the heap memory
 // the file was read into or a read-only mapping (the loader then marks
-// the segment mapped and records its byte range). wins[i]
-// becomes bucket i's member windows and the bucket's sealed view is
-// pointed at its arena row in place; nothing is copied. len(arena)
-// must be len(wins)·dim/64 — the v3 reader validates this against the
-// segment directory before calling. Tombstone counts start at zero;
-// callers run countTombs against their reference table.
-func segmentFromArena(arena []uint64, wins [][]WindowRef, dim, sketchWords int) *segment {
+// the segment mapped and records its byte range). wins[i] becomes
+// bucket i's member windows; nothing is copied. len(arena) must be
+// len(wins)·rowWords — the v3 reader validates this against the segment
+// directory, whose row width it is, before calling. Tombstone counts
+// start at zero; callers run countTombs against their reference table.
+func segmentFromArena(arena []uint64, wins [][]WindowRef, rowWords, sketchWords int) *segment {
 	s := &segment{
 		bkts:     make([]bucket, len(wins)),
 		arena:    arena,
-		rowWords: dim / 64,
+		rowWords: rowWords,
 	}
 	for i := range s.bkts {
 		s.bkts[i].windows = wins[i]
-		// Safe on a read-only mapping: dim is a multiple of 64, so the
-		// HV constructor's tail-masking never writes the arena row.
-		s.bkts[i].sealed = hdc.HVFromArenaRow(s.arenaRow(i), dim)
 		s.countBucket(i)
 	}
 	s.cutPlane(sketchWords)
@@ -158,9 +153,9 @@ func (s *segment) Windows() (total, tombstoned int) { return s.total, s.tombs }
 // callers must not mutate).
 func (s *segment) windows(i int) []WindowRef { return s.bkts[i].windows }
 
-// vector returns the sealed hypervector of local bucket i (aliases the
-// arena row; callers must not mutate).
-func (s *segment) vector(i int) *hdc.HV { return s.bkts[i].sealed }
+// vector returns whole-row bucket i's sealed hypervector, aliasing the
+// arena row (callers must not mutate; a whole-word row is never masked).
+func (s *segment) vector(i int) *hdc.HV { return hdc.HVFromArenaRow(s.arenaRow(i), 64*s.rowWords) }
 
 // maxOccupancy returns the largest bucket occupancy in the segment,
 // counting tombstoned windows too — they are still superposed in the
@@ -226,17 +221,10 @@ func (s *segment) sketchBytes() int64 {
 }
 
 // MemoryBytes returns the segment's resident hypervector storage: the
-// packed arena (D/8 bytes per bucket), the sketch plane where the
-// library has one, and the window metadata (8 bytes per memorized
-// window).
+// packed arena (8·rowWords bytes per bucket), the sketch plane where it
+// is a copy, and the window metadata (8 bytes per memorized window).
 func (s *segment) MemoryBytes() int64 {
 	return int64(len(s.arena))*8 + s.sketchBytes() + int64(s.total)*8
-}
-
-// score returns the similarity score of query hv against local bucket i,
-// read from the flat arena.
-func (s *segment) score(i int, hv *hdc.HV) float64 {
-	return float64(bitvec.DotWords(s.arenaRow(i), hv.Words(), 64*s.rowWords))
 }
 
 // planeTileBytes sizes the tiles the probe walks a sketch plane in: a
@@ -275,16 +263,25 @@ func tileRows(words int) int {
 // rows' sketch-plane prefixes under the view's stage-1 bound — or, under
 // a plan without a sketch stage, the rows themselves — and names the
 // survivors in surv, and each survivor's full arena row is then held to
-// the threshold's Hamming bound.
+// the threshold's Hamming bound — or, under a one-stage plan, they are
+// the candidates, scored over the prefix against the stage-1 bound.
 //
 //biohd:hotpath
 func (s *segment) probeRange(dst []Candidate, hv *hdc.HV, pl *scanPlan, lo, hi, gOff int, surv []int32) ([]Candidate, int) {
 	q := hv.Words()
-	if len(q) != s.rowWords {
-		panic(fmt.Sprintf("core: query words %d != row words %d", len(q), s.rowWords))
-	}
 	plane, w := s.scanned(pl)
+	if len(q) < w || !pl.oneStage && len(q) != s.rowWords {
+		panic(fmt.Sprintf("core: query words %d against %d-word rows", len(q), s.rowWords))
+	}
 	n := bitvec.ScanPlane(plane, w, q[:w], pl.sketchBound, lo, hi, surv)
+	if pl.oneStage {
+		floor := float64(64*w - 2*pl.sketchBound)
+		for _, i := range surv[:n] {
+			score := float64(64*w - 2*bitvec.HammingWords(s.planeRow(int(i)), q[:w]))
+			dst = append(dst, Candidate{Bucket: gOff + int(i), Score: score, Excess: score - floor})
+		}
+		return dst, n
+	}
 	for _, i := range surv[:n] {
 		if h, ok := bitvec.HammingBounded(s.arenaRow(int(i)), q, pl.maxHam); ok {
 			score := float64(64*s.rowWords - 2*h)
@@ -355,8 +352,13 @@ type builder struct {
 }
 
 // insert memorizes one encoded window, opening a new bucket (and closing
-// the previous one) whenever the open bucket reaches capacity.
-func (b *builder) insert(ref WindowRef, hv *hdc.HV, p *Params, ties *hdc.Ties) {
+// the previous one) whenever the open bucket reaches capacity. At
+// capacity 1 hv's first rowWords words are the bucket: nothing to fold.
+func (b *builder) insert(ref WindowRef, hv *hdc.HV, rowWords int, p *Params, ties *hdc.Ties) {
+	if p.Capacity <= 1 {
+		b.bkts = append(b.bkts, bucket{row: slices.Clone(hv.Words()[:rowWords]), windows: []WindowRef{ref}})
+		return
+	}
 	if n := len(b.bkts); n == 0 || len(b.bkts[n-1].windows) >= p.Capacity {
 		if n > 0 {
 			b.sealBucket(n - 1)
@@ -375,7 +377,7 @@ func (b *builder) insert(ref WindowRef, hv *hdc.HV, p *Params, ties *hdc.Ties) {
 // from here on, which is what lets view share them with published
 // snapshots.
 func (b *builder) sealBucket(i int) {
-	b.bkts[i].sealed = b.rows.Seal()
+	b.bkts[i].row = b.rows.Seal().Words()
 	b.rows.Reset()
 }
 
@@ -399,22 +401,23 @@ func (b *builder) maxOccupancy() int {
 // view publishes a read-only copy of the builder as a segment, or nil if
 // the builder is empty; sealing the builder is taking its view and then
 // discarding it. Closed buckets are immutable and shared with the
-// copy outright; the open bucket — the only one future inserts mutate —
-// is isolated: its window slice is capped at the current length and its
-// vector is freshly sealed — a fold of the waiting rows, which stay for
-// the next insert. The arena is fresh per view, so repointing the
-// copies' sealed views never touches builder state.
-func (b *builder) view(p *Params, sketchWords int, refs []genome.Record) Segment {
+// copy outright; the open bucket — the only one future inserts mutate,
+// and never one at capacity 1 — is isolated: its window slice is capped
+// at the current length and its row is freshly sealed — a fold of the
+// waiting rows, which stay for the next insert. The arena is fresh per
+// view, so packing the copies' rows into it never touches builder
+// state.
+func (b *builder) view(rowWords, sketchWords int, refs []genome.Record) Segment {
 	if len(b.bkts) == 0 {
 		return nil
 	}
 	bkts := make([]bucket, len(b.bkts))
 	copy(bkts, b.bkts)
-	last := len(bkts) - 1
-	open := &bkts[last] // insert closes a bucket only by opening the next
-	open.windows = open.windows[:len(open.windows):len(open.windows)]
-	open.sealed = b.rows.Seal()
-	seg := newSegment(bkts, p.Dim, sketchWords)
+	if open := &bkts[len(bkts)-1]; open.row == nil { // insert closes a bucket only by opening the next
+		open.windows = open.windows[:len(open.windows):len(open.windows)]
+		open.row = b.rows.Seal().Words()
+	}
+	seg := newSegment(bkts, rowWords, sketchWords)
 	seg.tombs = seg.countTombs(refs)
 	return seg
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -67,7 +68,8 @@ func assertLibrariesEquivalent(t *testing.T, want, got *Library) {
 		t.Fatalf("calibration differs: %+v/%v vs %+v/%v", cg, okg, cw, okw)
 	}
 	for b := 0; b < want.Describe().Buckets; b++ {
-		if !got.BucketVector(b).Equal(want.BucketVector(b)) {
+		// nil for a tombstoned row stored as its sketch
+		if g, w := got.BucketVector(b), want.BucketVector(b); (g == nil) != (w == nil) || g != nil && !g.Equal(w) {
 			t.Fatalf("bucket %d vector differs", b)
 		}
 	}
@@ -132,6 +134,95 @@ func TestGoldenV3SealedCompatTiers(t *testing.T) {
 		}
 		assertLibrariesEquivalent(t, want, lib)
 		lib.Close()
+	}
+}
+
+// goldenC1Fixture rebuilds, live, the library whose file an earlier
+// commit wrote to testdata/golden_v3_c1.lib: the geometry the CLI and
+// bench search approximately (one window a row under a 16-word sketch)
+// over one 64-base reference, 33 rows. That commit stored the rows
+// whole.
+func goldenC1Fixture(t *testing.T) *Library {
+	t.Helper()
+	lib := mustLibrary(t, Params{Dim: 8192, Window: 32, Approx: true, MutTolerance: 2, Seed: 5101})
+	rec := genome.Record{ID: "ref-0", Description: "one-window-a-row fixture", Seq: genome.Random(64, rng.New(5102))}
+	if err := lib.Add(rec); err != nil {
+		t.Fatal(err)
+	}
+	lib.Freeze()
+	return lib
+}
+
+// TestGoldenV3OneWindowRows opens a one-window-a-row file written with
+// whole rows — never regenerate it — on every open path. The loader
+// takes the directory's width and copies the sketch plane out of the
+// rows; the library must then be what a fresh build is: the calibration
+// stored by the whole-row writer equal to the one derived afresh, the
+// same view plan, every re-encoded bucket vector equal to the stored
+// row, and every window of the reference, exact or two substitutions
+// off, answered alike. A fresh build stores the sketches alone.
+func TestGoldenV3OneWindowRows(t *testing.T) {
+	want := goldenC1Fixture(t)
+	if info := want.Describe(); info.RowWords != 16 || info.SketchWords != 16 || info.SketchBytes != 0 {
+		t.Fatalf("fresh build stores %d-word rows, %d-word sketches, %d plane bytes: want the rows to be the sketches", info.RowWords, info.SketchWords, info.SketchBytes)
+	}
+	path := filepath.Join("testdata", "golden_v3_c1.lib")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	libs := map[string]*Library{"ReadIndex": readLib(t, data)}
+	for _, mode := range []LoadMode{LoadHeap, MapArena} {
+		libs[fmt.Sprint("mode ", mode)] = openLib(t, path, mode)
+	}
+	ref := want.Ref(0).Seq
+	w := want.Params().Window
+	src := rng.New(5103)
+	for name, lib := range libs {
+		info := lib.Describe()
+		if info.RowWords != 128 || info.SketchBytes != int64(info.Buckets*16*8) {
+			t.Fatalf("%s: %d-word rows, %d plane bytes: want the whole rows and a copied plane", name, info.RowWords, info.SketchBytes)
+		}
+		if got, fresh := hdcOf(lib.snap.Load()).plan, hdcOf(want.snap.Load()).plan; got != fresh {
+			t.Fatalf("%s: plan %+v, fresh build %+v", name, got, fresh)
+		}
+		assertLibrariesEquivalent(t, want, lib)
+		for off := 0; off+w <= ref.Len(); off++ {
+			pat, _ := genome.SubstituteExactly(ref.Slice(off, off+w), off%3, src)
+			m1, s1, e1 := want.Lookup(pat)
+			m2, s2, e2 := lib.Lookup(pat)
+			if e1 != nil || e2 != nil || s1 != s2 || len(m1) == 0 || !reflect.DeepEqual(m1, m2) {
+				t.Fatalf("%s: window %d answers %v %+v %v, fresh build %v %+v %v", name, off, m2, s2, e2, m1, s1, e1)
+			}
+		}
+		lib.Close()
+	}
+}
+
+// TestRowWidthForgeryRejected: a directory whose row width is neither
+// D/64 nor the library's sketch width is an error on every open path —
+// never a panic — and so is one that claims the sketch width over an
+// arena of whole rows.
+func TestRowWidthForgeryRejected(t *testing.T) {
+	valid, err := os.ReadFile(filepath.Join("testdata", "golden_v3_c1.lib"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rw := range []uint32{0, 1, 8, 16, 32, 127, 129, 1 << 31} {
+		forged := forgeRowWidth(valid, rw)
+		if _, err := ReadIndex(bytes.NewReader(forged)); err == nil {
+			t.Fatalf("ReadIndex accepted %d-word rows", rw)
+		}
+		path := filepath.Join(t.TempDir(), "forged.lib")
+		if err := os.WriteFile(path, forged, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, mode := range []LoadMode{LoadHeap, MapArena} {
+			if idx, err := OpenLibraryFile(path, mode); err == nil {
+				idx.Close()
+				t.Fatalf("OpenLibraryFile(mode %d) accepted %d-word rows", mode, rw)
+			}
+		}
 	}
 }
 

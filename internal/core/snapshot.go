@@ -1,9 +1,6 @@
 package core
 
-import (
-	"repro/internal/genome"
-	"repro/internal/hdc"
-)
+import "repro/internal/genome"
 
 // hdcView is the HDC kernel's annotation of a published View: the
 // segments under their concrete type, the global bucket numbering, and
@@ -20,6 +17,7 @@ type hdcView struct {
 	plan scanPlan
 
 	nBkts       int
+	rowWords    int   // the widest segment's row, 0 without segments
 	sketchBytes int64 // the segments' sketch planes, where they are copies
 }
 
@@ -39,6 +37,10 @@ type scanPlan struct {
 	sketch      bool
 	sketchBound int
 	survive     float64
+	// oneStage says stage 1's survivors are the candidates: the rows are
+	// their sketches (one window a row, DESIGN §7.5), so there is no
+	// full-row stage, and verify is the second one.
+	oneStage bool
 }
 
 func newHDCView(v *View, cal Calibration) *hdcView {
@@ -52,6 +54,7 @@ func newHDCView(v *View, cal Calibration) *hdcView {
 		sn.segs[k] = seg.(*segment)
 		sn.offs[k] = sn.nBkts
 		sn.nBkts += seg.NumBuckets()
+		sn.rowWords = max(sn.rowWords, sn.segs[k].rowWords)
 		sn.sketchBytes += sn.segs[k].sketchBytes()
 	}
 	return sn
@@ -95,12 +98,6 @@ func (sn *hdcView) locateOK(g int) (*segment, int, bool) {
 func (sn *hdcView) windows(g int) []WindowRef {
 	seg, i := sn.locate(g)
 	return seg.windows(i)
-}
-
-// score scores query hv against global bucket g.
-func (sn *hdcView) score(g int, hv *hdc.HV) float64 {
-	seg, i := sn.locate(g)
-	return seg.score(i, hv)
 }
 
 // maxOccupancy returns the largest bucket occupancy across segments.

@@ -170,6 +170,46 @@ func checkKernelAgainstOracle(t *testing.T, dim, window int, seed uint64) {
 	}
 }
 
+// TestApproxPrefixIsPrefix holds the narrow fold to the full one: at
+// every width — whole vector blocks, which the vector tiers take, and
+// odd ones, which stay portable — and on both sides of the vector
+// tiers' row gate, ApproxPrefix writes exactly the leading words of
+// EncodeWindowApproxInto's output, and refuses a width it has no table
+// for.
+func TestApproxPrefixIsPrefix(t *testing.T) {
+	for _, sh := range []struct{ dim, window int }{{8192, 32}, {2048, 24}, {1024, 255}, {1024, 300}} {
+		e := testEncoder(t, sh.dim, sh.window)
+		src := rng.New(uint64(sh.dim + sh.window))
+		full, acc := hdc.NewHV(sh.dim), hdc.NewAcc(sh.dim)
+		for _, words := range []int{1, 3, 8, 16, 40, sh.dim / 64} {
+			words = min(words, sh.dim/64)
+			p := e.ApproxPrefix(words)
+			dst := make([]uint64, words)
+			seq := genome.Random(sh.window+8, src)
+			for start := 0; start+sh.window <= seq.Len(); start++ {
+				e.EncodeWindowApproxInto(full, acc, seq, start)
+				p.EncodeInto(dst, acc, seq, start)
+				for i, w := range dst {
+					if w != full.Words()[i] {
+						t.Fatalf("D=%d W=%d prefix %d start %d: word %d is %016x, full fold %016x", sh.dim, sh.window, words, start, i, w, full.Words()[i])
+					}
+				}
+			}
+		}
+	}
+	e := testEncoder(t, 1024, 16)
+	for _, words := range []int{0, -1, 17} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("ApproxPrefix(%d) of 16-word encodings did not panic", words)
+				}
+			}()
+			e.ApproxPrefix(words)
+		}()
+	}
+}
+
 // TestSealLogicalOffset pins the circular-offset contract SealLogical
 // keeps: counters stored rotated by off seal to the same hypervector,
 // ties included (the tie bit belongs to the logical dimension).

@@ -253,6 +253,40 @@ func (e *Encoder) bundleWindow(out []uint64, row []int32, seq *genome.Sequence, 
 	bitvec.MajorityRows(out, e.rows, row, len(out), e.tie, true)
 }
 
+// ApproxPrefix is the approximate encoder cut to the first words of
+// every encoding: the majority fold over the table's rows cut to that
+// width, bit for bit the prefix of EncodeWindowApproxInto's output
+// (DESIGN §8.1).
+type ApproxPrefix struct {
+	e         *Encoder
+	rows, tie []uint64 // the table's rows and tie words, cut
+}
+
+// ApproxPrefix returns the approximate encoder of the first words words
+// of every encoding. It panics unless 0 < words ≤ Dim/64.
+func (e *Encoder) ApproxPrefix(words int) *ApproxPrefix {
+	nw := e.cfg.Dim / 64
+	if words <= 0 || words > nw {
+		panic(fmt.Sprintf("encoding: a prefix of %d words of %d-word encodings", words, nw))
+	}
+	p := &ApproxPrefix{e: e, rows: make([]uint64, len(e.rows)/nw*words), tie: e.tie[:words:words]}
+	for r := 0; r < len(e.rows)/nw; r++ {
+		copy(p.rows[r*words:(r+1)*words], e.rows[r*nw:])
+	}
+	return p
+}
+
+// EncodeInto is EncodeWindowApproxInto of the prefix, into dst of the
+// prefix's width (it panics on another).
+//
+//biohd:hotpath
+func (p *ApproxPrefix) EncodeInto(dst []uint64, acc *hdc.Acc, seq *genome.Sequence, start int) {
+	p.e.checkWindow(seq, start)
+	row := acc.Counts()[:p.e.cfg.Window]
+	rowIndices(row, seq, start, 0)
+	bitvec.MajorityRows(dst, p.rows, row, len(p.tie), p.tie, true)
+}
+
 // tieSeed derives the deterministic tie-break seed for sealed bundles
 // from the item-memory seed, so all encodings under one encoder agree.
 func (e *Encoder) tieSeed() uint64 { return e.cfg.Seed ^ 0xb10b1d_5ea1 }

@@ -186,6 +186,7 @@ func (s *Server) execStats() wire.StatsResult {
 		Segments:      info.Segments,
 		Tombstones:    info.TombstoneRatio,
 
+		RowWords:            info.RowWords,
 		SketchWords:         info.SketchWords,
 		SketchBytes:         info.SketchBytes,
 		SketchSurvivorRatio: info.SketchSurvivorRatio,

@@ -339,7 +339,9 @@ func TestGracefulShutdownDrains(t *testing.T) {
 
 // TestSketchTelemetry serves libraries whose model engages the probe
 // cascade, one of each encoding, and checks the quality model is
-// monitorable from outside: the plane's width and resident bytes and the
+// monitorable from outside: the rows' and the plane's width, the plane's
+// resident bytes (none where the rows are their sketches, one window a
+// row: the plane is the arena) and the
 // current view's predicted survivor ratio in /v1/stats and the wire
 // STATS result, and on /metrics the observed sketch counters tracking
 // that prediction. The approximate library's prediction follows its
@@ -353,11 +355,13 @@ func TestSketchTelemetry(t *testing.T) {
 		params         core.Params
 		refLen         int
 		probes, every  int // searches sent; every `every`-th is a member window
+		rowWords       int
 		words          int
+		planeWords     int // sketch plane words resident per bucket
 		predLo, predHi float64
 	}{
-		{"exact", core.Params{Dim: 8192, Window: 32, Capacity: 16, Seed: 92}, 6000, 40, 2, 40, 0.01, 0.03},
-		{"approximate", core.Params{Dim: 8192, Window: 32, Approx: true, MutTolerance: 2, Seed: 42}, 2087, 400, 20, 16, 5e-5, 1e-3},
+		{"exact", core.Params{Dim: 8192, Window: 32, Capacity: 16, Seed: 92}, 6000, 40, 2, 128, 40, 40, 0.01, 0.03},
+		{"approximate", core.Params{Dim: 8192, Window: 32, Approx: true, MutTolerance: 2, Seed: 42}, 2087, 400, 20, 16, 16, 0, 5e-5, 1e-3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ref := genome.Random(tc.refLen, rng.New(91))
@@ -397,11 +401,11 @@ func TestSketchTelemetry(t *testing.T) {
 			}
 			var stats wire.StatsResult
 			decodeInto(t, resp, &stats)
-			if stats.SketchWords != tc.words || stats.SketchBytes != int64(stats.Buckets*tc.words*8) ||
+			if stats.RowWords != tc.rowWords || stats.SketchWords != tc.words || stats.SketchBytes != int64(stats.Buckets*tc.planeWords*8) ||
 				stats.SketchSurvivorRatio < tc.predLo || stats.SketchSurvivorRatio > tc.predHi {
 				t.Fatalf("sketch fields of /v1/stats: %+v", stats)
 			}
-			if ws := s.WireBackend().Stats(); ws.SketchWords != stats.SketchWords || ws.SketchBytes != stats.SketchBytes ||
+			if ws := s.WireBackend().Stats(); ws.RowWords != stats.RowWords || ws.SketchWords != stats.SketchWords || ws.SketchBytes != stats.SketchBytes ||
 				ws.SketchSurvivorRatio != stats.SketchSurvivorRatio {
 				t.Fatalf("wire STATS sketch fields %+v differ from /v1/stats %+v", ws, stats)
 			}

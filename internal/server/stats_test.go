@@ -130,7 +130,7 @@ func statsIndex(t *testing.T, backend string, src *rng.Source) core.Index {
 // carries too.
 var statsKeys = []string{
 	"approx", "backend", "buckets", "capacity", "dim", "mappedBytes",
-	"memoryBytes", "references", "residentBytes", "segments",
+	"memoryBytes", "references", "residentBytes", "rowWords", "segments",
 	"sketchBytes", "sketchPredictedSurvivorRatio", "sketchWords",
 	"stride", "threshold", "tolerance", "tombstoneRatio", "window",
 	"windows",

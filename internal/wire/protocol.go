@@ -436,9 +436,10 @@ type StatsResult struct {
 	Segments      int     `json:"segments"`
 	Tombstones    float64 `json:"tombstoneRatio"`
 
-	// The HDC probe cascade: words of each row the sketch stage reads,
-	// bytes of sketch plane resident, and the model's predicted survivor
-	// ratio (compare biohd_core_sketch_survivors_total / _rows_total).
+	// The HDC probe cascade: stored row width and the words of it the
+	// sketch stage reads, bytes of sketch plane resident, and the model's
+	// predicted survivor ratio (compare biohd_core_sketch_survivors_total / _rows_total).
+	RowWords            int     `json:"rowWords"`
 	SketchWords         int     `json:"sketchWords"`
 	SketchBytes         int64   `json:"sketchBytes"`
 	SketchSurvivorRatio float64 `json:"sketchPredictedSurvivorRatio"`
