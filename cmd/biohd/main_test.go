@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // genRefs writes a small covid-like FASTA and returns its path.
@@ -374,30 +376,71 @@ func TestBuildRepeatable(t *testing.T) {
 	}
 }
 
+// TestCompactRemovesReference runs the offline lifecycle on both
+// backends: compact -remove rewrites the saved file in place, and the
+// file reopened on the heap and on the mapped tier no longer holds the
+// removed reference while a kept reference's window still answers.
 func TestCompactRemovesReference(t *testing.T) {
 	refs := genRefs(t)
-	lib := filepath.Join(t.TempDir(), "refs.lib")
-	var sb strings.Builder
-	if err := run([]string{"build", "-ref", refs, "-o", lib}, &sb); err != nil {
+	recs, err := readFASTAFile(refs)
+	if err != nil {
 		t.Fatal(err)
 	}
-	// The covid generator names its variants VAR-0000, ...
-	sb.Reset()
-	if err := run([]string{"compact", "-lib", lib, "-remove", "VAR-0000"}, &sb); err != nil {
-		t.Fatalf("compact: %v\n%s", err, sb.String())
-	}
-	out := sb.String()
-	if !strings.Contains(out, "removed VAR-0000") || !strings.Contains(out, "segments rewritten") {
-		t.Fatalf("compact output missing lifecycle report:\n%s", out)
-	}
-	if !strings.Contains(out, "saved library to "+lib) {
-		t.Fatalf("compact did not rewrite the library in place:\n%s", out)
-	}
-	// The removed reference is gone from the compacted library; the
-	// others still serve searches.
-	sb.Reset()
-	if err := run([]string{"compact", "-lib", lib, "-remove", "VAR-0000"}, &sb); err == nil {
-		t.Fatal("removing an already-removed reference succeeded")
+	for _, backend := range []string{"hdc", "cobs"} {
+		t.Run(backend, func(t *testing.T) {
+			lib := filepath.Join(t.TempDir(), "refs.lib")
+			var sb strings.Builder
+			if err := run([]string{"build", "-ref", refs, "-backend", backend, "-o", lib}, &sb); err != nil {
+				t.Fatal(err)
+			}
+			// The covid generator names its variants VAR-0000, ...
+			sb.Reset()
+			if err := run([]string{"compact", "-lib", lib, "-remove", "VAR-0000"}, &sb); err != nil {
+				t.Fatalf("compact: %v\n%s", err, sb.String())
+			}
+			out := sb.String()
+			if !strings.Contains(out, "removed VAR-0000") || !strings.Contains(out, "segments rewritten") {
+				t.Fatalf("compact output missing lifecycle report:\n%s", out)
+			}
+			if !strings.Contains(out, "saved library to "+lib) {
+				t.Fatalf("compact did not rewrite the library in place:\n%s", out)
+			}
+			for _, mode := range []core.LoadMode{core.LoadHeap, core.MapArena} {
+				idx, err := core.OpenLibraryFile(lib, mode)
+				if err != nil {
+					t.Fatal(err)
+				}
+				info := idx.Describe()
+				if info.Backend != backend || info.TombstoneRatio != 0 || idx.Ref(0).Seq != nil {
+					t.Fatalf("mapped %v: reopened %s library, tombstone ratio %v, VAR-0000 live %v",
+						idx.Mapped(), info.Backend, info.TombstoneRatio, idx.Ref(0).Seq != nil)
+				}
+				// Variants share most of their bases, so the kept
+				// reference's window is looked for among the matches.
+				w := info.Window
+				ms, _, err := idx.Lookup(recs[1].Seq.Slice(50, 50+w))
+				if err != nil {
+					t.Fatal(err)
+				}
+				kept := false
+				for _, m := range ms {
+					kept = kept || m.Ref == 1 && m.Off == 50
+					if m.Ref == 0 {
+						t.Fatalf("mapped %v: the removed reference still answers: %+v", idx.Mapped(), m)
+					}
+				}
+				if !kept {
+					t.Fatalf("mapped %v: %s:50 lost by compaction: %+v", idx.Mapped(), recs[1].ID, ms)
+				}
+				if err := idx.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			sb.Reset()
+			if err := run([]string{"compact", "-lib", lib, "-remove", "VAR-0000"}, &sb); err == nil {
+				t.Fatal("removing an already-removed reference succeeded")
+			}
+		})
 	}
 }
 

@@ -18,7 +18,7 @@
 //
 // The index is a kernel of core.Engine, which it embeds: the engine
 // supplies the segmented lifecycle (active builder sealing into
-// immutable segments, atomic snapshots, Remove tombstoning columns,
+// immutable segments, atomic snapshots, Remove tombstoning references,
 // Compact rewriting segments), the stats surface and every derived
 // probe; this package supplies the signature builder, the row-AND
 // candidate stage, verification, and the meta codec that serializes
@@ -33,7 +33,6 @@ import (
 	"sync"
 
 	"repro/internal/core"
-	"repro/internal/genome"
 )
 
 // defaultSealThreshold is how many reference columns the active
@@ -108,7 +107,6 @@ type Index struct {
 	*core.Engine
 
 	params Params
-	active builder   // the mutable tail; touched only under the engine's lock
 	pool   sync.Pool // *probeScratch
 }
 
@@ -125,11 +123,7 @@ func New(p Params) (*Index, error) {
 		Window:        p.Window,
 		Stride:        1,
 		SealThreshold: defaultSealThreshold,
-		Append:        x.appendRef,
-		Active:        x.activeView,
-		Reset:         x.resetActive,
-		Tombstone:     tombstoneSegment,
-		Rebuild:       rebuildSegment,
+		Builder:       func() core.Builder { return &builder{params: &x.params} },
 		Describe:      x.describe,
 		Annotate:      annotate,
 		Probe:         x.probeBlock,
@@ -145,34 +139,6 @@ func (x *Index) describe(_ *core.View, info *core.IndexInfo) {
 	info.Backend, info.Window, info.Stride = BackendName, x.params.Window, 1
 	info.Threshold = 1.0
 }
-
-// appendRef is Kernel.Append: the reference's w-mers are hashed into a
-// fresh Bloom signature — the probe positions a query derives — which
-// becomes a new column of the active builder.
-func (x *Index) appendRef(ref int32, rec genome.Record) int {
-	sig := make([]uint64, x.params.RowBits/64)
-	var pos [maxHashes]int
-	nWin := rec.Seq.Len() - x.params.Window + 1
-	for off := 0; off < nWin; off++ {
-		for _, p := range x.params.probePositions(rec.Seq, off, pos[:]) {
-			sig[p/64] |= 1 << uint(p%64)
-		}
-	}
-	x.active.push(ref, sig, int32(nWin))
-	return x.active.numCols()
-}
-
-// activeView is Kernel.Active: the builder transposed into a segment of
-// its own, columns of removed references already tombstoned.
-func (x *Index) activeView(refs []genome.Record) core.Segment {
-	if x.active.numCols() == 0 {
-		return nil
-	}
-	return x.active.seal(x.params.RowBits, refs)
-}
-
-// resetActive is Kernel.Reset.
-func (x *Index) resetActive() { x.active = builder{} }
 
 // The bit-sliced index implements the backend contract.
 var _ core.Index = (*Index)(nil)

@@ -451,3 +451,17 @@ func TestSignatureMatchesBaselineBloom(t *testing.T) {
 		}
 	}
 }
+
+// signature reconstructs column col's Bloom signature from the
+// bit-sliced arena (bit b set iff row b has the column's bit): the
+// transpose oracle the signature and compaction tests hold segments to.
+func (s *segment) signature(col int, rowBits int) []uint64 {
+	sig := make([]uint64, rowBits/64)
+	word, bit := col/64, uint(col%64)
+	for b := 0; b < rowBits; b++ {
+		if s.arena[b*s.colWords+word]&(1<<bit) != 0 {
+			sig[b/64] |= 1 << uint(b%64)
+		}
+	}
+	return sig
+}

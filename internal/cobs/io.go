@@ -135,13 +135,17 @@ func (ld *loader) Build(arenas []core.ContainerSegment, m *mmapfile.Mapping) (co
 		return nil, err
 	}
 	segs := make([]core.Segment, len(arenas))
+	members := make([][]core.Member, len(arenas))
 	for k, a := range arenas {
-		seg := segmentFromArena(a.Words, int(a.RowWords), ld.segRef[k], ld.segWin[k], ld.refs)
+		seg := segmentFromArena(a.Words, int(a.RowWords), ld.segRef[k], ld.segWin[k])
 		if m != nil {
 			seg.mapOff, seg.mapLen = int(a.FileOff), len(a.Words)*8
 		}
 		segs[k] = seg
+		for j, ref := range ld.segRef[k] {
+			members[k] = append(members[k], core.Member{Ref: ref, Windows: int(ld.segWin[k][j])})
+		}
 	}
-	x.Restore(ld.refs, segs, m, annotate)
+	x.Restore(ld.refs, segs, members, m, annotate)
 	return x, nil
 }

@@ -279,8 +279,9 @@ func TestMappedEqualsHeap(t *testing.T) {
 	// (the DONTNEED hint goes through MapRange), so heap scans appear
 	// beside the mapped ones and the answers do not move.
 	var cold int
-	for _, seg := range viewOf(mustPin(t, mapped.(*Index))).segs {
-		if _, n := seg.MapRange(); n > 0 && seg.tombWins > 0 {
+	infos := mapped.(*Index).Segments()
+	for k, seg := range viewOf(mustPin(t, mapped.(*Index))).segs {
+		if _, n := seg.MapRange(); n > 0 && infos[k].Tombstones > 0 {
 			cold++
 		}
 	}

@@ -81,8 +81,8 @@ func (p *Params) probePositions(pattern *genome.Sequence, qoff int, pos []int) [
 }
 
 // probeWindow runs the candidate stage for one query window across
-// every segment of the snapshot: AND the probe rows, mask tombstones,
-// and decode the surviving columns into global reference indices
+// every segment of the snapshot: AND the probe rows and decode the
+// surviving columns of live references into global reference indices
 // (ascending per segment, segments in order). Results land in
 // sc.cands.refs (reset here); stats account the scan work, and the
 // caller adds it to the engine's counters (probeBlock, once a block).
@@ -99,7 +99,7 @@ func (x *Index) probeWindow(v *core.View, pattern *genome.Sequence, qoff int, sc
 			continue
 		}
 		acc := seg.probeAnd(pos, sc.acc)
-		cands.refs = seg.appendCandidates(cands.refs, acc)
+		cands.refs = seg.appendCandidates(cands.refs, acc, v.Refs)
 		stats.BucketProbes += len(pos)
 	}
 	stats.CandidateBuckets += len(cands.refs)
@@ -121,9 +121,6 @@ func (x *Index) verifyWindow(v *core.View, dst []core.Match, pattern *genome.Seq
 	w := x.params.Window
 	for _, ref := range cands.refs {
 		seq := v.Refs[ref].Seq
-		if seq == nil {
-			continue // tombstoned after the probed snapshot's seal
-		}
 		stats.WindowsVerified++
 		var cmps int
 		cands.offs, cmps = genome.FindAll(cands.offs[:0], seq, pattern, qoff, w)

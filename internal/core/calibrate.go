@@ -29,11 +29,16 @@ type Calibration struct {
 	SignalMean float64 // mean score of tolerance-mutated member queries
 	SignalStd  float64 // std of those scores
 	Tau        float64 // derived operating threshold
-	Samples    int     // probes used on each side
+	Samples    int     // noise probes scored; the signal side scores calibrationProbes
 }
 
-// calibrationProbes is the number of noise and signal probes drawn.
-const calibrationProbes = 192
+// calibrationProbes is the number of noise and signal probes drawn, and
+// calibrationRedraws the rows a noise probe draws at most to find one it
+// can score.
+const (
+	calibrationProbes  = 192
+	calibrationRedraws = 64
+)
 
 // calibrate measures noise and signal score distributions on a view
 // and derives the operating threshold. Deterministic given the library
@@ -56,13 +61,22 @@ func (l *Library) calibrate(sn *hdcView) Calibration {
 		return float64(row.Dot(hv)), true
 	}
 
-	// Noise side: random queries against randomly sampled buckets.
+	// Noise side: random queries against randomly sampled buckets. A
+	// probe whose row cannot be scored draws another row, so only a view
+	// with few live rows scores fewer than calibrationProbes. Whole rows
+	// always score, so a view without sketch rows of removed windows
+	// never redraws.
 	var noise stats.Welford
+	scored := 0
 	for i := 0; i < calibrationProbes; i++ {
 		q := genome.Random(w, src)
 		l.enc.EncodeWindowApproxInto(hv, sc.acc, q, 0)
-		if s, ok := score(src.Intn(sn.numBuckets())); ok {
-			noise.Add(s)
+		for range calibrationRedraws {
+			if s, ok := score(src.Intn(sn.numBuckets())); ok {
+				noise.Add(s)
+				scored++
+				break
+			}
 		}
 	}
 
@@ -114,7 +128,7 @@ func (l *Library) calibrate(sn *hdcView) Calibration {
 		NoiseStd:   noise.StdDev(),
 		SignalMean: signal.Mean(),
 		SignalStd:  signal.StdDev(),
-		Samples:    calibrationProbes,
+		Samples:    scored,
 	}
 	// Threshold: FP bound from the noise quantile (Bonferroni over
 	// buckets), FN bound from the signal quantile; take the midpoint when
@@ -127,8 +141,9 @@ func (l *Library) calibrate(sn *hdcView) Calibration {
 	} else {
 		cal.Tau = tauFP
 	}
-	// Guard against degenerate probe spreads (e.g. a one-bucket library).
-	if math.IsNaN(cal.Tau) || math.IsInf(cal.Tau, 0) {
+	// Guard against degenerate probe spreads (e.g. a one-bucket library)
+	// and against a view with no row to score.
+	if scored == 0 || math.IsNaN(cal.Tau) || math.IsInf(cal.Tau, 0) {
 		cal.Tau = l.modelWith(sn.maxOccupancy()).DecisionThreshold(
 			l.params.Alpha, l.params.Beta, maxInt(sn.numBuckets(), 1), l.params.MutTolerance)
 	}

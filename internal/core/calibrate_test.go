@@ -151,19 +151,24 @@ func TestCalibrationPinned(t *testing.T) {
 		0x408419eaaaaaaaac, 0x406a6f501817f6cf, 0x40a91df000000001, 0x40430171bb10bb68, 0x40a280c9de6ef9a6})
 	// Tombstones present: the signal side samples live members only, and
 	// so — one window a row, stored as its sketch, with nothing left to
-	// re-encode a removed window from — does the noise side (the values
-	// from cf1b407 were 0x408419eaaaaaaaac, 0x406a6f501817f6cf for the
-	// noise, 0x40a2796473a825ef for Tau).
+	// re-encode a removed window from — does the noise side, which draws
+	// another row for a probe that hit a removed one and still scores
+	// all 192 probes (the values from cf1b407 were 0x408419eaaaaaaaac,
+	// 0x406a6f501817f6cf for the noise, 0x40a2796473a825ef for Tau;
+	// skipping such probes instead scored 139, noise mean 666.3).
 	if err := lib.Remove(1); err != nil {
 		t.Fatal(err)
 	}
 	check("after Remove", [5]uint64{
-		0x4084d2a5c1619c8a, 0x406b72cd616f1f15, 0x40a923caaaaaaaa9, 0x4044ad0aa879e741, 0x40a2b6ad33e09c29})
+		0x408498c000000004, 0x406ace6a80e563e5, 0x40a9241000000000, 0x404355737b7a9e13, 0x40a29facbfe51abd})
 	if err := lib.Add(genome.Record{ID: "d", Seq: genome.Random(200, src)}); err != nil {
 		t.Fatal(err)
 	}
 	check("after Add", [5]uint64{ // the tombstones stay: noise and Tau moved as above (cf1b407: 0x4084c70000000004, 0x406b07b6b83f31b0, 0x40a2b1884be4e907)
-		0x4084becb65b2d96c, 0x406a778ad12a164c, 0x40a922f000000002, 0x4044010dc7086c58, 0x40a29b1ceb740831})
+		0x4084e16aaaaaaaab, 0x406aa49d16965263, 0x40a9239aaaaaaaac, 0x40439678f7bf626e, 0x40a2a9090f39b85e})
+	if cal, _ := lib.Calibration(); cal.Samples != calibrationProbes {
+		t.Fatalf("after Add: %d noise probes scored, want %d", cal.Samples, calibrationProbes)
+	}
 }
 
 // TestSketchRowsCalibrateAsWholeRows: a library whose rows are their
@@ -221,4 +226,33 @@ func TestSketchRowsCalibrateAsWholeRows(t *testing.T) {
 		}
 	}
 	check("after Remove and Compact")
+}
+
+// TestCalibrationWithoutLiveRows: a view whose rows are the sketches of
+// removed windows only has no row a noise probe can score. It reports
+// no samples and takes the model's threshold, as a view too small to
+// spread its probes does.
+func TestCalibrationWithoutLiveRows(t *testing.T) {
+	lib := mustLibrary(t, approxCascadeParams)
+	if lib.rowWords != lib.sketchWords {
+		t.Fatalf("rows of %d words, sketch %d: want rows stored as their sketches", lib.rowWords, lib.sketchWords)
+	}
+	src := rng.New(0xdead)
+	for _, id := range []string{"a", "b"} {
+		if err := lib.Add(genome.Record{ID: id, Seq: genome.Random(64, src)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lib.Freeze()
+	for i := 0; i < 2; i++ {
+		if err := lib.Remove(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sn := hdcOf(lib.snap.Load())
+	p := lib.Params()
+	want := lib.modelWith(sn.maxOccupancy()).DecisionThreshold(p.Alpha, p.Beta, sn.numBuckets(), p.MutTolerance)
+	if sn.cal.Samples != 0 || sn.cal.Tau != want {
+		t.Fatalf("calibration %+v: want no samples and the model's threshold %v", sn.cal, want)
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -17,8 +18,9 @@ import (
 var ErrClosed = errors.New("core: library is closed")
 
 // Segment is one immutable sealed slice of an index, as the engine sees
-// it: enough to run the seal/compact policy and the stats surface. The
-// storage behind it belongs to the backend. A segment whose arena
+// it: enough to size views and the stats surface. The storage behind it
+// belongs to the backend; which references it holds, and which of them
+// are removed, is the engine's account (Member). A segment whose arena
 // aliases the engine's file mapping also implements
 // MapRange() (off, n int), so compaction can tell the kernel its pages
 // are cold once the segment is retired.
@@ -26,11 +28,31 @@ type Segment interface {
 	// NumBuckets is the number of candidate units scanned per probe
 	// (HDC buckets, bit-sliced reference columns).
 	NumBuckets() int
-	// Windows counts the member reference windows, and how many of them
-	// belong to removed references.
-	Windows() (total, tombstoned int)
 	// MemoryBytes is the segment's resident search-store size.
 	MemoryBytes() int64
+}
+
+// Builder is a kernel's mutable segment under construction. The engine
+// owns it and calls it only with its lock held: live ingest appends to
+// the active builder, sealing takes its view and starts a fresh one,
+// and compaction appends a segment's live references, in order, to a
+// fresh one.
+type Builder interface {
+	// Append memorizes every stride-aligned window of rec, whose
+	// reference index is ref, and returns the builder's bucket count.
+	Append(ref int32, rec genome.Record) int
+	// View returns an immutable, isolated view of the builder as a
+	// segment, or nil if it is empty; later Appends never change it.
+	View() Segment
+}
+
+// Member is one reference memorized in a segment: its index in the
+// reference table and its window count. A loader reports each sealed
+// segment's members to Restore in the order they were memorized, which
+// is the order compaction memorizes the live ones again.
+type Member struct {
+	Ref     int32
+	Windows int
 }
 
 // Window names one query window: Kernel.Window bases of Seq from Off.
@@ -40,8 +62,9 @@ type Window struct {
 }
 
 // Kernel is the backend half of an Engine: the read primitive, the
-// mutation hooks the engine calls with its lock held, and the geometry
-// the derived probes need. Everything else — the reference table, the
+// builder the engine memorizes references into, and the geometry the
+// derived probes need. Everything else — the reference table, which
+// references each segment holds and which are removed, the
 // sealed-segment list, seal and compaction policy, snapshot publishing,
 // reader accounting, counters, and every probe built on the primitive —
 // is the engine's, written once.
@@ -54,22 +77,8 @@ type Kernel struct {
 	// live ingest seals the builder into an immutable segment.
 	SealThreshold int
 
-	// Append memorizes every stride-aligned window of rec, whose
-	// reference index is ref, into the active builder and returns the
-	// builder's bucket count.
-	Append func(ref int32, rec genome.Record) int
-	// Active returns an immutable, isolated view of the active builder
-	// (windows of references removed in refs count as tombstoned), or
-	// nil if it is empty. Sealing is Active followed by Reset.
-	Active func(refs []genome.Record) Segment
-	// Reset empties the active builder.
-	Reset func()
-	// Tombstone returns seg with reference ref's windows marked removed:
-	// a fresh header sharing the storage, or seg itself if it holds none.
-	Tombstone func(seg Segment, ref int) Segment
-	// Rebuild returns a segment holding only seg's live windows, or nil
-	// if none live.
-	Rebuild func(seg Segment, refs []genome.Record) Segment
+	// Builder returns an empty builder.
+	Builder func() Builder
 	// Describe fills the backend's IndexInfo fields — geometry,
 	// Threshold, the sketch fields — from v, the view the engine filled
 	// the rest from; info.Frozen says whether v is published (annotated)
@@ -82,10 +91,11 @@ type Kernel struct {
 
 	// Probe is the read primitive. For each window j of a block of at
 	// most BlockWidth it encodes or hashes wins[j], collects candidates
-	// across v's segments, verifies them against v.Refs, appends the
-	// matches (QueryOff = wins[j].Off) to out[j].Matches in the kernel's
-	// scan order, and adds the work to out[j].Stats. Scratch is the
-	// kernel's own, pooled.
+	// across v's segments, verifies them against v.Refs — a removed
+	// reference's windows stay in the storage, its Seq is nil — appends
+	// the matches (QueryOff = wins[j].Off) to out[j].Matches in the
+	// kernel's scan order, and adds the work to out[j].Stats. Scratch is
+	// the kernel's own, pooled.
 	Probe func(v *View, wins []Window, out []*BatchResult)
 }
 
@@ -99,29 +109,63 @@ type View struct {
 	Refs []genome.Record // length-capped; removed references have Seq == nil
 	Aux  any             // the kernel's annotation (Kernel.Annotate)
 
+	info  []SegmentInfo // per segment, in scan order
 	nBkts int
 	total int // all member windows, tombstoned included
 	tombs int
 	bytes int64
 }
 
-func newView(segs []Segment, refs []genome.Record) *View {
-	v := &View{Segs: segs, Refs: refs}
-	for _, seg := range segs {
-		total, tombs := seg.Windows()
-		v.nBkts += seg.NumBuckets()
-		v.total += total
-		v.tombs += tombs
-		v.bytes += seg.MemoryBytes()
-	}
-	return v
+// add appends seg, whose members the engine accounts in lg, to the view.
+func (v *View) add(seg Segment, lg *ledger) {
+	si := SegmentInfo{Buckets: seg.NumBuckets(), Windows: lg.total, Tombstones: lg.tombs}
+	v.Segs = append(v.Segs, seg)
+	v.info = append(v.info, si)
+	v.nBkts += si.Buckets
+	v.total += si.Windows
+	v.tombs += si.Tombstones
+	v.bytes += seg.MemoryBytes()
 }
 
-// activeRef records one reference memorized in the active builder, so
-// the engine can account the builder's tombstones and rebuild it.
-type activeRef struct {
-	ref  int32
-	wins int
+// ledger is the engine's account of one segment or of the active
+// builder: its members in the order they were memorized, all their
+// windows, and those of members since removed. A reference's windows
+// never straddle two ledgers, so removing it tombstones them together,
+// and compacting a ledger is appending its live members again.
+type ledger struct {
+	members []Member
+	total   int
+	tombs   int
+}
+
+// add books m, whose reference is already removed if dead.
+func (lg *ledger) add(m Member, dead bool) {
+	lg.members = append(lg.members, m)
+	lg.total += m.Windows
+	if dead {
+		lg.tombs += m.Windows
+	}
+}
+
+// tombstone books reference ref's windows as removed.
+func (lg *ledger) tombstone(ref int32) {
+	for _, m := range lg.members {
+		if m.Ref == ref {
+			lg.tombs += m.Windows
+		}
+	}
+}
+
+// due reports whether compaction at minRatio rewrites the ledger's
+// segment: it holds tombstones, at least minRatio of its windows.
+func (lg *ledger) due(minRatio float64) bool {
+	return lg.tombs > 0 && tombRatio(lg.total, lg.tombs) >= minRatio
+}
+
+// sealedSeg is one sealed segment and the engine's ledger of it.
+type sealedSeg struct {
+	seg Segment
+	lg  ledger
 }
 
 // Engine is the segment engine every index backend embeds: immutable
@@ -144,8 +188,9 @@ type Engine struct {
 	// with mu held.
 	mu         sync.Mutex
 	refs       []genome.Record // master reference table (removed ⇒ Seq nil)
-	sealedSegs []Segment       // sealed segments, in creation order; only this file touches it
-	active     []activeRef     // references in the active builder
+	sealedSegs []sealedSeg     // sealed segments, in creation order; only this file touches it
+	active     Builder         // the mutable tail
+	activeLg   ledger          // the active builder's members; only this file touches it
 	activeBkts int             // the builder's bucket count
 
 	sealThreshold int     // builder bucket count that triggers auto-seal
@@ -178,21 +223,30 @@ type Engine struct {
 func NewEngine(k Kernel) *Engine {
 	return &Engine{
 		k:             k,
+		active:        k.Builder(),
 		sealThreshold: k.SealThreshold,
 		errShort:      fmt.Errorf("core: pattern shorter than window %d", k.Window),
 	}
 }
 
 // Restore installs a deserialized state — the reference table and the
-// sealed segments — and publishes it annotated by the loader's annotate
-// rather than Kernel.Annotate: loading must not re-derive what the file
-// recorded. A non-nil m is the file mapping the segments' arenas alias:
-// the engine owns it from here, reads are counted so Close can drain
-// them, and Close unmaps it.
-func (e *Engine) Restore(refs []genome.Record, segs []Segment, m *mmapfile.Mapping, annotate func(*View) any) {
+// sealed segments, each with its members as the file recorded them — and
+// publishes it annotated by the loader's annotate rather than
+// Kernel.Annotate: loading must not re-derive what the file recorded. A
+// non-nil m is the file mapping the segments' arenas alias: the engine
+// owns it from here, reads are counted so Close can drain them, and
+// Close unmaps it.
+func (e *Engine) Restore(refs []genome.Record, segs []Segment, members [][]Member, m *mmapfile.Mapping, annotate func(*View) any) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.refs, e.sealedSegs = refs, segs
+	e.refs = refs
+	e.sealedSegs = make([]sealedSeg, len(segs))
+	for k, seg := range segs {
+		e.sealedSegs[k].seg = seg
+		for _, mb := range members[k] {
+			e.sealedSegs[k].lg.add(mb, refs[mb.Ref].Seq == nil)
+		}
+	}
 	e.mapped, e.mapping = m != nil, m
 	v := e.assembleLocked()
 	v.Aux = annotate(v)
@@ -313,13 +367,7 @@ func (e *Engine) Describe() IndexInfo {
 // describeView is Describe without the mapping's sizes. It is the only
 // function that loads the view for a stats read.
 func (e *Engine) describeView() IndexInfo {
-	v := e.snap.Load()
-	frozen := v != nil
-	if !frozen {
-		e.mu.Lock()
-		v = e.assembleLocked()
-		e.mu.Unlock()
-	}
+	v, frozen := e.current()
 	info := IndexInfo{
 		Frozen: frozen, References: len(v.Refs), Windows: v.total - v.tombs, Buckets: v.nBkts,
 		TombstoneRatio: tombRatio(v.total, v.tombs), MemoryBytes: v.bytes, Mapped: e.mapped,
@@ -329,6 +377,17 @@ func (e *Engine) describeView() IndexInfo {
 	}
 	e.k.Describe(v, &info)
 	return info
+}
+
+// current returns the published view, or before Freeze the unannotated
+// view Freeze would publish.
+func (e *Engine) current() (v *View, frozen bool) {
+	if v = e.snap.Load(); v != nil {
+		return v, true
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.assembleLocked(), false
 }
 
 // mappingBytes returns the size of the backing file mapping and how much
@@ -392,12 +451,7 @@ func (e *Engine) Segments() []SegmentInfo {
 	if v == nil {
 		return nil
 	}
-	out := make([]SegmentInfo, len(v.Segs))
-	for k, seg := range v.Segs {
-		total, tombs := seg.Windows()
-		out[k] = SegmentInfo{Buckets: seg.NumBuckets(), Windows: total, Tombstones: tombs}
-	}
-	return out
+	return slices.Clone(v.info)
 }
 
 // Add memorizes every stride-aligned window of rec. References shorter
@@ -418,7 +472,7 @@ func (e *Engine) Add(rec genome.Record) error {
 	}
 	ref := int32(len(e.refs))
 	e.refs = append(e.refs, rec)
-	e.noteAppendLocked(ref, rec, e.k.Append(ref, rec))
+	e.activeBkts = e.appendLocked(e.active, &e.activeLg, ref)
 	if e.snap.Load() == nil {
 		return nil // still building; Freeze publishes the first view
 	}
@@ -427,22 +481,23 @@ func (e *Engine) Add(rec genome.Record) error {
 	return nil
 }
 
-// noteAppendLocked books reference ref into the active builder, which
-// now holds bkts buckets.
-func (e *Engine) noteAppendLocked(ref int32, rec genome.Record, bkts int) {
-	e.active = append(e.active, activeRef{ref: ref, wins: (rec.Seq.Len()-e.k.Window)/e.k.Stride + 1})
-	e.activeBkts = bkts
+// appendLocked memorizes live reference ref into b, books it in lg, and
+// returns b's bucket count.
+func (e *Engine) appendLocked(b Builder, lg *ledger, ref int32) int {
+	rec := e.refs[ref]
+	lg.add(Member{Ref: ref, Windows: (rec.Seq.Len()-e.k.Window)/e.k.Stride + 1}, false)
+	return b.Append(ref, rec)
 }
 
-// sealActiveLocked turns the active builder into an immutable segment.
+// sealActiveLocked turns the active builder into an immutable segment
+// and starts a fresh one.
 func (e *Engine) sealActiveLocked() bool {
-	seg := e.k.Active(e.refs)
+	seg := e.active.View()
 	if seg == nil {
 		return false
 	}
-	e.sealedSegs = append(e.sealedSegs, seg)
-	e.k.Reset()
-	e.active, e.activeBkts = nil, 0
+	e.sealedSegs = append(e.sealedSegs, sealedSeg{seg: seg, lg: e.activeLg})
+	e.active, e.activeLg, e.activeBkts = e.k.Builder(), ledger{}, 0
 	return true
 }
 
@@ -469,16 +524,18 @@ func (e *Engine) Freeze() {
 }
 
 // assembleLocked builds a view of the master state. It always owns a
-// fresh segment slice: Remove and Compact replace elements of e.sealedSegs in
-// place while lock-free readers iterate published views, so sharing the
-// backing array would be a data race.
+// fresh segment slice: Compact replaces the master list while lock-free
+// readers iterate published views, and the ledgers change under them.
 func (e *Engine) assembleLocked() *View {
-	segs := make([]Segment, len(e.sealedSegs), len(e.sealedSegs)+1)
-	copy(segs, e.sealedSegs)
-	if av := e.k.Active(e.refs); av != nil {
-		segs = append(segs, av)
+	n := len(e.sealedSegs) + 1
+	v := &View{Segs: make([]Segment, 0, n), Refs: e.refs[:len(e.refs):len(e.refs)], info: make([]SegmentInfo, 0, n)}
+	for i := range e.sealedSegs {
+		v.add(e.sealedSegs[i].seg, &e.sealedSegs[i].lg)
 	}
-	return newView(segs, e.refs[:len(e.refs):len(e.refs)])
+	if av := e.active.View(); av != nil {
+		v.add(av, &e.activeLg)
+	}
+	return v
 }
 
 // publishLocked assembles a fresh view and publishes it with one atomic
@@ -494,10 +551,11 @@ func (e *Engine) publishLocked() {
 
 // Remove deletes a reference from a frozen index by tombstoning it: the
 // slot keeps its index but loses its sequence, every view published
-// from here on skips the reference's windows at verify time, and each
-// affected segment's tombstone count is tracked so Compact knows what
-// is worth rewriting. Segment storage is left untouched — nothing a
-// reader holds is ever written, the change lands as a fresh view.
+// from here on skips the reference's windows at verify time, and the
+// ledger that holds it counts them removed so Compact knows what is
+// worth rewriting. Segment storage is left untouched — nothing a reader
+// holds is ever written, the change lands as a fresh view, and no
+// kernel code runs.
 //
 // If SetAutoCompact is armed and the removal pushes a segment past the
 // trigger ratio, the affected segments are compacted before Remove
@@ -525,9 +583,10 @@ func (e *Engine) Remove(refIdx int) error {
 	rec.Description += " (removed)" // tombstone keeps the identifier
 	refs[refIdx] = rec
 	e.refs = refs
-	for i, seg := range e.sealedSegs {
-		e.sealedSegs[i] = e.k.Tombstone(seg, refIdx)
+	for i := range e.sealedSegs {
+		e.sealedSegs[i].lg.tombstone(int32(refIdx))
 	}
+	e.activeLg.tombstone(int32(refIdx))
 	if e.autoCompact > 0 && e.compactLocked(e.autoCompact) > 0 {
 		return nil // compaction already published the new view
 	}
@@ -537,12 +596,12 @@ func (e *Engine) Remove(refIdx int) error {
 
 // Compact rewrites every segment whose tombstone ratio is at least
 // minRatio (minRatio ≤ 0 rewrites any segment holding tombstones): the
-// live windows are rebuilt, removed windows vanish, and segments left
-// empty are dropped. The rewrite happens off-line under the mutation
-// lock and lands as one view swap, so concurrent lookups keep scanning
-// the old segments until the new ones are live. It returns the number
-// of segments rewritten (including the active builder, if it
-// qualified).
+// live references are memorized again, removed windows vanish, and
+// segments left empty are dropped. The rewrite happens off-line under
+// the mutation lock and lands as one view swap, so concurrent lookups
+// keep scanning the old segments until the new ones are live. It
+// returns the number of segments rewritten (including the active
+// builder, if it qualified).
 func (e *Engine) Compact(minRatio float64) (int, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -555,42 +614,39 @@ func (e *Engine) Compact(minRatio float64) (int, error) {
 	return e.compactLocked(minRatio), nil
 }
 
+// rebuildLocked is compaction, for a sealed segment and the active
+// builder alike: a fresh builder with lg's live members appended in
+// order, their ledger, and the builder's bucket count.
+func (e *Engine) rebuildLocked(lg *ledger) (Builder, ledger, int) {
+	b, nl, bkts := e.k.Builder(), ledger{}, 0
+	for _, m := range lg.members {
+		if e.refs[m.Ref].Seq != nil {
+			bkts = e.appendLocked(b, &nl, m.Ref)
+		}
+	}
+	return b, nl, bkts
+}
+
 func (e *Engine) compactLocked(minRatio float64) int {
 	rewritten := 0
 	segs := e.sealedSegs[:0:0]
 	var retired []Segment
-	for _, seg := range e.sealedSegs {
-		total, tombs := seg.Windows()
-		if tombs == 0 || tombRatio(total, tombs) < minRatio {
-			segs = append(segs, seg)
+	for _, s := range e.sealedSegs {
+		if !s.lg.due(minRatio) {
+			segs = append(segs, s)
 			continue
 		}
 		rewritten++
-		if ns := e.k.Rebuild(seg, e.refs); ns != nil {
-			segs = append(segs, ns)
+		b, lg, _ := e.rebuildLocked(&s.lg)
+		if seg := b.View(); seg != nil {
+			segs = append(segs, sealedSeg{seg: seg, lg: lg})
 		}
-		retired = append(retired, seg)
+		retired = append(retired, s.seg)
 	}
-	// The active builder compacts too: it is rebuilt in place (still
-	// mutable) from its live references when its tombstone load
-	// qualifies.
-	total, tombs := 0, 0
-	for _, ar := range e.active {
-		total += ar.wins
-		if e.refs[ar.ref].Seq == nil {
-			tombs += ar.wins
-		}
-	}
-	if tombs > 0 && tombRatio(total, tombs) >= minRatio {
+	// The active builder compacts too, and stays the (mutable) builder.
+	if e.activeLg.due(minRatio) {
 		rewritten++
-		was := e.active
-		e.k.Reset()
-		e.active, e.activeBkts = nil, 0
-		for _, ar := range was {
-			if rec := e.refs[ar.ref]; rec.Seq != nil {
-				e.noteAppendLocked(ar.ref, rec, e.k.Append(ar.ref, rec))
-			}
-		}
+		e.active, e.activeLg, e.activeBkts = e.rebuildLocked(&e.activeLg)
 	}
 	if rewritten == 0 {
 		return 0

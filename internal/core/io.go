@@ -235,9 +235,9 @@ func readRefs(sr *SectionReader) ([]genome.Record, error) {
 // restore publishes a loaded state with the stored calibration —
 // loading must not re-derive it. A non-nil m is the mapping the
 // segments alias.
-func (l *Library) restore(refs []genome.Record, segs []Segment, cal Calibration, m *mmapfile.Mapping) {
+func (l *Library) restore(refs []genome.Record, segs []Segment, members [][]Member, cal Calibration, m *mmapfile.Mapping) {
 	l.cal = cal
-	l.Restore(refs, segs, m, func(v *View) any {
+	l.Restore(refs, segs, members, m, func(v *View) any {
 		sn := newHDCView(v, cal)
 		sn.plan = l.scanPlanFor(sn)
 		return sn

@@ -290,16 +290,33 @@ func (ld *hdcLoader) Shape(k int, dirRowWords uint32) (rowWords, buckets uint32)
 
 func (ld *hdcLoader) Build(arenas []ContainerSegment, m *mmapfile.Mapping) (Index, error) {
 	segs := make([]Segment, len(arenas))
+	members := make([][]Member, len(arenas))
 	for k, a := range arenas {
 		seg := segmentFromArena(a.Words, ld.segWins[k], int(a.RowWords), ld.lib.sketchWords)
 		if m != nil {
 			seg.mapOff, seg.mapLen = int(a.FileOff), len(a.Words)*8
 		}
-		seg.tombs = seg.countTombs(ld.refs)
-		segs[k] = seg
+		segs[k], members[k] = seg, segmentMembers(ld.segWins[k])
 	}
-	ld.lib.restore(ld.refs, segs, ld.cal, m)
+	ld.lib.restore(ld.refs, segs, members, ld.cal, m)
 	return ld.lib, nil
+}
+
+// segmentMembers lists a loaded segment's members from its buckets'
+// windows: a reference's windows were memorized one after another, so
+// each run of one reference is a member.
+func segmentMembers(wins [][]WindowRef) []Member {
+	var ms []Member
+	for _, ws := range wins {
+		for _, wr := range ws {
+			if n := len(ms); n > 0 && ms[n-1].Ref == wr.Ref {
+				ms[n-1].Windows++
+			} else {
+				ms = append(ms, Member{Ref: wr.Ref, Windows: 1})
+			}
+		}
+	}
+	return ms
 }
 
 // LoadMode selects how OpenLibraryFile materializes a library.

@@ -124,10 +124,9 @@ type Library struct {
 	// (hdc.Rows).
 	ties *hdc.Ties
 
-	// active is the mutable tail and cal the calibration last derived;
-	// both are only touched with the engine's mutation lock held.
-	active builder
-	cal    Calibration
+	// cal is the calibration last derived; it is only touched with the
+	// engine's mutation lock held.
+	cal Calibration
 
 	// blockPool pools the kernel's probe scratch — one query block's
 	// worth of encodings, kernel state, and candidate buffers; see
@@ -223,11 +222,7 @@ func NewLibrary(params Params) (*Library, error) {
 		Window:        params.Window,
 		Stride:        params.Stride,
 		SealThreshold: defaultSealThreshold,
-		Append:        l.appendRef,
-		Active:        l.activeView,
-		Reset:         l.resetActive,
-		Tombstone:     tombstoneSegment,
-		Rebuild:       l.rebuildSegment,
+		Builder:       l.newBuilder,
 		Describe:      l.describe,
 		Annotate:      l.annotate,
 		Probe:         l.probeBlock,
@@ -247,13 +242,16 @@ func (l *Library) Encoder() *encoding.Encoder { return l.enc }
 // capacity entering the model is the *effective* one — the largest
 // actual bucket occupancy — so a generously configured capacity over a
 // small reference set does not inflate the predicted noise.
-func (l *Library) Model() Model {
-	if v := l.snap.Load(); v != nil {
-		return l.modelWith(hdcOf(v).maxOccupancy())
+func (l *Library) Model() Model { return l.modelWith(l.hdcNow().maxOccupancy()) }
+
+// hdcNow returns the annotation of the current view — before Freeze, of
+// the view Freeze would publish, with neither calibration nor plan.
+func (l *Library) hdcNow() *hdcView {
+	v, frozen := l.current()
+	if frozen {
+		return hdcOf(v)
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.modelWith(l.active.maxOccupancy())
+	return newHDCView(v, Calibration{})
 }
 
 func (l *Library) modelWith(c int) Model {
@@ -285,57 +283,22 @@ func (l *Library) encodeInto(hv *hdc.HV, acc *hdc.Acc, seq *genome.Sequence, off
 	}
 }
 
-// memorize encodes the window wr of seq as a query for it would be
-// encoded and superposes it into b: the one way a window reaches a
-// bucket, at ingest and at compaction.
-func (l *Library) memorize(b *builder, sc *blockScratch, wr WindowRef, seq *genome.Sequence) {
-	l.encodeInto(sc.hvs[0], sc.acc, seq, int(wr.Off))
-	b.insert(wr, sc.hvs[0], l.rowWords, &l.params, l.ties)
-}
+// newBuilder is Kernel.Builder.
+func (l *Library) newBuilder() Builder { return &builder{l: l} }
 
-// appendRef is Kernel.Append: every stride-aligned window of rec is
-// memorized into the active builder.
-func (l *Library) appendRef(ref int32, rec genome.Record) int {
+// Append is Builder.Append: every stride-aligned window of rec is
+// encoded as a query for it would be encoded and superposed into the
+// builder — the one way a window reaches a bucket, at ingest and at
+// compaction.
+func (b *builder) Append(ref int32, rec genome.Record) int {
+	l := b.l
 	sc := l.getBlockScratch()
 	defer l.putBlockScratch(sc)
 	for start := 0; start+l.params.Window <= rec.Seq.Len(); start += l.params.Stride {
-		l.memorize(&l.active, sc, WindowRef{Ref: ref, Off: int32(start)}, rec.Seq)
+		l.encodeInto(sc.hvs[0], sc.acc, rec.Seq, start)
+		b.insert(WindowRef{Ref: ref, Off: int32(start)}, sc.hvs[0])
 	}
-	return l.active.numBuckets()
-}
-
-// activeView is Kernel.Active.
-func (l *Library) activeView(refs []genome.Record) Segment {
-	return l.active.view(l.rowWords, l.sketchWords, refs)
-}
-
-// resetActive is Kernel.Reset.
-func (l *Library) resetActive() { l.active = builder{} }
-
-// tombstoneSegment is Kernel.Tombstone. The bucket hypervectors are
-// left untouched — the removed windows keep contributing superposition
-// noise until compaction — which is what makes Remove work on buckets
-// that keep no counters to subtract from.
-func tombstoneSegment(seg Segment, ref int) Segment {
-	s := seg.(*segment)
-	if n := s.countRefWindows(ref); n > 0 {
-		return s.withTombs(s.tombs + n)
-	}
-	return seg
-}
-
-// rebuildSegment is Kernel.Rebuild: the segment's live windows are
-// re-encoded — the same encoding Add used when they were first
-// memorized — and re-bucketed at full capacity.
-func (l *Library) rebuildSegment(seg Segment, refs []genome.Record) Segment {
-	var b builder
-	sc := l.getBlockScratch()
-	defer l.putBlockScratch(sc)
-	s := seg.(*segment)
-	for _, wr := range s.liveWindows(make([]WindowRef, 0, s.total-s.tombs), refs) {
-		l.memorize(&b, sc, wr, refs[wr.Ref].Seq)
-	}
-	return b.view(l.rowWords, l.sketchWords, refs)
+	return b.numBuckets()
 }
 
 // annotate is Kernel.Annotate: approximate-mode libraries recalibrate
@@ -359,19 +322,11 @@ func (l *Library) annotate(v *View) any {
 // Candidate.Bucket held across a Compact that shrank the library —
 // returns nil rather than panicking.
 func (l *Library) BucketWindows(i int) []WindowRef {
-	if v := l.snap.Load(); v != nil {
-		seg, li, ok := hdcOf(v).locateOK(i)
-		if !ok {
-			return nil
-		}
-		return seg.windows(li)
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if i < 0 || i >= l.active.numBuckets() {
+	seg, li, ok := l.hdcNow().locateOK(i)
+	if !ok {
 		return nil
 	}
-	return l.active.windows(i)
+	return seg.windows(li)
 }
 
 // BucketVector returns the sealed hypervector of bucket i (shared; do

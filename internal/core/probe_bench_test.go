@@ -70,7 +70,7 @@ func seedProbeBaseline(l *Library, scattered []*hdc.HV, hv *hdc.HV, stats *Stats
 			stats.BucketProbes++
 		}
 		if score >= tau {
-			out = append(out, Candidate{Bucket: i, Score: score, Excess: score - tau})
+			out = append(out, Candidate{Bucket: i, Score: score})
 			if stats != nil {
 				stats.CandidateBuckets++
 			}

@@ -23,7 +23,7 @@ func seedScalarProbe(l *Library, hv *hdc.HV) []Candidate {
 	var out []Candidate
 	for i, n := 0, l.Describe().Buckets; i < n; i++ {
 		if score := float64(l.BucketVector(i).Dot(hv)); score >= tau {
-			out = append(out, Candidate{Bucket: i, Score: score, Excess: score - tau})
+			out = append(out, Candidate{Bucket: i, Score: score})
 		}
 	}
 	return out
@@ -40,7 +40,7 @@ func scalarSketchProbe(sn *hdcView, hv *hdc.HV) []Candidate {
 		w := seg.planeWords
 		if h := bitvec.HammingWords(seg.planeRow(i), hv.Words()[:w]); h <= sn.plan.sketchBound {
 			score := float64(64*w - 2*h)
-			out = append(out, Candidate{Bucket: g, Score: score, Excess: score - float64(64*w-2*sn.plan.sketchBound)})
+			out = append(out, Candidate{Bucket: g, Score: score})
 		}
 	}
 	return out

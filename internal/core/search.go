@@ -14,7 +14,6 @@ import (
 type Candidate struct {
 	Bucket int
 	Score  float64
-	Excess float64 // score minus the model threshold
 }
 
 // scanPlanFor derives the probe plan of one view. Probes read it from

@@ -5,7 +5,6 @@ import (
 	"slices"
 
 	"repro/internal/bitvec"
-	"repro/internal/genome"
 	"repro/internal/hdc"
 )
 
@@ -26,25 +25,23 @@ type bucket struct {
 // segment is one immutable sealed slice of the library: a run of closed
 // buckets, their window metadata, and a flat probe arena holding every
 // bucket's sealed hypervector back-to-back. Once a segment is published
-// in a snapshot nothing in it is ever mutated again — Remove tracks
-// tombstones in fresh header copies (withTombs) that share the storage,
-// and Compact replaces the whole segment.
+// in a snapshot nothing in it is ever mutated again — Remove touches no
+// segment, and Compact replaces the whole segment.
 type segment struct {
 	bkts     []bucket
 	arena    []uint64 // nBuckets × rowWords sealed words, contiguous
 	rowWords int      // D/64, or the sketch width where a row is its sketch (Library.rowWords)
 	total    int      // member windows, including tombstoned ones
-	tombs    int      // member windows whose reference has been removed
 	maxOcc   int      // largest bucket occupancy, tombstoned windows included
 
 	// plane is the sketch plane the probe's first stage streams: the
 	// first planeWords words of every arena row, packed contiguously
 	// (nBuckets × planeWords). It is derived from the arena whenever a
-	// segment is built or opened, never stored in a file, immutable like
-	// the arena, and shared by withTombs copies. Where the rows are as
-	// wide as the plane — a library whose model offers no prefix, or one
-	// whose rows are their sketches — there is no copy: the plane aliases
-	// the arena. Whether a probe streams it is the view's call
+	// segment is built or opened, never stored in a file, and immutable
+	// like the arena. Where the rows are as wide as the plane — a
+	// library whose model offers no prefix, or one whose rows are their
+	// sketches — there is no copy: the plane aliases the arena. Whether
+	// a probe streams it is the view's call
 	// (scanPlan.sketch).
 	plane      []uint64
 	planeWords int
@@ -105,8 +102,7 @@ func (s *segment) cutPlane(sketchWords int) {
 // the segment mapped and records its byte range). wins[i] becomes
 // bucket i's member windows; nothing is copied. len(arena) must be
 // len(wins)·rowWords — the v3 reader validates this against the segment
-// directory, whose row width it is, before calling. Tombstone counts
-// start at zero; callers run countTombs against their reference table.
+// directory, whose row width it is, before calling.
 func segmentFromArena(arena []uint64, wins [][]WindowRef, rowWords, sketchWords int) *segment {
 	s := &segment{
 		bkts:     make([]bucket, len(wins)),
@@ -144,10 +140,8 @@ func (s *segment) planeRow(i int) []uint64 {
 	return s.plane[i*s.planeWords : (i+1)*s.planeWords]
 }
 
-// NumBuckets, Windows and MemoryBytes make a segment an engine Segment.
+// NumBuckets and MemoryBytes make a segment an engine Segment.
 func (s *segment) NumBuckets() int { return len(s.bkts) }
-
-func (s *segment) Windows() (total, tombstoned int) { return s.total, s.tombs }
 
 // windows returns the member windows of local bucket i (shared slice;
 // callers must not mutate).
@@ -161,55 +155,6 @@ func (s *segment) vector(i int) *hdc.HV { return hdc.HVFromArenaRow(s.arenaRow(i
 // counting tombstoned windows too — they are still superposed in the
 // vectors, so they still contribute noise.
 func (s *segment) maxOccupancy() int { return s.maxOcc }
-
-// countTombs counts member windows whose reference is removed under the
-// given reference table.
-func (s *segment) countTombs(refs []genome.Record) int {
-	n := 0
-	for i := range s.bkts {
-		for _, wr := range s.bkts[i].windows {
-			if refs[wr.Ref].Seq == nil {
-				n++
-			}
-		}
-	}
-	return n
-}
-
-// countRefWindows counts member windows contributed by reference refIdx.
-func (s *segment) countRefWindows(refIdx int) int {
-	n := 0
-	for i := range s.bkts {
-		for _, wr := range s.bkts[i].windows {
-			if int(wr.Ref) == refIdx {
-				n++
-			}
-		}
-	}
-	return n
-}
-
-// withTombs returns a segment header with the given tombstone count that
-// shares all storage with s. Remove publishes these instead of writing
-// to the (immutable, concurrently read) original.
-func (s *segment) withTombs(tombs int) *segment {
-	ns := *s
-	ns.tombs = tombs
-	return &ns
-}
-
-// liveWindows appends the segment's non-tombstoned windows, in bucket
-// then insertion order, to dst. Compact re-encodes exactly this list.
-func (s *segment) liveWindows(dst []WindowRef, refs []genome.Record) []WindowRef {
-	for i := range s.bkts {
-		for _, wr := range s.bkts[i].windows {
-			if refs[wr.Ref].Seq != nil {
-				dst = append(dst, wr)
-			}
-		}
-	}
-	return dst
-}
 
 // sketchBytes is the size of the sketch plane where it is a copy; 0
 // where it aliases the arena.
@@ -275,17 +220,15 @@ func (s *segment) probeRange(dst []Candidate, hv *hdc.HV, pl *scanPlan, lo, hi, 
 	}
 	n := bitvec.ScanPlane(plane, w, q[:w], pl.sketchBound, lo, hi, surv)
 	if pl.oneStage {
-		floor := float64(64*w - 2*pl.sketchBound)
 		for _, i := range surv[:n] {
 			score := float64(64*w - 2*bitvec.HammingWords(s.planeRow(int(i)), q[:w]))
-			dst = append(dst, Candidate{Bucket: gOff + int(i), Score: score, Excess: score - floor})
+			dst = append(dst, Candidate{Bucket: gOff + int(i), Score: score})
 		}
 		return dst, n
 	}
 	for _, i := range surv[:n] {
 		if h, ok := bitvec.HammingBounded(s.arenaRow(int(i)), q, pl.maxHam); ok {
-			score := float64(64*s.rowWords - 2*h)
-			dst = append(dst, Candidate{Bucket: gOff + int(i), Score: score, Excess: score - pl.tau})
+			dst = append(dst, Candidate{Bucket: gOff + int(i), Score: float64(64*s.rowWords - 2*h)})
 		}
 	}
 	return dst, n
@@ -338,15 +281,16 @@ func (s *segment) probeBlockRange(dsts [][]Candidate, hvs []*hdc.HV, pl *scanPla
 // Params.Seed; the stream restarts for every bucket.
 const tieSeedMix = 0x5ea1
 
-// builder is the mutable active segment: the tail of the library that
-// is still accepting windows. It is only ever touched under the
-// library's mutation lock; readers see it through the isolated copy
-// that view publishes into each snapshot.
+// builder is the library's Builder: a segment that is still accepting
+// windows — the active one, or one compaction is filling. It is only
+// ever touched under the engine's mutation lock; readers see it through
+// the isolated copy View publishes into each snapshot.
 //
 // It bundles by row fold: the open bucket's encodings wait in rows — one
 // buffer, reused bucket after bucket — and their majority is taken when
 // the bucket closes or a view is published.
 type builder struct {
+	l    *Library
 	bkts []bucket
 	rows *hdc.Rows // the open bucket's members
 }
@@ -354,18 +298,19 @@ type builder struct {
 // insert memorizes one encoded window, opening a new bucket (and closing
 // the previous one) whenever the open bucket reaches capacity. At
 // capacity 1 hv's first rowWords words are the bucket: nothing to fold.
-func (b *builder) insert(ref WindowRef, hv *hdc.HV, rowWords int, p *Params, ties *hdc.Ties) {
-	if p.Capacity <= 1 {
-		b.bkts = append(b.bkts, bucket{row: slices.Clone(hv.Words()[:rowWords]), windows: []WindowRef{ref}})
+func (b *builder) insert(ref WindowRef, hv *hdc.HV) {
+	c := b.l.params.Capacity
+	if c <= 1 {
+		b.bkts = append(b.bkts, bucket{row: slices.Clone(hv.Words()[:b.l.rowWords]), windows: []WindowRef{ref}})
 		return
 	}
-	if n := len(b.bkts); n == 0 || len(b.bkts[n-1].windows) >= p.Capacity {
+	if n := len(b.bkts); n == 0 || len(b.bkts[n-1].windows) >= c {
 		if n > 0 {
 			b.sealBucket(n - 1)
 		}
 		b.bkts = append(b.bkts, bucket{})
 		if b.rows == nil {
-			b.rows = hdc.NewRows(ties)
+			b.rows = hdc.NewRows(b.l.ties)
 		}
 	}
 	b.rows.Add(hv)
@@ -374,7 +319,7 @@ func (b *builder) insert(ref WindowRef, hv *hdc.HV, rowWords int, p *Params, tie
 }
 
 // sealBucket binarizes the open bucket i. Closed buckets are immutable
-// from here on, which is what lets view share them with published
+// from here on, which is what lets View share them with published
 // snapshots.
 func (b *builder) sealBucket(i int) {
 	b.bkts[i].row = b.rows.Seal().Words()
@@ -383,31 +328,16 @@ func (b *builder) sealBucket(i int) {
 
 func (b *builder) numBuckets() int { return len(b.bkts) }
 
-// windows returns the member windows of builder bucket i (shared slice;
-// callers must not mutate).
-func (b *builder) windows(i int) []WindowRef { return b.bkts[i].windows }
-
-// maxOccupancy returns the largest bucket occupancy in the builder.
-func (b *builder) maxOccupancy() int {
-	c := 0
-	for i := range b.bkts {
-		if n := len(b.bkts[i].windows); n > c {
-			c = n
-		}
-	}
-	return c
-}
-
-// view publishes a read-only copy of the builder as a segment, or nil if
-// the builder is empty; sealing the builder is taking its view and then
-// discarding it. Closed buckets are immutable and shared with the
+// View is Builder.View: a read-only copy of the builder as a segment, or
+// nil if the builder is empty; sealing the builder is taking its view
+// and then discarding it. Closed buckets are immutable and shared with the
 // copy outright; the open bucket — the only one future inserts mutate,
 // and never one at capacity 1 — is isolated: its window slice is capped
 // at the current length and its row is freshly sealed — a fold of the
 // waiting rows, which stay for the next insert. The arena is fresh per
 // view, so packing the copies' rows into it never touches builder
 // state.
-func (b *builder) view(rowWords, sketchWords int, refs []genome.Record) Segment {
+func (b *builder) View() Segment {
 	if len(b.bkts) == 0 {
 		return nil
 	}
@@ -417,7 +347,5 @@ func (b *builder) view(rowWords, sketchWords int, refs []genome.Record) Segment 
 		open.windows = open.windows[:len(open.windows):len(open.windows)]
 		open.row = b.rows.Seal().Words()
 	}
-	seg := newSegment(bkts, rowWords, sketchWords)
-	seg.tombs = seg.countTombs(refs)
-	return seg
+	return newSegment(bkts, b.l.rowWords, b.l.sketchWords)
 }

@@ -135,11 +135,12 @@ func TestSnapshotSafety(t *testing.T) {
 	requireFinding(t, diags, "snapshotsafety", "library.go", "storage .bkts")
 	requireFinding(t, diags, "snapshotsafety", "library.go", "storage .arena")
 	requireFinding(t, diags, "snapshotsafety", "library.go", "storage .sealedSegs outside engine.go")
-	// RawBuckets, RawArena and MasterAlias are the only findings: the
-	// accessor-using functions pass, and Suppressed's access is
-	// suppressed with a reason.
-	if got := findingsIn(diags, "snapshotsafety", "library.go"); len(got) != 3 {
-		t.Errorf("library.go: want 3 snapshotsafety findings "+
+	requireFinding(t, diags, "snapshotsafety", "library.go", "storage .members outside engine.go")
+	// RawBuckets, RawArena, MasterAlias and ActiveMembers are the only
+	// findings: the accessor-using functions pass, and Suppressed's
+	// access is suppressed with a reason.
+	if got := findingsIn(diags, "snapshotsafety", "library.go"); len(got) != 4 {
+		t.Errorf("library.go: want 4 snapshotsafety findings "+
 			"(BucketCount, FirstRow, and Suppressed must pass), got %d:\n%s",
 			len(got), formatDiags(got))
 	}

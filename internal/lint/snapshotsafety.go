@@ -15,17 +15,19 @@ import (
 // reaching for those fields bypasses the accessor boundary, and a
 // write through such a path would corrupt data that lock-free readers
 // are scanning. The same goes for the segment engine's master segment
-// list, whose elements Remove and Compact replace in place: only
-// engine.go — which copies it into every view it publishes — may
-// touch it, so no kernel can hand a reader an alias of it.
+// list, which Compact replaces, and its per-segment reference lists,
+// which Remove's tombstoning and compaction read and rewrite: only
+// engine.go — which copies what a view needs into every view it
+// publishes — may touch them, so no kernel can hand a reader an alias
+// of them, and a reference's lifecycle stays the engine's decision.
 //
 // The check is syntactic — it flags any selector of a scoped field
 // name in the package — because the field names are unique within each
 // scoped package, and a syntactic rule keeps working when type
 // information is incomplete. Each package declares its scopes in
 // snapshotScopes: the HDC kernel's bucket slice, packed probe arena and
-// sketch plane and the engine's master list, and the bit-sliced
-// kernel's column arena and tombstone bitmap.
+// sketch plane, the engine's master list and reference lists, and the
+// bit-sliced kernel's column arena.
 type SnapshotSafety struct{}
 
 // Name implements Analyzer.
@@ -50,13 +52,13 @@ var snapshotScopes = map[string][]snapshotScope{
 			fields: map[string]bool{"bkts": true, "arena": true, "plane": true},
 			files:  map[string]bool{"segment.go": true, "snapshot.go": true},
 		},
-		{ // the segment engine's master list
-			fields: map[string]bool{"sealedSegs": true},
+		{ // the segment engine's master list and per-segment reference lists
+			fields: map[string]bool{"sealedSegs": true, "members": true},
 			files:  map[string]bool{"engine.go": true},
 		},
 	},
 	"internal/cobs": {{
-		fields: map[string]bool{"arena": true, "tombs": true},
+		fields: map[string]bool{"arena": true},
 		files:  map[string]bool{"segment.go": true, "snapshot.go": true},
 	}},
 }

@@ -28,6 +28,11 @@ func (l *Library) MasterAlias() []*segment {
 	return l.sealedSegs
 }
 
+// ActiveMembers reads the engine's reference list directly — flagged.
+func (l *Library) ActiveMembers() int {
+	return len(l.active.members)
+}
+
 // Suppressed documents a deliberate exception; it must not be reported.
 func (l *Library) Suppressed() int {
 	//lint:ignore snapshotsafety fixture exercises the suppression path

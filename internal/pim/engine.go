@@ -272,11 +272,7 @@ func (e *Engine) Search(hv *hdc.HV) ([]core.Candidate, Cost, error) {
 		for b := 0; b < nBuckets; b++ {
 			arr.Compare()
 			if s := float64(scores[b]); s >= tau {
-				cands = append(cands, core.Candidate{
-					Bucket: firstBucket + b,
-					Score:  s,
-					Excess: s - tau,
-				})
+				cands = append(cands, core.Candidate{Bucket: firstBucket + b, Score: s})
 			}
 		}
 	}
