@@ -37,8 +37,8 @@ test-purego:
 ## its blocks out of whichever callers are runnable together, and the
 ## wire connections combine into one socket write whichever responses
 ## and requests finish together — again at GOMAXPROCS 1, 2 and 4, and
-## so are internal/core's batch and Search tests, because a lookup's
-## worker pool is sized by GOMAXPROCS
+## so are internal/core's batch and Search tests, which check that a
+## Search's answers and counters do not depend on GOMAXPROCS
 race:
 	$(GO) test -race $(PKGS)
 	$(GO) test -race -cpu 1,2,4 ./internal/coalesce ./internal/server ./internal/wire

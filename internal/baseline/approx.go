@@ -103,7 +103,7 @@ func (SellersDP) Find(text, pattern *genome.Sequence, k int) ([]ApproxOccurrence
 			if text.At(i-1) == pattern.At(j-1) {
 				cost = 0
 			}
-			cur[j] = minInt3(prev[j]+1, cur[j-1]+1, prev[j-1]+cost)
+			cur[j] = min(prev[j]+1, cur[j-1]+1, prev[j-1]+cost)
 			ops++
 		}
 		if cur[m] <= k {
@@ -112,14 +112,4 @@ func (SellersDP) Find(text, pattern *genome.Sequence, k int) ([]ApproxOccurrence
 		prev, cur = cur, prev
 	}
 	return out, ops
-}
-
-func minInt3(a, b, c int) int {
-	if b < a {
-		a = b
-	}
-	if c < a {
-		a = c
-	}
-	return a
 }

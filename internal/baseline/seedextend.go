@@ -101,7 +101,7 @@ func (si *SeedIndex) Search(query *genome.Sequence, minSeeds int, minIdentity fl
 		if rStart < 0 {
 			qStart, rStart = -rStart, 0
 		}
-		length := minInt2(query.Len()-qStart, ref.Len()-rStart)
+		length := min(query.Len()-qStart, ref.Len()-rStart)
 		if length <= 0 {
 			continue
 		}
@@ -140,11 +140,4 @@ func (si *SeedIndex) Classify(query *genome.Sequence, minSeeds int, minIdentity 
 		return SeedHit{}, ops, false
 	}
 	return hits[0], ops, true
-}
-
-func minInt2(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

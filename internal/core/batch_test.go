@@ -58,9 +58,8 @@ func TestLookupBatchMatchesSequential(t *testing.T) {
 }
 
 // TestLookupBatchWorkerCounts runs one batch at several GOMAXPROCS
-// settings, so the self-sized pool runs with one worker, a few, and
-// more workers than a full block needs; every pool size must answer as
-// sequential Lookup does.
+// settings; a batch runs its blocks on the caller's goroutine, so every
+// setting must answer as sequential Lookup does.
 func TestLookupBatchWorkerCounts(t *testing.T) {
 	lib, ref := buildExactLib(t, 1000, 63)
 	patterns := make([]*genome.Sequence, 20)
@@ -166,8 +165,8 @@ func TestLookupBatchContextCancelMidBatch(t *testing.T) {
 		patterns[i] = ref.Slice(off, off+32)
 	}
 	// Measure what the full batch costs, then rerun it with a context
-	// canceled inside the first probe: the blocks already claimed finish,
-	// every later claim is refused.
+	// canceled inside the first probe: the first block finishes, every
+	// later block is refused.
 	_, fullAgg, err := SearchBatch(context.Background(), lib, patterns)
 	if err != nil {
 		t.Fatal(err)
@@ -226,8 +225,8 @@ func TestLookupBatchCancelAfterLastClaim(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Each block is one probe of its patterns. The last block's probe
-	// waits until every other block is in its probe — past its claim's
-	// context check — and then cancels.
+	// waits until every block has been probed — past its context check —
+	// and then cancels.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var probed atomic.Int64

@@ -134,7 +134,7 @@ func (l *Library) calibrate(sn *hdcView) Calibration {
 	// buckets), FN bound from the signal quantile; take the midpoint when
 	// the margin allows, else the FP bound wins (report fewer,
 	// trustworthy matches).
-	tauFP := cal.NoiseMean + zUpper(l.params.Alpha/float64(maxInt(sn.numBuckets(), 1)))*cal.NoiseStd
+	tauFP := cal.NoiseMean + zUpper(l.params.Alpha/float64(max(sn.numBuckets(), 1)))*cal.NoiseStd
 	tauFN := cal.SignalMean - zUpper(l.params.Beta)*cal.SignalStd
 	if tauFN >= tauFP {
 		cal.Tau = (tauFP + tauFN) / 2
@@ -144,8 +144,7 @@ func (l *Library) calibrate(sn *hdcView) Calibration {
 	// Guard against degenerate probe spreads (e.g. a one-bucket library)
 	// and against a view with no row to score.
 	if scored == 0 || math.IsNaN(cal.Tau) || math.IsInf(cal.Tau, 0) {
-		cal.Tau = l.modelWith(sn.maxOccupancy()).DecisionThreshold(
-			l.params.Alpha, l.params.Beta, maxInt(sn.numBuckets(), 1), l.params.MutTolerance)
+		cal.Tau = l.threshold(sn.maxOccupancy(), sn.numBuckets())
 	}
 	return cal
 }

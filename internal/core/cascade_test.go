@@ -254,7 +254,7 @@ func TestCascadeMatchesFullRowScan(t *testing.T) {
 				}
 				t.Logf("%d matches of the full-row twin's, %d more within the tolerance", matched, extra)
 				for at := 0; at < len(pats); at += BlockWidth {
-					block := pats[at:minInt(at+BlockWidth, len(pats))]
+					block := pats[at:min(at+BlockWidth, len(pats))]
 					got, want := make([]BatchResult, len(block)), make([]BatchResult, len(block))
 					if err := lib.LookupBlock(block, got); err != nil {
 						t.Fatal(err)
@@ -329,7 +329,7 @@ func TestSketchModelHolds(t *testing.T) {
 		row := lib.BucketVector(start / p.Capacity).Words()
 		d := bitvec.HammingWords(row[:plan.Words], hv.Words()[:plan.Words])
 		dist.Add(float64(d))
-		worst = maxInt(worst, d)
+		worst = max(worst, d)
 	}
 	n := float64(64 * plan.Words)
 	pm := (1 - MajorityCorrelation(p.Capacity)) / 2
@@ -400,7 +400,7 @@ func TestSketchModelHoldsApprox(t *testing.T) {
 		if full := bitvec.HammingWords(row, hv.Words()); full <= maxHam {
 			pre := bitvec.HammingWords(row[:plan.Words], hv.Words()[:plan.Words])
 			passers++
-			worst = maxInt(worst, pre)
+			worst = max(worst, pre)
 			prefixSum, rowSum = prefixSum+pre, rowSum+full
 		}
 	}

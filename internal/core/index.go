@@ -128,9 +128,7 @@ func (l *Library) describe(v *View, info *IndexInfo) {
 	info.Capacity, info.Approx, info.Tolerance = l.params.Capacity, l.params.Approx, l.params.MutTolerance
 	info.RowWords, info.SketchWords = l.rowWords, l.sketchWords
 	if !info.Frozen {
-		occ := newHDCView(v, Calibration{}).maxOccupancy()
-		info.Threshold = l.modelWith(occ).DecisionThreshold(
-			l.params.Alpha, l.params.Beta, maxInt(v.nBkts, 1), l.params.MutTolerance)
+		info.Threshold = l.threshold(newHDCView(v, Calibration{}).maxOccupancy(), v.nBkts)
 		return
 	}
 	sn := hdcOf(v)

@@ -136,10 +136,10 @@ type Library struct {
 
 // blockScratch is the reusable state of the probe paths: one block's
 // worth of query window encodings, the range kernel's survivor list,
-// and per-query candidate buffers. Pooled per library — batch workers
-// probe concurrently, so the scratch must be per-call, not shared.
+// and per-query candidate buffers. Pooled per library — concurrent
+// requests probe at once, so the scratch must be per-call, not shared.
 type blockScratch struct {
-	hvs   []*hdc.HV     // query window encodings, probeBlock of them
+	hvs   []*hdc.HV     // query window encodings, BlockWidth of them
 	acc   *hdc.Acc      // the approximate encoder's row-index scratch; nil in exact mode
 	surv  []int32       // rows of one tile that survived the sketch stage
 	cands [][]Candidate // per-query candidate buffers
@@ -160,9 +160,9 @@ func (l *Library) getBlockScratch() *blockScratch {
 		return s
 	}
 	s := &blockScratch{
-		hvs:   make([]*hdc.HV, probeBlock),
+		hvs:   make([]*hdc.HV, BlockWidth),
 		surv:  make([]int32, planeTileMax),
-		cands: make([][]Candidate, probeBlock),
+		cands: make([][]Candidate, BlockWidth),
 	}
 	for i := range s.hvs {
 		s.hvs[i] = hdc.NewHV(l.params.Dim)
@@ -208,9 +208,8 @@ func NewLibrary(params Params) (*Library, error) {
 	// The width is sized against the threshold the model expects at the
 	// library size capacity planning assumes; views re-derive the bound
 	// from the threshold they are actually searched at.
-	m := l.modelWith(params.Capacity)
-	tau := m.DecisionThreshold(params.Alpha, params.Beta, planningBuckets, params.MutTolerance)
-	l.sketchWords = m.SketchPlan(hammingBound(params.Dim, tau)).Words
+	tau := l.threshold(params.Capacity, planningBuckets)
+	l.sketchWords = l.modelWith(params.Capacity).SketchPlan(hammingBound(params.Dim, tau)).Words
 	l.rowWords = params.Dim / 64
 	if params.Approx && l.sketchWords < l.rowWords {
 		l.sketchPrefixes, l.sketchShare = l.probePrefix(l.sketchWords)
@@ -254,11 +253,18 @@ func (l *Library) hdcNow() *hdcView {
 	return newHDCView(v, Calibration{})
 }
 
+// threshold is the model's decision threshold at bucket occupancy occ
+// over the given number of buckets, at the library's error targets and
+// mutation tolerance (Model.Threshold counts fewer than one bucket as one).
+func (l *Library) threshold(occ, buckets int) float64 {
+	return l.modelWith(occ).DecisionThreshold(l.params.Alpha, l.params.Beta, buckets, l.params.MutTolerance)
+}
+
 func (l *Library) modelWith(c int) Model {
 	if c == 0 {
 		// A loaded file may carry capacity 0 around buckets that hold
 		// nothing; the model's geometry starts at one window.
-		c = maxInt(l.params.Capacity, 1)
+		c = max(l.params.Capacity, 1)
 	}
 	return Model{
 		D:      l.params.Dim,

@@ -4,10 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/bitvec"
 	"repro/internal/genome"
@@ -76,15 +73,12 @@ type diagKey struct {
 // rather than on the stack because the kernel is called through a
 // function value, which would make them escape.
 type probeScratch struct {
-	wins    [BlockWidth]Window
-	out     [BlockWidth]*BatchResult
-	res     [BlockWidth]BatchResult // a long query's per-window accumulators, match buffers reused
-	pat     [2]*genome.Sequence     // Lookup's one-pattern block, a both-strand search's two
-	one     [1]BatchResult          // Lookup's result
-	ans     Answer                  // Classify's
-	cursor  atomic.Int64            // a lookup's next block to claim
-	refused atomic.Bool             // a lookup's workers refused a block
-	wg      sync.WaitGroup          // a lookup's other workers
+	wins [BlockWidth]Window
+	out  [BlockWidth]*BatchResult
+	res  [BlockWidth]BatchResult // a long query's per-window accumulators, match buffers reused
+	pat  [2]*genome.Sequence     // Lookup's one-pattern block, a both-strand search's two
+	one  [1]BatchResult          // Lookup's result
+	ans  Answer                  // Classify's
 
 	seen  map[diagKey]bool // per-window diagonal dedup
 	votes map[diagKey]int  // per-call diagonal votes
@@ -170,8 +164,9 @@ func (a *Answer) Best() (RefMatch, error) {
 // an occurrence with probability β. It fails for a shape Query does not
 // list, a Long query shorter than the window, an index not frozen or
 // closed, and — returning ctx.Err() itself — a lookup ctx cut short
-// before its last block was claimed: only a lookup observes ctx, between
-// blocks, which run on up to GOMAXPROCS goroutines.
+// before its last block began: only a lookup observes ctx, between its
+// blocks of BlockWidth patterns, which run in pattern order on the
+// caller's goroutine.
 func (e *Engine) Search(ctx context.Context, q Query, a *Answer) error {
 	pats, n := q.Patterns, len(q.Patterns)
 	entries := n
@@ -270,7 +265,7 @@ func (e *Engine) lookupBlock(v *View, patterns []*genome.Sequence, results []Bat
 			results[i] = BatchResult{Err: e.errShort}
 			continue
 		}
-		aligns[i] = minInt(e.k.Stride, p.Len()-w+1)
+		aligns[i] = min(e.k.Stride, p.Len()-w+1)
 		if aligns[i] > maxAlign {
 			maxAlign = aligns[i]
 		}
@@ -340,52 +335,26 @@ func (e *Engine) LookupBlock(patterns []*genome.Sequence, results []BatchResult)
 	return nil
 }
 
-// lookupBatch is Search's lookup: min(GOMAXPROCS, blocks) workers, the
-// caller one of them, claim blocks of up to BlockWidth patterns (fewer
-// when that gives every worker one) from the pooled scratch's cursor,
-// so a lone worker allocates nothing. It returns ctx's error if a block
-// was refused for it, and nil when every block ran, even if ctx died
-// after the last claim.
+// lookupBatch is Search's lookup: blocks of BlockWidth patterns, in
+// pattern order, on the caller's goroutine. Before each block it checks
+// ctx; once ctx is done, that block and every later one get its error in
+// their entries and the batch returns it. A ctx that dies during the last
+// block refuses nothing, so the batch returns nil.
+//
+//biohd:hotpath
 func (e *Engine) lookupBatch(ctx context.Context, v *View, patterns []*genome.Sequence, results []BatchResult, sc *probeScratch) error {
-	n := len(patterns)
-	workers := minInt(runtime.GOMAXPROCS(0), n)
-	blk := minInt(BlockWidth, (n+workers-1)/workers)
-	workers = minInt(workers, (n+blk-1)/blk)
-	sc.cursor.Store(0)
-	sc.refused.Store(false)
-	for w := 1; w < workers; w++ {
-		sc.wg.Add(1)
-		go func() {
-			defer sc.wg.Done()
-			wsc := e.getScratch()
-			defer e.putScratch(wsc)
-			e.lookupClaims(ctx, v, patterns, results, blk, sc, wsc)
-		}()
-	}
-	e.lookupClaims(ctx, v, patterns, results, blk, sc, sc)
-	sc.wg.Wait() // before Search unpins: Close drains only after every worker
-	if !sc.refused.Load() {
-		return nil
-	}
-	e.ctr.batchCancellations.Add(1)
-	return ctx.Err()
-}
-
-// lookupClaims answers blocks of blk patterns claimed from batch's cursor
-// until none is left, probing with sc — or, once ctx is done, marks their
-// entries with its error and sets batch's refused.
-func (e *Engine) lookupClaims(ctx context.Context, v *View, patterns []*genome.Sequence, results []BatchResult, blk int, batch, sc *probeScratch) {
-	for lo := int(batch.cursor.Add(int64(blk))) - blk; lo < len(patterns); lo = int(batch.cursor.Add(int64(blk))) - blk {
-		hi := minInt(lo+blk, len(patterns))
+	for lo := 0; lo < len(patterns); lo += BlockWidth {
 		if err := ctx.Err(); err != nil {
-			for i := lo; i < hi; i++ {
+			for i := lo; i < len(patterns); i++ {
 				results[i] = BatchResult{Err: err}
 			}
-			batch.refused.Store(true)
-			continue
+			e.ctr.batchCancellations.Add(1)
+			return err
 		}
+		hi := min(lo+BlockWidth, len(patterns))
 		e.lookupBlock(v, patterns[lo:hi], results[lo:hi], sc, true)
 	}
+	return nil
 }
 
 // Strand identifies which DNA strand a match was found on.
@@ -520,11 +489,4 @@ func (e *Engine) Classify(query *genome.Sequence, minFrac float64) (RefMatch, St
 	}
 	best, err := a.Best()
 	return best, a.Stats, err
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -221,7 +221,7 @@ func (m Model) FNR(tau float64, muts int) float64 {
 // signal − noise gap of at least z(1−alpha) + z(1−beta) noise sigmas,
 // probing nBuckets buckets. Returns at least 1.
 func MaxCapacity(d, w int, approx bool, muts, nBuckets int, alpha, beta float64) int {
-	zGap := zUpper(alpha/float64(maxInt(nBuckets, 1))) + zUpper(beta)
+	zGap := zUpper(alpha/float64(max(nBuckets, 1))) + zUpper(beta)
 	best := 1
 	for c := 1; c <= d; c *= 2 {
 		m := Model{D: d, W: w, C: c, Approx: approx}
@@ -253,7 +253,7 @@ func (m Model) separable(muts int, zGap float64) bool {
 // query with muts substitutions is separable for the given geometry and
 // error targets. It returns 0 if no D up to maxD suffices.
 func MinDimension(w, c int, approx bool, muts, nBuckets int, alpha, beta, maxD float64) int {
-	zGap := zUpper(alpha/float64(maxInt(nBuckets, 1))) + zUpper(beta)
+	zGap := zUpper(alpha/float64(max(nBuckets, 1))) + zUpper(beta)
 	for d := 64; float64(d) <= maxD; d *= 2 {
 		m := Model{D: d, W: w, C: c, Approx: approx}
 		if m.separable(muts, zGap) {
@@ -464,11 +464,4 @@ func zUpper(p float64) float64 {
 		p = 0.5
 	}
 	return stats.NormalUpperQuantile(p)
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

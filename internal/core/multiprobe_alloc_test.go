@@ -44,7 +44,7 @@ func buildSegmentedProbeLib(tb testing.TB, segs int, seed uint64) (*Library, []*
 func segmentedQueries(lib *Library, refs []*genome.Sequence, seed uint64) []*hdc.HV {
 	src := rng.New(seed)
 	w := lib.Params().Window
-	n := probeBlock*2 + 3 // spans three blocks, one partial
+	n := BlockWidth*2 + 3 // spans three blocks, one partial
 	hvs := make([]*hdc.HV, 0, n)
 	for i := 0; i < n; i++ {
 		if i%2 == 0 {
@@ -83,8 +83,8 @@ func TestProbeMultiSegmentedAllocs(t *testing.T) {
 				for i := range dsts {
 					dsts[i] = dsts[i][:0]
 				}
-				for base := 0; base < len(hvs); base += probeBlock {
-					hi := minInt(base+probeBlock, len(hvs))
+				for base := 0; base < len(hvs); base += BlockWidth {
+					hi := min(base+BlockWidth, len(hvs))
 					lib.probeBlockInto(sn, dsts[base:hi], hvs[base:hi], sc)
 				}
 			}
@@ -102,7 +102,7 @@ func TestProbeMultiSegmentedAllocs(t *testing.T) {
 
 			// API path on an all-miss batch: the result spine is the only
 			// allocation.
-			miss := make([]*hdc.HV, probeBlock+2)
+			miss := make([]*hdc.HV, BlockWidth+2)
 			src := rng.New(7200 + uint64(segs))
 			for i := range miss {
 				miss[i] = lib.Encoder().EncodeWindowExact(genome.Random(lib.Params().Window, src), 0)
@@ -138,8 +138,8 @@ func BenchmarkProbeMultiSegmented(b *testing.B) {
 				for j := range dsts {
 					dsts[j] = dsts[j][:0]
 				}
-				for base := 0; base < len(hvs); base += probeBlock {
-					hi := minInt(base+probeBlock, len(hvs))
+				for base := 0; base < len(hvs); base += BlockWidth {
+					hi := min(base+BlockWidth, len(hvs))
 					lib.probeBlockInto(sn, dsts[base:hi], hvs[base:hi], sc)
 				}
 			}

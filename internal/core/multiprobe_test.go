@@ -160,11 +160,11 @@ func TestProbeMultiValidation(t *testing.T) {
 }
 
 // TestBlockedProbeCounters checks the blocked-path operational
-// counters: one block per probeBlock-sized group of queries, one
+// counters: one block per BlockWidth-sized group of queries, one
 // blocked window per query.
 func TestBlockedProbeCounters(t *testing.T) {
 	lib, refs := buildProbeLib(t, false, 2066)
-	qs := probeQueries(t, lib, refs, 2067)[:probeBlock+2] // one full block + one partial
+	qs := probeQueries(t, lib, refs, 2067)[:BlockWidth+2] // one full block + one partial
 	before := lib.Counters()
 	if _, err := lib.ProbeMulti(qs, nil); err != nil {
 		t.Fatal(err)
@@ -191,9 +191,9 @@ func TestLookupLongBlockedEquivalence(t *testing.T) {
 		w := lib.Params().Window
 		src := rng.New(3003)
 		var reads []*genome.Sequence
-		// Window counts straddling the block width: 1, probeBlock-1,
-		// probeBlock, probeBlock+1, and a couple of blocks plus change.
-		for _, nwin := range []int{1, probeBlock - 1, probeBlock, probeBlock + 1, 2*probeBlock + 3} {
+		// Window counts straddling the block width: 1, BlockWidth-1,
+		// BlockWidth, BlockWidth+1, and a couple of blocks plus change.
+		for _, nwin := range []int{1, BlockWidth - 1, BlockWidth, BlockWidth + 1, 2*BlockWidth + 3} {
 			off := src.Intn(refs[0].Len() - nwin*w)
 			reads = append(reads, refs[0].Slice(off, off+nwin*w))
 		}
@@ -273,7 +273,7 @@ func TestLookupBatchBlockedMultiAlignment(t *testing.T) {
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 3} {
-		runtime.GOMAXPROCS(procs) // the pool sizes itself from GOMAXPROCS
+		runtime.GOMAXPROCS(procs) // answers must not depend on it
 		results, agg, err := SearchBatch(context.Background(), lib, patterns)
 		if err != nil {
 			t.Fatal(err)
@@ -316,8 +316,8 @@ func TestLookupLongAllocs(t *testing.T) {
 	}
 	lib, refs := buildProbeLib(t, false, 3200)
 	w := lib.Params().Window
-	miss := genome.Random((probeBlock+2)*w, rng.New(3201))
-	hit := refs[0].Slice(0, (probeBlock+2)*w)
+	miss := genome.Random((BlockWidth+2)*w, rng.New(3201))
+	hit := refs[0].Slice(0, (BlockWidth+2)*w)
 	ctx := context.Background()
 	q := Query{Patterns: []*genome.Sequence{miss}, Long: true, MinFrac: 0.5}
 	var a Answer

@@ -3,9 +3,11 @@ package core
 import (
 	"context"
 	"errors"
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/genome"
 	"repro/internal/rng"
@@ -19,8 +21,8 @@ import (
 // one-pattern lookup is a batch of one, as it was on /v1/batch: one
 // blocked probe that observes ctx. Only a lookup
 // of patterns observes ctx; a both-strand or Long Search under a
-// canceled context answers in full. The pool sizes itself from
-// GOMAXPROCS, so the table runs at 1, 2 and 4.
+// canceled context answers in full. Nothing a Search counts depends on
+// GOMAXPROCS, so each row holds at 1, 2 and 4.
 func TestSearchShapes(t *testing.T) {
 	lib, refs := buildProbeLib(t, false, 3200)
 	w := lib.Params().Window
@@ -67,10 +69,6 @@ func TestSearchShapes(t *testing.T) {
 		{"long-both-canceled", canceled, Query{Patterns: one(read.ReverseComplement()), Long: true, Both: true, MinFrac: 0.5}, Counters{BucketProbes: 5920, BlockedProbes: 4, BlockedWindows: 20}, Stats{20, 5920, 10, 150, 3600}, 101, nil},
 	} {
 		for _, procs := range []int{1, 2, 4} {
-			want := tc.counters
-			if tc.name == "batch9" && procs == 4 {
-				want.BlockedProbes = 3 // blocks of 3 for four workers
-			}
 			old := runtime.GOMAXPROCS(procs)
 			before := lib.Counters()
 			var a Answer
@@ -94,9 +92,9 @@ func TestSearchShapes(t *testing.T) {
 					answer += len(r.Matches)
 				}
 			}
-			if !errors.Is(err, tc.err) || (err == nil) != (tc.err == nil) || got != want || a.Stats != tc.stats || answer != tc.answer {
+			if !errors.Is(err, tc.err) || (err == nil) != (tc.err == nil) || got != tc.counters || a.Stats != tc.stats || answer != tc.answer {
 				t.Errorf("%s at GOMAXPROCS %d: err %v, counters %+v, stats %+v, answer %d; want %v, %+v, %+v, %d",
-					tc.name, procs, err, got, a.Stats, answer, tc.err, want, tc.stats, tc.answer)
+					tc.name, procs, err, got, a.Stats, answer, tc.err, tc.counters, tc.stats, tc.answer)
 			}
 		}
 	}
@@ -107,6 +105,69 @@ func TestSearchShapes(t *testing.T) {
 	}
 	if after := lib.Counters(); after.BucketProbes-before.BucketProbes != 296 || after.BlockedProbes != before.BlockedProbes {
 		t.Errorf("Lookup counted %d bucket probes, %d blocked probes", after.BucketProbes-before.BucketProbes, after.BlockedProbes-before.BlockedProbes)
+	}
+}
+
+// TestSearchBlocksRunInOrder: a many-pattern Search enters the kernel
+// one block at a time, blocks of BlockWidth patterns in pattern order,
+// and answers each pattern as Lookup does — even at GOMAXPROCS 4 with a
+// kernel slow enough that any second goroutine would overlap it.
+func TestSearchBlocksRunInOrder(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	lib, refs := buildProbeLib(t, false, 3240)
+	w := lib.Params().Window
+	pats := make([]*genome.Sequence, 4*BlockWidth+1)
+	index := make(map[*genome.Sequence]int, len(pats))
+	want := make([][]Match, len(pats))
+	for i := range pats {
+		off := (i * 37) % (refs[0].Len() - w)
+		pats[i] = refs[i%len(refs)].Slice(off, off+w)
+		index[pats[i]] = i
+		m, _, err := lib.Lookup(pats[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = m
+	}
+	probe := lib.k.Probe
+	var mu sync.Mutex
+	var inFlight, maxInFlight int
+	var blocks [][]int
+	lib.k.Probe = func(v *View, wins []Window, out []*BatchResult) {
+		mu.Lock()
+		inFlight++
+		maxInFlight = max(maxInFlight, inFlight)
+		var blk []int
+		for _, win := range wins {
+			blk = append(blk, index[win.Seq])
+		}
+		blocks = append(blocks, blk)
+		mu.Unlock()
+		time.Sleep(time.Millisecond)
+		probe(v, wins, out)
+		mu.Lock()
+		inFlight--
+		mu.Unlock()
+	}
+	var a Answer
+	if err := lib.Search(context.Background(), Query{Patterns: pats}, &a); err != nil {
+		t.Fatal(err)
+	}
+	var wantBlocks [][]int
+	for lo := 0; lo < len(pats); lo += BlockWidth {
+		var blk []int
+		for i := lo; i < min(lo+BlockWidth, len(pats)); i++ {
+			blk = append(blk, i)
+		}
+		wantBlocks = append(wantBlocks, blk)
+	}
+	if maxInFlight != 1 || !reflect.DeepEqual(blocks, wantBlocks) {
+		t.Errorf("%d kernel calls in flight at most, blocks %v; want 1, %v", maxInFlight, blocks, wantBlocks)
+	}
+	for i, r := range a.Results {
+		if r.Err != nil || !reflect.DeepEqual(r.Matches, want[i]) {
+			t.Errorf("pattern %d: %v, %v; Lookup %v", i, r.Matches, r.Err, want[i])
+		}
 	}
 }
 

@@ -22,8 +22,7 @@ type Candidate struct {
 func (l *Library) scanPlanFor(sn *hdcView) scanPlan {
 	tau := sn.cal.Tau
 	if !l.params.Approx {
-		tau = l.modelWith(sn.maxOccupancy()).DecisionThreshold(
-			l.params.Alpha, l.params.Beta, maxInt(sn.numBuckets(), 1), l.params.MutTolerance)
+		tau = l.threshold(sn.maxOccupancy(), sn.numBuckets())
 	}
 	pl := scanPlan{tau: tau, maxHam: hammingBound(l.params.Dim, tau)}
 	pl.sketchBound = pl.maxHam
@@ -53,10 +52,6 @@ func (l *Library) scanPlanFor(sn *hdcView) scanPlan {
 func hammingBound(dim int, tau float64) int {
 	return (dim - int(math.Ceil(tau))) >> 1
 }
-
-// probeBlock is the internal alias the probe paths were written
-// against; it is the engine's block width.
-const probeBlock = BlockWidth
 
 // Probe scores an encoded query window against every bucket and returns
 // the candidates above the model threshold. This is the pure HDC search
@@ -104,7 +99,7 @@ func (l *Library) Probe(hv *hdc.HV, stats *Stats) ([]Candidate, error) {
 }
 
 // ProbeMulti probes a batch of encoded query windows in blocks of up
-// to probeBlock queries: each tile of the plane is streamed from memory
+// to BlockWidth queries: each tile of the plane is streamed from memory
 // once per block and scanned by every query in it while it is cache
 // resident, amortizing the memory traffic that dominates a large scan.
 // The result is exactly
@@ -130,8 +125,8 @@ func (l *Library) ProbeMulti(hvs []*hdc.HV, stats *Stats) ([][]Candidate, error)
 	sc := l.getBlockScratch()
 	defer l.putBlockScratch(sc)
 	total := 0
-	for base := 0; base < len(hvs); base += probeBlock {
-		hi := minInt(base+probeBlock, len(hvs))
+	for base := 0; base < len(hvs); base += BlockWidth {
+		hi := min(base+BlockWidth, len(hvs))
 		// Each dst starts nil: probeBlockRange appends, so queries that
 		// miss every bucket never allocate a candidate slice at all.
 		dsts := out[base:hi]
@@ -150,7 +145,7 @@ func (l *Library) ProbeMulti(hvs []*hdc.HV, stats *Stats) ([][]Candidate, error)
 }
 
 // probeBlockInto fills dsts[j] with the candidates of hvs[j] for one
-// block of at most probeBlock queries, appending to whatever each dst
+// block of at most BlockWidth queries, appending to whatever each dst
 // already holds. Candidate content and order are identical to one
 // serial scan per query; the only difference is that each tile of
 // rows is read from memory once per block instead of once per query.

@@ -198,7 +198,7 @@ func (s *segment) scanned(pl *scanPlan) (plane []uint64, words int) {
 // kernel's eight.
 func tileRows(words int) int {
 	n := planeTileBytes / (8 * words) &^ 7
-	return minInt(maxInt(n, 8), planeTileMax)
+	return min(max(n, 8), planeTileMax)
 }
 
 // probeRange scans local buckets [lo, hi) — at most len(surv) of them —
@@ -254,7 +254,7 @@ func (s *segment) probeBlockRange(dsts [][]Candidate, hvs []*hdc.HV, pl *scanPla
 	tile := tileRows(w)
 	survivors, cands := 0, 0
 	for t := lo; t < hi; t += tile {
-		te := minInt(t+tile, hi)
+		te := min(t+tile, hi)
 		for j, hv := range hvs {
 			before := len(dsts[j])
 			var n int

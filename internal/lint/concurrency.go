@@ -7,9 +7,9 @@ import (
 )
 
 // Concurrency enforces two local hygiene rules on goroutine launches
-// and server construction, the invariants that keep the batch engine
-// (Search's worker pool) and the HTTP front end race-free and unstallable as
-// they grow:
+// and server construction, the invariants that keep the wire protocol's
+// connection goroutines and the HTTP front end race-free and unstallable
+// as they grow:
 //
 //  1. A function that launches goroutines must also join them: a
 //     WaitGroup Wait, a channel receive (including range and select),

@@ -248,7 +248,7 @@ func (e *Engine) Search(hv *hdc.HV) ([]core.Candidate, Cost, error) {
 	var cands []core.Candidate
 	for ai, arr := range e.arrays {
 		firstBucket := ai * e.bucketsPerArr
-		nBuckets := minInt(e.bucketsPerArr, e.buckets-firstBucket)
+		nBuckets := min(e.bucketsPerArr, e.buckets-firstBucket)
 		scores := make([]int, nBuckets)
 		// One pass per query row chunk: broadcast once, fuse over all
 		// buckets resident in this array.
@@ -290,7 +290,7 @@ func (e *Engine) busPenaltyNs() float64 {
 		return 0
 	}
 	perBank := e.cfg.arraysPerBank()
-	busiest := minInt(perBank, e.arraysUsed)
+	busiest := min(perBank, e.arraysUsed)
 	if busiest <= 1 {
 		return 0
 	}
@@ -315,11 +315,4 @@ func (e *Engine) EncodeCost(approx bool, w int) Cost {
 		l.Charge(OpXnor, (w-1)*perRow)
 	}
 	return l.Cost()
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -261,8 +261,8 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	writeResult(w, res, serr)
 }
 
-// BatchRequest is the /v1/batch payload. The index sizes the batch's
-// worker pool itself; a body that names any other field is a 400.
+// BatchRequest is the /v1/batch payload, the patterns alone; a body
+// that names any other field is a 400.
 type BatchRequest struct {
 	Patterns []string `json:"patterns"`
 }

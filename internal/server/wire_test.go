@@ -311,8 +311,8 @@ func TestWireGoldenEquivalence(t *testing.T) {
 				_, err := cl.Classify(ctx, strings.Repeat("ACGT", 20), 1.5)
 				return err
 			}},
-			// The pool sizes itself: a batch body naming workers is an
-			// unknown field. The wire protocol has no batch to compare.
+			// A batch body naming workers is an unknown field. The wire
+			// protocol has no batch to compare.
 			{"batch names workers", map[string]any{"patterns": []string{strings.Repeat("ACGT", 8)}, "workers": 2}, nil},
 		}
 		for _, tc := range cases {
