@@ -48,7 +48,7 @@ func cmdServe(args []string, out io.Writer) error {
 	fs.DurationVar(&cfg.ReadTimeout, "read-timeout", cfg.ReadTimeout, "full request read timeout")
 	fs.DurationVar(&cfg.WriteTimeout, "write-timeout", cfg.WriteTimeout, "response write timeout")
 	fs.DurationVar(&cfg.IdleTimeout, "idle-timeout", cfg.IdleTimeout, "keep-alive idle connection timeout")
-	fs.DurationVar(&cfg.RequestTimeout, "request-timeout", cfg.RequestTimeout, "per-request handler deadline (cancels in-flight batches)")
+	fs.DurationVar(&cfg.RequestTimeout, "request-timeout", cfg.RequestTimeout, "deadline of a /v1/batch request (stops its search between blocks of 8 patterns)")
 	drain := fs.Duration("drain", 15*time.Second, "graceful-shutdown drain deadline after SIGINT/SIGTERM")
 	quiet := fs.Bool("quiet", false, "disable per-request logging")
 	sealThreshold := fs.Int("seal-threshold", 0, "buckets in the active segment before live ingest seals it (0 = default)")
@@ -103,9 +103,8 @@ func cmdServe(args []string, out io.Writer) error {
 	var wln net.Listener
 	if *wireAddr != "" {
 		ws = wire.NewServer(srv.WireBackend(), srv.Registry(), wire.ServerConfig{
-			MaxFrame:       *wireMaxFrame,
-			RequestTimeout: cfg.RequestTimeout,
-			IdleTimeout:    cfg.IdleTimeout,
+			MaxFrame:    *wireMaxFrame,
+			IdleTimeout: cfg.IdleTimeout,
 		})
 		wln, err = net.Listen("tcp", *wireAddr)
 		if err != nil {

@@ -27,11 +27,10 @@ type Config struct {
 	// IdleTimeout bounds how long a keep-alive connection may sit idle
 	// between requests (default 2m).
 	IdleTimeout time.Duration
-	// RequestTimeout is the per-request handler deadline applied by
-	// middleware: the request context is canceled this long after the
-	// handler starts, which stops an in-flight /v1/batch between probe
-	// blocks — the one Search shape that observes its context
-	// (default 30s).
+	// RequestTimeout is the deadline of a /v1/batch request: its
+	// Search stops between probe blocks this long after it starts
+	// (default 30s). A batch is the one request shape that reads its
+	// context while it runs, so no other route arms a deadline.
 	RequestTimeout time.Duration
 }
 

@@ -116,9 +116,9 @@ func (s *Server) execClassify(ctx context.Context, readText string, minFraction 
 
 // execBatch runs one /v1/batch request (a wire client pipelines SEARCH
 // frames instead). Malformed patterns get per-item errors without
-// entering the lookup; a canceled context yields the partial results
-// with the Canceled marker, matching the HTTP 200 + "canceled"
-// contract.
+// entering the lookup; the Search runs under Config.RequestTimeout,
+// and a canceled or expired context yields the partial results with
+// the Canceled marker, matching the HTTP 200 + "canceled" contract.
 func (s *Server) execBatch(ctx context.Context, patterns []string) (wire.BatchResult, *wire.StatusError) {
 	if len(patterns) == 0 {
 		return wire.BatchResult{}, &wire.StatusError{Code: http.StatusBadRequest, Msg: "patterns are required"}
@@ -145,6 +145,11 @@ func (s *Server) execBatch(ctx context.Context, patterns []string) (wire.BatchRe
 		idx = append(idx, i)
 	}
 	if len(seqs) > 0 {
+		if s.cfg.RequestTimeout > 0 {
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithTimeout(ctx, s.cfg.RequestTimeout)
+			defer cancel()
+		}
 		var a core.Answer
 		err := s.lib.Search(ctx, core.Query{Patterns: seqs}, &a)
 		if err != nil && err != ctx.Err() { // a lookup fails with ctx's error when ctx cut it short

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"net/http"
 	"strings"
 	"sync/atomic"
@@ -153,19 +152,5 @@ func (s *Server) withObservability(next http.Handler) http.Handler {
 		if s.logger != nil {
 			s.logger.Printf("%s %s %d %s", r.Method, r.URL.Path, status, elapsed)
 		}
-	})
-}
-
-// withDeadline applies the per-request handler deadline: the request
-// context is canceled RequestTimeout after the handler starts, which
-// cancellation-aware handlers (the batch path) observe mid-flight.
-func (s *Server) withDeadline(next http.Handler) http.Handler {
-	if s.cfg.RequestTimeout <= 0 {
-		return next
-	}
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
-		defer cancel()
-		next.ServeHTTP(w, r.WithContext(ctx))
 	})
 }

@@ -17,14 +17,15 @@
 //	DELETE /v1/refs/{id}  tombstone a reference out of the library
 //	POST /v1/compact  rewrite segments past a tombstone ratio
 //
-// Request lifecycle: the handler chain applies a per-request deadline
-// (Config.RequestTimeout) and records per-endpoint request counts and
-// latency histograms. Batch requests observe the request context —
-// when the client disconnects or the deadline fires, the batch stops
-// searching the patterns it has not reached and the response carries
-// the partial results with a "canceled" marker. Run the service
-// through HTTPServer to get the connection-level timeouts; see
-// cmd/biohd's serve for the full SIGTERM-drains-then-exits lifecycle.
+// Request lifecycle: the handler chain records per-endpoint request
+// counts and latency histograms. Only a batch reads its context while
+// it runs, so only a batch has a deadline (Config.RequestTimeout,
+// armed in execBatch): when the client disconnects or the deadline
+// fires, the batch stops searching the patterns it has not reached and
+// the response carries the partial results with a "canceled" marker.
+// Run the service through HTTPServer to get the connection-level
+// timeouts; see cmd/biohd's serve for the full
+// SIGTERM-drains-then-exits lifecycle.
 package server
 
 import (
@@ -105,9 +106,8 @@ func (s *Server) Close() {}
 // additional series or asserting on counters in tests.
 func (s *Server) Registry() *metrics.Registry { return s.reg }
 
-// Handler returns the HTTP handler with all routes mounted and the
-// middleware chain applied (observability outermost, then the
-// per-request deadline).
+// Handler returns the HTTP handler with all routes mounted behind the
+// observability middleware.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", s.handleHealth)
@@ -119,7 +119,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/refs", s.handleAddRef)
 	mux.HandleFunc("DELETE /v1/refs/{id}", s.handleRemoveRef)
 	mux.HandleFunc("POST /v1/compact", s.handleCompact)
-	return s.withObservability(s.withDeadline(mux))
+	return s.withObservability(mux)
 }
 
 func writeJSON(w http.ResponseWriter, status int, v interface{}) {

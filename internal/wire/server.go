@@ -4,10 +4,10 @@ package wire
 // server, every connection fully pipelined. Per connection:
 //
 //	readLoop  — one goroutine decoding frames: header, payload, and
-//	            per-request context/cancel registration keyed by
-//	            requestID. Decoded requests flow into a bounded work
-//	            channel (backpressure: a client with pipelineDepth
-//	            frames in flight blocks until responses drain).
+//	            per-request cancel registration keyed by requestID.
+//	            Decoded requests flow into a bounded work channel
+//	            (backpressure: a client with pipelineDepth frames in
+//	            flight blocks until responses drain).
 //	workers   — connWorkers goroutines executing requests against the
 //	            Backend concurrently. This is what feeds the
 //	            coalescer: in-flight requests from ONE connection are
@@ -27,11 +27,15 @@ package wire
 // waits for the writer (backpressure: a client that stops reading
 // stalls the workers, then the reader, then TCP).
 //
-// A CANCEL frame cancels the named request's context; the coalescer
-// vacates a pending query whose context is dead when its block is
-// taken, so it never burns arena bandwidth. Protocol errors answer with one ERR frame and
-// close the connection; application errors travel as FlagError
-// responses and leave it open.
+// A request's context is a cancel context of its connection's, which
+// is a cancel context of the server's; it has no deadline, because no
+// wire request shape reads its context while it runs. A CANCEL frame
+// cancels the named request's context, the connection's end cancels
+// every request still on it, and a forced Shutdown cancels them all;
+// the coalescer vacates a pending query whose context is dead when its
+// block is taken, so it never burns arena bandwidth. Protocol errors
+// answer with one ERR frame and close the connection; application
+// errors travel as FlagError responses and leave it open.
 //
 // The steady-state frame path is allocation-free: header bytes live
 // in the connection, payload and response buffers are pooled, the
@@ -73,10 +77,13 @@ type Backend interface {
 // ErrServerClosed is returned by Serve after Shutdown or Close.
 var ErrServerClosed = errors.New("wire: server closed")
 
-// pipelineDepth bounds the decoded-but-unanswered requests per
-// connection, and the finished frames pending on its socket; beyond
-// them the reader stops draining the socket and TCP backpressure
-// reaches the client.
+// pipelineDepth bounds the work channel and the finished frames
+// pending on a connection's socket; beyond them the reader stops
+// draining the socket and TCP backpressure reaches the client. The
+// decoded-but-unanswered requests of a connection are bounded by
+// connWorkers + pipelineDepth + 1: one on each worker (executing, or
+// waiting for room to queue its response), a full channel, and one the
+// reader holds while it waits to hand it over.
 const pipelineDepth = 64
 
 // connWorkers is the number of per-connection request executors — the
@@ -90,8 +97,7 @@ const connWorkers = 16
 const keepAlivePeriod = 30 * time.Second
 
 // ServerConfig shapes the wire listener's connection lifecycle. Zero
-// fields take the defaults below; negative durations disable the
-// timeout.
+// fields take the defaults below; a negative IdleTimeout disables it.
 type ServerConfig struct {
 	// MaxFrame caps one frame's payload in bytes (default
 	// DefaultMaxFrame). Larger frames are a protocol error.
@@ -99,28 +105,19 @@ type ServerConfig struct {
 	// IdleTimeout closes a connection that sends no frame for this
 	// long (default 2m, matching the HTTP keep-alive idle timeout).
 	IdleTimeout time.Duration
-	// RequestTimeout bounds each request's context (default 30s,
-	// matching the HTTP per-request deadline).
-	RequestTimeout time.Duration
 }
 
 func (c ServerConfig) withDefaults() ServerConfig {
 	if c.MaxFrame <= 0 {
 		c.MaxFrame = DefaultMaxFrame
 	}
-	c.IdleTimeout = resolveDur(c.IdleTimeout, 2*time.Minute)
-	c.RequestTimeout = resolveDur(c.RequestTimeout, 30*time.Second)
+	switch {
+	case c.IdleTimeout == 0:
+		c.IdleTimeout = 2 * time.Minute
+	case c.IdleTimeout < 0:
+		c.IdleTimeout = 0
+	}
 	return c
-}
-
-func resolveDur(v, def time.Duration) time.Duration {
-	if v == 0 {
-		return def
-	}
-	if v < 0 {
-		return 0
-	}
-	return v
 }
 
 // buffer is a pooled frame buffer, shared by payload reads and
@@ -144,7 +141,7 @@ type Server struct {
 	cfg     ServerConfig
 	reg     *metrics.Registry
 
-	base     context.Context // parent of every request context
+	base     context.Context // parent of every connection's context
 	baseStop context.CancelFunc
 
 	connGauge   *metrics.Gauge
@@ -155,7 +152,6 @@ type Server struct {
 	writeFrames *metrics.Histogram
 
 	bufPool sync.Pool
-	reqPool sync.Pool
 
 	mu        sync.Mutex
 	listeners map[net.Listener]struct{}
@@ -214,7 +210,6 @@ func NewServer(b Backend, reg *metrics.Registry, cfg ServerConfig) *Server {
 	s.depth = reg.Histogram(metricDepth, helpDepth, depthBuckets)
 	s.writeFrames = reg.Histogram(metricWriteFrames, helpWriteFrames, depthBuckets)
 	s.bufPool.New = func() interface{} { return &buffer{b: make([]byte, 0, 4096)} }
-	s.reqPool.New = func() interface{} { return new(request) }
 	return s
 }
 
@@ -229,9 +224,6 @@ func (s *Server) putBuffer(b *buffer) {
 		s.bufPool.Put(b)
 	}
 }
-
-func (s *Server) getRequest() *request  { return s.reqPool.Get().(*request) }
-func (s *Server) putRequest(r *request) { s.reqPool.Put(r) }
 
 // grow resizes a pooled buffer to n bytes, reallocating only past the
 // buffer's high-water mark.
@@ -367,8 +359,9 @@ type serverConn struct {
 	srv *Server
 	nc  net.Conn
 	br  *bufio.Reader
+	ctx context.Context // parent of every request context; canceled when the connection ends
 
-	work chan *request
+	work chan request
 
 	// draining stops the reader before its next frame: shutdown began,
 	// or serve met a malformed payload.
@@ -402,11 +395,14 @@ func (s *Server) handleConn(nc net.Conn) {
 		_ = tc.SetKeepAlive(true)
 		_ = tc.SetKeepAlivePeriod(keepAlivePeriod)
 	}
+	ctx, cancel := context.WithCancel(s.base)
+	defer cancel()
 	c := &serverConn{
 		srv:      s,
 		nc:       nc,
 		br:       bufio.NewReaderSize(nc, 64<<10),
-		work:     make(chan *request, pipelineDepth),
+		ctx:      ctx,
+		work:     make(chan request, pipelineDepth),
 		inflight: make(map[uint64]context.CancelFunc),
 	}
 	c.room.L = &c.wmu
@@ -423,16 +419,18 @@ func (s *Server) handleConn(nc net.Conn) {
 		}()
 	}
 	rerr := c.readLoop()
+	proto := isProtocolErr(rerr)
+	if proto {
+		s.protoCount.Inc()
+	}
 	close(c.work)
 	// Every writer is a worker, and a writer returns only once nothing
 	// is pending: after the join, the socket is idle and the ERR frame
 	// below is written by this goroutine.
 	workerWg.Wait()
-	if isProtocolErr(rerr) {
-		s.protoCount.Inc()
+	if proto {
 		c.enqueueErrFrame(0, rerr)
 	}
-	c.cancelAll()
 }
 
 // closeRead stops the reader so the connection starts draining;
@@ -443,18 +441,6 @@ func (c *serverConn) closeRead() {
 	c.draining.Store(true)
 	//lint:ignore errcheck a dead connection is already what we want here
 	c.nc.SetReadDeadline(time.Unix(0, 1))
-}
-
-// cancelAll cancels any request contexts still registered — after the
-// workers have drained this is normally empty, but a force-close can
-// leave entries behind.
-func (c *serverConn) cancelAll() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for id, cancel := range c.inflight {
-		cancel()
-		delete(c.inflight, id)
-	}
 }
 
 // protoSentinels are the violations that close a connection with an
@@ -522,21 +508,13 @@ func (c *serverConn) readLoop() error {
 			c.srv.putBuffer(buf)
 			continue
 		}
-		req := c.srv.getRequest()
-		req.op, req.id, req.payload = h.Opcode, h.RequestID, buf
-		if c.srv.cfg.RequestTimeout > 0 {
-			req.ctx, req.cancel = context.WithTimeout(c.srv.base, c.srv.cfg.RequestTimeout)
-		} else {
-			req.ctx, req.cancel = context.WithCancel(c.srv.base)
-		}
-		if !c.addInflight(h.RequestID, req.cancel) {
-			req.cancel()
+		ctx, cancel := context.WithCancel(c.ctx)
+		if !c.addInflight(h.RequestID, cancel) {
+			cancel()
 			c.srv.putBuffer(buf)
-			req.payload = nil
-			c.srv.putRequest(req)
 			return ErrDuplicateID
 		}
-		c.work <- req
+		c.work <- request{op: h.Opcode, id: h.RequestID, payload: buf, ctx: ctx, cancel: cancel}
 	}
 }
 
@@ -590,7 +568,7 @@ func (c *serverConn) workerLoop() {
 // enqueues its encoded response. A malformed payload inside a
 // well-formed frame is a protocol error: the ERR frame carries the
 // request's id and the connection tears down.
-func (c *serverConn) serve(req *request) {
+func (c *serverConn) serve(req request) {
 	start := time.Now()
 	out := c.srv.getBuffer()
 	frame, off := BeginFrame(out.b)
@@ -662,14 +640,12 @@ func errorCode(err error) (int, string) {
 	return 500, err.Error()
 }
 
-// finish releases one served request: context, registration, payload
-// buffer, and the request struct itself.
-func (c *serverConn) finish(req *request) {
+// finish releases one served request: context, registration and
+// payload buffer.
+func (c *serverConn) finish(req request) {
 	req.cancel()
 	c.removeInflight(req.id)
 	c.srv.putBuffer(req.payload)
-	req.payload, req.ctx, req.cancel = nil, nil, nil
-	c.srv.putRequest(req)
 }
 
 // enqueueErrFrame reports a reader-detected protocol violation. The

@@ -36,17 +36,25 @@ func assertJSONEqual(t *testing.T, got, want interface{}) {
 	}
 }
 
-// fakeBackend answers canned results and records concurrency. block,
-// when non-nil, stalls Search until the channel closes or the request
-// context cancels.
+// fakeBackend answers canned results and records concurrency and the
+// request contexts it is handed. block, when non-nil, stalls Search
+// until the channel closes or the request context cancels.
 type fakeBackend struct {
-	block   chan struct{}
-	inFly   atomic.Int64
-	maxFly  atomic.Int64
-	ctxErrs atomic.Int64
+	block     chan struct{}
+	inFly     atomic.Int64
+	maxFly    atomic.Int64
+	ctxErrs   atomic.Int64
+	deadlines atomic.Int64 // requests whose context carried a deadline
+}
+
+func (f *fakeBackend) noteDeadline(ctx context.Context) {
+	if _, ok := ctx.Deadline(); ok {
+		f.deadlines.Add(1)
+	}
 }
 
 func (f *fakeBackend) Search(ctx context.Context, pattern []byte, both bool) (SearchResult, error) {
+	f.noteDeadline(ctx)
 	n := f.inFly.Add(1)
 	defer f.inFly.Add(-1)
 	for {
@@ -77,6 +85,7 @@ func (f *fakeBackend) Search(ctx context.Context, pattern []byte, both bool) (Se
 }
 
 func (f *fakeBackend) Classify(ctx context.Context, read []byte, minFraction float64) (ClassifyResult, error) {
+	f.noteDeadline(ctx)
 	return ClassifyResult{Ref: string(read), Fraction: minFraction, Votes: 1, Windows: 2}, nil
 }
 
@@ -371,7 +380,7 @@ func TestCorruptionMatrix(t *testing.T) {
 // connection down (after the first request completes).
 func TestDuplicateRequestID(t *testing.T) {
 	fb := &fakeBackend{block: make(chan struct{})}
-	_, addr := startServer(t, fb, ServerConfig{})
+	srv, addr := startServer(t, fb, ServerConfig{})
 	conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -391,6 +400,10 @@ func TestDuplicateRequestID(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
+	// Release the first request only once the reader has refused the
+	// second: released earlier, it could leave the in-flight set first
+	// and the second frame would be served as a new request.
+	waitFor(t, "the reader to refuse the duplicate", func() bool { return srv.protoCount.Value() >= 1 })
 	close(fb.block) // let the first request finish so the conn can drain
 	if err := conn.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
 		t.Fatal(err)
@@ -445,6 +458,63 @@ func TestShutdownDrains(t *testing.T) {
 	if err := <-shutdownDone; err != nil {
 		t.Fatalf("shutdown: %v", err)
 	}
+}
+
+// TestRequestContextHasNoDeadline pins that a wire request's context
+// carries no deadline on any request shape that reaches the backend:
+// none of them reads its context while it runs, so a per-request timer
+// would be armed and never observed.
+func TestRequestContextHasNoDeadline(t *testing.T) {
+	fb := &fakeBackend{}
+	_, addr := startServer(t, fb, ServerConfig{})
+	cl := dialClient(t, addr, ClientConfig{Conns: 1})
+	ctx := context.Background()
+	for _, both := range []bool{false, true} {
+		if _, err := cl.Search(ctx, "ACGT", both); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := cl.Classify(ctx, "ACGTACGT", 0.5); err != nil {
+		t.Fatal(err)
+	}
+	if n := fb.deadlines.Load(); n != 0 {
+		t.Fatalf("%d of 3 request contexts carried a deadline", n)
+	}
+}
+
+// TestShutdownForceCloseCancelsInflight pins Shutdown's force-close: a
+// Shutdown whose context has expired cancels the context of every
+// request still blocked in the backend, waits for them, and returns
+// the context's error.
+func TestShutdownForceCloseCancelsInflight(t *testing.T) {
+	const n = 4
+	fb := &fakeBackend{block: make(chan struct{})}
+	defer close(fb.block)
+	srv, addr := startServer(t, fb, ServerConfig{})
+	cl := dialClient(t, addr, ClientConfig{Conns: 1})
+
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// The request's context is canceled and then its
+			// connection closes: either way the answer is an error.
+			if _, err := cl.Search(context.Background(), "ACGT", false); err == nil {
+				t.Error("a search succeeded through a force-close")
+			}
+		}()
+	}
+	waitFor(t, "every request to block in the backend", func() bool { return fb.inFly.Load() == n })
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := srv.Shutdown(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Shutdown = %v, want %v", err, context.Canceled)
+	}
+	if got := fb.ctxErrs.Load(); got != n {
+		t.Fatalf("%d of %d in-flight request contexts canceled", got, n)
+	}
+	wg.Wait()
 }
 
 // TestMetricsSeries asserts the wire series register and move.
