@@ -90,10 +90,15 @@ lint-json:
 bench:
 	bash bench/run.sh --workload all
 
-## benchsmoke: compile and run every micro-benchmark once (internal/core
-## includes BenchmarkProbeBlockWidths, the per-query cost of a probe
-## block at widths 1 to 8, and BenchmarkApproxVariantDB, the bytes and
-## lookup time of 8 approximate variants, built once per process;
+## benchsmoke: compile and run every micro-benchmark once (internal/bitvec
+## includes BenchmarkScanPlane, the range kernel's block rows at the two
+## workload geometries — 2 056 × 16 words at 4 queries, 8 192 × 40 at 1,
+## 3 and 8 — which the purego line below repeats on the portable tier;
+## internal/core includes BenchmarkProbeBlockWidths, the per-query cost
+## of a probe block at widths 1 to 8, BenchmarkApproxVariantDB, the
+## bytes and lookup time of 8 approximate variants, built once per
+## process, and BenchmarkVariantDBOpen, the open time and heap of those
+## variants on both tiers at C = 1 and C = 63;
 ## internal/cobs BenchmarkLookup, a lookup at the
 ## cobs workload's shape; internal/genome BenchmarkFindAll, one verify
 ## pass over a cobs-sized reference), then the benchmark's smoke pass —

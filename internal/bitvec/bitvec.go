@@ -1,10 +1,12 @@
 // Package bitvec implements fixed-length bit vectors packed into 64-bit
 // words, the storage substrate of binary hypervectors (Vector: XNOR,
 // rotation, Hamming distance), and the word-slice kernels BioHD runs on
-// packed rows: the two scan stages of a probe — ScanPlane over the
-// sketch plane (kernel_plane.go), then HammingBounded on the survivors
-// (kernel.go) — and the encoders' row folds MajorityRows and XorRows
-// (kernel_fold.go), each with AVX-512, AVX2 and portable tiers.
+// packed rows: the two scan stages of a probe — QueryBlock.ScanPlane,
+// one pass of a whole query block over a plane grouped eight rows to a
+// cache line (kernel_plane.go), then HammingBounded on the rest of each
+// survivor's row (kernel.go) — and the encoders' row folds MajorityRows
+// and XorRows (kernel_fold.go), each with AVX-512, AVX2 and portable
+// tiers.
 //
 // All binary operations require operands of identical length and panic
 // otherwise; length mismatches are programming errors, not runtime

@@ -9,8 +9,9 @@ import (
 // over packed rows, without going through *Vector. The associative probe
 // of a BioHD library is a fused XNOR+popcount per bucket row, phrased as
 // a Hamming bound so that a row is abandoned the moment it can no longer
-// pass. The probe runs two kernels: ScanPlane (kernel_plane.go) over the
-// sketch plane, then HammingBounded over the full rows of the survivors.
+// pass. The probe runs two kernels: QueryBlock.ScanPlane
+// (kernel_plane.go) over the grouped sketch plane, then HammingBounded
+// over the words of each survivor's row that the plane does not hold.
 //
 // On amd64 the bulk of a row runs through the AVX-512 hardware popcount
 // or, without it, the AVX2 nibble-LUT popcount (kernel_amd64.s);

@@ -9,10 +9,10 @@ func hammingAVX2(a, b *uint64, nblocks int) int
 func hammingPopcntAVX512(a, b *uint64, nblocks int) int
 
 //go:noescape
-func scanPlaneAVX2(rows *uint64, nrows, nblocks int, q *uint64, bound, first int, out *int32) int
+func scanGroupsAVX2(plane *uint64, ngroups, w int, q *uint64, k, bound, first int, rows, dists *int32, n *[MaxMultiQueries]int, used int, spill *[planeGroup]uint64, qstride int) int
 
 //go:noescape
-func scanPlaneAVX512(rows *uint64, ngroups, nblocks int, q *uint64, bound, first int, out *int32) int
+func scanGroupsAVX512(plane *uint64, ngroups, w int, q *uint64, k, bound, first int, rows, dists *int32, n *[MaxMultiQueries]int, used int) int
 
 //go:noescape
 func majorityRowsAVX2(out, table *uint64, idx *int32, n, nblocks int, tie *uint64, tieMask uint64, seed *[8]uint64)
@@ -85,26 +85,30 @@ func hammingBlocks(a, b []uint64) int {
 	return hammingAVX2(&a[0], &b[0], len(a)/kernelBlock)
 }
 
-// planeGroup is how many rows the AVX-512 range kernel takes per step.
-const planeGroup = 8
+// scanGroups runs the best available group tier of the range kernel;
+// see groupScan. The vector tiers read the queries from b.words and
+// write survivors straight into b's rooms, at ScanRoom entries a query
+// (scanRoomBytes in kernel_amd64.s).
+func scanGroups(b *QueryBlock, plane []uint64, g0, ngroups, bound int) int {
+	switch {
+	case useAVX512:
+		return scanGroupsAVX512Block(b, plane, g0, ngroups, bound)
+	case useAccel:
+		return scanGroupsAVX2Block(b, plane, g0, ngroups, bound)
+	}
+	return scanGroupsGeneric(b, plane, g0, ngroups, bound)
+}
 
-// scanPlaneBlocks runs the best available range kernel over rows, which
-// holds whole rows of nblocks kernel blocks each, the first of them row
-// index first of its plane. Passing row indices go to out; it returns
-// how many it wrote and how many leading rows it scanned — the AVX-512
-// tier takes whole groups of planeGroup rows and leaves the remainder
-// to the caller. Callers must check useAccel and the operand lengths
-// first.
-func scanPlaneBlocks(rows []uint64, nblocks int, q []uint64, bound, first int, out []int32) (n, done int) {
-	nrows := len(rows) / (nblocks * kernelBlock)
-	if !useAVX512 {
-		return scanPlaneAVX2(&rows[0], nrows, nblocks, &q[0], bound, first, &out[0]), nrows
-	}
-	groups := nrows / planeGroup
-	if groups == 0 {
-		return 0, 0
-	}
-	return scanPlaneAVX512(&rows[0], groups, nblocks, &q[0], bound, first, &out[0]), groups * planeGroup
+// scanGroupsAVX512Block and scanGroupsAVX2Block are the vector group
+// tiers behind their argument set-up.
+func scanGroupsAVX512Block(b *QueryBlock, plane []uint64, g0, ngroups, bound int) int {
+	first := g0 * planeGroup
+	return scanGroupsAVX512(&plane[first*b.w], ngroups, b.w, &b.words()[0], b.k, bound, first, &b.rows[0], &b.dists[0], &b.n, b.used())
+}
+
+func scanGroupsAVX2Block(b *QueryBlock, plane []uint64, g0, ngroups, bound int) int {
+	first := g0 * planeGroup
+	return scanGroupsAVX2(&plane[first*b.w], ngroups, b.w, &b.words()[0], b.k, bound, first, &b.rows[0], &b.dists[0], &b.n, b.used(), &b.spill, 8*queryStride(b.k))
 }
 
 // majorityRowsBlocks runs the best available vector majority fold; see

@@ -146,220 +146,419 @@ preduce:
 	MOVQ          AX, ret+24(FP)
 	RET
 
-// func scanPlaneAVX2(rows *uint64, nrows, nblocks int, q *uint64, bound, first int, out *int32) int
-// Range scan on the AVX2 tier: nrows consecutive rows of nblocks
-// 64-byte blocks each are XNOR-popcounted against the nblocks-block
-// query, one row after another, with the same nibble-LUT popcount and
-// ≤15-block flush cadence as hammingAVX2. The index of every row whose
-// distance is ≤ bound (first for the first row, counting up) is written
-// to out, and the number written is returned. The store is
-// unconditional and the cursor advances only on a pass, so the row loop
-// carries no data-dependent branch; the cursor never exceeds the rows
-// scanned so far, so out needs nrows entries. The caller guarantees
-// nrows·nblocks·8 row words, nblocks·8 query words, nblocks ≥ 1 and
-// bound ≥ 0.
-TEXT ·scanPlaneAVX2(SB), NOSPLIT, $0-64
-	MOVQ rows+0(FP), SI
-	MOVQ nrows+8(FP), R12
-	MOVQ nblocks+16(FP), R8
-	MOVQ q+24(FP), R13
-	MOVQ bound+32(FP), R9
-	MOVQ first+40(FP), R10
-	MOVQ out+48(FP), R11
+// The range kernel's group tiers (kernel_plane.go). A group is eight
+// rows interleaved by word, so line j of a group — 64 bytes — is word j
+// of each of its rows, and the group's w lines lie one after another.
+// The queries come word-major at a stride s of 1, 2, 4 or 8 words, the
+// power of two at or above the query count k: word j of query q at
+// (j·s + q)·8 bytes. Survivors of query q go to rows and dists from
+// element q·ScanRoom on, its count in n[q]; before each group the
+// kernel stops if any query holds more than ScanRoom − 8 (used tracks
+// the largest count), so a group's eight rows always fit.
 
-	XORQ    AX, AX                // AX: rows written to out
-	VPXOR   Y9, Y9, Y9            // Y9: zero, VPSADBW's second operand
-	VMOVDQU popcntLUT<>(SB), Y10  // Y10: nibble popcount table
-	VMOVDQU nibbleMask<>(SB), Y11 // Y11: 0x0f byte mask
+#define scanRoomBytes 2048 // ScanRoom int32 entries
+#define scanRoomLast 504   // ScanRoom − 8
 
-	TESTQ R12, R12
-	JZ    sp2done
+// BQ is query q's share of a line step on the AVX-512 tier at query
+// stride s: XOR the line in Z16 with the query's word, broadcast from
+// q·8(DX)(BX*s), popcount the eight row lanes and add them into the
+// query's accumulator.
+#define BQ(q, acc, t, s) \
+	VPXORQ.BCST q*8(DX)(BX*s), Z16, t; \
+	VPOPCNTQ    t, t;                   \
+	VPADDQ      t, acc, acc
 
-sp2row:
-	MOVQ  R13, DI                 // query cursor, rewound per row
-	MOVQ  R8, CX                  // blocks left in this row
-	VPXOR Y8, Y8, Y8              // Y8: the row's 64-bit lane totals
+// BOPEN starts a group on the AVX-512 tier, or leaves for done when no
+// group is left or a query's room could overflow. SI points just past
+// the group's lines and DX just past the query words, and BX counts up
+// from −8·w to 0 in steps of 8, so line j is at (SI)(BX*8) and word j of
+// a query at stride s at (DX)(BX*s), both w − j back from the end.
+#define BOPEN(done) \
+	TESTQ CX, CX;             \
+	JZ    done;               \
+	CMPQ  R14, $scanRoomLast; \
+	JGT   done;               \
+	MOVQ  R8, BX;             \
+	NEGQ  BX
 
-sp2outer:
-	// Run at most 15 blocks into the byte accumulator, then flush.
-	MOVQ CX, DX
-	CMPQ DX, $15
-	JLE  sp2haveRun
-	MOVQ $15, DX
-sp2haveRun:
-	SUBQ  DX, CX
-	VPXOR Y7, Y7, Y7              // Y7: per-byte counts for this run
+// BNEXT moves to the group's next line and loops to top until the
+// group's lines are done.
+#define BNEXT(top) \
+	ADDQ $8, BX; \
+	JNZ  top
 
-sp2block:
-	VMOVDQU (SI), Y0
-	VPXOR   (DI), Y0, Y0
-	VMOVDQU 32(SI), Y1
-	VPXOR   32(DI), Y1, Y1
-	ADDQ    $64, SI
-	ADDQ    $64, DI
+// BEMIT compares query q's eight distances in acc with the bound (Z30)
+// and, where any passes, compresses their row indices (Z28) and
+// distances into the query's room and counts them; skip is the label
+// it ends at.
+#define BEMIT(q, acc, skip) \
+	VPCMPQ      $2, Z30, acc, K1;                    \
+	KORTESTW    K1, K1;                              \
+	JZ          skip;                                \
+	MOVQ        q*8(R11), AX;                        \
+	VPCOMPRESSD Z28, K1, q*scanRoomBytes(R9)(AX*4);  \
+	VPMOVQD     acc, Y31;                            \
+	VPCOMPRESSD Z31, K1, q*scanRoomBytes(R10)(AX*4); \
+	KMOVW       K1, R13;                             \
+	POPCNTL     R13, R13;                            \
+	ADDQ        R13, AX;                             \
+	MOVQ        AX, q*8(R11);                        \
+	CMPQ        AX, R14;                             \
+	CMOVQGT     AX, R14;                             \
+skip:
 
-	VPAND   Y0, Y11, Y2
-	VPSRLW  $4, Y0, Y0
-	VPAND   Y0, Y11, Y0
-	VPSHUFB Y2, Y10, Y2
-	VPSHUFB Y0, Y10, Y0
-	VPADDB  Y2, Y7, Y7
-	VPADDB  Y0, Y7, Y7
+// BSTEP moves the row indices and SI to the next group and counts it
+// done.
+#define BSTEP \
+	VPADDD Z29, Z28, Z28; \
+	LEAQ   (SI)(R8*8), SI; \
+	DECQ   CX
+
+// BZEROk clears the first k accumulators, BSTEPSk(s) is a line's step
+// for the first k queries at stride s, and BEMITSk emits the first k
+// queries' rows, one label each.
+#define BZERO1 VPXORQ Z0, Z0, Z0
+#define BZERO2 BZERO1; VPXORQ Z1, Z1, Z1
+#define BZERO3 BZERO2; VPXORQ Z2, Z2, Z2
+#define BZERO4 BZERO3; VPXORQ Z3, Z3, Z3
+#define BZERO5 BZERO4; VPXORQ Z4, Z4, Z4
+#define BZERO6 BZERO5; VPXORQ Z5, Z5, Z5
+#define BZERO7 BZERO6; VPXORQ Z6, Z6, Z6
+#define BZERO8 BZERO7; VPXORQ Z7, Z7, Z7
+
+#define BSTEPS1(s) BQ(0, Z0, Z17, s)
+#define BSTEPS2(s) BSTEPS1(s); BQ(1, Z1, Z18, s)
+#define BSTEPS3(s) BSTEPS2(s); BQ(2, Z2, Z19, s)
+#define BSTEPS4(s) BSTEPS3(s); BQ(3, Z3, Z20, s)
+#define BSTEPS5(s) BSTEPS4(s); BQ(4, Z4, Z21, s)
+#define BSTEPS6(s) BSTEPS5(s); BQ(5, Z5, Z22, s)
+#define BSTEPS7(s) BSTEPS6(s); BQ(6, Z6, Z23, s)
+#define BSTEPS8(s) BSTEPS7(s); BQ(7, Z7, Z24, s)
+
+#define BEMITS1(a) BEMIT(0, Z0, a)
+#define BEMITS2(a, b) BEMITS1(a); BEMIT(1, Z1, b)
+#define BEMITS3(a, b, c) BEMITS2(a, b); BEMIT(2, Z2, c)
+#define BEMITS4(a, b, c, d) BEMITS3(a, b, c); BEMIT(3, Z3, d)
+#define BEMITS5(a, b, c, d, e) BEMITS4(a, b, c, d); BEMIT(4, Z4, e)
+#define BEMITS6(a, b, c, d, e, f) BEMITS5(a, b, c, d, e); BEMIT(5, Z5, f)
+#define BEMITS7(a, b, c, d, e, f, g) BEMITS6(a, b, c, d, e, f); BEMIT(6, Z6, g)
+#define BEMITS8(a, b, c, d, e, f, g, h) BEMITS7(a, b, c, d, e, f, g); BEMIT(7, Z7, h)
+
+// func scanGroupsAVX512(plane *uint64, ngroups, w int, q *uint64, k, bound, first int, rows, dists *int32, n *[MaxMultiQueries]int, used int) int
+// The group tier on AVX-512: each line is loaded once into Z16 and, for
+// every query, XORed with the query's word, popcounted and added into
+// the query's accumulator Z0..Z7, whose eight lanes are the group's
+// eight row distances — no reduction. One VPCMPQ per (group, query)
+// gives the passing rows, and only a nonzero mask — rare at a selective
+// bound — stores anything. There is one loop per query count k, picked
+// once, so the line loop carries no test of k; the loop for one query
+// takes lines in pairs into Z0 and Z1, so that its adds form two
+// chains, not one a line long. Returns the groups
+// scanned. The caller guarantees ngroups·8·w plane words, w·s query
+// words, 1 ≤ k ≤ 8, bound ≥ 0 and used the largest count in n.
+TEXT ·scanGroupsAVX512(SB), NOSPLIT, $0-96
+	MOVQ plane+0(FP), SI
+	MOVQ ngroups+8(FP), CX
+	MOVQ w+16(FP), R8
+	MOVQ q+24(FP), DI
+	MOVQ k+32(FP), R12
+	MOVQ rows+56(FP), R9
+	MOVQ dists+64(FP), R10
+	MOVQ n+72(FP), R11
+	MOVQ used+80(FP), R14
+	SHLQ $3, R8                      // R8: 8·w
+	LEAQ (SI)(R8*8), SI              // SI: just past the first group's lines
+
+	VPBROADCASTQ bound+40(FP), Z30   // Z30: the bound in every lane
+	MOVQ         first+48(FP), AX
+	VPBROADCASTD AX, Z28
+	VPADDD       laneBlocks<>(SB), Z28, Z28 // Z28: the group's row indices, one a dword
+	MOVL         $8, AX
+	VPBROADCASTD AX, Z29              // Z29: eight rows, the index step
+
+	CMPQ R12, $4
+	JEQ  b5k4
+	JGT  b5high
+	CMPQ R12, $2
+	JEQ  b5k2
+	JGT  b5k3
+	JMP  b5k1
+b5high:
+	CMPQ R12, $6
+	JEQ  b5k6
+	JLT  b5k5
+	CMPQ R12, $7
+	JEQ  b5k7
+	JMP  b5k8
+
+b5k1:
+	LEAQ (DI)(R8*1), DX
+b5k1group:
+	BOPEN(b5done)
+	BZERO2
+	TESTQ $8, R8                     // an odd line count takes one line alone
+	JZ    b5k1pair
+	VMOVDQU64 (SI)(BX*8), Z16
+	BQ(0, Z0, Z17, 1)
+	ADDQ $8, BX
+	JZ   b5k1end
+b5k1pair:
+	VMOVDQU64   (SI)(BX*8), Z16
+	VMOVDQU64   64(SI)(BX*8), Z18
+	VPXORQ.BCST (DX)(BX*1), Z16, Z17
+	VPXORQ.BCST 8(DX)(BX*1), Z18, Z19
+	VPOPCNTQ    Z17, Z17
+	VPOPCNTQ    Z19, Z19
+	VPADDQ      Z17, Z0, Z0
+	VPADDQ      Z19, Z1, Z1
+	ADDQ        $16, BX
+	JNZ         b5k1pair
+b5k1end:
+	VPADDQ Z1, Z0, Z0
+	BEMITS1(b5k1e0)
+	BSTEP
+	JMP b5k1group
+
+b5k2:
+	LEAQ (DI)(R8*2), DX
+b5k2group:
+	BOPEN(b5done)
+	BZERO2
+b5k2line:
+	VMOVDQU64 (SI)(BX*8), Z16
+	BSTEPS2(2)
+	BNEXT(b5k2line)
+	BEMITS2(b5k2e0, b5k2e1)
+	BSTEP
+	JMP b5k2group
+
+b5k3:
+	LEAQ (DI)(R8*4), DX
+b5k3group:
+	BOPEN(b5done)
+	BZERO3
+b5k3line:
+	VMOVDQU64 (SI)(BX*8), Z16
+	BSTEPS3(4)
+	BNEXT(b5k3line)
+	BEMITS3(b5k3e0, b5k3e1, b5k3e2)
+	BSTEP
+	JMP b5k3group
+
+b5k4:
+	LEAQ (DI)(R8*4), DX
+b5k4group:
+	BOPEN(b5done)
+	BZERO4
+b5k4line:
+	VMOVDQU64 (SI)(BX*8), Z16
+	BSTEPS4(4)
+	BNEXT(b5k4line)
+	BEMITS4(b5k4e0, b5k4e1, b5k4e2, b5k4e3)
+	BSTEP
+	JMP b5k4group
+
+b5k5:
+	LEAQ (DI)(R8*8), DX
+b5k5group:
+	BOPEN(b5done)
+	BZERO5
+b5k5line:
+	VMOVDQU64 (SI)(BX*8), Z16
+	BSTEPS5(8)
+	BNEXT(b5k5line)
+	BEMITS5(b5k5e0, b5k5e1, b5k5e2, b5k5e3, b5k5e4)
+	BSTEP
+	JMP b5k5group
+
+b5k6:
+	LEAQ (DI)(R8*8), DX
+b5k6group:
+	BOPEN(b5done)
+	BZERO6
+b5k6line:
+	VMOVDQU64 (SI)(BX*8), Z16
+	BSTEPS6(8)
+	BNEXT(b5k6line)
+	BEMITS6(b5k6e0, b5k6e1, b5k6e2, b5k6e3, b5k6e4, b5k6e5)
+	BSTEP
+	JMP b5k6group
+
+b5k7:
+	LEAQ (DI)(R8*8), DX
+b5k7group:
+	BOPEN(b5done)
+	BZERO7
+b5k7line:
+	VMOVDQU64 (SI)(BX*8), Z16
+	BSTEPS7(8)
+	BNEXT(b5k7line)
+	BEMITS7(b5k7e0, b5k7e1, b5k7e2, b5k7e3, b5k7e4, b5k7e5, b5k7e6)
+	BSTEP
+	JMP b5k7group
+
+b5k8:
+	LEAQ (DI)(R8*8), DX
+b5k8group:
+	BOPEN(b5done)
+	BZERO8
+b5k8line:
+	VMOVDQU64 (SI)(BX*8), Z16
+	BSTEPS8(8)
+	BNEXT(b5k8line)
+	BEMITS8(b5k8e0, b5k8e1, b5k8e2, b5k8e3, b5k8e4, b5k8e5, b5k8e6, b5k8e7)
+	BSTEP
+	JMP b5k8group
+
+b5done:
+	MOVQ ngroups+8(FP), AX
+	SUBQ CX, AX
+	VZEROUPPER
+	MOVQ AX, ret+88(FP)
+	RET
+
+// func scanGroupsAVX2(plane *uint64, ngroups, w int, q *uint64, k, bound, first int, rows, dists *int32, n *[MaxMultiQueries]int, used int, spill *[8]uint64, qstride int) int
+// The group tier on AVX2: for each query the group's lines — in L1
+// after the first query's pass — are XORed with the query's word,
+// broadcast, and counted with the nibble-LUT popcount into one byte
+// accumulator per half line (rows 0..3 in Y4, rows 4..7 in Y5). A line
+// adds at most 8 to a byte lane, so a run of 31 lines cannot overflow
+// before VPSADBW folds the bytes into the rows' 64-bit totals (Y6, Y7).
+// A pass mask from VPCMPGTQ and VMOVMSKPD sends only a group with a
+// passing row through the scalar store loop, which reads the distances
+// back from spill. qstride is the query stride s in bytes, 8·s.
+// Returns the groups scanned, under the caller guarantees of
+// scanGroupsAVX512.
+TEXT ·scanGroupsAVX2(SB), NOSPLIT, $0-112
+	MOVQ plane+0(FP), SI
+	MOVQ ngroups+8(FP), CX
+	MOVQ w+16(FP), R8
+	MOVQ q+24(FP), DI
+	MOVQ k+32(FP), R12
+	MOVQ n+72(FP), R11
+	MOVQ used+80(FP), R14
+
+	MOVQ         bound+40(FP), X15
+	VPBROADCASTQ X15, Y15             // Y15: the bound in every lane
+	VPXOR        Y9, Y9, Y9           // Y9: zero, VPSADBW's second operand
+	VMOVDQU      popcntLUT<>(SB), Y10 // Y10: nibble popcount table
+	VMOVDQU      nibbleMask<>(SB), Y11 // Y11: 0x0f byte mask
+
+b2group:
+	TESTQ CX, CX
+	JZ    b2done
+	CMPQ  R14, $scanRoomLast
+	JGT   b2done
+	XORQ  BX, BX                      // BX: the query
+
+b2query:
+	LEAQ  (DI)(BX*8), DX              // DX: the query's word of the line
+	MOVQ  SI, R13                     // R13: the line
+	MOVQ  R8, R9                      // R9: lines left in the group
+	VPXOR Y6, Y6, Y6
+	VPXOR Y7, Y7, Y7
+
+b2run:
+	MOVQ  R9, AX
+	CMPQ  AX, $31
+	JLE   b2haveRun
+	MOVQ  $31, AX
+b2haveRun:
+	SUBQ  AX, R9
+	VPXOR Y4, Y4, Y4
+	VPXOR Y5, Y5, Y5
+
+b2line:
+	VPBROADCASTQ (DX), Y0
+	VPXOR        (R13), Y0, Y1
+	VPXOR        32(R13), Y0, Y2
+	ADDQ         $64, R13
+	ADDQ         qstride+96(FP), DX
 
 	VPAND   Y1, Y11, Y3
 	VPSRLW  $4, Y1, Y1
 	VPAND   Y1, Y11, Y1
 	VPSHUFB Y3, Y10, Y3
 	VPSHUFB Y1, Y10, Y1
-	VPADDB  Y3, Y7, Y7
-	VPADDB  Y1, Y7, Y7
+	VPADDB  Y3, Y4, Y4
+	VPADDB  Y1, Y4, Y4
 
-	DECQ DX
-	JNZ  sp2block
+	VPAND   Y2, Y11, Y3
+	VPSRLW  $4, Y2, Y2
+	VPAND   Y2, Y11, Y2
+	VPSHUFB Y3, Y10, Y3
+	VPSHUFB Y2, Y10, Y2
+	VPADDB  Y3, Y5, Y5
+	VPADDB  Y2, Y5, Y5
 
-	VPSADBW Y9, Y7, Y7
-	VPADDQ  Y7, Y8, Y8
-	TESTQ   CX, CX
-	JNZ     sp2outer
+	DECQ AX
+	JNZ  b2line
 
-	VEXTRACTI128 $1, Y8, X1
-	VPADDQ       X1, X8, X8
-	VPSHUFD      $0xee, X8, X1
-	VPADDQ       X1, X8, X8
-	VMOVQ        X8, DX           // DX: the row's distance
+	VPSADBW Y9, Y4, Y4
+	VPADDQ  Y4, Y6, Y6
+	VPSADBW Y9, Y5, Y5
+	VPADDQ  Y5, Y7, Y7
+	TESTQ   R9, R9
+	JNZ     b2run
 
-	MOVL  R10, (R11)(AX*4)
-	XORQ  BX, BX
-	CMPQ  DX, R9
-	SETLE BL
-	ADDQ  BX, AX
+	VPCMPGTQ  Y15, Y6, Y4             // lanes whose distance exceeds the bound
+	VPCMPGTQ  Y15, Y7, Y5
+	VMOVMSKPD Y4, AX
+	VMOVMSKPD Y5, DX
+	SHLQ      $4, DX
+	ORQ       DX, AX
+	XORQ      $0xff, AX               // AX: the group's passing rows
+	JZ        b2nextq
 
-	INCQ R10
-	DECQ R12
-	JNZ  sp2row
+	MOVQ    spill+88(FP), DX
+	VMOVDQU Y6, (DX)
+	VMOVDQU Y7, 32(DX)
+	MOVQ    (R11)(BX*8), R13
+	MOVQ    BX, R9
+	SHLQ    $9, R9                    // ScanRoom entries a query
+	ADDQ    R9, R13                   // R13: the query's next entry
 
-sp2done:
-	VZEROUPPER
-	MOVQ AX, ret+56(FP)
-	RET
+b2emit:
+	BSFQ AX, DX                       // lowest passing row of the group
+	MOVQ spill+88(FP), R9
+	MOVQ (R9)(DX*8), R10
+	MOVQ dists+64(FP), R9
+	MOVL R10, (R9)(R13*4)
+	MOVQ ngroups+8(FP), R10
+	SUBQ CX, R10
+	SHLQ $3, R10
+	ADDQ first+48(FP), R10
+	ADDQ DX, R10                      // R10: the row's index
+	MOVQ rows+56(FP), R9
+	MOVL R10, (R9)(R13*4)
+	INCQ R13
+	LEAQ -1(AX), DX
+	ANDQ DX, AX                       // clear that row
+	JNZ  b2emit
 
-// One row's share of a block step in scanPlaneAVX512: XNOR-popcount the
-// row block at addr against the query block in Z16 into acc.
-#define PLANEROW(addr, acc) \
-	VPXORQ   addr, Z16, Z17; \
-	VPOPCNTQ Z17, Z17;       \
-	VPADDQ   Z17, acc, acc
+	MOVQ    BX, R9
+	SHLQ    $9, R9
+	SUBQ    R9, R13
+	MOVQ    R13, (R11)(BX*8)
+	CMPQ    R13, R14
+	CMOVQGT R13, R14
 
-// func scanPlaneAVX512(rows *uint64, ngroups, nblocks int, q *uint64, bound, first int, out *int32) int
-// Range scan on the AVX-512 popcount tier, eight rows per step. Within
-// a group the walk is block-major: each 64-byte query block is loaded
-// into Z16 once and XNOR-popcounted against that block of all eight
-// rows, one 64-bit lane accumulator per row (Z0..Z7), so the query
-// costs one load per eight row blocks. The eight accumulators collapse
-// through a log-depth shuffle tree into one vector of eight row
-// distances, a single VPCMPQ against the broadcast bound
-// gives the group's pass mask, and only a nonzero mask — rare at a
-// selective bound — enters the scalar loop that writes row indices
-// (first for the first row, counting up) to out. Returns the number
-// written. The caller guarantees ngroups·8 rows of nblocks·8 words,
-// nblocks·8 query words, nblocks ≥ 1 and bound ≥ 0.
-TEXT ·scanPlaneAVX512(SB), NOSPLIT, $0-64
-	MOVQ rows+0(FP), SI
-	MOVQ ngroups+8(FP), CX
-	MOVQ nblocks+16(FP), R8
-	MOVQ q+24(FP), DI
-	MOVQ bound+32(FP), R9
-	MOVQ first+40(FP), R10
-	MOVQ out+48(FP), R11
+b2nextq:
+	INCQ BX
+	CMPQ BX, R12
+	JLT  b2query
 
-	XORQ         AX, AX           // AX: rows written to out
-	SHLQ         $6, R8           // R8: row stride in bytes
-	LEAQ         (R8)(R8*2), R12  // R12: 3 rows
-	LEAQ         (R8)(R8*4), R13  // R13: 5 rows
-	LEAQ         (R12)(R8*4), R14 // R14: 7 rows
-	VPBROADCASTQ R9, Z18          // Z18: bound in every lane
-
-	TESTQ CX, CX
-	JZ    sp5done
-
-sp5group:
-	VPXORQ Z0, Z0, Z0             // Z0..Z7: per-row 64-bit lane totals
-	VPXORQ Z1, Z1, Z1
-	VPXORQ Z2, Z2, Z2
-	VPXORQ Z3, Z3, Z3
-	VPXORQ Z4, Z4, Z4
-	VPXORQ Z5, Z5, Z5
-	VPXORQ Z6, Z6, Z6
-	VPXORQ Z7, Z7, Z7
-	XORQ   BX, BX                 // BX: byte offset of the block in row and query
-	MOVQ   SI, DX                 // DX: that block of the group's first row
-
-sp5block:
-	VMOVDQU64 (DI)(BX*1), Z16
-	PLANEROW((DX), Z0)
-	PLANEROW((DX)(R8*1), Z1)
-	PLANEROW((DX)(R8*2), Z2)
-	PLANEROW((DX)(R12*1), Z3)
-	PLANEROW((DX)(R8*4), Z4)
-	PLANEROW((DX)(R13*1), Z5)
-	PLANEROW((DX)(R12*2), Z6)
-	PLANEROW((DX)(R14*1), Z7)
-	ADDQ $64, DX
-	ADDQ $64, BX
-	CMPQ BX, R8
-	JNE  sp5block
-
-	// Collapse the eight accumulators into one vector of eight
-	// distances. Level 1 pairs rows: unpack-low/high interleave two
-	// rows' qwords, and their sum keeps the rows in alternating slots.
-	VPUNPCKLQDQ Z1, Z0, Z8
-	VPUNPCKHQDQ Z1, Z0, Z9
-	VPADDQ      Z9, Z8, Z8        // rows 0/1 partials, alternating
-	VPUNPCKLQDQ Z3, Z2, Z9
-	VPUNPCKHQDQ Z3, Z2, Z10
-	VPADDQ      Z10, Z9, Z9       // rows 2/3
-	VPUNPCKLQDQ Z5, Z4, Z10
-	VPUNPCKHQDQ Z5, Z4, Z11
-	VPADDQ      Z11, Z10, Z10     // rows 4/5
-	VPUNPCKLQDQ Z7, Z6, Z11
-	VPUNPCKHQDQ Z7, Z6, Z12
-	VPADDQ      Z12, Z11, Z11     // rows 6/7
-
-	// Levels 2 and 3 pair 128-bit lanes: the even and odd lane picks of
-	// two vectors sum to twice the rows at half the lanes a row.
-	VSHUFI64X2 $0x88, Z9, Z8, Z12
-	VSHUFI64X2 $0xdd, Z9, Z8, Z13
-	VPADDQ     Z13, Z12, Z12      // rows 0..3 partials
-	VSHUFI64X2 $0x88, Z11, Z10, Z13
-	VSHUFI64X2 $0xdd, Z11, Z10, Z14
-	VPADDQ     Z14, Z13, Z13      // rows 4..7 partials
-	VSHUFI64X2 $0x88, Z13, Z12, Z14
-	VSHUFI64X2 $0xdd, Z13, Z12, Z15
-	VPADDQ     Z15, Z14, Z14      // [dist(row 0) .. dist(row 7)]
-
-	VPCMPQ $2, Z18, Z14, K1       // lane i set iff dist(row i) <= bound
-	KMOVW  K1, DX
-	TESTQ  DX, DX
-	JZ     sp5next
-
-sp5emit:
-	BSFQ DX, BX                   // lowest passing row of the group
-	ADDQ R10, BX
-	MOVL BX, (R11)(AX*4)
-	INCQ AX
-	LEAQ -1(DX), BX
-	ANDQ BX, DX                   // clear that bit
-	JNZ  sp5emit
-
-sp5next:
-	LEAQ (SI)(R8*8), SI
-	ADDQ $8, R10
+	MOVQ R8, AX
+	SHLQ $6, AX
+	ADDQ AX, SI                       // the next group
 	DECQ CX
-	JNZ  sp5group
+	JMP  b2group
 
-sp5done:
+b2done:
+	MOVQ ngroups+8(FP), AX
+	SUBQ CX, AX
 	VZEROUPPER
-	MOVQ AX, ret+56(FP)
+	MOVQ AX, ret+104(FP)
 	RET
 
 // The row-fold kernels (kernel_fold.go). Both walk the output one

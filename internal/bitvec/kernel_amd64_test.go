@@ -7,7 +7,7 @@ import (
 	"testing"
 )
 
-// The dispatch wrappers (hammingBlocks, scanPlaneBlocks, …) pick the
+// The dispatch wrappers (hammingBlocks, scanGroups, …) pick the
 // fastest tier the host supports, so on an AVX-512 machine the AVX2
 // kernels would never run under test. These pins call each tier's
 // assembly directly, gated on its own feature bit, so every kernel the
@@ -72,53 +72,32 @@ func TestHammingPopcntAVX512MatchesScalar(t *testing.T) {
 	}
 }
 
-// scanTiers returns the range-kernel tiers the host supports, by name,
-// each behind a wrapper that finishes the rows a tier leaves over
-// exactly as ScanPlane does.
-func scanTiers() map[string]planeScan {
-	tail := func(plane []uint64, w int, q []uint64, bound, lo, hi, n int, out []int32) int {
-		for i := lo; i < hi; i++ {
-			if HammingWords(plane[i*w:(i+1)*w], q) <= bound {
-				out[n] = int32(i)
-				n++
-			}
-		}
-		return n
-	}
-	tiers := map[string]planeScan{}
+// scanTiers returns the range kernel's vector group tiers the host
+// supports, by name.
+func scanTiers() map[string]groupScan {
+	tiers := map[string]groupScan{}
 	if useAccel {
-		tiers["avx2"] = func(plane []uint64, w int, q []uint64, bound, lo, hi int, out []int32) int {
-			if bound < 0 || lo == hi {
-				return 0
-			}
-			return scanPlaneAVX2(&plane[lo*w], hi-lo, w/kernelBlock, &q[0], bound, lo, &out[0])
-		}
+		tiers["avx2"] = scanGroupsAVX2Block
 	}
 	if useAVX512 {
-		tiers["avx512"] = func(plane []uint64, w int, q []uint64, bound, lo, hi int, out []int32) int {
-			groups := (hi - lo) / planeGroup
-			if bound < 0 || groups == 0 {
-				return tail(plane, w, q, bound, lo, hi, 0, out)
-			}
-			n := scanPlaneAVX512(&plane[lo*w], groups, w/kernelBlock, &q[0], bound, lo, &out[0])
-			return tail(plane, w, q, bound, lo+groups*planeGroup, hi, n, out)
-		}
+		tiers["avx512"] = scanGroupsAVX512Block
 	}
 	return tiers
 }
 
-// TestScanPlaneTiersMatchHammingWords pins each range-kernel tier the
-// host supports to HammingWords row by row. The widths cover the AVX2
-// flush edges (15 and 16 blocks) and the sketch width of the default
-// geometry; checkScanPlane's slot-order case pins the AVX-512 tier's
-// shuffle tree.
+// TestScanPlaneTiersMatchHammingWords pins each vector group tier the
+// host supports to HammingWords for every query count 1–8, which is
+// every one of the AVX-512 tier's loops. The widths cover the AVX2
+// tier's 31-line runs (31 and 32 lines, and 62 and 63) and the sketch
+// widths of the two workload geometries.
 func TestScanPlaneTiersMatchHammingWords(t *testing.T) {
 	tiers := scanTiers()
 	if len(tiers) == 0 {
 		t.Skip("no vector kernels on this machine")
 	}
-	for name, scan := range tiers {
-		checkScanPlane(t, name, []int{8, 16, 24, 40, 64, 120, 128, 136, 256}, scan)
+	for name, tier := range tiers {
+		checkScanPlane(t, name, []int{1, 8, 16, 31, 32, 40, 62, 63, 128}, tier)
+		checkScanRoom(t, name, tier)
 	}
 }
 

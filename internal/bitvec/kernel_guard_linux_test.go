@@ -64,18 +64,32 @@ func TestKernelsStopAtGuardPage(t *testing.T) {
 		}
 	}
 
-	// 8 and 16 rows end the plane with a full AVX-512 group; 11 leaves
-	// three rows to the per-row tail.
+	// Planes of 8 and 16 rows end with a full group, 11 with three tail
+	// rows. Each query, the vector tiers' copy of the queries at their
+	// stride and the survivor rooms end at pages too, and on a plane of
+	// ScanRoom + 8 rows that all pass, the group that fills every query's
+	// room to its last entry is followed by one the kernel must leave to
+	// the next call.
 	scans := scanTiers()
-	scans["dispatch"] = ScanPlane
+	scans["dispatch"] = func(b *QueryBlock, plane []uint64, g0, ngroups, bound int) int {
+		return scanGroups(b, plane, g0, ngroups, bound)
+	}
 	for _, w := range []int{8, 40} {
-		for _, rows := range []int{8, 11, 16} {
-			src, q := planeCase(rows, w, uint64(rows*w))
-			plane, gq := guardedCopy(t, src), guardedCopy(t, q)
-			for name, scan := range scans {
-				out := guarded[int32](t, rows)
-				if n := scan(plane, w, gq, 64*w, 0, rows, out); n != rows {
-					t.Errorf("%s w=%d rows=%d: %d survivors of an all-pass bound, want %d", name, w, rows, n, rows)
+		for _, rows := range []int{8, 11, 16, ScanRoom + 8} {
+			src, qs := blockCase(rows, w, MaxMultiQueries, uint64(rows*w))
+			plane := guardedCopy(t, grouped(src, w))
+			for _, k := range []int{1, 3, MaxMultiQueries} {
+				want := wantHits(src, w, qs[:k], 64*w, 0, rows)
+				for name, tier := range scans {
+					b := newBlock(qs[:k], w)
+					for q := range b.qs[:k] {
+						b.qs[q] = guardedCopy(t, qs[q])
+					}
+					b.qi = guarded[uint64](t, queryStride(k)*w)
+					b.rows, b.dists = guarded[int32](t, len(b.rows)), guarded[int32](t, len(b.dists))
+					if got := scanAll(t, b, plane, 64*w, 0, rows, tier); fmt.Sprint(got) != fmt.Sprint(want) {
+						t.Errorf("%s w=%d rows=%d k=%d: survivors of an all-pass bound differ from HammingWords", name, w, rows, k)
+					}
 				}
 			}
 		}

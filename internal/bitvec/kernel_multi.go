@@ -2,9 +2,8 @@ package bitvec
 
 // This file holds the query-block width the probe paths size their
 // blocks by, and HammingMulti, which scores one row against such a
-// block. A probe block runs no kernel of its own: it scans the plane
-// with ScanPlane once per query of the block, tile by tile, while each
-// tile is hot in cache (DESIGN.md §7.5).
+// block. A probe block is scanned by QueryBlock.ScanPlane, which reads
+// the plane once for all of the block's queries (DESIGN.md §7.5).
 
 // MaxMultiQueries is the widest query block a probe scans together
 // (core.BlockWidth). Per query, a block of eight costs about half a

@@ -12,8 +12,9 @@ func hammingBlocks(a, b []uint64) int {
 	panic("bitvec: hammingBlocks without an accelerated kernel")
 }
 
-func scanPlaneBlocks(rows []uint64, nblocks int, q []uint64, bound, first int, out []int32) (n, done int) {
-	panic("bitvec: scanPlaneBlocks without an accelerated kernel")
+// scanGroups is the portable group tier.
+func scanGroups(b *QueryBlock, plane []uint64, g0, ngroups, bound int) int {
+	return scanGroupsGeneric(b, plane, g0, ngroups, bound)
 }
 
 func majorityRowsBlocks(out, table []uint64, idx []int32, rowWords int, tie []uint64, tieMask uint64, seed *[8]uint64) {

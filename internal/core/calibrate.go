@@ -225,10 +225,11 @@ func (l *Library) measurePrefixNoise(sn *hdcView) (mean, sigma float64) {
 	src := rng.New(l.params.Seed ^ 0x9e0b5e)
 	sw := l.sketchWords
 	var dist stats.Welford
+	row := make([]uint64, sw)
 	for at := 0; at < len(l.sketchPrefixes); at += sw {
 		for r := 0; r < sketchProbeRows; r++ {
 			seg, i := sn.locate(src.Intn(sn.nBkts))
-			dist.Add(float64(bitvec.HammingWords(seg.planeRow(i), l.sketchPrefixes[at:at+sw])))
+			dist.Add(float64(bitvec.HammingWords(seg.planeRow(row, i), l.sketchPrefixes[at:at+sw])))
 		}
 	}
 	return dist.Mean(), dist.StdDev()

@@ -180,8 +180,8 @@ func TestCascadeMatchesFullRowScan(t *testing.T) {
 				}
 				nB, nW := int64(lib.Describe().Buckets), int64(lib.snap.Load().total) // tombstoned windows keep their metadata
 				plane := int64(mode.words * 8)
-				if mode.words == mode.rowWords {
-					plane = 0 // the plane is the arena
+				if mode.words == mode.rowWords && !lib.Mapped() {
+					plane = 0 // the plane holds the rows; a mapped open cuts it from the mapping
 				}
 				if got, want := lib.MemoryFootprint(), nB*(int64(mode.rowWords*8)+plane)+nW*8; got != want {
 					t.Fatalf("footprint %d, want arena + sketch plane + metadata = %d", got, want)
@@ -286,6 +286,64 @@ func TestCascadeMatchesFullRowScan(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestConfirmMatchesFullRow pins stage 2 survivor by survivor: every
+// row the range kernel passes under a bound must carry its prefix
+// distance, and confirm — which reads only the words past the prefix,
+// under maxHam less that distance — must make it a candidate exactly
+// when its whole row is within maxHam by HammingWords, scored from that
+// full distance. The bounds are the view's own, one that passes every
+// row (so stage 2 sees them all), and a maxHam equal to a member row's
+// full distance, where d₁ + d₂ = maxHam must pass.
+func TestConfirmMatchesFullRow(t *testing.T) {
+	p := cascadeParams
+	lib, _, refs := cascadePair(t, p, true, nil, false)
+	sn := hdcOf(lib.snap.Load())
+	qb := bitvec.NewQueryBlock(p.Dim / 64)
+	pats := cascadeQueries(p, refs)
+	atEdge := 0 // candidates at exactly maxHam
+	for i, pat := range pats {
+		hv := encodeQuery(lib, pat)
+		q := hv.Words()
+		loose := sn.plan
+		loose.sketchBound = p.Dim
+		edge := loose
+		seg0 := sn.segs[0]
+		edge.maxHam = bitvec.HammingWords(seg0.arenaRow(i%seg0.NumBuckets()), q)
+		for _, pl := range []scanPlan{sn.plan, loose, edge} {
+			for k, seg := range sn.segs {
+				qb.Reset(seg.planeWords)
+				qb.Add(q)
+				for lo := 0; lo < seg.NumBuckets(); {
+					lo = qb.ScanPlane(seg.plane, pl.sketchBound, lo, seg.NumBuckets())
+					rows, dists := qb.Hits(0)
+					var want []Candidate
+					for j, r := range rows {
+						row := seg.arenaRow(int(r))
+						if d1 := bitvec.HammingWords(row[:seg.planeWords], q[:seg.planeWords]); int(dists[j]) != d1 || d1 > pl.sketchBound {
+							t.Fatalf("query %d segment %d row %d: kernel distance %d, prefix distance %d, bound %d", i, k, r, dists[j], d1, pl.sketchBound)
+						}
+						if h := bitvec.HammingWords(row, q); h <= pl.maxHam {
+							want = append(want, Candidate{Bucket: sn.offs[k] + int(r), Score: float64(p.Dim - 2*h)})
+						}
+					}
+					got := seg.confirm(nil, q, rows, dists, &pl, sn.offs[k])
+					if !sameCandidates(got, want) {
+						t.Fatalf("query %d segment %d maxHam %d: confirm %+v, full rows %+v", i, k, pl.maxHam, got, want)
+					}
+					for _, c := range got {
+						if c.Score == float64(p.Dim-2*pl.maxHam) {
+							atEdge++
+						}
+					}
+				}
+			}
+		}
+	}
+	if atEdge < len(pats) {
+		t.Fatalf("%d candidates at exactly maxHam over %d queries: the edge went untested", atEdge, len(pats))
 	}
 }
 

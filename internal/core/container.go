@@ -10,6 +10,7 @@ import (
 	"math"
 	"math/bits"
 
+	"repro/internal/bitvec"
 	"repro/internal/genome"
 	"repro/internal/mmapfile"
 )
@@ -131,12 +132,25 @@ func (r *SectionReader) Remaining() int { return len(r.b) }
 // Bloom bit position's column bitmap. len(Words) must equal
 // Buckets·RowWords. FileOff is the arena's byte offset in the container
 // (set by the reader, ignored by the writer): where Words aliases the
-// file mapping when there is one.
+// file mapping when there is one. Grouped says Words holds the rows in
+// bitvec's grouped plane layout (set by the HDC writer, never by the
+// reader): the writer stores them row-major all the same.
 type ContainerSegment struct {
 	Words    []uint64
 	RowWords uint32
 	Buckets  uint32
 	FileOff  uint64
+	Grouped  bool
+}
+
+// chunksLE serializes the segment's rows little-endian and row-major,
+// a chunk at a time through buf, handing each chunk to emit.
+func (s ContainerSegment) chunksLE(buf []byte, emit func([]byte)) {
+	if !s.Grouped {
+		wordChunksLE(s.Words, buf, emit)
+		return
+	}
+	bitvec.UngroupRows(s.Words, int(s.RowWords), func(rows []uint64) { wordChunksLE(rows, buf, emit) })
 }
 
 // WriteContainerV3 writes a complete v3 container: the fixed header
@@ -179,7 +193,9 @@ func WriteContainerV3(w io.Writer, backend uint32, writeMeta func(*SectionWriter
 		if uint64(len(s.Words)) != uint64(s.RowWords)*uint64(s.Buckets) {
 			return 0, fmt.Errorf("core: v3 segment %d arena has %d words, geometry says %d×%d", k, len(s.Words), s.Buckets, s.RowWords)
 		}
-		offs[k], crcs[k] = off, crcWordsLE(s.Words, encBuf)
+		crc := uint32(0)
+		s.chunksLE(encBuf, func(b []byte) { crc = crc32.Update(crc, crc32.IEEETable, b) })
+		offs[k], crcs[k] = off, crc
 		off = v3AlignUp(off + uint64(len(s.Words))*8)
 	}
 	fileSize := off
@@ -214,7 +230,7 @@ func WriteContainerV3(w io.Writer, backend uint32, writeMeta func(*SectionWriter
 	out.pad(arenaOff)
 	for k, s := range segs {
 		out.pad(offs[k])
-		out.writeWordsLE(s.Words, encBuf)
+		s.chunksLE(encBuf, out.write)
 	}
 	out.pad(fileSize)
 	if out.err != nil {

@@ -86,10 +86,12 @@ func (l *Library) WriteToV3(w io.Writer) (int64, error) {
 
 	segs := make([]ContainerSegment, len(sn.segs))
 	for k, seg := range sn.segs {
+		words, grouped := seg.stored()
 		segs[k] = ContainerSegment{
-			Words:    seg.arenaWords(),
+			Words:    words,
 			RowWords: uint32(seg.rowWords),
 			Buckets:  uint32(seg.NumBuckets()),
+			Grouped:  grouped,
 		}
 	}
 	return WriteContainerV3(w, backendTagHDC, func(sw *SectionWriter) {
@@ -156,20 +158,6 @@ func wordChunksLE(words []uint64, buf []byte, emit func([]byte)) {
 		emit(buf[:n*8])
 		words = words[n:]
 	}
-}
-
-// writeWordsLE streams words to the file.
-func (o *countingWriter) writeWordsLE(words []uint64, buf []byte) {
-	wordChunksLE(words, buf, o.write)
-}
-
-// crcWordsLE computes the crc32 of words as serialized — the v3 writer
-// needs every arena's CRC before the directory (which precedes the
-// arenas) is written.
-func crcWordsLE(words []uint64, buf []byte) uint32 {
-	crc := uint32(0)
-	wordChunksLE(words, buf, func(b []byte) { crc = crc32.Update(crc, crc32.IEEETable, b) })
-	return crc
 }
 
 // parseV3Header verifies and decodes the fixed header (including its
@@ -292,7 +280,7 @@ func (ld *hdcLoader) Build(arenas []ContainerSegment, m *mmapfile.Mapping) (Inde
 	segs := make([]Segment, len(arenas))
 	members := make([][]Member, len(arenas))
 	for k, a := range arenas {
-		seg := segmentFromArena(a.Words, ld.segWins[k], int(a.RowWords), ld.lib.sketchWords)
+		seg := segmentFromArena(a.Words, ld.segWins[k], int(a.RowWords), ld.lib.sketchWords, m != nil)
 		if m != nil {
 			seg.mapOff, seg.mapLen = int(a.FileOff), len(a.Words)*8
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 
+	"repro/internal/bitvec"
 	"repro/internal/encoding"
 	"repro/internal/genome"
 	"repro/internal/hdc"
@@ -135,15 +136,15 @@ type Library struct {
 }
 
 // blockScratch is the reusable state of the probe paths: one block's
-// worth of query window encodings, the range kernel's survivor list,
+// worth of query window encodings, the range kernel's query block,
 // and per-query candidate buffers. Pooled per library — concurrent
 // requests probe at once, so the scratch must be per-call, not shared.
 type blockScratch struct {
-	hvs   []*hdc.HV     // query window encodings, BlockWidth of them
-	acc   *hdc.Acc      // the approximate encoder's row-index scratch; nil in exact mode
-	surv  []int32       // rows of one tile that survived the sketch stage
-	cands [][]Candidate // per-query candidate buffers
-	one   [1]*hdc.HV    // Probe's one-query block
+	hvs   []*hdc.HV          // query window encodings, BlockWidth of them
+	acc   *hdc.Acc           // the approximate encoder's row-index scratch; nil in exact mode
+	scan  *bitvec.QueryBlock // the range kernel's block: its queries and their survivors
+	cands [][]Candidate      // per-query candidate buffers
+	one   [1]*hdc.HV         // Probe's one-query block
 }
 
 // candidateHint pre-sizes candidate slices: probes that hit at all
@@ -161,7 +162,7 @@ func (l *Library) getBlockScratch() *blockScratch {
 	}
 	s := &blockScratch{
 		hvs:   make([]*hdc.HV, BlockWidth),
-		surv:  make([]int32, planeTileMax),
+		scan:  bitvec.NewQueryBlock(l.params.Dim / 64),
 		cands: make([][]Candidate, BlockWidth),
 	}
 	for i := range s.hvs {
@@ -335,14 +336,16 @@ func (l *Library) BucketWindows(i int) []WindowRef {
 	return seg.windows(li)
 }
 
-// BucketVector returns the sealed hypervector of bucket i (shared; do
-// not mutate — and do not retain across Close on a mapped library, the
-// words alias the file mapping). It panics if the library is not
-// frozen — the sealed view only exists after Freeze — but an
-// out-of-range index, like a stale bucket index held across a Compact,
-// returns nil rather than panicking.
-// Where rows are sketches the vector is encoded afresh (wholeRow), and
-// nil for a bucket whose window's reference was removed.
+// BucketVector returns the sealed hypervector of bucket i. Where the
+// segment keeps an arena the vector aliases its row (do not mutate —
+// and do not retain across Close on a mapped library, the words alias
+// the file mapping); where the grouped plane holds the rows it is a
+// copy gathered from the plane. It panics if the library is not frozen
+// — the sealed view only exists after Freeze — but an out-of-range
+// index, like a stale bucket index held across a Compact, returns nil
+// rather than panicking. Where rows are sketches the vector is encoded
+// afresh (wholeRow), and nil for a bucket whose window's reference was
+// removed.
 func (l *Library) BucketVector(i int) *hdc.HV {
 	v := l.snap.Load()
 	if v == nil {
@@ -360,14 +363,14 @@ func (l *Library) BucketVector(i int) *hdc.HV {
 }
 
 // wholeRow returns global bucket g's row at full width: the arena row,
-// or where rows are sketches the row the sketch was cut from — the
-// encoding of the bucket's one window, encoded again into dst (a new
-// vector if dst is nil) — and nil if that window's reference was
-// removed.
+// or the row gathered from a grouped plane into dst (a new vector if
+// dst is nil), or where rows are sketches the row the sketch was cut
+// from — the encoding of the bucket's one window, encoded again into
+// dst — and nil if that window's reference was removed.
 func (l *Library) wholeRow(sn *hdcView, g int, dst *hdc.HV, acc *hdc.Acc) *hdc.HV {
 	seg, i := sn.locate(g)
 	if seg.rowWords == l.params.Dim/64 {
-		return seg.vector(i)
+		return seg.vector(i, dst)
 	}
 	wr := seg.windows(i)[0]
 	switch ref := sn.refs[wr.Ref].Seq; {

@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -335,29 +337,40 @@ var variantDB struct {
 
 func buildVariantDB() {
 	vdb := &variantDB
+	vdb.lib, vdb.pats, vdb.err = variantLibrary(Params{Dim: 8192, Window: 32, Approx: true, MutTolerance: 2, Seed: 1})
+	if vdb.err == nil {
+		vdb.v3, vdb.err = vdb.lib.WriteToV3(io.Discard)
+	}
+}
+
+// variantLibrary builds and freezes a library of p over the 8 first
+// variants of genome.GenerateVariantDB's COVID-like defaults (29.9 kb
+// each), with 64 windows of each variant two substitutions off.
+func variantLibrary(p Params) (*Library, []*genome.Sequence, error) {
 	cfg := genome.DefaultVariantDBConfig()
 	cfg.NumVariants = 8
 	db, err := genome.GenerateVariantDB(cfg)
 	if err != nil {
-		vdb.err = err
-		return
+		return nil, nil, err
 	}
-	if vdb.lib, vdb.err = NewLibrary(Params{Dim: 8192, Window: 32, Approx: true, MutTolerance: 2, Seed: 1}); vdb.err != nil {
-		return
+	lib, err := NewLibrary(p)
+	if err != nil {
+		return nil, nil, err
 	}
 	src := rng.New(0x7a1db)
+	var pats []*genome.Sequence
 	for _, v := range db.Variants {
-		if vdb.err = vdb.lib.Add(v.Record); vdb.err != nil {
-			return
+		if err := lib.Add(v.Record); err != nil {
+			return nil, nil, err
 		}
 		for i := 0; i < 64; i++ {
 			off := src.Intn(v.Seq.Len() - 32 + 1)
 			pat, _ := genome.SubstituteExactly(v.Seq.Slice(off, off+32), 2, src)
-			vdb.pats = append(vdb.pats, pat)
+			pats = append(pats, pat)
 		}
 	}
-	vdb.lib.Freeze()
-	vdb.v3, vdb.err = vdb.lib.WriteToV3(io.Discard)
+	lib.Freeze()
+	return lib, pats, nil
 }
 
 // BenchmarkApproxVariantDB reports what the variant library costs to
@@ -384,4 +397,58 @@ func BenchmarkApproxVariantDB(b *testing.B) {
 	b.ReportMetric(float64(lib.MemoryFootprint()), "heap-B")
 	b.ReportMetric(float64(variantDB.v3), "v3-B")
 	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "us/lookup")
+}
+
+// BenchmarkVariantDBOpen opens the variant library's v3 file on both
+// tiers at the two geometries whose probe plane holds the rows
+// themselves: approximate at one window a row (C = 1), and exact at the
+// CLI's derived capacity (C = 63, whole rows, no sketch stage). It
+// reports ms per open, what one open allocates (B/op) and the opened
+// library's MemoryFootprint (footprint-B, the mapped arena included).
+// A heap open regroups the rows it read in place; a mapped open cuts a
+// grouped heap plane from the mapping (DESIGN §7.5).
+func BenchmarkVariantDBOpen(b *testing.B) {
+	dir := b.TempDir()
+	for _, g := range []struct {
+		name string
+		p    Params
+	}{
+		{"approx-C1", Params{Dim: 8192, Window: 32, Approx: true, MutTolerance: 2, Seed: 1}},
+		{"exact-C63", Params{Dim: 8192, Window: 32, Seed: 1}},
+	} {
+		lib, _, err := variantLibrary(g.p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		path := filepath.Join(dir, g.name+".v3")
+		f, err := os.Create(path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := lib.WriteToV3(f); err != nil {
+			b.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			b.Fatal(err)
+		}
+		for _, mode := range []struct {
+			name string
+			mode LoadMode
+		}{{"heap", LoadHeap}, {"mapped", MapArena}} {
+			b.Run(g.name+"/"+mode.name, func(b *testing.B) {
+				b.ReportAllocs()
+				var footprint int64
+				for i := 0; i < b.N; i++ {
+					idx, err := OpenLibraryFile(path, mode.mode)
+					if err != nil {
+						b.Fatal(err)
+					}
+					footprint = idx.MemoryFootprint()
+					idx.Close()
+				}
+				b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(b.N), "ms/open")
+				b.ReportMetric(float64(footprint), "footprint-B")
+			})
+		}
+	}
 }

@@ -38,7 +38,7 @@ func scalarSketchProbe(sn *hdcView, hv *hdc.HV) []Candidate {
 	for g := 0; g < sn.nBkts; g++ {
 		seg, i := sn.locate(g)
 		w := seg.planeWords
-		if h := bitvec.HammingWords(seg.planeRow(i), hv.Words()[:w]); h <= sn.plan.sketchBound {
+		if h := bitvec.HammingWords(seg.planeRow(make([]uint64, w), i), hv.Words()[:w]); h <= sn.plan.sketchBound {
 			score := float64(64*w - 2*h)
 			out = append(out, Candidate{Bucket: g, Score: score})
 		}

@@ -99,9 +99,9 @@ func (l *Library) Probe(hv *hdc.HV, stats *Stats) ([]Candidate, error) {
 }
 
 // ProbeMulti probes a batch of encoded query windows in blocks of up
-// to BlockWidth queries: each tile of the plane is streamed from memory
-// once per block and scanned by every query in it while it is cache
-// resident, amortizing the memory traffic that dominates a large scan.
+// to BlockWidth queries: the plane is streamed from memory once per
+// block, each line of it compared with every query in the block,
+// amortizing the memory traffic that dominates a large scan.
 // The result is exactly
 // len(hvs) independent probes — out[i] is identical to what
 // Probe(hvs[i], ...) returns (same candidates, order, scores, excesses,
@@ -147,16 +147,21 @@ func (l *Library) ProbeMulti(hvs []*hdc.HV, stats *Stats) ([][]Candidate, error)
 // probeBlockInto fills dsts[j] with the candidates of hvs[j] for one
 // block of at most BlockWidth queries, appending to whatever each dst
 // already holds. Candidate content and order are identical to one
-// serial scan per query; the only difference is that each tile of
-// rows is read from memory once per block instead of once per query.
+// serial scan per query; the only difference is that the plane is read
+// from memory once per block instead of once per query.
 // Segments are scanned in order, each whole, on the caller's goroutine.
 // Callers must have pinned v and validated query dimensions; sc
-// supplies the survivor scratch.
+// supplies the range kernel's query block.
 func (l *Library) probeBlockInto(v *View, dsts [][]Candidate, hvs []*hdc.HV, sc *blockScratch) {
 	sn := hdcOf(v)
 	l.ctr.bucketProbes.Add(int64(len(hvs)) * int64(sn.numBuckets()))
+	// Every segment's plane is the library's sketch width wide.
+	sc.scan.Reset(l.sketchWords)
+	for _, hv := range hvs {
+		sc.scan.Add(hv.Words())
+	}
 	for k, seg := range sn.segs {
-		seg.probeBlockRange(dsts, hvs, &sn.plan, 0, seg.NumBuckets(), sn.offs[k], sc.surv, &l.ctr)
+		seg.probeBlockRange(dsts, hvs, &sn.plan, sn.offs[k], sc.scan, &l.ctr)
 	}
 }
 

@@ -23,25 +23,26 @@ type bucket struct {
 }
 
 // segment is one immutable sealed slice of the library: a run of closed
-// buckets, their window metadata, and a flat probe arena holding every
-// bucket's sealed hypervector back-to-back. Once a segment is published
-// in a snapshot nothing in it is ever mutated again — Remove touches no
+// buckets, their window metadata, and the probe's storage of every
+// bucket's sealed hypervector. Once a segment is published in a
+// snapshot nothing in it is ever mutated again — Remove touches no
 // segment, and Compact replaces the whole segment.
 type segment struct {
 	bkts     []bucket
-	arena    []uint64 // nBuckets × rowWords sealed words, contiguous
+	arena    []uint64 // nBuckets × rowWords sealed words, row-major; nil where the plane holds the rows
 	rowWords int      // D/64, or the sketch width where a row is its sketch (Library.rowWords)
 	total    int      // member windows, including tombstoned ones
 	maxOcc   int      // largest bucket occupancy, tombstoned windows included
 
-	// plane is the sketch plane the probe's first stage streams: the
-	// first planeWords words of every arena row, packed contiguously
-	// (nBuckets × planeWords). It is derived from the arena whenever a
-	// segment is built or opened, never stored in a file, and immutable
-	// like the arena. Where the rows are as wide as the plane — a
-	// library whose model offers no prefix, or one whose rows are their
-	// sketches — there is no copy: the plane aliases the arena. Whether
-	// a probe streams it is the view's call
+	// plane is what the probe's first stage streams: the first
+	// planeWords words of every row, in bitvec's grouped plane layout
+	// (nBuckets × planeWords). Only bitvec reads its layout; here rows
+	// come out of it through planeRow. Where the plane is as wide as
+	// the rows — a library whose model offers no prefix, or one whose
+	// rows are their sketches — a heap segment holds the rows in the
+	// plane alone and has no arena; a mapped one cuts a heap plane from
+	// the mapping, as every segment with a narrower sketch does.
+	// Whether a probe bounds it by the sketch stage is the view's call
 	// (scanPlan.sketch).
 	plane      []uint64
 	planeWords int
@@ -57,18 +58,27 @@ type segment struct {
 }
 
 // newSegment seals a bucket slice into a segment: every sealed row is
-// packed into one contiguous arena, which vector(i), WriteToV3 and the
-// probe kernel all read, and the bucket keeps only its windows. The
-// bucket structs are owned by the segment after this call.
+// packed into one contiguous store — the arena, or the plane where the
+// plane is as wide as the rows — and the bucket keeps only its windows.
+// The bucket structs are owned by the segment after this call.
 func newSegment(bkts []bucket, rowWords, sketchWords int) *segment {
 	s := &segment{bkts: bkts, rowWords: rowWords}
-	s.arena = make([]uint64, len(bkts)*s.rowWords)
+	rows := make([]uint64, len(bkts)*rowWords)
 	for i := range s.bkts {
-		copy(s.arenaRow(i), s.bkts[i].row)
+		if sketchWords == rowWords {
+			bitvec.SetPlaneRow(rows, rowWords, i, s.bkts[i].row)
+		} else {
+			copy(rows[i*rowWords:(i+1)*rowWords], s.bkts[i].row)
+		}
 		s.bkts[i].row = nil
 		s.countBucket(i)
 	}
-	s.cutPlane(sketchWords)
+	if sketchWords == rowWords {
+		s.plane, s.planeWords = rows, rowWords
+	} else {
+		s.arena = rows
+		s.cutPlane(sketchWords)
+	}
 	return s
 }
 
@@ -81,38 +91,39 @@ func (s *segment) countBucket(i int) {
 	}
 }
 
-// cutPlane derives the sketch plane from the arena. It only reads the
-// arena, so it is safe on a read-only mapping; a mapped open pays one
-// pass over each arena's leading words for it.
+// cutPlane derives the plane from the arena's leading words. It only
+// reads the arena, so it is safe on a read-only mapping; a mapped open
+// pays one pass over each arena's leading words for it.
 func (s *segment) cutPlane(sketchWords int) {
 	s.planeWords = sketchWords
-	if sketchWords == s.rowWords {
-		s.plane = s.arena
-		return
-	}
 	s.plane = make([]uint64, len(s.bkts)*sketchWords)
-	for i := range s.bkts {
-		copy(s.plane[i*sketchWords:(i+1)*sketchWords], s.arenaRow(i))
-	}
+	bitvec.GroupRows(s.plane, s.arena, s.rowWords, sketchWords)
 }
 
 // segmentFromArena builds a segment around an existing packed arena —
 // the v3 load path, where the arena words alias either the heap memory
-// the file was read into or a read-only mapping (the loader then marks
-// the segment mapped and records its byte range). wins[i] becomes
-// bucket i's member windows; nothing is copied. len(arena) must be
-// len(wins)·rowWords — the v3 reader validates this against the segment
-// directory, whose row width it is, before calling.
-func segmentFromArena(arena []uint64, wins [][]WindowRef, rowWords, sketchWords int) *segment {
+// the file was read into or, where mapped is set, a read-only mapping
+// (the loader then records its byte range). wins[i] becomes bucket i's
+// member windows. Where the plane is as wide as the rows, heap words
+// are regrouped in place into the plane, one group at a time; nothing
+// else is copied. len(arena) must be len(wins)·rowWords — the v3 reader
+// validates this against the segment directory, whose row width it is,
+// before calling.
+func segmentFromArena(arena []uint64, wins [][]WindowRef, rowWords, sketchWords int, mapped bool) *segment {
 	s := &segment{
 		bkts:     make([]bucket, len(wins)),
-		arena:    arena,
 		rowWords: rowWords,
 	}
 	for i := range s.bkts {
 		s.bkts[i].windows = wins[i]
 		s.countBucket(i)
 	}
+	if sketchWords == rowWords && !mapped {
+		bitvec.GroupInPlace(arena, rowWords)
+		s.plane, s.planeWords = arena, rowWords
+		return s
+	}
+	s.arena = arena
 	s.cutPlane(sketchWords)
 	return s
 }
@@ -121,10 +132,15 @@ func segmentFromArena(arena []uint64, wins [][]WindowRef, rowWords, sketchWords 
 // mapping to the engine; (0, 0) on the heap.
 func (s *segment) MapRange() (off, n int) { return s.mapOff, s.mapLen }
 
-// arenaWords exposes the full packed arena for serialization (shared;
-// callers must not mutate). The v3 writer streams this straight to the
-// file — rows are already contiguous in bucket order.
-func (s *segment) arenaWords() []uint64 { return s.arena }
+// stored exposes the rows for serialization (shared; callers must not
+// mutate): the arena, or the plane where it holds the rows, which
+// grouped says — the v3 writer then stores them row-major again.
+func (s *segment) stored() (words []uint64, grouped bool) {
+	if s.arena == nil {
+		return s.plane, true
+	}
+	return s.arena, false
+}
 
 // arenaRow returns bucket i's packed words inside the arena. The full
 // slice expression caps the row so an overrunning kernel cannot creep
@@ -135,9 +151,10 @@ func (s *segment) arenaRow(i int) []uint64 {
 	return s.arena[lo:hi:hi]
 }
 
-// planeRow returns bucket i's words in the sketch plane.
-func (s *segment) planeRow(i int) []uint64 {
-	return s.plane[i*s.planeWords : (i+1)*s.planeWords]
+// planeRow gathers bucket i's words in the plane into dst and returns
+// them.
+func (s *segment) planeRow(dst []uint64, i int) []uint64 {
+	return bitvec.PlaneRow(dst, s.plane, s.planeWords, i)
 }
 
 // NumBuckets and MemoryBytes make a segment an engine Segment.
@@ -147,127 +164,82 @@ func (s *segment) NumBuckets() int { return len(s.bkts) }
 // callers must not mutate).
 func (s *segment) windows(i int) []WindowRef { return s.bkts[i].windows }
 
-// vector returns whole-row bucket i's sealed hypervector, aliasing the
-// arena row (callers must not mutate; a whole-word row is never masked).
-func (s *segment) vector(i int) *hdc.HV { return hdc.HVFromArenaRow(s.arenaRow(i), 64*s.rowWords) }
+// vector returns whole-row bucket i's sealed hypervector: the arena row
+// itself (callers must not mutate; a whole-word row is never masked),
+// or where the plane holds the rows, the row gathered into dst — a new
+// vector if dst is nil.
+func (s *segment) vector(i int, dst *hdc.HV) *hdc.HV {
+	if s.arena != nil {
+		return hdc.HVFromArenaRow(s.arenaRow(i), 64*s.rowWords)
+	}
+	if dst == nil {
+		dst = hdc.NewHV(64 * s.rowWords)
+	}
+	s.planeRow(dst.Words(), i)
+	return dst
+}
 
 // maxOccupancy returns the largest bucket occupancy in the segment,
 // counting tombstoned windows too — they are still superposed in the
 // vectors, so they still contribute noise.
 func (s *segment) maxOccupancy() int { return s.maxOcc }
 
-// sketchBytes is the size of the sketch plane where it is a copy; 0
-// where it aliases the arena.
+// sketchBytes is the size of the plane where it is a copy beside an
+// arena; 0 where it holds the rows.
 func (s *segment) sketchBytes() int64 {
-	if s.planeWords == s.rowWords {
+	if s.arena == nil {
 		return 0
 	}
 	return int64(len(s.plane)) * 8
 }
 
 // MemoryBytes returns the segment's resident hypervector storage: the
-// packed arena (8·rowWords bytes per bucket), the sketch plane where it
-// is a copy, and the window metadata (8 bytes per memorized window).
+// packed rows (8·rowWords bytes per bucket), the plane where it is a
+// copy, and the window metadata (8 bytes per memorized window).
 func (s *segment) MemoryBytes() int64 {
-	return int64(len(s.arena))*8 + s.sketchBytes() + int64(s.total)*8
+	return int64(len(s.arena)+len(s.plane))*8 + int64(s.total)*8
 }
 
-// planeTileBytes sizes the tiles the probe walks a sketch plane in: a
-// tile of plane rows is scanned once per query of a block before the
-// scan moves on, so it has to stay in the L1 data cache beside the
-// block's query prefixes for every query after the first to read it
-// from there. planeTileMax — a tile of the narrowest sketch — caps the
-// rows per tile, which is what sizes the survivor scratch.
-const (
-	planeTileBytes = 32 << 10
-	planeTileMax   = planeTileBytes / (8 * sketchLine)
-)
-
-// scanned is what the first stage of a probe under pl streams: the
-// sketch plane and its row width, or the arena where the plan (or the
-// library) has no sketch stage.
-func (s *segment) scanned(pl *scanPlan) (plane []uint64, words int) {
-	if pl.sketch {
-		return s.plane, s.planeWords
-	}
-	return s.arena, s.rowWords
-}
-
-// tileRows is the number of rows per probe tile: as many rows of the
-// given width as fit planeTileBytes, in whole groups of the range
-// kernel's eight.
-func tileRows(words int) int {
-	n := planeTileBytes / (8 * words) &^ 7
-	return min(max(n, 8), planeTileMax)
-}
-
-// probeRange scans local buckets [lo, hi) — at most len(surv) of them —
-// against one query, appending candidates to dst with global bucket
-// indices (local index + gOff), and reports how many rows survived the
-// sketch stage. The probe is a cascade: the range kernel streams the
-// rows' sketch-plane prefixes under the view's stage-1 bound — or, under
-// a plan without a sketch stage, the rows themselves — and names the
-// survivors in surv, and each survivor's full arena row is then held to
-// the threshold's Hamming bound — or, under a one-stage plan, they are
-// the candidates, scored over the prefix against the stage-1 bound.
+// probeBlockRange scans every bucket of the segment against a whole
+// query block, appending each query's candidates (with global bucket
+// indices: local index + gOff) to dsts. qb holds the block's queries,
+// hvs, at the plane's width. The probe is a cascade: the range kernel
+// reads the plane once for the whole block — under the view's stage-1
+// bound, or under the full-row bound where the plan has no sketch stage
+// — and hands back each query's survivors with their distances, and
+// confirm turns those into candidates. The kernel stops when a query's
+// survivors fill qb's room; the loop confirms them and resumes.
 //
 //biohd:hotpath
-func (s *segment) probeRange(dst []Candidate, hv *hdc.HV, pl *scanPlan, lo, hi, gOff int, surv []int32) ([]Candidate, int) {
-	q := hv.Words()
-	plane, w := s.scanned(pl)
-	if len(q) < w || !pl.oneStage && len(q) != s.rowWords {
-		panic(fmt.Sprintf("core: query words %d against %d-word rows", len(q), s.rowWords))
-	}
-	n := bitvec.ScanPlane(plane, w, q[:w], pl.sketchBound, lo, hi, surv)
-	if pl.oneStage {
-		for _, i := range surv[:n] {
-			score := float64(64*w - 2*bitvec.HammingWords(s.planeRow(int(i)), q[:w]))
-			dst = append(dst, Candidate{Bucket: gOff + int(i), Score: score})
-		}
-		return dst, n
-	}
-	for _, i := range surv[:n] {
-		if h, ok := bitvec.HammingBounded(s.arenaRow(int(i)), q, pl.maxHam); ok {
-			dst = append(dst, Candidate{Bucket: gOff + int(i), Score: float64(64*s.rowWords - 2*h)})
-		}
-	}
-	return dst, n
-}
-
-// probeBlockRange scans local buckets [lo, hi) against a whole query
-// block, appending each query's candidates (with global bucket indices)
-// to dsts. The range is walked tile by tile and each tile is scanned by
-// every query of the block before the walk moves on, so the plane is
-// read from memory once per block, not once per query; surv, of at
-// least tileRows entries, is the survivor scratch.
-//
-//biohd:hotpath
-func (s *segment) probeBlockRange(dsts [][]Candidate, hvs []*hdc.HV, pl *scanPlan, lo, hi, gOff int, surv []int32, ctr *libCounters) {
-	// One storage-tier tally per range scan (not per row) — same
+func (s *segment) probeBlockRange(dsts [][]Candidate, hvs []*hdc.HV, pl *scanPlan, gOff int, qb *bitvec.QueryBlock, ctr *libCounters) {
+	// One storage-tier tally per segment scan (not per row) — same
 	// publish cadence as the counters below.
 	if s.mapLen > 0 {
 		ctr.mappedScans.Add(1)
 	} else {
 		ctr.heapScans.Add(1)
 	}
-	_, w := s.scanned(pl)
-	tile := tileRows(w)
+	if q := hvs[0].Words(); qb.Width() != s.planeWords || !pl.oneStage && len(q) != s.rowWords {
+		panic(fmt.Sprintf("core: %d-word queries of %d words against %d-word rows under a %d-word plane",
+			qb.Width(), len(q), s.rowWords, s.planeWords))
+	}
+	n := s.NumBuckets()
 	survivors, cands := 0, 0
-	for t := lo; t < hi; t += tile {
-		te := min(t+tile, hi)
+	for lo := 0; lo < n; {
+		lo = qb.ScanPlane(s.plane, pl.sketchBound, lo, n)
 		for j, hv := range hvs {
+			rows, dists := qb.Hits(j)
 			before := len(dsts[j])
-			var n int
-			dsts[j], n = s.probeRange(dsts[j], hv, pl, t, te, gOff, surv)
-			survivors += n
+			dsts[j] = s.confirm(dsts[j], hv.Words(), rows, dists, pl, gOff)
+			survivors += len(rows)
 			cands += len(dsts[j]) - before
 		}
 	}
-	// One atomic publish per range keeps the scan synchronization-free.
+	// One atomic publish per segment keeps the scan synchronization-free.
 	// Abandoned counts (row, query) pairs that did not become candidates,
 	// whichever stage dropped them; the sketch counters only run where
 	// there is a sketch stage to monitor.
-	rows := int64(hi-lo) * int64(len(hvs))
+	rows := int64(n) * int64(len(hvs))
 	if abandoned := rows - int64(cands); abandoned > 0 {
 		ctr.earlyAbandons.Add(abandoned)
 	}
@@ -275,6 +247,36 @@ func (s *segment) probeBlockRange(dsts [][]Candidate, hvs []*hdc.HV, pl *scanPla
 		ctr.sketchRows.Add(rows)
 		ctr.sketchSurvivors.Add(int64(survivors))
 	}
+}
+
+// confirm appends the candidates among one query's stage-1 survivors —
+// local rows with their distances d₁ over the plane's words — to dst.
+// Under a one-stage plan they are the candidates, scored over the
+// plane. Otherwise a survivor is held to the threshold's full-row
+// Hamming bound maxHam: stage 2 reads only the words of its arena row
+// that stage 1 did not, under maxHam − d₁ — so d₁ + d₂ ≤ maxHam exactly
+// when the whole row passes — and none where the plane is the whole
+// row.
+func (s *segment) confirm(dst []Candidate, q []uint64, rows, dists []int32, pl *scanPlan, gOff int) []Candidate {
+	w := s.planeWords
+	if pl.oneStage {
+		for j, i := range rows {
+			dst = append(dst, Candidate{Bucket: gOff + int(i), Score: float64(64*w - 2*int(dists[j]))})
+		}
+		return dst
+	}
+	for j, i := range rows {
+		h := int(dists[j])
+		if w < s.rowWords {
+			d2, ok := bitvec.HammingBounded(s.arenaRow(int(i))[w:], q[w:], pl.maxHam-h)
+			if !ok {
+				continue
+			}
+			h += d2
+		}
+		dst = append(dst, Candidate{Bucket: gOff + int(i), Score: float64(64*s.rowWords - 2*h)})
+	}
+	return dst
 }
 
 // tieSeedMix derives the seed of a library's tie-break stream from its

@@ -31,9 +31,10 @@ type scanPlan struct {
 	// sketch says stage 1 streams the segments' sketch planes under
 	// sketchBound (h₁ of Model.sketchStage at this view's maxHam) and
 	// survive is the share of rows the model expects it to pass on.
-	// Where the library has no plane, or this view's threshold leaves
-	// the prefix costing more than it saves, sketch is false: the scan
-	// streams the arena rows themselves and sketchBound is maxHam.
+	// Where the plane is the whole row, or this view's threshold leaves
+	// the prefix costing more than it saves, sketch is false and
+	// sketchBound is maxHam: stage 1 rejects only rows the full-row
+	// bound would, and stage 2 reads whatever the plane does not hold.
 	sketch      bool
 	sketchBound int
 	survive     float64

@@ -67,10 +67,10 @@ func countBatchErrors(br *wire.BatchResult) (done, failed int) {
 	return done, failed
 }
 
-// TestBatchDeadlineCancels exercises the per-request deadline middleware:
-// with an (absurdly) tight RequestTimeout every batch item is marked
-// canceled, the response still arrives as 200 with canceled=true, and no
-// probes were spent on the library.
+// TestBatchDeadlineCancels exercises the deadline execBatch arms around
+// its one Search: with an (absurdly) tight RequestTimeout every batch
+// item is marked canceled, the response still arrives as 200 with
+// canceled=true, and no probes were spent on the library.
 func TestBatchDeadlineCancels(t *testing.T) {
 	s, ref := denseServer(t, WithConfig(Config{RequestTimeout: time.Nanosecond}))
 	before := s.lib.Counters().BucketProbes
