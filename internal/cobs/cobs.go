@@ -20,9 +20,10 @@
 // supplies the segmented lifecycle (active builder sealing into
 // immutable segments, atomic snapshots, Remove tombstoning references,
 // Compact rewriting segments), the stats surface and every derived
-// probe; this package supplies the signature builder, the row-AND
-// candidate stage, verification, and the meta codec that serializes
-// into the shared v3 container under its own backend tag, so
+// probe, and the one v3 container writer; this package supplies the
+// signature builder, the row-AND candidate stage, verification, and
+// the bytes a save stores under its backend tag — the arenas and the
+// meta payload its registered parser reads back — so
 // ReadIndex/OpenLibraryFile round-trip both backends from one file
 // format, on the heap or mapped in place.
 package cobs
@@ -123,10 +124,12 @@ func New(p Params) (*Index, error) {
 		Window:        p.Window,
 		Stride:        1,
 		SealThreshold: defaultSealThreshold,
+		Tag:           backendTag,
 		Builder:       func() core.Builder { return &builder{params: &x.params} },
 		Describe:      x.describe,
 		Annotate:      annotate,
 		Probe:         x.probeBlock,
+		Save:          x.save,
 	})
 	return x, nil
 }
@@ -139,6 +142,3 @@ func (x *Index) describe(_ *core.View, info *core.IndexInfo) {
 	info.Backend, info.Window, info.Stride = BackendName, x.params.Window, 1
 	info.Threshold = 1.0
 }
-
-// The bit-sliced index implements the backend contract.
-var _ core.Index = (*Index)(nil)

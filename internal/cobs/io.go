@@ -2,7 +2,6 @@ package cobs
 
 import (
 	"fmt"
-	"io"
 
 	"repro/internal/core"
 	"repro/internal/genome"
@@ -21,18 +20,11 @@ func init() {
 	core.RegisterBackend(backendTag, BackendName, parseMeta)
 }
 
-// WriteToV3 serializes the current snapshot into the shared v3
-// container under the cobs backend tag: the meta section carries the
+// save is Kernel.Save: each bit-sliced arena is one container segment
+// of RowBits rows by colWords words, and the meta payload carries the
 // geometry (Window, RowBits, Hashes), the reference table, and each
-// segment's column metadata; each bit-sliced arena is one container
-// segment of RowBits rows by colWords words. The index must be frozen.
-// core.ReadIndex and core.OpenLibraryFile round-trip the output.
-func (x *Index) WriteToV3(w io.Writer) (int64, error) {
-	v, err := x.Pin("WriteToV3")
-	if err != nil {
-		return 0, err
-	}
-	defer x.Unpin()
+// segment's column metadata, which parseMeta reads back.
+func (x *Index) save(v *core.View) ([]core.ContainerSegment, func(*core.SectionWriter)) {
 	sn := viewOf(v)
 	segs := make([]core.ContainerSegment, len(sn.segs))
 	for k, seg := range sn.segs {
@@ -42,7 +34,7 @@ func (x *Index) WriteToV3(w io.Writer) (int64, error) {
 			Buckets:  uint32(x.params.RowBits),
 		}
 	}
-	return core.WriteContainerV3(w, backendTag, func(sw *core.SectionWriter) {
+	return segs, func(sw *core.SectionWriter) {
 		sw.U32(uint32(x.params.Window))
 		sw.U64(uint64(x.params.RowBits))
 		sw.U32(uint32(x.params.Hashes))
@@ -55,7 +47,7 @@ func (x *Index) WriteToV3(w io.Writer) (int64, error) {
 				sw.U32(uint32(wins))
 			}
 		}
-	}, segs)
+	}
 }
 
 // loader is the decoded meta section of a cobs-tagged container, and
@@ -137,15 +129,11 @@ func (ld *loader) Build(arenas []core.ContainerSegment, m *mmapfile.Mapping) (co
 	segs := make([]core.Segment, len(arenas))
 	members := make([][]core.Member, len(arenas))
 	for k, a := range arenas {
-		seg := segmentFromArena(a.Words, int(a.RowWords), ld.segRef[k], ld.segWin[k])
-		if m != nil {
-			seg.mapOff, seg.mapLen = int(a.FileOff), len(a.Words)*8
-		}
-		segs[k] = seg
+		segs[k] = segmentFromArena(a.Words, int(a.RowWords), ld.segRef[k], ld.segWin[k])
 		for j, ref := range ld.segRef[k] {
 			members[k] = append(members[k], core.Member{Ref: ref, Windows: int(ld.segWin[k][j])})
 		}
 	}
-	x.Restore(ld.refs, segs, members, m, annotate)
+	x.Restore(ld.refs, segs, members, arenas, m, annotate)
 	return x, nil
 }

@@ -135,8 +135,8 @@ func (x *Index) verifyWindow(v *core.View, dst []core.Match, pattern *genome.Seq
 // probeBlock is Kernel.Probe. The candidate stage is a handful of row
 // ANDs per window whatever the block size, so windows are served one
 // after another from one scratch. Each window probes Hashes rows of
-// every segment; the block's scans reach the shared counters in one
-// CountScans.
+// every segment; the block's row probes reach the shared counters in
+// one CountScans.
 //
 //biohd:hotpath
 func (x *Index) probeBlock(v *core.View, wins []core.Window, out []*core.BatchResult) {
@@ -147,6 +147,5 @@ func (x *Index) probeBlock(v *core.View, wins []core.Window, out []*core.BatchRe
 		x.probeWindow(v, wn.Seq, wn.Off, sc, &r.Stats)
 		r.Matches = x.verifyWindow(v, r.Matches, wn.Seq, wn.Off, sc.cands, &r.Stats)
 	}
-	sn, n := viewOf(v), int64(len(wins))
-	x.CountScans(n*int64(x.params.Hashes*len(sn.segs)), n*int64(sn.mapped), n*int64(len(sn.segs)-sn.mapped))
+	x.CountScans(int64(len(wins)) * int64(x.params.Hashes*len(viewOf(v).segs)))
 }

@@ -81,12 +81,6 @@ type segment struct {
 	refIdx   []int32  // column -> global reference index
 	wins     []int32  // column -> windows memorized
 	colWords int
-
-	// mapOff and mapLen locate an arena that aliases the engine's file
-	// mapping (a v3 container opened with core.MapArena); mapLen is 0 on
-	// the heap. A mapped arena is read-only memory, which the
-	// never-written-after-View rule above already respects.
-	mapOff, mapLen int
 }
 
 // NumBuckets and MemoryBytes make a segment a core.Segment; the
@@ -94,10 +88,6 @@ type segment struct {
 func (s *segment) NumBuckets() int { return len(s.refIdx) }
 
 func (s *segment) MemoryBytes() int64 { return int64(len(s.arena)) * 8 }
-
-// MapRange tells the engine which bytes of its mapping the arena
-// aliases, so compaction can mark them cold; (0, 0) on the heap.
-func (s *segment) MapRange() (off, n int) { return s.mapOff, s.mapLen }
 
 // probeAnd ANDs the probe-position rows into acc (colWords words): the
 // surviving bits are the candidate columns for the queried w-mer. acc must have at least colWords
@@ -146,7 +136,8 @@ func (s *segment) arenaWords() []uint64 { return s.arena }
 func (s *segment) column(j int) (int32, int32) { return s.refIdx[j], s.wins[j] }
 
 // segmentFromArena reassembles a sealed segment around a loaded arena
-// (aliased, not copied) and its column metadata.
+// (aliased, not copied; read-only where it aliases the file mapping)
+// and its column metadata.
 func segmentFromArena(arena []uint64, colWords int, refIdx, wins []int32) *segment {
 	return &segment{arena: arena, refIdx: refIdx, wins: wins, colWords: colWords}
 }

@@ -3,13 +3,11 @@ package cobs
 import "repro/internal/core"
 
 // snapshot is the kernel's annotation of a published core.View: the
-// view's segments under their concrete type, the widest one's row
-// length, which sizes probe scratch, and how many of them alias the
-// file mapping, for the per-tier scan counters.
+// view's segments under their concrete type, and the widest one's row
+// length, which sizes probe scratch.
 type snapshot struct {
 	segs     []*segment
 	maxWords int
-	mapped   int
 }
 
 // annotate is Kernel.Annotate.
@@ -20,9 +18,6 @@ func annotate(v *core.View) any {
 		sn.segs[k] = seg
 		if seg.colWords > sn.maxWords {
 			sn.maxWords = seg.colWords
-		}
-		if seg.mapLen > 0 {
-			sn.mapped++
 		}
 	}
 	return sn

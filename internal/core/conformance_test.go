@@ -80,7 +80,7 @@ func openCOBS(t *testing.T, initial []genome.Record) core.Index {
 // mapped wraps a backend's opener: the index it builds is saved and
 // reopened with its sealed segments aliasing a file mapping, so live
 // ingest builds heap segments beside the mapped ones, compaction
-// retires mapped segments (the DONTNEED hint, through MapRange), and
+// retires mapped segments (the engine's DONTNEED hint), and
 // Close drains the readers and unmaps.
 func mapped(open func(*testing.T, []genome.Record) core.Index) func(*testing.T, []genome.Record) core.Index {
 	return func(t *testing.T, initial []genome.Record) core.Index {

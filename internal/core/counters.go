@@ -41,14 +41,14 @@ type Counters struct {
 	// Compactions counts segments rewritten by Compact (manual or
 	// auto-triggered), including active-segment rebuilds.
 	Compactions int64
-	// MappedScans counts arena range scans served from mmap-backed
-	// segments (file format v3 opened with MapArena); HeapScans counts
-	// the same for heap-resident segments. Together they show which
-	// storage tier the probe load is actually hitting.
+	// MappedScans counts segment scans served from segments whose
+	// arenas alias the file mapping (format v3 opened with MapArena):
+	// one per segment per query window, on every backend. Together with
+	// HeapScans it shows which storage tier the probe load is hitting.
 	MappedScans int64
-	// HeapScans counts arena range scans served from heap-resident
-	// segments (including the active segment's view, which is always
-	// heap-built).
+	// HeapScans counts the same for heap-resident segments (including
+	// the active segment's view, which is always heap-built, and every
+	// segment compaction rewrote).
 	HeapScans int64
 }
 

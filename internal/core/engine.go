@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"io"
 	"runtime"
 	"slices"
 	"sync"
@@ -19,11 +20,9 @@ var ErrClosed = errors.New("core: library is closed")
 
 // Segment is one immutable sealed slice of an index, as the engine sees
 // it: enough to size views and the stats surface. The storage behind it
-// belongs to the backend; which references it holds, and which of them
-// are removed, is the engine's account (Member). A segment whose arena
-// aliases the engine's file mapping also implements
-// MapRange() (off, n int), so compaction can tell the kernel its pages
-// are cold once the segment is retired.
+// belongs to the backend; which references it holds, which of them are
+// removed (Member), and which bytes of the file mapping it aliases are
+// the engine's account.
 type Segment interface {
 	// NumBuckets is the number of candidate units scanned per probe
 	// (HDC buckets, bit-sliced reference columns).
@@ -62,12 +61,12 @@ type Window struct {
 }
 
 // Kernel is the backend half of an Engine: the read primitive, the
-// builder the engine memorizes references into, and the geometry the
-// derived probes need. Everything else — the reference table, which
-// references each segment holds and which are removed, the
-// sealed-segment list, seal and compaction policy, snapshot publishing,
-// reader accounting, counters, and every probe built on the primitive —
-// is the engine's, written once.
+// builder the engine memorizes references into, the geometry the
+// derived probes need, and the bytes a save stores. Everything else —
+// the reference table, each segment's members and mapped bytes, seal
+// and compaction policy, snapshot publishing, reader accounting, the
+// file, counters, and every probe built on the primitive — is the
+// engine's, written once.
 type Kernel struct {
 	// Window is the query window length in bases. Stride is the spacing
 	// of reference window starts: a lookup tries the first
@@ -76,6 +75,8 @@ type Kernel struct {
 	// SealThreshold is the default active-builder bucket count at which
 	// live ingest seals the builder into an immutable segment.
 	SealThreshold int
+	// Tag is the backend's v3 container tag (RegisterBackend).
+	Tag uint32
 
 	// Builder returns an empty builder.
 	Builder func() Builder
@@ -97,6 +98,10 @@ type Kernel struct {
 	// kernel's scan order, and adds the work to out[j].Stats. Scratch is
 	// the kernel's own, pooled.
 	Probe func(v *View, wins []Window, out []*BatchResult)
+	// Save lists v's segments as container arenas, in scan order, and
+	// returns the writer of the backend's meta payload, which the
+	// backend's registered parser reads back (WriteContainerV3).
+	Save func(v *View) ([]ContainerSegment, func(*SectionWriter))
 }
 
 // View is one immutable, atomically published state of an index: the
@@ -109,15 +114,17 @@ type View struct {
 	Refs []genome.Record // length-capped; removed references have Seq == nil
 	Aux  any             // the kernel's annotation (Kernel.Annotate)
 
-	info  []SegmentInfo // per segment, in scan order
-	nBkts int
-	total int // all member windows, tombstoned included
-	tombs int
-	bytes int64
+	info   []SegmentInfo // per segment, in scan order
+	nBkts  int
+	total  int // all member windows, tombstoned included
+	tombs  int
+	bytes  int64
+	mapped int // segments whose arenas alias the file mapping
 }
 
-// add appends seg, whose members the engine accounts in lg, to the view.
-func (v *View) add(seg Segment, lg *ledger) {
+// add appends seg, whose members the engine accounts in lg, to the
+// view; mapped says its arena aliases the file mapping.
+func (v *View) add(seg Segment, lg *ledger, mapped bool) {
 	si := SegmentInfo{Buckets: seg.NumBuckets(), Windows: lg.total, Tombstones: lg.tombs}
 	v.Segs = append(v.Segs, seg)
 	v.info = append(v.info, si)
@@ -125,6 +132,9 @@ func (v *View) add(seg Segment, lg *ledger) {
 	v.total += si.Windows
 	v.tombs += si.Tombstones
 	v.bytes += seg.MemoryBytes()
+	if mapped {
+		v.mapped++
+	}
 }
 
 // ledger is the engine's account of one segment or of the active
@@ -162,10 +172,12 @@ func (lg *ledger) due(minRatio float64) bool {
 	return lg.tombs > 0 && tombRatio(lg.total, lg.tombs) >= minRatio
 }
 
-// sealedSeg is one sealed segment and the engine's ledger of it.
+// sealedSeg is one sealed segment, its ledger, and the bytes of the file
+// mapping its arena aliases (mapLen 0: the segment is on the heap).
 type sealedSeg struct {
-	seg Segment
-	lg  ledger
+	seg            Segment
+	lg             ledger
+	mapOff, mapLen int
 }
 
 // Engine is the segment engine every index backend embeds: immutable
@@ -230,21 +242,25 @@ func NewEngine(k Kernel) *Engine {
 }
 
 // Restore installs a deserialized state — the reference table and the
-// sealed segments, each with its members as the file recorded them — and
-// publishes it annotated by the loader's annotate rather than
-// Kernel.Annotate: loading must not re-derive what the file recorded. A
-// non-nil m is the file mapping the segments' arenas alias: the engine
-// owns it from here, reads are counted so Close can drain them, and
-// Close unmaps it.
-func (e *Engine) Restore(refs []genome.Record, segs []Segment, members [][]Member, m *mmapfile.Mapping, annotate func(*View) any) {
+// sealed segments, each cut from arenas[k] with its members as the file
+// recorded them — and publishes it annotated by the loader's annotate
+// rather than Kernel.Annotate: loading must not re-derive what the file
+// recorded. A non-nil m is the file mapping the arenas alias: the
+// engine owns it from here, books each segment's byte range in it,
+// counts reads so Close can drain them, and Close unmaps it.
+func (e *Engine) Restore(refs []genome.Record, segs []Segment, members [][]Member, arenas []ContainerSegment, m *mmapfile.Mapping, annotate func(*View) any) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.refs = refs
 	e.sealedSegs = make([]sealedSeg, len(segs))
 	for k, seg := range segs {
-		e.sealedSegs[k].seg = seg
+		s := &e.sealedSegs[k]
+		s.seg = seg
 		for _, mb := range members[k] {
-			e.sealedSegs[k].lg.add(mb, refs[mb.Ref].Seq == nil)
+			s.lg.add(mb, refs[mb.Ref].Seq == nil)
+		}
+		if m != nil {
+			s.mapOff, s.mapLen = int(arenas[k].FileOff), 8*len(arenas[k].Words)
 		}
 	}
 	e.mapped, e.mapping = m != nil, m
@@ -305,6 +321,19 @@ func (e *Engine) Pin(op string) (*View, error) {
 //
 //biohd:hotpath
 func (e *Engine) Unpin() { e.endRead() }
+
+// WriteToV3 saves the current view as a v3 container of the kernel's
+// tag, meta payload and arenas; only a frozen index can be saved. It
+// returns the file size; ReadIndex and OpenLibraryFile read it back.
+func (e *Engine) WriteToV3(w io.Writer) (int64, error) {
+	v, err := e.Pin("WriteToV3")
+	if err != nil {
+		return 0, err
+	}
+	defer e.Unpin()
+	segs, meta := e.k.Save(v)
+	return WriteContainerV3(w, e.k.Tag, meta, segs)
+}
 
 // Close shuts the index down. For a mapped index it waits for in-flight
 // reads to drain, then unmaps the backing file — after which any
@@ -530,10 +559,11 @@ func (e *Engine) assembleLocked() *View {
 	n := len(e.sealedSegs) + 1
 	v := &View{Segs: make([]Segment, 0, n), Refs: e.refs[:len(e.refs):len(e.refs)], info: make([]SegmentInfo, 0, n)}
 	for i := range e.sealedSegs {
-		v.add(e.sealedSegs[i].seg, &e.sealedSegs[i].lg)
+		s := &e.sealedSegs[i]
+		v.add(s.seg, &s.lg, s.mapLen > 0)
 	}
 	if av := e.active.View(); av != nil {
-		v.add(av, &e.activeLg)
+		v.add(av, &e.activeLg, false)
 	}
 	return v
 }
@@ -630,7 +660,7 @@ func (e *Engine) rebuildLocked(lg *ledger) (Builder, ledger, int) {
 func (e *Engine) compactLocked(minRatio float64) int {
 	rewritten := 0
 	segs := e.sealedSegs[:0:0]
-	var retired []Segment
+	var retired []sealedSeg
 	for _, s := range e.sealedSegs {
 		if !s.lg.due(minRatio) {
 			segs = append(segs, s)
@@ -641,7 +671,7 @@ func (e *Engine) compactLocked(minRatio float64) int {
 		if seg := b.View(); seg != nil {
 			segs = append(segs, sealedSeg{seg: seg, lg: lg})
 		}
-		retired = append(retired, s.seg)
+		retired = append(retired, s)
 	}
 	// The active builder compacts too, and stays the (mutable) builder.
 	if e.activeLg.due(minRatio) {
@@ -659,34 +689,23 @@ func (e *Engine) compactLocked(minRatio float64) int {
 	// still holding a pre-compaction view just refault the pages from
 	// the file if they touch them.
 	if e.mapping != nil {
-		for _, seg := range retired {
-			if m, ok := seg.(interface{ MapRange() (off, n int) }); ok {
-				if off, n := m.MapRange(); n > 0 {
-					//lint:ignore errcheck paging hints are best-effort
-					e.mapping.Advise(off, n, mmapfile.AdviseDontNeed)
-				}
+		for _, s := range retired {
+			if s.mapLen > 0 {
+				//lint:ignore errcheck paging hints are best-effort
+				e.mapping.Advise(s.mapOff, s.mapLen, mmapfile.AdviseDontNeed)
 			}
 		}
 	}
 	return rewritten
 }
 
-// CountScans adds a probe's scan work to the cumulative counters: the
-// bucket (or bit-row) scans it ran and how many mapped and
-// heap-resident segment ranges they covered. A zero delta is skipped:
-// every add is a locked read-modify-write on a line all lookup
-// goroutines write, and an index whose segments all sit on one tier
-// adds 0 to the other's count.
+// CountScans adds a kernel's bucket (or bit-row) scans to the
+// cumulative counters. A zero delta is skipped: every add is a locked
+// read-modify-write on a line all lookup goroutines write.
 //
 //biohd:hotpath
-func (e *Engine) CountScans(bucketProbes, mappedScans, heapScans int64) {
+func (e *Engine) CountScans(bucketProbes int64) {
 	if bucketProbes != 0 {
 		e.ctr.bucketProbes.Add(bucketProbes)
-	}
-	if mappedScans != 0 {
-		e.ctr.mappedScans.Add(mappedScans)
-	}
-	if heapScans != 0 {
-		e.ctr.heapScans.Add(heapScans)
 	}
 }

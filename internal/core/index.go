@@ -68,9 +68,9 @@ type IndexInfo struct {
 
 // Index is the backend-agnostic contract of a searchable reference
 // collection: one stats read, the probe paths, the build/seal/compact
-// lifecycle, and v3 serialization. The HDC Library and the COBS-style
-// bit-sliced index in internal/cobs implement it by embedding Engine,
-// which supplies everything but the kernel. Every layer above
+// lifecycle, and v3 serialization. *Engine implements all of it; the
+// HDC Library and the COBS-style bit-sliced index in internal/cobs
+// embed an Engine and supply only its Kernel. Every layer above
 // internal/core — the coalescer, the exec layer, the HTTP and wire
 // handlers, and the CLI — talks only to this interface.
 //
@@ -114,8 +114,8 @@ type Index interface {
 	Close() error
 
 	// WriteToV3 serializes the index's current snapshot into the v3
-	// container with the backend's tag; ReadIndex/OpenLibraryFile
-	// round-trip it.
+	// container with the kernel's tag and bytes; ReadIndex and
+	// OpenLibraryFile round-trip it.
 	WriteToV3(w io.Writer) (int64, error)
 }
 
@@ -138,5 +138,5 @@ func (l *Library) describe(v *View, info *IndexInfo) {
 	info.SketchSurvivorRatio = sn.plan.survive
 }
 
-// The HDC library is the reference implementation of the contract.
-var _ Index = (*Library)(nil)
+// The engine implements the contract by itself, whatever its kernel.
+var _ Index = (*Engine)(nil)

@@ -10,7 +10,6 @@ import (
 	"math"
 
 	"repro/internal/genome"
-	"repro/internal/mmapfile"
 )
 
 // The field codecs of the v3 container's sections (io_v3.go,
@@ -230,16 +229,4 @@ func readRefs(sr *SectionReader) ([]genome.Record, error) {
 		})
 	}
 	return refs, nil
-}
-
-// restore publishes a loaded state with the stored calibration —
-// loading must not re-derive it. A non-nil m is the mapping the
-// segments alias.
-func (l *Library) restore(refs []genome.Record, segs []Segment, members [][]Member, cal Calibration, m *mmapfile.Mapping) {
-	l.cal = cal
-	l.Restore(refs, segs, members, m, func(v *View) any {
-		sn := newHDCView(v, cal)
-		sn.plan = l.scanPlanFor(sn)
-		return sn
-	})
 }

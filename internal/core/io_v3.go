@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"io"
 
 	"repro/internal/genome"
 	"repro/internal/mmapfile"
@@ -72,18 +71,11 @@ type v3Header struct {
 	backend  uint32 // backend tag (trailing header word; 0 = hdc)
 }
 
-// WriteToV3 serializes the library's current snapshot in the mappable
-// v3 format. Only frozen libraries can be saved this way — the arena is
-// the storage v3 maps. It returns the number of bytes written (the v3
-// file size).
-func (l *Library) WriteToV3(w io.Writer) (int64, error) {
-	v, err := l.Pin("WriteToV3")
-	if err != nil {
-		return 0, err
-	}
-	defer l.Unpin()
+// save is Kernel.Save: each segment's stored rows, and the meta
+// payload — parameters, calibration, the reference table and every
+// bucket's member windows — that parseMetaV3 reads back.
+func (l *Library) save(v *View) ([]ContainerSegment, func(*SectionWriter)) {
 	sn := hdcOf(v)
-
 	segs := make([]ContainerSegment, len(sn.segs))
 	for k, seg := range sn.segs {
 		words, grouped := seg.stored()
@@ -94,10 +86,10 @@ func (l *Library) WriteToV3(w io.Writer) (int64, error) {
 			Grouped:  grouped,
 		}
 	}
-	return WriteContainerV3(w, backendTagHDC, func(sw *SectionWriter) {
+	return segs, func(sw *SectionWriter) {
 		writeParams(&sw.cw, &l.params)
 		writeCalibration(&sw.cw, &sn.cal)
-		sw.Refs(sn.refs)
+		sw.Refs(v.Refs)
 		for _, seg := range sn.segs {
 			sw.U32(uint32(seg.NumBuckets()))
 			for i := 0; i < seg.NumBuckets(); i++ {
@@ -109,7 +101,7 @@ func (l *Library) WriteToV3(w io.Writer) (int64, error) {
 				}
 			}
 		}
-	}, segs)
+	}
 }
 
 // countingWriter tracks the absolute file offset so sections land at
@@ -220,8 +212,11 @@ type hdcLoader struct {
 
 func init() { RegisterBackend(backendTagHDC, BackendHDC, parseMetaV3) }
 
-// parseMetaV3 decodes the HDC meta payload. Slices grow as entries are
-// decoded, never from a count the payload has yet to back with bytes.
+// parseMetaV3 decodes the HDC meta payload. Nothing is sized from a
+// count the payload has yet to back with bytes: a segment's bucket table
+// is walked once to count its windows, which are then decoded into one
+// backing slice, each bucket a capped run of it — so an open allocates
+// per segment, not per bucket, and nothing it keeps is over-allocated.
 func parseMetaV3(sr *SectionReader, segCount int) (ContainerLoader, error) {
 	p, err := readParamsChecked(sr)
 	if err != nil {
@@ -236,21 +231,30 @@ func parseMetaV3(sr *SectionReader, segCount int) (ContainerLoader, error) {
 		if sr.err == nil && nBuckets > maxCount {
 			return nil, fmt.Errorf("core: implausible bucket count %d", nBuckets)
 		}
-		var wins [][]WindowRef
+		table, total := sr.b, 0
 		for i := uint32(0); i < nBuckets && sr.err == nil; i++ {
 			nWin := sr.U32()
 			if sr.err == nil && nWin > maxCount {
 				return nil, fmt.Errorf("core: implausible window count %d", nWin)
 			}
-			var ws []WindowRef
-			for j := uint32(0); j < nWin && sr.err == nil; j++ {
-				wr := WindowRef{Ref: int32(sr.U32()), Off: int32(sr.U32())}
-				if wr.Ref < 0 || int(wr.Ref) >= len(ld.refs) {
-					return nil, fmt.Errorf("core: bucket %d references sequence %d of %d", i, wr.Ref, len(ld.refs))
+			sr.read(8 * int(nWin))
+			total += int(nWin)
+		}
+		if sr.err != nil {
+			break
+		}
+		sr.b = table
+		ws, wins := make([]WindowRef, total), make([][]WindowRef, nBuckets)
+		for i := range wins {
+			n := int(sr.U32())
+			bw := ws[:n:n]
+			for j := range bw {
+				bw[j] = WindowRef{Ref: int32(sr.U32()), Off: int32(sr.U32())}
+				if r := bw[j].Ref; r < 0 || int(r) >= len(ld.refs) {
+					return nil, fmt.Errorf("core: bucket %d references sequence %d of %d", i, r, len(ld.refs))
 				}
-				ws = append(ws, wr)
 			}
-			wins = append(wins, ws)
+			wins[i], ws = bw, ws[n:]
 		}
 		ld.segWins = append(ld.segWins, wins)
 	}
@@ -280,14 +284,18 @@ func (ld *hdcLoader) Build(arenas []ContainerSegment, m *mmapfile.Mapping) (Inde
 	segs := make([]Segment, len(arenas))
 	members := make([][]Member, len(arenas))
 	for k, a := range arenas {
-		seg := segmentFromArena(a.Words, ld.segWins[k], int(a.RowWords), ld.lib.sketchWords, m != nil)
-		if m != nil {
-			seg.mapOff, seg.mapLen = int(a.FileOff), len(a.Words)*8
-		}
-		segs[k], members[k] = seg, segmentMembers(ld.segWins[k])
+		segs[k] = segmentFromArena(a.Words, ld.segWins[k], int(a.RowWords), ld.lib.sketchWords, m != nil)
+		members[k] = segmentMembers(ld.segWins[k])
 	}
-	ld.lib.restore(ld.refs, segs, members, ld.cal, m)
-	return ld.lib, nil
+	// The view keeps the stored calibration: loading must not re-derive it.
+	lib := ld.lib
+	lib.cal = ld.cal
+	lib.Restore(ld.refs, segs, members, arenas, m, func(v *View) any {
+		sn := newHDCView(v, ld.cal)
+		sn.plan = lib.scanPlanFor(sn)
+		return sn
+	})
+	return lib, nil
 }
 
 // segmentMembers lists a loaded segment's members from its buckets'

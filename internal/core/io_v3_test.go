@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
@@ -530,5 +531,75 @@ func TestV3CompactRetiresMappedSegments(t *testing.T) {
 	}
 	if mapped.Counters().HeapScans == base {
 		t.Fatal("post-compact probes still attributed to the mapped tier")
+	}
+}
+
+// TestScanCountersPerWindow is the HDC twin of cobs'
+// TestScanCountersPerWindow: a Search adds one mapped or one heap scan
+// per segment per query window to the per-tier counters, on heap and
+// mapped opens of a two-segment file, and every window scans every
+// bucket.
+func TestScanCountersPerWindow(t *testing.T) {
+	lib, ref := buildExactLib(t, 600, 171)
+	lib.SetSealThreshold(1) // the next Add seals a segment of its own
+	second := genome.Random(300, rng.New(172))
+	if err := lib.Add(genome.Record{ID: "second", Seq: second}); err != nil {
+		t.Fatal(err)
+	}
+	path := writeV3File(t, lib)
+	pats := []*genome.Sequence{ref.Slice(0, 32), second.Slice(40, 72), genome.Random(32, rng.New(173))}
+	for _, mode := range []LoadMode{LoadHeap, MapArena} {
+		got := openLib(t, path, mode)
+		defer got.Close()
+		segs, mapped := int64(got.NumSegments()), int64(0)
+		if segs != 2 {
+			t.Fatalf("%d segments, want 2", segs)
+		}
+		if got.Mapped() {
+			mapped = segs
+		}
+		before := got.Counters()
+		var a Answer
+		if err := got.Search(context.Background(), Query{Patterns: pats}, &a); err != nil {
+			t.Fatal(err)
+		}
+		after, n := got.Counters(), int64(len(pats))
+		if d, want := after.BucketProbes-before.BucketProbes, n*int64(got.Describe().Buckets); d != want {
+			t.Errorf("mapped=%v: BucketProbes advanced by %d, want %d", got.Mapped(), d, want)
+		}
+		if d := after.MappedScans - before.MappedScans; d != n*mapped {
+			t.Errorf("mapped=%v: MappedScans advanced by %d, want %d", got.Mapped(), d, n*mapped)
+		}
+		if d := after.HeapScans - before.HeapScans; d != n*(segs-mapped) {
+			t.Errorf("mapped=%v: HeapScans advanced by %d, want %d", got.Mapped(), d, n*(segs-mapped))
+		}
+	}
+}
+
+// TestOpenAllocsBelowRows holds the open of a one-window-a-row library
+// to far fewer allocations than it has rows: the meta parser decodes a
+// segment's windows into one backing slice, not one slice a bucket.
+// What an open allocates whatever the row count — about a thousand
+// objects, most of them the encoder's item memory and the sketch
+// prefix's probe windows, rebuilt from the parameters — is why the
+// library holds 8 000 rows.
+func TestOpenAllocsBelowRows(t *testing.T) {
+	lib := mustLibrary(t, Params{Dim: 8192, Window: 32, Approx: true, MutTolerance: 2, Seed: 7304})
+	if err := lib.Add(genome.Record{ID: "ref", Seq: genome.Random(8031, rng.New(7305))}); err != nil {
+		t.Fatal(err)
+	}
+	lib.Freeze()
+	rows := lib.Describe().Buckets
+	if lib.Params().Capacity != 1 || rows != 8000 {
+		t.Fatalf("capacity %d, %d rows: want 1 and 8000", lib.Params().Capacity, rows)
+	}
+	data := writeV3Bytes(t, lib)
+	allocs := testing.AllocsPerRun(2, func() {
+		if _, err := ReadIndex(bytes.NewReader(data)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > float64(rows)/4 {
+		t.Fatalf("opening %d rows made %.0f allocations, want at most %d", rows, allocs, rows/4)
 	}
 }

@@ -99,7 +99,8 @@ const defaultSealThreshold = 4096
 // HDC kernel of the segment Engine it embeds — the engine supplies the
 // lifecycle (Add, Freeze, Remove, Compact, Close), the stats surface and
 // every derived probe; this type supplies the encoder, the bucket
-// builder, the arena scan, calibration, and the file codecs.
+// builder, the arena scan, calibration, and the bytes a save stores
+// with the meta parser that reads them back.
 type Library struct {
 	*Engine
 
@@ -222,10 +223,12 @@ func NewLibrary(params Params) (*Library, error) {
 		Window:        params.Window,
 		Stride:        params.Stride,
 		SealThreshold: defaultSealThreshold,
+		Tag:           backendTagHDC,
 		Builder:       l.newBuilder,
 		Describe:      l.describe,
 		Annotate:      l.annotate,
 		Probe:         l.probeBlock,
+		Save:          l.save,
 	})
 	return l, nil
 }

@@ -107,15 +107,31 @@ func (e *Engine) putScratch(sc *probeScratch) {
 	e.pool.Put(sc)
 }
 
-// probe runs the read primitive over the first n windows of sc. blocked
-// tallies the call as one multi-query block (the coalescer's and the
-// batch paths' occupancy figure); a lone Lookup is not one.
+// probe runs the read primitive over the first n windows of sc.
 func (e *Engine) probe(v *View, sc *probeScratch, n int, blocked bool) {
+	e.countProbe(v, n, blocked)
+	e.k.Probe(v, sc.wins[:n], sc.out[:n])
+}
+
+// countProbe books every probe call, over windows query windows of v.
+// blocked tallies it as one multi-query block (the coalescer's and the
+// batch paths' occupancy figure); a lone Lookup is not one. Each window
+// scans each segment once, on the mapped or the heap tier; a zero delta
+// is skipped.
+//
+//biohd:hotpath
+func (e *Engine) countProbe(v *View, windows int, blocked bool) {
+	n := int64(windows)
 	if blocked {
 		e.ctr.blockedProbes.Add(1)
-		e.ctr.blockedWindows.Add(int64(n))
+		e.ctr.blockedWindows.Add(n)
 	}
-	e.k.Probe(v, sc.wins[:n], sc.out[:n])
+	if v.mapped != 0 {
+		e.ctr.mappedScans.Add(n * int64(v.mapped))
+	}
+	if heap := len(v.Segs) - v.mapped; heap != 0 {
+		e.ctr.heapScans.Add(n * int64(heap))
+	}
 }
 
 // Query is one search, in one of four shapes (any other is an error): a

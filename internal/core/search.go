@@ -85,6 +85,7 @@ func (l *Library) Probe(hv *hdc.HV, stats *Stats) ([]Candidate, error) {
 	sc.one[0] = hv
 	dsts := sc.cands[:1]
 	dsts[0] = dsts[0][:0]
+	l.countProbe(v, 1, false)
 	l.probeBlockInto(v, dsts, sc.one[:], sc)
 	sc.one[0] = nil
 	if stats != nil {
@@ -130,8 +131,7 @@ func (l *Library) ProbeMulti(hvs []*hdc.HV, stats *Stats) ([][]Candidate, error)
 		// Each dst starts nil: probeBlockRange appends, so queries that
 		// miss every bucket never allocate a candidate slice at all.
 		dsts := out[base:hi]
-		l.ctr.blockedProbes.Add(1)
-		l.ctr.blockedWindows.Add(int64(hi - base))
+		l.countProbe(v, hi-base, true)
 		l.probeBlockInto(v, dsts, hvs[base:hi], sc)
 		for j := range dsts {
 			total += len(dsts[j])

@@ -46,15 +46,6 @@ type segment struct {
 	// (scanPlan.sketch).
 	plane      []uint64
 	planeWords int
-
-	// mapOff and mapLen locate an arena that aliases a read-only file
-	// mapping (format v3 opened with MapArena) instead of heap storage —
-	// mapLen is 0 on the heap — so the library lifecycle can madvise it
-	// (DONTNEED once compaction retires the segment). Mapped arenas
-	// must never be written — the pages fault on write — which the
-	// immutable-once-published discipline above already guarantees.
-	mapOff int
-	mapLen int
 }
 
 // newSegment seals a bucket slice into a segment: every sealed row is
@@ -103,7 +94,7 @@ func (s *segment) cutPlane(sketchWords int) {
 // segmentFromArena builds a segment around an existing packed arena —
 // the v3 load path, where the arena words alias either the heap memory
 // the file was read into or, where mapped is set, a read-only mapping
-// (the loader then records its byte range). wins[i] becomes bucket i's
+// (never written: immutable once published). wins[i] becomes bucket i's
 // member windows. Where the plane is as wide as the rows, heap words
 // are regrouped in place into the plane, one group at a time; nothing
 // else is copied. len(arena) must be len(wins)·rowWords — the v3 reader
@@ -127,10 +118,6 @@ func segmentFromArena(arena []uint64, wins [][]WindowRef, rowWords, sketchWords 
 	s.cutPlane(sketchWords)
 	return s
 }
-
-// MapRange reports the arena's byte range inside the library's file
-// mapping to the engine; (0, 0) on the heap.
-func (s *segment) MapRange() (off, n int) { return s.mapOff, s.mapLen }
 
 // stored exposes the rows for serialization (shared; callers must not
 // mutate): the arena, or the plane where it holds the rows, which
@@ -212,13 +199,6 @@ func (s *segment) MemoryBytes() int64 {
 //
 //biohd:hotpath
 func (s *segment) probeBlockRange(dsts [][]Candidate, hvs []*hdc.HV, pl *scanPlan, gOff int, qb *bitvec.QueryBlock, ctr *libCounters) {
-	// One storage-tier tally per segment scan (not per row) — same
-	// publish cadence as the counters below.
-	if s.mapLen > 0 {
-		ctr.mappedScans.Add(1)
-	} else {
-		ctr.heapScans.Add(1)
-	}
 	if q := hvs[0].Words(); qb.Width() != s.planeWords || !pl.oneStage && len(q) != s.rowWords {
 		panic(fmt.Sprintf("core: %d-word queries of %d words against %d-word rows under a %d-word plane",
 			qb.Width(), len(q), s.rowWords, s.planeWords))
