@@ -123,6 +123,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzScanPlane -fuzztime=$(FUZZTIME) ./internal/bitvec
 	$(GO) test -run='^$$' -fuzz=FuzzFoldRows -fuzztime=$(FUZZTIME) ./internal/bitvec
 	$(GO) test -run='^$$' -fuzz=FuzzBundleRows -fuzztime=$(FUZZTIME) ./internal/hdc
+	$(GO) test -run='^$$' -fuzz=FuzzHV -fuzztime=$(FUZZTIME) ./internal/hdc
 	$(GO) test -run='^$$' -fuzz=FuzzReadLibrary -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzReadIndex -fuzztime=$(FUZZTIME) ./internal/cobs
 	$(GO) test -run='^$$' -fuzz=FuzzWireFrame -fuzztime=$(FUZZTIME) ./internal/wire

@@ -5,24 +5,20 @@ import (
 	"math/bits"
 )
 
-// This file holds the single-row kernels: word-slice distance routines
-// over packed rows, without going through *Vector. The associative probe
-// of a BioHD library is a fused XNOR+popcount per bucket row, phrased as
-// a Hamming bound so that a row is abandoned the moment it can no longer
-// pass. The probe runs two kernels: QueryBlock.ScanPlane
-// (kernel_plane.go) over the grouped sketch plane, then HammingBounded
-// over the words of each survivor's row that the plane does not hold.
+// This file holds the single-row kernels: distance routines over the
+// packed words of two rows. The associative probe of a BioHD library is
+// a fused XNOR+popcount per bucket row, phrased as a Hamming bound so
+// that a row is abandoned the moment it can no longer pass. The probe
+// runs two kernels: QueryBlock.ScanPlane (kernel_plane.go) over the
+// grouped sketch plane, then HammingBounded over the words of each
+// survivor's row that the plane does not hold.
 //
 // On amd64 the bulk of a row runs through the AVX-512 hardware popcount
 // or, without it, the AVX2 nibble-LUT popcount (kernel_amd64.s);
 // everywhere else, and for tails, a scalar 8-word unrolled loop over
 // math/bits.OnesCount64. All tiers give identical results —
-// kernel_test.go and kernel_amd64_test.go pin them together.
-//
-// The kernels operate on raw []uint64 and assume the caller guarantees
-// equal lengths and clean tails (library rows are always whole words:
-// D is a multiple of 64). Similarity conversions: for n-bit operands,
-// popcount(XNOR) = n − hamming and dot = n − 2·hamming.
+// kernel_test.go and kernel_amd64_test.go pin them together. For n-bit
+// rows, popcount(XNOR) = n − hamming and dot = n − 2·hamming.
 
 // kernelBlock is the unroll factor of the scalar kernels and the block
 // size of the assembly kernel. Eight words (one cache line) per step

@@ -3,6 +3,7 @@ package bitvec
 import (
 	"slices"
 	"testing"
+	"testing/quick"
 
 	"repro/internal/rng"
 )
@@ -270,4 +271,27 @@ func benchFolds(b *testing.B, name string, major majorityFold, parity parityFold
 func BenchmarkFoldRows(b *testing.B) {
 	benchFolds(b, "dispatch", MajorityRows, XorRows)
 	benchFolds(b, "portable", portableMajority, xorRowsGeneric)
+}
+
+// Property: the parity fold is a group operation — XorRows gives the same
+// words for any order of the indices, and a row named twice cancels.
+func TestQuickXorGroup(t *testing.T) {
+	f := func(seed uint64, perm uint8) bool {
+		const w, rows = 5, 6
+		table := randWords(rows*w, seed)
+		idx := []int32{0, 1, 2, 3, 4, 5}
+		shuffled := slices.Clone(idx)
+		for i := len(shuffled) - 1; i > 0; i-- {
+			j := int(perm) % (i + 1)
+			shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+		}
+		a, b, c := make([]uint64, w), make([]uint64, w), make([]uint64, w)
+		XorRows(a, table, idx, w)
+		XorRows(b, table, shuffled, w)
+		XorRows(c, table, append(shuffled, 3, 3), w)
+		return slices.Equal(a, b) && slices.Equal(a, c)
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -1,7 +1,9 @@
 package bitvec
 
 import (
+	"math/bits"
 	"testing"
+	"testing/quick"
 
 	"repro/internal/rng"
 )
@@ -16,15 +18,17 @@ func randWords(n int, seed uint64) []uint64 {
 }
 
 func TestHammingWordsMatchesVector(t *testing.T) {
-	// The flat kernel must agree with Vector.HammingDistance on every
-	// length, including ones that straddle the unroll block.
+	// The flat kernel must agree with a per-word popcount of the XOR on
+	// every length, including ones that straddle the unroll block.
 	for _, nw := range []int{0, 1, 3, 7, 8, 9, 16, 31, 32, 129} {
 		a := randWords(nw, uint64(nw)+1)
 		b := randWords(nw, uint64(nw)+1000)
-		va := FromWords(append([]uint64(nil), a...), nw*64)
-		vb := FromWords(append([]uint64(nil), b...), nw*64)
-		if got, want := HammingWords(a, b), va.HammingDistance(vb); got != want {
-			t.Fatalf("nw=%d: HammingWords=%d, Vector=%d", nw, got, want)
+		want := 0
+		for i := range a {
+			want += bits.OnesCount64(a[i] ^ b[i])
+		}
+		if got := HammingWords(a, b); got != want {
+			t.Fatalf("nw=%d: HammingWords=%d, per-word popcount=%d", nw, got, want)
 		}
 	}
 }
@@ -50,6 +54,30 @@ func TestHammingBoundedExact(t *testing.T) {
 	if d, ok := HammingBounded(a, a, 0); !ok || d != 0 {
 		t.Fatalf("self distance = (%d, %v), want (0, true)", d, ok)
 	}
+}
+
+// Property: the Hamming distance is a metric (identity, symmetry and the
+// triangle inequality) at a width past the vector tiers' block.
+func TestQuickHammingMetric(t *testing.T) {
+	f := func(seed uint64) bool {
+		const nw = 21
+		a, b, c := randWords(nw, seed), randWords(nw, seed^1), randWords(nw, seed^2)
+		ab, ba := HammingWords(a, b), HammingWords(b, a)
+		ac, cb := HammingWords(a, c), HammingWords(c, b)
+		return ab == ba && ab <= ac+cb && HammingWords(a, a) == 0
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestLengthMismatchPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("length mismatch did not panic")
+		}
+	}()
+	HammingWords(make([]uint64, 9), make([]uint64, 8))
 }
 
 func TestKernelLengthMismatchPanics(t *testing.T) {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/bitvec"
 	"repro/internal/genome"
 	"repro/internal/rng"
 )
@@ -18,8 +17,8 @@ import (
 // its own, which TestSignatureMatchesBaselineBloom holds the sealed
 // columns to.
 type KmerBloom struct {
-	bits   *bitvec.Vector
-	w      int // window (w-mer) length
+	bits   []uint64 // the filter's bits, bit i in bit i%64 of word i/64
+	w      int      // window (w-mer) length
 	hashes int
 }
 
@@ -37,20 +36,20 @@ func NewKmerBloomFixed(w, bits, hashes int) (*KmerBloom, error) {
 	if hashes < 1 || hashes > 16 {
 		return nil, fmt.Errorf("bloom: hash count %d out of [1,16]: %w", hashes, ErrSizing)
 	}
-	return &KmerBloom{bits: bitvec.New(bits), w: w, hashes: hashes}, nil
+	return &KmerBloom{bits: make([]uint64, bits/64), w: w, hashes: hashes}, nil
 }
 
 // SignatureWords exposes the filter's backing words (little-endian bit
 // order, read-only) — the signature row the bit-sliced backend
 // transposes.
-func (b *KmerBloom) SignatureWords() []uint64 { return b.bits.Words() }
+func (b *KmerBloom) SignatureWords() []uint64 { return b.bits }
 
 // positions derives the k probe positions for a w-mer value.
 func (b *KmerBloom) positions(v uint64, f func(pos int)) {
 	state := v ^ PositionSeed
 	for i := 0; i < b.hashes; i++ {
 		h := rng.SplitMix64(&state)
-		f(int(h % uint64(b.bits.Len())))
+		f(int(h % uint64(64*len(b.bits))))
 	}
 }
 
@@ -60,7 +59,7 @@ func (b *KmerBloom) AddSequence(seq *genome.Sequence) int {
 	ops := 0
 	for i := 0; i+b.w <= seq.Len(); i++ {
 		b.positions(WindowHash(seq, i, b.w), func(pos int) {
-			b.bits.Set(pos)
+			b.bits[pos/64] |= 1 << (pos % 64)
 			ops++
 		})
 	}
@@ -78,7 +77,7 @@ func (b *KmerBloom) Contains(pattern *genome.Sequence) (bool, int, error) {
 	present := true
 	b.positions(WindowHash(pattern, 0, b.w), func(pos int) {
 		ops++
-		if !b.bits.Get(pos) {
+		if b.bits[pos/64]>>(pos%64)&1 == 0 {
 			present = false
 		}
 	})
@@ -104,8 +103,8 @@ func TestKmerBloomFixedValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bf.bits.Len() != 256 || bf.hashes != 2 || bf.w != 16 {
-		t.Fatalf("geometry drifted: bits=%d hashes=%d w=%d", bf.bits.Len(), bf.hashes, bf.w)
+	if 64*len(bf.bits) != 256 || bf.hashes != 2 || bf.w != 16 {
+		t.Fatalf("geometry drifted: bits=%d hashes=%d w=%d", 64*len(bf.bits), bf.hashes, bf.w)
 	}
 	if got := len(bf.SignatureWords()); got != 4 {
 		t.Fatalf("SignatureWords length %d, want 4", got)

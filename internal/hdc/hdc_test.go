@@ -23,8 +23,30 @@ func TestNewHVDimensionRules(t *testing.T) {
 			NewHV(d)
 		}()
 	}
-	if h := NewHV(128); h.Dim() != 128 {
+	if h := NewHV(128); h.Dim() != 128 || h.Words()[0]|h.Words()[1] != 0 {
+		t.Fatalf("NewHV(128): Dim = %d, words %x, want 128 and zero", h.Dim(), h.Words())
+	}
+}
+
+func TestHVFromArenaRow(t *testing.T) {
+	row := []uint64{1, 2}
+	h := HVFromArenaRow(row, 128)
+	if h.Dim() != 128 {
 		t.Fatalf("Dim = %d", h.Dim())
+	}
+	row[1] = 7
+	if h.Words()[1] != 7 {
+		t.Fatal("HVFromArenaRow copied the row")
+	}
+	for _, tc := range []struct{ words, d int }{{1, 128}, {3, 128}, {2, 100}, {0, 0}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("HVFromArenaRow(%d words, d=%d) did not panic", tc.words, tc.d)
+				}
+			}()
+			HVFromArenaRow(make([]uint64, tc.words), tc.d)
+		}()
 	}
 }
 
@@ -318,28 +340,122 @@ func TestNewAccBadDimensionPanics(t *testing.T) {
 	}
 }
 
-func TestHVFromWordsRoundTrip(t *testing.T) {
-	src := rng.New(32)
-	a := RandomHV(256, src)
-	b := HVFromWords(a.Bits().Words(), 256)
-	if !a.Equal(b) {
-		t.Fatal("HVFromWords differs")
+// rotateBitwise is ρ^k by its definition, one bit at a time: bit i of a
+// becomes bit (i+k) mod D.
+func rotateBitwise(a *HV, k int) *HV {
+	d := a.Dim()
+	k = (k%d + d) % d // so that i+k cannot overflow
+	out := NewHV(d)
+	for i := 0; i < d; i++ {
+		if a.words[i/64]>>(i%64)&1 == 1 {
+			j := (i + k) % d
+			out.words[j/64] |= 1 << (j % 64)
+		}
 	}
-	b.Words()[0] ^= 1 << 3
+	return out
+}
+
+func TestPermuteMatchesBitwiseRotation(t *testing.T) {
+	src := rng.New(31)
+	for _, d := range []int{64, 192, 8192} {
+		a, got := RandomHV(d, src), NewHV(d)
+		for _, k := range []int{0, 1, 63, 64, 65, d - 1, d, d + 1, -1, -65, 3*d + 7} {
+			got.Permute(a, k)
+			if want := rotateBitwise(a, k); !got.Equal(want) {
+				t.Errorf("D=%d k=%d: Permute differs from the bitwise rotation in %d bits", d, k, got.Hamming(want))
+			}
+		}
+	}
+}
+
+func TestPermuteAliasing(t *testing.T) {
+	a := RandomHV(128, rng.New(32))
+	want := a.Clone()
+	for _, k := range []int{0, 128, -256} {
+		a.Permute(a, k) // k ≡ 0 (mod D): a no-op in place
+		if !a.Equal(want) {
+			t.Fatalf("in-place Permute by %d changed the vector", k)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("in-place Permute by 1 did not panic")
+		}
+	}()
+	a.Permute(a, 1)
+}
+
+func TestDimensionMismatch(t *testing.T) {
+	a, b := NewHV(64), NewHV(128)
 	if a.Equal(b) {
-		t.Fatal("HVFromWords shares storage")
+		t.Fatal("hypervectors of different dimensions are Equal")
 	}
-	for _, tc := range []struct {
-		words int
-		d     int
-	}{{1, 128}, {2, 100}, {2, 0}} {
+	for name, fn := range map[string]func(){
+		"Bind operands": func() { a.Bind(a, b) },
+		"Bind result":   func() { b.Bind(a, a) },
+		"Permute":       func() { a.Permute(b, 1) },
+		"Hamming":       func() { a.Hamming(b) },
+		"Dot":           func() { a.Dot(b) },
+	} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Fatalf("HVFromWords(%d words, d=%d) did not panic", tc.words, tc.d)
+					t.Errorf("%s across dimensions did not panic", name)
 				}
 			}()
-			HVFromWords(make([]uint64, tc.words), tc.d)
+			fn()
 		}()
 	}
+}
+
+// FuzzHV holds the primitives to their definitions on arbitrary
+// contents: Permute to the bitwise rotation, for any shift, and undone by
+// the opposite shift; Bind to its own inverse, with a one wherever a and
+// b agree; Dot to D − 2·popcount of the XOR, word by word.
+func FuzzHV(f *testing.F) {
+	f.Add(uint8(0), int64(1), []byte{0xff, 0x00})
+	f.Add(uint8(1), int64(-65), []byte("ACGTACGTTTGACCA"))
+	f.Add(uint8(2), int64(8192*3+7), []byte{1, 2, 3, 4, 5, 6, 7, 8, 9})
+	f.Add(uint8(3), int64(-1<<62), []byte{})
+	f.Add(uint8(1), int64(math.MinInt64), []byte{0x80})
+	f.Add(uint8(1), int64(math.MaxInt64), []byte{0x01})
+	f.Fuzz(func(t *testing.T, d8 uint8, k64 int64, raw []byte) {
+		d := []int{64, 192, 1024, 8192}[d8%4]
+		k := int(k64)
+		a, b := NewHV(d), NewHV(d)
+		for w := range a.words {
+			var x uint64
+			for i := 0; i < 8 && len(raw) > 0; i++ {
+				x = x<<8 | uint64(raw[(w*8+i)%len(raw)])
+			}
+			a.words[w] = x ^ uint64(w)*0x9e3779b97f4a7c15
+			b.words[w] = bits.RotateLeft64(a.words[w], 17) ^ uint64(len(raw))
+		}
+		rot, back := NewHV(d), NewHV(d)
+		rot.Permute(a, k)
+		if want := rotateBitwise(a, k); !rot.Equal(want) {
+			t.Fatalf("D=%d k=%d: Permute differs from the bitwise rotation in %d bits", d, k, rot.Hamming(want))
+		}
+		back.Permute(rot, -(k % d)) // −k itself overflows at the most negative k
+		if !back.Equal(a) {
+			t.Fatalf("D=%d k=%d: Permute by -k does not undo Permute by k", d, k)
+		}
+		ab := NewHV(d)
+		ab.Bind(a, b)
+		back.Bind(ab, b)
+		if !back.Equal(a) {
+			t.Fatalf("D=%d: Bind(Bind(a, b), b) != a", d)
+		}
+		ham, agree := 0, 0
+		for w := range a.words {
+			ham += bits.OnesCount64(a.words[w] ^ b.words[w])
+			agree += bits.OnesCount64(ab.words[w])
+		}
+		if got := a.Dot(b); got != d-2*ham {
+			t.Fatalf("D=%d: Dot = %d, want D − 2·%d = %d", d, got, ham, d-2*ham)
+		}
+		if agree != d-ham {
+			t.Fatalf("D=%d: Bind(a, b) has %d ones, want D − %d = %d", d, agree, ham, d-ham)
+		}
+	})
 }

@@ -7,15 +7,15 @@ import (
 	"repro/internal/rng"
 )
 
-// sealBitwise is Seal as it was first written — one counter, one checked
-// Set, one Bool at a time: the definition the word-wise Seal and the row
+// sealBitwise is Seal as it was first written — one counter, one bit
+// set, one Bool at a time: the definition the word-wise Seal and the row
 // fold are both held to.
 func sealBitwise(a *Acc, tieSeed uint64) *HV {
 	h := NewHV(a.Dim())
 	tie := rng.New(tieSeed)
 	for i, c := range a.Counts() {
 		if c > 0 || c == 0 && tie.Bool() {
-			h.Bits().Set(i)
+			h.Words()[i/64] |= 1 << (i % 64)
 		}
 	}
 	return h

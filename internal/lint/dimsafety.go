@@ -16,7 +16,7 @@ import (
 // a hyperdimensional memory cannot detect downstream.
 //
 // Operands come in two shapes: the storage-carrying vector types
-// (*Vector, *HV, *Acc), whose raw storage is reached through their
+// (*HV, *Acc), whose raw storage is reached through their
 // words/counts fields and accessors, and the bare word-slice forms the
 // flat kernels take ([]uint64 rows, [][]uint64 query blocks), which
 // ARE raw storage — for those, indexing or reslicing the operand is
@@ -26,10 +26,10 @@ import (
 //   - a call to a checker helper (mustMatch / check / sameLen) with a
 //     vector operand as receiver or argument
 //   - an if statement whose condition mentions two distinct operands
-//     (the length-comparison idiom, e.g. "if v.n != o.n")
+//     (the length-comparison idiom, e.g. "if len(h.words) != len(o.words)")
 //
 // Functions that only delegate to other guarded operations (e.g.
-// HV.Bind calling bitvec.Xnor) touch no raw storage and need no guard.
+// HV.Dot calling HV.Hamming) touch no raw storage and need no guard.
 // Unexported helpers are exempt: they run behind an exported guard.
 type DimSafety struct{}
 
@@ -42,7 +42,7 @@ func (DimSafety) Doc() string {
 }
 
 // vectorTypeNames are the storage-carrying types of the two packages.
-var vectorTypeNames = map[string]bool{"Vector": true, "HV": true, "Acc": true}
+var vectorTypeNames = map[string]bool{"HV": true, "Acc": true}
 
 // rawFields are struct fields that expose raw storage.
 var rawFields = map[string]bool{"words": true, "counts": true}
@@ -171,8 +171,8 @@ func vectorOperands(fn *ast.FuncDecl) map[string]bool {
 	return ops
 }
 
-// isVectorType matches *Vector, *HV, *Acc, and their pkg-qualified
-// forms (*bitvec.Vector, ...).
+// isVectorType matches *HV, *Acc, and their pkg-qualified forms
+// (*hdc.HV, *hdc.Acc).
 func isVectorType(e ast.Expr) bool {
 	star, ok := e.(*ast.StarExpr)
 	if !ok {
@@ -208,7 +208,7 @@ func isWordSliceType(e ast.Expr) bool {
 }
 
 // operandBase resolves an expression to the operand identifier at its
-// base, unwrapping selector chains (h.bits.Words() -> h).
+// base, unwrapping selector chains (h.words -> h).
 func operandBase(e ast.Expr, operands map[string]bool) (string, bool) {
 	for {
 		switch v := e.(type) {
@@ -236,7 +236,7 @@ func rawFieldAccess(sel *ast.SelectorExpr, operands map[string]bool) (string, bo
 }
 
 // rawMethodAccess matches operand.Words() / .Counts() / .Count() calls,
-// including through an intermediate field (h.bits.Words()).
+// including through an intermediate field (h.row.Words()).
 func rawMethodAccess(call *ast.CallExpr, operands map[string]bool) (string, bool) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok || !rawMethods[sel.Sel.Name] {

@@ -2,27 +2,27 @@
 // matches any package path ending in internal/bitvec or internal/hdc).
 package bitvec
 
-// Vector is a minimal packed bit vector.
-type Vector struct {
+// HV is a minimal packed hypervector.
+type HV struct {
 	words []uint64
 	n     int
 }
 
-func (v *Vector) mustMatch(o *Vector) {
+func (v *HV) mustMatch(o *HV) {
 	if v.n != o.n {
 		panic("bitvec: length mismatch")
 	}
 }
 
 // Xor combines raw words without any guard.
-func (v *Vector) Xor(a, b *Vector) {
+func (v *HV) Xor(a, b *HV) {
 	for i := range v.words {
 		v.words[i] = a.words[i] ^ b.words[i] // flagged
 	}
 }
 
 // And guards with the checker helper first.
-func (v *Vector) And(a, b *Vector) {
+func (v *HV) And(a, b *HV) {
 	a.mustMatch(b)
 	v.mustMatch(a)
 	for i := range v.words {
@@ -31,7 +31,7 @@ func (v *Vector) And(a, b *Vector) {
 }
 
 // Equal guards with the inline length comparison.
-func (v *Vector) Equal(o *Vector) bool {
+func (v *HV) Equal(o *HV) bool {
 	if v.n != o.n {
 		return false
 	}
@@ -44,7 +44,7 @@ func (v *Vector) Equal(o *Vector) bool {
 }
 
 // Both delegates to a guarded operation; no raw access, no finding.
-func (v *Vector) Both(a, b *Vector) {
+func (v *HV) Both(a, b *HV) {
 	v.And(a, b)
 }
 

@@ -3,7 +3,6 @@ package pim
 import (
 	"fmt"
 
-	"repro/internal/bitvec"
 	"repro/internal/genome"
 	"repro/internal/hdc"
 )
@@ -34,10 +33,10 @@ func (e *Engine) EncodeInMemory(seq *genome.Sequence, start int) (*hdc.HV, Cost,
 
 	// Working D-bit vector, conceptually spread over rowsPerBucket row
 	// buffers.
-	work := bitvec.New(d)
-	scratch := bitvec.New(d)
+	work := hdc.NewHV(d)
+	scratch := hdc.NewHV(d)
 	for i := w - 1; i >= 0; i-- {
-		base := enc.BaseHV(seq.At(start + i)).Bits()
+		base := enc.BaseHV(seq.At(start + i))
 		// Fetch the base hypervector rows from the item-memory region.
 		ledger.Charge(OpRowRead, e.rowsPerBucket)
 		if i == w-1 {
@@ -46,13 +45,13 @@ func (e *Engine) EncodeInMemory(seq *genome.Sequence, start int) (*hdc.HV, Cost,
 		}
 		// Shift the working vector by one (cross-row carry in the
 		// periphery), then XNOR with the fetched base rows.
-		scratch.RotateLeft(work, 1)
+		scratch.Permute(work, 1)
 		work, scratch = scratch, work
 		ledger.Charge(OpShift, e.rowsPerBucket)
-		work.Xnor(work, base)
+		work.Bind(work, base)
 		ledger.Charge(OpXnor, e.rowsPerBucket)
 	}
-	return hdc.HVFromWords(work.Words(), d), ledger.Cost(), nil
+	return work, ledger.Cost(), nil
 }
 
 // EncodeApproxInMemory executes the approximate (positional-bundle)
@@ -61,10 +60,6 @@ func (e *Engine) EncodeInMemory(seq *genome.Sequence, start int) (*hdc.HV, Cost,
 // array accumulates each (charged at popcount-accumulator cost), the
 // logical rotation is a counter-pointer shift, and the final majority
 // seal writes the result rows. Bit-identical to the software encoder.
-//
-// The iteration is in Horner form: starting from
-// the last base, the counters are shifted by one and the next base's
-// rows accumulated, so only single-step shifts occur.
 func (e *Engine) EncodeApproxInMemory(seq *genome.Sequence, start int) (*hdc.HV, Cost, error) {
 	if !e.lib.Params().Approx {
 		return nil, Cost{}, fmt.Errorf("pim: EncodeApproxInMemory needs an approximate library (see EncodeInMemory for the exact chain)")
@@ -91,7 +86,7 @@ func (e *Engine) EncodeApproxInMemory(seq *genome.Sequence, start int) (*hdc.HV,
 			// ρ^i is realized as i single-step shifts amortized to one
 			// pointer-offset update in the counter periphery.
 			ledger.Charge(OpShift, e.rowsPerBucket)
-			target = rotated.Clone()
+			target = rotated
 		}
 		acc.Add(target)
 		ledger.Charge(OpPopcount, e.rowsPerBucket) // counter accumulate

@@ -133,7 +133,7 @@ func (e *Engine) program() Cost {
 	for b := 0; b < e.buckets; b++ {
 		arr := e.arrays[b/e.bucketsPerArr]
 		slot := b % e.bucketsPerArr
-		words := e.lib.BucketVector(b).Bits().Words()
+		words := e.lib.BucketVector(b).Words()
 		for r := 0; r < e.rowsPerBucket; r++ {
 			chunk := make([]uint64, wordsPerRow)
 			copy(chunk, sliceClamp(words, r*wordsPerRow, wordsPerRow))
@@ -243,7 +243,7 @@ func (e *Engine) Search(hv *hdc.HV) ([]core.Candidate, Cost, error) {
 	before := e.snapshot()
 	tau := e.tau
 	wordsPerRow := e.cfg.ArrayCols / 64
-	queryWords := hv.Bits().Words()
+	queryWords := hv.Words()
 
 	var cands []core.Candidate
 	for ai, arr := range e.arrays {

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"io"
 	"net/http"
 	"strings"
 
@@ -122,7 +123,8 @@ type CompactResponse struct {
 func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
 	req := CompactRequest{}
 	// An empty body means "compact anything with tombstones".
-	if r.ContentLength != 0 && !decodeBody(w, r, &req) {
+	if err := readBody(w, r, &req); err != nil && err != io.EOF {
+		writeError(w, http.StatusBadRequest, "invalid request body: %v", err)
 		return
 	}
 	if req.MinRatio < 0 || req.MinRatio > 1 {

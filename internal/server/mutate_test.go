@@ -152,6 +152,30 @@ func TestCompactValidation(t *testing.T) {
 	if resp := doRequest(t, http.MethodPost, ts.URL+"/v1/compact", `{"minRatio": 2}`); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("out-of-range minRatio status %d, want 400", resp.StatusCode)
 	}
+	if resp := doRequest(t, http.MethodPost, ts.URL+"/v1/compact", `{} {}`); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("two-value body status %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestCompactEmptyChunkedBody: an empty body means "compact anything
+// with tombstones" whatever its framing, here a chunked body of no
+// chunks (ContentLength −1 on both sides).
+func TestCompactEmptyChunkedBody(t *testing.T) {
+	ts, _ := testServer(t)
+	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/compact", io.NopCloser(strings.NewReader("")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.ContentLength = -1
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		body, _ := io.ReadAll(resp.Body)
+		t.Fatalf("empty chunked compact: status %d: %s", resp.StatusCode, body)
+	}
 }
 
 // TestMetricsExportSegmentSeries asserts the library lifecycle gauges

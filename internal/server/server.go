@@ -31,7 +31,9 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"sync"
@@ -147,14 +149,29 @@ func writeResult(w http.ResponseWriter, res any, serr *wire.StatusError) {
 	writeJSON(w, http.StatusOK, res)
 }
 
-func decodeBody(w http.ResponseWriter, r *http.Request, v interface{}) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+// decodeBody is readBody answering 400 for any failure.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	if err := readBody(w, r, v); err != nil {
 		writeError(w, http.StatusBadRequest, "invalid request body: %v", err)
 		return false
 	}
 	return true
+}
+
+// readBody decodes the body's one JSON value into v; unknown fields are
+// an error, and so is anything but whitespace after the value, as the
+// wire decoder refuses a frame with trailing bytes. A body with no
+// value at all, whatever its framing, is io.EOF.
+func readBody(w http.ResponseWriter, r *http.Request, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("data after the JSON value")
+	}
+	return nil
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {

@@ -178,6 +178,28 @@ func TestSearchRejectsUnknownFields(t *testing.T) {
 	}
 }
 
+// TestSearchRejectsTrailingData: a body is one JSON value. Whitespace
+// may follow it; anything else — garbage or a second value — is a 400,
+// as the wire decoder refuses a frame with trailing bytes.
+func TestSearchRejectsTrailingData(t *testing.T) {
+	ts, ref := testServer(t)
+	body := `{"pattern":"` + ref.Slice(500, 532).String() + `"}`
+	for suffix, want := range map[string]int{
+		" trailing garbage": http.StatusBadRequest,
+		body:                http.StatusBadRequest,
+		"\n \t\r\n":         http.StatusOK,
+	} {
+		resp, err := http.Post(ts.URL+"/v1/search", "application/json", strings.NewReader(body+suffix))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Errorf("body followed by %q: status %d, want %d", suffix, resp.StatusCode, want)
+		}
+	}
+}
+
 func TestClassify(t *testing.T) {
 	ts, ref := testServer(t)
 	read := ref.Slice(1000, 1320)
