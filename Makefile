@@ -93,8 +93,15 @@ bench:
 ## benchsmoke: compile and run every micro-benchmark once (internal/bitvec
 ## includes BenchmarkScanPlane, the range kernel's block rows at the two
 ## workload geometries — 2 056 × 16 words at 4 queries, 8 192 × 40 at 1,
-## 3 and 8 — which the purego line below repeats on the portable tier;
-## internal/core includes BenchmarkProbeBlockWidths, the per-query cost
+## 3 and 8 — which the purego line below repeats on the portable tier,
+## and BenchmarkSlideRows, BenchmarkDepositBits and
+## BenchmarkSlideDepositTiers, the build's exact slide and bundle tie pass
+## on each tier; internal/hdc BenchmarkRowsSeal8192, a 16-row seal on each
+## tie-pass tier; internal/encoding BenchmarkSlideExact, one exact window
+## folded and slid, which the purego line repeats on the portable slide;
+## internal/core includes BenchmarkBuild, ns a window at exact C = 16,
+## approximate C = 1 and the CLI's exact C = 63, whose odd buckets have
+## no tie pass, and BenchmarkProbeBlockWidths, the per-query cost
 ## of a probe block at widths 1 to 8, BenchmarkApproxVariantDB, the
 ## bytes and lookup time of 8 approximate variants, built once per
 ## process, and BenchmarkVariantDBOpen, the open time and heap of those

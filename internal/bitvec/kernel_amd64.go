@@ -24,6 +24,12 @@ func majorityRowsAVX512(out, table *uint64, idx *int32, n, nblocks int, tie *uin
 func xorRowsAVX512(out, table *uint64, idx *int32, n, nblocks int)
 
 //go:noescape
+func slideRowsAVX512(out, ra, rb *uint64, nblocks int)
+
+//go:noescape
+func depositBitsBMI2(out, mask, stream *uint64, n int)
+
+//go:noescape
 func laneMatchAVX512(words *uint64, ngroups int, key uint64, blocks *int32, masks *uint64, room int) (groups, n, cmps int)
 
 func cpuid(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)
@@ -61,6 +67,27 @@ func detectAccel() (avx2ok, avx512ok bool) {
 	const vpopcntdq = 1 << 14
 	avx512ok = avx2ok && lo&0xe6 == 0xe6 && b&avx512f != 0 && c7&vpopcntdq != 0
 	return avx2ok, avx512ok
+}
+
+// useBMI2 is true when DepositBits runs on PDEP: BMI2 (leaf 7 EBX bit
+// 8) and POPCNT (leaf 1 ECX bit 23), except on AMD family 17h, whose
+// PDEP is microcoded at a cost that grows with the mask's set bits and
+// loses to the portable loop.
+var useBMI2 = detectBMI2()
+
+func detectBMI2() bool {
+	maxLeaf, vb, vc, vd := cpuid(0, 0)
+	if maxLeaf < 7 {
+		return false
+	}
+	a1, _, c1, _ := cpuid(1, 0)
+	_, b7, _, _ := cpuid(7, 0)
+	family := a1 >> 8 & 0xf
+	if family == 0xf {
+		family += a1 >> 20 & 0xff
+	}
+	amd := vb == 0x68747541 && vd == 0x69746e65 && vc == 0x444d4163 // "AuthenticAMD"
+	return b7&(1<<8) != 0 && c1&(1<<23) != 0 && !(amd && family == 0x17)
 }
 
 // kernelName names the fastest dispatched kernel tier, for benchmark
@@ -134,6 +161,18 @@ func xorRowsBlocks(out, table []uint64, idx []int32, rowWords int) {
 		return
 	}
 	xorRowsAVX512(&out[0], &table[0], &idx[0], len(idx), rowWords/kernelBlock)
+}
+
+// slideRowsBlocks runs the vector slide on rows of whole kernel blocks;
+// see SlideRows. There is no AVX2 tier, so a host without AVX-512 slides
+// through the portable tier here. Callers must check useAccel and that
+// the rows are whole blocks.
+func slideRowsBlocks(out, ra, rb []uint64) {
+	if !useAVX512 {
+		slideRowsGeneric(out, ra, rb)
+		return
+	}
+	slideRowsAVX512(&out[0], &ra[0], &rb[0], len(out)/kernelBlock)
 }
 
 // laneMatchBlocks runs the AVX-512 lane-match kernel over ngroups

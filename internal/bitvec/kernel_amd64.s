@@ -1008,3 +1008,84 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 	MOVL    AX, eax+0(FP)
 	MOVL    DX, edx+4(FP)
 	RET
+
+// func depositBitsBMI2(out, mask, stream *uint64, n int)
+// DepositBits on PDEP: for each of the n words, the stream's next 64
+// bits — one SHRD of the word holding bit k and the next — deposited on
+// mask[c] and ORed into out[c], then k advances by popcount(mask[c]).
+// k < 64·n at every word start, so the first load is in bounds; the
+// second is clamped to the last word, whose bits beyond the stream's end
+// PDEP never takes. The caller guarantees n ≥ 1 and three n-word rows.
+TEXT ·depositBitsBMI2(SB), NOSPLIT, $0-32
+	MOVQ out+0(FP), DI
+	MOVQ mask+8(FP), SI
+	MOVQ stream+16(FP), DX
+	MOVQ n+24(FP), R9
+	LEAQ -1(R9), R14              // R14: the stream's last word
+	XORQ CX, CX                   // CX: k, the stream bits taken
+	XORQ R10, R10                 // R10: c
+
+dbloop:
+	MOVQ    (SI)(R10*8), BX       // BX: mask[c]
+	POPCNTQ BX, R11
+	MOVQ    CX, R12
+	SHRQ    $6, R12               // R12: k / 64
+	LEAQ    1(R12), R13
+	CMPQ    R13, R14
+	CMOVQGT R14, R13              // R13: min(k/64 + 1, n − 1)
+	MOVQ    (DX)(R12*8), AX
+	MOVQ    (DX)(R13*8), R13
+	SHRQ    CX, R13, AX           // AX: stream bits [k, k+64), CL taken mod 64
+	PDEPQ   BX, AX, AX
+	ORQ     AX, (DI)(R10*8)
+	ADDQ    R11, CX
+	INCQ    R10
+	CMPQ    R10, R9
+	JLT     dbloop
+	RET
+
+// func slideRowsAVX512(out, ra, rb *uint64, nblocks int)
+// SlideRows on the AVX-512 tier, one 64-byte block a step: the sum of
+// the next block is formed (one three-way XOR) before the current one is
+// stored, VALIGNQ brings the next block's word 0 under the current
+// block's top lane, and the block shifted down by one bit takes bit 0 of
+// each word above. The last block takes the first block's sum, kept in
+// Z3 from before it was overwritten. The caller guarantees nblocks ≥ 1
+// and nblocks blocks of each operand.
+TEXT ·slideRowsAVX512(SB), NOSPLIT, $0-32
+	MOVQ out+0(FP), DI
+	MOVQ ra+8(FP), SI
+	MOVQ rb+16(FP), DX
+	MOVQ nblocks+24(FP), CX
+
+	VMOVDQU64  (DI), Z0
+	VMOVDQU64  (SI), Z1
+	VPTERNLOGQ $0x96, (DX), Z1, Z0 // Z0: the sum's current block
+	VMOVDQA64  Z0, Z3              // Z3: the sum's first block, for the wrap
+	DECQ       CX
+	JZ         srlast
+
+srblock:
+	VMOVDQU64  64(DI), Z2
+	VMOVDQU64  64(SI), Z1
+	VPTERNLOGQ $0x96, 64(DX), Z1, Z2 // Z2: the sum's next block
+	VALIGNQ    $1, Z0, Z2, Z4        // Z4: lanes 1–7 of Z0, then lane 0 of Z2
+	VPSRLQ     $1, Z0, Z0
+	VPSLLQ     $63, Z4, Z4
+	VPORQ      Z4, Z0, Z0
+	VMOVDQU64  Z0, (DI)
+	VMOVDQA64  Z2, Z0
+	ADDQ       $64, DI
+	ADDQ       $64, SI
+	ADDQ       $64, DX
+	DECQ       CX
+	JNZ        srblock
+
+srlast:
+	VALIGNQ   $1, Z0, Z3, Z4
+	VPSRLQ    $1, Z0, Z0
+	VPSLLQ    $63, Z4, Z4
+	VPORQ     Z4, Z0, Z0
+	VMOVDQU64 Z0, (DI)
+	VZEROUPPER
+	RET

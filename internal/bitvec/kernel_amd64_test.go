@@ -183,3 +183,49 @@ func BenchmarkFoldRowsTiers(b *testing.B) {
 		}
 	}
 }
+
+// slideTiers and depositTiers return the assembly tiers of SlideRows and
+// DepositBits the host supports, by name, behind the argument set-up
+// their wrappers do.
+func slideTiers() map[string]slideFn {
+	tiers := map[string]slideFn{}
+	if useAVX512 {
+		tiers["avx512"] = func(out, table []uint64, a, b int32, w int) {
+			slideRowsAVX512(&out[0], &table[int(a)*w], &table[int(b)*w], w/kernelBlock)
+		}
+	}
+	return tiers
+}
+
+func depositTiers() map[string]depositFn {
+	tiers := map[string]depositFn{}
+	if useBMI2 {
+		tiers["bmi2"] = func(out, mask, stream []uint64) {
+			depositBitsBMI2(&out[0], &mask[0], &stream[0], len(mask))
+		}
+	}
+	return tiers
+}
+
+// TestSlideDepositTiersMatchNaive holds each assembly tier of SlideRows
+// (at widths of whole 64-byte blocks) and DepositBits to the
+// definitions, called directly.
+func TestSlideDepositTiersMatchNaive(t *testing.T) {
+	for name, slide := range slideTiers() {
+		checkSlide(t, name, []int{8, 16, 24, 64, 128, 136}, slide)
+	}
+	for name, deposit := range depositTiers() {
+		checkDeposit(t, name, deposit)
+	}
+}
+
+// BenchmarkSlideDepositTiers times each assembly tier beside
+// BenchmarkSlideRows' and BenchmarkDepositBits' portable lines.
+func BenchmarkSlideDepositTiers(b *testing.B) {
+	for name, slide := range slideTiers() {
+		benchSlide(b, name, slide)
+	}
+	for name, deposit := range depositTiers() {
+		benchDeposit(b, name, deposit)
+	}
+}

@@ -197,3 +197,103 @@ func xorRowsGeneric(out, table []uint64, idx []int32, nw int) {
 		}
 	}
 }
+
+// SlideRows XORs rows a and b of table into out and rotates the sum
+// down by one bit, in place: out = ρ⁻¹(out ⊕ table[a] ⊕ table[b]), bit
+// i+1 of the sum becoming bit i of out and bit 0 becoming bit D−1. It
+// is the one-base step of the exact encoder's binding chain (DESIGN
+// §8.1): one pass over out, reading two table rows.
+//
+// It panics if rowWords is not positive, out is not rowWords long, or
+// a or b does not name a whole row of table.
+//
+//biohd:hotpath
+func SlideRows(out, table []uint64, a, b int32, rowWords int) {
+	if rowWords <= 0 || len(out) != rowWords {
+		panic(fmt.Sprintf("bitvec: SlideRows of %d-word rows, out %d words", rowWords, len(out)))
+	}
+	if lo, hi := min(a, b), max(a, b); lo < 0 || int(hi) >= len(table)/rowWords {
+		panic(fmt.Sprintf("bitvec: SlideRows rows %d and %d outside a table of %d %d-word rows",
+			a, b, len(table)/rowWords, rowWords))
+	}
+	ra, rb := table[int(a)*rowWords:][:rowWords], table[int(b)*rowWords:][:rowWords]
+	if useAccel && rowWords%kernelBlock == 0 {
+		slideRowsBlocks(out, ra, rb)
+		return
+	}
+	slideRowsGeneric(out, ra, rb)
+}
+
+// slideRowsGeneric is the portable slide: word c of out becomes the sum's
+// word c shifted down by one, topped by bit 0 of the sum's word c+1 —
+// read before it is overwritten — and the last word by bit 0 of the
+// first. Four words a step.
+func slideRowsGeneric(out, ra, rb []uint64) {
+	n := len(out)
+	ra, rb = ra[:n], rb[:n]
+	first := out[0] ^ ra[0] ^ rb[0]
+	cur, c := first, 0
+	for ; c+4 < n; c += 4 {
+		x1 := out[c+1] ^ ra[c+1] ^ rb[c+1]
+		x2 := out[c+2] ^ ra[c+2] ^ rb[c+2]
+		x3 := out[c+3] ^ ra[c+3] ^ rb[c+3]
+		x4 := out[c+4] ^ ra[c+4] ^ rb[c+4]
+		out[c] = cur>>1 | x1<<63
+		out[c+1] = x1>>1 | x2<<63
+		out[c+2] = x2>>1 | x3<<63
+		out[c+3] = x3>>1 | x4<<63
+		cur = x4
+	}
+	for ; c+1 < n; c++ {
+		x := out[c+1] ^ ra[c+1] ^ rb[c+1]
+		out[c] = cur>>1 | x<<63
+		cur = x
+	}
+	out[n-1] = cur>>1 | first<<63
+}
+
+// DepositBits ORs a bit stream into out on the lanes of mask, word by
+// word: the lanes set in mask[c] take the next popcount(mask[c]) bits of
+// stream, lowest lane first, the stream read from bit 0 of its first
+// word on — per word a PDEP of the stream's next bits on mask[c]. The
+// three rows are equally long, so the stream never runs out. It is the
+// tie pass of hdc.Rows.Seal.
+//
+// It panics unless out, mask and stream have the same length.
+func DepositBits(out, mask, stream []uint64) {
+	if useBMI2 && len(mask) > 0 && len(out) == len(mask) && len(stream) == len(mask) {
+		depositBitsBMI2(&out[0], &mask[0], &stream[0], len(mask))
+		return
+	}
+	DepositBitsPortable(out, mask, stream)
+}
+
+// DepositBitsPortable is DepositBits's portable tier, one tied lane at a
+// time — the tier it runs under -tags purego and without a fast PDEP,
+// exported so that its callers' tests can hold both tiers to their
+// oracles.
+func DepositBitsPortable(out, mask, stream []uint64) {
+	if len(out) != len(mask) || len(stream) != len(mask) {
+		panic(fmt.Sprintf("bitvec: DepositBits into %d words on a %d-word mask from a %d-word stream",
+			len(out), len(mask), len(stream)))
+	}
+	k := 0 // stream bits taken
+	for c, m := range mask {
+		n := bits.OnesCount64(m)
+		if n == 0 {
+			continue
+		}
+		w, s := k/64, uint(k%64)
+		v := stream[w] >> s
+		if int(s)+n > 64 { // then stream word w+1 exists: k+n ≤ 64·len(stream)
+			v |= stream[w+1] << (64 - s)
+		}
+		k += n
+		o := out[c]
+		for ; m != 0; m &= m - 1 {
+			o |= m & -m & -(v & 1)
+			v >>= 1
+		}
+		out[c] = o
+	}
+}

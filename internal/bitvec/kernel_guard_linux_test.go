@@ -43,7 +43,7 @@ func guardedCopy[T uint64 | int32](t *testing.T, src []T) []T {
 }
 
 // TestKernelsStopAtGuardPage runs the distance kernels, the range kernel,
-// the row folds and the lane-match kernel, through their dispatch and
+// the row folds, the slide, the deposit and the lane-match kernel, through their dispatch and
 // through every tier the host has, on operands that end at a guard page.
 func TestKernelsStopAtGuardPage(t *testing.T) {
 	for _, nw := range []int{8, 15, 64, 72, 136, 512} {
@@ -122,6 +122,35 @@ func TestKernelsStopAtGuardPage(t *testing.T) {
 				clear(out)
 				if tier.parity(out, table, idx, w); !slices.Equal(out, parity) {
 					t.Errorf("%s parity w=%d n=%d differs from the portable tier", name, w, n)
+				}
+			}
+		}
+	}
+
+	// The slide reads the block after the current one until the last,
+	// and the deposit clamps its second stream load to the last word.
+	slides := slideTiers()
+	slides["dispatch"] = SlideRows
+	for _, w := range []int{8, 16} {
+		table := guardedCopy(t, randWords(4*w, uint64(w)+3))
+		for name, slide := range slides {
+			out := guardedCopy(t, randWords(w, 5))
+			want := naiveSlide(out, table, 0, 3, w)
+			if slide(out, table, 0, 3, w); !slices.Equal(out, want) {
+				t.Errorf("%s slide w=%d differs from XOR-then-rotate", name, w)
+			}
+		}
+	}
+	deposits := depositTiers()
+	deposits["dispatch"] = DepositBits
+	for _, w := range []int{1, 8, 9} {
+		for _, kind := range []string{"ones", "ties"} {
+			m, s := depositCase(kind, w, uint64(w))
+			mask, stream := guardedCopy(t, m), guardedCopy(t, s)
+			for name, deposit := range deposits {
+				out := guarded[uint64](t, w)
+				if deposit(out, mask, stream); !slices.Equal(out, naiveDeposit(make([]uint64, w), mask, stream)) {
+					t.Errorf("%s deposit w=%d %s differs from the lane-at-a-time deposit", name, w, kind)
 				}
 			}
 		}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -31,18 +30,18 @@ import (
 // count fields.
 const MaxMetaCount = maxCount
 
-// SectionWriter serializes one CRC-covered container section. The
-// write methods latch the first error, which WriteContainerV3 returns.
+// SectionWriter serializes one CRC-covered container section into
+// memory; WriteContainerV3 checksums the finished section once.
 type SectionWriter struct {
-	cw crcWriter
+	fw fieldWriter
 }
 
-func (w *SectionWriter) U32(v uint32) { w.cw.u32(v) }
-func (w *SectionWriter) U64(v uint64) { w.cw.u64(v) }
+func (w *SectionWriter) U32(v uint32) { w.fw.u32(v) }
+func (w *SectionWriter) U64(v uint64) { w.fw.u64(v) }
 
 // Refs writes the shared reference-table encoding (ids, descriptions,
 // tombstone flags, packed sequences) every backend stores.
-func (w *SectionWriter) Refs(refs []genome.Record) { writeRefs(&w.cw, refs) }
+func (w *SectionWriter) Refs(refs []genome.Record) { writeRefs(&w.fw, refs) }
 
 // SectionReader decodes little-endian fields from one container
 // section, whose CRC the walk has checked before the first read. The
@@ -168,21 +167,15 @@ func (s ContainerSegment) chunksLE(buf []byte, emit func([]byte)) {
 // directory entry. A flipped header tag therefore always disagrees
 // with a protected copy, whatever the segment count.
 func WriteContainerV3(w io.Writer, backend uint32, writeMeta func(*SectionWriter), segs []ContainerSegment) (int64, error) {
-	// Meta section, buffered first so the header can record its length.
-	var metaBuf bytes.Buffer
-	sw := &SectionWriter{cw: crcWriter{w: &metaBuf}}
+	// Meta section, built first so the header can record its length.
+	sw := &SectionWriter{}
 	sw.U32(backend)
 	writeMeta(sw)
-	if sw.cw.err != nil {
-		return 0, fmt.Errorf("core: saving library: %w", sw.cw.err)
-	}
-	var tail [4]byte
-	binary.LittleEndian.PutUint32(tail[:], sw.cw.crc)
-	metaBuf.Write(tail[:])
+	meta := sw.fw.sealed()
 
 	// Layout: minimal aligned offsets, in section order.
 	nSegs := len(segs)
-	metaLen := uint64(metaBuf.Len())
+	metaLen := uint64(len(meta))
 	dirOff := v3AlignUp(v3HeaderSize + metaLen)
 	arenaOff := v3AlignUp(dirOff + uint64(nSegs*v3DirEntrySize+4))
 
@@ -214,19 +207,18 @@ func WriteContainerV3(w io.Writer, backend uint32, writeMeta func(*SectionWriter
 
 	out := &countingWriter{bw: bufio.NewWriter(w)}
 	out.write(hdr[:])
-	out.write(metaBuf.Bytes())
+	out.write(meta)
 	out.pad(dirOff)
-	dcw := &crcWriter{w: out}
+	var dir fieldWriter
 	for k, s := range segs {
-		dcw.u64(offs[k])
-		dcw.u64(uint64(len(s.Words)))
-		dcw.u32(s.RowWords)
-		dcw.u32(s.Buckets)
-		dcw.u32(crcs[k])
-		dcw.u32(backend)
+		dir.u64(offs[k])
+		dir.u64(uint64(len(s.Words)))
+		dir.u32(s.RowWords)
+		dir.u32(s.Buckets)
+		dir.u32(crcs[k])
+		dir.u32(backend)
 	}
-	binary.LittleEndian.PutUint32(tail[:], dcw.crc)
-	out.write(tail[:])
+	out.write(dir.sealed())
 	out.pad(arenaOff)
 	for k, s := range segs {
 		out.pad(offs[k])

@@ -8,96 +8,86 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 
 	"repro/internal/genome"
 )
 
 // The field codecs of the v3 container's sections (io_v3.go,
-// container.go): a CRC-teeing field writer, the parameter / calibration
-// / reference-table blocks, and the plausibility limits applied to
-// untrusted counts. SectionReader (container.go) reads the fields.
+// container.go): a field writer that appends to a section's bytes, the
+// parameter / calibration / reference-table blocks, and the
+// plausibility limits applied to untrusted counts. SectionReader
+// (container.go) reads the fields.
 const libMagic = "BIOHDLIB"
 
-// crcWriter tees writes into a running CRC.
-type crcWriter struct {
-	w   io.Writer
-	crc uint32
-	err error
+// fieldWriter appends little-endian fields to the bytes of one
+// CRC-covered section; sealed takes the section's CRC once, over the
+// finished bytes.
+type fieldWriter struct {
+	b []byte
 }
 
-func (cw *crcWriter) write(data []byte) {
-	if cw.err != nil {
-		return
+func (fw *fieldWriter) u32(v uint32) { fw.b = binary.LittleEndian.AppendUint32(fw.b, v) }
+
+func (fw *fieldWriter) u64(v uint64) { fw.b = binary.LittleEndian.AppendUint64(fw.b, v) }
+
+func (fw *fieldWriter) f64(v float64) { fw.u64(math.Float64bits(v)) }
+
+func (fw *fieldWriter) str(s string) {
+	fw.u32(uint32(len(s)))
+	fw.b = append(fw.b, s...)
+}
+
+func (fw *fieldWriter) words(ws []uint64) {
+	fw.u32(uint32(len(ws)))
+	fw.b = slices.Grow(fw.b, 8*len(ws))
+	for _, w := range ws {
+		fw.b = binary.LittleEndian.AppendUint64(fw.b, w)
 	}
-	cw.crc = crc32.Update(cw.crc, crc32.IEEETable, data)
-	_, cw.err = cw.w.Write(data)
 }
 
-func (cw *crcWriter) u32(v uint32) {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	cw.write(b[:])
-}
-
-func (cw *crcWriter) u64(v uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	cw.write(b[:])
-}
-
-func (cw *crcWriter) f64(v float64) { cw.u64(math.Float64bits(v)) }
-
-func (cw *crcWriter) str(s string) {
-	cw.u32(uint32(len(s)))
-	cw.write([]byte(s))
-}
-
-func (cw *crcWriter) words(ws []uint64) {
-	cw.u32(uint32(len(ws)))
-	buf := make([]byte, 8*len(ws))
-	for i, w := range ws {
-		binary.LittleEndian.PutUint64(buf[i*8:], w)
-	}
-	cw.write(buf)
+// sealed returns the section's bytes with their CRC32 appended.
+func (fw *fieldWriter) sealed() []byte {
+	return binary.LittleEndian.AppendUint32(fw.b, crc32.ChecksumIEEE(fw.b))
 }
 
 // writeParams serializes the 10 parameter fields.
-func writeParams(cw *crcWriter, p *Params) {
-	cw.u32(uint32(p.Dim))
-	cw.u32(uint32(p.Window))
-	cw.u32(uint32(p.Stride))
-	cw.u32(uint32(p.Capacity))
-	cw.u32(boolU32(p.Approx))
-	cw.u32(1) // sealed: the only storage mode
-	cw.u32(uint32(p.MutTolerance))
-	cw.f64(p.Alpha)
-	cw.f64(p.Beta)
-	cw.u64(p.Seed)
+func writeParams(fw *fieldWriter, p *Params) {
+	fw.u32(uint32(p.Dim))
+	fw.u32(uint32(p.Window))
+	fw.u32(uint32(p.Stride))
+	fw.u32(uint32(p.Capacity))
+	fw.u32(boolU32(p.Approx))
+	fw.u32(1) // sealed: the only storage mode
+	fw.u32(uint32(p.MutTolerance))
+	fw.f64(p.Alpha)
+	fw.f64(p.Beta)
+	fw.u64(p.Seed)
 }
 
 // writeCalibration serializes the calibration block.
-func writeCalibration(cw *crcWriter, cal *Calibration) {
-	cw.f64(cal.NoiseMean)
-	cw.f64(cal.NoiseStd)
-	cw.f64(cal.SignalMean)
-	cw.f64(cal.SignalStd)
-	cw.f64(cal.Tau)
-	cw.u32(uint32(cal.Samples))
+func writeCalibration(fw *fieldWriter, cal *Calibration) {
+	fw.f64(cal.NoiseMean)
+	fw.f64(cal.NoiseStd)
+	fw.f64(cal.SignalMean)
+	fw.f64(cal.SignalStd)
+	fw.f64(cal.Tau)
+	fw.u32(uint32(cal.Samples))
 }
 
 // writeRefs serializes the reference table with removed-flags.
-func writeRefs(cw *crcWriter, refs []genome.Record) {
-	cw.u32(uint32(len(refs)))
+func writeRefs(fw *fieldWriter, refs []genome.Record) {
+	fw.u32(uint32(len(refs)))
 	for _, rec := range refs {
-		cw.str(rec.ID)
-		cw.str(rec.Description)
+		fw.str(rec.ID)
+		fw.str(rec.Description)
 		if rec.Seq == nil {
-			cw.u32(1) // removed: tombstone keeps the slot, drops the bases
+			fw.u32(1) // removed: tombstone keeps the slot, drops the bases
 			continue
 		}
-		cw.u32(0)
-		cw.u64(uint64(rec.Seq.Len()))
-		cw.words(rec.Seq.PackedWords())
+		fw.u32(0)
+		fw.u64(uint64(rec.Seq.Len()))
+		fw.words(rec.Seq.PackedWords())
 	}
 }
 

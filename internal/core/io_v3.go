@@ -87,8 +87,8 @@ func (l *Library) save(v *View) ([]ContainerSegment, func(*SectionWriter)) {
 		}
 	}
 	return segs, func(sw *SectionWriter) {
-		writeParams(&sw.cw, &l.params)
-		writeCalibration(&sw.cw, &sn.cal)
+		writeParams(&sw.fw, &l.params)
+		writeCalibration(&sw.fw, &sn.cal)
 		sw.Refs(v.Refs)
 		for _, seg := range sn.segs {
 			sw.U32(uint32(seg.NumBuckets()))

@@ -299,14 +299,23 @@ func (l *Library) newBuilder() Builder { return &builder{l: l} }
 // Append is Builder.Append: every stride-aligned window of rec is
 // encoded as a query for it would be encoded and superposed into the
 // builder — the one way a window reaches a bucket, at ingest and at
-// compaction.
+// compaction. An exact library at stride 1 folds the first window and
+// slides to each later one (Encoder.SlideExact, DESIGN §8.1), the same
+// bits at a fraction of the fold's cost; other geometries encode every
+// window directly.
 func (b *builder) Append(ref int32, rec genome.Record) int {
 	l := b.l
 	sc := l.getBlockScratch()
 	defer l.putBlockScratch(sc)
+	hv := sc.hvs[0]
+	slide := !l.params.Approx && l.params.Stride == 1
 	for start := 0; start+l.params.Window <= rec.Seq.Len(); start += l.params.Stride {
-		l.encodeInto(sc.hvs[0], sc.acc, rec.Seq, start)
-		b.insert(WindowRef{Ref: ref, Off: int32(start)}, sc.hvs[0])
+		if slide && start > 0 {
+			l.enc.SlideExact(hv, rec.Seq, start-1)
+		} else {
+			l.encodeInto(hv, sc.acc, rec.Seq, start)
+		}
+		b.insert(WindowRef{Ref: ref, Off: int32(start)}, hv)
 	}
 	return b.numBuckets()
 }

@@ -281,10 +281,12 @@ func BenchmarkProbeBlockWidths(b *testing.B) {
 	}
 }
 
-var buildBenchGeometries = []struct {
+type buildGeometry struct {
 	name string
 	p    Params
-}{
+}
+
+var buildBenchGeometries = []buildGeometry{
 	{"exact-C16", Params{Dim: 8192, Window: 32, Stride: 1, Capacity: 16, Seed: 42}},
 	{"approx-C1", Params{Dim: 8192, Window: 32, Stride: 1, Capacity: 1, Approx: true, MutTolerance: 2, Seed: 42}},
 }
@@ -292,12 +294,14 @@ var buildBenchGeometries = []struct {
 // BenchmarkBuild is the ingest path without the harness — Add (encode
 // one window, bundle it into its bucket) then Freeze — at the two build
 // geometries of bench: scan_exact_wire's exact rows at capacity 16, and
-// approx_classify_inproc's, where the model gives one window a row.
+// approx_classify_inproc's, where the model gives one window a row; and
+// at the CLI's default exact geometry, C = 63, whose odd buckets cannot
+// tie, so that the row times the encoder's slide without a tie pass.
 // NewLibrary and the calibration an approximate Freeze runs are inside
 // the timer, as they are inside bench's setup_s.
 func BenchmarkBuild(b *testing.B) {
 	const windows = 2048
-	for _, g := range buildBenchGeometries {
+	for _, g := range append(buildBenchGeometries, buildGeometry{"exact-C63", Params{Dim: 8192, Window: 32, Stride: 1, Capacity: 63, Seed: 42}}) {
 		b.Run(g.name, func(b *testing.B) {
 			rec := genome.Record{ID: "bench", Seq: genome.Random(windows+g.p.Window-1, rng.New(4242))}
 			b.ReportAllocs()

@@ -26,9 +26,19 @@
 // their parity — w − 1 XNORs are the XOR of the rows, complemented when
 // w is even. The folds are internal/bitvec's MajorityRows and XorRows
 // (bit-sliced carry-save planes; AVX-512, AVX2 and portable tiers); an
-// encoder here writes the w row indices and makes one call. Every window
-// is encoded directly: a fold costs less than one step of either
-// encoding's incremental slide did (DESIGN §8.1), so there is none.
+// encoder here writes the w row indices and makes one call.
+//
+// # The exact slide
+//
+// A query encodes every window directly. A stride-1 build of an exact
+// library encodes each window of a reference, and neighbouring windows
+// share w − 1 bases, so it folds the first and steps to each next one
+// with SlideExact: the leaving base's row and the entering base's row
+// one rotation past the end are XORed in, and the sum rotates down by
+// one bit — one pass over two rows of the same table, in place
+// (bitvec.SlideRows), bit for bit the fold of the next window (DESIGN
+// §8.1). The approximate bundle has no such step: a majority cannot drop
+// a row without counters.
 package encoding
 
 import (
@@ -204,6 +214,33 @@ func (e *Encoder) EncodeWindowExactInto(dst *hdc.HV, seq *genome.Sequence, start
 		rowIndices(idx, seq, start, from)
 		bitvec.XorRows(words, e.rows, idx, len(words))
 	}
+}
+
+// SlideExact steps dst from the binding-chain encoding of the window of
+// seq at start to that of the window at start+1, in place:
+//
+//	E(s+1) = ρ⁻¹(E(s) ⊕ ρ⁰(B[s_start]) ⊕ ρ^Window(B[s_start+Window]))
+//
+// XORing the leaving base's row cancels it from the chain, XORing the
+// entering base's row at rotation Window adds it one past the end, and
+// the rotation by −1 moves every position down by one. The constant the
+// chain is complemented by (all-ones for an even Window) is
+// rotation-invariant, so the step is exact for every Window: one
+// bitvec.SlideRows, two table rows and one pass over dst, against the
+// Window rows EncodeWindowExactInto folds. dst must hold the encoding of
+// the window at start; the result is bit for bit EncodeWindowExactInto's
+// at start+1 (TestSlideExactMatchesFold). It panics if either window
+// overruns the sequence or dst has the wrong dimension.
+//
+//biohd:hotpath
+func (e *Encoder) SlideExact(dst *hdc.HV, seq *genome.Sequence, start int) {
+	e.checkWindow(seq, start)
+	e.checkWindow(seq, start+1)
+	e.checkDim(dst)
+	w := e.cfg.Window
+	out := dst.Words()
+	in := int32(w*genome.AlphabetSize + int(seq.At(start+w)))
+	bitvec.SlideRows(out, e.rows, int32(seq.At(start)), in, len(out))
 }
 
 // EncodeWindowApprox returns the sealed positional-bundle encoding of the

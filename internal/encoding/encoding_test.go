@@ -202,6 +202,63 @@ func TestExactKernelMatchesChain(t *testing.T) {
 	}
 }
 
+// TestSlideExactMatchesFold holds the one-base slide to the direct
+// fold at every step across a 500-base sequence, starting from a fold at
+// offset 0 and from one at a seeded random offset: at odd and even
+// Window (the chain's complement), at Windows either side of a word of
+// positions, and at dimensions of one word, of three (no whole 64-byte
+// block: the portable tier) and of 128 (the vector tier).
+func TestSlideExactMatchesFold(t *testing.T) {
+	seq := genome.Random(500, rng.New(60))
+	for _, dim := range []int{64, 192, 8192} {
+		for _, window := range []int{1, 2, 31, 32, 33, 64} {
+			if window >= dim {
+				continue
+			}
+			e := testEncoder(t, dim, window)
+			last := seq.Len() - window
+			for _, from := range []int{0, rng.New(uint64(dim + window)).Intn(last)} {
+				dst, want := hdc.NewHV(dim), hdc.NewHV(dim)
+				e.EncodeWindowExactInto(dst, seq, from)
+				for start := from; start < last; start++ {
+					e.SlideExact(dst, seq, start)
+					if e.EncodeWindowExactInto(want, seq, start+1); !dst.Equal(want) {
+						t.Fatalf("D=%d W=%d from %d: slide to %d differs from the fold in %d bits",
+							dim, window, from, start+1, dst.Hamming(want))
+					}
+				}
+			}
+			dst := e.EncodeWindowExact(seq, 0)
+			start := 0
+			if n := testing.AllocsPerRun(50, func() {
+				e.SlideExact(dst, seq, start)
+				start++
+			}); n != 0 {
+				t.Errorf("D=%d W=%d: SlideExact allocates %v times per step", dim, window, n)
+			}
+		}
+	}
+}
+
+func TestSlideExactPanics(t *testing.T) {
+	e := testEncoder(t, 256, 8)
+	seq := genome.Random(20, rng.New(61))
+	for name, fn := range map[string]func(){
+		"negative start": func() { e.SlideExact(hdc.NewHV(256), seq, -1) },
+		"next overruns":  func() { e.SlideExact(hdc.NewHV(256), seq, 12) },
+		"wrong dim":      func() { e.SlideExact(hdc.NewHV(128), seq, 0) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s did not panic", name)
+				}
+			}()
+			fn()
+		}()
+	}
+}
+
 // TestEncodeIntoAllocs pins both hot-path encoders at zero allocations
 // per window through the bitvec fold calls — the dynamic twin of the
 // hot-path prover's static proof.
@@ -266,6 +323,35 @@ func BenchmarkEncodeWindowApproxDirect(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = e.EncodeWindowApprox(seq, i%64)
 	}
+}
+
+// BenchmarkSlideExact times one exact window two ways at every
+// benchmark workload's geometry: the direct fold and the one-base slide
+// a stride-1 build takes to every window after a reference's first
+// (on bitvec's dispatched slide tier; `make benchsmoke` repeats it on the
+// portable tier under -tags purego).
+func BenchmarkSlideExact(b *testing.B) {
+	const dim, window = 8192, 32
+	e, err := New(Config{Dim: dim, Window: window, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	seq := genome.Random(4096+window, rng.New(1))
+	dst := hdc.NewHV(dim)
+	b.Run("fold", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			e.EncodeWindowExactInto(dst, seq, i%4096)
+		}
+	})
+	b.Run("slide", func(b *testing.B) {
+		e.EncodeWindowExactInto(dst, seq, 0)
+		for i := 0; i < b.N; i++ {
+			if i%4096 == 0 {
+				e.EncodeWindowExactInto(dst, seq, 0)
+			}
+			e.SlideExact(dst, seq, i%4096)
+		}
+	})
 }
 
 // The Into-variant benchmarks are the allocation story of the lookup

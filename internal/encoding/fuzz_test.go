@@ -29,8 +29,9 @@ func fuzzSequence(raw []byte, window int) *genome.Sequence {
 // definitions on arbitrary sequence content and stride: at a small (Dim,
 // Window, Seed) derived from the fuzz bytes — one time in four a
 // multiple of 512, the shape bitvec's vector fold tiers take — the
-// approximate encoder seals every window to the counter oracle's bits
-// and the exact encoder equals the Bind chain.
+// approximate encoder seals every window to the counter oracle's bits,
+// the exact encoder equals the Bind chain, and the exact slide from each
+// window equals the fold of the next.
 func FuzzEncode(f *testing.F) {
 	f.Add([]byte("ACGTACGTACGTACGTACGTACGT"), uint8(1))
 	f.Add([]byte("AAAAAAAAAAAAAAAA"), uint8(2)) // repeated base: rotations of one base vector
@@ -59,9 +60,17 @@ func FuzzEncode(f *testing.F) {
 					dim, window, start, dst.Hamming(want))
 			}
 			small.EncodeWindowExactInto(dst, kseq, start)
-			if want := chainEncodeExact(small, kseq, start); !dst.Equal(want) {
+			want := chainEncodeExact(small, kseq, start)
+			if !dst.Equal(want) {
 				t.Fatalf("D=%d W=%d: exact encoding differs from the Bind chain at %d in %d bits",
 					dim, window, start, dst.Hamming(want))
+			}
+			if start+window < kseq.Len() {
+				small.SlideExact(want, kseq, start)
+				if small.EncodeWindowExactInto(dst, kseq, start+1); !want.Equal(dst) {
+					t.Fatalf("D=%d W=%d: slide from %d differs from the fold at %d in %d bits",
+						dim, window, start, start+1, dst.Hamming(want))
+				}
 			}
 		}
 	})

@@ -33,7 +33,8 @@
 // PIM periphery model's counters. Nothing scores against counters. A
 // Rows keeps the members themselves and takes their lane-wise majority
 // in one row fold (bitvec.MajorityRows) under a Ties, the same stream
-// packed once: it bundles every bucket of every library, at a fraction
+// packed once and deposited on the tied lanes by bitvec.DepositBits: it
+// bundles every bucket of every library, at a fraction
 // of a microsecond a member instead of D counter updates. The tie rule
 // lives here, beside both, and TestRowsMatchAcc / FuzzBundleRows hold the
 // fold to the counters bit for bit.
@@ -41,7 +42,6 @@ package hdc
 
 import (
 	"fmt"
-	"math/bits"
 	"slices"
 
 	"repro/internal/bitvec"
@@ -241,17 +241,6 @@ func NewTies(d int, tieSeed uint64) *Ties {
 	return t
 }
 
-// take returns stream bits [k, k+n), n ≤ 64, in the low bits of the
-// result; what lies above them is not cleared.
-func (t *Ties) take(k, n int) uint64 {
-	w, s := k/64, uint(k%64)
-	v := t.bits[w] >> s
-	if int(s)+n > 64 {
-		v |= t.bits[w+1] << (64 - s)
-	}
-	return v
-}
-
 // Rows is the bundling accumulator of library buckets, where nothing
 // reads a counter: it keeps the packed hypervectors added to it and
 // seals them by one row fold. Add × n then Seal gives, bit for bit, what
@@ -261,12 +250,15 @@ type Rows struct {
 	ties  *Ties
 	words []uint64 // the members' packed words back to back, in Add order
 	idx   []int32  // 0 … n−1: MajorityRows folds rows named by index
-	ge    []uint64 // scratch of Seal: the lanes with ones ≥ n/2
+	ge    []uint64 // scratch of Seal: the lanes with ones ≥ n/2, then the ties
+	// deposit is the tie pass, bitvec.DepositBits; the tests put its
+	// portable tier here to hold both tiers to the counters.
+	deposit func(out, mask, stream []uint64)
 }
 
 // NewRows returns an empty row accumulator of the dimension of ties.
 func NewRows(ties *Ties) *Rows {
-	return &Rows{ties: ties, ge: make([]uint64, len(ties.ones))}
+	return &Rows{ties: ties, ge: make([]uint64, len(ties.ones)), deposit: bitvec.DepositBits}
 }
 
 // Add appends h to the rows to be bundled.
@@ -286,8 +278,9 @@ func (r *Rows) Reset() { r.words, r.idx = r.words[:0], r.idx[:0] }
 // cannot tie. An even fold runs twice — ones > n/2, then ones ≥ n/2 under
 // the all-ones tie row — and the lanes on which the two differ are the
 // ties; they take the stream's bits in dimension order, which is
-// Acc.Seal's rule and not the positional tie row MajorityRows offers. It
-// panics if nothing was added.
+// Acc.Seal's rule and not the positional tie row MajorityRows offers:
+// one bitvec.DepositBits of the stream on the tied lanes. It panics if
+// nothing was added.
 func (r *Rows) Seal() *HV {
 	nw, ones := len(r.ge), r.ties.ones
 	h := NewHV(64 * nw)
@@ -301,18 +294,10 @@ func (r *Rows) Seal() *HV {
 		return h
 	}
 	bitvec.MajorityRows(r.ge, r.words, r.idx, nw, ones, true)
-	k := 0
 	for c, gt := range out {
-		m := gt ^ r.ge[c]
-		n := bits.OnesCount64(m)
-		v := r.ties.take(k, n)
-		k += n
-		for ; m != 0; m &= m - 1 {
-			gt |= m & -m & -(v & 1)
-			v >>= 1
-		}
-		out[c] = gt
+		r.ge[c] ^= gt
 	}
+	r.deposit(out, r.ge, r.ties.bits)
 	return h
 }
 

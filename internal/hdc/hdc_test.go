@@ -289,15 +289,22 @@ func BenchmarkAccSeal8192(b *testing.B) {
 	}
 }
 
+// BenchmarkRowsSeal8192 seals a bucket of 16 members, an even fold
+// (about 1 600 lanes tie), on each tie-pass tier.
 func BenchmarkRowsSeal8192(b *testing.B) {
 	src := rng.New(4)
 	rows := NewRows(NewTies(8192, 5))
 	for i := 0; i < 16; i++ {
 		rows.Add(RandomHV(8192, src))
 	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = rows.Seal()
+	for _, tier := range depositTiers {
+		b.Run(tier.name, func(b *testing.B) {
+			rows.deposit = tier.deposit
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				_ = rows.Seal()
+			}
+		})
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/bitvec"
 	"repro/internal/rng"
 )
 
@@ -60,10 +61,23 @@ func bundleCase(kind string, d, n int, src *rng.Source) []*HV {
 	return hs
 }
 
-// checkRowsEqualAcc holds the row fold to the counters after every Add.
-func checkRowsEqualAcc(t *testing.T, d int, seed uint64, hs []*HV) {
+// depositTiers are the tie passes a Rows can seal with: the dispatched
+// bitvec.DepositBits (PDEP where the host has a fast one) and its
+// portable tier, forced.
+var depositTiers = []struct {
+	name    string
+	deposit func(out, mask, stream []uint64)
+}{
+	{"dispatch", bitvec.DepositBits},
+	{"portable", bitvec.DepositBitsPortable},
+}
+
+// checkRowsEqualAcc holds the row fold, sealing with deposit, to the
+// counters after every Add.
+func checkRowsEqualAcc(t *testing.T, d int, seed uint64, hs []*HV, deposit func(out, mask, stream []uint64)) {
 	t.Helper()
 	acc, rows := NewAcc(d), NewRows(NewTies(d, seed))
+	rows.deposit = deposit
 	for i, h := range hs {
 		acc.Add(h)
 		rows.Add(h)
@@ -75,14 +89,22 @@ func checkRowsEqualAcc(t *testing.T, d int, seed uint64, hs []*HV) {
 
 // TestRowsMatchAcc is the equivalence the sealed build rests on: the
 // row-fold bundle equals Acc.Add × n + Seal(seed) bit for bit, for every
-// n from 1 past the vector tiers' 255-row limit, at widths that are and
+// n from 1 past the vector tiers' 255-row limit on the dispatched tie
+// pass and up to 64 — every even and odd count a bucket holds at the
+// capacities builds use — on the portable one, at widths that are and
 // are not whole kernel blocks.
 func TestRowsMatchAcc(t *testing.T) {
-	for _, d := range []int{64, 1024, 8192} {
-		for _, kind := range []string{"random", "pairs", "equal"} {
-			t.Run(fmt.Sprintf("D%d/%s", d, kind), func(t *testing.T) {
-				checkRowsEqualAcc(t, d, uint64(d)^0x5ea1, bundleCase(kind, d, 300, rng.New(uint64(d))))
-			})
+	for _, tier := range depositTiers {
+		name, n := "", 300
+		if tier.name == "portable" {
+			name, n = "portable/", 64
+		}
+		for _, d := range []int{64, 1024, 8192} {
+			for _, kind := range []string{"random", "pairs", "equal"} {
+				t.Run(fmt.Sprintf("%sD%d/%s", name, d, kind), func(t *testing.T) {
+					checkRowsEqualAcc(t, d, uint64(d)^0x5ea1, bundleCase(kind, d, n, rng.New(uint64(d))), tier.deposit)
+				})
+			}
 		}
 	}
 }
@@ -120,7 +142,8 @@ func TestRowsPanics(t *testing.T) {
 	}
 }
 
-// FuzzBundleRows holds the row fold to the counters on arbitrary member
+// FuzzBundleRows holds the row fold, on both tie-pass tiers, to the
+// counters on arbitrary member
 // bytes: dimension, member count (1 … 300), tie seed and content are the
 // fuzzer's; odd bytes of the shape turn members into complements of
 // their predecessor so that lanes tie.
@@ -151,6 +174,8 @@ func FuzzBundleRows(f *testing.F) {
 				}
 			}
 		}
-		checkRowsEqualAcc(t, d, seed, hs)
+		for _, tier := range depositTiers {
+			checkRowsEqualAcc(t, d, seed, hs, tier.deposit)
+		}
 	})
 }

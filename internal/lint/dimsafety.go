@@ -25,8 +25,10 @@ import (
 // Accepted guards, which must precede the first combining access:
 //   - a call to a checker helper (mustMatch / check / sameLen) with a
 //     vector operand as receiver or argument
-//   - an if statement whose condition mentions two distinct operands
-//     (the length-comparison idiom, e.g. "if len(h.words) != len(o.words)")
+//   - an if statement whose condition takes the length or dimension of
+//     two distinct operands — len(…), .Dim() or .Width() of each (the
+//     length-comparison idiom, e.g. "if len(h.words) != len(o.words)");
+//     comparing the operands themselves (if h == a) is not a guard
 //
 // Functions that only delegate to other guarded operations (e.g.
 // HV.Dot calling HV.Hamming) touch no raw storage and need no guard.
@@ -93,7 +95,7 @@ func checkDims(pkg *Package, fn *ast.FuncDecl) (Diagnostic, bool) {
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.IfStmt:
-			if guardPos == token.NoPos && mentionsTwoOperands(n.Cond, operands) {
+			if guardPos == token.NoPos && sizesTwoOperands(n.Cond, operands) {
 				guardPos = n.Pos()
 			}
 		case *ast.CallExpr:
@@ -271,15 +273,46 @@ func isGuardCall(call *ast.CallExpr, operands map[string]bool) bool {
 	return false
 }
 
-// mentionsTwoOperands reports whether the condition references at least
-// two distinct operands (the inline length-comparison guard).
-func mentionsTwoOperands(cond ast.Expr, operands map[string]bool) bool {
+// sizesTwoOperands reports whether the condition takes the length or
+// dimension of at least two distinct operands — len(…), .Dim() or
+// .Width() of each, the inline length-comparison guard. A condition
+// that names two operands only to compare them as pointers (if h == a)
+// checks nothing about their sizes and does not count.
+func sizesTwoOperands(cond ast.Expr, operands map[string]bool) bool {
 	seen := map[string]bool{}
 	ast.Inspect(cond, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok && operands[id.Name] {
-			seen[id.Name] = true
+		if name, ok := sizedOperand(n, operands); ok {
+			seen[name] = true
 		}
 		return len(seen) < 2
 	})
 	return len(seen) >= 2
+}
+
+// sizedOperand matches len(x), x.Dim() and x.Width() of an operand x,
+// also through a field or an index (len(h.words), len(qs[i])).
+func sizedOperand(n ast.Node, operands map[string]bool) (string, bool) {
+	call, ok := n.(*ast.CallExpr)
+	if !ok {
+		return "", false
+	}
+	switch fun := call.Fun.(type) {
+	case *ast.Ident:
+		if fun.Name == "len" && len(call.Args) == 1 {
+			return sizedBase(call.Args[0], operands)
+		}
+	case *ast.SelectorExpr:
+		if (fun.Sel.Name == "Dim" || fun.Sel.Name == "Width") && len(call.Args) == 0 {
+			return sizedBase(fun.X, operands)
+		}
+	}
+	return "", false
+}
+
+// sizedBase is operandBase that also looks through an index.
+func sizedBase(e ast.Expr, operands map[string]bool) (string, bool) {
+	if ix, ok := e.(*ast.IndexExpr); ok {
+		e = ix.X
+	}
+	return operandBase(e, operands)
 }

@@ -123,8 +123,9 @@ func TestDimSafety(t *testing.T) {
 	diags := fixtureDiags(t)
 	requireFinding(t, diags, "dimsafety", "bv.go", "Xor combines the raw storage")
 	requireFinding(t, diags, "dimsafety", "bv.go", "ScanRows combines the raw storage")
-	if got := findingsIn(diags, "dimsafety", "bv.go"); len(got) != 2 {
-		t.Errorf("bv.go: want 2 dimsafety findings "+
+	requireFinding(t, diags, "dimsafety", "bv.go", "Permute combines the raw storage")
+	if got := findingsIn(diags, "dimsafety", "bv.go"); len(got) != 3 {
+		t.Errorf("bv.go: want 3 dimsafety findings "+
 			"(And, Equal, Both, ScanRowsGuarded, ScanRowsInline must pass), got %d:\n%s",
 			len(got), formatDiags(got))
 	}

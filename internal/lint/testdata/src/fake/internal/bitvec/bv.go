@@ -32,7 +32,7 @@ func (v *HV) And(a, b *HV) {
 
 // Equal guards with the inline length comparison.
 func (v *HV) Equal(o *HV) bool {
-	if v.n != o.n {
+	if len(v.words) != len(o.words) {
 		return false
 	}
 	for i, w := range v.words {
@@ -41,6 +41,17 @@ func (v *HV) Equal(o *HV) bool {
 		}
 	}
 	return true
+}
+
+// Permute is guarded only by an aliasing test, which compares the
+// operands as pointers and says nothing about their lengths.
+func (v *HV) Permute(a *HV, k int) {
+	if v == a {
+		panic("bitvec: aliased rotation")
+	}
+	for i := range v.words {
+		v.words[i] = a.words[(i+k)%len(v.words)] // flagged
+	}
 }
 
 // Both delegates to a guarded operation; no raw access, no finding.
