@@ -105,7 +105,10 @@ bench:
 ## of a probe block at widths 1 to 8, BenchmarkApproxVariantDB, the
 ## bytes and lookup time of 8 approximate variants, built once per
 ## process, and BenchmarkVariantDBOpen, the open time and heap of those
-## variants on both tiers at C = 1 and C = 63;
+## variants on both tiers at C = 1 and C = 63, and BenchmarkRoutedLookup,
+## µs per 32-base exact lookup of a content-routed library beside
+## genome.FindAll over the same references, at scan_exact_wire's shape
+## and over 8 variants at C = 63;
 ## internal/cobs BenchmarkLookup, a lookup at the
 ## cobs workload's shape; internal/genome BenchmarkFindAll, one verify
 ## pass over a cobs-sized reference), then the benchmark's smoke pass —

@@ -15,10 +15,10 @@ func scanGroupsAVX2(plane *uint64, ngroups, w int, q *uint64, k, bound, first in
 func scanGroupsAVX512(plane *uint64, ngroups, w int, q *uint64, k, bound, first int, rows, dists *int32, n *[MaxMultiQueries]int, used int) int
 
 //go:noescape
-func majorityRowsAVX2(out, table *uint64, idx *int32, n, nblocks int, tie *uint64, tieMask uint64, seed *[8]uint64)
+func majorityRowsAVX2(out, table *uint64, idx *int32, n, nblocks int, tie *uint64, tieMask uint64, seed *[8]uint64, eq *uint64)
 
 //go:noescape
-func majorityRowsAVX512(out, table *uint64, idx *int32, n, nblocks int, tie *uint64, tieMask uint64, seed *[8]uint64)
+func majorityRowsAVX512(out, table *uint64, idx *int32, n, nblocks int, tie *uint64, tieMask uint64, seed *[8]uint64, eq *uint64)
 
 //go:noescape
 func xorRowsAVX512(out, table *uint64, idx *int32, n, nblocks int)
@@ -139,15 +139,19 @@ func scanGroupsAVX2Block(b *QueryBlock, plane []uint64, g0, ngroups, bound int) 
 }
 
 // majorityRowsBlocks runs the best available vector majority fold; see
-// MajorityRows for the operands and kernel_amd64.s for the seeded
+// majorityRows for the operands and kernel_amd64.s for the seeded
 // planes. Callers must check useAccel, that rowWords is a whole number
 // of kernel blocks, len(idx) ≤ foldMaxRows and every index first.
-func majorityRowsBlocks(out, table []uint64, idx []int32, rowWords int, tie []uint64, tieMask uint64, seed *[8]uint64) {
+func majorityRowsBlocks(out, eq, table []uint64, idx []int32, rowWords int, tie []uint64, tieMask uint64, seed *[8]uint64) {
+	var eqp *uint64
+	if eq != nil {
+		eqp = &eq[0]
+	}
 	if useAVX512 {
-		majorityRowsAVX512(&out[0], &table[0], &idx[0], len(idx), rowWords/kernelBlock, &tie[0], tieMask, seed)
+		majorityRowsAVX512(&out[0], &table[0], &idx[0], len(idx), rowWords/kernelBlock, &tie[0], tieMask, seed, eqp)
 		return
 	}
-	majorityRowsAVX2(&out[0], &table[0], &idx[0], len(idx), rowWords/kernelBlock, &tie[0], tieMask, seed)
+	majorityRowsAVX2(&out[0], &table[0], &idx[0], len(idx), rowWords/kernelBlock, &tie[0], tieMask, seed, eqp)
 }
 
 // xorRowsBlocks runs the vector parity fold, under the same

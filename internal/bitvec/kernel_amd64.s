@@ -583,13 +583,16 @@ b2done:
 	VPANDQ c, p, k; \
 	VPXORQ c, p, p
 
-// func majorityRowsAVX512(out, table *uint64, idx *int32, n, nblocks int, tie *uint64, tieMask uint64, seed *[8]uint64)
+// func majorityRowsAVX512(out, table *uint64, idx *int32, n, nblocks int, tie *uint64, tieMask uint64, seed *[8]uint64, eq *uint64)
 // Lane-wise majority of n ≤ 255 table rows on the AVX-512 tier. Z0..Z7
 // hold bit planes 0..7 of the 512 lane counts of the current column
 // block, each seeded with seed[k] in every lane (the bits of
 // 127 − ⌊n/2⌋), so after the rows are added "ones > ⌊n/2⌋" is plane 7
 // and "ones == ⌊n/2⌋" is planes 0..6 all set: the block's result is
-// Z7 | (Z0 & … & Z6 & tie & tieMask), with no compare pass. Rows enter
+// Z7 | (Z0 & … & Z6 & tie & tieMask), with no compare pass. Where eq
+// is not nil, the block's Z0 & … & Z6 &^ Z7 is stored there too — plane
+// 7 clear, because a biased count of 255 (ones = ⌊n/2⌋ + 128, only
+// reachable at odd n) also sets planes 0..6. Rows enter
 // eight at a time through seven carry-save adders — four fold the rows
 // into plane 0, two fold their carries into plane 1, one folds those
 // into plane 2 — and the one weight-8 carry left ripples through planes
@@ -597,7 +600,7 @@ b2done:
 // time from plane 0. The biased count never exceeds 255, so nothing
 // carries out of plane 7. The caller guarantees n ≥ 1, every idx[j] a
 // row of the nblocks-block table, and nblocks blocks of out and tie.
-TEXT ·majorityRowsAVX512(SB), NOSPLIT, $0-64
+TEXT ·majorityRowsAVX512(SB), NOSPLIT, $0-72
 	MOVQ out+0(FP), DI
 	MOVQ table+8(FP), SI
 	MOVQ idx+16(FP), R8
@@ -615,6 +618,7 @@ TEXT ·majorityRowsAVX512(SB), NOSPLIT, $0-64
 	VPBROADCASTQ 40(R11), Z21
 	VPBROADCASTQ 48(R11), Z22
 	VPBROADCASTQ 56(R11), Z23
+	MOVQ         eq+64(FP), R11   // R11: the eq block, once the seeds are in
 
 	MOVQ CX, R12
 	SHLQ $6, R12                  // R12: row stride in bytes
@@ -688,6 +692,13 @@ mj5seal:
 	VPTERNLOGQ $0x80, Z2, Z1, Z8  // 0x80: three-way AND
 	VPTERNLOGQ $0x80, Z4, Z3, Z8
 	VPTERNLOGQ $0x80, Z6, Z5, Z8
+	TESTQ      R11, R11
+	JZ         mj5tie
+	VPANDNQ    Z8, Z7, Z9
+	VMOVDQU64  Z9, (R11)
+	ADDQ       $64, R11
+
+mj5tie:
 	VPTERNLOGQ $0x80, (R10), Z24, Z8
 	VPORQ      Z7, Z8, Z8
 	VMOVDQU64  Z8, (DI)
@@ -761,12 +772,12 @@ xr5store:
 	VPAND c, p, k; \
 	VPXOR c, p, p
 
-// func majorityRowsAVX2(out, table *uint64, idx *int32, n, nblocks int, tie *uint64, tieMask uint64, seed *[8]uint64)
+// func majorityRowsAVX2(out, table *uint64, idx *int32, n, nblocks int, tie *uint64, tieMask uint64, seed *[8]uint64, eq *uint64)
 // majorityRowsAVX512 on the AVX2 tier: the same seeded planes, adder
 // tree and seal over 32-byte half blocks, planes in Y0..Y7, the seeds
 // re-broadcast from memory per half block because sixteen registers
-// cannot also hold them.
-TEXT ·majorityRowsAVX2(SB), NOSPLIT, $0-64
+// cannot also hold them. eq's half block is at the offset out's is.
+TEXT ·majorityRowsAVX2(SB), NOSPLIT, $0-72
 	MOVQ out+0(FP), DI
 	MOVQ table+8(FP), SI
 	MOVQ idx+16(FP), R8
@@ -851,6 +862,15 @@ mj2seal:
 	VPAND   Y4, Y8, Y8
 	VPAND   Y5, Y8, Y8
 	VPAND   Y6, Y8, Y8
+	MOVQ    eq+64(FP), AX
+	TESTQ   AX, AX
+	JZ      mj2tie
+	MOVQ    DI, DX
+	SUBQ    out+0(FP), DX
+	VPANDN  Y8, Y7, Y9
+	VMOVDQU Y9, (AX)(DX*1)
+
+mj2tie:
 	VPAND   (R10), Y8, Y8
 	VPAND   Y15, Y8, Y8
 	VPOR    Y7, Y8, Y8

@@ -102,29 +102,37 @@ func TestScanPlaneTiersMatchHammingWords(t *testing.T) {
 }
 
 // foldTier is one vector tier of the row-fold kernels: its assembly
-// behind the argument set-up MajorityRows and XorRows do. parity is nil
-// on the AVX2 tier, which has no parity kernel.
+// behind the argument set-up MajorityRows, XorRows and MajorityRowsEq
+// do. parity is nil on the AVX2 tier, which has no parity kernel.
 type foldTier struct {
 	major  majorityFold
 	parity parityFold
+	eq     eqFold
 }
 
 // foldTiers returns the row-fold tiers the host supports, by name.
 func foldTiers() map[string]foldTier {
-	wrap := func(major func(out, table *uint64, idx *int32, n, nblocks int, tie *uint64, tieMask uint64, seed *[8]uint64)) majorityFold {
+	type majorityAsm = func(out, table *uint64, idx *int32, n, nblocks int, tie *uint64, tieMask uint64, seed *[8]uint64, eq *uint64)
+	wrap := func(major majorityAsm) majorityFold {
 		return func(out, table []uint64, idx []int32, w int, tie []uint64, tieOn bool) {
 			seed := foldSeed(len(idx))
-			major(&out[0], &table[0], &idx[0], len(idx), w/kernelBlock, &tie[0], foldTieMask(len(idx), tieOn), &seed)
+			major(&out[0], &table[0], &idx[0], len(idx), w/kernelBlock, &tie[0], foldTieMask(len(idx), tieOn), &seed, nil)
+		}
+	}
+	wrapEq := func(major majorityAsm) eqFold {
+		return func(out, eq, table []uint64, idx []int32, w int) {
+			seed := foldSeed(len(idx))
+			major(&out[0], &table[0], &idx[0], len(idx), w/kernelBlock, &eq[0], 0, &seed, &eq[0])
 		}
 	}
 	tiers := map[string]foldTier{}
 	if useAccel {
-		tiers["avx2"] = foldTier{major: wrap(majorityRowsAVX2)}
+		tiers["avx2"] = foldTier{major: wrap(majorityRowsAVX2), eq: wrapEq(majorityRowsAVX2)}
 	}
 	if useAVX512 {
 		tiers["avx512"] = foldTier{wrap(majorityRowsAVX512), func(out, table []uint64, idx []int32, w int) {
 			xorRowsAVX512(&out[0], &table[0], &idx[0], len(idx), w/kernelBlock)
-		}}
+		}, wrapEq(majorityRowsAVX512)}
 	}
 	return tiers
 }
@@ -143,6 +151,7 @@ func TestFoldRowsTiersMatchPortable(t *testing.T) {
 		t.Skip("no vector kernels on this machine")
 	}
 	for name, tier := range tiers {
+		checkEqFolds(t, name, []int{8, 16, 128}, []int{1, 2, 7, 8, 9, 16, 31, 32, 63, 64, 255}, tier.eq)
 		for _, w := range []int{8, 16, 64, 128, 136} {
 			for _, n := range []int{1, 2, 7, 8, 9, 31, 32, 33, 48, 63, 64, 127, 254, 255} {
 				for _, kind := range foldKinds {

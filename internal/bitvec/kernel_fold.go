@@ -48,21 +48,50 @@ func foldExtent(idx []int32) (lo, hi int32) {
 //
 //biohd:hotpath
 func MajorityRows(out, table []uint64, idx []int32, rowWords int, tie []uint64, tieOn bool) {
-	if rowWords <= 0 || len(out) != rowWords || len(tie) != rowWords || len(idx) == 0 {
-		panic(fmt.Sprintf("bitvec: MajorityRows of %d rows, %d-word rows, out %d words, tie %d words",
-			len(idx), rowWords, len(out), len(tie)))
+	if len(tie) != rowWords {
+		panic(fmt.Sprintf("bitvec: MajorityRows tie of %d words for %d-word rows", len(tie), rowWords))
+	}
+	majorityRows(out, nil, table, idx, rowWords, tie, foldTieMask(len(idx), tieOn))
+}
+
+// MajorityRowsEq stores into out the lane-wise strict majority of the
+// rows of table named by idx — MajorityRows with tieOn false — and into
+// eq the lanes where exactly ⌊len(idx)/2⌋ of the rows are set: for an
+// even number of rows, the ties. It is one fold for a caller with a tie
+// rule of its own (hdc.Rows.Seal), which would otherwise fold twice to
+// learn which lanes tie.
+//
+// It panics if rowWords is not positive, out or eq is not rowWords
+// long, idx is empty, or an index does not name a whole row of table.
+//
+//biohd:hotpath
+func MajorityRowsEq(out, eq, table []uint64, idx []int32, rowWords int) {
+	if len(eq) != rowWords {
+		panic(fmt.Sprintf("bitvec: MajorityRowsEq eq of %d words for %d-word rows", len(eq), rowWords))
+	}
+	// With the tie mask clear the tie row is never used; eq stands in.
+	majorityRows(out, eq, table, idx, rowWords, eq, 0)
+}
+
+// majorityRows is both majority folds behind their checks: out under
+// tieMask, and eq too where it is not nil.
+//
+//biohd:hotpath
+func majorityRows(out, eq, table []uint64, idx []int32, rowWords int, tie []uint64, tieMask uint64) {
+	if rowWords <= 0 || len(out) != rowWords || len(idx) == 0 {
+		panic(fmt.Sprintf("bitvec: MajorityRows of %d rows, %d-word rows, out %d words",
+			len(idx), rowWords, len(out)))
 	}
 	if lo, hi := foldExtent(idx); lo < 0 || int(hi) >= len(table)/rowWords {
 		panic(fmt.Sprintf("bitvec: MajorityRows row indices [%d,%d] outside a table of %d %d-word rows",
 			lo, hi, len(table)/rowWords, rowWords))
 	}
-	tieMask := foldTieMask(len(idx), tieOn)
 	if useAccel && rowWords%kernelBlock == 0 && len(idx) <= foldMaxRows {
 		seed := foldSeed(len(idx))
-		majorityRowsBlocks(out, table, idx, rowWords, tie, tieMask, &seed)
+		majorityRowsBlocks(out, eq, table, idx, rowWords, tie, tieMask, &seed)
 		return
 	}
-	majorityRowsGeneric(out, table, idx, rowWords, tie, tieMask)
+	majorityRowsGeneric(out, eq, table, idx, rowWords, tie, tieMask)
 }
 
 // foldTieMask is all-ones where a fold of n rows takes tied lanes from
@@ -124,8 +153,8 @@ func csa(a, b, c uint64) (sum, carry uint64) {
 // word of weight 8, and that word ripples into planes 3 and up until no
 // lane carries. The result is the constant compare ones > ⌊n/2⌋; lanes
 // with ones == ⌊n/2⌋ take their bit from tie under tieMask, which the
-// caller has cleared for odd n.
-func majorityRowsGeneric(out, table []uint64, idx []int32, nw int, tie []uint64, tieMask uint64) {
+// caller has cleared for odd n, and are stored in eqOut where it is not nil.
+func majorityRowsGeneric(out, eqOut, table []uint64, idx []int32, nw int, tie []uint64, tieMask uint64) {
 	n := len(idx)
 	nPlanes := bits.Len(uint(n))
 	half := uint(n / 2)
@@ -172,6 +201,9 @@ func majorityRowsGeneric(out, table []uint64, idx []int32, nw int, tie []uint64,
 			} else {
 				eq &= planes[k]
 			}
+		}
+		if eqOut != nil {
+			eqOut[c] = eq
 		}
 		out[c] = gt | eq&tie[c]&tieMask
 	}

@@ -14,6 +14,7 @@ import (
 type (
 	majorityFold func(out, table []uint64, idx []int32, rowWords int, tie []uint64, tieOn bool)
 	parityFold   func(out, table []uint64, idx []int32, rowWords int)
+	eqFold       func(out, eq, table []uint64, idx []int32, rowWords int)
 )
 
 // foldTableRows is how many rows every test table holds.
@@ -82,6 +83,22 @@ func naiveMajority(table []uint64, idx []int32, w int, tie []uint64, tieOn bool)
 	return out
 }
 
+// naiveEq is the bit-at-a-time definition of MajorityRowsEq's eq: the
+// lanes where exactly ⌊n/2⌋ rows are set.
+func naiveEq(table []uint64, idx []int32, w int) []uint64 {
+	eq := make([]uint64, w)
+	for bit := 0; bit < 64*w; bit++ {
+		ones := 0
+		for _, i := range idx {
+			ones += int(table[int(i)*w+bit/64] >> uint(bit%64) & 1)
+		}
+		if ones == len(idx)/2 {
+			eq[bit/64] |= 1 << uint(bit%64)
+		}
+	}
+	return eq
+}
+
 func naiveParity(seed, table []uint64, idx []int32, w int) []uint64 {
 	out := slices.Clone(seed)
 	for _, i := range idx {
@@ -122,6 +139,37 @@ func checkFolds(t *testing.T, name string, widths, counts []int, major majorityF
 	}
 }
 
+// checkEqFolds holds a one-pass majority with its eq lanes to the naive
+// definitions over every case kind at each width and row count.
+func checkEqFolds(t *testing.T, name string, widths, counts []int, fold eqFold) {
+	t.Helper()
+	for _, w := range widths {
+		for _, n := range counts {
+			for _, kind := range foldKinds {
+				table, idx, _ := foldCase(kind, w, n, uint64(w)*1013+uint64(n))
+				out, eq := randWords(w, 7), randWords(w, 8) // must be overwritten, not merged
+				fold(out, eq, table, idx, w)
+				if want := naiveMajority(table, idx, w, nil, false); !slices.Equal(out, want) {
+					t.Fatalf("%s eq fold w=%d n=%d %s: majority differs from the bit-at-a-time fold in %d bits",
+						name, w, n, kind, HammingWords(out, want))
+				}
+				if want := naiveEq(table, idx, w); !slices.Equal(eq, want) {
+					t.Fatalf("%s eq fold w=%d n=%d %s: eq lanes differ from the bit-at-a-time count in %d bits",
+						name, w, n, kind, HammingWords(eq, want))
+				}
+			}
+		}
+	}
+}
+
+// TestMajorityRowsEqMatchesNaive pins the one-pass fold with its eq
+// lanes, dispatched and on the portable tier (kernel_amd64_test.go
+// holds each vector tier to the same definitions).
+func TestMajorityRowsEqMatchesNaive(t *testing.T) {
+	checkEqFolds(t, "dispatch", []int{1, 3, 8, 16, 24, 128}, foldCounts, MajorityRowsEq)
+	checkEqFolds(t, "portable", []int{1, 8, 9}, foldCounts, portableEq)
+}
+
 // foldCounts covers every adder-tree remainder, the plane-count
 // boundaries up to eight planes, both parities around them, and the
 // two counts past foldMaxRows that must stay on the portable tier.
@@ -134,9 +182,14 @@ func TestFoldRowsMatchNaive(t *testing.T) {
 	checkFolds(t, "dispatch", []int{64, 128, 136}, []int{1, 32, 255, 256}, MajorityRows, XorRows)
 }
 
-// portableMajority is majorityRowsGeneric behind MajorityRows' shape.
+// portableMajority and portableEq are majorityRowsGeneric behind
+// MajorityRows' and MajorityRowsEq's shapes.
 func portableMajority(out, table []uint64, idx []int32, w int, tie []uint64, tieOn bool) {
-	majorityRowsGeneric(out, table, idx, w, tie, foldTieMask(len(idx), tieOn))
+	majorityRowsGeneric(out, nil, table, idx, w, tie, foldTieMask(len(idx), tieOn))
+}
+
+func portableEq(out, eq, table []uint64, idx []int32, w int) {
+	majorityRowsGeneric(out, eq, table, idx, w, eq, 0)
 }
 
 // TestFoldRowsPortableMatchNaive pins the portable tiers directly, so
@@ -163,6 +216,9 @@ func TestFoldRowsPanics(t *testing.T) {
 		"majority negative index": func() { MajorityRows(out, table, with(2, -1), 8, tie, true) },
 		"majority past the table": func() { MajorityRows(out, table, with(3, foldTableRows), 8, tie, true) },
 		"majority partial row":    func() { MajorityRows(out, table[:len(table)-1], with(0, foldTableRows-1), 8, tie, true) },
+		"eq short eq":             func() { MajorityRowsEq(out, tie[:7], table, idx, 8) },
+		"eq short out":            func() { MajorityRowsEq(out[:7], tie, table, idx, 8) },
+		"eq no rows":              func() { MajorityRowsEq(out, tie, table, nil, 8) },
 		"parity zero width":       func() { XorRows(nil, table, idx, 0) },
 		"parity short out":        func() { XorRows(out[:7], table, idx, 8) },
 		"parity no rows":          func() { XorRows(out, table, nil, 8) },

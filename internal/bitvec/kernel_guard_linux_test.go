@@ -99,7 +99,7 @@ func TestKernelsStopAtGuardPage(t *testing.T) {
 	// guard page — is folded: one row, a group of eight plus one, and
 	// two groups.
 	folds := foldTiers()
-	folds["dispatch"] = foldTier{MajorityRows, XorRows}
+	folds["dispatch"] = foldTier{MajorityRows, XorRows, MajorityRowsEq}
 	for _, w := range []int{8, 16} {
 		table, tie := guardedCopy(t, randWords(4*w, uint64(w))), guardedCopy(t, randWords(w, 7))
 		for _, n := range []int{1, 9, 16} {
@@ -115,6 +115,11 @@ func TestKernelsStopAtGuardPage(t *testing.T) {
 				out := guarded[uint64](t, w)
 				if tier.major(out, table, idx, w, tie, true); !slices.Equal(out, major) {
 					t.Errorf("%s majority w=%d n=%d differs from the portable tier", name, w, n)
+				}
+				eq, wantOut, wantEq := guarded[uint64](t, w), make([]uint64, w), make([]uint64, w)
+				portableEq(wantOut, wantEq, table, idx, w)
+				if tier.eq(out, eq, table, idx, w); !slices.Equal(out, wantOut) || !slices.Equal(eq, wantEq) {
+					t.Errorf("%s eq fold w=%d n=%d differs from the portable tier", name, w, n)
 				}
 				if tier.parity == nil {
 					continue

@@ -20,7 +20,7 @@ func scanGroups(b *QueryBlock, plane []uint64, g0, ngroups, bound int) int {
 	return scanGroupsGeneric(b, plane, g0, ngroups, bound)
 }
 
-func majorityRowsBlocks(out, table []uint64, idx []int32, rowWords int, tie []uint64, tieMask uint64, seed *[8]uint64) {
+func majorityRowsBlocks(out, eq, table []uint64, idx []int32, rowWords int, tie []uint64, tieMask uint64, seed *[8]uint64) {
 	panic("bitvec: majorityRowsBlocks without an accelerated kernel")
 }
 

@@ -74,8 +74,8 @@ func TestExactMissRateWithinBeta(t *testing.T) {
 	for stats.BinomialTail(occurrences, beta, limit) > tail {
 		limit++
 	}
-	t.Logf("%d variants × %d bases, capacity %d: %d of %d occurrences missed (%.2e), limit %d at β = %g",
-		len(db.Variants), cfg.AncestorLen, lib.Params().Capacity, misses, occurrences,
+	t.Logf("%d variants × %d bases, capacity %d, %d routing groups: %d of %d occurrences missed (%.2e), limit %d at β = %g",
+		len(db.Variants), cfg.AncestorLen, lib.Params().Capacity, lib.groups, misses, occurrences,
 		float64(misses)/float64(occurrences), limit, beta)
 	if misses >= limit {
 		t.Fatalf("exact HDC missed %d of %d occurrences, at or past the β = %g limit %d", misses, occurrences, beta, limit)

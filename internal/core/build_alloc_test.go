@@ -12,9 +12,10 @@ import (
 // publish and compaction. A window of a sealed library costs its share
 // of three packed rows — the closed bucket's, the arena's copy of it and
 // at most one more in the sketch plane — plus its 8-byte WindowRef with
-// append growth and the bucket and vector headers; the builder's C-row
-// fold buffer (doubled for growth) is the only cost that does not scale
-// with the windows. One hdc.Acc per bucket alone would be 4·D/C bytes a
+// append growth and the bucket and vector headers; the builder's table
+// of open rows — C of them a routing group (DESIGN §8.6), or a C-row
+// fold buffer doubled for growth where there is one group — is the only
+// cost that does not scale with the windows. One hdc.Acc per bucket alone would be 4·D/C bytes a
 // window, eight to ten times the ceiling at either geometry, so a counter
 // path cannot come back under it (the counter build read ≈ 2 200 B a
 // window at exact-C16 and ≈ 35 500 at approx-C1; the fold ≈ 200 and
@@ -34,6 +35,7 @@ func TestSealedBuildAllocCeiling(t *testing.T) {
 			}
 			recs := []genome.Record{record("small", small), record("rest", windows-small), record("live", windows)}
 			rowBytes, c := g.p.Dim/8, g.p.Capacity
+			openRows := max(lib.groups, 2) * c
 			ceiling := float64(3*rowBytes/c + 64)
 			counters := float64(4 * g.p.Dim / c)
 			if 8*ceiling > counters {
@@ -46,7 +48,7 @@ func TestSealedBuildAllocCeiling(t *testing.T) {
 				runtime.ReadMemStats(&before)
 				fn()
 				runtime.ReadMemStats(&after)
-				perWindow := float64(after.TotalAlloc-before.TotalAlloc-uint64(2*c*rowBytes)) / float64(n)
+				perWindow := float64(after.TotalAlloc-before.TotalAlloc-uint64(openRows*rowBytes)) / float64(n)
 				t.Logf("%s: %.0f B a window; ceiling %.0f, counters alone %.0f", name, perWindow, ceiling, counters)
 				if perWindow > ceiling {
 					t.Errorf("%s allocated %.0f B a window, ceiling %.0f", name, perWindow, ceiling)

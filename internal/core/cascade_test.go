@@ -381,10 +381,15 @@ func TestSketchModelHolds(t *testing.T) {
 	var dist stats.Welford
 	worst := 0
 	hv := hdc.NewHV(p.Dim)
+	bucketOf := make([]int, members) // routing puts window k wherever its group's buckets are
+	for b := 0; b < lib.Describe().Buckets; b++ {
+		for _, wr := range lib.BucketWindows(b) {
+			bucketOf[wr.Off] = b
+		}
+	}
 	for start := 0; start < members; start++ {
-		// Stride 1 from one reference at capacity C: window k is in bucket k/C.
 		lib.Encoder().EncodeWindowExactInto(hv, ref, start)
-		row := lib.BucketVector(start / p.Capacity).Words()
+		row := lib.BucketVector(bucketOf[start]).Words()
 		d := bitvec.HammingWords(row[:plan.Words], hv.Words()[:plan.Words])
 		dist.Add(float64(d))
 		worst = max(worst, d)

@@ -11,7 +11,9 @@ import "sync/atomic"
 // exposes them as Prometheus counters), not for experiments.
 type Counters struct {
 	// BucketProbes counts query-window/bucket probe scans across every
-	// lookup served by this library (each probe scans all buckets).
+	// lookup served by this library: the buckets each probe scores —
+	// an exact window's group and the spill in a routed library
+	// (DESIGN §8.6), every bucket otherwise.
 	BucketProbes int64
 	// EarlyAbandons counts sealed-arena rows a probe scanned that did
 	// not become candidates — dropped by the sketch stage or by the

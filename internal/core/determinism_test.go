@@ -39,8 +39,9 @@ func buildSerialized(t *testing.T, p Params, recs []genome.Record, workers int) 
 // the build path shows up here as a byte diff. Each geometry also pins
 // the SHA-256 of the v3 file PR 14 (the last commit with a second
 // writer) wrote for it — for the approximate geometry, that file with
-// its rows cut to their sketches — so a change to the one writer that
-// alters a byte of the format fails here. Params.Sealed is ignored: asking for raw
+// its rows cut to their sketches, for the exact one, the file whose
+// windows are routed by content (DESIGN §8.6) — so a change to the one
+// writer that alters a byte of the format fails here. Params.Sealed is ignored: asking for raw
 // counters builds the same sealed library, byte for byte.
 func TestBuildDeterminism(t *testing.T) {
 	src := rng.New(99)
@@ -55,13 +56,13 @@ func TestBuildDeterminism(t *testing.T) {
 		sha256 string
 	}{
 		{"exact-sealed", Params{Dim: 1024, Window: 16, Seed: 5},
-			"a0d085aa56bd4d45ce86278bea0ef137d572c561147a86f12cd5c3495ed9e7fa"},
+			"5efc5ee5608dac341d10f173cabe4baa3872f426bad946179e2308e6c92b127e"},
 		// One window a row under a sketch: the rows are stored as their
 		// sketches (whole rows hashed to aa24675e…9f9bcd).
 		{"approx-sealed", Params{Dim: 1024, Window: 16, Approx: true, MutTolerance: 2, Seed: 5},
 			"2a65dc99d16c66aa1f129e7f0efc543b00c99468b353b94edf9af5eb644518ce"},
 		{"exact-sealed-false-ignored", Params{Dim: 1024, Window: 16, Sealed: false, Seed: 5},
-			"a0d085aa56bd4d45ce86278bea0ef137d572c561147a86f12cd5c3495ed9e7fa"},
+			"5efc5ee5608dac341d10f173cabe4baa3872f426bad946179e2308e6c92b127e"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			first := buildSerialized(t, tc.p, recs, 0)

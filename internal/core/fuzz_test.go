@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/genome"
@@ -76,6 +77,20 @@ func FuzzReadLibrary(f *testing.F) {
 	f.Add(forgeHugeDirectory(valid3))
 	// Every checksum intact, but the parameters claim raw counters.
 	f.Add(rawCounterV3(valid3))
+	// A routed library whose groups filled buckets, and its group tables
+	// made hostile under intact checksums.
+	routed := routedFuzzLibrary(f)
+	routedBytes := writeV3Bytes(f, routed)
+	f.Add(routedBytes)
+	hostile := hostileGroupTables(routedBytes, routed.groups)
+	names := make([]string, 0, len(hostile))
+	for name := range hostile {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	for _, name := range names {
+		f.Add(hostile[name])
+	}
 
 	dir := f.TempDir()
 	f.Fuzz(func(t *testing.T, data []byte) {

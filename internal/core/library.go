@@ -126,6 +126,10 @@ type Library struct {
 	// (hdc.Rows).
 	ties *hdc.Ties
 
+	// groups is how many groups an exact library routes its windows to
+	// (routeGroups), 0 for an approximate one, which is not routed.
+	groups int
+
 	// cal is the calibration last derived; it is only touched with the
 	// engine's mutation lock held.
 	cal Calibration
@@ -141,11 +145,14 @@ type Library struct {
 // and per-query candidate buffers. Pooled per library — concurrent
 // requests probe at once, so the scratch must be per-call, not shared.
 type blockScratch struct {
-	hvs   []*hdc.HV          // query window encodings, BlockWidth of them
-	acc   *hdc.Acc           // the approximate encoder's row-index scratch; nil in exact mode
-	scan  *bitvec.QueryBlock // the range kernel's block: its queries and their survivors
-	cands [][]Candidate      // per-query candidate buffers
-	one   [1]*hdc.HV         // Probe's one-query block
+	hvs    []*hdc.HV          // query window encodings, BlockWidth of them
+	acc    *hdc.Acc           // the approximate encoder's row-index scratch; nil in exact mode
+	scan   *bitvec.QueryBlock // the range kernel's block: its queries and their survivors
+	sub    *bitvec.QueryBlock // the block's queries routed to one group; nil where nothing is routed
+	cands  [][]Candidate      // per-query candidate buffers
+	one    [1]*hdc.HV         // Probe's one-query block
+	keys   [BlockWidth]uint64 // the block's routing keys
+	scored [BlockWidth]int    // the buckets each query scored
 }
 
 // candidateHint pre-sizes candidate slices: probes that hit at all
@@ -165,6 +172,9 @@ func (l *Library) getBlockScratch() *blockScratch {
 		hvs:   make([]*hdc.HV, BlockWidth),
 		scan:  bitvec.NewQueryBlock(l.params.Dim / 64),
 		cands: make([][]Candidate, BlockWidth),
+	}
+	if l.groups > 0 {
+		s.sub = bitvec.NewQueryBlock(l.params.Dim / 64)
 	}
 	for i := range s.hvs {
 		s.hvs[i] = hdc.NewHV(l.params.Dim)
@@ -206,7 +216,7 @@ func NewLibrary(params Params) (*Library, error) {
 	if err != nil {
 		return nil, err
 	}
-	l := &Library{params: params, enc: enc, ties: hdc.NewTies(params.Dim, params.Seed^tieSeedMix)}
+	l := &Library{params: params, enc: enc, ties: hdc.NewTies(params.Dim, params.Seed^tieSeedMix), groups: routeGroups(params)}
 	// The width is sized against the threshold the model expects at the
 	// library size capacity planning assumes; views re-derive the bound
 	// from the threshold they are actually searched at.
@@ -294,28 +304,39 @@ func (l *Library) encodeInto(hv *hdc.HV, acc *hdc.Acc, seq *genome.Sequence, off
 }
 
 // newBuilder is Kernel.Builder.
-func (l *Library) newBuilder() Builder { return &builder{l: l} }
+func (l *Library) newBuilder() Builder {
+	return &builder{l: l, groups: make([]group, max(l.groups, 1))}
+}
 
 // Append is Builder.Append: every stride-aligned window of rec is
 // encoded as a query for it would be encoded and superposed into the
-// builder — the one way a window reaches a bucket, at ingest and at
-// compaction. An exact library at stride 1 folds the first window and
-// slides to each later one (Encoder.SlideExact, DESIGN §8.1), the same
-// bits at a fraction of the fold's cost; other geometries encode every
-// window directly.
+// builder, in the group its key routes it to — the one way a window
+// reaches a bucket, at ingest and at compaction. An exact library at
+// stride 1 folds the first window and slides to each later one
+// (Encoder.SlideExact, DESIGN §8.1), the same bits at a fraction of the
+// fold's cost, whatever group each lands in; other geometries encode
+// every window directly.
 func (b *builder) Append(ref int32, rec genome.Record) int {
 	l := b.l
-	sc := l.getBlockScratch()
-	defer l.putBlockScratch(sc)
-	hv := sc.hvs[0]
+	if b.hv == nil {
+		b.hv = hdc.NewHV(l.params.Dim)
+		if l.params.Approx {
+			b.acc = hdc.NewAcc(l.params.Dim)
+		}
+	}
+	hv := b.hv
 	slide := !l.params.Approx && l.params.Stride == 1
 	for start := 0; start+l.params.Window <= rec.Seq.Len(); start += l.params.Stride {
 		if slide && start > 0 {
 			l.enc.SlideExact(hv, rec.Seq, start-1)
 		} else {
-			l.encodeInto(hv, sc.acc, rec.Seq, start)
+			l.encodeInto(hv, b.acc, rec.Seq, start)
 		}
-		b.insert(WindowRef{Ref: ref, Off: int32(start)}, hv)
+		var key uint64
+		if l.groups > 0 {
+			key = windowKey(rec.Seq, start, l.params.Window)
+		}
+		b.insert(key, WindowRef{Ref: ref, Off: int32(start)}, hv)
 	}
 	return b.numBuckets()
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/genome"
@@ -190,13 +191,22 @@ func TestStrideMemorizesAlignedWindows(t *testing.T) {
 		if lib.NumWindows() != want || lib.NumRefs() != len(lens) {
 			t.Fatalf("stride %d: %d windows of %d refs, want %d of %d", stride, lib.NumWindows(), lib.NumRefs(), want, len(lens))
 		}
-		next := make([]int, len(lens))
+		// Routing files windows by content, not in offset order: gather
+		// each reference's offsets, then walk them in order.
+		offs := make([][]int, len(lens))
 		for b := 0; b < lib.Describe().Buckets; b++ {
 			for _, wr := range lib.BucketWindows(b) {
-				if int(wr.Off) != next[wr.Ref] {
-					t.Fatalf("stride %d: ref %d memorized offset %d, want %d", stride, wr.Ref, wr.Off, next[wr.Ref])
+				offs[wr.Ref] = append(offs[wr.Ref], int(wr.Off))
+			}
+		}
+		next := make([]int, len(lens))
+		for r := range offs {
+			slices.Sort(offs[r])
+			for _, off := range offs[r] {
+				if off != next[r] {
+					t.Fatalf("stride %d: ref %d memorized offset %d, want %d", stride, r, off, next[r])
 				}
-				next[wr.Ref] += stride
+				next[r] += stride
 			}
 		}
 		for i, n := range lens {

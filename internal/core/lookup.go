@@ -28,7 +28,7 @@ type Match struct {
 // consumes them to derive in-memory latency and energy.
 type Stats struct {
 	Alignments       int // query window alignments encoded
-	BucketProbes     int // query/bucket dot products (the PIM search kernel)
+	BucketProbes     int // query/bucket dot products: the buckets a probe scores, what the PIM activates
 	CandidateBuckets int // buckets whose score crossed the threshold
 	WindowsVerified  int // member windows checked during refinement
 	BaseComparisons  int // nucleotide comparisons spent in verification
@@ -177,7 +177,9 @@ func (a *Answer) Best() (RefMatch, error) {
 // Every backend answers alike — the conformance suite holds HDC exact
 // and approximate and cobs, heap and mapped, to a naive scan on random
 // references of at most 320 bases; on larger libraries exact HDC misses
-// an occurrence with probability β. It fails for a shape Query does not
+// an occurrence with probability β. Its Stats count the buckets each
+// window's probe scores: in an exact HDC library, only those its
+// content routes it to (DESIGN §8.6). It fails for a shape Query does not
 // list, a Long query shorter than the window, an index not frozen or
 // closed, and — returning ctx.Err() itself — a lookup ctx cut short
 // before its last block began: only a lookup observes ctx, between its

@@ -85,7 +85,7 @@ func TestProbeMultiSegmentedAllocs(t *testing.T) {
 				}
 				for base := 0; base < len(hvs); base += BlockWidth {
 					hi := min(base+BlockWidth, len(hvs))
-					lib.probeBlockInto(sn, dsts[base:hi], hvs[base:hi], sc)
+					lib.probeBlockInto(sn, dsts[base:hi], hvs[base:hi], nil, sc)
 				}
 			}
 			scan() // establish capacities
@@ -140,7 +140,7 @@ func BenchmarkProbeMultiSegmented(b *testing.B) {
 				}
 				for base := 0; base < len(hvs); base += BlockWidth {
 					hi := min(base+BlockWidth, len(hvs))
-					lib.probeBlockInto(sn, dsts[base:hi], hvs[base:hi], sc)
+					lib.probeBlockInto(sn, dsts[base:hi], hvs[base:hi], nil, sc)
 				}
 			}
 		})

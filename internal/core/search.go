@@ -57,7 +57,10 @@ func hammingBound(dim int, tau float64) int {
 // the candidates above the model threshold. This is the pure HDC search
 // stage — exactly the computation the PIM architecture executes in
 // memory. The library must be frozen. It is the one-query case of the
-// blocked scan.
+// blocked scan. Given a hypervector rather than a window, it has no
+// content to route by (DESIGN §8.6), so it scans every bucket even of a
+// routed library: the full scan is always correct, routing only prunes
+// it.
 //
 // The scan visits segments in order; within each segment, sealed
 // libraries run the two-stage cascade of the view's plan — the range
@@ -67,8 +70,9 @@ func hammingBound(dim int, tau float64) int {
 // scan, independent of how the buckets are cut into segments, up to the
 // model's 1e-15 stage-1 miss per accepted row (Model.sketchStage); at
 // one window a row, a superset of them (DESIGN §7.5). Stats count
-// the full scan — BucketProbes is the work the PIM hardware would do,
-// not the words the software kernel happened to touch.
+// the buckets a probe scores — BucketProbes is the work the PIM
+// hardware would activate, not the words the software kernel happened
+// to touch.
 //
 //biohd:hotpath
 func (l *Library) Probe(hv *hdc.HV, stats *Stats) ([]Candidate, error) {
@@ -86,10 +90,10 @@ func (l *Library) Probe(hv *hdc.HV, stats *Stats) ([]Candidate, error) {
 	dsts := sc.cands[:1]
 	dsts[0] = dsts[0][:0]
 	l.countProbe(v, 1, false)
-	l.probeBlockInto(v, dsts, sc.one[:], sc)
+	l.probeBlockInto(v, dsts, sc.one[:], nil, sc)
 	sc.one[0] = nil
 	if stats != nil {
-		stats.BucketProbes += v.nBkts
+		stats.BucketProbes += sc.scored[0]
 		stats.CandidateBuckets += len(dsts[0])
 	}
 	if len(dsts[0]) == 0 {
@@ -107,7 +111,7 @@ func (l *Library) Probe(hv *hdc.HV, stats *Stats) ([]Candidate, error) {
 // len(hvs) independent probes — out[i] is identical to what
 // Probe(hvs[i], ...) returns (same candidates, order, scores, excesses,
 // nil on a miss) — and stats count the same modeled work: every query
-// scans every bucket, whatever the software kernel skipped.
+// scores every bucket, whatever the software kernel skipped.
 //
 //biohd:hotpath
 func (l *Library) ProbeMulti(hvs []*hdc.HV, stats *Stats) ([][]Candidate, error) {
@@ -125,20 +129,21 @@ func (l *Library) ProbeMulti(hvs []*hdc.HV, stats *Stats) ([][]Candidate, error)
 	out := make([][]Candidate, len(hvs))
 	sc := l.getBlockScratch()
 	defer l.putBlockScratch(sc)
-	total := 0
+	total, scored := 0, 0
 	for base := 0; base < len(hvs); base += BlockWidth {
 		hi := min(base+BlockWidth, len(hvs))
 		// Each dst starts nil: probeBlockRange appends, so queries that
 		// miss every bucket never allocate a candidate slice at all.
 		dsts := out[base:hi]
 		l.countProbe(v, hi-base, true)
-		l.probeBlockInto(v, dsts, hvs[base:hi], sc)
+		l.probeBlockInto(v, dsts, hvs[base:hi], nil, sc)
 		for j := range dsts {
 			total += len(dsts[j])
+			scored += sc.scored[j]
 		}
 	}
 	if stats != nil {
-		stats.BucketProbes += len(hvs) * v.nBkts
+		stats.BucketProbes += scored
 		stats.CandidateBuckets += total
 	}
 	return out, nil
@@ -146,23 +151,33 @@ func (l *Library) ProbeMulti(hvs []*hdc.HV, stats *Stats) ([][]Candidate, error)
 
 // probeBlockInto fills dsts[j] with the candidates of hvs[j] for one
 // block of at most BlockWidth queries, appending to whatever each dst
-// already holds. Candidate content and order are identical to one
-// serial scan per query; the only difference is that the plane is read
-// from memory once per block instead of once per query.
-// Segments are scanned in order, each whole, on the caller's goroutine.
-// Callers must have pinned v and validated query dimensions; sc
-// supplies the range kernel's query block.
-func (l *Library) probeBlockInto(v *View, dsts [][]Candidate, hvs []*hdc.HV, sc *blockScratch) {
+// already holds, and sc.scored[j] with the buckets query j scored. With
+// keys — the routing keys of the windows hvs encode — each query scores
+// only the buckets its window can be stored in (segment.route);
+// without, every bucket. Either way a query's candidates are those one
+// serial scan of what it scores would give, segment by segment in
+// bucket order; the plane is read from memory once per block where the
+// queries share a range instead of once per query.
+// Segments are scanned in order, on the caller's goroutine. Callers
+// must have pinned v and validated query dimensions; sc supplies the
+// range kernel's query blocks.
+func (l *Library) probeBlockInto(v *View, dsts [][]Candidate, hvs []*hdc.HV, keys []uint64, sc *blockScratch) {
 	sn := hdcOf(v)
-	l.ctr.bucketProbes.Add(int64(len(hvs)) * int64(sn.numBuckets()))
 	// Every segment's plane is the library's sketch width wide.
 	sc.scan.Reset(l.sketchWords)
 	for _, hv := range hvs {
 		sc.scan.Add(hv.Words())
 	}
+	scored := sc.scored[:len(hvs)]
+	clear(scored)
 	for k, seg := range sn.segs {
-		seg.probeBlockRange(dsts, hvs, &sn.plan, sn.offs[k], sc.scan, &l.ctr)
+		seg.probeBlockRange(dsts, hvs, keys, scored, &sn.plan, sn.offs[k], sc.scan, sc.sub, &l.ctr)
 	}
+	total := 0
+	for _, n := range scored {
+		total += n
+	}
+	l.ctr.bucketProbes.Add(int64(total))
 }
 
 // verify refines candidates into matches by direct comparison of the
@@ -197,21 +212,29 @@ func (l *Library) verify(sn *hdcView, out []Match, q *genome.Sequence, qOff int,
 }
 
 // probeBlock is Kernel.Probe: the block's windows are encoded, scanned
-// against every bucket in one blocked pass, and each window's
-// candidates verified against the references.
+// in one blocked pass against the buckets each can be stored in — its
+// group's and the spill in a routed library, every bucket otherwise —
+// and each window's candidates verified against the references.
 //
 //biohd:hotpath
 func (l *Library) probeBlock(v *View, wins []Window, out []*BatchResult) {
 	sc := l.getBlockScratch()
 	defer l.putBlockScratch(sc)
+	var keys []uint64
+	if l.groups > 0 {
+		keys = sc.keys[:len(wins)]
+	}
 	for j, wn := range wins {
 		l.encodeInto(sc.hvs[j], sc.acc, wn.Seq, wn.Off)
+		if keys != nil {
+			keys[j] = windowKey(wn.Seq, wn.Off, l.params.Window)
+		}
 	}
 	dsts := sc.cands[:len(wins)]
 	for j := range dsts {
 		dsts[j] = dsts[j][:0]
 	}
-	l.probeBlockInto(v, dsts, sc.hvs[:len(wins)], sc)
+	l.probeBlockInto(v, dsts, sc.hvs[:len(wins)], keys, sc)
 	sn := hdcOf(v)
 	tol := 0
 	if l.params.Approx {
@@ -220,7 +243,7 @@ func (l *Library) probeBlock(v *View, wins []Window, out []*BatchResult) {
 	for j, wn := range wins {
 		r := out[j]
 		r.Stats.Alignments++
-		r.Stats.BucketProbes += sn.nBkts
+		r.Stats.BucketProbes += sc.scored[j]
 		r.Stats.CandidateBuckets += len(dsts[j])
 		r.Matches = l.verify(sn, r.Matches, wn.Seq, wn.Off, dsts[j], tol, &r.Stats)
 	}

@@ -293,16 +293,18 @@ func BenchmarkAccSeal8192(b *testing.B) {
 // (about 1 600 lanes tie), on each tie-pass tier.
 func BenchmarkRowsSeal8192(b *testing.B) {
 	src := rng.New(4)
-	rows := NewRows(NewTies(8192, 5))
-	for i := 0; i < 16; i++ {
-		rows.Add(RandomHV(8192, src))
+	rows := NewRows(NewTies(8192, 5), 16)
+	idx := make([]int32, 16)
+	for i := range idx {
+		rows.Put(i, RandomHV(8192, src))
+		idx[i] = int32(i)
 	}
 	for _, tier := range depositTiers {
 		b.Run(tier.name, func(b *testing.B) {
 			rows.deposit = tier.deposit
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				_ = rows.Seal()
+				_ = rows.Seal(idx)
 			}
 		})
 	}

@@ -73,15 +73,18 @@ var depositTiers = []struct {
 }
 
 // checkRowsEqualAcc holds the row fold, sealing with deposit, to the
-// counters after every Add.
+// counters after every member: the members stored in the table's rows
+// back to front, so the fold names its rows out of order.
 func checkRowsEqualAcc(t *testing.T, d int, seed uint64, hs []*HV, deposit func(out, mask, stream []uint64)) {
 	t.Helper()
-	acc, rows := NewAcc(d), NewRows(NewTies(d, seed))
+	acc, rows := NewAcc(d), NewRows(NewTies(d, seed), len(hs))
 	rows.deposit = deposit
+	var idx []int32
 	for i, h := range hs {
 		acc.Add(h)
-		rows.Add(h)
-		if got, want := rows.Seal(), acc.Seal(seed); !got.Equal(want) {
+		rows.Put(len(hs)-1-i, h)
+		idx = append(idx, int32(len(hs)-1-i))
+		if got, want := rows.Seal(idx), acc.Seal(seed); !got.Equal(want) {
 			t.Fatalf("D=%d n=%d: row fold differs from Acc.Seal in %d bits", d, i+1, got.Hamming(want))
 		}
 	}
@@ -109,26 +112,33 @@ func TestRowsMatchAcc(t *testing.T) {
 	}
 }
 
+// TestRowsResetReuses stores round after round of members over the same
+// rows, as a builder reuses a group's rows bucket after bucket, and
+// seals each round and a subset of it named out of order.
 func TestRowsResetReuses(t *testing.T) {
 	src := rng.New(41)
-	rows := NewRows(NewTies(testDim, 9))
+	rows := NewRows(NewTies(testDim, 9), 6)
 	for round := 0; round < 3; round++ {
-		hs := bundleCase("random", testDim, 4, src)
-		for _, h := range hs {
-			rows.Add(h)
+		hs := bundleCase("random", testDim, 6, src)
+		for i, h := range hs {
+			rows.Put(i, h)
 		}
-		if want := Bundle(testDim, 9, hs...); !rows.Seal().Equal(want) {
-			t.Fatalf("round %d: bundle after Reset differs", round)
+		if want := Bundle(testDim, 9, hs...); !rows.Seal([]int32{0, 1, 2, 3, 4, 5}).Equal(want) {
+			t.Fatalf("round %d: bundle of the rows stored over the last round's differs", round)
 		}
-		rows.Reset()
+		if want := Bundle(testDim, 9, hs[1], hs[4], hs[5], hs[2]); !rows.Seal([]int32{5, 1, 2, 4}).Equal(want) {
+			t.Fatalf("round %d: bundle of four rows named out of order differs", round)
+		}
 	}
 }
 
 func TestRowsPanics(t *testing.T) {
-	rows := NewRows(NewTies(128, 1))
+	rows := NewRows(NewTies(128, 1), 2)
 	for name, fn := range map[string]func(){
-		"empty seal":   func() { rows.Seal() },
-		"wrong dim":    func() { rows.Add(NewHV(64)) },
+		"empty seal":   func() { rows.Seal(nil) },
+		"row past end": func() { rows.Seal([]int32{0, 2}) },
+		"wrong dim":    func() { rows.Put(0, NewHV(64)) },
+		"put past end": func() { rows.Put(2, NewHV(128)) },
 		"bad ties dim": func() { NewTies(100, 1) },
 	} {
 		func() {
