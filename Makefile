@@ -32,16 +32,17 @@ test:
 test-purego:
 	$(GO) test -tags purego ./internal/bitvec ./internal/genome ./internal/encoding ./internal/hdc ./internal/pim ./internal/core ./internal/cobs ./internal/mmapfile ./internal/wire
 
-## race: run the test suite under the race detector, then the three
-## packages whose behaviour depends on the scheduler — the coalescer forms
-## its blocks out of whichever callers are runnable together, and the
-## wire connections combine into one socket write whichever responses
-## and requests finish together — again at GOMAXPROCS 1, 2 and 4, and
-## so are internal/core's batch and Search tests, which check that a
-## Search's answers and counters do not depend on GOMAXPROCS
+## race: run the test suite under the race detector, then the two
+## packages whose behaviour depends on the scheduler — a wire
+## connection's reader executes the requests it answers itself beside
+## the workers executing the rest, and the connections combine into one
+## socket write whichever responses and requests finish together —
+## again at GOMAXPROCS 1, 2 and 4, and so are internal/core's batch and
+## Search tests, which check that a Search's answers and counters do
+## not depend on GOMAXPROCS
 race:
 	$(GO) test -race $(PKGS)
-	$(GO) test -race -cpu 1,2,4 ./internal/coalesce ./internal/server ./internal/wire
+	$(GO) test -race -cpu 1,2,4 ./internal/server ./internal/wire
 	$(GO) test -race -cpu 1,2,4 -run 'Batch|Search' ./internal/core
 
 ## vet: run go vet

@@ -15,8 +15,9 @@ import (
 // cmdWire is a client for the binary wire protocol (serve
 // -wire-addr): one-shot searches, classification, stats, and ping,
 // with -n issuing that many pipelined copies of the request on one
-// connection — the smoke test uses it to drive the coalescer through
-// the wire transport and assert all pipelined answers agree.
+// connection — the smoke test uses it to drive the server's reader
+// path through the wire transport and assert all pipelined answers
+// agree.
 func cmdWire(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("wire", flag.ContinueOnError)
 	addr := fs.String("addr", "127.0.0.1:8651", "wire-protocol server address")

@@ -71,8 +71,8 @@ type IndexInfo struct {
 // lifecycle, and v3 serialization. *Engine implements all of it; the
 // HDC Library and the COBS-style bit-sliced index in internal/cobs
 // embed an Engine and supply only its Kernel. Every layer above
-// internal/core — the coalescer, the exec layer, the HTTP and wire
-// handlers, and the CLI — talks only to this interface.
+// internal/core — the exec layer, the HTTP and wire handlers, and the
+// CLI — talks only to this interface.
 //
 // Concurrency contract: Frozen indexes serve all read methods
 // concurrently with each other and with mutations; mutations publish
@@ -95,10 +95,11 @@ type Index interface {
 	Counters() Counters
 
 	// Search is the probe: every query shape, from one view, with the
-	// same answers on every backend. LookupBlock is the coalescer's
-	// executor: one caller-assembled block of at most BlockWidth
-	// patterns, per pattern identical to Lookup. Lookup and Classify
-	// (a forward Long Search's Best) stay for the benchmark harness.
+	// same answers on every backend. LookupBlock runs one
+	// caller-assembled block of at most BlockWidth patterns, per
+	// pattern identical to Lookup: the exec layer's forward search.
+	// Lookup and Classify (a forward Long Search's Best) stay for the
+	// benchmark harness.
 	Search(ctx context.Context, q Query, a *Answer) error
 	LookupBlock(patterns []*genome.Sequence, results []BatchResult) error
 	Lookup(pattern *genome.Sequence) ([]Match, Stats, error)

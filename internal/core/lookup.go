@@ -35,8 +35,8 @@ type Stats struct {
 }
 
 // Add accumulates another query's work into s — callers that combine
-// independently produced results (the coalescing layer, benchmark
-// harnesses) aggregate exactly as the multi-lookup paths do.
+// independently produced results (Search, benchmark harnesses)
+// aggregate exactly as the multi-lookup paths do.
 func (s *Stats) Add(o Stats) {
 	s.Alignments += o.Alignments
 	s.BucketProbes += o.BucketProbes
@@ -55,8 +55,8 @@ type BatchResult struct {
 // BlockWidth is the query-block width of the blocked probe paths: up
 // to this many query windows share one call of the read primitive (for
 // the HDC kernel, one streaming pass over the arena). Callers that
-// assemble their own blocks (LookupBlock, the coalescing layer) size
-// them against this constant.
+// assemble their own blocks (LookupBlock) size them against this
+// constant.
 const BlockWidth = bitvec.MaxMultiQueries
 
 // diagKey identifies one alignment diagonal: matches of a reference
@@ -114,10 +114,10 @@ func (e *Engine) probe(v *View, sc *probeScratch, n int, blocked bool) {
 }
 
 // countProbe books every probe call, over windows query windows of v.
-// blocked tallies it as one multi-query block (the coalescer's and the
-// batch paths' occupancy figure); a lone Lookup is not one. Each window
-// scans each segment once, on the mapped or the heap tier; a zero delta
-// is skipped.
+// blocked tallies it as one multi-query block (the Search and
+// LookupBlock paths' occupancy figure); a lone Lookup is not one. Each
+// window scans each segment once, on the mapped or the heap tier; a
+// zero delta is skipped.
 //
 //biohd:hotpath
 func (e *Engine) countProbe(v *View, windows int, blocked bool) {
@@ -325,9 +325,8 @@ func sortMatches(matches []Match) {
 // of at most BlockWidth patterns. results must be at least as long as
 // patterns; the first len(patterns) slots are overwritten with each
 // pattern's outcome, per-pattern identical (matches, stats, error) to
-// an individual Lookup call. This is the block executor of the
-// cross-request coalescing layer, which packs queued single-query
-// probes from concurrent requests into one block.
+// an individual Lookup call. A served forward search is one of one
+// pattern.
 //
 //biohd:hotpath
 func (e *Engine) LookupBlock(patterns []*genome.Sequence, results []BatchResult) error {

@@ -56,9 +56,6 @@ func (g *Gauge) Inc() { g.v.Add(1) }
 // Dec subtracts one.
 func (g *Gauge) Dec() { g.v.Add(-1) }
 
-// Set replaces the value.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
@@ -104,17 +101,6 @@ func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()
 // millisecond probes to multi-second batch requests.
 var DefBuckets = []float64{
 	0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5,
-}
-
-// LinearBuckets builds count evenly spaced histogram bounds starting
-// at start — e.g. LinearBuckets(1, 1, 8) for a block-occupancy
-// histogram whose realized width is an integer in [1, 8].
-func LinearBuckets(start, width float64, count int) []float64 {
-	bounds := make([]float64, count)
-	for i := range bounds {
-		bounds[i] = start + float64(i)*width
-	}
-	return bounds
 }
 
 // metricKind discriminates family types for rendering.

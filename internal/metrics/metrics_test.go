@@ -83,7 +83,10 @@ func TestWritePrometheusDeterministicAndEscaped(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("b_total", "second", Label{Key: "path", Value: `x"y\z`}).Inc()
 	r.Counter("a_total", "first").Inc()
-	r.Gauge("g", "gauge").Set(7)
+	g := r.Gauge("g", "gauge")
+	g.Inc()
+	g.Inc()
+	g.Dec()
 	var first, second strings.Builder
 	if err := r.WritePrometheus(&first); err != nil {
 		t.Fatal(err)
@@ -101,7 +104,7 @@ func TestWritePrometheusDeterministicAndEscaped(t *testing.T) {
 	if !strings.Contains(out, `b_total{path="x\"y\\z"} 1`) {
 		t.Fatalf("label not escaped:\n%s", out)
 	}
-	if !strings.Contains(out, "# TYPE g gauge") || !strings.Contains(out, "g 7") {
+	if !strings.Contains(out, "# TYPE g gauge") || !strings.Contains(out, "\ng 1\n") {
 		t.Fatalf("gauge missing:\n%s", out)
 	}
 }

@@ -177,11 +177,10 @@ func post(ts *httptest.Server, c answerCase) (int, string, error) {
 	return resp.StatusCode, string(b), err
 }
 
-// TestCoalescedResponsesByteIdentical: for every search-side case the
-// service answers, one request at a time, with the bytes rendered from
-// the index's own in-process answer — whether the request went through
-// the coalescer (forward search) or straight to the index.
-func TestCoalescedResponsesByteIdentical(t *testing.T) {
+// TestResponsesByteIdentical: for every search-side case the service
+// answers, one request at a time, with the bytes rendered from the
+// index's own in-process answer.
+func TestResponsesByteIdentical(t *testing.T) {
 	ts, cases := answerServer(t)
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -196,11 +195,11 @@ func TestCoalescedResponsesByteIdentical(t *testing.T) {
 	}
 }
 
-// TestCoalescedConcurrentSearchesByteIdentical sends the same cases from
-// 32 concurrent clients, so forward searches share coalesced blocks
-// beside requests that go straight to the index, and checks every
-// response against the in-process answer byte for byte.
-func TestCoalescedConcurrentSearchesByteIdentical(t *testing.T) {
+// TestConcurrentSearchesByteIdentical sends the same cases from 32
+// concurrent clients, so every shape of request runs beside every
+// other, and checks every response against the in-process answer byte
+// for byte.
+func TestConcurrentSearchesByteIdentical(t *testing.T) {
 	ts, cases := answerServer(t)
 	const clients = 32
 	var wg sync.WaitGroup
@@ -219,90 +218,4 @@ func TestCoalescedConcurrentSearchesByteIdentical(t *testing.T) {
 		}(cases[i%len(cases)])
 	}
 	wg.Wait()
-}
-
-// metricValue reads one unlabeled sample from Prometheus text.
-func metricValue(t *testing.T, text, name string) float64 {
-	t.Helper()
-	for _, line := range strings.Split(text, "\n") {
-		var v float64
-		if rest, ok := strings.CutPrefix(line, name+" "); ok {
-			if _, err := fmt.Sscanf(rest, "%g", &v); err != nil {
-				t.Fatalf("unparsable sample %q: %v", line, err)
-			}
-			return v
-		}
-	}
-	t.Fatalf("metrics missing %s", name)
-	return 0
-}
-
-// metricsText fetches /metrics.
-func metricsText(t *testing.T, ts *httptest.Server) string {
-	t.Helper()
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	b, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(b)
-}
-
-// TestCoalescerTakesOnlyForwardSearches mixes forward searches with
-// both-strand, classify and batch requests from concurrent clients: the
-// coalescer admits exactly the forward searches, and every admitted job
-// sits in an executed block or was vacated.
-func TestCoalescerTakesOnlyForwardSearches(t *testing.T) {
-	ts, cases := answerServer(t)
-	const rounds = 4
-	forward := 0
-	var wg sync.WaitGroup
-	for r := 0; r < rounds; r++ {
-		for _, c := range cases {
-			if c.path == "/v1/search" && !strings.Contains(c.body, `"both"`) {
-				forward++
-			}
-			wg.Add(1)
-			go func(c answerCase) {
-				defer wg.Done()
-				if _, _, err := post(ts, c); err != nil {
-					t.Error(err)
-				}
-			}(c)
-		}
-	}
-	wg.Wait()
-	text := metricsText(t, ts)
-	jobs := metricValue(t, text, "biohd_coalesce_jobs_total")
-	inBlocks := metricValue(t, text, "biohd_coalesce_block_occupancy_sum")
-	vacated := metricValue(t, text, "biohd_coalesce_vacated_total")
-	if jobs != float64(forward) {
-		t.Errorf("coalescer admitted %v jobs, want the %d forward searches", jobs, forward)
-	}
-	if inBlocks+vacated != jobs {
-		t.Errorf("block slots %v + vacated %v != jobs %v", inBlocks, vacated, jobs)
-	}
-}
-
-// TestCoalesceMetricsExposure: the coalescing series appear on /metrics.
-func TestCoalesceMetricsExposure(t *testing.T) {
-	ts, cases := answerServer(t)
-	if _, _, err := post(ts, cases[0]); err != nil {
-		t.Fatal(err)
-	}
-	text := metricsText(t, ts)
-	for _, name := range []string{
-		"biohd_coalesce_block_occupancy",
-		"biohd_coalesce_queue_depth",
-		"biohd_coalesce_wait_seconds",
-		"biohd_coalesce_jobs_total",
-	} {
-		if !strings.Contains(text, name) {
-			t.Errorf("metrics missing %s", name)
-		}
-	}
 }

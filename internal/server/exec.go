@@ -36,10 +36,11 @@ func parsePattern(text string) (*genome.Sequence, *wire.StatusError) {
 	return seq, nil
 }
 
-// execSearch runs one search request: parse, look the pattern up —
-// a forward search through the coalescer, so concurrent requests share
-// probe blocks; both strands as one Search, a two-pattern block — and
-// convert matches to the response shape.
+// execSearch runs one search request: parse, look the pattern up
+// straight on the index, and convert matches to the response shape. A
+// forward search is one LookupBlock of the one pattern; a context that
+// died before it ran refuses it, as Search refuses a block. Both strands
+// are one Search, a two-pattern block.
 func (s *Server) execSearch(ctx context.Context, pattern string, both bool) (wire.SearchResult, *wire.StatusError) {
 	pat, serr := parsePattern(pattern)
 	if serr != nil {
@@ -47,12 +48,16 @@ func (s *Server) execSearch(ctx context.Context, pattern string, both bool) (wir
 	}
 	res := wire.SearchResult{Matches: []wire.Match{}}
 	if !both {
-		matches, stats, err := s.coal.Lookup(ctx, pat)
-		if err != nil {
+		var r [1]core.BatchResult
+		err := ctx.Err()
+		if err == nil {
+			err = s.lib.LookupBlock([]*genome.Sequence{pat}, r[:])
+		}
+		if err = errors.Join(err, r[0].Err); err != nil {
 			return wire.SearchResult{}, &wire.StatusError{Code: http.StatusUnprocessableEntity, Msg: err.Error()}
 		}
-		res.Probes = stats.BucketProbes
-		res.Matches = s.appendMatches(res.Matches, matches, core.Forward)
+		res.Probes = r[0].Stats.BucketProbes
+		res.Matches = s.appendMatches(res.Matches, r[0].Matches, core.Forward)
 		return res, nil
 	}
 	var a core.Answer

@@ -19,7 +19,7 @@ import (
 // The golden equivalence suite pins the backend-interface refactor:
 // the HDC library must answer byte-identically whether the caller
 // holds the concrete *core.Library or the core.Index interface the
-// server, coalescer, and CLI now program against — sequentially and
+// server and CLI now program against — sequentially and
 // under 32-way concurrency — and the /v1 responses served over the
 // interface must reproduce the same bytes request after request.
 
@@ -180,8 +180,7 @@ func TestGoldenV1ResponsesThroughInterface(t *testing.T) {
 		golden[i] = search(t, q.String())
 	}
 	// The interface-typed server must keep serving the same bytes —
-	// from 32 concurrent clients, with the coalescer batching across
-	// them.
+	// from 32 concurrent clients.
 	var wg sync.WaitGroup
 	for w := 0; w < goldenWorkers; w++ {
 		wg.Add(1)

@@ -38,7 +38,6 @@ import (
 	"net/http"
 	"sync"
 
-	"repro/internal/coalesce"
 	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/wire"
@@ -56,8 +55,7 @@ type Server struct {
 	reg      *metrics.Registry
 	inflight *metrics.Gauge
 	series   httpSeries
-	coal     *coalesce.Coalescer // forward searches; every other route calls lib
-	logger   *log.Logger         // nil: no per-request logging
+	logger   *log.Logger // nil: no per-request logging
 
 	// refMu is held across a reference-ID check and the Add or Remove
 	// it guards, so two requests naming one ID cannot both pass it.
@@ -91,17 +89,12 @@ func New(lib core.Index, opts ...Option) (*Server, error) {
 	}
 	s.cfg = s.cfg.withDefaults()
 	s.inflight = s.reg.Gauge(metricInFlight, helpInFlight)
-	c, err := coalesce.New(lib, s.reg)
-	if err != nil {
-		return nil, err
-	}
-	s.coal = c
 	return s, nil
 }
 
-// Close does nothing: the server and its coalescer run nothing in the
-// background, so there is nothing to release. It is kept for the
-// benchmark harness, which calls it.
+// Close does nothing: the server runs nothing in the background, so
+// there is nothing to release. It is kept for the benchmark harness,
+// which calls it.
 func (s *Server) Close() {}
 
 // Registry exposes the server's metrics registry, e.g. for registering

@@ -14,7 +14,8 @@ import (
 
 // WireBackend adapts the server for the binary wire protocol. Pass
 // the result to wire.NewServer alongside Registry() so the wire
-// metrics render on the same /metrics endpoint.
+// metrics render on the same /metrics endpoint. It implements
+// wire.Inliner: see Inline.
 func (s *Server) WireBackend() wire.Backend { return wireBackend{s} }
 
 type wireBackend struct {
@@ -45,3 +46,11 @@ func (b wireBackend) Classify(ctx context.Context, read []byte, minFraction floa
 }
 
 func (b wireBackend) Stats() wire.StatsResult { return b.s.execStats() }
+
+// Inline lets the connection's reader answer SEARCH, one Search over
+// one pinned view of at most two patterns, and PING. CLASSIFY, whose
+// cost grows with the read, and STATS, which runs mincore over the
+// mapping, go to a worker, so they never delay the frames behind them.
+func (wireBackend) Inline(op wire.Opcode) bool {
+	return op == wire.OpSearch || op == wire.OpPing
+}

@@ -353,9 +353,9 @@ func TestWireGoldenEquivalence(t *testing.T) {
 }
 
 // TestWireGoldenEquivalenceConcurrent repeats the byte-identical
-// check under 32-way concurrent pipelined wire traffic — exactly the
-// shape that fills the coalescer's probe blocks — against HTTP
-// answers captured up front. Run with -race in CI.
+// check under 32-way concurrent pipelined wire traffic — searches
+// answered on the connections' readers beside one another — against
+// HTTP answers captured up front. Run with -race in CI.
 func TestWireGoldenEquivalenceConcurrent(t *testing.T) {
 	ts, cl, ref := wirePair(t)
 	ctx := context.Background()
@@ -421,10 +421,28 @@ func TestWireMetricsOnSharedRegistry(t *testing.T) {
 		`biohd_wire_frames_total{opcode="search"} 2`,
 		"biohd_wire_frame_seconds_count 2",
 		"biohd_wire_pipeline_depth_count 2",
+		"biohd_wire_reader_served_total 2",
 		"biohd_library_resident_bytes",
 	} {
 		if !strings.Contains(text, series) {
 			t.Errorf("metrics missing %q", series)
+		}
+	}
+}
+
+// TestWireBackendInlinesSearchAndPing pins which requests the wire
+// reader answers itself: SEARCH, one Search of at most two patterns,
+// and PING — never CLASSIFY, whose cost grows with the read, nor
+// STATS, which runs mincore over the mapping.
+func TestWireBackendInlinesSearchAndPing(t *testing.T) {
+	s, _ := newServer(t)
+	in, ok := s.WireBackend().(wire.Inliner)
+	if !ok {
+		t.Fatal("the wire backend does not implement wire.Inliner")
+	}
+	for op := wire.Opcode(0); op <= wire.OpErr; op++ {
+		if got, want := in.Inline(op), op == wire.OpSearch || op == wire.OpPing; got != want {
+			t.Errorf("Inline(%v) = %v, want %v", op, got, want)
 		}
 	}
 }

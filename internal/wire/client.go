@@ -5,16 +5,17 @@ package wire
 // a writer stamps a fresh requestID on every frame and registers a
 // waiter; a per-connection reader goroutine demultiplexes response
 // frames back to their waiters by id. Callers on different goroutines
-// therefore share connections and naturally pipeline, which is
-// exactly the traffic shape the server's coalescer wants.
+// therefore share connections and naturally pipeline: the server's
+// reader answers a burst that arrives in one read with one write.
 //
 // Request frames combine as the server's responses do: each is
 // encoded into the connection's pending bytes, and frames queued
 // together go out in one socket write (writeFrame).
 //
 // Context cancellation abandons the waiter and fires a best-effort
-// CANCEL frame so the server vacates the request from the coalescer;
-// a response that arrives anyway is dropped on the floor.
+// CANCEL frame so the server cancels the request's context if a worker
+// still holds it; a response that arrives anyway is dropped on the
+// floor.
 
 import (
 	"bufio"

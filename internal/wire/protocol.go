@@ -3,9 +3,9 @@
 // TCP connections beside the HTTP API. It exists to strip the
 // per-query transport tax off small probes — request parsing, header
 // churn, and JSON encode/decode dominate the ~46µs arena scan over
-// HTTP/1.1 — and to keep every connection fully pipelined so
-// concurrent in-flight requests from even a single client fill
-// core.LookupBlock probe blocks through the coalescer.
+// HTTP/1.1 — and to keep every connection fully pipelined, so the
+// server answers a burst of in-flight requests from even a single
+// client without a goroutine hand-off and writes the answers together.
 //
 // Frame grammar (all integers little-endian):
 //

@@ -4,44 +4,49 @@ package wire
 // server, every connection fully pipelined. Per connection:
 //
 //	readLoop  — one goroutine decoding frames: header, payload, and
-//	            per-request cancel registration keyed by requestID.
-//	            Decoded requests flow into a bounded work channel
-//	            (backpressure: a client with pipelineDepth frames in
-//	            flight blocks until responses drain).
-//	workers   — connWorkers goroutines executing requests against the
-//	            Backend concurrently. This is what feeds the
-//	            coalescer: in-flight requests from ONE connection are
-//	            separate goroutines, so when the CPUs are busy they
-//	            queue up as concurrent coalescer submissions and share
-//	            core.LookupBlock probe blocks without needing many
-//	            clients. The blocks run on these goroutines too.
+//	            per-request cancel registration keyed by requestID. An
+//	            opcode the Backend marks inline (Inliner: for
+//	            internal/server, SEARCH and PING) it answers itself,
+//	            in arrival order; every other request flows into a
+//	            bounded work channel (backpressure: a client with
+//	            pipelineDepth frames in flight blocks until responses
+//	            drain).
+//	workers   — connWorkers goroutines executing the requests the reader
+//	            hands over against the Backend concurrently, so a
+//	            CLASSIFY or STATS never delays the frames behind it.
 //
 // There is no writer goroutine. A frame is written by whoever finishes
 // it: serve appends its encoded response to the connection's pending
-// bytes, and the appender that finds no write under way becomes the
-// writer — it yields once, so responses finishing beside it join the
-// buffer, then writes everything pending in one socket write and
-// repeats until nothing is left. Frames therefore go out in completion
-// order, a burst of responses shares one write, and a response costs
-// no goroutine wake-up. At pipelineDepth pending frames an appender
-// waits for the writer (backpressure: a client that stops reading
-// stalls the workers, then the reader, then TCP).
+// bytes. A worker that finds no write under way becomes the writer —
+// it yields once, so responses finishing beside it join the buffer,
+// then writes everything pending in one socket write and repeats until
+// nothing is left. The reader holds its own responses in pending
+// without taking the write, and writes them itself only before a read
+// that could block (fewer bytes buffered than the next header or
+// payload) or once pipelineDepth frames are pending: a burst of
+// pipelined requests that arrive in one read goes out in one write.
+// Frames therefore go out in completion order, and a response costs no
+// goroutine wake-up. At pipelineDepth pending frames an appender waits
+// for the writer (backpressure: a client that stops reading stalls the
+// workers, then the reader, then TCP).
 //
-// A request's context is a cancel context of its connection's, which
-// is a cancel context of the server's; it has no deadline, because no
-// wire request shape reads its context while it runs. A CANCEL frame
-// cancels the named request's context, the connection's end cancels
-// every request still on it, and a forced Shutdown cancels them all;
-// the coalescer vacates a pending query whose context is dead when its
-// block is taken, so it never burns arena bandwidth. Protocol errors
-// answer with one ERR frame and close the connection; application
-// errors travel as FlagError responses and leave it open.
+// A request handed to a worker gets a cancel context of its
+// connection's, which is a cancel context of the server's; it has no
+// deadline, because no wire request shape reads its context while it
+// runs. A CANCEL frame cancels the named request's context, the
+// connection's end cancels every request still on it, and a forced
+// Shutdown cancels them all. A request the reader answers runs under
+// the connection's context itself: no CANCEL frame can reach it while
+// it runs, since the reader that would decode the frame is running it.
+// Protocol errors answer with one ERR frame and close the connection;
+// application errors travel as FlagError responses and leave it open.
 //
 // The steady-state frame path is allocation-free: header bytes live
 // in the connection, payload and response buffers are pooled, the
 // pending bytes are reused, and the encoders append in place. The
-// //biohd:hotpath annotations on readLoop and send root the lint
-// proof.
+// //biohd:hotpath annotations on readFrame, send and flush root the
+// lint proof; readLoop and workerLoop reach the Backend, which
+// allocates by design, so they are not roots.
 
 import (
 	"bufio"
@@ -74,6 +79,16 @@ type Backend interface {
 	Stats() StatsResult
 }
 
+// Inliner is an optional interface of a Backend: Inline reports
+// whether the connection's reader may answer op itself rather than
+// hand it to a worker. Mark only opcodes whose run time is short and
+// bounded — a request answered on the reader delays every frame behind
+// it on its connection by its own run time. NewServer asks once per
+// opcode; a Backend without Inline has every request run on a worker.
+type Inliner interface {
+	Inline(op Opcode) bool
+}
+
 // ErrServerClosed is returned by Serve after Shutdown or Close.
 var ErrServerClosed = errors.New("wire: server closed")
 
@@ -86,15 +101,22 @@ var ErrServerClosed = errors.New("wire: server closed")
 // reader holds while it waits to hand it over.
 const pipelineDepth = 64
 
-// connWorkers is the number of per-connection request executors — the
-// connection's maximum useful pipelining: two probe blocks' worth, so
-// one connection can keep a block executing and the next one's lookups
-// pending behind it.
+// connWorkers is the number of per-connection executors of the
+// requests the reader hands over: at most this many of a connection's
+// CLASSIFY and STATS requests (every request, for a Backend without
+// Inline) run at once.
 const connWorkers = 16
 
 // keepAlivePeriod is the TCP keepalive probe interval of a wire
 // connection.
 const keepAlivePeriod = 30 * time.Second
+
+// The backoff between failed accepts, as net/http's: from
+// minAcceptDelay, doubling to maxAcceptDelay.
+const (
+	minAcceptDelay = 5 * time.Millisecond
+	maxAcceptDelay = time.Second
+)
 
 // ServerConfig shapes the wire listener's connection lifecycle. Zero
 // fields take the defaults below; a negative IdleTimeout disables it.
@@ -150,6 +172,9 @@ type Server struct {
 	frameSecs   *metrics.Histogram
 	depth       *metrics.Histogram
 	writeFrames *metrics.Histogram
+	served      *metrics.Counter // requests answered on the reader
+
+	inline [8]bool // by opcode: answered on the reader (Inliner)
 
 	bufPool sync.Pool
 
@@ -171,6 +196,7 @@ const (
 	metricFrameSecs   = "biohd_wire_frame_seconds"
 	metricDepth       = "biohd_wire_pipeline_depth"
 	metricWriteFrames = "biohd_wire_write_frames"
+	metricServed      = "biohd_wire_reader_served_total"
 
 	helpConnections = "Wire-protocol connections currently open."
 	helpFramesTotal = "Wire-protocol request frames received, by opcode."
@@ -178,6 +204,7 @@ const (
 	helpFrameSecs   = "Wire-protocol request handling latency in seconds, decode to response enqueue."
 	helpDepth       = "In-flight requests on a connection, sampled at each request admission."
 	helpWriteFrames = "Response frames per socket write."
+	helpServed      = "Wire-protocol requests answered on the connection's reader rather than a worker."
 )
 
 // depthBuckets bound the pipeline-depth and frames-per-write
@@ -209,6 +236,12 @@ func NewServer(b Backend, reg *metrics.Registry, cfg ServerConfig) *Server {
 	s.frameSecs = reg.Histogram(metricFrameSecs, helpFrameSecs, metrics.DefBuckets)
 	s.depth = reg.Histogram(metricDepth, helpDepth, depthBuckets)
 	s.writeFrames = reg.Histogram(metricWriteFrames, helpWriteFrames, depthBuckets)
+	s.served = reg.Counter(metricServed, helpServed)
+	if in, ok := b.(Inliner); ok {
+		for op := range s.inline {
+			s.inline[op] = in.Inline(Opcode(op))
+		}
+	}
 	s.bufPool.New = func() interface{} { return &buffer{b: make([]byte, 0, 4096)} }
 	return s
 }
@@ -238,7 +271,10 @@ func grow(b []byte, n int) []byte {
 
 // Serve accepts connections on ln until Shutdown or Close. It returns
 // ErrServerClosed after a clean shutdown, once every connection
-// handler has exited.
+// handler has exited, and the listener's error if the listener was
+// closed under it. Any other accept error — EMFILE or ENFILE while the
+// process is out of descriptors — passes: Serve backs off and accepts
+// again, so the listener outlives the exhaustion.
 func (s *Server) Serve(ln net.Listener) error {
 	s.mu.Lock()
 	if s.closed {
@@ -255,6 +291,7 @@ func (s *Server) Serve(ln net.Listener) error {
 		s.mu.Unlock()
 	}()
 	defer s.connWg.Wait()
+	var delay time.Duration
 	for {
 		nc, err := ln.Accept()
 		if err != nil {
@@ -263,8 +300,20 @@ func (s *Server) Serve(ln net.Listener) error {
 				return ErrServerClosed
 			default:
 			}
-			return err
+			if errors.Is(err, net.ErrClosed) {
+				return err
+			}
+			delay = min(max(2*delay, minAcceptDelay), maxAcceptDelay)
+			t := time.NewTimer(delay)
+			select {
+			case <-t.C:
+			case <-s.done:
+				t.Stop()
+				return ErrServerClosed
+			}
+			continue
 		}
+		delay = 0
 		s.connWg.Add(1)
 		go func() {
 			defer s.connWg.Done()
@@ -276,8 +325,8 @@ func (s *Server) Serve(ln net.Listener) error {
 // Shutdown stops accepting connections and drains: open connections
 // stop reading new frames, finish their in-flight requests, flush,
 // and close. If ctx expires first the remaining connections are
-// force-closed (their request contexts cancel, which vacates pending
-// coalescer submissions) and ctx's error is returned.
+// force-closed (their request contexts cancel) and ctx's error is
+// returned.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.beginShutdown()
 	done := make(chan struct{})
@@ -423,10 +472,12 @@ func (s *Server) handleConn(nc net.Conn) {
 	if proto {
 		s.protoCount.Inc()
 	}
+	c.flush()
 	close(c.work)
-	// Every writer is a worker, and a writer returns only once nothing
-	// is pending: after the join, the socket is idle and the ERR frame
-	// below is written by this goroutine.
+	// The reader's own write is over, every other writer is a worker,
+	// and a writer returns only once nothing is pending: after the join,
+	// the socket is idle and the ERR frame below is written by this
+	// goroutine.
 	workerWg.Wait()
 	if proto {
 		c.enqueueErrFrame(0, rerr)
@@ -461,11 +512,13 @@ func isProtocolErr(err error) bool {
 }
 
 // readLoop decodes request frames until the connection errors, a
-// protocol violation occurs, or closeRead stops it (nil). It returns
-// the terminal error; handleConn reports protocol violations with an
-// ERR frame.
-//
-//biohd:hotpath
+// protocol violation occurs, or closeRead stops it (nil). It answers
+// CANCEL and the inline opcodes itself and hands every other request
+// to the workers. It returns the terminal error; handleConn writes
+// the frames it still holds and reports protocol violations with an
+// ERR frame. Not a hotpath root: answering a request reaches the
+// Backend, which allocates by design; readFrame roots the proof for
+// the framing around it.
 func (c *serverConn) readLoop() error {
 	for {
 		if c.srv.cfg.IdleTimeout > 0 {
@@ -478,48 +531,78 @@ func (c *serverConn) readLoop() error {
 		if c.draining.Load() {
 			return nil
 		}
-		if _, err := io.ReadFull(c.br, c.hdr[:]); err != nil {
-			return err
-		}
-		h, err := ParseHeader(c.hdr[:])
+		h, buf, err := c.readFrame()
 		if err != nil {
 			return err
 		}
-		if h.Flags&(FlagResponse|FlagError) != 0 {
-			return ErrBadFlags
-		}
-		if !validRequestOp(h.Opcode) {
-			return ErrBadOpcode
-		}
-		if h.PayloadLen > uint32(c.srv.cfg.MaxFrame) {
-			return ErrFrameTooBig
-		}
-		c.srv.frames[h.Opcode].Inc()
-		buf := c.srv.getBuffer()
-		if h.PayloadLen > 0 {
-			buf.b = grow(buf.b, int(h.PayloadLen))
-			if _, err := io.ReadFull(c.br, buf.b); err != nil {
-				c.srv.putBuffer(buf)
-				return err
-			}
-		}
-		if h.Opcode == OpCancel {
+		switch {
+		case h.Opcode == OpCancel:
 			c.cancelRequest(h.RequestID)
 			c.srv.putBuffer(buf)
-			continue
+		case c.srv.inline[h.Opcode]:
+			if !c.addInflight(h.RequestID, nil) {
+				c.srv.putBuffer(buf)
+				return ErrDuplicateID
+			}
+			c.srv.served.Inc()
+			c.serve(request{op: h.Opcode, id: h.RequestID, payload: buf, ctx: c.ctx}, true)
+		default:
+			ctx, cancel := context.WithCancel(c.ctx)
+			if !c.addInflight(h.RequestID, cancel) {
+				cancel()
+				c.srv.putBuffer(buf)
+				return ErrDuplicateID
+			}
+			c.work <- request{op: h.Opcode, id: h.RequestID, payload: buf, ctx: ctx, cancel: cancel}
 		}
-		ctx, cancel := context.WithCancel(c.ctx)
-		if !c.addInflight(h.RequestID, cancel) {
-			cancel()
-			c.srv.putBuffer(buf)
-			return ErrDuplicateID
-		}
-		c.work <- request{op: h.Opcode, id: h.RequestID, payload: buf, ctx: ctx, cancel: cancel}
 	}
 }
 
+// readFrame reads and checks one request frame's header and reads its
+// payload into a pooled buffer. Before a read that could block — fewer
+// bytes buffered than the header or payload it needs — it writes the
+// responses the reader holds (flush).
+//
+//biohd:hotpath
+func (c *serverConn) readFrame() (Header, *buffer, error) {
+	if c.br.Buffered() < HeaderSize {
+		c.flush()
+	}
+	if _, err := io.ReadFull(c.br, c.hdr[:]); err != nil {
+		return Header{}, nil, err
+	}
+	h, err := ParseHeader(c.hdr[:])
+	if err != nil {
+		return Header{}, nil, err
+	}
+	if h.Flags&(FlagResponse|FlagError) != 0 {
+		return Header{}, nil, ErrBadFlags
+	}
+	if !validRequestOp(h.Opcode) {
+		return Header{}, nil, ErrBadOpcode
+	}
+	if h.PayloadLen > uint32(c.srv.cfg.MaxFrame) {
+		return Header{}, nil, ErrFrameTooBig
+	}
+	c.srv.frames[h.Opcode].Inc()
+	buf := c.srv.getBuffer()
+	if h.PayloadLen > 0 {
+		if c.br.Buffered() < int(h.PayloadLen) {
+			c.flush()
+		}
+		buf.b = grow(buf.b, int(h.PayloadLen))
+		if _, err := io.ReadFull(c.br, buf.b); err != nil {
+			c.srv.putBuffer(buf)
+			return Header{}, nil, err
+		}
+	}
+	return h, buf, nil
+}
+
 // addInflight registers a request's cancel under its id, refusing
-// duplicates, and samples the pipeline depth.
+// duplicates, and samples the pipeline depth. A request the reader
+// answers registers a nil cancel: it holds its id against duplicates,
+// and no CANCEL frame can reach it while it runs.
 func (c *serverConn) addInflight(id uint64, cancel context.CancelFunc) bool {
 	c.mu.Lock()
 	if _, dup := c.inflight[id]; dup {
@@ -533,9 +616,8 @@ func (c *serverConn) addInflight(id uint64, cancel context.CancelFunc) bool {
 	return true
 }
 
-// cancelRequest fires the named request's context; the coalescer
-// vacates the query if it is still pending. Unknown ids (already
-// completed, or never sent) are ignored.
+// cancelRequest fires the named request's context. Unknown ids
+// (already completed, or never sent) are ignored.
 func (c *serverConn) cancelRequest(id uint64) {
 	c.mu.Lock()
 	cancel := c.inflight[id]
@@ -554,21 +636,20 @@ func (c *serverConn) removeInflight(id uint64) {
 
 // workerLoop executes decoded requests until the work channel closes.
 // Not a hotpath root: execution reaches the Backend (pattern parsing,
-// coalescer submission, match conversion), which allocates per
-// request by design — the zero-alloc guarantee covers the framing
-// layer around it.
+// the index, match conversion), which allocates per request by design
+// — the zero-alloc guarantee covers the framing layer around it.
 func (c *serverConn) workerLoop() {
 	for req := range c.work {
-		c.serve(req)
+		c.serve(req, false)
 	}
 }
 
 // serve executes one request — PING, STATS, SEARCH or CLASSIFY; the
 // reader answered CANCEL itself and refused any other opcode — and
-// enqueues its encoded response. A malformed payload inside a
-// well-formed frame is a protocol error: the ERR frame carries the
-// request's id and the connection tears down.
-func (c *serverConn) serve(req request) {
+// queues its encoded response; hold is set on the reader (see send). A
+// malformed payload inside a well-formed frame is a protocol error:
+// the ERR frame carries the request's id and the connection tears down.
+func (c *serverConn) serve(req request, hold bool) {
 	start := time.Now()
 	out := c.srv.getBuffer()
 	frame, off := BeginFrame(out.b)
@@ -625,7 +706,7 @@ func (c *serverConn) serve(req request) {
 		// written and handleConn tears the connection down.
 		c.closeRead()
 	}
-	c.send(out.b, protoErr != nil)
+	c.send(out.b, protoErr != nil, hold)
 	c.srv.putBuffer(out)
 }
 
@@ -643,7 +724,9 @@ func errorCode(err error) (int, string) {
 // finish releases one served request: context, registration and
 // payload buffer.
 func (c *serverConn) finish(req request) {
-	req.cancel()
+	if req.cancel != nil {
+		req.cancel()
+	}
 	c.removeInflight(req.id)
 	c.srv.putBuffer(req.payload)
 }
@@ -657,19 +740,24 @@ func (c *serverConn) enqueueErrFrame(id uint64, err error) {
 	frame = AppendErrorPayload(frame, 400, err.Error())
 	FinishFrame(frame, off, OpErr, FlagResponse|FlagError, id)
 	out.b = frame
-	c.send(out.b, true)
+	c.send(out.b, true, false)
 	c.srv.putBuffer(out)
 }
 
-// send queues one finished frame behind those finished before it and,
-// if no goroutine is writing, makes the caller the writer (see the file
-// comment). last marks the frame that ends the connection (a protocol
-// ERR frame); a frame queued after it, or after a write error, is
-// dropped. At pipelineDepth pending frames the caller waits for the
-// writer to take them.
+// send queues one finished frame behind those finished before it. On
+// a worker (hold false) it makes the caller the writer if no goroutine
+// is writing (see the file comment). On the reader (hold true) the
+// frame waits in pending for the reader's next flush, or for the write
+// under way to take it, unless pipelineDepth frames are pending and
+// none is under way: then the reader writes them at once, so with no
+// writer fewer than pipelineDepth frames are ever pending. last marks
+// the frame that ends the connection (a protocol ERR frame); a frame
+// queued after it, or after a write error, is dropped. At
+// pipelineDepth pending frames the caller waits for the writer to take
+// them.
 //
 //biohd:hotpath
-func (c *serverConn) send(frame []byte, last bool) {
+func (c *serverConn) send(frame []byte, last, hold bool) {
 	c.wmu.Lock()
 	for c.npending >= pipelineDepth && !c.closed {
 		c.room.Wait()
@@ -684,14 +772,37 @@ func (c *serverConn) send(frame []byte, last bool) {
 	c.pending = append(c.pending, frame...)
 	c.npending++
 	c.closed = last
-	if c.writing {
+	if c.writing || hold && c.npending < pipelineDepth {
 		c.wmu.Unlock()
 		return
 	}
 	c.writing = true
+	if !hold {
+		c.wmu.Unlock()
+		runtime.Gosched()
+		c.wmu.Lock()
+	}
+	c.writeLocked()
 	c.wmu.Unlock()
-	runtime.Gosched()
+}
+
+// flush writes the frames the reader holds in one socket write, unless
+// a write is under way, which takes them with its own.
+//
+//biohd:hotpath
+func (c *serverConn) flush() {
 	c.wmu.Lock()
+	if !c.writing && c.npending > 0 {
+		c.writing = true
+		c.writeLocked()
+	}
+	c.wmu.Unlock()
+}
+
+// writeLocked is the writer, entered with wmu held and the write side
+// claimed: it writes everything pending, one socket write a round,
+// until nothing is left, then releases the write side.
+func (c *serverConn) writeLocked() {
 	for c.npending > 0 {
 		out, n := c.pending, c.npending
 		c.pending, c.spare, c.npending = c.spare[:0], nil, 0
@@ -708,7 +819,6 @@ func (c *serverConn) send(frame []byte, last bool) {
 		}
 	}
 	c.writing = false
-	c.wmu.Unlock()
 }
 
 // growPending makes room for n more bytes in the pending buffer,

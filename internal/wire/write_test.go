@@ -255,11 +255,11 @@ func TestServerDropsFramesAfterEnd(t *testing.T) {
 		writer := make(chan struct{})
 		go func() {
 			defer close(writer)
-			c.send(ping(1), false)
+			c.send(ping(1), false, false)
 		}()
 		first := nextWrite(t, g)
-		c.send(errFrame, true) // a write is under way: both return at once
-		c.send(ping(3), false)
+		c.send(errFrame, true, false) // a write is under way: both return at once
+		c.send(ping(3), false, false)
 		g.release <- nil
 		second := nextWrite(t, g)
 		g.release <- nil
@@ -267,7 +267,7 @@ func TestServerDropsFramesAfterEnd(t *testing.T) {
 		if !bytes.Equal(first, ping(1)) || !bytes.Equal(second, errFrame) {
 			t.Fatalf("writes %x then %x, want the ping then the ERR frame alone", first, second)
 		}
-		c.send(ping(4), false)
+		c.send(ping(4), false, false)
 		noMoreWrites(t, g)
 	})
 
@@ -278,13 +278,13 @@ func TestServerDropsFramesAfterEnd(t *testing.T) {
 		writer := make(chan struct{})
 		go func() {
 			defer close(writer)
-			c.send(ping(1), false)
+			c.send(ping(1), false, false)
 		}()
 		nextWrite(t, g)
-		c.send(ping(2), false) // queued behind the write that fails
+		c.send(ping(2), false, false) // queued behind the write that fails
 		g.release <- errors.New("planted write failure")
 		<-writer
-		c.send(ping(3), false)
+		c.send(ping(3), false, false)
 		noMoreWrites(t, g)
 		if n := c.pendingFrames(); n != 0 {
 			t.Fatalf("%d frames still pending after the failed write", n)
@@ -338,9 +338,9 @@ func TestSendAllocs(t *testing.T) {
 	frame = AppendSearchResult(frame, &result)
 	FinishFrame(frame, off, OpSearch, FlagResponse, 42)
 	c := bareConn(discardConn{})
-	c.send(frame, false)
-	c.send(frame, false)
-	if allocs := testing.AllocsPerRun(1000, func() { c.send(frame, false) }); allocs != 0 {
+	c.send(frame, false, false)
+	c.send(frame, false, false)
+	if allocs := testing.AllocsPerRun(1000, func() { c.send(frame, false, false) }); allocs != 0 {
 		t.Fatalf("steady-state send allocates: %v allocs/op", allocs)
 	}
 }

@@ -1,10 +1,9 @@
 #!/usr/bin/env bash
 # Service smoke test: build the CLI, serve a generated library on an
 # ephemeral port, exercise /healthz, /v1/search, the mutation lifecycle
-# (ingest, remove, compact), a burst of concurrent searches through the
-# coalescing layer, /metrics, and the strands=both, /v1/batch and
-# /v1/classify routes with curl, then SIGTERM the server and
-# assert it drains to a clean exit. A second phase round-trips the
+# (ingest, remove, compact), a burst of concurrent searches, /metrics,
+# and the strands=both, /v1/batch and /v1/classify routes with curl,
+# then SIGTERM the server and assert it drains to a clean exit. A second phase round-trips the
 # mmap-backed tier: build -o (v3, the only format written) → serve
 # -mmap straight from it → search/ingest/remove/compact against the
 # mapped library, and assert the mapped-bytes gauge reports the mapping;
@@ -12,8 +11,10 @@
 # serve -mmap with the legacy-format error. A third phase
 # serves with -wire-addr and drives the binary wire protocol through
 # the biohd wire client: pipelined searches, classify, stats, ping,
-# then asserts the biohd_wire_* metric series — the frames-per-write
-# histogram must sum to the responses sent — and a clean drain. A
+# then asserts the biohd_wire_* metric series — the ping and the
+# pipelined searches answered on the connection's reader, the
+# frames-per-write histogram summing to the responses sent — and a
+# clean drain. A
 # fourth phase exercises the COBS bit-sliced backend end to end:
 # build -backend cobs → serve the saved collection -mmap with both HTTP
 # and wire listeners → search over each transport, and assert /v1/stats
@@ -72,8 +73,8 @@ pattern=$(awk '/^>/{n++; next} n==1{printf "%s", $0}' "$workdir/refs.fa" | cut -
 pattern_rc=$(printf '%s' "$pattern" | tr ACGT TGCA | awk '{for (i = length($0); i > 0; i--) printf "%s", substr($0, i, 1)}')
 read_seq=$(awk '/^>/{n++; next} n==1{printf "%s", $0}' "$workdir/refs.fa" | cut -c201-500)
 
-# search_routes drives the routes that reach the index as one Search
-# each rather than through the coalescer: a strands=both search of the
+# search_routes drives the routes beside the forward search, each one
+# Search of the index: a strands=both search of the
 # reverse-complemented pattern must match on the "-" strand, a
 # /v1/batch of two patterns must answer two items, and /v1/classify of
 # the read must report its votes. $1 = http base, $2 = label.
@@ -150,7 +151,7 @@ echo "== /v1/compact"
 compacted=$(curl -sf -X POST "$base/v1/compact")
 echo "$compacted" | grep -q '"tombstoneRatio":0' || { echo "FATAL: compact left tombstones: $compacted"; exit 1; }
 
-echo "== concurrent searches (coalescing)"
+echo "== concurrent searches"
 pids=()
 for i in $(seq 1 8); do
     curl -sf -X POST -H 'Content-Type: application/json' \
@@ -179,26 +180,15 @@ for want in \
     'biohd_library_segments' \
     'biohd_library_tombstone_ratio 0' \
     'biohd_core_segment_seals_total' \
-    'biohd_core_compactions_total' \
-    'biohd_coalesce_queue_depth' \
-    'biohd_coalesce_wait_seconds_count'; do
+    'biohd_core_compactions_total'; do
     grep -qF -- "$want" <<<"$metrics" || { echo "FATAL: /metrics missing: $want"; exit 1; }
 done
-
-# Coalescer accounting: every admitted lookup ran in exactly one probe
-# block or was vacated, so the occupancy histogram's sum (lookups over
-# all executed blocks) plus the vacated count is the admitted count.
+# Forward searches go straight to the index: no coalescing series is left.
+if grep -q 'biohd_coalesce_' <<<"$metrics"; then
+    echo "FATAL: /metrics still serves biohd_coalesce_ series"
+    exit 1
+fi
 metric() { echo "$metrics" | awk -v m="$1" '$1 == m {print $2}'; }
-cjobs=$(metric biohd_coalesce_jobs_total)
-cvacated=$(metric biohd_coalesce_vacated_total)
-cslots=$(metric biohd_coalesce_block_occupancy_sum)
-cblocks=$(metric biohd_coalesce_block_occupancy_count)
-awk -v j="$cjobs" -v v="$cvacated" -v s="$cslots" -v b="$cblocks" 'BEGIN {
-    if (j == "" || v == "" || s == "" || b == "" || b == 0) { print "FATAL: coalesce series missing or no block ran"; exit 1 }
-    printf "coalescer: %d lookups in %d blocks (mean occupancy %.2f), %d vacated\n", j, b, s / b, v
-    if (j < 11) { printf "FATAL: %d lookups admitted, want at least the 11 searches\n", j; exit 1 }
-    if (s + v != j) { printf "FATAL: %d block slots + %d vacated != %d admitted lookups\n", s, v, j; exit 1 }
-}'
 
 echo "== strands=both, /v1/batch, /v1/classify"
 search_routes "$base" "heap"
@@ -367,6 +357,13 @@ for want in \
     'biohd_wire_connections'; do
     grep -qF -- "$want" <<<"$metrics" || { echo "FATAL: /metrics missing: $want"; exit 1; }
 done
+# The server's backend marks SEARCH and PING inline: the ping and the 8
+# pipelined searches were answered on their connection's reader, the
+# classify and the two stats requests on workers.
+wserved=$(metric biohd_wire_reader_served_total)
+[ "$wserved" = 9 ] \
+    || { echo "FATAL: $wserved requests answered on the reader, want the ping and the 8 pipelined searches"; exit 1; }
+echo "wire: $wserved requests answered on the reader"
 # Every response frame goes out in exactly one socket write, so the
 # frames-per-write sum is the number of responses: one per request
 # frame but CANCEL, which is never answered.
